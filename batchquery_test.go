@@ -27,10 +27,40 @@ func newScanCluster(t *testing.T, rows int) *Cluster {
 	return c
 }
 
-// TestQueryBatchesColumnar checks the serving hand-off: a non-provenance
-// scan emits its whole answer through the columnar callback — the row
-// callback must never fire — and the content matches the buffered Query.
-func TestQueryBatchesColumnar(t *testing.T) {
+// testSink is the serving path's sink as a test sees it: it counts what
+// arrives through each form and, with keep set, materializes the rows.
+type testSink struct {
+	keep             bool
+	cols             []string
+	rows             []tuple.Row
+	n                int
+	rowCalls, colCal int
+}
+
+func (s *testSink) Columns(cols []string) { s.cols = cols }
+
+func (s *testSink) StreamRows(rows []tuple.Row) error {
+	s.rowCalls++
+	s.n += len(rows)
+	if s.keep {
+		s.rows = append(s.rows, rows...)
+	}
+	return nil
+}
+
+func (s *testSink) StreamCols(b *tuple.Batch) error {
+	s.colCal++
+	s.n += b.N
+	if s.keep {
+		s.rows = append(s.rows, b.Rows()...)
+	}
+	return nil
+}
+
+// TestServedQueryColumnar checks the serving hand-off: a non-provenance
+// scan emits its whole answer columnar — the row form must never fire —
+// and the content matches the embedded Query.
+func TestServedQueryColumnar(t *testing.T) {
 	c := newScanCluster(t, 500)
 	q := "SELECT k, grp, v FROM bq WHERE v >= 100 AND v < 400"
 	want, err := c.Query(q)
@@ -41,69 +71,55 @@ func TestQueryBatchesColumnar(t *testing.T) {
 		t.Fatalf("reference query: %d rows", len(want.Rows))
 	}
 
-	var gotRows []tuple.Row
-	var rowEmits, colEmits int
-	var meta *Result
-	res, err := c.QueryBatches(q, QueryOptions{},
-		func(m *Result) error { meta = m; return nil },
-		func(rows []tuple.Row) error { rowEmits++; return nil },
-		func(b *tuple.Batch) error {
-			colEmits++
-			gotRows = append(gotRows, b.Rows()...)
-			return nil
-		})
+	sink := &testSink{keep: true}
+	res, err := c.QueryOpts(q, QueryOptions{sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta == nil || meta.Rows != nil {
-		t.Fatalf("start meta: %+v", meta)
+	if res.Rows != nil {
+		t.Fatalf("served result kept %d rows at the initiator", len(res.Rows))
 	}
-	if rowEmits != 0 {
-		t.Fatalf("row callback fired %d times on the columnar path", rowEmits)
+	if sink.rowCalls != 0 {
+		t.Fatalf("row form fired %d times on the columnar path", sink.rowCalls)
 	}
-	if colEmits == 0 {
-		t.Fatal("columnar callback never fired")
+	if sink.colCal == 0 {
+		t.Fatal("columnar form never fired")
 	}
-	if res.Epoch != want.Epoch || len(res.Columns) != 3 {
-		t.Fatalf("meta: %+v", res)
+	if res.Epoch != want.Epoch || len(res.Columns) != 3 || len(sink.cols) != 3 {
+		t.Fatalf("meta: %+v, sink columns %v", res, sink.cols)
 	}
-	if len(gotRows) != len(want.Rows) {
-		t.Fatalf("columnar emitted %d rows, query answered %d", len(gotRows), len(want.Rows))
+	if len(sink.rows) != len(want.Rows) {
+		t.Fatalf("columnar emitted %d rows, query answered %d", len(sink.rows), len(want.Rows))
 	}
 	seen := make(map[string]bool, len(want.Rows))
 	for _, r := range want.Rows {
 		seen[fmt.Sprint(r)] = true
 	}
-	for _, r := range gotRows {
+	for _, r := range sink.rows {
 		if !seen[fmt.Sprint(r)] {
 			t.Fatalf("columnar row %v not in reference answer", r)
 		}
 	}
 }
 
-// TestQueryBatchesProvenanceFallsBackToRows: provenance-mode collections
-// are row-granular, so the answer must arrive through the row callback.
-func TestQueryBatchesProvenanceFallsBackToRows(t *testing.T) {
+// TestServedQueryProvenanceEmitsRows: provenance-mode collections are
+// row-granular, so the answer must arrive in row form.
+func TestServedQueryProvenanceEmitsRows(t *testing.T) {
 	c := newScanCluster(t, 200)
-	q := "SELECT k, v FROM bq WHERE v < 50"
-	var rowCount, colEmits int
-	_, err := c.QueryBatches(q, QueryOptions{Provenance: true},
-		func(*Result) error { return nil },
-		func(rows []tuple.Row) error { rowCount += len(rows); return nil },
-		func(b *tuple.Batch) error { colEmits++; return nil })
-	if err != nil {
+	sink := &testSink{}
+	if _, err := c.QueryOpts("SELECT k, v FROM bq WHERE v < 50", QueryOptions{Provenance: true, sink: sink}); err != nil {
 		t.Fatal(err)
 	}
-	if colEmits != 0 {
-		t.Fatalf("columnar callback fired %d times in provenance mode", colEmits)
+	if sink.colCal != 0 {
+		t.Fatalf("columnar form fired %d times in provenance mode", sink.colCal)
 	}
-	if rowCount != 50 {
-		t.Fatalf("row callback delivered %d rows, want 50", rowCount)
+	if sink.n != 50 {
+		t.Fatalf("row form delivered %d rows, want 50", sink.n)
 	}
 }
 
 // TestQueryLimitPushdown: a limit-only final pipeline must still answer
-// exactly N valid rows through both the buffered and columnar paths (the
+// exactly N valid rows through both the embedded and served paths (the
 // early-completion optimization must never change the answer size).
 func TestQueryLimitPushdown(t *testing.T) {
 	c := newScanCluster(t, 2000)
@@ -120,46 +136,51 @@ func TestQueryLimitPushdown(t *testing.T) {
 			t.Fatalf("row out of domain: %v", r)
 		}
 	}
-	var got int
-	if _, err := c.QueryBatches(q, QueryOptions{},
-		func(*Result) error { return nil },
-		func(rows []tuple.Row) error { got += len(rows); return nil },
-		func(b *tuple.Batch) error { got += b.N; return nil }); err != nil {
+	sink := &testSink{}
+	if _, err := c.QueryOpts(q, QueryOptions{sink: sink}); err != nil {
 		t.Fatal(err)
 	}
-	if got != 25 {
-		t.Fatalf("columnar LIMIT 25 emitted %d rows", got)
+	if sink.n != 25 {
+		t.Fatalf("served LIMIT 25 emitted %d rows", sink.n)
 	}
 }
 
-// TestQueryBatchesCacheHitEmitsRows: view-cache hits are stored as rows
-// and must replay through the row callback.
-func TestQueryBatchesCacheHitEmitsRows(t *testing.T) {
+// TestServedQueryCacheHitEmitsRows: view-cache entries are stored as rows
+// and replay in row form; the miss that filled the entry still went out
+// columnar.
+func TestServedQueryCacheHitEmitsRows(t *testing.T) {
 	c := newScanCluster(t, 100)
 	c.EnableQueryCache(16)
 	q := "SELECT k, v FROM bq WHERE v < 40"
-	start := func(*Result) error { return nil }
-	var rowsA, rowsB, colsA, colsB int
-	if _, err := c.QueryBatches(q, QueryOptions{},
-		start,
-		func(rows []tuple.Row) error { rowsA += len(rows); return nil },
-		func(b *tuple.Batch) error { colsA += b.N; return nil }); err != nil {
+	miss, hit := &testSink{}, &testSink{keep: true}
+	if _, err := c.QueryOpts(q, QueryOptions{sink: miss}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.QueryBatches(q, QueryOptions{},
-		start,
-		func(rows []tuple.Row) error { rowsB += len(rows); return nil },
-		func(b *tuple.Batch) error { colsB += b.N; return nil })
+	res, err := c.QueryOpts(q, QueryOptions{sink: hit})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Cached {
 		t.Fatal("second query not served from cache")
 	}
-	if rowsA+colsA != 40 || rowsB+colsB != 40 {
-		t.Fatalf("first run %d+%d rows, cached run %d+%d rows, want 40 each", rowsA, colsA, rowsB, colsB)
+	if miss.n != 40 || miss.rowCalls != 0 {
+		t.Fatalf("miss emitted %d rows (%d in row form), want 40 columnar", miss.n, miss.rowCalls)
 	}
-	if rowsB != 40 {
-		t.Fatalf("cache hit emitted %d rows via the row callback, want 40", rowsB)
+	if hit.n != 40 || hit.colCal != 0 || len(hit.cols) != 2 {
+		t.Fatalf("cache hit emitted %d rows (%d columnar calls), columns %v; want 40 in row form", hit.n, hit.colCal, hit.cols)
+	}
+	// The embedded caller owns its answer: mutating it must not reach the
+	// cache entry the served path replays.
+	own, err := c.Query(q)
+	if err != nil || !own.Cached || len(own.Rows) != 40 {
+		t.Fatalf("embedded hit: %+v, %v", own, err)
+	}
+	own.Rows[0] = nil
+	again := &testSink{keep: true}
+	if _, err := c.QueryOpts(q, QueryOptions{sink: again}); err != nil {
+		t.Fatal(err)
+	}
+	if again.rows[0] == nil {
+		t.Fatal("a caller's result aliases the cache entry")
 	}
 }

@@ -1,14 +1,10 @@
 // Package client is the Go client for a served ORCHESTRA deployment
 // (an orchestra.Cluster with Serve enabled, or an orchestra-node started
-// with -serve). It speaks the length-prefixed wire protocol over TCP,
-// reuses a small pool of connections across calls, and surfaces
-// server-side failures as typed errors.
-//
-// By default the client negotiates the binary streaming extension on
-// each connection (a hello handshake): query results then arrive as
-// column-major row-batch frames decoded incrementally — both behind the
-// buffered Query API and the incremental QueryStream iterator — and fall
-// back to plain JSON frames transparently against old servers.
+// with -serve): connection pooling, endpoint balancing and failover over
+// the wire protocol that internal/server defines, with server-side
+// failures surfaced as typed errors. Query results arrive as
+// column-major row-batch frames decoded incrementally, both behind the
+// buffered Query API and the incremental QueryStream iterator.
 //
 //	cl, _ := client.Dial("127.0.0.1:7101")
 //	defer cl.Close()
@@ -43,13 +39,9 @@ var (
 	// included).
 	ErrTimeout = errors.New("timeout")
 	// ErrFrameTooLarge reports a single wire frame exceeding the
-	// connection's negotiated limit — typically a buffered JSON result
-	// too big for one frame. Streamed binary results are not subject to
-	// a whole-result cap; retry with the binary codec.
+	// connection's negotiated limit — typically a publish too big for one
+	// frame. Results are not subject to a whole-result cap.
 	ErrFrameTooLarge = errors.New("frame too large")
-	// ErrBinaryUnsupported reports that the server does not speak the
-	// binary streaming extension while Options.Codec required it.
-	ErrBinaryUnsupported = errors.New("server does not support binary streaming")
 	// ErrCancelled reports a stream terminated by a cancel frame.
 	ErrCancelled = errors.New("stream cancelled")
 	// ErrServer reports any other server-side failure.
@@ -84,18 +76,6 @@ func (e *Error) Unwrap() error {
 	return ErrServer
 }
 
-// Codec names for Options.Codec.
-const (
-	// CodecAuto negotiates binary streaming and falls back to JSON
-	// against servers that predate it (the default).
-	CodecAuto = "auto"
-	// CodecBinary requires binary streaming; dialing an old server
-	// fails with ErrBinaryUnsupported.
-	CodecBinary = "binary"
-	// CodecJSON forces the plain JSON result path (no hello handshake).
-	CodecJSON = "json"
-)
-
 // Options tunes a Client.
 type Options struct {
 	// PoolSize caps idle connections kept for reuse per endpoint
@@ -107,9 +87,6 @@ type Options struct {
 	// deadline of their own (hello, stream-cancel drain, membership
 	// refresh).
 	DialTimeout time.Duration
-	// Codec selects the result codec: CodecAuto (default), CodecBinary,
-	// or CodecJSON.
-	Codec string
 	// MaxFrame bounds a single inbound frame (default server.MaxFrame);
 	// offered to the server during negotiation, which uses the min of
 	// the two peers' limits.
@@ -144,10 +121,6 @@ type Client struct {
 	retry RetryPolicy
 	seeds []string
 
-	// jsonOnly latches when the server rejects the hello handshake, so
-	// later dials skip the wasted round trip (CodecAuto only).
-	jsonOnly atomic.Bool
-
 	rr         atomic.Uint64 // round-robin cursor
 	ctr        counters
 	refreshing atomic.Bool
@@ -158,19 +131,11 @@ type Client struct {
 	closed      bool
 }
 
-// wireConn is one pooled connection plus its negotiated protocol state.
+// wireConn is one pooled connection plus its negotiated frame limit.
 type wireConn struct {
 	net.Conn
 	br *bufio.Reader
 	ep *endpoint // owning endpoint (pool, load and health bookkeeping)
-	// binary reports a successful FeatureBinaryStream negotiation.
-	binary bool
-	// binaryPublish reports FeatureBinaryPublish: publishes may cross the
-	// wire as one typed column-major batch frame instead of JSON rows.
-	binaryPublish bool
-	// publishID reports FeaturePublishID: the server deduplicates
-	// publishes by their client-chosen ID, making them safe to retry.
-	publishID bool
 	// maxFrame is the negotiated frame limit, enforced in both
 	// directions. (The negotiated stream window needs no client state:
 	// it governs the server's sending, and the client grants one credit
@@ -178,9 +143,9 @@ type wireConn struct {
 	maxFrame int64
 }
 
-// Dial validates connectivity to addr (performing the protocol handshake
-// unless Codec is CodecJSON) and returns a Client. addr plus
-// Options.Endpoints seed the cluster member list.
+// Dial validates connectivity to addr (performing the protocol
+// handshake) and returns a Client. addr plus Options.Endpoints seed the
+// cluster member list.
 func Dial(addr string, opts ...Options) (*Client, error) {
 	var o Options
 	if len(opts) > 0 {
@@ -192,19 +157,10 @@ func Dial(addr string, opts ...Options) (*Client, error) {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
 	}
-	switch o.Codec {
-	case "", CodecAuto:
-		o.Codec = CodecAuto
-	case CodecBinary, CodecJSON:
-	default:
-		return nil, fmt.Errorf("orchestra client: unknown codec %q", o.Codec)
-	}
 	if o.MaxFrame <= 0 {
 		o.MaxFrame = server.MaxFrame
 	}
-	if o.MaxFrame > server.MaxFrameLimit {
-		o.MaxFrame = server.MaxFrameLimit // lengths must stay below the tag bit
-	}
+	o.MaxFrame = min(o.MaxFrame, server.MaxFrameLimit)
 	if o.RefreshInterval == 0 {
 		o.RefreshInterval = 30 * time.Second
 	}
@@ -246,7 +202,7 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// dial establishes one connection to ep and negotiates the protocol.
+// dial establishes one connection to ep and performs the handshake.
 func (c *Client) dial(ep *endpoint) (*wireConn, error) {
 	nc, err := net.DialTimeout("tcp", ep.addr, c.opts.DialTimeout)
 	if err != nil {
@@ -261,9 +217,6 @@ func (c *Client) dial(ep *endpoint) (*wireConn, error) {
 		ep:       ep,
 		maxFrame: c.opts.MaxFrame,
 	}
-	if c.opts.Codec == CodecJSON || (c.opts.Codec == CodecAuto && c.jsonOnly.Load()) {
-		return conn, nil
-	}
 	if err := c.hello(conn); err != nil {
 		nc.Close()
 		return nil, err
@@ -271,9 +224,8 @@ func (c *Client) dial(ep *endpoint) (*wireConn, error) {
 	return conn, nil
 }
 
-// hello negotiates the binary streaming extension on a fresh connection.
-// Old servers answer with bad_request (unknown op); CodecAuto degrades
-// to JSON, CodecBinary surfaces ErrBinaryUnsupported.
+// hello opens a fresh connection: the server checks the protocol version
+// and answers with the frame limit both sides will enforce.
 func (c *Client) hello(conn *wireConn) error {
 	conn.SetDeadline(time.Now().Add(c.opts.DialTimeout))
 	defer conn.SetDeadline(time.Time{})
@@ -282,12 +234,15 @@ func (c *Client) hello(conn *wireConn) error {
 		Op: server.OpHello,
 		Hello: &server.HelloRequest{
 			Version:  server.ProtocolVersion,
-			Features: []string{server.FeatureBinaryStream, server.FeatureBinaryPublish, server.FeaturePublishID},
 			MaxFrame: c.opts.MaxFrame,
 			Window:   c.opts.StreamWindow,
 		},
 	}
-	if err := server.WriteFrame(conn.Conn, req); err != nil {
+	frame, err := requestFrame(conn, req)
+	if err == nil {
+		_, err = conn.Write(frame)
+	}
+	if err != nil {
 		return fmt.Errorf("orchestra client: hello: %w", err)
 	}
 	resp, _, err := readResponse(conn)
@@ -295,60 +250,38 @@ func (c *Client) hello(conn *wireConn) error {
 		return fmt.Errorf("orchestra client: hello: %w", err)
 	}
 	if resp.Error != nil {
-		if resp.Error.Code == server.CodeBadRequest {
-			// Pre-hello server.
-			if c.opts.Codec == CodecBinary {
-				return fmt.Errorf("orchestra client: %w (%s)", ErrBinaryUnsupported, resp.Error.Message)
-			}
-			c.jsonOnly.Store(true)
-			return nil
-		}
 		return &Error{Code: resp.Error.Code, Message: resp.Error.Message}
 	}
-	h := resp.Hello
-	if h == nil {
+	if resp.Hello == nil {
 		return errors.New("orchestra client: malformed hello response")
 	}
-	for _, f := range h.Features {
-		switch f {
-		case server.FeatureBinaryStream:
-			conn.binary = true
-		case server.FeatureBinaryPublish:
-			conn.binaryPublish = true
-		case server.FeaturePublishID:
-			conn.publishID = true
-		}
-	}
-	conn.binaryPublish = conn.binaryPublish && conn.binary // tagged frames require the stream extension
-	if !conn.binary {
-		if c.opts.Codec == CodecBinary {
-			return fmt.Errorf("orchestra client: %w (server version %d)", ErrBinaryUnsupported, h.Version)
-		}
-		c.jsonOnly.Store(true)
-		return nil
-	}
-	if h.MaxFrame > 0 {
-		// Adopt the negotiated limit in both directions (the server
-		// already took the min of the two offers, floored at MinFrame so
-		// control frames always fit).
-		conn.maxFrame = h.MaxFrame
+	if resp.Hello.MaxFrame > 0 {
+		// The server already took the min of the two offers, floored at
+		// MinFrame so control frames always fit.
+		conn.maxFrame = resp.Hello.MaxFrame
 	}
 	return nil
 }
 
-// readResponse reads one JSON response of either framing, returning the
-// frame's wire size for accounting.
+// readFrame reads one frame, mapping a frame-size violation onto
+// ErrFrameTooLarge.
+func readFrame(conn *wireConn) (server.FrameKind, []byte, error) {
+	kind, payload, err := server.ReadRawFrame(conn.br, conn.maxFrame)
+	var fse *server.FrameSizeError
+	if errors.As(err, &fse) {
+		err = fmt.Errorf("%w: inbound frame of %d bytes exceeds limit %d", ErrFrameTooLarge, fse.Size, fse.Max)
+	}
+	return kind, payload, err
+}
+
+// readResponse reads one JSON response, returning the frame's wire size
+// for accounting.
 func readResponse(conn *wireConn) (*server.Response, int64, error) {
-	kind, payload, isBinary, err := server.ReadRawFrame(conn.br, conn.maxFrame)
+	kind, payload, err := readFrame(conn)
 	if err != nil {
-		var fse *server.FrameSizeError
-		if errors.As(err, &fse) {
-			return nil, 0, fmt.Errorf("%w: inbound frame of %d bytes exceeds limit %d",
-				ErrFrameTooLarge, fse.Size, fse.Max)
-		}
 		return nil, 0, err
 	}
-	n := frameWireSize(payload, isBinary)
+	n := server.FrameWireSize(payload)
 	if kind != server.FrameJSON {
 		return nil, n, fmt.Errorf("orchestra client: unexpected %v frame", kind)
 	}
@@ -359,47 +292,43 @@ func readResponse(conn *wireConn) (*server.Response, int64, error) {
 	return &resp, n, nil
 }
 
-func frameWireSize(payload []byte, isBinary bool) int64 {
-	n := int64(4 + len(payload))
-	if isBinary {
-		n++ // kind byte
-	}
-	return n
-}
-
 // connCall wires context cancellation to a connection held by one call:
 // cancellation forces an immediate deadline so blocked reads/writes
 // unblock now.
 type connCall struct {
-	conn      *wireConn
-	ctx       context.Context
-	watchDone chan struct{}
+	conn *wireConn
+	ctx  context.Context
+	// stop detaches the watchdog; fired closes once a started watchdog
+	// has finished with the connection.
+	stop  func() bool
+	fired chan struct{}
 }
 
 func newConnCall(ctx context.Context, conn *wireConn) *connCall {
-	cc := &connCall{conn: conn, ctx: ctx, watchDone: make(chan struct{})}
+	cc := &connCall{conn: conn, ctx: ctx, fired: make(chan struct{})}
 	if dl, ok := ctx.Deadline(); ok {
 		conn.SetDeadline(dl)
 	} else {
 		conn.SetDeadline(time.Time{})
 	}
-	if done := ctx.Done(); done != nil {
-		go func() {
-			select {
-			case <-done:
-				cc.conn.SetDeadline(time.Unix(1, 0)) // unblock read/write now
-			case <-cc.watchDone:
-			}
-		}()
-	}
+	cc.stop = context.AfterFunc(ctx, func() {
+		conn.SetDeadline(time.Unix(1, 0)) // unblock read/write now
+		close(cc.fired)
+	})
 	return cc
 }
 
 // finish tears down the watchdog. keep reports whether the connection is
-// clean (all response frames consumed) and may return to the pool.
+// clean (all response frames consumed) and may return to the pool. A
+// watchdog that already started is waited out first — it must not force
+// its deadline onto a connection that is back in the pool serving
+// another call — and the connection it touched is dropped.
 func (cc *connCall) finish(c *Client, keep bool) {
-	close(cc.watchDone)
-	if keep && cc.ctx.Err() == nil {
+	if !cc.stop() {
+		<-cc.fired
+		keep = false
+	}
+	if keep {
 		cc.conn.SetDeadline(time.Time{})
 		c.release(cc.conn)
 		return
@@ -427,7 +356,7 @@ func (c *Client) roundTrip(ctx context.Context, req *server.Request) (*server.Re
 	idempotent := req.Op != server.OpCreate
 	var resp *server.Response
 	var n int64
-	_, err := c.withRetry(ctx, idempotent, false, func(conn *wireConn) error {
+	_, err := c.withRetry(ctx, idempotent, func(conn *wireConn) error {
 		r, sz, err := c.roundTripOn(ctx, conn, req)
 		if err != nil {
 			return err
@@ -441,33 +370,44 @@ func (c *Client) roundTrip(ctx context.Context, req *server.Request) (*server.Re
 	return resp, n, nil
 }
 
-// writeRequest encodes and sends one request frame, enforcing the
-// connection's negotiated frame limit before any bytes hit the wire —
-// an oversized request fails fast with ErrFrameTooLarge instead of
-// making the server abort the connection.
-func writeRequest(conn *wireConn, req *server.Request) error {
-	frame, err := server.AppendFrame(nil, req, conn.maxFrame)
-	if err != nil {
-		var fse *server.FrameSizeError
-		if errors.As(err, &fse) {
-			return fmt.Errorf("%w: request frame of %d bytes exceeds negotiated limit %d",
-				ErrFrameTooLarge, fse.Size, fse.Max)
-		}
-		return err
+// requestFrame encodes one request, enforcing the connection's negotiated
+// frame limit before any bytes hit the wire — an oversized request fails
+// fast with ErrFrameTooLarge instead of making the server abort the
+// connection.
+func requestFrame(conn *wireConn, req *server.Request) ([]byte, error) {
+	frame, err := server.AppendJSONFrame(nil, req, conn.maxFrame)
+	return frame, frameTooLarge(err)
+}
+
+// frameTooLarge maps an outbound frame-size violation onto
+// ErrFrameTooLarge.
+func frameTooLarge(err error) error {
+	var fse *server.FrameSizeError
+	if errors.As(err, &fse) {
+		return fmt.Errorf("%w: request frame of %d bytes exceeds negotiated limit %d", ErrFrameTooLarge, fse.Size, fse.Max)
 	}
-	_, err = conn.Write(frame)
 	return err
 }
 
-// roundTripOn runs one request/response exchange on an already-acquired
-// connection, handling cancellation, cleanup, and error typing; the
-// connection returns to the pool only on a clean exchange.
+// roundTripOn encodes req and runs one exchange on an already-acquired
+// connection.
 func (c *Client) roundTripOn(ctx context.Context, conn *wireConn, req *server.Request) (*server.Response, int64, error) {
+	frame, err := requestFrame(conn, req)
+	if err != nil {
+		c.release(conn) // nothing was sent; conn is clean
+		return nil, 0, err
+	}
+	return c.exchange(ctx, conn, frame)
+}
+
+// exchange writes one request frame on an already-acquired connection
+// and reads its JSON response, handling cancellation, cleanup, and error
+// typing; the connection returns to the pool only on a clean exchange.
+func (c *Client) exchange(ctx context.Context, conn *wireConn, frame []byte) (*server.Response, int64, error) {
 	cc := newConnCall(ctx, conn)
-	if err := writeRequest(conn, req); err != nil {
-		keep := errors.Is(err, ErrFrameTooLarge) // nothing was sent; conn is clean
+	if _, err := conn.Write(frame); err != nil {
 		err = cc.wrapErr(fmt.Errorf("orchestra client: write: %w", err))
-		cc.finish(c, keep)
+		cc.finish(c, false)
 		return nil, 0, err
 	}
 	resp, n, err := readResponse(conn)
@@ -504,68 +444,62 @@ func (c *Client) Create(ctx context.Context, relation string, columns []string, 
 }
 
 // Publish inserts a batch of rows as one published update and returns
-// the new global epoch. Values may be int, int64, float64, or string.
+// the new global epoch. Values may be int, int64, float64, or string; a
+// column that mixes ints and floats is sent as floats (the server narrows
+// integral floats back for an int column). Rows the wire's typed batch
+// cannot carry — any other mix within a column, another Go type, ragged
+// rows — are refused here with ErrBadRequest, and a publish larger than
+// the negotiated frame limit with ErrFrameTooLarge; neither touches a
+// connection.
 //
-// Every publish carries a random publish ID. Servers with the
-// publish-id extension record it with the commit and answer a duplicate
-// with the original epoch, which makes a publish whose outcome was lost
-// to a connection failure safe to retry on another endpoint — the
-// client does so automatically under Options.Retry, but only when both
-// the failed and the retry connection negotiated the extension.
-//
-// On connections that negotiated the binary publish extension the rows
-// cross the wire as one typed column-major batch frame (tuple.AppendBatch),
-// eliminating JSON marshaling here and per-value coercion on the server;
-// rows the batch codec cannot carry (mixed value types within a column,
-// unsupported Go types) and old servers fall back to the JSON request
-// transparently.
+// Every publish carries a random publish ID. The deployment records it
+// with the commit and answers a duplicate with the original epoch, which
+// makes a publish whose outcome was lost to a connection failure safe to
+// retry on another endpoint — the client does so automatically under
+// Options.Retry.
 func (c *Client) Publish(ctx context.Context, relation string, rows [][]any) (uint64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, fmt.Errorf("orchestra client: %w", err)
 	}
-	pubID := newPublishID()
+	typed, err := typedRowsOf(rows)
+	if err != nil {
+		return 0, err
+	}
+	payload, err := server.AppendPublishPayload(make([]byte, 0, 4096), 1, newPublishID(), relation, typed)
+	if err != nil {
+		return 0, &Error{Code: server.CodeBadRequest, Message: err.Error()}
+	}
 	var epoch uint64
-	_, err := c.withRetry(ctx, false, true, func(conn *wireConn) error {
-		if conn.binaryPublish {
-			if typed, ok := typedRowsOf(rows); ok {
-				e, err, fellBack := c.publishBinary(ctx, conn, relation, pubID, typed)
-				if !fellBack {
-					if err != nil {
-						return err
-					}
-					epoch = e
-					return nil
-				}
-				// The batch frame could not be built (e.g. mixed column
-				// types): the connection is untouched, reuse it for JSON.
-			}
+	_, err = c.withRetry(ctx, true, func(conn *wireConn) error {
+		frame, err := server.AppendBinaryFrame(make([]byte, 0, len(payload)+8), server.FramePublish, payload, conn.maxFrame)
+		if err != nil {
+			c.release(conn) // nothing was sent; conn is clean
+			return frameTooLarge(err)
 		}
-		resp, _, err := c.roundTripOn(ctx, conn, &server.Request{
-			Op:      server.OpPublish,
-			Publish: &server.PublishRequest{Relation: relation, PublishID: pubID, Rows: rows},
-		})
+		resp, _, err := c.exchange(ctx, conn, frame)
 		if err != nil {
 			return err
 		}
 		epoch = resp.Epoch
 		return nil
 	})
-	if err != nil {
-		return 0, err
-	}
-	return epoch, nil
+	return epoch, err
 }
 
-// publishCompressMin is the raw batch size at which a binary publish
-// frame is flate-compressed (mirrors the server's streamed-batch
-// default; small publishes are cheaper to send raw).
-const publishCompressMin = 4 << 10
-
-// typedRowsOf converts caller values into typed tuple rows; !ok when a
-// value has no direct tuple type (the JSON path handles those).
-func typedRowsOf(rows [][]any) ([]tuple.Row, bool) {
+// typedRowsOf converts caller values into the typed rows of a publish
+// frame, whose columns must be type-homogeneous: a column mixing ints and
+// floats is widened to float, anything else the frame cannot carry is a
+// bad request.
+func typedRowsOf(rows [][]any) ([]tuple.Row, error) {
+	badRequest := func(format string, args ...any) error {
+		return &Error{Code: server.CodeBadRequest, Message: fmt.Sprintf(format, args...)}
+	}
 	out := make([]tuple.Row, len(rows))
+	var widen []bool // per column: ints and floats both seen
 	for i, r := range rows {
+		if i > 0 && len(r) != len(rows[0]) {
+			return nil, badRequest("row %d arity %d != row 0 arity %d", i, len(r), len(rows[0]))
+		}
 		row := make(tuple.Row, len(r))
 		for j, v := range r {
 			switch x := v.(type) {
@@ -578,47 +512,31 @@ func typedRowsOf(rows [][]any) ([]tuple.Row, bool) {
 			case string:
 				row[j] = tuple.S(x)
 			default:
-				return nil, false
+				return nil, badRequest("row %d column %d: unsupported value type %T", i, j, v)
+			}
+			if first := out[0]; i > 0 && row[j].T != first[j].T {
+				if row[j].T == tuple.String || first[j].T == tuple.String {
+					return nil, badRequest("column %d mixes %v and %v values", j, first[j].T, row[j].T)
+				}
+				if widen == nil {
+					widen = make([]bool, len(r))
+				}
+				widen[j] = true
 			}
 		}
 		out[i] = row
 	}
-	return out, true
-}
-
-// publishBinary sends one publish as a FramePublish batch frame on conn
-// and reads its JSON response. fellBack reports that nothing was sent
-// (frame could not be built) and the caller should retry over JSON on
-// the same connection.
-func (c *Client) publishBinary(ctx context.Context, conn *wireConn, relation string, pubID uint64, rows []tuple.Row) (epoch uint64, err error, fellBack bool) {
-	payload, err := server.AppendPublishPayload(make([]byte, 0, 4096), 1, pubID, relation, rows, publishCompressMin)
-	if err != nil {
-		return 0, nil, true // heterogeneous batch: JSON carries it
+	for j, w := range widen {
+		if !w {
+			continue
+		}
+		for _, row := range out {
+			if row[j].T == tuple.Int64 {
+				row[j] = tuple.F(float64(row[j].I64))
+			}
+		}
 	}
-	frame, err := server.AppendBinaryFrame(make([]byte, 0, len(payload)+8), server.FramePublish, payload, conn.maxFrame)
-	if err != nil {
-		// Nothing was sent; let the JSON path carry the request — and,
-		// for a frame over the negotiated size limit, produce the typed
-		// error the caller expects.
-		return 0, nil, true
-	}
-	cc := newConnCall(ctx, conn)
-	if _, err := conn.Write(frame); err != nil {
-		err = cc.wrapErr(fmt.Errorf("orchestra client: write: %w", err))
-		cc.finish(c, false)
-		return 0, err, false
-	}
-	resp, _, err := readResponse(conn)
-	if err != nil {
-		err = cc.wrapErr(fmt.Errorf("orchestra client: read: %w", err))
-		cc.finish(c, false)
-		return 0, err, false
-	}
-	cc.finish(c, true)
-	if resp.Error != nil {
-		return 0, &Error{Code: resp.Error.Code, Message: resp.Error.Message}, false
-	}
-	return resp.Epoch, nil, false
+	return out, nil
 }
 
 // QueryOptions tunes one query; the zero value queries the current
@@ -648,10 +566,8 @@ type Result struct {
 	Restarts int
 	Plan     string
 	// WireBytes is the total size of the response frames that carried
-	// this result (codec comparison/accounting).
+	// this result.
 	WireBytes int64
-	// Streamed reports that the result arrived as binary batch frames.
-	Streamed bool
 	// Attempts counts the call attempts this result took (1 = no
 	// retries); Failovers counts attempts that switched endpoint; and
 	// Endpoint is the address that served the final attempt.
@@ -673,9 +589,8 @@ func (c *Client) Query(ctx context.Context, sql string) (*Result, error) {
 	return c.QueryOpts(ctx, sql, QueryOptions{})
 }
 
-// QueryOpts runs a SQL query with explicit options. On connections that
-// negotiated binary streaming the result arrives as batch frames and is
-// assembled incrementally; otherwise as one JSON response.
+// QueryOpts runs a SQL query with explicit options; the result arrives
+// as batch frames and is assembled incrementally.
 //
 // Queries are idempotent, so under Options.Retry a buffered query is
 // fully fault-tolerant: a failure at any point — dial, mid-stream, even
@@ -686,7 +601,7 @@ func (c *Client) QueryOpts(ctx context.Context, sql string, opts QueryOptions) (
 		return nil, fmt.Errorf("orchestra client: %w", err)
 	}
 	var res *Result
-	meta, err := c.withRetry(ctx, true, false, func(conn *wireConn) error {
+	meta, err := c.withRetry(ctx, true, func(conn *wireConn) error {
 		st, err := c.startStream(ctx, conn, sql, opts)
 		if err != nil {
 			return err
@@ -724,14 +639,13 @@ func drainStream(st *Stream) (*Result, error) {
 	res.Restarts = st.Restarts()
 	res.Plan = st.Plan()
 	res.WireBytes = st.WireBytes()
-	res.Streamed = st.Streamed()
 	res.TraceID = st.TraceID()
 	res.Trace = st.Trace()
 	return res, nil
 }
 
 // queryRequest builds the wire request for one query.
-func queryRequest(ctx context.Context, sql string, opts QueryOptions, stream bool) *server.Request {
+func queryRequest(ctx context.Context, sql string, opts QueryOptions) *server.Request {
 	req := &server.Request{
 		Op: server.OpQuery,
 		Query: &server.QueryRequest{
@@ -740,7 +654,6 @@ func queryRequest(ctx context.Context, sql string, opts QueryOptions, stream boo
 			Recovery:   opts.Recovery,
 			Provenance: opts.Provenance,
 			Explain:    opts.Explain,
-			Stream:     stream,
 			Trace:      opts.Trace,
 		},
 	}
@@ -755,9 +668,6 @@ func queryRequest(ctx context.Context, sql string, opts QueryOptions, stream boo
 // Stream is an incrementally decoded query result: a sequence of row
 // batches followed by terminal metadata. Iterate with Next/Batch, check
 // Err, then read the metadata accessors; Close must always be called.
-// On JSON-fallback connections the whole result arrives buffered and is
-// replayed as a single batch, so code written against Stream works
-// unchanged against old servers.
 type Stream struct {
 	c    *Client
 	conn *wireConn
@@ -771,12 +681,7 @@ type Stream struct {
 	done      bool
 	end       *server.StreamEnd
 	wireBytes int64
-	streamed  bool
 	endpoint  string
-
-	// fallback holds a buffered JSON result replayed as one batch.
-	fallback *Result
-	played   bool
 }
 
 // QueryStream starts a streamed query and returns its result iterator.
@@ -805,7 +710,7 @@ func (c *Client) QueryStream(ctx context.Context, sql string, opts ...QueryOptio
 		return nil, fmt.Errorf("orchestra client: %w", err)
 	}
 	var st *Stream
-	_, err := c.withRetry(ctx, true, false, func(conn *wireConn) error {
+	_, err := c.withRetry(ctx, true, func(conn *wireConn) error {
 		s, err := c.startStream(ctx, conn, sql, o)
 		if err != nil {
 			return err
@@ -819,30 +724,29 @@ func (c *Client) QueryStream(ctx context.Context, sql string, opts ...QueryOptio
 	return st, nil
 }
 
-// startStream performs one attempt at starting a streamed query on an
-// already-acquired connection, up to the schema frame (or the buffered
-// JSON exchange on connections without binary streaming).
+// startStream performs one attempt at starting a query on an
+// already-acquired connection, up to the schema frame.
 func (c *Client) startStream(ctx context.Context, conn *wireConn, sql string, o QueryOptions) (*Stream, error) {
-	if !conn.binary {
-		return c.bufferedStream(ctx, conn, sql, o)
-	}
-	st := &Stream{c: c, conn: conn, id: 1, streamed: true, endpoint: conn.ep.addr}
-	st.cc = newConnCall(ctx, conn)
-	req := queryRequest(ctx, sql, o, true)
+	st := &Stream{c: c, conn: conn, id: 1, endpoint: conn.ep.addr}
+	req := queryRequest(ctx, sql, o)
 	req.ID = st.id
-	if err := writeRequest(conn, req); err != nil {
-		keep := errors.Is(err, ErrFrameTooLarge) // nothing was sent; conn is clean
+	frame, err := requestFrame(conn, req)
+	if err != nil {
+		c.release(conn) // nothing was sent; conn is clean
+		return nil, err
+	}
+	st.cc = newConnCall(ctx, conn)
+	if _, err := conn.Write(frame); err != nil {
 		err = st.cc.wrapErr(fmt.Errorf("orchestra client: write: %w", err))
-		st.cc.finish(c, keep)
+		st.cc.finish(c, false)
 		return nil, err
 	}
 	// The first frame is Schema — or End when the query failed outright.
-	kind, payload, isBinary, err := st.readFrame()
+	kind, payload, err := st.readFrame()
 	if err != nil {
 		st.cc.finish(c, false)
 		return nil, err
 	}
-	st.wireBytes += frameWireSize(payload, isBinary)
 	switch kind {
 	case server.FrameSchema:
 		_, cols, err := server.DecodeSchemaPayload(payload)
@@ -869,71 +773,20 @@ func (c *Client) startStream(ctx context.Context, conn *wireConn, sql string, o 
 	}
 }
 
-// bufferedStream adapts the JSON single-frame path to the Stream API.
-func (c *Client) bufferedStream(ctx context.Context, conn *wireConn, sql string, opts QueryOptions) (*Stream, error) {
-	resp, n, err := c.roundTripOn(ctx, conn, queryRequest(ctx, sql, opts, false))
+// readFrame reads one frame off the stream's connection and accounts its
+// wire size.
+func (s *Stream) readFrame() (server.FrameKind, []byte, error) {
+	kind, payload, err := readFrame(s.conn)
 	if err != nil {
-		return nil, err
+		return kind, payload, s.cc.wrapErr(err)
 	}
-	q := resp.Query
-	if q == nil {
-		return nil, fmt.Errorf("orchestra client: malformed response (no query payload)")
-	}
-	rows := make([][]any, len(q.Rows.Any))
-	for i, wr := range q.Rows.Any {
-		row := make([]any, len(wr))
-		for j, v := range wr {
-			row[j], err = server.DecodeValue(v)
-			if err != nil {
-				return nil, fmt.Errorf("orchestra client: row %d col %d: %w", i, j, err)
-			}
-		}
-		rows[i] = row
-	}
-	return &Stream{
-		done: true,
-		fallback: &Result{
-			Columns:   q.Columns,
-			Rows:      rows,
-			Epoch:     q.Epoch,
-			Cached:    q.Cached,
-			Phases:    q.Phases,
-			Restarts:  q.Restarts,
-			Plan:      q.Plan,
-			WireBytes: n,
-			TraceID:   q.TraceID,
-			Trace:     q.Trace,
-		},
-		wireBytes: n,
-	}, nil
-}
-
-// readFrame reads one raw frame off the stream's connection, mapping
-// frame-size violations onto ErrFrameTooLarge.
-func (s *Stream) readFrame() (server.FrameKind, []byte, bool, error) {
-	kind, payload, isBinary, err := server.ReadRawFrame(s.conn.br, s.conn.maxFrame)
-	if err != nil {
-		var fse *server.FrameSizeError
-		if errors.As(err, &fse) {
-			err = fmt.Errorf("%w: inbound frame of %d bytes exceeds limit %d",
-				ErrFrameTooLarge, fse.Size, fse.Max)
-		}
-		return kind, payload, isBinary, s.cc.wrapErr(err)
-	}
-	return kind, payload, isBinary, nil
+	s.wireBytes += server.FrameWireSize(payload)
+	return kind, payload, nil
 }
 
 // Next advances to the next batch, returning false at the end of the
 // stream or on error (check Err).
 func (s *Stream) Next() bool {
-	if s.fallback != nil {
-		if s.played || len(s.fallback.Rows) == 0 {
-			return false
-		}
-		s.batch = s.fallback.Rows
-		s.played = true
-		return true
-	}
 	if s.done || s.err != nil {
 		return false
 	}
@@ -952,12 +805,11 @@ func (s *Stream) Next() bool {
 		}
 	}
 	for {
-		kind, payload, isBinary, err := s.readFrame()
+		kind, payload, err := s.readFrame()
 		if err != nil {
 			s.fail(err)
 			return false
 		}
-		s.wireBytes += frameWireSize(payload, isBinary)
 		switch kind {
 		case server.FrameBatch:
 			_, rows, err := server.DecodeBatchPayloadAny(payload)
@@ -1009,12 +861,7 @@ func (s *Stream) finishConn(keep bool) {
 func (s *Stream) Batch() [][]any { return s.batch }
 
 // Columns returns the result column names (available immediately).
-func (s *Stream) Columns() []string {
-	if s.fallback != nil {
-		return s.fallback.Columns
-	}
-	return s.cols
-}
+func (s *Stream) Columns() []string { return s.cols }
 
 // Err returns the stream's terminal error, if any.
 func (s *Stream) Err() error { return s.err }
@@ -1024,9 +871,9 @@ func (s *Stream) Err() error { return s.err }
 // drains frames until the server's terminal End arrives. The server
 // stops emitting batches and returns the query's admission slot. After a
 // clean cancel, Err reports nil and the connection returns to the pool.
-// Cancelling a finished or fallback stream is a no-op.
+// Cancelling a finished stream is a no-op.
 func (s *Stream) Cancel() error {
-	if s.fallback != nil || s.done {
+	if s.done {
 		return nil
 	}
 	if s.cc.ctx.Err() != nil {
@@ -1055,12 +902,11 @@ func (s *Stream) Cancel() error {
 	}
 	s.conn.SetDeadline(drainBy)
 	for {
-		kind, payload, isBinary, err := s.readFrame()
+		kind, payload, err := s.readFrame()
 		if err != nil {
 			s.fail(err)
 			return s.err
 		}
-		s.wireBytes += frameWireSize(payload, isBinary)
 		switch kind {
 		case server.FrameBatch:
 			// Discard: in-flight batches the server sent before seeing the
@@ -1087,31 +933,14 @@ func (s *Stream) Cancel() error {
 	}
 }
 
-// Close releases the stream's connection. A binary stream abandoned
-// before its End frame is cancelled first (see Cancel), so the
-// connection usually survives into the pool; if the cancel itself fails
-// the connection is dropped. Fully consumed streams return their
-// connection directly. Close is idempotent.
-func (s *Stream) Close() error {
-	if !s.done && s.fallback == nil && s.cc != nil {
-		return s.Cancel()
-	}
-	if !s.done {
-		s.done = true
-		if s.err == nil {
-			s.err = errors.New("orchestra client: stream closed before end")
-		}
-		s.finishConn(false)
-	}
-	return nil
-}
+// Close releases the stream's connection. A stream abandoned before its
+// End frame is cancelled first (see Cancel), so the connection usually
+// survives into the pool; if the cancel itself fails the connection is
+// dropped. Fully consumed streams have returned their connection
+// already. Close is idempotent.
+func (s *Stream) Close() error { return s.Cancel() }
 
-// Streamed reports whether the result arrived as binary batch frames
-// (false: buffered JSON fallback).
-func (s *Stream) Streamed() bool { return s.streamed }
-
-// Endpoint returns the address of the endpoint serving this stream (""
-// for buffered fallback streams).
+// Endpoint returns the address of the endpoint serving this stream.
 func (s *Stream) Endpoint() string { return s.endpoint }
 
 // WireBytes returns the bytes of response frames consumed so far.
@@ -1121,9 +950,6 @@ func (s *Stream) WireBytes() int64 { return s.wireBytes }
 
 // Epoch returns the snapshot epoch the query executed against.
 func (s *Stream) Epoch() uint64 {
-	if s.fallback != nil {
-		return s.fallback.Epoch
-	}
 	if s.end != nil {
 		return s.end.Epoch
 	}
@@ -1131,18 +957,10 @@ func (s *Stream) Epoch() uint64 {
 }
 
 // Cached reports a materialized-view cache hit.
-func (s *Stream) Cached() bool {
-	if s.fallback != nil {
-		return s.fallback.Cached
-	}
-	return s.end != nil && s.end.Cached
-}
+func (s *Stream) Cached() bool { return s.end != nil && s.end.Cached }
 
 // Phases returns 1 + incremental recovery invocations.
 func (s *Stream) Phases() uint32 {
-	if s.fallback != nil {
-		return s.fallback.Phases
-	}
 	if s.end != nil {
 		return s.end.Phases
 	}
@@ -1151,9 +969,6 @@ func (s *Stream) Phases() uint32 {
 
 // Restarts counts full restarts performed.
 func (s *Stream) Restarts() int {
-	if s.fallback != nil {
-		return s.fallback.Restarts
-	}
 	if s.end != nil {
 		return s.end.Restarts
 	}
@@ -1162,9 +977,6 @@ func (s *Stream) Restarts() int {
 
 // Plan returns the optimizer explanation (when Explain was requested).
 func (s *Stream) Plan() string {
-	if s.fallback != nil {
-		return s.fallback.Plan
-	}
 	if s.end != nil {
 		return s.end.Plan
 	}
@@ -1173,9 +985,6 @@ func (s *Stream) Plan() string {
 
 // TraceID identifies the traced execution (when Trace was requested).
 func (s *Stream) TraceID() string {
-	if s.fallback != nil {
-		return s.fallback.TraceID
-	}
 	if s.end != nil {
 		return s.end.TraceID
 	}
@@ -1184,9 +993,6 @@ func (s *Stream) TraceID() string {
 
 // Trace returns the query's span tree (when Trace was requested).
 func (s *Stream) Trace() *TraceSpan {
-	if s.fallback != nil {
-		return s.fallback.Trace
-	}
 	if s.end != nil {
 		return s.end.Trace
 	}
@@ -1194,8 +1000,7 @@ func (s *Stream) Trace() *TraceSpan {
 }
 
 // TotalRows returns the stream's total row count as reported by the
-// server's End frame (0 for buffered fallback streams, where Batch
-// carries the whole answer).
+// server's End frame.
 func (s *Stream) TotalRows() int64 {
 	if s.end != nil {
 		return s.end.Rows

@@ -317,3 +317,33 @@ func TestEpochPinning(t *testing.T) {
 		t.Fatalf("pinned snapshot: %d rows at epoch %d, want 1 at %d", len(old.Rows), old.Epoch, e1)
 	}
 }
+
+// TestCancelAfterCallLeavesPoolClean: cancelling a call's context right
+// after the call returned must not reach the connection it used — that
+// connection is already back in the pool, and a deadline forced onto it
+// would fail an unrelated later call with "i/o timeout". (End to end the
+// window is a few scheduler quanta wide; TestConnCallWatchdogStopsAtFinish
+// opens it deterministically.)
+func TestCancelAfterCallLeavesPoolClean(t *testing.T) {
+	c, srv := serveCluster(t, 1, orchestra.ServeOptions{})
+	if err := c.CreateRelation(orchestra.NewSchema("kv", "k:string", "v:int").Key("k")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Publish("kv", orchestra.Rows{{"a", 1}}); err != nil {
+		t.Fatal(err)
+	}
+	c.EnableQueryCache(16)
+	cl, err := client.Dial(srv.Addr(), client.Options{PoolSize: 1, RefreshInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for i := 0; i < 3000; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		_, err := cl.Query(ctx, "SELECT k, v FROM kv")
+		cancel()
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+}

@@ -36,9 +36,8 @@ func newPublishID() uint64 {
 // draining), is always safe to retry, any operation included. A
 // transport failure after the request may have reached the server
 // retries only when re-execution is provably harmless: reads (ping,
-// query, schema, status, traces) always; publishes only when both the
-// failed and the retry connection negotiated the publish-id extension,
-// so the server deduplicates the batch by its ID. Server-side errors
+// query, schema, status, traces), and publishes, which the deployment
+// deduplicates by their publish ID — but not creates. Server-side errors
 // other than "unavailable" (bad request, not found, timeout, internal)
 // never retry — the server decided, re-asking won't change the answer.
 type RetryPolicy struct {
@@ -364,8 +363,7 @@ func (c *Client) refreshAsync() {
 }
 
 // refreshMembers asks one reachable endpoint for the cluster's member
-// list (the health op; the status op against servers that predate it)
-// and adopts the answer.
+// list (the health op) and adopts the answer.
 func (c *Client) refreshMembers() {
 	c.mu.Lock()
 	if c.closed {
@@ -401,21 +399,6 @@ func (c *Client) peersOf(ctx context.Context, ep *endpoint) ([]string, error) {
 	}
 	resp, _, err := c.roundTripOn(ctx, conn, &server.Request{Op: server.OpHealth})
 	if err != nil {
-		if errors.Is(err, ErrBadRequest) {
-			// Pre-health server: the status op carries peers when known.
-			conn, err = c.acquireOn(ep)
-			if err != nil {
-				return nil, err
-			}
-			resp, _, err = c.roundTripOn(ctx, conn, &server.Request{Op: server.OpStatus})
-			if err != nil {
-				return nil, err
-			}
-			if resp.Status == nil {
-				return nil, nil
-			}
-			return resp.Status.Peers, nil
-		}
 		return nil, err
 	}
 	if resp.Health == nil {
@@ -490,7 +473,7 @@ func classifyFailure(err error) (proofOfNonExecution, transport bool) {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false, false
 	}
-	if errors.Is(err, ErrFrameTooLarge) || errors.Is(err, ErrBinaryUnsupported) {
+	if errors.Is(err, ErrFrameTooLarge) {
 		return false, false // deterministic; a retry hits the same wall
 	}
 	return false, true
@@ -506,14 +489,11 @@ type callMeta struct {
 
 // withRetry runs fn under the retry policy. fn receives a freshly
 // acquired connection and owns it (release or discard through the
-// usual paths). idempotent permits retry after transport failures;
-// publishGuarded additionally permits it for publishes, provided both
-// the failed and the retry connection negotiated publish-id.
-func (c *Client) withRetry(ctx context.Context, idempotent, publishGuarded bool, fn func(conn *wireConn) error) (callMeta, error) {
+// usual paths). idempotent permits retry after transport failures.
+func (c *Client) withRetry(ctx context.Context, idempotent bool, fn func(conn *wireConn) error) (callMeta, error) {
 	pol := c.retry
 	var meta callMeta
 	var lastErr error
-	needPubID := false
 	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			c.ctr.retries.Add(1)
@@ -537,12 +517,6 @@ func (c *Client) withRetry(ctx context.Context, idempotent, publishGuarded bool,
 			lastErr = err
 			continue
 		}
-		if needPubID && !conn.publishID {
-			// The retry target cannot prove idempotency; re-sending could
-			// double-apply. Surface the original failure.
-			c.release(conn)
-			return meta, lastErr
-		}
 		meta.attempts++
 		c.ctr.attempts.Add(1)
 		prev := meta.endpoint
@@ -551,7 +525,6 @@ func (c *Client) withRetry(ctx context.Context, idempotent, publishGuarded bool,
 			meta.failovers++
 			c.ctr.failovers.Add(1)
 		}
-		hadPubID := conn.publishID
 		err = fn(conn)
 		if err == nil {
 			conn.ep.markUp()
@@ -569,10 +542,7 @@ func (c *Client) withRetry(ctx context.Context, idempotent, publishGuarded bool,
 			conn.ep.markDown()
 			c.refreshAsync()
 			if !idempotent {
-				if !publishGuarded || !hadPubID {
-					return meta, lastErr
-				}
-				needPubID = true
+				return meta, lastErr
 			}
 		default:
 			// The server answered: retrying cannot change the outcome.

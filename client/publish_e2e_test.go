@@ -3,6 +3,8 @@ package client_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,17 +12,18 @@ import (
 	"orchestra/client"
 )
 
-// TestBinaryPublishEndToEnd publishes through the negotiated binary
-// batch frame (the default against this server) and reads the rows back,
-// covering server-side type coercion of typed batches (ints into a float
-// column) and the JSON fallback for rows the batch codec cannot carry
-// (mixed value types within one column).
-func TestBinaryPublishEndToEnd(t *testing.T) {
-	_, srv := serveCluster(t, 1, orchestra.ServeOptions{})
+// TestPublishEndToEnd publishes everything Publish's doc promises and
+// reads the rows back: ints into a float column (coerced server-side), a
+// column mixing ints and floats (widened client-side, narrowed back for
+// an int column), and the refusals — values the typed batch frame cannot
+// carry are turned down before any connection is used, schema violations
+// by the server, and neither tears the connection.
+func TestPublishEndToEnd(t *testing.T) {
+	_, srv := serveCluster(t, 1, orchestra.ServeOptions{MaxFrame: 8 << 10})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
-	cl, err := client.Dial(srv.Addr())
+	cl, err := client.Dial(srv.Addr(), client.Options{PoolSize: 1, RefreshInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,51 +32,73 @@ func TestBinaryPublishEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Homogeneous columns: crosses the wire as one typed batch frame.
 	// The price column is fed ints — the server coerces them onto float.
 	if _, err := cl.Publish(ctx, "bp", [][]any{
 		{"bolt", 90, 10},
-		{"nut", 120, 25},
+		{"nut", int64(120), 25},
 	}); err != nil {
-		t.Fatalf("binary publish: %v", err)
+		t.Fatalf("publish: %v", err)
 	}
-	// Mixed types within the price column: the batch codec cannot carry
-	// it, so the client transparently falls back to the JSON request.
+	// Ints and floats mixed within the qty and price columns.
 	if _, err := cl.Publish(ctx, "bp", [][]any{
 		{"washer", 7, 1},
-		{"screw", 55, 2.5},
+		{"screw", 55.0, 2.5},
 	}); err != nil {
-		t.Fatalf("fallback publish: %v", err)
+		t.Fatalf("mixed int/float publish: %v", err)
 	}
 
 	res, err := cl.Query(ctx, "SELECT item, qty, price FROM bp WHERE qty >= 0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("got %d rows, want 4", len(res.Rows))
-	}
-	prices := map[string]float64{}
+	got := map[string][2]any{}
 	for _, r := range res.Rows {
-		prices[r[0].(string)] = r[2].(float64)
+		got[r[0].(string)] = [2]any{r[1], r[2]}
 	}
-	want := map[string]float64{"bolt": 10, "nut": 25, "washer": 1, "screw": 2.5}
-	for item, p := range want {
-		if prices[item] != p {
-			t.Fatalf("item %q price %v, want %v (all: %v)", item, prices[item], p, prices)
+	want := map[string][2]any{
+		"bolt": {int64(90), 10.0}, "nut": {int64(120), 25.0},
+		"washer": {int64(7), 1.0}, "screw": {int64(55), 2.5},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("stored %v, want %v", got, want)
+	}
+
+	attempts := cl.Counters().Attempts
+	for name, rows := range map[string][][]any{
+		"string mixed into a numeric column": {{"a", 1, 1.0}, {"b", "two", 1.0}},
+		"unsupported Go type":                {{"a", int32(1), 1.0}},
+		"ragged rows":                        {{"a", 1, 1.0}, {"b", 2}},
+	} {
+		if _, err := cl.Publish(ctx, "bp", rows); !errors.Is(err, client.ErrBadRequest) {
+			t.Fatalf("%s: %v, want ErrBadRequest", name, err)
 		}
+	}
+	big := make([][]any, 2000)
+	for i := range big {
+		big[i] = []any{fmt.Sprintf("incompressible-%d-%x", i, i*2654435761), i, 0.5}
+	}
+	if _, err := cl.Publish(ctx, "bp", big); !errors.Is(err, client.ErrFrameTooLarge) {
+		t.Fatalf("publish past the frame cap: %v, want ErrFrameTooLarge", err)
+	}
+	if n := cl.Counters().Retries; n != 0 {
+		t.Fatalf("%d retries: a refused publish must not be retried", n)
+	}
+	if n := cl.Counters().Attempts - attempts; n != 1 {
+		t.Fatalf("%d attempts for four refused publishes: only the oversized one needs a connection (for its limit)", n)
 	}
 
 	// A typed batch violating the schema (string into an int column)
 	// surfaces the server's bad_request, not a torn connection.
-	if _, err := cl.Publish(ctx, "bp", [][]any{{"bad", "not-an-int", 1.0}}); err == nil {
-		t.Fatal("schema-violating publish succeeded")
-	} else if !errors.Is(err, client.ErrBadRequest) {
-		t.Fatalf("schema-violating publish: %v", err)
+	if _, err := cl.Publish(ctx, "bp", [][]any{{"bad", "not-an-int", 1.0}}); !errors.Is(err, client.ErrBadRequest) {
+		t.Fatalf("schema-violating publish: %v, want ErrBadRequest", err)
 	}
-	// The connection survives the rejected publish.
-	if _, err := cl.Query(ctx, "SELECT item FROM bp WHERE qty = 90"); err != nil {
-		t.Fatalf("query after rejected publish: %v", err)
+	// The one pooled connection survived every refusal.
+	st, err := cl.Status(ctx)
+	if err != nil {
+		t.Fatalf("status after rejected publishes: %v", err)
+	}
+	if st.TotalConnections != 1 {
+		t.Fatalf("%d connections opened, want the one pooled connection throughout", st.TotalConnections)
 	}
 }
 
@@ -104,9 +129,6 @@ func TestStreamedLimitQuery(t *testing.T) {
 	res, err := cl.Query(ctx, "SELECT k, v FROM lim WHERE v >= 0 LIMIT 37")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !res.Streamed {
-		t.Fatal("result did not stream")
 	}
 	if len(res.Rows) != 37 {
 		t.Fatalf("LIMIT 37 delivered %d rows", len(res.Rows))

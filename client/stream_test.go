@@ -39,9 +39,9 @@ func seedWide(t *testing.T, addr string, n int) {
 	}
 }
 
-// TestQueryUsesBinaryStreaming: the default client negotiates binary
-// streaming and Query results arrive as batch frames with exact types.
-func TestQueryUsesBinaryStreaming(t *testing.T) {
+// TestQueryResultTypes: Query results arrive as batch frames with exact
+// types and their wire size accounted.
+func TestQueryResultTypes(t *testing.T) {
 	_, srv := serveCluster(t, 2, orchestra.ServeOptions{})
 	seedWide(t, srv.Addr(), 300)
 	cl, err := client.Dial(srv.Addr())
@@ -52,9 +52,6 @@ func TestQueryUsesBinaryStreaming(t *testing.T) {
 	res, err := cl.Query(context.Background(), "SELECT k, grp, v, f FROM wide WHERE v < 300")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !res.Streamed {
-		t.Fatal("result did not arrive via binary streaming")
 	}
 	if len(res.Rows) != 300 {
 		t.Fatalf("rows %d, want 300", len(res.Rows))
@@ -75,66 +72,12 @@ func TestQueryUsesBinaryStreaming(t *testing.T) {
 	}
 }
 
-// TestCodecEquivalence: the same query answered over both codecs yields
-// identical row sets, types, and metadata.
-func TestCodecEquivalence(t *testing.T) {
-	_, srv := serveCluster(t, 2, orchestra.ServeOptions{})
-	seedWide(t, srv.Addr(), 200)
-	ctx := context.Background()
-	queries := []string{
-		"SELECT k, grp, v, f FROM wide WHERE v < 120",
-		"SELECT grp, COUNT(*) AS n FROM wide GROUP BY grp",
-		"SELECT k FROM wide WHERE grp = 3",
-	}
-	jsonCl, err := client.Dial(srv.Addr(), client.Options{Codec: client.CodecJSON})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jsonCl.Close()
-	binCl, err := client.Dial(srv.Addr(), client.Options{Codec: client.CodecBinary})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer binCl.Close()
-	for _, q := range queries {
-		a, err := jsonCl.Query(ctx, q)
-		if err != nil {
-			t.Fatalf("%s (json): %v", q, err)
-		}
-		if a.Streamed {
-			t.Fatalf("%s: json client streamed", q)
-		}
-		b, err := binCl.Query(ctx, q)
-		if err != nil {
-			t.Fatalf("%s (binary): %v", q, err)
-		}
-		if !b.Streamed {
-			t.Fatalf("%s: binary client did not stream", q)
-		}
-		if a.Epoch != b.Epoch || len(a.Rows) != len(b.Rows) {
-			t.Fatalf("%s: meta diverged: %d rows @%d vs %d rows @%d",
-				q, len(a.Rows), a.Epoch, len(b.Rows), b.Epoch)
-		}
-		key := func(r []any) string { return fmt.Sprint(r) }
-		seen := make(map[string]int)
-		for _, r := range a.Rows {
-			seen[key(r)]++
-		}
-		for _, r := range b.Rows {
-			seen[key(r)]--
-			if seen[key(r)] < 0 {
-				t.Fatalf("%s: binary row %v absent from json result", q, r)
-			}
-		}
-	}
-}
-
 // TestQueryStreamIterator consumes a multi-batch result incrementally
 // and checks the terminal metadata.
 func TestQueryStreamIterator(t *testing.T) {
 	_, srv := serveCluster(t, 2, orchestra.ServeOptions{})
 	seedWide(t, srv.Addr(), 5000) // > maxStreamBatchRows, so >= 2 wire batches
-	cl, err := client.Dial(srv.Addr(), client.Options{Codec: client.CodecBinary})
+	cl, err := client.Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,24 +110,13 @@ func TestQueryStreamIterator(t *testing.T) {
 }
 
 // TestStreamingPastFrameCap serves with a frame cap far below the
-// result size: the buffered JSON path fails with ErrFrameTooLarge while
-// the streamed path completes — the acceptance scenario for unbounded
-// result sets.
+// result size: the result still arrives whole, because only each batch
+// frame is bounded — the acceptance scenario for unbounded result sets.
 func TestStreamingPastFrameCap(t *testing.T) {
 	_, srv := serveCluster(t, 2, orchestra.ServeOptions{MaxFrame: 32 << 10})
 	seedWide(t, srv.Addr(), 3000) // ~100KiB+ encoded, far over the 32KiB cap
 
-	jsonCl, err := client.Dial(srv.Addr(), client.Options{Codec: client.CodecJSON})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jsonCl.Close()
-	_, err = jsonCl.Query(context.Background(), "SELECT k, grp, v, f FROM wide")
-	if !errors.Is(err, client.ErrFrameTooLarge) {
-		t.Fatalf("json query past cap: %v, want ErrFrameTooLarge", err)
-	}
-
-	binCl, err := client.Dial(srv.Addr(), client.Options{Codec: client.CodecBinary})
+	binCl, err := client.Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,20 +146,16 @@ func TestStreamingPastFrameCap(t *testing.T) {
 	}
 }
 
-// TestForcedBinaryAgainstJSONServer verifies the typed protocol
-// mismatch error surfaces (simulated via a feature-less hello by
-// forcing the binary codec against... the real server always supports
-// it, so this exercises the error mapping through a streamed query
-// error instead) and that stream-level server errors arrive typed.
+// TestStreamServerErrorTyped: server errors carried in a stream's End
+// frame arrive typed.
 func TestStreamServerErrorTyped(t *testing.T) {
 	_, srv := serveCluster(t, 2, orchestra.ServeOptions{})
-	cl, err := client.Dial(srv.Addr(), client.Options{Codec: client.CodecBinary})
+	cl, err := client.Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	// Unknown relation: the failure arrives in the End frame, surfaced
-	// as the same typed error the JSON path produces.
+	// Unknown relation: the failure arrives in the End frame.
 	_, err = cl.Query(context.Background(), "SELECT x FROM ghost")
 	if err == nil {
 		t.Fatal("query of unknown relation succeeded")
@@ -249,7 +177,7 @@ func TestStreamServerErrorTyped(t *testing.T) {
 func TestStreamAbandonReleasesServer(t *testing.T) {
 	_, srv := serveCluster(t, 2, orchestra.ServeOptions{})
 	seedWide(t, srv.Addr(), 4000)
-	cl, err := client.Dial(srv.Addr(), client.Options{Codec: client.CodecBinary, StreamWindow: 1})
+	cl, err := client.Dial(srv.Addr(), client.Options{StreamWindow: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +207,7 @@ func TestStreamAbandonReleasesServer(t *testing.T) {
 func TestStreamContextCancel(t *testing.T) {
 	_, srv := serveCluster(t, 2, orchestra.ServeOptions{})
 	seedWide(t, srv.Addr(), 2000)
-	cl, err := client.Dial(srv.Addr(), client.Options{Codec: client.CodecBinary})
+	cl, err := client.Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,8 +281,8 @@ func TestStreamCancelKeepsConnection(t *testing.T) {
 		if err != nil {
 			t.Fatalf("post-cancel query %d: %v", i, err)
 		}
-		if len(res.Rows) != 10 || !res.Streamed {
-			t.Fatalf("post-cancel query %d: %d rows, streamed=%v", i, len(res.Rows), res.Streamed)
+		if len(res.Rows) != 10 {
+			t.Fatalf("post-cancel query %d: %d rows", i, len(res.Rows))
 		}
 	}
 

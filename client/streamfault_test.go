@@ -18,7 +18,7 @@ func TestStreamedRowsEndToEnd(t *testing.T) {
 	const total = 5000
 	_, srv := serveCluster(t, 3, orchestra.ServeOptions{})
 	seedWide(t, srv.Addr(), total)
-	cl, err := client.Dial(srv.Addr(), client.Options{Codec: client.CodecBinary})
+	cl, err := client.Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestStreamMidWireTruncationSurfacesError(t *testing.T) {
 	}
 	defer proxy.Close()
 
-	cl, err := client.Dial(proxy.Addr(), client.Options{Codec: client.CodecBinary})
+	cl, err := client.Dial(proxy.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

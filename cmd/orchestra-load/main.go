@@ -8,19 +8,15 @@
 // Drive an external deployment (orchestra-node -serve, one addr per
 // node, clients round-robin across them):
 //
-//	orchestra-load -addrs 127.0.0.1:7101,127.0.0.1:7102 -clients 16 -duration 10s
+//	orchestra-load -addrs 127.0.0.1:7101,127.0.0.1:7102 -resultrows 100 -clients 16 -duration 10s
 //
 // Or self-host an in-process cluster and serve every node on a loopback
-// port — the one-command benchmark scenario:
+// port:
 //
-//	orchestra-load -local 3 -clients 8 -duration 10s
+//	orchestra-load -local 3 -clients 8 -rows 5000 -resultrows 1000 -duration 10s
 //
-// The wire codec is selectable (-codec json|binary|auto) and the result
-// size per query is controllable (-resultrows), so the two codecs can be
-// compared on identical workloads:
-//
-//	orchestra-load -local 3 -clients 8 -rows 5000 -resultrows 1000 -codec json
-//	orchestra-load -local 3 -clients 8 -rows 5000 -resultrows 1000 -codec binary
+// Every query is a range scan answering -resultrows rows. This is the
+// ad-hoc driver; the gated benchmark suite lives in benchmark/.
 //
 // Each run appends a machine-readable record to -out (default
 // BENCH_wire.json), accumulating the perf trajectory across runs/PRs.
@@ -50,9 +46,8 @@ func main() {
 	duration := flag.Duration("duration", 10*time.Second, "measured run length")
 	warmup := flag.Duration("warmup", time.Second, "untimed warmup before measuring")
 	rows := flag.Int("rows", 500, "rows seeded into the load relation (local mode, or when -seed is set)")
-	resultRows := flag.Int("resultrows", 0, "target result rows per query (0: legacy mixed templates of ~rows/16)")
+	resultRows := flag.Int("resultrows", 0, "result rows per query (required for the served modes)")
 	distinct := flag.Int("distinct", 16, "distinct query templates per run")
-	codec := flag.String("codec", client.CodecAuto, "result codec: auto, json, or binary")
 	compress := flag.Bool("compress", true, "local mode: flate-compress streamed batches (disable on loopback to trade bytes for CPU)")
 	maxQ := flag.Int("maxq", 0, "local mode: per-endpoint admission-control limit (0 = 2×GOMAXPROCS)")
 	useCache := flag.Bool("cache", false, "local mode: enable the cluster's materialized-view cache")
@@ -97,6 +92,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "orchestra-load: need -addrs or -local; see -help")
 		os.Exit(2)
 	}
+	if *resultRows <= 0 {
+		log.Fatal("orchestra-load: -resultrows is required")
+	}
 
 	ctx := context.Background()
 	var seedLat []time.Duration
@@ -109,14 +107,11 @@ func main() {
 
 	queries := makeQueries(*distinct, *rows, *resultRows)
 	if *topK > 0 {
-		if *resultRows <= 0 {
-			log.Fatal("orchestra-load: -topk requires -resultrows (range-scan templates)")
-		}
 		for i, q := range queries {
 			queries[i] = fmt.Sprintf("%s ORDER BY v DESC LIMIT %d", q, *topK)
 		}
 	}
-	rep := run(ctx, endpoints, queries, *clients, *codec, *warmup, *duration, *firstByte)
+	rep := run(ctx, endpoints, queries, *clients, *warmup, *duration, *firstByte)
 	if ph := latSummary("seed", seedLat); ph != nil {
 		rep.Phases = append([]phaseLat{*ph}, rep.Phases...)
 	}
@@ -239,42 +234,22 @@ func seedData(ctx context.Context, addr string, rows int) ([]time.Duration, erro
 	return lat, nil
 }
 
-// makeQueries builds the template mix. With resultRows > 0 every
-// template is a range scan answering ~resultRows rows — the
-// codec-comparison workload. Otherwise the legacy mix: selective scans
-// and one grouped aggregate, parameterized so -distinct controls
-// view-cache reuse.
+// makeQueries builds the templates: range scans answering resultRows
+// rows each, spread over the relation so -distinct controls view-cache
+// reuse.
 func makeQueries(distinct, rows, resultRows int) []string {
 	if distinct < 1 {
 		distinct = 1
 	}
+	width := min(resultRows, rows)
+	span := rows - width
 	qs := make([]string, 0, distinct)
-	if resultRows > 0 {
-		width := resultRows
-		if width > rows {
-			width = rows
-		}
-		span := rows - width
-		for i := 0; i < distinct; i++ {
-			lo := 0
-			if distinct > 1 && span > 0 {
-				lo = (i * span) / (distinct - 1)
-			}
-			qs = append(qs, fmt.Sprintf("SELECT k, grp, v FROM load WHERE v >= %d AND v < %d", lo, lo+width))
-		}
-		return qs
-	}
-	width := rows/16 + 1
 	for i := 0; i < distinct; i++ {
-		switch i % 4 {
-		case 0, 1:
-			lo := (i * rows) / (distinct + 1)
-			qs = append(qs, fmt.Sprintf("SELECT k, v FROM load WHERE v >= %d AND v < %d", lo, lo+width))
-		case 2:
-			qs = append(qs, fmt.Sprintf("SELECT k FROM load WHERE grp = %d", i%17))
-		default:
-			qs = append(qs, "SELECT grp, COUNT(*) AS n FROM load GROUP BY grp")
+		lo := 0
+		if distinct > 1 && span > 0 {
+			lo = (i * span) / (distinct - 1)
 		}
+		qs = append(qs, fmt.Sprintf("SELECT k, grp, v FROM load WHERE v >= %d AND v < %d", lo, lo+width))
 	}
 	return qs
 }
@@ -286,7 +261,6 @@ type clientStats struct {
 	respRows int64
 	strRows  int64 // rows the server streamed during execution
 	errs     int
-	streamed bool
 }
 
 // phaseLat is one workload phase's client-observed latency summary.
@@ -329,8 +303,6 @@ func latSummary(phase string, lat []time.Duration) *phaseLat {
 type benchRecord struct {
 	Timestamp  string  `json:"timestamp"`
 	Note       string  `json:"note,omitempty"`
-	Codec      string  `json:"codec"`
-	Streamed   bool    `json:"streamed"`
 	LocalNodes int     `json:"local_nodes,omitempty"`
 	Endpoints  int     `json:"endpoints"`
 	Clients    int     `json:"clients"`
@@ -374,10 +346,10 @@ type benchRecord struct {
 // With firstByte set, clients consume results through QueryStream and
 // each query contributes two samples: time-to-first-batch and
 // full-result latency.
-func run(ctx context.Context, endpoints, queries []string, clients int, codec string, warmup, duration time.Duration, firstByte bool) *benchRecord {
+func run(ctx context.Context, endpoints, queries []string, clients int, warmup, duration time.Duration, firstByte bool) *benchRecord {
 	conns := make([]*client.Client, clients)
 	for i := range conns {
-		cl, err := client.Dial(endpoints[i%len(endpoints)], client.Options{PoolSize: 1, Codec: codec})
+		cl, err := client.Dial(endpoints[i%len(endpoints)], client.Options{PoolSize: 1})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -434,7 +406,6 @@ func run(ctx context.Context, endpoints, queries []string, clients int, codec st
 							stats[i].respRows += rows
 							stats[i].strRows += st.StreamedRows()
 							stats[i].bytes += st.WireBytes()
-							stats[i].streamed = true
 						}
 					} else if err != nil {
 						log.Printf("warmup error (client %d): %v", i, err)
@@ -453,9 +424,6 @@ func run(ctx context.Context, endpoints, queries []string, clients int, codec st
 						stats[i].lat = append(stats[i].lat, time.Since(start))
 						stats[i].bytes += res.WireBytes
 						stats[i].respRows += int64(len(res.Rows))
-						if res.Streamed {
-							stats[i].streamed = true
-						}
 					}
 				} else if err != nil {
 					log.Printf("warmup error (client %d): %v", i, err)
@@ -474,7 +442,6 @@ func run(ctx context.Context, endpoints, queries []string, clients int, codec st
 
 	var all, fbAll []time.Duration
 	var bytes, respRows, strRows int64
-	var streamed bool
 	errs := 0
 	for _, s := range stats {
 		all = append(all, s.lat...)
@@ -483,7 +450,6 @@ func run(ctx context.Context, endpoints, queries []string, clients int, codec st
 		respRows += s.respRows
 		strRows += s.strRows
 		errs += s.errs
-		streamed = streamed || s.streamed
 	}
 	var fo client.Counters
 	for _, cl := range conns {
@@ -508,8 +474,8 @@ func run(ctx context.Context, endpoints, queries []string, clients int, codec st
 	}
 	qps := float64(len(all)) / elapsed.Seconds()
 
-	fmt.Printf("\n--- orchestra-load: %d clients x %s against %d endpoint(s), codec %s ---\n",
-		clients, elapsed.Round(time.Millisecond), len(endpoints), codec)
+	fmt.Printf("\n--- orchestra-load: %d clients x %s against %d endpoint(s) ---\n",
+		clients, elapsed.Round(time.Millisecond), len(endpoints))
 	fmt.Printf("queries:    %d ok, %d errors\n", len(all), errs)
 	fmt.Printf("throughput: %.0f queries/s\n", qps)
 	fmt.Printf("latency:    mean %s  p50 %s  p90 %s  p99 %s  max %s\n",
@@ -534,8 +500,6 @@ func run(ctx context.Context, endpoints, queries []string, clients int, codec st
 
 	return &benchRecord{
 		Timestamp:    time.Now().UTC().Format(time.RFC3339),
-		Codec:        codec,
-		Streamed:     streamed,
 		Endpoints:    len(endpoints),
 		Clients:      clients,
 		DurationS:    elapsed.Seconds(),

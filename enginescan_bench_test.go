@@ -78,7 +78,7 @@ func BenchmarkEngineScanSelective(b *testing.B) {
 
 // TestEngineScanAllocBudget is the GC-allocations regression gate on the
 // served scan path: the reference 5k-row filtered scan, drained through
-// the columnar QueryBatches hand-off, must stay far below one allocation
+// the serving path's columnar hand-off, must stay far below one allocation
 // per scanned row. The batched pipeline runs at ~0.05 allocs/row; the
 // ceiling leaves room for background cluster noise while still failing
 // loudly if per-row materialization (the pre-PR state: several allocs
@@ -95,16 +95,14 @@ func TestEngineScanAllocBudget(t *testing.T) {
 	q := fmt.Sprintf("SELECT k, grp, v FROM scanload WHERE v >= 0 AND v < %d", engineScanRows)
 	gate := func(t *testing.T, opts QueryOptions, wantStreamed bool) {
 		run := func() {
-			n := 0
-			res, err := c.QueryBatches(q, opts,
-				func(*Result) error { return nil },
-				func(rows []tuple.Row) error { n += len(rows); return nil },
-				func(b *tuple.Batch) error { n += b.N; return nil })
+			sink := &testSink{}
+			opts.sink = sink
+			res, err := c.QueryOpts(q, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n != engineScanRows {
-				t.Fatalf("query answered %d rows, want %d", n, engineScanRows)
+			if sink.n != engineScanRows {
+				t.Fatalf("query answered %d rows, want %d", sink.n, engineScanRows)
 			}
 			if wantStreamed && res.Streamed != engineScanRows {
 				t.Fatalf("Streamed = %d, want %d — the gate fell back to the collected path", res.Streamed, engineScanRows)

@@ -9,6 +9,7 @@ package gossip
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"sync"
 	"time"
@@ -52,17 +53,24 @@ func New(ep transport.Endpoint, seed int64) *Gossiper {
 		stop:     make(chan struct{}),
 	}
 	ep.Handle(MsgEpoch, func(from ring.NodeID, payload []byte) ([]byte, error) {
-		// 8 bytes: epoch only (older peers). 16 bytes: epoch | seq.
-		if len(payload) >= 8 {
-			g.merge(tuple.Epoch(binary.BigEndian.Uint64(payload)))
-		}
-		if len(payload) >= 16 {
-			g.noteSeq(from, binary.BigEndian.Uint64(payload[8:]))
+		if err := g.receive(from, payload); err != nil {
+			return nil, err
 		}
 		// Reply with our (possibly newer) epoch so pulls work too.
 		return g.encodeCurrent(), nil
 	})
 	return g
+}
+
+// receive adopts a peer's gossip message: the 16-byte payload epoch | seq
+// (see encodeCurrent). Anything else is refused whole.
+func (g *Gossiper) receive(from ring.NodeID, payload []byte) error {
+	if len(payload) != 16 {
+		return fmt.Errorf("gossip: payload of %d bytes from %s, want 16 (epoch | seq)", len(payload), from)
+	}
+	g.merge(tuple.Epoch(binary.BigEndian.Uint64(payload)))
+	g.noteSeq(from, binary.BigEndian.Uint64(payload[8:]))
+	return nil
 }
 
 // SeqFn installs the source of this node's shipping sequence, included
@@ -202,12 +210,9 @@ func (g *Gossiper) Sync(ctx context.Context, peers []ring.NodeID) tuple.Epoch {
 		if p == g.ep.ID() {
 			continue
 		}
-		resp, err := g.ep.Request(ctx, p, MsgEpoch, g.encodeCurrent())
-		if err == nil && len(resp) >= 8 {
-			g.merge(tuple.Epoch(binary.BigEndian.Uint64(resp)))
-			if len(resp) >= 16 {
-				g.noteSeq(p, binary.BigEndian.Uint64(resp[8:]))
-			}
+		// Best effort: an unreachable or garbled peer is skipped.
+		if resp, err := g.ep.Request(ctx, p, MsgEpoch, g.encodeCurrent()); err == nil {
+			_ = g.receive(p, resp)
 		}
 	}
 	return g.Current()

@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
@@ -103,4 +104,23 @@ func TestConvergesWithDeadPeer(t *testing.T) {
 	net.Kill("g4")
 	gs[0].Advance(3)
 	waitEpoch(t, gs[:4], 3, 3*time.Second)
+}
+
+// TestMalformedPayloadRefused: a gossip message is the 16-byte
+// epoch | seq payload; anything else is refused whole — not half-applied
+// as an epoch without its sequence.
+func TestMalformedPayloadRefused(t *testing.T) {
+	_, gs := mkCluster(t, 2)
+	ahead := binary.BigEndian.AppendUint64(nil, 99)
+	for _, payload := range [][]byte{nil, ahead, append(ahead, 1, 2, 3), make([]byte, 17)} {
+		if err := gs[0].receive("g1", payload); err == nil {
+			t.Errorf("%d-byte payload accepted", len(payload))
+		}
+	}
+	if got := gs[0].Current(); got != 0 {
+		t.Fatalf("a refused payload advanced the epoch to %d", got)
+	}
+	if err := gs[0].receive("g1", append(ahead, make([]byte, 8)...)); err != nil || gs[0].Current() != 99 {
+		t.Fatalf("well-formed payload: err=%v epoch=%d", err, gs[0].Current())
+	}
 }

@@ -12,20 +12,32 @@ import (
 
 // Backend is the deployment the server fronts: an embedded orchestra
 // Cluster (adapter in the root package) or a real TCP cluster.Node
-// (NodeBackend below).
+// (NodeBackend).
 type Backend interface {
 	// Create registers a relation and returns the current epoch.
 	Create(ctx context.Context, req *CreateRequest) (tuple.Epoch, error)
 	// Publish applies one batch and returns the new epoch.
 	Publish(ctx context.Context, req *PublishRequest) (tuple.Epoch, error)
-	// Query executes one SQL query against a snapshot.
-	Query(ctx context.Context, req *QueryRequest) (*QueryResponse, error)
+	// QueryStream executes one SQL query against a snapshot, emitting the
+	// answer through out, and returns the terminal metadata. On error,
+	// frames already emitted are followed by an error End frame — partial
+	// results are explicitly invalidated for the client.
+	QueryStream(ctx context.Context, req *QueryRequest, out ResultStream) (*QueryTail, error)
 	// Catalog describes one relation (or all known ones when rel == "").
 	Catalog(ctx context.Context, rel string) (*SchemaResponse, error)
 	// Epoch is the backend's current view of the global epoch.
 	Epoch() tuple.Epoch
 	// Info identifies the serving node.
 	Info() BackendInfo
+	// CacheStats reports cache counters by name ("views", "pages").
+	CacheStats() map[string]engine.CacheStats
+	// DurabilityStats reports the serving node's WAL/snapshot counters;
+	// ok is false for an in-memory store.
+	DurabilityStats() (stats kvstore.DurabilityStats, ok bool)
+	// ReplStats reports replica-repair health (WAL-shipping catch-up,
+	// anti-entropy, per-peer lag); ok is false for a single-node
+	// deployment, which has nothing to replicate with.
+	ReplStats() (stats cluster.ReplStats, ok bool)
 }
 
 // BackendInfo identifies the deployment behind a server.
@@ -37,37 +49,26 @@ type BackendInfo struct {
 	Peers []string
 }
 
-// ResultStream receives a query's result incrementally: the column shape
-// once, then zero or more row batches. The server's implementation
-// re-chunks batches to the wire's size bounds and applies flow-control
-// backpressure, so backends may emit batches of any size, as soon as
-// they are produced. Emitted rows are referenced, not copied — backends
-// must not mutate them afterwards.
+// ResultStream is the one hand-off for a query's answer, from whatever
+// produces it — the engine's ship consumer during execution, a collected
+// result, a view-cache entry — to the frame writer: the column shape
+// once, then zero or more chunks in either form. The server's
+// implementation sends the schema frame ahead of the first chunk,
+// re-chunks to the wire's size bounds and applies flow-control
+// backpressure, so producers may emit chunks of any size, as soon as they
+// have them. Chunks are borrowed: not mutated by the stream, and not
+// retained past the call except for rows, which stay referenced until
+// their frame is cut and so must not be mutated afterwards.
 type ResultStream interface {
-	// Columns announces the output column names; called exactly once,
-	// before any Batch.
-	Columns(cols []string) error
-	// Batch emits a slice of result rows.
-	Batch(rows []tuple.Row) error
+	// Columns announces the output column names, before any chunk.
+	Columns(cols []string)
+	// StreamCols and StreamRows emit a chunk of the answer.
+	engine.StreamSink
 }
 
-// BatchStream is optionally implemented by a ResultStream that can
-// consume columnar tuple batches directly — the allocation-lean hand-off
-// for backends whose engine produces column vectors. The server's stream
-// writer implements it: wire batch frames are encoded straight from the
-// vectors (re-slicing columns to fit the frame size hints), producing
-// byte-identical frames to the row path for identical content. Batches
-// are borrowed: the backend may recycle them after the call returns, so
-// implementations must not retain the batch or its vectors.
-type BatchStream interface {
-	ResultStream
-	// Batches emits a columnar batch of result rows.
-	Batches(b *tuple.Batch) error
-}
-
-// QueryTail is the terminal metadata of a streamed query — everything a
-// QueryResponse carries except the rows themselves. The JSON tags are
-// its wire form inside a StreamEnd frame.
+// QueryTail is the terminal metadata of a query — everything about the
+// answer except the rows themselves. The JSON tags are its wire form
+// inside a StreamEnd frame.
 type QueryTail struct {
 	Epoch    uint64 `json:"epoch,omitempty"`
 	Cached   bool   `json:"cached,omitempty"`
@@ -75,7 +76,7 @@ type QueryTail struct {
 	Restarts int    `json:"restarts,omitempty"`
 	Plan     string `json:"plan,omitempty"`
 	// TraceID/Trace carry the query's span tree when tracing was
-	// requested — the streamed counterpart of QueryResponse's fields.
+	// requested.
 	TraceID string    `json:"trace_id,omitempty"`
 	Trace   *obs.Span `json:"trace,omitempty"`
 	// Streamed counts rows that were emitted to the stream *during*
@@ -84,39 +85,35 @@ type QueryTail struct {
 	Streamed int64 `json:"streamed,omitempty"`
 }
 
-// StreamingBackend is implemented by backends that can emit query
-// results incrementally. Backends without it still serve streamed
-// requests via the buffered Query path (the server re-chunks), but pay
-// the full materialization of the wire representation.
-type StreamingBackend interface {
-	Backend
-	// QueryStream executes one query, emitting results through out, and
-	// returns the terminal metadata. On error, frames already emitted
-	// are followed by an error End frame — partial results are
-	// explicitly invalidated for the client.
-	QueryStream(ctx context.Context, req *QueryRequest, out ResultStream) (*QueryTail, error)
-}
-
-// CacheStatsProvider is optionally implemented by backends that expose
-// cache counters (the view cache, the decoded-page LRU); the status op
-// reports them when present.
-type CacheStatsProvider interface {
-	CacheStats() map[string]engine.CacheStats
-}
-
-// DurabilityStatsProvider is optionally implemented by backends whose
-// local store is durable (WAL + snapshots); the status op reports the
-// store's recovery/fsync counters when present and ok is true.
-type DurabilityStatsProvider interface {
-	DurabilityStats() (kvstore.DurabilityStats, bool)
-}
-
-// ReplStatsProvider is optionally implemented by backends that can
-// report replica-repair health (WAL-shipping catch-up, anti-entropy,
-// per-peer lag); the status op and /metrics report it when present and
-// ok is true.
-type ReplStatsProvider interface {
-	ReplStats() (cluster.ReplStats, bool)
+// RunQuery is the one sequence from a planned query to a result stream,
+// shared by both backends: announce the columns, hand out to the engine
+// as its sink when the plan streams during execution (mayStream lets a
+// caller that needs the whole answer — to cache it — forbid that), run,
+// and emit a collected answer afterwards, columnar where the engine kept
+// it so. The collected answer stays attached to the returned result; the
+// caller passes res.Batch to engine.RecycleResultBatch once done with it.
+func RunQuery(ctx context.Context, eng *engine.Engine, plan *engine.Plan, opts engine.Options, cols []string, mayStream bool, out ResultStream) (*engine.Result, error) {
+	out.Columns(cols)
+	opts.ColumnarResult = true
+	if mayStream && engine.StreamEligible(plan, opts) {
+		opts.Sink = out
+	}
+	res, err := eng.Run(ctx, plan, opts)
+	if err != nil {
+		// Frames may already be on the wire (mid-stream fault after
+		// emission): the error End frame invalidates them for the client.
+		return nil, err
+	}
+	if res.Batch != nil {
+		err = out.StreamCols(res.Batch)
+	} else if len(res.Rows) > 0 {
+		err = out.StreamRows(res.Rows)
+	}
+	if err != nil {
+		engine.RecycleResultBatch(res.Batch)
+		return nil, err
+	}
+	return res, nil
 }
 
 // RecoveryMode maps a wire recovery-mode name to the engine constant.

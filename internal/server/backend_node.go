@@ -69,25 +69,12 @@ func (b *NodeBackend) Publish(ctx context.Context, req *PublishRequest) (tuple.E
 	if err != nil {
 		return 0, Errorf(CodeNotFound, "relation %q: %v", req.Relation, err)
 	}
-	var ups []vstore.Update
-	if req.TypedRows != nil {
-		// Binary publish: already typed; per-column check, no JSON parsing.
-		if err := CoerceTypedRows(cat.Schema, req.TypedRows); err != nil {
-			return 0, err
-		}
-		ups = make([]vstore.Update, len(req.TypedRows))
-		for i, row := range req.TypedRows {
-			ups[i] = vstore.Update{Op: vstore.OpInsert, Row: row}
-		}
-	} else {
-		ups = make([]vstore.Update, len(req.Rows))
-		for i, r := range req.Rows {
-			row, err := CoerceRow(cat.Schema, r)
-			if err != nil {
-				return 0, err
-			}
-			ups[i] = vstore.Update{Op: vstore.OpInsert, Row: row}
-		}
+	if err := CoerceTypedRows(cat.Schema, req.TypedRows); err != nil {
+		return 0, err
+	}
+	ups := make([]vstore.Update, len(req.TypedRows))
+	for i, row := range req.TypedRows {
+		ups[i] = vstore.Update{Op: vstore.OpInsert, Row: row}
 	}
 	e, err := b.node.PublishWith(ctx, req.Relation, ups, cluster.PublishOptions{ID: req.PublishID})
 	if err != nil {
@@ -97,15 +84,11 @@ func (b *NodeBackend) Publish(ctx context.Context, req *PublishRequest) (tuple.E
 	return e, nil
 }
 
-// runQuery parses, plans, and executes one wire query, returning the
-// engine result plus the derived output column names and (when asked
-// for) the plan explanation. Shared by the buffered and streaming paths.
-// When req.Trace is set, the returned trace's span tree covers planning
-// and execution; the engine attaches fragment spans under its root.
-// attach (optional) runs after planning, before execution — the
-// streaming path uses it to hook a sink into the engine options for
-// stream-eligible plans.
-func (b *NodeBackend) runQuery(ctx context.Context, req *QueryRequest, columnar bool, attach func(*engine.Plan, *engine.Options, []string)) (*engine.Result, []string, string, *obs.Trace, error) {
+// QueryStream implements Backend: parse and plan against the ring-fetched
+// catalogs, then RunQuery. When req.Trace is set, the tail's span tree
+// covers planning and execution; the engine attaches fragment spans under
+// its root.
+func (b *NodeBackend) QueryStream(ctx context.Context, req *QueryRequest, out ResultStream) (*QueryTail, error) {
 	var tr *obs.Trace
 	if req.Trace {
 		tr = obs.NewTrace(obs.NewTraceID(), "query", string(b.node.ID()))
@@ -113,16 +96,16 @@ func (b *NodeBackend) runQuery(ctx context.Context, req *QueryRequest, columnar 
 	planSpan := tr.Begin("plan")
 	q, err := sql.Parse(req.SQL)
 	if err != nil {
-		return nil, nil, "", nil, Errorf(CodeBadRequest, "%v", err)
+		return nil, Errorf(CodeBadRequest, "%v", err)
 	}
 	rec, err := RecoveryMode(req.Recovery)
 	if err != nil {
-		return nil, nil, "", nil, err
+		return nil, err
 	}
 	cat := &nodeCatalog{ctx: ctx, node: b.node}
 	plan, info, err := optimizer.Build(q, cat, optimizer.Environment{Nodes: b.node.Table().Size()})
 	if err != nil {
-		return nil, nil, "", nil, err
+		return nil, err
 	}
 	tr.End(planSpan)
 	tr.Attach(nil, planSpan)
@@ -137,181 +120,34 @@ func (b *NodeBackend) runQuery(ctx context.Context, req *QueryRequest, columnar 
 		}
 		return names, true
 	})
-	opts := engine.Options{
-		Epoch:          tuple.Epoch(req.Epoch),
-		Recovery:       rec,
-		Provenance:     req.Provenance,
-		ColumnarResult: columnar,
-		Trace:          tr,
-	}
-	if attach != nil {
-		attach(plan, &opts, cols)
-	}
-	res, err := b.eng.Run(ctx, plan, opts)
+	res, err := RunQuery(ctx, b.eng, plan, engine.Options{
+		Epoch:      tuple.Epoch(req.Epoch),
+		Recovery:   rec,
+		Provenance: req.Provenance,
+		Trace:      tr,
+	}, cols, true, out)
 	if err != nil {
-		return nil, nil, "", nil, err
+		return nil, err
 	}
+	engine.RecycleResultBatch(res.Batch)
 	for _, ref := range q.From {
 		b.noteRelation(ref.Table)
-	}
-	explain := ""
-	if req.Explain {
-		explain = optimizer.Explain(plan, info)
-	}
-	return res, cols, explain, tr, nil
-}
-
-// Query implements Backend.
-func (b *NodeBackend) Query(ctx context.Context, req *QueryRequest) (*QueryResponse, error) {
-	res, cols, explain, tr, err := b.runQuery(ctx, req, false, nil)
-	if err != nil {
-		return nil, err
-	}
-	qr := &QueryResponse{
-		Columns:  cols,
-		Rows:     EncodeRows(res.Rows),
-		Epoch:    uint64(res.Epoch),
-		Phases:   res.Phases,
-		Restarts: res.Restarts,
-		Plan:     explain,
-	}
-	if tr != nil {
-		tr.Finish()
-		qr.TraceID = tr.ID.String()
-		qr.Trace = tr.Root()
-	}
-	return qr, nil
-}
-
-// QueryStream implements StreamingBackend. Stream-eligible plans (no
-// restart-sensitive finals) emit through an engine sink *during*
-// execution: the schema frame goes out with the first fragment batch and
-// the initiator never materializes the full answer. Everything else
-// keeps the collected contract — the engine's exactly-once answer
-// (complete at the initiator) drains to the wire under stream flow
-// control afterwards. Either way there is no wire-encoded copy of the
-// whole result; the stream writer re-chunks into size-bounded frames.
-// Against a BatchStream the answer stays columnar end to end: frames
-// encode straight from the engine's column vectors, which are recycled
-// into the engine's arena after the hand-off.
-func (b *NodeBackend) QueryStream(ctx context.Context, req *QueryRequest, out ResultStream) (*QueryTail, error) {
-	bs, batchAware := out.(BatchStream)
-	sink := &nodeSink{out: out, bs: bs}
-	res, cols, explain, tr, err := b.runQuery(ctx, req, batchAware, func(plan *engine.Plan, opts *engine.Options, cols []string) {
-		if engine.StreamEligible(plan, *opts) {
-			sink.cols = cols
-			opts.Sink = sink
-		}
-	})
-	if err != nil {
-		// Frames may already be on the wire (mid-stream fault after
-		// emission): the caller terminates the stream with an error End,
-		// which explicitly invalidates the partial result for the client.
-		return nil, err
-	}
-	if sink.attached() {
-		// Streamed during execution. Zero-row answers still owe the
-		// client a schema frame.
-		if err := sink.begin(); err != nil {
-			return nil, err
-		}
-		tail := &QueryTail{
-			Epoch:    uint64(res.Epoch),
-			Phases:   res.Phases,
-			Restarts: res.Restarts,
-			Plan:     explain,
-			Streamed: res.Streamed,
-		}
-		if tr != nil {
-			tr.Finish()
-			tail.TraceID = tr.ID.String()
-			tail.Trace = tr.Root()
-		}
-		return tail, nil
-	}
-	writeSpan := tr.Begin("stream.write")
-	if err := out.Columns(cols); err != nil {
-		engine.RecycleResultBatch(res.Batch) // nil-safe; don't leak the slab
-		return nil, err
-	}
-	rows := int64(len(res.Rows))
-	if res.Batch != nil && batchAware {
-		rows = int64(res.Batch.N)
-		emitErr := error(nil)
-		if res.Batch.N > 0 {
-			emitErr = bs.Batches(res.Batch)
-		}
-		engine.RecycleResultBatch(res.Batch)
-		if emitErr != nil {
-			return nil, emitErr
-		}
-	} else if err := out.Batch(res.Rows); err != nil {
-		return nil, err
 	}
 	tail := &QueryTail{
 		Epoch:    uint64(res.Epoch),
 		Phases:   res.Phases,
 		Restarts: res.Restarts,
-		Plan:     explain,
+		Streamed: res.Streamed,
+	}
+	if req.Explain {
+		tail.Plan = optimizer.Explain(plan, info)
 	}
 	if tr != nil {
-		writeSpan.Rows = rows
-		tr.End(writeSpan)
-		tr.Attach(nil, writeSpan)
 		tr.Finish()
 		tail.TraceID = tr.ID.String()
 		tail.Trace = tr.Root()
 	}
 	return tail, nil
-}
-
-// nodeSink adapts a wire ResultStream to the engine's StreamSink: the
-// engine's drainer goroutine hands it chunks during execution and it
-// forwards them to the stream writer, sending the schema frame lazily
-// before the first chunk. Calls are serialized by the drainer, and a
-// write error (credit starvation, dead connection) propagates back into
-// the engine, aborting the query.
-type nodeSink struct {
-	out  ResultStream
-	bs   BatchStream // non-nil when the stream consumes columnar batches
-	cols []string    // set when the sink is attached to the engine options
-
-	started bool
-	rows    int64
-}
-
-func (s *nodeSink) attached() bool { return s.cols != nil }
-
-// begin sends the schema frame once, before the first chunk (or, for
-// empty answers, when execution completes).
-func (s *nodeSink) begin() error {
-	if s.started {
-		return nil
-	}
-	s.started = true
-	return s.out.Columns(s.cols)
-}
-
-// StreamCols implements engine.StreamSink. The batch is borrowed: the
-// writer copies what it stages, so handing it straight down is safe.
-func (s *nodeSink) StreamCols(b *tuple.Batch) error {
-	if err := s.begin(); err != nil {
-		return err
-	}
-	s.rows += int64(b.N)
-	if s.bs != nil {
-		return s.bs.Batches(b)
-	}
-	return s.out.Batch(b.Rows())
-}
-
-// StreamRows implements engine.StreamSink.
-func (s *nodeSink) StreamRows(rows []tuple.Row) error {
-	if err := s.begin(); err != nil {
-		return err
-	}
-	s.rows += int64(len(rows))
-	return s.out.Batch(rows)
 }
 
 // Catalog implements Backend.
@@ -355,21 +191,19 @@ func (b *NodeBackend) Info() BackendInfo {
 	return BackendInfo{NodeID: string(b.node.ID()), Members: b.node.Table().Size()}
 }
 
-// CacheStats implements CacheStatsProvider: this node's decoded-page
-// LRU (node backends keep no view cache).
+// CacheStats implements Backend: this node's decoded-page LRU (node
+// backends keep no view cache).
 func (b *NodeBackend) CacheStats() map[string]engine.CacheStats {
 	return map[string]engine.CacheStats{"pages": b.eng.PageCacheStats()}
 }
 
-// DurabilityStats implements DurabilityStatsProvider from the node's
-// local store (ok is false for in-memory stores).
+// DurabilityStats implements Backend from the node's local store.
 func (b *NodeBackend) DurabilityStats() (kvstore.DurabilityStats, bool) {
 	return b.node.Store().DurabilityStats()
 }
 
-// ReplStats implements ReplStatsProvider: the node's replica-repair
-// counters and per-peer catch-up lag (ok is false when the node has no
-// peers to replicate with).
+// ReplStats implements Backend: the node's replica-repair counters and
+// per-peer catch-up lag.
 func (b *NodeBackend) ReplStats() (cluster.ReplStats, bool) {
 	return b.node.ReplStats(), b.node.Table().Size() > 1
 }

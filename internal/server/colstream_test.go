@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"fmt"
@@ -10,8 +9,7 @@ import (
 	"orchestra/internal/tuple"
 )
 
-// colsStreamStub is a StreamingBackend that emits through the columnar
-// BatchStream hand-off.
+// colsStreamStub is a backend that emits columnar batches.
 type colsStreamStub struct {
 	stubBackend
 	cols    []string
@@ -20,15 +18,9 @@ type colsStreamStub struct {
 }
 
 func (b *colsStreamStub) QueryStream(ctx context.Context, req *QueryRequest, out ResultStream) (*QueryTail, error) {
-	if err := out.Columns(b.cols); err != nil {
-		return nil, err
-	}
-	bs, ok := out.(BatchStream)
-	if !ok {
-		return nil, fmt.Errorf("stream is not batch-aware")
-	}
+	out.Columns(b.cols)
 	for _, batch := range b.batches {
-		if err := bs.Batches(batch); err != nil {
+		if err := out.StreamCols(batch); err != nil {
 			return nil, err
 		}
 	}
@@ -95,25 +87,18 @@ type capturedFrame struct {
 	payload []byte
 }
 
-// captureStream runs one streamed query against backend and returns every
-// frame until (and including) End. window is made large enough that no
-// credits are needed.
+// captureStream runs one query against backend and returns every frame
+// until (and including) End. window is made large enough that no credits
+// are needed.
 func captureStream(t *testing.T, backend Backend, reqID uint64) []capturedFrame {
 	t.Helper()
-	s := startTestServer(t, backend, Config{MaxFrame: 64 << 10, StreamWindow: 4096})
-	conn := dialTest(t, s)
-	br := bufio.NewReader(conn)
-	doHello(t, conn, br, &HelloRequest{Version: ProtocolVersion, Features: []string{FeatureBinaryStream}, Window: 4096})
-	if err := WriteFrame(conn, &Request{ID: reqID, Op: OpQuery, Query: &QueryRequest{SQL: "q", Stream: true}}); err != nil {
-		t.Fatal(err)
-	}
+	conn := dialRaw(t, startTestServer(t, backend, Config{MaxFrame: 64 << 10, StreamWindow: 4096}))
+	conn.hello(&HelloRequest{Version: ProtocolVersion, Window: 4096})
+	conn.query(reqID, "q")
 	var frames []capturedFrame
 	for {
-		kind, payload, _, err := ReadRawFrame(br, MaxFrame)
-		if err != nil {
-			t.Fatalf("read frame %d: %v", len(frames), err)
-		}
-		frames = append(frames, capturedFrame{kind, append([]byte(nil), payload...)})
+		kind, payload := conn.frame()
+		frames = append(frames, capturedFrame{kind, payload})
 		if kind == FrameEnd {
 			return frames
 		}
@@ -166,94 +151,77 @@ func TestStreamFramesRowVsBatchIdentical(t *testing.T) {
 	}
 }
 
-// publishRecorder captures what the backend was handed.
+// publishRecorder coerces publishes onto a fixed schema, as the real
+// backends do, and captures what it was handed.
 type publishRecorder struct {
 	stubBackend
+	schema   *tuple.Schema
 	relation string
-	typed    []tuple.Row
-	anyRows  [][]any
+	pubID    uint64
+	rows     []tuple.Row
 }
 
 func (b *publishRecorder) Publish(ctx context.Context, req *PublishRequest) (tuple.Epoch, error) {
-	b.relation = req.Relation
-	b.typed = req.TypedRows
-	b.anyRows = req.Rows
+	if err := CoerceTypedRows(b.schema, req.TypedRows); err != nil {
+		return 0, err
+	}
+	b.relation, b.pubID, b.rows = req.Relation, req.PublishID, req.TypedRows
 	return 7, nil
 }
 
-// TestBinaryPublishFrame sends a FramePublish and checks the backend
-// receives typed rows, no JSON coercion involved.
-func TestBinaryPublishFrame(t *testing.T) {
-	rec := &publishRecorder{}
-	s := startTestServer(t, rec, Config{})
-	conn := dialTest(t, s)
-	br := bufio.NewReader(conn)
-	h := doHello(t, conn, br, &HelloRequest{
-		Version:  ProtocolVersion,
-		Features: []string{FeatureBinaryStream, FeatureBinaryPublish},
+// testPublishFrame (a TestProtocolConformance case): a publish is one
+// typed batch frame. Numeric columns are stored per the schema whichever
+// numeric type the frame carried (a client sends a column mixing ints and
+// floats as floats); a frame the schema cannot take, or one that does not
+// decode, fails only its request.
+func testPublishFrame(t *testing.T) {
+	rec := &publishRecorder{schema: tuple.MustSchema("inv", []tuple.Column{
+		{Name: "item", Type: tuple.String}, {Name: "qty", Type: tuple.Int64}, {Name: "price", Type: tuple.Float64},
+	})}
+	conn := dialTest(t, startTestServer(t, rec, Config{}))
+	publish := func(id uint64, rows []tuple.Row) *reply {
+		payload, err := AppendPublishPayload(nil, id, 1000+id, "inv", rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.sendFrame(FramePublish, payload)
+		return conn.await(id)
+	}
+
+	// qty arrives as integral floats (an int/float mix, widened), price as
+	// ints: both land in the schema's types.
+	r := publish(31, []tuple.Row{
+		{tuple.S("bolt"), tuple.F(90), tuple.I(10)},
+		{tuple.S("nut"), tuple.F(120), tuple.I(25)},
 	})
-	found := false
-	for _, f := range h.Features {
-		found = found || f == FeatureBinaryPublish
+	if r.err() != nil || r.resp.Epoch != 7 {
+		t.Fatalf("publish response: %+v", r.resp)
 	}
-	if !found {
-		t.Fatalf("server did not negotiate %s: %v", FeatureBinaryPublish, h.Features)
+	if rec.relation != "inv" || rec.pubID != 1031 || len(rec.rows) != 2 {
+		t.Fatalf("backend saw relation=%q pubID=%d rows=%v", rec.relation, rec.pubID, rec.rows)
 	}
-
-	rows := []tuple.Row{
-		{tuple.S("bolt"), tuple.I(90)},
-		{tuple.S("nut"), tuple.I(120)},
-	}
-	payload, err := AppendPublishPayload(nil, 31, 0, "inv", rows, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame, err := AppendBinaryFrame(nil, FramePublish, payload, MaxFrame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := readAnyResponse(br, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.ID != 31 || resp.Error != nil || resp.Epoch != 7 {
-		t.Fatalf("publish response: %+v", resp)
-	}
-	if rec.relation != "inv" || rec.anyRows != nil {
-		t.Fatalf("backend saw relation=%q anyRows=%v", rec.relation, rec.anyRows)
-	}
-	if len(rec.typed) != 2 || rec.typed[0][0].Str != "bolt" || rec.typed[1][1].I64 != 120 {
-		t.Fatalf("typed rows: %v", rec.typed)
+	if got := rec.rows[1]; !got.Equal(tuple.Row{tuple.S("nut"), tuple.I(120), tuple.F(25)}) || got[1].T != tuple.Int64 || got[2].T != tuple.Float64 {
+		t.Fatalf("stored row %v, want it in the schema's types", got)
 	}
 
-	// A malformed publish frame with a readable ID answers bad_request on
-	// that ID and keeps the connection usable.
-	bad := AppendCancelPayload(nil, 32) // ID but no relation/batch
-	frame, err = AppendBinaryFrame(nil, FramePublish, bad, MaxFrame)
-	if err != nil {
-		t.Fatal(err)
+	// A string in the int column, a fractional value in the int column,
+	// and a frame with an ID but no relation or batch: bad_request each,
+	// on the request's own ID.
+	for id, rows := range map[uint64][]tuple.Row{
+		32: {{tuple.S("bad"), tuple.S("not-an-int"), tuple.F(1)}},
+		33: {{tuple.S("bad"), tuple.F(1.5), tuple.F(1)}},
+	} {
+		if r := publish(id, rows); r.err() == nil || r.err().Code != CodeBadRequest {
+			t.Fatalf("publish %d: %+v, want bad_request", id, r.err())
+		}
 	}
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
+	conn.sendFrame(FramePublish, AppendCancelPayload(nil, 34))
+	if r := conn.await(34); r.err() == nil || r.err().Code != CodeBadRequest {
+		t.Fatalf("malformed publish: %+v, want bad_request", r.err())
 	}
-	if err := readAnyResponse(br, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.ID != 32 || resp.Error == nil || resp.Error.Code != CodeBadRequest {
-		t.Fatalf("malformed publish response: %+v", resp)
-	}
-	// Connection still fine: ping round-trips.
-	if err := WriteFrame(conn, &Request{ID: 33, Op: OpPing}); err != nil {
-		t.Fatal(err)
-	}
-	resp = Response{}
-	if err := readAnyResponse(br, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.ID != 33 || resp.Error != nil {
-		t.Fatalf("ping after bad publish: %+v", resp)
+	// The connection is still usable.
+	conn.send(&Request{ID: 35, Op: OpPing})
+	if r := conn.await(35); r.err() != nil {
+		t.Fatalf("ping after rejected publishes: %+v", r.err())
 	}
 }

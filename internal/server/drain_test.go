@@ -5,48 +5,21 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"orchestra/internal/tuple"
 )
-
-// respReader collects pipelined responses, which may arrive in any
-// order, so tests can await a specific request ID without dropping the
-// ones read past along the way.
-type respReader struct {
-	conn net.Conn
-	got  map[uint64]*Response
-}
-
-func (r *respReader) awaitResponse(t *testing.T, id uint64) *Response {
-	t.Helper()
-	if r.got == nil {
-		r.got = make(map[uint64]*Response)
-	}
-	for {
-		if resp, ok := r.got[id]; ok {
-			delete(r.got, id)
-			return resp
-		}
-		var resp Response
-		if err := ReadFrame(r.conn, &resp); err != nil {
-			t.Fatalf("reading response %d: %v", id, err)
-		}
-		r.got[resp.ID] = &resp
-	}
-}
 
 func TestHealthOp(t *testing.T) {
 	s := startTestServer(t, &stubBackend{}, Config{
 		Peers: func() []string { return []string{"a:1", "b:2"} },
 	})
 	conn := dialTest(t, s)
-	rd := &respReader{conn: conn}
-	if err := WriteFrame(conn, &Request{ID: 1, Op: OpHealth}); err != nil {
-		t.Fatal(err)
+	conn.send(&Request{ID: 1, Op: OpHealth})
+	r := conn.await(1)
+	if r.err() != nil {
+		t.Fatalf("health: %v", r.err())
 	}
-	resp := rd.awaitResponse(t, 1)
-	if resp.Error != nil {
-		t.Fatalf("health: %v", resp.Error)
-	}
-	h := resp.Health
+	h := r.resp.Health
 	if h == nil {
 		t.Fatal("health response missing payload")
 	}
@@ -67,12 +40,9 @@ func TestHealthOp(t *testing.T) {
 func TestShutdownDrains(t *testing.T) {
 	s := startTestServer(t, &stubBackend{queryDelay: 300 * time.Millisecond}, Config{})
 	conn := dialTest(t, s)
-	rd := &respReader{conn: conn}
 
 	// In-flight query that outlives the start of the drain.
-	if err := WriteFrame(conn, &Request{ID: 1, Op: OpQuery, Query: &QueryRequest{SQL: "slow"}}); err != nil {
-		t.Fatal(err)
-	}
+	conn.query(1, "slow")
 	// Give the server a moment to start the handler before draining.
 	time.Sleep(50 * time.Millisecond)
 
@@ -94,27 +64,28 @@ func TestShutdownDrains(t *testing.T) {
 
 	// New work on the existing session is refused with the retryable
 	// proof-of-non-execution code.
-	if err := WriteFrame(conn, &Request{ID: 2, Op: OpQuery, Query: &QueryRequest{SQL: "late"}}); err != nil {
+	conn.query(2, "late")
+	late, err := AppendPublishPayload(nil, 4, 0, "r", []tuple.Row{{tuple.I(1)}})
+	if err != nil {
 		t.Fatal(err)
 	}
+	conn.sendFrame(FramePublish, late)
 	// Health still answers, reporting the drain.
-	if err := WriteFrame(conn, &Request{ID: 3, Op: OpHealth}); err != nil {
-		t.Fatal(err)
-	}
+	conn.send(&Request{ID: 3, Op: OpHealth})
 
-	refused := rd.awaitResponse(t, 2)
-	if refused.Error == nil || refused.Error.Code != CodeUnavailable {
-		t.Fatalf("late query: got %+v, want %s", refused.Error, CodeUnavailable)
+	for _, id := range []uint64{2, 4} {
+		if refused := conn.await(id); refused.err() == nil || refused.err().Code != CodeUnavailable {
+			t.Fatalf("late request %d: got %+v, want %s", id, refused.err(), CodeUnavailable)
+		}
 	}
-	health := rd.awaitResponse(t, 3)
-	if health.Error != nil || health.Health == nil || health.Health.Status != "draining" {
-		t.Fatalf("health during drain: %+v %+v", health.Error, health.Health)
+	health := conn.await(3)
+	if health.err() != nil || health.resp.Health == nil || health.resp.Health.Status != "draining" {
+		t.Fatalf("health during drain: %+v", health.resp)
 	}
 
 	// The in-flight query still completes successfully.
-	slow := rd.awaitResponse(t, 1)
-	if slow.Error != nil {
-		t.Fatalf("in-flight query failed during drain: %v", slow.Error)
+	if slow := conn.await(1); slow.err() != nil || len(slow.rows) != 1 {
+		t.Fatalf("in-flight query failed during drain: %+v", slow.end)
 	}
 
 	if err := <-done; err != nil {
@@ -126,10 +97,7 @@ func TestShutdownDrains(t *testing.T) {
 // context error and hard-closes the server.
 func TestShutdownTimeout(t *testing.T) {
 	s := startTestServer(t, &stubBackend{queryDelay: 10 * time.Second}, Config{})
-	conn := dialTest(t, s)
-	if err := WriteFrame(conn, &Request{ID: 1, Op: OpQuery, Query: &QueryRequest{SQL: "stuck"}}); err != nil {
-		t.Fatal(err)
-	}
+	dialTest(t, s).query(1, "stuck")
 	time.Sleep(50 * time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()

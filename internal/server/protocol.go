@@ -1,35 +1,32 @@
-// Package server exposes a running ORCHESTRA deployment (an embedded
-// Cluster node or a real TCP cluster.Node) to external clients over a
-// small length-prefixed JSON wire protocol. This is the missing piece
-// between the paper's embedded prototype and a deployable service: peers
-// connect over TCP, publish updates, and run snapshot queries — many of
-// them concurrently — while the server bounds in-flight query executions
-// with an admission-control semaphore and accounts per-operation request,
-// error, and latency counters.
+// Package server is the wire protocol of a served ORCHESTRA deployment:
+// the frame format, the sessions that speak it, and the admission
+// control in front of query execution. A Backend (an embedded Cluster
+// node or a real TCP cluster.Node) does the work.
 //
-// Wire format: every message is one frame — a 4-byte big-endian length
-// followed by that many bytes of JSON (a Request from the client, a
-// Response from the server). Requests carry a client-chosen ID echoed in
-// the matching Response, so a client may pipeline several requests on one
-// connection; the server executes them concurrently and replies in
-// completion order.
+// Wire format: every message is one frame — a 4-byte big-endian length,
+// a kind byte, and a kind-specific payload (the length counts the kind
+// byte and the payload). The first frame on a connection must be a hello
+// request; it checks the protocol version and negotiates the frame limit
+// and the stream credit window. After that a client sends:
 //
-// A connection may additionally negotiate the binary streaming extension
-// with a hello request (see OpHello and stream.go): query results then
-// flow as a sequence of column-major row-batch frames with credit-based
-// backpressure instead of one buffered JSON frame, lifting the MaxFrame
-// ceiling on result size. Old peers never send hello and keep speaking
-// plain JSON frames; new clients fall back when hello is rejected.
+//   - FrameJSON: a Request for one of the control ops (create, schema,
+//     status, health, trace, ping) or a query. Control ops are answered
+//     with one FrameJSON Response; a query is always answered with the
+//     frame sequence Schema, Batch*, End (see stream.go), errors included.
+//   - FramePublish: one publish as a typed column-major batch, answered
+//     with a FrameJSON Response. Publishes are deduplicated by publish ID.
+//   - FrameCredit / FrameCancel: flow control and abandonment of a
+//     result stream.
+//
+// Requests carry a client-chosen ID echoed in every frame that answers
+// them, so a client may pipeline several requests on one connection; the
+// server executes them concurrently and replies in completion order.
 package server
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
-	"math"
-	"strconv"
 	"strings"
 
 	"orchestra/internal/cluster"
@@ -39,10 +36,10 @@ import (
 	"orchestra/internal/tuple"
 )
 
-// MaxFrame is the default bound on a single frame; larger frames fail
-// the request (and, for unreadable inbound frames, the connection).
-// Streamed results are not subject to it as a whole — only each batch
-// frame is. Server Config.MaxFrame and client options can lower it.
+// MaxFrame is the default bound on a single frame; a larger inbound
+// frame fails the connection (framing cannot be re-synchronized past an
+// unread body). Results are not subject to it as a whole — only each
+// batch frame is. Server Config.MaxFrame and client options can lower it.
 const MaxFrame = 64 << 20
 
 // MinFrame is the floor a hello handshake can negotiate MaxFrame down
@@ -50,78 +47,18 @@ const MaxFrame = 64 << 20
 const MinFrame = 4 << 10
 
 // MaxFrameLimit is the hard ceiling any configuration can raise the
-// frame bound to: the length header's high bit tags binary frames, so
-// lengths must stay below 2^31.
+// frame bound to: lengths must fit an int on every platform.
 const MaxFrameLimit = 1<<31 - 1
 
 // FrameSizeError reports a frame exceeding the negotiated limit. It is
-// surfaced instead of a raw connection abort so peers can tell "result
-// too big for one frame" from a torn connection.
+// surfaced instead of a raw connection abort so peers can tell "too big
+// for one frame" from a torn connection.
 type FrameSizeError struct {
 	Size, Max int64
 }
 
 func (e *FrameSizeError) Error() string {
 	return fmt.Sprintf("server: frame of %d bytes exceeds max %d", e.Size, e.Max)
-}
-
-// EncodeFrame marshals v into one length-prefixed frame (header + body).
-func EncodeFrame(v any) ([]byte, error) {
-	return AppendFrame(nil, v, MaxFrame)
-}
-
-// AppendFrame appends one length-prefixed JSON frame for v to dst,
-// reusing dst's capacity — the allocation-lean variant for hot write
-// paths (pair with a sync.Pool of buffers). maxFrame bounds the body; an
-// oversized body returns a *FrameSizeError.
-func AppendFrame(dst []byte, v any, maxFrame int64) ([]byte, error) {
-	mark := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	body, err := appendJSON(dst, v)
-	if err != nil {
-		return nil, err
-	}
-	n := len(body) - mark - 4
-	if int64(n) > maxFrame {
-		return nil, &FrameSizeError{Size: int64(n), Max: maxFrame}
-	}
-	binary.BigEndian.PutUint32(body[mark:mark+4], uint32(n))
-	return body, nil
-}
-
-// appendJSON marshals v appending to dst. encoding/json has no public
-// append API; go through a bytes.Buffer wrapper only when dst is short on
-// capacity would still copy, so accept one copy here — the caller's pooled
-// buffer absorbs the allocation across requests.
-func appendJSON(dst []byte, v any) ([]byte, error) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, body...), nil
-}
-
-// WriteFrame marshals v and writes it as one length-prefixed frame.
-func WriteFrame(w io.Writer, v any) error {
-	frame, err := EncodeFrame(v)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(frame)
-	return err
-}
-
-// ReadFrame reads one length-prefixed frame and unmarshals it into v.
-// Numbers are decoded as json.Number so int64 values survive intact.
-func ReadFrame(r io.Reader, v any) error {
-	kind, body, _, err := ReadRawFrame(r, MaxFrame)
-	if err != nil {
-		return err
-	}
-	if kind != FrameJSON {
-		return fmt.Errorf("server: unexpected %v frame, want JSON", kind)
-	}
-	return UnmarshalJSONFrame(body, v)
 }
 
 // UnmarshalJSONFrame decodes a JSON frame body with json.Number numbers.
@@ -151,50 +88,30 @@ const (
 	OpHealth = "health"
 )
 
-// ProtocolVersion is this build's wire-protocol version, exchanged in the
-// hello handshake. Version 1 (implicit, no hello) is plain JSON frames;
-// version 2 adds the negotiated binary streaming extension.
-const ProtocolVersion = 2
+// ProtocolVersion is this build's wire-protocol version, checked by the
+// hello handshake: a peer of any other version is refused.
+const ProtocolVersion = 3
 
-// FeatureBinaryStream names the binary row-batch streaming extension in
-// hello feature lists.
-const FeatureBinaryStream = "binary-stream"
-
-// FeatureBinaryPublish names the binary publish extension: publishes
-// cross the wire as one typed column-major batch frame (FramePublish)
-// instead of JSON rows with per-value coercion. Requires
-// FeatureBinaryStream (tagged frames) on the same connection.
-const FeatureBinaryPublish = "binary-publish"
-
-// FeaturePublishID names publish idempotency support: the server
-// deduplicates publishes by PublishRequest.PublishID, so a client that
-// lost an acknowledgement may retry the same publish (on any endpoint)
-// without double-applying it. A client must never retry a publish on a
-// connection that did not negotiate this feature — an old server would
-// silently ignore the unknown field and apply the batch twice.
-const FeaturePublishID = "publish-id"
-
-// Request is one client frame.
+// Request is the body of one client FrameJSON frame.
 type Request struct {
-	// ID is echoed in the matching Response (clients pick it; pipelined
-	// requests on one connection are matched by it).
+	// ID is echoed in every frame answering the request (clients pick it;
+	// pipelined requests on one connection are matched by it).
 	ID uint64 `json:"id"`
-	// Op selects the operation; exactly one payload field below is set.
-	Op      string          `json:"op"`
-	Create  *CreateRequest  `json:"create,omitempty"`
-	Publish *PublishRequest `json:"publish,omitempty"`
-	Query   *QueryRequest   `json:"query,omitempty"`
-	Schema  *SchemaRequest  `json:"schema,omitempty"`
-	Hello   *HelloRequest   `json:"hello,omitempty"`
+	// Op selects the operation; at most one payload field below is set.
+	Op     string         `json:"op"`
+	Create *CreateRequest `json:"create,omitempty"`
+	Query  *QueryRequest  `json:"query,omitempty"`
+	Schema *SchemaRequest `json:"schema,omitempty"`
+	Hello  *HelloRequest  `json:"hello,omitempty"`
+	// Publish is filled by the session from a FramePublish frame; a
+	// publish never travels as JSON.
+	Publish *PublishRequest `json:"-"`
 }
 
-// HelloRequest opens feature negotiation on a connection. Old servers
-// answer it with a bad_request error (unknown op), which clients treat as
-// "JSON only" — mixed-version clusters keep working.
+// HelloRequest is the mandatory first request on a connection.
 type HelloRequest struct {
+	// Version must equal the server's ProtocolVersion.
 	Version int `json:"version"`
-	// Features lists extensions the client can speak (FeatureBinaryStream).
-	Features []string `json:"features,omitempty"`
 	// MaxFrame is the largest single frame the client accepts (0 = the
 	// MaxFrame default). The connection uses min(client, server).
 	MaxFrame int64 `json:"max_frame,omitempty"`
@@ -204,13 +121,12 @@ type HelloRequest struct {
 	Window int `json:"window,omitempty"`
 }
 
-// HelloResponse reports the negotiated settings: the intersection of the
-// two peers' features and the min of their frame/window limits.
+// HelloResponse reports the negotiated settings: the min of the two
+// peers' frame and window limits.
 type HelloResponse struct {
-	Version  int      `json:"version"`
-	Features []string `json:"features,omitempty"`
-	MaxFrame int64    `json:"max_frame,omitempty"`
-	Window   int      `json:"window,omitempty"`
+	Version  int   `json:"version"`
+	MaxFrame int64 `json:"max_frame,omitempty"`
+	Window   int   `json:"window,omitempty"`
 }
 
 // CreateRequest registers a relation. Columns are "name:type" with type
@@ -223,20 +139,16 @@ type CreateRequest struct {
 }
 
 // PublishRequest inserts a batch of rows as one published update,
-// advancing the global epoch. Values are coerced onto the relation's
-// column types server-side.
+// advancing the global epoch — the decoded form of a FramePublish frame.
 type PublishRequest struct {
-	Relation string  `json:"relation"`
-	Rows     [][]any `json:"rows"`
-	// PublishID is a client-chosen idempotency token (0 = none). A server
-	// that negotiated FeaturePublishID deduplicates retried publishes by
-	// it: a duplicate returns the originally committed epoch.
-	PublishID uint64 `json:"publish_id,omitempty"`
-	// TypedRows carries the rows of a binary publish frame (already
-	// typed by the wire batch codec); when set it takes precedence over
-	// Rows. Never marshaled — it exists only between the frame decoder
-	// and the backend.
-	TypedRows []tuple.Row `json:"-"`
+	Relation string
+	// PublishID is a client-chosen idempotency token (0 = none): a
+	// retried publish carrying an ID the deployment has already committed
+	// returns the originally committed epoch instead of applying twice.
+	PublishID uint64
+	// TypedRows are the rows as typed by the wire batch codec; backends
+	// coerce them onto the relation's column types (CoerceTypedRows).
+	TypedRows []tuple.Row
 }
 
 // QueryRequest runs a single-block SQL query against a snapshot.
@@ -250,14 +162,9 @@ type QueryRequest struct {
 	Provenance bool `json:"provenance,omitempty"`
 	// TimeoutMs bounds execution; capped by the server's RequestTimeout.
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-	// Explain asks for the optimizer's plan explanation in the response.
+	// Explain asks for the optimizer's plan explanation in the End frame.
 	Explain bool `json:"explain,omitempty"`
-	// Stream asks for the result as binary row-batch frames instead of
-	// one JSON response. Only honored on connections that negotiated
-	// FeatureBinaryStream; otherwise ignored and answered with JSON.
-	Stream bool `json:"stream,omitempty"`
-	// Trace asks for the query's span tree in the response (buffered
-	// responses carry it inline; streamed responses in the End frame).
+	// Trace asks for the query's span tree in the End frame.
 	Trace bool `json:"trace,omitempty"`
 }
 
@@ -267,13 +174,12 @@ type SchemaRequest struct {
 	Relation string `json:"relation,omitempty"`
 }
 
-// Response is one server frame.
+// Response is the body of one server FrameJSON frame.
 type Response struct {
 	ID    uint64     `json:"id"`
 	Error *WireError `json:"error,omitempty"`
 	// Epoch is set by ping (current), create, and publish (resulting).
 	Epoch  uint64          `json:"epoch,omitempty"`
-	Query  *QueryResponse  `json:"query,omitempty"`
 	Schema *SchemaResponse `json:"schema,omitempty"`
 	Status *StatusResponse `json:"status,omitempty"`
 	Hello  *HelloResponse  `json:"hello,omitempty"`
@@ -303,9 +209,8 @@ const (
 	CodeNotFound   = "not_found"
 	CodeTimeout    = "timeout"
 	CodeInternal   = "internal"
-	// CodeFrameTooLarge reports a single-frame result or request
-	// exceeding the connection's frame limit. Retrying the query over a
-	// binary-stream connection avoids the single-frame cap entirely.
+	// CodeFrameTooLarge reports a single frame exceeding the
+	// connection's frame limit.
 	CodeFrameTooLarge = "frame_too_large"
 	// CodeCancelled terminates a stream the client abandoned with a
 	// cancel frame: emission stopped at the client's request, the
@@ -329,25 +234,6 @@ func (e *WireError) Error() string { return e.Code + ": " + e.Message }
 // Errorf builds a WireError with the given code.
 func Errorf(code, format string, args ...any) *WireError {
 	return &WireError{Code: code, Message: fmt.Sprintf(format, args...)}
-}
-
-// QueryResponse is a completed query.
-type QueryResponse struct {
-	Columns []string `json:"columns"`
-	Rows    WireRows `json:"rows"`
-	Epoch   uint64   `json:"epoch"`
-	// Cached reports a materialized-view cache hit.
-	Cached bool `json:"cached,omitempty"`
-	// Phases is 1 + incremental recovery invocations; Restarts counts
-	// full restarts.
-	Phases   uint32 `json:"phases,omitempty"`
-	Restarts int    `json:"restarts,omitempty"`
-	// Plan is the optimizer explanation (only when Explain was requested).
-	Plan string `json:"plan,omitempty"`
-	// TraceID identifies the execution; Trace is its span tree (only
-	// when Trace was requested).
-	TraceID string    `json:"trace_id,omitempty"`
-	Trace   *obs.Span `json:"trace,omitempty"`
 }
 
 // RelationInfo describes one catalog entry.
@@ -425,10 +311,7 @@ type SlowQuery struct {
 	// StartUnixMs is the query's wall-clock start.
 	StartUnixMs int64  `json:"start_unix_ms"`
 	Error       string `json:"error,omitempty"`
-	Streamed    bool   `json:"streamed,omitempty"`
-	// Rows is the result size — collected rows on the buffered path,
-	// rows handed to the stream writer on the streamed path (so streamed
-	// entries no longer log rows=0).
+	// Rows is the result size: rows handed to the stream writer.
 	Rows int64 `json:"rows"`
 	// Trace is the query's span tree (omitted in status summaries).
 	Trace *obs.Span `json:"trace,omitempty"`
@@ -458,262 +341,10 @@ type TraceResponse struct {
 	Entries []SlowQuery `json:"entries,omitempty"`
 }
 
-// --- value codec ---
-//
-// Result values cross the wire as plain JSON scalars, kept unambiguous by
-// construction: Int64 values never carry a decimal point or exponent,
-// Float64 values always do. Decoding with json.Number (ReadFrame does)
-// recovers the exact type.
-
-// WireRows carries a result's rows across the JSON wire. Server-side it
-// wraps the engine's typed rows and marshals them with a single
-// append-based encoder pass — no per-cell allocation or interface boxing
-// (the old per-value MarshalJSON dominated large-result serving cost).
-// Client-side UnmarshalJSON fills Any with json.Number/string scalars.
-type WireRows struct {
-	// Typed is the server-side source of truth (set via EncodeRows).
-	Typed []tuple.Row `json:"-"`
-	// Any is the decoded client-side form (also accepted when marshaling,
-	// for callers that construct responses from plain values).
-	Any [][]any `json:"-"`
-}
-
-// EncodeRows wraps engine rows for wire encoding (zero-copy: the response
-// references the engine's rows until marshaled).
-func EncodeRows(rows []tuple.Row) WireRows { return WireRows{Typed: rows} }
-
-// AnyRows wraps already-boxed rows for wire encoding.
-func AnyRows(rows [][]any) WireRows { return WireRows{Any: rows} }
-
-// Len returns the number of rows.
-func (w WireRows) Len() int {
-	if w.Typed != nil {
-		return len(w.Typed)
-	}
-	return len(w.Any)
-}
-
-// MarshalJSON encodes all rows in one pass into one buffer.
-func (w WireRows) MarshalJSON() ([]byte, error) {
-	if w.Typed == nil {
-		if w.Any == nil {
-			return []byte("[]"), nil
-		}
-		return json.Marshal(w.Any)
-	}
-	// Size estimate keeps growth reallocations rare on large results.
-	est := 2
-	for _, r := range w.Typed {
-		est += 2 + 16*len(r)
-	}
-	dst := make([]byte, 0, est)
-	dst = append(dst, '[')
-	for i, r := range w.Typed {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, '[')
-		for j, v := range r {
-			if j > 0 {
-				dst = append(dst, ',')
-			}
-			var err error
-			dst, err = appendJSONValue(dst, v)
-			if err != nil {
-				return nil, err
-			}
-		}
-		dst = append(dst, ']')
-	}
-	return append(dst, ']'), nil
-}
-
-// UnmarshalJSON decodes wire rows into Any with json.Number numbers.
-func (w *WireRows) UnmarshalJSON(data []byte) error {
-	w.Typed = nil
-	w.Any = nil
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.UseNumber()
-	return dec.Decode(&w.Any)
-}
-
-// appendJSONValue appends one tuple value as a JSON scalar. Int64 values
-// never carry a decimal point; Float64 values always do.
-func appendJSONValue(dst []byte, v tuple.Value) ([]byte, error) {
-	switch v.T {
-	case tuple.Int64:
-		return strconv.AppendInt(dst, v.I64, 10), nil
-	case tuple.Float64:
-		if math.IsNaN(v.F64) || math.IsInf(v.F64, 0) {
-			return nil, fmt.Errorf("server: unsupported float value %v", v.F64)
-		}
-		mark := len(dst)
-		dst = strconv.AppendFloat(dst, v.F64, 'g', -1, 64)
-		if !bytes.ContainsAny(dst[mark:], ".eE") { // integral: keep it a float on the wire
-			dst = append(dst, '.', '0')
-		}
-		return dst, nil
-	case tuple.String:
-		return appendJSONString(dst, v.Str), nil
-	default:
-		return nil, fmt.Errorf("server: invalid tuple value")
-	}
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a quoted JSON string, escaping quotes,
-// backslashes, and control characters (other bytes pass through verbatim;
-// published values arrive as JSON, so they are valid UTF-8 already).
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c >= 0x20 && c != '"' && c != '\\' {
-			continue
-		}
-		dst = append(dst, s[start:i]...)
-		switch c {
-		case '"', '\\':
-			dst = append(dst, '\\', c)
-		case '\n':
-			dst = append(dst, '\\', 'n')
-		case '\r':
-			dst = append(dst, '\\', 'r')
-		case '\t':
-			dst = append(dst, '\\', 't')
-		default:
-			dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
-		}
-		start = i + 1
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
-}
-
-// rowsFromAny converts boxed wire rows back into typed tuple rows — the
-// streaming fallback for backends that answer with pre-boxed values.
-func rowsFromAny(in [][]any) ([]tuple.Row, error) {
-	rows := make([]tuple.Row, len(in))
-	for i, r := range in {
-		row := make(tuple.Row, len(r))
-		for j, v := range r {
-			switch x := v.(type) {
-			case int:
-				row[j] = tuple.I(int64(x))
-			case int64:
-				row[j] = tuple.I(x)
-			case float64:
-				row[j] = tuple.F(x)
-			case string:
-				row[j] = tuple.S(x)
-			case json.Number:
-				if n, err := x.Int64(); err == nil {
-					row[j] = tuple.I(n)
-				} else if f, err := x.Float64(); err == nil {
-					row[j] = tuple.F(f)
-				} else {
-					return nil, fmt.Errorf("server: bad number %q in row %d", x.String(), i)
-				}
-			default:
-				return nil, fmt.Errorf("server: unstreamable value %T in row %d", v, i)
-			}
-		}
-		rows[i] = row
-	}
-	return rows, nil
-}
-
-// DecodeValue maps a json.Number/string wire scalar back to a Go scalar
-// (int64, float64, or string). Used by clients reading query results.
-func DecodeValue(v any) (any, error) {
-	switch x := v.(type) {
-	case json.Number:
-		if i, err := x.Int64(); err == nil {
-			return i, nil
-		}
-		f, err := x.Float64()
-		if err != nil {
-			return nil, fmt.Errorf("server: bad number %q", x.String())
-		}
-		return f, nil
-	case string:
-		return x, nil
-	case float64: // decoder without UseNumber
-		return x, nil
-	default:
-		return nil, fmt.Errorf("server: unexpected wire value %T", v)
-	}
-}
-
-// CoerceRow converts one wire row onto a schema's column types: numbers
-// are accepted for numeric columns (integral floats for int columns),
-// strings for string columns.
-func CoerceRow(s *tuple.Schema, in []any) (tuple.Row, error) {
-	if len(in) != s.Arity() {
-		return nil, Errorf(CodeBadRequest, "row arity %d != schema arity %d", len(in), s.Arity())
-	}
-	out := make(tuple.Row, len(in))
-	for i, v := range in {
-		col := s.Columns[i]
-		switch col.Type {
-		case tuple.Int64:
-			switch x := v.(type) {
-			case json.Number:
-				n, err := x.Int64()
-				if err != nil {
-					f, ferr := x.Float64()
-					if ferr != nil || f != float64(int64(f)) {
-						return nil, Errorf(CodeBadRequest, "column %s wants int, got %q", col.Name, x.String())
-					}
-					n = int64(f)
-				}
-				out[i] = tuple.I(n)
-			case float64:
-				if x != float64(int64(x)) {
-					return nil, Errorf(CodeBadRequest, "column %s wants int, got %v", col.Name, x)
-				}
-				out[i] = tuple.I(int64(x))
-			case int:
-				out[i] = tuple.I(int64(x))
-			case int64:
-				out[i] = tuple.I(x)
-			default:
-				return nil, Errorf(CodeBadRequest, "column %s wants int, got %T", col.Name, v)
-			}
-		case tuple.Float64:
-			switch x := v.(type) {
-			case json.Number:
-				f, err := x.Float64()
-				if err != nil {
-					return nil, Errorf(CodeBadRequest, "column %s wants float, got %q", col.Name, x.String())
-				}
-				out[i] = tuple.F(f)
-			case float64:
-				out[i] = tuple.F(x)
-			case int:
-				out[i] = tuple.F(float64(x))
-			case int64:
-				out[i] = tuple.F(float64(x))
-			default:
-				return nil, Errorf(CodeBadRequest, "column %s wants float, got %T", col.Name, v)
-			}
-		case tuple.String:
-			x, ok := v.(string)
-			if !ok {
-				return nil, Errorf(CodeBadRequest, "column %s wants string, got %T", col.Name, v)
-			}
-			out[i] = tuple.S(x)
-		}
-	}
-	return out, nil
-}
-
 // CoerceTypedRows coerces batch-decoded rows onto a schema's column
-// types, in place where the types already match. The rules mirror
-// CoerceRow: numeric columns accept either numeric type (integral floats
-// for int columns), string columns accept strings.
+// types, in place where the types already match: numeric columns accept
+// either numeric type (integral floats for int columns), string columns
+// accept strings.
 func CoerceTypedRows(s *tuple.Schema, rows []tuple.Row) error {
 	for i, row := range rows {
 		if len(row) != s.Arity() {

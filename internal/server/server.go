@@ -35,10 +35,9 @@ type Config struct {
 	// TCP, so one connection cannot accumulate unbounded handler
 	// goroutines and payloads.
 	MaxPipelinedRequests int
-	// MaxFrame bounds a single wire frame (default MaxFrame const). A
-	// hello handshake may negotiate it lower per connection. Single-frame
-	// JSON results larger than this fail with frame_too_large; streamed
-	// binary results are bounded per batch frame, not in total.
+	// MaxFrame bounds a single wire frame (default MaxFrame const). The
+	// hello handshake may negotiate it lower per connection. Results are
+	// bounded per batch frame, not in total.
 	MaxFrame int64
 	// StreamWindow is the per-stream credit window offered to clients:
 	// the number of un-acknowledged batch frames in flight per streamed
@@ -93,11 +92,7 @@ func (c Config) withDefaults() Config {
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = MaxFrame
 	}
-	if c.MaxFrame > MaxFrameLimit {
-		// The length header's high bit is the binary-frame tag: frames at
-		// or past 2 GiB would corrupt the framing entirely.
-		c.MaxFrame = MaxFrameLimit
-	}
+	c.MaxFrame = min(max(c.MaxFrame, MinFrame), MaxFrameLimit) // control frames must always fit
 	if c.StreamWindow <= 0 {
 		c.StreamWindow = DefaultStreamWindow
 	}
@@ -164,8 +159,8 @@ type opMetrics struct {
 }
 
 // observeOp records one request's service time and outcome — the single
-// accounting point shared by the JSON dispatch path, the binary stream
-// path, and the inline hello handler.
+// accounting point shared by the control-op dispatch, the query stream
+// path, and the hello handshake.
 func (s *Server) observeOp(op string, d time.Duration, failed bool) {
 	m := s.ops[op]
 	if m == nil {
@@ -269,14 +264,10 @@ func Start(addr string, backend Backend, cfg Config) (*Server, error) {
 }
 
 // registerCacheGauges exports the backend's cache counters (view cache,
-// decoded-page LRU) as registry gauges when the backend provides them.
+// decoded-page LRU) as registry gauges.
 func (s *Server) registerCacheGauges() {
-	prov, ok := s.backend.(CacheStatsProvider)
-	if !ok {
-		return
-	}
 	stat := func(name string, f func(engine.CacheStats) int64) func() int64 {
-		return func() int64 { return f(prov.CacheStats()[name]) }
+		return func() int64 { return f(s.backend.CacheStats()[name]) }
 	}
 	for _, name := range []string{"views", "pages"} {
 		s.metrics.GaugeFunc(`orchestra_cache_hits{cache="`+name+`"}`, stat(name, func(c engine.CacheStats) int64 { return int64(c.Hits) }))
@@ -287,16 +278,12 @@ func (s *Server) registerCacheGauges() {
 }
 
 // registerReplGauges exports the backend's replica-repair health as
-// registry gauges when the backend provides it: shipping lag, catch-up
-// and state-transfer counters, and anti-entropy repairs.
+// registry gauges: shipping lag, catch-up and state-transfer counters,
+// and anti-entropy repairs (all zero for a single-node deployment).
 func (s *Server) registerReplGauges() {
-	prov, ok := s.backend.(ReplStatsProvider)
-	if !ok {
-		return
-	}
 	stat := func(f func(cluster.ReplStats) int64) func() int64 {
 		return func() int64 {
-			r, rok := prov.ReplStats()
+			r, rok := s.backend.ReplStats()
 			if !rok {
 				return 0
 			}
@@ -420,12 +407,12 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// session owns one connection: it reads request frames and dispatches
-// each to its own goroutine, so a slow query does not block later
-// requests pipelined on the same connection. Responses are serialized
-// by a per-connection write lock and carry the request's ID; streamed
-// results interleave their frames with other responses under the same
-// lock, one frame at a time.
+// session owns one connection: after the hello handshake it reads request
+// frames and dispatches each to its own goroutine, so a slow query does
+// not block later requests pipelined on the same connection. Frames are
+// serialized by a per-connection write lock and carry the request's ID;
+// result streams interleave their frames with other responses under the
+// same lock, one frame at a time.
 type session struct {
 	srv  *Server
 	conn net.Conn
@@ -438,21 +425,14 @@ type session struct {
 
 	wmu sync.Mutex
 
-	// lim holds the negotiated limits; swapped atomically by hello.
-	lim atomic.Pointer[sessionLimits]
+	// maxFrame and window are the connection's limits: the server's until
+	// the hello handshake lowers them, fixed before any handler starts.
+	maxFrame int64
+	window   int
 
 	smu     sync.Mutex
 	streams map[uint64]*streamWriter // in-flight streams by request ID
 }
-
-// sessionLimits are the per-connection negotiated protocol settings.
-type sessionLimits struct {
-	binary   bool // FeatureBinaryStream negotiated
-	maxFrame int64
-	window   int
-}
-
-func (sess *session) limits() *sessionLimits { return sess.lim.Load() }
 
 // write sends one pre-encoded frame under the write lock. On failure the
 // connection is closed to wake the read loop.
@@ -469,34 +449,20 @@ func (sess *session) write(frame []byte) error {
 	return err
 }
 
-// writeResponse encodes and sends one JSON response, using the framing
-// the connection negotiated and a pooled buffer.
+// writeResponse encodes and sends one JSON response using a pooled
+// buffer. A response larger than the frame cap fails only its request.
 func (sess *session) writeResponse(resp *Response) error {
-	lim := sess.limits()
 	buf := getFrameBuf()
 	defer putFrameBuf(buf)
-	var frame []byte
-	var err error
-	if lim.binary {
-		frame, err = AppendTaggedJSONFrame((*buf)[:0], resp, lim.maxFrame)
-	} else {
-		frame, err = AppendFrame((*buf)[:0], resp, lim.maxFrame)
-	}
+	frame, err := AppendJSONFrame((*buf)[:0], resp, sess.maxFrame)
 	if err != nil {
-		// A result the codec cannot carry (NaN/Inf floats, or one larger
-		// than the frame cap) fails only this request, not the session.
 		code := CodeInternal
 		var fse *FrameSizeError
 		if errors.As(err, &fse) {
 			code = CodeFrameTooLarge
 		}
 		fallback := &Response{ID: resp.ID, Error: Errorf(code, "encode response: %v", err)}
-		if lim.binary {
-			frame, err = AppendTaggedJSONFrame((*buf)[:0], fallback, lim.maxFrame)
-		} else {
-			frame, err = AppendFrame((*buf)[:0], fallback, lim.maxFrame)
-		}
-		if err != nil {
+		if frame, err = AppendJSONFrame((*buf)[:0], fallback, sess.maxFrame); err != nil {
 			sess.srv.cfg.Logf("server: %s: encode: %v", sess.conn.RemoteAddr(), err)
 			sess.conn.Close()
 			return err
@@ -505,6 +471,14 @@ func (sess *session) writeResponse(resp *Response) error {
 	err = sess.write(frame)
 	*buf = frame[:0]
 	return err
+}
+
+// protocolError tells the peer why the session is ending (the caller
+// returns from the read loop right after): framing or sequencing is
+// broken, so no further frame on this connection can be trusted.
+func (sess *session) protocolError(id uint64, code, format string, args ...any) {
+	sess.srv.cfg.Logf("server: %s: "+format, append([]any{sess.conn.RemoteAddr()}, args...)...)
+	sess.writeResponse(&Response{ID: id, Error: Errorf(code, format, args...)})
 }
 
 // registerStream claims id for w; it fails when another stream on the
@@ -526,37 +500,26 @@ func (sess *session) dropStream(id uint64) {
 	sess.smu.Unlock()
 }
 
-func (sess *session) creditStream(id uint64, n uint64) {
+// stream looks up the in-flight stream a credit or cancel frame names.
+// Frames for an id with no registered stream are dropped — the protocol
+// only permits them after the stream's schema frame was received, which
+// orders them after registration, so an unknown id is a finished stream.
+func (sess *session) stream(id uint64) *streamWriter {
 	sess.smu.Lock()
-	w := sess.streams[id]
-	sess.smu.Unlock()
-	if w != nil {
-		w.credit(n)
-	}
-}
-
-// cancelStream aborts an in-flight stream on a client's FrameCancel. A
-// cancel for an id with no registered stream is dropped — the protocol
-// only permits cancelling after the stream's schema frame was received,
-// which orders the cancel after registration.
-func (sess *session) cancelStream(id uint64) {
-	sess.smu.Lock()
-	w := sess.streams[id]
-	sess.smu.Unlock()
-	if w != nil {
-		w.cancelReq()
-	}
+	defer sess.smu.Unlock()
+	return sess.streams[id]
 }
 
 func (s *Server) session(conn net.Conn) {
 	sess := &session{
-		srv:     s,
-		conn:    conn,
-		br:      bufio.NewReaderSize(conn, 32<<10),
-		streams: make(map[uint64]*streamWriter),
+		srv:      s,
+		conn:     conn,
+		br:       bufio.NewReaderSize(conn, 32<<10),
+		maxFrame: s.cfg.MaxFrame,
+		window:   s.cfg.StreamWindow,
+		streams:  make(map[uint64]*streamWriter),
 	}
 	sess.ctx, sess.cancel = context.WithCancel(context.Background())
-	sess.lim.Store(&sessionLimits{maxFrame: s.cfg.MaxFrame, window: s.cfg.StreamWindow})
 	defer func() {
 		sess.cancel()
 		conn.Close()
@@ -567,6 +530,9 @@ func (s *Server) session(conn net.Conn) {
 	}()
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
+	}
+	if !s.handshake(sess) {
+		return
 	}
 	// Requests pass through a bounded admission pump instead of blocking
 	// the read loop directly on the pipeline cap: the read loop must stay
@@ -592,7 +558,7 @@ func (s *Server) session(conn net.Conn) {
 				defer handlers.Done()
 				defer s.reqsInFlight.Add(-1)
 				defer func() { <-pipeline }()
-				if req.Op == OpQuery && req.Query != nil && req.Query.Stream && sess.limits().binary {
+				if req.Op == OpQuery {
 					s.dispatchStream(sess, &req)
 					return
 				}
@@ -610,145 +576,145 @@ func (s *Server) session(conn net.Conn) {
 		}
 	}()
 	for {
-		kind, payload, _, err := ReadRawFrame(sess.br, sess.limits().maxFrame)
+		kind, payload, err := ReadRawFrame(sess.br, sess.maxFrame)
 		if err != nil {
-			var fse *FrameSizeError
-			if errors.As(err, &fse) {
-				// Tell the peer why before closing: framing cannot be
-				// re-synchronized after an unread oversized body.
-				sess.writeResponse(&Response{Error: Errorf(CodeFrameTooLarge, "%v", err)})
-			} else if !errors.Is(err, net.ErrClosed) && !isEOF(err) {
-				s.cfg.Logf("server: %s: read: %v", conn.RemoteAddr(), err)
-			}
+			sess.readError(err)
 			return
 		}
+		var req Request
 		switch kind {
 		case FrameCredit:
 			id, n, err := DecodeCreditPayload(payload)
 			if err != nil {
-				s.cfg.Logf("server: %s: %v", conn.RemoteAddr(), err)
+				sess.protocolError(0, CodeBadRequest, "%v", err)
 				return
 			}
-			sess.creditStream(id, uint64(n))
+			if w := sess.stream(id); w != nil {
+				w.credit(uint64(n))
+			}
 			continue
 		case FrameCancel:
 			id, err := StreamFrameID(payload)
 			if err != nil {
-				s.cfg.Logf("server: %s: %v", conn.RemoteAddr(), err)
+				sess.protocolError(0, CodeBadRequest, "%v", err)
 				return
 			}
-			sess.cancelStream(id)
+			if w := sess.stream(id); w != nil {
+				w.cancelReq()
+			}
 			continue
 		case FramePublish:
-			// Binary publish: rows arrive as one typed batch, so the
-			// handler skips JSON value coercion entirely. Answered with a
-			// normal JSON Response through the same pipeline (counters,
-			// pipelining backpressure) as a JSON publish.
 			id, pubID, rel, rows, err := DecodePublishPayload(payload)
 			if err != nil {
-				if id2, iderr := StreamFrameID(payload); iderr == nil {
-					sess.writeResponse(&Response{ID: id2, Error: Errorf(CodeBadRequest, "%v", err)})
+				if id, iderr := StreamFrameID(payload); iderr == nil {
+					// The frame was read whole, so framing is intact:
+					// fail only this request.
+					sess.writeResponse(&Response{ID: id, Error: Errorf(CodeBadRequest, "%v", err)})
 					continue
 				}
-				s.cfg.Logf("server: %s: %v", conn.RemoteAddr(), err)
+				sess.protocolError(0, CodeBadRequest, "%v", err)
 				return
 			}
-			s.reqsInFlight.Add(1)
-			reqCh <- Request{
-				ID:      id,
-				Op:      OpPublish,
-				Publish: &PublishRequest{Relation: rel, PublishID: pubID, TypedRows: rows},
-			}
-			continue
+			req = Request{ID: id, Op: OpPublish, Publish: &PublishRequest{Relation: rel, PublishID: pubID, TypedRows: rows}}
 		case FrameJSON:
+			if err := UnmarshalJSONFrame(payload, &req); err != nil {
+				sess.protocolError(0, CodeBadRequest, "malformed request: %v", err)
+				return
+			}
 		default:
-			s.cfg.Logf("server: %s: client sent unexpected %v frame", conn.RemoteAddr(), kind)
+			sess.protocolError(0, CodeBadRequest, "unexpected %v frame from client", kind)
 			return
-		}
-		var req Request
-		if err := UnmarshalJSONFrame(payload, &req); err != nil {
-			s.cfg.Logf("server: %s: read: %v", conn.RemoteAddr(), err)
-			return
-		}
-		if req.Op == OpHello {
-			// Handled inline so the framing switch is ordered with the
-			// response: the client sends no tagged frame until it reads it.
-			s.handleHello(sess, &req)
-			continue
 		}
 		s.reqsInFlight.Add(1)
 		reqCh <- req // backpressure: stop reading when the pump is saturated
 	}
 }
 
-// handleHello negotiates protocol features: the intersection of the two
-// peers' feature lists and the min of their frame/window limits.
-func (s *Server) handleHello(sess *session, req *Request) {
-	start := time.Now()
-	resp := &Response{ID: req.ID}
-	if req.Hello == nil {
-		resp.Error = Errorf(CodeBadRequest, "hello payload missing")
-	} else {
-		cur := sess.limits()
-		lim := &sessionLimits{maxFrame: cur.maxFrame, window: cur.window}
-		if mf := req.Hello.MaxFrame; mf > 0 && mf < lim.maxFrame {
-			lim.maxFrame = mf
-		}
-		if lim.maxFrame < MinFrame {
-			lim.maxFrame = MinFrame // control frames must always fit
-		}
-		if w := req.Hello.Window; w > 0 && w < lim.window {
-			lim.window = w
-		}
-		var features []string
-		for _, f := range req.Hello.Features {
-			switch f {
-			case FeatureBinaryStream:
-				lim.binary = true
-				features = append(features, FeatureBinaryStream)
-			case FeatureBinaryPublish:
-				features = append(features, FeatureBinaryPublish)
-			case FeaturePublishID:
-				features = append(features, FeaturePublishID)
-			}
-		}
-		resp.Hello = &HelloResponse{
-			Version:  ProtocolVersion,
-			Features: features,
-			MaxFrame: lim.maxFrame,
-			Window:   lim.window,
-		}
-		sess.lim.Store(lim)
+// readError ends the session after a failed frame read, telling the peer
+// why when the cause is the frame itself rather than the connection.
+func (sess *session) readError(err error) {
+	var fse *FrameSizeError
+	switch {
+	case errors.As(err, &fse):
+		sess.protocolError(0, CodeFrameTooLarge, "%v", err)
+	case errors.Is(err, errEmptyFrame):
+		sess.protocolError(0, CodeBadRequest, "%v", err)
+	case !errors.Is(err, net.ErrClosed) && !isEOF(err):
+		sess.srv.cfg.Logf("server: %s: read: %v", sess.conn.RemoteAddr(), err)
 	}
-	err := sess.writeResponse(resp)
-	s.observeOp(OpHello, time.Since(start), resp.Error != nil || err != nil)
 }
 
-// dispatchStream answers one query request with a binary result stream:
+// handshake reads the mandatory hello request, checks the protocol
+// version, and fixes the connection's limits at the min of the two
+// peers' offers. Anything else as the first frame is refused with a typed
+// bad_request and the connection closed (false).
+func (s *Server) handshake(sess *session) bool {
+	kind, payload, err := ReadRawFrame(sess.br, sess.maxFrame)
+	start := time.Now()
+	if err != nil {
+		sess.readError(err)
+		return false
+	}
+	var req Request
+	if kind == FrameJSON {
+		err = UnmarshalJSONFrame(payload, &req)
+	}
+	switch {
+	case kind != FrameJSON || err != nil || req.Op != OpHello || req.Hello == nil:
+		sess.protocolError(req.ID, CodeBadRequest, "first frame must be a hello request")
+	case req.Hello.Version != ProtocolVersion:
+		sess.protocolError(req.ID, CodeBadRequest, "protocol version %d, server speaks %d", req.Hello.Version, ProtocolVersion)
+	default:
+		if mf := req.Hello.MaxFrame; mf > 0 && mf < sess.maxFrame {
+			sess.maxFrame = max(mf, MinFrame)
+		}
+		if w := req.Hello.Window; w > 0 && w < sess.window {
+			sess.window = w
+		}
+		err := sess.writeResponse(&Response{ID: req.ID, Hello: &HelloResponse{
+			Version:  ProtocolVersion,
+			MaxFrame: sess.maxFrame,
+			Window:   sess.window,
+		}})
+		s.observeOp(OpHello, time.Since(start), err != nil)
+		return err == nil
+	}
+	s.observeOp(OpHello, time.Since(start), true)
+	return false
+}
+
+// dispatchStream answers one query request with its result stream:
 // Schema, Batch*, End — with errors carried in the End frame.
 func (s *Server) dispatchStream(sess *session, req *Request) {
 	start := time.Now()
-	ctx, cancel := context.WithTimeout(sess.ctx, s.cfg.RequestTimeout)
-	defer cancel()
-	if ms := req.Query.TimeoutMs; ms > 0 {
-		if d := time.Duration(ms) * time.Millisecond; d < s.cfg.RequestTimeout {
-			var c2 context.CancelFunc
-			ctx, c2 = context.WithTimeout(ctx, d)
-			defer c2()
-		}
+	q := req.Query
+	if q == nil {
+		q = &QueryRequest{} // refused below; its End frame still needs a writer
 	}
-	w := newStreamWriter(ctx, sess, req.ID, sess.limits().window)
+	timeout := s.cfg.RequestTimeout
+	if d := time.Duration(q.TimeoutMs) * time.Millisecond; d > 0 && d < timeout {
+		timeout = d
+	}
+	ctx, cancel := context.WithTimeout(sess.ctx, timeout)
+	defer cancel()
+	w := newStreamWriter(ctx, sess, req.ID, sess.window)
 	w.cancelFn = cancel // a FrameCancel aborts the query context
 	w.onFirst = func() { s.firstBatch.Observe(time.Since(start)) }
-	if s.draining.Load() {
-		// Refused before any execution: the client may re-route freely.
-		w.end(&StreamEnd{Error: Errorf(CodeUnavailable, "server draining")}, nil)
+	// refuse ends a stream that never registered or executed.
+	refuse := func(code, format string, args ...any) {
+		w.end(&StreamEnd{Error: Errorf(code, format, args...)}, nil)
 		s.observeOp(OpQuery, time.Since(start), true)
-		return
 	}
-	if !sess.registerStream(req.ID, w) {
-		w.end(&StreamEnd{Error: Errorf(CodeBadRequest, "stream id %d already active on this connection", req.ID)}, nil)
-		s.observeOp(OpQuery, time.Since(start), true)
+	switch {
+	case req.Query == nil:
+		refuse(CodeBadRequest, "query payload missing")
+		return
+	case s.draining.Load():
+		// Refused before any execution: the client may re-route freely.
+		refuse(CodeUnavailable, "server draining")
+		return
+	case !sess.registerStream(req.ID, w):
+		refuse(CodeBadRequest, "stream id %d already active on this connection", req.ID)
 		return
 	}
 	// Unregistered by end()'s beforeEnd hook — before the End frame hits
@@ -758,7 +724,7 @@ func (s *Server) dispatchStream(sess *session, req *Request) {
 	defer sess.dropStream(req.ID)
 	drop := func() { sess.dropStream(req.ID) }
 
-	tail, err := s.runQueryStreamed(ctx, req.Query, w)
+	tail, err := s.runQuery(ctx, q, w)
 	failed := err != nil
 	if err == nil && tail.Streamed > 0 {
 		s.streamedQueries.Inc()
@@ -822,67 +788,54 @@ func (s *Server) acquireAdmission(ctx context.Context) (func(), error) {
 	}, nil
 }
 
-// runQueryStreamed passes admission control, then executes the query
-// against a streaming backend — or falls back to the buffered Query path
-// re-chunked into batches for backends that predate streaming.
+// runQuery passes admission control, then executes the query against the
+// backend, which emits the answer through out. The wait is bounded by the
+// request context, so an overloaded server times out queued queries
+// instead of letting them pile up forever.
 //
-// The admission slot is held until the backend returns. With streaming
-// pushdown, result frames now flow *during* execution (the schema frame
-// arrives with the first batch, not after the collect), so releasing the
-// slot at the schema frame — as the buffered-era server did — would stop
-// bounding concurrent executions at all. The slot therefore covers
+// The admission slot is held until the backend returns: result frames
+// flow *during* execution for plans that stream, so the slot covers
 // execution plus emission; the credit window already bounds how long a
 // slow reader can stretch that (the request timeout severs stalled
 // streams).
-func (s *Server) runQueryStreamed(ctx context.Context, q *QueryRequest, out *streamWriter) (*StreamEnd, error) {
+func (s *Server) runQuery(ctx context.Context, q *QueryRequest, out *streamWriter) (*StreamEnd, error) {
 	release, err := s.acquireAdmission(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	forced := s.forceTrace(q)
+	// Trace every query while the slow-query log is on, so a logged entry
+	// has its span tree; the tree is stripped again below unless the
+	// client asked for it.
+	forced := !q.Trace && s.slow.enabled()
+	q.Trace = q.Trace || forced
 	start := time.Now()
-	if sb, ok := s.backend.(StreamingBackend); ok {
-		tail, err := sb.QueryStream(ctx, q, out)
-		if err != nil {
-			s.noteSlow(q, start, out.RowsStaged(), nil, nil, err, true)
-			return nil, err
-		}
-		s.noteSlow(q, start, out.RowsStaged(), nil, tail, nil, true)
-		if forced {
-			tail.Trace, tail.TraceID = nil, ""
-		}
-		return &StreamEnd{QueryTail: *tail}, nil
+	tail, err := s.backend.QueryStream(ctx, q, out)
+	if err == nil && tail.Trace != nil && out.writeCalls > 0 {
+		tail.Trace.Children = append(tail.Trace.Children, &obs.Span{
+			Name:    "stream.write",
+			StartUs: out.writeStart.Sub(start).Microseconds(),
+			DurUs:   out.writeDur.Microseconds(),
+			Rows:    out.RowsStaged(),
+			Batches: out.writeCalls,
+		})
 	}
-	resp, err := s.backend.Query(ctx, q)
-	s.noteSlow(q, start, responseRows(resp), resp, nil, err, true)
+	if d := time.Since(start); s.slow.qualifies(d) {
+		e := SlowQuery{SQL: q.SQL, DurUs: d.Microseconds(), StartUnixMs: start.UnixMilli(), Rows: out.RowsStaged()}
+		if err != nil {
+			e.Error = err.Error()
+		} else {
+			e.TraceID, e.Trace = tail.TraceID, tail.Trace
+		}
+		s.slow.record(e)
+	}
 	if err != nil {
 		return nil, err
 	}
 	if forced {
-		resp.Trace, resp.TraceID = nil, ""
+		tail.Trace, tail.TraceID = nil, ""
 	}
-	if err := out.Columns(resp.Columns); err != nil {
-		return nil, err
-	}
-	rows := resp.Rows.Typed
-	if rows == nil && resp.Rows.Any != nil {
-		if rows, err = rowsFromAny(resp.Rows.Any); err != nil {
-			return nil, err
-		}
-	}
-	if err := out.Batch(rows); err != nil {
-		return nil, err
-	}
-	return &StreamEnd{QueryTail: QueryTail{
-		Epoch:    resp.Epoch,
-		Cached:   resp.Cached,
-		Phases:   resp.Phases,
-		Restarts: resp.Restarts,
-		Plan:     resp.Plan,
-		TraceID:  resp.TraceID,
-		Trace:    resp.Trace,
-	}}, nil
+	return &StreamEnd{QueryTail: *tail}, nil
 }
 
 func isEOF(err error) bool {
@@ -898,7 +851,7 @@ func (s *Server) dispatch(req *Request) *Response {
 		resp.Error = Errorf(CodeBadRequest, "unknown op %q", op)
 		return resp
 	}
-	if s.draining.Load() && (op == OpQuery || op == OpPublish || op == OpCreate) {
+	if s.draining.Load() && (op == OpPublish || op == OpCreate) {
 		// Refused before any execution — a proof of non-execution the
 		// client may act on by re-routing to another endpoint.
 		resp.Error = Errorf(CodeUnavailable, "server draining")
@@ -932,30 +885,13 @@ func (s *Server) handle(ctx context.Context, req *Request, resp *Response) error
 		return nil
 	case OpPublish:
 		if req.Publish == nil {
-			return Errorf(CodeBadRequest, "publish payload missing")
+			return Errorf(CodeBadRequest, "a publish travels as a publish frame, not a JSON request")
 		}
 		e, err := s.backend.Publish(ctx, req.Publish)
 		if err != nil {
 			return err
 		}
 		resp.Epoch = uint64(e)
-		return nil
-	case OpQuery:
-		if req.Query == nil {
-			return Errorf(CodeBadRequest, "query payload missing")
-		}
-		if ms := req.Query.TimeoutMs; ms > 0 {
-			if d := time.Duration(ms) * time.Millisecond; d < s.cfg.RequestTimeout {
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithTimeout(ctx, d)
-				defer cancel()
-			}
-		}
-		qr, err := s.runQuery(ctx, req.Query)
-		if err != nil {
-			return err
-		}
-		resp.Query = qr
 		return nil
 	case OpSchema:
 		rel := ""
@@ -983,79 +919,7 @@ func (s *Server) handle(ctx context.Context, req *Request, resp *Response) error
 		}
 		return nil
 	}
-	return Errorf(CodeBadRequest, "unknown op %q", req.Op)
-}
-
-// runQuery passes the admission-control semaphore, then executes. The
-// wait is bounded by the request context so an overloaded server times
-// out queued queries instead of letting them pile up forever.
-func (s *Server) runQuery(ctx context.Context, q *QueryRequest) (*QueryResponse, error) {
-	release, err := s.acquireAdmission(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	forced := s.forceTrace(q)
-	start := time.Now()
-	qr, err := s.backend.Query(ctx, q)
-	s.noteSlow(q, start, responseRows(qr), qr, nil, err, false)
-	if forced && qr != nil {
-		qr.Trace, qr.TraceID = nil, ""
-	}
-	return qr, err
-}
-
-// responseRows counts a buffered response's result rows for accounting.
-func responseRows(qr *QueryResponse) int64 {
-	if qr == nil {
-		return 0
-	}
-	if qr.Rows.Typed != nil {
-		return int64(len(qr.Rows.Typed))
-	}
-	return int64(len(qr.Rows.Any))
-}
-
-// forceTrace turns tracing on for a query the client did not ask to
-// trace, so the slow-query log can capture its span tree; the caller
-// strips the tree back out of the response when it returns true.
-func (s *Server) forceTrace(q *QueryRequest) bool {
-	if q.Trace || !s.slow.enabled() {
-		return false
-	}
-	q.Trace = true
-	return true
-}
-
-// noteSlow records a completed query in the slow-query log when its
-// service time crossed the threshold. Exactly one of qr/tail carries
-// the trace (buffered vs streamed path); both may be nil on error. rows
-// is the result size — collected rows on the buffered path, rows handed
-// to the stream writer on the streamed path, so streamed entries log
-// their true row count instead of the rows=0 the collect-time accounting
-// used to produce.
-func (s *Server) noteSlow(q *QueryRequest, start time.Time, rows int64, qr *QueryResponse, tail *QueryTail, err error, streamed bool) {
-	d := time.Since(start)
-	if !s.slow.qualifies(d) {
-		return
-	}
-	e := SlowQuery{
-		SQL:         q.SQL,
-		DurUs:       d.Microseconds(),
-		StartUnixMs: start.UnixMilli(),
-		Streamed:    streamed,
-		Rows:        rows,
-	}
-	if err != nil {
-		e.Error = err.Error()
-	}
-	if qr != nil {
-		e.TraceID, e.Trace = qr.TraceID, qr.Trace
-	}
-	if tail != nil {
-		e.TraceID, e.Trace = tail.TraceID, tail.Trace
-	}
-	s.slow.record(e)
+	return Errorf(CodeBadRequest, "op %q is not valid here", req.Op) // a second hello
 }
 
 // peers returns the deployment's advertised client endpoints:
@@ -1109,18 +973,12 @@ func (s *Server) status() *StatusResponse {
 			P99Us:   snap.Quantile(0.99),
 		}
 	}
-	if prov, ok := s.backend.(CacheStatsProvider); ok {
-		st.Caches = prov.CacheStats()
+	st.Caches = s.backend.CacheStats()
+	if d, ok := s.backend.DurabilityStats(); ok {
+		st.Durability = &d
 	}
-	if prov, ok := s.backend.(DurabilityStatsProvider); ok {
-		if d, dok := prov.DurabilityStats(); dok {
-			st.Durability = &d
-		}
-	}
-	if prov, ok := s.backend.(ReplStatsProvider); ok {
-		if r, rok := prov.ReplStats(); rok {
-			st.Replication = &r
-		}
+	if r, ok := s.backend.ReplStats(); ok {
+		st.Replication = &r
 	}
 	if n := s.streamedQueries.Load(); n > 0 {
 		snap := s.firstBatch.Snapshot()

@@ -1,111 +1,28 @@
 package server
 
 import (
-	"bytes"
+	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"orchestra/internal/cluster"
+	"orchestra/internal/engine"
+	"orchestra/internal/kvstore"
 	"orchestra/internal/tuple"
 )
 
-// --- protocol ---
+// --- test harness: a stub backend and a raw protocol connection ---
 
-func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	in := &Request{ID: 7, Op: OpQuery, Query: &QueryRequest{SQL: "SELECT 1", Epoch: 42}}
-	if err := WriteFrame(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	var out Request
-	if err := ReadFrame(&buf, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.ID != 7 || out.Op != OpQuery || out.Query == nil || out.Query.SQL != "SELECT 1" || out.Query.Epoch != 42 {
-		t.Fatalf("round trip mangled request: %+v", out)
-	}
-}
-
-func TestFrameTooLarge(t *testing.T) {
-	hdr := []byte{0xff, 0xff, 0xff, 0xff}
-	var req Request
-	if err := ReadFrame(bytes.NewReader(hdr), &req); err == nil {
-		t.Fatal("oversized frame accepted")
-	}
-}
-
-// TestValueCodec checks the int/float disambiguation: integral floats
-// must keep a decimal point on the wire so clients recover the type.
-func TestValueCodec(t *testing.T) {
-	rows := EncodeRows([]tuple.Row{{tuple.I(5), tuple.F(2), tuple.F(2.5), tuple.S("x")}})
-	body, err := json.Marshal(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := `[[5,2.0,2.5,"x"]]`
-	if string(body) != want {
-		t.Fatalf("encoded %s, want %s", body, want)
-	}
-	var wire [][]any
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.UseNumber()
-	if err := dec.Decode(&wire); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]any, len(wire[0]))
-	for i, v := range wire[0] {
-		if got[i], err = DecodeValue(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got[0] != int64(5) || got[1] != float64(2) || got[2] != 2.5 || got[3] != "x" {
-		t.Fatalf("decoded %#v", got)
-	}
-}
-
-func TestCoerceRow(t *testing.T) {
-	s := tuple.MustSchema("r", []tuple.Column{
-		{Name: "a", Type: tuple.Int64},
-		{Name: "b", Type: tuple.Float64},
-		{Name: "c", Type: tuple.String},
-	})
-	row, err := CoerceRow(s, []any{json.Number("9"), json.Number("1.5"), "hi"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := tuple.Row{tuple.I(9), tuple.F(1.5), tuple.S("hi")}
-	for i := range want {
-		if !row[i].Equal(want[i]) {
-			t.Fatalf("col %d: got %v want %v", i, row[i], want[i])
-		}
-	}
-	if _, err := CoerceRow(s, []any{json.Number("9.5"), json.Number("1"), "hi"}); err == nil {
-		t.Fatal("fractional value accepted for int column")
-	}
-	if _, err := CoerceRow(s, []any{json.Number("9"), json.Number("1")}); err == nil {
-		t.Fatal("short row accepted")
-	}
-	var we *WireError
-	_, err = CoerceRow(s, []any{"no", json.Number("1"), "hi"})
-	if !errors.As(err, &we) || we.Code != CodeBadRequest {
-		t.Fatalf("type mismatch not a bad_request: %v", err)
-	}
-}
-
-// --- server core, against a stub backend ---
-
-// stubBackend answers queries after an optional gate, so tests control
-// execution overlap precisely.
+// stubBackend answers every query with one row after an optional delay,
+// so tests control execution overlap precisely.
 type stubBackend struct {
 	queryDelay time.Duration
 	queryErr   error
-	queryResp  *QueryResponse
 }
 
 func (b *stubBackend) Create(ctx context.Context, req *CreateRequest) (tuple.Epoch, error) {
@@ -116,7 +33,7 @@ func (b *stubBackend) Publish(ctx context.Context, req *PublishRequest) (tuple.E
 	return 2, nil
 }
 
-func (b *stubBackend) Query(ctx context.Context, req *QueryRequest) (*QueryResponse, error) {
+func (b *stubBackend) QueryStream(ctx context.Context, req *QueryRequest, out ResultStream) (*QueryTail, error) {
 	if b.queryErr != nil {
 		return nil, b.queryErr
 	}
@@ -127,10 +44,11 @@ func (b *stubBackend) Query(ctx context.Context, req *QueryRequest) (*QueryRespo
 			return nil, ctx.Err()
 		}
 	}
-	if b.queryResp != nil {
-		return b.queryResp, nil
+	out.Columns([]string{"one"})
+	if err := out.StreamRows([]tuple.Row{{tuple.I(1)}}); err != nil {
+		return nil, err
 	}
-	return &QueryResponse{Columns: []string{"one"}, Rows: AnyRows([][]any{{1}}), Epoch: 3}, nil
+	return &QueryTail{Epoch: 3}, nil
 }
 
 func (b *stubBackend) Catalog(ctx context.Context, rel string) (*SchemaResponse, error) {
@@ -140,10 +58,15 @@ func (b *stubBackend) Catalog(ctx context.Context, rel string) (*SchemaResponse,
 	return &SchemaResponse{Relations: []RelationInfo{{Relation: "known"}}}, nil
 }
 
-func (b *stubBackend) Epoch() tuple.Epoch { return 3 }
-func (b *stubBackend) Info() BackendInfo  { return BackendInfo{NodeID: "stub", Members: 1} }
+func (b *stubBackend) Epoch() tuple.Epoch                       { return 3 }
+func (b *stubBackend) Info() BackendInfo                        { return BackendInfo{NodeID: "stub", Members: 1} }
+func (b *stubBackend) CacheStats() map[string]engine.CacheStats { return nil }
+func (b *stubBackend) DurabilityStats() (kvstore.DurabilityStats, bool) {
+	return kvstore.DurabilityStats{}, false
+}
+func (b *stubBackend) ReplStats() (cluster.ReplStats, bool) { return cluster.ReplStats{}, false }
 
-func startTestServer(t *testing.T, b Backend, cfg Config) *Server {
+func startTestServer(t testing.TB, b Backend, cfg Config) *Server {
 	t.Helper()
 	if cfg.Logf == nil {
 		cfg.Logf = t.Logf
@@ -156,15 +79,161 @@ func startTestServer(t *testing.T, b Backend, cfg Config) *Server {
 	return s
 }
 
-func dialTest(t *testing.T, s *Server) net.Conn {
+// testConn is a raw protocol connection. Requests may be pipelined;
+// await sorts the interleaved answer frames out by request ID.
+type testConn struct {
+	t testing.TB
+	net.Conn
+	br   *bufio.Reader
+	open map[uint64]*reply // streams that have not ended yet
+	done map[uint64]*reply // terminal frames read past by await
+}
+
+// reply is everything that answered one request: a JSON response, or a
+// result stream's schema, rows and End.
+type reply struct {
+	id   uint64
+	resp *Response
+	cols []string
+	rows []tuple.Row
+	end  *StreamEnd
+}
+
+// err is the request's outcome, whichever form the answer took.
+func (r *reply) err() *WireError {
+	if r.resp != nil {
+		return r.resp.Error
+	}
+	return r.end.Error
+}
+
+// dialRaw connects without the hello handshake.
+func dialRaw(t testing.TB, s *Server) *testConn {
 	t.Helper()
 	conn, err := net.Dial("tcp", s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	return conn
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	return &testConn{t: t, Conn: conn, br: bufio.NewReader(conn), open: map[uint64]*reply{}, done: map[uint64]*reply{}}
 }
+
+// dialTest connects and performs the handshake with the server's limits.
+func dialTest(t testing.TB, s *Server) *testConn {
+	t.Helper()
+	c := dialRaw(t, s)
+	c.hello(&HelloRequest{Version: ProtocolVersion})
+	return c
+}
+
+func (c *testConn) hello(h *HelloRequest) *HelloResponse {
+	c.t.Helper()
+	c.send(&Request{ID: 99, Op: OpHello, Hello: h})
+	r := c.await(99)
+	if r.err() != nil || r.resp.Hello == nil {
+		c.t.Fatalf("hello: %+v", r.resp)
+	}
+	return r.resp.Hello
+}
+
+func (c *testConn) send(req *Request) {
+	c.t.Helper()
+	frame, err := AppendJSONFrame(nil, req, MaxFrame)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	if _, err := c.Write(frame); err != nil {
+		c.t.Fatal(err)
+	}
+}
+
+func (c *testConn) sendFrame(kind FrameKind, payload []byte) {
+	c.t.Helper()
+	frame, err := AppendBinaryFrame(nil, kind, payload, MaxFrame)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	if _, err := c.Write(frame); err != nil {
+		c.t.Fatal(err)
+	}
+}
+
+func (c *testConn) query(id uint64, sql string) {
+	c.t.Helper()
+	c.send(&Request{ID: id, Op: OpQuery, Query: &QueryRequest{SQL: sql}})
+}
+
+// frame reads one raw frame.
+func (c *testConn) frame() (FrameKind, []byte) {
+	c.t.Helper()
+	kind, payload, err := ReadRawFrame(c.br, MaxFrame)
+	if err != nil {
+		c.t.Fatalf("read frame: %v", err)
+	}
+	return kind, payload
+}
+
+// next reads frames up to and including the next terminal one (a JSON
+// response or a stream End), folding schema and batch frames into their
+// stream's reply and granting a credit per batch.
+func (c *testConn) next() *reply {
+	c.t.Helper()
+	for {
+		kind, payload := c.frame()
+		if kind == FrameJSON {
+			var resp Response
+			if err := UnmarshalJSONFrame(payload, &resp); err != nil {
+				c.t.Fatal(err)
+			}
+			return &reply{id: resp.ID, resp: &resp}
+		}
+		id, err := StreamFrameID(payload)
+		if err != nil {
+			c.t.Fatal(err)
+		}
+		r := c.open[id]
+		if r == nil {
+			r = &reply{id: id}
+			c.open[id] = r
+		}
+		switch kind {
+		case FrameSchema:
+			_, r.cols, err = DecodeSchemaPayload(payload)
+		case FrameBatch:
+			var rows []tuple.Row
+			_, rows, err = DecodeBatchPayload(payload)
+			r.rows = append(r.rows, rows...)
+			c.sendFrame(FrameCredit, AppendCreditPayload(nil, id, 1))
+		case FrameEnd:
+			_, r.end, err = DecodeEndPayload(payload)
+			delete(c.open, id)
+			if err == nil {
+				return r
+			}
+		default:
+			c.t.Fatalf("unexpected %v frame", kind)
+		}
+		if err != nil {
+			c.t.Fatalf("%v frame: %v", kind, err)
+		}
+	}
+}
+
+// await returns the reply to request id, keeping replies to other
+// requests read along the way.
+func (c *testConn) await(id uint64) *reply {
+	c.t.Helper()
+	for c.done[id] == nil {
+		r := c.next()
+		c.done[r.id] = r
+	}
+	r := c.done[id]
+	delete(c.done, id)
+	return r
+}
+
+// --- server core, against the stub backend ---
 
 func TestServerBasicOps(t *testing.T) {
 	s := startTestServer(t, &stubBackend{}, Config{})
@@ -176,18 +245,16 @@ func TestServerBasicOps(t *testing.T) {
 		{ID: 4, Op: OpSchema, Schema: &SchemaRequest{Relation: "known"}},
 		{ID: 5, Op: OpStatus},
 	} {
-		if err := WriteFrame(conn, req); err != nil {
-			t.Fatal(err)
+		conn.send(req)
+		r := conn.next()
+		if r.err() != nil {
+			t.Fatalf("op %d: %v", i, r.err())
 		}
-		var resp Response
-		if err := ReadFrame(conn, &resp); err != nil {
-			t.Fatal(err)
+		if r.id != req.ID {
+			t.Fatalf("op %d: reply id %d for request %d", i, r.id, req.ID)
 		}
-		if resp.Error != nil {
-			t.Fatalf("op %d: %v", i, resp.Error)
-		}
-		if resp.ID != req.ID {
-			t.Fatalf("op %d: response id %d for request %d", i, resp.ID, req.ID)
+		if req.Op == OpQuery && (len(r.rows) != 1 || r.rows[0][0].I64 != 1 || r.end.Epoch != 3 || r.cols[0] != "one") {
+			t.Fatalf("query reply: cols %v rows %v end %+v", r.cols, r.rows, r.end)
 		}
 	}
 }
@@ -200,76 +267,39 @@ func TestServerErrorMapping(t *testing.T) {
 		code string
 	}{
 		{&Request{ID: 1, Op: "bogus"}, CodeBadRequest},
-		{&Request{ID: 2, Op: OpQuery}, CodeBadRequest}, // missing payload
-		{&Request{ID: 3, Op: OpSchema, Schema: &SchemaRequest{Relation: "nope"}}, CodeNotFound},
+		{&Request{ID: 2, Op: OpQuery}, CodeBadRequest},   // missing payload
+		{&Request{ID: 3, Op: OpPublish}, CodeBadRequest}, // publishes travel as publish frames
+		{&Request{ID: 4, Op: OpHello, Hello: &HelloRequest{Version: ProtocolVersion}}, CodeBadRequest},
+		{&Request{ID: 5, Op: OpSchema, Schema: &SchemaRequest{Relation: "nope"}}, CodeNotFound},
 	}
 	for _, tc := range cases {
-		if err := WriteFrame(conn, tc.req); err != nil {
-			t.Fatal(err)
-		}
-		var resp Response
-		if err := ReadFrame(conn, &resp); err != nil {
-			t.Fatal(err)
-		}
-		if resp.Error == nil || resp.Error.Code != tc.code {
-			t.Fatalf("op %q: got %v, want code %s", tc.req.Op, resp.Error, tc.code)
+		conn.send(tc.req)
+		if r := conn.await(tc.req.ID); r.err() == nil || r.err().Code != tc.code {
+			t.Fatalf("op %q: got %v, want code %s", tc.req.Op, r.err(), tc.code)
 		}
 	}
 	// Errors are accounted.
-	if st := s.Stats(); st.Ops[OpSchema].Errors != 1 {
-		t.Fatalf("schema errors = %d, want 1", st.Ops[OpSchema].Errors)
+	if st := s.Stats(); st.Ops[OpSchema].Errors != 1 || st.Ops[OpQuery].Errors != 1 {
+		t.Fatalf("schema errors = %d, query errors = %d, want 1 each", st.Ops[OpSchema].Errors, st.Ops[OpQuery].Errors)
 	}
 }
 
 // TestServerInternalErrorMapping: untyped backend errors become
-// CodeInternal without killing the session.
+// CodeInternal in the End frame without killing the session.
 func TestServerInternalErrorMapping(t *testing.T) {
 	s := startTestServer(t, &stubBackend{queryErr: errors.New("boom")}, Config{})
 	conn := dialTest(t, s)
-	if err := WriteFrame(conn, &Request{ID: 1, Op: OpQuery, Query: &QueryRequest{SQL: "x"}}); err != nil {
-		t.Fatal(err)
+	conn.query(3, "x")
+	r := conn.await(3)
+	if r.err() == nil || r.err().Code != CodeInternal {
+		t.Fatalf("got %v, want internal", r.err())
 	}
-	var resp Response
-	if err := ReadFrame(conn, &resp); err != nil {
-		t.Fatal(err)
+	if r.cols != nil {
+		t.Fatalf("failed query sent a schema frame: %v", r.cols)
 	}
-	if resp.Error == nil || resp.Error.Code != CodeInternal {
-		t.Fatalf("got %v, want internal", resp.Error)
-	}
-	// Session still alive.
-	if err := WriteFrame(conn, &Request{ID: 2, Op: OpPing}); err != nil {
-		t.Fatal(err)
-	}
-	resp = Response{}
-	if err := ReadFrame(conn, &resp); err != nil || resp.Error != nil {
-		t.Fatalf("session died after error: %v %v", err, resp.Error)
-	}
-}
-
-// TestUnencodableResultFailsRequestOnly: a query result JSON cannot
-// carry (NaN float) turns into an internal error for that request; the
-// session and pipelined requests survive.
-func TestUnencodableResultFailsRequestOnly(t *testing.T) {
-	s := startTestServer(t, &stubBackend{
-		queryResp: &QueryResponse{Columns: []string{"x"}, Rows: AnyRows([][]any{{math.NaN()}})},
-	}, Config{})
-	conn := dialTest(t, s)
-	if err := WriteFrame(conn, &Request{ID: 1, Op: OpQuery, Query: &QueryRequest{SQL: "nan"}}); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := ReadFrame(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Error == nil || resp.Error.Code != CodeInternal {
-		t.Fatalf("got %v, want internal encode error", resp.Error)
-	}
-	if err := WriteFrame(conn, &Request{ID: 2, Op: OpPing}); err != nil {
-		t.Fatal(err)
-	}
-	resp = Response{}
-	if err := ReadFrame(conn, &resp); err != nil || resp.Error != nil || resp.ID != 2 {
-		t.Fatalf("session died after unencodable result: %v %+v", err, resp)
+	conn.send(&Request{ID: 4, Op: OpPing})
+	if r := conn.await(4); r.err() != nil {
+		t.Fatalf("session died after error: %v", r.err())
 	}
 }
 
@@ -287,26 +317,17 @@ func TestPipelineCapBackpressure(t *testing.T) {
 	conn := dialTest(t, s)
 	const N = 6
 	for i := 1; i <= N; i++ {
-		if err := WriteFrame(conn, &Request{ID: uint64(i), Op: OpQuery, Query: &QueryRequest{SQL: "q"}}); err != nil {
-			t.Fatal(err)
-		}
+		conn.query(uint64(i), "q")
 	}
 	time.Sleep(50 * time.Millisecond)
 	if got := started.Load(); got > 2 {
 		t.Fatalf("%d handlers started past the pipeline cap of 2", got)
 	}
 	close(gate)
-	seen := 0
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	for seen < N {
-		var resp Response
-		if err := ReadFrame(conn, &resp); err != nil {
-			t.Fatalf("after %d responses: %v", seen, err)
+	for i := 1; i <= N; i++ {
+		if r := conn.await(uint64(i)); r.err() != nil {
+			t.Fatalf("request %d: %v", i, r.err())
 		}
-		if resp.Error != nil {
-			t.Fatalf("request %d: %v", resp.ID, resp.Error)
-		}
-		seen++
 	}
 }
 
@@ -316,8 +337,7 @@ func TestPipelineCapBackpressure(t *testing.T) {
 func TestAdmissionControl(t *testing.T) {
 	var inFlight, peak, over atomic.Int64
 	gate := make(chan struct{})
-	b := &stubBackend{}
-	s := startTestServer(t, b, Config{
+	s := startTestServer(t, &stubBackend{}, Config{
 		MaxConcurrentQueries: 2,
 		OnQueryStart: func() {
 			n := inFlight.Add(1)
@@ -337,9 +357,7 @@ func TestAdmissionControl(t *testing.T) {
 	conn := dialTest(t, s)
 	const N = 8
 	for i := 1; i <= N; i++ {
-		if err := WriteFrame(conn, &Request{ID: uint64(i), Op: OpQuery, Query: &QueryRequest{SQL: "q"}}); err != nil {
-			t.Fatal(err)
-		}
+		conn.query(uint64(i), "q")
 	}
 	// Let the first two executions start, then release everyone in waves.
 	deadline := time.After(5 * time.Second)
@@ -352,19 +370,10 @@ func TestAdmissionControl(t *testing.T) {
 		}
 	}
 	close(gate)
-	seen := make(map[uint64]bool)
-	for i := 0; i < N; i++ {
-		var resp Response
-		if err := ReadFrame(conn, &resp); err != nil {
-			t.Fatal(err)
+	for i := 1; i <= N; i++ {
+		if r := conn.await(uint64(i)); r.err() != nil {
+			t.Fatalf("query %d: %v", i, r.err())
 		}
-		if resp.Error != nil {
-			t.Fatalf("query %d: %v", resp.ID, resp.Error)
-		}
-		seen[resp.ID] = true
-	}
-	if len(seen) != N {
-		t.Fatalf("got %d distinct responses, want %d", len(seen), N)
 	}
 	if over.Load() > 0 {
 		t.Fatalf("%d executions exceeded the admission limit", over.Load())
@@ -377,49 +386,30 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
-// TestRequestTimeout: a query slower than the server's RequestTimeout
-// comes back as a timeout error, not a hung connection.
+// TestRequestTimeout: a query slower than the server's RequestTimeout —
+// or than the client's own smaller budget — comes back as a timeout
+// error, not a hung connection.
 func TestRequestTimeout(t *testing.T) {
-	s := startTestServer(t, &stubBackend{queryDelay: 10 * time.Second},
-		Config{RequestTimeout: 50 * time.Millisecond})
-	conn := dialTest(t, s)
-	if err := WriteFrame(conn, &Request{ID: 1, Op: OpQuery, Query: &QueryRequest{SQL: "slow"}}); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	var resp Response
-	if err := ReadFrame(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Error == nil || resp.Error.Code != CodeTimeout {
-		t.Fatalf("got %v, want timeout", resp.Error)
-	}
-}
-
-// TestPerQueryTimeout: a client-requested budget below the server cap is
-// honored.
-func TestPerQueryTimeout(t *testing.T) {
-	s := startTestServer(t, &stubBackend{queryDelay: 10 * time.Second}, Config{})
-	conn := dialTest(t, s)
-	req := &Request{ID: 1, Op: OpQuery, Query: &QueryRequest{SQL: "slow", TimeoutMs: 50}}
-	if err := WriteFrame(conn, req); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	start := time.Now()
-	var resp Response
-	if err := ReadFrame(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Error == nil || resp.Error.Code != CodeTimeout {
-		t.Fatalf("got %v, want timeout", resp.Error)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("per-query timeout not honored")
+	for name, tc := range map[string]struct {
+		cfg Config
+		q   QueryRequest
+	}{
+		"server cap":   {Config{RequestTimeout: 50 * time.Millisecond}, QueryRequest{SQL: "slow"}},
+		"query budget": {Config{}, QueryRequest{SQL: "slow", TimeoutMs: 50}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := startTestServer(t, &stubBackend{queryDelay: 10 * time.Second}, tc.cfg)
+			conn := dialTest(t, s)
+			conn.SetDeadline(time.Now().Add(5 * time.Second))
+			conn.send(&Request{ID: 1, Op: OpQuery, Query: &tc.q})
+			if r := conn.await(1); r.err() == nil || r.err().Code != CodeTimeout {
+				t.Fatalf("got %v, want timeout", r.err())
+			}
+		})
 	}
 }
 
-// TestPipelining: responses carry the right IDs even when a slow query
+// TestPipelining: replies carry the right IDs even when a slow query
 // is pipelined before fast ones (completion-order replies).
 func TestPipelining(t *testing.T) {
 	gate := make(chan struct{})
@@ -429,26 +419,15 @@ func TestPipelining(t *testing.T) {
 		OnQueryStart:         func() { once.Do(func() { <-gate }) }, // first query stalls
 	})
 	conn := dialTest(t, s)
-	if err := WriteFrame(conn, &Request{ID: 100, Op: OpQuery, Query: &QueryRequest{SQL: "slow"}}); err != nil {
-		t.Fatal(err)
-	}
+	conn.query(100, "slow")
 	time.Sleep(10 * time.Millisecond) // let it occupy its slot
-	if err := WriteFrame(conn, &Request{ID: 101, Op: OpPing}); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := ReadFrame(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.ID != 101 {
-		t.Fatalf("fast request did not overtake: got id %d", resp.ID)
+	conn.send(&Request{ID: 101, Op: OpPing})
+	if r := conn.next(); r.id != 101 {
+		t.Fatalf("fast request did not overtake: got id %d", r.id)
 	}
 	close(gate)
-	if err := ReadFrame(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.ID != 100 || resp.Error != nil {
-		t.Fatalf("stalled query: id %d err %v", resp.ID, resp.Error)
+	if r := conn.next(); r.id != 100 || r.err() != nil {
+		t.Fatalf("stalled query: id %d err %v", r.id, r.err())
 	}
 }
 
@@ -459,8 +438,7 @@ func TestServerCloseSeversSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	var resp Response
-	if err := ReadFrame(conn, &resp); err == nil {
+	if _, _, err := ReadRawFrame(conn.br, MaxFrame); err == nil {
 		t.Fatal("read succeeded after server close")
 	}
 	if _, err := net.Dial("tcp", s.Addr().String()); err == nil {

@@ -1,26 +1,18 @@
 package server
 
-// Binary streaming extension (negotiated via OpHello, FeatureBinaryStream).
-//
-// Framing: every frame still starts with a 4-byte big-endian length, but a
-// frame with the high bit of the length set is a *tagged binary frame*: the
-// first payload byte is a FrameKind, the rest is kind-specific. Legacy JSON
-// frames never set the bit (MaxFrame caps lengths far below it), so both
-// framings coexist on one connection and old peers are never confused — a
-// peer only sends tagged frames after hello succeeds.
-//
-// A streamed query result is the frame sequence
+// Result streams. A query is answered by the frame sequence
 //
 //	Schema(id, columns) Batch(id, rows)* End(id, tail|error)
 //
 // where each Batch carries a column-major tuple batch (tuple.EncodeBatch
-// format: row count, arity, per-column type tags, optional flate). Frames of
-// concurrent streams interleave freely on a connection — every frame carries
-// its request ID. Backpressure is credit-based: the server may have at most
-// `window` un-acknowledged batch frames in flight per stream and the client
-// returns one credit per batch it consumes (Credit frames), so a slow reader
-// bounds server-side buffering at window × batch size instead of the old
-// buffer-the-whole-result MaxFrame cap.
+// format: row count, arity, per-column type tags, optional flate). A
+// query that fails before producing rows is answered by its End frame
+// alone. Frames of concurrent streams interleave freely on a connection —
+// every frame carries its request ID. Backpressure is credit-based: the
+// server may have at most `window` un-acknowledged batch frames in flight
+// per stream and the client returns one credit per batch it consumes
+// (Credit frames), so a slow reader bounds server-side buffering at
+// window × batch size.
 
 import (
 	"context"
@@ -31,16 +23,17 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"orchestra/internal/tuple"
 )
 
-// FrameKind tags a binary frame's payload.
+// FrameKind is the byte after a frame's length header; it tags the
+// payload that follows.
 type FrameKind byte
 
 const (
-	// FrameJSON is a JSON Request/Response (also the implicit kind of
-	// every legacy untagged frame).
+	// FrameJSON is a JSON Request (client) or Response (server).
 	FrameJSON FrameKind = 0
 	// FrameSchema opens a result stream: request ID + column names.
 	FrameSchema FrameKind = 1
@@ -57,8 +50,8 @@ const (
 	// unknown or already-ended stream is a no-op.
 	FrameCancel FrameKind = 5
 	// FramePublish carries one publish as a typed column-major batch:
-	// request ID + relation + tuple batch (negotiated via
-	// FeatureBinaryPublish; answered with a normal JSON Response).
+	// request ID + publish ID + relation + tuple batch, answered with a
+	// JSON Response.
 	FramePublish FrameKind = 6
 )
 
@@ -82,9 +75,6 @@ func (k FrameKind) String() string {
 		return fmt.Sprintf("kind(%d)", byte(k))
 	}
 }
-
-// binaryFrameBit marks a tagged binary frame in the length header.
-const binaryFrameBit = uint32(1) << 31
 
 // Stream tuning defaults (server side; window is negotiated down by hello).
 const (
@@ -123,8 +113,8 @@ var frameBufPool = sync.Pool{
 	},
 }
 
-// maxPooledFrameBuf bounds what returns to the pool: one huge buffered
-// response must not permanently pin its capacity in every session.
+// maxPooledFrameBuf bounds what returns to the pool: one huge frame must
+// not permanently pin its capacity in every session.
 const maxPooledFrameBuf = 1 << 20
 
 func getFrameBuf() *[]byte { return frameBufPool.Get().(*[]byte) }
@@ -137,67 +127,68 @@ func putFrameBuf(b *[]byte) {
 	frameBufPool.Put(b)
 }
 
-// ReadRawFrame reads one frame of either framing. It returns the frame's
-// kind (FrameJSON for legacy frames), its payload (excluding the kind
-// byte), and whether the frame was binary-tagged. Oversized frames return
-// a *FrameSizeError; the connection cannot be re-synchronized afterwards.
-func ReadRawFrame(r io.Reader, maxFrame int64) (FrameKind, []byte, bool, error) {
+// ReadRawFrame reads one frame and returns its kind and payload. A
+// length above maxFrame returns a *FrameSizeError before anything is
+// allocated; the connection cannot be re-synchronized afterwards.
+func ReadRawFrame(r io.Reader, maxFrame int64) (FrameKind, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, false, err
+		return 0, nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	isBinary := n&binaryFrameBit != 0
-	n &^= binaryFrameBit
 	if int64(n) > maxFrame {
-		return 0, nil, isBinary, &FrameSizeError{Size: int64(n), Max: maxFrame}
+		return 0, nil, &FrameSizeError{Size: int64(n), Max: maxFrame}
 	}
-	if isBinary && n == 0 {
-		return 0, nil, true, errors.New("server: empty binary frame")
+	if n == 0 {
+		return 0, nil, errEmptyFrame
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, isBinary, err
+		return 0, nil, err
 	}
-	if !isBinary {
-		return FrameJSON, body, false, nil
-	}
-	return FrameKind(body[0]), body[1:], true, nil
+	return FrameKind(body[0]), body[1:], nil
 }
 
-// beginBinaryFrame appends a placeholder header + kind byte to dst and
-// returns the extended slice plus the header offset for finishBinaryFrame.
-func beginBinaryFrame(dst []byte, kind FrameKind) ([]byte, int) {
+// errEmptyFrame reports a frame with no kind byte.
+var errEmptyFrame = errors.New("server: empty frame")
+
+// FrameWireSize is the number of bytes a frame with this payload occupies
+// on the wire (length header and kind byte included).
+func FrameWireSize(payload []byte) int64 { return int64(5 + len(payload)) }
+
+// beginFrame appends a placeholder header + kind byte to dst and returns
+// the extended slice plus the header offset for finishFrame.
+func beginFrame(dst []byte, kind FrameKind) ([]byte, int) {
 	mark := len(dst)
 	return append(dst, 0, 0, 0, 0, byte(kind)), mark
 }
 
-// finishBinaryFrame back-fills the tagged length header begun at mark.
-func finishBinaryFrame(dst []byte, mark int, maxFrame int64) ([]byte, error) {
+// finishFrame back-fills the length header begun at mark.
+func finishFrame(dst []byte, mark int, maxFrame int64) ([]byte, error) {
 	n := len(dst) - mark - 4 // kind byte + payload
 	if int64(n) > maxFrame {
 		return nil, &FrameSizeError{Size: int64(n), Max: maxFrame}
 	}
-	binary.BigEndian.PutUint32(dst[mark:mark+4], uint32(n)|binaryFrameBit)
+	binary.BigEndian.PutUint32(dst[mark:mark+4], uint32(n))
 	return dst, nil
 }
 
-// AppendBinaryFrame appends one tagged frame carrying payload.
+// AppendBinaryFrame appends one frame of the given kind carrying payload.
 func AppendBinaryFrame(dst []byte, kind FrameKind, payload []byte, maxFrame int64) ([]byte, error) {
-	dst, mark := beginBinaryFrame(dst, kind)
+	dst, mark := beginFrame(dst, kind)
 	dst = append(dst, payload...)
-	return finishBinaryFrame(dst, mark, maxFrame)
+	return finishFrame(dst, mark, maxFrame)
 }
 
-// AppendTaggedJSONFrame appends a binary-tagged FrameJSON frame for v.
-func AppendTaggedJSONFrame(dst []byte, v any, maxFrame int64) ([]byte, error) {
-	dst, mark := beginBinaryFrame(dst, FrameJSON)
-	var err error
-	dst, err = appendJSON(dst, v)
+// AppendJSONFrame appends a FrameJSON frame carrying v (a Request or a
+// Response).
+func AppendJSONFrame(dst []byte, v any, maxFrame int64) ([]byte, error) {
+	dst, mark := beginFrame(dst, FrameJSON)
+	body, err := json.Marshal(v)
 	if err != nil {
 		return nil, err
 	}
-	return finishBinaryFrame(dst, mark, maxFrame)
+	return finishFrame(append(dst, body...), mark, maxFrame)
 }
 
 // --- stream frame payload codecs ---
@@ -264,13 +255,14 @@ func AppendCancelPayload(dst []byte, id uint64) []byte {
 
 // AppendPublishPayload encodes a FramePublish payload: request ID, the
 // publish idempotency ID (0 = none), relation name, and the rows as one
-// column-major tuple batch.
-func AppendPublishPayload(dst []byte, id, pubID uint64, relation string, rows []tuple.Row, minCompress int) ([]byte, error) {
+// column-major tuple batch (columns must be type-homogeneous), flate-
+// compressed past the same threshold as result batches.
+func AppendPublishPayload(dst []byte, id, pubID uint64, relation string, rows []tuple.Row) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint64(dst, id)
 	dst = binary.BigEndian.AppendUint64(dst, pubID)
 	dst = binary.AppendUvarint(dst, uint64(len(relation)))
 	dst = append(dst, relation...)
-	return tuple.AppendBatch(dst, rows, minCompress)
+	return tuple.AppendBatch(dst, rows, defaultStreamCompressMin)
 }
 
 // DecodePublishPayload reverses AppendPublishPayload.
@@ -347,11 +339,13 @@ func DecodeEndPayload(p []byte) (id uint64, end *StreamEnd, err error) {
 
 // --- server-side stream writer ---
 
-// streamWriter emits one query's result stream over a session. It
-// implements ResultStream for backends: backends hand it row slices as
-// the engine produces them; the writer re-chunks them into size-bounded,
-// type-homogeneous wire batches, encodes each into a pooled buffer, and
-// blocks for flow-control credit when the window is exhausted.
+// streamWriter emits one query's result stream over a session. It is the
+// ResultStream backends (and, for plans that stream during execution,
+// the engine's ship consumer) hand chunks to: the writer sends the schema
+// frame before the first chunk — or at the end, for an empty answer —
+// re-chunks into size-bounded, type-homogeneous wire batches, encodes
+// each into a pooled buffer, and blocks for flow-control credit when the
+// window is exhausted. Calls are serialized by the caller.
 type streamWriter struct {
 	ctx     context.Context
 	sess    *session
@@ -363,10 +357,18 @@ type streamWriter struct {
 	targetBytes int // soft cut point for one batch (pre-compression)
 	compressMin int // raw bytes at which flate kicks in (<0: never)
 
-	started bool // schema frame sent
-	avail   int  // send credits remaining
+	cols    []string // announced by Columns, sent by begin
+	started bool     // schema frame sent
+	avail   int      // send credits remaining
 	rows    int64
 	batches int
+
+	// Time spent inside StreamRows/StreamCols, for the stream.write span:
+	// a sum over calls (they interleave with execution on the streamed
+	// path), with the first call's start as the span's origin.
+	writeStart time.Time
+	writeDur   time.Duration
+	writeCalls int64
 
 	// cancelled latches when a FrameCancel arrives; cancelFn (set by
 	// dispatchStream before the stream registers) aborts the query
@@ -385,14 +387,14 @@ type streamWriter struct {
 	sigFixed int          // bytes per row when sig has no strings (else 0)
 
 	// pendCols stages columnar batches toward the next frame (the
-	// Batches path); at most one of pending/pendCols is non-empty. slice
+	// StreamCols path); at most one of pending/pendCols is non-empty. slice
 	// is the scratch view used to carve spans off inbound batches.
 	pendCols *tuple.Batch
 	slice    tuple.Batch
 }
 
 func newStreamWriter(ctx context.Context, sess *session, id uint64, window int) *streamWriter {
-	maxFrame := sess.limits().maxFrame
+	maxFrame := sess.maxFrame
 	target := defaultStreamBatchBytes
 	// Leave generous headroom under the frame cap: compression is applied
 	// after the cut, but incompressible data must still fit.
@@ -422,18 +424,21 @@ func newStreamWriter(ctx context.Context, sess *session, id uint64, window int) 
 	}
 }
 
-// Columns implements ResultStream: announces the result shape. Must be
-// called once, before any Batch.
-func (w *streamWriter) Columns(cols []string) error {
+// Columns implements ResultStream: records the result shape for the
+// schema frame.
+func (w *streamWriter) Columns(cols []string) { w.cols = cols }
+
+// begin sends the schema frame if it has not gone out yet.
+func (w *streamWriter) begin() error {
 	if w.started {
-		return errors.New("server: stream schema already sent")
+		return nil
 	}
 	w.started = true
 	buf := getFrameBuf()
 	defer putFrameBuf(buf)
-	dst, mark := beginBinaryFrame((*buf)[:0], FrameSchema)
-	dst = AppendSchemaPayload(dst, w.id, cols)
-	dst, err := finishBinaryFrame(dst, mark, w.maxFrame)
+	dst, mark := beginFrame((*buf)[:0], FrameSchema)
+	dst = AppendSchemaPayload(dst, w.id, w.cols)
+	dst, err := finishFrame(dst, mark, w.maxFrame)
 	if err != nil {
 		return err
 	}
@@ -441,17 +446,32 @@ func (w *streamWriter) Columns(cols []string) error {
 	return w.sess.write(dst)
 }
 
-// Batch implements ResultStream: stages rows for emission. Rows are
-// referenced, not copied — callers must not mutate them afterwards.
+// timeWrite accounts one emission call toward the stream.write span.
+func (w *streamWriter) timeWrite(t0 time.Time) {
+	if w.writeCalls == 0 {
+		w.writeStart = t0
+	}
+	w.writeCalls++
+	w.writeDur += time.Since(t0)
+}
+
+// StreamRows implements ResultStream: stages rows for emission. Rows are
+// referenced until their frame is cut, not copied — callers must not
+// mutate them afterwards. This is the path of answers that exist as rows
+// (view-cache hits, provenance results).
 //
 // Rows are staged span-wise, not one at a time: the writer finds the
 // longest run matching the pending batch's type signature and budget and
 // appends it in one copy. For fixed-width signatures (no string columns)
 // the per-row size hint collapses to a multiplication, so handing a whole
 // engine batch to the frame encoder costs one signature scan per span.
-func (w *streamWriter) Batch(rows []tuple.Row) error {
-	if !w.started {
-		return errors.New("server: stream batch before schema")
+func (w *streamWriter) StreamRows(rows []tuple.Row) error {
+	if len(rows) == 0 {
+		return nil
+	}
+	defer w.timeWrite(time.Now())
+	if err := w.begin(); err != nil {
+		return err
 	}
 	if w.pendCols != nil && w.pendCols.N > 0 {
 		// Mode switch mid-stream: cut the staged columnar batch first.
@@ -509,18 +529,20 @@ func (w *streamWriter) Batch(rows []tuple.Row) error {
 // stagingBatchPool recycles the columnar staging buffers across streams.
 var stagingBatchPool = sync.Pool{New: func() any { return &tuple.Batch{} }}
 
-// Batches implements BatchStream: stages a columnar batch for emission,
-// carving frame-sized spans straight off the column vectors — no row is
-// materialized anywhere on this path. The cut arithmetic mirrors Batch's
-// exactly, so identical row content produces byte-identical frames on
-// either path (asserted by TestStreamFramesRowVsBatchIdentical). The
-// batch is borrowed: the caller may reuse it once the call returns.
-func (w *streamWriter) Batches(b *tuple.Batch) error {
-	if !w.started {
-		return errors.New("server: stream batch before schema")
-	}
+// StreamCols implements ResultStream: stages a columnar batch for
+// emission, carving frame-sized spans straight off the column vectors —
+// no row is materialized anywhere on this path. The cut arithmetic
+// mirrors StreamRows' exactly, so identical row content produces
+// byte-identical frames on either path (asserted by
+// TestStreamFramesRowVsBatchIdentical). The batch is borrowed: the caller
+// may reuse it once the call returns.
+func (w *streamWriter) StreamCols(b *tuple.Batch) error {
 	if b.N == 0 {
 		return nil
+	}
+	defer w.timeWrite(time.Now())
+	if err := w.begin(); err != nil {
+		return err
 	}
 	if len(w.pending) > 0 {
 		// Mode switch mid-stream (a backend mixing row and columnar
@@ -578,7 +600,7 @@ func (w *streamWriter) Batches(b *tuple.Batch) error {
 			}
 		}
 	}
-	// Eager opening-frame cut, mirroring Batch (see the comment there).
+	// Eager opening-frame cut, mirroring StreamRows (see the comment there).
 	if w.batches == 0 && w.pendCols != nil && w.pendCols.N > 0 {
 		return w.flushCols()
 	}
@@ -656,13 +678,13 @@ func (w *streamWriter) flushCols() error {
 	}
 	buf := getFrameBuf()
 	defer putFrameBuf(buf)
-	dst, mark := beginBinaryFrame((*buf)[:0], FrameBatch)
+	dst, mark := beginFrame((*buf)[:0], FrameBatch)
 	dst = binary.BigEndian.AppendUint64(dst, w.id)
 	dst, err := tuple.AppendBatchCols(dst, w.pendCols, w.compressMin)
 	if err != nil {
 		return err
 	}
-	dst, err = finishBinaryFrame(dst, mark, w.maxFrame)
+	dst, err = finishFrame(dst, mark, w.maxFrame)
 	if err != nil {
 		return err
 	}
@@ -749,13 +771,13 @@ func (w *streamWriter) flush() error {
 	}
 	buf := getFrameBuf()
 	defer putFrameBuf(buf)
-	dst, mark := beginBinaryFrame((*buf)[:0], FrameBatch)
+	dst, mark := beginFrame((*buf)[:0], FrameBatch)
 	dst = binary.BigEndian.AppendUint64(dst, w.id)
 	dst, err := tuple.AppendBatch(dst, w.pending, w.compressMin)
 	if err != nil {
 		return err
 	}
-	dst, err = finishBinaryFrame(dst, mark, w.maxFrame)
+	dst, err = finishFrame(dst, mark, w.maxFrame)
 	if err != nil {
 		return err
 	}
@@ -819,8 +841,9 @@ func (w *streamWriter) waitCredit() error {
 	}
 }
 
-// end flushes pending rows and sends the terminal frame. When the stream
-// failed before producing its schema frame, the End frame is still the
+// end flushes pending rows and sends the terminal frame; a successful
+// stream that never emitted a chunk gets its schema frame here. When the
+// stream failed before producing its schema frame, the End frame is the
 // first and only frame — clients handle End-before-Schema.
 //
 // beforeEnd (optional) runs after the final flush but before the End
@@ -830,7 +853,10 @@ func (w *streamWriter) waitCredit() error {
 // write, as a deferred cleanup, raced exactly that reuse.)
 func (w *streamWriter) end(tail *StreamEnd, beforeEnd func()) error {
 	if tail.Error == nil {
-		err := w.flush()
+		err := w.begin()
+		if err == nil {
+			err = w.flush()
+		}
 		if err == nil {
 			err = w.flushCols()
 		}
@@ -851,13 +877,13 @@ func (w *streamWriter) end(tail *StreamEnd, beforeEnd func()) error {
 	tail.Batches = w.batches
 	buf := getFrameBuf()
 	defer putFrameBuf(buf)
-	dst, mark := beginBinaryFrame((*buf)[:0], FrameEnd)
+	dst, mark := beginFrame((*buf)[:0], FrameEnd)
 	dst = binary.BigEndian.AppendUint64(dst, w.id)
-	dst, err := appendJSON(dst, tail)
+	body, err := json.Marshal(tail)
 	if err != nil {
 		return err
 	}
-	dst, err = finishBinaryFrame(dst, mark, w.maxFrame)
+	dst, err = finishFrame(append(dst, body...), mark, w.maxFrame)
 	if err != nil {
 		return err
 	}

@@ -1,12 +1,11 @@
 package server
 
 import (
-	"bufio"
+	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -14,7 +13,7 @@ import (
 	"orchestra/internal/tuple"
 )
 
-// streamStub is a StreamingBackend emitting scripted batches.
+// streamStub is a backend emitting scripted row batches.
 type streamStub struct {
 	stubBackend
 	cols    []string
@@ -24,12 +23,7 @@ type streamStub struct {
 }
 
 func (b *streamStub) QueryStream(ctx context.Context, req *QueryRequest, out ResultStream) (*QueryTail, error) {
-	if b.queryErr != nil {
-		return nil, b.queryErr
-	}
-	if err := out.Columns(b.cols); err != nil {
-		return nil, err
-	}
+	out.Columns(b.cols)
 	for _, rows := range b.batches {
 		if b.gate != nil {
 			select {
@@ -38,7 +32,7 @@ func (b *streamStub) QueryStream(ctx context.Context, req *QueryRequest, out Res
 				return nil, ctx.Err()
 			}
 		}
-		if err := out.Batch(rows); err != nil {
+		if err := out.StreamRows(rows); err != nil {
 			return nil, err
 		}
 	}
@@ -46,56 +40,40 @@ func (b *streamStub) QueryStream(ctx context.Context, req *QueryRequest, out Res
 	return &t, nil
 }
 
-// doHello performs the handshake on a raw test connection and returns
-// the negotiated settings.
-func doHello(t *testing.T, conn net.Conn, br *bufio.Reader, req *HelloRequest) *HelloResponse {
-	t.Helper()
-	if req == nil {
-		req = &HelloRequest{Version: ProtocolVersion, Features: []string{FeatureBinaryStream}}
-	}
-	if err := WriteFrame(conn, &Request{ID: 99, Op: OpHello, Hello: req}); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := readAnyResponse(br, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Error != nil {
-		t.Fatalf("hello: %v", resp.Error)
-	}
-	if resp.Hello == nil {
-		t.Fatal("hello: no payload")
-	}
-	return resp.Hello
-}
-
-// readAnyResponse reads one JSON response of either framing.
-func readAnyResponse(br *bufio.Reader, resp *Response) error {
-	kind, payload, _, err := ReadRawFrame(br, MaxFrame)
+func TestFrameRoundTrip(t *testing.T) {
+	in := &Request{ID: 7, Op: OpQuery, Query: &QueryRequest{SQL: "SELECT 1", Epoch: 42}}
+	frame, err := AppendJSONFrame(nil, in, MaxFrame)
 	if err != nil {
-		return err
+		t.Fatal(err)
 	}
-	if kind != FrameJSON {
-		return errors.New("not a JSON frame")
+	kind, payload, err := ReadRawFrame(bytes.NewReader(frame), MaxFrame)
+	if err != nil || kind != FrameJSON {
+		t.Fatalf("kind=%v err=%v", kind, err)
 	}
-	return UnmarshalJSONFrame(payload, resp)
+	if FrameWireSize(payload) != int64(len(frame)) {
+		t.Fatalf("FrameWireSize %d for a %d-byte frame", FrameWireSize(payload), len(frame))
+	}
+	var out Request
+	if err := UnmarshalJSONFrame(payload, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.ID != 7 || out.Op != OpQuery || out.Query == nil || out.Query.SQL != "SELECT 1" || out.Query.Epoch != 42 {
+		t.Fatalf("round trip mangled request: %+v", out)
+	}
+	var fse *FrameSizeError
+	if _, err := AppendJSONFrame(nil, in, 8); !errors.As(err, &fse) {
+		t.Fatalf("oversized outbound frame: %v, want FrameSizeError", err)
+	}
+	if _, _, err := ReadRawFrame(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff}), MaxFrame); !errors.As(err, &fse) {
+		t.Fatalf("oversized inbound header: %v, want FrameSizeError", err)
+	}
 }
 
 func TestHelloNegotiation(t *testing.T) {
 	s := startTestServer(t, &stubBackend{}, Config{StreamWindow: 6})
-	conn := dialTest(t, s)
-	br := bufio.NewReader(conn)
-	h := doHello(t, conn, br, &HelloRequest{
-		Version:  ProtocolVersion,
-		Features: []string{FeatureBinaryStream, "future-feature"},
-		MaxFrame: 1 << 20,
-		Window:   4,
-	})
+	h := dialRaw(t, s).hello(&HelloRequest{Version: ProtocolVersion, MaxFrame: 1 << 20, Window: 4})
 	if h.Version != ProtocolVersion {
 		t.Fatalf("version %d", h.Version)
-	}
-	if len(h.Features) != 1 || h.Features[0] != FeatureBinaryStream {
-		t.Fatalf("features %v: unknown features must not be echoed", h.Features)
 	}
 	if h.MaxFrame != 1<<20 {
 		t.Fatalf("max frame %d, want the client's lower 1MiB", h.MaxFrame)
@@ -103,37 +81,17 @@ func TestHelloNegotiation(t *testing.T) {
 	if h.Window != 4 {
 		t.Fatalf("window %d, want min(4, 6)", h.Window)
 	}
+	if h := dialRaw(t, s).hello(&HelloRequest{Version: ProtocolVersion, MaxFrame: 16}); h.MaxFrame != MinFrame {
+		t.Fatalf("max frame %d, want the %d floor", h.MaxFrame, MinFrame)
+	}
 	// Hello is accounted like any op.
-	if st := s.Stats(); st.Ops[OpHello].Count != 1 {
+	if st := s.Stats(); st.Ops[OpHello].Count != 2 {
 		t.Fatalf("hello count %d", st.Ops[OpHello].Count)
 	}
 }
 
-func TestHelloWithoutBinaryKeepsJSON(t *testing.T) {
-	stub := &stubBackend{}
-	s := startTestServer(t, stub, Config{})
-	conn := dialTest(t, s)
-	br := bufio.NewReader(conn)
-	h := doHello(t, conn, br, &HelloRequest{Version: ProtocolVersion})
-	if len(h.Features) != 0 {
-		t.Fatalf("features %v", h.Features)
-	}
-	// A Stream query on a JSON session is answered as plain JSON.
-	req := &Request{ID: 5, Op: OpQuery, Query: &QueryRequest{SQL: "q", Stream: true}}
-	if err := WriteFrame(conn, req); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := readAnyResponse(br, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Error != nil || resp.Query == nil {
-		t.Fatalf("stream-on-json fallback: %+v", resp)
-	}
-}
-
 // TestStreamedQueryFrames drives the full frame sequence against a
-// scripted streaming backend and checks shape, content, and IDs.
+// scripted backend and checks shape, content, and IDs.
 func TestStreamedQueryFrames(t *testing.T) {
 	rows := func(lo, hi int) []tuple.Row {
 		var out []tuple.Row
@@ -147,20 +105,10 @@ func TestStreamedQueryFrames(t *testing.T) {
 		batches: [][]tuple.Row{rows(0, 10), rows(10, 25)},
 		tail:    QueryTail{Epoch: 42, Phases: 1},
 	}
-	s := startTestServer(t, stub, Config{})
-	conn := dialTest(t, s)
-	br := bufio.NewReader(conn)
-	doHello(t, conn, br, nil)
-
+	conn := dialTest(t, startTestServer(t, stub, Config{}))
 	const reqID = 777
-	if err := WriteFrame(conn, &Request{ID: reqID, Op: OpQuery,
-		Query: &QueryRequest{SQL: "q", Stream: true}}); err != nil {
-		t.Fatal(err)
-	}
-	kind, payload, _, err := ReadRawFrame(br, MaxFrame)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn.query(reqID, "q")
+	kind, payload := conn.frame()
 	if kind != FrameSchema {
 		t.Fatalf("first frame %v, want schema", kind)
 	}
@@ -171,38 +119,16 @@ func TestStreamedQueryFrames(t *testing.T) {
 	if len(cols) != 2 || cols[0] != "a" || cols[1] != "b" {
 		t.Fatalf("cols %v", cols)
 	}
-	var got []tuple.Row
-	for {
-		kind, payload, _, err = ReadRawFrame(br, MaxFrame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if kind == FrameBatch {
-			id, rows, err := DecodeBatchPayload(payload)
-			if err != nil || id != reqID {
-				t.Fatalf("batch: id=%d err=%v", id, err)
-			}
-			got = append(got, rows...)
-			continue
-		}
-		break
+	r := conn.await(reqID)
+	if r.end.Error != nil || r.end.Epoch != 42 || r.end.Rows != 25 {
+		t.Fatalf("end: %+v", r.end)
 	}
-	if kind != FrameEnd {
-		t.Fatalf("terminal frame %v, want end", kind)
+	if len(r.rows) != 25 {
+		t.Fatalf("streamed %d rows, want 25", len(r.rows))
 	}
-	id, end, err := DecodeEndPayload(payload)
-	if err != nil || id != reqID {
-		t.Fatalf("end: id=%d err=%v", id, err)
-	}
-	if end.Error != nil || end.Epoch != 42 || end.Rows != 25 {
-		t.Fatalf("end: %+v", end)
-	}
-	if len(got) != 25 {
-		t.Fatalf("streamed %d rows, want 25", len(got))
-	}
-	for i, r := range got {
-		if r[0].I64 != int64(i) || r[1].Str != "v" {
-			t.Fatalf("row %d: %v", i, r)
+	for i, row := range r.rows {
+		if row[0].I64 != int64(i) || row[1].Str != "v" {
+			t.Fatalf("row %d: %v", i, row)
 		}
 	}
 }
@@ -220,86 +146,41 @@ func TestStreamCreditBackpressure(t *testing.T) {
 		cols:    []string{"a", "b"},
 		batches: [][]tuple.Row{big[:700], big[700:1400], big[1400:]},
 	}
-	s := startTestServer(t, stub, Config{})
-	conn := dialTest(t, s)
-	br := bufio.NewReader(conn)
+	conn := dialRaw(t, startTestServer(t, stub, Config{}))
 	// Negotiate a small frame cap so the byte target (maxFrame/4 = 16KiB)
 	// cuts the ~70KiB result into several wire batches; window 1 then
 	// stalls the stream after each un-credited batch.
-	h := doHello(t, conn, br, &HelloRequest{
-		Version: ProtocolVersion, Features: []string{FeatureBinaryStream},
-		Window: 1, MaxFrame: 64 << 10,
-	})
-	if h.Window != 1 {
+	if h := conn.hello(&HelloRequest{Version: ProtocolVersion, Window: 1, MaxFrame: 64 << 10}); h.Window != 1 {
 		t.Fatalf("window %d", h.Window)
 	}
 	const reqID = 9
-	if err := WriteFrame(conn, &Request{ID: reqID, Op: OpQuery,
-		Query: &QueryRequest{SQL: "q", Stream: true}}); err != nil {
-		t.Fatal(err)
-	}
+	conn.query(reqID, "q")
 	// Schema, then exactly one batch; the server now owes us nothing
 	// until we grant credit.
-	kind, _, _, err := ReadRawFrame(br, MaxFrame)
-	if err != nil || kind != FrameSchema {
-		t.Fatalf("kind=%v err=%v", kind, err)
+	if kind, _ := conn.frame(); kind != FrameSchema {
+		t.Fatalf("kind=%v", kind)
 	}
-	kind, payload, _, err := ReadRawFrame(br, MaxFrame)
-	if err != nil || kind != FrameBatch {
-		t.Fatalf("kind=%v err=%v", kind, err)
+	kind, payload := conn.frame()
+	if kind != FrameBatch {
+		t.Fatalf("kind=%v", kind)
 	}
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	_, rows1, err := DecodeBatchPayload(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Interleave: a ping mid-stream gets its response while the stream
 	// is stalled on credit.
-	if err := WriteFrame(conn, &Request{ID: 10, Op: OpPing}); err != nil {
-		t.Fatal(err)
+	conn.send(&Request{ID: 10, Op: OpPing})
+	if r := conn.next(); r.id != 10 || r.err() != nil {
+		t.Fatalf("interleaved ping: %+v", r)
 	}
-	var resp Response
-	if err := readAnyResponse(br, &resp); err != nil {
-		t.Fatal(err)
+	// Grant the first batch's credit; next() grants the rest.
+	conn.sendFrame(FrameCredit, AppendCreditPayload(nil, reqID, 1))
+	r := conn.await(reqID)
+	if r.end.Error != nil || int(r.end.Rows) != len(big) || r.end.Batches < 3 {
+		t.Fatalf("end: %+v", r.end)
 	}
-	if resp.ID != 10 || resp.Error != nil {
-		t.Fatalf("interleaved ping: %+v", resp)
-	}
-	// Grant credits until the stream completes.
-	total := len(rows1)
-	for {
-		credit := AppendCreditPayload(nil, reqID, 1)
-		frame, err := AppendBinaryFrame(nil, FrameCredit, credit, MaxFrame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := conn.Write(frame); err != nil {
-			t.Fatal(err)
-		}
-		kind, payload, _, err := ReadRawFrame(br, MaxFrame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if kind == FrameEnd {
-			_, end, err := DecodeEndPayload(payload)
-			if err != nil || end.Error != nil {
-				t.Fatalf("end: %+v err=%v", end, err)
-			}
-			if int(end.Rows) != len(big) {
-				t.Fatalf("end rows %d, want %d", end.Rows, len(big))
-			}
-			break
-		}
-		if kind != FrameBatch {
-			t.Fatalf("kind=%v", kind)
-		}
-		_, rows, err := DecodeBatchPayload(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += len(rows)
-	}
-	if total != len(big) {
+	if total := len(rows1) + len(r.rows); total != len(big) {
 		t.Fatalf("streamed %d rows, want %d", total, len(big))
 	}
 }
@@ -320,311 +201,59 @@ func TestStreamHeterogeneousRowTypes(t *testing.T) {
 		}
 	}
 	stub := &streamStub{cols: []string{"x"}, batches: [][]tuple.Row{rows}}
-	s := startTestServer(t, stub, Config{StreamWindow: 64})
-	conn := dialTest(t, s)
-	br := bufio.NewReader(conn)
-	doHello(t, conn, br, nil)
-	if err := WriteFrame(conn, &Request{ID: 1, Op: OpQuery,
-		Query: &QueryRequest{SQL: "q", Stream: true}}); err != nil {
-		t.Fatal(err)
+	conn := dialTest(t, startTestServer(t, stub, Config{StreamWindow: 64}))
+	conn.query(1, "q")
+	r := conn.await(1)
+	if r.err() != nil {
+		t.Fatalf("heterogeneous stream failed: %v", r.err())
 	}
-	var got []tuple.Row
-	for {
-		kind, payload, _, err := ReadRawFrame(br, MaxFrame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch kind {
-		case FrameSchema:
-		case FrameBatch:
-			_, batch, err := DecodeBatchPayload(payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, batch...)
-		case FrameEnd:
-			_, end, err := DecodeEndPayload(payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if end.Error != nil {
-				t.Fatalf("heterogeneous stream failed: %v", end.Error)
-			}
-			if len(got) != len(rows) {
-				t.Fatalf("streamed %d rows, want %d", len(got), len(rows))
-			}
-			for i := range rows {
-				if !got[i].Equal(rows[i]) || got[i][0].T != rows[i][0].T {
-					t.Fatalf("row %d: %v (type %v) != %v", i, got[i], got[i][0].T, rows[i])
-				}
-			}
-			return
-		default:
-			t.Fatalf("unexpected %v frame", kind)
-		}
+	if len(r.rows) != len(rows) {
+		t.Fatalf("streamed %d rows, want %d", len(r.rows), len(rows))
 	}
-}
-
-// TestStreamDuplicateIDRejected: a second streamed query reusing an
-// active stream's ID is refused with an error End frame (its frames
-// would be un-demultiplexable), and the first stream is unaffected.
-func TestStreamDuplicateIDRejected(t *testing.T) {
-	rows := make([]tuple.Row, 4)
 	for i := range rows {
-		rows[i] = tuple.Row{tuple.I(int64(i))}
-	}
-	gate := make(chan struct{})
-	stub := &streamStub{cols: []string{"x"}, batches: [][]tuple.Row{rows}, gate: gate}
-	s := startTestServer(t, stub, Config{MaxConcurrentQueries: 4})
-	conn := dialTest(t, s)
-	br := bufio.NewReader(conn)
-	doHello(t, conn, br, nil)
-	// First stream: parks before its batch, holding ID 5 active.
-	if err := WriteFrame(conn, &Request{ID: 5, Op: OpQuery,
-		Query: &QueryRequest{SQL: "q", Stream: true}}); err != nil {
-		t.Fatal(err)
-	}
-	kind, _, _, err := ReadRawFrame(br, MaxFrame)
-	if err != nil || kind != FrameSchema {
-		t.Fatalf("kind=%v err=%v", kind, err)
-	}
-	// Second stream reusing ID 5 is rejected outright.
-	if err := WriteFrame(conn, &Request{ID: 5, Op: OpQuery,
-		Query: &QueryRequest{SQL: "q", Stream: true}}); err != nil {
-		t.Fatal(err)
-	}
-	kind, payload, _, err := ReadRawFrame(br, MaxFrame)
-	if err != nil || kind != FrameEnd {
-		t.Fatalf("kind=%v err=%v", kind, err)
-	}
-	if _, end, err := DecodeEndPayload(payload); err != nil ||
-		end.Error == nil || end.Error.Code != CodeBadRequest {
-		t.Fatalf("end %+v err=%v, want bad_request", end, err)
-	}
-	// The first stream completes untouched.
-	close(gate)
-	var got int
-	for {
-		kind, payload, _, err := ReadRawFrame(br, MaxFrame)
-		if err != nil {
-			t.Fatal(err)
+		if !r.rows[i].Equal(rows[i]) || r.rows[i][0].T != rows[i][0].T {
+			t.Fatalf("row %d: %v (type %v) != %v", i, r.rows[i], r.rows[i][0].T, rows[i])
 		}
-		if kind == FrameBatch {
-			_, batch, err := DecodeBatchPayload(payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got += len(batch)
-			continue
-		}
-		if kind != FrameEnd {
-			t.Fatalf("kind=%v", kind)
-		}
-		if _, end, err := DecodeEndPayload(payload); err != nil || end.Error != nil {
-			t.Fatalf("first stream end %+v err=%v", end, err)
-		}
-		break
-	}
-	if got != len(rows) {
-		t.Fatalf("first stream rows %d, want %d", got, len(rows))
-	}
-}
-
-// TestStreamErrorInEndFrame: a failing query on a stream request is
-// reported in the End frame, and the session survives.
-func TestStreamErrorInEndFrame(t *testing.T) {
-	stub := &streamStub{}
-	stub.queryErr = errors.New("boom")
-	s := startTestServer(t, stub, Config{})
-	conn := dialTest(t, s)
-	br := bufio.NewReader(conn)
-	doHello(t, conn, br, nil)
-	if err := WriteFrame(conn, &Request{ID: 3, Op: OpQuery,
-		Query: &QueryRequest{SQL: "q", Stream: true}}); err != nil {
-		t.Fatal(err)
-	}
-	kind, payload, _, err := ReadRawFrame(br, MaxFrame)
-	if err != nil || kind != FrameEnd {
-		t.Fatalf("kind=%v err=%v", kind, err)
-	}
-	id, end, err := DecodeEndPayload(payload)
-	if err != nil || id != 3 {
-		t.Fatal(err)
-	}
-	if end.Error == nil || end.Error.Code != CodeInternal {
-		t.Fatalf("end error %+v", end.Error)
-	}
-	// Session alive.
-	if err := WriteFrame(conn, &Request{ID: 4, Op: OpPing}); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := readAnyResponse(br, &resp); err != nil || resp.Error != nil {
-		t.Fatalf("session died: %v %v", err, resp.Error)
-	}
-}
-
-// TestStreamFallbackChunksBufferedBackend: a backend without
-// StreamingBackend still serves stream requests (server-side re-chunk).
-func TestStreamFallbackChunksBufferedBackend(t *testing.T) {
-	s := startTestServer(t, &stubBackend{}, Config{})
-	conn := dialTest(t, s)
-	br := bufio.NewReader(conn)
-	doHello(t, conn, br, nil)
-	if err := WriteFrame(conn, &Request{ID: 8, Op: OpQuery,
-		Query: &QueryRequest{SQL: "q", Stream: true}}); err != nil {
-		t.Fatal(err)
-	}
-	kind, payload, _, err := ReadRawFrame(br, MaxFrame)
-	if err != nil || kind != FrameSchema {
-		t.Fatalf("kind=%v err=%v", kind, err)
-	}
-	kind, payload, _, err = ReadRawFrame(br, MaxFrame)
-	if err != nil || kind != FrameBatch {
-		t.Fatalf("kind=%v err=%v", kind, err)
-	}
-	_, rows, err := DecodeBatchPayload(payload)
-	if err != nil || len(rows) != 1 || rows[0][0].I64 != 1 {
-		t.Fatalf("rows %v err=%v", rows, err)
-	}
-	kind, payload, _, err = ReadRawFrame(br, MaxFrame)
-	if err != nil || kind != FrameEnd {
-		t.Fatalf("kind=%v err=%v", kind, err)
-	}
-	if _, end, err := DecodeEndPayload(payload); err != nil || end.Error != nil || end.Epoch != 3 {
-		t.Fatalf("end %+v err=%v", end, err)
 	}
 }
 
 // TestInboundFrameTooLarge: the server reports frame_too_large before
 // closing instead of silently dropping the connection.
 func TestInboundFrameTooLarge(t *testing.T) {
-	s := startTestServer(t, &stubBackend{}, Config{MaxFrame: 1 << 10})
-	conn := dialTest(t, s)
-	br := bufio.NewReader(conn)
-	big := &Request{ID: 1, Op: OpQuery, Query: &QueryRequest{SQL: string(make([]byte, 4<<10))}}
-	if err := WriteFrame(conn, big); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if err := readAnyResponse(br, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Error == nil || resp.Error.Code != CodeFrameTooLarge {
-		t.Fatalf("got %+v, want frame_too_large", resp.Error)
+	conn := dialTest(t, startTestServer(t, &stubBackend{}, Config{MaxFrame: MinFrame}))
+	conn.query(1, strings.Repeat("x", 2*MinFrame))
+	if r := conn.next(); r.err() == nil || r.err().Code != CodeFrameTooLarge {
+		t.Fatalf("got %+v, want frame_too_large", r.err())
 	}
 	// The connection is closed afterwards (framing lost).
-	if err := readAnyResponse(br, &resp); err == nil {
+	if _, _, err := ReadRawFrame(conn.br, MaxFrame); err == nil {
 		t.Fatal("connection survived unreadable frame")
 	}
 }
 
-// TestOversizedJSONResultFailsRequest: a result bigger than the frame
-// cap fails that request with frame_too_large; the session survives and
-// the same query succeeds via streaming.
-func TestOversizedJSONResultFailsRequest(t *testing.T) {
+// TestStreamingPastFrameCap: a result far over the frame cap streams to
+// completion, because only each batch frame is bounded.
+func TestStreamingPastFrameCap(t *testing.T) {
 	var rows []tuple.Row
 	for i := 0; i < 3000; i++ {
 		rows = append(rows, tuple.Row{tuple.I(int64(i)), tuple.S("pad pad pad pad pad pad")})
 	}
 	stub := &streamStub{cols: []string{"a", "b"}, batches: [][]tuple.Row{rows}}
-	stub.queryResp = &QueryResponse{Columns: []string{"a", "b"}, Rows: EncodeRows(rows), Epoch: 3}
-	s := startTestServer(t, stub, Config{MaxFrame: 16 << 10})
-	conn := dialTest(t, s)
-	br := bufio.NewReader(conn)
-
-	if err := WriteFrame(conn, &Request{ID: 1, Op: OpQuery, Query: &QueryRequest{SQL: "big"}}); err != nil {
-		t.Fatal(err)
+	conn := dialTest(t, startTestServer(t, stub, Config{MaxFrame: 16 << 10}))
+	conn.query(2, "big")
+	r := conn.await(2)
+	if r.err() != nil || len(r.rows) != len(rows) {
+		t.Fatalf("streamed %d rows, want %d (end %+v)", len(r.rows), len(rows), r.end)
 	}
-	var resp Response
-	if err := readAnyResponse(br, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Error == nil || resp.Error.Code != CodeFrameTooLarge {
-		t.Fatalf("got %+v, want frame_too_large", resp.Error)
-	}
-
-	// Same result via streaming completes: each batch frame fits.
-	doHello(t, conn, br, nil)
-	if err := WriteFrame(conn, &Request{ID: 2, Op: OpQuery,
-		Query: &QueryRequest{SQL: "big", Stream: true}}); err != nil {
-		t.Fatal(err)
-	}
-	var n int
-	for {
-		kind, payload, _, err := ReadRawFrame(br, MaxFrame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch kind {
-		case FrameSchema:
-		case FrameBatch:
-			_, batch, err := DecodeBatchPayload(payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n += len(batch)
-			// Keep the credit window sliding: with a 16KiB frame cap the
-			// result spans far more batch frames than the default window.
-			credit := AppendCreditPayload(nil, 2, 1)
-			frame, err := AppendBinaryFrame(nil, FrameCredit, credit, MaxFrame)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := conn.Write(frame); err != nil {
-				t.Fatal(err)
-			}
-		case FrameEnd:
-			_, end, err := DecodeEndPayload(payload)
-			if err != nil || end.Error != nil {
-				t.Fatalf("end %+v err=%v", end, err)
-			}
-			if n != len(rows) {
-				t.Fatalf("streamed %d rows, want %d", n, len(rows))
-			}
-			return
-		default:
-			t.Fatalf("unexpected %v frame", kind)
-		}
-	}
-}
-
-// TestWireRowsJSON checks the append-based row encoder against
-// encoding/json output and the NaN rejection.
-func TestWireRowsJSON(t *testing.T) {
-	rows := []tuple.Row{
-		{tuple.I(5), tuple.F(2), tuple.F(2.5), tuple.S("x")},
-		{tuple.I(-7), tuple.F(1e300), tuple.F(-0.125), tuple.S("quote\"back\\slash\nnewline\x01ctl")},
-	}
-	got, err := json.Marshal(EncodeRows(rows))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The encoder's output must itself be valid JSON that decodes to the
-	// same values.
-	var wire WireRows
-	if err := wire.UnmarshalJSON(got); err != nil {
-		t.Fatalf("self-decode: %v (payload %s)", err, got)
-	}
-	if len(wire.Any) != 2 {
-		t.Fatalf("rows %d", len(wire.Any))
-	}
-	if v, _ := DecodeValue(wire.Any[1][3]); v != "quote\"back\\slash\nnewline\x01ctl" {
-		t.Fatalf("string mangled: %q", v)
-	}
-	if v, _ := DecodeValue(wire.Any[0][1]); v != float64(2) {
-		t.Fatalf("integral float mangled: %v", v)
-	}
-	if v, _ := DecodeValue(wire.Any[0][0]); v != int64(5) {
-		t.Fatalf("int mangled: %v", v)
+	if r.end.Batches < 4 {
+		t.Fatalf("a %d-row result crossed a 16KiB frame cap in %d batches", len(rows), r.end.Batches)
 	}
 }
 
 // TestStreamCancelFrame: a cancel frame stops server-side emission, the
 // stream still terminates with a "cancelled" End frame, the admission
-// slot is returned, and the connection (with its negotiated state)
-// remains usable for further requests.
+// slot is returned, and the connection remains usable for further
+// requests.
 func TestStreamCancelFrame(t *testing.T) {
 	// Rows big enough that each backend batch crosses the writer's flush
 	// threshold (256 KiB), so batch frames go out before stream end.
@@ -641,53 +270,28 @@ func TestStreamCancelFrame(t *testing.T) {
 	}
 	s := startTestServer(t, stub, Config{StreamWindow: 1})
 	conn := dialTest(t, s)
-	br := bufio.NewReader(conn)
-	doHello(t, conn, br, &HelloRequest{
-		Version:  ProtocolVersion,
-		Features: []string{FeatureBinaryStream},
-		Window:   1,
-	})
 
 	const reqID = 11
-	if err := WriteFrame(conn, &Request{ID: reqID, Op: OpQuery,
-		Query: &QueryRequest{SQL: "q", Stream: true}}); err != nil {
-		t.Fatal(err)
-	}
+	conn.query(reqID, "q")
 	gate <- struct{}{} // release the first backend batch
-	kind, payload, _, err := ReadRawFrame(br, MaxFrame)
-	if err != nil || kind != FrameSchema {
-		t.Fatalf("first frame %v err=%v, want schema", kind, err)
+	if kind, _ := conn.frame(); kind != FrameSchema {
+		t.Fatalf("first frame %v, want schema", kind)
 	}
-	// Consume frames until the first batch arrives; the window of 1 then
-	// stalls the writer while the backend waits on its gate.
-	kind, payload, _, err = ReadRawFrame(br, MaxFrame)
-	if err != nil || kind != FrameBatch {
-		t.Fatalf("second frame %v err=%v, want batch", kind, err)
+	// The first batch arrives; the window of 1 then stalls the writer
+	// while the backend waits on its gate.
+	kind, payload := conn.frame()
+	if kind != FrameBatch {
+		t.Fatalf("second frame %v, want batch", kind)
 	}
 	if id, _, err := DecodeBatchPayload(payload); err != nil || id != reqID {
 		t.Fatalf("batch id=%d err=%v", id, err)
 	}
 
-	// Abandon the stream: no credits, just a cancel frame.
-	cancel := AppendCancelPayload(nil, reqID)
-	frame, err := AppendBinaryFrame(nil, FrameCancel, cancel, MaxFrame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-
-	// Everything up to End is drained; End must carry the cancelled code.
-	for {
-		kind, payload, _, err = ReadRawFrame(br, MaxFrame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if kind == FrameBatch {
-			continue // in-flight before the cancel landed
-		}
-		break
+	// Abandon the stream: no credits, just a cancel frame. Everything up
+	// to End is drained; End must carry the cancelled code.
+	conn.sendFrame(FrameCancel, AppendCancelPayload(nil, reqID))
+	for kind == FrameBatch { // batches in flight before the cancel landed
+		kind, payload = conn.frame()
 	}
 	if kind != FrameEnd {
 		t.Fatalf("terminal frame %v, want end", kind)
@@ -709,34 +313,108 @@ func TestStreamCancelFrame(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// The connection and its negotiated binary framing remain usable.
-	if err := WriteFrame(conn, &Request{ID: 12, Op: OpPing}); err != nil {
-		t.Fatal(err)
+	// The connection remains usable, and a cancel for an unknown stream is
+	// ignored, not fatal.
+	conn.send(&Request{ID: 12, Op: OpPing})
+	conn.sendFrame(FrameCancel, AppendCancelPayload(nil, 9999))
+	conn.send(&Request{ID: 13, Op: OpPing})
+	for _, id := range []uint64{12, 13} {
+		if r := conn.await(id); r.err() != nil {
+			t.Fatalf("ping %d after cancel: %+v", id, r.err())
+		}
 	}
-	var resp Response
-	if err := readAnyResponse(br, &resp); err != nil {
-		t.Fatal(err)
+}
+
+// TestProtocolConformance pins the session's reaction to every way a
+// peer can depart from the protocol, and the two guarantees a
+// well-formed peer relies on at its edges.
+func TestProtocolConformance(t *testing.T) {
+	rawHeader := func(n uint32) []byte { return binary.BigEndian.AppendUint32(nil, n) }
+	jsonFrame := func(req *Request) []byte {
+		frame, err := AppendJSONFrame(nil, req, MaxFrame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
 	}
-	if resp.ID != 12 || resp.Error != nil {
-		t.Fatalf("post-cancel ping: %+v", resp)
+	for _, tc := range []struct {
+		name  string
+		hello bool   // perform the handshake first
+		bytes []byte // then write these
+		code  string // the typed error that must come back before the close
+	}{
+		{"non-hello first frame", false, jsonFrame(&Request{ID: 1, Op: OpPing}), CodeBadRequest},
+		{"non-JSON first frame", false, append(rawHeader(9), append([]byte{byte(FrameCancel)}, make([]byte, 8)...)...), CodeBadRequest},
+		{"wrong version", false, jsonFrame(&Request{ID: 1, Op: OpHello, Hello: &HelloRequest{Version: ProtocolVersion - 1}}), CodeBadRequest},
+		{"unknown frame kind", true, append(rawHeader(2), 0x7f, 0), CodeBadRequest},
+		{"server-only frame kind", true, append(rawHeader(9), append([]byte{byte(FrameEnd)}, make([]byte, 8)...)...), CodeBadRequest},
+		{"empty frame", true, rawHeader(0), CodeBadRequest},
+		{"malformed JSON", true, append(rawHeader(2), byte(FrameJSON), '{'), CodeBadRequest},
+		{"short credit frame", true, append(rawHeader(3), byte(FrameCredit), 1, 2), CodeBadRequest},
+		{"oversize inbound frame", true, rawHeader(MinFrame + 1), CodeFrameTooLarge},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := startTestServer(t, &stubBackend{}, Config{MaxFrame: MinFrame})
+			conn := dialRaw(t, s)
+			if tc.hello {
+				conn.hello(&HelloRequest{Version: ProtocolVersion})
+			}
+			if _, err := conn.Write(tc.bytes); err != nil {
+				t.Fatal(err)
+			}
+			if r := conn.next(); r.err() == nil || r.err().Code != tc.code {
+				t.Fatalf("got %+v, want %s", r.err(), tc.code)
+			}
+			if _, _, err := ReadRawFrame(conn.br, MaxFrame); err == nil {
+				t.Fatal("connection survived a protocol violation")
+			}
+			// Only that session ended.
+			dialTest(t, s).send(&Request{ID: 2, Op: OpPing})
+		})
 	}
 
-	// A cancel for an unknown stream is ignored, not fatal.
-	unknown := AppendCancelPayload(nil, 9999)
-	frame, err = AppendBinaryFrame(nil, FrameCancel, unknown, MaxFrame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrame(conn, &Request{ID: 13, Op: OpPing}); err != nil {
-		t.Fatal(err)
-	}
-	if err := readAnyResponse(br, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.ID != 13 || resp.Error != nil {
-		t.Fatalf("ping after unknown-id cancel: %+v", resp)
-	}
+	t.Run("duplicate stream id", func(t *testing.T) {
+		// A second query reusing an active stream's ID is refused with an
+		// error End frame (its frames would be un-demultiplexable), and
+		// the first stream is unaffected.
+		rows := []tuple.Row{{tuple.I(0)}, {tuple.I(1)}, {tuple.I(2)}, {tuple.I(3)}}
+		gate := make(chan struct{})
+		started := make(chan struct{})
+		stub := &streamStub{cols: []string{"x"}, batches: [][]tuple.Row{rows}, gate: gate}
+		s := startTestServer(t, stub, Config{MaxConcurrentQueries: 4, OnQueryStart: func() { close(started) }})
+		conn := dialTest(t, s)
+		conn.query(5, "q")
+		<-started // the first stream holds ID 5, parked before its batch
+		conn.query(5, "q")
+		kind, payload := conn.frame()
+		if kind != FrameEnd {
+			t.Fatalf("kind=%v, want the refusal's End", kind)
+		}
+		if _, end, err := DecodeEndPayload(payload); err != nil || end.Error == nil || end.Error.Code != CodeBadRequest {
+			t.Fatalf("end %+v err=%v, want bad_request", end, err)
+		}
+		close(gate)
+		if r := conn.await(5); r.err() != nil || len(r.rows) != len(rows) {
+			t.Fatalf("first stream: %d rows, end %+v", len(r.rows), r.end)
+		}
+	})
+
+	t.Run("publish coercion and rejection", testPublishFrame)
+
+	t.Run("zero-row query", func(t *testing.T) {
+		// An empty answer still owes the client Schema, then End.
+		stub := &streamStub{cols: []string{"a", "b"}, tail: QueryTail{Epoch: 5}}
+		conn := dialTest(t, startTestServer(t, stub, Config{}))
+		conn.query(8, "q")
+		if kind, _ := conn.frame(); kind != FrameSchema {
+			t.Fatalf("first frame %v, want schema", kind)
+		}
+		kind, payload := conn.frame()
+		if kind != FrameEnd {
+			t.Fatalf("second frame %v, want end", kind)
+		}
+		if _, end, err := DecodeEndPayload(payload); err != nil || end.Error != nil || end.Rows != 0 || end.Epoch != 5 {
+			t.Fatalf("end %+v err=%v", end, err)
+		}
+	})
 }

@@ -1,9 +1,9 @@
 package server
 
 // Wire-path microbenchmarks (CI runs `-bench=Wire -benchtime=1x` as a
-// smoke test; run with -benchtime=2s for real numbers). They compare the
-// two result codecs at the encode/decode layer — the end-to-end numbers
-// live in cmd/orchestra-load's BENCH_wire.json.
+// smoke test; run with -benchtime=2s for real numbers): the per-batch
+// encode and decode cost of a result stream. The end-to-end numbers live
+// in benchmark/.
 
 import (
 	"encoding/binary"
@@ -26,74 +26,22 @@ func benchResultRows(n int) []tuple.Row {
 	return rows
 }
 
-// BenchmarkWireJSONResponse measures the buffered JSON result path:
-// one Response frame carrying all rows (the pre-streaming wire format,
-// now with the append-based row encoder).
-func BenchmarkWireJSONResponse(b *testing.B) {
-	resp := &Response{ID: 1, Query: &QueryResponse{
-		Columns: []string{"k", "grp", "v", "f"},
-		Rows:    EncodeRows(benchResultRows(1000)),
-		Epoch:   7,
-	}}
-	var frame []byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		frame, err = AppendFrame(frame[:0], resp, MaxFrame)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(len(frame)))
-}
-
-// BenchmarkWireJSONResponseDecode measures the client side of the JSON
-// path: frame parse with json.Number plus per-cell DecodeValue.
-func BenchmarkWireJSONResponseDecode(b *testing.B) {
-	frame, err := AppendFrame(nil, &Response{ID: 1, Query: &QueryResponse{
-		Columns: []string{"k", "grp", "v", "f"},
-		Rows:    EncodeRows(benchResultRows(1000)),
-		Epoch:   7,
-	}}, MaxFrame)
-	if err != nil {
-		b.Fatal(err)
-	}
-	body := frame[4:]
-	b.ReportAllocs()
-	b.SetBytes(int64(len(frame)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var resp Response
-		if err := UnmarshalJSONFrame(body, &resp); err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range resp.Query.Rows.Any {
-			for _, v := range row {
-				if _, err := DecodeValue(v); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkWireBinaryBatchFrame measures the streaming path's per-batch
-// server cost: frame header + batch encode into a reused buffer.
+// BenchmarkWireBinaryBatchFrame measures the per-batch server cost:
+// frame header + batch encode into a reused buffer.
 func BenchmarkWireBinaryBatchFrame(b *testing.B) {
 	rows := benchResultRows(1000)
 	var frame []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst, mark := beginBinaryFrame(frame[:0], FrameBatch)
+		dst, mark := beginFrame(frame[:0], FrameBatch)
 		dst = binary.BigEndian.AppendUint64(dst, 1)
 		var err error
 		dst, err = tuple.AppendBatch(dst, rows, -1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		frame, err = finishBinaryFrame(dst, mark, MaxFrame)
+		frame, err = finishFrame(dst, mark, MaxFrame)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -59,10 +59,8 @@ type Schema struct {
 	Key      []int // indices into Columns of the key attributes
 }
 
-// MaxRelationNameLen bounds relation names. Besides sanity, this keeps
-// the vstore page codec's version detection unambiguous: a legacy page
-// encoding starts with the name-length uvarint, whose first byte can
-// only equal the v2 tag (0xFF) for names of 255+ bytes.
+// MaxRelationNameLen bounds relation names: they arrive from clients and
+// are embedded in every page, catalog and publish-frame key.
 const MaxRelationNameLen = 200
 
 // NewSchema builds a schema; keyCols name the key attributes.

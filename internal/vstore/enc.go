@@ -102,7 +102,7 @@ func (r *reader) uvarint() uint64 {
 
 func (r *reader) bytes() []byte {
 	n := r.uvarint()
-	if r.err != nil || r.off+int(n) > len(r.data) {
+	if r.err != nil || n > uint64(len(r.data)-r.off) {
 		r.fail()
 		return nil
 	}

@@ -57,8 +57,7 @@ func (p PageRef) Contains(h keyspace.Key) bool {
 // ordered scans. Hashes caches each ID's placement key (SHA-1 of its key
 // encoding): the scan path routes every entry by this hash, and computing
 // it per scanned row used to dominate query profiles, so pages persist it
-// alongside the IDs (EnsureHashes fills it for pages decoded from the
-// legacy, hash-less encoding).
+// alongside the IDs (EnsureHashes fills it for pages built in memory).
 type Page struct {
 	Ref    PageRef
 	IDs    []tuple.ID
@@ -76,19 +75,18 @@ func (p *Page) EnsureHashes() {
 	}
 }
 
-// pageV2Tag marks the page encoding that carries cached placement hashes.
-// Legacy encodings begin with the relation name's uvarint length, whose
-// first byte equals 0xFF only for names of 255+ bytes — which schema
-// creation rejects (tuple.MaxRelationNameLen), so the tag is unambiguous
-// for every page either codec ever produced.
-const pageV2Tag = 0xFF
+// pageV2Tag and pageVersion open every encoded page.
+const (
+	pageV2Tag   = 0xFF
+	pageVersion = 2
+)
 
 // EncodePage serializes a page, including its entry placement hashes.
 func EncodePage(p *Page) []byte {
 	p.EnsureHashes()
 	var w writer
 	w.u8(pageV2Tag)
-	w.u8(2) // version
+	w.u8(pageVersion)
 	w.str(p.Ref.ID.Relation)
 	w.u64(uint64(p.Ref.ID.Epoch))
 	w.u32(p.Ref.ID.Seq)
@@ -103,18 +101,11 @@ func EncodePage(p *Page) []byte {
 	return w.buf
 }
 
-// DecodePage reverses EncodePage. It also accepts the legacy (pre-hash)
-// encoding, recomputing the placement hashes on the way in, so stores
-// written by earlier versions keep working.
+// DecodePage reverses EncodePage.
 func DecodePage(data []byte) (*Page, error) {
 	r := reader{data: data}
-	version := uint8(1)
-	if len(data) >= 2 && data[0] == pageV2Tag {
-		r.u8()
-		version = r.u8()
-		if version != 2 {
-			return nil, fmt.Errorf("vstore: unknown page version %d", version)
-		}
+	if tag, version := r.u8(), r.u8(); r.err != nil || tag != pageV2Tag || version != pageVersion {
+		return nil, fmt.Errorf("vstore: not a version-%d page (tag %#x, version %d)", pageVersion, tag, version)
 	}
 	p := &Page{}
 	p.Ref.ID.Relation = r.str()
@@ -126,18 +117,15 @@ func DecodePage(data []byte) (*Page, error) {
 	if n > 1<<24 {
 		return nil, fmt.Errorf("vstore: implausible page entry count %d", n)
 	}
-	for i := uint64(0); i < n; i++ {
+	for i := uint64(0); i < n && r.err == nil; i++ {
 		e := tuple.Epoch(r.u64())
 		k := r.str()
 		p.IDs = append(p.IDs, tuple.ID{Key: k, Epoch: e})
-		if version >= 2 {
-			p.Hashes = append(p.Hashes, r.keyVal())
-		}
+		p.Hashes = append(p.Hashes, r.keyVal())
 	}
 	if err := r.done(); err != nil {
 		return nil, err
 	}
-	p.EnsureHashes()
 	return p, nil
 }
 
@@ -205,9 +193,8 @@ func (c *Coordinator) PageFor(h keyspace.Key) (PageRef, bool) {
 // modified, in increasing order. It is the entry point for resolving "the
 // state of R as of epoch e" to the coordinator record to read.
 //
-// Beyond the schema and epoch list the catalog carries two trailing
-// bookkeeping sections (absent from records written by older versions;
-// the decoder defaults them):
+// Beyond the schema and epoch list the catalog carries two bookkeeping
+// sections:
 //
 //   - Rows: the relation's net row count, maintained at publish time so
 //     the optimizer's statistics survive a restart instead of reading 0
@@ -300,9 +287,8 @@ func (c *Catalog) WithEpoch(e tuple.Epoch) *Catalog {
 	return out
 }
 
-// EncodeCatalog serializes a catalog record. The row-count and
-// publish-mark sections trail the epoch list so records written before
-// they existed still decode (DecodeCatalog defaults them).
+// EncodeCatalog serializes a catalog record: schema, epoch list, row
+// count, publish marks.
 func EncodeCatalog(c *Catalog) []byte {
 	var w writer
 	w.bytes(EncodeSchema(c.Schema))
@@ -335,11 +321,8 @@ func DecodeCatalog(data []byte) (*Catalog, error) {
 	if n > 1<<24 {
 		return nil, errors.New("vstore: implausible epoch count")
 	}
-	for i := uint64(0); i < n; i++ {
+	for i := uint64(0); i < n && r.err == nil; i++ {
 		c.Epochs = append(c.Epochs, tuple.Epoch(r.u64()))
-	}
-	if r.err == nil && r.off == len(r.data) {
-		return c, nil // legacy record: no stats/pub sections
 	}
 	c.Rows = int64(r.u64())
 	pubs := r.uvarint()

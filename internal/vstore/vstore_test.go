@@ -134,13 +134,35 @@ func TestCatalogWithEpochIdempotent(t *testing.T) {
 }
 
 func TestCatalogCodecRoundTrip(t *testing.T) {
-	c := &Catalog{Schema: rSchema(t), Epochs: []tuple.Epoch{1, 2, 3}}
-	got, err := DecodeCatalog(EncodeCatalog(c))
+	c := &Catalog{Schema: rSchema(t), Epochs: []tuple.Epoch{1, 2, 3}, Rows: 12}
+	c.MarkPub(77, 3)
+	enc := EncodeCatalog(c)
+	got, err := DecodeCatalog(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Schema.Equal(c.Schema) || len(got.Epochs) != 3 || got.Epochs[2] != 3 {
+	if !got.Schema.Equal(c.Schema) || len(got.Epochs) != 3 || got.Epochs[2] != 3 || got.Rows != 12 {
 		t.Errorf("round trip mismatch: %+v", got)
+	}
+	if e, ok := got.FindPub(77); !ok || e != 3 {
+		t.Errorf("publish mark lost: %+v", got.RecentPubs)
+	}
+	// The row-count and publish-mark sections are part of the record: one
+	// that stops after the epoch list, or anywhere else short, is refused.
+	const pubSection = 8 + 1 + 16 // rows, mark count, one mark
+	for name, data := range map[string][]byte{
+		"empty":               nil,
+		"no rows/pubs":        enc[:len(enc)-pubSection],
+		"truncated mark":      enc[:len(enc)-3],
+		"truncated epochs":    enc[:len(enc)-pubSection-4],
+		"trailing bytes":      append(append([]byte(nil), enc...), 0),
+		"implausible pub cnt": append(append([]byte(nil), enc[:len(enc)-17]...), 0xFF, 0x7F),
+	} {
+		if got, err := DecodeCatalog(data); err == nil {
+			t.Errorf("%s: decoded to %+v, want an error", name, got)
+		} else if got != nil {
+			t.Errorf("%s: error %v came with a half-filled catalog", name, err)
+		}
 	}
 }
 
@@ -563,26 +585,9 @@ func TestTupleScanBounds(t *testing.T) {
 	}
 }
 
-// encodePageV1 reproduces the legacy (hash-less) page encoding so the
-// decoder's back-compat path stays covered.
-func encodePageV1(p *Page) []byte {
-	var w writer
-	w.str(p.Ref.ID.Relation)
-	w.u64(uint64(p.Ref.ID.Epoch))
-	w.u32(p.Ref.ID.Seq)
-	w.key(p.Ref.Min)
-	w.key(p.Ref.Max)
-	w.uvarint(uint64(len(p.IDs)))
-	for _, id := range p.IDs {
-		w.u64(uint64(id.Epoch))
-		w.str(id.Key)
-	}
-	return w.buf
-}
-
-// TestPageCodecCachesHashes checks that the v2 encoding persists each
-// entry's placement hash and that decoding a legacy v1 page recomputes
-// the hashes, so routing never hashes tuple IDs at scan time.
+// TestPageCodecCachesHashes checks that the encoding persists each
+// entry's placement hash, so routing never hashes tuple IDs at scan
+// time, and that anything but a whole current-version page is refused.
 func TestPageCodecCachesHashes(t *testing.T) {
 	s := rSchema(t)
 	p := &Page{
@@ -596,24 +601,36 @@ func TestPageCodecCachesHashes(t *testing.T) {
 		row := tuple.Row{tuple.S(fmt.Sprintf("k%d", i)), tuple.S("v")}
 		p.IDs = append(p.IDs, tuple.NewID(s, row, tuple.Epoch(i%4)))
 	}
+	enc := EncodePage(p)
+	got, err := DecodePage(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Hashes) != len(p.IDs) {
+		t.Fatalf("%d hashes for %d ids", len(got.Hashes), len(p.IDs))
+	}
+	for i, id := range p.IDs {
+		if got.IDs[i] != id {
+			t.Errorf("id %d: %v != %v", i, got.IDs[i], id)
+		}
+		if got.Hashes[i] != id.Hash() {
+			t.Errorf("hash %d: %v != %v", i, got.Hashes[i], id.Hash())
+		}
+	}
+	otherVersion := append([]byte(nil), enc...)
+	otherVersion[1] = 3
 	for name, data := range map[string][]byte{
-		"v2": EncodePage(p),
-		"v1": encodePageV1(p),
+		"empty":           nil,
+		"tag only":        enc[:1],
+		"untagged":        enc[2:], // what a hash-less encoding started with
+		"unknown version": otherVersion,
+		"truncated":       enc[:len(enc)-5],
+		"trailing bytes":  append(append([]byte(nil), enc...), 0),
 	} {
-		got, err := DecodePage(data)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(got.Hashes) != len(p.IDs) {
-			t.Fatalf("%s: %d hashes for %d ids", name, len(got.Hashes), len(p.IDs))
-		}
-		for i, id := range p.IDs {
-			if got.IDs[i] != id {
-				t.Errorf("%s id %d: %v != %v", name, i, got.IDs[i], id)
-			}
-			if got.Hashes[i] != id.Hash() {
-				t.Errorf("%s hash %d: %v != %v", name, i, got.Hashes[i], id.Hash())
-			}
+		if got, err := DecodePage(data); err == nil {
+			t.Errorf("%s: decoded to %+v, want an error", name, got.Ref)
+		} else if got != nil {
+			t.Errorf("%s: error %v came with a half-filled page", name, err)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"orchestra/internal/engine"
 	"orchestra/internal/obs"
 	"orchestra/internal/optimizer"
+	"orchestra/internal/server"
 	"orchestra/internal/sql"
 	"orchestra/internal/tuple"
 )
@@ -54,24 +55,19 @@ type QueryOptions struct {
 	// final pipeline, with durations and row/byte counts.
 	Trace bool
 
-	// columnarResult asks the engine to leave the collected answer
-	// columnar (Result.batch) instead of materializing Rows — set by
-	// QueryBatches for the serving hand-off.
-	columnarResult bool
-	// trace is the minted trace when the SQL path starts timing before
-	// RunPlan (covering parse/optimize); RunPlan mints its own otherwise.
-	trace *obs.Trace
-	// sink receives result batches during execution for stream-eligible
-	// plans — set by QueryBatches when nothing (view cache, provenance)
-	// forces the collected path.
-	sink engine.StreamSink
+	// sink, when set, receives the answer instead of Result.Rows — the
+	// serving path's hand-off to the wire. Plans that stream emit into it
+	// during execution (Result.Streamed); everything else arrives once
+	// the complete, duplicate-free answer exists at the initiator.
+	sink server.ResultStream
 }
 
 // Result is a completed query.
 type Result struct {
 	// Columns are the output column names (select aliases where given).
 	Columns []string
-	// Rows is the complete, duplicate-free answer set.
+	// Rows is the complete, duplicate-free answer set (nil on the serving
+	// path, where the answer went to the wire instead).
 	Rows []tuple.Row
 	// Epoch is the snapshot the query executed against.
 	Epoch Epoch
@@ -92,18 +88,12 @@ type Result struct {
 	// QueryOptions.Trace was set.
 	TraceID string
 	Trace   *TraceSpan
-	// Streamed counts rows emitted through QueryBatches' callbacks during
-	// execution; when positive the answer never existed whole at the
-	// initiator and Rows stays nil.
+	// Streamed counts rows the serving path emitted during execution;
+	// when positive the answer never existed whole at the initiator.
 	Streamed int64
 	// StreamPeak is the high-water mark of result rows buffered at the
 	// initiator while streaming (0 for collected executions).
 	StreamPeak int
-
-	// batch is the columnar answer backing a served result: populated
-	// instead of Rows when the query ran with columnarResult, emitted and
-	// recycled by QueryBatches.
-	batch *tuple.Batch
 }
 
 // Query parses, optimizes, and executes a single-block SQL query with
@@ -112,222 +102,45 @@ func (c *Cluster) Query(src string) (*Result, error) {
 	return c.QueryOpts(src, QueryOptions{})
 }
 
-// resultBatchRows is the granularity at which QueryBatches hands rows to
-// its consumer. The wire layer re-chunks by encoded size, so this only
-// bounds how much the emit callback sees at once.
-const resultBatchRows = 1024
-
-// QueryBatches executes a query and emits the answer through callbacks
-// instead of returning it attached to the Result — the serving path for
-// streamed results. start receives the query's metadata (columns, epoch,
-// plan; no rows) exactly once before the first batch. When emitCols is
-// non-nil columnar chunks arrive as tuple.Batch column vectors — no
-// []tuple.Row is materialized at the initiator; emit serves the
-// row-granular cases (view-cache hits, provenance mode, demoting final
-// pipelines). With emitCols nil everything arrives through emit.
+// QueryOpts parses, optimizes, and executes a single-block SQL query —
+// the one embedded query path, which the served endpoints share.
 //
-// Plans whose final pipeline is compute/limit-only stream *during*
-// execution: chunks reach the callbacks as remote fragments deliver them,
-// so the first batch arrives long before the query completes and the
-// initiator never holds the whole answer (Result.Streamed counts the
-// rows, Result.StreamPeak the buffering high-water mark). Everything else
-// — ORDER BY, aggregates, provenance/incremental recovery (restarts may
-// retract partial state), and view-cache-enabled clusters (the cache
-// stores whole answers) — keeps the collect-then-emit contract: the
-// complete, duplicate-free answer set exists at the initiator first and
-// is drained under the consumer's backpressure. Emitted rows and batches
-// alias engine memory, must not be mutated, and are valid only until the
-// callback returns.
-func (c *Cluster) QueryBatches(src string, opts QueryOptions, start func(*Result) error, emit func(rows []tuple.Row) error, emitCols func(b *tuple.Batch) error) (*Result, error) {
-	opts.columnarResult = emitCols != nil
-	if !c.viewsUsable(opts) {
-		return c.queryStreamed(src, opts, start, emit, emitCols)
-	}
-	res, err := c.QueryOpts(src, opts)
-	if err != nil {
-		return nil, err
-	}
-	return emitCollected(res, start, emit, emitCols)
-}
-
-// viewsUsable mirrors viewLookup's gate without touching the cache's
-// hit/miss counters: when it reports true, QueryOpts will consult (and
-// possibly fill) the view cache, so QueryBatches must take the collected
-// path — cached entries are whole-answer row sets.
-func (c *Cluster) viewsUsable(opts QueryOptions) bool {
-	c.mu.Lock()
-	views := c.views
-	c.mu.Unlock()
-	return views != nil && !opts.Provenance && opts.Node >= 0 && opts.Node < len(c.engines)
-}
-
-// emitCollected hands a collected answer to the QueryBatches callbacks:
-// metadata first, then the rows in resultBatchRows chunks (or the whole
-// columnar batch at once — the wire layer re-chunks by encoded size).
-func emitCollected(res *Result, start func(*Result) error, emit func(rows []tuple.Row) error, emitCols func(b *tuple.Batch) error) (*Result, error) {
-	meta := *res
-	meta.Rows = nil
-	meta.batch = nil
-	if res.batch != nil {
-		// Installed before any callback so an error exit (a client gone
-		// mid-schema) still returns the slab to the arena.
-		defer engine.RecycleResultBatch(res.batch)
-	}
-	if err := start(&meta); err != nil {
-		return nil, err
-	}
-	if res.batch != nil && emitCols != nil {
-		if res.batch.N > 0 {
-			if err := emitCols(res.batch); err != nil {
-				return nil, err
-			}
-		}
-		return &meta, nil
-	}
-	rows := res.Rows
-	for lo := 0; lo < len(rows); lo += resultBatchRows {
-		hi := lo + resultBatchRows
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		if err := emit(rows[lo:hi]); err != nil {
-			return nil, err
-		}
-	}
-	return &meta, nil
-}
-
-// batchEmitSink adapts the QueryBatches callbacks to the engine's
-// StreamSink: the start callback fires lazily before the first emission
-// (the engine's drainer serializes calls, so no locking). meta is the
-// pre-derived metadata start hands over; queryStreamed fills in the
-// completion fields afterwards.
-type batchEmitSink struct {
-	meta     *Result
-	start    func(*Result) error
-	emit     func(rows []tuple.Row) error
-	emitCols func(b *tuple.Batch) error
-	started  bool
-}
-
-func (s *batchEmitSink) begin() error {
-	if s.started {
-		return nil
-	}
-	s.started = true
-	return s.start(s.meta)
-}
-
-func (s *batchEmitSink) StreamRows(rows []tuple.Row) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	if err := s.begin(); err != nil {
-		return err
-	}
-	return s.emit(rows)
-}
-
-func (s *batchEmitSink) StreamCols(b *tuple.Batch) error {
-	if b.N == 0 {
-		return nil
-	}
-	if err := s.begin(); err != nil {
-		return err
-	}
-	if s.emitCols != nil {
-		return s.emitCols(b)
-	}
-	return s.emit(b.Rows())
-}
-
-// queryStreamed is QueryBatches' during-execution path: parse and
-// optimize up front so the start callback's metadata (columns, plan,
-// epoch) exists before the engine runs, then attach a sink when the plan
-// is stream-eligible. Ineligible plans come back collected and are
-// emitted the classic way.
-func (c *Cluster) queryStreamed(src string, opts QueryOptions, start func(*Result) error, emit func(rows []tuple.Row) error, emitCols func(b *tuple.Batch) error) (*Result, error) {
+// With the view cache on (EnableQueryCache) and no provenance, the answer
+// is looked up and stored under (query text, epoch): the cache holds
+// whole answers, so such a query never streams during execution.
+// Provenance mode bypasses the cache.
+func (c *Cluster) QueryOpts(src string, opts QueryOptions) (*Result, error) {
 	if opts.Node < 0 || opts.Node >= len(c.engines) {
 		return nil, fmt.Errorf("orchestra: no node %d", opts.Node)
 	}
-	if opts.Trace && opts.trace == nil {
-		opts.trace = obs.NewTrace(obs.NewTraceID(), "query", c.initiatorID(opts.Node))
+	if opts.Timeout <= 0 {
+		opts.Timeout = 5 * time.Minute
 	}
-	planSpan := opts.trace.Begin("plan")
-	q, err := sql.Parse(src)
-	if err != nil {
-		return nil, err
+	var tr *obs.Trace
+	if opts.Trace {
+		tr = obs.NewTrace(obs.NewTraceID(), "query", c.NodeID(opts.Node))
 	}
-	plan, info, err := c.Optimize(q)
-	if err != nil {
-		return nil, err
+	c.mu.Lock()
+	views := c.views
+	c.mu.Unlock()
+	if opts.Provenance {
+		views = nil
 	}
-	opts.trace.End(planSpan)
-	opts.trace.Attach(nil, planSpan)
-	cols := outputColumns(q, c)
-	explain := optimizer.Explain(plan, info)
-	var sink *batchEmitSink
-	if engine.StreamEligible(plan, engine.Options{Provenance: opts.Provenance, Recovery: opts.Recovery}) {
+	var key viewKey
+	if views != nil {
+		// The cache is epoch-keyed and shared across serving nodes: a
+		// query pinned to an epoch answers identically from every
+		// initiator, so any node's endpoint may both hit and fill it. An
+		// unpinned query resolves the epoch at its own serving node.
 		if opts.Epoch == 0 {
-			// Pin the epoch now: start's metadata must name the snapshot
-			// before the engine reports back.
 			opts.Epoch = c.currentEpochAt(opts.Node)
 		}
-		meta := &Result{Columns: cols, Epoch: opts.Epoch, Plan: explain, PerNode: map[string]engine.NodeStats{}}
-		if opts.trace != nil {
-			meta.TraceID = opts.trace.ID.String()
+		key = viewKey{sql: src, epoch: opts.Epoch}
+		if e, ok := views.get(key); ok {
+			return viewHit(e, tr, opts.sink)
 		}
-		sink = &batchEmitSink{meta: meta, start: start, emit: emit, emitCols: emitCols}
-		opts.sink = sink
 	}
-	res, err := c.RunPlan(plan, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Columns = cols
-	res.Plan = explain
-	if sink == nil {
-		return emitCollected(res, start, emit, emitCols)
-	}
-	// Streamed (possibly an empty answer): finish the handshake if no
-	// chunk ever fired it, then fill the completion metadata into the
-	// Result the start callback already holds.
-	if err := sink.begin(); err != nil {
-		return nil, err
-	}
-	*sink.meta = *res
-	return sink.meta, nil
-}
-
-// QueryOpts parses, optimizes, and executes a single-block SQL query.
-func (c *Cluster) QueryOpts(src string, opts QueryOptions) (*Result, error) {
-	if hit, key, views := c.viewLookup(src, opts); views != nil {
-		if hit != nil {
-			return hit, nil
-		}
-		opts.Epoch = key.epoch // pin the epoch the cache entry will be keyed by
-		res, err := c.queryUncached(src, opts)
-		if err != nil {
-			return nil, err
-		}
-		if res.batch != nil && res.Rows == nil {
-			// The cache stores rows (hits are served repeatedly, long
-			// after the columnar slab is recycled), so a columnar answer
-			// materializes here; the batch stays attached for the caller's
-			// hand-off.
-			res.Rows = res.batch.Rows()
-		}
-		c.viewStore(key, views, res)
-		return res, nil
-	}
-	return c.queryUncached(src, opts)
-}
-
-func (c *Cluster) queryUncached(src string, opts QueryOptions) (*Result, error) {
-	if opts.Trace && opts.trace == nil {
-		opts.trace = obs.NewTrace(obs.NewTraceID(), "query", c.initiatorID(opts.Node))
-	}
-	planSpan := opts.trace.Begin("plan")
+	planSpan := tr.Begin("plan")
 	q, err := sql.Parse(src)
 	if err != nil {
 		return nil, err
@@ -336,24 +149,52 @@ func (c *Cluster) queryUncached(src string, opts QueryOptions) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	opts.trace.End(planSpan)
-	opts.trace.Attach(nil, planSpan)
-	res, err := c.RunPlan(plan, opts)
+	tr.End(planSpan)
+	tr.Attach(nil, planSpan)
+	res := &Result{Columns: outputColumns(q, c), Plan: optimizer.Explain(plan, info)}
+
+	ctx, cancel := context.WithTimeout(context.Background(), opts.Timeout)
+	defer cancel()
+	eng := c.engines[opts.Node]
+	eopts := engine.Options{Provenance: opts.Provenance, Recovery: opts.Recovery, Epoch: opts.Epoch, Trace: tr}
+	var eres *engine.Result
+	if opts.sink != nil {
+		eres, err = server.RunQuery(ctx, eng, plan, eopts, res.Columns, views == nil, opts.sink)
+	} else {
+		eres, err = eng.Run(ctx, plan, eopts)
+	}
 	if err != nil {
 		return nil, err
 	}
-	res.Columns = outputColumns(q, c)
-	res.Plan = optimizer.Explain(plan, info)
-	return res, nil
-}
-
-// initiatorID names a node for trace spans ("" when out of range — the
-// range error surfaces in RunPlan).
-func (c *Cluster) initiatorID(node int) string {
-	if node < 0 || node >= len(c.engines) {
-		return ""
+	rows := eres.Rows
+	if views != nil {
+		if eres.Batch != nil {
+			// The cache stores rows: hits are served repeatedly, long
+			// after the columnar slab is recycled.
+			rows = eres.Batch.Rows()
+		}
+		views.put(&viewEntry{key: key, rows: rows, cols: res.Columns, plan: res.Plan})
 	}
-	return c.NodeID(node)
+	engine.RecycleResultBatch(eres.Batch)
+	if opts.sink == nil {
+		res.Rows = rows
+	}
+	res.Epoch = eres.Epoch
+	res.Phases = eres.Phases
+	res.Restarts = eres.Restarts
+	res.Stats = eres.TotalStats()
+	res.Streamed = eres.Streamed
+	res.StreamPeak = eres.StreamPeak
+	res.PerNode = make(map[string]engine.NodeStats, len(eres.Stats))
+	for id, st := range eres.Stats {
+		res.PerNode[string(id)] = st
+	}
+	if tr != nil {
+		tr.Finish()
+		res.TraceID = tr.ID.String()
+		res.Trace = tr.Root()
+	}
+	return res, nil
 }
 
 // Optimize runs the Volcano-style optimizer against the cluster's catalog.
@@ -365,54 +206,6 @@ func (c *Cluster) Optimize(q *sql.Query) (*engine.Plan, *optimizer.Info, error) 
 // liveNodes counts nodes in the current routing table.
 func (c *Cluster) liveNodes() int {
 	return c.local.Node(0).Table().Size()
-}
-
-// RunPlan executes a (finalized or finalizable) engine plan directly —
-// the escape hatch used by benchmarks that hand-build plans.
-func (c *Cluster) RunPlan(plan *engine.Plan, opts QueryOptions) (*Result, error) {
-	if opts.Timeout <= 0 {
-		opts.Timeout = 5 * time.Minute
-	}
-	if opts.Node < 0 || opts.Node >= len(c.engines) {
-		return nil, fmt.Errorf("orchestra: no node %d", opts.Node)
-	}
-	tr := opts.trace
-	if tr == nil && opts.Trace {
-		tr = obs.NewTrace(obs.NewTraceID(), "query", c.initiatorID(opts.Node))
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), opts.Timeout)
-	defer cancel()
-	eres, err := c.engines[opts.Node].Run(ctx, plan, engine.Options{
-		Provenance:     opts.Provenance,
-		Recovery:       opts.Recovery,
-		Epoch:          opts.Epoch,
-		ColumnarResult: opts.columnarResult,
-		Trace:          tr,
-		Sink:           opts.sink,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Rows:       eres.Rows,
-		batch:      eres.Batch,
-		Epoch:      eres.Epoch,
-		Phases:     eres.Phases,
-		Restarts:   eres.Restarts,
-		Stats:      eres.TotalStats(),
-		Streamed:   eres.Streamed,
-		StreamPeak: eres.StreamPeak,
-		PerNode:    make(map[string]engine.NodeStats, len(eres.Stats)),
-	}
-	for id, st := range eres.Stats {
-		res.PerNode[string(id)] = st
-	}
-	if tr != nil {
-		tr.Finish()
-		res.TraceID = tr.ID.String()
-		res.Trace = tr.Root()
-	}
-	return res, nil
 }
 
 // outputColumns derives display names for the result columns.

@@ -260,10 +260,12 @@ func TestRejoinCatchUp(t *testing.T) {
 					return
 				default:
 				}
+				res, err := cl.Query(ctx, "SELECT COUNT(*) FROM rejoin")
+				// Read the bound after the answer: batches acknowledged
+				// while the query ran may be in it, plus the one in flight.
 				wmu.Lock()
 				limit := total
 				wmu.Unlock()
-				res, err := cl.Query(ctx, "SELECT COUNT(*) FROM rejoin")
 				if err == nil {
 					if len(res.Rows) != 1 {
 						err = fmt.Errorf("bad shape: %v", res.Rows)

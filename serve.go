@@ -30,9 +30,8 @@ type ServeOptions struct {
 	// OnQueryStart, when set, runs at the start of every query execution
 	// while its admission slot is held (instrumentation hook).
 	OnQueryStart func()
-	// MaxFrame bounds a single wire frame (default server.MaxFrame).
-	// Results larger than this must use the binary streaming path, which
-	// bounds per-batch frames instead of the whole result.
+	// MaxFrame bounds a single wire frame (default server.MaxFrame);
+	// results are bounded per batch frame, not as a whole.
 	MaxFrame int64
 	// StreamWindow is the per-stream credit window offered to streaming
 	// clients, in batch frames (default server.DefaultStreamWindow).
@@ -110,9 +109,8 @@ func (s *Server) ServeOps(addr string) (string, error) {
 }
 
 // Serve exposes the cluster at addr (TCP, ":0" picks a free port) over
-// the length-prefixed JSON wire protocol: create, publish, query (with
-// epoch pinning, recovery mode, provenance), schema/catalog, and
-// status/stats. Each connection is a session served by its own
+// the wire protocol: create, publish, query (with epoch pinning,
+// recovery mode, provenance), schema/catalog, and status/stats. Each connection is a session served by its own
 // goroutine; query executions pass an admission-control semaphore. Call
 // Serve once per node index to give every node its own endpoint.
 func (c *Cluster) Serve(addr string, opts ServeOptions) (*Server, error) {
@@ -236,30 +234,18 @@ func (b *clusterBackend) Publish(ctx context.Context, req *server.PublishRequest
 	if !ok {
 		return 0, server.Errorf(server.CodeNotFound, "unknown relation %q", req.Relation)
 	}
-	if req.TypedRows != nil {
-		// Binary publish: rows arrived typed by the wire batch codec;
-		// coercion is a per-column type check, not per-value JSON parsing.
-		if err := server.CoerceTypedRows(s, req.TypedRows); err != nil {
-			return 0, err
-		}
-		return b.c.PublishTypedID(b.node, req.Relation, req.TypedRows, req.PublishID)
+	if err := server.CoerceTypedRows(s, req.TypedRows); err != nil {
+		return 0, err
 	}
-	rows := make([]tuple.Row, len(req.Rows))
-	for i, r := range req.Rows {
-		row, err := server.CoerceRow(s, r)
-		if err != nil {
-			return 0, err
-		}
-		rows[i] = row
-	}
-	return b.c.PublishTypedID(b.node, req.Relation, rows, req.PublishID)
+	return b.c.PublishTypedID(b.node, req.Relation, req.TypedRows, req.PublishID)
 }
 
-// queryOptions maps a wire query request onto embedded query options.
-func (b *clusterBackend) queryOptions(ctx context.Context, req *server.QueryRequest) (QueryOptions, error) {
+// QueryStream implements server.Backend: the embedded query path with
+// out as its sink.
+func (b *clusterBackend) QueryStream(ctx context.Context, req *server.QueryRequest, out server.ResultStream) (*server.QueryTail, error) {
 	rec, err := server.RecoveryMode(req.Recovery)
 	if err != nil {
-		return QueryOptions{}, err
+		return nil, err
 	}
 	opts := QueryOptions{
 		Node:       b.node,
@@ -267,98 +253,18 @@ func (b *clusterBackend) queryOptions(ctx context.Context, req *server.QueryRequ
 		Recovery:   rec,
 		Provenance: req.Provenance,
 		Trace:      req.Trace,
+		sink:       out,
 	}
 	if dl, ok := ctx.Deadline(); ok {
-		d := time.Until(dl)
-		if d <= 0 {
-			// Don't let an expired budget fall through to RunPlan's
+		if opts.Timeout = time.Until(dl); opts.Timeout <= 0 {
+			// Don't let an expired budget fall through to QueryOpts'
 			// 5-minute default while holding an admission slot.
-			return QueryOptions{}, server.Errorf(server.CodeTimeout, "request deadline expired before execution")
+			return nil, server.Errorf(server.CodeTimeout, "request deadline expired before execution")
 		}
-		opts.Timeout = d
-	}
-	return opts, nil
-}
-
-func (b *clusterBackend) Query(ctx context.Context, req *server.QueryRequest) (*server.QueryResponse, error) {
-	opts, err := b.queryOptions(ctx, req)
-	if err != nil {
-		return nil, err
 	}
 	res, err := b.c.QueryOpts(req.SQL, opts)
 	if err != nil {
 		return nil, wireQueryError(err)
-	}
-	qr := &server.QueryResponse{
-		Columns:  res.Columns,
-		Rows:     server.EncodeRows(res.Rows),
-		Epoch:    uint64(res.Epoch),
-		Cached:   res.Cached,
-		Phases:   res.Phases,
-		Restarts: res.Restarts,
-		TraceID:  res.TraceID,
-		Trace:    res.Trace,
-	}
-	if req.Explain {
-		qr.Plan = res.Plan
-	}
-	return qr, nil
-}
-
-// QueryStream implements server.StreamingBackend: the result flows to
-// the wire as row batches under the stream's flow control, never as one
-// materialized wire-encoded response. Against a BatchStream the engine's
-// columnar answer is handed over as column vectors — batch frames are
-// encoded straight from them, with no row materialization anywhere
-// between the B-tree pass and the wire.
-func (b *clusterBackend) QueryStream(ctx context.Context, req *server.QueryRequest, out server.ResultStream) (*server.QueryTail, error) {
-	opts, err := b.queryOptions(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	emit := out.Batch
-	var emitCols func(*tuple.Batch) error
-	if bs, ok := out.(server.BatchStream); ok {
-		emitCols = bs.Batches
-	}
-	// With tracing on, time the wire writes: emission happens inside
-	// QueryBatches (rows alias engine memory until it returns), so the
-	// span is accumulated through wrappers and attached afterwards.
-	var writeUs, writeRows, writeBatches int64
-	if opts.Trace {
-		emit = func(rows []tuple.Row) error {
-			t0 := time.Now()
-			err := out.Batch(rows)
-			writeUs += time.Since(t0).Microseconds()
-			writeRows += int64(len(rows))
-			writeBatches++
-			return err
-		}
-		if emitCols != nil {
-			inner := emitCols
-			emitCols = func(batch *tuple.Batch) error {
-				t0 := time.Now()
-				err := inner(batch)
-				writeUs += time.Since(t0).Microseconds()
-				writeRows += int64(batch.N)
-				writeBatches++
-				return err
-			}
-		}
-	}
-	res, err := b.c.QueryBatches(req.SQL, opts,
-		func(meta *Result) error { return out.Columns(meta.Columns) },
-		emit, emitCols)
-	if err != nil {
-		return nil, wireQueryError(err)
-	}
-	if res.Trace != nil && writeBatches > 0 {
-		res.Trace.Children = append(res.Trace.Children, &TraceSpan{
-			Name:    "stream.write",
-			DurUs:   writeUs,
-			Rows:    writeRows,
-			Batches: writeBatches,
-		})
 	}
 	tail := &server.QueryTail{
 		Epoch:    uint64(res.Epoch),
@@ -402,21 +308,19 @@ func (b *clusterBackend) Catalog(ctx context.Context, rel string) (*server.Schem
 
 func (b *clusterBackend) Epoch() tuple.Epoch { return b.c.CurrentEpoch() }
 
-// CacheStats implements server.CacheStatsProvider: the shared view
-// cache plus this node's decoded-page LRU.
+// CacheStats implements server.Backend: the shared view cache plus this
+// node's decoded-page LRU.
 func (b *clusterBackend) CacheStats() map[string]CacheStats {
 	return b.c.CacheStats(b.node)
 }
 
-// DurabilityStats implements server.DurabilityStatsProvider for durable
-// clusters (ok is false when the serving node's store is in-memory).
+// DurabilityStats implements server.Backend.
 func (b *clusterBackend) DurabilityStats() (kvstore.DurabilityStats, bool) {
 	return b.c.DurabilityStats(b.node)
 }
 
-// ReplStats implements server.ReplStatsProvider: the serving node's
-// replica-repair counters and catch-up lag (ok is false when the
-// cluster has a single node — there is nothing to replicate with).
+// ReplStats implements server.Backend: the serving node's replica-repair
+// counters and catch-up lag.
 func (b *clusterBackend) ReplStats() (cluster.ReplStats, bool) {
 	return b.c.ReplStats(b.node), b.c.Size() > 1
 }

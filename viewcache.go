@@ -6,6 +6,7 @@ import (
 
 	"orchestra/internal/engine"
 	"orchestra/internal/obs"
+	"orchestra/internal/server"
 	"orchestra/internal/tuple"
 )
 
@@ -108,57 +109,35 @@ func (c *Cluster) EnableQueryCache(maxEntries int) {
 	c.mu.Unlock()
 }
 
-// viewLookup resolves the effective epoch and consults the cache. The
-// cache is epoch-keyed and shared across serving nodes: a query pinned to
-// an epoch answers identically from every initiator (results are snapshot
-// deterministic), so any node's endpoint may both hit and fill it. An
-// unpinned query resolves the epoch at its own serving node — different
-// nodes' gossip views may briefly differ, and each must serve what it
-// would have computed.
-func (c *Cluster) viewLookup(src string, opts QueryOptions) (*Result, viewKey, *viewCache) {
-	c.mu.Lock()
-	views := c.views
-	c.mu.Unlock()
-	if views == nil || opts.Provenance || opts.Node < 0 || opts.Node >= len(c.engines) {
-		return nil, viewKey{}, nil
+// viewHit answers a query from a cache entry, handing the rows to sink
+// on the serving path.
+func viewHit(e *viewEntry, tr *obs.Trace, sink server.ResultStream) (*Result, error) {
+	res := &Result{
+		Columns: e.cols,
+		Epoch:   e.key.epoch,
+		Phases:  1,
+		Plan:    e.plan,
+		Cached:  true,
+		PerNode: map[string]engine.NodeStats{},
 	}
-	epoch := opts.Epoch
-	if epoch == 0 {
-		epoch = c.currentEpochAt(opts.Node)
-	}
-	k := viewKey{sql: src, epoch: epoch}
-	if e, ok := views.get(k); ok {
-		rows := make([]tuple.Row, len(e.rows))
-		copy(rows, e.rows)
-		res := &Result{
-			Columns: e.cols,
-			Rows:    rows,
-			Epoch:   k.epoch,
-			Phases:  1,
-			Plan:    e.plan,
-			Cached:  true,
-			PerNode: map[string]engine.NodeStats{},
+	if sink != nil {
+		sink.Columns(e.cols)
+		if err := sink.StreamRows(e.rows); err != nil {
+			return nil, err
 		}
-		if opts.Trace {
-			// A hit never reaches the engine; its whole trace is the
-			// cache lookup.
-			tr := obs.NewTrace(obs.NewTraceID(), "query", c.initiatorID(opts.Node))
-			root := tr.Root()
-			root.CacheHits = 1
-			root.Rows = int64(len(rows))
-			tr.Finish()
-			res.TraceID = tr.ID.String()
-			res.Trace = root
-		}
-		return res, k, views
+	} else {
+		// The caller owns its answer; the cache keeps its own row slice.
+		res.Rows = append([]tuple.Row(nil), e.rows...)
 	}
-	return nil, k, views
-}
-
-// viewStore records a completed query in the cache.
-func (c *Cluster) viewStore(k viewKey, views *viewCache, res *Result) {
-	if views == nil {
-		return
+	if tr != nil {
+		// A hit never reaches the engine; its whole trace is the cache
+		// lookup (and, when served, the hand-off to the wire).
+		root := tr.Root()
+		root.CacheHits = 1
+		root.Rows = int64(len(e.rows))
+		tr.Finish()
+		res.TraceID = tr.ID.String()
+		res.Trace = root
 	}
-	views.put(&viewEntry{key: k, rows: res.Rows, cols: res.Columns, plan: res.Plan})
+	return res, nil
 }
