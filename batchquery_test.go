@@ -28,28 +28,19 @@ func newScanCluster(t *testing.T, rows int) *Cluster {
 }
 
 // testSink is the serving path's sink as a test sees it: it counts what
-// arrives through each form and, with keep set, materializes the rows.
+// arrives and, with keep set, materializes the rows.
 type testSink struct {
-	keep             bool
-	cols             []string
-	rows             []tuple.Row
-	n                int
-	rowCalls, colCal int
+	keep  bool
+	cols  []string
+	rows  []tuple.Row
+	n     int
+	calls int
 }
 
 func (s *testSink) Columns(cols []string) { s.cols = cols }
 
-func (s *testSink) StreamRows(rows []tuple.Row) error {
-	s.rowCalls++
-	s.n += len(rows)
-	if s.keep {
-		s.rows = append(s.rows, rows...)
-	}
-	return nil
-}
-
 func (s *testSink) StreamCols(b *tuple.Batch) error {
-	s.colCal++
+	s.calls++
 	s.n += b.N
 	if s.keep {
 		s.rows = append(s.rows, b.Rows()...)
@@ -57,9 +48,28 @@ func (s *testSink) StreamCols(b *tuple.Batch) error {
 	return nil
 }
 
-// TestServedQueryColumnar checks the serving hand-off: a non-provenance
-// scan emits its whole answer columnar — the row form must never fire —
-// and the content matches the embedded Query.
+// sameAnswer compares two answers as multisets.
+func sameAnswer(t *testing.T, got, want []tuple.Row) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("got %d rows, want %d", len(got), len(want))
+	}
+	seen := make(map[string]int, len(want))
+	for _, r := range want {
+		seen[fmt.Sprint(r)]++
+	}
+	for _, r := range got {
+		k := fmt.Sprint(r)
+		if seen[k]--; seen[k] < 0 {
+			t.Fatalf("row %v not in (or too often for) the reference answer", r)
+		}
+	}
+}
+
+// TestServedQueryColumnar checks the serving hand-off: the whole answer
+// reaches the sink as batches, nothing stays at the initiator, and the
+// content matches the embedded Query — without provenance and with it
+// (where every row carried its provenance set up to the ship consumer).
 func TestServedQueryColumnar(t *testing.T) {
 	c := newScanCluster(t, 500)
 	q := "SELECT k, grp, v FROM bq WHERE v >= 100 AND v < 400"
@@ -70,51 +80,19 @@ func TestServedQueryColumnar(t *testing.T) {
 	if len(want.Rows) != 300 {
 		t.Fatalf("reference query: %d rows", len(want.Rows))
 	}
-
-	sink := &testSink{keep: true}
-	res, err := c.QueryOpts(q, QueryOptions{sink: sink})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rows != nil {
-		t.Fatalf("served result kept %d rows at the initiator", len(res.Rows))
-	}
-	if sink.rowCalls != 0 {
-		t.Fatalf("row form fired %d times on the columnar path", sink.rowCalls)
-	}
-	if sink.colCal == 0 {
-		t.Fatal("columnar form never fired")
-	}
-	if res.Epoch != want.Epoch || len(res.Columns) != 3 || len(sink.cols) != 3 {
-		t.Fatalf("meta: %+v, sink columns %v", res, sink.cols)
-	}
-	if len(sink.rows) != len(want.Rows) {
-		t.Fatalf("columnar emitted %d rows, query answered %d", len(sink.rows), len(want.Rows))
-	}
-	seen := make(map[string]bool, len(want.Rows))
-	for _, r := range want.Rows {
-		seen[fmt.Sprint(r)] = true
-	}
-	for _, r := range sink.rows {
-		if !seen[fmt.Sprint(r)] {
-			t.Fatalf("columnar row %v not in reference answer", r)
+	for _, prov := range []bool{false, true} {
+		sink := &testSink{keep: true}
+		res, err := c.QueryOpts(q, QueryOptions{Provenance: prov, sink: sink})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestServedQueryProvenanceEmitsRows: provenance-mode collections are
-// row-granular, so the answer must arrive in row form.
-func TestServedQueryProvenanceEmitsRows(t *testing.T) {
-	c := newScanCluster(t, 200)
-	sink := &testSink{}
-	if _, err := c.QueryOpts("SELECT k, v FROM bq WHERE v < 50", QueryOptions{Provenance: true, sink: sink}); err != nil {
-		t.Fatal(err)
-	}
-	if sink.colCal != 0 {
-		t.Fatalf("columnar form fired %d times in provenance mode", sink.colCal)
-	}
-	if sink.n != 50 {
-		t.Fatalf("row form delivered %d rows, want 50", sink.n)
+		if res.Rows != nil {
+			t.Fatalf("provenance=%v: served result kept %d rows at the initiator", prov, len(res.Rows))
+		}
+		if res.Epoch != want.Epoch || len(res.Columns) != 3 || len(sink.cols) != 3 {
+			t.Fatalf("provenance=%v: meta %+v, sink columns %v", prov, res, sink.cols)
+		}
+		sameAnswer(t, sink.rows, want.Rows)
 	}
 }
 
@@ -145,14 +123,14 @@ func TestQueryLimitPushdown(t *testing.T) {
 	}
 }
 
-// TestServedQueryCacheHitEmitsRows: view-cache entries are stored as rows
-// and replay in row form; the miss that filled the entry still went out
-// columnar.
-func TestServedQueryCacheHitEmitsRows(t *testing.T) {
+// TestServedQueryCacheHit: a view-cache entry holds the batch its miss
+// produced; a served hit replays it as one borrowed batch, an embedded hit
+// materializes the caller's own rows.
+func TestServedQueryCacheHit(t *testing.T) {
 	c := newScanCluster(t, 100)
 	c.EnableQueryCache(16)
 	q := "SELECT k, v FROM bq WHERE v < 40"
-	miss, hit := &testSink{}, &testSink{keep: true}
+	miss, hit := &testSink{keep: true}, &testSink{keep: true}
 	if _, err := c.QueryOpts(q, QueryOptions{sink: miss}); err != nil {
 		t.Fatal(err)
 	}
@@ -163,24 +141,81 @@ func TestServedQueryCacheHitEmitsRows(t *testing.T) {
 	if !res.Cached {
 		t.Fatal("second query not served from cache")
 	}
-	if miss.n != 40 || miss.rowCalls != 0 {
-		t.Fatalf("miss emitted %d rows (%d in row form), want 40 columnar", miss.n, miss.rowCalls)
+	if miss.n != 40 {
+		t.Fatalf("miss emitted %d rows, want 40", miss.n)
 	}
-	if hit.n != 40 || hit.colCal != 0 || len(hit.cols) != 2 {
-		t.Fatalf("cache hit emitted %d rows (%d columnar calls), columns %v; want 40 in row form", hit.n, hit.colCal, hit.cols)
+	if hit.calls != 1 || len(hit.cols) != 2 {
+		t.Fatalf("cache hit arrived in %d batches, columns %v; want one batch, two columns", hit.calls, hit.cols)
 	}
+	sameAnswer(t, hit.rows, miss.rows)
 	// The embedded caller owns its answer: mutating it must not reach the
 	// cache entry the served path replays.
 	own, err := c.Query(q)
-	if err != nil || !own.Cached || len(own.Rows) != 40 {
+	if err != nil || !own.Cached {
 		t.Fatalf("embedded hit: %+v, %v", own, err)
 	}
-	own.Rows[0] = nil
+	sameAnswer(t, own.Rows, miss.rows)
+	own.Rows[0][0] = tuple.S("scribbled")
 	again := &testSink{keep: true}
 	if _, err := c.QueryOpts(q, QueryOptions{sink: again}); err != nil {
 		t.Fatal(err)
 	}
-	if again.rows[0] == nil {
-		t.Fatal("a caller's result aliases the cache entry")
+	sameAnswer(t, again.rows, miss.rows)
+}
+
+// TestViewCacheOwnsItsBatch: a batch that entered the cache never returns
+// to the engine's arena pool. Served hits of one entry run concurrently
+// with misses on other queries — each miss recycles its arenas, so a
+// cached batch that had been pooled would be overwritten under the
+// readers (and -race would see it).
+func TestViewCacheOwnsItsBatch(t *testing.T) {
+	c := newScanCluster(t, 400)
+	q := "SELECT k, v FROM bq WHERE v < 300"
+	want, err := c.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.EnableQueryCache(4)
+	if _, err := c.QueryOpts(q, QueryOptions{sink: &testSink{}}); err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 8)
+	for g := 0; g < 4; g++ {
+		go func() { // hits of the one entry
+			for i := 0; i < 40; i++ {
+				sink := &testSink{keep: true}
+				res, err := c.QueryOpts(q, QueryOptions{sink: sink})
+				if err == nil && (!res.Cached || len(sink.rows) != len(want.Rows)) {
+					err = fmt.Errorf("hit: cached=%v, %d rows", res.Cached, len(sink.rows))
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				for _, r := range sink.rows {
+					if r[1].I64 < 0 || r[1].I64 >= 300 || r[0].Str != fmt.Sprintf("k%05d", r[1].I64) {
+						errs <- fmt.Errorf("hit returned a foreign row %v", r)
+						return
+					}
+				}
+			}
+			errs <- nil
+		}()
+		go func(g int) { // misses that bypass the cache and recycle their arenas
+			for i := 0; i < 40; i++ {
+				sink := &testSink{}
+				q := fmt.Sprintf("SELECT k, v FROM bq WHERE v >= %d", 300+g)
+				if _, err := c.QueryOpts(q, QueryOptions{Provenance: true, sink: sink}); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}(g)
+	}
+	for i := 0; i < 8; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -343,11 +343,11 @@ func runQuery(ctx context.Context, node *cluster.Node, eng *engine.Engine, sqlTe
 	if err != nil {
 		return err
 	}
-	for _, r := range res.Rows {
+	for _, r := range res.Batch.Rows() {
 		fmt.Println(" ", r)
 	}
 	fmt.Printf("-- %d rows in %s (cost est %.6fs, epoch %d)\n",
-		len(res.Rows), time.Since(start).Round(time.Microsecond), info.Cost, res.Epoch)
+		res.Batch.N, time.Since(start).Round(time.Microsecond), info.Cost, res.Epoch)
 	return nil
 }
 

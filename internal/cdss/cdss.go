@@ -270,7 +270,7 @@ func (p *Participant) Import(ctx context.Context, priorities map[string]int) (*I
 		if err != nil {
 			return nil, fmt.Errorf("cdss: update exchange for %s: %w", m.Target, err)
 		}
-		for _, row := range res.Rows {
+		for _, row := range res.Batch.Rows() {
 			candidates = append(candidates, Candidate{Peer: m.Peer, Target: m.Target, Row: row})
 		}
 	}

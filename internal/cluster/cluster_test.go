@@ -48,7 +48,7 @@ func insertRow(vals ...string) vstore.Update {
 	return vstore.Update{Op: vstore.OpInsert, Row: row}
 }
 
-func sortRows(rows []tuple.Row) {
+func sortCanonical(rows []tuple.Row) {
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Cmp(rows[j]) < 0 })
 }
 
@@ -128,7 +128,7 @@ func TestPublishAndRetrieve(t *testing.T) {
 	if len(rows) != 200 {
 		t.Fatalf("retrieved %d rows, want 200", len(rows))
 	}
-	sortRows(rows)
+	sortCanonical(rows)
 	for i, r := range rows {
 		if r[0].Str != fmt.Sprintf("key%03d", i) || r[1].Str != fmt.Sprintf("val%03d", i) {
 			t.Fatalf("row %d = %v", i, r)

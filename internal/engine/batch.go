@@ -5,13 +5,14 @@ package engine
 // stateless row-shaping operators (select, project, compute's input edge)
 // process whole batches — compiled predicates evaluate into a selection
 // Bitset and the batch compacts in place, projection rearranges column
-// headers in O(arity) — and the ship operator forwards batches columnar
-// to the initiator's collection accumulator, so a plain scan query never
+// headers in O(arity) — and the ship operator forwards batches to the
+// initiator's collection accumulator, so a plain scan query never
 // materializes rows anywhere. The first sink that is not batch-aware
 // receives the rows materialized from one backing slab. Stateful
 // operators (join, aggregate, exchange) keep their per-row form: their
 // semantics (provenance unions, sub-group bookkeeping, destination
-// batching) are row-granular by design.
+// batching) are row-granular by design; what they emit becomes a batch
+// again at the ship operator, the one place rows are appended into one.
 //
 // Batches flow only in no-provenance mode wholesale: with provenance on,
 // each scanned tuple carries its own mutable Prov bitset (origin node plus
@@ -28,7 +29,6 @@ import (
 type colBatch struct {
 	cols  tuple.Batch
 	phase uint32
-	prov  Prov // per-row prototype, cloned at materialization; nil = none
 }
 
 // batchSink is implemented by operators that can consume columnar batches
@@ -48,17 +48,15 @@ func (cb *colBatch) materialize() []Tup {
 	ts := make([]Tup, len(rows))
 	for i, row := range rows {
 		ts[i] = Tup{Row: row, Phase: cb.phase}
-		if cb.prov != nil {
-			ts[i].Prov = cb.prov.Clone()
-		}
 	}
 	return ts
 }
 
 // resultBatchPool recycles the columnar slabs that back query answers:
-// each served query's Result.Batch returns here (RecycleResultBatch) once
-// its wire frames are flushed, so steady-state serving reuses the same
-// vector arenas instead of re-growing (and collecting) them per query.
+// each query's Result.Batch returns here (RecycleResultBatch) once its
+// wire frames are flushed or its rows copied out, so steady state reuses
+// the same vector arenas instead of re-growing (and collecting) them per
+// query.
 var resultBatchPool = sync.Pool{New: func() any { return &tuple.Batch{} }}
 
 // maxPooledBatchRows bounds what returns to the pool: one freak result
@@ -76,7 +74,9 @@ func getResultBatch() *tuple.Batch {
 
 // RecycleResultBatch returns a query answer's columnar slab to the arena
 // pool. Callers must be completely done with the batch — including every
-// Slice view and every string still aliasing its vectors' backing.
+// Slice view and every string still aliasing its vectors' backing. A batch
+// that something keeps (a view-cache entry) is never recycled: the next
+// query would overwrite it under its readers.
 func RecycleResultBatch(b *tuple.Batch) {
 	if b == nil || b.N > maxPooledBatchRows {
 		return

@@ -95,8 +95,8 @@ func (h *harness) check(p *Plan, res *Result) {
 	if err != nil {
 		h.t.Fatalf("refEval: %v", err)
 	}
-	if !rowsEqual(res.Rows, want) {
-		h.t.Fatalf("wrong answer: %s", diffSummary(res.Rows, want))
+	if got := res.Batch.Rows(); !rowsEqual(got, want) {
+		h.t.Fatalf("wrong answer: %s", diffSummary(got, want))
 	}
 }
 
@@ -150,8 +150,8 @@ func TestCopyQuery(t *testing.T) {
 
 	p := &Plan{Root: &ScanNode{Relation: "R"}}
 	res := h.run(p, Options{})
-	if len(res.Rows) != 500 {
-		t.Fatalf("got %d rows, want 500", len(res.Rows))
+	if res.Batch.N != 500 {
+		t.Fatalf("got %d rows, want 500", res.Batch.N)
 	}
 	if res.Phases != 1 {
 		t.Fatalf("phases = %d, want 1", res.Phases)
@@ -171,7 +171,7 @@ func TestCoveringIndexScan(t *testing.T) {
 	h.publish("R", genR(300, rand.New(rand.NewSource(3))))
 	p := &Plan{Root: &ScanNode{Relation: "R", Covering: true}}
 	res := h.run(p, Options{})
-	for _, r := range res.Rows {
+	for _, r := range res.Batch.Rows() {
 		if len(r) != 1 {
 			t.Fatalf("covering scan row has arity %d, want 1", len(r))
 		}
@@ -186,8 +186,8 @@ func TestSargablePredicate(t *testing.T) {
 	pred := cluster.EqPred(schemaR(), tuple.I(42))
 	p := &Plan{Root: &ScanNode{Relation: "R", Pred: KeyPredOf(pred)}}
 	res := h.run(p, Options{})
-	if len(res.Rows) != 1 {
-		t.Fatalf("got %d rows, want 1", len(res.Rows))
+	if res.Batch.N != 1 {
+		t.Fatalf("got %d rows, want 1", res.Batch.N)
 	}
 }
 
@@ -286,8 +286,8 @@ func TestAggregatePartialWithFinalMerge(t *testing.T) {
 	}
 	// Reference: complete aggregation over S grouped by z.
 	want := refAggregate([]int{1}, specs, h.data["S"])
-	if !rowsEqual(res.Rows, want) {
-		t.Fatalf("wrong answer: %s", diffSummary(res.Rows, want))
+	if !rowsEqual(res.Batch.Rows(), want) {
+		t.Fatalf("wrong answer: %s", diffSummary(res.Batch.Rows(), want))
 	}
 }
 
@@ -328,8 +328,8 @@ func TestAggregateCompleteAfterRehash(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	want := refAggregate([]int{1}, specs, h.data["S"])
-	if !rowsEqual(res.Rows, want) {
-		t.Fatalf("wrong answer: %s", diffSummary(res.Rows, want))
+	if !rowsEqual(res.Batch.Rows(), want) {
+		t.Fatalf("wrong answer: %s", diffSummary(res.Batch.Rows(), want))
 	}
 }
 
@@ -367,8 +367,8 @@ func TestJoinThenAggregate(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := refAggregate([]int{0}, specs, joined)
-	if !rowsEqual(res.Rows, want) {
-		t.Fatalf("wrong answer: %s", diffSummary(res.Rows, want))
+	if !rowsEqual(res.Batch.Rows(), want) {
+		t.Fatalf("wrong answer: %s", diffSummary(res.Batch.Rows(), want))
 	}
 }
 
@@ -387,16 +387,17 @@ func TestFinalSortAndLimit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if len(res.Rows) != 10 {
-		t.Fatalf("limit: got %d rows", len(res.Rows))
+	rows := res.Batch.Rows()
+	if len(rows) != 10 {
+		t.Fatalf("limit: got %d rows", len(rows))
 	}
-	for i := 1; i < len(res.Rows); i++ {
-		if res.Rows[i-1][0].AsInt() < res.Rows[i][0].AsInt() {
+	for i := 1; i < len(rows); i++ {
+		if rows[i-1][0].AsInt() < rows[i][0].AsInt() {
 			t.Fatalf("rows not descending at %d", i)
 		}
 	}
-	if res.Rows[0][0].AsInt() != 99 {
-		t.Fatalf("top row key = %d, want 99", res.Rows[0][0].AsInt())
+	if rows[0][0].AsInt() != 99 {
+		t.Fatalf("top row key = %d, want 99", rows[0][0].AsInt())
 	}
 }
 
@@ -444,8 +445,8 @@ func TestVersionedSnapshotQueries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run@e1: %v", err)
 	}
-	if !rowsEqual(res1.Rows, stateAtE1) {
-		t.Fatalf("snapshot at e1: %s", diffSummary(res1.Rows, stateAtE1))
+	if !rowsEqual(res1.Batch.Rows(), stateAtE1) {
+		t.Fatalf("snapshot at e1: %s", diffSummary(res1.Batch.Rows(), stateAtE1))
 	}
 
 	// Query at e2 must see the new state, never the stale version of key 2.
@@ -458,8 +459,8 @@ func TestVersionedSnapshotQueries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run@e2: %v", err)
 	}
-	if !rowsEqual(res2.Rows, want2) {
-		t.Fatalf("snapshot at e2: %s", diffSummary(res2.Rows, want2))
+	if !rowsEqual(res2.Batch.Rows(), want2) {
+		t.Fatalf("snapshot at e2: %s", diffSummary(res2.Batch.Rows(), want2))
 	}
 }
 
@@ -468,8 +469,8 @@ func TestEmptyRelation(t *testing.T) {
 	h.create(schemaR())
 	p := &Plan{Root: &ScanNode{Relation: "R"}}
 	res := h.run(p, Options{})
-	if len(res.Rows) != 0 {
-		t.Fatalf("got %d rows from empty relation", len(res.Rows))
+	if res.Batch.N != 0 {
+		t.Fatalf("got %d rows from empty relation", res.Batch.N)
 	}
 }
 
@@ -734,8 +735,8 @@ func TestRecoveryWithAggregation(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	want := refAggregate([]int{1}, specs, h.data["S"])
-	if !rowsEqual(res.Rows, want) {
-		t.Fatalf("aggregate after recovery: %s", diffSummary(res.Rows, want))
+	if !rowsEqual(res.Batch.Rows(), want) {
+		t.Fatalf("aggregate after recovery: %s", diffSummary(res.Batch.Rows(), want))
 	}
 }
 

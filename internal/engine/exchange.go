@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -16,115 +17,161 @@ import (
 // destination and shipped in compressed blocks (§V-A).
 const flushRows = 1024
 
-// --- batch wire codec ---
+// --- batch wire codecs ---
 //
-// Batches carry the rows (columnar, compressed — tuple.EncodeBatch), the
-// execution phase, and a dictionary-coded provenance column: distinct
-// provenance sets are listed once, each row referencing its set by index.
-// This keeps the provenance overhead to roughly one byte per tuple, which
-// is how the paper achieves its ≤2% traffic overhead for recovery support.
+// Both inter-node codecs share one layout: the execution phase, a
+// provenance flag, a dictionary-coded provenance column — distinct
+// provenance sets are listed once, each row referencing its set by index —
+// and the rows, column-major and compressed (the tuple batch codec). The
+// dictionary keeps the provenance overhead to roughly one byte per tuple,
+// which is how the paper achieves its ≤2% traffic overhead for recovery
+// support. The rehash codec speaks []Tup (its operators are row-granular);
+// the ship codec speaks tuple.Batch plus a parallel provenance vector.
+
+// shipCompressMin is the raw body size at which a batch is compressed.
+const shipCompressMin = 256
+
+// appendProvColumn appends the dictionary-coded provenance column.
+func appendProvColumn(dst []byte, provs []Prov) []byte {
+	dict := make(map[string]int)
+	var keys []string
+	idxs := make([]int, len(provs))
+	for i, p := range provs {
+		k := p.Key()
+		id, ok := dict[k]
+		if !ok {
+			id = len(keys)
+			dict[k] = id
+			keys = append(keys, k)
+		}
+		idxs[i] = id
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(keys)))
+	for _, k := range keys {
+		dst = binary.AppendUvarint(dst, uint64(len(k)))
+		dst = append(dst, k...)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(idxs)))
+	for _, id := range idxs {
+		dst = binary.AppendUvarint(dst, uint64(id))
+	}
+	return dst
+}
+
+// decodeBatchHeader reads the phase, the provenance flag and — when set —
+// the provenance column, one entry per row, returning the rest of the
+// payload. Rows with equal sets share one Prov: clone before mutating.
+func decodeBatchHeader(data []byte) (phase uint32, provs []Prov, rest []byte, err error) {
+	if len(data) < 5 {
+		return 0, nil, nil, errors.New("engine: short batch")
+	}
+	phase = binary.BigEndian.Uint32(data)
+	if data[4] != 1 {
+		return phase, nil, data[5:], nil
+	}
+	off := 5
+	nDict, n := binary.Uvarint(data[off:])
+	if n <= 0 || nDict > uint64(len(data)-off) {
+		return 0, nil, nil, errors.New("engine: bad prov dict")
+	}
+	off += n
+	dict := make([]Prov, nDict)
+	for i := range dict {
+		l, n := binary.Uvarint(data[off:])
+		if n <= 0 || l > uint64(len(data)-off-n) {
+			return 0, nil, nil, errors.New("engine: bad prov entry")
+		}
+		off += n
+		dict[i] = ProvFromKey(string(data[off : off+int(l)]))
+		off += int(l)
+	}
+	nIdx, n := binary.Uvarint(data[off:])
+	if n <= 0 || nIdx > uint64(len(data)-off) {
+		return 0, nil, nil, errors.New("engine: bad prov index count")
+	}
+	off += n
+	provs = make([]Prov, nIdx)
+	for i := range provs {
+		id, n := binary.Uvarint(data[off:])
+		if n <= 0 || id >= nDict {
+			return 0, nil, nil, errors.New("engine: bad prov index")
+		}
+		provs[i] = dict[id]
+		off += n
+	}
+	return phase, provs, data[off:], nil
+}
 
 func encodeTupBatch(ts []Tup, phase uint32, withProv bool) ([]byte, error) {
 	out := binary.BigEndian.AppendUint32(nil, phase)
-	if withProv {
-		out = append(out, 1)
-		dict := make(map[string]int)
-		var keys []string
-		idxs := make([]int, len(ts))
-		for i, t := range ts {
-			k := t.Prov.Key()
-			id, ok := dict[k]
-			if !ok {
-				id = len(keys)
-				dict[k] = id
-				keys = append(keys, k)
-			}
-			idxs[i] = id
-		}
-		out = binary.AppendUvarint(out, uint64(len(keys)))
-		for _, k := range keys {
-			out = binary.AppendUvarint(out, uint64(len(k)))
-			out = append(out, k...)
-		}
-		out = binary.AppendUvarint(out, uint64(len(idxs)))
-		for _, id := range idxs {
-			out = binary.AppendUvarint(out, uint64(id))
-		}
-	} else {
-		out = append(out, 0)
-	}
 	rows := make([]tuple.Row, len(ts))
 	for i, t := range ts {
 		rows[i] = t.Row
 	}
-	body, err := tuple.EncodeBatch(rows)
-	if err != nil {
-		return nil, err
+	if withProv {
+		provs := make([]Prov, len(ts))
+		for i, t := range ts {
+			provs[i] = t.Prov
+		}
+		out = appendProvColumn(append(out, 1), provs)
+	} else {
+		out = append(out, 0)
 	}
-	return append(out, body...), nil
+	return tuple.AppendBatch(out, rows, shipCompressMin)
 }
 
 func decodeTupBatch(data []byte) ([]Tup, uint32, error) {
-	if len(data) < 5 {
-		return nil, 0, errors.New("engine: short batch")
-	}
-	phase := binary.BigEndian.Uint32(data)
-	withProv := data[4] == 1
-	off := 5
-	var provs []Prov
-	var idxs []uint64
-	if withProv {
-		nDict, n := binary.Uvarint(data[off:])
-		if n <= 0 || nDict > 1<<20 {
-			return nil, 0, errors.New("engine: bad prov dict")
-		}
-		off += n
-		provs = make([]Prov, nDict)
-		for i := range provs {
-			l, n := binary.Uvarint(data[off:])
-			if n <= 0 || off+n+int(l) > len(data) {
-				return nil, 0, errors.New("engine: bad prov entry")
-			}
-			off += n
-			provs[i] = ProvFromKey(string(data[off : off+int(l)]))
-			off += int(l)
-		}
-	}
-	if withProv {
-		nIdx, n := binary.Uvarint(data[off:])
-		if n <= 0 || nIdx > 1<<28 {
-			return nil, 0, errors.New("engine: bad prov index count")
-		}
-		off += n
-		idxs = make([]uint64, nIdx)
-		for i := range idxs {
-			v, n := binary.Uvarint(data[off:])
-			if n <= 0 {
-				return nil, 0, errors.New("engine: bad prov index")
-			}
-			idxs[i] = v
-			off += n
-		}
-	}
-	rows, err := tuple.DecodeBatch(data[off:])
+	phase, provs, rest, err := decodeBatchHeader(data)
 	if err != nil {
 		return nil, 0, err
 	}
-	if withProv && len(idxs) != len(rows) {
+	rows, err := tuple.DecodeBatch(rest)
+	if err != nil {
+		return nil, 0, err
+	}
+	if provs != nil && len(provs) != len(rows) {
 		return nil, 0, errors.New("engine: prov index count mismatch")
 	}
 	ts := make([]Tup, len(rows))
 	for i, r := range rows {
 		ts[i] = Tup{Row: r, Phase: phase}
-		if withProv {
-			id := idxs[i]
-			if id >= uint64(len(provs)) {
-				return nil, 0, errors.New("engine: prov index out of range")
-			}
-			ts[i].Prov = provs[id].Clone()
+		if provs != nil {
+			ts[i].Prov = provs[i].Clone() // the exchange consumer stamps it
 		}
 	}
 	return ts, phase, nil
+}
+
+// encodeShipBatch appends the ship encoding of b. prov is nil (no
+// provenance column) or holds one set per row.
+func encodeShipBatch(dst []byte, b *tuple.Batch, prov []Prov, phase uint32) ([]byte, error) {
+	dst = binary.BigEndian.AppendUint32(dst, phase)
+	if prov == nil {
+		dst = append(dst, 0)
+	} else if len(prov) != b.N {
+		return nil, fmt.Errorf("engine: %d provenance sets for %d rows", len(prov), b.N)
+	} else {
+		dst = appendProvColumn(append(dst, 1), prov)
+	}
+	return tuple.AppendBatchCols(dst, b, shipCompressMin)
+}
+
+// decodeShipBatch decodes a ship payload onto into's column vectors and
+// returns its provenance vector (nil when the payload carries none).
+func decodeShipBatch(data []byte, into *tuple.Batch) ([]Prov, error) {
+	_, provs, rest, err := decodeBatchHeader(data)
+	if err != nil {
+		return nil, err
+	}
+	n, err := tuple.DecodeBatchInto(rest, into)
+	if err != nil {
+		return nil, err
+	}
+	if provs != nil && len(provs) != n {
+		into.Truncate(into.N - n)
+		return nil, errors.New("engine: prov index count mismatch")
+	}
+	return provs, nil
 }
 
 // --- exchange producer (rehash) ---
@@ -213,6 +260,13 @@ func (p *exchProducer) eos(phase uint32) {
 	p.mu.Unlock()
 	for _, f := range flushes {
 		p.ex.sendExchBatch(p.exchID, f.dest, f.ts)
+	}
+	if phase < p.ex.phaseNow() {
+		// A superseded wave must not complete anywhere: since this node
+		// advanced it has been filtering by the failed set, so its output
+		// for the wave may be short, and a consumer that has not seen the
+		// directive yet would take the marker as "all data delivered".
+		return
 	}
 	p.ex.broadcastExchEOS(p.exchID, phase)
 }
@@ -323,156 +377,145 @@ func (c *exchConsumer) completeLocked() (bool, uint32) {
 
 // --- ship ---
 
+// ShipError reports that fragment output could not be shipped to, or
+// accepted at, the initiator: an encode or append failure at Node's
+// fragment, or a decode or shape failure of Node's shipment. The answer
+// would be short, so the query fails. Deliberately not a FailureError — a
+// restart would meet the same data.
+type ShipError struct {
+	Node ring.NodeID
+	Err  error
+}
+
+func (e *ShipError) Error() string { return fmt.Sprintf("engine: ship from %s: %v", e.Node, e.Err) }
+func (e *ShipError) Unwrap() error { return e.Err }
+
 // shipProducer sends final fragment output to the query initiator
-// (Table I, ship). It is batch-aware: columnar batches from the operator
-// pipeline stay columnar — on the initiator's own node they hand over to
-// the ship consumer directly (which appends their vectors into its
-// columnar accumulator), remotely they coalesce into a pending batch and
-// ship batch-encoded. Row pushes (provenance mode, covering scans,
-// stateful operators) keep the original path.
+// (Table I, ship). Whatever the fragment's last operator emits becomes a
+// tuple.Batch here and stays one to the client: columnar batches from the
+// operator pipeline hand over to the ship consumer directly on the
+// initiator's own node and coalesce into the pending batch elsewhere; rows
+// from the row-granular operators (join, aggregate, rehash, the
+// provenance-mode scan) are appended into the same pending batch, their
+// provenance sets into a vector beside it.
 type shipProducer struct {
 	ex *executor
 
-	mu      sync.Mutex
-	pending []Tup
-	cols    *tuple.Batch // remote coalescing; nil until first columnar push
-	spare   *tuple.Batch // recycled after a flush to keep vector capacity
+	mu   sync.Mutex
+	cols *tuple.Batch // rows toward the next shipment; nil until the first push
+	prov []Prov       // provenance mode: one set per row of cols
+	err  error        // first failure: shipping stops, the EOS reports it
 }
 
-func (s *shipProducer) push(ts []Tup) {
-	var flush []Tup
+// fail records the fragment's first ship-path failure.
+func (s *shipProducer) fail(err error) {
 	s.mu.Lock()
-	s.pending = append(s.pending, ts...)
-	// Top-K mode buffers the whole fragment output: nothing ships until
-	// eos sorts and truncates it to the local top K.
-	if s.ex.mode != shipTopK && len(s.pending) >= flushRows {
-		flush = s.pending
-		s.pending = nil
+	if s.err == nil {
+		s.err = err
 	}
 	s.mu.Unlock()
-	if flush != nil {
-		s.ex.sendShipBatch(flush)
-	}
 }
 
-// pushCols receives a columnar batch from the operator pipeline. The
-// batch is borrowed (pushCols contract): loopback hand-off copies it into
-// the consumer's accumulator before returning; the remote path copies it
-// into the pending coalescing batch.
-func (s *shipProducer) pushCols(cb *colBatch) {
-	if cb.prov != nil {
-		s.push(cb.materialize())
-		return
-	}
-	if s.ex.mode == shipTopK {
-		// Buffer locally (even on the initiator's own fragment): the
-		// whole fragment output is sorted and truncated to K at eos
-		// before anything ships.
-		s.mu.Lock()
-		if s.cols == nil {
-			s.cols = &tuple.Batch{}
-		}
-		err := s.cols.AppendBatchInto(&cb.cols)
-		s.mu.Unlock()
-		if err != nil {
-			s.push(cb.materialize()) // shape mismatch: degrade to rows
-		}
-		return
-	}
-	if s.ex.initiator == s.ex.self() {
-		s.ex.sendShipCols(&cb.cols)
-		return
-	}
-	s.mu.Lock()
+// pendingLocked returns the batch pushes append to.
+func (s *shipProducer) pendingLocked() *tuple.Batch {
 	if s.cols == nil {
 		s.cols = &tuple.Batch{}
 	}
-	if err := s.cols.AppendBatchInto(&cb.cols); err != nil {
-		s.mu.Unlock()
-		s.push(cb.materialize()) // shape mismatch: degrade to rows
-		return
-	}
-	var flush *tuple.Batch
-	if s.cols.N >= flushRows {
-		flush, s.cols = s.cols, s.spare
-		s.spare = nil
-	}
-	s.mu.Unlock()
-	if flush != nil {
-		s.ex.sendShipCols(flush)
-		flush.Truncate(0)
-		s.mu.Lock()
-		if s.spare == nil {
-			s.spare = flush
-		}
-		s.mu.Unlock()
-	}
+	return s.cols
 }
 
+// push is the one place a []Tup becomes a batch. A row whose arity or
+// types disagree with the pending batch fails the fragment.
+func (s *shipProducer) push(ts []Tup) {
+	s.mu.Lock()
+	pend := s.pendingLocked()
+	for _, t := range ts {
+		if s.err != nil {
+			break
+		}
+		if s.err = pend.AppendRow(t.Row); s.err == nil && s.ex.opts.Provenance {
+			s.prov = append(s.prov, t.Prov)
+		}
+	}
+	b, prov := s.cutLocked(false)
+	s.mu.Unlock()
+	s.ship(b, prov)
+}
+
+// pushCols receives a columnar batch from the operator pipeline (which
+// only produces them without provenance). The batch is borrowed (pushCols
+// contract): loopback hand-off copies it into the consumer's accumulator
+// before returning; otherwise it is copied into the pending batch.
+func (s *shipProducer) pushCols(cb *colBatch) {
+	if s.ex.mode != shipTopK && s.ex.initiator == s.ex.self() {
+		s.ex.sendShip(&cb.cols, nil)
+		return
+	}
+	s.mu.Lock()
+	if s.err == nil {
+		s.err = s.pendingLocked().AppendBatchInto(&cb.cols)
+	}
+	b, prov := s.cutLocked(false)
+	s.mu.Unlock()
+	s.ship(b, prov)
+}
+
+// cutLocked takes the pending batch for shipping if it is due: at
+// flushRows rows, or whatever is there when final. Top-K mode buffers the
+// whole fragment output — nothing ships until eos has sorted and truncated
+// it to the local top K. A failed fragment ships nothing further.
+func (s *shipProducer) cutLocked(final bool) (*tuple.Batch, []Prov) {
+	b, prov := s.cols, s.prov
+	if b == nil || b.N == 0 || s.err != nil || (!final && (s.ex.mode == shipTopK || b.N < flushRows)) {
+		return nil, nil
+	}
+	s.cols, s.prov = nil, nil
+	return b, prov
+}
+
+// ship sends a cut batch in flushRows-row chunks, in order — chunks of one
+// sorted run stay sorted end to end (per-link FIFO) — and keeps its
+// vectors for the next pending batch.
+func (s *shipProducer) ship(b *tuple.Batch, prov []Prov) {
+	if b == nil {
+		return
+	}
+	var span tuple.Batch
+	for lo := 0; lo < b.N; lo += flushRows {
+		hi := min(lo+flushRows, b.N)
+		b.Slice(lo, hi, &span)
+		if prov == nil {
+			s.ex.sendShip(&span, nil)
+		} else {
+			s.ex.sendShip(&span, prov[lo:hi])
+		}
+	}
+	b.Truncate(0)
+	s.mu.Lock()
+	if s.cols == nil {
+		s.cols = b
+	}
+	s.mu.Unlock()
+}
+
+// eos ships what is pending and reports fragment completion. In top-K mode
+// this is the fragment half of the pushdown: sort the buffered output with
+// the plan's comparators and truncate it to the merged row budget K, so at
+// most K rows per fragment reach the initiator.
 func (s *shipProducer) eos(phase uint32) {
 	s.mu.Lock()
-	flush := s.pending
-	s.pending = nil
-	flushCols := s.cols
-	s.cols = nil
+	if s.ex.mode == shipTopK && s.cols != nil {
+		keys, k := topKParams(s.ex.plan)
+		sortCols(s.cols, keys)
+		s.cols.Truncate(k)
+	}
+	b, prov := s.cutLocked(true)
 	s.mu.Unlock()
-	if s.ex.mode == shipTopK {
-		s.eosTopK(phase, flush, flushCols)
-		return
-	}
-	if flushCols != nil && flushCols.N > 0 {
-		s.ex.sendShipCols(flushCols)
-	}
-	if len(flush) > 0 {
-		s.ex.sendShipBatch(flush)
-	}
-	s.ex.sendShipEOS(phase)
-}
-
-// eosTopK is the fragment half of the top-K pushdown: sort the buffered
-// fragment output with the plan's compiled comparators, truncate to the
-// merged row budget K, and ship only that — at most K rows per fragment
-// reach the initiator. Chunked shipments of one sorted run stay ordered
-// end to end (per-link FIFO), so the initiator's per-source run is
-// sorted by construction.
-func (s *shipProducer) eosTopK(phase uint32, rows []Tup, cols *tuple.Batch) {
-	keys, k := topKParams(s.ex.plan)
-	switch {
-	case len(rows) == 0 && cols != nil && cols.N > 0:
-		sortCols(cols, keys)
-		if cols.N > k {
-			cols.Truncate(k)
-		}
-		var span tuple.Batch
-		for lo := 0; lo < cols.N; lo += flushRows {
-			hi := lo + flushRows
-			if hi > cols.N {
-				hi = cols.N
-			}
-			cols.Slice(lo, hi, &span)
-			s.ex.sendShipCols(&span)
-		}
-	case len(rows) > 0:
-		if cols != nil && cols.N > 0 {
-			// Mixed buffering (a mid-stream shape degrade): fold the
-			// columnar part into the row form and sort once.
-			for _, r := range cols.Rows() {
-				rows = append(rows, Tup{Row: r, Phase: phase})
-			}
-		}
-		sortTups(rows, keys)
-		if len(rows) > k {
-			rows = rows[:k]
-		}
-		for lo := 0; lo < len(rows); lo += flushRows {
-			hi := lo + flushRows
-			if hi > len(rows) {
-				hi = len(rows)
-			}
-			s.ex.sendShipBatch(rows[lo:hi])
-		}
-	}
-	s.ex.sendShipEOS(phase)
+	s.ship(b, prov)
+	s.mu.Lock()
+	err := s.err
+	s.mu.Unlock()
+	s.ex.sendShipEOS(phase, err)
 }
 
 // shipConsumer collects results at the initiator, purging tainted rows on
@@ -485,8 +528,8 @@ type shipConsumer struct {
 	ex *executor
 
 	mu         sync.Mutex
-	rows       []Tup
-	cols       *tuple.Batch // columnar accumulator (non-provenance batches)
+	cols       *tuple.Batch // the collected answer
+	prov       []Prov       // provenance mode only: one set per row of cols
 	limit      int          // limit-only final pipeline: stop at N rows (-1: none)
 	sealed     bool         // accepted completion: drop late arrivals
 	eosFrom    map[uint32]map[ring.NodeID]bool
@@ -496,17 +539,16 @@ type shipConsumer struct {
 	completeCh chan uint32
 
 	// Top-K pushdown (shipTopK): one sorted run per source node, kept
-	// separate for the K-way merge at seal. A per-source shape degrade
-	// lands that source's rows in runsRows instead.
-	runsCols map[ring.NodeID]*tuple.Batch
-	runsRows map[ring.NodeID][]Tup
+	// separate for the K-way merge at seal.
+	runs map[ring.NodeID]*tuple.Batch
 
 	// Partial-agg pushdown (shipAggMerge): arriving partial rows fold
 	// straight into the merge accumulator — initiator memory is
 	// O(groups), not O(shipped partials).
-	agg        *finalAggAcc
-	aggScratch tuple.Row
-	aggRecv    int64 // partial rows folded (trace accounting)
+	agg *finalAggAcc
+
+	// failCh carries the first ship-path or sink failure to the run loop.
+	failCh chan error
 
 	// Streamed emission (shipStream with a sink): receive never blocks —
 	// it appends as before and nudges the drainer goroutine, which swaps
@@ -518,7 +560,6 @@ type shipConsumer struct {
 	stopDrain chan struct{}
 	drainDone chan struct{}
 	stopOnce  sync.Once
-	sinkFail  chan error
 	streamed  atomic.Int64
 	peak      int // high-water mark of rows buffered while streaming
 }
@@ -532,7 +573,17 @@ func newShipConsumer(ex *executor) *shipConsumer {
 		statsBy:    make(map[ring.NodeID]NodeStats),
 		firedPhase: make(map[uint32]bool),
 		completeCh: make(chan uint32, 16),
+		failCh:     make(chan error, 1),
 	}
+}
+
+// fail aborts the query with err; only the first failure is kept.
+func (s *shipConsumer) fail(err error) {
+	select {
+	case s.failCh <- err:
+	default:
+	}
+	s.ex.aborted.Store(true)
 }
 
 // startStream arms streamed emission: subsequent arrivals wake a drainer
@@ -544,7 +595,6 @@ func (s *shipConsumer) startStream(sink StreamSink, final []FinalOp) {
 	s.notify = make(chan struct{}, 1)
 	s.stopDrain = make(chan struct{})
 	s.drainDone = make(chan struct{})
-	s.sinkFail = make(chan error, 1)
 	go s.drainLoop()
 }
 
@@ -564,16 +614,12 @@ func (s *shipConsumer) stopStreaming() {
 	})
 }
 
-// sinkFailCh exposes the drainer's failure channel to the run loop (nil —
-// blocking forever in a select — when streaming is not armed).
-func (s *shipConsumer) sinkFailCh() <-chan error { return s.sinkFail }
-
 func (s *shipConsumer) notifyDrainLocked() {
 	if s.sink == nil {
 		return
 	}
-	if c := s.collectedLocked(); c > s.peak {
-		s.peak = c
+	if s.cols.N > s.peak {
+		s.peak = s.cols.N
 	}
 	select {
 	case s.notify <- struct{}{}:
@@ -581,12 +627,11 @@ func (s *shipConsumer) notifyDrainLocked() {
 	}
 }
 
-// drainLoop is the initiator-side drainer: it swaps the accumulated
-// rows/batch out under the lock (replacing the columnar accumulator with
-// a fresh arena batch) and emits them through the sink. Emission may
-// block on the consumer (wire credit); receive never does. Exits on a
-// sink error (recording it for the run loop) or after the final drain
-// once stopStreaming closed stopDrain.
+// drainLoop is the initiator-side drainer: it swaps the accumulated batch
+// out under the lock (replacing it with a fresh arena batch) and emits it
+// through the sink. Emission may block on the consumer (wire credit);
+// receive never does. Exits on a sink error (recording it for the run
+// loop) or after the final drain once stopStreaming closed stopDrain.
 func (s *shipConsumer) drainLoop() {
 	defer close(s.drainDone)
 	for {
@@ -601,22 +646,17 @@ func (s *shipConsumer) drainLoop() {
 		case <-s.stopDrain:
 			stopping = true
 		}
-		s.mu.Lock()
-		rows := s.rows
-		s.rows = nil
 		var cols *tuple.Batch
+		s.mu.Lock()
 		if s.cols.N > 0 {
-			cols = s.cols
-			s.cols = getResultBatch()
+			cols, s.cols = s.cols, getResultBatch()
 		}
 		s.mu.Unlock()
-		if err := s.emitChunk(rows, cols); err != nil {
-			select {
-			case s.sinkFail <- err:
-			default:
+		if cols != nil {
+			if err := s.emitChunk(cols); err != nil {
+				s.fail(err)
+				return
 			}
-			s.ex.aborted.Store(true)
-			return
 		}
 		if stopping {
 			return
@@ -626,52 +666,25 @@ func (s *shipConsumer) drainLoop() {
 
 // emitChunk pushes one drained chunk through the streaming final
 // pipeline and into the sink. The drained batch is recycled afterwards.
-func (s *shipConsumer) emitChunk(ts []Tup, cols *tuple.Batch) error {
-	if len(ts) > 0 {
-		rows := make([]tuple.Row, len(ts))
-		for i, t := range ts {
-			rows[i] = t.Row
-		}
-		rows = s.streamFin.applyRows(rows)
-		if len(rows) > 0 {
-			if err := s.sink.StreamRows(rows); err != nil {
-				return err
-			}
-			s.streamed.Add(int64(len(rows)))
-		}
-	}
-	if cols == nil {
-		return nil
-	}
+func (s *shipConsumer) emitChunk(cols *tuple.Batch) error {
 	defer RecycleResultBatch(cols)
-	b, rows, err := s.streamFin.applyCols(cols)
-	if err != nil {
+	b, err := s.streamFin.apply(cols)
+	if err != nil || b.N == 0 {
 		return err
 	}
-	switch {
-	case b != nil && b.N > 0:
-		if err := s.sink.StreamCols(b); err != nil {
-			return err
-		}
-		s.streamed.Add(int64(b.N))
-	case len(rows) > 0:
-		if err := s.sink.StreamRows(rows); err != nil {
-			return err
-		}
-		s.streamed.Add(int64(len(rows)))
+	if err := s.sink.StreamCols(b); err != nil {
+		return err
 	}
+	s.streamed.Add(int64(b.N))
 	return nil
 }
-
-// collectedLocked is the number of result rows gathered so far.
-func (s *shipConsumer) collectedLocked() int { return len(s.rows) + s.cols.N }
 
 // limitReachedLocked reports whether a pushed-down limit is satisfied:
 // with a limit-only final pipeline any N collected rows are a complete
 // answer (the collected set is duplicate-free by the scan contract), so
 // further shipments can be dropped and the query completed early.
 func (s *shipConsumer) limitReachedLocked() bool {
-	return s.limit >= 0 && s.collectedLocked() >= s.limit
+	return s.limit >= 0 && s.cols.N >= s.limit
 }
 
 // checkLimitLocked fires an early completion when the pushed-down limit
@@ -692,94 +705,77 @@ func (s *shipConsumer) checkLimitLocked() {
 	}
 }
 
-func (s *shipConsumer) receive(from ring.NodeID, ts []Tup) {
-	ts = s.ex.filterTainted(ts)
-	s.mu.Lock()
-	if s.sealed || s.limitReachedLocked() {
-		s.mu.Unlock()
-		return
-	}
-	switch s.ex.mode {
-	case shipTopK:
-		if s.runsRows == nil {
-			s.runsRows = make(map[ring.NodeID][]Tup)
+// dropTainted compacts b, and the provenance vector beside it (one set per
+// row), to the rows whose provenance avoids failed.
+func dropTainted(b *tuple.Batch, prov []Prov, failed Prov) []Prov {
+	keep := NewBitset(b.N)
+	kept := prov[:0]
+	for i, p := range prov {
+		if !p.Intersects(failed) {
+			keep.Set(i)
+			kept = append(kept, p)
 		}
-		s.runsRows[from] = append(s.runsRows[from], ts...)
-	case shipAggMerge:
-		s.foldAggLocked(ts)
-	default:
-		s.rows = append(s.rows, ts...)
-		s.checkLimitLocked()
-		s.notifyDrainLocked()
 	}
-	s.mu.Unlock()
+	if len(kept) < b.N {
+		b.CompactWords(keep)
+	}
+	return kept
 }
 
-// receiveCols folds a columnar batch into the accumulator — one bulk copy
-// per column vector, no per-row boxing. The batch is borrowed: the caller
-// keeps ownership and may reuse it after the call returns. In top-K mode
-// it instead appends onto from's sorted run (chunks of one run arrive in
-// order — per-link FIFO — so the run stays sorted); in partial-agg mode
-// the rows fold straight into the merge accumulator.
-func (s *shipConsumer) receiveCols(from ring.NodeID, b *tuple.Batch) {
-	if b.N == 0 {
-		return
-	}
+// receive folds one shipment into the collection — one bulk copy per
+// column vector, no per-row boxing. The batch and its provenance vector are
+// borrowed: the caller may reuse them after the call, and receive may
+// compact them in place (tainted rows are dropped on arrival, under the
+// same lock purge takes, so a shipment racing a recovery is filtered by
+// one or the other). In top-K mode the rows append onto from's sorted run
+// (chunks of one run arrive in order — per-link FIFO — so the run stays
+// sorted); in partial-agg mode they fold straight into the merge
+// accumulator. A shipment whose shape disagrees with what was collected
+// before is an error: the caller fails the query.
+func (s *shipConsumer) receive(from ring.NodeID, b *tuple.Batch, prov []Prov) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.sealed || s.limitReachedLocked() {
-		s.mu.Unlock()
-		return
+		return nil
+	}
+	if s.ex.opts.Provenance {
+		if len(prov) != b.N {
+			return fmt.Errorf("engine: %d provenance sets for %d rows", len(prov), b.N)
+		}
+		prov = dropTainted(b, prov, s.ex.failedProv())
+	}
+	if b.N == 0 {
+		return nil
 	}
 	switch s.ex.mode {
 	case shipTopK:
-		if s.runsCols == nil {
-			s.runsCols = make(map[ring.NodeID]*tuple.Batch)
+		if s.runs == nil {
+			s.runs = make(map[ring.NodeID]*tuple.Batch)
 		}
-		run := s.runsCols[from]
+		run := s.runs[from]
 		if run == nil {
 			run = getResultBatch()
-			s.runsCols[from] = run
+			s.runs[from] = run
 		}
-		if err := run.AppendBatchInto(b); err != nil {
-			s.mu.Unlock()
-			s.receive(from, tupsOfBatch(b)) // shape mismatch: degrade to rows
-			return
-		}
+		return run.AppendBatchInto(b)
 	case shipAggMerge:
-		for i := 0; i < b.N; i++ {
-			s.aggScratch = b.Row(i, s.aggScratch)
-			s.agg.add(s.aggScratch)
-		}
-		s.aggRecv += int64(b.N)
+		s.agg.addBatch(b)
 	default:
 		if err := s.cols.AppendBatchInto(b); err != nil {
-			s.mu.Unlock()
-			s.receive(from, tupsOfBatch(b)) // shape mismatch: degrade to rows
-			return
+			return err
 		}
+		s.prov = append(s.prov, prov...)
 		s.checkLimitLocked()
 		s.notifyDrainLocked()
 	}
-	s.mu.Unlock()
-}
-
-// foldAggLocked folds partial-aggregate tuples into the merge
-// accumulator (shipAggMerge). add copies group values out of the row, so
-// the tuples need not survive the call.
-func (s *shipConsumer) foldAggLocked(ts []Tup) {
-	for _, t := range ts {
-		s.agg.add(t.Row)
-	}
-	s.aggRecv += int64(len(ts))
+	return nil
 }
 
 // receiveWire handles an inbound ship payload (after the query-ID
-// header): phase, provenance flag, batch body. Non-provenance bodies
-// decode into a pooled scratch batch outside the consumer lock — decode
-// (including flate decompression) of concurrent fan-in from many nodes
-// must not serialize on s.mu — and then fold in with one locked
-// vector-wise append. Provenance bodies take the row path (each tuple
-// carries its own provenance set).
+// header). The body decodes into a pooled scratch batch outside the
+// consumer lock — decode (including flate decompression) of concurrent
+// fan-in from many nodes must not serialize on s.mu — and then folds in
+// with one locked vector-wise append.
 func (s *shipConsumer) receiveWire(from ring.NodeID, rest []byte) error {
 	if tr := s.ex.trace; tr != nil {
 		t0 := tr.SinceUs()
@@ -789,37 +785,22 @@ func (s *shipConsumer) receiveWire(from ring.NodeID, rest []byte) error {
 			s.ex.shipDecBytes.Add(int64(len(rest)))
 		}()
 	}
-	if len(rest) >= 5 && rest[4] == 0 {
-		scratch := getResultBatch()
-		_, err := tuple.DecodeBatchInto(rest[5:], scratch)
-		if err == nil {
-			s.receiveCols(from, scratch)
-			RecycleResultBatch(scratch)
-			return nil
-		}
-		RecycleResultBatch(scratch)
-		// Malformed body: fall through to the row decoder, which
-		// re-validates and reports the error.
-	}
-	ts, _, err := decodeTupBatch(rest)
+	scratch := getResultBatch()
+	defer RecycleResultBatch(scratch)
+	prov, err := decodeShipBatch(rest, scratch)
 	if err != nil {
 		return err
 	}
-	s.receive(from, ts)
-	return nil
+	return s.receive(from, scratch, prov)
 }
 
-// tupsOfBatch materializes a borrowed batch into owned tuples.
-func tupsOfBatch(b *tuple.Batch) []Tup {
-	rows := b.Rows()
-	ts := make([]Tup, len(rows))
-	for i, r := range rows {
-		ts[i] = Tup{Row: r}
+// eosFromNode records a fragment's completion of a wave. fragErr is the
+// failure the fragment reported with it, if any: its output is short, so
+// the query fails before the wave can count as complete.
+func (s *shipConsumer) eosFromNode(from ring.NodeID, phase uint32, st NodeStats, span *obs.Span, fragErr string) {
+	if fragErr != "" {
+		s.fail(&ShipError{Node: from, Err: errors.New(fragErr)})
 	}
-	return ts
-}
-
-func (s *shipConsumer) eosFromNode(from ring.NodeID, phase uint32, st NodeStats, span *obs.Span) {
 	s.mu.Lock()
 	m := s.eosFrom[phase]
 	if m == nil {
@@ -850,16 +831,11 @@ func (s *shipConsumer) remoteSpans() []*obs.Span {
 	return out
 }
 
-// purge drops tainted collected rows (recovery at the initiator).
+// purge drops tainted collected rows (recovery at the initiator; the
+// provenance vector is in step with cols whenever recovery can run).
 func (s *shipConsumer) purge(failed Prov) {
 	s.mu.Lock()
-	kept := s.rows[:0]
-	for _, t := range s.rows {
-		if !t.Prov.Intersects(failed) {
-			kept = append(kept, t)
-		}
-	}
-	s.rows = kept
+	s.prov = dropTainted(s.cols, s.prov, failed)
 	s.mu.Unlock()
 }
 
@@ -888,65 +864,35 @@ func (s *shipConsumer) completeLocked() {
 }
 
 // seal latches the consumer shut — late straggler shipments are dropped —
-// and returns the collected answer: the row tuples and the columnar
-// accumulator. Called exactly once, when the initiator accepts a
-// completion for the current phase.
-func (s *shipConsumer) seal() ([]Tup, *tuple.Batch) {
+// and returns the collected answer, which the caller owns from here on.
+// Top-K mode merge-truncates the per-source sorted runs to the top K (runs
+// are taken in snapshot member order, so tie-breaking is deterministic for
+// a given placement); partial-agg mode renders the incrementally merged
+// groups. Called exactly once, when the initiator accepts a completion for
+// the current phase.
+func (s *shipConsumer) seal() (*tuple.Batch, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sealed = true
-	return s.rows, s.cols
-}
-
-// sealTopK latches the consumer and merge-truncates the per-source
-// sorted runs to the top K. When every run stayed columnar it returns
-// the K-way merged batch (shaped like seal's columnar return); a
-// row-form or shape-degraded run falls back to concatenating everything
-// as rows — the full final pipeline re-sorts those, so correctness never
-// depends on the merge. Runs are iterated in snapshot member order so
-// tie-breaking is deterministic for a given placement.
-func (s *shipConsumer) sealTopK(keys []SortKey, k int) ([]Tup, *tuple.Batch) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sealed = true
-	members := s.ex.snapshot.Members()
-	if len(s.runsRows) == 0 {
-		runs := make([]*tuple.Batch, 0, len(s.runsCols))
-		for _, id := range members {
-			if b := s.runsCols[id]; b != nil {
+	switch s.ex.mode {
+	case shipTopK:
+		runs := make([]*tuple.Batch, 0, len(s.runs))
+		for _, id := range s.ex.snapshot.Members() {
+			if b := s.runs[id]; b != nil {
 				runs = append(runs, b)
 			}
 		}
+		keys, k := topKParams(s.ex.plan)
 		merged, err := mergeTruncateCols(runs, keys, k)
-		if err == nil {
-			for _, b := range runs {
-				RecycleResultBatch(b)
-			}
-			s.runsCols = nil
-			return nil, merged
+		for _, b := range runs {
+			RecycleResultBatch(b)
 		}
+		s.runs = nil
+		return merged, err
+	case shipAggMerge:
+		return s.agg.batch()
 	}
-	var ts []Tup
-	for _, id := range members {
-		ts = append(ts, s.runsRows[id]...)
-		if b := s.runsCols[id]; b != nil && b.N > 0 {
-			ts = append(ts, tupsOfBatch(b)...)
-		}
-	}
-	for _, b := range s.runsCols {
-		RecycleResultBatch(b)
-	}
-	s.runsCols = nil
-	return ts, s.cols
-}
-
-// sealAggMerge latches the consumer and emits the merged aggregate rows
-// accumulated incrementally from the fragments' partial states.
-func (s *shipConsumer) sealAggMerge() []tuple.Row {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sealed = true
-	return s.agg.rows()
+	return s.cols, nil
 }
 
 // streamedRows reports rows already emitted to the sink (0 when not

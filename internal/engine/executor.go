@@ -73,14 +73,6 @@ type Options struct {
 	Epoch tuple.Epoch
 	// MaxRestarts bounds RecoverRestart attempts (default 3).
 	MaxRestarts int
-	// ColumnarResult leaves the collected answer columnar: Result.Batch
-	// carries the column vectors accumulated at the initiator and
-	// Result.Rows stays nil — no per-row materialization. The serving
-	// path's hand-off; callers that want rows leave it off. Queries whose
-	// collection involved row-granular tuples (provenance mode, covering
-	// scans, aggregates demoting the final pipeline) return rows even when
-	// it is set.
-	ColumnarResult bool
 	// Trace, when non-nil, collects a span tree for this execution: the
 	// initiator attaches a per-node "fragment" span (scan passes, ship
 	// encode/decode, cache attribution) under the trace root, and the
@@ -93,7 +85,7 @@ type Options struct {
 	TraceID obs.TraceID
 	// Sink, when non-nil, receives result batches during execution for
 	// stream-eligible plans (no provenance, final pipeline of
-	// compute/limit only): Result.Rows/Batch stay nil and
+	// compute/limit only): Result.Batch stays empty and
 	// Result.Streamed counts the emitted rows. Ineligible plans ignore
 	// it and return the collected answer as usual. Initiator-only and
 	// never serialized. See StreamSink for the emission contract.
@@ -190,13 +182,10 @@ func (s *statsCounters) snapshot() NodeStats {
 
 // Result is a completed query's answer set and execution metadata.
 type Result struct {
-	// Rows is the final answer set (after initiator-side final operators).
-	// Nil when Batch carries the answer instead.
-	Rows []tuple.Row
-	// Batch is the columnar answer set, populated instead of Rows when
-	// Options.ColumnarResult was set and the whole collection stayed
-	// columnar. Its slabs may be returned to the arena with
-	// RecycleResultBatch once the caller is completely done with them.
+	// Batch is the final answer set (after initiator-side final operators;
+	// Batch.Rows() materializes it). Its slabs may be returned to the arena
+	// with RecycleResultBatch once the caller is completely done with them
+	// — unless the caller keeps the batch (see RecycleResultBatch).
 	Batch *tuple.Batch
 	// Stats maps each participating node to its work counters (the last
 	// report received from each).
@@ -208,8 +197,8 @@ type Result struct {
 	// Epoch is the snapshot epoch the query executed against.
 	Epoch tuple.Epoch
 	// Streamed counts rows emitted through Options.Sink during
-	// execution; when positive, Rows and Batch are nil — the whole
-	// answer went through the sink.
+	// execution; when positive, Batch is empty — the whole answer went
+	// through the sink.
 	Streamed int64
 	// StreamPeak is the high-water mark of result rows buffered at the
 	// initiator while streaming — the memory-bound observability hook
@@ -327,6 +316,11 @@ type executor struct {
 	failed    Prov       // accumulated failed snapshot-member indices
 	recoverMu sync.Mutex // serializes applyRecover invocations
 
+	// applied/appliedPhase are the table and phase applyRecover last
+	// caught up to (the snapshot and 0 until a recovery).
+	applied      *ring.Table
+	appliedPhase uint32
+
 	// aborted asks in-flight local work (scan passes) to stop early: set
 	// when the query is cancelled or its answer is already complete (a
 	// pushed-down limit was satisfied before the scans finished).
@@ -374,6 +368,7 @@ func newExecutor(eng *Engine, queryID uint64, plan *Plan, opts Options, epoch tu
 		snapshot:  snap,
 		selfIdx:   selfIdx,
 		table:     snap,
+		applied:   snap,
 		failed:    NewProv(snap.Size()),
 		scans:     make(map[int]*scanLeaf),
 		producers: make(map[int]*exchProducer),
@@ -502,39 +497,19 @@ func (ex *executor) filterAndStamp(ts []Tup) []Tup {
 	return kept
 }
 
-// filterTainted drops tainted tuples without stamping (initiator side).
-func (ex *executor) filterTainted(ts []Tup) []Tup {
+// loopbackTups prepares a rehash batch for loopback delivery. With
+// provenance, sender and receiver would otherwise share (and mutate) the
+// same bitsets, so they are deep-copied; without it the batch is handed
+// over as-is (senders never reuse pushed slices).
+func (ex *executor) loopbackTups(ts []Tup) []Tup {
 	if !ex.opts.Provenance {
 		return ts
 	}
-	failed := ex.failedProv()
-	kept := ts[:0]
-	for _, t := range ts {
-		if !t.Prov.Intersects(failed) {
-			kept = append(kept, t)
-		}
-	}
-	return kept
-}
-
-// cloneTups deep-copies provenance for loopback delivery, where sender and
-// receiver would otherwise share (and mutate) the same bitsets.
-func cloneTups(ts []Tup) []Tup {
 	out := make([]Tup, len(ts))
 	for i, t := range ts {
 		out[i] = Tup{Row: t.Row, Prov: t.Prov.Clone(), Phase: t.Phase}
 	}
 	return out
-}
-
-// loopbackTups prepares a batch for loopback delivery: without provenance
-// there are no shared bitsets to protect, so the batch is handed over
-// as-is (senders never reuse pushed slices).
-func (ex *executor) loopbackTups(ts []Tup) []Tup {
-	if !ex.opts.Provenance {
-		return ts
-	}
-	return cloneTups(ts)
 }
 
 // --- message sending ---
@@ -557,6 +532,7 @@ func (ex *executor) sendExchBatch(exchID int, dest ring.NodeID, ts []Tup) {
 	}
 	body, err := encodeTupBatch(ts, ex.phaseNow(), ex.opts.Provenance)
 	if err != nil {
+		ex.shipper.fail(err) // the fragment's EOS carries it to the initiator
 		return
 	}
 	payload := ex.header(nil)
@@ -626,47 +602,19 @@ func (ex *executor) broadcastScanDone(scanID int, phase uint32) {
 	}
 }
 
-// sendShipBatch delivers fragment output to the query initiator.
-func (ex *executor) sendShipBatch(ts []Tup) {
-	ex.stats.addShipped(len(ts))
-	if ex.initiator == ex.self() {
-		if ex.shipCons != nil {
-			ex.shipCons.receive(ex.self(), ex.loopbackTups(ts))
-		}
-		return
-	}
-	var encT0 int64
-	if ex.trace != nil {
-		encT0 = ex.trace.SinceUs()
-	}
-	body, err := encodeTupBatch(ts, ex.phaseNow(), ex.opts.Provenance)
-	if err != nil {
-		return
-	}
-	payload := ex.header(nil)
-	payload = append(payload, body...)
-	if ex.trace != nil {
-		ex.shipEncUs.Add(ex.trace.SinceUs() - encT0)
-		ex.shipEncBatches.Add(1)
-		ex.shipEncBytes.Add(int64(len(payload)))
-	}
-	ex.stats.addSentBytes(len(payload))
-	_ = ex.eng.node.Endpoint().Send(ex.initiator, msgShipBatch, payload)
-}
-
-// shipCompressMin mirrors the tuple batch codec's default compression
-// threshold for remote columnar ship bodies.
-const shipCompressMin = 256
-
-// sendShipCols delivers columnar fragment output to the query initiator.
-// The batch is borrowed: loopback appends it into the ship consumer's
-// accumulator, the remote path encodes it — either way the caller keeps
-// ownership after the call.
-func (ex *executor) sendShipCols(b *tuple.Batch) {
+// sendShip delivers fragment output to the query initiator. The batch and
+// its provenance vector (nil without provenance) are borrowed: loopback
+// appends them into the ship consumer's accumulator, the remote path
+// encodes them — either way the caller keeps ownership after the call. A
+// shipment that cannot be encoded or accepted fails the query: dropping
+// it would complete the wave with a short answer.
+func (ex *executor) sendShip(b *tuple.Batch, prov []Prov) {
 	ex.stats.addShipped(b.N)
 	if ex.initiator == ex.self() {
 		if ex.shipCons != nil {
-			ex.shipCons.receiveCols(ex.self(), b)
+			if err := ex.shipCons.receive(ex.self(), b, prov); err != nil {
+				ex.shipCons.fail(&ShipError{Node: ex.self(), Err: err})
+			}
 		}
 		return
 	}
@@ -674,11 +622,9 @@ func (ex *executor) sendShipCols(b *tuple.Batch) {
 	if ex.trace != nil {
 		encT0 = ex.trace.SinceUs()
 	}
-	payload := ex.header(nil)
-	payload = binary.BigEndian.AppendUint32(payload, ex.phaseNow())
-	payload = append(payload, 0) // no provenance column
-	payload, err := tuple.AppendBatchCols(payload, b, shipCompressMin)
+	payload, err := encodeShipBatch(ex.header(nil), b, prov, ex.phaseNow())
 	if err != nil {
+		ex.shipper.fail(err)
 		return
 	}
 	if ex.trace != nil {
@@ -691,20 +637,26 @@ func (ex *executor) sendShipCols(b *tuple.Batch) {
 }
 
 // sendShipEOS reports fragment completion for the given wave phase, along
-// with this node's work counters and (when tracing) the fragment's span
-// subtree, appended after the fixed-size stats block.
-func (ex *executor) sendShipEOS(phase uint32) {
+// with this node's work counters, the fragment's ship-path failure if it
+// had one, and (when tracing) the fragment's span subtree.
+func (ex *executor) sendShipEOS(phase uint32, fragErr error) {
 	st := ex.stats.snapshot()
 	ex.finishFragSpan(phase, st)
+	var failure string
+	if fragErr != nil {
+		failure = fragErr.Error()
+	}
 	if ex.initiator == ex.self() {
 		if ex.shipCons != nil {
-			ex.shipCons.eosFromNode(ex.self(), phase, st, nil)
+			ex.shipCons.eosFromNode(ex.self(), phase, st, nil, failure)
 		}
 		return
 	}
 	payload := ex.header(nil)
 	payload = binary.BigEndian.AppendUint32(payload, phase)
 	payload = encodeNodeStats(payload, st)
+	payload = binary.AppendUvarint(payload, uint64(len(failure)))
+	payload = append(payload, failure...)
 	if ex.trace != nil {
 		payload = ex.trace.EncodeRoot(payload)
 	}
@@ -906,9 +858,12 @@ func (e *Engine) registerHandlers() {
 			return nil, nil
 		}
 		ex.stats.addRecvBytes(len(payload))
-		// Non-provenance bodies decode straight into the consumer's
-		// columnar accumulator; provenance bodies take the row path.
-		return nil, ex.shipCons.receiveWire(from, rest)
+		// A one-way handler's error goes nowhere: a shipment that does
+		// not decode or fit the collection must fail the query here.
+		if err := ex.shipCons.receiveWire(from, rest); err != nil {
+			ex.shipCons.fail(&ShipError{Node: from, Err: err})
+		}
+		return nil, nil
 	})
 
 	ep.Handle(msgShipEOS, func(from ring.NodeID, payload []byte) ([]byte, error) {
@@ -928,6 +883,12 @@ func (e *Engine) registerHandlers() {
 		if err != nil {
 			return nil, err
 		}
+		l, n := binary.Uvarint(rem)
+		if n <= 0 || l > uint64(len(rem)-n) {
+			return nil, errors.New("engine: bad ship eos failure")
+		}
+		failure := string(rem[n : n+int(l)])
+		rem = rem[n+int(l):]
 		// A trailing span blob is the remote fragment's trace subtree; a
 		// decode failure only loses the trace, never the completion.
 		var span *obs.Span
@@ -937,7 +898,7 @@ func (e *Engine) registerHandlers() {
 			}
 		}
 		ex.stats.addRecvBytes(len(payload))
-		ex.shipCons.eosFromNode(from, phase, st, span)
+		ex.shipCons.eosFromNode(from, phase, st, span, failure)
 		return nil, nil
 	})
 
@@ -954,14 +915,15 @@ func (e *Engine) registerHandlers() {
 		if err != nil {
 			return nil, err
 		}
-		// Mark the failed members synchronously, on the delivery loop:
-		// per-link FIFO guarantees the directive precedes any recovery-
-		// phase traffic from its sender, and arrival-time taint filtering
+		// Advance synchronously, on the delivery loop: per-link FIFO
+		// guarantees the directive precedes any recovery-phase traffic
+		// from its sender, and arrival-time taint filtering
 		// (filterAndStamp, addWanted) must already see the failed bits
 		// when that traffic is processed. The heavyweight purge/replay/
 		// restart work runs off-loop.
-		ex.markFailed(dir.failedIdxs)
-		go ex.applyRecover(dir)
+		if ex.advance(dir) {
+			go ex.applyRecover()
+		}
 		return nil, nil
 	})
 
@@ -1326,131 +1288,59 @@ func (e *Engine) runOnce(ctx context.Context, p *Plan, opts Options, epoch tuple
 				}
 				return nil, &FailureError{Failed: allFailed}
 			}
-		case err := <-ex.shipCons.sinkFailCh():
+		case err := <-ex.shipCons.failCh:
 			return nil, err
 		case phase := <-ex.shipCons.completeCh:
 			if phase != ex.phaseNow() {
 				continue // stale completion from before a recovery
 			}
-			if ex.mode == shipStream && opts.Sink != nil {
-				// Join the drainer: it flushes whatever the last arrivals
-				// left in the accumulator before stopping, so totals are
-				// exact afterwards.
-				ex.shipCons.stopStreaming()
-				select {
-				case err := <-ex.shipCons.sinkFailCh():
-					return nil, err
-				default:
-				}
-				ex.attachInitiatorSpans()
-				res := &Result{
-					Stats:      ex.shipCons.nodeStats(),
-					Phases:     ex.phaseNow() + 1,
-					Epoch:      epoch,
-					Streamed:   ex.shipCons.streamedRows(),
-					StreamPeak: ex.shipCons.peakBuffered(),
-				}
-				if finalSpan := ex.trace.Begin("final"); finalSpan != nil {
-					finalSpan.Rows = res.Streamed
-					ex.trace.End(finalSpan)
-					ex.trace.Attach(nil, finalSpan)
-				}
-				return res, nil
+			// Join the drainer, if streaming: it flushes whatever the last
+			// arrivals left in the accumulator before stopping, so totals
+			// are exact afterwards. A failure that raced the completion
+			// still wins — the answer is short.
+			ex.shipCons.stopStreaming()
+			select {
+			case err := <-ex.shipCons.failCh:
+				return nil, err
+			default:
 			}
-			if ex.mode == shipAggMerge {
-				// The partials were folded on arrival; finish the merge and
-				// run the rest of the pipeline. Final[0] (the FinalAgg) is
-				// already applied — its partial layout no longer matches the
-				// merged rows, so re-applying it would be wrong.
-				rows := ex.shipCons.sealAggMerge()
-				ex.attachInitiatorSpans()
-				finalSpan := ex.trace.Begin("final")
-				final, err := applyFinalOps(p.Final[1:], rows)
-				if err != nil {
-					return nil, err
-				}
-				res := &Result{
-					Rows:   final,
-					Stats:  ex.shipCons.nodeStats(),
-					Phases: ex.phaseNow() + 1,
-					Epoch:  epoch,
-				}
-				if finalSpan != nil {
-					finalSpan.Rows = int64(len(final))
-					ex.trace.End(finalSpan)
-					ex.trace.Attach(nil, finalSpan)
-				}
-				return res, nil
-			}
-			var tups []Tup
-			var colsB *tuple.Batch
-			if ex.mode == shipTopK {
-				// Merge-truncate the per-fragment sorted runs down to the
-				// row budget, then let the generic assembly below re-apply
-				// the full final pipeline over the ≤K survivors (a sort of
-				// ≤K rows is cheap, and trailing ops stay correct).
-				keys, k := topKParams(p)
-				tups, colsB = ex.shipCons.sealTopK(keys, k)
-			} else {
-				tups, colsB = ex.shipCons.seal()
-			}
-			ex.attachInitiatorSpans()
-			finalSpan := ex.trace.Begin("final")
-			res := &Result{
-				Stats:  ex.shipCons.nodeStats(),
-				Phases: ex.phaseNow() + 1,
-				Epoch:  epoch,
-			}
-			if len(tups) == 0 {
-				// Pure columnar collection: run the batch-native final
-				// pipeline; no row is materialized unless an op demotes.
-				// (String contents alias kvstore record bytes, never the
-				// vectors themselves, so recycling a batch after copying
-				// its values out is safe.)
-				b, rows, err := applyFinalOpsCols(p.Final, colsB)
-				if err != nil {
-					return nil, err
-				}
-				if b != colsB {
-					RecycleResultBatch(colsB)
-				}
-				switch {
-				case b == nil:
-					res.Rows = rows // an op demoted the flow
-				case opts.ColumnarResult:
-					res.Batch = b
-				default:
-					res.Rows = b.Rows()
-					RecycleResultBatch(b)
-				}
-				if finalSpan != nil {
-					if b != nil {
-						finalSpan.Rows = int64(b.N)
-					} else {
-						finalSpan.Rows = int64(len(rows))
-					}
-					ex.trace.End(finalSpan)
-					ex.trace.Attach(nil, finalSpan)
-				}
-				return res, nil
-			}
-			// Mixed or row-granular collection (provenance mode, covering
-			// scans, replica fallbacks): materialize and run the row form.
-			rows := make([]tuple.Row, 0, len(tups)+colsB.N)
-			for _, t := range tups {
-				rows = append(rows, t.Row)
-			}
-			if colsB.N > 0 {
-				rows = append(rows, colsB.Rows()...)
-			}
-			RecycleResultBatch(colsB)
-			final, err := applyFinalOps(p.Final, rows)
+			collected, err := ex.shipCons.seal()
 			if err != nil {
 				return nil, err
 			}
-			res.Rows = final
+			ex.attachInitiatorSpans()
+			finalSpan := ex.trace.Begin("final")
+			ops := p.Final
+			if ex.mode == shipAggMerge {
+				// The partials were folded on arrival, which applied
+				// Final[0] (the FinalAgg); its partial layout no longer
+				// matches the merged rows, so re-applying it would be wrong.
+				// (Top-K re-applies the whole pipeline over the ≤K merged
+				// survivors: a sort of ≤K rows is cheap, and trailing ops
+				// stay correct. A streamed query's pipeline ran per chunk;
+				// what is left here is empty.)
+				ops = ops[1:]
+			}
+			b, err := applyFinalOps(ops, collected)
+			if b != collected {
+				// String contents alias kvstore record bytes, never the
+				// vectors themselves, so recycling a batch after copying
+				// its values out is safe.
+				RecycleResultBatch(collected)
+			}
+			if err != nil {
+				return nil, err
+			}
+			res := &Result{
+				Batch:      b,
+				Stats:      ex.shipCons.nodeStats(),
+				Phases:     ex.phaseNow() + 1,
+				Epoch:      epoch,
+				Streamed:   ex.shipCons.streamedRows(),
+				StreamPeak: ex.shipCons.peakBuffered(),
+			}
 			if finalSpan != nil {
-				finalSpan.Rows = int64(len(final))
+				finalSpan.Rows = int64(b.N) + res.Streamed
 				ex.trace.End(finalSpan)
 				ex.trace.Attach(nil, finalSpan)
 			}
@@ -1478,18 +1368,6 @@ func (ex *executor) attachInitiatorSpans() {
 			Bytes:   ex.shipDecBytes.Load(),
 		})
 	}
-}
-
-// markFailed records failed snapshot-member indices immediately, ahead of
-// the full recovery application (see the msgRecover handler).
-func (ex *executor) markFailed(idxs []int) {
-	ex.mu.Lock()
-	for _, idx := range idxs {
-		if idx >= 0 && idx < ex.snapshot.Size() {
-			ex.failed.Set(idx)
-		}
-	}
-	ex.mu.Unlock()
 }
 
 // handleFailure is invoked (from the engine's peer-down callback) on the

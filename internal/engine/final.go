@@ -10,121 +10,35 @@ import (
 
 // Initiator-side final processing (§V-B: "All data is ultimately collected
 // at the query initiator node, which may do final processing, such as the
-// last stage of aggregation, or a final sort"). Two forms exist: the row
-// pipeline (provenance mode and mixed collections) and the columnar
-// pipeline over the batch the ship consumer accumulated — sort runs as an
-// index permutation over the column vectors, limit is a truncation, and
-// compute evaluates into fresh vectors. Aggregation (and a compute whose
-// output types vary row to row) demotes to rows: its output is small and
-// type-heterogeneous by nature.
+// last stage of aggregation, or a final sort") runs over the batch the ship
+// consumer accumulated: sort is an index permutation over the column
+// vectors, limit is a truncation, compute and the aggregate merge evaluate
+// into fresh vectors.
 
-// applyFinalOps runs the final pipeline over collected rows.
-func applyFinalOps(ops []FinalOp, rows []tuple.Row) ([]tuple.Row, error) {
+// applyFinalOps runs the final pipeline over a collected answer. The
+// result is b itself (sorted or truncated in place) or a fresh batch.
+func applyFinalOps(ops []FinalOp, b *tuple.Batch) (*tuple.Batch, error) {
 	for _, op := range ops {
 		var err error
-		rows, err = applyFinalOpRows(op, rows)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return rows, nil
-}
-
-// applyFinalOpRows applies one final operator in row form.
-func applyFinalOpRows(op FinalOp, rows []tuple.Row) ([]tuple.Row, error) {
-	switch f := op.(type) {
-	case *FinalAgg:
-		return mergeFinal(f.GroupCols, f.Aggs, rows), nil
-	case *FinalSort:
-		sortRows(rows, f.Keys)
-		return rows, nil
-	case *FinalCompute:
-		fns := compileExprs(f.Exprs) // compiled once, applied per row
-		// One backing slab for every output row instead of a per-row
-		// allocation: the old make-per-row dominated compute-heavy finals.
-		width := len(fns)
-		slab := make(tuple.Row, len(rows)*width)
-		for i, row := range rows {
-			out := slab[i*width : (i+1)*width : (i+1)*width]
-			for j, fn := range fns {
-				out[j] = fn(row)
-			}
-			rows[i] = out
-		}
-		return rows, nil
-	case *FinalLimit:
-		if len(rows) > f.N {
-			rows = rows[:f.N]
-		}
-		return rows, nil
-	}
-	return nil, fmt.Errorf("engine: unknown final op %T", op)
-}
-
-// applyFinalOpsCols runs the final pipeline over a columnar answer. The
-// result is either a batch (still columnar) or rows (an op demoted the
-// flow); exactly one return is non-nil for a non-empty answer.
-func applyFinalOpsCols(ops []FinalOp, b *tuple.Batch) (*tuple.Batch, []tuple.Row, error) {
-	var rows []tuple.Row
-	demoted := false
-	for _, op := range ops {
-		if demoted {
-			var err error
-			rows, err = applyFinalOpRows(op, rows)
-			if err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
 		switch f := op.(type) {
 		case *FinalAgg:
-			rows = mergeFinalCols(f.GroupCols, f.Aggs, b)
-			demoted = true
+			b, err = mergeFinal(f.GroupCols, f.Aggs, b)
 		case *FinalSort:
 			sortCols(b, f.Keys)
 		case *FinalCompute:
-			nb, ok := computeCols(f.Exprs, b)
-			if ok {
-				b = nb
-				continue
-			}
-			// Heterogeneous output types: demote and re-apply in row form.
-			var err error
-			rows, err = applyFinalOpRows(op, b.Rows())
-			if err != nil {
-				return nil, nil, err
-			}
-			demoted = true
+			b, err = computeCols(f.Exprs, b)
 		case *FinalLimit:
 			if b.N > f.N {
 				b.Truncate(f.N)
 			}
 		default:
-			return nil, nil, fmt.Errorf("engine: unknown final op %T", op)
+			err = fmt.Errorf("engine: unknown final op %T", op)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
-	if demoted {
-		return nil, rows, nil
-	}
-	return b, nil, nil
-}
-
-// sortRows orders rows by the sort keys (stable, so equal keys preserve
-// arrival order for deterministic tests downstream of a prior sort).
-func sortRows(rows []tuple.Row, keys []SortKey) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		for _, k := range keys {
-			c := rows[i][k.Col].Cmp(rows[j][k.Col])
-			if c == 0 {
-				continue
-			}
-			if k.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
+	return b, nil
 }
 
 // sortCols stably orders the batch by the sort keys via an index
@@ -219,76 +133,36 @@ func cmpF64(a, b float64) int {
 }
 
 // computeCols evaluates compiled expressions over the batch into a fresh
-// columnar batch, reading input rows through one reused scratch row.
-// Output column types are fixed by the first row; expression results may
-// legally vary type row to row, in which case it reports !ok and the
-// caller demotes to the row form.
-func computeCols(exprs []Expr, b *tuple.Batch) (*tuple.Batch, bool) {
+// columnar batch, reading input rows through one reused scratch row. The
+// first row fixes the output column types; a later row whose expression
+// result changes type is an error naming the column — the wire codec
+// would reject that column one step later.
+func computeCols(exprs []Expr, b *tuple.Batch) (*tuple.Batch, error) {
 	fns := compileExprs(exprs)
 	out := &tuple.Batch{}
-	if b.N == 0 {
-		out.ResetTypes(nil)
-		return out, true
-	}
 	var scratch tuple.Row
-	scratch = b.Row(0, scratch)
-	types := make([]tuple.Type, len(fns))
-	first := make([]tuple.Value, len(fns))
-	for j, fn := range fns {
-		v := fn(scratch)
-		if !v.IsValid() {
-			return nil, false
-		}
-		types[j] = v.T
-		first[j] = v
-	}
-	out.ResetTypes(types)
-	out.Grow(b.N)
-	if err := out.AppendRow(first); err != nil {
-		return nil, false
-	}
-	for i := 1; i < b.N; i++ {
-		scratch = b.Row(i, scratch)
-		for j, fn := range fns {
-			v := fn(scratch)
-			if v.T != types[j] {
-				return nil, false
-			}
-			w := &out.Cols[j]
-			switch v.T {
-			case tuple.Int64:
-				w.I64 = append(w.I64, v.I64)
-			case tuple.Float64:
-				w.F64 = append(w.F64, v.F64)
-			case tuple.String:
-				w.Str = append(w.Str, v.Str)
-			}
-		}
-		out.N++
-	}
-	return out, true
-}
-
-// mergeFinalCols merges shipped partial aggregate rows straight off the
-// columnar collection, reading through one reused scratch row — no
-// per-input-row allocation before the (small) merged output.
-func mergeFinalCols(groupCols []int, specs []AggSpec, b *tuple.Batch) []tuple.Row {
-	acc := newFinalAggAcc(groupCols, specs)
-	var scratch tuple.Row
+	vals := make(tuple.Row, len(fns))
 	for i := 0; i < b.N; i++ {
 		scratch = b.Row(i, scratch)
-		acc.add(scratch)
+		for j, fn := range fns {
+			vals[j] = fn(scratch)
+		}
+		if err := out.AppendRow(vals); err != nil {
+			return nil, fmt.Errorf("engine: final compute, row %d: %w", i, err)
+		}
+		if i == 0 {
+			out.Grow(b.N) // types are fixed now; size the vectors once
+		}
 	}
-	return acc.rows()
+	return out, nil
 }
 
-// mergeFinal merges shipped partial rows at the initiator (FinalAgg).
-func mergeFinal(groupCols []int, specs []AggSpec, rows []tuple.Row) []tuple.Row {
+// mergeFinal merges shipped partial aggregate rows (FinalAgg) straight off
+// the columnar collection, reading through one reused scratch row.
+func mergeFinal(groupCols []int, specs []AggSpec, b *tuple.Batch) (*tuple.Batch, error) {
 	acc := newFinalAggAcc(groupCols, specs)
-	for _, row := range rows {
-		acc.add(row)
-	}
-	return acc.rows()
+	acc.addBatch(b)
+	return acc.batch()
 }
 
 // finalAggAcc accumulates the initiator-side merge of partial aggregate
@@ -298,6 +172,7 @@ type finalAggAcc struct {
 	groupCols []int
 	specs     []AggSpec
 	groups    map[string]*finalAggGroup
+	scratch   tuple.Row
 }
 
 type finalAggGroup struct {
@@ -307,6 +182,14 @@ type finalAggGroup struct {
 
 func newFinalAggAcc(groupCols []int, specs []AggSpec) *finalAggAcc {
 	return &finalAggAcc{groupCols: groupCols, specs: specs, groups: make(map[string]*finalAggGroup)}
+}
+
+// addBatch folds every row of b into the accumulator.
+func (a *finalAggAcc) addBatch(b *tuple.Batch) {
+	for i := 0; i < b.N; i++ {
+		a.scratch = b.Row(i, a.scratch)
+		a.add(a.scratch)
+	}
 }
 
 func (a *finalAggAcc) add(row tuple.Row) {
@@ -357,10 +240,14 @@ func (a *finalAggAcc) add(row tuple.Row) {
 	}
 }
 
-func (a *finalAggAcc) rows() []tuple.Row {
-	out := make([]tuple.Row, 0, len(a.groups))
+// batch renders the merged groups. The first group fixes the output column
+// types; a SUM that stayed integral in one group and went float in another
+// is an error, as for any type-varying column.
+func (a *finalAggAcc) batch() (*tuple.Batch, error) {
+	out := &tuple.Batch{}
+	var row tuple.Row
 	for _, g := range a.groups {
-		row := g.groupVals.Clone()
+		row = append(row[:0], g.groupVals...)
 		for i, spec := range a.specs {
 			switch spec.Func {
 			case AggCount:
@@ -379,7 +266,9 @@ func (a *finalAggAcc) rows() []tuple.Row {
 				}
 			}
 		}
-		out = append(out, row)
+		if err := out.AppendRow(row); err != nil {
+			return nil, fmt.Errorf("engine: final aggregate: %w", err)
+		}
 	}
-	return out
+	return out, nil
 }

@@ -5,13 +5,14 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"orchestra/internal/tuple"
 )
 
-// The columnar final pipeline (applyFinalOpsCols) must agree exactly with
-// the row pipeline (applyFinalOps) — including NaN ordering in sorts,
+// The final pipeline (applyFinalOps) must agree exactly with the
+// row-at-a-time reference (refFinalOps) — including NaN ordering in sorts,
 // integer preservation in aggregate merges, and limit truncation points.
 
 // valueKey renders a value for exact comparison: Value.Equal treats NaN
@@ -120,40 +121,44 @@ func randFinalOps(rng *rand.Rand, arity int) []FinalOp {
 	return ops
 }
 
-func TestFinalOpsBatchRowEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for round := 0; round < 300; round++ {
-		rows := randRows(rng, rng.Intn(60))
-		ops := randFinalOps(rng, 3)
-
-		wantRows, err := applyFinalOps(ops, cloneRows(rows))
-		if err != nil {
-			t.Fatalf("round %d: row path: %v", round, err)
-		}
-		b, gotDemoted, err := applyFinalOpsCols(ops, batchOfRows(t, rows))
-		if err != nil {
-			t.Fatalf("round %d: batch path: %v", round, err)
-		}
-		got := gotDemoted
-		if b != nil {
-			got = b.Rows()
-		}
-		wantK, gotK := rowKeys(wantRows), rowKeys(got)
-		if len(wantK) != len(gotK) {
-			t.Fatalf("round %d ops %v: row path %d rows, batch path %d", round, ops, len(wantK), len(gotK))
-		}
-		for i := range wantK {
-			if wantK[i] != gotK[i] {
-				t.Fatalf("round %d ops %v: row %d differs:\n row:   %s\n batch: %s", round, ops, i, wantK[i], gotK[i])
-			}
+// checkFinalOps runs ops through the batch pipeline and the reference and
+// compares bit-exact, in order or (for map-ordered aggregates) as sets.
+func checkFinalOps(t *testing.T, round int, ops []FinalOp, rows []tuple.Row, ordered bool) {
+	t.Helper()
+	want, err := refFinalOps(ops, cloneRows(rows))
+	if err != nil {
+		t.Fatalf("round %d: reference: %v", round, err)
+	}
+	b, err := applyFinalOps(ops, batchOfRows(t, rows))
+	if err != nil {
+		t.Fatalf("round %d ops %v: %v", round, ops, err)
+	}
+	wantK, gotK := rowKeys(want), rowKeys(b.Rows())
+	if !ordered {
+		sort.Strings(wantK)
+		sort.Strings(gotK)
+	}
+	if len(wantK) != len(gotK) {
+		t.Fatalf("round %d ops %v: reference %d rows, got %d", round, ops, len(wantK), len(gotK))
+	}
+	for i := range wantK {
+		if wantK[i] != gotK[i] {
+			t.Fatalf("round %d ops %v: row %d differs:\n want: %s\n got:  %s", round, ops, i, wantK[i], gotK[i])
 		}
 	}
 }
 
-// TestFinalAggBatchRowEquivalence feeds partial-layout aggregate rows
-// through both merge paths. Output order is map-iteration dependent, so
-// results compare as sorted sets.
-func TestFinalAggBatchRowEquivalence(t *testing.T) {
+func TestFinalOpsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 300; round++ {
+		checkFinalOps(t, round, randFinalOps(rng, 3), randRows(rng, rng.Intn(60)), true)
+	}
+}
+
+// TestFinalAggMatchesReference feeds partial-layout aggregate rows through
+// the merge. A round's sum column is integral or float throughout, as a
+// schema-typed column is.
+func TestFinalAggMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	specs := []AggSpec{
 		{Func: AggCount, Col: -1},
@@ -165,11 +170,11 @@ func TestFinalAggBatchRowEquivalence(t *testing.T) {
 	for round := 0; round < 100; round++ {
 		// Partial layout: group col, then count, sum, min, max, avg-sum,
 		// avg-count.
-		n := rng.Intn(50)
-		rows := make([]tuple.Row, n)
+		floatSum := round%3 == 0
+		rows := make([]tuple.Row, 1+rng.Intn(50))
 		for i := range rows {
 			sum := tuple.Value(tuple.I(int64(rng.Intn(100))))
-			if rng.Intn(3) == 0 {
+			if floatSum {
 				sum = tuple.F(rng.Float64() * 10)
 			}
 			rows[i] = tuple.Row{
@@ -182,64 +187,58 @@ func TestFinalAggBatchRowEquivalence(t *testing.T) {
 				tuple.I(int64(1 + rng.Intn(4))),
 			}
 		}
-		ops := []FinalOp{&FinalAgg{GroupCols: []int{0}, Aggs: specs}}
-		wantRows, err := applyFinalOps(ops, cloneRows(rows))
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The batch path demotes at the aggregate — mixed int/float sum
-		// columns additionally exercise the row fallback inside
-		// batchOfRows-incompatible shapes, so batch only the homogeneous
-		// rounds.
-		hom := true
-		for _, r := range rows {
-			if r[2].T != rows[0][2].T {
-				hom = false
-				break
-			}
-		}
-		if !hom || n == 0 {
-			continue
-		}
-		b, gotRows, err := applyFinalOpsCols(ops, batchOfRows(t, rows))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b != nil {
-			t.Fatalf("round %d: aggregate must demote to rows", round)
-		}
-		wantK, gotK := rowKeys(wantRows), rowKeys(gotRows)
-		sort.Strings(wantK)
-		sort.Strings(gotK)
-		if len(wantK) != len(gotK) {
-			t.Fatalf("round %d: %d vs %d groups", round, len(wantK), len(gotK))
-		}
-		for i := range wantK {
-			if wantK[i] != gotK[i] {
-				t.Fatalf("round %d: group %d differs:\n row:   %s\n batch: %s", round, i, wantK[i], gotK[i])
-			}
-		}
+		checkFinalOps(t, round, []FinalOp{&FinalAgg{GroupCols: []int{0}, Aggs: specs}}, rows, false)
 	}
 }
 
-// TestFinalComputeNoPerRowAlloc pins the FinalCompute slab optimization:
-// the row form must not allocate one slice per row.
+// funcExpr is a test-only expression, free to change result type by row.
+type funcExpr func(tuple.Row) tuple.Value
+
+func (f funcExpr) Eval(row tuple.Row) tuple.Value { return f(row) }
+func (f funcExpr) append(dst []byte) []byte       { return dst }
+func (f funcExpr) String() string                 { return "func" }
+
+// TestFinalComputeTypeChangeIsError pins the one case the batch pipeline
+// refuses: a computed column whose type changes mid-batch (the wire codec
+// would reject the column one step later), named by position.
+func TestFinalComputeTypeChangeIsError(t *testing.T) {
+	b := &tuple.Batch{}
+	for _, r := range []tuple.Row{{tuple.I(1), tuple.I(2)}, {tuple.I(3), tuple.I(0)}} {
+		if err := b.AppendRow(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mixed := funcExpr(func(row tuple.Row) tuple.Value {
+		if row[1].I64 == 0 {
+			return tuple.F(0)
+		}
+		return tuple.I(row[0].I64 / row[1].I64)
+	})
+	_, err := applyFinalOps([]FinalOp{&FinalCompute{Exprs: []Expr{Col{Idx: 0}, mixed}}}, b)
+	if err == nil || !strings.Contains(err.Error(), "column 1") {
+		t.Fatalf("type-changing compute: err = %v, want one naming column 1", err)
+	}
+}
+
+// TestFinalComputeNoPerRowAlloc pins FinalCompute's allocation shape: the
+// output vectors are sized once, never one allocation per row.
 func TestFinalComputeNoPerRowAlloc(t *testing.T) {
 	rows := make([]tuple.Row, 4096)
 	for i := range rows {
 		rows[i] = tuple.Row{tuple.I(int64(i)), tuple.F(float64(i))}
 	}
+	b := batchOfRows(t, rows)
 	ops := []FinalOp{&FinalCompute{Exprs: []Expr{
 		Col{Idx: 0},
 		Bin{Op: OpAdd, L: Col{Idx: 0}, R: Const{Val: tuple.I(7)}},
 	}}}
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := applyFinalOps(ops, rows); err != nil {
+		if _, err := applyFinalOps(ops, b); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// Compile closures + one slab; anything near len(rows) means the
-	// per-row make crept back in.
+	// Compile closures + the output vectors; anything near len(rows) means
+	// a per-row allocation crept in.
 	if allocs > 64 {
 		t.Fatalf("FinalCompute allocations per run = %.0f, want O(1), not O(rows)", allocs)
 	}

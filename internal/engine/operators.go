@@ -308,7 +308,13 @@ type aggOp struct {
 	dirty     map[string]bool // groups changed since the last emission
 	emitted   bool            // at least one end-of-stream emission happened
 	finished  bool
-	out       sink
+	// newest is the newest wave among the absorbed tuples. Senders that
+	// applied a recovery directive route by the recovery table at once, so
+	// a node still in the old phase can hold part of a group it is about
+	// to inherit; an old wave's end-of-stream must not emit that part as
+	// if it were the group (see eos).
+	newest uint32
+	out    sink
 }
 
 func newAggOp(groupCols []int, specs []AggSpec, mode AggMode, trackProv bool, curPhase func() uint32, out sink) *aggOp {
@@ -339,6 +345,9 @@ func (a *aggOp) push(ts []Tup) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for _, t := range ts {
+		if t.Phase > a.newest {
+			a.newest = t.Phase
+		}
 		gk := string(tuple.EncodeKey(t.Row, a.groupCols))
 		g := a.groups[gk]
 		if g == nil {
@@ -489,9 +498,11 @@ func (a *aggOp) emitMerged(g *aggGroup) Tup {
 
 func (a *aggOp) eos(phase uint32) {
 	a.mu.Lock()
-	if a.curPhase != nil && phase < a.curPhase() {
-		// Stale wave (see curPhase): forward the marker for bookkeeping
-		// but emit nothing; the current wave's end-of-stream will emit.
+	if phase < a.newest || (a.curPhase != nil && phase < a.curPhase()) {
+		// Stale wave (see curPhase), or one this node does not yet know to
+		// be stale but whose successor's tuples are already absorbed:
+		// forward the marker for bookkeeping but emit nothing; the newer
+		// wave's end-of-stream will emit.
 		a.mu.Unlock()
 		a.out.eos(phase)
 		return
@@ -522,9 +533,12 @@ func (a *aggOp) eos(phase uint32) {
 	} else {
 		// Complete mode, post-recovery completion: re-emit only the groups
 		// whose previous emission was invalidated (their sub-groups
-		// changed). The exchange partitioned on the grouping key guarantees
-		// a dirty group's earlier emission carried a tainted contributor
-		// and was purged downstream, so the full merge replaces it exactly.
+		// changed). A dirty group's earlier emission either carried a
+		// tainted contributor and was purged downstream, or never happened
+		// (the group was inherited from the failed node), so the full merge
+		// replaces it exactly. That holds because a wave only completes
+		// here with every contributor's output intact: see newest, and
+		// executor.advance for the senders' side.
 		for gk := range a.dirty {
 			if g := a.groups[gk]; g != nil && len(g.subs) > 0 {
 				out = append(out, a.emitMerged(g))
@@ -622,6 +636,3 @@ func (a *aggOp) recover(failed Prov) {
 	a.finished = false
 	a.mu.Unlock()
 }
-
-// mergeFinal (the initiator-side FinalAgg merge) lives in final.go as
-// finalAggAcc, shared by the row and columnar final pipelines.

@@ -48,12 +48,12 @@ func TestPartialAggRecoveryRegression(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		var total, scanned int64
-		for _, r := range res.Rows {
+		for _, r := range res.Batch.Rows() {
 			total += r[1].AsInt()
 		}
 		scanned = int64(res.TotalStats().Scanned)
 		t.Logf("trial %d: groups=%d total=%d scanned=%d phases=%d",
-			trial, len(res.Rows), total, scanned, res.Phases)
+			trial, res.Batch.N, total, scanned, res.Phases)
 		if total != 30000 {
 			t.Fatalf("trial %d: total=%d scanned=%d phases=%d", trial, total, scanned, res.Phases)
 		}

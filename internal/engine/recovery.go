@@ -100,8 +100,8 @@ func (ex *executor) initiateRecovery(failed ring.NodeID) error {
 	}
 	ex.mu.Unlock()
 
-	// Mark locally before any recovery traffic can possibly arrive back.
-	ex.markFailed(dir.failedIdxs)
+	// Advance locally before any recovery traffic can possibly arrive back.
+	ex.advance(dir)
 
 	payload := ex.header(nil)
 	body, err := encodeRecoverDirective(dir)
@@ -118,12 +118,40 @@ func (ex *executor) initiateRecovery(failed ring.NodeID) error {
 		}
 		_ = ex.eng.node.Endpoint().Send(id, msgRecover, payload)
 	}
-	ex.applyRecover(dir)
+	ex.applyRecover()
 	return nil
 }
 
+// advance installs a directive's routing table, phase and failed set in one
+// step, synchronously with the directive's receipt. The three must move
+// together: a node that filters by the failed set (dropping tainted
+// arrivals, skipping a dead index node's IDs) while still counting itself
+// in the old phase could complete the old wave without that data, and a
+// blocking aggregate would emit clean-looking but incomplete groups that no
+// downstream purge retracts. Once the phase has advanced the old wave can
+// no longer complete here, and this node's producers stop announcing its
+// end-of-stream to others (exchProducer.eos). Reports whether the
+// directive was news.
+func (ex *executor) advance(dir recoverDirective) bool {
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	if dir.newPhase <= ex.phase {
+		return false // duplicate or out of date: failed sets are cumulative,
+		// so the newer directive subsumed this one
+	}
+	ex.table = dir.newTable
+	ex.phase = dir.newPhase
+	for _, idx := range dir.failedIdxs {
+		if idx >= 0 && idx < ex.snapshot.Size() {
+			ex.failed.Set(idx)
+		}
+	}
+	return true
+}
+
 // applyRecover performs the local portion of incremental recomputation
-// (§V-D stages 2-4) on every live node:
+// (§V-D stages 2-4) on every live node, for whatever advance installed since
+// the last application:
 //
 //  2. Drop all intermediate results dependent on data from the failed
 //     nodes: purge tainted tuples from join build tables, drop tainted
@@ -134,24 +162,21 @@ func (ex *executor) initiateRecovery(failed ring.NodeID) error {
 //  4. Re-create data that was sent to the failed nodes' ranges: replay the
 //     exchange output caches for tuples whose destination died, routed by
 //     the recovery table and tagged with the new phase.
-func (ex *executor) applyRecover(dir recoverDirective) {
+func (ex *executor) applyRecover() {
 	// Serialize whole recovery applications: directives dispatched on
-	// separate goroutines must not interleave their purge/replay stages.
+	// separate goroutines must not interleave their purge/replay stages,
+	// and one that runs late catches up from the last applied table to
+	// the current one in a single step.
 	ex.recoverMu.Lock()
 	defer ex.recoverMu.Unlock()
 
 	ex.mu.Lock()
-	if dir.newPhase <= ex.phase {
+	if ex.phase == ex.appliedPhase {
 		ex.mu.Unlock()
-		return // duplicate or out-of-date directive (failed sets are
-		// cumulative, so the newer directive subsumes this one)
+		return // a concurrent application already caught up to this phase
 	}
-	prevTable := ex.table
-	ex.table = dir.newTable
-	ex.phase = dir.newPhase
-	for _, idx := range dir.failedIdxs {
-		ex.failed.Set(idx)
-	}
+	prevTable, newTable := ex.applied, ex.table
+	ex.applied, ex.appliedPhase = ex.table, ex.phase
 	failed := ex.failed.Clone()
 	newPhase := ex.phase
 	ex.mu.Unlock()
@@ -169,14 +194,14 @@ func (ex *executor) applyRecover(dir recoverDirective) {
 
 	// Stage 4: replay cached exchange output bound for failed nodes.
 	for _, prod := range ex.producers {
-		prod.replay(failed, dir.newTable, newPhase)
+		prod.replay(failed, newTable, newPhase)
 	}
 
 	// Stage 3: restart leaf-level operations for the inherited ranges. A
 	// range is inherited if this node owns it now but did not before.
 	self := ex.self()
 	var inherited []ring.Range
-	for _, mv := range ring.Diff(prevTable, dir.newTable) {
+	for _, mv := range ring.Diff(prevTable, newTable) {
 		if mv.To == self {
 			inherited = append(inherited, mv.Range)
 		}

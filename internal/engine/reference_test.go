@@ -16,7 +16,102 @@ func refEval(p *Plan, data map[string][]tuple.Row, schemas map[string]*tuple.Sch
 	if err != nil {
 		return nil, err
 	}
-	return applyFinalOps(p.Final, rows)
+	return refFinalOps(p.Final, rows)
+}
+
+// refFinalOps is the row-at-a-time final pipeline the batch one
+// (applyFinalOps) is checked against: Value.Cmp stable sorts, Expr.Eval
+// computes, a slice limit, and refMergeFinal for the partial-agg merge.
+func refFinalOps(ops []FinalOp, rows []tuple.Row) ([]tuple.Row, error) {
+	for _, op := range ops {
+		switch f := op.(type) {
+		case *FinalAgg:
+			rows = refMergeFinal(f.GroupCols, f.Aggs, rows)
+		case *FinalSort:
+			sort.SliceStable(rows, func(i, j int) bool {
+				for _, k := range f.Keys {
+					if c := rows[i][k.Col].Cmp(rows[j][k.Col]); c != 0 {
+						return (c < 0) != k.Desc
+					}
+				}
+				return false
+			})
+		case *FinalCompute:
+			out := make([]tuple.Row, len(rows))
+			for i, row := range rows {
+				for _, e := range f.Exprs {
+					out[i] = append(out[i], e.Eval(row))
+				}
+			}
+			rows = out
+		case *FinalLimit:
+			if len(rows) > f.N {
+				rows = rows[:f.N]
+			}
+		default:
+			return nil, fmt.Errorf("ref: unknown final op %T", op)
+		}
+	}
+	return rows, nil
+}
+
+// refMergeFinal merges partial-layout aggregate rows (group columns, then
+// one column per spec, two — sum, count — for AVG) into complete ones.
+func refMergeFinal(groupCols []int, specs []AggSpec, rows []tuple.Row) []tuple.Row {
+	byGroup := make(map[string][]tuple.Row)
+	var order []string
+	for _, row := range rows {
+		gk := string(tuple.EncodeKey(row, groupCols))
+		if byGroup[gk] == nil {
+			order = append(order, gk)
+		}
+		byGroup[gk] = append(byGroup[gk], row)
+	}
+	var out []tuple.Row
+	for _, gk := range order {
+		part := byGroup[gk]
+		row := part[0].Project(groupCols)
+		col := len(groupCols)
+		for _, spec := range specs {
+			var isum, n int64
+			var fsum float64
+			allInt := true
+			best := part[0][col]
+			for _, r := range part {
+				v := r[col]
+				if v.T == tuple.Int64 {
+					isum += v.I64
+				} else {
+					allInt = false
+				}
+				fsum += v.AsFloat()
+				if (spec.Func == AggMin && v.Cmp(best) < 0) || (spec.Func == AggMax && v.Cmp(best) > 0) {
+					best = v
+				}
+				if spec.Func == AggAvg {
+					n += r[col+1].AsInt()
+				}
+			}
+			switch spec.Func {
+			case AggCount:
+				row = append(row, tuple.I(isum))
+			case AggSum:
+				if allInt {
+					row = append(row, tuple.I(isum))
+				} else {
+					row = append(row, tuple.F(fsum))
+				}
+			case AggMin, AggMax:
+				row = append(row, best)
+			case AggAvg:
+				row = append(row, tuple.F(fsum/float64(n)))
+				col++
+			}
+			col++
+		}
+		out = append(out, row)
+	}
+	return out
 }
 
 func refNode(n Node, data map[string][]tuple.Row, schemas map[string]*tuple.Schema) ([]tuple.Row, error) {

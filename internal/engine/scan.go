@@ -570,7 +570,6 @@ func (l *scanLeaf) batchFor(phase uint32, colTypes []tuple.Type) *colBatch {
 		l.scratch.cols.ResetTypes(colTypes)
 	}
 	l.scratch.phase = phase
-	l.scratch.prov = nil
 	return l.scratch
 }
 

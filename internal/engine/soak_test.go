@@ -42,9 +42,9 @@ func TestSoakIncrementalRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !rowsEqual(res.Rows, want) {
+		if !rowsEqual(res.Batch.Rows(), want) {
 			t.Fatalf("iter %d (victim %s, phases %d): %s",
-				i, victim, res.Phases, diffSummary(res.Rows, want))
+				i, victim, res.Phases, diffSummary(res.Batch.Rows(), want))
 		}
 	}
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"orchestra/internal/ring"
@@ -33,16 +32,14 @@ import (
 // queries at the cluster layer) stays on the collected path, unchanged.
 
 // StreamSink receives result batches during execution at the initiator.
-// Emitted rows and batches are borrowed: valid only for the duration of
-// the call, never mutated by the callee. Calls are serialized (one
-// drainer goroutine). A sink error aborts the query; implementations
-// must return promptly once their consumer is gone (the serving path's
-// sink is bounded by the request context).
+// Emitted batches are borrowed: valid only for the duration of the call,
+// never mutated by the callee. Calls are serialized (one drainer
+// goroutine). A sink error aborts the query; implementations must return
+// promptly once their consumer is gone (the serving path's sink is
+// bounded by the request context).
 type StreamSink interface {
-	// StreamCols hands over a columnar chunk of the answer.
+	// StreamCols hands over a chunk of the answer.
 	StreamCols(b *tuple.Batch) error
-	// StreamRows hands over a row-form chunk of the answer.
-	StreamRows(rows []tuple.Row) error
 }
 
 // shipMode classifies how fragment output flows to the initiator.
@@ -180,26 +177,17 @@ func newStreamFinalState(ops []FinalOp) *streamFinalState {
 	return st
 }
 
-// applyCols runs the pipeline over one columnar chunk. Exactly one of
-// the returns is non-nil for a non-empty survivor set; a heterogeneous
-// compute demotes the rest of the pipeline to row form for this chunk.
-func (st *streamFinalState) applyCols(b *tuple.Batch) (*tuple.Batch, []tuple.Row, error) {
-	var rows []tuple.Row
-	demoted := false
+// apply runs the pipeline over one chunk, returning the survivors: b
+// itself (truncated in place) or a fresh batch when a compute ran.
+func (st *streamFinalState) apply(b *tuple.Batch) (*tuple.Batch, error) {
 	for i := range st.stages {
 		s := &st.stages[i]
-		if demoted {
-			rows = st.applyRowStage(s, rows)
-			continue
-		}
 		if s.exprs != nil {
-			nb, ok := computeCols(s.exprs, b)
-			if ok {
-				b = nb
-				continue
+			nb, err := computeCols(s.exprs, b)
+			if err != nil {
+				return nil, err
 			}
-			rows = st.applyRowStage(s, b.Rows())
-			demoted = true
+			b = nb
 			continue
 		}
 		if s.remaining <= 0 {
@@ -209,55 +197,7 @@ func (st *streamFinalState) applyCols(b *tuple.Batch) (*tuple.Batch, []tuple.Row
 		}
 		s.remaining -= b.N
 	}
-	if demoted {
-		return nil, rows, nil
-	}
-	return b, nil, nil
-}
-
-// applyRows runs the pipeline over one row-form chunk.
-func (st *streamFinalState) applyRows(rows []tuple.Row) []tuple.Row {
-	for i := range st.stages {
-		rows = st.applyRowStage(&st.stages[i], rows)
-	}
-	return rows
-}
-
-func (st *streamFinalState) applyRowStage(s *streamStage, rows []tuple.Row) []tuple.Row {
-	if s.exprs != nil {
-		out, err := applyFinalOpRows(&FinalCompute{Exprs: s.exprs}, rows)
-		if err != nil {
-			return nil
-		}
-		return out
-	}
-	if s.remaining <= 0 {
-		rows = rows[:0]
-	} else if len(rows) > s.remaining {
-		rows = rows[:s.remaining]
-	}
-	s.remaining -= len(rows)
-	return rows
-}
-
-// --- fragment-side top-K helpers ---
-
-// sortTups stably orders tuples by the sort keys (Value.Cmp ordering,
-// matching sortRows).
-func sortTups(ts []Tup, keys []SortKey) {
-	sort.SliceStable(ts, func(i, j int) bool {
-		for _, k := range keys {
-			c := ts[i].Row[k.Col].Cmp(ts[j].Row[k.Col])
-			if c == 0 {
-				continue
-			}
-			if k.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
+	return b, nil
 }
 
 // --- initiator-side K-way merge (shipTopK mode) ---
@@ -293,8 +233,8 @@ func cmpBatchRows(a *tuple.Batch, i int, b *tuple.Batch, j int, keys []SortKey) 
 // after k rows — the initiator's half of the top-K pushdown. Ties break
 // by run order (stable across runs, matching a stable sort of the
 // concatenation). The result is a fresh arena batch; the runs are left
-// intact for the caller to recycle. Returns an error on shape mismatch
-// or out-of-range key columns so the caller can degrade to the row path.
+// intact for the caller to recycle. A shape mismatch between runs or an
+// out-of-range key column is an error that fails the query.
 func mergeTruncateCols(runs []*tuple.Batch, keys []SortKey, k int) (*tuple.Batch, error) {
 	live := runs[:0:0]
 	for _, b := range runs {

@@ -112,26 +112,21 @@ func multisetSubset(sub, super []tuple.Row) bool {
 	return true
 }
 
-// captureSink is a StreamSink that deep-copies every chunk (the engine's
-// emission contract only lends the rows for the duration of the call).
+// captureSink is a StreamSink that copies every chunk out (the engine's
+// emission contract only lends the batch for the duration of the call).
 type captureSink struct {
 	mu    sync.Mutex
 	rows  []tuple.Row
 	calls int
 }
 
-func (c *captureSink) add(rows []tuple.Row) error {
+func (c *captureSink) StreamCols(b *tuple.Batch) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.calls++
-	for _, r := range rows {
-		c.rows = append(c.rows, append(tuple.Row(nil), r...))
-	}
+	c.rows = append(c.rows, b.Rows()...) // Rows copies out of the batch
 	return nil
 }
-
-func (c *captureSink) StreamRows(rows []tuple.Row) error { return c.add(rows) }
-func (c *captureSink) StreamCols(b *tuple.Batch) error   { return c.add(b.Rows()) }
 
 func (c *captureSink) snapshot() (rows []tuple.Row, calls int) {
 	c.mu.Lock()
@@ -251,7 +246,7 @@ func TestStreamDiffRandomPlans(t *testing.T) {
 				if err != nil {
 					t.Fatalf("reference run: %v", err)
 				}
-				ref := refRes.Rows
+				ref := refRes.Batch.Rows()
 
 				sink := &captureSink{}
 				res, err := h.engines[0].Run(h.ctx(), p, Options{Sink: sink})
@@ -259,10 +254,10 @@ func TestStreamDiffRandomPlans(t *testing.T) {
 					t.Fatalf("pushdown run: %v", err)
 				}
 
-				got := res.Rows
+				got := res.Batch.Rows()
 				if tc.mode == shipStream {
-					if res.Rows != nil {
-						t.Fatalf("streamed run returned collected rows (%d)", len(res.Rows))
+					if res.Batch.N != 0 {
+						t.Fatalf("streamed run returned collected rows (%d)", res.Batch.N)
 					}
 					captured, _ := sink.snapshot()
 					if res.Streamed != int64(len(captured)) {
@@ -289,7 +284,7 @@ func TestStreamDiffRandomPlans(t *testing.T) {
 					if err != nil {
 						t.Fatalf("full run: %v", err)
 					}
-					if !multisetSubset(got, fullRes.Rows) {
+					if !multisetSubset(got, fullRes.Batch.Rows()) {
 						t.Fatalf("pushdown emitted rows outside the full answer")
 					}
 				case "topk-int", "sort":
@@ -332,8 +327,8 @@ func TestStreamTopKShipsAtMostKPerFragment(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if len(res.Rows) != k {
-		t.Fatalf("got %d rows, want %d", len(res.Rows), k)
+	if res.Batch.N != k {
+		t.Fatalf("got %d rows, want %d", res.Batch.N, k)
 	}
 	members := uint64(len(h.local.Nodes()))
 	if shipped := res.TotalStats().Shipped; shipped > members*k {
@@ -349,7 +344,7 @@ func TestStreamTopKShipsAtMostKPerFragment(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
-	gk, rk := rowKeys(res.Rows), rowKeys(ref.Rows)
+	gk, rk := rowKeys(res.Batch.Rows()), rowKeys(ref.Batch.Rows())
 	for i := range gk {
 		if gk[i] != rk[i] {
 			t.Fatalf("row %d: got %s, want %s", i, gk[i], rk[i])
@@ -405,7 +400,6 @@ func (f *faultSink) note() error {
 	return nil
 }
 
-func (f *faultSink) StreamRows([]tuple.Row) error  { return f.note() }
 func (f *faultSink) StreamCols(*tuple.Batch) error { return f.note() }
 
 // A node failure after rows have streamed is terminal: the engine must

@@ -100,10 +100,10 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("query over TCP: %v", err)
 	}
-	if len(res.Rows) != 200 {
-		t.Fatalf("got %d join rows, want 200", len(res.Rows))
+	if res.Batch.N != 200 {
+		t.Fatalf("got %d join rows, want 200", res.Batch.N)
 	}
-	for _, r := range res.Rows {
+	for _, r := range res.Batch.Rows() {
 		if r[1].AsInt() != r[2].AsInt() || r[3].AsInt() != r[1].AsInt()*100 {
 			t.Fatalf("bad join row %v", r)
 		}

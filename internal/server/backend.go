@@ -52,17 +52,15 @@ type BackendInfo struct {
 // ResultStream is the one hand-off for a query's answer, from whatever
 // produces it — the engine's ship consumer during execution, a collected
 // result, a view-cache entry — to the frame writer: the column shape
-// once, then zero or more chunks in either form. The server's
-// implementation sends the schema frame ahead of the first chunk,
-// re-chunks to the wire's size bounds and applies flow-control
-// backpressure, so producers may emit chunks of any size, as soon as they
-// have them. Chunks are borrowed: not mutated by the stream, and not
-// retained past the call except for rows, which stay referenced until
-// their frame is cut and so must not be mutated afterwards.
+// once, then zero or more batches. The server's implementation sends the
+// schema frame ahead of the first chunk, re-chunks to the wire's size
+// bounds and applies flow-control backpressure, so producers may emit
+// batches of any size, as soon as they have them. Batches are borrowed:
+// not mutated by the stream and not retained past the call.
 type ResultStream interface {
 	// Columns announces the output column names, before any chunk.
 	Columns(cols []string)
-	// StreamCols and StreamRows emit a chunk of the answer.
+	// StreamCols emits a chunk of the answer.
 	engine.StreamSink
 }
 
@@ -89,12 +87,11 @@ type QueryTail struct {
 // shared by both backends: announce the columns, hand out to the engine
 // as its sink when the plan streams during execution (mayStream lets a
 // caller that needs the whole answer — to cache it — forbid that), run,
-// and emit a collected answer afterwards, columnar where the engine kept
-// it so. The collected answer stays attached to the returned result; the
-// caller passes res.Batch to engine.RecycleResultBatch once done with it.
+// and emit a collected answer afterwards. The collected answer stays
+// attached to the returned result; a caller that does not keep res.Batch
+// passes it to engine.RecycleResultBatch once done with it.
 func RunQuery(ctx context.Context, eng *engine.Engine, plan *engine.Plan, opts engine.Options, cols []string, mayStream bool, out ResultStream) (*engine.Result, error) {
 	out.Columns(cols)
-	opts.ColumnarResult = true
 	if mayStream && engine.StreamEligible(plan, opts) {
 		opts.Sink = out
 	}
@@ -104,12 +101,7 @@ func RunQuery(ctx context.Context, eng *engine.Engine, plan *engine.Plan, opts e
 		// emission): the error End frame invalidates them for the client.
 		return nil, err
 	}
-	if res.Batch != nil {
-		err = out.StreamCols(res.Batch)
-	} else if len(res.Rows) > 0 {
-		err = out.StreamRows(res.Rows)
-	}
-	if err != nil {
+	if err := out.StreamCols(res.Batch); err != nil {
 		engine.RecycleResultBatch(res.Batch)
 		return nil, err
 	}

@@ -45,7 +45,7 @@ func (b *stubBackend) QueryStream(ctx context.Context, req *QueryRequest, out Re
 		}
 	}
 	out.Columns([]string{"one"})
-	if err := out.StreamRows([]tuple.Row{{tuple.I(1)}}); err != nil {
+	if err := out.StreamCols(batchOf(tuple.Row{tuple.I(1)})); err != nil {
 		return nil, err
 	}
 	return &QueryTail{Epoch: 3}, nil

@@ -363,7 +363,7 @@ type streamWriter struct {
 	rows    int64
 	batches int
 
-	// Time spent inside StreamRows/StreamCols, for the stream.write span:
+	// Time spent inside StreamCols, for the stream.write span:
 	// a sum over calls (they interleave with execution on the streamed
 	// path), with the first call's start as the span's origin.
 	writeStart time.Time
@@ -381,16 +381,13 @@ type streamWriter struct {
 	// for latency accounting.
 	onFirst func()
 
-	pending  []tuple.Row  // rows accumulated toward the next batch frame
-	pendSize int          // size hint of pending (rows or columnar)
-	sig      []tuple.Type // type signature of pending content
-	sigFixed int          // bytes per row when sig has no strings (else 0)
-
-	// pendCols stages columnar batches toward the next frame (the
-	// StreamCols path); at most one of pending/pendCols is non-empty. slice
-	// is the scratch view used to carve spans off inbound batches.
+	// pendCols stages rows toward the next batch frame; slice is the
+	// scratch view used to carve spans off inbound batches.
 	pendCols *tuple.Batch
 	slice    tuple.Batch
+	pendSize int          // size hint of pendCols
+	sig      []tuple.Type // type signature of pendCols
+	sigFixed int          // bytes per row when sig has no strings (else 0)
 }
 
 func newStreamWriter(ctx context.Context, sess *session, id uint64, window int) *streamWriter {
@@ -455,87 +452,15 @@ func (w *streamWriter) timeWrite(t0 time.Time) {
 	w.writeDur += time.Since(t0)
 }
 
-// StreamRows implements ResultStream: stages rows for emission. Rows are
-// referenced until their frame is cut, not copied — callers must not
-// mutate them afterwards. This is the path of answers that exist as rows
-// (view-cache hits, provenance results).
-//
-// Rows are staged span-wise, not one at a time: the writer finds the
-// longest run matching the pending batch's type signature and budget and
-// appends it in one copy. For fixed-width signatures (no string columns)
-// the per-row size hint collapses to a multiplication, so handing a whole
-// engine batch to the frame encoder costs one signature scan per span.
-func (w *streamWriter) StreamRows(rows []tuple.Row) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	defer w.timeWrite(time.Now())
-	if err := w.begin(); err != nil {
-		return err
-	}
-	if w.pendCols != nil && w.pendCols.N > 0 {
-		// Mode switch mid-stream: cut the staged columnar batch first.
-		if err := w.flushCols(); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < len(rows); {
-		if len(w.pending) == 0 {
-			w.setSig(rows[i]) // first row of a batch defines its signature
-		}
-		j := i
-		budget := w.targetBytes - w.pendSize
-		roomRows := maxStreamBatchRows - len(w.pending)
-		if fixed := w.sigFixed; fixed > 0 {
-			// The row that crosses the target still goes into the batch,
-			// mirroring the append-then-check cut of the variable path.
-			n := budget/fixed + 1
-			if n > roomRows {
-				n = roomRows
-			}
-			for j < len(rows) && j-i < n && w.sigMatches(rows[j]) {
-				j++
-			}
-			w.pendSize += (j - i) * fixed
-		} else {
-			for j < len(rows) && budget > 0 && j-i < roomRows && w.sigMatches(rows[j]) {
-				h := tuple.RowSizeHint(rows[j])
-				w.pendSize += h
-				budget -= h
-				j++
-			}
-		}
-		w.pending = append(w.pending, rows[i:j]...)
-		moved := j > i
-		i = j
-		if w.pendSize >= w.targetBytes || len(w.pending) >= maxStreamBatchRows ||
-			(i < len(rows) && (!moved || !w.sigMatches(rows[i]))) {
-			if err := w.flush(); err != nil {
-				return err
-			}
-		}
-	}
-	// The opening frame is cut at the first emission boundary rather than
-	// held for a full target-size batch: time-to-first-byte matters more
-	// than frame efficiency for the first frame, and a streamed backend's
-	// first chunk may otherwise sit staged while the scan fills the target.
-	// Steady-state frames keep the targetBytes/maxStreamBatchRows cut.
-	if w.batches == 0 && len(w.pending) > 0 {
-		return w.flush()
-	}
-	return nil
-}
-
 // stagingBatchPool recycles the columnar staging buffers across streams.
 var stagingBatchPool = sync.Pool{New: func() any { return &tuple.Batch{} }}
 
-// StreamCols implements ResultStream: stages a columnar batch for
-// emission, carving frame-sized spans straight off the column vectors —
-// no row is materialized anywhere on this path. The cut arithmetic
-// mirrors StreamRows' exactly, so identical row content produces
-// byte-identical frames on either path (asserted by
-// TestStreamFramesRowVsBatchIdentical). The batch is borrowed: the caller
-// may reuse it once the call returns.
+// StreamCols implements ResultStream: stages a batch for emission,
+// carving frame-sized spans straight off the column vectors — no row is
+// materialized anywhere on this path. A batch whose type signature
+// differs from the staged rows' starts a new frame (a wire batch is
+// type-homogeneous). The batch is borrowed: the caller may reuse it once
+// the call returns.
 func (w *streamWriter) StreamCols(b *tuple.Batch) error {
 	if b.N == 0 {
 		return nil
@@ -543,13 +468,6 @@ func (w *streamWriter) StreamCols(b *tuple.Batch) error {
 	defer w.timeWrite(time.Now())
 	if err := w.begin(); err != nil {
 		return err
-	}
-	if len(w.pending) > 0 {
-		// Mode switch mid-stream (a backend mixing row and columnar
-		// emissions): cut the pending row batch first.
-		if err := w.flush(); err != nil {
-			return err
-		}
 	}
 	if w.pendCols == nil {
 		w.pendCols = stagingBatchPool.Get().(*tuple.Batch)
@@ -570,7 +488,7 @@ func (w *streamWriter) StreamCols(b *tuple.Batch) error {
 		roomRows := maxStreamBatchRows - w.pendCols.N
 		if fixed := w.sigFixed; fixed > 0 {
 			// The row that crosses the target still goes into the batch,
-			// mirroring the row path's append-then-check cut.
+			// mirroring the variable-width path's append-then-check cut.
 			n := budget/fixed + 1
 			if n > roomRows {
 				n = roomRows
@@ -600,7 +518,11 @@ func (w *streamWriter) StreamCols(b *tuple.Batch) error {
 			}
 		}
 	}
-	// Eager opening-frame cut, mirroring StreamRows (see the comment there).
+	// The opening frame is cut at the first emission boundary rather than
+	// held for a full target-size batch: time-to-first-byte matters more
+	// than frame efficiency for the first frame, and a streamed backend's
+	// first chunk may otherwise sit staged while the scan fills the target.
+	// Steady-state frames keep the targetBytes/maxStreamBatchRows cut.
 	if w.batches == 0 && w.pendCols != nil && w.pendCols.N > 0 {
 		return w.flushCols()
 	}
@@ -608,9 +530,10 @@ func (w *streamWriter) StreamCols(b *tuple.Batch) error {
 }
 
 // setSigTypes records the type signature (and fixed row width, when no
-// string column exists) of the batch about to be staged. Strings reuse
-// per-row hints; the hint constants mirror setSig/RowSizeHint.
+// string column exists) of the batch about to be staged. Strings use
+// per-row hints (colRowSizeHint).
 func (w *streamWriter) setSigTypes(types []tuple.Type) {
+	w.pendCols.ResetTypes(types) // empty here: first use, or just flushed
 	w.sig = append(w.sig[:0], types...)
 	fixed, variable := 0, false
 	for _, t := range types {
@@ -643,8 +566,7 @@ func (w *streamWriter) colSigMatches(types []tuple.Type) bool {
 	return true
 }
 
-// colRowSizeHint estimates row i's encoded size from the column vectors
-// (same constants as tuple.RowSizeHint).
+// colRowSizeHint estimates row i's encoded size from the column vectors.
 func (w *streamWriter) colRowSizeHint(b *tuple.Batch, i int) int {
 	n := 0
 	for c := range b.Cols {
@@ -660,8 +582,8 @@ func (w *streamWriter) colRowSizeHint(b *tuple.Batch, i int) int {
 	return n
 }
 
-// flushCols encodes and sends the staged columnar rows as one batch
-// frame, straight from the vectors.
+// flushCols encodes and sends the staged rows as one batch frame, straight
+// from the vectors, waiting for a flow-control credit first.
 func (w *streamWriter) flushCols() error {
 	if w.cancelled.Load() {
 		if w.pendCols != nil {
@@ -707,41 +629,6 @@ func (w *streamWriter) releaseStaging() {
 	}
 }
 
-// sigMatches reports whether row matches the pending batch's column type
-// signature (EncodeBatch requires type-homogeneous batches; expression
-// results can legally vary row to row, so we cut batches at changes).
-func (w *streamWriter) sigMatches(row tuple.Row) bool {
-	if len(row) != len(w.sig) {
-		return false
-	}
-	for i, v := range row {
-		if v.T != w.sig[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (w *streamWriter) setSig(row tuple.Row) {
-	w.sig = w.sig[:0]
-	fixed, variable := 0, false
-	for _, v := range row {
-		w.sig = append(w.sig, v.T)
-		switch v.T {
-		case tuple.Int64:
-			fixed += 5
-		case tuple.Float64:
-			fixed += 8
-		default:
-			variable = true // per-row hints stay in charge
-		}
-	}
-	if variable {
-		fixed = 0
-	}
-	w.sigFixed = fixed
-}
-
 // errStreamCancelled aborts emission after a client cancel; dispatch
 // maps it onto the "cancelled" End code.
 var errStreamCancelled = errors.New("server: stream cancelled by client")
@@ -753,40 +640,6 @@ func (w *streamWriter) cancelReq() {
 	if w.cancelFn != nil {
 		w.cancelFn()
 	}
-}
-
-// flush encodes and sends the pending rows as one batch frame, waiting
-// for a flow-control credit first.
-func (w *streamWriter) flush() error {
-	if w.cancelled.Load() {
-		w.pending = w.pending[:0]
-		w.pendSize = 0
-		return errStreamCancelled
-	}
-	if len(w.pending) == 0 {
-		return nil
-	}
-	if err := w.waitCredit(); err != nil {
-		return err
-	}
-	buf := getFrameBuf()
-	defer putFrameBuf(buf)
-	dst, mark := beginFrame((*buf)[:0], FrameBatch)
-	dst = binary.BigEndian.AppendUint64(dst, w.id)
-	dst, err := tuple.AppendBatch(dst, w.pending, w.compressMin)
-	if err != nil {
-		return err
-	}
-	dst, err = finishFrame(dst, mark, w.maxFrame)
-	if err != nil {
-		return err
-	}
-	w.rows += int64(len(w.pending))
-	w.batches++
-	w.pending = w.pending[:0]
-	w.pendSize = 0
-	*buf = dst[:0]
-	return w.writeBatchFrame(dst)
 }
 
 // writeBatchFrame sends one encoded batch frame and fires the first-batch
@@ -807,7 +660,7 @@ func (w *streamWriter) writeBatchFrame(dst []byte) error {
 // any point where the backend is not mid-call (the dispatcher reads it
 // after the backend returns, before the final flush in end()).
 func (w *streamWriter) RowsStaged() int64 {
-	n := w.rows + int64(len(w.pending))
+	n := w.rows
 	if w.pendCols != nil {
 		n += int64(w.pendCols.N)
 	}
@@ -854,9 +707,6 @@ func (w *streamWriter) waitCredit() error {
 func (w *streamWriter) end(tail *StreamEnd, beforeEnd func()) error {
 	if tail.Error == nil {
 		err := w.begin()
-		if err == nil {
-			err = w.flush()
-		}
 		if err == nil {
 			err = w.flushCols()
 		}

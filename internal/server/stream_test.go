@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -13,18 +12,29 @@ import (
 	"orchestra/internal/tuple"
 )
 
-// streamStub is a backend emitting scripted row batches.
+// streamStub is a backend emitting scripted batches.
 type streamStub struct {
 	stubBackend
 	cols    []string
-	batches [][]tuple.Row
+	batches []*tuple.Batch
 	tail    QueryTail
 	gate    chan struct{} // when set, received before each batch
 }
 
+// batchOf builds a batch from rows of one type signature.
+func batchOf(rows ...tuple.Row) *tuple.Batch {
+	b := &tuple.Batch{}
+	for _, r := range rows {
+		if err := b.AppendRow(r); err != nil {
+			panic(err)
+		}
+	}
+	return b
+}
+
 func (b *streamStub) QueryStream(ctx context.Context, req *QueryRequest, out ResultStream) (*QueryTail, error) {
 	out.Columns(b.cols)
-	for _, rows := range b.batches {
+	for _, batch := range b.batches {
 		if b.gate != nil {
 			select {
 			case <-b.gate:
@@ -32,7 +42,7 @@ func (b *streamStub) QueryStream(ctx context.Context, req *QueryRequest, out Res
 				return nil, ctx.Err()
 			}
 		}
-		if err := out.StreamRows(rows); err != nil {
+		if err := out.StreamCols(batch); err != nil {
 			return nil, err
 		}
 	}
@@ -102,7 +112,7 @@ func TestStreamedQueryFrames(t *testing.T) {
 	}
 	stub := &streamStub{
 		cols:    []string{"a", "b"},
-		batches: [][]tuple.Row{rows(0, 10), rows(10, 25)},
+		batches: []*tuple.Batch{batchOf(rows(0, 10)...), batchOf(rows(10, 25)...)},
 		tail:    QueryTail{Epoch: 42, Phases: 1},
 	}
 	conn := dialTest(t, startTestServer(t, stub, Config{}))
@@ -144,7 +154,7 @@ func TestStreamCreditBackpressure(t *testing.T) {
 	}
 	stub := &streamStub{
 		cols:    []string{"a", "b"},
-		batches: [][]tuple.Row{big[:700], big[700:1400], big[1400:]},
+		batches: []*tuple.Batch{batchOf(big[:700]...), batchOf(big[700:1400]...), batchOf(big[1400:]...)},
 	}
 	conn := dialRaw(t, startTestServer(t, stub, Config{}))
 	// Negotiate a small frame cap so the byte target (maxFrame/4 = 16KiB)
@@ -185,34 +195,37 @@ func TestStreamCreditBackpressure(t *testing.T) {
 	}
 }
 
-// TestStreamHeterogeneousRowTypes: result rows whose column types vary
-// row to row (legal for expression results) must be cut into
-// type-homogeneous batches, never co-batched or dropped.
-func TestStreamHeterogeneousRowTypes(t *testing.T) {
-	var rows []tuple.Row
-	for i := 0; i < 30; i++ {
-		switch i % 3 {
-		case 0:
-			rows = append(rows, tuple.Row{tuple.I(int64(i))})
-		case 1:
-			rows = append(rows, tuple.Row{tuple.S(fmt.Sprintf("s%d", i))})
-		default:
-			rows = append(rows, tuple.Row{tuple.F(float64(i))})
-		}
+// TestStreamBatchSignatureChange: consecutive batches with different type
+// signatures are cut into separate, type-homogeneous frames — never
+// co-batched or dropped — even when both would fit one frame.
+func TestStreamBatchSignatureChange(t *testing.T) {
+	batches := []*tuple.Batch{
+		batchOf(tuple.Row{tuple.I(1)}, tuple.Row{tuple.I(2)}),
+		batchOf(tuple.Row{tuple.S("s3")}),
+		batchOf(tuple.Row{tuple.S("s4")}, tuple.Row{tuple.S("s5")}),
+		batchOf(tuple.Row{tuple.F(6)}),
 	}
-	stub := &streamStub{cols: []string{"x"}, batches: [][]tuple.Row{rows}}
+	var want []tuple.Row
+	for _, b := range batches {
+		want = append(want, b.Rows()...)
+	}
+	stub := &streamStub{cols: []string{"x"}, batches: batches}
 	conn := dialTest(t, startTestServer(t, stub, Config{StreamWindow: 64}))
 	conn.query(1, "q")
 	r := conn.await(1)
 	if r.err() != nil {
-		t.Fatalf("heterogeneous stream failed: %v", r.err())
+		t.Fatalf("stream failed: %v", r.err())
 	}
-	if len(r.rows) != len(rows) {
-		t.Fatalf("streamed %d rows, want %d", len(r.rows), len(rows))
+	// The opening frame is cut eagerly; the two string batches share one.
+	if r.end.Batches != 3 {
+		t.Fatalf("%d batch frames, want 3 (int | string | float)", r.end.Batches)
 	}
-	for i := range rows {
-		if !r.rows[i].Equal(rows[i]) || r.rows[i][0].T != rows[i][0].T {
-			t.Fatalf("row %d: %v (type %v) != %v", i, r.rows[i], r.rows[i][0].T, rows[i])
+	if len(r.rows) != len(want) {
+		t.Fatalf("streamed %d rows, want %d", len(r.rows), len(want))
+	}
+	for i := range want {
+		if !r.rows[i].Equal(want[i]) || r.rows[i][0].T != want[i][0].T {
+			t.Fatalf("row %d: %v (type %v) != %v", i, r.rows[i], r.rows[i][0].T, want[i])
 		}
 	}
 }
@@ -238,7 +251,7 @@ func TestStreamingPastFrameCap(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		rows = append(rows, tuple.Row{tuple.I(int64(i)), tuple.S("pad pad pad pad pad pad")})
 	}
-	stub := &streamStub{cols: []string{"a", "b"}, batches: [][]tuple.Row{rows}}
+	stub := &streamStub{cols: []string{"a", "b"}, batches: []*tuple.Batch{batchOf(rows...)}}
 	conn := dialTest(t, startTestServer(t, stub, Config{MaxFrame: 16 << 10}))
 	conn.query(2, "big")
 	r := conn.await(2)
@@ -265,7 +278,7 @@ func TestStreamCancelFrame(t *testing.T) {
 	gate := make(chan struct{}, 1)
 	stub := &streamStub{
 		cols:    []string{"a", "b"},
-		batches: [][]tuple.Row{big[:1000], big[1000:2000], big[2000:]},
+		batches: []*tuple.Batch{batchOf(big[:1000]...), batchOf(big[1000:2000]...), batchOf(big[2000:]...)},
 		gate:    gate,
 	}
 	s := startTestServer(t, stub, Config{StreamWindow: 1})
@@ -380,7 +393,7 @@ func TestProtocolConformance(t *testing.T) {
 		rows := []tuple.Row{{tuple.I(0)}, {tuple.I(1)}, {tuple.I(2)}, {tuple.I(3)}}
 		gate := make(chan struct{})
 		started := make(chan struct{})
-		stub := &streamStub{cols: []string{"x"}, batches: [][]tuple.Row{rows}, gate: gate}
+		stub := &streamStub{cols: []string{"x"}, batches: []*tuple.Batch{batchOf(rows...)}, gate: gate}
 		s := startTestServer(t, stub, Config{MaxConcurrentQueries: 4, OnQueryStart: func() { close(started) }})
 		conn := dialTest(t, s)
 		conn.query(5, "q")

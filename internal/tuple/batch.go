@@ -148,26 +148,6 @@ func appendBatchBody(dst []byte, rows []Row) ([]byte, error) {
 	return dst, nil
 }
 
-// RowSizeHint estimates one row's encoded (uncompressed) size — used by
-// streaming writers to cut batches near a target frame size without
-// encoding twice.
-func RowSizeHint(row Row) int {
-	n := 0
-	for _, v := range row {
-		switch v.T {
-		case Int64:
-			n += 5 // varint, typical
-		case Float64:
-			n += 8
-		case String:
-			n += len(v.Str) + 2
-		default:
-			n += 1
-		}
-	}
-	return n
-}
-
 // IsValidType reports whether t is a known column type.
 func (t Type) IsValidType() bool { return t >= Int64 && t <= String }
 

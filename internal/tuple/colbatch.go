@@ -51,11 +51,9 @@ func (v *ColVec) Value(i int) Value {
 	return Value{}
 }
 
-// append adds one boxed value, which must match the vector's type.
-func (v *ColVec) append(val Value) error {
-	if val.T != v.T {
-		return fmt.Errorf("tuple: column vector type %v, got %v", v.T, val.T)
-	}
+// append adds one boxed value; the caller has checked it matches the
+// vector's type.
+func (v *ColVec) append(val Value) {
 	switch v.T {
 	case Int64:
 		v.I64 = append(v.I64, val.I64)
@@ -64,7 +62,6 @@ func (v *ColVec) append(val Value) error {
 	case String:
 		v.Str = append(v.Str, val.Str)
 	}
-	return nil
 }
 
 // reset re-types the vector and truncates it, keeping capacity.
@@ -110,15 +107,31 @@ func (b *Batch) ResetTypes(types []Type) {
 	b.N = 0
 }
 
-// AppendRow appends one row; its values must match the column types.
+// AppendRow appends one row. An untyped empty batch (no columns, N == 0)
+// adopts the row's value types — the first row fixes the column types, as
+// in AppendBatchInto; afterwards arity and types must match positionally.
+// All checks run before any value is appended, so an error leaves b intact.
 func (b *Batch) AppendRow(row Row) error {
+	if len(b.Cols) == 0 && b.N == 0 {
+		types := make([]Type, len(row))
+		for i, v := range row {
+			if !v.T.IsValidType() {
+				return fmt.Errorf("tuple: column %d has invalid type", i)
+			}
+			types[i] = v.T
+		}
+		b.ResetTypes(types)
+	}
 	if len(row) != len(b.Cols) {
 		return fmt.Errorf("tuple: batch arity %d, row arity %d", len(b.Cols), len(row))
 	}
 	for i := range row {
-		if err := b.Cols[i].append(row[i]); err != nil {
-			return err
+		if row[i].T != b.Cols[i].T {
+			return fmt.Errorf("tuple: column %d type %v, got %v", i, b.Cols[i].T, row[i].T)
 		}
+	}
+	for i := range row {
+		b.Cols[i].append(row[i])
 	}
 	b.N++
 	return nil

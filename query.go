@@ -166,18 +166,18 @@ func (c *Cluster) QueryOpts(src string, opts QueryOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := eres.Rows
-	if views != nil {
-		if eres.Batch != nil {
-			// The cache stores rows: hits are served repeatedly, long
-			// after the columnar slab is recycled.
-			rows = eres.Batch.Rows()
-		}
-		views.put(&viewEntry{key: key, rows: rows, cols: res.Columns, plan: res.Plan})
-	}
-	engine.RecycleResultBatch(eres.Batch)
 	if opts.sink == nil {
-		res.Rows = rows
+		// The embedded API's one materialisation of the answer as rows.
+		res.Rows = eres.Batch.Rows()
+	}
+	if views != nil {
+		// Ownership: a batch that entered the cache is never returned to
+		// the arena pool — hits borrow it, read-only, for as long as the
+		// entry lives (and the frame writer may still be reading it after
+		// an eviction); the garbage collector reclaims it.
+		views.put(&viewEntry{key: key, batch: eres.Batch, cols: res.Columns, plan: res.Plan})
+	} else {
+		engine.RecycleResultBatch(eres.Batch)
 	}
 	res.Epoch = eres.Epoch
 	res.Phases = eres.Phases

@@ -33,11 +33,14 @@ type viewKey struct {
 	epoch Epoch
 }
 
+// viewEntry is one cached answer. The batch is the one the miss produced;
+// the cache owns it from then on (it never goes back to the engine's arena
+// pool) and every hit only reads it.
 type viewEntry struct {
-	key  viewKey
-	rows []tuple.Row
-	cols []string
-	plan string
+	key   viewKey
+	batch *tuple.Batch
+	cols  []string
+	plan  string
 }
 
 func newViewCache(max int) *viewCache {
@@ -109,8 +112,8 @@ func (c *Cluster) EnableQueryCache(maxEntries int) {
 	c.mu.Unlock()
 }
 
-// viewHit answers a query from a cache entry, handing the rows to sink
-// on the serving path.
+// viewHit answers a query from a cache entry: one StreamCols of the
+// borrowed batch on the serving path, the caller's own rows otherwise.
 func viewHit(e *viewEntry, tr *obs.Trace, sink server.ResultStream) (*Result, error) {
 	res := &Result{
 		Columns: e.cols,
@@ -122,19 +125,18 @@ func viewHit(e *viewEntry, tr *obs.Trace, sink server.ResultStream) (*Result, er
 	}
 	if sink != nil {
 		sink.Columns(e.cols)
-		if err := sink.StreamRows(e.rows); err != nil {
+		if err := sink.StreamCols(e.batch); err != nil {
 			return nil, err
 		}
 	} else {
-		// The caller owns its answer; the cache keeps its own row slice.
-		res.Rows = append([]tuple.Row(nil), e.rows...)
+		res.Rows = e.batch.Rows()
 	}
 	if tr != nil {
 		// A hit never reaches the engine; its whole trace is the cache
 		// lookup (and, when served, the hand-off to the wire).
 		root := tr.Root()
 		root.CacheHits = 1
-		root.Rows = int64(len(e.rows))
+		root.Rows = int64(e.batch.N)
 		tr.Finish()
 		res.TraceID = tr.ID.String()
 		res.Trace = root
