@@ -1,9 +1,12 @@
 package orchestra
 
 import (
+	"context"
 	"fmt"
 	"testing"
+	"time"
 
+	"orchestra/internal/server"
 	"orchestra/internal/tuple"
 )
 
@@ -48,6 +51,19 @@ func (s *testSink) StreamCols(b *tuple.Batch) error {
 	return nil
 }
 
+// servedQuery runs req the way node 0's endpoint does — the backend's
+// QueryStream, with sink standing in for the frame writer — and returns the
+// wire's tail.
+func servedQuery(c *Cluster, req server.QueryRequest, sink server.ResultStream) (*server.QueryTail, error) {
+	b, err := c.backend(0)
+	if err != nil {
+		return nil, err
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	return b.QueryStream(ctx, &req, sink)
+}
+
 // sameAnswer compares two answers as multisets.
 func sameAnswer(t *testing.T, got, want []tuple.Row) {
 	t.Helper()
@@ -67,8 +83,7 @@ func sameAnswer(t *testing.T, got, want []tuple.Row) {
 }
 
 // TestServedQueryColumnar checks the serving hand-off: the whole answer
-// reaches the sink as batches, nothing stays at the initiator, and the
-// content matches the embedded Query — without provenance and with it
+// reaches the sink as batches, and the content and columns match the embedded Query — without provenance and with it
 // (where every row carried its provenance set up to the ship consumer).
 func TestServedQueryColumnar(t *testing.T) {
 	c := newScanCluster(t, 500)
@@ -82,15 +97,12 @@ func TestServedQueryColumnar(t *testing.T) {
 	}
 	for _, prov := range []bool{false, true} {
 		sink := &testSink{keep: true}
-		res, err := c.QueryOpts(q, QueryOptions{Provenance: prov, sink: sink})
+		tail, err := servedQuery(c, server.QueryRequest{SQL: q, Provenance: prov}, sink)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Rows != nil {
-			t.Fatalf("provenance=%v: served result kept %d rows at the initiator", prov, len(res.Rows))
-		}
-		if res.Epoch != want.Epoch || len(res.Columns) != 3 || len(sink.cols) != 3 {
-			t.Fatalf("provenance=%v: meta %+v, sink columns %v", prov, res, sink.cols)
+		if Epoch(tail.Epoch) != want.Epoch || len(want.Columns) != 3 || len(sink.cols) != 3 {
+			t.Fatalf("provenance=%v: tail %+v, columns embedded %v served %v", prov, tail, want.Columns, sink.cols)
 		}
 		sameAnswer(t, sink.rows, want.Rows)
 	}
@@ -115,7 +127,7 @@ func TestQueryLimitPushdown(t *testing.T) {
 		}
 	}
 	sink := &testSink{}
-	if _, err := c.QueryOpts(q, QueryOptions{sink: sink}); err != nil {
+	if _, err := servedQuery(c, server.QueryRequest{SQL: q}, sink); err != nil {
 		t.Fatal(err)
 	}
 	if sink.n != 25 {
@@ -131,10 +143,10 @@ func TestServedQueryCacheHit(t *testing.T) {
 	c.EnableQueryCache(16)
 	q := "SELECT k, v FROM bq WHERE v < 40"
 	miss, hit := &testSink{keep: true}, &testSink{keep: true}
-	if _, err := c.QueryOpts(q, QueryOptions{sink: miss}); err != nil {
+	if _, err := servedQuery(c, server.QueryRequest{SQL: q}, miss); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.QueryOpts(q, QueryOptions{sink: hit})
+	res, err := servedQuery(c, server.QueryRequest{SQL: q}, hit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +169,7 @@ func TestServedQueryCacheHit(t *testing.T) {
 	sameAnswer(t, own.Rows, miss.rows)
 	own.Rows[0][0] = tuple.S("scribbled")
 	again := &testSink{keep: true}
-	if _, err := c.QueryOpts(q, QueryOptions{sink: again}); err != nil {
+	if _, err := servedQuery(c, server.QueryRequest{SQL: q}, again); err != nil {
 		t.Fatal(err)
 	}
 	sameAnswer(t, again.rows, miss.rows)
@@ -176,7 +188,7 @@ func TestViewCacheOwnsItsBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.EnableQueryCache(4)
-	if _, err := c.QueryOpts(q, QueryOptions{sink: &testSink{}}); err != nil {
+	if _, err := servedQuery(c, server.QueryRequest{SQL: q}, &testSink{}); err != nil {
 		t.Fatal(err)
 	}
 	errs := make(chan error, 8)
@@ -184,7 +196,7 @@ func TestViewCacheOwnsItsBatch(t *testing.T) {
 		go func() { // hits of the one entry
 			for i := 0; i < 40; i++ {
 				sink := &testSink{keep: true}
-				res, err := c.QueryOpts(q, QueryOptions{sink: sink})
+				res, err := servedQuery(c, server.QueryRequest{SQL: q}, sink)
 				if err == nil && (!res.Cached || len(sink.rows) != len(want.Rows)) {
 					err = fmt.Errorf("hit: cached=%v, %d rows", res.Cached, len(sink.rows))
 				}
@@ -205,7 +217,7 @@ func TestViewCacheOwnsItsBatch(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				sink := &testSink{}
 				q := fmt.Sprintf("SELECT k, v FROM bq WHERE v >= %d", 300+g)
-				if _, err := c.QueryOpts(q, QueryOptions{Provenance: true, sink: sink}); err != nil {
+				if _, err := servedQuery(c, server.QueryRequest{SQL: q, Provenance: true}, sink); err != nil {
 					errs <- err
 					return
 				}

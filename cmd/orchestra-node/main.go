@@ -32,7 +32,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -42,13 +41,10 @@ import (
 	"orchestra/internal/engine"
 	"orchestra/internal/kvstore"
 	"orchestra/internal/obs"
-	"orchestra/internal/optimizer"
 	"orchestra/internal/ring"
 	"orchestra/internal/server"
-	"orchestra/internal/sql"
 	"orchestra/internal/transport"
 	"orchestra/internal/tuple"
-	"orchestra/internal/vstore"
 )
 
 func main() {
@@ -120,7 +116,7 @@ func main() {
 		}
 	}
 	node := cluster.NewNode(ep, store, table, cluster.Config{Replication: *replication})
-	eng := engine.New(node)
+	backend := server.NewNodeBackend(node, engine.New(node))
 	node.Gossip().Start(time.Second)
 	if *pingEvery > 0 {
 		node.StartPinger(*pingEvery, 3**pingEvery)
@@ -147,12 +143,20 @@ func main() {
 	}
 
 	if *serveAddr != "" {
-		srv, err := server.Start(*serveAddr, server.NewNodeBackend(node, eng),
+		// The member list this endpoint advertises: its own advertised
+		// address plus the deployment-wide list, so any one reachable
+		// endpoint teaches a smart client every endpoint it may fail over to.
+		self := *advertise
+		if self == "" {
+			self = *serveAddr
+		}
+		peers := server.MergePeers([]string{self}, strings.Split(*servePeers, ","))
+		srv, err := server.Start(*serveAddr, backend,
 			server.Config{
 				MaxConcurrentQueries: *maxQ,
 				SlowQueryThreshold:   time.Duration(*slowMs) * time.Millisecond,
 				Registry:             reg,
-				Peers:                func() []string { return advertisedPeers(*advertise, *serveAddr, *servePeers) },
+				Peers:                func() []string { return peers },
 			})
 		if err != nil {
 			log.Fatal(err)
@@ -189,37 +193,12 @@ func main() {
 	}
 
 	log.Printf("node %s up; %d members, replication %d", *listen, len(ids), *replication)
-	repl(node, eng)
+	repl(backend)
 }
 
-// advertisedPeers builds the client-facing member list this endpoint
-// advertises: its own advertised address plus the deployment-wide list,
-// deduplicated, so any one reachable endpoint teaches a smart client
-// every endpoint it may fail over to.
-func advertisedPeers(advertise, serveAddr, servePeers string) []string {
-	self := advertise
-	if self == "" {
-		self = serveAddr
-	}
-	seen := make(map[string]struct{})
-	var out []string
-	for _, a := range append([]string{self}, strings.Split(servePeers, ",")...) {
-		a = strings.TrimSpace(a)
-		if a == "" {
-			continue
-		}
-		if _, ok := seen[a]; ok {
-			continue
-		}
-		seen[a] = struct{}{}
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// repl drives the node interactively: create / publish / query / epoch.
-func repl(node *cluster.Node, eng *engine.Engine) {
+// repl drives the node interactively through the backend the served
+// endpoint uses: create / publish / query / epoch.
+func repl(b *server.NodeBackend) {
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	fmt.Println("commands: create <rel> <col:type>... | publish <rel> <vals>... | query <sql> | epoch | quit")
@@ -239,13 +218,13 @@ func repl(node *cluster.Node, eng *engine.Engine) {
 			cancel()
 			return
 		case "epoch":
-			fmt.Println(node.Gossip().Current())
+			fmt.Println(b.Epoch())
 		case "create":
 			if len(fields) < 3 {
 				fmt.Println("usage: create <rel> <col:type>...")
 				break
 			}
-			if err := createRelation(ctx, node, fields[1], fields[2:]); err != nil {
+			if _, err := b.Create(ctx, &server.CreateRequest{Relation: fields[1], Columns: fields[2:]}); err != nil {
 				fmt.Println("error:", err)
 			}
 		case "publish":
@@ -253,16 +232,22 @@ func repl(node *cluster.Node, eng *engine.Engine) {
 				fmt.Println("usage: publish <rel> <vals>...")
 				break
 			}
-			if err := publishRow(ctx, node, fields[1], fields[2:]); err != nil {
+			if e, err := publishRow(ctx, b, fields[1], fields[2:]); err != nil {
 				fmt.Println("error:", err)
 			} else {
-				fmt.Println("epoch", node.Gossip().Current())
+				fmt.Println("epoch", e)
 			}
 		case "query":
-			sqlText := strings.TrimSpace(strings.TrimPrefix(line, "query"))
-			if err := runQuery(ctx, node, eng, sqlText); err != nil {
+			start := time.Now()
+			var out printSink
+			// Collected, not streamed: a peer failure mid-query restarts.
+			tail, _, err := b.Query(ctx, strings.TrimSpace(strings.TrimPrefix(line, "query")),
+				engine.Options{Recovery: engine.RecoverRestart}, false, &out)
+			if err != nil {
 				fmt.Println("error:", err)
+				break
 			}
+			fmt.Printf("-- %d rows in %s (epoch %d)\n%s\n", out, time.Since(start).Round(time.Microsecond), tail.Epoch, tail.Plan)
 		default:
 			fmt.Println("unknown command:", fields[0])
 		}
@@ -270,99 +255,51 @@ func repl(node *cluster.Node, eng *engine.Engine) {
 	}
 }
 
-func createRelation(ctx context.Context, node *cluster.Node, rel string, colSpecs []string) error {
-	var cols []tuple.Column
-	for _, c := range colSpecs {
-		parts := strings.SplitN(c, ":", 2)
-		if len(parts) != 2 {
-			return fmt.Errorf("bad column %q", c)
-		}
-		var t tuple.Type
-		switch parts[1] {
-		case "int":
-			t = tuple.Int64
-		case "float":
-			t = tuple.Float64
-		case "string":
-			t = tuple.String
-		default:
-			return fmt.Errorf("bad type %q", parts[1])
-		}
-		cols = append(cols, tuple.Column{Name: parts[0], Type: t})
-	}
-	s, err := tuple.NewSchema(rel, cols, cols[0].Name)
+// publishRow parses vals by the relation's column types, as the schema op
+// reports them, and publishes the row.
+func publishRow(ctx context.Context, b *server.NodeBackend, rel string, vals []string) (tuple.Epoch, error) {
+	sr, err := b.Catalog(ctx, rel)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	return node.CreateRelation(ctx, s)
-}
-
-func publishRow(ctx context.Context, node *cluster.Node, rel string, vals []string) error {
-	cat, err := node.GetCatalog(ctx, rel)
+	cols, err := server.ParseColumns(sr.Relations[0].Columns)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if len(vals) != cat.Schema.Arity() {
-		return fmt.Errorf("want %d values", cat.Schema.Arity())
+	if len(vals) != len(cols) {
+		return 0, fmt.Errorf("want %d values", len(cols))
 	}
 	row := make(tuple.Row, len(vals))
 	for i, v := range vals {
-		switch cat.Schema.Columns[i].Type {
+		switch cols[i].Type {
 		case tuple.Int64:
 			n, err := strconv.ParseInt(v, 10, 64)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			row[i] = tuple.I(n)
 		case tuple.Float64:
 			f, err := strconv.ParseFloat(v, 64)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			row[i] = tuple.F(f)
 		default:
 			row[i] = tuple.S(v)
 		}
 	}
-	_, err = node.Publish(ctx, rel, []vstore.Update{{Op: vstore.OpInsert, Row: row}})
-	return err
+	return b.Publish(ctx, &server.PublishRequest{Relation: rel, TypedRows: []tuple.Row{row}})
 }
 
-func runQuery(ctx context.Context, node *cluster.Node, eng *engine.Engine, sqlText string) error {
-	q, err := sql.Parse(sqlText)
-	if err != nil {
-		return err
-	}
-	cat := &nodeCatalog{ctx: ctx, node: node}
-	plan, info, err := optimizer.Build(q, cat, optimizer.Environment{Nodes: node.Table().Size()})
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	res, err := eng.Run(ctx, plan, engine.Options{Recovery: engine.RecoverRestart})
-	if err != nil {
-		return err
-	}
-	for _, r := range res.Batch.Rows() {
+// printSink prints an answer's rows and counts them.
+type printSink int
+
+func (p *printSink) Columns(cols []string) { fmt.Println(" ", cols) }
+
+func (p *printSink) StreamCols(b *tuple.Batch) error {
+	for _, r := range b.Rows() {
 		fmt.Println(" ", r)
 	}
-	fmt.Printf("-- %d rows in %s (cost est %.6fs, epoch %d)\n",
-		res.Batch.N, time.Since(start).Round(time.Microsecond), info.Cost, res.Epoch)
+	*p += printSink(b.N)
 	return nil
 }
-
-// nodeCatalog resolves schemas from the cluster's replicated catalogs.
-type nodeCatalog struct {
-	ctx  context.Context
-	node *cluster.Node
-}
-
-func (c *nodeCatalog) Schema(table string) (*tuple.Schema, error) {
-	cat, err := c.node.GetCatalog(c.ctx, table)
-	if err != nil {
-		return nil, err
-	}
-	return cat.Schema, nil
-}
-
-func (c *nodeCatalog) Stats(string) optimizer.TableStats { return optimizer.TableStats{} }

@@ -7,8 +7,6 @@ import (
 	"orchestra/internal/kvstore"
 	"orchestra/internal/obs"
 	"orchestra/internal/ring"
-	"orchestra/internal/tuple"
-	"orchestra/internal/vstore"
 )
 
 // SyncMode selects when a durable cluster fsyncs its write-ahead logs.
@@ -30,8 +28,9 @@ const (
 
 // WithDataDir makes every node's local store durable: each node keeps a
 // write-ahead log and periodic snapshots under dir/<node-id>/, and
-// NewCluster recovers catalogs, pages, tuples, and the published epoch
-// from disk when the directory already holds state. Without this option
+// NewCluster recovers catalogs (schemas and row counts with them), pages,
+// tuples, and the published epoch from disk when the directory already
+// holds state. Without this option
 // stores are volatile in-memory structures (the default, used by the
 // simulated experiments).
 func WithDataDir(dir string) Option { return func(c *config) { c.dataDir = dir } }
@@ -66,52 +65,6 @@ func (c *Cluster) openStoreFunc(cfg *config) func(id ring.NodeID) (*kvstore.Stor
 	}
 }
 
-// recoverCatalogs repopulates the cluster's schema cache and row-count
-// statistics from the durable stores: every relation whose catalog
-// record survived on any node is registered again, so queries and
-// publishes work immediately after a restart and the optimizer costs
-// plans from the pre-crash cardinalities instead of zeros.
-func (c *Cluster) recoverCatalogs() error {
-	var firstErr error
-	recovered := make(map[string]*vstore.Catalog)
-	for _, n := range c.local.Nodes() {
-		n.Store().ScanPrefix([]byte("c/"), func(k, v []byte) bool {
-			cat, err := vstore.DecodeCatalog(v)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("orchestra: recover catalog %q: %w", k, err)
-				}
-				return true
-			}
-			// Replicas may hold the catalog at different epochs; the
-			// newest one carries the freshest row-count statistic.
-			if prev, ok := recovered[cat.Schema.Relation]; !ok || latestEpoch(cat) > latestEpoch(prev) {
-				recovered[cat.Schema.Relation] = cat
-			}
-			return true
-		})
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	c.mu.Lock()
-	for name, cat := range recovered {
-		c.schemas[name] = cat.Schema
-		c.rows[name] = cat.Rows
-	}
-	c.mu.Unlock()
-	return nil
-}
-
-// latestEpoch returns the newest epoch a catalog record names, or 0 for
-// a record with no published epochs yet.
-func latestEpoch(cat *vstore.Catalog) tuple.Epoch {
-	if len(cat.Epochs) == 0 {
-		return 0
-	}
-	return cat.Epochs[len(cat.Epochs)-1]
-}
-
 // Checkpoint snapshots every node's store and truncates its WAL. It is a
 // no-op on volatile clusters. Use it to bound restart (replay) time at a
 // quiet moment instead of waiting for the size-triggered checkpoint.
@@ -127,7 +80,11 @@ func (c *Cluster) Checkpoint() error {
 // DurabilityStats reports node i's recovery/WAL/fsync counters. ok is
 // false when the node's store is volatile (no WithDataDir).
 func (c *Cluster) DurabilityStats(i int) (kvstore.DurabilityStats, bool) {
-	return c.local.Node(i).Store().DurabilityStats()
+	b, err := c.backend(i)
+	if err != nil {
+		return kvstore.DurabilityStats{}, false
+	}
+	return b.DurabilityStats()
 }
 
 // nodeRegistry returns node i's metrics registry (nil for volatile

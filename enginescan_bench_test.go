@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"testing"
 
+	"orchestra/internal/server"
 	"orchestra/internal/tuple"
 )
 
@@ -93,11 +94,10 @@ func TestEngineScanAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := fmt.Sprintf("SELECT k, grp, v FROM scanload WHERE v >= 0 AND v < %d", engineScanRows)
-	gate := func(t *testing.T, opts QueryOptions, wantStreamed bool) {
+	gate := func(t *testing.T, trace, wantStreamed bool) {
 		run := func() {
 			sink := &testSink{}
-			opts.sink = sink
-			res, err := c.QueryOpts(q, opts)
+			res, err := servedQuery(c, server.QueryRequest{SQL: q, Trace: trace}, sink)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,15 +118,15 @@ func TestEngineScanAllocBudget(t *testing.T) {
 				perRow, allocs, ceiling)
 		}
 	}
-	t.Run("default", func(t *testing.T) { gate(t, QueryOptions{}, false) })
+	t.Run("default", func(t *testing.T) { gate(t, false, false) })
 	// Tracing costs spans per query, never allocations per row; the same
 	// ceiling holds with the span tree collected.
-	t.Run("traced", func(t *testing.T) { gate(t, QueryOptions{Trace: true}, true) })
+	t.Run("traced", func(t *testing.T) { gate(t, true, true) })
 	// The streamed-during-execution path must fit the same budget — and
 	// this subtest additionally pins that the scan really does stream
-	// (Result.Streamed counts every row), so a silent fallback to the
+	// (QueryTail.Streamed counts every row), so a silent fallback to the
 	// collected path fails the gate rather than flattering it.
-	t.Run("streamed", func(t *testing.T) { gate(t, QueryOptions{}, true) })
+	t.Run("streamed", func(t *testing.T) { gate(t, false, true) })
 }
 
 // BenchmarkEngineScanProvenance measures the filtered scan with

@@ -23,8 +23,7 @@ import (
 
 	"orchestra/internal/cluster"
 	"orchestra/internal/engine"
-	"orchestra/internal/optimizer"
-	"orchestra/internal/sql"
+	"orchestra/internal/server"
 	"orchestra/internal/tuple"
 	"orchestra/internal/vstore"
 )
@@ -243,10 +242,6 @@ func (p *Participant) Import(ctx context.Context, priorities map[string]int) (*I
 	// Determine the current epoch through the gossip protocol (§IV),
 	// pulling from peers so a just-published batch elsewhere is visible.
 	epoch := p.node.Gossip().Sync(ctx, p.node.Table().Members())
-	cat, err := p.publishedCatalog(ctx)
-	if err != nil {
-		return nil, err
-	}
 
 	p.mu.Lock()
 	mappings := append([]Mapping(nil), p.mappings...)
@@ -254,16 +249,11 @@ func (p *Participant) Import(ctx context.Context, priorities map[string]int) (*I
 
 	var candidates []Candidate
 	for _, m := range mappings {
-		q, err := sql.Parse(m.SQL)
+		planned, err := server.PlanSQL(ctx, p.node, m.SQL)
 		if err != nil {
 			return nil, fmt.Errorf("cdss: mapping for %s: %w", m.Target, err)
 		}
-		env := optimizer.Environment{Nodes: p.node.Table().Size()}
-		plan, _, err := optimizer.Build(q, cat, env)
-		if err != nil {
-			return nil, fmt.Errorf("cdss: mapping for %s: %w", m.Target, err)
-		}
-		res, err := p.eng.Run(ctx, plan, engine.Options{
+		res, err := p.eng.Run(ctx, planned.Plan, engine.Options{
 			Epoch:    epoch,
 			Recovery: engine.RecoverRestart,
 		})
@@ -371,32 +361,6 @@ func (p *Participant) reconcile(cands []Candidate, priorities map[string]int) ([
 	}
 	return accepted, conflicts, nil
 }
-
-// publishedCatalog builds an optimizer catalog over the currently
-// published relations by reading their cluster catalogs.
-func (p *Participant) publishedCatalog(ctx context.Context) (optimizer.Catalog, error) {
-	return &clusterCatalog{ctx: ctx, node: p.node}, nil
-}
-
-// clusterCatalog resolves schemas on demand from the cluster's replicated
-// catalog records.
-type clusterCatalog struct {
-	ctx  context.Context
-	node *cluster.Node
-}
-
-// Schema implements optimizer.Catalog.
-func (c *clusterCatalog) Schema(table string) (*tuple.Schema, error) {
-	cat, err := c.node.GetCatalog(c.ctx, table)
-	if err != nil {
-		return nil, fmt.Errorf("cdss: unknown published relation %q: %w", table, err)
-	}
-	return cat.Schema, nil
-}
-
-// Stats implements optimizer.Catalog; published row counts are unknown, so
-// defaults apply.
-func (c *clusterCatalog) Stats(string) optimizer.TableStats { return optimizer.TableStats{} }
 
 // LastSync reports the epoch of the participant's most recent import.
 func (p *Participant) LastSync() tuple.Epoch {

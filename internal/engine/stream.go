@@ -110,14 +110,6 @@ func planShipMode(p *Plan, opts Options) shipMode {
 // optimizer's explain output so pushdown eligibility is visible in plans.
 func PushdownClass(p *Plan) string { return planShipMode(p, Options{}).String() }
 
-// StreamEligible reports whether a plan run with these options will emit
-// through Options.Sink during execution (rather than ignoring the sink
-// and returning the collected answer). Callers use it to decide whether
-// to attach a sink at all.
-func StreamEligible(p *Plan, opts Options) bool {
-	return planShipMode(p, opts.withDefaults()) == shipStream
-}
-
 // topKParams extracts the fragment-side sort keys and the merged row
 // budget from a shipTopK plan's final pipeline.
 func topKParams(p *Plan) ([]SortKey, int) {

@@ -453,7 +453,7 @@ func TestStreamSinkIgnoredUnderIncrementalRecovery(t *testing.T) {
 	h.publish("S", genS(150, rng))
 
 	p := failurePlan()
-	if StreamEligible(p, Options{Recovery: RecoverIncremental}) {
+	if planShipMode(p, Options{Recovery: RecoverIncremental}.withDefaults()) == shipStream {
 		t.Fatal("incremental recovery must not be stream-eligible")
 	}
 	victim := h.local.Node(3).ID()

@@ -29,8 +29,9 @@ type Catalog interface {
 	Stats(table string) TableStats
 }
 
-// MapCatalog is a Catalog backed by in-memory maps (used by tests and by
-// the facade, which caches schemas fetched from the cluster).
+// MapCatalog is a Catalog backed by in-memory maps: tests fill it by hand,
+// server.PlanQuery from the replicated catalog records of one query's
+// FROM relations.
 type MapCatalog struct {
 	Schemas map[string]*tuple.Schema
 	Tables  map[string]TableStats

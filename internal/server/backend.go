@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"sort"
+	"strings"
 
 	"orchestra/internal/cluster"
 	"orchestra/internal/engine"
@@ -10,9 +12,11 @@ import (
 	"orchestra/internal/tuple"
 )
 
-// Backend is the deployment the server fronts: an embedded orchestra
-// Cluster (adapter in the root package) or a real TCP cluster.Node
-// (NodeBackend).
+// Backend is the node the server fronts. NodeBackend is the one
+// implementation outside tests — an orchestra-node process wraps its
+// cluster.Node in one, an embedded orchestra Cluster holds one per node —
+// and the interface exists so the server's own tests can substitute a
+// stub.
 type Backend interface {
 	// Create registers a relation and returns the current epoch.
 	Create(ctx context.Context, req *CreateRequest) (tuple.Epoch, error)
@@ -40,13 +44,30 @@ type Backend interface {
 	ReplStats() (stats cluster.ReplStats, ok bool)
 }
 
-// BackendInfo identifies the deployment behind a server.
+// BackendInfo identifies the node behind a server.
 type BackendInfo struct {
 	NodeID  string
 	Members int
-	// Peers lists the deployment's advertised client endpoints (for the
-	// health/status member list), when the backend knows them.
-	Peers []string
+}
+
+// MergePeers unions advertised client addresses into one member list for
+// Config.Peers: trimmed, blanks and duplicates dropped, sorted for stable
+// output.
+func MergePeers(lists ...[]string) []string {
+	seen := make(map[string]struct{})
+	var out []string
+	for _, list := range lists {
+		for _, a := range list {
+			a = strings.TrimSpace(a)
+			if _, dup := seen[a]; a == "" || dup {
+				continue
+			}
+			seen[a] = struct{}{}
+			out = append(out, a)
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // ResultStream is the one hand-off for a query's answer, from whatever
@@ -81,31 +102,6 @@ type QueryTail struct {
 	// execution (zero on the collect-then-emit path). Nonzero means the
 	// query ran on the streaming pushdown path end to end.
 	Streamed int64 `json:"streamed,omitempty"`
-}
-
-// RunQuery is the one sequence from a planned query to a result stream,
-// shared by both backends: announce the columns, hand out to the engine
-// as its sink when the plan streams during execution (mayStream lets a
-// caller that needs the whole answer — to cache it — forbid that), run,
-// and emit a collected answer afterwards. The collected answer stays
-// attached to the returned result; a caller that does not keep res.Batch
-// passes it to engine.RecycleResultBatch once done with it.
-func RunQuery(ctx context.Context, eng *engine.Engine, plan *engine.Plan, opts engine.Options, cols []string, mayStream bool, out ResultStream) (*engine.Result, error) {
-	out.Columns(cols)
-	if mayStream && engine.StreamEligible(plan, opts) {
-		opts.Sink = out
-	}
-	res, err := eng.Run(ctx, plan, opts)
-	if err != nil {
-		// Frames may already be on the wire (mid-stream fault after
-		// emission): the error End frame invalidates them for the client.
-		return nil, err
-	}
-	if err := out.StreamCols(res.Batch); err != nil {
-		engine.RecycleResultBatch(res.Batch)
-		return nil, err
-	}
-	return res, nil
 }
 
 // RecoveryMode maps a wire recovery-mode name to the engine constant.

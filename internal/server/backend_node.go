@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"sort"
 	"sync"
 
@@ -15,16 +16,20 @@ import (
 	"orchestra/internal/vstore"
 )
 
-// NodeBackend serves a real TCP cluster.Node (the orchestra-node binary).
-// Schemas are resolved from the cluster's replicated catalogs; the
-// relation list for the catalog op is the set of relations this server
-// has seen (created, published, or queried through it) — catalogs are
-// hash-placed across the ring, so no cheap global listing exists.
+// NodeBackend is the work behind create / publish / query / catalog /
+// stats at one cluster.Node and its engine — the same code whether the
+// node is an orchestra-node process on real TCP or one of an embedded
+// Cluster's nodes. Schemas and row counts are read from the cluster's
+// replicated catalogs; nothing about a relation is kept in the process.
 type NodeBackend struct {
-	node *cluster.Node
-	eng  *engine.Engine
-
-	mu   sync.Mutex
+	mu    sync.Mutex
+	node  *cluster.Node
+	eng   *engine.Engine
+	views *ViewCache // nil unless ShareViews was called
+	// rels is the set of relations this backend has seen — created,
+	// published or queried through it, or found in the local store.
+	// Catalogs are hash-placed across the ring, so no cheap global listing
+	// exists; this is what the catalog op lists.
 	rels map[string]struct{}
 }
 
@@ -33,13 +38,67 @@ func NewNodeBackend(node *cluster.Node, eng *engine.Engine) *NodeBackend {
 	return &NodeBackend{node: node, eng: eng, rels: make(map[string]struct{})}
 }
 
+// Rebind points the backend at a restarted node and its new engine, so an
+// endpoint served off this backend keeps answering across the restart.
+func (b *NodeBackend) Rebind(node *cluster.Node, eng *engine.Engine) {
+	b.mu.Lock()
+	b.node, b.eng = node, eng
+	b.mu.Unlock()
+}
+
+// ShareViews makes v this backend's view cache. A Cluster hands one cache
+// to all its nodes' backends so hits are shared across endpoints.
+func (b *NodeBackend) ShareViews(v *ViewCache) {
+	b.mu.Lock()
+	b.views = v
+	b.mu.Unlock()
+}
+
+// current snapshots the node, engine and view cache a request works with.
+func (b *NodeBackend) current() (*cluster.Node, *engine.Engine, *ViewCache) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.node, b.eng, b.views
+}
+
+// Node returns the node the backend currently fronts.
+func (b *NodeBackend) Node() *cluster.Node {
+	node, _, _ := b.current()
+	return node
+}
+
 func (b *NodeBackend) noteRelation(rel string) {
 	b.mu.Lock()
 	b.rels[rel] = struct{}{}
 	b.mu.Unlock()
 }
 
-// Create implements Backend.
+// Relations lists the relations this backend has seen, sorted. Every
+// listing first folds in the catalog records in the node's own store, so a
+// freshly reopened durable node lists what it holds before any request
+// touched it.
+func (b *NodeBackend) Relations() []string {
+	prefix := vstore.CatalogKVKey("")
+	var stored []string // scanned outside b.mu, which every request takes
+	b.Node().Store().ScanPrefix(prefix, func(k, _ []byte) bool {
+		stored = append(stored, string(k[len(prefix):]))
+		return true
+	})
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, r := range stored {
+		b.rels[r] = struct{}{}
+	}
+	names := make([]string, 0, len(b.rels))
+	for r := range b.rels {
+		names = append(names, r)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// Create implements Backend; with no keys given the first column is the
+// key.
 func (b *NodeBackend) Create(ctx context.Context, req *CreateRequest) (tuple.Epoch, error) {
 	cols, err := ParseColumns(req.Columns)
 	if err != nil {
@@ -56,62 +115,105 @@ func (b *NodeBackend) Create(ctx context.Context, req *CreateRequest) (tuple.Epo
 	if err != nil {
 		return 0, Errorf(CodeBadRequest, "%v", err)
 	}
-	if err := b.node.CreateRelation(ctx, s); err != nil {
+	if err := b.CreateSchema(ctx, s); err != nil {
+		if errors.Is(err, cluster.ErrRelationExists) {
+			return 0, Errorf(CodeBadRequest, "%v", err)
+		}
 		return 0, err
 	}
-	b.noteRelation(req.Relation)
-	return b.node.Gossip().Current(), nil
+	return b.Epoch(), nil
 }
 
-// Publish implements Backend.
+// CreateSchema registers a relation across the cluster.
+func (b *NodeBackend) CreateSchema(ctx context.Context, s *tuple.Schema) error {
+	if err := b.Node().CreateRelation(ctx, s); err != nil {
+		return err
+	}
+	b.noteRelation(s.Relation)
+	return nil
+}
+
+// Publish implements Backend: the rows as one batch of inserts.
 func (b *NodeBackend) Publish(ctx context.Context, req *PublishRequest) (tuple.Epoch, error) {
-	cat, err := b.node.GetCatalog(ctx, req.Relation)
-	if err != nil {
-		return 0, Errorf(CodeNotFound, "relation %q: %v", req.Relation, err)
+	return b.PublishRows(ctx, req.Relation, vstore.OpInsert, req.TypedRows, req.PublishID)
+}
+
+// PublishRows coerces rows onto the relation's column types
+// (CoerceTypedRows) and applies them as one update log of kind op, one
+// epoch. A nonzero pubID makes a retry safe: re-publishing it returns the
+// original commit's epoch without applying the batch again.
+func (b *NodeBackend) PublishRows(ctx context.Context, relation string, op vstore.Op, rows []tuple.Row, pubID uint64) (tuple.Epoch, error) {
+	node := b.Node()
+	cat, err := node.GetCatalog(ctx, relation)
+	if errors.Is(err, cluster.ErrNoSuchRelation) {
+		return 0, Errorf(CodeNotFound, "%v", err)
 	}
-	if err := CoerceTypedRows(cat.Schema, req.TypedRows); err != nil {
+	if err != nil {
 		return 0, err
 	}
-	ups := make([]vstore.Update, len(req.TypedRows))
-	for i, row := range req.TypedRows {
-		ups[i] = vstore.Update{Op: vstore.OpInsert, Row: row}
+	if err := CoerceTypedRows(cat.Schema, rows); err != nil {
+		return 0, err
 	}
-	e, err := b.node.PublishWith(ctx, req.Relation, ups, cluster.PublishOptions{ID: req.PublishID})
+	ups := make([]vstore.Update, len(rows))
+	for i, row := range rows {
+		ups[i] = vstore.Update{Op: op, Row: row}
+	}
+	e, err := node.PublishWith(ctx, relation, ups, cluster.PublishOptions{ID: pubID})
 	if err != nil {
 		return 0, err
 	}
-	b.noteRelation(req.Relation)
+	b.noteRelation(relation)
 	return e, nil
 }
 
-// QueryStream implements Backend: parse and plan against the ring-fetched
-// catalogs, then RunQuery. When req.Trace is set, the tail's span tree
-// covers planning and execution; the engine attaches fragment spans under
-// its root.
-func (b *NodeBackend) QueryStream(ctx context.Context, req *QueryRequest, out ResultStream) (*QueryTail, error) {
-	var tr *obs.Trace
-	if req.Trace {
-		tr = obs.NewTrace(obs.NewTraceID(), "query", string(b.node.ID()))
-	}
-	planSpan := tr.Begin("plan")
-	q, err := sql.Parse(req.SQL)
-	if err != nil {
-		return nil, Errorf(CodeBadRequest, "%v", err)
-	}
-	rec, err := RecoveryMode(req.Recovery)
+// Planned is a query ready to run: the parsed text, the optimizer's plan
+// and costing, the output column names and the plan's explanation.
+type Planned struct {
+	Query   *sql.Query
+	Plan    *engine.Plan
+	Info    *optimizer.Info
+	Columns []string
+	Explain string
+}
+
+// PlanSQL parses a single-block SQL query and plans it with PlanQuery.
+func PlanSQL(ctx context.Context, node *cluster.Node, src string) (*Planned, error) {
+	q, err := sql.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	cat := &nodeCatalog{ctx: ctx, node: b.node}
-	plan, info, err := optimizer.Build(q, cat, optimizer.Environment{Nodes: b.node.Table().Size()})
-	if err != nil {
-		return nil, err
-	}
-	tr.End(planSpan)
-	tr.Attach(nil, planSpan)
-	cols := q.OutputColumns(func(table string) ([]string, bool) {
-		s, err := cat.Schema(table)
+	return PlanQuery(ctx, node, q)
+}
+
+// PlanQuery is the one road from a parsed query to an executable plan.
+// The optimizer's catalog is filled once per call from the replicated
+// catalog records of the query's FROM relations, as node sees them: the
+// schema, and the row count every publish writes atomically with its
+// epoch, so planning sees real statistics — across restarts too. The
+// cluster size comes from node's routing table.
+func PlanQuery(ctx context.Context, node *cluster.Node, q *sql.Query) (*Planned, error) {
+	cat := &optimizer.MapCatalog{Schemas: map[string]*tuple.Schema{}, Tables: map[string]optimizer.TableStats{}}
+	for _, ref := range q.From {
+		if _, fetched := cat.Schemas[ref.Table]; fetched {
+			continue
+		}
+		rc, err := node.GetCatalog(ctx, ref.Table)
+		if errors.Is(err, cluster.ErrNoSuchRelation) {
+			return nil, &optimizer.UnknownTableError{Table: ref.Table}
+		}
 		if err != nil {
+			return nil, err
+		}
+		cat.Schemas[ref.Table] = rc.Schema
+		cat.Tables[ref.Table] = optimizer.TableStats{Rows: rc.Rows}
+	}
+	plan, info, err := optimizer.Build(q, cat, optimizer.Environment{Nodes: node.Table().Size()})
+	if err != nil {
+		return nil, err
+	}
+	cols := q.OutputColumns(func(table string) ([]string, bool) {
+		s, ok := cat.Schemas[table]
+		if !ok {
 			return nil, false
 		}
 		names := make([]string, len(s.Columns))
@@ -120,52 +222,153 @@ func (b *NodeBackend) QueryStream(ctx context.Context, req *QueryRequest, out Re
 		}
 		return names, true
 	})
-	res, err := RunQuery(ctx, b.eng, plan, engine.Options{
-		Epoch:      tuple.Epoch(req.Epoch),
-		Recovery:   rec,
-		Provenance: req.Provenance,
-		Trace:      tr,
-	}, cols, true, out)
-	if err != nil {
-		return nil, err
+	return &Planned{Query: q, Plan: plan, Info: info, Columns: cols, Explain: optimizer.Explain(plan, info)}, nil
+}
+
+// planError marks a failure before execution began — parse, catalog
+// lookup, bind or plan — for QueryStream's error map. It unwraps to the
+// cause, so errors.As on the cause's type still works for embedded callers.
+type planError struct{ error }
+
+func (e planError) Unwrap() error { return e.error }
+
+// Query is the one query function: the served endpoints call it with the
+// frame writer as out, an embedded Cluster with a sink that collects rows.
+// It consults the view cache, else parses, plans and runs src, and emits
+// the answer through out once the complete, duplicate-free answer exists
+// at the initiator — or, when the caller passes out as opts.Sink too and
+// the plan streams, during execution. A caller does that only if it can
+// live with engine.StreamAbortedError: once rows have left, a node failure
+// can no longer be recovered by restarting, whatever opts.Recovery says.
+// It returns the wire's tail (Plan always set) and, unless the view cache
+// answered, the engine's result for its counters; that result's Batch is
+// spent — already emitted, then owned by the view cache or recycled. With
+// trace set the tail carries a span tree covering planning and execution;
+// the engine attaches fragment spans under its root.
+//
+// With a view cache and no provenance, the answer is looked up and stored
+// under (query text, epoch): the cache holds whole answers, so such a
+// query never streams during execution. A hit costs no parse and no
+// catalog read.
+func (b *NodeBackend) Query(ctx context.Context, src string, opts engine.Options, trace bool, out ResultStream) (*QueryTail, *engine.Result, error) {
+	node, eng, views := b.current()
+	if trace {
+		opts.Trace = obs.NewTrace(obs.NewTraceID(), "query", string(node.ID()))
 	}
-	engine.RecycleResultBatch(res.Batch)
-	for _, ref := range q.From {
+	tr := opts.Trace
+	if opts.Provenance {
+		views = nil
+	}
+	var key viewKey
+	if views != nil {
+		// An unpinned query resolves the epoch at its own serving node.
+		if opts.Epoch == 0 {
+			opts.Epoch = node.Gossip().Current()
+		}
+		key = viewKey{sql: src, epoch: opts.Epoch}
+		opts.Sink = nil
+		if e, ok := views.get(key); ok {
+			tail, err := viewHit(e, tr, out)
+			return tail, nil, err
+		}
+	}
+	planSpan := tr.Begin("plan")
+	p, err := PlanSQL(ctx, node, src)
+	if err != nil {
+		return nil, nil, planError{err}
+	}
+	tr.End(planSpan)
+	tr.Attach(nil, planSpan)
+
+	out.Columns(p.Columns)
+	res, err := eng.Run(ctx, p.Plan, opts)
+	if err != nil {
+		// Frames may already be on the wire (mid-stream fault after
+		// emission): the error End frame invalidates them for the client.
+		return nil, nil, err
+	}
+	if err := out.StreamCols(res.Batch); err != nil {
+		engine.RecycleResultBatch(res.Batch)
+		return nil, nil, err
+	}
+	if views != nil {
+		// Ownership: a batch that entered the cache is never returned to
+		// the arena pool — hits borrow it, read-only, for as long as the
+		// entry lives (and the frame writer may still be reading it after
+		// an eviction); the garbage collector reclaims it.
+		views.put(&viewEntry{key: key, batch: res.Batch, cols: p.Columns, plan: p.Explain})
+	} else {
+		engine.RecycleResultBatch(res.Batch)
+	}
+	for _, ref := range p.Query.From {
 		b.noteRelation(ref.Table)
 	}
 	tail := &QueryTail{
 		Epoch:    uint64(res.Epoch),
 		Phases:   res.Phases,
 		Restarts: res.Restarts,
+		Plan:     p.Explain,
 		Streamed: res.Streamed,
-	}
-	if req.Explain {
-		tail.Plan = optimizer.Explain(plan, info)
 	}
 	if tr != nil {
 		tr.Finish()
 		tail.TraceID = tr.ID.String()
 		tail.Trace = tr.Root()
 	}
+	return tail, res, nil
+}
+
+// QueryStream implements Backend: Query, with its failures typed for the
+// wire by typeQueryError.
+func (b *NodeBackend) QueryStream(ctx context.Context, req *QueryRequest, out ResultStream) (*QueryTail, error) {
+	rec, err := RecoveryMode(req.Recovery)
+	if err != nil {
+		return nil, err
+	}
+	tail, _, err := b.Query(ctx, req.SQL, engine.Options{
+		Epoch:      tuple.Epoch(req.Epoch),
+		Recovery:   rec,
+		Provenance: req.Provenance,
+		Sink:       out, // a client re-issues a query aborted mid-stream
+	}, req.Trace, out)
+	if err != nil {
+		return nil, typeQueryError(ctx, err)
+	}
+	if !req.Explain {
+		tail.Plan = ""
+	}
 	return tail, nil
+}
+
+// typeQueryError is the one error map of the one query function. A query
+// that cannot be parsed, bound or planned is the client's fault; one
+// naming an unknown relation is not_found; one whose catalogs no replica
+// could supply was refused before any execution, so the client may retry
+// it elsewhere. Execution failures, and a deadline that expired while
+// planning, keep the server's defaults (timeout, internal).
+func typeQueryError(ctx context.Context, err error) error {
+	var unknown *optimizer.UnknownTableError
+	switch {
+	case !errors.As(err, new(planError)) || ctx.Err() != nil:
+		return err
+	case errors.As(err, &unknown):
+		return Errorf(CodeNotFound, "%v", err)
+	case errors.Is(err, cluster.ErrUnavailable):
+		return Errorf(CodeUnavailable, "%v", err)
+	}
+	return Errorf(CodeBadRequest, "%v", err)
 }
 
 // Catalog implements Backend.
 func (b *NodeBackend) Catalog(ctx context.Context, rel string) (*SchemaResponse, error) {
-	var names []string
-	if rel != "" {
-		names = []string{rel}
-	} else {
-		b.mu.Lock()
-		for r := range b.rels {
-			names = append(names, r)
-		}
-		b.mu.Unlock()
-		sort.Strings(names)
+	names := []string{rel}
+	if rel == "" {
+		names = b.Relations()
 	}
+	node := b.Node()
 	out := &SchemaResponse{}
 	for _, name := range names {
-		cat, err := b.node.GetCatalog(ctx, name)
+		cat, err := node.GetCatalog(ctx, name)
 		if err != nil {
 			if rel != "" {
 				return nil, Errorf(CodeNotFound, "relation %q: %v", name, err)
@@ -184,74 +387,35 @@ func (b *NodeBackend) Catalog(ctx context.Context, rel string) (*SchemaResponse,
 }
 
 // Epoch implements Backend.
-func (b *NodeBackend) Epoch() tuple.Epoch { return b.node.Gossip().Current() }
+func (b *NodeBackend) Epoch() tuple.Epoch {
+	return b.Node().Gossip().Current()
+}
 
 // Info implements Backend.
 func (b *NodeBackend) Info() BackendInfo {
-	return BackendInfo{NodeID: string(b.node.ID()), Members: b.node.Table().Size()}
+	node := b.Node()
+	return BackendInfo{NodeID: string(node.ID()), Members: node.Table().Size()}
 }
 
-// CacheStats implements Backend: this node's decoded-page LRU (node
-// backends keep no view cache).
+// CacheStats implements Backend: this node's decoded-page LRU, plus the
+// view cache when one is shared with it.
 func (b *NodeBackend) CacheStats() map[string]engine.CacheStats {
-	return map[string]engine.CacheStats{"pages": b.eng.PageCacheStats()}
+	_, eng, views := b.current()
+	out := map[string]engine.CacheStats{"pages": eng.PageCacheStats()}
+	if views != nil {
+		out["views"] = views.stats()
+	}
+	return out
 }
 
 // DurabilityStats implements Backend from the node's local store.
 func (b *NodeBackend) DurabilityStats() (kvstore.DurabilityStats, bool) {
-	return b.node.Store().DurabilityStats()
+	return b.Node().Store().DurabilityStats()
 }
 
 // ReplStats implements Backend: the node's replica-repair counters and
 // per-peer catch-up lag.
 func (b *NodeBackend) ReplStats() (cluster.ReplStats, bool) {
-	return b.node.ReplStats(), b.node.Table().Size() > 1
-}
-
-// nodeCatalog resolves schemas and row-count statistics from the
-// replicated catalogs for the optimizer. The catalog record carries the
-// relation's persisted row count, so node-side planning sees real
-// statistics — across restarts too.
-type nodeCatalog struct {
-	ctx  context.Context
-	node *cluster.Node
-
-	mu    sync.Mutex
-	cache map[string]*vstore.Catalog
-}
-
-func (c *nodeCatalog) get(table string) (*vstore.Catalog, error) {
-	c.mu.Lock()
-	if cat, ok := c.cache[table]; ok {
-		c.mu.Unlock()
-		return cat, nil
-	}
-	c.mu.Unlock()
-	cat, err := c.node.GetCatalog(c.ctx, table)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if c.cache == nil {
-		c.cache = make(map[string]*vstore.Catalog)
-	}
-	c.cache[table] = cat
-	c.mu.Unlock()
-	return cat, nil
-}
-
-func (c *nodeCatalog) Schema(table string) (*tuple.Schema, error) {
-	cat, err := c.get(table)
-	if err != nil {
-		return nil, err
-	}
-	return cat.Schema, nil
-}
-
-func (c *nodeCatalog) Stats(table string) optimizer.TableStats {
-	cat, err := c.get(table)
-	if err != nil {
-		return optimizer.TableStats{}
-	}
-	return optimizer.TableStats{Rows: cat.Rows}
+	node := b.Node()
+	return node.ReplStats(), node.Table().Size() > 1
 }

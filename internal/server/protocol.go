@@ -1,7 +1,8 @@
 // Package server is the wire protocol of a served ORCHESTRA deployment:
-// the frame format, the sessions that speak it, and the admission
-// control in front of query execution. A Backend (an embedded Cluster
-// node or a real TCP cluster.Node) does the work.
+// the frame format, the sessions that speak it, the admission control in
+// front of query execution — and NodeBackend, the one implementation of
+// the work behind the ops at a cluster.Node, which an orchestra-node
+// process and every node of an embedded Cluster share.
 //
 // Wire format: every message is one frame — a 4-byte big-endian length,
 // a kind byte, and a kind-specific payload (the length counts the kind

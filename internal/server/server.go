@@ -68,8 +68,7 @@ type Config struct {
 	SlowQueryLogSize int
 	// Peers, when set, supplies the deployment's advertised client
 	// endpoints (this server's included) for the health and status ops —
-	// the member list smart clients refresh from. Overrides the
-	// backend-provided list.
+	// the member list smart clients refresh from.
 	Peers func() []string
 }
 
@@ -671,13 +670,18 @@ func (s *Server) handshake(sess *session) bool {
 		if w := req.Hello.Window; w > 0 && w < sess.window {
 			sess.window = w
 		}
-		err := sess.writeResponse(&Response{ID: req.ID, Hello: &HelloResponse{
+		// Counted before the response is on the wire, as a query is before
+		// its End frame: a peer that has read it finds it in the stats.
+		s.observeOp(OpHello, time.Since(start), false)
+		if sess.writeResponse(&Response{ID: req.ID, Hello: &HelloResponse{
 			Version:  ProtocolVersion,
 			MaxFrame: sess.maxFrame,
 			Window:   sess.window,
-		}})
-		s.observeOp(OpHello, time.Since(start), err != nil)
-		return err == nil
+		}}) != nil {
+			s.ops[OpHello].errors.Inc()
+			return false
+		}
+		return true
 	}
 	s.observeOp(OpHello, time.Since(start), true)
 	return false
@@ -700,10 +704,17 @@ func (s *Server) dispatchStream(sess *session, req *Request) {
 	w := newStreamWriter(ctx, sess, req.ID, sess.window)
 	w.cancelFn = cancel // a FrameCancel aborts the query context
 	w.onFirst = func() { s.firstBatch.Observe(time.Since(start)) }
+	// account counts the op from end()'s beforeEnd hook — before the End
+	// frame hits the wire — so a client that reads End and then asks for
+	// status always finds its query counted.
+	countedOK := false
+	account := func(failed bool) {
+		countedOK = !failed
+		s.observeOp(OpQuery, time.Since(start), failed)
+	}
 	// refuse ends a stream that never registered or executed.
 	refuse := func(code, format string, args ...any) {
-		w.end(&StreamEnd{Error: Errorf(code, format, args...)}, nil)
-		s.observeOp(OpQuery, time.Since(start), true)
+		w.end(&StreamEnd{Error: Errorf(code, format, args...)}, account)
 	}
 	switch {
 	case req.Query == nil:
@@ -717,20 +728,21 @@ func (s *Server) dispatchStream(sess *session, req *Request) {
 		refuse(CodeBadRequest, "stream id %d already active on this connection", req.ID)
 		return
 	}
-	// Unregistered by end()'s beforeEnd hook — before the End frame hits
-	// the wire — so a client reacting to End by reusing the ID on its next
-	// pipelined query cannot race the cleanup; the defer only covers error
-	// exits (dropStream is idempotent).
+	// Unregistered by the same hook, so a client reacting to End by reusing
+	// the ID on its next pipelined query cannot race the cleanup; the defer
+	// only covers error exits (dropStream is idempotent).
 	defer sess.dropStream(req.ID)
-	drop := func() { sess.dropStream(req.ID) }
+	drop := func(failed bool) {
+		sess.dropStream(req.ID)
+		account(failed)
+	}
 
 	tail, err := s.runQuery(ctx, q, w)
-	failed := err != nil
 	if err == nil && tail.Streamed > 0 {
 		s.streamedQueries.Inc()
 		s.streamedRows.Add(uint64(tail.Streamed))
 	}
-	if failed {
+	if err != nil {
 		if w.cancelled.Load() {
 			// The client abandoned the stream; whatever the aborted
 			// execution reported, the terminal status is "cancelled".
@@ -740,7 +752,10 @@ func (s *Server) dispatchStream(sess *session, req *Request) {
 		}
 	}
 	if werr := w.end(tail, drop); werr != nil {
-		failed = true
+		if countedOK {
+			// Counted as a success before the End write itself failed.
+			s.ops[OpQuery].errors.Inc()
+		}
 		if !errors.Is(werr, net.ErrClosed) {
 			// The tail itself would not encode (e.g. a plan or error
 			// message past the negotiated frame cap): a stream must never
@@ -758,7 +773,6 @@ func (s *Server) dispatchStream(sess *session, req *Request) {
 			}
 		}
 	}
-	s.observeOp(OpQuery, time.Since(start), failed)
 }
 
 // acquireAdmission passes the admission-control semaphore and accounts
@@ -922,13 +936,12 @@ func (s *Server) handle(ctx context.Context, req *Request, resp *Response) error
 	return Errorf(CodeBadRequest, "op %q is not valid here", req.Op) // a second hello
 }
 
-// peers returns the deployment's advertised client endpoints:
-// Config.Peers when set, else whatever the backend reports.
+// peers returns the deployment's advertised client endpoints.
 func (s *Server) peers() []string {
 	if s.cfg.Peers != nil {
 		return s.cfg.Peers()
 	}
-	return s.backend.Info().Peers
+	return nil
 }
 
 // health answers the health op: drain state, load, and the member list.

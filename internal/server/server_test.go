@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,8 @@ import (
 	"orchestra/internal/cluster"
 	"orchestra/internal/engine"
 	"orchestra/internal/kvstore"
+	"orchestra/internal/optimizer"
+	"orchestra/internal/sql"
 	"orchestra/internal/tuple"
 )
 
@@ -443,5 +446,67 @@ func TestServerCloseSeversSessions(t *testing.T) {
 	}
 	if _, err := net.Dial("tcp", s.Addr().String()); err == nil {
 		t.Fatal("dial succeeded after server close")
+	}
+}
+
+// TestQueryCountedBeforeEnd: the query op is counted before its End frame
+// is written, so a status request sent the moment End is read always sees
+// it. (Counting after the write let status run one short.)
+func TestQueryCountedBeforeEnd(t *testing.T) {
+	s := startTestServer(t, &stubBackend{}, Config{})
+	conn := dialTest(t, s)
+	for i := uint64(1); i <= 300; i++ {
+		conn.query(2*i, "SELECT 1")
+		if r := conn.await(2 * i); r.err() != nil {
+			t.Fatal(r.err())
+		}
+		conn.send(&Request{ID: 2*i + 1, Op: OpStatus})
+		st := conn.await(2*i + 1).resp.Status
+		if got := st.Ops[OpQuery].Count; got != i {
+			t.Fatalf("after End of query %d, status counts %d queries", i, got)
+		}
+	}
+	// A refused query is counted, as an error, before its End as well.
+	conn.send(&Request{ID: 1000, Op: OpQuery})
+	if r := conn.await(1000); r.err() == nil || r.err().Code != CodeBadRequest {
+		t.Fatalf("query without payload: %+v", r.end)
+	}
+	conn.send(&Request{ID: 1001, Op: OpStatus})
+	if q := conn.await(1001).resp.Status.Ops[OpQuery]; q.Count != 301 || q.Errors != 1 {
+		t.Fatalf("after a refused query: count %d errors %d, want 301 and 1", q.Count, q.Errors)
+	}
+}
+
+// TestTypeQueryError is the wire half of the query error map: which
+// failures of NodeBackend.Query become which wire codes.
+func TestTypeQueryError(t *testing.T) {
+	bind := errors.New("optimizer: unknown column nosuch")
+	exec := errors.New("engine: fragment lost")
+	for _, tc := range []struct {
+		name string
+		err  error
+		code string // "" = passed through untyped
+	}{
+		{"parse", planError{&sql.Error{Msg: "unexpected token"}}, CodeBadRequest},
+		{"bind", planError{bind}, CodeBadRequest},
+		{"unknown relation", planError{&optimizer.UnknownTableError{Table: "ghost"}}, CodeNotFound},
+		{"catalog unreachable", planError{fmt.Errorf("%w: get c/t", cluster.ErrUnavailable)}, CodeUnavailable},
+		{"execution", exec, ""},
+	} {
+		got := typeQueryError(context.Background(), tc.err)
+		var we *WireError
+		switch {
+		case tc.code == "" && got != tc.err:
+			t.Errorf("%s: %v became %v, want it untouched", tc.name, tc.err, got)
+		case tc.code != "" && (!errors.As(got, &we) || we.Code != tc.code):
+			t.Errorf("%s: got %v, want code %s", tc.name, got, tc.code)
+		}
+	}
+	// A deadline that ran out while planning stays a timeout, whatever the
+	// planner reported.
+	ctx, cancel := context.WithTimeout(context.Background(), 0)
+	defer cancel()
+	if got := typeQueryError(ctx, planError{bind}); toWireError(ctx, got).Code != CodeTimeout {
+		t.Errorf("expired deadline: got %v, want a timeout", got)
 	}
 }

@@ -699,12 +699,13 @@ func (w *streamWriter) waitCredit() error {
 // stream failed before producing its schema frame, the End frame is the
 // first and only frame — clients handle End-before-Schema.
 //
-// beforeEnd (optional) runs after the final flush but before the End
-// frame is written: the dispatcher unregisters the stream there, so by
-// the time a client sees End — and may immediately reuse the request ID
-// on its next query — the ID is already free. (Unregistering after the
-// write, as a deferred cleanup, raced exactly that reuse.)
-func (w *streamWriter) end(tail *StreamEnd, beforeEnd func()) error {
+// beforeEnd (optional) runs after the final flush, with the stream's final
+// outcome, but before the End frame is written: the dispatcher unregisters
+// the stream and counts the op there, so by the time a client sees End —
+// and may immediately reuse the request ID on its next query, or ask for
+// status — the ID is already free and the query already counted. (Doing
+// either after the write raced exactly that.)
+func (w *streamWriter) end(tail *StreamEnd, beforeEnd func(failed bool)) error {
 	if tail.Error == nil {
 		err := w.begin()
 		if err == nil {
@@ -721,7 +722,7 @@ func (w *streamWriter) end(tail *StreamEnd, beforeEnd func()) error {
 	}
 	w.releaseStaging()
 	if beforeEnd != nil {
-		beforeEnd()
+		beforeEnd(tail.Error != nil)
 	}
 	tail.Rows = w.rows
 	tail.Batches = w.batches

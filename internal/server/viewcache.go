@@ -1,4 +1,4 @@
-package orchestra
+package server
 
 import (
 	"container/list"
@@ -6,18 +6,22 @@ import (
 
 	"orchestra/internal/engine"
 	"orchestra/internal/obs"
-	"orchestra/internal/server"
 	"orchestra/internal/tuple"
 )
 
-// viewCache implements the materialized-view extension the paper lists as
+// ViewCache implements the materialized-view extension the paper lists as
 // future work (§VIII): "make use of materialized views, perhaps arising
 // from the cached results of previous queries". Because storage is fully
 // versioned and a query executes against an immutable epoch snapshot, a
 // result cached under (query text, epoch) can never go stale — the
 // "cost of freshening" the paper worries about reduces to comparing the
 // current epoch, and any publish naturally invalidates by advancing it.
-type viewCache struct {
+//
+// The cache is epoch-keyed, so one instance may be shared by the backends
+// of several nodes (NodeBackend.ShareViews): a query pinned to an epoch
+// answers identically from every initiator, and any node's endpoint may
+// both hit and fill it.
+type ViewCache struct {
 	mu  sync.Mutex
 	max int
 	lru *list.List // front = most recent; values are *viewEntry
@@ -30,7 +34,7 @@ type viewCache struct {
 
 type viewKey struct {
 	sql   string
-	epoch Epoch
+	epoch tuple.Epoch
 }
 
 // viewEntry is one cached answer. The batch is the one the miss produced;
@@ -43,11 +47,12 @@ type viewEntry struct {
 	plan  string
 }
 
-func newViewCache(max int) *viewCache {
-	return &viewCache{max: max, lru: list.New(), m: make(map[viewKey]*list.Element)}
+// NewViewCache returns a cache keeping up to max (query, epoch) answers.
+func NewViewCache(max int) *ViewCache {
+	return &ViewCache{max: max, lru: list.New(), m: make(map[viewKey]*list.Element)}
 }
 
-func (v *viewCache) get(k viewKey) (*viewEntry, bool) {
+func (v *ViewCache) get(k viewKey) (*viewEntry, bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	el, ok := v.m[k]
@@ -60,7 +65,7 @@ func (v *viewCache) get(k viewKey) (*viewEntry, bool) {
 	return el.Value.(*viewEntry), true
 }
 
-func (v *viewCache) put(e *viewEntry) {
+func (v *ViewCache) put(e *viewEntry) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if el, ok := v.m[e.key]; ok {
@@ -77,60 +82,20 @@ func (v *viewCache) put(e *viewEntry) {
 	}
 }
 
-func (v *viewCache) stats() engine.CacheStats {
+func (v *ViewCache) stats() engine.CacheStats {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return engine.CacheStats{Hits: v.hits, Misses: v.misses, Evictions: v.evictions, Size: v.lru.Len(), Max: v.max}
 }
 
-// CacheStats snapshots the cluster's cache counters by name: "views"
-// (the shared materialized-view cache, when enabled) and "pages" (the
-// node's decoded-index-page LRU).
-func (c *Cluster) CacheStats(node int) map[string]CacheStats {
-	out := make(map[string]CacheStats, 2)
-	c.mu.Lock()
-	views := c.views
-	c.mu.Unlock()
-	if views != nil {
-		out["views"] = views.stats()
-	}
-	if node >= 0 && node < len(c.engines) {
-		out["pages"] = c.engines[node].PageCacheStats()
-	}
-	return out
-}
-
-// EnableQueryCache turns on materialized-view caching of query results,
-// keeping up to maxEntries (query, epoch) result sets. Hits are reported
-// via Result.Cached. Safe to call once, before issuing queries.
-func (c *Cluster) EnableQueryCache(maxEntries int) {
-	if maxEntries <= 0 {
-		maxEntries = 64
-	}
-	c.mu.Lock()
-	c.views = newViewCache(maxEntries)
-	c.mu.Unlock()
-}
-
 // viewHit answers a query from a cache entry: one StreamCols of the
-// borrowed batch on the serving path, the caller's own rows otherwise.
-func viewHit(e *viewEntry, tr *obs.Trace, sink server.ResultStream) (*Result, error) {
-	res := &Result{
-		Columns: e.cols,
-		Epoch:   e.key.epoch,
-		Phases:  1,
-		Plan:    e.plan,
-		Cached:  true,
-		PerNode: map[string]engine.NodeStats{},
+// borrowed batch.
+func viewHit(e *viewEntry, tr *obs.Trace, out ResultStream) (*QueryTail, error) {
+	out.Columns(e.cols)
+	if err := out.StreamCols(e.batch); err != nil {
+		return nil, err
 	}
-	if sink != nil {
-		sink.Columns(e.cols)
-		if err := sink.StreamCols(e.batch); err != nil {
-			return nil, err
-		}
-	} else {
-		res.Rows = e.batch.Rows()
-	}
+	tail := &QueryTail{Epoch: uint64(e.key.epoch), Cached: true, Phases: 1, Plan: e.plan}
 	if tr != nil {
 		// A hit never reaches the engine; its whole trace is the cache
 		// lookup (and, when served, the hand-off to the wire).
@@ -138,8 +103,8 @@ func viewHit(e *viewEntry, tr *obs.Trace, sink server.ResultStream) (*Result, er
 		root.CacheHits = 1
 		root.Rows = int64(e.batch.N)
 		tr.Finish()
-		res.TraceID = tr.ID.String()
-		res.Trace = root
+		tail.TraceID = tr.ID.String()
+		tail.Trace = root
 	}
-	return res, nil
+	return tail, nil
 }

@@ -32,8 +32,8 @@ import (
 	"orchestra/internal/engine"
 	"orchestra/internal/kvstore"
 	"orchestra/internal/obs"
-	"orchestra/internal/optimizer"
 	"orchestra/internal/ring"
+	"orchestra/internal/server"
 	"orchestra/internal/transport"
 	"orchestra/internal/tuple"
 	"orchestra/internal/vstore"
@@ -93,14 +93,18 @@ func WithCapacities(capacities ...float64) Option {
 
 // Cluster is a local ORCHESTRA deployment: n storage/query nodes over a
 // simulated network, each pairing a versioned store with a query engine.
+// It is a composition, not a second implementation: every create, publish,
+// query, catalog and stats call is its node's server.NodeBackend — the
+// code an orchestra-node process serves with — and what the Cluster adds
+// is the local transport, the node lifecycle, and one view cache shared
+// by all its backends. Schemas and row counts live only in the replicated
+// catalogs.
 type Cluster struct {
-	local   *cluster.Local
-	engines []*engine.Engine
+	local *cluster.Local
 
 	mu         sync.Mutex
-	schemas    map[string]*tuple.Schema
-	rows       map[string]int64         // published row counts, for optimizer stats
-	views      *viewCache               // nil unless EnableQueryCache was called
+	backends   []*server.NodeBackend    // one per node ever started, by node index
+	views      *server.ViewCache        // nil unless EnableQueryCache was called
 	registries map[string]*obs.Registry // per-node durability metrics, by node ID
 	served     map[*Server]string       // live served endpoints, by advertised address
 
@@ -116,11 +120,7 @@ func NewCluster(n int, opts ...Option) (*Cluster, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	c := &Cluster{
-		schemas:    make(map[string]*tuple.Schema),
-		rows:       make(map[string]int64),
-		registries: make(map[string]*obs.Registry),
-	}
+	c := &Cluster{registries: make(map[string]*obs.Registry)}
 	nodeCfg := cluster.Config{Replication: cfg.replication}
 	if cfg.dataDir != "" {
 		nodeCfg.OpenStore = c.openStoreFunc(&cfg)
@@ -138,13 +138,7 @@ func NewCluster(n int, opts ...Option) (*Cluster, error) {
 	}
 	c.local = local
 	for _, node := range local.Nodes() {
-		c.engines = append(c.engines, engine.New(node))
-	}
-	if cfg.dataDir != "" {
-		if err := c.recoverCatalogs(); err != nil {
-			c.Shutdown()
-			return nil, err
-		}
+		c.backends = append(c.backends, server.NewNodeBackend(node, engine.New(node)))
 	}
 	if cfg.repairInterval > 0 {
 		c.repairInterval = cfg.repairInterval
@@ -156,7 +150,21 @@ func NewCluster(n int, opts ...Option) (*Cluster, error) {
 }
 
 // Size returns the number of nodes ever started (including killed ones).
-func (c *Cluster) Size() int { return len(c.engines) }
+func (c *Cluster) Size() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.backends)
+}
+
+// backend returns node i's backend.
+func (c *Cluster) backend(i int) (*server.NodeBackend, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if i < 0 || i >= len(c.backends) {
+		return nil, fmt.Errorf("orchestra: no node %d", i)
+	}
+	return c.backends[i], nil
+}
 
 // NodeID returns the i-th node's identity.
 func (c *Cluster) NodeID(i int) string { return string(c.local.Node(i).ID()) }
@@ -192,8 +200,12 @@ func (c *Cluster) AddNode() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.engines = append(c.engines, engine.New(node))
-	return len(c.engines) - 1, nil
+	b := server.NewNodeBackend(node, engine.New(node))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	b.ShareViews(c.views)
+	c.backends = append(c.backends, b)
+	return len(c.backends) - 1, nil
 }
 
 // RemoveNode gracefully retires node i, rebalancing its data first.
@@ -213,89 +225,38 @@ func (c *Cluster) ResetNetworkStats() { c.local.Net.ResetStats() }
 
 // CurrentEpoch returns the node-0 view of the global epoch.
 func (c *Cluster) CurrentEpoch() Epoch {
-	return c.currentEpochAt(0)
-}
-
-// currentEpochAt returns node i's view of the global epoch — serving
-// paths resolve epochs at their own node, not node 0.
-func (c *Cluster) currentEpochAt(i int) Epoch {
-	return c.local.Node(i).Gossip().Current()
+	return c.local.Node(0).Gossip().Current()
 }
 
 // --- schema DDL ---
 
-// SchemaDef builds a relation schema fluently; see NewSchema.
-type SchemaDef struct {
-	name string
-	cols []tuple.Column
-	keys []string
-	err  error
-}
+// SchemaDef builds a relation schema fluently; see NewSchema. It is the
+// wire's create request, filled in by method calls.
+type SchemaDef struct{ req server.CreateRequest }
 
 // NewSchema starts a schema definition. Columns are "name:type" with type
 // one of int, float, string.
 func NewSchema(relation string, columns ...string) *SchemaDef {
-	d := &SchemaDef{name: relation}
-	for _, c := range columns {
-		var name, typ string
-		if n, err := fmt.Sscanf(c, "%s", &name); n != 1 || err != nil {
-			d.err = fmt.Errorf("orchestra: bad column %q", c)
-			return d
-		}
-		for i := 0; i < len(c); i++ {
-			if c[i] == ':' {
-				name, typ = c[:i], c[i+1:]
-				break
-			}
-		}
-		var t tuple.Type
-		switch typ {
-		case "int", "int64":
-			t = tuple.Int64
-		case "float", "float64":
-			t = tuple.Float64
-		case "string", "str":
-			t = tuple.String
-		default:
-			d.err = fmt.Errorf("orchestra: bad column type in %q", c)
-			return d
-		}
-		d.cols = append(d.cols, tuple.Column{Name: name, Type: t})
-	}
-	return d
+	return &SchemaDef{server.CreateRequest{Relation: relation, Columns: columns}}
 }
 
-// Key declares the key columns (data is partitioned by their hash).
+// Key declares the key columns (data is partitioned by their hash); the
+// default is the first column.
 func (d *SchemaDef) Key(columns ...string) *SchemaDef {
-	d.keys = columns
+	d.req.Keys = columns
 	return d
-}
-
-func (d *SchemaDef) build() (*tuple.Schema, error) {
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.keys) == 0 && len(d.cols) > 0 {
-		d.keys = []string{d.cols[0].Name} // default: first column
-	}
-	return tuple.NewSchema(d.name, d.cols, d.keys...)
 }
 
 // CreateRelation registers a relation across the cluster.
 func (c *Cluster) CreateRelation(def *SchemaDef) error {
-	schema, err := def.build()
+	b, err := c.backend(0)
 	if err != nil {
 		return err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := c.local.Node(0).CreateRelation(ctx, schema); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.schemas[schema.Relation] = schema
-	c.mu.Unlock()
-	return nil
+	_, err = b.Create(ctx, &def.req)
+	return err
 }
 
 // CreateRelationSchema registers a pre-built tuple schema across the
@@ -303,81 +264,92 @@ func (c *Cluster) CreateRelation(def *SchemaDef) error {
 func (c *Cluster) CreateRelationSchema(s *tuple.Schema) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := c.local.Node(0).CreateRelation(ctx, s); err != nil {
+	b, err := c.backend(0)
+	if err != nil {
 		return err
 	}
-	c.mu.Lock()
-	c.schemas[s.Relation] = s
-	c.mu.Unlock()
-	return nil
+	return b.CreateSchema(ctx, s)
 }
 
-// Schema returns the registered schema for a relation.
-func (c *Cluster) Schema(relation string) (*tuple.Schema, bool) {
+// liveNode returns the first node still on the network (node 0 when none
+// is). Catalog records are replicated, so any live node resolves them.
+func (c *Cluster) liveNode() *cluster.Node {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s, ok := c.schemas[relation]
-	return s, ok
+	for _, b := range c.backends {
+		if node := b.Node(); c.local.Net.Alive(node.ID()) {
+			return node
+		}
+	}
+	return c.backends[0].Node()
 }
 
-// Relations lists the registered relation names, sorted.
+// relationCatalog fetches a relation's replicated catalog record: the
+// schema, and the row count every publish writes atomically with its epoch.
+func (c *Cluster) relationCatalog(relation string) (*vstore.Catalog, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	return c.liveNode().GetCatalog(ctx, relation)
+}
+
+// Schema returns a relation's schema.
+func (c *Cluster) Schema(relation string) (*tuple.Schema, bool) {
+	cat, err := c.relationCatalog(relation)
+	if err != nil {
+		return nil, false
+	}
+	return cat.Schema, true
+}
+
+// Relations lists the relation names any node's backend knows, sorted.
 func (c *Cluster) Relations() []string {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.schemas))
-	for name := range c.schemas {
+	backends := append([]*server.NodeBackend(nil), c.backends...)
+	c.mu.Unlock()
+	seen := make(map[string]struct{})
+	for _, b := range backends {
+		for _, name := range b.Relations() {
+			seen[name] = struct{}{}
+		}
+	}
+	out := make([]string, 0, len(seen))
+	for name := range seen {
 		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// RowCount returns the cluster's published-row estimate for a relation
-// (the same statistic the optimizer sees).
+// RowCount returns a relation's row count — the statistic the optimizer
+// and the served schema op see.
 func (c *Cluster) RowCount(relation string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rows[relation]
+	cat, err := c.relationCatalog(relation)
+	if err != nil {
+		return 0
+	}
+	return cat.Rows
 }
 
 // --- publish / import ---
 
-// convertRow coerces Go values onto the schema's column types.
-func convertRow(s *tuple.Schema, r Row) (tuple.Row, error) {
-	if len(r) != s.Arity() {
-		return nil, fmt.Errorf("orchestra: row arity %d != schema arity %d", len(r), s.Arity())
-	}
+// typedRow types a Row's Go values; the backend's publish then fits them
+// onto the relation's column types, as it does for rows off the wire.
+func typedRow(r Row) (tuple.Row, error) {
 	out := make(tuple.Row, len(r))
 	for i, v := range r {
-		switch s.Columns[i].Type {
-		case tuple.Int64:
-			switch x := v.(type) {
-			case int:
-				out[i] = tuple.I(int64(x))
-			case int64:
-				out[i] = tuple.I(x)
-			case Epoch:
-				out[i] = tuple.I(int64(x))
-			default:
-				return nil, fmt.Errorf("orchestra: column %s wants int, got %T", s.Columns[i].Name, v)
-			}
-		case tuple.Float64:
-			switch x := v.(type) {
-			case float64:
-				out[i] = tuple.F(x)
-			case int:
-				out[i] = tuple.F(float64(x))
-			case int64:
-				out[i] = tuple.F(float64(x))
-			default:
-				return nil, fmt.Errorf("orchestra: column %s wants float, got %T", s.Columns[i].Name, v)
-			}
-		case tuple.String:
-			x, ok := v.(string)
-			if !ok {
-				return nil, fmt.Errorf("orchestra: column %s wants string, got %T", s.Columns[i].Name, v)
-			}
+		switch x := v.(type) {
+		case int:
+			out[i] = tuple.I(int64(x))
+		case int64:
+			out[i] = tuple.I(x)
+		case Epoch:
+			out[i] = tuple.I(int64(x))
+		case float64:
+			out[i] = tuple.F(x)
+		case string:
 			out[i] = tuple.S(x)
+		default:
+			return nil, fmt.Errorf("orchestra: unsupported value type %T", v)
 		}
 	}
 	return out, nil
@@ -392,19 +364,20 @@ func (c *Cluster) Publish(relation string, rows Rows) (Epoch, error) {
 // PublishFrom publishes via a specific node (participants publish through
 // their own node in a real deployment).
 func (c *Cluster) PublishFrom(node int, relation string, rows Rows) (Epoch, error) {
-	s, ok := c.Schema(relation)
-	if !ok {
-		return 0, fmt.Errorf("orchestra: unknown relation %q", relation)
-	}
-	ups := make([]vstore.Update, len(rows))
+	return c.publishRows(node, relation, vstore.OpInsert, rows)
+}
+
+// publishRows types rows' Go values and publishes them as one update log
+// of the given kind.
+func (c *Cluster) publishRows(node int, relation string, op vstore.Op, rows Rows) (Epoch, error) {
+	typed := make([]tuple.Row, len(rows))
 	for i, r := range rows {
-		tr, err := convertRow(s, r)
-		if err != nil {
+		var err error
+		if typed[i], err = typedRow(r); err != nil {
 			return 0, err
 		}
-		ups[i] = vstore.Update{Op: vstore.OpInsert, Row: tr}
 	}
-	return c.publishUpdates(node, relation, ups, int64(len(rows)), 0)
+	return c.publishTyped(node, relation, op, typed, 0)
 }
 
 // PublishTyped publishes pre-converted rows (used by workload generators
@@ -418,75 +391,28 @@ func (c *Cluster) PublishTyped(node int, relation string, rows []tuple.Row) (Epo
 // original commit's epoch without applying the batch again. Served
 // deployments use it to make client publish retries safe.
 func (c *Cluster) PublishTypedID(node int, relation string, rows []tuple.Row, pubID uint64) (Epoch, error) {
-	ups := make([]vstore.Update, len(rows))
-	for i, r := range rows {
-		ups[i] = vstore.Update{Op: vstore.OpInsert, Row: r}
-	}
-	return c.publishUpdates(node, relation, ups, int64(len(rows)), pubID)
+	return c.publishTyped(node, relation, vstore.OpInsert, rows, pubID)
 }
 
 // Update publishes value changes for existing keys (copy-on-write: prior
 // versions remain queryable at their epochs).
 func (c *Cluster) Update(relation string, rows Rows) (Epoch, error) {
-	s, ok := c.Schema(relation)
-	if !ok {
-		return 0, fmt.Errorf("orchestra: unknown relation %q", relation)
-	}
-	ups := make([]vstore.Update, len(rows))
-	for i, r := range rows {
-		tr, err := convertRow(s, r)
-		if err != nil {
-			return 0, err
-		}
-		ups[i] = vstore.Update{Op: vstore.OpUpdate, Row: tr}
-	}
-	return c.publishUpdates(0, relation, ups, 0, 0)
+	return c.publishRows(0, relation, vstore.OpUpdate, rows)
 }
 
 // Delete publishes deletions (key columns of each row are consulted).
 func (c *Cluster) Delete(relation string, rows Rows) (Epoch, error) {
-	s, ok := c.Schema(relation)
-	if !ok {
-		return 0, fmt.Errorf("orchestra: unknown relation %q", relation)
-	}
-	ups := make([]vstore.Update, len(rows))
-	for i, r := range rows {
-		tr, err := convertRow(s, r)
-		if err != nil {
-			return 0, err
-		}
-		ups[i] = vstore.Update{Op: vstore.OpDelete, Row: tr}
-	}
-	return c.publishUpdates(0, relation, ups, 0, 0)
+	return c.publishRows(0, relation, vstore.OpDelete, rows)
 }
 
-func (c *Cluster) publishUpdates(node int, relation string, ups []vstore.Update, added int64, pubID uint64) (Epoch, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-	e, err := c.local.Node(node).PublishWith(ctx, relation, ups, cluster.PublishOptions{ID: pubID})
+// publishTyped publishes rows as one update log of kind op at node's
+// backend, which fits them onto the relation's column types.
+func (c *Cluster) publishTyped(node int, relation string, op vstore.Op, rows []tuple.Row, pubID uint64) (Epoch, error) {
+	b, err := c.backend(node)
 	if err != nil {
 		return 0, err
 	}
-	c.mu.Lock()
-	c.rows[relation] += added
-	c.mu.Unlock()
-	return e, nil
-}
-
-// catalog adapts the cluster's cached schemas and row counts for the
-// optimizer.
-func (c *Cluster) catalog() optimizer.Catalog {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cat := &optimizer.MapCatalog{
-		Schemas: make(map[string]*tuple.Schema, len(c.schemas)),
-		Tables:  make(map[string]optimizer.TableStats, len(c.rows)),
-	}
-	for k, v := range c.schemas {
-		cat.Schemas[k] = v
-	}
-	for k, v := range c.rows {
-		cat.Tables[k] = optimizer.TableStats{Rows: v}
-	}
-	return cat
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+	return b.PublishRows(ctx, relation, op, rows, pubID)
 }

@@ -2,7 +2,6 @@ package orchestra
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"orchestra/internal/engine"
@@ -43,7 +42,7 @@ type QueryOptions struct {
 	Node int
 	// Epoch pins the snapshot epoch; 0 means current.
 	Epoch Epoch
-	// Recovery selects the failure reaction (default RecoverRestart).
+	// Recovery selects the failure reaction (default RecoverFail).
 	Recovery RecoveryMode
 	// Provenance forces provenance tracking even without incremental
 	// recovery (to measure its overhead, §VI-E).
@@ -54,20 +53,13 @@ type QueryOptions struct {
 	// planning, each fragment's scan passes, ship encode/decode, and the
 	// final pipeline, with durations and row/byte counts.
 	Trace bool
-
-	// sink, when set, receives the answer instead of Result.Rows — the
-	// serving path's hand-off to the wire. Plans that stream emit into it
-	// during execution (Result.Streamed); everything else arrives once
-	// the complete, duplicate-free answer exists at the initiator.
-	sink server.ResultStream
 }
 
 // Result is a completed query.
 type Result struct {
 	// Columns are the output column names (select aliases where given).
 	Columns []string
-	// Rows is the complete, duplicate-free answer set (nil on the serving
-	// path, where the answer went to the wire instead).
+	// Rows is the complete, duplicate-free answer set.
 	Rows []tuple.Row
 	// Epoch is the snapshot the query executed against.
 	Epoch Epoch
@@ -88,11 +80,11 @@ type Result struct {
 	// QueryOptions.Trace was set.
 	TraceID string
 	Trace   *TraceSpan
-	// Streamed counts rows the serving path emitted during execution;
-	// when positive the answer never existed whole at the initiator.
-	Streamed int64
+	// Streamed counts rows the plan emitted during execution, and
 	// StreamPeak is the high-water mark of result rows buffered at the
-	// initiator while streaming (0 for collected executions).
+	// initiator while it did. Both are 0 for collected executions — every
+	// embedded one, see QueryOpts.
+	Streamed   int64
 	StreamPeak int
 }
 
@@ -102,128 +94,107 @@ func (c *Cluster) Query(src string) (*Result, error) {
 	return c.QueryOpts(src, QueryOptions{})
 }
 
-// QueryOpts parses, optimizes, and executes a single-block SQL query —
-// the one embedded query path, which the served endpoints share.
+// QueryOpts parses, optimizes, and executes a single-block SQL query by
+// calling the query function the served endpoints call
+// (server.NodeBackend.Query) with a sink that collects Rows. Unlike a
+// served query it never streams during execution: the answer is emitted
+// once it is complete, so a node failure can always be recovered by
+// restarting (RecoverRestart), and Streamed and StreamPeak stay zero.
 //
 // With the view cache on (EnableQueryCache) and no provenance, the answer
-// is looked up and stored under (query text, epoch): the cache holds
-// whole answers, so such a query never streams during execution.
-// Provenance mode bypasses the cache.
+// is looked up and stored under (query text, epoch). Provenance mode
+// bypasses the cache.
 func (c *Cluster) QueryOpts(src string, opts QueryOptions) (*Result, error) {
-	if opts.Node < 0 || opts.Node >= len(c.engines) {
-		return nil, fmt.Errorf("orchestra: no node %d", opts.Node)
+	b, err := c.backend(opts.Node)
+	if err != nil {
+		return nil, err
 	}
 	if opts.Timeout <= 0 {
 		opts.Timeout = 5 * time.Minute
 	}
-	var tr *obs.Trace
-	if opts.Trace {
-		tr = obs.NewTrace(obs.NewTraceID(), "query", c.NodeID(opts.Node))
-	}
-	c.mu.Lock()
-	views := c.views
-	c.mu.Unlock()
-	if opts.Provenance {
-		views = nil
-	}
-	var key viewKey
-	if views != nil {
-		// The cache is epoch-keyed and shared across serving nodes: a
-		// query pinned to an epoch answers identically from every
-		// initiator, so any node's endpoint may both hit and fill it. An
-		// unpinned query resolves the epoch at its own serving node.
-		if opts.Epoch == 0 {
-			opts.Epoch = c.currentEpochAt(opts.Node)
-		}
-		key = viewKey{sql: src, epoch: opts.Epoch}
-		if e, ok := views.get(key); ok {
-			return viewHit(e, tr, opts.sink)
-		}
-	}
-	planSpan := tr.Begin("plan")
-	q, err := sql.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	plan, info, err := c.Optimize(q)
-	if err != nil {
-		return nil, err
-	}
-	tr.End(planSpan)
-	tr.Attach(nil, planSpan)
-	res := &Result{Columns: outputColumns(q, c), Plan: optimizer.Explain(plan, info)}
-
 	ctx, cancel := context.WithTimeout(context.Background(), opts.Timeout)
 	defer cancel()
-	eng := c.engines[opts.Node]
-	eopts := engine.Options{Provenance: opts.Provenance, Recovery: opts.Recovery, Epoch: opts.Epoch, Trace: tr}
-	var eres *engine.Result
-	if opts.sink != nil {
-		eres, err = server.RunQuery(ctx, eng, plan, eopts, res.Columns, views == nil, opts.sink)
-	} else {
-		eres, err = eng.Run(ctx, plan, eopts)
-	}
+	var got rowSink
+	tail, exec, err := b.Query(ctx, src, engine.Options{
+		Provenance: opts.Provenance,
+		Recovery:   opts.Recovery,
+		Epoch:      opts.Epoch,
+	}, opts.Trace, &got)
 	if err != nil {
 		return nil, err
 	}
-	if opts.sink == nil {
-		// The embedded API's one materialisation of the answer as rows.
-		res.Rows = eres.Batch.Rows()
+	res := &Result{
+		Columns:  got.cols,
+		Rows:     got.rows,
+		Epoch:    Epoch(tail.Epoch),
+		Phases:   tail.Phases,
+		Restarts: tail.Restarts,
+		Plan:     tail.Plan,
+		Cached:   tail.Cached,
+		TraceID:  tail.TraceID,
+		Trace:    tail.Trace,
+		Streamed: tail.Streamed,
+		PerNode:  map[string]engine.NodeStats{},
 	}
-	if views != nil {
-		// Ownership: a batch that entered the cache is never returned to
-		// the arena pool — hits borrow it, read-only, for as long as the
-		// entry lives (and the frame writer may still be reading it after
-		// an eviction); the garbage collector reclaims it.
-		views.put(&viewEntry{key: key, batch: eres.Batch, cols: res.Columns, plan: res.Plan})
-	} else {
-		engine.RecycleResultBatch(eres.Batch)
-	}
-	res.Epoch = eres.Epoch
-	res.Phases = eres.Phases
-	res.Restarts = eres.Restarts
-	res.Stats = eres.TotalStats()
-	res.Streamed = eres.Streamed
-	res.StreamPeak = eres.StreamPeak
-	res.PerNode = make(map[string]engine.NodeStats, len(eres.Stats))
-	for id, st := range eres.Stats {
-		res.PerNode[string(id)] = st
-	}
-	if tr != nil {
-		tr.Finish()
-		res.TraceID = tr.ID.String()
-		res.Trace = tr.Root()
+	if exec != nil { // nil when the view cache answered
+		res.Stats = exec.TotalStats()
+		res.StreamPeak = exec.StreamPeak
+		for id, st := range exec.Stats {
+			res.PerNode[string(id)] = st
+		}
 	}
 	return res, nil
 }
 
-// Optimize runs the Volcano-style optimizer against the cluster's catalog.
+// rowSink collects an answer as rows the caller owns — the embedded API's
+// one materialisation of it.
+type rowSink struct {
+	cols []string
+	rows []tuple.Row
+}
+
+func (s *rowSink) Columns(cols []string) { s.cols = cols }
+
+func (s *rowSink) StreamCols(b *tuple.Batch) error {
+	s.rows = append(s.rows, b.Rows()...)
+	return nil
+}
+
+// Optimize plans a parsed query against the replicated catalogs, as a
+// query initiated at the first live node would be.
 func (c *Cluster) Optimize(q *sql.Query) (*engine.Plan, *optimizer.Info, error) {
-	env := optimizer.Environment{Nodes: c.liveNodes()}
-	return optimizer.Build(q, c.catalog(), env)
-}
-
-// liveNodes counts nodes in the current routing table.
-func (c *Cluster) liveNodes() int {
-	return c.local.Node(0).Table().Size()
-}
-
-// outputColumns derives display names for the result columns.
-func outputColumns(q *sql.Query, c *Cluster) []string {
-	return q.OutputColumns(func(table string) ([]string, bool) {
-		s, ok := c.Schema(table)
-		if !ok {
-			return nil, false
-		}
-		return columnNames(s), true
-	})
-}
-
-// columnNames lists a schema's column names in order.
-func columnNames(s *tuple.Schema) []string {
-	names := make([]string, len(s.Columns))
-	for i, col := range s.Columns {
-		names[i] = col.Name
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	p, err := server.PlanQuery(ctx, c.liveNode(), q)
+	if err != nil {
+		return nil, nil, err
 	}
-	return names
+	return p.Plan, p.Info, nil
+}
+
+// CacheStats snapshots node's cache counters by name: "views" (the
+// shared materialized-view cache, when enabled) and "pages" (the node's
+// decoded-index-page LRU).
+func (c *Cluster) CacheStats(node int) map[string]CacheStats {
+	b, err := c.backend(node)
+	if err != nil {
+		return nil
+	}
+	return b.CacheStats()
+}
+
+// EnableQueryCache turns on materialized-view caching of query results,
+// keeping up to maxEntries (query, epoch) result sets shared by every
+// node's backend, so any endpoint may both hit and fill it. Hits are
+// reported via Result.Cached. Safe to call once, before issuing queries.
+func (c *Cluster) EnableQueryCache(maxEntries int) {
+	if maxEntries <= 0 {
+		maxEntries = 64
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.views = server.NewViewCache(maxEntries)
+	for _, b := range c.backends {
+		b.ShareViews(c.views)
+	}
 }

@@ -31,7 +31,14 @@ func WithAntiEntropy(interval time.Duration) Option {
 }
 
 // ReplStats reports node i's replica-repair counters and catch-up lag.
-func (c *Cluster) ReplStats(i int) ReplStats { return c.local.Node(i).ReplStats() }
+func (c *Cluster) ReplStats(i int) ReplStats {
+	b, err := c.backend(i)
+	if err != nil {
+		return ReplStats{}
+	}
+	st, _ := b.ReplStats()
+	return st
+}
 
 // RepairNode runs one synchronous repair pass at node i against every
 // replica peer: WAL-shipping catch-up where markers exist, digest
@@ -47,13 +54,19 @@ func (c *Cluster) RepairNode(i int) error {
 // volatile ones come back empty), it rejoins the network, and it
 // catches up from its replica peers — via WAL shipping when their logs
 // still cover its position, else by state transfer. The routing table
-// is untouched: a restart is repair, not a membership change.
+// is untouched: a restart is repair, not a membership change. Node i's
+// backend is re-pointed at the reopened node under its own lock, so an
+// endpoint served off it keeps answering after the restart.
 func (c *Cluster) RestartNode(i int) error {
+	b, err := c.backend(i)
+	if err != nil {
+		return err
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	node, err := c.local.Restart(ctx, c.local.Node(i).ID())
 	if node != nil {
-		c.engines[i] = engine.New(node)
+		b.Rebind(node, engine.New(node))
 		c.mu.Lock()
 		interval := c.repairInterval
 		c.mu.Unlock()

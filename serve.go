@@ -2,16 +2,9 @@ package orchestra
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"sort"
 	"time"
 
-	"orchestra/internal/cluster"
-	"orchestra/internal/kvstore"
 	"orchestra/internal/server"
-	"orchestra/internal/sql"
-	"orchestra/internal/tuple"
 )
 
 // ServeOptions tunes a served endpoint; the zero value is sensible.
@@ -108,16 +101,19 @@ func (s *Server) ServeOps(addr string) (string, error) {
 	return s.opsAddr, nil
 }
 
-// Serve exposes the cluster at addr (TCP, ":0" picks a free port) over
-// the wire protocol: create, publish, query (with epoch pinning,
-// recovery mode, provenance), schema/catalog, and status/stats. Each connection is a session served by its own
-// goroutine; query executions pass an admission-control semaphore. Call
-// Serve once per node index to give every node its own endpoint.
+// Serve exposes node opts.Node's backend at addr (TCP, ":0" picks a free
+// port) over the wire protocol: create, publish, query (with epoch
+// pinning, recovery mode, provenance), schema/catalog, and status/stats —
+// exactly what an orchestra-node process serves. Each connection is a
+// session served by its own goroutine; query executions pass an
+// admission-control semaphore. Call Serve once per node index to give
+// every node its own endpoint.
 func (c *Cluster) Serve(addr string, opts ServeOptions) (*Server, error) {
-	if opts.Node < 0 || opts.Node >= len(c.engines) {
-		return nil, fmt.Errorf("orchestra: no node %d", opts.Node)
+	b, err := c.backend(opts.Node)
+	if err != nil {
+		return nil, err
 	}
-	s, err := server.Start(addr, &clusterBackend{c: c, node: opts.Node}, server.Config{
+	s, err := server.Start(addr, b, server.Config{
 		MaxConcurrentQueries: opts.MaxConcurrentQueries,
 		RequestTimeout:       opts.RequestTimeout,
 		OnQueryStart:         opts.OnQueryStart,
@@ -128,7 +124,7 @@ func (c *Cluster) Serve(addr string, opts ServeOptions) (*Server, error) {
 		// Every endpoint served off this cluster advertises the whole
 		// set (plus any static extras), so one reachable endpoint
 		// teaches a client the others.
-		Peers: func() []string { return mergePeers(c.servedPeers(), opts.Peers) },
+		Peers: func() []string { return server.MergePeers(c.servedPeers(), opts.Peers) },
 		// Durable clusters export the node's WAL/fsync/snapshot metrics
 		// through this endpoint's /metrics; nil makes the server allocate
 		// its own registry.
@@ -171,160 +167,13 @@ func (c *Cluster) dropServed(s *Server) {
 }
 
 // servedPeers lists the advertised addresses of every live endpoint
-// served off this cluster, sorted for stable output.
+// served off this cluster.
 func (c *Cluster) servedPeers() []string {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	out := make([]string, 0, len(c.served))
 	for _, addr := range c.served {
 		out = append(out, addr)
 	}
-	c.mu.Unlock()
-	sort.Strings(out)
 	return out
-}
-
-// mergePeers unions two advertised-address lists, dropping blanks and
-// duplicates, sorted for stable output.
-func mergePeers(a, b []string) []string {
-	seen := make(map[string]struct{}, len(a)+len(b))
-	out := make([]string, 0, len(a)+len(b))
-	for _, s := range append(a, b...) {
-		if s == "" {
-			continue
-		}
-		if _, ok := seen[s]; ok {
-			continue
-		}
-		seen[s] = struct{}{}
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// clusterBackend adapts a Cluster to the server.Backend interface.
-type clusterBackend struct {
-	c    *Cluster
-	node int
-}
-
-// wireQueryError types untyped embedded-query failures for the wire:
-// SQL parse errors are the client's fault, not the server's.
-func wireQueryError(err error) error {
-	var se *sql.Error
-	if errors.As(err, &se) {
-		return server.Errorf(server.CodeBadRequest, "%v", err)
-	}
-	return err
-}
-
-func (b *clusterBackend) Create(ctx context.Context, req *server.CreateRequest) (tuple.Epoch, error) {
-	def := NewSchema(req.Relation, req.Columns...)
-	if len(req.Keys) > 0 {
-		def.Key(req.Keys...)
-	}
-	if err := b.c.CreateRelation(def); err != nil {
-		return 0, server.Errorf(server.CodeBadRequest, "%v", err)
-	}
-	return b.c.CurrentEpoch(), nil
-}
-
-func (b *clusterBackend) Publish(ctx context.Context, req *server.PublishRequest) (tuple.Epoch, error) {
-	s, ok := b.c.Schema(req.Relation)
-	if !ok {
-		return 0, server.Errorf(server.CodeNotFound, "unknown relation %q", req.Relation)
-	}
-	if err := server.CoerceTypedRows(s, req.TypedRows); err != nil {
-		return 0, err
-	}
-	return b.c.PublishTypedID(b.node, req.Relation, req.TypedRows, req.PublishID)
-}
-
-// QueryStream implements server.Backend: the embedded query path with
-// out as its sink.
-func (b *clusterBackend) QueryStream(ctx context.Context, req *server.QueryRequest, out server.ResultStream) (*server.QueryTail, error) {
-	rec, err := server.RecoveryMode(req.Recovery)
-	if err != nil {
-		return nil, err
-	}
-	opts := QueryOptions{
-		Node:       b.node,
-		Epoch:      Epoch(req.Epoch),
-		Recovery:   rec,
-		Provenance: req.Provenance,
-		Trace:      req.Trace,
-		sink:       out,
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		if opts.Timeout = time.Until(dl); opts.Timeout <= 0 {
-			// Don't let an expired budget fall through to QueryOpts'
-			// 5-minute default while holding an admission slot.
-			return nil, server.Errorf(server.CodeTimeout, "request deadline expired before execution")
-		}
-	}
-	res, err := b.c.QueryOpts(req.SQL, opts)
-	if err != nil {
-		return nil, wireQueryError(err)
-	}
-	tail := &server.QueryTail{
-		Epoch:    uint64(res.Epoch),
-		Cached:   res.Cached,
-		Phases:   res.Phases,
-		Restarts: res.Restarts,
-		TraceID:  res.TraceID,
-		Trace:    res.Trace,
-		Streamed: res.Streamed,
-	}
-	if req.Explain {
-		tail.Plan = res.Plan
-	}
-	return tail, nil
-}
-
-func (b *clusterBackend) Catalog(ctx context.Context, rel string) (*server.SchemaResponse, error) {
-	names := b.c.Relations()
-	if rel != "" {
-		if _, ok := b.c.Schema(rel); !ok {
-			return nil, server.Errorf(server.CodeNotFound, "unknown relation %q", rel)
-		}
-		names = []string{rel}
-	}
-	out := &server.SchemaResponse{}
-	for _, name := range names {
-		s, ok := b.c.Schema(name)
-		if !ok {
-			continue
-		}
-		cols, keys := server.FormatColumns(s)
-		out.Relations = append(out.Relations, server.RelationInfo{
-			Relation: name,
-			Columns:  cols,
-			Keys:     keys,
-			Rows:     b.c.RowCount(name),
-		})
-	}
-	return out, nil
-}
-
-func (b *clusterBackend) Epoch() tuple.Epoch { return b.c.CurrentEpoch() }
-
-// CacheStats implements server.Backend: the shared view cache plus this
-// node's decoded-page LRU.
-func (b *clusterBackend) CacheStats() map[string]CacheStats {
-	return b.c.CacheStats(b.node)
-}
-
-// DurabilityStats implements server.Backend.
-func (b *clusterBackend) DurabilityStats() (kvstore.DurabilityStats, bool) {
-	return b.c.DurabilityStats(b.node)
-}
-
-// ReplStats implements server.Backend: the serving node's replica-repair
-// counters and catch-up lag.
-func (b *clusterBackend) ReplStats() (cluster.ReplStats, bool) {
-	return b.c.ReplStats(b.node), b.c.Size() > 1
-}
-
-func (b *clusterBackend) Info() server.BackendInfo {
-	return server.BackendInfo{NodeID: b.c.NodeID(b.node), Members: b.c.liveNodes()}
 }
