@@ -93,19 +93,19 @@ func TestEngineScanAllocBudget(t *testing.T) {
 	if err := loadScanRelation(engineScanRows)(c); err != nil {
 		t.Fatal(err)
 	}
-	q := fmt.Sprintf("SELECT k, grp, v FROM scanload WHERE v >= 0 AND v < %d", engineScanRows)
-	gate := func(t *testing.T, trace, wantStreamed bool) {
+	scan := server.QueryRequest{SQL: fmt.Sprintf("SELECT k, grp, v FROM scanload WHERE v >= 0 AND v < %d", engineScanRows)}
+	gate := func(t *testing.T, req server.QueryRequest, wantRows int, wantStreamed bool) {
 		run := func() {
 			sink := &testSink{}
-			res, err := servedQuery(c, server.QueryRequest{SQL: q, Trace: trace}, sink)
+			res, err := servedQuery(c, req, sink)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sink.n != engineScanRows {
-				t.Fatalf("query answered %d rows, want %d", sink.n, engineScanRows)
+			if sink.n != wantRows {
+				t.Fatalf("query answered %d rows, want %d", sink.n, wantRows)
 			}
-			if wantStreamed && res.Streamed != engineScanRows {
-				t.Fatalf("Streamed = %d, want %d — the gate fell back to the collected path", res.Streamed, engineScanRows)
+			if wantStreamed && res.Streamed != int64(wantRows) {
+				t.Fatalf("Streamed = %d, want %d — the gate fell back to the collected path", res.Streamed, wantRows)
 			}
 		}
 		run() // warm caches and pools
@@ -114,19 +114,30 @@ func TestEngineScanAllocBudget(t *testing.T) {
 		t.Logf("served scan: %.0f allocs/query, %.3f allocs/row", allocs, perRow)
 		const ceiling = 0.5 // allocs per scanned row
 		if perRow > ceiling {
-			t.Fatalf("scan path allocates %.3f per scanned row (%.0f per query), ceiling %.2f — result materialization is back on the hot path",
+			t.Fatalf("scan path allocates %.3f per scanned row (%.0f per query), ceiling %.2f — per-row materialization is back on the hot path",
 				perRow, allocs, ceiling)
 		}
 	}
-	t.Run("default", func(t *testing.T) { gate(t, false, false) })
+	t.Run("default", func(t *testing.T) { gate(t, scan, engineScanRows, false) })
 	// Tracing costs spans per query, never allocations per row; the same
 	// ceiling holds with the span tree collected.
-	t.Run("traced", func(t *testing.T) { gate(t, true, true) })
+	traced := scan
+	traced.Trace = true
+	t.Run("traced", func(t *testing.T) { gate(t, traced, engineScanRows, true) })
 	// The streamed-during-execution path must fit the same budget — and
 	// this subtest additionally pins that the scan really does stream
 	// (QueryTail.Streamed counts every row), so a silent fallback to the
 	// collected path fails the gate rather than flattering it.
-	t.Run("streamed", func(t *testing.T) { gate(t, false, true) })
+	t.Run("streamed", func(t *testing.T) { gate(t, scan, engineScanRows, true) })
+	// Provenance rides the same batches: a shared set per requesting index
+	// node beside the columns, never a Row and a set per scanned tuple.
+	prov := scan
+	prov.Provenance = true
+	t.Run("provenance", func(t *testing.T) { gate(t, prov, engineScanRows, false) })
+	// A group-by folds the scan's typed vectors into its groups: nothing
+	// per row crosses the aggregate's input edge either.
+	groupby := server.QueryRequest{SQL: "SELECT grp, COUNT(*), SUM(v) FROM scanload GROUP BY grp"}
+	t.Run("groupby", func(t *testing.T) { gate(t, groupby, 17, false) })
 }
 
 // BenchmarkEngineScanProvenance measures the filtered scan with

@@ -23,7 +23,7 @@ import (
 
 	"orchestra/internal/cluster"
 	"orchestra/internal/engine"
-	"orchestra/internal/server"
+	"orchestra/internal/optimizer"
 	"orchestra/internal/tuple"
 	"orchestra/internal/vstore"
 )
@@ -249,7 +249,7 @@ func (p *Participant) Import(ctx context.Context, priorities map[string]int) (*I
 
 	var candidates []Candidate
 	for _, m := range mappings {
-		planned, err := server.PlanSQL(ctx, p.node, m.SQL)
+		planned, err := optimizer.PlanSQL(ctx, p.node, m.SQL)
 		if err != nil {
 			return nil, fmt.Errorf("cdss: mapping for %s: %w", m.Target, err)
 		}

@@ -1,22 +1,22 @@
 package engine
 
-// Column-major batch flow through the operator pipeline. The scan leaf
-// decodes tuple records straight into tuple.Batch column vectors; the
-// stateless row-shaping operators (select, project, compute's input edge)
-// process whole batches — compiled predicates evaluate into a selection
-// Bitset and the batch compacts in place, projection rearranges column
-// headers in O(arity) — and the ship operator forwards batches to the
-// initiator's collection accumulator, so a plain scan query never
-// materializes rows anywhere. The first sink that is not batch-aware
-// receives the rows materialized from one backing slab. Stateful
-// operators (join, aggregate, exchange) keep their per-row form: their
-// semantics (provenance unions, sub-group bookkeeping, destination
-// batching) are row-granular by design; what they emit becomes a batch
-// again at the ship operator, the one place rows are appended into one.
+// Column-major batch flow through the operator pipeline. A colBatch is the
+// only thing that crosses an operator edge: the scan leaf decodes tuple
+// records straight into tuple.Batch column vectors, select evaluates its
+// compiled predicate into a selection Bitset and compacts the batch in
+// place, project rearranges column headers in O(arity), compute evaluates
+// into fresh vectors, aggregate folds the typed vectors into its groups,
+// join copies the rows it must retain into its build tables and emits the
+// matches as a batch, the rehash partitions rows into one pending batch per
+// destination, and the ship operator hands batches to the initiator — so no
+// query boxes a row on its way to the client unless an operator keeps it.
 //
-// Batches flow only in no-provenance mode wholesale: with provenance on,
-// each scanned tuple carries its own mutable Prov bitset (origin node plus
-// the requesting index node), so the scan uses the row path there.
+// With provenance on, a batch carries a provenance vector beside its
+// columns, one set per row. Rows usually share a handful of sets (one per
+// index node that requested them, one per stamping node), and the vector
+// shares them too: a set reachable from a batch is immutable — clone before
+// mutating — which is what keeps recovery support at a slice header per
+// row instead of an allocation per row (§V-D's ≤2 % overhead).
 
 import (
 	"sync"
@@ -24,32 +24,58 @@ import (
 	"orchestra/internal/tuple"
 )
 
-// colBatch is a columnar batch annotated with the engine metadata every
-// row of the batch shares.
+// colBatch is a columnar batch with the engine metadata of its rows: the
+// execution phase they all belong to and, in provenance mode, the set of
+// nodes that processed each.
 type colBatch struct {
 	cols  tuple.Batch
 	phase uint32
+	// prov is nil iff provenance is off; otherwise prov[i] is row i's set.
+	// Equal sets may share one Prov — never mutate one in place.
+	prov []Prov
 }
 
-// batchSink is implemented by operators that can consume columnar batches
-// directly. pushCols transfers no ownership: the callee must either fully
-// process the batch (and may mutate it in place) before returning, or
-// materialize — it must not retain the batch or its vectors.
-type batchSink interface {
-	sink
-	pushCols(cb *colBatch)
-}
-
-// materialize converts the batch into engine tuples: all rows are carved
-// from a single backing slab (tuple.Batch.Rows), so the per-row cost is a
-// value copy, not an allocation.
-func (cb *colBatch) materialize() []Tup {
-	rows := cb.cols.Rows()
-	ts := make([]Tup, len(rows))
-	for i, row := range rows {
-		ts[i] = Tup{Row: row, Phase: cb.phase}
+// compactRows keeps exactly the rows whose bit is set in sel, in b and in
+// the provenance vector beside it (nil without provenance), which it returns.
+func compactRows(b *tuple.Batch, prov []Prov, sel Bitset) []Prov {
+	kept := prov[:0]
+	for i, p := range prov {
+		if sel.Has(i) {
+			kept = append(kept, p)
+		}
 	}
-	return ts
+	b.CompactWords(sel)
+	return kept
+}
+
+// appendRows appends the rows of src listed in sel (and their provenance)
+// onto cb, which owns its vectors.
+func (cb *colBatch) appendRows(src *colBatch, sel []int) error {
+	if err := cb.cols.AppendRowsFrom(&src.cols, sel); err != nil {
+		return err
+	}
+	if src.prov != nil {
+		for _, i := range sel {
+			cb.prov = append(cb.prov, src.prov[i])
+		}
+	}
+	return nil
+}
+
+// sameProv reports whether a and b are one shared set (not merely equal
+// ones): the cheap test that lets per-set work — stamping, dictionary
+// coding, sub-group lookup — run once per run of rows instead of per row.
+func sameProv(a, b Prov) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// appendBatchKey appends the order-preserving key encoding of row i's cols
+// — tuple.EncodeKey, read straight off the column vectors.
+func appendBatchKey(dst []byte, b *tuple.Batch, i int, cols []int) []byte {
+	for _, c := range cols {
+		dst = tuple.AppendKeyValue(dst, b.Cols[c].Value(i))
+	}
+	return dst
 }
 
 // resultBatchPool recycles the columnar slabs that back query answers:
@@ -84,25 +110,4 @@ func RecycleResultBatch(b *tuple.Batch) {
 	b.Truncate(0)
 	b.ClearStrings() // a parked batch must not pin its result's strings
 	resultBatchPool.Put(b)
-}
-
-// asBatchSink resolves the batch-aware view of a sink once, at plan build
-// time, so the per-batch hand-off is a nil check instead of a type assert.
-func asBatchSink(out sink) batchSink {
-	bs, _ := out.(batchSink)
-	return bs
-}
-
-// forwardBatch hands a batch to out: columnar when out is batch-aware
-// (outB non-nil), materialized otherwise. Empty batches are dropped — the
-// phase gates run on eos, not on data.
-func forwardBatch(out sink, outB batchSink, cb *colBatch) {
-	if cb.cols.N == 0 {
-		return
-	}
-	if outB != nil {
-		outB.pushCols(cb)
-		return
-	}
-	out.push(cb.materialize())
 }

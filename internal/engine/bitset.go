@@ -6,11 +6,7 @@
 // failures with correct, complete, duplicate-free results.
 package engine
 
-import (
-	"math/bits"
-
-	"orchestra/internal/tuple"
-)
+import "math/bits"
 
 // Prov is a provenance set: the set of snapshot-member indices whose nodes
 // processed this tuple or any tuple used to derive it (§V-D). With dozens
@@ -190,15 +186,4 @@ func (s Bitset) FlipFirst(n int) {
 	if rem := uint(n) & 63; rem != 0 {
 		s[n>>6] ^= (1 << rem) - 1
 	}
-}
-
-// Tup is a tuple flowing through the engine: the row, its provenance, and
-// the execution phase that produced it. Phases correspond to the initial
-// execution (0) and successive incremental recovery invocations (§V-D);
-// they let the system differentiate old in-flight data from recomputed
-// results.
-type Tup struct {
-	Row   tuple.Row
-	Prov  Prov
-	Phase uint32
 }

@@ -4,11 +4,11 @@ package engine
 // interpreted Expr.Eval walks the tree per row, re-dispatching on node and
 // operator kinds for every tuple; the scan path instead compiles each
 // query's expressions once into closures with the dispatch hoisted out —
-// a scalar form (per row), a boolean predicate form (select operators),
-// and a batch form that evaluates a predicate over the column vectors of a
-// tuple.Batch into a selection Bitset. All three forms agree exactly with
-// Expr.Eval, including on zero/invalid values (property-tested in
-// compile_test.go).
+// a scalar form (per row, for compute), a boolean predicate form (its
+// short-circuiting AND/OR/NOT), and a batch form (select operators) that
+// evaluates a predicate over the column vectors of a tuple.Batch into a
+// selection Bitset. All three forms agree exactly with Expr.Eval, including
+// on zero/invalid values (property-tested in compile_test.go).
 
 import (
 	"strings"
@@ -160,56 +160,22 @@ func compilePred(e Expr) predFn {
 	return func(row tuple.Row) bool { return truth(f(row)) }
 }
 
-// compileCmpPred compiles a comparison, fast-pathing the dominant
-// column-vs-literal shape so the common filter costs one type check and
-// one machine comparison per row.
+// compileCmpPred compiles a comparison over two scalar sub-expressions. (The
+// dominant column-vs-literal filter never reaches it: the select operator
+// runs compileBatchPred, which vectorizes that shape.)
 func compileCmpPred(b Bin) predFn {
 	lt, eq, gt := opWants(b.Op)
-	holds := func(c int) bool {
+	l, r := compileExpr(b.L), compileExpr(b.R)
+	return func(row tuple.Row) bool {
+		c := l(row).Cmp(r(row))
 		return (c < 0 && lt) || (c == 0 && eq) || (c > 0 && gt)
 	}
-	if col, ok := b.L.(Col); ok {
-		if cst, ok2 := b.R.(Const); ok2 {
-			idx, cv := col.Idx, cst.Val
-			switch cv.T {
-			case tuple.Int64:
-				ci := cv.I64
-				return func(row tuple.Row) bool {
-					v := row[idx]
-					if v.T == tuple.Int64 {
-						return (v.I64 < ci && lt) || (v.I64 == ci && eq) || (v.I64 > ci && gt)
-					}
-					return holds(v.Cmp(cv))
-				}
-			case tuple.String:
-				cs := cv.Str
-				return func(row tuple.Row) bool {
-					v := row[idx]
-					if v.T == tuple.String {
-						return holds(strings.Compare(v.Str, cs))
-					}
-					return holds(v.Cmp(cv))
-				}
-			case tuple.Float64:
-				cf := cv.F64
-				return func(row tuple.Row) bool {
-					v := row[idx]
-					if v.T == tuple.Float64 {
-						return holds(cmpFloat(v.F64, cf))
-					}
-					return holds(v.Cmp(cv))
-				}
-			}
-		}
-	}
-	l, r := compileExpr(b.L), compileExpr(b.R)
-	return func(row tuple.Row) bool { return holds(l(row).Cmp(r(row))) }
 }
 
 // compileBatchPred builds the vectorized evaluator for e: it marks passing
 // rows in a selection bitset, running tight loops over typed column
 // vectors for the common shapes and falling back to the compiled scalar
-// predicate over materialized rows otherwise.
+// predicate over a reused row view otherwise.
 func compileBatchPred(e Expr) batchPredFn {
 	switch t := e.(type) {
 	case Not:

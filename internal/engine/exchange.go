@@ -17,16 +17,15 @@ import (
 // destination and shipped in compressed blocks (§V-A).
 const flushRows = 1024
 
-// --- batch wire codecs ---
+// --- the inter-node batch layout ---
 //
-// Both inter-node codecs share one layout: the execution phase, a
-// provenance flag, a dictionary-coded provenance column — distinct
+// Rehash blocks and ship blocks travel in one layout: the execution phase,
+// a provenance flag, a dictionary-coded provenance column — distinct
 // provenance sets are listed once, each row referencing its set by index —
 // and the rows, column-major and compressed (the tuple batch codec). The
 // dictionary keeps the provenance overhead to roughly one byte per tuple,
 // which is how the paper achieves its ≤2% traffic overhead for recovery
-// support. The rehash codec speaks []Tup (its operators are row-granular);
-// the ship codec speaks tuple.Batch plus a parallel provenance vector.
+// support.
 
 // shipCompressMin is the raw body size at which a batch is compressed.
 const shipCompressMin = 256
@@ -37,6 +36,10 @@ func appendProvColumn(dst []byte, provs []Prov) []byte {
 	var keys []string
 	idxs := make([]int, len(provs))
 	for i, p := range provs {
+		if i > 0 && sameProv(p, provs[i-1]) {
+			idxs[i] = idxs[i-1] // a run of rows sharing one set
+			continue
+		}
 		k := p.Key()
 		id, ok := dict[k]
 		if !ok {
@@ -102,47 +105,7 @@ func decodeBatchHeader(data []byte) (phase uint32, provs []Prov, rest []byte, er
 	return phase, provs, data[off:], nil
 }
 
-func encodeTupBatch(ts []Tup, phase uint32, withProv bool) ([]byte, error) {
-	out := binary.BigEndian.AppendUint32(nil, phase)
-	rows := make([]tuple.Row, len(ts))
-	for i, t := range ts {
-		rows[i] = t.Row
-	}
-	if withProv {
-		provs := make([]Prov, len(ts))
-		for i, t := range ts {
-			provs[i] = t.Prov
-		}
-		out = appendProvColumn(append(out, 1), provs)
-	} else {
-		out = append(out, 0)
-	}
-	return tuple.AppendBatch(out, rows, shipCompressMin)
-}
-
-func decodeTupBatch(data []byte) ([]Tup, uint32, error) {
-	phase, provs, rest, err := decodeBatchHeader(data)
-	if err != nil {
-		return nil, 0, err
-	}
-	rows, err := tuple.DecodeBatch(rest)
-	if err != nil {
-		return nil, 0, err
-	}
-	if provs != nil && len(provs) != len(rows) {
-		return nil, 0, errors.New("engine: prov index count mismatch")
-	}
-	ts := make([]Tup, len(rows))
-	for i, r := range rows {
-		ts[i] = Tup{Row: r, Phase: phase}
-		if provs != nil {
-			ts[i].Prov = provs[i].Clone() // the exchange consumer stamps it
-		}
-	}
-	return ts, phase, nil
-}
-
-// encodeShipBatch appends the ship encoding of b. prov is nil (no
+// encodeShipBatch appends the inter-node encoding of b. prov is nil (no
 // provenance column) or holds one set per row.
 func encodeShipBatch(dst []byte, b *tuple.Batch, prov []Prov, phase uint32) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint32(dst, phase)
@@ -156,48 +119,52 @@ func encodeShipBatch(dst []byte, b *tuple.Batch, prov []Prov, phase uint32) ([]b
 	return tuple.AppendBatchCols(dst, b, shipCompressMin)
 }
 
-// decodeShipBatch decodes a ship payload onto into's column vectors and
-// returns its provenance vector (nil when the payload carries none).
-func decodeShipBatch(data []byte, into *tuple.Batch) ([]Prov, error) {
-	_, provs, rest, err := decodeBatchHeader(data)
+// decodeShipBatch decodes an inter-node payload onto into's column vectors
+// and returns its phase and provenance vector (nil when the payload carries
+// none). A failed decode leaves into as it was.
+func decodeShipBatch(data []byte, into *tuple.Batch) (uint32, []Prov, error) {
+	phase, provs, rest, err := decodeBatchHeader(data)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	n, err := tuple.DecodeBatchInto(rest, into)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	if provs != nil && len(provs) != n {
 		into.Truncate(into.N - n)
-		return nil, errors.New("engine: prov index count mismatch")
+		return 0, nil, errors.New("engine: prov index count mismatch")
 	}
-	return provs, nil
+	return phase, provs, nil
 }
 
 // --- exchange producer (rehash) ---
 
-// cachedTup is a produced tuple retained for replay, with its routing hash
-// and the node it was last sent to. Replay resends exactly the entries
-// whose last destination has failed: entries routed by the recovery table
-// (a concurrent push after the table swap) must not be sent twice.
-type cachedTup struct {
-	t      Tup
-	h      keyspace.Key
-	sentTo ring.NodeID
+// exchBlock is the rows a rehash has routed to one destination: the block
+// filling up for the next send or, in the replay cache, one already sent.
+type exchBlock struct {
+	dest ring.NodeID
+	cb   colBatch
+	// hashes holds each row's routing hash in provenance mode, so a replay
+	// can re-route the rows without the key columns' encoding.
+	hashes []keyspace.Key
+	sel    []int // push scratch: rows of the incoming batch routed here
 }
 
 // exchProducer is the sending half of a rehash: it partitions its input by
-// hash of the key columns, batches per destination, and retains an output
-// cache so that tuples sent to a node that later fails can be recreated
-// without redoing the upstream work (§V-D stage 4).
+// hash of the key columns into one pending block per destination, ships a
+// block when it is full (§V-A), and in provenance mode retains what it sent
+// so that rows sent to a node that later fails can be recreated without
+// redoing the upstream work (§V-D stage 4).
 type exchProducer struct {
 	ex     *executor
 	exchID int
 	keys   []int
 
 	mu      sync.Mutex
-	pending map[ring.NodeID][]Tup
-	cache   []cachedTup
+	pending map[ring.NodeID]*exchBlock
+	cache   []*exchBlock // provenance mode: every block sent so far
+	keyBuf  []byte
 }
 
 func newExchProducer(ex *executor, exchID int, keys []int) *exchProducer {
@@ -205,62 +172,101 @@ func newExchProducer(ex *executor, exchID int, keys []int) *exchProducer {
 		ex:      ex,
 		exchID:  exchID,
 		keys:    keys,
-		pending: make(map[ring.NodeID][]Tup),
+		pending: make(map[ring.NodeID]*exchBlock),
 	}
 }
 
-func (p *exchProducer) routeHash(row tuple.Row) keyspace.Key {
-	return keyspace.Hash(tuple.EncodeKey(row, p.keys))
+// cutLocked takes dest's pending block for sending, retaining it for replay
+// in provenance mode.
+func (p *exchProducer) cutLocked(dest ring.NodeID) *exchBlock {
+	blk := p.pending[dest]
+	delete(p.pending, dest)
+	if p.ex.opts.Provenance {
+		p.cache = append(p.cache, blk)
+	}
+	return blk
 }
 
-func (p *exchProducer) push(ts []Tup) {
-	var flushes []flushUnit
+func (p *exchProducer) send(blocks []*exchBlock) {
+	for _, blk := range blocks {
+		p.ex.sendExchBatch(p.exchID, blk.dest, &blk.cb)
+	}
+}
+
+// routeLocked files the rows of cb under the owners table assigns their
+// hashes — hashes[i] when given, else the hash of row i's key columns — in
+// pending blocks tagged phase, skipping rows tainted by failed (nil: none),
+// and returns the blocks that became due: full ones, and ones cut short
+// because the rows now arriving belong to another phase. A row that does
+// not fit its block's column types fails the fragment.
+func (p *exchProducer) routeLocked(table *ring.Table, cb *colBatch, hashes []keyspace.Key, failed Prov, phase uint32) []*exchBlock {
+	var due []*exchBlock
+	for i := 0; i < cb.cols.N; i++ {
+		if failed != nil && cb.prov[i].Intersects(failed) {
+			continue
+		}
+		var h keyspace.Key
+		if hashes != nil {
+			h = hashes[i]
+		} else {
+			p.keyBuf = appendBatchKey(p.keyBuf[:0], &cb.cols, i, p.keys)
+			h = keyspace.Hash(p.keyBuf)
+		}
+		dest := table.Owner(h)
+		blk := p.pending[dest]
+		if blk != nil && blk.cb.phase != phase {
+			due = append(due, p.cutLocked(dest))
+			blk = nil
+		}
+		if blk == nil {
+			blk = &exchBlock{dest: dest, cb: colBatch{phase: phase}}
+			p.pending[dest] = blk
+		}
+		blk.sel = append(blk.sel, i)
+		if p.ex.opts.Provenance {
+			blk.hashes = append(blk.hashes, h)
+		}
+	}
+	for dest, blk := range p.pending {
+		if len(blk.sel) == 0 {
+			continue
+		}
+		if err := blk.cb.appendRows(cb, blk.sel); err != nil {
+			p.ex.shipper.fail(fmt.Errorf("engine: rehash %d: %w", p.exchID, err))
+		}
+		blk.sel = blk.sel[:0]
+		if blk.cb.cols.N >= flushRows {
+			due = append(due, p.cutLocked(dest))
+		}
+	}
+	return due
+}
+
+func (p *exchProducer) push(cb *colBatch) {
 	p.mu.Lock()
 	// The routing table must be read inside the cache critical section:
 	// replay() holds the same lock after the recovery table is installed,
-	// so every cache entry is either scanned by replay or routed by the
-	// recovery table — never routed to a dead node and missed by replay.
-	table := p.ex.currentTable()
-	for _, t := range ts {
-		h := p.routeHash(t.Row)
-		dest := table.Owner(h)
-		if p.ex.opts.Provenance {
-			p.cache = append(p.cache, cachedTup{t: t, h: h, sentTo: dest})
-		}
-		p.pending[dest] = append(p.pending[dest], t)
-		if len(p.pending[dest]) >= flushRows {
-			flushes = append(flushes, flushUnit{dest: dest, ts: p.pending[dest]})
-			p.pending[dest] = nil
-		}
-	}
+	// so every block is either scanned by replay or routed by the recovery
+	// table — never routed to a dead node and missed by replay.
+	due := p.routeLocked(p.ex.currentTable(), cb, nil, nil, cb.phase)
 	p.mu.Unlock()
-	for _, f := range flushes {
-		p.ex.sendExchBatch(p.exchID, f.dest, f.ts)
-	}
+	p.send(due)
 }
 
-type flushUnit struct {
-	dest ring.NodeID
-	ts   []Tup
-}
-
-// eos flushes all pending batches and broadcasts end-of-stream for the
+// eos flushes all pending blocks and broadcasts end-of-stream for the
 // current phase to every live node (§V-B: the rehash operator cannot
 // complete until its data is fully delivered; per-link FIFO ordering plus
 // the trailing EOS marker provide that guarantee).
 func (p *exchProducer) eos(phase uint32) {
 	p.mu.Lock()
-	flushes := make([]flushUnit, 0, len(p.pending))
-	for dest, ts := range p.pending {
-		if len(ts) > 0 {
-			flushes = append(flushes, flushUnit{dest: dest, ts: ts})
+	due := make([]*exchBlock, 0, len(p.pending))
+	for dest, blk := range p.pending {
+		if blk.cb.cols.N > 0 {
+			due = append(due, p.cutLocked(dest))
 		}
 	}
-	p.pending = make(map[ring.NodeID][]Tup)
 	p.mu.Unlock()
-	for _, f := range flushes {
-		p.ex.sendExchBatch(p.exchID, f.dest, f.ts)
-	}
+	p.send(due)
 	if phase < p.ex.phaseNow() {
 		// A superseded wave must not complete anywhere: since this node
 		// advanced it has been filtering by the failed set, so its output
@@ -271,33 +277,37 @@ func (p *exchProducer) eos(phase uint32) {
 	p.ex.broadcastExchEOS(p.exchID, phase)
 }
 
-// replay re-sends cached clean tuples whose last destination has since
-// failed, now routed by the recovery table and tagged with the new phase.
-// Tainted cache entries are dropped: the upstream restart will regenerate
-// them. Entries already routed by the recovery table (by a push concurrent
-// with the table swap) are left alone — resending them would duplicate.
+// replay re-sends the clean rows of blocks whose destination has since
+// failed — sent ones from the cache, and pending ones that never left —
+// now routed by the recovery table and tagged with the new phase. Their
+// tainted rows are dropped: the upstream restart will regenerate them.
+// Blocks bound for live nodes are left alone, including rows a push
+// concurrent with the table swap already routed by the recovery table:
+// resending those would duplicate.
 func (p *exchProducer) replay(failed Prov, newTable *ring.Table, newPhase uint32) {
 	p.mu.Lock()
+	var lost []*exchBlock
 	kept := p.cache[:0]
-	byDest := make(map[ring.NodeID][]Tup)
-	for _, c := range p.cache {
-		if c.t.Prov.Intersects(failed) {
-			continue
+	for _, blk := range p.cache {
+		if newTable.Contains(blk.dest) {
+			kept = append(kept, blk)
+		} else {
+			lost = append(lost, blk)
 		}
-		if !newTable.Contains(c.sentTo) {
-			c.sentTo = newTable.Owner(c.h)
-			t := c.t
-			t.Phase = newPhase
-			byDest[c.sentTo] = append(byDest[c.sentTo], t)
-		}
-		kept = append(kept, c)
 	}
 	p.cache = kept
-	p.mu.Unlock()
-
-	for dest, ts := range byDest {
-		p.ex.sendExchBatch(p.exchID, dest, ts)
+	for dest, blk := range p.pending {
+		if !newTable.Contains(dest) {
+			delete(p.pending, dest)
+			lost = append(lost, blk)
+		}
 	}
+	var due []*exchBlock
+	for _, blk := range lost {
+		due = append(due, p.routeLocked(newTable, &blk.cb, blk.hashes, failed, newPhase)...)
+	}
+	p.mu.Unlock()
+	p.send(due)
 }
 
 // --- exchange consumer ---
@@ -323,12 +333,13 @@ func newExchConsumer(ex *executor, out sink) *exchConsumer {
 	}
 }
 
-// receive processes an incoming batch (possibly from an earlier phase —
-// clean tuples from live nodes remain valid; tainted ones are dropped).
-func (c *exchConsumer) receive(ts []Tup) {
-	ts = c.ex.filterAndStamp(ts)
-	if len(ts) > 0 {
-		c.out.push(ts)
+// receive processes an incoming block (possibly from an earlier phase —
+// clean tuples from live nodes remain valid; tainted ones are dropped). The
+// block is the consumer's to mutate.
+func (c *exchConsumer) receive(cb *colBatch) {
+	c.ex.filterAndStamp(cb)
+	if cb.cols.N > 0 {
+		c.out.push(cb)
 	}
 }
 
@@ -391,13 +402,10 @@ func (e *ShipError) Error() string { return fmt.Sprintf("engine: ship from %s: %
 func (e *ShipError) Unwrap() error { return e.Err }
 
 // shipProducer sends final fragment output to the query initiator
-// (Table I, ship). Whatever the fragment's last operator emits becomes a
-// tuple.Batch here and stays one to the client: columnar batches from the
-// operator pipeline hand over to the ship consumer directly on the
-// initiator's own node and coalesce into the pending batch elsewhere; rows
-// from the row-granular operators (join, aggregate, rehash, the
-// provenance-mode scan) are appended into the same pending batch, their
-// provenance sets into a vector beside it.
+// (Table I, ship). Whatever batch the fragment's last operator pushes stays
+// a tuple.Batch to the client: on the initiator's own node it hands over to
+// the ship consumer directly, elsewhere it coalesces into the pending batch
+// (its provenance sets into a vector beside it) until a shipment is due.
 type shipProducer struct {
 	ex *executor
 
@@ -407,7 +415,9 @@ type shipProducer struct {
 	err  error        // first failure: shipping stops, the EOS reports it
 }
 
-// fail records the fragment's first ship-path failure.
+// fail records the fragment's first failure — a shipment that could not be
+// built or encoded, or an operator whose output does not form a batch. The
+// fragment's EOS carries it to the initiator as a ShipError.
 func (s *shipProducer) fail(err error) {
 	s.mu.Lock()
 	if s.err == nil {
@@ -416,44 +426,26 @@ func (s *shipProducer) fail(err error) {
 	s.mu.Unlock()
 }
 
-// pendingLocked returns the batch pushes append to.
-func (s *shipProducer) pendingLocked() *tuple.Batch {
-	if s.cols == nil {
-		s.cols = &tuple.Batch{}
-	}
-	return s.cols
-}
-
-// push is the one place a []Tup becomes a batch. A row whose arity or
-// types disagree with the pending batch fails the fragment.
-func (s *shipProducer) push(ts []Tup) {
-	s.mu.Lock()
-	pend := s.pendingLocked()
-	for _, t := range ts {
-		if s.err != nil {
-			break
-		}
-		if s.err = pend.AppendRow(t.Row); s.err == nil && s.ex.opts.Provenance {
-			s.prov = append(s.prov, t.Prov)
-		}
-	}
-	b, prov := s.cutLocked(false)
-	s.mu.Unlock()
-	s.ship(b, prov)
-}
-
-// pushCols receives a columnar batch from the operator pipeline (which
-// only produces them without provenance). The batch is borrowed (pushCols
-// contract): loopback hand-off copies it into the consumer's accumulator
-// before returning; otherwise it is copied into the pending batch.
-func (s *shipProducer) pushCols(cb *colBatch) {
-	if s.ex.mode != shipTopK && s.ex.initiator == s.ex.self() {
-		s.ex.sendShip(&cb.cols, nil)
+// push takes a batch from the operator pipeline. The batch is borrowed
+// (sink contract). A full block on the initiator's own node hands over to
+// the consumer, which copies it into its accumulator before returning;
+// anything else is copied into the pending batch, so that shipments — and
+// the frames a streaming client receives — are blocks, not whatever sliver
+// survived a filter or matched in a join. A batch whose arity or types
+// disagree with what is pending fails the fragment.
+func (s *shipProducer) push(cb *colBatch) {
+	if cb.cols.N >= flushRows && s.ex.mode != shipTopK && s.ex.initiator == s.ex.self() {
+		s.ex.sendShip(&cb.cols, cb.prov)
 		return
 	}
 	s.mu.Lock()
+	if s.cols == nil {
+		s.cols = &tuple.Batch{}
+	}
 	if s.err == nil {
-		s.err = s.pendingLocked().AppendBatchInto(&cb.cols)
+		if s.err = s.cols.AppendBatchInto(&cb.cols); s.err == nil {
+			s.prov = append(s.prov, cb.prov...)
+		}
 	}
 	b, prov := s.cutLocked(false)
 	s.mu.Unlock()
@@ -709,17 +701,17 @@ func (s *shipConsumer) checkLimitLocked() {
 // row), to the rows whose provenance avoids failed.
 func dropTainted(b *tuple.Batch, prov []Prov, failed Prov) []Prov {
 	keep := NewBitset(b.N)
-	kept := prov[:0]
+	clean := 0
 	for i, p := range prov {
 		if !p.Intersects(failed) {
 			keep.Set(i)
-			kept = append(kept, p)
+			clean++
 		}
 	}
-	if len(kept) < b.N {
-		b.CompactWords(keep)
+	if clean == b.N {
+		return prov
 	}
-	return kept
+	return compactRows(b, prov, keep)
 }
 
 // receive folds one shipment into the collection — one bulk copy per
@@ -787,7 +779,7 @@ func (s *shipConsumer) receiveWire(from ring.NodeID, rest []byte) error {
 	}
 	scratch := getResultBatch()
 	defer RecycleResultBatch(scratch)
-	prov, err := decodeShipBatch(rest, scratch)
+	_, prov, err := decodeShipBatch(rest, scratch)
 	if err != nil {
 		return err
 	}

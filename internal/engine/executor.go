@@ -183,7 +183,7 @@ func (s *statsCounters) snapshot() NodeStats {
 // Result is a completed query's answer set and execution metadata.
 type Result struct {
 	// Batch is the final answer set (after initiator-side final operators;
-	// Batch.Rows() materializes it). Its slabs may be returned to the arena
+	// Batch.Rows() renders it as rows). Its slabs may be returned to the arena
 	// with RecycleResultBatch once the caller is completely done with them
 	// — unless the caller keeps the batch (see RecycleResultBatch).
 	Batch *tuple.Batch
@@ -412,20 +412,20 @@ func (ex *executor) build(n Node, out sink) error {
 		ex.scans[t.ScanID] = leaf
 		return nil
 	case *SelectNode:
-		return ex.build(t.Child, newSelectOp(t.Pred, out))
+		return ex.build(t.Child, &selectOp{pred: compileBatchPred(t.Pred), out: out})
 	case *ProjectNode:
-		return ex.build(t.Child, &projectOp{cols: t.Cols, out: out, outB: asBatchSink(out)})
+		return ex.build(t.Child, &projectOp{cols: t.Cols, out: out})
 	case *ComputeNode:
-		return ex.build(t.Child, &computeOp{fns: compileExprs(t.Exprs), out: out})
+		return ex.build(t.Child, &computeOp{fns: compileExprs(t.Exprs), fail: ex.shipper.fail, out: out})
 	case *JoinNode:
-		j := newJoinOp(t.LeftKeys, t.RightKeys, ex.phaseNow, out)
+		j := newJoinOp(t.LeftKeys, t.RightKeys, ex.phaseNow, ex.shipper.fail, out)
 		ex.recoverables = append(ex.recoverables, j)
 		if err := ex.build(t.Left, joinSide{j: j, left: true}); err != nil {
 			return err
 		}
 		return ex.build(t.Right, joinSide{j: j, left: false})
 	case *AggNode:
-		a := newAggOp(t.GroupCols, t.Aggs, t.Mode, ex.opts.Provenance, ex.phaseNow, out)
+		a := newAggOp(t.GroupCols, t.Aggs, t.Mode, ex.opts.Provenance, ex.phaseNow, ex.shipper.fail, out)
 		ex.recoverables = append(ex.recoverables, a)
 		return ex.build(t.Child, a)
 	case *RehashNode:
@@ -467,49 +467,36 @@ func (ex *executor) failedProv() Prov {
 	return ex.failed.Clone()
 }
 
-// originTup wraps a freshly scanned row with this node's provenance stamp.
-func (ex *executor) originTup(row tuple.Row, phase uint32) Tup {
-	t := Tup{Row: row, Phase: phase}
-	if ex.opts.Provenance {
-		t.Prov = ProvOf(ex.snapshot.Size(), ex.selfIdx)
+// filterAndStamp drops the batch's tainted rows and stamps this node into
+// the provenance of the survivors (the node has now processed them). The
+// sets are shared — with other rows, and on loopback with the sender — so a
+// stamped set is a fresh one, made once per run of rows sharing a set.
+func (ex *executor) filterAndStamp(cb *colBatch) {
+	if cb.prov == nil {
+		return
 	}
-	return t
+	cb.prov = dropTainted(&cb.cols, cb.prov, ex.failedProv())
+	var from, stamped Prov
+	for i, p := range cb.prov {
+		if i == 0 || !sameProv(p, from) {
+			from, stamped = p, NewProv(ex.snapshot.Size())
+			copy(stamped, p)
+			stamped.Set(ex.selfIdx)
+		}
+		cb.prov[i] = stamped
+	}
 }
 
-// filterAndStamp drops tainted tuples and stamps this node into the
-// provenance of the survivors (the node has now processed them).
-func (ex *executor) filterAndStamp(ts []Tup) []Tup {
-	if !ex.opts.Provenance {
-		return ts
+// exchPhase is the phase a rehash block is delivered under. On the wire it
+// is the sender's current phase: a receiver still in an older phase learns
+// from it that the sender has applied a recovery directive (aggOp.newest).
+// On loopback sender and receiver are one node, whose own phase gates
+// everything; the block keeps the wave that produced it.
+func (ex *executor) exchPhase(cb *colBatch, dest ring.NodeID) uint32 {
+	if dest == ex.self() {
+		return cb.phase
 	}
-	failed := ex.failedProv()
-	kept := ts[:0]
-	for _, t := range ts {
-		if t.Prov.Intersects(failed) {
-			continue
-		}
-		if t.Prov == nil {
-			t.Prov = NewProv(ex.snapshot.Size())
-		}
-		t.Prov.Set(ex.selfIdx)
-		kept = append(kept, t)
-	}
-	return kept
-}
-
-// loopbackTups prepares a rehash batch for loopback delivery. With
-// provenance, sender and receiver would otherwise share (and mutate) the
-// same bitsets, so they are deep-copied; without it the batch is handed
-// over as-is (senders never reuse pushed slices).
-func (ex *executor) loopbackTups(ts []Tup) []Tup {
-	if !ex.opts.Provenance {
-		return ts
-	}
-	out := make([]Tup, len(ts))
-	for i, t := range ts {
-		out[i] = Tup{Row: t.Row, Prov: t.Prov.Clone(), Phase: t.Phase}
-	}
-	return out
+	return ex.phaseNow()
 }
 
 // --- message sending ---
@@ -520,24 +507,33 @@ func (ex *executor) header(dst []byte) []byte {
 
 // sendExchBatch delivers a rehash block to dest (loopback bypasses the
 // network, mirroring a real deployment where local partitions never touch
-// the wire).
-func (ex *executor) sendExchBatch(exchID int, dest ring.NodeID, ts []Tup) {
-	ex.stats.addExchSent(len(ts))
+// the wire). The block is borrowed. In provenance mode its sender keeps it
+// for replay, so the local consumer — which compacts and stamps what it
+// receives — gets its own copy of the vectors; the sets stay shared.
+func (ex *executor) sendExchBatch(exchID int, dest ring.NodeID, cb *colBatch) {
+	ex.stats.addExchSent(cb.cols.N)
+	phase := ex.exchPhase(cb, dest)
 	if dest == ex.self() {
-		if cons := ex.consumers[exchID]; cons != nil {
-			ex.stats.addExchRecv(len(ts))
-			cons.receive(ex.loopbackTups(ts))
+		cons := ex.consumers[exchID]
+		if cons == nil {
+			return
 		}
+		ex.stats.addExchRecv(cb.cols.N)
+		if cb.prov == nil {
+			cons.receive(cb)
+			return
+		}
+		own := &colBatch{phase: phase, prov: append([]Prov(nil), cb.prov...)}
+		_ = own.cols.AppendBatchInto(&cb.cols) // an empty batch adopts any shape
+		cons.receive(own)
 		return
 	}
-	body, err := encodeTupBatch(ts, ex.phaseNow(), ex.opts.Provenance)
+	payload := binary.AppendUvarint(ex.header(nil), uint64(exchID))
+	payload, err := encodeShipBatch(payload, &cb.cols, cb.prov, phase)
 	if err != nil {
 		ex.shipper.fail(err) // the fragment's EOS carries it to the initiator
 		return
 	}
-	payload := ex.header(nil)
-	payload = binary.AppendUvarint(payload, uint64(exchID))
-	payload = append(payload, body...)
 	ex.stats.addSentBytes(len(payload))
 	_ = ex.eng.node.Endpoint().Send(dest, msgExchBatch, payload)
 }
@@ -744,14 +740,14 @@ func (e *Engine) registerHandlers() {
 		if n <= 0 {
 			return nil, errors.New("engine: bad exch id")
 		}
-		ts, _, err := decodeTupBatch(rest[n:])
-		if err != nil {
+		var cb colBatch
+		if cb.phase, cb.prov, err = decodeShipBatch(rest[n:], &cb.cols); err != nil {
 			return nil, err
 		}
 		ex.stats.addRecvBytes(len(payload))
-		ex.stats.addExchRecv(len(ts))
+		ex.stats.addExchRecv(cb.cols.N)
 		if cons := ex.consumers[int(exchID)]; cons != nil {
-			cons.receive(ts)
+			cons.receive(&cb)
 		}
 		return nil, nil
 	})
@@ -792,7 +788,7 @@ func (e *Engine) registerHandlers() {
 		}
 		rest = rest[n:]
 		fromIdx, n := binary.Uvarint(rest)
-		if n <= 0 {
+		if n <= 0 || fromIdx >= uint64(ex.snapshot.Size()) {
 			return nil, errors.New("engine: bad scan sender")
 		}
 		rest = rest[n:]

@@ -26,7 +26,7 @@ func applyFinalOps(ops []FinalOp, b *tuple.Batch) (*tuple.Batch, error) {
 		case *FinalSort:
 			sortCols(b, f.Keys)
 		case *FinalCompute:
-			b, err = computeCols(f.Exprs, b)
+			b, err = computeCols(compileExprs(f.Exprs), b)
 		case *FinalLimit:
 			if b.N > f.N {
 				b.Truncate(f.N)
@@ -135,10 +135,8 @@ func cmpF64(a, b float64) int {
 // computeCols evaluates compiled expressions over the batch into a fresh
 // columnar batch, reading input rows through one reused scratch row. The
 // first row fixes the output column types; a later row whose expression
-// result changes type is an error naming the column — the wire codec
-// would reject that column one step later.
-func computeCols(exprs []Expr, b *tuple.Batch) (*tuple.Batch, error) {
-	fns := compileExprs(exprs)
+// result changes type is an error naming the column — a column has one type.
+func computeCols(fns []evalFn, b *tuple.Batch) (*tuple.Batch, error) {
 	out := &tuple.Batch{}
 	var scratch tuple.Row
 	vals := make(tuple.Row, len(fns))
@@ -148,7 +146,7 @@ func computeCols(exprs []Expr, b *tuple.Batch) (*tuple.Batch, error) {
 			vals[j] = fn(scratch)
 		}
 		if err := out.AppendRow(vals); err != nil {
-			return nil, fmt.Errorf("engine: final compute, row %d: %w", i, err)
+			return nil, fmt.Errorf("engine: compute, row %d: %w", i, err)
 		}
 		if i == 0 {
 			out.Grow(b.N) // types are fixed now; size the vectors once
@@ -197,9 +195,6 @@ func (a *finalAggAcc) add(row tuple.Row) {
 	g := a.groups[gk]
 	if g == nil {
 		g = &finalAggGroup{groupVals: row.Project(a.groupCols), st: newAggState(len(a.specs))}
-		for i := range a.specs {
-			g.st.allInt[i] = true
-		}
 		a.groups[gk] = g
 	}
 	// Partial layout: group cols, then per spec 1 col (2 for AVG).
@@ -247,25 +242,7 @@ func (a *finalAggAcc) batch() (*tuple.Batch, error) {
 	out := &tuple.Batch{}
 	var row tuple.Row
 	for _, g := range a.groups {
-		row = append(row[:0], g.groupVals...)
-		for i, spec := range a.specs {
-			switch spec.Func {
-			case AggCount:
-				row = append(row, tuple.I(g.st.counts[i]))
-			case AggSum:
-				row = append(row, g.st.sumValue(i))
-			case AggMin:
-				row = append(row, g.st.mins[i])
-			case AggMax:
-				row = append(row, g.st.maxs[i])
-			case AggAvg:
-				if g.st.counts[i] == 0 {
-					row = append(row, tuple.F(0))
-				} else {
-					row = append(row, tuple.F(g.st.sums[i]/float64(g.st.counts[i])))
-				}
-			}
-		}
+		row = appendAggValues(append(row[:0], g.groupVals...), g.st, a.specs, true)
 		if err := out.AppendRow(row); err != nil {
 			return nil, fmt.Errorf("engine: final aggregate: %w", err)
 		}

@@ -2,19 +2,26 @@ package engine
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sync"
 
 	"orchestra/internal/tuple"
 )
 
-// sink receives batches of tuples pushed by an upstream producer. The
-// end-of-stream signal carries the phase of the wave that produced it: a
+// sink receives the batches an upstream operator pushes. A pushed batch is
+// borrowed: the callee processes it — it may mutate it in place: compact
+// it, swap its column headers — or copies what it keeps before returning,
+// and never retains the batch, its vectors or its provenance slice. The
+// provenance sets themselves may be kept: they are shared between rows and
+// batches, so nobody mutates one without cloning it first.
+//
+// The end-of-stream signal carries the phase of the wave that produced it: a
 // completion marker must always be attributed to the wave it terminates,
 // never to whatever phase the node happens to be in when the marker is
 // emitted — otherwise a phase-0 completion racing with a recovery directive
 // would satisfy a phase-1 gate before the recomputed data exists (§V-D).
 type sink interface {
-	push(ts []Tup)
+	push(cb *colBatch)
 	eos(phase uint32)
 }
 
@@ -25,48 +32,62 @@ type recoverable interface {
 	recover(failed Prov)
 }
 
-// --- select ---
-
-// selectOp filters rows. The predicate is compiled once per query: the
-// row form for per-tuple pushes, the batch form evaluating over column
-// vectors into a selection bitset for columnar pushes.
-type selectOp struct {
-	pred  predFn
-	batch batchPredFn
-	out   sink
-	outB  batchSink
+// phaseCut gathers the rows a stateful operator emits into one batch per
+// phase: a batch has a single phase, and after a recovery one emission can
+// mix clean earlier-wave rows with recomputed ones.
+type phaseCut struct {
+	withProv bool
+	batches  []*colBatch
 }
 
-func newSelectOp(pred Expr, out sink) *selectOp {
-	return &selectOp{
-		pred:  compilePred(pred),
-		batch: compileBatchPred(pred),
-		out:   out,
-		outB:  asBatchSink(out),
-	}
-}
-
-func (s *selectOp) push(ts []Tup) {
-	kept := ts[:0:len(ts)]
-	for _, t := range ts {
-		if s.pred(t.Row) {
-			kept = append(kept, t)
+// add appends one output row. The first row of a batch fixes its column
+// types; a later row that disagrees is an error naming the column.
+func (c *phaseCut) add(row tuple.Row, prov Prov, phase uint32) error {
+	var cb *colBatch
+	for _, b := range c.batches {
+		if b.phase == phase {
+			cb = b
+			break
 		}
 	}
-	if len(kept) > 0 {
-		s.out.push(kept)
+	if cb == nil {
+		cb = &colBatch{phase: phase}
+		c.batches = append(c.batches, cb)
+	}
+	if err := cb.cols.AppendRow(row); err != nil {
+		return err
+	}
+	if c.withProv {
+		cb.prov = append(cb.prov, prov)
+	}
+	return nil
+}
+
+func (c *phaseCut) pushTo(out sink) {
+	for _, cb := range c.batches {
+		out.push(cb)
 	}
 }
 
-func (s *selectOp) pushCols(cb *colBatch) {
+// --- select ---
+
+// selectOp filters rows: the predicate, compiled once per query, evaluates
+// over the column vectors into a selection bitset, and one compaction
+// applies it to the columns and the provenance vector.
+type selectOp struct {
+	pred batchPredFn
+	out  sink
+}
+
+func (s *selectOp) push(cb *colBatch) {
 	sel := NewBitset(cb.cols.N)
-	s.batch(&cb.cols, sel)
+	s.pred(&cb.cols, sel)
 	if n := sel.Count(); n == 0 {
 		return
 	} else if n < cb.cols.N {
-		cb.cols.CompactWords(sel)
+		cb.prov = compactRows(&cb.cols, cb.prov, sel)
 	}
-	forwardBatch(s.out, s.outB, cb)
+	s.out.push(cb)
 }
 
 func (s *selectOp) eos(phase uint32) { s.out.eos(phase) }
@@ -76,44 +97,35 @@ func (s *selectOp) eos(phase uint32) { s.out.eos(phase) }
 type projectOp struct {
 	cols []int
 	out  sink
-	outB batchSink
 }
 
-func (p *projectOp) push(ts []Tup) {
-	for i := range ts {
-		ts[i].Row = ts[i].Row.Project(p.cols)
-	}
-	p.out.push(ts)
-}
-
-// pushCols projects by rearranging column headers: O(arity), not O(rows).
-func (p *projectOp) pushCols(cb *colBatch) {
+// push projects by rearranging column headers: O(arity), not O(rows).
+func (p *projectOp) push(cb *colBatch) {
 	cb.cols.Project(p.cols)
-	forwardBatch(p.out, p.outB, cb)
+	p.out.push(cb)
 }
 
 func (p *projectOp) eos(phase uint32) { p.out.eos(phase) }
 
 // --- compute-function ---
 
-// computeOp evaluates compiled scalar expressions per row. It is not
-// batch-aware (expression results may change type row to row, which would
-// fracture column vectors); upstream batches materialize at its input
-// edge and the compiled closures keep the per-row cost low.
+// computeOp evaluates compiled scalar expressions into fresh vectors (the
+// final pipeline's computeCols). An expression whose result changes type
+// from one row to the next cannot form a column: the fragment fails, naming
+// the column, rather than drop or coerce rows.
 type computeOp struct {
-	fns []evalFn
-	out sink
+	fns  []evalFn
+	fail func(error)
+	out  sink
 }
 
-func (c *computeOp) push(ts []Tup) {
-	for i := range ts {
-		row := make(tuple.Row, len(c.fns))
-		for j, f := range c.fns {
-			row[j] = f(ts[i].Row)
-		}
-		ts[i].Row = row
+func (c *computeOp) push(cb *colBatch) {
+	out, err := computeCols(c.fns, &cb.cols)
+	if err != nil {
+		c.fail(err)
+		return
 	}
-	c.out.push(ts)
+	c.out.push(&colBatch{cols: *out, phase: cb.phase, prov: cb.prov})
 }
 
 func (c *computeOp) eos(phase uint32) { c.out.eos(phase) }
@@ -125,18 +137,28 @@ func (c *computeOp) eos(phase uint32) { c.out.eos(phase) }
 // matching tuples have arrived — the pipelined hash join of Table I [17].
 // All inserted tuples are retained until query completion for recovery.
 
+// joinRow is a retained input row — the join's own copy of it (pushed
+// batches are borrowed), with the provenance set and phase it arrived under.
+type joinRow struct {
+	row   tuple.Row
+	prov  Prov
+	phase uint32
+}
+
 type joinOp struct {
 	// curPhase reports the executor's current phase; stateful operators
 	// must ignore end-of-stream signals from superseded waves (a stale
 	// completion decided just before a recovery landed), or they would
 	// close before the recovery wave's recomputed data arrives.
 	curPhase func() uint32
+	fail     func(error)
 
 	mu        sync.Mutex
 	leftKeys  []int
 	rightKeys []int
-	left      map[string][]Tup
-	right     map[string][]Tup
+	left      map[string][]joinRow
+	right     map[string][]joinRow
+	keyBuf    []byte
 	leftEOS   bool
 	rightEOS  bool
 	eosPhase  uint32
@@ -144,20 +166,16 @@ type joinOp struct {
 	out       sink
 }
 
-func newJoinOp(leftKeys, rightKeys []int, curPhase func() uint32, out sink) *joinOp {
+func newJoinOp(leftKeys, rightKeys []int, curPhase func() uint32, fail func(error), out sink) *joinOp {
 	return &joinOp{
 		curPhase:  curPhase,
+		fail:      fail,
 		leftKeys:  leftKeys,
 		rightKeys: rightKeys,
-		left:      make(map[string][]Tup),
-		right:     make(map[string][]Tup),
+		left:      make(map[string][]joinRow),
+		right:     make(map[string][]joinRow),
 		out:       out,
 	}
-}
-
-// joinKey encodes the join-key column values of a row.
-func joinKey(row tuple.Row, cols []int) string {
-	return string(tuple.EncodeKey(row, cols))
 }
 
 // joinSide adapts one input of the join to the sink interface.
@@ -166,47 +184,48 @@ type joinSide struct {
 	left bool
 }
 
-func (s joinSide) push(ts []Tup)    { s.j.pushSide(ts, s.left) }
-func (s joinSide) eos(phase uint32) { s.j.eosSide(s.left, phase) }
+func (s joinSide) push(cb *colBatch) { s.j.pushSide(cb, s.left) }
+func (s joinSide) eos(phase uint32)  { s.j.eosSide(s.left, phase) }
 
-func (j *joinOp) pushSide(ts []Tup, left bool) {
-	var outBatch []Tup
+func (j *joinOp) pushSide(cb *colBatch, left bool) {
+	rows := cb.cols.Rows() // the retained copies, carved from one slab
+	mine, theirs, keys := j.right, j.left, j.rightKeys
+	if left {
+		mine, theirs, keys = j.left, j.right, j.leftKeys
+	}
+	out := phaseCut{withProv: cb.prov != nil}
+	var concat tuple.Row
+	var lastL, lastR, union Prov // matches of one batch mostly share their sets
+	var err error
 	j.mu.Lock()
-	for _, t := range ts {
-		var mine, theirs map[string][]Tup
-		var myKeys, theirKeys []int
-		if left {
-			mine, theirs = j.left, j.right
-			myKeys = j.leftKeys
-		} else {
-			mine, theirs = j.right, j.left
-			myKeys = j.rightKeys
+	for i, row := range rows {
+		t := joinRow{row: row, phase: cb.phase}
+		if cb.prov != nil {
+			t.prov = cb.prov[i]
 		}
-		_ = theirKeys
-		k := joinKey(t.Row, myKeys)
+		j.keyBuf = appendBatchKey(j.keyBuf[:0], &cb.cols, i, keys)
+		k := string(j.keyBuf)
 		mine[k] = append(mine[k], t)
 		for _, o := range theirs[k] {
-			var lt, rt Tup
+			lt, rt := o, t
 			if left {
 				lt, rt = t, o
-			} else {
-				lt, rt = o, t
 			}
-			phase := lt.Phase
-			if rt.Phase > phase {
-				phase = rt.Phase
+			if out.withProv && (union == nil || !sameProv(lt.prov, lastL) || !sameProv(rt.prov, lastR)) {
+				lastL, lastR, union = lt.prov, rt.prov, lt.prov.Union(rt.prov)
 			}
-			outBatch = append(outBatch, Tup{
-				Row:   lt.Row.Concat(rt.Row),
-				Prov:  lt.Prov.Union(rt.Prov),
-				Phase: phase,
-			})
+			concat = append(append(concat[:0], lt.row...), rt.row...)
+			if e := out.add(concat, union, max(lt.phase, rt.phase)); e != nil && err == nil {
+				err = e
+			}
 		}
 	}
 	j.mu.Unlock()
-	if len(outBatch) > 0 {
-		j.out.push(outBatch)
+	if err != nil {
+		j.fail(fmt.Errorf("engine: join output: %w", err))
+		return
 	}
+	out.pushTo(j.out)
 }
 
 func (j *joinOp) eosSide(left bool, phase uint32) {
@@ -240,11 +259,11 @@ func (j *joinOp) eosSide(left bool, phase uint32) {
 // operator so recomputed tuples can probe the retained clean state.
 func (j *joinOp) recover(failed Prov) {
 	j.mu.Lock()
-	purge := func(table map[string][]Tup) {
+	purge := func(table map[string][]joinRow) {
 		for k, ts := range table {
 			kept := ts[:0]
 			for _, t := range ts {
-				if !t.Prov.Intersects(failed) {
+				if !t.prov.Intersects(failed) {
 					kept = append(kept, t)
 				}
 			}
@@ -298,6 +317,7 @@ type aggOp struct {
 	// emission, or post-purge remainders would ship as if they were the
 	// full groups and later merged re-emissions would double-count.
 	curPhase func() uint32
+	fail     func(error)
 
 	mu        sync.Mutex
 	groupCols []int
@@ -305,10 +325,11 @@ type aggOp struct {
 	mode      AggMode
 	trackProv bool
 	groups    map[string]*aggGroup
+	keyBuf    []byte
 	dirty     map[string]bool // groups changed since the last emission
 	emitted   bool            // at least one end-of-stream emission happened
 	finished  bool
-	// newest is the newest wave among the absorbed tuples. Senders that
+	// newest is the newest wave among the absorbed batches. Senders that
 	// applied a recovery directive route by the recovery table at once, so
 	// a node still in the old phase can hold part of a group it is about
 	// to inherit; an old wave's end-of-stream must not emit that part as
@@ -317,9 +338,10 @@ type aggOp struct {
 	out    sink
 }
 
-func newAggOp(groupCols []int, specs []AggSpec, mode AggMode, trackProv bool, curPhase func() uint32, out sink) *aggOp {
+func newAggOp(groupCols []int, specs []AggSpec, mode AggMode, trackProv bool, curPhase func() uint32, fail func(error), out sink) *aggOp {
 	return &aggOp{
 		curPhase:  curPhase,
+		fail:      fail,
 		groupCols: groupCols,
 		specs:     specs,
 		mode:      mode,
@@ -330,8 +352,9 @@ func newAggOp(groupCols []int, specs []AggSpec, mode AggMode, trackProv bool, cu
 	}
 }
 
+// newAggState returns the identity state for n specs.
 func newAggState(n int) *aggState {
-	return &aggState{
+	st := &aggState{
 		counts: make([]int64, n),
 		sums:   make([]float64, n),
 		isums:  make([]int64, n),
@@ -339,73 +362,75 @@ func newAggState(n int) *aggState {
 		mins:   make([]tuple.Value, n),
 		maxs:   make([]tuple.Value, n),
 	}
+	for i := range st.allInt {
+		st.allInt[i] = true
+	}
+	return st
 }
 
-func (a *aggOp) push(ts []Tup) {
+// push folds a batch into the groups, reading the typed column vectors in
+// place; what a group keeps (its key values, MIN/MAX candidates) is copied.
+func (a *aggOp) push(cb *colBatch) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for _, t := range ts {
-		if t.Phase > a.newest {
-			a.newest = t.Phase
-		}
-		gk := string(tuple.EncodeKey(t.Row, a.groupCols))
-		g := a.groups[gk]
+	if cb.phase > a.newest {
+		a.newest = cb.phase
+	}
+	var sk string // sub-group key of the current run of rows sharing one set
+	for i := 0; i < cb.cols.N; i++ {
+		a.keyBuf = appendBatchKey(a.keyBuf[:0], &cb.cols, i, a.groupCols)
+		g := a.groups[string(a.keyBuf)]
 		if g == nil {
-			g = &aggGroup{groupVals: t.Row.Project(a.groupCols), subs: map[string]*aggSubgroup{}}
-			a.groups[gk] = g
+			g = &aggGroup{groupVals: make(tuple.Row, len(a.groupCols)), subs: map[string]*aggSubgroup{}}
+			for j, c := range a.groupCols {
+				g.groupVals[j] = cb.cols.Cols[c].Value(i)
+			}
+			a.groups[string(a.keyBuf)] = g
 		}
-		if a.emitted {
+		if a.emitted && !a.dirty[string(a.keyBuf)] {
 			// The group's previous emission is being (or has been) purged
 			// downstream; re-emit it at the next end-of-stream.
-			a.dirty[gk] = true
+			a.dirty[string(a.keyBuf)] = true
 		}
-		var sk string
-		if a.trackProv {
-			var pb [4]byte
-			binary.BigEndian.PutUint32(pb[:], t.Phase)
-			sk = t.Prov.Key() + string(pb[:])
+		if a.trackProv && (i == 0 || !sameProv(cb.prov[i], cb.prov[i-1])) {
+			sk = string(binary.BigEndian.AppendUint32([]byte(cb.prov[i].Key()), cb.phase))
 		}
 		sub := g.subs[sk]
 		if sub == nil {
-			sub = &aggSubgroup{phase: t.Phase, st: newAggState(len(a.specs))}
-			for i := range a.specs {
-				sub.st.allInt[i] = true
-			}
+			sub = &aggSubgroup{phase: cb.phase, st: newAggState(len(a.specs))}
 			if a.trackProv {
-				sub.prov = t.Prov.Clone()
+				sub.prov = cb.prov[i].Clone()
 			}
 			g.subs[sk] = sub
-		} else if a.trackProv {
-			sub.prov.UnionInto(t.Prov)
 		}
 		st := sub.st
 		st.n++
-		for i, spec := range a.specs {
+		for j, spec := range a.specs {
 			var v tuple.Value
 			if spec.Col >= 0 {
-				v = t.Row[spec.Col]
+				v = cb.cols.Cols[spec.Col].Value(i)
 			}
 			switch spec.Func {
 			case AggCount:
-				st.counts[i]++
+				st.counts[j]++
 			case AggSum, AggAvg:
-				st.counts[i]++
+				st.counts[j]++
 				if v.T == tuple.Int64 {
-					st.isums[i] += v.I64
+					st.isums[j] += v.I64
 				} else {
-					st.allInt[i] = false
+					st.allInt[j] = false
 				}
-				st.sums[i] += v.AsFloat()
+				st.sums[j] += v.AsFloat()
 			case AggMin:
-				if st.counts[i] == 0 || v.Cmp(st.mins[i]) < 0 {
-					st.mins[i] = v
+				if st.counts[j] == 0 || v.Cmp(st.mins[j]) < 0 {
+					st.mins[j] = v
 				}
-				st.counts[i]++
+				st.counts[j]++
 			case AggMax:
-				if st.counts[i] == 0 || v.Cmp(st.maxs[i]) > 0 {
-					st.maxs[i] = v
+				if st.counts[j] == 0 || v.Cmp(st.maxs[j]) > 0 {
+					st.maxs[j] = v
 				}
-				st.counts[i]++
+				st.counts[j]++
 			}
 		}
 	}
@@ -445,32 +470,11 @@ func mergeState(dst, src *aggState, specs []AggSpec) {
 	}
 }
 
-// emitMerged renders one group as a single output row by merging all of its
-// current sub-groups. Its provenance is the union of the sub-groups', so
-// downstream purges drop the whole row when any contributor fails, and the
-// next emission (of the repaired merge) replaces it without duplication.
-func (a *aggOp) emitMerged(g *aggGroup) Tup {
-	st := newAggState(len(a.specs))
-	for i := range a.specs {
-		st.allInt[i] = true
-	}
-	var prov Prov
-	var phase uint32
-	for _, sub := range g.subs {
-		mergeState(st, sub.st, a.specs)
-		if a.trackProv && sub.prov != nil {
-			if prov == nil {
-				prov = sub.prov.Clone()
-			} else {
-				prov.UnionInto(sub.prov)
-			}
-		}
-		if sub.phase > phase {
-			phase = sub.phase
-		}
-	}
-	row := g.groupVals.Clone()
-	for i, spec := range a.specs {
+// appendAggValues renders st after row, one value per spec — the one place
+// an aggregate state becomes output. An AVG is its quotient when final and
+// the (sum, count) pair of the partial layout otherwise.
+func appendAggValues(row tuple.Row, st *aggState, specs []AggSpec, final bool) tuple.Row {
+	for i, spec := range specs {
 		switch spec.Func {
 		case AggCount:
 			row = append(row, tuple.I(st.counts[i]))
@@ -481,19 +485,46 @@ func (a *aggOp) emitMerged(g *aggGroup) Tup {
 		case AggMax:
 			row = append(row, st.maxs[i])
 		case AggAvg:
-			if a.mode == AggComplete {
-				if st.counts[i] == 0 {
-					row = append(row, tuple.F(0))
-				} else {
-					row = append(row, tuple.F(st.sums[i]/float64(st.counts[i])))
-				}
-			} else {
-				// Partial layout: sum then count.
+			switch {
+			case !final:
 				row = append(row, tuple.F(st.sums[i]), tuple.I(st.counts[i]))
+			case st.counts[i] == 0:
+				row = append(row, tuple.F(0))
+			default:
+				row = append(row, tuple.F(st.sums[i]/float64(st.counts[i])))
 			}
 		}
 	}
-	return Tup{Row: row, Prov: prov, Phase: phase}
+	return row
+}
+
+// emit renders the merge of subs as one output row of group g. Its
+// provenance is the union of the sub-groups', so a downstream purge drops
+// the whole row when any contributor fails; its phase is their newest.
+func (a *aggOp) emit(out *phaseCut, g *aggGroup, subs []*aggSubgroup) error {
+	st := newAggState(len(a.specs))
+	var prov Prov
+	var phase uint32
+	for _, sub := range subs {
+		mergeState(st, sub.st, a.specs)
+		if a.trackProv {
+			prov = prov.Union(sub.prov)
+		}
+		phase = max(phase, sub.phase)
+	}
+	row := appendAggValues(g.groupVals.Clone(), st, a.specs, a.mode == AggComplete)
+	return out.add(row, prov, phase)
+}
+
+// emitMerged renders one group as a single output row by merging all of its
+// current sub-groups: the next emission (of the repaired merge) replaces it
+// without duplication.
+func (a *aggOp) emitMerged(out *phaseCut, g *aggGroup) error {
+	subs := make([]*aggSubgroup, 0, len(g.subs))
+	for _, sub := range g.subs {
+		subs = append(subs, sub)
+	}
+	return a.emit(out, g, subs)
 }
 
 func (a *aggOp) eos(phase uint32) {
@@ -512,7 +543,13 @@ func (a *aggOp) eos(phase uint32) {
 		return
 	}
 	a.finished = true
-	var out []Tup
+	out := phaseCut{withProv: a.trackProv}
+	var err error
+	note := func(e error) {
+		if err == nil {
+			err = e
+		}
+	}
 	if a.mode == AggPartial {
 		// Partial states are merged downstream (FinalAgg at the initiator),
 		// so each wave ships a DELTA: the merge of the sub-groups that have
@@ -523,12 +560,12 @@ func (a *aggOp) eos(phase uint32) {
 		// and their downstream rows purged by provenance, so nothing is
 		// lost or double-counted.
 		for _, g := range a.groups {
-			out = append(out, a.emitDeltas(g)...)
+			note(a.emitDeltas(&out, g))
 		}
 	} else if !a.emitted {
 		// Complete mode, first completion: emit every group.
 		for _, g := range a.groups {
-			out = append(out, a.emitMerged(g))
+			note(a.emitMerged(&out, g))
 		}
 	} else {
 		// Complete mode, post-recovery completion: re-emit only the groups
@@ -541,15 +578,17 @@ func (a *aggOp) eos(phase uint32) {
 		// executor.advance for the senders' side.
 		for gk := range a.dirty {
 			if g := a.groups[gk]; g != nil && len(g.subs) > 0 {
-				out = append(out, a.emitMerged(g))
+				note(a.emitMerged(&out, g))
 			}
 		}
 	}
 	a.emitted = true
 	a.dirty = make(map[string]bool)
 	a.mu.Unlock()
-	if len(out) > 0 {
-		a.out.push(out)
+	if err != nil {
+		a.fail(fmt.Errorf("engine: aggregate output: %w", err))
+	} else {
+		out.pushTo(a.out)
 	}
 	a.out.eos(phase)
 }
@@ -562,13 +601,8 @@ func (a *aggOp) eos(phase uint32) {
 // state. Merging a clean sub-group with a tainted one would let the purge
 // silently discard clean state that is marked shipped and never resent
 // (the paper's per-contributing-node-set sub-group shipping, §V-D).
-func (a *aggOp) emitDeltas(g *aggGroup) []Tup {
-	type acc struct {
-		st    *aggState
-		prov  Prov
-		phase uint32
-	}
-	byProv := make(map[string]*acc)
+func (a *aggOp) emitDeltas(out *phaseCut, g *aggGroup) error {
+	byProv := make(map[string][]*aggSubgroup)
 	var order []string
 	for _, sub := range g.subs {
 		if sub.emitted {
@@ -576,46 +610,17 @@ func (a *aggOp) emitDeltas(g *aggGroup) []Tup {
 		}
 		sub.emitted = true
 		pk := sub.prov.Key()
-		a2 := byProv[pk]
-		if a2 == nil {
-			a2 = &acc{st: newAggState(len(a.specs))}
-			for i := range a.specs {
-				a2.st.allInt[i] = true
-			}
-			if a.trackProv && sub.prov != nil {
-				a2.prov = sub.prov.Clone()
-			}
-			byProv[pk] = a2
+		if byProv[pk] == nil {
 			order = append(order, pk)
 		}
-		mergeState(a2.st, sub.st, a.specs)
-		if sub.phase > a2.phase {
-			a2.phase = sub.phase
-		}
+		byProv[pk] = append(byProv[pk], sub)
 	}
-	out := make([]Tup, 0, len(byProv))
 	for _, pk := range order {
-		a2 := byProv[pk]
-		st := a2.st
-		row := g.groupVals.Clone()
-		for i, spec := range a.specs {
-			switch spec.Func {
-			case AggCount:
-				row = append(row, tuple.I(st.counts[i]))
-			case AggSum:
-				row = append(row, st.sumValue(i))
-			case AggMin:
-				row = append(row, st.mins[i])
-			case AggMax:
-				row = append(row, st.maxs[i])
-			case AggAvg:
-				// Partial layout: sum then count.
-				row = append(row, tuple.F(st.sums[i]), tuple.I(st.counts[i]))
-			}
+		if err := a.emit(out, g, byProv[pk]); err != nil {
+			return err
 		}
-		out = append(out, Tup{Row: row, Prov: a2.prov, Phase: a2.phase})
 	}
-	return out
+	return nil
 }
 
 // recover drops tainted sub-groups, marking their groups for re-emission;

@@ -115,36 +115,3 @@ func TestProvSetHasCount(t *testing.T) {
 		t.Fatal("clone aliases original")
 	}
 }
-
-func TestBatchCodecRoundTripWithProvenance(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(40)
-		ts := make([]Tup, n)
-		for i := range ts {
-			ts[i] = Tup{
-				Row:  genR(1, rng)[0],
-				Prov: ProvOf(64, rng.Intn(64), rng.Intn(64)),
-			}
-		}
-		enc, err := encodeTupBatch(ts, uint32(trial), true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, phase, err := decodeTupBatch(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if phase != uint32(trial) || len(dec) != n {
-			t.Fatalf("phase %d len %d", phase, len(dec))
-		}
-		for i := range dec {
-			if !dec[i].Row.Equal(ts[i].Row) {
-				t.Fatalf("row %d mismatch", i)
-			}
-			if dec[i].Prov.Key() != ts[i].Prov.Key() {
-				t.Fatalf("prov %d mismatch", i)
-			}
-		}
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"sort"
 	"sync"
 
@@ -116,7 +117,13 @@ func (l *scanLeaf) runIndexSide(phase uint32, inherited []ring.Range, prevTable 
 	// Single-member snapshots (and recovered-to-one clusters) route every
 	// ID to this node; skip the per-ID binary search over the ring.
 	soleOwner := cur.Size() == 1
-	var coveringOut []Tup
+	// A covering scan's output: key values decoded off the tuple IDs, all
+	// sharing this node's provenance stamp.
+	covering := &colBatch{phase: phase}
+	var own Prov
+	if l.ex.opts.Provenance {
+		own = ProvOf(l.ex.snapshot.Size(), l.ex.selfIdx)
+	}
 	if l.meta != nil && l.meta.coord != nil {
 		byDest := make(map[ring.NodeID]*idShipment)
 		for _, ref := range l.meta.coord.Pages {
@@ -163,8 +170,12 @@ func (l *scanLeaf) runIndexSide(phase uint32, inherited []ring.Range, prevTable 
 				}
 				if l.spec.Covering {
 					if full {
-						if row, err := id.KeyValues(); err == nil {
-							coveringOut = append(coveringOut, l.ex.originTup(tuple.Row(row), phase))
+						if row, err := id.KeyValues(); err != nil {
+							// undecodable ID: nothing to emit for it
+						} else if err := covering.cols.AppendRow(row); err != nil {
+							l.ex.shipper.fail(fmt.Errorf("engine: covering scan of %s: %w", l.spec.Relation, err))
+						} else if own != nil {
+							covering.prov = append(covering.prov, own)
 						}
 					}
 					continue
@@ -195,12 +206,13 @@ func (l *scanLeaf) runIndexSide(phase uint32, inherited []ring.Range, prevTable 
 		}
 	}
 	if l.spec.Covering {
-		if len(coveringOut) > 0 {
-			l.ex.stats.addScanned(len(coveringOut))
-			l.out.push(coveringOut)
+		n := covering.cols.N
+		if n > 0 {
+			l.ex.stats.addScanned(n)
+			l.out.push(covering)
 		}
 		if sp != nil {
-			sp.Rows = int64(len(coveringOut))
+			sp.Rows = int64(n)
 			tr.End(sp)
 			tr.Attach(l.ex.frag, sp)
 		}
@@ -346,9 +358,9 @@ type passEntry struct {
 // key and stops past the last), matched records decode straight into
 // column-major batches (no per-row Row/Value boxing; string values alias
 // the store's immutable record bytes), and whole batches flow into the
-// operator pipeline. With provenance enabled the per-row form is kept —
-// every tuple then carries its own mutable provenance set stamped with
-// the requesting index node.
+// operator pipeline. With provenance enabled every row's set is this node
+// plus the index node that requested it: one set per requesting node,
+// shared by all the rows it asked for.
 func (l *scanLeaf) runPass(phase uint32, tick uint64) {
 	l.passSeq.wait(tick)
 	defer l.passSeq.done()
@@ -369,73 +381,54 @@ func (l *scanLeaf) runPass(phase uint32, tick uint64) {
 		sp.Phase = phase
 	}
 
-	// Row-at-a-time emission (provenance mode and the replica fallback).
-	var batch []Tup
-	flush := func() {
-		if len(batch) > 0 {
-			emitted += int64(len(batch))
-			l.ex.stats.addScanned(len(batch))
-			l.out.push(batch)
-			batch = nil
-		}
-	}
-	emit := func(rec vstore.TupleRecord, fromIdx int32) {
-		t := l.ex.originTup(rec.Row, phase)
-		if t.Prov != nil && fromIdx >= 0 {
-			t.Prov.Set(int(fromIdx))
-		}
-		batch = append(batch, t)
-		if len(batch) >= flushRows {
-			flush()
-		}
-	}
-
-	// Column-major emission (the default path).
 	var cb *colBatch
-	var colTypes []tuple.Type
-	flushCols := func() {
+	flush := func() {
 		if cb != nil && cb.cols.N > 0 {
 			emitted += int64(cb.cols.N)
 			l.ex.stats.addScanned(cb.cols.N)
-			forwardBatch(l.out, l.outB(), cb)
-			cb = nil
+			l.out.push(cb)
 		}
+		cb = nil
 	}
-	if !prov && l.meta != nil {
+	var colTypes []tuple.Type
+	var provOf []Prov // provenance mode: the set for rows requested by each member
+	if l.meta != nil {
 		colTypes = make([]tuple.Type, len(l.meta.schema.Columns))
 		for i, c := range l.meta.schema.Columns {
 			colTypes[i] = c.Type
 		}
+		if prov {
+			provOf = make([]Prov, l.ex.snapshot.Size())
+		}
+	}
+	// emit decodes one record, requested by member fromIdx, onto the batch
+	// and reports success. v must be immutable: string values alias it. A
+	// local decode failure (truncated/corrupt record) leaves the entry
+	// un-done so the replica fallback below fetches the exact version
+	// remotely, as §IV requires.
+	emit := func(v []byte, fromIdx int32) bool {
+		if cb == nil {
+			cb = l.batchFor(phase, colTypes)
+		}
+		n := cb.cols.N
+		if err := vstore.DecodeTupleRecordCols(l.meta.schema, v, &cb.cols); err != nil {
+			cb.cols.Truncate(n) // back out the partial row
+			return false
+		}
+		if prov {
+			if provOf[fromIdx] == nil {
+				provOf[fromIdx] = ProvOf(len(provOf), l.ex.selfIdx, int(fromIdx))
+			}
+			cb.prov = append(cb.prov, provOf[fromIdx])
+		}
+		if cb.cols.N >= flushRows {
+			flush()
+		}
+		return true
 	}
 
 	if len(ships) > 0 && l.meta != nil {
 		pes := preparePass(ships, l.ex.failedProv())
-		// handle decodes and emits one matched record, reporting success.
-		// A local decode failure (truncated/corrupt record) leaves the
-		// entry un-done so the replica fallback below fetches the exact
-		// version remotely, as §IV requires.
-		handle := func(pe *passEntry, v []byte) bool {
-			if colTypes != nil {
-				if cb == nil {
-					cb = l.batchFor(phase, colTypes)
-				}
-				n := cb.cols.N
-				if err := vstore.DecodeTupleRecordCols(l.meta.schema, v, &cb.cols); err != nil {
-					cb.cols.Truncate(n) // back out the partial row
-					return false
-				}
-				if cb.cols.N >= flushRows {
-					flushCols()
-				}
-				return true
-			}
-			rec, err := vstore.DecodeTupleRecord(l.meta.schema, v)
-			if err != nil {
-				return false
-			}
-			emit(rec, ships[pe.ship].fromIdx)
-			return true
-		}
 		// The walk merges the sorted wanted list against a seekable B-tree
 		// iterator: dense wanted sets advance pair-by-pair (one compare per
 		// visited tuple, as before), but when the gap to the next wanted
@@ -488,7 +481,7 @@ func (l *scanLeaf) runPass(phase uint32, tick uint64) {
 				for ptr < len(pes) && bytes.Equal(pes[ptr].key, k) {
 					ptr++
 				}
-				if handle(pe, it.Value()) {
+				if emit(it.Value(), ships[pe.ship].fromIdx) {
 					// Emitted: retire this entry and every duplicate of
 					// it (same ID shipped by several senders — one
 					// emission). On failure all stay live for the
@@ -536,14 +529,9 @@ func (l *scanLeaf) runPass(phase uint32, tick uint64) {
 			if err != nil {
 				continue
 			}
-			rec, err := vstore.DecodeTupleRecord(l.meta.schema, data)
-			if err != nil {
-				continue
-			}
-			emit(rec, sh.fromIdx)
+			emit(data, sh.fromIdx) // a fetched record is a fresh, unshared buffer
 		}
 	}
-	flushCols()
 	flush()
 	if sp != nil {
 		sp.Rows = emitted
@@ -555,19 +543,23 @@ func (l *scanLeaf) runPass(phase uint32, tick uint64) {
 
 // batchFor returns a columnar batch ready for decoding, reusing the leaf's
 // vectors: once a batch has been handed downstream the whole operator
-// chain has finished with it (pushCols retains nothing; materialization
-// copies), so the vectors can be truncated and refilled. The column header
-// array is restored from the leaf's own copy because a projection
-// downstream may have replaced it.
+// chain has finished with it (a pushed batch is borrowed, never retained),
+// so the vectors can be truncated and refilled. The column header array is
+// restored from the leaf's own copy because a projection downstream may
+// have replaced it.
 func (l *scanLeaf) batchFor(phase uint32, colTypes []tuple.Type) *colBatch {
 	if l.scratch == nil {
 		l.scratch = &colBatch{}
 		l.scratch.cols.ResetTypes(colTypes)
 		l.scratchCols = l.scratch.cols.Cols
 		l.scratch.cols.Grow(flushRows)
+		if l.ex.opts.Provenance {
+			l.scratch.prov = make([]Prov, 0, flushRows)
+		}
 	} else {
 		l.scratch.cols.Cols = l.scratchCols
 		l.scratch.cols.ResetTypes(colTypes)
+		l.scratch.prov = l.scratch.prov[:0]
 	}
 	l.scratch.phase = phase
 	return l.scratch
@@ -608,9 +600,6 @@ func preparePass(ships []*idShipment, failed Prov) []passEntry {
 	sort.Slice(pes, func(i, j int) bool { return bytes.Compare(pes[i].key, pes[j].key) < 0 })
 	return pes
 }
-
-// outB resolves the batch-aware view of the leaf's output sink.
-func (l *scanLeaf) outB() batchSink { return asBatchSink(l.out) }
 
 // CoveringPred builds the scan predicate for an equality on the leading
 // key attribute.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"orchestra/internal/ring"
@@ -113,26 +114,44 @@ func TestShipConsumerPurge(t *testing.T) {
 	}
 }
 
-// TestShipMismatchFailsQuery: a shipment that cannot join the collection —
-// here, column types that disagree with what was shipped before — fails
-// the query with a *ShipError; it never completes with a short answer.
-// Once at the fragment (a compute whose result type flips by row, pushed
-// into the ship producer), once at the consumer.
+// TestShipMismatchFailsQuery: fragment output that cannot form one batch —
+// column types that disagree from row to row, or with what was shipped
+// before — fails the query with a *ShipError; it never completes with a
+// short answer. At the fragment the operator whose output edge cannot carry
+// the rows reports it (a compute whose result type flips by row: straight
+// into the ship producer, and below a rehash and a join, where nothing
+// downstream ever looks at the types again); at the consumer, a shipment of
+// another shape.
 func TestShipMismatchFailsQuery(t *testing.T) {
 	h := newHarness(t, 1) // funcExpr does not serialize: no remote fragments
 	h.create(schemaR())
-	h.publish("R", genR(50, rand.New(rand.NewSource(3))))
+	h.create(schemaS())
+	rng := rand.New(rand.NewSource(3))
+	h.publish("R", genR(50, rng))
+	h.publish("S", genS(20, rng))
 	flip := funcExpr(func(row tuple.Row) tuple.Value {
 		if row[0].I64%2 == 0 {
 			return tuple.I(row[0].I64)
 		}
 		return tuple.S("odd")
 	})
+	flipR := &ComputeNode{Exprs: []Expr{flip, C(1)}, Child: &ScanNode{Relation: "R"}}
 	var se *ShipError
-	p := &Plan{Root: &ComputeNode{Exprs: []Expr{flip}, Child: &ScanNode{Relation: "R"}}}
-	res, err := h.engines[0].Run(h.ctx(), p, Options{})
-	if !errors.As(err, &se) {
-		t.Fatalf("fragment-side mismatch: res=%v err=%v, want a *ShipError", res, err)
+	for name, root := range map[string]Node{
+		"compute under ship": flipR,
+		"compute under rehash": &JoinNode{LeftKeys: []int{1}, RightKeys: []int{0},
+			Left:  &RehashNode{Keys: []int{1}, Child: flipR},
+			Right: &RehashNode{Keys: []int{0}, Child: &ScanNode{Relation: "S"}}},
+	} {
+		for _, prov := range []bool{false, true} {
+			for i, eng := range h.engines {
+				res, err := eng.Run(h.ctx(), &Plan{Root: root}, Options{Provenance: prov})
+				if !errors.As(err, &se) || !strings.Contains(err.Error(), "compute") || !strings.Contains(err.Error(), "column 0") {
+					t.Fatalf("%s, provenance=%v, initiator %d: res=%v err=%v, want a *ShipError naming the compute and column 0",
+						name, prov, i, res, err)
+				}
+			}
+		}
 	}
 
 	ex := initiatorExec(t, h, &Plan{Root: &ScanNode{Relation: "R"}}, Options{})
@@ -181,38 +200,127 @@ func TestTopKOverJoin(t *testing.T) {
 	}
 }
 
-// FuzzShipBatchDecode hammers the ship decoder — same layout as the rehash
-// codec, decoded onto column vectors with the provenance beside them. It
-// must reject garbage with an error, never panic, and hand back a
-// provenance vector that is absent or in step with the rows.
-func FuzzShipBatchDecode(f *testing.F) {
-	seeds := [][]tuple.Row{
-		nil,
-		{{tuple.I(3), tuple.I(7), tuple.F(2.5)}},
-		{{tuple.I(1), tuple.F(math.NaN()), tuple.S("x")}, {tuple.I(2), tuple.F(0.25), tuple.S("")}},
-	}
-	for i, rows := range seeds {
-		b, prov := &tuple.Batch{}, []Prov{}
-		for j, r := range rows {
-			if err := b.AppendRow(r); err != nil {
-				f.Fatal(err)
-			}
-			prov = append(prov, ProvOf(8, j, 3))
+// shipLayoutSeeds are batches the inter-node layout must carry exactly. Both
+// message types travel in it — rehash blocks (msgExchBatch) and shipments
+// (msgShipBatch) — so one table and one fuzz target cover both.
+var shipLayoutSeeds = []struct {
+	name string
+	rows []tuple.Row
+	prov []Prov // one per row
+}{
+	{name: "empty batch"},
+	{name: "one row",
+		rows: []tuple.Row{{tuple.I(3), tuple.I(7), tuple.F(2.5)}},
+		prov: []Prov{ProvOf(8, 0, 3)}},
+	{name: "NaN, infinities, negative zero, empty string",
+		rows: []tuple.Row{
+			{tuple.I(1), tuple.F(math.Inf(-1)), tuple.S("a")},
+			{tuple.I(2), tuple.F(math.NaN()), tuple.S("b")},
+			{tuple.I(3), tuple.F(math.Copysign(0, -1)), tuple.S("")},
+		},
+		prov: []Prov{ProvOf(16, 0, 5), ProvOf(16, 5), ProvOf(16, 0, 5)}},
+	// Partial-agg shaped: group col, count, sum, min, max, avg pair.
+	{name: "partial aggregates",
+		rows: []tuple.Row{
+			{tuple.I(4), tuple.I(10), tuple.F(12.5), tuple.I(-3), tuple.I(9), tuple.F(12.5), tuple.I(10)},
+			{tuple.I(5), tuple.I(2), tuple.F(-0.75), tuple.I(0), tuple.I(1), tuple.F(-0.75), tuple.I(2)},
+		},
+		prov: []Prov{ProvOf(8, 1, 3), ProvOf(8, 2)}},
+	{name: "sets over 64 members and more",
+		rows: []tuple.Row{{tuple.I(1)}, {tuple.I(2)}, {tuple.I(3)}},
+		prov: []Prov{ProvOf(64, 63), ProvOf(200, 0, 64, 199), ProvOf(64, 63)}},
+}
+
+// seedBatch builds a seed's batch.
+func seedBatch(t testing.TB, rows []tuple.Row) *tuple.Batch {
+	t.Helper()
+	b := &tuple.Batch{}
+	for _, r := range rows {
+		if err := b.AppendRow(r); err != nil {
+			t.Fatal(err)
 		}
-		for _, pv := range [][]Prov{nil, prov} {
+	}
+	return b
+}
+
+// TestShipLayoutRoundTrip: the layout carries phase, rows and provenance
+// exactly, with and without the provenance column, and rows whose sets are
+// equal come back sharing one set.
+func TestShipLayoutRoundTrip(t *testing.T) {
+	check := func(t *testing.T, rows []tuple.Row, prov []Prov, phase uint32) {
+		t.Helper()
+		data, err := encodeShipBatch(nil, seedBatch(t, rows), prov, phase)
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		var got tuple.Batch
+		gotPhase, gotProv, err := decodeShipBatch(data, &got)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if gotPhase != phase || got.N != len(rows) {
+			t.Fatalf("phase=%d rows=%d, want %d/%d", gotPhase, got.N, phase, len(rows))
+		}
+		if (gotProv == nil) != (prov == nil) || len(gotProv) != len(prov) {
+			t.Fatalf("%d provenance sets (nil=%v), want %d (nil=%v)", len(gotProv), gotProv == nil, len(prov), prov == nil)
+		}
+		for i, r := range got.Rows() {
+			if rowKey(r) != rowKey(rows[i]) {
+				t.Fatalf("row %d: got %s, want %s", i, rowKey(r), rowKey(rows[i]))
+			}
+		}
+		for i := range gotProv {
+			if gotProv[i].Key() != prov[i].Key() {
+				t.Fatalf("row %d provenance mismatch", i)
+			}
+			for j := 0; j < i; j++ {
+				if prov[i].Key() == prov[j].Key() && !sameProv(gotProv[i], gotProv[j]) {
+					t.Fatalf("rows %d and %d decoded equal sets twice", j, i)
+				}
+			}
+		}
+	}
+	for i, seed := range shipLayoutSeeds {
+		t.Run(seed.name, func(t *testing.T) {
+			check(t, seed.rows, nil, uint32(i))
+			if len(seed.rows) > 0 { // an empty vector is "no provenance column"
+				check(t, seed.rows, seed.prov, uint32(i)+9)
+			}
+		})
+	}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		rows := genR(1+rng.Intn(40), rng)
+		prov := make([]Prov, len(rows))
+		for i := range prov {
+			prov[i] = ProvOf(64, rng.Intn(64), rng.Intn(64))
+		}
+		check(t, rows, prov, uint32(trial))
+	}
+}
+
+// FuzzShipBatchDecode hammers the inter-node decoder — the rehash and ship
+// handlers both run it on bytes straight off the wire. It must reject
+// garbage with an error, never panic, leave nothing behind on failure, and
+// hand back a provenance vector that is absent or in step with the rows.
+func FuzzShipBatchDecode(f *testing.F) {
+	for i, seed := range shipLayoutSeeds {
+		b := seedBatch(f, seed.rows)
+		for _, pv := range [][]Prov{nil, seed.prov} {
 			data, err := encodeShipBatch(nil, b, pv, uint32(i))
 			if err != nil {
-				f.Fatalf("encodeShipBatch seed %d: %v", i, err)
+				f.Fatalf("encodeShipBatch seed %q: %v", seed.name, err)
 			}
 			f.Add(data)
 		}
 	}
 	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 1, 2})
 	f.Add([]byte{0, 0, 0, 1, 1, 2})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		into := &tuple.Batch{}
-		prov, err := decodeShipBatch(data, into)
+		phase, prov, err := decodeShipBatch(data, into)
 		if err != nil {
 			if into.N != 0 {
 				t.Fatalf("failed decode left %d rows behind", into.N)
@@ -222,7 +330,7 @@ func FuzzShipBatchDecode(f *testing.F) {
 		if prov != nil && len(prov) != into.N {
 			t.Fatalf("%d provenance sets beside %d rows", len(prov), into.N)
 		}
-		if _, err := encodeShipBatch(nil, into, prov, 0); err != nil {
+		if _, err := encodeShipBatch(nil, into, prov, phase); err != nil {
 			t.Fatalf("re-encode of valid decode failed: %v", err)
 		}
 	})

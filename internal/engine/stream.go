@@ -152,8 +152,8 @@ type streamFinalState struct {
 }
 
 type streamStage struct {
-	exprs     []Expr // non-nil: FinalCompute
-	remaining int    // FinalLimit countdown (valid when exprs is nil)
+	fns       []evalFn // non-nil: FinalCompute, compiled once
+	remaining int      // FinalLimit countdown (valid when fns is nil)
 }
 
 func newStreamFinalState(ops []FinalOp) *streamFinalState {
@@ -161,7 +161,7 @@ func newStreamFinalState(ops []FinalOp) *streamFinalState {
 	for _, op := range ops {
 		switch f := op.(type) {
 		case *FinalCompute:
-			st.stages = append(st.stages, streamStage{exprs: f.Exprs, remaining: -1})
+			st.stages = append(st.stages, streamStage{fns: compileExprs(f.Exprs), remaining: -1})
 		case *FinalLimit:
 			st.stages = append(st.stages, streamStage{remaining: f.N})
 		}
@@ -174,8 +174,8 @@ func newStreamFinalState(ops []FinalOp) *streamFinalState {
 func (st *streamFinalState) apply(b *tuple.Batch) (*tuple.Batch, error) {
 	for i := range st.stages {
 		s := &st.stages[i]
-		if s.exprs != nil {
-			nb, err := computeCols(s.exprs, b)
+		if s.fns != nil {
+			nb, err := computeCols(s.fns, b)
 			if err != nil {
 				return nil, err
 			}

@@ -231,75 +231,3 @@ func TestMergeTruncateEdgeCases(t *testing.T) {
 		t.Fatal("negative key column: want error")
 	}
 }
-
-// FuzzTupBatchDecode hammers the ship-batch decoder with mutated frames
-// — the partial-agg merge path decodes these straight off the wire. It
-// must reject garbage with an error, never panic, and round-trip valid
-// encodings.
-func FuzzTupBatchDecode(f *testing.F) {
-	seedRows := [][]Tup{
-		{},
-		{{Row: tuple.Row{tuple.I(3), tuple.I(7), tuple.F(2.5)}, Phase: 0}},
-		{
-			{Row: tuple.Row{tuple.I(1), tuple.F(math.NaN()), tuple.S("x")}, Prov: ProvOf(8, 1, 3)},
-			{Row: tuple.Row{tuple.I(2), tuple.F(0.25), tuple.S("")}, Prov: ProvOf(8, 2)},
-		},
-		// Partial-agg shaped: group col, count, sum, min, max, avg pair.
-		{
-			{Row: tuple.Row{tuple.I(4), tuple.I(10), tuple.F(12.5), tuple.I(-3), tuple.I(9), tuple.F(12.5), tuple.I(10)}},
-			{Row: tuple.Row{tuple.I(5), tuple.I(2), tuple.F(-0.75), tuple.I(0), tuple.I(1), tuple.F(-0.75), tuple.I(2)}},
-		},
-	}
-	for i, ts := range seedRows {
-		for _, withProv := range []bool{false, true} {
-			data, err := encodeTupBatch(ts, uint32(i), withProv)
-			if err != nil {
-				f.Fatalf("encodeTupBatch seed %d: %v", i, err)
-			}
-			f.Add(data)
-		}
-	}
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 1, 2})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ts, phase, err := decodeTupBatch(data)
-		if err != nil {
-			return
-		}
-		// A successful decode must re-encode cleanly (the decoded tuples
-		// are structurally valid).
-		withProv := len(data) >= 5 && data[4] == 1
-		if _, err := encodeTupBatch(ts, phase, withProv); err != nil {
-			t.Fatalf("re-encode of valid decode failed: %v", err)
-		}
-	})
-}
-
-// The codec itself must round-trip exactly, provenance included.
-func TestTupBatchRoundTrip(t *testing.T) {
-	ts := []Tup{
-		{Row: tuple.Row{tuple.I(1), tuple.F(math.Inf(-1)), tuple.S("a")}, Prov: ProvOf(16, 0, 5)},
-		{Row: tuple.Row{tuple.I(2), tuple.F(math.NaN()), tuple.S("b")}, Prov: ProvOf(16, 5)},
-		{Row: tuple.Row{tuple.I(3), tuple.F(-0.0), tuple.S("")}, Prov: ProvOf(16, 0, 5)},
-	}
-	data, err := encodeTupBatch(ts, 9, true)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	got, phase, err := decodeTupBatch(data)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if phase != 9 || len(got) != len(ts) {
-		t.Fatalf("phase=%d len=%d, want 9/%d", phase, len(got), len(ts))
-	}
-	for i := range ts {
-		if rowKey(got[i].Row) != rowKey(ts[i].Row) {
-			t.Fatalf("row %d: got %s, want %s", i, rowKey(got[i].Row), rowKey(ts[i].Row))
-		}
-		if got[i].Prov.Key() != ts[i].Prov.Key() {
-			t.Fatalf("row %d provenance mismatch", i)
-		}
-	}
-}

@@ -30,7 +30,7 @@ type Catalog interface {
 }
 
 // MapCatalog is a Catalog backed by in-memory maps: tests fill it by hand,
-// server.PlanQuery from the replicated catalog records of one query's
+// PlanQuery from the replicated catalog records of one query's
 // FROM relations.
 type MapCatalog struct {
 	Schemas map[string]*tuple.Schema

@@ -11,7 +11,6 @@ import (
 	"orchestra/internal/kvstore"
 	"orchestra/internal/obs"
 	"orchestra/internal/optimizer"
-	"orchestra/internal/sql"
 	"orchestra/internal/tuple"
 	"orchestra/internal/vstore"
 )
@@ -166,65 +165,6 @@ func (b *NodeBackend) PublishRows(ctx context.Context, relation string, op vstor
 	return e, nil
 }
 
-// Planned is a query ready to run: the parsed text, the optimizer's plan
-// and costing, the output column names and the plan's explanation.
-type Planned struct {
-	Query   *sql.Query
-	Plan    *engine.Plan
-	Info    *optimizer.Info
-	Columns []string
-	Explain string
-}
-
-// PlanSQL parses a single-block SQL query and plans it with PlanQuery.
-func PlanSQL(ctx context.Context, node *cluster.Node, src string) (*Planned, error) {
-	q, err := sql.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return PlanQuery(ctx, node, q)
-}
-
-// PlanQuery is the one road from a parsed query to an executable plan.
-// The optimizer's catalog is filled once per call from the replicated
-// catalog records of the query's FROM relations, as node sees them: the
-// schema, and the row count every publish writes atomically with its
-// epoch, so planning sees real statistics — across restarts too. The
-// cluster size comes from node's routing table.
-func PlanQuery(ctx context.Context, node *cluster.Node, q *sql.Query) (*Planned, error) {
-	cat := &optimizer.MapCatalog{Schemas: map[string]*tuple.Schema{}, Tables: map[string]optimizer.TableStats{}}
-	for _, ref := range q.From {
-		if _, fetched := cat.Schemas[ref.Table]; fetched {
-			continue
-		}
-		rc, err := node.GetCatalog(ctx, ref.Table)
-		if errors.Is(err, cluster.ErrNoSuchRelation) {
-			return nil, &optimizer.UnknownTableError{Table: ref.Table}
-		}
-		if err != nil {
-			return nil, err
-		}
-		cat.Schemas[ref.Table] = rc.Schema
-		cat.Tables[ref.Table] = optimizer.TableStats{Rows: rc.Rows}
-	}
-	plan, info, err := optimizer.Build(q, cat, optimizer.Environment{Nodes: node.Table().Size()})
-	if err != nil {
-		return nil, err
-	}
-	cols := q.OutputColumns(func(table string) ([]string, bool) {
-		s, ok := cat.Schemas[table]
-		if !ok {
-			return nil, false
-		}
-		names := make([]string, len(s.Columns))
-		for i, col := range s.Columns {
-			names[i] = col.Name
-		}
-		return names, true
-	})
-	return &Planned{Query: q, Plan: plan, Info: info, Columns: cols, Explain: optimizer.Explain(plan, info)}, nil
-}
-
 // planError marks a failure before execution began — parse, catalog
 // lookup, bind or plan — for QueryStream's error map. It unwraps to the
 // cause, so errors.As on the cause's type still works for embedded callers.
@@ -273,7 +213,7 @@ func (b *NodeBackend) Query(ctx context.Context, src string, opts engine.Options
 		}
 	}
 	planSpan := tr.Begin("plan")
-	p, err := PlanSQL(ctx, node, src)
+	p, err := optimizer.PlanSQL(ctx, node, src)
 	if err != nil {
 		return nil, nil, planError{err}
 	}

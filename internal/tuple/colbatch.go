@@ -235,19 +235,10 @@ func (b *Batch) Slice(lo, hi int, into *Batch) {
 // AppendBatchInto appends all of src's rows onto b. Column types must match
 // positionally; b typed empty (N == 0, no columns) adopts src's types. The
 // append is vector-wise — one bulk copy per column, no per-row boxing. All
-// shape checks run before any copy, so a mismatch error leaves b intact
-// (callers degrade to a row path and keep using the accumulator).
+// shape checks run before any copy, so a mismatch error leaves b intact.
 func (b *Batch) AppendBatchInto(src *Batch) error {
-	if len(b.Cols) == 0 && b.N == 0 {
-		b.ResetTypes(src.Types())
-	}
-	if len(b.Cols) != len(src.Cols) {
-		return fmt.Errorf("tuple: append batch arity %d onto %d", len(src.Cols), len(b.Cols))
-	}
-	for c := range src.Cols {
-		if src.Cols[c].T != b.Cols[c].T {
-			return fmt.Errorf("tuple: append batch column %d type %v onto %v", c, src.Cols[c].T, b.Cols[c].T)
-		}
+	if err := b.matchShape(src); err != nil {
+		return err
 	}
 	for c := range src.Cols {
 		v, w := &src.Cols[c], &b.Cols[c]
@@ -261,6 +252,51 @@ func (b *Batch) AppendBatchInto(src *Batch) error {
 		}
 	}
 	b.N += src.N
+	return nil
+}
+
+// AppendRowsFrom appends the rows of src listed in sel, in that order — a
+// per-column gather, so partitioning a batch by destination boxes no row.
+// Shapes are reconciled as in AppendBatchInto.
+func (b *Batch) AppendRowsFrom(src *Batch, sel []int) error {
+	if err := b.matchShape(src); err != nil {
+		return err
+	}
+	for c := range src.Cols {
+		v, w := &src.Cols[c], &b.Cols[c]
+		switch v.T {
+		case Int64:
+			for _, i := range sel {
+				w.I64 = append(w.I64, v.I64[i])
+			}
+		case Float64:
+			for _, i := range sel {
+				w.F64 = append(w.F64, v.F64[i])
+			}
+		case String:
+			for _, i := range sel {
+				w.Str = append(w.Str, v.Str[i])
+			}
+		}
+	}
+	b.N += len(sel)
+	return nil
+}
+
+// matchShape checks that src's rows can join b's: same arity and column
+// types, an untyped empty b adopting src's.
+func (b *Batch) matchShape(src *Batch) error {
+	if len(b.Cols) == 0 && b.N == 0 {
+		b.ResetTypes(src.Types())
+	}
+	if len(b.Cols) != len(src.Cols) {
+		return fmt.Errorf("tuple: append batch arity %d onto %d", len(src.Cols), len(b.Cols))
+	}
+	for c := range src.Cols {
+		if src.Cols[c].T != b.Cols[c].T {
+			return fmt.Errorf("tuple: append batch column %d type %v onto %v", c, src.Cols[c].T, b.Cols[c].T)
+		}
+	}
 	return nil
 }
 

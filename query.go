@@ -165,7 +165,7 @@ func (s *rowSink) StreamCols(b *tuple.Batch) error {
 func (c *Cluster) Optimize(q *sql.Query) (*engine.Plan, *optimizer.Info, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	p, err := server.PlanQuery(ctx, c.liveNode(), q)
+	p, err := optimizer.PlanQuery(ctx, c.liveNode(), q)
 	if err != nil {
 		return nil, nil, err
 	}
