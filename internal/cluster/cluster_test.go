@@ -462,3 +462,79 @@ func TestColocationLimitsTraffic(t *testing.T) {
 		t.Errorf("scan used %d messages for %d tuples; colocation should batch heavily", stats.TotalMsgs, n)
 	}
 }
+
+// TestDeltaChainSurvivesLosingItsBase: a page version is a chain of
+// records at one placement. With the placement's owner dead and the
+// chain's base missing from the next replica's store, a scan still
+// resolves every version — through the replica after that, and, off the
+// delivery loop, by fetching the missing record from it.
+func TestDeltaChainSurvivesLosingItsBase(t *testing.T) {
+	l, err := NewLocal(6, Config{Replication: 3}, transport.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(l.Shutdown)
+	ctx := ctxT(t)
+	if err := l.Node(0).CreateRelation(ctx, rSchema(t)); err != nil {
+		t.Fatal(err)
+	}
+	var epochs []tuple.Epoch
+	rows := 0
+	publish := func(n int) {
+		t.Helper()
+		var ups []vstore.Update
+		for i := 0; i < n; i++ {
+			ups = append(ups, insertRow(fmt.Sprintf("key%04d", rows), "v"))
+			rows++
+		}
+		e, err := l.Node(0).Publish(ctx, "R", ups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		epochs = append(epochs, e)
+	}
+	publish(200) // one full page spanning the ring
+	for i := 0; i < 5; i++ {
+		publish(3) // a delta each
+	}
+	coord, err := l.Node(0).GetCoordinator(ctx, "R", epochs[len(epochs)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(coord.Pages) != 1 || coord.Pages[0].Depth != 5 {
+		t.Fatalf("want one page version at depth 5, got %+v", coord.Pages)
+	}
+	tip := coord.Pages[0]
+	first, err := l.Node(0).GetCoordinator(ctx, "R", epochs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := first.Pages[0].ID
+
+	reps := l.Table().Replicas(tip.Placement())
+	l.Kill(reps[0])
+	damaged := l.ByID(reps[1])
+	if ok, err := damaged.Store().Delete(vstore.PageKVKey(base)); err != nil || !ok {
+		t.Fatalf("delete base from %s: %v, %v", reps[1], ok, err)
+	}
+	var reader *Node
+	for _, n := range l.Nodes() {
+		if n.ID() != reps[0] && n.ID() != reps[1] {
+			reader = n
+			break
+		}
+	}
+	for i, e := range epochs {
+		got, err := reader.Retrieve(ctx, "R", e, AllPred())
+		if err != nil {
+			t.Fatalf("epoch %d: %v", e, err)
+		}
+		if want := 200 + 3*i; len(got) != want {
+			t.Fatalf("epoch %d: %d rows, want %d", e, len(got), want)
+		}
+	}
+	p, hit, err := damaged.ResolvePage(ctx, tip)
+	if err != nil || hit || len(p.IDs) != rows {
+		t.Fatalf("resolve on the replica that lost the base: %d ids, hit %v, %v", len(p.IDs), hit, err)
+	}
+}

@@ -15,14 +15,15 @@ import (
 
 	"orchestra/internal/gossip"
 	"orchestra/internal/kvstore"
+	"orchestra/internal/obs"
 	"orchestra/internal/ring"
 	"orchestra/internal/transport"
 	"orchestra/internal/tuple"
+	"orchestra/internal/vstore"
 )
 
 // Message types used by the storage layer (engine types live in 0x0200+).
 const (
-	msgPutRecord  transport.MsgType = 0x0100
 	msgPutBatch   transport.MsgType = 0x0101
 	msgGetRecord  transport.MsgType = 0x0102
 	msgScanPage   transport.MsgType = 0x0103
@@ -93,6 +94,12 @@ type Node struct {
 	pubMu   sync.Mutex
 	pubRels map[string]*sync.Mutex
 
+	// pages resolves stored page versions into index pages for every
+	// reader on this node: scans, Retrieve and publish-time compaction.
+	pages *vstore.PageCache
+	// Publish-path counters, in the registry the node's store reports to.
+	pubFull, pubDelta, pubPageBytes, pubResolved *obs.Counter
+
 	// leases is this node's publish-lease arbiter state (see lease.go).
 	leases leaseTable
 
@@ -115,7 +122,13 @@ func NewNode(ep transport.Endpoint, store *kvstore.Store, table *ring.Table, cfg
 		table:   table,
 		scans:   make(map[uint64]*scanCollector),
 		pubRels: make(map[string]*sync.Mutex),
+		pages:   vstore.NewPageCache(vstore.DefaultPageCachePages),
 	}
+	reg := store.Registry()
+	n.pubFull = reg.Counter(`orchestra_publish_pages_total{kind="full"}`)
+	n.pubDelta = reg.Counter(`orchestra_publish_pages_total{kind="delta"}`)
+	n.pubPageBytes = reg.Counter("orchestra_publish_page_bytes_total")
+	n.pubResolved = reg.Counter("orchestra_publish_pages_resolved_total")
 	n.gsp = gossip.New(ep, int64(ep.ID().Hash().Uint64()))
 	n.gsp.SetPeers(table.Members())
 	// Epochs learned through gossip are persisted so a restart resumes

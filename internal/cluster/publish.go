@@ -47,13 +47,17 @@ func (n *Node) CreateRelation(ctx context.Context, schema *tuple.Schema) error {
 }
 
 // Publish applies a participant's update log to the versioned store as one
-// batch at a fresh epoch (§IV): affected index pages are rewritten
-// copy-on-write, new tuple versions are bulk-loaded to their data nodes, a
-// new coordinator record links changed and unchanged pages, and the catalog
-// gains the new epoch. It returns the publish epoch.
+// batch at a fresh epoch (§IV): each index range the batch touches gains a
+// new version — a small delta on its current one, or the rewritten page(s)
+// when the compaction rule says so (vstore.Coordinator.Apply) — new tuple
+// versions are bulk-loaded to their data nodes, a new coordinator record
+// links changed and unchanged ranges, and the catalog gains the new epoch.
+// It returns the publish epoch.
 //
-// Write ordering guarantees snapshot consistency for readers: tuples before
-// pages, pages before the coordinator, the coordinator before the catalog —
+// Write ordering guarantees snapshot consistency for readers: tuples and
+// page records (one replicated round: neither can be reached until the
+// records after them land) before the coordinator, the coordinator before
+// the catalog —
 // so a reader that can see epoch e in the catalog can reach all of e's data.
 //
 // Publishes to the same relation are serialized: within this process by
@@ -95,86 +99,53 @@ func (n *Node) PublishWith(ctx context.Context, relation string, ups []vstore.Up
 	}
 	epoch := n.gsp.Next()
 
-	var pages []vstore.Page
-	var writes []vstore.TupleWrite
-	var carried []vstore.PageRef // unchanged pages linked into the new version
-
-	if latest, ok := cat.LatestEpoch(); !ok {
-		pages, writes, err = vstore.BuildInitialPages(cat.Schema, epoch, ups, n.cfg.MaxPageEntries)
-		if err != nil {
-			return 0, err
-		}
-	} else {
-		coord, err := n.GetCoordinator(ctx, relation, latest)
-		if err != nil {
+	prev := &vstore.Coordinator{Relation: relation} // no data yet
+	if latest, ok := cat.LatestEpoch(); ok {
+		if prev, err = n.GetCoordinator(ctx, relation, latest); err != nil {
 			return 0, fmt.Errorf("cluster: fetch coordinator %s@%d: %w", relation, latest, err)
 		}
-		groups, err := vstore.GroupByPage(coord, cat.Schema, ups)
-		if err != nil {
-			return 0, err
-		}
-		var seq uint32
-		for _, ref := range coord.Pages {
-			g, touched := groups[ref.ID]
-			if !touched {
-				carried = append(carried, ref)
-				continue
-			}
-			oldPage, err := n.fetchPage(ctx, ref)
-			if err != nil {
-				return 0, fmt.Errorf("cluster: fetch page %s: %w", ref.ID, err)
-			}
-			newPages, w, err := vstore.ApplyToPage(oldPage, cat.Schema, epoch, g, n.cfg.MaxPageEntries, &seq)
-			if err != nil {
-				return 0, err
-			}
-			pages = append(pages, newPages...)
-			writes = append(writes, w...)
-		}
+	}
+	coord, versions, writes, err := prev.Apply(cat.Schema, epoch, ups, n.cfg.MaxPageEntries,
+		func(ref vstore.PageRef) (*vstore.Page, error) {
+			n.pubResolved.Inc()
+			p, _, err := n.ResolvePage(ctx, ref)
+			return p, err
+		})
+	if err != nil {
+		return 0, err
 	}
 
-	// 1. Tuple versions, bulk, batched by destination.
-	tuplePuts := make([]RecordPut, 0, len(writes))
+	// 1. Tuple versions and the page records that index them, bulk, one
+	// batch per destination.
+	puts := make([]RecordPut, 0, len(writes)+len(versions))
 	for _, w := range writes {
 		val, err := vstore.EncodeTupleRecord(cat.Schema, vstore.TupleRecord{ID: w.ID, Row: w.Row})
 		if err != nil {
 			return 0, err
 		}
-		tuplePuts = append(tuplePuts, RecordPut{
-			Placement: w.ID.Hash(),
-			KVKey:     vstore.TupleKVKey(w.ID),
-			Value:     val,
-		})
+		puts = append(puts, RecordPut{Placement: w.Hash, KVKey: w.KVKey(), Value: val})
 	}
-	if err := n.PutRecords(ctx, tuplePuts); err != nil {
-		return 0, fmt.Errorf("cluster: publish tuples: %w", err)
+	for _, v := range versions {
+		ref, val := v.Ref(), v.Encode()
+		puts = append(puts, RecordPut{Placement: ref.Placement(), KVKey: vstore.PageKVKey(ref.ID), Value: val})
+		if v.Delta != nil {
+			n.pubDelta.Inc()
+		} else {
+			n.pubFull.Inc()
+		}
+		n.pubPageBytes.Add(uint64(len(val)))
+	}
+	if err := n.PutRecords(ctx, puts); err != nil {
+		return 0, fmt.Errorf("cluster: publish tuples and pages: %w", err)
 	}
 
-	// 2. Index pages at their range midpoints.
-	pagePuts := make([]RecordPut, 0, len(pages))
-	newRefs := make([]vstore.PageRef, 0, len(pages)+len(carried))
-	for i := range pages {
-		p := &pages[i]
-		pagePuts = append(pagePuts, RecordPut{
-			Placement: p.Ref.Placement(),
-			KVKey:     vstore.PageKVKey(p.Ref.ID),
-			Value:     vstore.EncodePage(p),
-		})
-		newRefs = append(newRefs, p.Ref)
-	}
-	if err := n.PutRecords(ctx, pagePuts); err != nil {
-		return 0, fmt.Errorf("cluster: publish pages: %w", err)
-	}
-	newRefs = append(newRefs, carried...)
-
-	// 3. Coordinator record for (relation, epoch).
-	coord := &vstore.Coordinator{Relation: relation, Epoch: epoch, Pages: newRefs}
+	// 2. Coordinator record for (relation, epoch).
 	if err := n.PutRecord(ctx, vstore.CoordPlacement(relation, epoch),
 		vstore.CoordKVKey(relation, epoch), vstore.EncodeCoordinator(coord)); err != nil {
 		return 0, fmt.Errorf("cluster: publish coordinator: %w", err)
 	}
 
-	// 4. Catalog update makes the epoch visible — and, atomically with
+	// 3. Catalog update makes the epoch visible — and, atomically with
 	// it, the publish mark (idempotent-retry dedup) and the refreshed
 	// row-count statistic.
 	cat2 := cat.WithEpoch(epoch)
@@ -217,14 +188,37 @@ func (n *Node) relationLock(relation string) *sync.Mutex {
 	return mu
 }
 
-// fetchPage loads an index page from its replicas.
-func (n *Node) fetchPage(ctx context.Context, ref vstore.PageRef) (*vstore.Page, error) {
-	data, err := n.GetRecord(ctx, ref.Placement(), vstore.PageKVKey(ref.ID))
-	if err != nil {
-		return nil, err
-	}
-	return vstore.DecodePage(data)
+// ResolvePage returns the index page that ref names, through the node's
+// resolved-page cache (hit reports a cached tip). Records come from the
+// local store when this node replicates the page's placement — a delta
+// chain shares one — and from the other replicas otherwise (§IV:
+// "proactively try to retrieve the missing state from other nearby
+// nodes").
+func (n *Node) ResolvePage(ctx context.Context, ref vstore.PageRef) (p *vstore.Page, hit bool, err error) {
+	return n.resolvePage(ctx, ref, true)
 }
+
+// resolvePage is ResolvePage; remote false confines it to the local store,
+// for callers on the transport's delivery loop, where an RPC would wait on
+// itself.
+func (n *Node) resolvePage(ctx context.Context, ref vstore.PageRef, remote bool) (*vstore.Page, bool, error) {
+	placement := ref.Placement()
+	return n.pages.Resolve(ref.ID, func(id vstore.PageID) ([]byte, error) {
+		kv := vstore.PageKVKey(id)
+		// GetRetained: page decoding copies what it keeps, so the store's
+		// no-copy read suffices.
+		if data, ok := n.store.GetRetained(kv); ok {
+			return data, nil
+		}
+		if !remote {
+			return nil, fmt.Errorf("%w: %q", ErrNotFound, kv)
+		}
+		return n.GetRecord(ctx, placement, kv)
+	})
+}
+
+// PageCacheStats snapshots the resolved-page cache's counters.
+func (n *Node) PageCacheStats() vstore.CacheStats { return n.pages.Stats() }
 
 // ResolveEpoch maps "relation R as of global epoch e" to the exact
 // modification epoch whose coordinator should be read. ok is false when the

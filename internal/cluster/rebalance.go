@@ -53,21 +53,13 @@ func placementOf(kvKey, value []byte) (keyspace.Key, bool) {
 		if len(rest) < 9 {
 			return keyspace.Key{}, false
 		}
-		rel := string(rest[:len(rest)-9])
 		c, err := vstore.DecodeCoordinator(value)
-		if err != nil || c.Relation != rel {
-			// Fall back to decoding the record, which is authoritative.
-			if err != nil {
-				return keyspace.Key{}, false
-			}
+		if err != nil || c.Relation != string(rest[:len(rest)-9]) {
+			return keyspace.Key{}, false // not the record its key names
 		}
 		return vstore.CoordPlacement(c.Relation, c.Epoch), true
 	case kvKey[0] == 'p' && kvKey[1] == '/':
-		p, err := vstore.DecodePage(value)
-		if err != nil {
-			return keyspace.Key{}, false
-		}
-		return p.Ref.Placement(), true
+		return vstore.PagePlacement(value)
 	case kvKey[0] == 't' && kvKey[1] == '/':
 		h, ok := vstore.TupleKeyHash(kvKey)
 		return h, ok

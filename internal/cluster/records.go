@@ -34,28 +34,12 @@ func readBytes(data []byte) ([]byte, []byte, error) {
 	return data[n : n+int(l)], data[n+int(l):], nil
 }
 
-func encodePut(kvKey, value []byte) []byte {
-	out := appendBytes(nil, kvKey)
-	return appendBytes(out, value)
-}
-
-func decodePut(data []byte) (kvKey, value []byte, err error) {
-	kvKey, rest, err := readBytes(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	value, rest, err = readBytes(rest)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(rest) != 0 {
-		return nil, nil, errors.New("cluster: trailing bytes in put")
-	}
-	return kvKey, value, nil
-}
-
 func encodeBatch(items []RecordPut) []byte {
-	out := binary.AppendUvarint(nil, uint64(len(items)))
+	size := binary.MaxVarintLen64
+	for _, it := range items {
+		size += 2*binary.MaxVarintLen32 + len(it.KVKey) + len(it.Value)
+	}
+	out := binary.AppendUvarint(make([]byte, 0, size), uint64(len(items)))
 	for _, it := range items {
 		out = appendBytes(out, it.KVKey)
 		out = appendBytes(out, it.Value)
@@ -90,13 +74,6 @@ func decodeBatch(data []byte) ([][2][]byte, error) {
 
 // registerRecordHandlers installs the basic replicated-record RPCs.
 func (n *Node) registerRecordHandlers() {
-	n.ep.Handle(msgPutRecord, func(from ring.NodeID, payload []byte) ([]byte, error) {
-		kvKey, value, err := decodePut(payload)
-		if err != nil {
-			return nil, err
-		}
-		return nil, n.store.Put(kvKey, value)
-	})
 	n.ep.Handle(msgPutBatch, func(from ring.NodeID, payload []byte) ([]byte, error) {
 		items, err := decodeBatch(payload)
 		if err != nil {
@@ -131,82 +108,65 @@ func (n *Node) registerRecordHandlers() {
 	})
 }
 
-// PutRecord writes one record to all replicas of its placement key. Dead
-// replicas are skipped; the write fails only if no replica accepted it.
+// PutRecord writes one record to all replicas of its placement key.
 func (n *Node) PutRecord(ctx context.Context, placement keyspace.Key, kvKey, value []byte) error {
-	table := n.Table()
-	payload := encodePut(kvKey, value)
-	var firstErr error
-	acked := 0
-	for _, rep := range table.Replicas(placement) {
-		if rep == n.id {
-			if err := n.store.Put(kvKey, value); err != nil {
-				return err
-			}
-			acked++
-			continue
-		}
-		rctx, cancel := context.WithTimeout(ctx, n.cfg.RequestTimeout)
-		_, err := n.ep.Request(rctx, rep, msgPutRecord, payload)
-		cancel()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		acked++
-	}
-	if acked == 0 {
-		return fmt.Errorf("%w: put %q: %v", ErrUnavailable, kvKey, firstErr)
-	}
-	return nil
+	return n.PutRecords(ctx, []RecordPut{{Placement: placement, KVKey: kvKey, Value: value}})
 }
 
-// PutRecords writes a set of records, grouping them into one batch message
-// per destination node — the destination-batched shipping of §V-A applied
-// to the bulk-load path.
+// PutRecords writes a set of records to all replicas of their placement
+// keys in one round: one batch message and one store commit per
+// destination node — the destination-batched shipping of §V-A applied to
+// the write path — with every destination, this node included, written
+// concurrently. Dead replicas are skipped; the write fails only when
+// every remote destination refused it.
 func (n *Node) PutRecords(ctx context.Context, items []RecordPut) error {
 	table := n.Table()
 	byDest := make(map[ring.NodeID][]RecordPut)
 	for _, it := range items {
-		for _, rep := range table.Replicas(it.Placement) {
-			byDest[rep] = append(byDest[rep], it)
+		reps := table.Replicas(it.Placement)
+		for _, rep := range reps {
+			its, ok := byDest[rep]
+			if !ok { // a destination's even share of the batch, in one allocation
+				its = make([]RecordPut, 0, len(items)*len(reps)/table.Size()+8)
+			}
+			byDest[rep] = append(its, it)
 		}
 	}
-	// Local writes first, as one batched commit.
-	if locals := byDest[n.id]; len(locals) > 0 {
-		kvs := make([]kvstore.KV, len(locals))
-		for i, it := range locals {
-			kvs[i] = kvstore.KV{Key: it.KVKey, Val: it.Value}
-		}
-		if err := n.store.PutBatch(kvs); err != nil {
-			return err
-		}
-	}
-	delete(byDest, n.id)
-	type result struct {
-		dest ring.NodeID
-		err  error
-	}
-	results := make(chan result, len(byDest))
+	results := make(chan error, len(byDest))
 	for dest, its := range byDest {
+		if dest == n.id {
+			continue
+		}
 		go func(dest ring.NodeID, its []RecordPut) {
 			rctx, cancel := context.WithTimeout(ctx, n.cfg.RequestTimeout)
 			defer cancel()
 			_, err := n.ep.Request(rctx, dest, msgPutBatch, encodeBatch(its))
-			results <- result{dest, err}
+			results <- err
 		}(dest, its)
 	}
-	var failed []ring.NodeID
-	for range byDest {
-		r := <-results
-		if r.err != nil {
-			failed = append(failed, r.dest)
+	remote := len(byDest)
+	if locals, ok := byDest[n.id]; ok {
+		remote--
+		kvs := make([]kvstore.KV, len(locals))
+		for i, it := range locals {
+			kvs[i] = kvstore.KV{Key: it.KVKey, Val: it.Value}
+		}
+		// A failing local store is this node's own fault, not a dead
+		// replica to route around.
+		if err := n.store.PutBatch(kvs); err != nil {
+			return err
 		}
 	}
-	if len(failed) == len(byDest) && len(byDest) > 0 {
-		return fmt.Errorf("%w: bulk put failed at all %d destinations", ErrUnavailable, len(failed))
+	var failed int
+	var lastErr error
+	for i := 0; i < remote; i++ {
+		if err := <-results; err != nil {
+			failed++
+			lastErr = err
+		}
+	}
+	if remote > 0 && failed == remote {
+		return fmt.Errorf("%w: put of %d records failed at all %d remote destinations: %v", ErrUnavailable, len(items), remote, lastErr)
 	}
 	return nil
 }

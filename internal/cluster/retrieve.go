@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"orchestra/internal/keyspace"
 	"orchestra/internal/ring"
 	"orchestra/internal/tuple"
 	"orchestra/internal/vstore"
@@ -83,14 +84,17 @@ func (c *scanCollector) check() {
 type scanPageReq struct {
 	ScanID    uint64
 	Requester ring.NodeID
-	PageKey   []byte
+	Page      vstore.PageRef // ID and range; the counts do not travel
 	Pred      KeyPred
 }
 
 func encodeScanPageReq(r scanPageReq) []byte {
 	out := binary.BigEndian.AppendUint64(nil, r.ScanID)
 	out = appendBytes(out, []byte(r.Requester))
-	out = appendBytes(out, r.PageKey)
+	out = appendBytes(out, []byte(r.Page.ID.Relation))
+	out = binary.BigEndian.AppendUint64(out, uint64(r.Page.ID.Epoch))
+	out = binary.BigEndian.AppendUint32(out, r.Page.ID.Seq)
+	out = append(append(out, r.Page.Min[:]...), r.Page.Max[:]...)
 	out = appendBytes(out, r.Pred.Lo)
 	out = appendBytes(out, r.Pred.Hi)
 	return out
@@ -108,10 +112,21 @@ func decodeScanPageReq(data []byte) (scanPageReq, error) {
 		return r, err
 	}
 	r.Requester = ring.NodeID(req)
-	r.PageKey, rest, err = readBytes(rest)
+	rel, rest, err := readBytes(rest)
 	if err != nil {
 		return r, err
 	}
+	if len(rest) < 8+4+2*keyspace.Size {
+		return r, errors.New("cluster: truncated page ref in scan request")
+	}
+	r.Page.ID = vstore.PageID{
+		Relation: string(rel),
+		Epoch:    tuple.Epoch(binary.BigEndian.Uint64(rest)),
+		Seq:      binary.BigEndian.Uint32(rest[8:]),
+	}
+	copy(r.Page.Min[:], rest[12:])
+	copy(r.Page.Max[:], rest[12+keyspace.Size:])
+	rest = rest[12+2*keyspace.Size:]
 	lo, rest, err := readBytes(rest)
 	if err != nil {
 		return r, err
@@ -209,7 +224,7 @@ func (n *Node) registerScanHandlers() {
 	// data storage nodes, which ship tuples directly to the requester
 	// "bypassing the Index node and Relation Coordinator" (Algorithm 1).
 	n.ep.Handle(msgScanPage, func(from ring.NodeID, payload []byte) ([]byte, error) {
-		return n.scanPageImpl(payload)
+		return n.scanPageImpl(payload, false) // on the delivery loop: no RPCs
 	})
 
 	// Data-node side: look up the requested tuple versions and ship them to
@@ -313,7 +328,7 @@ func (n *Node) Retrieve(ctx context.Context, relation string, e tuple.Epoch, pre
 		req := encodeScanPageReq(scanPageReq{
 			ScanID:    scanID,
 			Requester: n.id,
-			PageKey:   vstore.PageKVKey(ref.ID),
+			Page:      ref,
 			Pred:      pred,
 		})
 		dataNodes, err := n.scanOnePage(ctx, table, ref, req)
@@ -353,7 +368,7 @@ func (n *Node) scanOnePage(ctx context.Context, table *ring.Table, ref vstore.Pa
 		var resp []byte
 		var err error
 		if rep == n.id {
-			resp, err = n.scanPageImpl(req)
+			resp, err = n.scanPageImpl(req, true)
 		} else {
 			rctx, cancel := context.WithTimeout(ctx, n.cfg.RequestTimeout)
 			resp, err = n.ep.Request(rctx, rep, msgScanPage, req)
@@ -373,25 +388,21 @@ func (n *Node) scanOnePage(ctx context.Context, table *ring.Table, ref vstore.Pa
 }
 
 // scanPageImpl is the index-node half of Algorithm 1, shared by the RPC
-// handler and the local fast path.
-func (n *Node) scanPageImpl(payload []byte) ([]byte, error) {
+// handler and the local fast path; remote says whether page records
+// missing here may be fetched from other replicas.
+func (n *Node) scanPageImpl(payload []byte, remote bool) ([]byte, error) {
 	r, err := decodeScanPageReq(payload)
 	if err != nil {
 		return nil, err
 	}
-	pageData, ok := n.store.Get(r.PageKey)
-	if !ok {
-		// The requester will retry at another replica of this page.
-		return nil, fmt.Errorf("%w: page %q", ErrNotFound, r.PageKey)
-	}
-	page, err := vstore.DecodePage(pageData)
+	page, _, err := n.resolvePage(context.Background(), r.Page, remote) // GetRecord bounds each request
 	if err != nil {
+		// The requester will retry at another replica of this page.
 		return nil, err
 	}
 	table := n.Table()
 	byOwner := make(map[ring.NodeID][]tuple.ID)
 	matched := 0
-	page.EnsureHashes() // route by the page's cached placement hashes
 	for i, id := range page.IDs {
 		if !r.Pred.Match(id.Key) {
 			continue

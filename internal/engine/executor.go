@@ -220,8 +220,7 @@ func (r *Result) TotalStats() NodeStats {
 // on the node's transport endpoint and hosts one executor per in-flight
 // query (local or remote).
 type Engine struct {
-	node  *cluster.Node
-	pages *pageCache // decoded index pages, shared across queries
+	node *cluster.Node
 
 	mu    sync.Mutex
 	execs map[uint64]*executor
@@ -232,7 +231,6 @@ type Engine struct {
 func New(node *cluster.Node) *Engine {
 	e := &Engine{
 		node:  node,
-		pages: newPageCache(defaultPageCachePages),
 		execs: make(map[uint64]*executor),
 	}
 	e.registerHandlers()

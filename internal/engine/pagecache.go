@@ -1,90 +1,11 @@
 package engine
 
-import (
-	"container/list"
-	"sync"
-
-	"orchestra/internal/vstore"
-)
-
-// pageCache holds decoded index pages. Page versions are immutable — a
-// publish copy-on-writes modified pages under fresh (relation, epoch, seq)
-// identities and never rewrites an existing one — so a decoded page can be
-// cached forever and shared read-only across queries; the LRU bound only
-// caps memory. Before this cache, decoding the scanned relation's pages
-// (per query, per scan leaf) was a top profile entry on served workloads.
-type pageCache struct {
-	mu  sync.Mutex
-	max int
-	lru *list.List // front = most recent; values are *pageCacheEntry
-	m   map[vstore.PageID]*list.Element
-
-	hits      uint64
-	misses    uint64
-	evictions uint64
-}
-
-type pageCacheEntry struct {
-	id   vstore.PageID
-	page *vstore.Page
-}
-
-// defaultPageCachePages bounds the decoded-page cache. At the default 512
-// IDs per page this is on the order of a few thousand tuples of index
-// state per cached page, tens of MB at the cap — small next to the tuple
-// store it fronts.
-const defaultPageCachePages = 256
-
-func newPageCache(max int) *pageCache {
-	return &pageCache{max: max, lru: list.New(), m: make(map[vstore.PageID]*list.Element)}
-}
-
-func (c *pageCache) get(id vstore.PageID) (*vstore.Page, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[id]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	c.lru.MoveToFront(el)
-	return el.Value.(*pageCacheEntry).page, true
-}
-
-// put caches a decoded page. The page must be fully initialized (hashes
-// ensured) and is shared read-only from here on.
-func (c *pageCache) put(id vstore.PageID, p *vstore.Page) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[id]; ok {
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.m[id] = c.lru.PushFront(&pageCacheEntry{id: id, page: p})
-	for c.lru.Len() > c.max {
-		old := c.lru.Back()
-		c.lru.Remove(old)
-		delete(c.m, old.Value.(*pageCacheEntry).id)
-		c.evictions++
-	}
-}
+import "orchestra/internal/vstore"
 
 // CacheStats are a cache's cumulative hit/miss/eviction counts plus its
 // current and maximum sizes.
-type CacheStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Size      int    `json:"size"`
-	Max       int    `json:"max"`
-}
+type CacheStats = vstore.CacheStats
 
-func (c *pageCache) stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Size: c.lru.Len(), Max: c.max}
-}
-
-// PageCacheStats snapshots the decoded-index-page LRU's counters.
-func (e *Engine) PageCacheStats() CacheStats { return e.pages.stats() }
+// PageCacheStats snapshots the counters of the node's resolved-index-page
+// cache (cluster.Node.ResolvePage), which this engine's scans read through.
+func (e *Engine) PageCacheStats() CacheStats { return e.node.PageCacheStats() }

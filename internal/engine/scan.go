@@ -231,35 +231,20 @@ func (l *scanLeaf) runIndexSide(phase uint32, inherited []ring.Range, prevTable 
 	l.ex.broadcastScanDone(l.spec.ScanID, phase)
 }
 
-// loadPage fetches a page, consulting the engine's decoded-page cache
-// first (page versions are immutable, so hits are always valid), then the
-// local store, then replicas.
+// loadPage resolves a page version through the node's resolved-page
+// cache (versions are immutable, so hits are always valid), the local
+// store, then replicas. The page it returns has its placement hashes and
+// is shared read-only.
 func (l *scanLeaf) loadPage(ref vstore.PageRef) (*vstore.Page, error) {
-	if p, ok := l.ex.eng.pages.get(ref.ID); ok {
+	// No deadline of its own: a cached page needs none, and GetRecord
+	// bounds each replica request by the node's RequestTimeout.
+	p, hit, err := l.ex.eng.node.ResolvePage(context.Background(), ref)
+	if hit {
 		l.ex.pageHits.Add(1)
-		return p, nil
+	} else {
+		l.ex.pageMisses.Add(1)
 	}
-	l.ex.pageMisses.Add(1)
-	kv := vstore.PageKVKey(ref.ID)
-	// GetRetained: page decoding copies what it keeps, so the store's
-	// no-copy read suffices and saves a page-sized allocation per scan.
-	data, ok := l.ex.eng.node.Store().GetRetained(kv)
-	if !ok {
-		ctx, cancel := context.WithTimeout(context.Background(), l.ex.eng.node.Config().RequestTimeout)
-		defer cancel()
-		remote, err := l.ex.eng.node.GetRecord(ctx, ref.Placement(), kv)
-		if err != nil {
-			return nil, err
-		}
-		data = remote
-	}
-	p, err := vstore.DecodePage(data)
-	if err != nil {
-		return nil, err
-	}
-	p.EnsureHashes() // fully initialize before sharing read-only
-	l.ex.eng.pages.put(ref.ID, p)
-	return p, nil
+	return p, err
 }
 
 // addWanted records an incoming shipment of tuple IDs (with their

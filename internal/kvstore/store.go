@@ -146,9 +146,15 @@ const (
 // a replica's catch-up source does not have to be durable.
 func NewMemory() *Store {
 	s := &Store{tree: newBtree()}
+	s.opts.Registry = obs.NewRegistry()
 	s.repl.max = DefaultRetainBytes
 	return s
 }
+
+// Registry returns the metrics registry the store reports to — the
+// node's registry when Options named one. The layers above the store
+// count there too, so one /metrics page covers the node.
+func (s *Store) Registry() *obs.Registry { return s.opts.Registry }
 
 // Open returns a durable store rooted at dir, creating it if needed and
 // recovering any existing snapshot, archived WAL segments, and live
@@ -412,6 +418,9 @@ func (s *Store) applyRecord(rec wal.Record) (uint64, error) {
 
 // appendPut encodes an opPut payload: keyLen uvarint | key | val.
 func appendPut(dst []byte, key, val []byte) []byte {
+	if dst == nil {
+		dst = make([]byte, 0, binary.MaxVarintLen32+len(key)+len(val)) // one allocation, not three
+	}
 	dst = binary.AppendUvarint(dst, uint64(len(key)))
 	dst = append(dst, key...)
 	return append(dst, val...)

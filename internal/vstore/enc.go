@@ -3,12 +3,16 @@
 // covering a partition of the tuple-key hash space and listing the tuple IDs
 // current in that range at a given epoch. Relation coordinator records map
 // (relation, epoch) to the page list; catalogs track each relation's schema
-// and modification epochs. Pages are copy-on-write: publishing a batch of
-// updates rewrites only the affected pages and links the rest unchanged,
-// like the i-node/CFS versioning schemes that inspired the design.
+// and modification epochs. Page versions are immutable and copy-on-write
+// at the granularity of what changed: publishing a batch of updates gives
+// each affected range a new version — a delta record on its previous one,
+// or, by a fixed compaction rule, the rewritten page — and links the rest
+// unchanged, like the i-node/CFS versioning schemes that inspired the
+// design.
 //
-// This package contains the data structures, codecs, and pure page
-// manipulation logic; the cluster package distributes and replicates the
+// This package contains the data structures, codecs, the publish decision
+// (Coordinator.Apply) and the one reader of page versions
+// (PageCache.Resolve); the cluster package distributes and replicates the
 // records over the ring.
 package vstore
 
@@ -98,6 +102,20 @@ func (r *reader) uvarint() uint64 {
 	}
 	r.off += n
 	return v
+}
+
+// count reads an element count, refusing one that the bytes left could
+// not hold at minSize bytes an element (a garbled count must not size an
+// allocation).
+func (r *reader) count(minSize int) int {
+	n := r.uvarint()
+	if r.err == nil && n > uint64(len(r.data)-r.off)/uint64(minSize) {
+		r.err = fmt.Errorf("vstore: implausible element count %d", n)
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
 }
 
 func (r *reader) bytes() []byte {

@@ -59,12 +59,18 @@ func PageKVKey(id PageID) []byte {
 }
 
 // TupleKVKey is the local store key for a tuple version.
-func TupleKVKey(id tuple.ID) []byte {
-	h := id.Hash()
-	k := append([]byte("t/"), h[:]...)
+func TupleKVKey(id tuple.ID) []byte { return tupleKVKey(id, id.Hash()) }
+
+// KVKey is the local store key for the tuple version w writes.
+func (w TupleWrite) KVKey() []byte { return tupleKVKey(w.ID, w.Hash) }
+
+func tupleKVKey(id tuple.ID, h keyspace.Key) []byte {
+	k := make([]byte, 0, 2+keyspace.Size+len(id.Key)+1+8)
+	k = append(k, 't', '/')
+	k = append(k, h[:]...)
 	k = append(k, id.Key...)
 	k = append(k, 0)
-	return append(k, epochBytes(id.Epoch)...)
+	return binary.BigEndian.AppendUint64(k, uint64(id.Epoch))
 }
 
 // TupleScanBounds returns the local-store key range [lo, hi) containing all

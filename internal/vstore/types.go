@@ -22,14 +22,28 @@ func (p PageID) String() string {
 	return fmt.Sprintf("%s@%d#%d", p.Relation, p.Epoch, p.Seq)
 }
 
-// PageRef is a coordinator's pointer to a page: its ID plus the tuple-hash
-// range it covers. The page's placement key — "the middle of the range of
-// tuple keys it encompasses" (§IV) — colocates the page with most of the
-// tuples it references.
+// PageRef is a coordinator's pointer to a page version: its ID, the
+// tuple-hash range it covers, and the three numbers a publisher decides
+// from without reading the page (see Coordinator.Apply). The page's
+// placement key — "the middle of the range of tuple keys it encompasses"
+// (§IV) — colocates the page with most of the tuples it references; a
+// delta keeps its base's range, so a whole chain lives at one placement.
 type PageRef struct {
 	ID  PageID
 	Min keyspace.Key // inclusive
 	Max keyspace.Key // exclusive; Min==Max means the full ring
+
+	// Entries bounds the resolved page's entry count from above: exact for
+	// a full page; a delta adds its upserts (an update of an existing key
+	// counts as new) and subtracts nothing for its deletes.
+	Entries uint32
+	// DeltaEntries is the number of upserted and deleted entries in the
+	// delta records between this version and its full base; 0 for a full
+	// page.
+	DeltaEntries uint32
+	// Depth is the number of delta records between this version and its
+	// full base; 0 for a full page.
+	Depth uint32
 }
 
 // Placement returns the ring key where the page is stored.
@@ -51,86 +65,178 @@ func (p PageRef) Contains(h keyspace.Key) bool {
 	return h.InRange(p.Min, p.Max)
 }
 
-// Page is the content stored at an index node: the tuple IDs present in the
-// page's hash range for the page's version, at most one per distinct key.
-// Entries are kept sorted by (hash, key) for deterministic encoding and
-// ordered scans. Hashes caches each ID's placement key (SHA-1 of its key
-// encoding): the scan path routes every entry by this hash, and computing
-// it per scanned row used to dominate query profiles, so pages persist it
-// alongside the IDs (EnsureHashes fills it for pages built in memory).
+// Page is a resolved index page: the tuple IDs present in the page's hash
+// range for the page's version, at most one per distinct key, sorted by
+// (hash, key) — the storage order of the data nodes. Hashes holds each
+// ID's placement key (SHA-1 of its key encoding), persisted with the IDs
+// because the scan routes every entry by it. A Page is immutable once
+// built: versions share key strings and readers alias its slices.
 type Page struct {
 	Ref    PageRef
 	IDs    []tuple.ID
-	Hashes []keyspace.Key // parallel to IDs; see EnsureHashes
+	Hashes []keyspace.Key // parallel to IDs
 }
 
-// EnsureHashes makes Hashes parallel to IDs, computing any missing entries.
-func (p *Page) EnsureHashes() {
-	if len(p.Hashes) == len(p.IDs) {
-		return
-	}
-	p.Hashes = make([]keyspace.Key, len(p.IDs))
-	for i, id := range p.IDs {
-		p.Hashes[i] = id.Hash()
-	}
+// Delta is a page version stored as its difference from the version
+// Base, which covers the same range: the entries the publish changed,
+// sorted by (hash, key), one per key. An entry whose Epoch is Tombstone
+// deletes its key; any other replaces or adds it. Only PageCache.Resolve
+// turns a delta into a Page.
+type Delta struct {
+	Ref    PageRef
+	Base   PageID
+	IDs    []tuple.ID
+	Hashes []keyspace.Key
 }
 
-// pageV2Tag and pageVersion open every encoded page.
+// Tombstone is the epoch of a delta entry that deletes its key. No publish
+// runs at it: epochs count up from 1.
+const Tombstone = ^tuple.Epoch(0)
+
+// Version is one stored page record: exactly one field is set.
+type Version struct {
+	Page  *Page
+	Delta *Delta
+}
+
+// Ref returns the ref of the version the record names.
+func (v Version) Ref() PageRef {
+	if v.Delta != nil {
+		return v.Delta.Ref
+	}
+	return v.Page.Ref
+}
+
+// Encode serializes the record.
+func (v Version) Encode() []byte {
+	if v.Delta != nil {
+		return EncodeDelta(v.Delta)
+	}
+	return EncodePage(v.Page)
+}
+
+// Every page record opens with pageTag and its kind. The kinds start
+// above the retired whole-page-only layout's version number so a stale
+// record is refused, not misread.
 const (
-	pageV2Tag   = 0xFF
-	pageVersion = 2
+	pageTag   = 0xFF
+	kindFull  = 3
+	kindDelta = 4
 )
 
-// EncodePage serializes a page, including its entry placement hashes.
-func EncodePage(p *Page) []byte {
-	p.EnsureHashes()
-	var w writer
-	w.u8(pageV2Tag)
-	w.u8(pageVersion)
-	w.str(p.Ref.ID.Relation)
-	w.u64(uint64(p.Ref.ID.Epoch))
-	w.u32(p.Ref.ID.Seq)
-	w.key(p.Ref.Min)
-	w.key(p.Ref.Max)
-	w.uvarint(uint64(len(p.IDs)))
-	for i, id := range p.IDs {
+// pageHeader opens a page record that will hold ids, sizing the buffer once.
+func (w *writer) pageHeader(kind uint8, ref PageRef, ids []tuple.ID) {
+	size := 64 + len(ref.ID.Relation) + 2*keyspace.Size
+	for _, id := range ids {
+		size += 8 + 2 + len(id.Key) + keyspace.Size
+	}
+	w.buf = make([]byte, 0, size)
+	w.u8(pageTag)
+	w.u8(kind)
+	w.str(ref.ID.Relation)
+	w.u64(uint64(ref.ID.Epoch))
+	w.u32(ref.ID.Seq)
+	w.key(ref.Min)
+	w.key(ref.Max)
+}
+
+// pageHeader reads what every page record starts with; the ref's counts
+// are left for the caller, who knows them only after the body.
+func (r *reader) pageHeader() (kind uint8, ref PageRef) {
+	tag := r.u8()
+	kind = r.u8()
+	if r.err == nil && (tag != pageTag || (kind != kindFull && kind != kindDelta)) {
+		r.err = fmt.Errorf("vstore: not a page record (tag %#x, kind %d)", tag, kind)
+	}
+	ref.ID.Relation = r.str()
+	ref.ID.Epoch = tuple.Epoch(r.u64())
+	ref.ID.Seq = r.u32()
+	ref.Min = r.keyVal()
+	ref.Max = r.keyVal()
+	return kind, ref
+}
+
+func (w *writer) entries(ids []tuple.ID, hashes []keyspace.Key) {
+	w.uvarint(uint64(len(ids)))
+	for i, id := range ids {
 		w.u64(uint64(id.Epoch))
 		w.str(id.Key)
-		w.key(p.Hashes[i])
+		w.key(hashes[i])
 	}
+}
+
+// entries reads an entry list. The keys are substrings of one copy of the
+// list's bytes rather than a string each: one allocation per record, and
+// the caller's buffer is not retained.
+func (r *reader) entries() ([]tuple.ID, []keyspace.Key) {
+	n := r.count(8 + 1 + keyspace.Size)
+	ids := make([]tuple.ID, 0, n)
+	hashes := make([]keyspace.Key, 0, n)
+	blob, base := string(r.data[r.off:]), r.off
+	for i := 0; i < n && r.err == nil; i++ {
+		e := tuple.Epoch(r.u64())
+		key := r.bytes()
+		if r.err != nil {
+			break
+		}
+		ids = append(ids, tuple.ID{Key: blob[r.off-len(key)-base : r.off-base], Epoch: e})
+		hashes = append(hashes, r.keyVal())
+	}
+	return ids, hashes
+}
+
+// EncodePage serializes a full page.
+func EncodePage(p *Page) []byte {
+	var w writer
+	w.pageHeader(kindFull, p.Ref, p.IDs)
+	w.entries(p.IDs, p.Hashes)
 	return w.buf
 }
 
-// DecodePage reverses EncodePage.
-func DecodePage(data []byte) (*Page, error) {
+// EncodeDelta serializes a delta record.
+func EncodeDelta(d *Delta) []byte {
+	var w writer
+	w.pageHeader(kindDelta, d.Ref, d.IDs)
+	w.u64(uint64(d.Base.Epoch))
+	w.u32(d.Base.Seq)
+	w.entries(d.IDs, d.Hashes)
+	return w.buf
+}
+
+// DecodePage reverses EncodePage and EncodeDelta. The record does not
+// carry its ref's counts; a full page's Entries is filled from the body,
+// a delta's counts are known only to the coordinator that links it.
+func DecodePage(data []byte) (Version, error) {
 	r := reader{data: data}
-	if tag, version := r.u8(), r.u8(); r.err != nil || tag != pageV2Tag || version != pageVersion {
-		return nil, fmt.Errorf("vstore: not a version-%d page (tag %#x, version %d)", pageVersion, tag, version)
-	}
-	p := &Page{}
-	p.Ref.ID.Relation = r.str()
-	p.Ref.ID.Epoch = tuple.Epoch(r.u64())
-	p.Ref.ID.Seq = r.u32()
-	p.Ref.Min = r.keyVal()
-	p.Ref.Max = r.keyVal()
-	n := r.uvarint()
-	if n > 1<<24 {
-		return nil, fmt.Errorf("vstore: implausible page entry count %d", n)
-	}
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		e := tuple.Epoch(r.u64())
-		k := r.str()
-		p.IDs = append(p.IDs, tuple.ID{Key: k, Epoch: e})
-		p.Hashes = append(p.Hashes, r.keyVal())
+	kind, ref := r.pageHeader()
+	var v Version
+	if kind == kindFull {
+		v.Page = &Page{Ref: ref}
+		v.Page.IDs, v.Page.Hashes = r.entries()
+		v.Page.Ref.Entries = uint32(len(v.Page.IDs))
+	} else {
+		v.Delta = &Delta{Ref: ref, Base: PageID{Relation: ref.ID.Relation}}
+		v.Delta.Base.Epoch = tuple.Epoch(r.u64())
+		v.Delta.Base.Seq = r.u32()
+		v.Delta.IDs, v.Delta.Hashes = r.entries()
 	}
 	if err := r.done(); err != nil {
-		return nil, err
+		return Version{}, err
 	}
-	return p, nil
+	return v, nil
+}
+
+// PagePlacement returns the ring placement of an encoded page record,
+// full or delta, from its header alone.
+func PagePlacement(data []byte) (keyspace.Key, bool) {
+	r := reader{data: data}
+	_, ref := r.pageHeader()
+	return ref.Placement(), r.err == nil
 }
 
 // Coordinator is the relation coordinator record for (relation, epoch): the
-// list of page IDs and their tuple-hash ranges (Fig 3).
+// page versions current at that epoch and their tuple-hash ranges (Fig 3),
+// in ring order starting at the zero key, the ranges partitioning the ring.
 type Coordinator struct {
 	Relation string
 	Epoch    tuple.Epoch
@@ -149,6 +255,9 @@ func EncodeCoordinator(c *Coordinator) []byte {
 		w.u32(ref.ID.Seq)
 		w.key(ref.Min)
 		w.key(ref.Max)
+		w.uvarint(uint64(ref.Entries))
+		w.uvarint(uint64(ref.DeltaEntries))
+		w.uvarint(uint64(ref.Depth))
 	}
 	return w.buf
 }
@@ -159,34 +268,24 @@ func DecodeCoordinator(data []byte) (*Coordinator, error) {
 	c := &Coordinator{}
 	c.Relation = r.str()
 	c.Epoch = tuple.Epoch(r.u64())
-	n := r.uvarint()
-	if n > 1<<24 {
-		return nil, fmt.Errorf("vstore: implausible page count %d", n)
-	}
-	for i := uint64(0); i < n; i++ {
+	n := r.count(1 + 8 + 4 + 2*keyspace.Size + 3)
+	c.Pages = make([]PageRef, 0, n)
+	for i := 0; i < n && r.err == nil; i++ {
 		var ref PageRef
 		ref.ID.Relation = r.str()
 		ref.ID.Epoch = tuple.Epoch(r.u64())
 		ref.ID.Seq = r.u32()
 		ref.Min = r.keyVal()
 		ref.Max = r.keyVal()
+		ref.Entries = uint32(r.uvarint())
+		ref.DeltaEntries = uint32(r.uvarint())
+		ref.Depth = uint32(r.uvarint())
 		c.Pages = append(c.Pages, ref)
 	}
 	if err := r.done(); err != nil {
 		return nil, err
 	}
 	return c, nil
-}
-
-// PageFor returns the page ref covering hash h, or false if none does (which
-// indicates a corrupt coordinator: pages must partition the ring).
-func (c *Coordinator) PageFor(h keyspace.Key) (PageRef, bool) {
-	for _, ref := range c.Pages {
-		if ref.Contains(h) {
-			return ref, true
-		}
-	}
-	return PageRef{}, false
 }
 
 // Catalog records a relation's schema and the epochs at which it was

@@ -3,6 +3,7 @@ package vstore
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"orchestra/internal/keyspace"
@@ -44,33 +45,56 @@ func TestSchemaCodecRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestPageCodecRoundTrip(t *testing.T) {
+// testPage builds a well-formed page (sorted, hashed) of n keys.
+func testPage(t *testing.T, n int) *Page {
+	t.Helper()
 	s := rSchema(t)
-	p := &Page{
-		Ref: PageRef{
-			ID:  PageID{Relation: "R", Epoch: 3, Seq: 7},
-			Min: keyspace.FromUint64(100),
-			Max: keyspace.FromUint64(900),
-		},
+	var ups []Update
+	for i := 0; i < n; i++ {
+		ups = append(ups, Update{Op: OpInsert, Row: tuple.Row{tuple.S(fmt.Sprintf("k%d", i)), tuple.S("v")}})
 	}
-	for i := 0; i < 20; i++ {
-		row := tuple.Row{tuple.S(fmt.Sprintf("k%d", i)), tuple.S("v")}
-		p.IDs = append(p.IDs, tuple.NewID(s, row, tuple.Epoch(i%4)))
+	pages, _, err := BuildInitialPages(s, 3, ups, n)
+	if err != nil || len(pages) != 1 {
+		t.Fatalf("BuildInitialPages: %d pages, %v", len(pages), err)
 	}
-	got, err := DecodePage(EncodePage(p))
+	p := pages[0]
+	p.Ref.ID.Seq = 7
+	p.Ref.Min, p.Ref.Max = keyspace.FromUint64(100), keyspace.FromUint64(900)
+	return &p
+}
+
+func TestPageCodecRoundTrip(t *testing.T) {
+	p := testPage(t, 20)
+	v, err := DecodePage(EncodePage(p))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Ref != p.Ref {
-		t.Errorf("ref mismatch: %+v != %+v", got.Ref, p.Ref)
+	if v.Delta != nil || v.Page == nil {
+		t.Fatalf("a full page decoded to %+v", v)
 	}
-	if len(got.IDs) != len(p.IDs) {
-		t.Fatalf("id count %d != %d", len(got.IDs), len(p.IDs))
+	if !reflect.DeepEqual(v.Page, p) {
+		t.Errorf("round trip: %+v != %+v", v.Page, p)
 	}
-	for i := range p.IDs {
-		if got.IDs[i] != p.IDs[i] {
-			t.Errorf("id %d: %v != %v", i, got.IDs[i], p.IDs[i])
+
+	d := &Delta{
+		Ref:  PageRef{ID: PageID{Relation: "R", Epoch: 4, Seq: 1}, Min: p.Ref.Min, Max: p.Ref.Max},
+		Base: p.Ref.ID,
+		IDs:  append([]tuple.ID{{Key: p.IDs[0].Key, Epoch: Tombstone}}, p.IDs[1:3]...), Hashes: p.Hashes[:3],
+	}
+	v, err = DecodePage(EncodeDelta(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Page != nil || !reflect.DeepEqual(v.Delta, d) {
+		t.Errorf("delta round trip: %+v != %+v", v.Delta, d)
+	}
+	for _, enc := range [][]byte{EncodePage(p), EncodeDelta(d)} {
+		if got, ok := PagePlacement(enc); !ok || got != p.Ref.Placement() {
+			t.Errorf("PagePlacement = %v, %v; want %v", got, ok, p.Ref.Placement())
 		}
+	}
+	if _, ok := PagePlacement([]byte("junk")); ok {
+		t.Error("PagePlacement accepted junk")
 	}
 }
 
@@ -79,8 +103,8 @@ func TestCoordinatorCodecRoundTrip(t *testing.T) {
 		Relation: "R",
 		Epoch:    5,
 		Pages: []PageRef{
-			{ID: PageID{"R", 5, 0}, Min: keyspace.Zero, Max: keyspace.FromUint64(500)},
-			{ID: PageID{"R", 2, 1}, Min: keyspace.FromUint64(500), Max: keyspace.Zero},
+			{ID: PageID{"R", 5, 0}, Min: keyspace.Zero, Max: keyspace.FromUint64(500), Entries: 300, DeltaEntries: 17, Depth: 4},
+			{ID: PageID{"R", 2, 1}, Min: keyspace.FromUint64(500), Max: keyspace.Zero, Entries: 12},
 		},
 	}
 	got, err := DecodeCoordinator(EncodeCoordinator(c))
@@ -281,8 +305,10 @@ func TestBuildInitialPagesEmptyAndDedup(t *testing.T) {
 	if len(pages[0].IDs) != 1 {
 		t.Errorf("dedup failed: %d ids", len(pages[0].IDs))
 	}
-	if len(writes) != 2 {
-		t.Errorf("both versions should be written: %d", len(writes))
+	// Both ops name the same store key (same key, same epoch), so only
+	// the surviving version is written.
+	if len(writes) != 1 || writes[0].Row[1].Str != "v2" {
+		t.Errorf("want one write of the last version, got %+v", writes)
 	}
 	// Insert then delete: no entry.
 	ups = []Update{
@@ -298,45 +324,91 @@ func TestBuildInitialPagesEmptyAndDedup(t *testing.T) {
 	}
 }
 
-func TestApplyToPageModify(t *testing.T) {
+// memStore is an in-memory home for page records: what the cluster's
+// replicated store is to a publish.
+type memStore struct {
+	recs  map[PageID][]byte
+	cache *PageCache
+	loads int
+}
+
+func newMemStore() *memStore {
+	return &memStore{recs: map[PageID][]byte{}, cache: NewPageCache(DefaultPageCachePages)}
+}
+
+func (m *memStore) load(id PageID) ([]byte, error) {
+	m.loads++
+	data, ok := m.recs[id]
+	if !ok {
+		return nil, fmt.Errorf("no record %s", id)
+	}
+	return data, nil
+}
+
+func (m *memStore) resolve(ref PageRef) (*Page, error) {
+	p, _, err := m.cache.Resolve(ref.ID, m.load)
+	return p, err
+}
+
+// publish applies ups on c and stores the page records.
+func (m *memStore) publish(t *testing.T, c *Coordinator, s *tuple.Schema, epoch tuple.Epoch, ups []Update, maxPerPage int) (*Coordinator, []Version, []TupleWrite) {
+	t.Helper()
+	next, versions, writes, err := c.Apply(s, epoch, ups, maxPerPage, m.resolve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range versions {
+		if _, dup := m.recs[v.Ref().ID]; dup {
+			t.Fatalf("page version %s written twice", v.Ref().ID)
+		}
+		m.recs[v.Ref().ID] = v.Encode()
+	}
+	return next, versions, writes
+}
+
+func TestApplyModifyWritesADelta(t *testing.T) {
 	// Mirrors the paper's running example: R(f,z) at epoch 0 changed to
 	// R(f,a) at epoch 1 — the page entry for key f is replaced with the
 	// new-epoch ID; the old tuple version remains (only writes for the new).
 	s := rSchema(t)
-	initial := []Update{
+	m := newMemStore()
+	c0, _, _ := m.publish(t, new(Coordinator), s, 0, []Update{
 		{Op: OpInsert, Row: tuple.Row{tuple.S("a"), tuple.S("b")}},
 		{Op: OpInsert, Row: tuple.Row{tuple.S("f"), tuple.S("z")}},
-	}
-	pages, _, err := BuildInitialPages(s, 0, initial, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := &pages[0]
-
-	var seq uint32
-	ups := []Update{
+	}, 100)
+	c1, versions, writes := m.publish(t, c0, s, 1, []Update{
 		{Op: OpUpdate, Row: tuple.Row{tuple.S("f"), tuple.S("a")}},
 		{Op: OpInsert, Row: tuple.Row{tuple.S("b"), tuple.S("c")}},
+	}, 100)
+	if len(versions) != 1 || versions[0].Delta == nil {
+		t.Fatalf("want one delta record, got %+v", versions)
 	}
-	newPages, writes, err := ApplyToPage(old, s, 1, ups, 100, &seq)
+	d := versions[0].Delta
+	if d.Base != c0.Pages[0].ID || len(d.IDs) != 2 || d.IDs[0].Epoch != 1 || d.IDs[1].Epoch != 1 {
+		t.Errorf("delta = %+v", d)
+	}
+	if m.loads != 0 {
+		t.Errorf("a delta publish loaded %d page records", m.loads)
+	}
+	ref := c1.Pages[0]
+	if ref.ID.Epoch != 1 || ref.ID.Relation != "R" {
+		t.Errorf("new version ID = %v", ref.ID)
+	}
+	if ref.Min != c0.Pages[0].Min || ref.Max != c0.Pages[0].Max {
+		t.Error("page range must be preserved on modify")
+	}
+	if ref.Entries != 4 || ref.DeltaEntries != 2 || ref.Depth != 1 {
+		t.Errorf("ref counts = %d entries, %d delta entries, depth %d", ref.Entries, ref.DeltaEntries, ref.Depth)
+	}
+	np, err := m.resolve(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(newPages) != 1 {
-		t.Fatalf("want 1 page, got %d", len(newPages))
-	}
-	np := newPages[0]
-	if np.Ref.ID.Epoch != 1 || np.Ref.ID.Relation != "R" {
-		t.Errorf("new page ID = %v", np.Ref.ID)
-	}
-	if np.Ref.Min != old.Ref.Min || np.Ref.Max != old.Ref.Max {
-		t.Error("page range must be preserved on modify")
-	}
-	if len(np.IDs) != 3 {
-		t.Fatalf("want 3 ids, got %d", len(np.IDs))
+	if np.Ref.ID != ref.ID || len(np.IDs) != 3 || len(np.Hashes) != 3 {
+		t.Fatalf("resolved %v with %d ids", np.Ref.ID, len(np.IDs))
 	}
 	wantEpochs := map[string]tuple.Epoch{"a": 0, "f": 1, "b": 1}
-	for _, id := range np.IDs {
+	for i, id := range np.IDs {
 		vals, err := id.KeyValues()
 		if err != nil {
 			t.Fatal(err)
@@ -344,59 +416,68 @@ func TestApplyToPageModify(t *testing.T) {
 		if want := wantEpochs[vals[0].Str]; id.Epoch != want {
 			t.Errorf("key %s at epoch %d, want %d", vals[0].Str, id.Epoch, want)
 		}
+		if np.Hashes[i] != id.Hash() {
+			t.Errorf("entry %d carries the wrong hash", i)
+		}
 	}
 	if len(writes) != 2 {
 		t.Errorf("want 2 tuple writes, got %d", len(writes))
 	}
-	// Old page untouched (copy-on-write).
-	if len(old.IDs) != 2 {
-		t.Error("ApplyToPage mutated the old page")
+	// The old version is untouched (copy-on-write).
+	if old, err := m.resolve(c0.Pages[0]); err != nil || len(old.IDs) != 2 {
+		t.Errorf("epoch 0 now resolves to %+v, %v", old, err)
 	}
 }
 
-func TestApplyToPageDeleteAndSplit(t *testing.T) {
+func TestApplyDeleteAndSplit(t *testing.T) {
 	s := rSchema(t)
+	m := newMemStore()
 	var initial []Update
 	for i := 0; i < 50; i++ {
 		initial = append(initial, Update{Op: OpInsert, Row: tuple.Row{tuple.S(fmt.Sprintf("k%02d", i)), tuple.S("v")}})
 	}
-	pages, _, err := BuildInitialPages(s, 0, initial, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := &pages[0]
+	c0, _, _ := m.publish(t, new(Coordinator), s, 0, initial, 1000)
 
 	// Delete one.
-	var seq uint32
-	newPages, writes, err := ApplyToPage(old, s, 1,
-		[]Update{{Op: OpDelete, Row: tuple.Row{tuple.S("k07"), tuple.S("")}}}, 1000, &seq)
-	if err != nil {
-		t.Fatal(err)
+	c1, versions, writes := m.publish(t, c0, s, 1,
+		[]Update{{Op: OpDelete, Row: tuple.Row{tuple.S("k07"), tuple.S("")}}}, 1000)
+	if len(versions) != 1 || versions[0].Delta == nil || len(versions[0].Delta.IDs) != 1 || versions[0].Delta.IDs[0].Epoch != Tombstone {
+		t.Fatalf("want a delta of one tombstone, got %+v", versions)
 	}
-	if len(newPages[0].IDs) != 49 || len(writes) != 0 {
-		t.Errorf("after delete: %d ids, %d writes", len(newPages[0].IDs), len(writes))
+	if ref := c1.Pages[0]; ref.Entries != 50 || ref.DeltaEntries != 1 {
+		t.Errorf("a delete moved the entry bound: %+v", ref)
+	}
+	if p, err := m.resolve(c1.Pages[0]); err != nil || len(p.IDs) != 49 || len(writes) != 0 {
+		t.Errorf("after delete: %+v, %v, %d writes", p, err, len(writes))
 	}
 
-	// Overflow: small page cap forces a split within the old range.
+	// Overflow: a small page cap forces a rewrite that splits within the
+	// old range.
 	var ups []Update
 	for i := 0; i < 60; i++ {
 		ups = append(ups, Update{Op: OpInsert, Row: tuple.Row{tuple.S(fmt.Sprintf("new%02d", i)), tuple.S("v")}})
 	}
-	seq = 0
-	split, _, err := ApplyToPage(old, s, 2, ups, 64, &seq)
-	if err != nil {
-		t.Fatal(err)
+	c2, versions, _ := m.publish(t, c0, s, 2, ups, 64)
+	if len(versions) < 2 {
+		t.Fatalf("expected split, got %d records", len(versions))
 	}
-	if len(split) < 2 {
-		t.Fatalf("expected split, got %d pages", len(split))
-	}
-	if split[0].Ref.Min != old.Ref.Min || split[len(split)-1].Ref.Max != old.Ref.Max {
+	if c2.Pages[0].Min != c0.Pages[0].Min || c2.Pages[len(c2.Pages)-1].Max != c0.Pages[0].Max {
 		t.Error("split pages must cover exactly the old range")
 	}
 	total := 0
-	for i, p := range split {
-		if i > 0 && p.Ref.Min != split[i-1].Ref.Max {
+	for i, v := range versions {
+		p := v.Page
+		if p == nil {
+			t.Fatalf("record %d of a split is a delta", i)
+		}
+		if p.Ref != c2.Pages[i] || p.Ref.Depth != 0 || p.Ref.DeltaEntries != 0 || int(p.Ref.Entries) != len(p.IDs) {
+			t.Errorf("page %d ref %+v, coordinator %+v, %d ids", i, p.Ref, c2.Pages[i], len(p.IDs))
+		}
+		if i > 0 && p.Ref.Min != versions[i-1].Page.Ref.Max {
 			t.Errorf("split page %d not contiguous", i)
+		}
+		if len(p.IDs) > 64 {
+			t.Errorf("split page %d overfull: %d", i, len(p.IDs))
 		}
 		for _, id := range p.IDs {
 			if !p.Ref.Contains(id.Hash()) {
@@ -410,62 +491,49 @@ func TestApplyToPageDeleteAndSplit(t *testing.T) {
 	}
 }
 
-func TestApplyToPageRejectsForeignKeyHash(t *testing.T) {
+func TestApplyCompactsAtTheChainBounds(t *testing.T) {
 	s := rSchema(t)
-	// Construct a page covering a tiny range that cannot contain our key.
-	old := &Page{Ref: PageRef{
-		ID:  PageID{"R", 0, 0},
-		Min: keyspace.FromUint64(1),
-		Max: keyspace.FromUint64(2),
-	}}
-	var seq uint32
-	_, _, err := ApplyToPage(old, s, 1,
-		[]Update{{Op: OpInsert, Row: tuple.Row{tuple.S("zzz"), tuple.S("v")}}}, 10, &seq)
-	if err == nil {
-		t.Fatal("expected ErrWrongPage")
+	one := func(i int) []Update {
+		return []Update{{Op: OpUpdate, Row: tuple.Row{tuple.S("k"), tuple.S(fmt.Sprint(i))}}}
+	}
+	// Depth: MaxDeltaDepth deltas, then a full page.
+	m := newMemStore()
+	c, _, _ := m.publish(t, new(Coordinator), s, 0, one(0), 0)
+	for e := 1; e <= MaxDeltaDepth+1; e++ {
+		var versions []Version
+		c, versions, _ = m.publish(t, c, s, tuple.Epoch(e), one(e), 0)
+		if full := versions[0].Page != nil; full != (e == MaxDeltaDepth+1) {
+			t.Fatalf("epoch %d: full page = %v (ref %+v)", e, full, c.Pages[0])
+		}
+	}
+	if ref := c.Pages[0]; ref.Depth != 0 || ref.DeltaEntries != 0 || ref.Entries != 1 {
+		t.Errorf("compacted ref = %+v", ref)
+	}
+	// Size: a batch that would make the chain fatter than MaxDeltaEntries
+	// rewrites the page at once.
+	var big []Update
+	for i := 0; i <= MaxDeltaEntries; i++ {
+		big = append(big, Update{Op: OpInsert, Row: tuple.Row{tuple.S(fmt.Sprintf("b%03d", i)), tuple.S("v")}})
+	}
+	if _, versions, _ := m.publish(t, c, s, 1000, big, 0); versions[0].Page == nil {
+		t.Error("a batch of more than MaxDeltaEntries entries was written as a delta")
+	}
+	if _, versions, _ := m.publish(t, c, s, 1001, big[:MaxDeltaEntries], 0); versions[0].Delta == nil {
+		t.Error("a batch of MaxDeltaEntries entries on a full page was not written as a delta")
 	}
 }
 
-func TestGroupByPage(t *testing.T) {
+func TestApplyRejectsACoordinatorThatDoesNotCoverTheRing(t *testing.T) {
 	s := rSchema(t)
-	var initial []Update
-	for i := 0; i < 300; i++ {
-		initial = append(initial, Update{Op: OpInsert, Row: tuple.Row{tuple.S(fmt.Sprintf("k%03d", i)), tuple.S("v")}})
-	}
-	pages, _, err := BuildInitialPages(s, 0, initial, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord := &Coordinator{Relation: "R", Epoch: 0}
-	for _, p := range pages {
-		coord.Pages = append(coord.Pages, p.Ref)
-	}
-	var ups []Update
-	for i := 0; i < 50; i++ {
-		ups = append(ups, Update{Op: OpInsert, Row: tuple.Row{tuple.S(fmt.Sprintf("n%02d", i)), tuple.S("v")}})
-	}
-	groups, err := GroupByPage(coord, s, ups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for pid, g := range groups {
-		ref := PageRef{}
-		for _, p := range coord.Pages {
-			if p.ID == pid {
-				ref = p
-			}
-		}
-		for _, u := range g {
-			id := tuple.NewID(s, u.Row, 0)
-			if !ref.Contains(id.Hash()) {
-				t.Errorf("update grouped into wrong page %v", pid)
-			}
-		}
-		total += len(g)
-	}
-	if total != 50 {
-		t.Errorf("grouped %d updates, want 50", total)
+	// A page covering a tiny range that cannot contain our key.
+	c := &Coordinator{Relation: "R", Pages: []PageRef{{
+		ID:  PageID{"R", 0, 0},
+		Min: keyspace.FromUint64(1),
+		Max: keyspace.FromUint64(2),
+	}}}
+	_, _, _, err := c.Apply(s, 1, []Update{{Op: OpInsert, Row: tuple.Row{tuple.S("zzz"), tuple.S("v")}}}, 10, nil)
+	if err == nil {
+		t.Fatal("expected an error for a key no page covers")
 	}
 }
 
@@ -499,41 +567,29 @@ func TestPaperExample41(t *testing.T) {
 	// Epoch 2 inserts R(d,d). The tuple ID of R(f,a) must be ⟨f,1⟩, and the
 	// catalog view at epoch 2 must contain exactly the six current tuples.
 	s := rSchema(t)
-	var seq0 uint32
-	e0 := []Update{
+	m := newMemStore()
+	c0, _, _ := m.publish(t, new(Coordinator), s, 0, []Update{
 		{Op: OpInsert, Row: tuple.Row{tuple.S("a"), tuple.S("b")}},
 		{Op: OpInsert, Row: tuple.Row{tuple.S("f"), tuple.S("z")}},
-	}
-	pages0, _, err := BuildInitialPages(s, 0, e0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = seq0
-
-	e1 := []Update{
+	}, 100)
+	c1, _, _ := m.publish(t, c0, s, 1, []Update{
 		{Op: OpInsert, Row: tuple.Row{tuple.S("b"), tuple.S("c")}},
 		{Op: OpInsert, Row: tuple.Row{tuple.S("e"), tuple.S("e")}},
 		{Op: OpInsert, Row: tuple.Row{tuple.S("c"), tuple.S("f")}},
 		{Op: OpUpdate, Row: tuple.Row{tuple.S("f"), tuple.S("a")}},
-	}
-	var seq1 uint32
-	pages1, _, err := ApplyToPage(&pages0[0], s, 1, e1, 100, &seq1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2 := []Update{{Op: OpInsert, Row: tuple.Row{tuple.S("d"), tuple.S("d")}}}
-	var seq2 uint32
-	pages2, _, err := ApplyToPage(&pages1[0], s, 2, e2, 100, &seq2)
+	}, 100)
+	c2, _, _ := m.publish(t, c1, s, 2, []Update{{Op: OpInsert, Row: tuple.Row{tuple.S("d"), tuple.S("d")}}}, 100)
+	page2, err := m.resolve(c2.Pages[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := map[string]tuple.Epoch{
 		"a": 0, "f": 1, "b": 1, "e": 1, "c": 1, "d": 2,
 	}
-	if len(pages2[0].IDs) != len(want) {
-		t.Fatalf("%d current ids, want %d", len(pages2[0].IDs), len(want))
+	if len(page2.IDs) != len(want) {
+		t.Fatalf("%d current ids, want %d", len(page2.IDs), len(want))
 	}
-	for _, id := range pages2[0].IDs {
+	for _, id := range page2.IDs {
 		vals, err := id.KeyValues()
 		if err != nil {
 			t.Fatal(err)
@@ -589,23 +645,13 @@ func TestTupleScanBounds(t *testing.T) {
 // entry's placement hash, so routing never hashes tuple IDs at scan
 // time, and that anything but a whole current-version page is refused.
 func TestPageCodecCachesHashes(t *testing.T) {
-	s := rSchema(t)
-	p := &Page{
-		Ref: PageRef{
-			ID:  PageID{Relation: "R", Epoch: 3, Seq: 7},
-			Min: keyspace.FromUint64(100),
-			Max: keyspace.FromUint64(900),
-		},
-	}
-	for i := 0; i < 20; i++ {
-		row := tuple.Row{tuple.S(fmt.Sprintf("k%d", i)), tuple.S("v")}
-		p.IDs = append(p.IDs, tuple.NewID(s, row, tuple.Epoch(i%4)))
-	}
+	p := testPage(t, 20)
 	enc := EncodePage(p)
-	got, err := DecodePage(enc)
+	v, err := DecodePage(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := v.Page
 	if len(got.Hashes) != len(p.IDs) {
 		t.Fatalf("%d hashes for %d ids", len(got.Hashes), len(p.IDs))
 	}
@@ -617,20 +663,20 @@ func TestPageCodecCachesHashes(t *testing.T) {
 			t.Errorf("hash %d: %v != %v", i, got.Hashes[i], id.Hash())
 		}
 	}
-	otherVersion := append([]byte(nil), enc...)
-	otherVersion[1] = 3
+	otherKind := append([]byte(nil), enc...)
+	otherKind[1] = 2 // the retired whole-page-only layout
 	for name, data := range map[string][]byte{
-		"empty":           nil,
-		"tag only":        enc[:1],
-		"untagged":        enc[2:], // what a hash-less encoding started with
-		"unknown version": otherVersion,
-		"truncated":       enc[:len(enc)-5],
-		"trailing bytes":  append(append([]byte(nil), enc...), 0),
+		"empty":          nil,
+		"tag only":       enc[:1],
+		"untagged":       enc[2:],
+		"unknown kind":   otherKind,
+		"truncated":      enc[:len(enc)-5],
+		"trailing bytes": append(append([]byte(nil), enc...), 0),
 	} {
 		if got, err := DecodePage(data); err == nil {
-			t.Errorf("%s: decoded to %+v, want an error", name, got.Ref)
-		} else if got != nil {
-			t.Errorf("%s: error %v came with a half-filled page", name, err)
+			t.Errorf("%s: decoded to %+v, want an error", name, got.Ref())
+		} else if got != (Version{}) {
+			t.Errorf("%s: error %v came with a half-filled record", name, err)
 		}
 	}
 }
