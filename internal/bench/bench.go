@@ -24,7 +24,6 @@ import (
 	"orchestra/internal/ring"
 	"orchestra/internal/stbench"
 	"orchestra/internal/tpch"
-	"orchestra/internal/tuple"
 )
 
 // Calibration constants for the modeled completion time (seconds per
@@ -218,9 +217,5 @@ func warmAndMeasure(c *orchestra.Cluster, sqlText string, linkBps float64) (*Mea
 	}
 	return runQuery(c, sqlText, orchestra.QueryOptions{}, linkBps)
 }
-
-// tupleRowsOf adapts generated data for direct engine use in recovery
-// experiments.
-func tupleRowsOf(rows []tuple.Row) []tuple.Row { return rows }
 
 var _ = engine.RecoverIncremental // referenced by figures.go

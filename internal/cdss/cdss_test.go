@@ -98,12 +98,13 @@ func TestPublishAdvancesEpochAndClearsLog(t *testing.T) {
 		t.Fatal("log not cleared")
 	}
 	// The published relation is queryable cluster-wide.
-	rows, err := f.local.Node(1).RetrieveTimeout(PublishedName("alice", "genes"), e, cluster.AllPred(), 30*time.Second)
+	scan := &engine.Plan{Root: &engine.ScanNode{Relation: PublishedName("alice", "genes")}}
+	res, err := f.engs[1].Run(f.ctx(), scan, engine.Options{Epoch: e})
 	if err != nil {
-		t.Fatalf("retrieve: %v", err)
+		t.Fatalf("scan from another node: %v", err)
 	}
-	if len(rows) != 1 {
-		t.Fatalf("published rows: %v", rows)
+	if res.Batch.N != 1 {
+		t.Fatalf("published rows: %v", res.Batch.Rows())
 	}
 }
 

@@ -76,7 +76,7 @@ func TestPublishIdempotentRetry(t *testing.T) {
 	if e2 != e1 {
 		t.Fatalf("retry applied a new epoch %d, want dedup to %d", e2, e1)
 	}
-	rows, err := n.Retrieve(ctx, "R", n.Gossip().Current(), AllPred())
+	rows, err := readRelation(ctx, n, "R", n.Gossip().Current(), AllPred())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,9 @@
 // table, a local ordered store, and the epoch gossiper, and implements the
 // distributed versioned storage protocol of paper §III-IV — replicated
 // record writes, replica-fallback reads, the publish (copy-on-write) path,
-// Algorithm 1 retrieval with index→data-node bypass, and membership changes
-// with range redistribution.
+// the resolved index pages and key predicates that the query engine's
+// distributed scan (Algorithm 1, engine.scanLeaf) reads through, and
+// membership changes with range redistribution.
 package cluster
 
 import (
@@ -24,14 +25,10 @@ import (
 
 // Message types used by the storage layer (engine types live in 0x0200+).
 const (
-	msgPutBatch   transport.MsgType = 0x0101
-	msgGetRecord  transport.MsgType = 0x0102
-	msgScanPage   transport.MsgType = 0x0103
-	msgFetchFwd   transport.MsgType = 0x0104
-	msgScanResult transport.MsgType = 0x0105
-	msgNewTable   transport.MsgType = 0x0106
-	msgDelRecord  transport.MsgType = 0x0107
-	msgRelLease   transport.MsgType = 0x0108
+	msgPutBatch  transport.MsgType = 0x0101
+	msgGetRecord transport.MsgType = 0x0102
+	msgNewTable  transport.MsgType = 0x0106
+	msgRelLease  transport.MsgType = 0x0108
 )
 
 // Errors surfaced by storage operations.
@@ -85,9 +82,6 @@ type Node struct {
 	mu    sync.RWMutex
 	table *ring.Table
 
-	scanMu   sync.Mutex
-	scans    map[uint64]*scanCollector
-	nextScan uint64
 	downMu   sync.Mutex
 	downSubs []func(ring.NodeID)
 
@@ -95,7 +89,7 @@ type Node struct {
 	pubRels map[string]*sync.Mutex
 
 	// pages resolves stored page versions into index pages for every
-	// reader on this node: scans, Retrieve and publish-time compaction.
+	// reader on this node: engine scans and publish-time compaction.
 	pages *vstore.PageCache
 	// Publish-path counters, in the registry the node's store reports to.
 	pubFull, pubDelta, pubPageBytes, pubResolved *obs.Counter
@@ -120,7 +114,6 @@ func NewNode(ep transport.Endpoint, store *kvstore.Store, table *ring.Table, cfg
 		store:   store,
 		cfg:     cfg.withDefaults(),
 		table:   table,
-		scans:   make(map[uint64]*scanCollector),
 		pubRels: make(map[string]*sync.Mutex),
 		pages:   vstore.NewPageCache(vstore.DefaultPageCachePages),
 	}
@@ -143,6 +136,12 @@ func NewNode(ep transport.Endpoint, store *kvstore.Store, table *ring.Table, cfg
 	n.registerHandlers()
 	ep.OnPeerDown(n.notifyDown)
 	return n
+}
+
+func (n *Node) registerHandlers() {
+	n.registerRecordHandlers()
+	n.registerLeaseHandler()
+	n.registerRepairHandlers()
 }
 
 // ID returns the node's identity.

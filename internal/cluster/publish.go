@@ -195,13 +195,6 @@ func (n *Node) relationLock(relation string) *sync.Mutex {
 // "proactively try to retrieve the missing state from other nearby
 // nodes").
 func (n *Node) ResolvePage(ctx context.Context, ref vstore.PageRef) (p *vstore.Page, hit bool, err error) {
-	return n.resolvePage(ctx, ref, true)
-}
-
-// resolvePage is ResolvePage; remote false confines it to the local store,
-// for callers on the transport's delivery loop, where an RPC would wait on
-// itself.
-func (n *Node) resolvePage(ctx context.Context, ref vstore.PageRef, remote bool) (*vstore.Page, bool, error) {
 	placement := ref.Placement()
 	return n.pages.Resolve(ref.ID, func(id vstore.PageID) ([]byte, error) {
 		kv := vstore.PageKVKey(id)
@@ -209,9 +202,6 @@ func (n *Node) resolvePage(ctx context.Context, ref vstore.PageRef, remote bool)
 		// no-copy read suffices.
 		if data, ok := n.store.GetRetained(kv); ok {
 			return data, nil
-		}
-		if !remote {
-			return nil, fmt.Errorf("%w: %q", ErrNotFound, kv)
 		}
 		return n.GetRecord(ctx, placement, kv)
 	})

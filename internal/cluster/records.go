@@ -94,10 +94,6 @@ func (n *Node) registerRecordHandlers() {
 		}
 		return append([]byte{1}, v...), nil
 	})
-	n.ep.Handle(msgDelRecord, func(from ring.NodeID, payload []byte) ([]byte, error) {
-		_, err := n.store.Delete(payload)
-		return nil, err
-	})
 	n.ep.Handle(msgNewTable, func(from ring.NodeID, payload []byte) ([]byte, error) {
 		t, err := ring.UnmarshalTable(payload)
 		if err != nil {
@@ -202,21 +198,4 @@ func (n *Node) GetRecord(ctx context.Context, placement keyspace.Key, kvKey []by
 		return nil, fmt.Errorf("%w: get %q: %v", ErrUnavailable, kvKey, lastErr)
 	}
 	return nil, fmt.Errorf("%w: %q", ErrNotFound, kvKey)
-}
-
-// DeleteRecord removes a record from all replicas (best effort).
-func (n *Node) DeleteRecord(ctx context.Context, placement keyspace.Key, kvKey []byte) error {
-	table := n.Table()
-	for _, rep := range table.Replicas(placement) {
-		if rep == n.id {
-			if _, err := n.store.Delete(kvKey); err != nil {
-				return err
-			}
-			continue
-		}
-		rctx, cancel := context.WithTimeout(ctx, n.cfg.RequestTimeout)
-		_, _ = n.ep.Request(rctx, rep, msgDelRecord, kvKey)
-		cancel()
-	}
-	return nil
 }

@@ -127,7 +127,7 @@ func TestRestartCatchesUpViaWalShip(t *testing.T) {
 	assertConverged(t, l, node)
 
 	// The rejoined node serves correct answers.
-	rows, err := node.Retrieve(ctx, "R", epoch, AllPred())
+	rows, err := readRelation(ctx, node, "R", epoch, AllPred())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestRestartAfterDiskLossStateTransfer(t *testing.T) {
 		t.Error("empty replacement store must trigger a state transfer")
 	}
 	assertConverged(t, l, node)
-	rows, err := node.Retrieve(ctx, "R", epoch, AllPred())
+	rows, err := readRelation(ctx, node, "R", epoch, AllPred())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestRestartTruncatedHistoryFallsBackToStateTransfer(t *testing.T) {
 		t.Error("evicted history must force a state transfer")
 	}
 	assertConverged(t, l, node)
-	rows, err := node.Retrieve(ctx, "R", epoch, AllPred())
+	rows, err := readRelation(ctx, node, "R", epoch, AllPred())
 	if err != nil {
 		t.Fatal(err)
 	}

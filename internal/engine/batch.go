@@ -26,32 +26,64 @@ import (
 
 // colBatch is a columnar batch with the engine metadata of its rows: the
 // execution phase they all belong to and, in provenance mode, the set of
-// nodes that processed each.
+// nodes that processed each. It is the one batch type of a fragment, from
+// the scan's decode to the initiator's sealed answer.
 type colBatch struct {
-	cols  tuple.Batch
+	cols  *tuple.Batch
 	phase uint32
 	// prov is nil iff provenance is off; otherwise prov[i] is row i's set.
 	// Equal sets may share one Prov — never mutate one in place.
 	prov []Prov
 }
 
-// compactRows keeps exactly the rows whose bit is set in sel, in b and in
-// the provenance vector beside it (nil without provenance), which it returns.
-func compactRows(b *tuple.Batch, prov []Prov, sel Bitset) []Prov {
-	kept := prov[:0]
-	for i, p := range prov {
+// newColBatch returns an empty batch of the given phase; its first append
+// fixes its column types.
+func newColBatch(phase uint32) *colBatch {
+	return &colBatch{cols: &tuple.Batch{}, phase: phase}
+}
+
+// compactRows keeps exactly the rows of cb whose bit is set in sel, in the
+// columns and in the provenance vector beside them.
+func compactRows(cb *colBatch, sel Bitset) {
+	kept := cb.prov[:0]
+	for i, p := range cb.prov {
 		if sel.Has(i) {
 			kept = append(kept, p)
 		}
 	}
-	b.CompactWords(sel)
-	return kept
+	cb.prov = kept
+	cb.cols.CompactWords(sel)
+}
+
+// dropTainted compacts cb to the rows whose provenance avoids failed.
+func dropTainted(cb *colBatch, failed Prov) {
+	keep := NewBitset(cb.cols.N)
+	clean := 0
+	for i, p := range cb.prov {
+		if !p.Intersects(failed) {
+			keep.Set(i)
+			clean++
+		}
+	}
+	if clean < cb.cols.N {
+		compactRows(cb, keep)
+	}
+}
+
+// appendBatch appends all of src's rows (and their provenance) onto cb,
+// which owns its vectors; an empty cb adopts src's column types.
+func (cb *colBatch) appendBatch(src *colBatch) error {
+	if err := cb.cols.AppendBatchInto(src.cols); err != nil {
+		return err
+	}
+	cb.prov = append(cb.prov, src.prov...)
+	return nil
 }
 
 // appendRows appends the rows of src listed in sel (and their provenance)
 // onto cb, which owns its vectors.
 func (cb *colBatch) appendRows(src *colBatch, sel []int) error {
-	if err := cb.cols.AppendRowsFrom(&src.cols, sel); err != nil {
+	if err := cb.cols.AppendRowsFrom(src.cols, sel); err != nil {
 		return err
 	}
 	if src.prov != nil {

@@ -52,13 +52,6 @@ func (p Prov) Union(o Prov) Prov {
 	return out
 }
 
-// UnionInto merges o into p in place (p must be at least as long as o).
-func (p Prov) UnionInto(o Prov) {
-	for i := range o {
-		p[i] |= o[i]
-	}
-}
-
 // Intersects reports whether the sets share any member — the "tainted"
 // test: a tuple is tainted if its provenance intersects the failed set.
 func (p Prov) Intersects(o Prov) bool {
@@ -137,13 +130,6 @@ func (s Bitset) Set(i int) { s[i>>6] |= 1 << (uint(i) & 63) }
 
 // Has reports whether bit i is set.
 func (s Bitset) Has(i int) bool { return s[i>>6]&(1<<(uint(i)&63)) != 0 }
-
-// Clear zeroes every bit.
-func (s Bitset) Clear() {
-	for i := range s {
-		s[i] = 0
-	}
-}
 
 // SetFirst sets bits [0, n).
 func (s Bitset) SetFirst(n int) {

@@ -48,9 +48,9 @@ func opWants(op OpCode) (lt, eq, gt bool) {
 
 func isCmp(op OpCode) bool { return op >= OpEq && op <= OpGe }
 
-// cmpFloat mirrors Value.Cmp's float ordering exactly, including its
+// cmpNum orders two numbers exactly as Value.Cmp does, including its
 // NaN-compares-equal quirk (neither < nor > holds, so the switch answers 0).
-func cmpFloat(a, b float64) int {
+func cmpNum[T int64 | float64](a, b T) int {
 	switch {
 	case a < b:
 		return -1
@@ -246,7 +246,7 @@ func compileBatchCmpColConst(op OpCode, idx int, cv tuple.Value) batchPredFn {
 		case v.T == tuple.Float64 && (cv.T == tuple.Float64 || cv.T == tuple.Int64):
 			c := cv.AsFloat()
 			for i, x := range v.F64[:n] {
-				cmp := cmpFloat(x, c)
+				cmp := cmpNum(x, c)
 				if (cmp < 0 && lt) || (cmp == 0 && eq) || (cmp > 0 && gt) {
 					sel.Set(i)
 				}
@@ -254,7 +254,7 @@ func compileBatchCmpColConst(op OpCode, idx int, cv tuple.Value) batchPredFn {
 		case v.T == tuple.Int64 && cv.T == tuple.Float64:
 			c := cv.F64
 			for i, x := range v.I64[:n] {
-				cmp := cmpFloat(float64(x), c)
+				cmp := cmpNum(float64(x), c)
 				if (cmp < 0 && lt) || (cmp == 0 && eq) || (cmp > 0 && gt) {
 					sel.Set(i)
 				}

@@ -105,37 +105,39 @@ func decodeBatchHeader(data []byte) (phase uint32, provs []Prov, rest []byte, er
 	return phase, provs, data[off:], nil
 }
 
-// encodeShipBatch appends the inter-node encoding of b. prov is nil (no
-// provenance column) or holds one set per row.
-func encodeShipBatch(dst []byte, b *tuple.Batch, prov []Prov, phase uint32) ([]byte, error) {
+// encodeShipBatch appends the inter-node encoding of cb, to be filed under
+// phase at the receiver (executor.exchPhase says why that is not always
+// cb's own). cb.prov is nil (no provenance column) or holds one set per row.
+func encodeShipBatch(dst []byte, cb *colBatch, phase uint32) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint32(dst, phase)
-	if prov == nil {
+	if cb.prov == nil {
 		dst = append(dst, 0)
-	} else if len(prov) != b.N {
-		return nil, fmt.Errorf("engine: %d provenance sets for %d rows", len(prov), b.N)
+	} else if len(cb.prov) != cb.cols.N {
+		return nil, fmt.Errorf("engine: %d provenance sets for %d rows", len(cb.prov), cb.cols.N)
 	} else {
-		dst = appendProvColumn(append(dst, 1), prov)
+		dst = appendProvColumn(append(dst, 1), cb.prov)
 	}
-	return tuple.AppendBatchCols(dst, b, shipCompressMin)
+	return tuple.AppendBatchCols(dst, cb.cols, shipCompressMin)
 }
 
-// decodeShipBatch decodes an inter-node payload onto into's column vectors
-// and returns its phase and provenance vector (nil when the payload carries
-// none). A failed decode leaves into as it was.
-func decodeShipBatch(data []byte, into *tuple.Batch) (uint32, []Prov, error) {
+// decodeShipBatch decodes an inter-node payload into the empty batch cb: its
+// rows onto cb's column vectors, its phase, and its provenance vector (nil
+// when the payload carries none). A failed decode leaves cb as it was.
+func decodeShipBatch(data []byte, cb *colBatch) error {
 	phase, provs, rest, err := decodeBatchHeader(data)
 	if err != nil {
-		return 0, nil, err
+		return err
 	}
-	n, err := tuple.DecodeBatchInto(rest, into)
+	n, err := tuple.DecodeBatchInto(rest, cb.cols)
 	if err != nil {
-		return 0, nil, err
+		return err
 	}
 	if provs != nil && len(provs) != n {
-		into.Truncate(into.N - n)
-		return 0, nil, errors.New("engine: prov index count mismatch")
+		cb.cols.Truncate(cb.cols.N - n)
+		return errors.New("engine: prov index count mismatch")
 	}
-	return phase, provs, nil
+	cb.phase, cb.prov = phase, provs
+	return nil
 }
 
 // --- exchange producer (rehash) ---
@@ -144,7 +146,7 @@ func decodeShipBatch(data []byte, into *tuple.Batch) (uint32, []Prov, error) {
 // filling up for the next send or, in the replay cache, one already sent.
 type exchBlock struct {
 	dest ring.NodeID
-	cb   colBatch
+	cb   *colBatch
 	// hashes holds each row's routing hash in provenance mode, so a replay
 	// can re-route the rows without the key columns' encoding.
 	hashes []keyspace.Key
@@ -189,7 +191,7 @@ func (p *exchProducer) cutLocked(dest ring.NodeID) *exchBlock {
 
 func (p *exchProducer) send(blocks []*exchBlock) {
 	for _, blk := range blocks {
-		p.ex.sendExchBatch(p.exchID, blk.dest, &blk.cb)
+		p.ex.sendExchBatch(p.exchID, blk.dest, blk.cb)
 	}
 }
 
@@ -209,7 +211,7 @@ func (p *exchProducer) routeLocked(table *ring.Table, cb *colBatch, hashes []key
 		if hashes != nil {
 			h = hashes[i]
 		} else {
-			p.keyBuf = appendBatchKey(p.keyBuf[:0], &cb.cols, i, p.keys)
+			p.keyBuf = appendBatchKey(p.keyBuf[:0], cb.cols, i, p.keys)
 			h = keyspace.Hash(p.keyBuf)
 		}
 		dest := table.Owner(h)
@@ -219,7 +221,7 @@ func (p *exchProducer) routeLocked(table *ring.Table, cb *colBatch, hashes []key
 			blk = nil
 		}
 		if blk == nil {
-			blk = &exchBlock{dest: dest, cb: colBatch{phase: phase}}
+			blk = &exchBlock{dest: dest, cb: newColBatch(phase)}
 			p.pending[dest] = blk
 		}
 		blk.sel = append(blk.sel, i)
@@ -274,7 +276,7 @@ func (p *exchProducer) eos(phase uint32) {
 		// directive yet would take the marker as "all data delivered".
 		return
 	}
-	p.ex.broadcastExchEOS(p.exchID, phase)
+	p.ex.broadcastMark(p.exchID, phase)
 }
 
 // replay re-sends the clean rows of blocks whose destination has since
@@ -304,7 +306,7 @@ func (p *exchProducer) replay(failed Prov, newTable *ring.Table, newPhase uint32
 	}
 	var due []*exchBlock
 	for _, blk := range lost {
-		due = append(due, p.routeLocked(newTable, &blk.cb, blk.hashes, failed, newPhase)...)
+		due = append(due, p.routeLocked(newTable, blk.cb, blk.hashes, failed, newPhase)...)
 	}
 	p.mu.Unlock()
 	p.send(due)
@@ -314,23 +316,15 @@ func (p *exchProducer) replay(failed Prov, newTable *ring.Table, newPhase uint32
 
 // exchConsumer is the receiving half of a rehash on one node: it filters
 // tainted tuples, stamps the local node into each tuple's provenance, and
-// tracks per-phase end-of-stream from every live producer.
+// ends its output's wave when every live producer has ended theirs.
 type exchConsumer struct {
-	ex  *executor
-	out sink
-
-	mu         sync.Mutex
-	eosFrom    map[uint32]map[ring.NodeID]bool
-	firedPhase map[uint32]bool
+	ex   *executor
+	out  sink
+	gate *phaseGate
 }
 
 func newExchConsumer(ex *executor, out sink) *exchConsumer {
-	return &exchConsumer{
-		ex:         ex,
-		out:        out,
-		eosFrom:    make(map[uint32]map[ring.NodeID]bool),
-		firedPhase: make(map[uint32]bool),
-	}
+	return &exchConsumer{ex: ex, out: out, gate: newPhaseGate(ex.wave, nil)}
 }
 
 // receive processes an incoming block (possibly from an earlier phase —
@@ -343,47 +337,16 @@ func (c *exchConsumer) receive(cb *colBatch) {
 	}
 }
 
-// eosFromNode records a producer's end-of-stream for a phase and fires
-// downstream EOS when every live node has finished the current phase.
-func (c *exchConsumer) eosFromNode(from ring.NodeID, phase uint32) {
-	c.mu.Lock()
-	m := c.eosFrom[phase]
-	if m == nil {
-		m = make(map[ring.NodeID]bool)
-		c.eosFrom[phase] = m
-	}
-	m[from] = true
-	fire, donePhase := c.completeLocked()
-	c.mu.Unlock()
-	if fire {
-		c.out.eos(donePhase)
-	}
-}
+// mark records a producer's end-of-stream for a phase.
+func (c *exchConsumer) mark(from ring.NodeID, phase uint32) { c.done(c.gate.mark(from, phase)) }
 
-// recheck re-evaluates completion (called after recovery changes the live
-// set or phase).
-func (c *exchConsumer) recheck() {
-	c.mu.Lock()
-	fire, donePhase := c.completeLocked()
-	c.mu.Unlock()
-	if fire {
-		c.out.eos(donePhase)
-	}
-}
+func (c *exchConsumer) recheck() { c.done(c.gate.fire(false)) }
 
-func (c *exchConsumer) completeLocked() (bool, uint32) {
-	phase := c.ex.phaseNow()
-	if c.firedPhase[phase] {
-		return false, phase
+// done passes a completed wave's end-of-stream downstream.
+func (c *exchConsumer) done(phase uint32, _ uint64, ok bool) {
+	if ok {
+		c.out.eos(phase)
 	}
-	m := c.eosFrom[phase]
-	for _, id := range c.ex.liveMembers() {
-		if !m[id] {
-			return false, phase
-		}
-	}
-	c.firedPhase[phase] = true
-	return true, phase
 }
 
 // --- ship ---
@@ -403,16 +366,15 @@ func (e *ShipError) Unwrap() error { return e.Err }
 
 // shipProducer sends final fragment output to the query initiator
 // (Table I, ship). Whatever batch the fragment's last operator pushes stays
-// a tuple.Batch to the client: on the initiator's own node it hands over to
-// the ship consumer directly, elsewhere it coalesces into the pending batch
-// (its provenance sets into a vector beside it) until a shipment is due.
+// a batch to the client: on the initiator's own node it hands over to the
+// ship consumer directly, elsewhere it coalesces into the pending batch
+// until a shipment is due.
 type shipProducer struct {
 	ex *executor
 
-	mu   sync.Mutex
-	cols *tuple.Batch // rows toward the next shipment; nil until the first push
-	prov []Prov       // provenance mode: one set per row of cols
-	err  error        // first failure: shipping stops, the EOS reports it
+	mu      sync.Mutex
+	pending *colBatch // rows toward the next shipment; nil until the first push
+	err     error     // first failure: shipping stops, the EOS reports it
 }
 
 // fail records the fragment's first failure — a shipment that could not be
@@ -435,57 +397,55 @@ func (s *shipProducer) fail(err error) {
 // disagree with what is pending fails the fragment.
 func (s *shipProducer) push(cb *colBatch) {
 	if cb.cols.N >= flushRows && s.ex.mode != shipTopK && s.ex.initiator == s.ex.self() {
-		s.ex.sendShip(&cb.cols, cb.prov)
+		s.ex.sendShip(cb)
 		return
 	}
 	s.mu.Lock()
-	if s.cols == nil {
-		s.cols = &tuple.Batch{}
+	if s.pending == nil {
+		s.pending = newColBatch(0)
 	}
 	if s.err == nil {
-		if s.err = s.cols.AppendBatchInto(&cb.cols); s.err == nil {
-			s.prov = append(s.prov, cb.prov...)
-		}
+		s.err = s.pending.appendBatch(cb)
 	}
-	b, prov := s.cutLocked(false)
+	due := s.cutLocked(false)
 	s.mu.Unlock()
-	s.ship(b, prov)
+	s.ship(due)
 }
 
 // cutLocked takes the pending batch for shipping if it is due: at
 // flushRows rows, or whatever is there when final. Top-K mode buffers the
 // whole fragment output — nothing ships until eos has sorted and truncated
 // it to the local top K. A failed fragment ships nothing further.
-func (s *shipProducer) cutLocked(final bool) (*tuple.Batch, []Prov) {
-	b, prov := s.cols, s.prov
-	if b == nil || b.N == 0 || s.err != nil || (!final && (s.ex.mode == shipTopK || b.N < flushRows)) {
-		return nil, nil
+func (s *shipProducer) cutLocked(final bool) *colBatch {
+	cb := s.pending
+	if cb == nil || cb.cols.N == 0 || s.err != nil || (!final && (s.ex.mode == shipTopK || cb.cols.N < flushRows)) {
+		return nil
 	}
-	s.cols, s.prov = nil, nil
-	return b, prov
+	s.pending = nil
+	return cb
 }
 
 // ship sends a cut batch in flushRows-row chunks, in order — chunks of one
 // sorted run stay sorted end to end (per-link FIFO) — and keeps its
 // vectors for the next pending batch.
-func (s *shipProducer) ship(b *tuple.Batch, prov []Prov) {
-	if b == nil {
+func (s *shipProducer) ship(cb *colBatch) {
+	if cb == nil {
 		return
 	}
-	var span tuple.Batch
-	for lo := 0; lo < b.N; lo += flushRows {
-		hi := min(lo+flushRows, b.N)
-		b.Slice(lo, hi, &span)
-		if prov == nil {
-			s.ex.sendShip(&span, nil)
-		} else {
-			s.ex.sendShip(&span, prov[lo:hi])
+	span := newColBatch(0)
+	for lo := 0; lo < cb.cols.N; lo += flushRows {
+		hi := min(lo+flushRows, cb.cols.N)
+		cb.cols.Slice(lo, hi, span.cols)
+		if cb.prov != nil {
+			span.prov = cb.prov[lo:hi]
 		}
+		s.ex.sendShip(span)
 	}
-	b.Truncate(0)
+	cb.cols.Truncate(0)
+	cb.prov = cb.prov[:0]
 	s.mu.Lock()
-	if s.cols == nil {
-		s.cols = b
+	if s.pending == nil {
+		s.pending = cb
 	}
 	s.mu.Unlock()
 }
@@ -496,14 +456,14 @@ func (s *shipProducer) ship(b *tuple.Batch, prov []Prov) {
 // most K rows per fragment reach the initiator.
 func (s *shipProducer) eos(phase uint32) {
 	s.mu.Lock()
-	if s.ex.mode == shipTopK && s.cols != nil {
+	if s.ex.mode == shipTopK && s.pending != nil {
 		keys, k := topKParams(s.ex.plan)
-		sortCols(s.cols, keys)
-		s.cols.Truncate(k)
+		sortCols(s.pending.cols, keys)
+		s.pending.cols.Truncate(k)
 	}
-	b, prov := s.cutLocked(true)
+	due := s.cutLocked(true)
 	s.mu.Unlock()
-	s.ship(b, prov)
+	s.ship(due)
 	s.mu.Lock()
 	err := s.err
 	s.mu.Unlock()
@@ -519,16 +479,17 @@ func (s *shipProducer) eos(phase uint32) {
 type shipConsumer struct {
 	ex *executor
 
-	mu         sync.Mutex
-	cols       *tuple.Batch // the collected answer
-	prov       []Prov       // provenance mode only: one set per row of cols
-	limit      int          // limit-only final pipeline: stop at N rows (-1: none)
-	sealed     bool         // accepted completion: drop late arrivals
-	eosFrom    map[uint32]map[ring.NodeID]bool
-	statsBy    map[ring.NodeID]NodeStats
-	spanBy     map[ring.NodeID]*obs.Span // remote fragment traces (last report wins)
-	firedPhase map[uint32]bool
+	// gate fires when every live fragment has reported the current phase
+	// done — or early, once a pushed-down limit is satisfied.
+	gate       *phaseGate
 	completeCh chan uint32
+
+	mu      sync.Mutex
+	acc     colBatch // the collected answer (a pooled batch) and, in provenance mode, its rows' sets
+	limit   int      // limit-only final pipeline: stop at N rows (-1: none)
+	sealed  bool     // accepted completion: drop late arrivals
+	statsBy map[ring.NodeID]NodeStats
+	spanBy  map[ring.NodeID]*obs.Span // remote fragment traces (last report wins)
 
 	// Top-K pushdown (shipTopK): one sorted run per source node, kept
 	// separate for the K-way merge at seal.
@@ -559,12 +520,11 @@ type shipConsumer struct {
 func newShipConsumer(ex *executor) *shipConsumer {
 	return &shipConsumer{
 		ex:         ex,
-		cols:       getResultBatch(),
-		limit:      -1,
-		eosFrom:    make(map[uint32]map[ring.NodeID]bool),
-		statsBy:    make(map[ring.NodeID]NodeStats),
-		firedPhase: make(map[uint32]bool),
+		gate:       newPhaseGate(ex.wave, nil),
 		completeCh: make(chan uint32, 16),
+		acc:        colBatch{cols: getResultBatch()},
+		limit:      -1,
+		statsBy:    make(map[ring.NodeID]NodeStats),
 		failCh:     make(chan error, 1),
 	}
 }
@@ -610,8 +570,8 @@ func (s *shipConsumer) notifyDrainLocked() {
 	if s.sink == nil {
 		return
 	}
-	if s.cols.N > s.peak {
-		s.peak = s.cols.N
+	if s.acc.cols.N > s.peak {
+		s.peak = s.acc.cols.N
 	}
 	select {
 	case s.notify <- struct{}{}:
@@ -640,8 +600,8 @@ func (s *shipConsumer) drainLoop() {
 		}
 		var cols *tuple.Batch
 		s.mu.Lock()
-		if s.cols.N > 0 {
-			cols, s.cols = s.cols, getResultBatch()
+		if s.acc.cols.N > 0 {
+			cols, s.acc.cols = s.acc.cols, getResultBatch()
 		}
 		s.mu.Unlock()
 		if cols != nil {
@@ -676,67 +636,50 @@ func (s *shipConsumer) emitChunk(cols *tuple.Batch) error {
 // answer (the collected set is duplicate-free by the scan contract), so
 // further shipments can be dropped and the query completed early.
 func (s *shipConsumer) limitReachedLocked() bool {
-	return s.limit >= 0 && s.cols.N >= s.limit
+	return s.limit >= 0 && s.acc.cols.N >= s.limit
 }
 
-// checkLimitLocked fires an early completion when the pushed-down limit
-// has just been satisfied. firedPhase keeps it single-shot per phase; the
-// later EOS wave for the same phase is then a no-op.
+// checkLimitLocked completes the current phase early when the pushed-down
+// limit has just been satisfied; the gate keeps that single-shot.
 func (s *shipConsumer) checkLimitLocked() {
-	if !s.limitReachedLocked() {
+	if s.limitReachedLocked() {
+		s.complete(s.gate.fire(true))
+	}
+}
+
+// complete signals a completed phase to the run loop.
+func (s *shipConsumer) complete(phase uint32, _ uint64, ok bool) {
+	if !ok {
 		return
 	}
-	phase := s.ex.phaseNow()
-	if s.firedPhase[phase] {
-		return
-	}
-	s.firedPhase[phase] = true
 	select {
 	case s.completeCh <- phase:
 	default:
 	}
 }
 
-// dropTainted compacts b, and the provenance vector beside it (one set per
-// row), to the rows whose provenance avoids failed.
-func dropTainted(b *tuple.Batch, prov []Prov, failed Prov) []Prov {
-	keep := NewBitset(b.N)
-	clean := 0
-	for i, p := range prov {
-		if !p.Intersects(failed) {
-			keep.Set(i)
-			clean++
-		}
-	}
-	if clean == b.N {
-		return prov
-	}
-	return compactRows(b, prov, keep)
-}
-
 // receive folds one shipment into the collection — one bulk copy per
-// column vector, no per-row boxing. The batch and its provenance vector are
-// borrowed: the caller may reuse them after the call, and receive may
-// compact them in place (tainted rows are dropped on arrival, under the
-// same lock purge takes, so a shipment racing a recovery is filtered by
-// one or the other). In top-K mode the rows append onto from's sorted run
-// (chunks of one run arrive in order — per-link FIFO — so the run stays
-// sorted); in partial-agg mode they fold straight into the merge
-// accumulator. A shipment whose shape disagrees with what was collected
-// before is an error: the caller fails the query.
-func (s *shipConsumer) receive(from ring.NodeID, b *tuple.Batch, prov []Prov) error {
+// column vector, no per-row boxing. The batch is borrowed: the caller may
+// reuse it after the call, and receive may compact it in place (tainted
+// rows are dropped on arrival, under the same lock purge takes, so a
+// shipment racing a recovery is filtered by one or the other). In top-K
+// mode the rows append onto from's sorted run (chunks of one run arrive in
+// order — per-link FIFO — so the run stays sorted); in partial-agg mode they
+// fold straight into the merge accumulator. A shipment whose shape disagrees
+// with what was collected before is an error: the caller fails the query.
+func (s *shipConsumer) receive(from ring.NodeID, cb *colBatch) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.sealed || s.limitReachedLocked() {
 		return nil
 	}
 	if s.ex.opts.Provenance {
-		if len(prov) != b.N {
-			return fmt.Errorf("engine: %d provenance sets for %d rows", len(prov), b.N)
+		if len(cb.prov) != cb.cols.N {
+			return fmt.Errorf("engine: %d provenance sets for %d rows", len(cb.prov), cb.cols.N)
 		}
-		prov = dropTainted(b, prov, s.ex.failedProv())
+		dropTainted(cb, s.ex.failedProv())
 	}
-	if b.N == 0 {
+	if cb.cols.N == 0 {
 		return nil
 	}
 	switch s.ex.mode {
@@ -749,14 +692,13 @@ func (s *shipConsumer) receive(from ring.NodeID, b *tuple.Batch, prov []Prov) er
 			run = getResultBatch()
 			s.runs[from] = run
 		}
-		return run.AppendBatchInto(b)
+		return run.AppendBatchInto(cb.cols)
 	case shipAggMerge:
-		s.agg.addBatch(b)
+		s.agg.addBatch(cb.cols)
 	default:
-		if err := s.cols.AppendBatchInto(b); err != nil {
+		if err := s.acc.appendBatch(cb); err != nil {
 			return err
 		}
-		s.prov = append(s.prov, prov...)
 		s.checkLimitLocked()
 		s.notifyDrainLocked()
 	}
@@ -777,29 +719,22 @@ func (s *shipConsumer) receiveWire(from ring.NodeID, rest []byte) error {
 			s.ex.shipDecBytes.Add(int64(len(rest)))
 		}()
 	}
-	scratch := getResultBatch()
-	defer RecycleResultBatch(scratch)
-	_, prov, err := decodeShipBatch(rest, scratch)
-	if err != nil {
+	scratch := colBatch{cols: getResultBatch()}
+	defer RecycleResultBatch(scratch.cols)
+	if err := decodeShipBatch(rest, &scratch); err != nil {
 		return err
 	}
-	return s.receive(from, scratch, prov)
+	return s.receive(from, &scratch)
 }
 
-// eosFromNode records a fragment's completion of a wave. fragErr is the
+// fragmentDone records a fragment's completion of a wave. fragErr is the
 // failure the fragment reported with it, if any: its output is short, so
 // the query fails before the wave can count as complete.
-func (s *shipConsumer) eosFromNode(from ring.NodeID, phase uint32, st NodeStats, span *obs.Span, fragErr string) {
+func (s *shipConsumer) fragmentDone(from ring.NodeID, phase uint32, st NodeStats, span *obs.Span, fragErr string) {
 	if fragErr != "" {
 		s.fail(&ShipError{Node: from, Err: errors.New(fragErr)})
 	}
 	s.mu.Lock()
-	m := s.eosFrom[phase]
-	if m == nil {
-		m = make(map[ring.NodeID]bool)
-		s.eosFrom[phase] = m
-	}
-	m[from] = true
 	s.statsBy[from] = st
 	if span != nil {
 		if s.spanBy == nil {
@@ -807,8 +742,8 @@ func (s *shipConsumer) eosFromNode(from ring.NodeID, phase uint32, st NodeStats,
 		}
 		s.spanBy[from] = span
 	}
-	s.completeLocked()
 	s.mu.Unlock()
+	s.complete(s.gate.mark(from, phase))
 }
 
 // remoteSpans returns the last-reported fragment span of each remote
@@ -824,36 +759,14 @@ func (s *shipConsumer) remoteSpans() []*obs.Span {
 }
 
 // purge drops tainted collected rows (recovery at the initiator; the
-// provenance vector is in step with cols whenever recovery can run).
+// provenance vector is in step with the rows whenever recovery can run).
 func (s *shipConsumer) purge(failed Prov) {
 	s.mu.Lock()
-	s.prov = dropTainted(s.cols, s.prov, failed)
+	dropTainted(&s.acc, failed)
 	s.mu.Unlock()
 }
 
-func (s *shipConsumer) recheck() {
-	s.mu.Lock()
-	s.completeLocked()
-	s.mu.Unlock()
-}
-
-func (s *shipConsumer) completeLocked() {
-	phase := s.ex.phaseNow()
-	if s.firedPhase[phase] {
-		return
-	}
-	m := s.eosFrom[phase]
-	for _, id := range s.ex.liveMembers() {
-		if !m[id] {
-			return
-		}
-	}
-	s.firedPhase[phase] = true
-	select {
-	case s.completeCh <- phase:
-	default:
-	}
-}
+func (s *shipConsumer) recheck() { s.complete(s.gate.fire(false)) }
 
 // seal latches the consumer shut — late straggler shipments are dropped —
 // and returns the collected answer, which the caller owns from here on.
@@ -884,7 +797,7 @@ func (s *shipConsumer) seal() (*tuple.Batch, error) {
 	case shipAggMerge:
 		return s.agg.batch()
 	}
-	return s.cols, nil
+	return s.acc.cols, nil
 }
 
 // streamedRows reports rows already emitted to the sink (0 when not

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -23,9 +24,8 @@ const (
 	msgPrepare   transport.MsgType = 0x0200 // RPC: disseminate plan + snapshot
 	msgBegin     transport.MsgType = 0x0201 // start leaf operations
 	msgExchBatch transport.MsgType = 0x0202 // rehash data block
-	msgExchEOS   transport.MsgType = 0x0203 // rehash end-of-stream for a phase
+	msgMark      transport.MsgType = 0x0203 // "this node finished phase p" for one scan or rehash
 	msgScanIDs   transport.MsgType = 0x0204 // index node → data node tuple IDs
-	msgScanDone  transport.MsgType = 0x0205 // index-side completion marker
 	msgShipBatch transport.MsgType = 0x0206 // results to the query initiator
 	msgShipEOS   transport.MsgType = 0x0207 // fragment completion + stats
 	msgRecover   transport.MsgType = 0x0208 // incremental recovery directive
@@ -327,6 +327,7 @@ type executor struct {
 	scans        map[int]*scanLeaf
 	producers    map[int]*exchProducer
 	consumers    map[int]*exchConsumer
+	marked       map[int]marked // scans and consumers, by the identifier peers mark them under
 	recoverables []recoverable
 	shipper      *shipProducer
 	shipCons     *shipConsumer // non-nil at the initiator only
@@ -371,6 +372,7 @@ func newExecutor(eng *Engine, queryID uint64, plan *Plan, opts Options, epoch tu
 		scans:     make(map[int]*scanLeaf),
 		producers: make(map[int]*exchProducer),
 		consumers: make(map[int]*exchConsumer),
+		marked:    make(map[int]marked),
 	}
 	ex.mode = planShipMode(plan, opts)
 	if initiator == eng.node.ID() {
@@ -407,7 +409,7 @@ func (ex *executor) build(n Node, out sink) error {
 	case *ScanNode:
 		meta := ex.metas[t.Relation]
 		leaf := newScanLeaf(ex, t, meta, out)
-		ex.scans[t.ScanID] = leaf
+		ex.scans[t.ScanID], ex.marked[t.ScanID] = leaf, leaf
 		return nil
 	case *SelectNode:
 		return ex.build(t.Child, &selectOp{pred: compileBatchPred(t.Pred), out: out})
@@ -428,7 +430,7 @@ func (ex *executor) build(n Node, out sink) error {
 		return ex.build(t.Child, a)
 	case *RehashNode:
 		cons := newExchConsumer(ex, out)
-		ex.consumers[t.ExchID] = cons
+		ex.consumers[t.ExchID], ex.marked[t.ExchID] = cons, cons
 		prod := newExchProducer(ex, t.ExchID, t.Keys)
 		ex.producers[t.ExchID] = prod
 		return ex.build(t.Child, prod)
@@ -453,10 +455,12 @@ func (ex *executor) phaseNow() uint32 {
 	return ex.phase
 }
 
-func (ex *executor) liveMembers() []ring.NodeID {
+// wave reads the current phase and the members live in it in one step
+// (executor.advance moves the two together).
+func (ex *executor) wave() (uint32, []ring.NodeID) {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
-	return ex.table.Members()
+	return ex.phase, ex.table.Members()
 }
 
 func (ex *executor) failedProv() Prov {
@@ -473,7 +477,7 @@ func (ex *executor) filterAndStamp(cb *colBatch) {
 	if cb.prov == nil {
 		return
 	}
-	cb.prov = dropTainted(&cb.cols, cb.prov, ex.failedProv())
+	dropTainted(cb, ex.failedProv())
 	var from, stamped Prov
 	for i, p := range cb.prov {
 		if i == 0 || !sameProv(p, from) {
@@ -521,13 +525,13 @@ func (ex *executor) sendExchBatch(exchID int, dest ring.NodeID, cb *colBatch) {
 			cons.receive(cb)
 			return
 		}
-		own := &colBatch{phase: phase, prov: append([]Prov(nil), cb.prov...)}
-		_ = own.cols.AppendBatchInto(&cb.cols) // an empty batch adopts any shape
+		own := newColBatch(phase)
+		_ = own.appendBatch(cb) // an empty batch adopts any shape
 		cons.receive(own)
 		return
 	}
 	payload := binary.AppendUvarint(ex.header(nil), uint64(exchID))
-	payload, err := encodeShipBatch(payload, &cb.cols, cb.prov, phase)
+	payload, err := encodeShipBatch(payload, cb, phase)
 	if err != nil {
 		ex.shipper.fail(err) // the fragment's EOS carries it to the initiator
 		return
@@ -536,22 +540,85 @@ func (ex *executor) sendExchBatch(exchID int, dest ring.NodeID, cb *colBatch) {
 	_ = ex.eng.node.Endpoint().Send(dest, msgExchBatch, payload)
 }
 
-// broadcastExchEOS announces this node's end-of-stream for an exchange in
-// the given wave phase to every live node (including itself).
-func (ex *executor) broadcastExchEOS(exchID int, phase uint32) {
-	payload := ex.header(nil)
-	payload = binary.AppendUvarint(payload, uint64(exchID))
+// marked is what a phase marker lands on: the holder of a phaseGate that
+// peers mark — a scan leaf's data side or an exchange consumer — addressed
+// by its plan identifier (Finalize draws both kinds from one sequence).
+type marked interface {
+	mark(from ring.NodeID, phase uint32)
+	recheck()
+}
+
+// broadcastMark announces to every live node (including this one) that this
+// node has finished the given wave phase for scan or rehash id: its index
+// side has shipped every tuple ID, or its rehash output has reached
+// end-of-stream. The marker follows the wave's data on each link (FIFO), so
+// a gate holding every marker holds all the data.
+func (ex *executor) broadcastMark(id int, phase uint32) {
+	payload := binary.AppendUvarint(ex.header(nil), uint64(id))
 	payload = binary.BigEndian.AppendUint32(payload, phase)
-	for _, id := range ex.liveMembers() {
-		if id == ex.self() {
-			if cons := ex.consumers[exchID]; cons != nil {
-				cons.eosFromNode(id, phase)
+	_, live := ex.wave()
+	for _, to := range live {
+		if to == ex.self() {
+			if m := ex.marked[id]; m != nil {
+				m.mark(to, phase)
 			}
 			continue
 		}
 		ex.stats.addSentBytes(len(payload))
-		_ = ex.eng.node.Endpoint().Send(id, msgExchEOS, payload)
+		_ = ex.eng.node.Endpoint().Send(to, msgMark, payload)
 	}
+}
+
+// encodeScanIDs appends a tuple-ID shipment: the scan it belongs to, the
+// sending index node's snapshot member index, and per ID its epoch, its key
+// and its placement hash.
+func encodeScanIDs(dst []byte, scanID, fromIdx int, ids []tuple.ID, hashes []keyspace.Key) []byte {
+	dst = binary.AppendUvarint(dst, uint64(scanID))
+	dst = binary.AppendUvarint(dst, uint64(fromIdx))
+	dst = binary.AppendUvarint(dst, uint64(len(ids)))
+	for i, id := range ids {
+		dst = binary.BigEndian.AppendUint64(dst, uint64(id.Epoch))
+		dst = binary.AppendUvarint(dst, uint64(len(id.Key)))
+		dst = append(dst, id.Key...)
+		dst = append(dst, hashes[i][:]...)
+	}
+	return dst
+}
+
+// decodeScanIDs reverses encodeScanIDs. The ID count is bounded by what the
+// payload can hold before anything is allocated for it.
+func decodeScanIDs(data []byte) (scanID, fromIdx int, ids []tuple.ID, hashes []keyspace.Key, err error) {
+	var head [3]uint64 // scan, sender, count
+	for i := range head {
+		v, n := binary.Uvarint(data)
+		if n <= 0 {
+			return 0, 0, nil, nil, errors.New("engine: bad scan id header")
+		}
+		head[i], data = v, data[n:]
+	}
+	const minEntry = 8 + 1 + keyspace.Size // epoch, key length, hash
+	if head[0] > math.MaxInt32 || head[1] > math.MaxInt32 || head[2] > uint64(len(data)/minEntry) {
+		return 0, 0, nil, nil, errors.New("engine: bad scan id count")
+	}
+	ids = make([]tuple.ID, 0, head[2])
+	hashes = make([]keyspace.Key, 0, head[2])
+	for i := uint64(0); i < head[2]; i++ {
+		if len(data) < 8 {
+			return 0, 0, nil, nil, errors.New("engine: truncated scan id")
+		}
+		ep := tuple.Epoch(binary.BigEndian.Uint64(data))
+		l, n := binary.Uvarint(data[8:])
+		if n <= 0 || l > uint64(len(data)) || len(data) < 8+n+int(l)+keyspace.Size {
+			return 0, 0, nil, nil, errors.New("engine: truncated scan key")
+		}
+		data = data[8+n:]
+		ids = append(ids, tuple.ID{Key: string(data[:l]), Epoch: ep})
+		var h keyspace.Key
+		copy(h[:], data[l:])
+		hashes = append(hashes, h)
+		data = data[int(l)+keyspace.Size:]
+	}
+	return int(head[0]), int(head[1]), ids, hashes, nil
 }
 
 // sendScanIDs ships filtered tuple IDs (with their cached placement
@@ -564,51 +631,21 @@ func (ex *executor) sendScanIDs(scanID int, dest ring.NodeID, ids []tuple.ID, ha
 		}
 		return
 	}
-	payload := ex.header(nil)
-	payload = binary.AppendUvarint(payload, uint64(scanID))
-	payload = binary.AppendUvarint(payload, uint64(ex.selfIdx))
-	payload = binary.AppendUvarint(payload, uint64(len(ids)))
-	for i, id := range ids {
-		payload = binary.BigEndian.AppendUint64(payload, uint64(id.Epoch))
-		payload = binary.AppendUvarint(payload, uint64(len(id.Key)))
-		payload = append(payload, id.Key...)
-		payload = append(payload, hashes[i][:]...)
-	}
+	payload := encodeScanIDs(ex.header(nil), scanID, ex.selfIdx, ids, hashes)
 	ex.stats.addSentBytes(len(payload))
 	_ = ex.eng.node.Endpoint().Send(dest, msgScanIDs, payload)
 }
 
-// broadcastScanDone announces that this node's index-side work for a scan
-// is complete in the given wave phase.
-func (ex *executor) broadcastScanDone(scanID int, phase uint32) {
-	payload := ex.header(nil)
-	payload = binary.AppendUvarint(payload, uint64(scanID))
-	payload = binary.BigEndian.AppendUint32(payload, phase)
-	for _, id := range ex.liveMembers() {
-		if id == ex.self() {
-			if leaf := ex.scans[scanID]; leaf != nil {
-				leaf.doneMark(id, phase)
-			}
-			continue
-		}
-		ex.stats.addSentBytes(len(payload))
-		_ = ex.eng.node.Endpoint().Send(id, msgScanDone, payload)
-	}
-}
-
-// sendShip delivers fragment output to the query initiator. The batch and
-// its provenance vector (nil without provenance) are borrowed: loopback
-// appends them into the ship consumer's accumulator, the remote path
-// encodes them — either way the caller keeps ownership after the call. A
-// shipment that cannot be encoded or accepted fails the query: dropping
-// it would complete the wave with a short answer.
-func (ex *executor) sendShip(b *tuple.Batch, prov []Prov) {
-	ex.stats.addShipped(b.N)
-	if ex.initiator == ex.self() {
-		if ex.shipCons != nil {
-			if err := ex.shipCons.receive(ex.self(), b, prov); err != nil {
-				ex.shipCons.fail(&ShipError{Node: ex.self(), Err: err})
-			}
+// sendShip delivers fragment output to the query initiator. The batch is
+// borrowed: loopback appends it into the ship consumer's accumulator, the
+// remote path encodes it — either way the caller keeps ownership after the
+// call. A shipment that cannot be encoded or accepted fails the query:
+// dropping it would complete the wave with a short answer.
+func (ex *executor) sendShip(cb *colBatch) {
+	ex.stats.addShipped(cb.cols.N)
+	if ex.shipCons != nil { // this node is the initiator
+		if err := ex.shipCons.receive(ex.self(), cb); err != nil {
+			ex.shipCons.fail(&ShipError{Node: ex.self(), Err: err})
 		}
 		return
 	}
@@ -616,7 +653,7 @@ func (ex *executor) sendShip(b *tuple.Batch, prov []Prov) {
 	if ex.trace != nil {
 		encT0 = ex.trace.SinceUs()
 	}
-	payload, err := encodeShipBatch(ex.header(nil), b, prov, ex.phaseNow())
+	payload, err := encodeShipBatch(ex.header(nil), cb, ex.phaseNow())
 	if err != nil {
 		ex.shipper.fail(err)
 		return
@@ -640,17 +677,14 @@ func (ex *executor) sendShipEOS(phase uint32, fragErr error) {
 	if fragErr != nil {
 		failure = fragErr.Error()
 	}
-	if ex.initiator == ex.self() {
-		if ex.shipCons != nil {
-			ex.shipCons.eosFromNode(ex.self(), phase, st, nil, failure)
-		}
+	if ex.shipCons != nil { // this node is the initiator
+		ex.shipCons.fragmentDone(ex.self(), phase, st, nil, failure)
 		return
 	}
 	payload := ex.header(nil)
 	payload = binary.BigEndian.AppendUint32(payload, phase)
 	payload = encodeNodeStats(payload, st)
-	payload = binary.AppendUvarint(payload, uint64(len(failure)))
-	payload = append(payload, failure...)
+	payload = appendBytesField(payload, []byte(failure))
 	if ex.trace != nil {
 		payload = ex.trace.EncodeRoot(payload)
 	}
@@ -707,182 +741,106 @@ func readHeader(payload []byte) (uint64, []byte, error) {
 	return binary.BigEndian.Uint64(payload), payload[8:], nil
 }
 
-func (e *Engine) registerHandlers() {
-	ep := e.node.Endpoint()
+// handle registers fn for one-way engine messages of type t behind the
+// prologue they all share: read the query header, find that query's executor
+// — a message for a query this node does not run (any more) is stale or
+// cancelled, and dropped — and count the bytes received. fn gets the payload
+// after the header.
+func (e *Engine) handle(t transport.MsgType, fn func(ex *executor, from ring.NodeID, rest []byte) error) {
+	e.node.Endpoint().Handle(t, func(from ring.NodeID, payload []byte) ([]byte, error) {
+		q, rest, err := readHeader(payload)
+		if err != nil {
+			return nil, err
+		}
+		ex := e.getExec(q)
+		if ex == nil {
+			return nil, nil
+		}
+		ex.stats.addRecvBytes(len(payload))
+		return nil, fn(ex, from, rest)
+	})
+}
 
-	ep.Handle(msgPrepare, func(from ring.NodeID, payload []byte) ([]byte, error) {
+func (e *Engine) registerHandlers() {
+	e.node.Endpoint().Handle(msgPrepare, func(from ring.NodeID, payload []byte) ([]byte, error) {
 		return nil, e.handlePrepare(payload)
 	})
 
-	ep.Handle(msgBegin, func(from ring.NodeID, payload []byte) ([]byte, error) {
-		q, _, err := readHeader(payload)
-		if err != nil {
-			return nil, err
-		}
-		if ex := e.getExec(q); ex != nil {
-			ex.start()
-		}
-		return nil, nil
+	e.handle(msgBegin, func(ex *executor, _ ring.NodeID, _ []byte) error {
+		ex.start()
+		return nil
 	})
 
-	ep.Handle(msgExchBatch, func(from ring.NodeID, payload []byte) ([]byte, error) {
-		q, rest, err := readHeader(payload)
-		if err != nil {
-			return nil, err
-		}
-		ex := e.getExec(q)
-		if ex == nil {
-			return nil, nil // stale or cancelled query
-		}
+	e.handle(msgExchBatch, func(ex *executor, _ ring.NodeID, rest []byte) error {
 		exchID, n := binary.Uvarint(rest)
 		if n <= 0 {
-			return nil, errors.New("engine: bad exch id")
+			return errors.New("engine: bad exch id")
 		}
-		var cb colBatch
-		if cb.phase, cb.prov, err = decodeShipBatch(rest[n:], &cb.cols); err != nil {
-			return nil, err
+		cb := newColBatch(0)
+		if err := decodeShipBatch(rest[n:], cb); err != nil {
+			return err
 		}
-		ex.stats.addRecvBytes(len(payload))
 		ex.stats.addExchRecv(cb.cols.N)
 		if cons := ex.consumers[int(exchID)]; cons != nil {
-			cons.receive(&cb)
+			cons.receive(cb)
 		}
-		return nil, nil
+		return nil
 	})
 
-	ep.Handle(msgExchEOS, func(from ring.NodeID, payload []byte) ([]byte, error) {
-		q, rest, err := readHeader(payload)
-		if err != nil {
-			return nil, err
-		}
-		ex := e.getExec(q)
-		if ex == nil {
-			return nil, nil
-		}
-		exchID, n := binary.Uvarint(rest)
+	e.handle(msgMark, func(ex *executor, from ring.NodeID, rest []byte) error {
+		id, n := binary.Uvarint(rest)
 		if n <= 0 || len(rest) < n+4 {
-			return nil, errors.New("engine: bad exch eos")
+			return errors.New("engine: bad phase marker")
 		}
-		phase := binary.BigEndian.Uint32(rest[n:])
-		ex.stats.addRecvBytes(len(payload))
-		if cons := ex.consumers[int(exchID)]; cons != nil {
-			cons.eosFromNode(from, phase)
+		if m := ex.marked[int(id)]; m != nil {
+			m.mark(from, binary.BigEndian.Uint32(rest[n:]))
 		}
-		return nil, nil
+		return nil
 	})
 
-	ep.Handle(msgScanIDs, func(from ring.NodeID, payload []byte) ([]byte, error) {
-		q, rest, err := readHeader(payload)
+	e.handle(msgScanIDs, func(ex *executor, _ ring.NodeID, rest []byte) error {
+		scanID, fromIdx, ids, hashes, err := decodeScanIDs(rest)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ex := e.getExec(q)
-		if ex == nil {
-			return nil, nil
+		if fromIdx >= ex.snapshot.Size() {
+			return errors.New("engine: bad scan sender")
 		}
-		scanID, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return nil, errors.New("engine: bad scan id")
+		if leaf := ex.scans[scanID]; leaf != nil {
+			leaf.addWanted(ids, hashes, fromIdx)
 		}
-		rest = rest[n:]
-		fromIdx, n := binary.Uvarint(rest)
-		if n <= 0 || fromIdx >= uint64(ex.snapshot.Size()) {
-			return nil, errors.New("engine: bad scan sender")
-		}
-		rest = rest[n:]
-		count, n := binary.Uvarint(rest)
-		if n <= 0 || count > 1<<26 {
-			return nil, errors.New("engine: bad scan id count")
-		}
-		rest = rest[n:]
-		ids := make([]tuple.ID, 0, count)
-		hashes := make([]keyspace.Key, 0, count)
-		for i := uint64(0); i < count; i++ {
-			if len(rest) < 8 {
-				return nil, errors.New("engine: truncated scan id")
-			}
-			ep := tuple.Epoch(binary.BigEndian.Uint64(rest))
-			rest = rest[8:]
-			l, n := binary.Uvarint(rest)
-			if n <= 0 || len(rest) < n+int(l)+keyspace.Size {
-				return nil, errors.New("engine: truncated scan key")
-			}
-			ids = append(ids, tuple.ID{Key: string(rest[n : n+int(l)]), Epoch: ep})
-			rest = rest[n+int(l):]
-			var h keyspace.Key
-			copy(h[:], rest)
-			hashes = append(hashes, h)
-			rest = rest[keyspace.Size:]
-		}
-		ex.stats.addRecvBytes(len(payload))
-		if leaf := ex.scans[int(scanID)]; leaf != nil {
-			leaf.addWanted(ids, hashes, int(fromIdx))
-		}
-		return nil, nil
+		return nil
 	})
 
-	ep.Handle(msgScanDone, func(from ring.NodeID, payload []byte) ([]byte, error) {
-		q, rest, err := readHeader(payload)
-		if err != nil {
-			return nil, err
+	e.handle(msgShipBatch, func(ex *executor, from ring.NodeID, rest []byte) error {
+		if ex.shipCons == nil {
+			return nil
 		}
-		ex := e.getExec(q)
-		if ex == nil {
-			return nil, nil
-		}
-		scanID, n := binary.Uvarint(rest)
-		if n <= 0 || len(rest) < n+4 {
-			return nil, errors.New("engine: bad scan done")
-		}
-		phase := binary.BigEndian.Uint32(rest[n:])
-		ex.stats.addRecvBytes(len(payload))
-		if leaf := ex.scans[int(scanID)]; leaf != nil {
-			leaf.doneMark(from, phase)
-		}
-		return nil, nil
-	})
-
-	ep.Handle(msgShipBatch, func(from ring.NodeID, payload []byte) ([]byte, error) {
-		q, rest, err := readHeader(payload)
-		if err != nil {
-			return nil, err
-		}
-		ex := e.getExec(q)
-		if ex == nil || ex.shipCons == nil {
-			return nil, nil
-		}
-		ex.stats.addRecvBytes(len(payload))
 		// A one-way handler's error goes nowhere: a shipment that does
 		// not decode or fit the collection must fail the query here.
 		if err := ex.shipCons.receiveWire(from, rest); err != nil {
 			ex.shipCons.fail(&ShipError{Node: from, Err: err})
 		}
-		return nil, nil
+		return nil
 	})
 
-	ep.Handle(msgShipEOS, func(from ring.NodeID, payload []byte) ([]byte, error) {
-		q, rest, err := readHeader(payload)
-		if err != nil {
-			return nil, err
-		}
-		ex := e.getExec(q)
-		if ex == nil || ex.shipCons == nil {
-			return nil, nil
+	e.handle(msgShipEOS, func(ex *executor, from ring.NodeID, rest []byte) error {
+		if ex.shipCons == nil {
+			return nil
 		}
 		if len(rest) < 4 {
-			return nil, errors.New("engine: short ship eos")
+			return errors.New("engine: short ship eos")
 		}
 		phase := binary.BigEndian.Uint32(rest)
 		st, rem, err := decodeNodeStats(rest[4:])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		l, n := binary.Uvarint(rem)
-		if n <= 0 || l > uint64(len(rem)-n) {
-			return nil, errors.New("engine: bad ship eos failure")
+		failure, n, err := readBytesField(rem)
+		if err != nil {
+			return errors.New("engine: bad ship eos failure")
 		}
-		failure := string(rem[n : n+int(l)])
-		rem = rem[n+int(l):]
+		rem = rem[n:]
 		// A trailing span blob is the remote fragment's trace subtree; a
 		// decode failure only loses the trace, never the completion.
 		var span *obs.Span
@@ -891,23 +849,14 @@ func (e *Engine) registerHandlers() {
 				span = sp
 			}
 		}
-		ex.stats.addRecvBytes(len(payload))
-		ex.shipCons.eosFromNode(from, phase, st, span, failure)
-		return nil, nil
+		ex.shipCons.fragmentDone(from, phase, st, span, string(failure))
+		return nil
 	})
 
-	ep.Handle(msgRecover, func(from ring.NodeID, payload []byte) ([]byte, error) {
-		q, rest, err := readHeader(payload)
-		if err != nil {
-			return nil, err
-		}
-		ex := e.getExec(q)
-		if ex == nil {
-			return nil, nil
-		}
+	e.handle(msgRecover, func(ex *executor, _ ring.NodeID, rest []byte) error {
 		dir, err := decodeRecoverDirective(rest)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// Advance synchronously, on the delivery loop: per-link FIFO
 		// guarantees the directive precedes any recovery-phase traffic
@@ -918,80 +867,59 @@ func (e *Engine) registerHandlers() {
 		if ex.advance(dir) {
 			go ex.applyRecover()
 		}
-		return nil, nil
+		return nil
 	})
 
-	ep.Handle(msgCancel, func(from ring.NodeID, payload []byte) ([]byte, error) {
-		q, _, err := readHeader(payload)
-		if err != nil {
-			return nil, err
-		}
-		if ex := e.getExec(q); ex != nil {
-			ex.aborted.Store(true) // stop in-flight local scan passes
-		}
-		e.dropExec(q)
-		return nil, nil
+	e.handle(msgCancel, func(ex *executor, _ ring.NodeID, _ []byte) error {
+		ex.aborted.Store(true) // stop in-flight local scan passes
+		e.dropExec(ex.queryID)
+		return nil
 	})
 }
 
 // --- prepare / dissemination ---
 
 func encodeMeta(dst []byte, name string, m *relMeta) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(name)))
-	dst = append(dst, name...)
+	dst = appendBytesField(dst, []byte(name))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(m.effEpoch))
-	schemaEnc := vstore.EncodeSchema(m.schema)
-	dst = binary.AppendUvarint(dst, uint64(len(schemaEnc)))
-	dst = append(dst, schemaEnc...)
+	dst = appendBytesField(dst, vstore.EncodeSchema(m.schema))
 	if m.coord == nil {
 		return append(dst, 0)
 	}
-	dst = append(dst, 1)
-	coordEnc := vstore.EncodeCoordinator(m.coord)
-	dst = binary.AppendUvarint(dst, uint64(len(coordEnc)))
-	return append(dst, coordEnc...)
+	return appendBytesField(append(dst, 1), vstore.EncodeCoordinator(m.coord))
 }
 
 func decodeMeta(data []byte) (string, *relMeta, []byte, error) {
-	l, n := binary.Uvarint(data)
-	if n <= 0 || len(data) < n+int(l) {
-		return "", nil, nil, errors.New("engine: bad meta name")
+	name, n, err := readBytesField(data)
+	if err != nil || len(data) < n+8 {
+		return "", nil, nil, errors.New("engine: bad meta name or epoch")
 	}
-	name := string(data[n : n+int(l)])
-	data = data[n+int(l):]
-	if len(data) < 8 {
-		return "", nil, nil, errors.New("engine: bad meta epoch")
-	}
-	m := &relMeta{effEpoch: tuple.Epoch(binary.BigEndian.Uint64(data))}
-	data = data[8:]
-	l, n = binary.Uvarint(data)
-	if n <= 0 || len(data) < n+int(l) {
+	m := &relMeta{effEpoch: tuple.Epoch(binary.BigEndian.Uint64(data[n:]))}
+	data = data[n+8:]
+	schemaEnc, n, err := readBytesField(data)
+	if err != nil {
 		return "", nil, nil, errors.New("engine: bad meta schema")
 	}
-	schema, err := vstore.DecodeSchema(data[n : n+int(l)])
-	if err != nil {
+	if m.schema, err = vstore.DecodeSchema(schemaEnc); err != nil {
 		return "", nil, nil, err
 	}
-	m.schema = schema
-	data = data[n+int(l):]
+	data = data[n:]
 	if len(data) < 1 {
 		return "", nil, nil, errors.New("engine: bad meta coord flag")
 	}
 	hasCoord := data[0] == 1
 	data = data[1:]
 	if hasCoord {
-		l, n = binary.Uvarint(data)
-		if n <= 0 || len(data) < n+int(l) {
+		coordEnc, n, err := readBytesField(data)
+		if err != nil {
 			return "", nil, nil, errors.New("engine: bad meta coord")
 		}
-		coord, err := vstore.DecodeCoordinator(data[n : n+int(l)])
-		if err != nil {
+		if m.coord, err = vstore.DecodeCoordinator(coordEnc); err != nil {
 			return "", nil, nil, err
 		}
-		m.coord = coord
-		data = data[n+int(l):]
+		data = data[n:]
 	}
-	return name, m, data, nil
+	return string(name), m, data, nil
 }
 
 // encodePrepare packages everything a node needs to participate: the query
@@ -1000,8 +928,7 @@ func decodeMeta(data []byte) (string, *relMeta, []byte, error) {
 func encodePrepare(queryID uint64, initiator ring.NodeID, epoch tuple.Epoch,
 	opts Options, table *ring.Table, plan *Plan, metas map[string]*relMeta) ([]byte, error) {
 	out := binary.BigEndian.AppendUint64(nil, queryID)
-	out = binary.AppendUvarint(out, uint64(len(initiator)))
-	out = append(out, initiator...)
+	out = appendBytesField(out, []byte(initiator))
 	out = binary.BigEndian.AppendUint64(out, uint64(epoch))
 	var flags byte
 	if opts.Provenance {
@@ -1017,11 +944,8 @@ func encodePrepare(queryID uint64, initiator ring.NodeID, epoch tuple.Epoch,
 	if err != nil {
 		return nil, err
 	}
-	out = binary.AppendUvarint(out, uint64(len(tb)))
-	out = append(out, tb...)
-	pb := EncodePlan(plan)
-	out = binary.AppendUvarint(out, uint64(len(pb)))
-	out = append(out, pb...)
+	out = appendBytesField(out, tb)
+	out = appendBytesField(out, EncodePlan(plan))
 	out = binary.AppendUvarint(out, uint64(len(metas)))
 	for name, m := range metas {
 		out = encodeMeta(out, name, m)
@@ -1035,39 +959,33 @@ func (e *Engine) handlePrepare(payload []byte) error {
 	}
 	queryID := binary.BigEndian.Uint64(payload)
 	data := payload[8:]
-	l, n := binary.Uvarint(data)
-	if n <= 0 || len(data) < n+int(l) {
-		return errors.New("engine: bad prepare initiator")
+	initiator, n, err := readBytesField(data)
+	if err != nil || len(data) < n+18 {
+		return errors.New("engine: bad prepare initiator or header")
 	}
-	initiator := ring.NodeID(data[n : n+int(l)])
-	data = data[n+int(l):]
-	if len(data) < 18 {
-		return errors.New("engine: short prepare header")
-	}
+	data = data[n:]
 	epoch := tuple.Epoch(binary.BigEndian.Uint64(data))
-	data = data[8:]
-	opts := Options{Provenance: data[0]&1 != 0, Recovery: RecoveryMode(data[1])}
-	data = data[2:]
-	opts.TraceID = obs.TraceID(binary.BigEndian.Uint64(data))
-	data = data[8:]
-	l, n = binary.Uvarint(data)
-	if n <= 0 || len(data) < n+int(l) {
+	opts := Options{Provenance: data[8]&1 != 0, Recovery: RecoveryMode(data[9])}
+	opts.TraceID = obs.TraceID(binary.BigEndian.Uint64(data[10:]))
+	data = data[18:]
+	tableEnc, n, err := readBytesField(data)
+	if err != nil {
 		return errors.New("engine: bad prepare table")
 	}
-	table, err := ring.UnmarshalTable(data[n : n+int(l)])
+	table, err := ring.UnmarshalTable(tableEnc)
 	if err != nil {
 		return err
 	}
-	data = data[n+int(l):]
-	l, n = binary.Uvarint(data)
-	if n <= 0 || len(data) < n+int(l) {
+	data = data[n:]
+	planEnc, n, err := readBytesField(data)
+	if err != nil {
 		return errors.New("engine: bad prepare plan")
 	}
-	plan, err := DecodePlan(data[n : n+int(l)])
+	plan, err := DecodePlan(planEnc)
 	if err != nil {
 		return err
 	}
-	data = data[n+int(l):]
+	data = data[n:]
 	count, n := binary.Uvarint(data)
 	if n <= 0 || count > 1<<12 {
 		return errors.New("engine: bad prepare meta count")
@@ -1085,7 +1003,7 @@ func (e *Engine) handlePrepare(payload []byte) error {
 	if e.getExec(queryID) != nil {
 		return nil // duplicate prepare (idempotent)
 	}
-	ex, err := newExecutor(e, queryID, plan, opts, epoch, initiator, table, metas)
+	ex, err := newExecutor(e, queryID, plan, opts, epoch, ring.NodeID(initiator), table, metas)
 	if err != nil {
 		return err
 	}

@@ -237,9 +237,6 @@ func CS(v string) Expr { return Const{Val: tuple.S(v)} }
 // B builds a binary expression.
 func B(op OpCode, l, r Expr) Expr { return Bin{Op: op, L: l, R: r} }
 
-// EncodeExpr serializes an expression.
-func EncodeExpr(e Expr) []byte { return e.append(nil) }
-
 // DecodeExpr parses a serialized expression, returning it and the bytes
 // consumed.
 func DecodeExpr(data []byte) (Expr, int, error) {

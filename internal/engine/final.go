@@ -57,10 +57,10 @@ func sortCols(b *tuple.Batch, keys []SortKey) {
 		switch v.T {
 		case tuple.Int64:
 			xs := v.I64
-			cmps[ki] = func(i, j int) int { return cmpI64(xs[i], xs[j]) }
+			cmps[ki] = func(i, j int) int { return cmpNum(xs[i], xs[j]) }
 		case tuple.Float64:
 			xs := v.F64
-			cmps[ki] = func(i, j int) int { return cmpF64(xs[i], xs[j]) }
+			cmps[ki] = func(i, j int) int { return cmpNum(xs[i], xs[j]) }
 		case tuple.String:
 			xs := v.Str
 			cmps[ki] = func(i, j int) int { return strings.Compare(xs[i], xs[j]) }
@@ -109,27 +109,6 @@ func sortCols(b *tuple.Batch, keys []SortKey) {
 			v.Str = out
 		}
 	}
-}
-
-func cmpI64(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-// cmpF64 mirrors Value.Cmp's float ordering, NaN-compares-equal included.
-func cmpF64(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
 }
 
 // computeCols evaluates compiled expressions over the batch into a fresh

@@ -51,7 +51,7 @@ func (c *phaseCut) add(row tuple.Row, prov Prov, phase uint32) error {
 		}
 	}
 	if cb == nil {
-		cb = &colBatch{phase: phase}
+		cb = newColBatch(phase)
 		c.batches = append(c.batches, cb)
 	}
 	if err := cb.cols.AppendRow(row); err != nil {
@@ -81,11 +81,11 @@ type selectOp struct {
 
 func (s *selectOp) push(cb *colBatch) {
 	sel := NewBitset(cb.cols.N)
-	s.pred(&cb.cols, sel)
+	s.pred(cb.cols, sel)
 	if n := sel.Count(); n == 0 {
 		return
 	} else if n < cb.cols.N {
-		cb.prov = compactRows(&cb.cols, cb.prov, sel)
+		compactRows(cb, sel)
 	}
 	s.out.push(cb)
 }
@@ -120,12 +120,12 @@ type computeOp struct {
 }
 
 func (c *computeOp) push(cb *colBatch) {
-	out, err := computeCols(c.fns, &cb.cols)
+	out, err := computeCols(c.fns, cb.cols)
 	if err != nil {
 		c.fail(err)
 		return
 	}
-	c.out.push(&colBatch{cols: *out, phase: cb.phase, prov: cb.prov})
+	c.out.push(&colBatch{cols: out, phase: cb.phase, prov: cb.prov})
 }
 
 func (c *computeOp) eos(phase uint32) { c.out.eos(phase) }
@@ -203,7 +203,7 @@ func (j *joinOp) pushSide(cb *colBatch, left bool) {
 		if cb.prov != nil {
 			t.prov = cb.prov[i]
 		}
-		j.keyBuf = appendBatchKey(j.keyBuf[:0], &cb.cols, i, keys)
+		j.keyBuf = appendBatchKey(j.keyBuf[:0], cb.cols, i, keys)
 		k := string(j.keyBuf)
 		mine[k] = append(mine[k], t)
 		for _, o := range theirs[k] {
@@ -378,7 +378,7 @@ func (a *aggOp) push(cb *colBatch) {
 	}
 	var sk string // sub-group key of the current run of rows sharing one set
 	for i := 0; i < cb.cols.N; i++ {
-		a.keyBuf = appendBatchKey(a.keyBuf[:0], &cb.cols, i, a.groupCols)
+		a.keyBuf = appendBatchKey(a.keyBuf[:0], cb.cols, i, a.groupCols)
 		g := a.groups[string(a.keyBuf)]
 		if g == nil {
 			g = &aggGroup{groupVals: make(tuple.Row, len(a.groupCols)), subs: map[string]*aggSubgroup{}}

@@ -19,8 +19,7 @@ type Plan struct {
 	Root  Node
 	Final []FinalOp
 
-	scanIDs int
-	exchIDs int
+	ops int // scans and rehashes numbered by Finalize
 }
 
 // Node is one operator of the distributed fragment.
@@ -250,9 +249,11 @@ func (f *FinalLimit) String() string { return fmt.Sprintf("FinalLimit(%d)", f.N)
 // --- plan assembly ---
 
 // Finalize assigns scan and exchange identifiers and validates the tree.
-// It must be called once before execution or serialization.
+// Both kinds draw from one sequence, so an identifier names one operator of
+// the plan — which is what lets a phase marker address either kind. It must
+// be called once before execution or serialization.
 func (p *Plan) Finalize() error {
-	p.scanIDs, p.exchIDs = 0, 0
+	p.ops = 0
 	return p.walkAssign(p.Root)
 }
 
@@ -265,14 +266,14 @@ func (p *Plan) walkAssign(n Node) error {
 		if t.Relation == "" {
 			return errors.New("engine: scan of empty relation name")
 		}
-		t.ScanID = p.scanIDs
-		p.scanIDs++
+		t.ScanID = p.ops
+		p.ops++
 	case *RehashNode:
 		if len(t.Keys) == 0 {
 			return errors.New("engine: rehash without keys")
 		}
-		t.ExchID = p.exchIDs
-		p.exchIDs++
+		t.ExchID = p.ops
+		p.ops++
 	case *JoinNode:
 		if len(t.LeftKeys) == 0 || len(t.LeftKeys) != len(t.RightKeys) {
 			return errors.New("engine: join key arity mismatch")
@@ -289,12 +290,6 @@ func (p *Plan) walkAssign(n Node) error {
 	}
 	return nil
 }
-
-// NumScans returns the count of scan leaves (after Finalize).
-func (p *Plan) NumScans() int { return p.scanIDs }
-
-// NumExchanges returns the count of rehash boundaries (after Finalize).
-func (p *Plan) NumExchanges() int { return p.exchIDs }
 
 // Relations returns the distinct relation names scanned by the plan.
 func (p *Plan) Relations() []string {
@@ -365,9 +360,11 @@ func appendBytesField(dst, b []byte) []byte {
 	return append(dst, b...)
 }
 
+// readBytesField reads a length-prefixed field, returning it and the bytes
+// consumed.
 func readBytesField(data []byte) ([]byte, int, error) {
 	l, n := binary.Uvarint(data)
-	if n <= 0 || len(data) < n+int(l) {
+	if n <= 0 || l > uint64(len(data)-n) {
 		return nil, 0, errors.New("engine: truncated bytes field")
 	}
 	return data[n : n+int(l)], n + int(l), nil

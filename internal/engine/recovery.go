@@ -29,8 +29,7 @@ func encodeRecoverDirective(d recoverDirective) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out = binary.AppendUvarint(out, uint64(len(tb)))
-	return append(out, tb...), nil
+	return appendBytesField(out, tb), nil
 }
 
 func decodeRecoverDirective(data []byte) (recoverDirective, error) {
@@ -53,16 +52,12 @@ func decodeRecoverDirective(data []byte) (recoverDirective, error) {
 		d.failedIdxs = append(d.failedIdxs, int(idx))
 		data = data[n:]
 	}
-	l, n := binary.Uvarint(data)
-	if n <= 0 || len(data) < n+int(l) {
+	tableEnc, _, err := readBytesField(data)
+	if err != nil {
 		return d, errors.New("engine: bad recover table")
 	}
-	table, err := ring.UnmarshalTable(data[n : n+int(l)])
-	if err != nil {
-		return d, err
-	}
-	d.newTable = table
-	return d, nil
+	d.newTable, err = ring.UnmarshalTable(tableEnc)
+	return d, err
 }
 
 // initiateRecovery runs at the query initiator when a node failure is
@@ -185,9 +180,6 @@ func (ex *executor) applyRecover() {
 	for _, r := range ex.recoverables {
 		r.recover(failed)
 	}
-	for _, leaf := range ex.scans {
-		leaf.purgeTainted(failed)
-	}
 	if ex.shipCons != nil {
 		ex.shipCons.purge(failed)
 	}
@@ -213,11 +205,8 @@ func (ex *executor) applyRecover() {
 
 	// The live set shrank and the phase advanced: re-evaluate every gate
 	// that might already hold all the markers it needs.
-	for _, leaf := range ex.scans {
-		leaf.recheck()
-	}
-	for _, cons := range ex.consumers {
-		cons.recheck()
+	for _, m := range ex.marked {
+		m.recheck()
 	}
 	if ex.shipCons != nil {
 		ex.shipCons.recheck()

@@ -33,7 +33,7 @@ func TestAggHoldsEmissionOnSupersededWave(t *testing.T) {
 	fail := func(err error) { t.Errorf("aggregate failed: %v", err) }
 	a := newAggOp([]int{0}, specs, AggComplete, true, func() uint32 { return cur }, fail, out)
 	batch := func(vs ...int64) *colBatch { // group 7, from member 1, tagged phase 1
-		cb := &colBatch{phase: 1}
+		cb := newColBatch(1)
 		for _, v := range vs {
 			if err := cb.cols.AppendRow(tuple.Row{tuple.I(7), tuple.I(v)}); err != nil {
 				t.Fatal(err)
@@ -93,11 +93,11 @@ func TestAdvanceSupersedesWave(t *testing.T) {
 		prod, cons = ex.producers[id], ex.consumers[id]
 	}
 	prod.eos(0)
-	if cons.eosFrom[0][self] {
+	if cons.gate.marks[phaseMark{0, self}] {
 		t.Fatal("superseded wave's end-of-stream was announced")
 	}
 	prod.eos(1)
-	if !cons.eosFrom[1][self] {
+	if !cons.gate.marks[phaseMark{1, self}] {
 		t.Fatal("current wave's end-of-stream was not announced")
 	}
 }
@@ -128,7 +128,8 @@ func TestLoopbackStampLeavesSenderBatch(t *testing.T) {
 	ex.advance(recoverDirective{newPhase: 1, failedIdxs: []int{dead}, newTable: table1})
 
 	shared, tainted := ProvOf(3, other), ProvOf(3, other, dead)
-	sent := &colBatch{prov: []Prov{shared, shared, tainted, shared}}
+	sent := newColBatch(0)
+	sent.prov = []Prov{shared, shared, tainted, shared}
 	for i := range sent.prov {
 		if err := sent.cols.AppendRow(tuple.Row{tuple.I(int64(i)), tuple.I(9)}); err != nil {
 			t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 
-	"orchestra/internal/cluster"
 	"orchestra/internal/keyspace"
 	"orchestra/internal/kvstore"
 	"orchestra/internal/obs"
@@ -59,10 +58,12 @@ type scanLeaf struct {
 	// either: goroutine scheduling could let wave p+1 acquire it first.
 	passSeq sequencer
 
-	mu       sync.Mutex
-	ships    []*idShipment
-	doneFrom map[uint32]map[ring.NodeID]bool
-	passRun  map[uint32]bool
+	// gate fires a phase's data pass when every live node's index side
+	// has marked it done; it claims the pass's passSeq ticket as it fires.
+	gate *phaseGate
+
+	mu    sync.Mutex
+	ships []*idShipment
 
 	// scratch is the reusable columnar batch of the data pass (see
 	// batchFor); scratchCols keeps the leaf's own column header array so a
@@ -86,14 +87,9 @@ type idShipment struct {
 }
 
 func newScanLeaf(ex *executor, spec *ScanNode, meta *relMeta, out sink) *scanLeaf {
-	return &scanLeaf{
-		ex:       ex,
-		spec:     spec,
-		meta:     meta,
-		out:      out,
-		doneFrom: make(map[uint32]map[ring.NodeID]bool),
-		passRun:  make(map[uint32]bool),
-	}
+	l := &scanLeaf{ex: ex, spec: spec, meta: meta, out: out}
+	l.gate = newPhaseGate(ex.wave, &l.passSeq)
+	return l
 }
 
 // runIndexSide performs this node's index work for a phase. For phase 0,
@@ -109,7 +105,7 @@ func (l *scanLeaf) runIndexSide(phase uint32, inherited []ring.Range, prevTable 
 	self := l.ex.self()
 	tr := l.ex.trace
 	var sp *obs.Span
-	var idsOut int64
+	var produced int64
 	if tr != nil {
 		sp = tr.Begin("scan.index")
 		sp.Phase = phase
@@ -119,7 +115,7 @@ func (l *scanLeaf) runIndexSide(phase uint32, inherited []ring.Range, prevTable 
 	soleOwner := cur.Size() == 1
 	// A covering scan's output: key values decoded off the tuple IDs, all
 	// sharing this node's provenance stamp.
-	covering := &colBatch{phase: phase}
+	covering := newColBatch(phase)
 	var own Prov
 	if l.ex.opts.Provenance {
 		own = ProvOf(l.ex.snapshot.Size(), l.ex.selfIdx)
@@ -157,7 +153,7 @@ func (l *scanLeaf) runIndexSide(phase uint32, inherited []ring.Range, prevTable 
 			// cached) ID and hash slices ship as-is — no per-ID routing, no
 			// copies.
 			if soleOwner && full && !l.spec.Covering && l.spec.Pred.Lo == nil && l.spec.Pred.Hi == nil {
-				idsOut += int64(len(page.IDs))
+				produced += int64(len(page.IDs))
 				l.ex.sendScanIDs(l.spec.ScanID, self, page.IDs, page.Hashes)
 				continue
 			}
@@ -201,34 +197,29 @@ func (l *scanLeaf) runIndexSide(phase uint32, inherited []ring.Range, prevTable 
 			}
 		}
 		for dest, s := range byDest {
-			idsOut += int64(len(s.ids))
+			produced += int64(len(s.ids))
 			l.ex.sendScanIDs(l.spec.ScanID, dest, s.ids, s.hashes)
 		}
 	}
-	if l.spec.Covering {
-		n := covering.cols.N
-		if n > 0 {
-			l.ex.stats.addScanned(n)
-			l.out.push(covering)
-		}
-		if sp != nil {
-			sp.Rows = int64(n)
-			tr.End(sp)
-			tr.Attach(l.ex.frag, sp)
-		}
-		l.out.eos(phase)
-		return
+	if n := covering.cols.N; n > 0 {
+		produced = int64(n)
+		l.ex.stats.addScanned(n)
+		l.out.push(covering)
 	}
 	if sp != nil {
-		sp.Rows = idsOut // IDs shipped to data nodes
+		sp.Rows = produced // rows a covering scan produced, else IDs shipped to data nodes
 		tr.End(sp)
 		tr.Attach(l.ex.frag, sp)
+	}
+	if l.spec.Covering {
+		l.out.eos(phase)
+		return
 	}
 	// Signal that this node's index work for the phase is complete; the
 	// marker follows all ID shipments on each link (FIFO), so data sides
 	// that have every marker have every ID. The marker carries this wave's
 	// phase, not the node's current phase, which may already be newer.
-	l.ex.broadcastScanDone(l.spec.ScanID, phase)
+	l.ex.broadcastMark(l.spec.ScanID, phase)
 }
 
 // loadPage resolves a page version through the node's resolved-page
@@ -256,8 +247,9 @@ func (l *scanLeaf) loadPage(ref vstore.PageRef) (*vstore.Page, error) {
 // from a sender that is still clean at pass time — so a dead node's
 // in-flight bulk shipment can never displace the heir's re-shipped
 // entries, and shipments recorded before their sender's failure became
-// known are filtered by preparePass (after purgeTainted/markFailed set
-// the failed bits).
+// known are filtered by preparePass when the pass runs (executor.advance
+// has set the failed bits by then) — which is why recovery has nothing to
+// purge here.
 func (l *scanLeaf) addWanted(ids []tuple.ID, hashes []keyspace.Key, fromIdx int) {
 	if l.ex.failedProv().Has(fromIdx) {
 		return
@@ -267,58 +259,23 @@ func (l *scanLeaf) addWanted(ids []tuple.ID, hashes []keyspace.Key, fromIdx int)
 	l.mu.Unlock()
 }
 
-// purgeTainted exists for interface symmetry with the other recoverable
-// state holders: tainted shipments need no eager purge — preparePass
-// filters by the failed set when the pass runs, and shipments of an
-// already-run pass were snapshotted out of l.ships.
-func (l *scanLeaf) purgeTainted(Prov) {}
-
-// doneMark records an index-side completion marker; when all live nodes
-// have finished the current phase, the data pass runs (once per phase).
-func (l *scanLeaf) doneMark(from ring.NodeID, phase uint32) {
-	l.mu.Lock()
-	m := l.doneFrom[phase]
-	if m == nil {
-		m = make(map[ring.NodeID]bool)
-		l.doneFrom[phase] = m
-	}
-	m[from] = true
-	run, passPhase, tick := l.readyLocked()
-	l.mu.Unlock()
-	if run {
-		go l.runPass(passPhase, tick)
-	}
-}
+// mark records an index-side completion marker; when all live nodes have
+// finished the current phase, the data pass runs (once per phase).
+func (l *scanLeaf) mark(from ring.NodeID, phase uint32) { l.pass(l.gate.mark(from, phase)) }
 
 // recheck re-evaluates pass readiness after a membership change.
 func (l *scanLeaf) recheck() {
-	if l.spec.Covering {
-		return
-	}
-	l.mu.Lock()
-	run, passPhase, tick := l.readyLocked()
-	l.mu.Unlock()
-	if run {
-		go l.runPass(passPhase, tick)
+	if !l.spec.Covering {
+		l.pass(l.gate.fire(false))
 	}
 }
 
-// readyLocked reports whether the current phase's pass should fire, and if
-// so claims its execution ticket. Tickets are claimed under l.mu, so pass
-// execution order always matches the (phase-monotonic) firing order.
-func (l *scanLeaf) readyLocked() (bool, uint32, uint64) {
-	phase := l.ex.phaseNow()
-	if l.passRun[phase] {
-		return false, phase, 0
+// pass launches the data pass of a phase whose gate just fired. tick is the
+// turn the gate claimed for it, so passes run in firing order.
+func (l *scanLeaf) pass(phase uint32, tick uint64, ok bool) {
+	if ok {
+		go l.runPass(phase, tick)
 	}
-	m := l.doneFrom[phase]
-	for _, id := range l.ex.liveMembers() {
-		if !m[id] {
-			return false, phase, 0
-		}
-	}
-	l.passRun[phase] = true
-	return true, phase, l.passSeq.ticket()
 }
 
 // passEntry is one live wanted entry prepared for the merge walk: its full
@@ -396,7 +353,7 @@ func (l *scanLeaf) runPass(phase uint32, tick uint64) {
 			cb = l.batchFor(phase, colTypes)
 		}
 		n := cb.cols.N
-		if err := vstore.DecodeTupleRecordCols(l.meta.schema, v, &cb.cols); err != nil {
+		if err := vstore.DecodeTupleRecordCols(l.meta.schema, v, cb.cols); err != nil {
 			cb.cols.Truncate(n) // back out the partial row
 			return false
 		}
@@ -534,7 +491,7 @@ func (l *scanLeaf) runPass(phase uint32, tick uint64) {
 // have replaced it.
 func (l *scanLeaf) batchFor(phase uint32, colTypes []tuple.Type) *colBatch {
 	if l.scratch == nil {
-		l.scratch = &colBatch{}
+		l.scratch = newColBatch(phase)
 		l.scratch.cols.ResetTypes(colTypes)
 		l.scratchCols = l.scratch.cols.Cols
 		l.scratch.cols.Grow(flushRows)
@@ -584,10 +541,4 @@ func preparePass(ships []*idShipment, failed Prov) []passEntry {
 	// already; pdqsort makes this pass cheap.
 	sort.Slice(pes, func(i, j int) bool { return bytes.Compare(pes[i].key, pes[j].key) < 0 })
 	return pes
-}
-
-// CoveringPred builds the scan predicate for an equality on the leading
-// key attribute.
-func CoveringPred(s *tuple.Schema, v tuple.Value) cluster.KeyPred {
-	return cluster.EqPred(s, v)
 }

@@ -1,12 +1,15 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"orchestra/internal/keyspace"
 	"orchestra/internal/ring"
 	"orchestra/internal/tuple"
 )
@@ -74,14 +77,14 @@ func TestShipConsumerPurge(t *testing.T) {
 			ex := initiatorExec(t, h, &Plan{Root: &ScanNode{Relation: "R"}}, Options{Recovery: RecoverIncremental})
 			ship := func(ss []shipment) {
 				for _, s := range ss {
-					b, prov := &tuple.Batch{}, make([]Prov, len(s.keys))
+					cb := newColBatch(0)
 					for i, k := range s.keys {
-						if err := b.AppendRow(tuple.Row{tuple.I(k), tuple.I(-k)}); err != nil {
+						if err := cb.cols.AppendRow(tuple.Row{tuple.I(k), tuple.I(-k)}); err != nil {
 							t.Fatal(err)
 						}
-						prov[i] = ProvOf(members, 0, s.prov[i])
+						cb.prov = append(cb.prov, ProvOf(members, 0, s.prov[i]))
 					}
-					if err := ex.shipCons.receive(snap.Members()[1], b, prov); err != nil {
+					if err := ex.shipCons.receive(snap.Members()[1], cb); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -102,10 +105,10 @@ func TestShipConsumerPurge(t *testing.T) {
 			if !rowsEqual(got.Rows(), want) {
 				t.Fatalf("survivors: %s", diffSummary(got.Rows(), want))
 			}
-			if len(ex.shipCons.prov) != got.N {
-				t.Fatalf("%d provenance sets beside %d rows", len(ex.shipCons.prov), got.N)
+			if len(ex.shipCons.acc.prov) != got.N {
+				t.Fatalf("%d provenance sets beside %d rows", len(ex.shipCons.acc.prov), got.N)
 			}
-			for i, p := range ex.shipCons.prov {
+			for i, p := range ex.shipCons.acc.prov {
 				if p.Has(dead) {
 					t.Fatalf("row %d survived with the failed node in its provenance", i)
 				}
@@ -155,12 +158,12 @@ func TestShipMismatchFailsQuery(t *testing.T) {
 	}
 
 	ex := initiatorExec(t, h, &Plan{Root: &ScanNode{Relation: "R"}}, Options{})
-	ints, strs := &tuple.Batch{}, &tuple.Batch{}
-	if err := errors.Join(ints.AppendRow(tuple.Row{tuple.I(1)}), strs.AppendRow(tuple.Row{tuple.S("x")})); err != nil {
+	ints, strs := newColBatch(0), newColBatch(0)
+	if err := errors.Join(ints.cols.AppendRow(tuple.Row{tuple.I(1)}), strs.cols.AppendRow(tuple.Row{tuple.S("x")})); err != nil {
 		t.Fatal(err)
 	}
-	ex.sendShip(ints, nil)
-	ex.sendShip(strs, nil)
+	ex.sendShip(ints)
+	ex.sendShip(strs)
 	select {
 	case err := <-ex.shipCons.failCh:
 		if !errors.As(err, &se) || se.Node != ex.self() {
@@ -231,16 +234,17 @@ var shipLayoutSeeds = []struct {
 		prov: []Prov{ProvOf(64, 63), ProvOf(200, 0, 64, 199), ProvOf(64, 63)}},
 }
 
-// seedBatch builds a seed's batch.
-func seedBatch(t testing.TB, rows []tuple.Row) *tuple.Batch {
+// seedBatch builds a seed's batch, with prov beside its rows.
+func seedBatch(t testing.TB, rows []tuple.Row, prov []Prov) *colBatch {
 	t.Helper()
-	b := &tuple.Batch{}
+	cb := newColBatch(0)
 	for _, r := range rows {
-		if err := b.AppendRow(r); err != nil {
+		if err := cb.cols.AppendRow(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return b
+	cb.prov = prov
+	return cb
 }
 
 // TestShipLayoutRoundTrip: the layout carries phase, rows and provenance
@@ -249,17 +253,17 @@ func seedBatch(t testing.TB, rows []tuple.Row) *tuple.Batch {
 func TestShipLayoutRoundTrip(t *testing.T) {
 	check := func(t *testing.T, rows []tuple.Row, prov []Prov, phase uint32) {
 		t.Helper()
-		data, err := encodeShipBatch(nil, seedBatch(t, rows), prov, phase)
+		data, err := encodeShipBatch(nil, seedBatch(t, rows, prov), phase)
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		var got tuple.Batch
-		gotPhase, gotProv, err := decodeShipBatch(data, &got)
-		if err != nil {
+		dec := newColBatch(0)
+		if err := decodeShipBatch(data, dec); err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		if gotPhase != phase || got.N != len(rows) {
-			t.Fatalf("phase=%d rows=%d, want %d/%d", gotPhase, got.N, phase, len(rows))
+		got, gotProv := dec.cols, dec.prov
+		if dec.phase != phase || got.N != len(rows) {
+			t.Fatalf("phase=%d rows=%d, want %d/%d", dec.phase, got.N, phase, len(rows))
 		}
 		if (gotProv == nil) != (prov == nil) || len(gotProv) != len(prov) {
 			t.Fatalf("%d provenance sets (nil=%v), want %d (nil=%v)", len(gotProv), gotProv == nil, len(prov), prov == nil)
@@ -305,9 +309,8 @@ func TestShipLayoutRoundTrip(t *testing.T) {
 // hand back a provenance vector that is absent or in step with the rows.
 func FuzzShipBatchDecode(f *testing.F) {
 	for i, seed := range shipLayoutSeeds {
-		b := seedBatch(f, seed.rows)
 		for _, pv := range [][]Prov{nil, seed.prov} {
-			data, err := encodeShipBatch(nil, b, pv, uint32(i))
+			data, err := encodeShipBatch(nil, seedBatch(f, seed.rows, pv), uint32(i))
 			if err != nil {
 				f.Fatalf("encodeShipBatch seed %q: %v", seed.name, err)
 			}
@@ -319,19 +322,87 @@ func FuzzShipBatchDecode(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 1, 2})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		into := &tuple.Batch{}
-		phase, prov, err := decodeShipBatch(data, into)
-		if err != nil {
-			if into.N != 0 {
-				t.Fatalf("failed decode left %d rows behind", into.N)
+		into := newColBatch(0)
+		if err := decodeShipBatch(data, into); err != nil {
+			if into.cols.N != 0 || into.prov != nil {
+				t.Fatalf("failed decode left %d rows, %d sets behind", into.cols.N, len(into.prov))
 			}
 			return
 		}
-		if prov != nil && len(prov) != into.N {
-			t.Fatalf("%d provenance sets beside %d rows", len(prov), into.N)
+		if into.prov != nil && len(into.prov) != into.cols.N {
+			t.Fatalf("%d provenance sets beside %d rows", len(into.prov), into.cols.N)
 		}
-		if _, err := encodeShipBatch(nil, into, prov, phase); err != nil {
+		if _, err := encodeShipBatch(nil, into, into.phase); err != nil {
 			t.Fatalf("re-encode of valid decode failed: %v", err)
+		}
+	})
+}
+
+// scanIDSeeds are tuple-ID shipments as index nodes send them.
+func scanIDSeeds() [][]byte {
+	ship := func(scanID, fromIdx int, keys ...string) []byte {
+		ids := make([]tuple.ID, len(keys))
+		hashes := make([]keyspace.Key, len(keys))
+		for i, k := range keys {
+			ids[i] = tuple.ID{Key: k, Epoch: tuple.Epoch(i + 1)}
+			hashes[i] = ids[i].Hash()
+		}
+		return encodeScanIDs(nil, scanID, fromIdx, ids, hashes)
+	}
+	return [][]byte{
+		ship(0, 0),
+		ship(1, 2, "k000017"),
+		ship(3, 63, "", "a", strings.Repeat("long-key/", 40)),
+		ship(0, 1, "k1", "k1", "k2"), // one ID from two senders' pages coexists
+	}
+}
+
+// TestScanIDsRoundTrip: the shipment layout carries scan, sender, IDs and
+// hashes exactly, and a count the payload cannot hold is refused before
+// anything is allocated for it.
+func TestScanIDsRoundTrip(t *testing.T) {
+	for i, data := range scanIDSeeds() {
+		scanID, fromIdx, ids, hashes, err := decodeScanIDs(data)
+		if err != nil {
+			t.Fatalf("seed %d: %v", i, err)
+		}
+		if again := encodeScanIDs(nil, scanID, fromIdx, ids, hashes); !bytes.Equal(again, data) {
+			t.Fatalf("seed %d: re-encoding differs", i)
+		}
+	}
+	// scan 0, sender 0, "2^26 IDs follow", then nothing: 6 bytes that used
+	// to reserve ~2.9 GB.
+	bomb := binary.AppendUvarint([]byte{0, 0}, 1<<26)
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, _, _, _, err := decodeScanIDs(bomb); err == nil {
+			t.Fatal("a count beyond the payload was accepted")
+		}
+	})
+	if allocs > 2 { // the error value
+		t.Fatalf("refusing the count took %.0f allocations", allocs)
+	}
+}
+
+// FuzzScanIDsDecode: the msgScanIDs decoder runs on bytes off the wire. It
+// must reject garbage with an error, never panic or reserve memory the
+// payload cannot back, and what it accepts must re-encode to itself.
+func FuzzScanIDsDecode(f *testing.F) {
+	for _, seed := range scanIDSeeds() {
+		f.Add(seed)
+	}
+	f.Add([]byte{})
+	f.Add(binary.AppendUvarint([]byte{0, 0}, 1<<26))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		scanID, fromIdx, ids, hashes, err := decodeScanIDs(data)
+		if err != nil {
+			return
+		}
+		if len(ids) != len(hashes) || cap(ids) > len(data) {
+			t.Fatalf("%d ids (cap %d), %d hashes from %d bytes", len(ids), cap(ids), len(hashes), len(data))
+		}
+		again, _, ids2, _, err := decodeScanIDs(encodeScanIDs(nil, scanID, fromIdx, ids, hashes))
+		if err != nil || again != scanID || len(ids2) != len(ids) {
+			t.Fatalf("re-encode of a valid decode: %v", err)
 		}
 	})
 }

@@ -205,9 +205,9 @@ func cmpBatchRows(a *tuple.Batch, i int, b *tuple.Batch, j int, keys []SortKey) 
 		var c int
 		switch av.T {
 		case tuple.Int64:
-			c = cmpI64(av.I64[i], bv.I64[j])
+			c = cmpNum(av.I64[i], bv.I64[j])
 		case tuple.Float64:
-			c = cmpF64(av.F64[i], bv.F64[j])
+			c = cmpNum(av.F64[i], bv.F64[j])
 		case tuple.String:
 			c = strings.Compare(av.Str[i], bv.Str[j])
 		}

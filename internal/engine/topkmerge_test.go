@@ -21,9 +21,9 @@ func cmpRowsKeys(a, b tuple.Row, keys []SortKey) int {
 		var c int
 		switch av.T {
 		case tuple.Int64:
-			c = cmpI64(av.I64, bv.I64)
+			c = cmpNum(av.I64, bv.I64)
 		case tuple.Float64:
-			c = cmpF64(av.F64, bv.F64)
+			c = cmpNum(av.F64, bv.F64)
 		case tuple.String:
 			if av.Str < bv.Str {
 				c = -1

@@ -156,12 +156,6 @@ func Midpoint(a, b Key) Key {
 	return out
 }
 
-// ClockwiseDistance returns the distance traveling clockwise (increasing)
-// from k to other on the ring.
-func (k Key) ClockwiseDistance(other Key) Key {
-	return other.Sub(k)
-}
-
 // RingDistance returns the minimum of the clockwise and counterclockwise
 // distances between k and other. Pastry places keys at the node with the
 // nearest hash value in this metric (§III-A).

@@ -193,19 +193,6 @@ func (b *Batch) Types() []Type {
 	return ts
 }
 
-// SameTypes reports whether the batch's columns match types positionally.
-func (b *Batch) SameTypes(types []Type) bool {
-	if len(b.Cols) != len(types) {
-		return false
-	}
-	for i := range b.Cols {
-		if b.Cols[i].T != types[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Slice points into at rows [lo, hi) of b without copying values: into's
 // column headers are rewritten to sub-slices of b's vectors. into must not
 // outlive mutations of b; it is a borrowed view for encoding/iteration.

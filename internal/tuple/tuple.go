@@ -164,9 +164,6 @@ func F(v float64) Value { return Value{T: Float64, F64: v} }
 // S returns a String value.
 func S(v string) Value { return Value{T: String, Str: v} }
 
-// IsValid reports whether the value has a known type.
-func (v Value) IsValid() bool { return v.T >= Int64 && v.T <= String }
-
 // Cmp totally orders values: first by type tag, then by value. Cross-type
 // comparison of Int64 and Float64 compares numerically.
 func (v Value) Cmp(o Value) int {
