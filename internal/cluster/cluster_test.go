@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"orchestra/internal/ring"
 	"orchestra/internal/transport"
 	"orchestra/internal/tuple"
 	"orchestra/internal/vstore"
@@ -416,6 +417,39 @@ func TestRemoveNodeGraceful(t *testing.T) {
 	}
 	if len(rows) != 150 {
 		t.Fatalf("after leave: %d rows, want 150", len(rows))
+	}
+}
+
+// A node's pinger watches the table's members, not the members it happened
+// to have when it started: a node that joins later is probed, and one that
+// leaves gracefully stops being probed instead of being reported dead.
+func TestPingerFollowsTable(t *testing.T) {
+	l := testCluster(t, 3)
+	ctx := ctxT(t)
+	down := make(chan ring.NodeID, 8) // a callback never blocks on the test
+	l.Node(0).OnPeerDown(func(id ring.NodeID) { down <- id })
+	l.StartPingers(5*time.Millisecond, 25*time.Millisecond)
+
+	added, err := l.AddNode(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.RemoveNode(ctx, NodeName(1)); err != nil {
+		t.Fatal(err)
+	}
+	l.Hang(added.ID())
+	select {
+	case id := <-down:
+		if id != added.ID() {
+			t.Fatalf("reported %s down, want the hung newcomer %s", id, added.ID())
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a node added after StartPinger hung and was never reported")
+	}
+	select {
+	case id := <-down:
+		t.Fatalf("reported %s down as well", id)
+	case <-time.After(100 * time.Millisecond):
 	}
 }
 

@@ -72,18 +72,15 @@ func (c Config) withDefaults() Config {
 
 // Node is one ORCHESTRA storage/query node.
 type Node struct {
-	id     ring.NodeID
-	ep     transport.Endpoint
-	store  *kvstore.Store
-	gsp    *gossip.Gossiper
-	cfg    Config
-	pinger *transport.Pinger
+	id    ring.NodeID
+	ep    transport.Endpoint
+	store *kvstore.Store
+	gsp   *gossip.Gossiper
+	cfg   Config
 
-	mu    sync.RWMutex
-	table *ring.Table
-
-	downMu   sync.Mutex
-	downSubs []func(ring.NodeID)
+	mu     sync.RWMutex
+	table  *ring.Table
+	pinger *transport.Pinger // watches the table's members; nil until StartPinger
 
 	pubMu   sync.Mutex
 	pubRels map[string]*sync.Mutex
@@ -134,7 +131,6 @@ func NewNode(ep transport.Endpoint, store *kvstore.Store, table *ring.Table, cfg
 	// Gossip piggybacks our shipping position so peers can account lag.
 	n.gsp.SeqFn(store.Seq)
 	n.registerHandlers()
-	ep.OnPeerDown(n.notifyDown)
 	return n
 }
 
@@ -172,45 +168,38 @@ func (n *Node) adoptTable(t *ring.Table) {
 	if t.Version() > n.table.Version() {
 		n.table = t
 		n.gsp.SetPeers(t.Members())
+		if n.pinger != nil {
+			n.pinger.SetPeers(t.Members())
+		}
 	}
 	n.mu.Unlock()
 }
 
-// OnPeerDown registers a callback for peer failure notifications from
-// either the transport (connection drop) or the pinger (hung machine).
-func (n *Node) OnPeerDown(fn func(ring.NodeID)) {
-	n.downMu.Lock()
-	n.downSubs = append(n.downSubs, fn)
-	n.downMu.Unlock()
-}
+// OnPeerDown registers a callback for peer failure notifications. The
+// endpoint is the one fan-out: a dropped connection and a hung machine's
+// missed pong both arrive through it, once per failure.
+func (n *Node) OnPeerDown(fn func(ring.NodeID)) { n.ep.OnPeerDown(fn) }
 
-func (n *Node) notifyDown(id ring.NodeID) {
-	n.downMu.Lock()
-	subs := append([]func(ring.NodeID){}, n.downSubs...)
-	n.downMu.Unlock()
-	for _, fn := range subs {
-		fn(id)
-	}
-}
-
-// StartPinger begins background hung-machine detection against all current
-// table members (§V-C).
+// StartPinger begins background hung-machine detection (§V-C) against the
+// table's members, following the table as it changes.
 func (n *Node) StartPinger(interval, timeout time.Duration) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.pinger != nil {
 		n.pinger.Stop()
 	}
-	n.pinger = transport.NewPinger(n.ep, interval, timeout, n.notifyDown)
-	for _, m := range n.Table().Members() {
-		n.pinger.Watch(m)
-	}
+	n.pinger = transport.NewPinger(n.ep, interval, timeout)
+	n.pinger.SetPeers(n.table.Members())
 	n.pinger.Start()
 }
 
 // Close stops background activity. The local store remains usable.
 func (n *Node) Close() {
+	n.mu.Lock()
 	if n.pinger != nil {
 		n.pinger.Stop()
 	}
+	n.mu.Unlock()
 	n.StopRepair()
 	n.stopRetry()
 	n.gsp.Stop()

@@ -26,12 +26,26 @@ func appendBytes(dst, b []byte) []byte {
 	return append(dst, b...)
 }
 
+// readBytes reads one length-prefixed field. The length is compared as a
+// uint64 against what is left: a hostile 2⁶³ must not wrap negative and pass.
 func readBytes(data []byte) ([]byte, []byte, error) {
 	l, n := binary.Uvarint(data)
-	if n <= 0 || len(data) < n+int(l) {
+	if n <= 0 || l > uint64(len(data)-n) {
 		return nil, nil, errors.New("cluster: truncated field")
 	}
-	return data[n : n+int(l)], data[n+int(l):], nil
+	end := n + int(l)
+	return data[n:end], data[end:], nil
+}
+
+// readCount reads a record count, bounded by how many records of at least
+// minSize bytes the rest of the payload can hold — so a decoder never
+// reserves memory that the bytes it was sent do not back.
+func readCount(data []byte, minSize int) (int, []byte, error) {
+	count, n := binary.Uvarint(data)
+	if n <= 0 || count > uint64(len(data)-n)/uint64(minSize) {
+		return 0, nil, errors.New("cluster: record count exceeds payload")
+	}
+	return int(count), data[n:], nil
 }
 
 func encodeBatch(items []RecordPut) []byte {
@@ -48,16 +62,12 @@ func encodeBatch(items []RecordPut) []byte {
 }
 
 func decodeBatch(data []byte) ([][2][]byte, error) {
-	count, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, errors.New("cluster: truncated batch")
-	}
-	data = data[n:]
-	if count > 1<<26 {
-		return nil, fmt.Errorf("cluster: implausible batch count %d", count)
+	count, data, err := readCount(data, 2) // two length bytes per record
+	if err != nil {
+		return nil, err
 	}
 	out := make([][2][]byte, 0, count)
-	for i := uint64(0); i < count; i++ {
+	for i := 0; i < count; i++ {
 		k, rest, err := readBytes(data)
 		if err != nil {
 			return nil, err

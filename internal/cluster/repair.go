@@ -159,14 +159,12 @@ func decodeShipResp(data []byte) (recs []kvstore.ReplRecord, more, truncated boo
 	}
 	flags := data[0]
 	first := binary.BigEndian.Uint64(data[1:])
-	data = data[9:]
-	count, n := binary.Uvarint(data)
-	if n <= 0 || count > 1<<26 {
-		return nil, false, false, errors.New("cluster: malformed ship count")
+	count, data, err := readCount(data[9:], 2) // op + length byte per record
+	if err != nil {
+		return nil, false, false, err
 	}
-	data = data[n:]
 	recs = make([]kvstore.ReplRecord, 0, count)
-	for i := uint64(0); i < count; i++ {
+	for i := 0; i < count; i++ {
 		if len(data) < 1 {
 			return nil, false, false, errors.New("cluster: truncated ship record")
 		}
@@ -176,7 +174,7 @@ func decodeShipResp(data []byte) (recs []kvstore.ReplRecord, more, truncated boo
 			return nil, false, false, err
 		}
 		data = rest
-		recs = append(recs, kvstore.ReplRecord{Seq: first + i, Op: op, Payload: payload})
+		recs = append(recs, kvstore.ReplRecord{Seq: first + uint64(i), Op: op, Payload: payload})
 	}
 	return recs, flags&shipFlagMore != 0, flags&shipFlagTruncated != 0, nil
 }
@@ -216,14 +214,12 @@ func decodeFetchResp(data []byte) (pairs []kvstore.KV, done bool, err error) {
 		return nil, false, errors.New("cluster: malformed fetch response")
 	}
 	done = data[0] == 1
-	data = data[1:]
-	count, n := binary.Uvarint(data)
-	if n <= 0 || count > 1<<26 {
-		return nil, false, errors.New("cluster: malformed fetch count")
+	count, data, err := readCount(data[1:], 2) // two length bytes per pair
+	if err != nil {
+		return nil, false, err
 	}
-	data = data[n:]
 	pairs = make([]kvstore.KV, 0, count)
-	for i := uint64(0); i < count; i++ {
+	for i := 0; i < count; i++ {
 		k, rest, err := readBytes(data)
 		if err != nil {
 			return nil, false, err
@@ -341,13 +337,12 @@ func encodeDigest(groups []groupDigest) []byte {
 }
 
 func decodeDigest(data []byte) ([]groupDigest, error) {
-	count, n := binary.Uvarint(data)
-	if n <= 0 || count > 1<<20 {
-		return nil, errors.New("cluster: malformed digest")
+	count, data, err := readCount(data, 18) // name length, count, xor, maxEpoch
+	if err != nil {
+		return nil, err
 	}
-	data = data[n:]
 	out := make([]groupDigest, 0, count)
-	for i := uint64(0); i < count; i++ {
+	for i := 0; i < count; i++ {
 		name, rest, err := readBytes(data)
 		if err != nil {
 			return nil, err

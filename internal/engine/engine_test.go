@@ -25,7 +25,12 @@ type harness struct {
 
 func newHarness(t *testing.T, n int) *harness {
 	t.Helper()
-	local, err := cluster.NewLocal(n, cluster.Config{Replication: 3}, transport.Config{})
+	return newHarnessCfg(t, n, cluster.Config{Replication: 3})
+}
+
+func newHarnessCfg(t *testing.T, n int, cfg cluster.Config) *harness {
+	t.Helper()
+	local, err := cluster.NewLocal(n, cfg, transport.Config{})
 	if err != nil {
 		t.Fatalf("NewLocal: %v", err)
 	}

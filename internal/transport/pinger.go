@@ -9,68 +9,49 @@ import (
 )
 
 // Pinger implements background failure detection for "hung" machines
-// (paper §V-C): connection drops are detected immediately by the transport,
+// (paper §V-C): connection drops are detected immediately by the carrier,
 // but a machine that stops making progress while keeping its connections
-// alive is only caught by periodic application-level pings.
+// alive is only caught by periodic application-level pings. It keeps no
+// verdicts of its own: a missed pong is reported through the endpoint's
+// peerDown, exactly like a dropped connection, and the endpoint decides
+// whether that is news.
 type Pinger struct {
 	ep       Endpoint
 	interval time.Duration
 	timeout  time.Duration
-	onDown   func(ring.NodeID)
 
-	mu      sync.Mutex
-	peers   map[ring.NodeID]bool // true once reported down
-	stop    chan struct{}
-	stopped bool
+	mu       sync.Mutex
+	peers    []ring.NodeID
+	stop     chan struct{}
+	stopOnce sync.Once
 }
 
 // NewPinger creates a pinger on ep that probes each watched peer every
-// interval and reports it down (once) if a ping gets no reply within
-// timeout. Call Watch to add peers and Start to begin probing.
-func NewPinger(ep Endpoint, interval, timeout time.Duration, onDown func(ring.NodeID)) *Pinger {
-	return &Pinger{
-		ep:       ep,
-		interval: interval,
-		timeout:  timeout,
-		onDown:   onDown,
-		peers:    make(map[ring.NodeID]bool),
-		stop:     make(chan struct{}),
-	}
+// interval and reports it down through ep (OnPeerDown) when a ping gets no
+// reply within timeout. Call SetPeers to choose the peers and Start to begin
+// probing.
+func NewPinger(ep Endpoint, interval, timeout time.Duration) *Pinger {
+	return &Pinger{ep: ep, interval: interval, timeout: timeout, stop: make(chan struct{})}
 }
 
-// Watch adds a peer to the probe set.
-func (p *Pinger) Watch(id ring.NodeID) {
-	if id == p.ep.ID() {
-		return
+// SetPeers replaces the probe set; the pinger's own endpoint is skipped.
+func (p *Pinger) SetPeers(ids []ring.NodeID) {
+	peers := make([]ring.NodeID, 0, len(ids))
+	for _, id := range ids {
+		if id != p.ep.ID() {
+			peers = append(peers, id)
+		}
 	}
 	p.mu.Lock()
-	if _, ok := p.peers[id]; !ok {
-		p.peers[id] = false
-	}
-	p.mu.Unlock()
-}
-
-// Unwatch removes a peer from the probe set.
-func (p *Pinger) Unwatch(id ring.NodeID) {
-	p.mu.Lock()
-	delete(p.peers, id)
+	p.peers = peers
 	p.mu.Unlock()
 }
 
 // Start launches the probe loop.
-func (p *Pinger) Start() {
-	go p.loop()
-}
+func (p *Pinger) Start() { go p.loop() }
 
 // Stop terminates the probe loop.
-func (p *Pinger) Stop() {
-	p.mu.Lock()
-	if !p.stopped {
-		p.stopped = true
-		close(p.stop)
-	}
-	p.mu.Unlock()
-}
+func (p *Pinger) Stop() { p.stopOnce.Do(func() { close(p.stop) }) }
 
 func (p *Pinger) loop() {
 	ticker := time.NewTicker(p.interval)
@@ -85,14 +66,12 @@ func (p *Pinger) loop() {
 	}
 }
 
+// probeAll pings every watched peer, down or not: a peer already reported
+// keeps failing the requests made to it since, and its pong, when it comes
+// back, is what re-arms the report.
 func (p *Pinger) probeAll() {
 	p.mu.Lock()
-	var targets []ring.NodeID
-	for id, down := range p.peers {
-		if !down {
-			targets = append(targets, id)
-		}
-	}
+	targets := p.peers
 	p.mu.Unlock()
 	var wg sync.WaitGroup
 	for _, id := range targets {
@@ -101,22 +80,8 @@ func (p *Pinger) probeAll() {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), p.timeout)
 			defer cancel()
-			if _, err := p.ep.Request(ctx, id, typePing, nil); err != nil {
-				p.reportDown(id)
-			}
+			p.ep.ping(ctx, id)
 		}(id)
 	}
 	wg.Wait()
-}
-
-func (p *Pinger) reportDown(id ring.NodeID) {
-	p.mu.Lock()
-	already, watched := p.peers[id]
-	if watched && !already {
-		p.peers[id] = true
-	}
-	p.mu.Unlock()
-	if watched && !already && p.onDown != nil {
-		p.onDown(id)
-	}
 }

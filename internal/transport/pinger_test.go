@@ -2,130 +2,82 @@ package transport
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"orchestra/internal/ring"
 )
 
-// pingerFor builds a pinger on ep with fast test timings, collecting
-// down reports into a synchronized slice.
-func pingerFor(ep Endpoint) (*Pinger, func() []ring.NodeID) {
-	var mu sync.Mutex
-	var reports []ring.NodeID
-	p := NewPinger(ep, 5*time.Millisecond, 20*time.Millisecond, func(id ring.NodeID) {
-		mu.Lock()
-		reports = append(reports, id)
-		mu.Unlock()
-	})
-	return p, func() []ring.NodeID {
-		mu.Lock()
-		defer mu.Unlock()
-		return append([]ring.NodeID(nil), reports...)
+// That a missed pong fails pending requests and notifies once is a contract
+// case (contract_test.go); these cover the watch set and the re-arm, which
+// need the simulator's Hang and Unhang.
+
+func fastPinger(ep Endpoint, peers ...ring.NodeID) *Pinger {
+	p := NewPinger(ep, 5*time.Millisecond, 20*time.Millisecond)
+	p.SetPeers(peers)
+	p.Start()
+	return p
+}
+
+func TestPingerHealthyPeerStaysUp(t *testing.T) {
+	_, a, b := twoNodes(t, Config{})
+	down := downs(a)
+	defer fastPinger(a, b.ID()).Stop()
+	select {
+	case id := <-down:
+		t.Fatalf("healthy peer %s reported down", id)
+	case <-time.After(100 * time.Millisecond):
 	}
 }
 
-func TestPingerReportsHungPeerOnce(t *testing.T) {
+// A peer that answers again is forgiven: its pong re-arms the report, so a
+// second hang is a second notification (the parent's pinger never probed a
+// reported peer again).
+func TestPingerReportsSecondHang(t *testing.T) {
 	net, a, b := twoNodes(t, Config{})
-	p, reports := pingerFor(a)
-	p.Watch(b.ID())
-	p.Start()
-	defer p.Stop()
-
-	// Healthy peer: several probe intervals, no report.
-	time.Sleep(30 * time.Millisecond)
-	if got := reports(); len(got) != 0 {
-		t.Fatalf("healthy peer reported down: %v", got)
+	down := downs(a)
+	defer fastPinger(a, b.ID()).Stop()
+	for round := 1; round <= 2; round++ {
+		net.Hang(b.ID())
+		if id := recvWithin(t, down, 2*time.Second, "peer-down"); id != b.ID() {
+			t.Fatalf("round %d: down peer = %s", round, id)
+		}
+		net.Unhang(b.ID())
+		// The backlog of pings is answered; wait for a pong to land.
+		time.Sleep(50 * time.Millisecond)
 	}
-
-	// A hung machine keeps its connections but stops answering pings —
-	// only the pinger catches this failure mode.
-	net.Hang(b.ID())
-	deadline := time.Now().Add(2 * time.Second)
-	for len(reports()) == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	got := reports()
-	if len(got) != 1 || got[0] != b.ID() {
-		t.Fatalf("want exactly one report for %s, got %v", b.ID(), got)
-	}
-
-	// The report is once-only: further failed probes stay silent.
-	time.Sleep(100 * time.Millisecond)
-	if got := reports(); len(got) != 1 {
-		t.Fatalf("hung peer reported more than once: %v", got)
+	select {
+	case id := <-down:
+		t.Fatalf("recovered peer %s reported down", id)
+	case <-time.After(100 * time.Millisecond):
 	}
 }
 
-func TestPingerRewatchReportsAgain(t *testing.T) {
+func TestPingerProbesOnlyItsPeers(t *testing.T) {
 	net, a, b := twoNodes(t, Config{})
-	p, reports := pingerFor(a)
-	p.Watch(b.ID())
-	p.Start()
+	down := downs(a)
+	p := fastPinger(a, a.ID()) // watching yourself is a no-op
 	defer p.Stop()
-
 	net.Hang(b.ID())
-	deadline := time.Now().Add(2 * time.Second)
-	for len(reports()) == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	select {
+	case id := <-down:
+		t.Fatalf("unwatched peer %s reported down", id)
+	case <-time.After(100 * time.Millisecond):
 	}
-	if got := reports(); len(got) != 1 {
-		t.Fatalf("want one report, got %v", got)
-	}
-
-	// Unwatch forgets the down state; re-watching a still-hung peer
-	// reports it down again (a rejoin that immediately fails).
-	p.Unwatch(b.ID())
-	p.Watch(b.ID())
-	deadline = time.Now().Add(2 * time.Second)
-	for len(reports()) < 2 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := reports(); len(got) != 2 {
-		t.Fatalf("re-watched hung peer not re-reported: %v", got)
+	// The watch set follows SetPeers, as a node's follows its table.
+	p.SetPeers([]ring.NodeID{a.ID(), b.ID()})
+	if id := recvWithin(t, down, 2*time.Second, "peer-down"); id != b.ID() {
+		t.Fatalf("down peer = %s", id)
 	}
 }
 
-func TestPingerUnwatchedPeerStaysSilent(t *testing.T) {
-	net, a, b := twoNodes(t, Config{})
-	p, reports := pingerFor(a)
-	p.Watch(b.ID())
-	p.Unwatch(b.ID())
-	p.Start()
-	defer p.Stop()
-
-	net.Hang(b.ID())
-	time.Sleep(100 * time.Millisecond)
-	if got := reports(); len(got) != 0 {
-		t.Fatalf("unwatched peer reported down: %v", got)
-	}
-}
-
-func TestPingerIgnoresSelf(t *testing.T) {
-	net, a, _ := twoNodes(t, Config{})
-	p, reports := pingerFor(a)
-	p.Watch(a.ID()) // watching yourself is a no-op
-	p.Start()
-	defer p.Stop()
-
-	net.Hang(a.ID())
-	time.Sleep(100 * time.Millisecond)
-	if got := reports(); len(got) != 0 {
-		t.Fatalf("self reported down: %v", got)
-	}
-}
-
-// TestPingerStopRaces hammers Watch/Unwatch/Stop concurrently with the
-// probe loop; run under -race this pins down the locking contract,
-// including Stop during an in-flight probe and double Stop.
+// TestPingerStopRaces hammers SetPeers/Stop concurrently with the probe
+// loop; run under -race this pins down the locking contract, including Stop
+// during an in-flight probe and double Stop.
 func TestPingerStopRaces(t *testing.T) {
 	net, a, b := twoNodes(t, Config{})
-	var downs atomic.Int64
-	p := NewPinger(a, time.Millisecond, 5*time.Millisecond, func(ring.NodeID) {
-		downs.Add(1)
-	})
-	p.Watch(b.ID())
+	p := NewPinger(a, time.Millisecond, 5*time.Millisecond)
+	p.SetPeers([]ring.NodeID{b.ID()})
 	p.Start()
 
 	var wg sync.WaitGroup
@@ -134,8 +86,8 @@ func TestPingerStopRaces(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				p.Watch(b.ID())
-				p.Unwatch(b.ID())
+				p.SetPeers([]ring.NodeID{b.ID()})
+				p.SetPeers(nil)
 			}
 		}()
 	}

@@ -1,10 +1,9 @@
 package transport
 
 import (
-	"context"
 	"fmt"
+	"maps"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"orchestra/internal/ring"
@@ -21,88 +20,80 @@ type Config struct {
 	BandwidthBps int64
 }
 
-// Network is a simulated message fabric connecting endpoints in-process.
-// Messages are really encoded by the layers above, so the byte counters
+// Network is a simulated message fabric connecting endpoints in-process: the
+// carrier under every endpoint it joins. Messages are really encoded by the
+// layers above and accounted at their TCP frame size, so the byte counters
 // reflect genuine wire sizes.
 type Network struct {
 	cfg Config
 
 	mu    sync.Mutex
-	nodes map[ring.NodeID]*simEndpoint
+	nodes map[ring.NodeID]*simPort
 	links map[linkKey]*link
 
-	totalBytes atomic.Int64
-	totalMsgs  atomic.Int64
-	statsMu    sync.Mutex
-	sentBytes  map[ring.NodeID]int64
-	recvBytes  map[ring.NodeID]int64
+	statsMu sync.Mutex
+	stats   Stats
 }
 
 type linkKey struct{ from, to ring.NodeID }
 
 // NewNetwork creates a simulated network.
 func NewNetwork(cfg Config) *Network {
-	return &Network{
-		cfg:       cfg,
-		nodes:     make(map[ring.NodeID]*simEndpoint),
-		links:     make(map[linkKey]*link),
-		sentBytes: make(map[ring.NodeID]int64),
-		recvBytes: make(map[ring.NodeID]int64),
+	n := &Network{
+		cfg:   cfg,
+		nodes: make(map[ring.NodeID]*simPort),
+		links: make(map[linkKey]*link),
 	}
+	n.ResetStats()
+	return n
 }
 
 // Join attaches a new endpoint with the given identity. A killed node's
 // identity may be reused — the restart path of a crashed replica — which
-// replaces its dead endpoint and retires any links still pointing at it.
+// replaces its dead endpoint.
 func (n *Network) Join(id ring.NodeID) (Endpoint, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if old, exists := n.nodes[id]; exists && !old.isClosed() {
+	if old, exists := n.nodes[id]; exists && !old.ep.isClosed() {
 		return nil, fmt.Errorf("transport: node %q already joined", id)
 	}
-	// Stale links cache a pointer to a previous endpoint with this
-	// identity (killed or closed) and would silently drop messages meant
-	// for the replacement.
-	for key, l := range n.links {
-		if key.to == id {
-			delete(n.links, key)
-			l.mu.Lock()
-			l.closed = true
-			l.mu.Unlock()
-			l.cond.Signal()
-		}
-	}
-	ep := &simEndpoint{
-		net:      n,
-		id:       id,
-		handlers: make(map[MsgType]HandlerFunc),
-		pending:  make(map[uint64]pendingReq),
-	}
-	ep.cond = sync.NewCond(&ep.mu)
-	n.nodes[id] = ep
-	go ep.deliveryLoop()
-	return ep, nil
+	p := &simPort{net: n}
+	p.ep = newEndpoint(id, p)
+	n.nodes[id] = p
+	return p.ep, nil
 }
 
-// Kill abruptly fails a node: its endpoint stops, in-flight messages to it
-// are dropped, and every other endpoint's OnPeerDown callbacks fire — the
-// moral equivalent of all its TCP connections dropping (§V-A).
-func (n *Network) Kill(id ring.NodeID) {
+func (n *Network) port(id ring.NodeID) *simPort {
 	n.mu.Lock()
-	ep := n.nodes[id]
-	var peers []*simEndpoint
-	for pid, p := range n.nodes {
+	defer n.mu.Unlock()
+	return n.nodes[id]
+}
+
+// Kill abruptly fails a node: its endpoint stops, messages in flight to and
+// from it are dropped, and every other endpoint is told its link to the node
+// is lost — the moral equivalent of all its TCP connections dropping (§V-A).
+func (n *Network) Kill(id ring.NodeID) {
+	p := n.port(id)
+	if p == nil {
+		return
+	}
+	p.ep.shutdown()
+	n.mu.Lock()
+	for key, l := range n.links {
+		if key.from == id || key.to == id {
+			delete(n.links, key)
+			l.close()
+		}
+	}
+	var peers []*simPort
+	for pid, q := range n.nodes {
 		if pid != id {
-			peers = append(peers, p)
+			peers = append(peers, q)
 		}
 	}
 	n.mu.Unlock()
-	if ep == nil {
-		return
-	}
-	ep.shutdown(true)
-	for _, p := range peers {
-		p.peerDown(id)
+	for _, q := range peers {
+		q.ep.peerDown(id)
 	}
 }
 
@@ -110,30 +101,22 @@ func (n *Network) Kill(id ring.NodeID) {
 // connections: sends to it still succeed, but nothing is processed and no
 // pings are answered. Only the background ping mechanism detects this state.
 func (n *Network) Hang(id ring.NodeID) {
-	n.mu.Lock()
-	ep := n.nodes[id]
-	n.mu.Unlock()
-	if ep != nil {
-		ep.setHung(true)
+	if p := n.port(id); p != nil {
+		p.ep.pause(true)
 	}
 }
 
 // Unhang resumes a hung node.
 func (n *Network) Unhang(id ring.NodeID) {
-	n.mu.Lock()
-	ep := n.nodes[id]
-	n.mu.Unlock()
-	if ep != nil {
-		ep.setHung(false)
+	if p := n.port(id); p != nil {
+		p.ep.pause(false)
 	}
 }
 
 // Alive reports whether the node is attached and not killed.
 func (n *Network) Alive(id ring.NodeID) bool {
-	n.mu.Lock()
-	ep := n.nodes[id]
-	n.mu.Unlock()
-	return ep != nil && !ep.isClosed()
+	p := n.port(id)
+	return p != nil && !p.ep.isClosed()
 }
 
 // Stats is a snapshot of traffic counters. Self-addressed (local) messages
@@ -149,18 +132,8 @@ type Stats struct {
 func (n *Network) Stats() Stats {
 	n.statsMu.Lock()
 	defer n.statsMu.Unlock()
-	s := Stats{
-		TotalBytes: n.totalBytes.Load(),
-		TotalMsgs:  n.totalMsgs.Load(),
-		SentBytes:  make(map[ring.NodeID]int64, len(n.sentBytes)),
-		RecvBytes:  make(map[ring.NodeID]int64, len(n.recvBytes)),
-	}
-	for k, v := range n.sentBytes {
-		s.SentBytes[k] = v
-	}
-	for k, v := range n.recvBytes {
-		s.RecvBytes[k] = v
-	}
+	s := n.stats
+	s.SentBytes, s.RecvBytes = maps.Clone(s.SentBytes), maps.Clone(s.RecvBytes)
 	return s
 }
 
@@ -168,60 +141,79 @@ func (n *Network) Stats() Stats {
 func (n *Network) ResetStats() {
 	n.statsMu.Lock()
 	defer n.statsMu.Unlock()
-	n.totalBytes.Store(0)
-	n.totalMsgs.Store(0)
-	n.sentBytes = make(map[ring.NodeID]int64)
-	n.recvBytes = make(map[ring.NodeID]int64)
+	n.stats = Stats{SentBytes: make(map[ring.NodeID]int64), RecvBytes: make(map[ring.NodeID]int64)}
 }
 
 func (n *Network) account(from, to ring.NodeID, size int) {
-	n.totalBytes.Add(int64(size))
-	n.totalMsgs.Add(1)
 	n.statsMu.Lock()
-	n.sentBytes[from] += int64(size)
-	n.recvBytes[to] += int64(size)
+	n.stats.TotalBytes += int64(size)
+	n.stats.TotalMsgs++
+	n.stats.SentBytes[from] += int64(size)
+	n.stats.RecvBytes[to] += int64(size)
 	n.statsMu.Unlock()
 }
 
-// envelope is a message in flight.
-type envelope struct {
-	from    ring.NodeID
-	mtype   MsgType
-	reqID   uint64 // nonzero for requests and replies
-	payload []byte
+// Shutdown stops all endpoints and link goroutines. The network must not be
+// used afterwards.
+func (n *Network) Shutdown() {
+	n.mu.Lock()
+	ports, links := n.nodes, n.links
+	n.nodes = map[ring.NodeID]*simPort{}
+	n.links = map[linkKey]*link{}
+	n.mu.Unlock()
+	for _, p := range ports {
+		p.ep.shutdown()
+	}
+	for _, l := range links {
+		l.close()
+	}
 }
 
 // link preserves FIFO order per (from,to) pair while applying latency.
 type link struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  []timedEnvelope
-	dst    *simEndpoint
+	queue  []timedFrame
+	dst    *endpoint
 	closed bool
 }
 
-type timedEnvelope struct {
-	env       envelope
+type timedFrame struct {
+	f         frame
 	deliverAt time.Time
 }
 
-func (n *Network) getLink(from ring.NodeID, dst *simEndpoint) *link {
+// linkTo returns the link from one node to a live endpoint. A link still
+// bound to an earlier endpoint of the same identity (one that has closed
+// since) is replaced: it would drop everything meant for the newcomer.
+func (n *Network) linkTo(from ring.NodeID, dst *endpoint) *link {
 	key := linkKey{from, dst.id}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	l, ok := n.links[key]
-	if !ok {
-		l = &link{dst: dst}
-		l.cond = sync.NewCond(&l.mu)
-		n.links[key] = l
-		go l.run()
+	if ok && l.dst == dst {
+		return l
 	}
+	if ok {
+		l.close()
+	}
+	l = &link{dst: dst}
+	l.cond = sync.NewCond(&l.mu)
+	n.links[key] = l
+	go l.run()
 	return l
 }
 
-func (l *link) push(env envelope, deliverAt time.Time) {
+func (l *link) push(f frame, deliverAt time.Time) {
 	l.mu.Lock()
-	l.queue = append(l.queue, timedEnvelope{env, deliverAt})
+	l.queue = append(l.queue, timedFrame{f, deliverAt})
+	l.mu.Unlock()
+	l.cond.Signal()
+}
+
+func (l *link) close() {
+	l.mu.Lock()
+	l.closed = true
 	l.mu.Unlock()
 	l.cond.Signal()
 }
@@ -236,296 +228,70 @@ func (l *link) run() {
 			l.mu.Unlock()
 			return
 		}
-		te := l.queue[0]
+		tf := l.queue[0]
 		l.queue = l.queue[1:]
 		l.mu.Unlock()
-		if d := time.Until(te.deliverAt); d > 0 {
+		if d := time.Until(tf.deliverAt); d > 0 {
 			time.Sleep(d)
 		}
-		l.dst.enqueue(te.env)
+		l.dst.receive(tf.f)
 	}
 }
 
-// Shutdown stops all endpoints and link goroutines. The network must not be
-// used afterwards.
-func (n *Network) Shutdown() {
-	n.mu.Lock()
-	eps := make([]*simEndpoint, 0, len(n.nodes))
-	for _, ep := range n.nodes {
-		eps = append(eps, ep)
-	}
-	links := make([]*link, 0, len(n.links))
-	for _, l := range n.links {
-		links = append(links, l)
-	}
-	n.nodes = map[ring.NodeID]*simEndpoint{}
-	n.links = map[linkKey]*link{}
-	n.mu.Unlock()
-	for _, ep := range eps {
-		ep.shutdown(false)
-	}
-	for _, l := range links {
-		l.mu.Lock()
-		l.closed = true
-		l.mu.Unlock()
-		l.cond.Signal()
-	}
-}
-
-// rpcResult carries a reply or failure to a waiting requester.
-type rpcResult struct {
-	payload []byte
-	err     error
-}
-
-// pendingReq tracks an outstanding RPC so it can be failed if its peer dies.
-type pendingReq struct {
-	peer ring.NodeID
-	ch   chan rpcResult
-}
-
-// simEndpoint implements Endpoint on a Network.
-type simEndpoint struct {
+// simPort is one node's attachment to the Network: the carrier under its
+// endpoint, holding the node's outbound shaping state.
+type simPort struct {
 	net *Network
-	id  ring.NodeID
+	ep  *endpoint
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	inbox    []envelope
-	closed   bool
-	hung     bool
-	handlers map[MsgType]HandlerFunc
-	downFns  []func(ring.NodeID)
-	pending  map[uint64]pendingReq
-	nextReq  uint64
-
-	// Outbound bandwidth shaping state.
 	shapeMu  sync.Mutex
 	nextFree time.Time
-}
-
-func (e *simEndpoint) ID() ring.NodeID { return e.id }
-
-func (e *simEndpoint) Handle(mtype MsgType, h HandlerFunc) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.handlers[mtype] = h
-}
-
-func (e *simEndpoint) OnPeerDown(fn func(ring.NodeID)) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.downFns = append(e.downFns, fn)
-}
-
-func (e *simEndpoint) isClosed() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.closed
-}
-
-func (e *simEndpoint) setHung(h bool) {
-	e.mu.Lock()
-	e.hung = h
-	e.mu.Unlock()
-	e.cond.Broadcast()
 }
 
 // shape applies outbound bandwidth limiting: the caller sleeps until the
 // virtual NIC has capacity, which is exactly the back-pressure a full TCP
 // send buffer provides (§V-A "automatically provides flow control").
-func (e *simEndpoint) shape(size int) {
-	bw := e.net.cfg.BandwidthBps
+func (p *simPort) shape(size int) {
+	bw := p.net.cfg.BandwidthBps
 	if bw <= 0 {
 		return
 	}
 	cost := time.Duration(float64(size) / float64(bw) * float64(time.Second))
-	e.shapeMu.Lock()
+	p.shapeMu.Lock()
 	now := time.Now()
-	if e.nextFree.Before(now) {
-		e.nextFree = now
+	if p.nextFree.Before(now) {
+		p.nextFree = now
 	}
-	wait := e.nextFree.Sub(now)
-	e.nextFree = e.nextFree.Add(cost)
-	e.shapeMu.Unlock()
+	wait := p.nextFree.Sub(now)
+	p.nextFree = p.nextFree.Add(cost)
+	p.shapeMu.Unlock()
 	if wait > 0 {
 		time.Sleep(wait)
 	}
 }
 
-func (e *simEndpoint) deliver(to ring.NodeID, env envelope) error {
-	if e.isClosed() {
+func (p *simPort) send(to ring.NodeID, f frame) error {
+	if p.ep.isClosed() {
 		return ErrClosed
 	}
-	if to == e.id {
-		// Loopback: no latency, no shaping, no traffic accounting.
-		e.enqueue(env)
-		return nil
-	}
-	e.net.mu.Lock()
-	dst := e.net.nodes[to]
-	e.net.mu.Unlock()
-	if dst == nil || dst.isClosed() {
+	dst := p.net.port(to)
+	if dst == nil || dst.ep.isClosed() {
 		return fmt.Errorf("%w: %s", ErrPeerDown, to)
 	}
-	size := len(env.payload) + headerOverhead
-	e.shape(size)
-	e.net.account(e.id, to, size)
-	l := e.net.getLink(e.id, dst)
-	l.push(env, time.Now().Add(e.net.cfg.Latency))
+	size := f.wireSize()
+	p.shape(size)
+	p.net.account(f.from, to, size)
+	p.net.linkTo(f.from, dst.ep).push(f, time.Now().Add(p.net.cfg.Latency))
 	return nil
 }
 
-func (e *simEndpoint) Send(to ring.NodeID, mtype MsgType, payload []byte) error {
-	return e.deliver(to, envelope{from: e.id, mtype: mtype, payload: payload})
-}
-
-func (e *simEndpoint) Request(ctx context.Context, to ring.NodeID, mtype MsgType, payload []byte) ([]byte, error) {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil, ErrClosed
+// close is a departure, not a failure: the node leaves the network and no
+// peer is notified. Messages it sent before leaving are still delivered.
+func (p *simPort) close() error {
+	p.net.mu.Lock()
+	if p.net.nodes[p.ep.id] == p {
+		delete(p.net.nodes, p.ep.id)
 	}
-	e.nextReq++
-	reqID := e.nextReq
-	ch := make(chan rpcResult, 1)
-	e.pending[reqID] = pendingReq{peer: to, ch: ch}
-	e.mu.Unlock()
-
-	defer func() {
-		e.mu.Lock()
-		delete(e.pending, reqID)
-		e.mu.Unlock()
-	}()
-
-	if err := e.deliver(to, envelope{from: e.id, mtype: mtype, reqID: reqID, payload: payload}); err != nil {
-		return nil, err
-	}
-	select {
-	case res := <-ch:
-		return res.payload, res.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-func (e *simEndpoint) enqueue(env envelope) {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	e.inbox = append(e.inbox, env)
-	e.mu.Unlock()
-	e.cond.Signal()
-}
-
-func (e *simEndpoint) deliveryLoop() {
-	for {
-		e.mu.Lock()
-		for (len(e.inbox) == 0 || e.hung) && !e.closed {
-			e.cond.Wait()
-		}
-		if e.closed {
-			e.mu.Unlock()
-			return
-		}
-		env := e.inbox[0]
-		e.inbox = e.inbox[1:]
-		e.mu.Unlock()
-		e.dispatch(env)
-	}
-}
-
-func (e *simEndpoint) dispatch(env envelope) {
-	switch env.mtype {
-	case typePing:
-		// Application-level pong: a hung machine never reaches here.
-		reply := envelope{from: e.id, mtype: typeReply, reqID: env.reqID}
-		_ = e.deliver(env.from, reply)
-	case typeReply, typeErrReply:
-		e.mu.Lock()
-		pr, ok := e.pending[env.reqID]
-		e.mu.Unlock()
-		if ok {
-			var res rpcResult
-			if env.mtype == typeErrReply {
-				res.err = &RemoteError{Peer: env.from, Msg: string(env.payload)}
-			} else {
-				res.payload = env.payload
-			}
-			pr.ch <- res
-		}
-	default:
-		e.mu.Lock()
-		h := e.handlers[env.mtype]
-		e.mu.Unlock()
-		if env.reqID == 0 {
-			if h != nil {
-				_, _ = h(env.from, env.payload)
-			}
-			return
-		}
-		// Request: reply with the handler result.
-		var reply envelope
-		reply.from = e.id
-		reply.reqID = env.reqID
-		if h == nil {
-			reply.mtype = typeErrReply
-			reply.payload = []byte(fmt.Sprintf("%v: %d", ErrNoHandler, env.mtype))
-		} else if out, err := h(env.from, env.payload); err != nil {
-			reply.mtype = typeErrReply
-			reply.payload = []byte(err.Error())
-		} else {
-			reply.mtype = typeReply
-			reply.payload = out
-		}
-		_ = e.deliver(env.from, reply)
-	}
-}
-
-// peerDown fails pending requests to the dead peer and fires callbacks.
-func (e *simEndpoint) peerDown(id ring.NodeID) {
-	e.mu.Lock()
-	fns := append([]func(ring.NodeID){}, e.downFns...)
-	var failed []chan rpcResult
-	for reqID, pr := range e.pending {
-		if pr.peer == id {
-			failed = append(failed, pr.ch)
-			delete(e.pending, reqID)
-		}
-	}
-	e.mu.Unlock()
-	for _, ch := range failed {
-		ch <- rpcResult{err: fmt.Errorf("%w: %s", ErrPeerDown, id)}
-	}
-	for _, fn := range fns {
-		go fn(id)
-	}
-}
-
-func (e *simEndpoint) shutdown(abrupt bool) {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	e.closed = true
-	pend := e.pending
-	e.pending = map[uint64]pendingReq{}
-	e.inbox = nil
-	e.mu.Unlock()
-	e.cond.Broadcast()
-	for _, pr := range pend {
-		pr.ch <- rpcResult{err: ErrClosed}
-	}
-	_ = abrupt
-}
-
-func (e *simEndpoint) Close() error {
-	e.net.mu.Lock()
-	delete(e.net.nodes, e.id)
-	e.net.mu.Unlock()
-	e.shutdown(false)
+	p.net.mu.Unlock()
 	return nil
 }

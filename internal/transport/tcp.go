@@ -1,48 +1,47 @@
 package transport
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"orchestra/internal/ring"
 )
 
-// TCPEndpoint is the real-network implementation of Endpoint, matching the
+// TCPEndpoint is the endpoint on the real-network carrier, matching the
 // paper's design choice (§III-B): a direct TCP connection to each node —
 // single-hop communication with TCP's flow control and almost-immediate
 // failure detection via dropped connections (§V-A). The node's identity is
 // its listen address ("host:port"), so a node's ring position is the SHA-1
 // hash of its address, as in the paper.
 //
+// Everything a node observes is the embedded endpoint; this type is only
+// the carrier: listen, dial, framing, and connection retirement.
+//
 // Wire format, length-prefixed frames:
 //
 //	u32 frameLen | u16 msgType | u64 reqID | u16 senderLen | sender | payload
 //
-// One outbound connection per peer carries all of this node's traffic to
-// that peer, so per-link FIFO ordering — which the query engine's
-// end-of-stream protocol relies on — is inherited from TCP.
+// A node writes only on the connections it dialed, one per peer, so
+// per-link FIFO ordering — which the query engine's end-of-stream protocol
+// relies on — is inherited from TCP; replies travel on the replier's own
+// connection back. On a dialed connection a node reads only to see it break.
+// When any connection to or from a peer breaks, or a dial fails, all of that
+// peer's connections are retired at once and the peer is reported down: the
+// next send dials afresh rather than writing into a dead socket.
 type TCPEndpoint struct {
-	id ring.NodeID
-	ln net.Listener
-
-	mu       sync.Mutex
-	out      map[ring.NodeID]*tcpConn
-	inbound  map[net.Conn]bool
-	handlers map[MsgType]HandlerFunc
-	pending  map[uint64]chan rpcResult
-	downSubs []func(ring.NodeID)
-	downSeen map[ring.NodeID]bool
-	closed   bool
-	nextReq  atomic.Uint64
-
+	*endpoint
+	ln          net.Listener
 	dialTimeout time.Duration
+
+	mu     sync.Mutex
+	out    map[ring.NodeID]*tcpConn
+	peerOf map[net.Conn]ring.NodeID // every live connection; "" until an accepted one's first frame
+	closed bool
 }
 
 // tcpConn is one outbound connection with serialized writes.
@@ -58,305 +57,196 @@ func ListenTCP(addr string) (*TCPEndpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &TCPEndpoint{
-		id:          ring.NodeID(addr),
+	t := &TCPEndpoint{
 		ln:          ln,
-		out:         make(map[ring.NodeID]*tcpConn),
-		inbound:     make(map[net.Conn]bool),
-		handlers:    make(map[MsgType]HandlerFunc),
-		pending:     make(map[uint64]chan rpcResult),
-		downSeen:    make(map[ring.NodeID]bool),
 		dialTimeout: 10 * time.Second,
+		out:         make(map[ring.NodeID]*tcpConn),
+		peerOf:      make(map[net.Conn]ring.NodeID),
 	}
-	go e.acceptLoop()
-	return e, nil
+	t.endpoint = newEndpoint(ring.NodeID(addr), t)
+	go t.acceptLoop()
+	return t, nil
 }
-
-// ID returns the endpoint's identity (its listen address).
-func (e *TCPEndpoint) ID() ring.NodeID { return e.id }
 
 // Addr returns the actual bound listen address (useful with ":0").
-func (e *TCPEndpoint) Addr() string { return e.ln.Addr().String() }
+func (t *TCPEndpoint) Addr() string { return t.ln.Addr().String() }
 
-// Handle registers the handler for a message type.
-func (e *TCPEndpoint) Handle(mtype MsgType, h HandlerFunc) {
-	e.mu.Lock()
-	e.handlers[mtype] = h
-	e.mu.Unlock()
-}
-
-// OnPeerDown registers a peer-failure callback.
-func (e *TCPEndpoint) OnPeerDown(fn func(ring.NodeID)) {
-	e.mu.Lock()
-	e.downSubs = append(e.downSubs, fn)
-	e.mu.Unlock()
-}
-
-func (e *TCPEndpoint) acceptLoop() {
+func (t *TCPEndpoint) acceptLoop() {
 	for {
-		conn, err := e.ln.Accept()
+		conn, err := t.ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
-		e.mu.Lock()
-		if e.closed {
-			e.mu.Unlock()
+		t.mu.Lock()
+		if t.closed {
+			t.mu.Unlock()
 			conn.Close()
 			return
 		}
-		e.inbound[conn] = true
-		e.mu.Unlock()
-		go func() {
-			e.readLoop(conn, "")
-			e.mu.Lock()
-			delete(e.inbound, conn)
-			e.mu.Unlock()
-		}()
+		t.peerOf[conn] = ""
+		t.mu.Unlock()
+		go t.readLoop(conn)
 	}
 }
 
-// readLoop decodes frames off one connection; peer is the identity learned
-// from the first frame (inbound) or known a priori (outbound replies).
-func (e *TCPEndpoint) readLoop(conn net.Conn, peer ring.NodeID) {
-	defer conn.Close()
+// readLoop hands the frames of one connection up until it breaks.
+func (t *TCPEndpoint) readLoop(conn net.Conn) {
 	for {
-		frame, err := readFrame(conn)
+		f, err := readFrame(conn)
 		if err != nil {
-			if peer != "" {
-				e.notifyDown(peer)
-			}
+			t.lost("", conn)
+			return
+		}
+		// Under t.mu, so that a retired connection hands nothing more
+		// up: a late frame from a peer already reported down would
+		// re-arm its notification.
+		t.mu.Lock()
+		peer, live := t.peerOf[conn]
+		if !live {
+			t.mu.Unlock()
 			return
 		}
 		if peer == "" {
-			peer = frame.sender
+			t.peerOf[conn] = f.from
 		}
-		e.dispatch(frame)
+		t.receive(f)
+		t.mu.Unlock()
 	}
-}
-
-type tcpFrame struct {
-	mtype   MsgType
-	reqID   uint64
-	sender  ring.NodeID
-	payload []byte
 }
 
 const maxFrame = 64 << 20
 
-func readFrame(r io.Reader) (tcpFrame, error) {
+func readFrame(r io.Reader) (frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return tcpFrame{}, err
+		return frame{}, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n < 12 || n > maxFrame {
-		return tcpFrame{}, fmt.Errorf("transport: bad frame length %d", n)
+	if n < frameFixed || n > maxFrame {
+		return frame{}, fmt.Errorf("transport: bad frame length %d", n)
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return tcpFrame{}, err
+		return frame{}, err
 	}
-	f := tcpFrame{
+	f := frame{
 		mtype: MsgType(binary.BigEndian.Uint16(buf[0:])),
 		reqID: binary.BigEndian.Uint64(buf[2:]),
 	}
-	idLen := int(binary.BigEndian.Uint16(buf[10:]))
-	if 12+idLen > int(n) {
-		return tcpFrame{}, errors.New("transport: bad sender length")
+	idEnd := frameFixed + int(binary.BigEndian.Uint16(buf[10:]))
+	if idEnd > len(buf) {
+		return frame{}, errors.New("transport: bad sender length")
 	}
-	f.sender = ring.NodeID(buf[12 : 12+idLen])
-	f.payload = buf[12+idLen:]
+	f.from = ring.NodeID(buf[frameFixed:idEnd])
+	f.payload = buf[idEnd:]
 	return f, nil
 }
 
-func appendFrame(dst []byte, f tcpFrame) []byte {
-	body := 12 + len(f.sender) + len(f.payload)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(body))
+func appendFrame(dst []byte, f frame) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(f.wireSize()-4))
 	dst = binary.BigEndian.AppendUint16(dst, uint16(f.mtype))
 	dst = binary.BigEndian.AppendUint64(dst, f.reqID)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(f.sender)))
-	dst = append(dst, f.sender...)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(f.from)))
+	dst = append(dst, f.from...)
 	return append(dst, f.payload...)
 }
 
-// dispatch mirrors the simulated endpoint's semantics.
-func (e *TCPEndpoint) dispatch(f tcpFrame) {
-	switch f.mtype {
-	case typePing:
-		_ = e.send(f.sender, tcpFrame{mtype: typeReply, reqID: f.reqID, sender: e.id})
-	case typeReply, typeErrReply:
-		e.mu.Lock()
-		ch, ok := e.pending[f.reqID]
-		delete(e.pending, f.reqID)
-		e.mu.Unlock()
-		if ok {
-			var res rpcResult
-			if f.mtype == typeErrReply {
-				res.err = &RemoteError{Peer: f.sender, Msg: string(f.payload)}
-			} else {
-				res.payload = f.payload
-			}
-			ch <- res
-		}
-	default:
-		e.mu.Lock()
-		h := e.handlers[f.mtype]
-		e.mu.Unlock()
-		if f.reqID == 0 {
-			if h != nil {
-				_, _ = h(f.sender, f.payload)
-			}
-			return
-		}
-		reply := tcpFrame{reqID: f.reqID, sender: e.id}
-		if h == nil {
-			reply.mtype = typeErrReply
-			reply.payload = []byte(fmt.Sprintf("%v: %d", ErrNoHandler, f.mtype))
-		} else if out, err := h(f.sender, f.payload); err != nil {
-			reply.mtype = typeErrReply
-			reply.payload = []byte(err.Error())
-		} else {
-			reply.mtype = typeReply
-			reply.payload = out
-		}
-		_ = e.send(f.sender, reply)
-	}
-}
-
 // connTo returns (dialing if necessary) the outbound connection to a peer.
-func (e *TCPEndpoint) connTo(to ring.NodeID) (*tcpConn, error) {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
+func (t *TCPEndpoint) connTo(to ring.NodeID) (*tcpConn, error) {
+	t.mu.Lock()
+	if t.closed {
+		t.mu.Unlock()
 		return nil, ErrClosed
 	}
-	c, ok := e.out[to]
-	e.mu.Unlock()
-	if ok {
+	c := t.out[to]
+	t.mu.Unlock()
+	if c != nil {
 		return c, nil
 	}
-	conn, err := net.DialTimeout("tcp", string(to), e.dialTimeout)
+	conn, err := net.DialTimeout("tcp", string(to), t.dialTimeout)
 	if err != nil {
-		e.notifyDown(to)
+		t.lost(to, nil)
 		return nil, fmt.Errorf("%w: %v", ErrPeerDown, err)
 	}
-	c = &tcpConn{conn: conn}
-	e.mu.Lock()
-	if old, raced := e.out[to]; raced {
-		e.mu.Unlock()
+	t.mu.Lock()
+	if raced, closed := t.out[to], t.closed; raced != nil || closed {
+		t.mu.Unlock()
 		conn.Close()
-		return old, nil
+		if closed {
+			return nil, ErrClosed
+		}
+		return raced, nil // a concurrent send dialed first
 	}
-	e.out[to] = c
-	e.mu.Unlock()
-	// Replies and pongs for our requests come back on this connection.
-	go e.readLoop(conn, to)
+	c = &tcpConn{conn: conn}
+	t.out[to] = c
+	t.peerOf[conn] = to
+	t.mu.Unlock()
+	go t.readLoop(conn)
 	return c, nil
 }
 
-func (e *TCPEndpoint) send(to ring.NodeID, f tcpFrame) error {
-	c, err := e.connTo(to)
+func (t *TCPEndpoint) send(to ring.NodeID, f frame) error {
+	c, err := t.connTo(to)
 	if err != nil {
 		return err
 	}
-	buf := appendFrame(nil, f)
+	buf := appendFrame(make([]byte, 0, f.wireSize()), f)
 	c.mu.Lock()
 	_, err = c.conn.Write(buf)
 	c.mu.Unlock()
 	if err != nil {
-		e.dropConn(to)
-		e.notifyDown(to)
+		t.lost("", c.conn)
 		return fmt.Errorf("%w: %v", ErrPeerDown, err)
 	}
 	return nil
 }
 
-func (e *TCPEndpoint) dropConn(to ring.NodeID) {
-	e.mu.Lock()
-	if c, ok := e.out[to]; ok {
-		delete(e.out, to)
-		c.conn.Close()
+// lost retires every connection to and from a peer and reports it down. The
+// peer is the one conn belongs to or, when a dial failed and there is no
+// conn, the one named.
+func (t *TCPEndpoint) lost(peer ring.NodeID, conn net.Conn) {
+	t.mu.Lock()
+	if conn != nil {
+		// "" when never identified (nobody to report), and when retired
+		// already (reported then).
+		peer = t.peerOf[conn]
+		delete(t.peerOf, conn)
+		defer conn.Close()
 	}
-	e.mu.Unlock()
-}
-
-// Send delivers a one-way message; TCP provides reliability, ordering, and
-// backpressure (flow control) on the link.
-func (e *TCPEndpoint) Send(to ring.NodeID, mtype MsgType, payload []byte) error {
-	if mtype >= reservedBase {
-		return fmt.Errorf("transport: message type %#x is reserved", mtype)
+	var retired []net.Conn
+	if peer != "" {
+		for c, p := range t.peerOf {
+			if p == peer {
+				delete(t.peerOf, c)
+				retired = append(retired, c)
+			}
+		}
+		delete(t.out, peer)
 	}
-	return e.send(to, tcpFrame{mtype: mtype, sender: e.id, payload: payload})
-}
-
-// Request performs an RPC over the peer connection.
-func (e *TCPEndpoint) Request(ctx context.Context, to ring.NodeID, mtype MsgType, payload []byte) ([]byte, error) {
-	reqID := e.nextReq.Add(1)
-	ch := make(chan rpcResult, 1)
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil, ErrClosed
-	}
-	e.pending[reqID] = ch
-	e.mu.Unlock()
-	defer func() {
-		e.mu.Lock()
-		delete(e.pending, reqID)
-		e.mu.Unlock()
-	}()
-
-	if err := e.send(to, tcpFrame{mtype: mtype, reqID: reqID, sender: e.id, payload: payload}); err != nil {
-		return nil, err
-	}
-	select {
-	case res := <-ch:
-		return res.payload, res.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-func (e *TCPEndpoint) notifyDown(id ring.NodeID) {
-	e.mu.Lock()
-	if e.downSeen[id] || e.closed {
-		e.mu.Unlock()
+	t.mu.Unlock()
+	if peer == "" {
 		return
 	}
-	e.downSeen[id] = true
-	subs := append([]func(ring.NodeID){}, e.downSubs...)
-	// Fail pending requests: their replies can no longer arrive if they
-	// were directed at this peer (conservatively leave others untouched —
-	// the context deadline covers them).
-	e.mu.Unlock()
-	for _, fn := range subs {
-		go fn(id)
-	}
-}
-
-// Close shuts the listener and all connections down.
-func (e *TCPEndpoint) Close() error {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil
-	}
-	e.closed = true
-	conns := e.out
-	e.out = map[ring.NodeID]*tcpConn{}
-	in := make([]net.Conn, 0, len(e.inbound))
-	for c := range e.inbound {
-		in = append(in, c)
-	}
-	e.inbound = map[net.Conn]bool{}
-	e.mu.Unlock()
-	for _, c := range conns {
-		c.conn.Close()
-	}
-	for _, c := range in {
+	for _, c := range retired {
 		c.Close()
 	}
-	return e.ln.Close()
+	t.peerDown(peer)
 }
 
-var _ Endpoint = (*TCPEndpoint)(nil)
+// close shuts the listener and every connection, which the peers cannot
+// tell from a crash.
+func (t *TCPEndpoint) close() error {
+	t.mu.Lock()
+	if t.closed {
+		t.mu.Unlock()
+		return nil
+	}
+	t.closed = true
+	conns := t.peerOf
+	t.peerOf, t.out = nil, nil
+	t.mu.Unlock()
+	for conn := range conns {
+		conn.Close()
+	}
+	return t.ln.Close()
+}

@@ -1,229 +1,49 @@
 package transport
 
 import (
-	"context"
-	"fmt"
-	"sync"
+	"bytes"
 	"testing"
 	"time"
-
-	"orchestra/internal/ring"
 )
 
-// newTCPPair starts two endpoints on loopback ports.
-func newTCPPair(t *testing.T) (*TCPEndpoint, *TCPEndpoint) {
-	t.Helper()
-	a, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ListenTCP with :0 yields an unusable identity (port 0); re-listen on
-	// the assigned address so the ID matches a dialable address.
-	a.Close()
-	addrA := freeAddr(t)
-	addrB := freeAddr(t)
-	ea, err := ListenTCP(addrA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eb, err := ListenTCP(addrB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ea.Close(); eb.Close() })
-	return ea, eb
-}
-
-var portCounter struct {
-	sync.Mutex
-	next int
-}
-
-func freeAddr(t *testing.T) string {
-	t.Helper()
-	// Bind to :0, read the port, release — small race window, retried by
-	// the caller's Listen if taken.
-	ep, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ep.ln.Addr().String()
-	ep.Close()
-	return addr
-}
-
-func TestTCPSendAndHandle(t *testing.T) {
-	a, b := newTCPPair(t)
-	got := make(chan string, 1)
-	b.Handle(0x0300, func(from ring.NodeID, payload []byte) ([]byte, error) {
-		got <- fmt.Sprintf("%s:%s", from, payload)
-		return nil, nil
-	})
-	if err := a.Send(b.ID(), 0x0300, []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case s := <-got:
-		want := string(a.ID()) + ":hello"
-		if s != want {
-			t.Fatalf("got %q want %q", s, want)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("message not delivered")
-	}
-}
-
-func TestTCPRequestReply(t *testing.T) {
-	a, b := newTCPPair(t)
-	b.Handle(0x0301, func(from ring.NodeID, payload []byte) ([]byte, error) {
-		return append([]byte("echo:"), payload...), nil
-	})
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	resp, err := a.Request(ctx, b.ID(), 0x0301, []byte("ping"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(resp) != "echo:ping" {
-		t.Fatalf("resp %q", resp)
-	}
-}
-
-func TestTCPRequestError(t *testing.T) {
-	a, b := newTCPPair(t)
-	b.Handle(0x0302, func(ring.NodeID, []byte) ([]byte, error) {
-		return nil, fmt.Errorf("boom")
-	})
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if _, err := a.Request(ctx, b.ID(), 0x0302, nil); err == nil {
-		t.Fatal("expected remote error")
-	}
-	// Unhandled type also errors.
-	if _, err := a.Request(ctx, b.ID(), 0x03FF, nil); err == nil {
-		t.Fatal("expected no-handler error")
-	}
-}
-
-func TestTCPOrderingPerLink(t *testing.T) {
-	a, b := newTCPPair(t)
-	var mu sync.Mutex
-	var seen []int
-	done := make(chan struct{})
-	b.Handle(0x0303, func(_ ring.NodeID, payload []byte) ([]byte, error) {
-		mu.Lock()
-		seen = append(seen, int(payload[0]))
-		n := len(seen)
-		mu.Unlock()
-		if n == 100 {
-			close(done)
-		}
-		return nil, nil
-	})
-	for i := 0; i < 100; i++ {
-		if err := a.Send(b.ID(), 0x0303, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("timeout")
-	}
-	for i, v := range seen {
-		if v != i {
-			t.Fatalf("out of order at %d: %d", i, v)
-		}
-	}
-}
-
-func TestTCPPeerDownDetection(t *testing.T) {
-	a, b := newTCPPair(t)
-	down := make(chan ring.NodeID, 1)
-	a.OnPeerDown(func(id ring.NodeID) {
-		select {
-		case down <- id:
-		default:
-		}
-	})
-	// Establish the link, then kill b.
-	b.Handle(0x0304, func(ring.NodeID, []byte) ([]byte, error) { return nil, nil })
-	if err := a.Send(b.ID(), 0x0304, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	b.Close()
-	// Either the read loop notices the close, or the next send fails.
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case id := <-down:
-			if id != b.ID() {
-				t.Fatalf("down peer %s", id)
-			}
-			return
-		case <-deadline:
-			t.Fatal("peer down not detected")
-		default:
-			_ = a.Send(b.ID(), 0x0304, []byte("x"))
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-}
-
-func TestTCPPingThroughPinger(t *testing.T) {
-	a, b := newTCPPair(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	// The pinger's probe is Request(typePing); a live peer pongs.
-	if _, err := a.Request(ctx, b.ID(), typePing, nil); err != nil {
-		t.Fatalf("ping: %v", err)
-	}
-	down := make(chan ring.NodeID, 1)
-	p := NewPinger(a, 20*time.Millisecond, 100*time.Millisecond, func(id ring.NodeID) {
-		select {
-		case down <- id:
-		default:
-		}
-	})
-	p.Watch(b.ID())
-	p.Start()
-	defer p.Stop()
-	b.Close()
-	select {
-	case <-down:
-	case <-time.After(5 * time.Second):
-		t.Fatal("pinger did not detect dead peer")
-	}
-}
-
-func TestTCPReservedTypeRejected(t *testing.T) {
-	a, b := newTCPPair(t)
-	if err := a.Send(b.ID(), typePing, nil); err == nil {
-		t.Fatal("reserved type accepted by Send")
-	}
-}
+// The contract cases run in contract_test.go on both carriers; what follows
+// is what only the TCP carrier does.
 
 func TestTCPLargePayload(t *testing.T) {
-	a, b := newTCPPair(t)
+	a, b := tcpFabric{}.join(t), tcpFabric{}.join(t)
 	payload := make([]byte, 1<<20)
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	b.Handle(0x0305, func(_ ring.NodeID, p []byte) ([]byte, error) {
-		return p, nil
-	})
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	resp, err := a.Request(ctx, b.ID(), 0x0305, payload)
+	b.Handle(typeEcho, echo)
+	resp, err := a.Request(ctxFor(t, 10*time.Second), b.ID(), typeEcho, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp) != len(payload) {
-		t.Fatalf("len %d", len(resp))
+	if !bytes.Equal(resp, payload) {
+		t.Fatalf("1 MiB payload came back changed (len %d)", len(resp))
 	}
-	for i := range resp {
-		if resp[i] != payload[i] {
-			t.Fatalf("corruption at %d", i)
-		}
+}
+
+func TestFrameRoundTrip(t *testing.T) {
+	f := frame{from: "127.0.0.1:7001", mtype: 0x0203, reqID: 42, payload: []byte("payload")}
+	buf := appendFrame(nil, f)
+	if len(buf) != f.wireSize() {
+		t.Fatalf("encoded %d bytes, wireSize says %d", len(buf), f.wireSize())
+	}
+	got, err := readFrame(bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.from != f.from || got.mtype != f.mtype || got.reqID != f.reqID || !bytes.Equal(got.payload, f.payload) {
+		t.Fatalf("round trip = %+v", got)
+	}
+	// A sender length that overruns the frame is rejected, not sliced.
+	buf[15] = 0xFF
+	if _, err := readFrame(bytes.NewReader(buf)); err == nil {
+		t.Fatal("overlong sender length accepted")
+	}
+	if _, err := readFrame(bytes.NewReader([]byte{0, 0, 0, 3, 1, 2, 3})); err == nil {
+		t.Fatal("frame shorter than its header accepted")
 	}
 }
