@@ -461,11 +461,11 @@ func (c *Client) Publish(ctx context.Context, relation string, rows [][]any) (ui
 	if err := ctx.Err(); err != nil {
 		return 0, fmt.Errorf("orchestra client: %w", err)
 	}
-	typed, err := typedRowsOf(rows)
+	batch, err := batchOf(rows)
 	if err != nil {
 		return 0, err
 	}
-	payload, err := server.AppendPublishPayload(make([]byte, 0, 4096), 1, newPublishID(), relation, typed)
+	payload, err := server.AppendPublishPayload(make([]byte, 0, 4096), 1, newPublishID(), relation, batch)
 	if err != nil {
 		return 0, &Error{Code: server.CodeBadRequest, Message: err.Error()}
 	}
@@ -486,57 +486,61 @@ func (c *Client) Publish(ctx context.Context, relation string, rows [][]any) (ui
 	return epoch, err
 }
 
-// typedRowsOf converts caller values into the typed rows of a publish
-// frame, whose columns must be type-homogeneous: a column mixing ints and
-// floats is widened to float, anything else the frame cannot carry is a
-// bad request.
-func typedRowsOf(rows [][]any) ([]tuple.Row, error) {
+// batchOf converts caller values into the typed batch of a publish frame,
+// whose columns are type-homogeneous: a column mixing ints and floats is
+// widened to float, anything else the frame cannot carry is a bad request.
+func batchOf(rows [][]any) (*tuple.Batch, error) {
 	badRequest := func(format string, args ...any) error {
 		return &Error{Code: server.CodeBadRequest, Message: fmt.Sprintf(format, args...)}
 	}
-	out := make([]tuple.Row, len(rows))
-	var widen []bool // per column: ints and floats both seen
+	b := &tuple.Batch{N: len(rows)}
 	for i, r := range rows {
-		if i > 0 && len(r) != len(rows[0]) {
-			return nil, badRequest("row %d arity %d != row 0 arity %d", i, len(r), len(rows[0]))
+		if i == 0 {
+			b.Cols = make([]tuple.ColVec, len(r))
+		} else if len(r) != len(b.Cols) {
+			return nil, badRequest("row %d arity %d != row 0 arity %d", i, len(r), len(b.Cols))
 		}
-		row := make(tuple.Row, len(r))
 		for j, v := range r {
+			col := &b.Cols[j]
+			var val tuple.Value
 			switch x := v.(type) {
 			case int:
-				row[j] = tuple.I(int64(x))
+				val = tuple.I(int64(x))
 			case int64:
-				row[j] = tuple.I(x)
+				val = tuple.I(x)
 			case float64:
-				row[j] = tuple.F(x)
+				val = tuple.F(x)
 			case string:
-				row[j] = tuple.S(x)
+				val = tuple.S(x)
 			default:
 				return nil, badRequest("row %d column %d: unsupported value type %T", i, j, v)
 			}
-			if first := out[0]; i > 0 && row[j].T != first[j].T {
-				if row[j].T == tuple.String || first[j].T == tuple.String {
-					return nil, badRequest("column %d mixes %v and %v values", j, first[j].T, row[j].T)
+			switch {
+			case i == 0:
+				col.T = val.T
+			case val.T == col.T:
+			case val.T == tuple.String || col.T == tuple.String:
+				return nil, badRequest("column %d mixes %v and %v values", j, col.T, val.T)
+			case col.T == tuple.Int64: // the ints so far become floats
+				col.T, col.F64 = tuple.Float64, make([]float64, i, len(rows))
+				for k, x := range col.I64 {
+					col.F64[k] = float64(x)
 				}
-				if widen == nil {
-					widen = make([]bool, len(r))
-				}
-				widen[j] = true
+				col.I64 = nil
+			default:
+				val = tuple.F(float64(val.I64))
+			}
+			switch col.T {
+			case tuple.Int64:
+				col.I64 = append(col.I64, val.I64)
+			case tuple.Float64:
+				col.F64 = append(col.F64, val.F64)
+			case tuple.String:
+				col.Str = append(col.Str, val.Str)
 			}
 		}
-		out[i] = row
 	}
-	for j, w := range widen {
-		if !w {
-			continue
-		}
-		for _, row := range out {
-			if row[j].T == tuple.Int64 {
-				row[j] = tuple.F(float64(row[j].I64))
-			}
-		}
-	}
-	return out, nil
+	return b, nil
 }
 
 // QueryOptions tunes one query; the zero value queries the current

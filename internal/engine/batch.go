@@ -1,15 +1,18 @@
 package engine
 
 // Column-major batch flow through the operator pipeline. A colBatch is the
-// only thing that crosses an operator edge: the scan leaf decodes tuple
+// only thing that crosses an operator edge, and column vectors are the only
+// thing an operator evaluates over or keeps: the scan leaf decodes tuple
 // records straight into tuple.Batch column vectors, select evaluates its
 // compiled predicate into a selection Bitset and compacts the batch in
 // place, project rearranges column headers in O(arity), compute evaluates
-// into fresh vectors, aggregate folds the typed vectors into its groups,
-// join copies the rows it must retain into its build tables and emits the
-// matches as a batch, the rehash partitions rows into one pending batch per
-// destination, and the ship operator hands batches to the initiator — so no
-// query boxes a row on its way to the client unless an operator keeps it.
+// one vector per expression, aggregate folds the typed vectors into its
+// group table's state vectors, join appends the rows it must retain to one
+// build batch per side and gathers its matches into a batch, the rehash
+// partitions rows into one pending batch per destination, and the ship
+// operator hands batches to the initiator — so no query boxes a row between
+// the store and the client (a covering scan decodes key values out of the
+// tuple IDs, its one row-shaped step).
 //
 // With provenance on, a batch carries a provenance vector beside its
 // columns, one set per row. Rows usually share a handful of sets (one per
@@ -55,9 +58,11 @@ func compactRows(cb *colBatch, sel Bitset) {
 	cb.cols.CompactWords(sel)
 }
 
-// dropTainted compacts cb to the rows whose provenance avoids failed.
-func dropTainted(cb *colBatch, failed Prov) {
-	keep := NewBitset(cb.cols.N)
+// dropTainted compacts cb to the rows whose provenance avoids failed. It
+// returns the rows it kept when it dropped any (nil otherwise), for a
+// caller that holds more per row than the batch does.
+func dropTainted(cb *colBatch, failed Prov) Bitset {
+	keep := NewBitset(len(cb.prov))
 	clean := 0
 	for i, p := range cb.prov {
 		if !p.Intersects(failed) {
@@ -65,9 +70,11 @@ func dropTainted(cb *colBatch, failed Prov) {
 			clean++
 		}
 	}
-	if clean < cb.cols.N {
-		compactRows(cb, keep)
+	if clean == len(cb.prov) {
+		return nil
 	}
+	compactRows(cb, keep)
+	return keep
 }
 
 // appendBatch appends all of src's rows (and their provenance) onto cb,

@@ -69,77 +69,76 @@ func valueEqual(a, b tuple.Value) bool {
 	return a == b
 }
 
-// TestCompiledScalarMatchesInterpreted is the compiled-vs-interpreted
-// property test over random trees and random row contents, including
-// invalid (zero) values, NaN/Inf floats, and every operator.
-func TestCompiledScalarMatchesInterpreted(t *testing.T) {
+// randBatch draws a typed batch — columns are type-homogeneous, as every
+// operator edge carries them — and the same rows boxed, for Expr.Eval.
+func randBatch(rng *rand.Rand, arity, n int) (*tuple.Batch, []tuple.Row) {
+	types := make([]tuple.Type, arity)
+	for i := range types {
+		types[i] = randType(rng)
+	}
+	b := &tuple.Batch{}
+	b.ResetTypes(types)
+	rows := make([]tuple.Row, n)
+	for r := range rows {
+		rows[r] = make(tuple.Row, arity)
+		for c := range rows[r] {
+			rows[r][c] = randValue(rng, types[c])
+		}
+		if err := b.AppendRow(rows[r]); err != nil {
+			panic(err)
+		}
+	}
+	return b, rows
+}
+
+// checkVec holds the value form of e to Expr.Eval, row by row: the vector
+// kernel's values, and so the one type they share.
+func checkVec(t *testing.T, e Expr, b *tuple.Batch, rows []tuple.Row) {
+	t.Helper()
+	o := compileVec(e)(b)
+	col := o.column(b.N)
+	for r, row := range rows {
+		if got, want := col.Value(r), e.Eval(row); !valueEqual(got, want) {
+			t.Fatalf("%s over %v (row %d): kernel %v, interpreted %v", e, row, r, got, want)
+		}
+	}
+}
+
+// checkPred holds the predicate form of e to the truth of Expr.Eval.
+func checkPred(t *testing.T, e Expr, b *tuple.Batch, rows []tuple.Row) {
+	t.Helper()
+	sel := NewBitset(b.N)
+	compileBatchPred(e)(b, sel)
+	for r, row := range rows {
+		if got, want := sel.Has(r), truth(e.Eval(row)); got != want {
+			t.Fatalf("pred %s over %v (row %d): kernel %v, interpreted %v", e, row, r, got, want)
+		}
+	}
+}
+
+func checkCompiled(t *testing.T, e Expr, b *tuple.Batch, rows []tuple.Row) {
+	t.Helper()
+	checkVec(t, e, b, rows)
+	checkPred(t, e, b, rows)
+}
+
+// TestCompiledMatchesInterpreted is the compiled-vs-interpreted property
+// test over random trees and random typed batches: every operator, NaN/Inf
+// and -0 floats, int/float mixes, division by zero, string and cross-type
+// comparisons, Concat, literals (invalid ones too) on either side.
+func TestCompiledMatchesInterpreted(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	const arity = 4
 	for trial := 0; trial < 5000; trial++ {
-		e := randExpr(rng, arity, 3)
-		cf := compileExpr(e)
-		pf := compilePred(e)
-		row := make(tuple.Row, arity)
-		for i := range row {
-			if rng.Intn(10) == 0 {
-				row[i] = tuple.Value{} // invalid value on the row
-			} else {
-				row[i] = randValue(rng, randType(rng))
-			}
-		}
-		want := e.Eval(row)
-		if got := cf(row); !valueEqual(got, want) {
-			t.Fatalf("trial %d: %s over %v:\n  compiled %v\n  interpreted %v", trial, e, row, got, want)
-		}
-		if got := pf(row); got != truth(want) {
-			t.Fatalf("trial %d: pred %s over %v: compiled %v, interpreted %v", trial, e, row, got, truth(want))
-		}
+		arity := rng.Intn(4) + 1
+		b, rows := randBatch(rng, arity, rng.Intn(130)) // cross the 64-bit word boundary sometimes
+		checkCompiled(t, randExpr(rng, arity, 3), b, rows)
 	}
 }
 
-// TestCompiledBatchMatchesInterpreted checks the batch/bitset evaluator
-// against interpreted Eval over column-typed batches with randomized type
-// mixes (batches are type-homogeneous per column, as the scan produces).
-func TestCompiledBatchMatchesInterpreted(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 2000; trial++ {
-		arity := rng.Intn(3) + 1
-		types := make([]tuple.Type, arity)
-		for i := range types {
-			types[i] = randType(rng)
-		}
-		n := rng.Intn(130) // cross the 64-bit word boundary sometimes
-		var b tuple.Batch
-		b.ResetTypes(types)
-		rows := make([]tuple.Row, n)
-		for r := 0; r < n; r++ {
-			row := make(tuple.Row, arity)
-			for c := range row {
-				row[c] = randValue(rng, types[c])
-			}
-			rows[r] = row
-			if err := b.AppendRow(row); err != nil {
-				t.Fatal(err)
-			}
-		}
-		e := randExpr(rng, arity, 3)
-		bf := compileBatchPred(e)
-		sel := NewBitset(n)
-		bf(&b, sel)
-		for r := 0; r < n; r++ {
-			want := truth(e.Eval(rows[r]))
-			if got := sel.Has(r); got != want {
-				t.Fatalf("trial %d row %d: %s over %v: batch %v, interpreted %v",
-					trial, r, e, rows[r], got, want)
-			}
-		}
-	}
-}
-
-// TestCompiledCmpColConstShapes pins the vectorized column-vs-literal
-// fast paths against the interpreter for every comparison operator and
-// type pairing, including the NaN-compares-equal quirk of Value.Cmp.
-func TestCompiledCmpColConstShapes(t *testing.T) {
+// TestCompiledCmpShapes pins the comparison leaf against the interpreter
+// for every operator and type pairing with the literal on either side,
+// including the NaN-compares-equal quirk of Value.Cmp.
+func TestCompiledCmpShapes(t *testing.T) {
 	colVals := map[tuple.Type][]tuple.Value{
 		tuple.Int64:   {tuple.I(-2), tuple.I(0), tuple.I(3)},
 		tuple.Float64: {tuple.F(-1.5), tuple.F(0), tuple.F(2.5), tuple.F(math.NaN())},
@@ -151,32 +150,40 @@ func TestCompiledCmpColConstShapes(t *testing.T) {
 	}
 	ops := []OpCode{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe}
 	for colType, vals := range colVals {
-		for _, cv := range consts {
-			for _, op := range ops {
-				e := Bin{Op: op, L: Col{Idx: 0}, R: Const{Val: cv}}
-				var b tuple.Batch
-				b.ResetTypes([]tuple.Type{colType})
-				for _, v := range vals {
-					if err := b.AppendRow(tuple.Row{v}); err != nil {
-						t.Fatal(err)
-					}
-				}
-				bf := compileBatchPred(e)
-				pf := compilePred(e)
-				sel := NewBitset(b.N)
-				bf(&b, sel)
-				for r, v := range vals {
-					row := tuple.Row{v}
-					want := truth(e.Eval(row))
-					if got := pf(row); got != want {
-						t.Errorf("scalar %v %s %v: got %v want %v", v, op, cv, got, want)
-					}
-					if got := sel.Has(r); got != want {
-						t.Errorf("batch %v %s %v: got %v want %v", v, op, cv, got, want)
-					}
-				}
+		b := &tuple.Batch{}
+		b.ResetTypes([]tuple.Type{colType})
+		rows := make([]tuple.Row, len(vals))
+		for i, v := range vals {
+			rows[i] = tuple.Row{v}
+			if err := b.AppendRow(rows[i]); err != nil {
+				t.Fatal(err)
 			}
 		}
+		for _, cv := range consts {
+			for _, op := range ops {
+				checkCompiled(t, Bin{Op: op, L: Col{Idx: 0}, R: Const{Val: cv}}, b, rows)
+				checkCompiled(t, Bin{Op: op, L: Const{Val: cv}, R: Col{Idx: 0}}, b, rows)
+			}
+		}
+	}
+}
+
+// TestComputeColsOwnsItsVectors: a bare column reference and a literal come
+// out as fresh full vectors — the input batch is borrowed, and the answer's
+// slabs are recycled under whatever still aliases them.
+func TestComputeColsOwnsItsVectors(t *testing.T) {
+	b := batchOfRows(t, []tuple.Row{{tuple.I(1), tuple.S("x")}, {tuple.I(2), tuple.S("y")}})
+	out, err := computeCols(compileVecs([]Expr{C(0), CS("k"), B(OpAdd, CI(1), CI(2))}), b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Cols[0].I64[0] = 99
+	want := []tuple.Row{{tuple.I(1), tuple.S("k"), tuple.I(3)}, {tuple.I(2), tuple.S("k"), tuple.I(3)}}
+	if got := out.Rows(); !rowsEqual(got, want) {
+		t.Fatalf("computeCols: %s", diffSummary(got, want))
+	}
+	if _, err := computeCols(compileVecs([]Expr{Const{}}), b); err == nil {
+		t.Fatal("an untyped literal formed a column")
 	}
 }
 
@@ -209,61 +216,71 @@ func TestBitsetOps(t *testing.T) {
 	}
 }
 
-// FuzzCompiledPred cross-checks compiled vs interpreted evaluation on
-// fuzz-derived expression shapes and row contents.
-func FuzzCompiledPred(f *testing.F) {
+// fuzzCompiled cross-checks one compiled form against Expr.Eval on a
+// fuzz-derived expression shape and batch contents.
+func fuzzCompiled(f *testing.F, check func(*testing.T, Expr, *tuple.Batch, []tuple.Row)) {
 	f.Add(int64(1), int64(2))
 	f.Add(int64(-9), int64(0))
 	f.Fuzz(func(t *testing.T, seed, vseed int64) {
-		rng := rand.New(rand.NewSource(seed))
-		e := randExpr(rng, 3, 4)
-		vrng := rand.New(rand.NewSource(vseed))
-		row := tuple.Row{
-			randValue(vrng, randType(vrng)),
-			randValue(vrng, randType(vrng)),
-			randValue(vrng, randType(vrng)),
-		}
-		want := e.Eval(row)
-		if got := compileExpr(e)(row); !valueEqual(got, want) {
-			t.Fatalf("%s over %v: compiled %v, interpreted %v", e, row, got, want)
-		}
+		b, rows := randBatch(rand.New(rand.NewSource(vseed)), 3, 1+int(uint64(vseed)%70))
+		check(t, randExpr(rand.New(rand.NewSource(seed)), 3, 4), b, rows)
 	})
 }
 
+func FuzzCompiledScalar(f *testing.F) { fuzzCompiled(f, checkVec) }
+func FuzzCompiledPred(f *testing.F)   { fuzzCompiled(f, checkPred) }
+
 var benchSink bool
 
-// BenchmarkPredicate compares interpreted, compiled-scalar, and batch
-// predicate evaluation on the reference filter shape.
-func BenchmarkPredicate(b *testing.B) {
-	pred := B(OpAnd, B(OpGe, C(2), CI(1000)), B(OpLt, C(2), CI(4000)))
+// benchBatch is the reference 1 024-row (string, int, int) batch.
+func benchBatch(b *testing.B) (*tuple.Batch, []tuple.Row) {
 	rows := make([]tuple.Row, 1024)
-	var batch tuple.Batch
-	batch.ResetTypes([]tuple.Type{tuple.String, tuple.Int64, tuple.Int64})
+	batch := &tuple.Batch{}
 	for i := range rows {
 		rows[i] = tuple.Row{tuple.S(fmt.Sprintf("k%06d", i)), tuple.I(int64(i % 17)), tuple.I(int64(i * 5))}
 		if err := batch.AppendRow(rows[i]); err != nil {
 			b.Fatal(err)
 		}
 	}
+	return batch, rows
+}
+
+// BenchmarkPredicate compares interpreted and compiled predicate
+// evaluation per row: the reference column-vs-literal filter shape, and a
+// generic one (column vs column, arithmetic inside) through the same leaf.
+func BenchmarkPredicate(b *testing.B) {
+	pred := B(OpAnd, B(OpGe, C(2), CI(1000)), B(OpLt, C(2), CI(4000)))
+	generic := B(OpAnd, B(OpLt, C(1), C(2)), B(OpGt, B(OpAdd, C(1), CI(1)), C(2)))
+	batch, rows := benchBatch(b)
 	b.Run("Interpreted", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			benchSink = truth(pred.Eval(rows[i%len(rows)]))
 		}
 	})
-	b.Run("CompiledScalar", func(b *testing.B) {
-		pf := compilePred(pred)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			benchSink = pf(rows[i%len(rows)])
+	for name, e := range map[string]Expr{"CompiledBatch": pred, "Generic": generic} {
+		b.Run(name, func(b *testing.B) {
+			bf := compileBatchPred(e)
+			b.ResetTimer()
+			for i := 0; i < b.N; i += batch.N {
+				sel := NewBitset(batch.N)
+				bf(batch, sel)
+				benchSink = sel.Has(0)
+			}
+		})
+	}
+}
+
+// BenchmarkCompute evaluates three output expressions per row.
+func BenchmarkCompute(b *testing.B) {
+	fns := compileVecs([]Expr{C(0), B(OpAdd, C(2), CI(1)), B(OpMul, C(2), CI(2))})
+	batch, _ := benchBatch(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += batch.N {
+		out, err := computeCols(fns, batch)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("CompiledBatch", func(b *testing.B) {
-		bf := compileBatchPred(pred)
-		b.ResetTimer()
-		for i := 0; i < b.N; i += batch.N {
-			sel := NewBitset(batch.N)
-			bf(&batch, sel)
-			benchSink = sel.Has(0)
-		}
-	})
+		benchSink = out.N > 0
+	}
 }

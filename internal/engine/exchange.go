@@ -404,18 +404,50 @@ func (s *shipProducer) push(cb *colBatch) {
 	if s.pending == nil {
 		s.pending = newColBatch(0)
 	}
+	held := s.pending.cols.N
 	if s.err == nil {
 		s.err = s.pending.appendBatch(cb)
+	}
+	if s.ex.mode == shipTopK && s.err == nil {
+		s.keepTopKLocked(held)
 	}
 	due := s.cutLocked(false)
 	s.mu.Unlock()
 	s.ship(due)
 }
 
+// keepTopKLocked is the fragment half of the top-K pushdown: it cuts the
+// pending batch — held rows from before, then the batch just appended —
+// back to the first K under the plan's sort, so a fragment holds at most K
+// rows and one batch. A row outside the first K of what has arrived can
+// never re-enter, and the sort is stable, so ties keep arrival order. Once
+// K rows are held they are sorted: an arrival that does not beat the K-th
+// is dropped without sorting anything.
+func (s *shipProducer) keepTopKLocked(held int) {
+	keys, k := topKParams(s.ex.plan)
+	p := s.pending.cols
+	if held == k && k > 0 {
+		keep := NewBitset(p.N)
+		keep.SetFirst(held)
+		for i := held; i < p.N; i++ {
+			if cmpBatchRows(p, i, p, k-1, keys) < 0 {
+				keep.Set(i)
+			}
+		}
+		if compactRows(s.pending, keep); p.N == k {
+			return
+		}
+	}
+	if p.N >= k {
+		sortCols(p, keys)
+		p.Truncate(k)
+	}
+}
+
 // cutLocked takes the pending batch for shipping if it is due: at
-// flushRows rows, or whatever is there when final. Top-K mode buffers the
-// whole fragment output — nothing ships until eos has sorted and truncated
-// it to the local top K. A failed fragment ships nothing further.
+// flushRows rows, or whatever is there when final. In top-K mode nothing
+// ships before eos: until then any held row can still be displaced. A
+// failed fragment ships nothing further.
 func (s *shipProducer) cutLocked(final bool) *colBatch {
 	cb := s.pending
 	if cb == nil || cb.cols.N == 0 || s.err != nil || (!final && (s.ex.mode == shipTopK || cb.cols.N < flushRows)) {
@@ -451,15 +483,12 @@ func (s *shipProducer) ship(cb *colBatch) {
 }
 
 // eos ships what is pending and reports fragment completion. In top-K mode
-// this is the fragment half of the pushdown: sort the buffered output with
-// the plan's comparators and truncate it to the merged row budget K, so at
-// most K rows per fragment reach the initiator.
+// fewer than K rows may never have been sorted (keepTopKLocked).
 func (s *shipProducer) eos(phase uint32) {
 	s.mu.Lock()
 	if s.ex.mode == shipTopK && s.pending != nil {
-		keys, k := topKParams(s.ex.plan)
+		keys, _ := topKParams(s.ex.plan)
 		sortCols(s.pending.cols, keys)
-		s.pending.cols.Truncate(k)
 	}
 	due := s.cutLocked(true)
 	s.mu.Unlock()
@@ -496,9 +525,9 @@ type shipConsumer struct {
 	runs map[ring.NodeID]*tuple.Batch
 
 	// Partial-agg pushdown (shipAggMerge): arriving partial rows fold
-	// straight into the merge accumulator — initiator memory is
+	// straight into the FinalAgg's group table — initiator memory is
 	// O(groups), not O(shipped partials).
-	agg *finalAggAcc
+	agg *groupTable
 
 	// failCh carries the first ship-path or sink failure to the run loop.
 	failCh chan error
@@ -508,7 +537,7 @@ type shipConsumer struct {
 	// the accumulator out and emits to the sink (possibly blocking on
 	// wire credit there, never on a transport delivery loop).
 	sink      StreamSink
-	streamFin *streamFinalState
+	streamFin finalPipeline
 	notify    chan struct{}
 	stopDrain chan struct{}
 	drainDone chan struct{}
@@ -541,9 +570,9 @@ func (s *shipConsumer) fail(err error) {
 // startStream arms streamed emission: subsequent arrivals wake a drainer
 // goroutine that hands accumulated batches to sink during execution.
 // Called once, before execution starts.
-func (s *shipConsumer) startStream(sink StreamSink, final []FinalOp) {
+func (s *shipConsumer) startStream(sink StreamSink, final finalPipeline) {
 	s.sink = sink
-	s.streamFin = newStreamFinalState(final)
+	s.streamFin = final
 	s.notify = make(chan struct{}, 1)
 	s.stopDrain = make(chan struct{})
 	s.drainDone = make(chan struct{})
@@ -694,7 +723,7 @@ func (s *shipConsumer) receive(from ring.NodeID, cb *colBatch) error {
 		}
 		return run.AppendBatchInto(cb.cols)
 	case shipAggMerge:
-		s.agg.addBatch(cb.cols)
+		return s.ex.plan.Final[0].(*FinalAgg).foldInto(s.agg, cb.cols)
 	default:
 		if err := s.acc.appendBatch(cb); err != nil {
 			return err
@@ -795,7 +824,7 @@ func (s *shipConsumer) seal() (*tuple.Batch, error) {
 		s.runs = nil
 		return merged, err
 	case shipAggMerge:
-		return s.agg.batch()
+		return s.agg.render(true), nil
 	}
 	return s.acc.cols, nil
 }

@@ -182,8 +182,8 @@ func (s *statsCounters) snapshot() NodeStats {
 
 // Result is a completed query's answer set and execution metadata.
 type Result struct {
-	// Batch is the final answer set (after initiator-side final operators;
-	// Batch.Rows() renders it as rows). Its slabs may be returned to the arena
+	// Batch is the final answer set, column-major (after initiator-side
+	// final operators). Its slabs may be returned to the arena
 	// with RecycleResultBatch once the caller is completely done with them
 	// — unless the caller keeps the batch (see RecycleResultBatch).
 	Batch *tuple.Batch
@@ -379,8 +379,7 @@ func newExecutor(eng *Engine, queryID uint64, plan *Plan, opts Options, epoch tu
 		ex.shipCons = newShipConsumer(ex)
 		ex.failCh = make(chan ring.NodeID, snap.Size())
 		if ex.mode == shipAggMerge {
-			agg := plan.Final[0].(*FinalAgg)
-			ex.shipCons.agg = newFinalAggAcc(agg.GroupCols, agg.Aggs)
+			ex.shipCons.agg = newGroupTable(plan.Final[0].(*FinalAgg).Aggs)
 		}
 		if opts.Trace != nil {
 			ex.trace = opts.Trace
@@ -416,7 +415,7 @@ func (ex *executor) build(n Node, out sink) error {
 	case *ProjectNode:
 		return ex.build(t.Child, &projectOp{cols: t.Cols, out: out})
 	case *ComputeNode:
-		return ex.build(t.Child, &computeOp{fns: compileExprs(t.Exprs), fail: ex.shipper.fail, out: out})
+		return ex.build(t.Child, &computeOp{fns: compileVecs(t.Exprs), fail: ex.shipper.fail, out: out})
 	case *JoinNode:
 		j := newJoinOp(t.LeftKeys, t.RightKeys, ex.phaseNow, ex.shipper.fail, out)
 		ex.recoverables = append(ex.recoverables, j)
@@ -1121,8 +1120,19 @@ func (e *Engine) runOnce(ctx context.Context, p *Plan, opts Options, epoch tuple
 	if !opts.Provenance {
 		ex.shipCons.limit = limitOnlyFinal(p.Final)
 	}
+	finalOps := p.Final
+	if ex.mode == shipAggMerge {
+		// The partials fold on arrival, which applies Final[0] (the
+		// FinalAgg); its partial layout no longer matches the merged rows,
+		// so re-applying it would be wrong.
+		finalOps = finalOps[1:]
+	}
+	final, err := compileFinal(finalOps)
+	if err != nil {
+		return nil, err
+	}
 	if ex.mode == shipStream && opts.Sink != nil {
-		ex.shipCons.startStream(opts.Sink, p.Final)
+		ex.shipCons.startStream(opts.Sink, final)
 	}
 	e.putExec(queryID, ex)
 	defer func() {
@@ -1222,18 +1232,11 @@ func (e *Engine) runOnce(ctx context.Context, p *Plan, opts Options, epoch tuple
 			}
 			ex.attachInitiatorSpans()
 			finalSpan := ex.trace.Begin("final")
-			ops := p.Final
-			if ex.mode == shipAggMerge {
-				// The partials were folded on arrival, which applied
-				// Final[0] (the FinalAgg); its partial layout no longer
-				// matches the merged rows, so re-applying it would be wrong.
-				// (Top-K re-applies the whole pipeline over the ≤K merged
-				// survivors: a sort of ≤K rows is cheap, and trailing ops
-				// stay correct. A streamed query's pipeline ran per chunk;
-				// what is left here is empty.)
-				ops = ops[1:]
-			}
-			b, err := applyFinalOps(ops, collected)
+			// Top-K re-applies the whole pipeline over the ≤K merged
+			// survivors: a sort of ≤K rows is cheap, and trailing ops stay
+			// correct. A streamed query's pipeline ran per chunk; what is
+			// left here is empty.
+			b, err := final.apply(collected)
 			if b != collected {
 				// String contents alias kvstore record bytes, never the
 				// vectors themselves, so recycling a batch after copying

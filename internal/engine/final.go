@@ -2,7 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"orchestra/internal/tuple"
@@ -12,33 +12,75 @@ import (
 // at the query initiator node, which may do final processing, such as the
 // last stage of aggregation, or a final sort") runs over the batch the ship
 // consumer accumulated: sort is an index permutation over the column
-// vectors, limit is a truncation, compute and the aggregate merge evaluate
-// into fresh vectors.
+// vectors, limit is a truncation, compute evaluates one vector per
+// expression and the aggregate merge is the group table's fold.
 
-// applyFinalOps runs the final pipeline over a collected answer. The
-// result is b itself (sorted or truncated in place) or a fresh batch.
-func applyFinalOps(ops []FinalOp, b *tuple.Batch) (*tuple.Batch, error) {
-	for _, op := range ops {
-		var err error
+// finalStage is one step of the final pipeline, with what compiling it once
+// per query produced.
+type finalStage struct {
+	op        FinalOp
+	compute   []vecFn // a FinalCompute's expressions
+	remaining int     // rows a FinalLimit still lets through
+}
+
+// finalPipeline is a query's final operators, compiled once. apply runs
+// them over one chunk of the answer: the whole collected answer, or — for
+// a compute/limit-only pipeline — each chunk a streamed query drains.
+// Compute is 1:1 and limit truncates a prefix, so applying the stages in
+// order per chunk, each limit counting down across chunks, is equivalent to
+// applying them once to the concatenated whole. One goroutine at a time.
+type finalPipeline []finalStage
+
+func compileFinal(ops []FinalOp) (finalPipeline, error) {
+	p := make(finalPipeline, len(ops))
+	for i, op := range ops {
+		p[i].op = op
 		switch f := op.(type) {
+		case *FinalAgg, *FinalSort:
+		case *FinalCompute:
+			p[i].compute = compileVecs(f.Exprs)
+		case *FinalLimit:
+			p[i].remaining = f.N
+		default:
+			return nil, fmt.Errorf("engine: unknown final op %T", op)
+		}
+	}
+	return p, nil
+}
+
+// apply returns the chunk's survivors: b itself (sorted or truncated in
+// place) or a fresh batch.
+func (p finalPipeline) apply(b *tuple.Batch) (*tuple.Batch, error) {
+	for i := range p {
+		var err error
+		switch s := &p[i]; f := s.op.(type) {
 		case *FinalAgg:
-			b, err = mergeFinal(f.GroupCols, f.Aggs, b)
+			t := newGroupTable(f.Aggs)
+			err = f.foldInto(t, b)
+			b = t.render(true)
 		case *FinalSort:
 			sortCols(b, f.Keys)
 		case *FinalCompute:
-			b, err = computeCols(compileExprs(f.Exprs), b)
+			b, err = computeCols(s.compute, b)
 		case *FinalLimit:
-			if b.N > f.N {
-				b.Truncate(f.N)
-			}
-		default:
-			err = fmt.Errorf("engine: unknown final op %T", op)
+			b.Truncate(max(0, min(b.N, s.remaining)))
+			s.remaining -= b.N
 		}
 		if err != nil {
 			return nil, err
 		}
 	}
 	return b, nil
+}
+
+// foldInto merges a batch of shipped partial aggregate rows — the group
+// columns, then each spec's partial state — into t.
+func (f *FinalAgg) foldInto(t *groupTable, b *tuple.Batch) error {
+	if b.N == 0 {
+		return nil // possibly untyped: no group columns to read
+	}
+	_, err := t.fold(keyVecs(b, f.GroupCols), b, len(f.GroupCols))
+	return err
 }
 
 // sortCols stably orders the batch by the sort keys via an index
@@ -72,159 +114,20 @@ func sortCols(b *tuple.Batch, keys []SortKey) {
 	for i := range perm {
 		perm[i] = i
 	}
-	sort.SliceStable(perm, func(i, j int) bool {
-		a, bb := perm[i], perm[j]
+	slices.SortStableFunc(perm, func(a, bb int) int {
 		for ki := range keys {
-			c := cmps[ki](a, bb)
-			if c == 0 {
-				continue
+			if c := cmps[ki](a, bb); c != 0 {
+				if keys[ki].Desc {
+					return -c
+				}
+				return c
 			}
-			if keys[ki].Desc {
-				return c > 0
-			}
-			return c < 0
 		}
-		return false
+		return 0
 	})
-	for c := range b.Cols {
-		v := &b.Cols[c]
-		switch v.T {
-		case tuple.Int64:
-			out := make([]int64, b.N)
-			for i, p := range perm {
-				out[i] = v.I64[p]
-			}
-			v.I64 = out
-		case tuple.Float64:
-			out := make([]float64, b.N)
-			for i, p := range perm {
-				out[i] = v.F64[p]
-			}
-			v.F64 = out
-		case tuple.String:
-			out := make([]string, b.N)
-			for i, p := range perm {
-				out[i] = v.Str[p]
-			}
-			v.Str = out
-		}
+	sorted := &tuple.Batch{}
+	if err := sorted.AppendRowsFrom(b, perm); err != nil {
+		panic(err) // an empty batch adopts any shape
 	}
-}
-
-// computeCols evaluates compiled expressions over the batch into a fresh
-// columnar batch, reading input rows through one reused scratch row. The
-// first row fixes the output column types; a later row whose expression
-// result changes type is an error naming the column — a column has one type.
-func computeCols(fns []evalFn, b *tuple.Batch) (*tuple.Batch, error) {
-	out := &tuple.Batch{}
-	var scratch tuple.Row
-	vals := make(tuple.Row, len(fns))
-	for i := 0; i < b.N; i++ {
-		scratch = b.Row(i, scratch)
-		for j, fn := range fns {
-			vals[j] = fn(scratch)
-		}
-		if err := out.AppendRow(vals); err != nil {
-			return nil, fmt.Errorf("engine: compute, row %d: %w", i, err)
-		}
-		if i == 0 {
-			out.Grow(b.N) // types are fixed now; size the vectors once
-		}
-	}
-	return out, nil
-}
-
-// mergeFinal merges shipped partial aggregate rows (FinalAgg) straight off
-// the columnar collection, reading through one reused scratch row.
-func mergeFinal(groupCols []int, specs []AggSpec, b *tuple.Batch) (*tuple.Batch, error) {
-	acc := newFinalAggAcc(groupCols, specs)
-	acc.addBatch(b)
-	return acc.batch()
-}
-
-// finalAggAcc accumulates the initiator-side merge of partial aggregate
-// rows; add reads its row argument only during the call (group values are
-// copied out), so callers may pass a reused scratch row.
-type finalAggAcc struct {
-	groupCols []int
-	specs     []AggSpec
-	groups    map[string]*finalAggGroup
-	scratch   tuple.Row
-}
-
-type finalAggGroup struct {
-	groupVals tuple.Row
-	st        *aggState
-}
-
-func newFinalAggAcc(groupCols []int, specs []AggSpec) *finalAggAcc {
-	return &finalAggAcc{groupCols: groupCols, specs: specs, groups: make(map[string]*finalAggGroup)}
-}
-
-// addBatch folds every row of b into the accumulator.
-func (a *finalAggAcc) addBatch(b *tuple.Batch) {
-	for i := 0; i < b.N; i++ {
-		a.scratch = b.Row(i, a.scratch)
-		a.add(a.scratch)
-	}
-}
-
-func (a *finalAggAcc) add(row tuple.Row) {
-	gk := string(tuple.EncodeKey(row, a.groupCols))
-	g := a.groups[gk]
-	if g == nil {
-		g = &finalAggGroup{groupVals: row.Project(a.groupCols), st: newAggState(len(a.specs))}
-		a.groups[gk] = g
-	}
-	// Partial layout: group cols, then per spec 1 col (2 for AVG).
-	col := len(a.groupCols)
-	for i, spec := range a.specs {
-		v := row[col]
-		switch spec.Func {
-		case AggCount:
-			g.st.counts[i] += v.AsInt()
-			col++
-		case AggSum:
-			if v.T == tuple.Int64 {
-				g.st.isums[i] += v.I64
-				g.st.sums[i] += float64(v.I64)
-			} else {
-				g.st.allInt[i] = false
-				g.st.sums[i] += v.F64
-			}
-			g.st.counts[i]++
-			col++
-		case AggMin:
-			if g.st.counts[i] == 0 || v.Cmp(g.st.mins[i]) < 0 {
-				g.st.mins[i] = v
-			}
-			g.st.counts[i]++
-			col++
-		case AggMax:
-			if g.st.counts[i] == 0 || v.Cmp(g.st.maxs[i]) > 0 {
-				g.st.maxs[i] = v
-			}
-			g.st.counts[i]++
-			col++
-		case AggAvg:
-			g.st.sums[i] += v.AsFloat()
-			g.st.counts[i] += row[col+1].AsInt()
-			col += 2
-		}
-	}
-}
-
-// batch renders the merged groups. The first group fixes the output column
-// types; a SUM that stayed integral in one group and went float in another
-// is an error, as for any type-varying column.
-func (a *finalAggAcc) batch() (*tuple.Batch, error) {
-	out := &tuple.Batch{}
-	var row tuple.Row
-	for _, g := range a.groups {
-		row = appendAggValues(append(row[:0], g.groupVals...), g.st, a.specs, true)
-		if err := out.AppendRow(row); err != nil {
-			return nil, fmt.Errorf("engine: final aggregate: %w", err)
-		}
-	}
-	return out, nil
+	*b = *sorted
 }

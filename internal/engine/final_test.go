@@ -5,13 +5,12 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 	"testing"
 
 	"orchestra/internal/tuple"
 )
 
-// The final pipeline (applyFinalOps) must agree exactly with the
+// The final pipeline (finalPipeline.apply) must agree exactly with the
 // row-at-a-time reference (refFinalOps) — including NaN ordering in sorts,
 // integer preservation in aggregate merges, and limit truncation points.
 
@@ -129,7 +128,11 @@ func checkFinalOps(t *testing.T, round int, ops []FinalOp, rows []tuple.Row, ord
 	if err != nil {
 		t.Fatalf("round %d: reference: %v", round, err)
 	}
-	b, err := applyFinalOps(ops, batchOfRows(t, rows))
+	fin, err := compileFinal(ops)
+	if err != nil {
+		t.Fatalf("round %d ops %v: %v", round, ops, err)
+	}
+	b, err := fin.apply(batchOfRows(t, rows))
 	if err != nil {
 		t.Fatalf("round %d ops %v: %v", round, ops, err)
 	}
@@ -191,35 +194,6 @@ func TestFinalAggMatchesReference(t *testing.T) {
 	}
 }
 
-// funcExpr is a test-only expression, free to change result type by row.
-type funcExpr func(tuple.Row) tuple.Value
-
-func (f funcExpr) Eval(row tuple.Row) tuple.Value { return f(row) }
-func (f funcExpr) append(dst []byte) []byte       { return dst }
-func (f funcExpr) String() string                 { return "func" }
-
-// TestFinalComputeTypeChangeIsError pins the one case the batch pipeline
-// refuses: a computed column whose type changes mid-batch (the wire codec
-// would reject the column one step later), named by position.
-func TestFinalComputeTypeChangeIsError(t *testing.T) {
-	b := &tuple.Batch{}
-	for _, r := range []tuple.Row{{tuple.I(1), tuple.I(2)}, {tuple.I(3), tuple.I(0)}} {
-		if err := b.AppendRow(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mixed := funcExpr(func(row tuple.Row) tuple.Value {
-		if row[1].I64 == 0 {
-			return tuple.F(0)
-		}
-		return tuple.I(row[0].I64 / row[1].I64)
-	})
-	_, err := applyFinalOps([]FinalOp{&FinalCompute{Exprs: []Expr{Col{Idx: 0}, mixed}}}, b)
-	if err == nil || !strings.Contains(err.Error(), "column 1") {
-		t.Fatalf("type-changing compute: err = %v, want one naming column 1", err)
-	}
-}
-
 // TestFinalComputeNoPerRowAlloc pins FinalCompute's allocation shape: the
 // output vectors are sized once, never one allocation per row.
 func TestFinalComputeNoPerRowAlloc(t *testing.T) {
@@ -228,17 +202,20 @@ func TestFinalComputeNoPerRowAlloc(t *testing.T) {
 		rows[i] = tuple.Row{tuple.I(int64(i)), tuple.F(float64(i))}
 	}
 	b := batchOfRows(t, rows)
-	ops := []FinalOp{&FinalCompute{Exprs: []Expr{
+	fin, err := compileFinal([]FinalOp{&FinalCompute{Exprs: []Expr{
 		Col{Idx: 0},
 		Bin{Op: OpAdd, L: Col{Idx: 0}, R: Const{Val: tuple.I(7)}},
-	}}}
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := applyFinalOps(ops, b); err != nil {
+		if _, err := fin.apply(b); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// Compile closures + the output vectors; anything near len(rows) means
-	// a per-row allocation crept in.
+	// The output vectors; anything near len(rows) means a per-row
+	// allocation crept in.
 	if allocs > 64 {
 		t.Fatalf("FinalCompute allocations per run = %.0f, want O(1), not O(rows)", allocs)
 	}

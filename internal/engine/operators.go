@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -32,41 +31,43 @@ type recoverable interface {
 	recover(failed Prov)
 }
 
-// phaseCut gathers the rows a stateful operator emits into one batch per
-// phase: a batch has a single phase, and after a recovery one emission can
-// mix clean earlier-wave rows with recomputed ones.
-type phaseCut struct {
-	withProv bool
-	batches  []*colBatch
-}
-
-// add appends one output row. The first row of a batch fixes its column
-// types; a later row that disagrees is an error naming the column.
-func (c *phaseCut) add(row tuple.Row, prov Prov, phase uint32) error {
-	var cb *colBatch
-	for _, b := range c.batches {
-		if b.phase == phase {
-			cb = b
-			break
+// cutByPhase wraps the rows a stateful operator emits — cols, with each
+// row's provenance (nil: none) and phase — as batches of one phase each:
+// after a recovery one emission can mix clean earlier-wave rows with
+// recomputed ones. Rows of one phase, the normal case, are not copied.
+func cutByPhase(cols *tuple.Batch, prov []Prov, phases []uint32) ([]*colBatch, error) {
+	if cols.N == 0 {
+		return nil, nil
+	}
+	all := &colBatch{cols: cols, phase: phases[0], prov: prov}
+	mixed := false
+	for _, p := range phases {
+		mixed = mixed || p != phases[0]
+	}
+	if !mixed {
+		return []*colBatch{all}, nil
+	}
+	var out []*colBatch
+next:
+	for i, p := range phases {
+		for _, cb := range out {
+			if cb.phase == p {
+				continue next
+			}
 		}
+		var sel []int
+		for j := i; j < len(phases); j++ {
+			if phases[j] == p {
+				sel = append(sel, j)
+			}
+		}
+		cb := newColBatch(p)
+		if err := cb.appendRows(all, sel); err != nil {
+			return nil, err
+		}
+		out = append(out, cb)
 	}
-	if cb == nil {
-		cb = newColBatch(phase)
-		c.batches = append(c.batches, cb)
-	}
-	if err := cb.cols.AppendRow(row); err != nil {
-		return err
-	}
-	if c.withProv {
-		cb.prov = append(cb.prov, prov)
-	}
-	return nil
-}
-
-func (c *phaseCut) pushTo(out sink) {
-	for _, cb := range c.batches {
-		out.push(cb)
-	}
+	return out, nil
 }
 
 // --- select ---
@@ -109,12 +110,10 @@ func (p *projectOp) eos(phase uint32) { p.out.eos(phase) }
 
 // --- compute-function ---
 
-// computeOp evaluates compiled scalar expressions into fresh vectors (the
-// final pipeline's computeCols). An expression whose result changes type
-// from one row to the next cannot form a column: the fragment fails, naming
-// the column, rather than drop or coerce rows.
+// computeOp evaluates one compiled vector per output expression into a
+// fresh batch (the final pipeline's computeCols).
 type computeOp struct {
-	fns  []evalFn
+	fns  []vecFn
 	fail func(error)
 	out  sink
 }
@@ -132,17 +131,36 @@ func (c *computeOp) eos(phase uint32) { c.out.eos(phase) }
 
 // --- pipelined (symmetric) hash join ---
 //
-// Both inputs stream in concurrently; each side inserts into its own hash
+// Both inputs stream in concurrently; each side inserts into its own build
 // table and probes the other's, so results are produced as soon as both
 // matching tuples have arrived — the pipelined hash join of Table I [17].
 // All inserted tuples are retained until query completion for recovery.
 
-// joinRow is a retained input row — the join's own copy of it (pushed
-// batches are borrowed), with the provenance set and phase it arrived under.
-type joinRow struct {
-	row   tuple.Row
-	prov  Prov
-	phase uint32
+// joinBuild is one input of the join as retained: its rows as one growing
+// batch — the join's own copy (pushed batches are borrowed), with the
+// provenance set and phase each row arrived under — and a hash index from
+// key to the chain of rows holding it.
+type joinBuild struct {
+	keys   []int
+	rows   colBatch // rows.phase is unused: see phases
+	phases []uint32
+	idx    keyIndex // distinct key → id
+	head   []int32  // per key id: the newest row holding the key, +1
+	next   []int32  // per row: the next older row of the same key, +1; 0 ends the chain
+}
+
+// link indexes rows [base, base+n) of the build batch, whose keys vecs hold.
+func (s *joinBuild) link(vecs []*tuple.ColVec, n, base int) error {
+	ids, err := s.idx.lookup(vecs, n, true)
+	if err != nil {
+		return err
+	}
+	s.head = grown(s.head, s.idx.len())
+	for i, id := range ids {
+		s.next = append(s.next, s.head[id])
+		s.head[id] = int32(base + i + 1)
+	}
+	return nil
 }
 
 type joinOp struct {
@@ -153,29 +171,21 @@ type joinOp struct {
 	curPhase func() uint32
 	fail     func(error)
 
-	mu        sync.Mutex
-	leftKeys  []int
-	rightKeys []int
-	left      map[string][]joinRow
-	right     map[string][]joinRow
-	keyBuf    []byte
-	leftEOS   bool
-	rightEOS  bool
-	eosPhase  uint32
-	finished  bool
-	out       sink
+	mu          sync.Mutex
+	left, right joinBuild
+	msel, tsel  []int // scratch: the matched row pairs of one push, (mine, theirs)
+	leftEOS     bool
+	rightEOS    bool
+	eosPhase    uint32
+	finished    bool
+	out         sink
 }
 
 func newJoinOp(leftKeys, rightKeys []int, curPhase func() uint32, fail func(error), out sink) *joinOp {
-	return &joinOp{
-		curPhase:  curPhase,
-		fail:      fail,
-		leftKeys:  leftKeys,
-		rightKeys: rightKeys,
-		left:      make(map[string][]joinRow),
-		right:     make(map[string][]joinRow),
-		out:       out,
-	}
+	j := &joinOp{curPhase: curPhase, fail: fail, out: out}
+	j.left.keys, j.right.keys = leftKeys, rightKeys
+	j.left.rows.cols, j.right.rows.cols = &tuple.Batch{}, &tuple.Batch{}
+	return j
 }
 
 // joinSide adapts one input of the join to the sink interface.
@@ -187,45 +197,85 @@ type joinSide struct {
 func (s joinSide) push(cb *colBatch) { s.j.pushSide(cb, s.left) }
 func (s joinSide) eos(phase uint32)  { s.j.eosSide(s.left, phase) }
 
+// pushSide inserts the batch into its side's build table, then probes the
+// other side's — under one lock, so every matching pair is produced exactly
+// once, by whichever of its rows arrived second.
 func (j *joinOp) pushSide(cb *colBatch, left bool) {
-	rows := cb.cols.Rows() // the retained copies, carved from one slab
-	mine, theirs, keys := j.right, j.left, j.rightKeys
-	if left {
-		mine, theirs, keys = j.left, j.right, j.leftKeys
+	if cb.cols.N == 0 {
+		return // possibly untyped: no key columns to read
 	}
-	out := phaseCut{withProv: cb.prov != nil}
-	var concat tuple.Row
-	var lastL, lastR, union Prov // matches of one batch mostly share their sets
-	var err error
 	j.mu.Lock()
-	for i, row := range rows {
-		t := joinRow{row: row, phase: cb.phase}
-		if cb.prov != nil {
-			t.prov = cb.prov[i]
-		}
-		j.keyBuf = appendBatchKey(j.keyBuf[:0], cb.cols, i, keys)
-		k := string(j.keyBuf)
-		mine[k] = append(mine[k], t)
-		for _, o := range theirs[k] {
-			lt, rt := o, t
-			if left {
-				lt, rt = t, o
-			}
-			if out.withProv && (union == nil || !sameProv(lt.prov, lastL) || !sameProv(rt.prov, lastR)) {
-				lastL, lastR, union = lt.prov, rt.prov, lt.prov.Union(rt.prov)
-			}
-			concat = append(append(concat[:0], lt.row...), rt.row...)
-			if e := out.add(concat, union, max(lt.phase, rt.phase)); e != nil && err == nil {
-				err = e
-			}
-		}
-	}
+	out, err := j.insertProbe(cb, left)
 	j.mu.Unlock()
 	if err != nil {
-		j.fail(fmt.Errorf("engine: join output: %w", err))
+		j.fail(fmt.Errorf("engine: join: %w", err))
 		return
 	}
-	out.pushTo(j.out)
+	for _, cb := range out {
+		j.out.push(cb)
+	}
+}
+
+func (j *joinOp) insertProbe(cb *colBatch, left bool) ([]*colBatch, error) {
+	mine, theirs := &j.right, &j.left
+	if left {
+		mine, theirs = theirs, mine
+	}
+	base, vecs := mine.rows.cols.N, keyVecs(cb.cols, mine.keys)
+	if err := mine.rows.appendBatch(cb); err != nil {
+		return nil, err
+	}
+	for i := 0; i < cb.cols.N; i++ {
+		mine.phases = append(mine.phases, cb.phase)
+	}
+	if err := mine.link(vecs, cb.cols.N, base); err != nil {
+		return nil, err
+	}
+	ids, _ := theirs.idx.lookup(vecs, cb.cols.N, false) // a probe has no error
+	msel, tsel := j.msel[:0], j.tsel[:0]
+	for i, id := range ids {
+		if id < 0 {
+			continue
+		}
+		for r := theirs.head[id]; r != 0; r = theirs.next[r-1] {
+			msel, tsel = append(msel, base+i), append(tsel, int(r-1))
+		}
+	}
+	j.msel, j.tsel = msel, tsel
+	if len(msel) == 0 {
+		return nil, nil
+	}
+	lsel, rsel := tsel, msel
+	if left {
+		lsel, rsel = msel, tsel
+	}
+	// Output = left columns then right: two gathers by the pair lists.
+	n := len(lsel)
+	out, rcols := &tuple.Batch{}, &tuple.Batch{}
+	if err := out.AppendRowsFrom(j.left.rows.cols, lsel); err != nil {
+		return nil, err
+	}
+	if err := rcols.AppendRowsFrom(j.right.rows.cols, rsel); err != nil {
+		return nil, err
+	}
+	out.Cols = append(out.Cols, rcols.Cols...)
+	phases := make([]uint32, n)
+	var prov []Prov
+	if cb.prov != nil {
+		prov = make([]Prov, n)
+	}
+	var lastL, lastR, union Prov // matches of one batch mostly share their sets
+	for i := range phases {
+		l, r := lsel[i], rsel[i]
+		phases[i] = max(j.left.phases[l], j.right.phases[r])
+		if prov != nil {
+			if lp, rp := j.left.rows.prov[l], j.right.rows.prov[r]; union == nil || !sameProv(lp, lastL) || !sameProv(rp, lastR) {
+				lastL, lastR, union = lp, rp, lp.Union(rp)
+			}
+			prov[i] = union
+		}
+	}
+	return cutByPhase(out, prov, phases)
 }
 
 func (j *joinOp) eosSide(left bool, phase uint32) {
@@ -255,29 +305,25 @@ func (j *joinOp) eosSide(left bool, phase uint32) {
 	}
 }
 
-// recover purges tainted tuples from both build tables and reopens the
-// operator so recomputed tuples can probe the retained clean state.
+// recover purges tainted tuples from both build tables — compacting the
+// batches and indexing what is left afresh — and reopens the operator so
+// recomputed tuples can probe the retained clean state.
 func (j *joinOp) recover(failed Prov) {
 	j.mu.Lock()
-	purge := func(table map[string][]joinRow) {
-		for k, ts := range table {
-			kept := ts[:0]
-			for _, t := range ts {
-				if !t.prov.Intersects(failed) {
-					kept = append(kept, t)
-				}
-			}
-			if len(kept) == 0 {
-				delete(table, k)
-			} else {
-				table[k] = kept
-			}
+	defer j.mu.Unlock()
+	for _, s := range []*joinBuild{&j.left, &j.right} {
+		keep := dropTainted(&s.rows, failed)
+		if keep == nil {
+			continue
+		}
+		s.phases = compactVec(s.phases, keep)
+		s.idx.reset()
+		s.head, s.next = s.head[:0], s.next[:0]
+		if err := s.link(keyVecs(s.rows.cols, s.keys), s.rows.cols.N, 0); err != nil {
+			j.fail(fmt.Errorf("engine: join recovery: %w", err))
 		}
 	}
-	purge(j.left)
-	purge(j.right)
 	j.leftEOS, j.rightEOS, j.finished = false, false, false
-	j.mu.Unlock()
 }
 
 // --- aggregate ---
@@ -289,28 +335,6 @@ func (j *joinOp) recover(failed Prov) {
 // (new-phase) contributions are emitted without duplicating already-emitted
 // clean sub-groups (§V-D). The sub-group count depends on node-set
 // combinations, not input size.
-
-type aggState struct {
-	counts []int64   // per spec: tuples seen (for COUNT and AVG)
-	sums   []float64 // per spec: running sum (SUM, AVG)
-	isums  []int64   // per spec: integer running sum
-	allInt []bool    // per spec: all inputs integral so far
-	mins   []tuple.Value
-	maxs   []tuple.Value
-	n      int64 // tuples in this sub-group
-}
-
-type aggSubgroup struct {
-	prov    Prov
-	phase   uint32
-	emitted bool // partial mode: already included in a shipped delta row
-	st      *aggState
-}
-
-type aggGroup struct {
-	groupVals tuple.Row
-	subs      map[string]*aggSubgroup
-}
 
 type aggOp struct {
 	// curPhase: see joinOp — stale-wave end-of-stream must not trigger an
@@ -324,11 +348,17 @@ type aggOp struct {
 	specs     []AggSpec
 	mode      AggMode
 	trackProv bool
-	groups    map[string]*aggGroup
-	keyBuf    []byte
-	dirty     map[string]bool // groups changed since the last emission
-	emitted   bool            // at least one end-of-stream emission happened
-	finished  bool
+	// tab holds one slot per sub-group: its key is the group columns and,
+	// with provenance, the sub-group's provenance set (its index in sets)
+	// and phase.
+	tab      *groupTable
+	sets     []Prov           // the distinct provenance sets seen, the operator's own copies
+	setIDs   map[string]int64 // Prov.Key → index in sets
+	setVec   []int64          // scratch: the set of each row of a push
+	phaseVec []int64          // scratch: the phase of each row of a push
+	dirty    keyIndex         // groups changed since the last emission
+	emitted  bool             // at least one end-of-stream emission happened
+	finished bool
 	// newest is the newest wave among the absorbed batches. Senders that
 	// applied a recovery directive route by the recovery table at once, so
 	// a node still in the old phase can hold part of a group it is about
@@ -346,185 +376,103 @@ func newAggOp(groupCols []int, specs []AggSpec, mode AggMode, trackProv bool, cu
 		specs:     specs,
 		mode:      mode,
 		trackProv: trackProv,
-		groups:    make(map[string]*aggGroup),
-		dirty:     make(map[string]bool),
+		tab:       newGroupTable(specs),
+		setIDs:    make(map[string]int64),
 		out:       out,
 	}
 }
 
-// newAggState returns the identity state for n specs.
-func newAggState(n int) *aggState {
-	st := &aggState{
-		counts: make([]int64, n),
-		sums:   make([]float64, n),
-		isums:  make([]int64, n),
-		allInt: make([]bool, n),
-		mins:   make([]tuple.Value, n),
-		maxs:   make([]tuple.Value, n),
-	}
-	for i := range st.allInt {
-		st.allInt[i] = true
-	}
-	return st
-}
-
-// push folds a batch into the groups, reading the typed column vectors in
-// place; what a group keeps (its key values, MIN/MAX candidates) is copied.
+// push folds a batch into the sub-groups, reading the typed column vectors
+// in place.
 func (a *aggOp) push(cb *colBatch) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if cb.phase > a.newest {
 		a.newest = cb.phase
 	}
-	var sk string // sub-group key of the current run of rows sharing one set
-	for i := 0; i < cb.cols.N; i++ {
-		a.keyBuf = appendBatchKey(a.keyBuf[:0], cb.cols, i, a.groupCols)
-		g := a.groups[string(a.keyBuf)]
-		if g == nil {
-			g = &aggGroup{groupVals: make(tuple.Row, len(a.groupCols)), subs: map[string]*aggSubgroup{}}
-			for j, c := range a.groupCols {
-				g.groupVals[j] = cb.cols.Cols[c].Value(i)
-			}
-			a.groups[string(a.keyBuf)] = g
-		}
-		if a.emitted && !a.dirty[string(a.keyBuf)] {
-			// The group's previous emission is being (or has been) purged
-			// downstream; re-emit it at the next end-of-stream.
-			a.dirty[string(a.keyBuf)] = true
-		}
-		if a.trackProv && (i == 0 || !sameProv(cb.prov[i], cb.prov[i-1])) {
-			sk = string(binary.BigEndian.AppendUint32([]byte(cb.prov[i].Key()), cb.phase))
-		}
-		sub := g.subs[sk]
-		if sub == nil {
-			sub = &aggSubgroup{phase: cb.phase, st: newAggState(len(a.specs))}
-			if a.trackProv {
-				sub.prov = cb.prov[i].Clone()
-			}
-			g.subs[sk] = sub
-		}
-		st := sub.st
-		st.n++
-		for j, spec := range a.specs {
-			var v tuple.Value
-			if spec.Col >= 0 {
-				v = cb.cols.Cols[spec.Col].Value(i)
-			}
-			switch spec.Func {
-			case AggCount:
-				st.counts[j]++
-			case AggSum, AggAvg:
-				st.counts[j]++
-				if v.T == tuple.Int64 {
-					st.isums[j] += v.I64
-				} else {
-					st.allInt[j] = false
+	if cb.cols.N == 0 {
+		return // possibly untyped: no key columns to read
+	}
+	vecs := keyVecs(cb.cols, a.groupCols)
+	var err error
+	if a.emitted {
+		// The groups' previous emission is being (or has been) purged
+		// downstream; re-emit them at the next end-of-stream.
+		_, err = a.dirty.lookup(vecs, cb.cols.N, true)
+	}
+	if a.trackProv {
+		a.setVec, a.phaseVec = a.setVec[:0], a.phaseVec[:0]
+		for i, p := range cb.prov {
+			if i == 0 || !sameProv(p, cb.prov[i-1]) { // else: a run of rows sharing one set
+				k := p.Key()
+				if _, ok := a.setIDs[k]; !ok {
+					a.setIDs[k], a.sets = int64(len(a.sets)), append(a.sets, p.Clone())
 				}
-				st.sums[j] += v.AsFloat()
-			case AggMin:
-				if st.counts[j] == 0 || v.Cmp(st.mins[j]) < 0 {
-					st.mins[j] = v
-				}
-				st.counts[j]++
-			case AggMax:
-				if st.counts[j] == 0 || v.Cmp(st.maxs[j]) > 0 {
-					st.maxs[j] = v
-				}
-				st.counts[j]++
+				a.setVec = append(a.setVec, a.setIDs[k])
+			} else {
+				a.setVec = append(a.setVec, a.setVec[i-1])
 			}
+			a.phaseVec = append(a.phaseVec, int64(cb.phase))
+		}
+		vecs = append(vecs, &tuple.ColVec{T: tuple.Int64, I64: a.setVec}, &tuple.ColVec{T: tuple.Int64, I64: a.phaseVec})
+	}
+	if err == nil {
+		_, err = a.tab.fold(vecs, cb.cols, -1)
+	}
+	if err != nil {
+		a.fail(fmt.Errorf("engine: aggregate: %w", err))
+	}
+}
+
+// emit renders the merge of the sub-groups, one output row per group or —
+// in partial mode — per group and provenance set; with only, just the rows
+// of the groups it indexes. A row's provenance is the union of its sub-groups', so
+// a downstream purge drops the whole row when any contributor fails; its
+// phase is their newest. The merge is the fold again, over the sub-groups'
+// partial layout; an AVG leaves as its quotient in complete mode and as its
+// (sum, count) pair otherwise.
+func (a *aggOp) emit(only *keyIndex) ([]*colBatch, error) {
+	part := a.tab.render(false)
+	if part.N == 0 {
+		return nil, nil
+	}
+	g := len(a.groupCols)
+	keys := g
+	if a.mode == AggPartial && a.trackProv {
+		keys++ // the set column follows the group columns
+	}
+	merged := newGroupTable(a.specs)
+	ids, err := merged.fold(vecsOf(part.Cols[:keys]), part, len(a.tab.keys.Cols))
+	if err != nil {
+		return nil, err
+	}
+	out := merged.render(a.mode == AggComplete)
+	out.Cols = append(out.Cols[:g], out.Cols[keys:]...)
+	phases := make([]uint32, out.N)
+	var prov []Prov
+	if a.trackProv {
+		prov = make([]Prov, out.N)
+		for i, id := range ids {
+			phases[id] = max(phases[id], uint32(part.Cols[g+1].I64[i]))
+			prov[id] = prov[id].Union(a.sets[part.Cols[g].I64[i]])
+		}
+	} else {
+		for i := range phases {
+			phases[i] = a.newest
 		}
 	}
-}
-
-// sumValue returns the accumulated sum with integer preservation.
-func (st *aggState) sumValue(i int) tuple.Value {
-	if st.allInt[i] {
-		return tuple.I(st.isums[i])
-	}
-	return tuple.F(st.sums[i])
-}
-
-// mergeState folds src into dst, spec by spec.
-func mergeState(dst, src *aggState, specs []AggSpec) {
-	dst.n += src.n
-	for i, spec := range specs {
-		switch spec.Func {
-		case AggCount:
-			dst.counts[i] += src.counts[i]
-		case AggSum, AggAvg:
-			dst.isums[i] += src.isums[i]
-			dst.allInt[i] = dst.allInt[i] && src.allInt[i]
-			dst.sums[i] += src.sums[i]
-			dst.counts[i] += src.counts[i]
-		case AggMin:
-			if src.counts[i] > 0 && (dst.counts[i] == 0 || src.mins[i].Cmp(dst.mins[i]) < 0) {
-				dst.mins[i] = src.mins[i]
-			}
-			dst.counts[i] += src.counts[i]
-		case AggMax:
-			if src.counts[i] > 0 && (dst.counts[i] == 0 || src.maxs[i].Cmp(dst.maxs[i]) > 0) {
-				dst.maxs[i] = src.maxs[i]
-			}
-			dst.counts[i] += src.counts[i]
-		}
-	}
-}
-
-// appendAggValues renders st after row, one value per spec — the one place
-// an aggregate state becomes output. An AVG is its quotient when final and
-// the (sum, count) pair of the partial layout otherwise.
-func appendAggValues(row tuple.Row, st *aggState, specs []AggSpec, final bool) tuple.Row {
-	for i, spec := range specs {
-		switch spec.Func {
-		case AggCount:
-			row = append(row, tuple.I(st.counts[i]))
-		case AggSum:
-			row = append(row, st.sumValue(i))
-		case AggMin:
-			row = append(row, st.mins[i])
-		case AggMax:
-			row = append(row, st.maxs[i])
-		case AggAvg:
-			switch {
-			case !final:
-				row = append(row, tuple.F(st.sums[i]), tuple.I(st.counts[i]))
-			case st.counts[i] == 0:
-				row = append(row, tuple.F(0))
-			default:
-				row = append(row, tuple.F(st.sums[i]/float64(st.counts[i])))
+	if only != nil {
+		keep := NewBitset(out.N)
+		hit, _ := only.lookup(vecsOf(out.Cols[:g]), out.N, false) // a probe has no error
+		for i, id := range hit {
+			if id >= 0 {
+				keep.Set(i)
 			}
 		}
+		out.CompactWords(keep)
+		prov, phases = compactVec(prov, keep), compactVec(phases, keep)
 	}
-	return row
-}
-
-// emit renders the merge of subs as one output row of group g. Its
-// provenance is the union of the sub-groups', so a downstream purge drops
-// the whole row when any contributor fails; its phase is their newest.
-func (a *aggOp) emit(out *phaseCut, g *aggGroup, subs []*aggSubgroup) error {
-	st := newAggState(len(a.specs))
-	var prov Prov
-	var phase uint32
-	for _, sub := range subs {
-		mergeState(st, sub.st, a.specs)
-		if a.trackProv {
-			prov = prov.Union(sub.prov)
-		}
-		phase = max(phase, sub.phase)
-	}
-	row := appendAggValues(g.groupVals.Clone(), st, a.specs, a.mode == AggComplete)
-	return out.add(row, prov, phase)
-}
-
-// emitMerged renders one group as a single output row by merging all of its
-// current sub-groups: the next emission (of the repaired merge) replaces it
-// without duplication.
-func (a *aggOp) emitMerged(out *phaseCut, g *aggGroup) error {
-	subs := make([]*aggSubgroup, 0, len(g.subs))
-	for _, sub := range g.subs {
-		subs = append(subs, sub)
-	}
-	return a.emit(out, g, subs)
+	return cutByPhase(out, prov, phases)
 }
 
 func (a *aggOp) eos(phase uint32) {
@@ -543,101 +491,85 @@ func (a *aggOp) eos(phase uint32) {
 		return
 	}
 	a.finished = true
-	out := phaseCut{withProv: a.trackProv}
+	var out []*colBatch
 	var err error
-	note := func(e error) {
-		if err == nil {
-			err = e
-		}
-	}
-	if a.mode == AggPartial {
+	switch {
+	case a.mode == AggPartial:
 		// Partial states are merged downstream (FinalAgg at the initiator),
-		// so each wave ships a DELTA: the merge of the sub-groups that have
-		// not been shipped yet. Deltas compose with retained earlier rows,
-		// which is essential here: with no exchange upstream, a live node's
-		// clean earlier emission survives downstream purges and must not be
-		// re-included. Tainted emitted sub-groups were dropped by recover()
-		// and their downstream rows purged by provenance, so nothing is
-		// lost or double-counted.
-		for _, g := range a.groups {
-			note(a.emitDeltas(&out, g))
-		}
-	} else if !a.emitted {
+		// so each wave ships a DELTA — the merge of the sub-groups not
+		// shipped yet — and then forgets them. Deltas compose with
+		// retained earlier rows, which is essential here: with no exchange
+		// upstream, a live node's clean earlier emission survives
+		// downstream purges and must not be re-included. The downstream
+		// rows of a tainted shipped sub-group are purged by provenance and
+		// the recovery wave recomputes its input, so nothing is lost or
+		// double-counted.
+		//
+		// One row is emitted per distinct provenance set — never merging
+		// sub-groups with different contributors into one row. This
+		// granularity is load-bearing: a downstream purge drops whole rows
+		// by provenance, so a row must contain either only-tainted or
+		// only-clean state. Merging a clean sub-group with a tainted one
+		// would let the purge silently discard clean state that has been
+		// shipped and is never resent (the paper's
+		// per-contributing-node-set sub-group shipping, §V-D).
+		out, err = a.emit(nil)
+		a.tab = newGroupTable(a.specs)
+	case !a.emitted:
 		// Complete mode, first completion: emit every group.
-		for _, g := range a.groups {
-			note(a.emitMerged(&out, g))
-		}
-	} else {
+		out, err = a.emit(nil)
+	default:
 		// Complete mode, post-recovery completion: re-emit only the groups
 		// whose previous emission was invalidated (their sub-groups
 		// changed). A dirty group's earlier emission either carried a
 		// tainted contributor and was purged downstream, or never happened
 		// (the group was inherited from the failed node), so the full merge
-		// replaces it exactly. That holds because a wave only completes
-		// here with every contributor's output intact: see newest, and
-		// executor.advance for the senders' side.
-		for gk := range a.dirty {
-			if g := a.groups[gk]; g != nil && len(g.subs) > 0 {
-				note(a.emitMerged(&out, g))
-			}
-		}
+		// of its sub-groups replaces it exactly. That holds because a wave
+		// only completes here with every contributor's output intact: see
+		// newest, and executor.advance for the senders' side.
+		out, err = a.emit(&a.dirty)
 	}
 	a.emitted = true
-	a.dirty = make(map[string]bool)
+	a.dirty.reset()
 	a.mu.Unlock()
 	if err != nil {
 		a.fail(fmt.Errorf("engine: aggregate output: %w", err))
-	} else {
-		out.pushTo(a.out)
+	}
+	for _, cb := range out {
+		a.out.push(cb)
 	}
 	a.out.eos(phase)
-}
-
-// emitDeltas renders the group's not-yet-shipped sub-groups as partial
-// rows, marking them shipped. One row is emitted per distinct provenance
-// set — never merging sub-groups with different contributors into one row.
-// This granularity is load-bearing: a downstream purge drops whole rows by
-// provenance, so a row must contain either only-tainted or only-clean
-// state. Merging a clean sub-group with a tainted one would let the purge
-// silently discard clean state that is marked shipped and never resent
-// (the paper's per-contributing-node-set sub-group shipping, §V-D).
-func (a *aggOp) emitDeltas(out *phaseCut, g *aggGroup) error {
-	byProv := make(map[string][]*aggSubgroup)
-	var order []string
-	for _, sub := range g.subs {
-		if sub.emitted {
-			continue
-		}
-		sub.emitted = true
-		pk := sub.prov.Key()
-		if byProv[pk] == nil {
-			order = append(order, pk)
-		}
-		byProv[pk] = append(byProv[pk], sub)
-	}
-	for _, pk := range order {
-		if err := a.emit(out, g, byProv[pk]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // recover drops tainted sub-groups, marking their groups for re-emission;
 // if the aggregate had already emitted, it reopens for the recovery wave.
 func (a *aggOp) recover(failed Prov) {
 	a.mu.Lock()
-	for gk, g := range a.groups {
-		for sk, sub := range g.subs {
-			if sub.prov.Intersects(failed) {
-				delete(g.subs, sk)
-				a.dirty[gk] = true
-			}
-		}
-		if len(g.subs) == 0 {
-			delete(a.groups, gk)
+	defer a.mu.Unlock()
+	a.finished = false
+	if !a.trackProv || a.tab.len() == 0 {
+		return
+	}
+	g, slots := len(a.groupCols), a.tab.len()
+	keep := NewBitset(slots)
+	var lost []int
+	for slot, set := range a.tab.keys.Cols[g].I64 {
+		if a.sets[set].Intersects(failed) {
+			lost = append(lost, slot)
+		} else {
+			keep.Set(slot)
 		}
 	}
-	a.finished = false
-	a.mu.Unlock()
+	if lost == nil {
+		return
+	}
+	var groups tuple.Batch
+	err := groups.AppendRowsFrom(&tuple.Batch{N: slots, Cols: a.tab.keys.Cols[:g]}, lost)
+	if err == nil {
+		_, err = a.dirty.lookup(vecsOf(groups.Cols), groups.N, true)
+	}
+	if err != nil {
+		a.fail(fmt.Errorf("engine: aggregate recovery: %w", err))
+	}
+	a.tab.compact(keep)
 }

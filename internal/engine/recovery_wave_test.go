@@ -7,16 +7,34 @@ import (
 	"orchestra/internal/tuple"
 )
 
-// recSink records what an operator pushes and which waves it ends.
+// recSink records what an operator pushes — each row with its batch's phase
+// and, in provenance mode, its set — and which waves it ends.
 type recSink struct {
-	rows []tuple.Row
-	prov []Prov
-	eosd []uint32
+	rows   []tuple.Row
+	phases []uint32
+	prov   []Prov
+	eosd   []uint32
 }
 
 func (s *recSink) push(cb *colBatch) {
 	s.rows = append(s.rows, cb.cols.Rows()...)
+	for i := 0; i < cb.cols.N; i++ {
+		s.phases = append(s.phases, cb.phase)
+	}
 	s.prov = append(s.prov, cb.prov...)
+}
+
+// purge drops the recorded rows tainted by failed, as the operators
+// downstream of a recovering one do.
+func (s *recSink) purge(failed Prov) {
+	n := 0
+	for i, p := range s.prov {
+		if !p.Intersects(failed) {
+			s.rows[n], s.phases[n], s.prov[n] = s.rows[i], s.phases[i], p
+			n++
+		}
+	}
+	s.rows, s.phases, s.prov = s.rows[:n], s.phases[:n], s.prov[:n]
 }
 func (s *recSink) eos(phase uint32) { s.eosd = append(s.eosd, phase) }
 

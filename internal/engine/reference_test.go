@@ -20,7 +20,7 @@ func refEval(p *Plan, data map[string][]tuple.Row, schemas map[string]*tuple.Sch
 }
 
 // refFinalOps is the row-at-a-time final pipeline the batch one
-// (applyFinalOps) is checked against: Value.Cmp stable sorts, Expr.Eval
+// (finalPipeline.apply) is checked against: Value.Cmp stable sorts, Expr.Eval
 // computes, a slice limit, and refMergeFinal for the partial-agg merge.
 func refFinalOps(ops []FinalOp, rows []tuple.Row) ([]tuple.Row, error) {
 	for _, op := range ops {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -117,53 +119,59 @@ func TestShipConsumerPurge(t *testing.T) {
 	}
 }
 
-// TestShipMismatchFailsQuery: fragment output that cannot form one batch —
-// column types that disagree from row to row, or with what was shipped
-// before — fails the query with a *ShipError; it never completes with a
-// short answer. At the fragment the operator whose output edge cannot carry
-// the rows reports it (a compute whose result type flips by row: straight
-// into the ship producer, and below a rehash and a join, where nothing
-// downstream ever looks at the types again); at the consumer, a shipment of
-// another shape.
+// TestShipMismatchFailsQuery: rows that cannot join what an operator holds
+// — a batch whose column types disagree with the batches before it — fail
+// the query with a *ShipError; it never completes with a short answer. A
+// column's type is a function of the plan and the schemas, so no plan
+// produces such a batch: each stateful edge of a fragment is fed one by
+// hand (the ship producer's pending batch, a rehash block, a join's build
+// side, an aggregate's group keys, where nothing downstream ever looks at
+// the types again), and the consumer is sent a shipment of another shape.
 func TestShipMismatchFailsQuery(t *testing.T) {
-	h := newHarness(t, 1) // funcExpr does not serialize: no remote fragments
+	h := newHarness(t, 1)
 	h.create(schemaR())
 	h.create(schemaS())
-	rng := rand.New(rand.NewSource(3))
-	h.publish("R", genR(50, rng))
-	h.publish("S", genS(20, rng))
-	flip := funcExpr(func(row tuple.Row) tuple.Value {
-		if row[0].I64%2 == 0 {
-			return tuple.I(row[0].I64)
+	scan := func(rel string) Node { return &ScanNode{Relation: rel} }
+	shaped := func(v tuple.Value) *colBatch {
+		cb := newColBatch(0)
+		if err := cb.cols.AppendRow(tuple.Row{v, v}); err != nil {
+			t.Fatal(err)
 		}
-		return tuple.S("odd")
-	})
-	flipR := &ComputeNode{Exprs: []Expr{flip, C(1)}, Child: &ScanNode{Relation: "R"}}
+		return cb
+	}
 	var se *ShipError
-	for name, root := range map[string]Node{
-		"compute under ship": flipR,
-		"compute under rehash": &JoinNode{LeftKeys: []int{1}, RightKeys: []int{0},
-			Left:  &RehashNode{Keys: []int{1}, Child: flipR},
-			Right: &RehashNode{Keys: []int{0}, Child: &ScanNode{Relation: "S"}}},
-	} {
-		for _, prov := range []bool{false, true} {
-			for i, eng := range h.engines {
-				res, err := eng.Run(h.ctx(), &Plan{Root: root}, Options{Provenance: prov})
-				if !errors.As(err, &se) || !strings.Contains(err.Error(), "compute") || !strings.Contains(err.Error(), "column 0") {
-					t.Fatalf("%s, provenance=%v, initiator %d: res=%v err=%v, want a *ShipError naming the compute and column 0",
-						name, prov, i, res, err)
-				}
+	for name, tc := range map[string]struct {
+		root Node
+		push func(ex *executor, cb *colBatch)
+	}{
+		"ship": {scan("R"), func(ex *executor, cb *colBatch) { ex.shipper.push(cb) }},
+		"rehash": {&RehashNode{Keys: []int{0}, Child: scan("R")}, func(ex *executor, cb *colBatch) {
+			for _, p := range ex.producers {
+				p.push(cb)
 			}
+		}},
+		"join": {&JoinNode{LeftKeys: []int{0}, RightKeys: []int{0}, Left: scan("R"), Right: scan("S")},
+			func(ex *executor, cb *colBatch) { ex.recoverables[0].(*joinOp).pushSide(cb, true) }},
+		"aggregate": {&AggNode{GroupCols: []int{0}, Aggs: []AggSpec{{Func: AggCount, Col: -1}}, Mode: AggComplete, Child: scan("R")},
+			func(ex *executor, cb *colBatch) { ex.recoverables[0].(*aggOp).push(cb) }},
+	} {
+		ex := initiatorExec(t, h, &Plan{Root: tc.root}, Options{})
+		tc.push(ex, shaped(tuple.I(1)))
+		tc.push(ex, shaped(tuple.S("x")))
+		ex.shipper.eos(0)
+		select {
+		case err := <-ex.shipCons.failCh:
+			if !errors.As(err, &se) || se.Node != ex.self() || !strings.Contains(err.Error(), "type") {
+				t.Fatalf("%s: mismatch reported %v, want a *ShipError naming the types", name, err)
+			}
+		default:
+			t.Fatalf("%s: a batch of another shape did not fail the fragment", name)
 		}
 	}
 
-	ex := initiatorExec(t, h, &Plan{Root: &ScanNode{Relation: "R"}}, Options{})
-	ints, strs := newColBatch(0), newColBatch(0)
-	if err := errors.Join(ints.cols.AppendRow(tuple.Row{tuple.I(1)}), strs.cols.AppendRow(tuple.Row{tuple.S("x")})); err != nil {
-		t.Fatal(err)
-	}
-	ex.sendShip(ints)
-	ex.sendShip(strs)
+	ex := initiatorExec(t, h, &Plan{Root: scan("R")}, Options{})
+	ex.sendShip(shaped(tuple.I(1)))
+	ex.sendShip(shaped(tuple.S("x")))
 	select {
 	case err := <-ex.shipCons.failCh:
 		if !errors.As(err, &se) || se.Node != ex.self() {
@@ -171,6 +179,41 @@ func TestShipMismatchFailsQuery(t *testing.T) {
 		}
 	default:
 		t.Fatal("consumer accepted a shipment of a different shape without failing the query")
+	}
+}
+
+// TestTopKFragmentHoldsKPlusOneBatch feeds a top-K fragment's ship producer
+// by hand: after every push it holds at most K rows, and what it ships is
+// the first K of a stable sort of everything pushed — keys tie heavily, so
+// the arrival order of equal keys is pinned too.
+func TestTopKFragmentHoldsKPlusOneBatch(t *testing.T) {
+	h := newHarness(t, 1)
+	h.create(schemaR())
+	const k = 25
+	keys := []SortKey{{Col: 0, Desc: true}}
+	p := &Plan{Root: &ScanNode{Relation: "R"}, Final: []FinalOp{&FinalSort{Keys: keys}, &FinalLimit{N: k}}}
+	ex := initiatorExec(t, h, p, Options{})
+	rng := rand.New(rand.NewSource(9))
+	var all []tuple.Row
+	for batch := 0; batch < 40; batch++ {
+		cb := newColBatch(0)
+		for i := rng.Intn(30); i >= 0; i-- {
+			row := tuple.Row{tuple.I(int64(rng.Intn(12))), tuple.I(int64(len(all)))} // (key, arrival)
+			all = append(all, row)
+			if err := cb.cols.AppendRow(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ex.shipper.push(cb)
+		if held := ex.shipper.pending.cols.N; held > k {
+			t.Fatalf("after batch %d the fragment holds %d rows, want ≤ K = %d", batch, held, k)
+		}
+	}
+	ex.shipper.eos(0)
+	sort.SliceStable(all, func(i, j int) bool { return all[i][0].I64 > all[j][0].I64 })
+	got := ex.shipCons.runs[ex.self()].Rows()
+	if fmt.Sprint(got) != fmt.Sprint(all[:k]) {
+		t.Fatalf("shipped run:\n got  %v\n want %v", got, all[:k])
 	}
 }
 

@@ -20,13 +20,14 @@ import (
 //     ≈ first fragment batch, initiator memory bounded by how far the
 //     consumer outruns the sink (the wire's credit window, on the
 //     serving path).
-//   - shipTopK: ORDER BY + LIMIT. Each fragment sorts its own output
-//     with the compiled comparators and ships only its local top K; the
-//     initiator keeps one sorted run per source and K-way merge-
-//     truncates at completion, so at most members×K rows ever reach it.
+//   - shipTopK: ORDER BY + LIMIT. Each fragment cuts its output back to
+//     its local top K as batches arrive (compiled comparators) and ships
+//     it at completion; the initiator keeps one sorted run per source
+//     and K-way merge-truncates, so at most members×K rows ever reach
+//     it and a fragment never holds more than K rows and one batch.
 //   - shipAggMerge: a FinalAgg head. The initiator folds arriving
-//     partial-aggregate rows into the merge accumulator incrementally
-//     instead of collecting them — memory is O(groups), not O(partials).
+//     partial-aggregate rows into the FinalAgg's group table instead of
+//     collecting them — memory is O(groups), not O(partials).
 //
 // Everything else (provenance mode, sort without limit, view-cache
 // queries at the cluster layer) stays on the collected path, unchanged.
@@ -137,59 +138,6 @@ type StreamAbortedError struct {
 func (e *StreamAbortedError) Error() string {
 	return fmt.Sprintf("engine: node failure after %d rows streamed: %v (re-issue the query)",
 		e.Streamed, e.Failed)
-}
-
-// --- streaming final pipeline (shipStream mode) ---
-
-// streamFinalState applies a compute/limit-only final pipeline to chunks
-// of the answer as they stream out. Compute is 1:1 and limit truncates a
-// prefix, so applying the ops in order per chunk — with each limit
-// keeping a running countdown across chunks — is equivalent to applying
-// them once to the concatenated whole. Used by the drainer goroutine
-// only; no locking.
-type streamFinalState struct {
-	stages []streamStage
-}
-
-type streamStage struct {
-	fns       []evalFn // non-nil: FinalCompute, compiled once
-	remaining int      // FinalLimit countdown (valid when fns is nil)
-}
-
-func newStreamFinalState(ops []FinalOp) *streamFinalState {
-	st := &streamFinalState{}
-	for _, op := range ops {
-		switch f := op.(type) {
-		case *FinalCompute:
-			st.stages = append(st.stages, streamStage{fns: compileExprs(f.Exprs), remaining: -1})
-		case *FinalLimit:
-			st.stages = append(st.stages, streamStage{remaining: f.N})
-		}
-	}
-	return st
-}
-
-// apply runs the pipeline over one chunk, returning the survivors: b
-// itself (truncated in place) or a fresh batch when a compute ran.
-func (st *streamFinalState) apply(b *tuple.Batch) (*tuple.Batch, error) {
-	for i := range st.stages {
-		s := &st.stages[i]
-		if s.fns != nil {
-			nb, err := computeCols(s.fns, b)
-			if err != nil {
-				return nil, err
-			}
-			b = nb
-			continue
-		}
-		if s.remaining <= 0 {
-			b.Truncate(0)
-		} else if b.N > s.remaining {
-			b.Truncate(s.remaining)
-		}
-		s.remaining -= b.N
-	}
-	return b, nil
 }
 
 // --- initiator-side K-way merge (shipTopK mode) ---

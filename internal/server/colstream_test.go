@@ -36,7 +36,7 @@ func testPublishFrame(t *testing.T) {
 	})}
 	conn := dialTest(t, startTestServer(t, rec, Config{}))
 	publish := func(id uint64, rows []tuple.Row) *reply {
-		payload, err := AppendPublishPayload(nil, id, 1000+id, "inv", rows)
+		payload, err := AppendPublishPayload(nil, id, 1000+id, "inv", rowBatch(t, rows))
 		if err != nil {
 			t.Fatal(err)
 		}

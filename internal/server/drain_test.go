@@ -65,7 +65,7 @@ func TestShutdownDrains(t *testing.T) {
 	// New work on the existing session is refused with the retryable
 	// proof-of-non-execution code.
 	conn.query(2, "late")
-	late, err := AppendPublishPayload(nil, 4, 0, "r", []tuple.Row{{tuple.I(1)}})
+	late, err := AppendPublishPayload(nil, 4, 0, "r", rowBatch(t, []tuple.Row{{tuple.I(1)}}))
 	if err != nil {
 		t.Fatal(err)
 	}

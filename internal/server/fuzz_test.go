@@ -33,7 +33,7 @@ func FuzzSessionFrames(f *testing.F) {
 		}
 		return b
 	}
-	publish, err := AppendPublishPayload(nil, 3, 9, "r", []tuple.Row{{tuple.S("k"), tuple.I(1)}})
+	publish, err := AppendPublishPayload(nil, 3, 9, "r", rowBatch(f, []tuple.Row{{tuple.S("k"), tuple.I(1)}}))
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -205,7 +205,7 @@ func (c *testConn) next() *reply {
 			_, r.cols, err = DecodeSchemaPayload(payload)
 		case FrameBatch:
 			var rows []tuple.Row
-			_, rows, err = DecodeBatchPayload(payload)
+			_, rows, err = decodeBatchPayload(payload)
 			r.rows = append(r.rows, rows...)
 			c.sendFrame(FrameCredit, AppendCreditPayload(nil, id, 1))
 		case FrameEnd:
@@ -509,4 +509,28 @@ func TestTypeQueryError(t *testing.T) {
 	if got := typeQueryError(ctx, planError{bind}); toWireError(ctx, got).Code != CodeTimeout {
 		t.Errorf("expired deadline: got %v, want a timeout", got)
 	}
+}
+
+// rowBatch builds the typed batch a publish or result frame carries from
+// row fixtures.
+func rowBatch(tb testing.TB, rows []tuple.Row) *tuple.Batch {
+	tb.Helper()
+	b := &tuple.Batch{}
+	for _, r := range rows {
+		if err := b.AppendRow(r); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return b
+}
+
+// decodeBatchPayload decodes a FrameBatch payload into typed rows.
+func decodeBatchPayload(p []byte) (id uint64, rows []tuple.Row, err error) {
+	id, rest, err := splitStreamID(p)
+	if err != nil {
+		return 0, nil, err
+	}
+	var b tuple.Batch
+	_, err = tuple.DecodeBatchInto(rest, &b)
+	return id, b.Rows(), err
 }

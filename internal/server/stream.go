@@ -4,7 +4,7 @@ package server
 //
 //	Schema(id, columns) Batch(id, rows)* End(id, tail|error)
 //
-// where each Batch carries a column-major tuple batch (tuple.EncodeBatch
+// where each Batch carries a column-major tuple batch (tuple.AppendBatchCols
 // format: row count, arity, per-column type tags, optional flate). A
 // query that fails before producing rows is answered by its End frame
 // alone. Frames of concurrent streams interleave freely on a connection —
@@ -255,17 +255,19 @@ func AppendCancelPayload(dst []byte, id uint64) []byte {
 
 // AppendPublishPayload encodes a FramePublish payload: request ID, the
 // publish idempotency ID (0 = none), relation name, and the rows as one
-// column-major tuple batch (columns must be type-homogeneous), flate-
-// compressed past the same threshold as result batches.
-func AppendPublishPayload(dst []byte, id, pubID uint64, relation string, rows []tuple.Row) ([]byte, error) {
+// column-major tuple batch, flate-compressed past the same threshold as
+// result batches.
+func AppendPublishPayload(dst []byte, id, pubID uint64, relation string, rows *tuple.Batch) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint64(dst, id)
 	dst = binary.BigEndian.AppendUint64(dst, pubID)
 	dst = binary.AppendUvarint(dst, uint64(len(relation)))
 	dst = append(dst, relation...)
-	return tuple.AppendBatch(dst, rows, defaultStreamCompressMin)
+	return tuple.AppendBatchCols(dst, rows, defaultStreamCompressMin)
 }
 
-// DecodePublishPayload reverses AppendPublishPayload.
+// DecodePublishPayload reverses AppendPublishPayload. The rows come back
+// boxed: the store keeps one record per tuple, so this is the edge where a
+// published batch becomes rows.
 func DecodePublishPayload(p []byte) (id, pubID uint64, relation string, rows []tuple.Row, err error) {
 	id, rest, err := splitStreamID(p)
 	if err != nil {
@@ -281,11 +283,11 @@ func DecodePublishPayload(p []byte) (id, pubID uint64, relation string, rows []t
 		return 0, 0, "", nil, errors.New("server: bad publish frame relation")
 	}
 	relation = string(rest[k : k+int(l)])
-	rows, err = tuple.DecodeBatch(rest[k+int(l):])
-	if err != nil {
+	var b tuple.Batch
+	if _, err := tuple.DecodeBatchInto(rest[k+int(l):], &b); err != nil {
 		return 0, 0, "", nil, fmt.Errorf("server: bad publish frame batch: %w", err)
 	}
-	return id, pubID, relation, rows, nil
+	return id, pubID, relation, b.Rows(), nil
 }
 
 // splitStreamID splits the leading request ID off a stream payload.
@@ -302,19 +304,8 @@ func StreamFrameID(p []byte) (uint64, error) {
 	return id, err
 }
 
-// DecodeBatchPayload decodes a FrameBatch payload into rows.
-func DecodeBatchPayload(p []byte) (id uint64, rows []tuple.Row, err error) {
-	id, rest, err := splitStreamID(p)
-	if err != nil {
-		return 0, nil, err
-	}
-	rows, err = tuple.DecodeBatch(rest)
-	return id, rows, err
-}
-
 // DecodeBatchPayloadAny decodes a FrameBatch payload straight into boxed
-// []any rows — the client's consumption form, skipping the typed Row
-// intermediate.
+// []any rows — the client's consumption form.
 func DecodeBatchPayloadAny(p []byte) (id uint64, rows [][]any, err error) {
 	id, rest, err := splitStreamID(p)
 	if err != nil {

@@ -174,7 +174,7 @@ func TestStreamCreditBackpressure(t *testing.T) {
 	if kind != FrameBatch {
 		t.Fatalf("kind=%v", kind)
 	}
-	_, rows1, err := DecodeBatchPayload(payload)
+	_, rows1, err := decodeBatchPayload(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestStreamCancelFrame(t *testing.T) {
 	if kind != FrameBatch {
 		t.Fatalf("second frame %v, want batch", kind)
 	}
-	if id, _, err := DecodeBatchPayload(payload); err != nil || id != reqID {
+	if id, _, err := decodeBatchPayload(payload); err != nil || id != reqID {
 		t.Fatalf("batch id=%d err=%v", id, err)
 	}
 

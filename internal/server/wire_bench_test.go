@@ -29,7 +29,7 @@ func benchResultRows(n int) []tuple.Row {
 // BenchmarkWireBinaryBatchFrame measures the per-batch server cost:
 // frame header + batch encode into a reused buffer.
 func BenchmarkWireBinaryBatchFrame(b *testing.B) {
-	rows := benchResultRows(1000)
+	rows := rowBatch(b, benchResultRows(1000))
 	var frame []byte
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -37,7 +37,7 @@ func BenchmarkWireBinaryBatchFrame(b *testing.B) {
 		dst, mark := beginFrame(frame[:0], FrameBatch)
 		dst = binary.BigEndian.AppendUint64(dst, 1)
 		var err error
-		dst, err = tuple.AppendBatch(dst, rows, -1)
+		dst, err = tuple.AppendBatchCols(dst, rows, -1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func BenchmarkWireBinaryBatchFrame(b *testing.B) {
 
 // BenchmarkWireBinaryBatchDecode measures the client-side batch decode.
 func BenchmarkWireBinaryBatchDecode(b *testing.B) {
-	payload, err := tuple.AppendBatch(nil, benchResultRows(1000), -1)
+	payload, err := tuple.AppendBatchCols(nil, rowBatch(b, benchResultRows(1000)), -1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func BenchmarkWireBinaryBatchDecode(b *testing.B) {
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tuple.DecodeBatch(payload); err != nil {
+		if _, err := tuple.DecodeBatchAny(payload); err != nil {
 			b.Fatal(err)
 		}
 	}

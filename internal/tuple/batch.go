@@ -23,9 +23,8 @@ import (
 // per value.
 
 const (
-	batchVersion     = 1
-	flagCompressed   = 0x01
-	minCompressBytes = 256 // below this, compression overhead dominates
+	batchVersion   = 1
+	flagCompressed = 0x01
 	// maxBatchBody caps a batch's decompressed body — far above any
 	// legitimate batch (wire batches are cut at ~256KiB), far below a
 	// decompression bomb.
@@ -46,29 +45,6 @@ var flateWriterPool = sync.Pool{
 		}
 		return fw
 	},
-}
-
-// EncodeBatch serializes rows column-major and compresses the payload. All
-// rows must have the same arity and positional types. Empty batches are
-// legal.
-func EncodeBatch(rows []Row) ([]byte, error) {
-	return AppendBatch(nil, rows, minCompressBytes)
-}
-
-// AppendBatch appends the batch encoding of rows to dst and returns the
-// extended slice, reusing dst's capacity — the allocation-lean variant for
-// hot paths that encode many batches. minCompress sets the raw-body size at
-// which flate compression kicks in; pass a negative value to never compress
-// (e.g. loopback serving, where the CPU spent compressing exceeds the wire
-// bytes saved). Decoding handles both forms transparently.
-func AppendBatch(dst []byte, rows []Row, minCompress int) ([]byte, error) {
-	mark := len(dst)
-	dst = append(dst, batchVersion, 0)
-	body, err := appendBatchBody(dst, rows)
-	if err != nil {
-		return nil, err
-	}
-	return compressBatchTail(body, mark, minCompress)
 }
 
 // compressBatchTail optionally flate-compresses the batch body appended
@@ -98,7 +74,7 @@ func compressBatchTail(body []byte, mark, minCompress int) ([]byte, error) {
 	return append(body, cbuf.Bytes()...), nil
 }
 
-// Small append helpers shared by the row-major and column-major encoders.
+// Small append helpers of the batch encoder (colbatch.go).
 
 func appendUvarint(dst []byte, v uint64) []byte { return binary.AppendUvarint(dst, v) }
 
@@ -108,44 +84,6 @@ func appendFloat64(dst []byte, f float64) []byte {
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], math.Float64bits(f))
 	return append(dst, b[:]...)
-}
-
-// appendBatchBody appends the uncompressed column-major body.
-func appendBatchBody(dst []byte, rows []Row) ([]byte, error) {
-	dst = binary.AppendUvarint(dst, uint64(len(rows)))
-	arity := 0
-	if len(rows) > 0 {
-		arity = len(rows[0])
-	}
-	dst = binary.AppendUvarint(dst, uint64(arity))
-	for c := 0; c < arity; c++ {
-		t := rows[0][c].T
-		if !t.IsValidType() {
-			return nil, fmt.Errorf("tuple: batch column %d has invalid type", c)
-		}
-		dst = append(dst, byte(t))
-		for r, row := range rows {
-			if len(row) != arity {
-				return nil, fmt.Errorf("tuple: batch row %d arity %d != %d", r, len(row), arity)
-			}
-			v := row[c]
-			if v.T != t {
-				return nil, fmt.Errorf("tuple: batch row %d col %d type %v != %v", r, c, v.T, t)
-			}
-			switch t {
-			case Int64:
-				dst = binary.AppendVarint(dst, v.I64)
-			case Float64:
-				var b [8]byte
-				binary.BigEndian.PutUint64(b[:], math.Float64bits(v.F64))
-				dst = append(dst, b[:]...)
-			case String:
-				dst = binary.AppendUvarint(dst, uint64(len(v.Str)))
-				dst = append(dst, v.Str...)
-			}
-		}
-	}
-	return dst, nil
 }
 
 // IsValidType reports whether t is a known column type.
@@ -218,70 +156,8 @@ func batchDims(data []byte) (body []byte, off, nRows, arity int, err error) {
 	return body, off, int(r), int(a), nil
 }
 
-// DecodeBatch reverses EncodeBatch.
-func DecodeBatch(data []byte) ([]Row, error) {
-	body, off, nRows, arity, err := batchDims(data)
-	if err != nil {
-		return nil, err
-	}
-	readUvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(body[off:])
-		if n <= 0 {
-			return 0, errors.New("tuple: bad uvarint in batch")
-		}
-		off += n
-		return v, nil
-	}
-	rows := make([]Row, nRows)
-	if nRows == 0 {
-		return rows, nil
-	}
-	backing := make([]Value, nRows*arity)
-	for i := range rows {
-		rows[i] = Row(backing[i*arity : (i+1)*arity])
-	}
-	for c := 0; c < arity; c++ {
-		if off >= len(body) {
-			return nil, errors.New("tuple: truncated batch column header")
-		}
-		t := Type(body[off])
-		off++
-		if !t.IsValidType() {
-			return nil, fmt.Errorf("tuple: bad column type %d in batch", t)
-		}
-		for r := 0; r < nRows; r++ {
-			switch t {
-			case Int64:
-				v, n := binary.Varint(body[off:])
-				if n <= 0 {
-					return nil, errors.New("tuple: bad varint in batch")
-				}
-				off += n
-				rows[r][c] = I(v)
-			case Float64:
-				if off+8 > len(body) {
-					return nil, errors.New("tuple: truncated float in batch")
-				}
-				rows[r][c] = F(math.Float64frombits(binary.BigEndian.Uint64(body[off:])))
-				off += 8
-			case String:
-				l, err := readUvarint()
-				if err != nil {
-					return nil, err
-				}
-				if l > uint64(len(body)-off) {
-					return nil, errors.New("tuple: truncated string in batch")
-				}
-				rows[r][c] = S(string(body[off : off+int(l)]))
-				off += int(l)
-			}
-		}
-	}
-	return rows, nil
-}
-
 // DecodeBatchAny decodes a wire batch straight into boxed []any rows —
-// the client-side form — skipping the typed Row intermediate entirely.
+// the client-side form.
 // Row slices are carved from one backing slab.
 func DecodeBatchAny(data []byte) ([][]any, error) {
 	body, off, nRows, arity, err := batchDims(data)
@@ -345,8 +221,7 @@ func DecodeBatchAny(data []byte) ([][]any, error) {
 }
 
 // DecodeBatchInto decodes a wire batch straight onto b's column vectors,
-// appending its rows — the allocation-lean counterpart of DecodeBatch for
-// consumers that accumulate columnar state. A b with no columns yet adopts
+// appending its rows, for consumers that accumulate columnar state. A b with no columns yet adopts
 // the payload's types; otherwise they must match positionally. On error b
 // is restored to its prior row count. Returns the decoded row count.
 //

@@ -61,6 +61,33 @@ func randBatchRows(rng *rand.Rand, nRows, arity int) []Row {
 	return rows
 }
 
+// encodeRows and decodeRows drive the batch codec from the tests' row
+// fixtures: rows → Batch.AppendRow → AppendBatchCols, and DecodeBatchInto →
+// Batch.Rows, with DecodeBatchAny held to the same verdict.
+func encodeRows(rows []Row, minCompress int) ([]byte, error) {
+	b := &Batch{}
+	for _, r := range rows {
+		if err := b.AppendRow(r); err != nil {
+			return nil, err
+		}
+	}
+	return AppendBatchCols(nil, b, minCompress)
+}
+
+func decodeRows(data []byte) ([]Row, error) {
+	var b Batch
+	_, err := DecodeBatchInto(data, &b)
+	if _, anyErr := DecodeBatchAny(data); (err == nil) != (anyErr == nil) {
+		panic(fmt.Sprintf("decoders disagree: DecodeBatchInto %v, DecodeBatchAny %v", err, anyErr))
+	}
+	return b.Rows(), err
+}
+
+// sameBits reports exact equality of two values (NaNs by bit pattern).
+func sameBits(a, b Value) bool {
+	return a.T == b.T && a.I64 == b.I64 && a.Str == b.Str && math.Float64bits(a.F64) == math.Float64bits(b.F64)
+}
+
 // TestBatchRoundTripProperty round-trips randomized batches across all
 // types, shapes, and both compression regimes.
 func TestBatchRoundTripProperty(t *testing.T) {
@@ -69,21 +96,12 @@ func TestBatchRoundTripProperty(t *testing.T) {
 		nRows := rng.Intn(300)
 		arity := rng.Intn(6) + 1
 		rows := randBatchRows(rng, nRows, arity)
-		// Alternate the codec entry points and compression thresholds.
-		var enc []byte
-		var err error
-		switch trial % 3 {
-		case 0:
-			enc, err = EncodeBatch(rows)
-		case 1:
-			enc, err = AppendBatch(nil, rows, -1) // never compress
-		default:
-			enc, err = AppendBatch(make([]byte, 0, 64), rows, 1) // always compress
-		}
+		// Alternate the compression thresholds: past 256 B, never, always.
+		enc, err := encodeRows(rows, []int{256, -1, 1}[trial%3])
 		if err != nil {
 			t.Fatalf("trial %d: encode: %v", trial, err)
 		}
-		got, err := DecodeBatch(enc)
+		got, err := decodeRows(enc)
 		if err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
@@ -95,9 +113,7 @@ func TestBatchRoundTripProperty(t *testing.T) {
 				t.Fatalf("trial %d row %d: arity %d, want %d", trial, i, len(got[i]), len(rows[i]))
 			}
 			for j := range rows[i] {
-				a, b := rows[i][j], got[i][j]
-				if a.T != b.T || a.I64 != b.I64 || a.Str != b.Str ||
-					math.Float64bits(a.F64) != math.Float64bits(b.F64) {
+				if a, b := rows[i][j], got[i][j]; !sameBits(a, b) {
 					t.Fatalf("trial %d row %d col %d: %v != %v", trial, i, j, b, a)
 				}
 			}
@@ -105,13 +121,19 @@ func TestBatchRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestAppendBatchReusesScratch verifies AppendBatch appends after
+// TestAppendBatchColsReusesScratch verifies AppendBatchCols appends after
 // existing bytes and reuses capacity instead of allocating fresh.
-func TestAppendBatchReusesScratch(t *testing.T) {
+func TestAppendBatchColsReusesScratch(t *testing.T) {
 	rows := []Row{{I(1), S("a")}, {I(2), S("b")}}
+	b := &Batch{}
+	for _, r := range rows {
+		if err := b.AppendRow(r); err != nil {
+			t.Fatal(err)
+		}
+	}
 	scratch := make([]byte, 0, 4096)
 	scratch = append(scratch, 0xAA, 0xBB)
-	out, err := AppendBatch(scratch, rows, -1)
+	out, err := AppendBatchCols(scratch, b, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,9 +141,9 @@ func TestAppendBatchReusesScratch(t *testing.T) {
 		t.Fatal("prefix clobbered")
 	}
 	if &out[0] != &scratch[0] {
-		t.Fatal("AppendBatch reallocated despite sufficient capacity")
+		t.Fatal("AppendBatchCols reallocated despite sufficient capacity")
 	}
-	got, err := DecodeBatch(out[2:])
+	got, err := decodeRows(out[2:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +159,11 @@ func TestBatchHuge(t *testing.T) {
 	for i := range rows {
 		rows[i] = Row{I(int64(i)), F(float64(i) / 3), S(fmt.Sprintf("key-%09d", i))}
 	}
-	enc, err := EncodeBatch(rows)
+	enc, err := encodeRows(rows, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeBatch(enc)
+	got, err := decodeRows(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +180,7 @@ func TestBatchHuge(t *testing.T) {
 // TestDecodeBatchRejectsMalformed feeds corrupted encodings and expects
 // an error, never a panic or a bogus success.
 func TestDecodeBatchRejectsMalformed(t *testing.T) {
-	good, err := EncodeBatch([]Row{{I(42), S("hello"), F(2.5)}, {I(-1), S(""), F(0)}})
+	good, err := encodeRows([]Row{{I(42), S("hello"), F(2.5)}, {I(-1), S(""), F(0)}}, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,18 +195,18 @@ func TestDecodeBatchRejectsMalformed(t *testing.T) {
 		"bogus compressed": {batchVersion, flagCompressed, 0xde, 0xad, 0xbe, 0xef},
 	}
 	for name, data := range cases {
-		if _, err := DecodeBatch(data); err == nil {
+		if _, err := decodeRows(data); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 	// Truncation at every prefix must error, not panic (the two-byte
 	// header of an empty batch is the only valid prefix).
-	raw, err := AppendBatch(nil, []Row{{I(7), S("x")}}, -1)
+	raw, err := encodeRows([]Row{{I(7), S("x")}}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < len(raw); i++ {
-		if _, err := DecodeBatch(raw[:i]); err == nil && i != 2 {
+		if _, err := decodeRows(raw[:i]); err == nil && i != 2 {
 			t.Errorf("prefix %d/%d accepted", i, len(raw))
 		}
 	}
@@ -198,7 +220,7 @@ func TestDecodeBatchDimsBomb(t *testing.T) {
 	b = appendUvarintT(b, 1<<27) // rows
 	b = appendUvarintT(b, 1<<15) // arity
 	b = append(b, byte(Int64), 1, 1, 1)
-	if _, err := DecodeBatch(b); err == nil {
+	if _, err := decodeRows(b); err == nil {
 		t.Fatal("dims bomb accepted")
 	}
 	// Modest row count but huge arity: the rows*arity product must be
@@ -209,7 +231,7 @@ func TestDecodeBatchDimsBomb(t *testing.T) {
 	b = appendUvarintT(b, 100_000)
 	b = appendUvarintT(b, 1<<16)
 	b = append(b, make([]byte, 2048)...)
-	if _, err := DecodeBatch(b); err == nil {
+	if _, err := decodeRows(b); err == nil {
 		t.Fatal("rows*arity bomb accepted")
 	}
 }
@@ -222,8 +244,9 @@ func appendUvarintT(dst []byte, v uint64) []byte {
 	return append(dst, byte(v))
 }
 
-// FuzzDecodeBatch asserts DecodeBatch never panics and that everything
-// it accepts re-encodes to an equivalent batch.
+// FuzzDecodeBatch asserts the batch decoders never panic, agree with each
+// other on acceptance and on every value, and that everything they accept
+// re-encodes to an equivalent batch.
 func FuzzDecodeBatch(f *testing.F) {
 	seedRows := [][]Row{
 		nil,
@@ -232,52 +255,54 @@ func FuzzDecodeBatch(f *testing.F) {
 		randBatchRows(rand.New(rand.NewSource(1)), 40, 3),
 	}
 	for _, rows := range seedRows {
-		if enc, err := EncodeBatch(rows); err == nil {
-			f.Add(enc)
-		}
-		if enc, err := AppendBatch(nil, rows, 1); err == nil {
-			f.Add(enc)
+		for _, minCompress := range []int{256, 1} {
+			if enc, err := encodeRows(rows, minCompress); err == nil {
+				f.Add(enc)
+			}
 		}
 	}
 	f.Add([]byte{batchVersion, 0, 0x80})
 	f.Add([]byte{batchVersion, flagCompressed, 0x01, 0x02})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rows, err := DecodeBatch(data)
-		// The sibling decoders must never panic either, and must agree
-		// with DecodeBatch on acceptance.
-		anyRows, anyErr := DecodeBatchAny(data)
 		var into Batch
-		intoN, intoErr := DecodeBatchInto(data, &into)
+		n, err := DecodeBatchInto(data, &into)
+		anyRows, anyErr := DecodeBatchAny(data)
+		if (err == nil) != (anyErr == nil) {
+			t.Fatalf("DecodeBatchInto err=%v but DecodeBatchAny err=%v", err, anyErr)
+		}
 		if err != nil {
-			if anyErr == nil || (intoErr == nil && intoN > 0) {
-				t.Fatalf("DecodeBatch rejected (%v) but Any=%v Into=%v", err, anyErr, intoErr)
+			if into.N != 0 {
+				t.Fatalf("a rejected batch left %d rows behind", into.N)
 			}
 			return
 		}
-		if anyErr != nil || len(anyRows) != len(rows) {
-			t.Fatalf("DecodeBatchAny: err=%v rows=%d want %d", anyErr, len(anyRows), len(rows))
+		if n != into.N || len(anyRows) != n {
+			t.Fatalf("DecodeBatchInto: %d rows, batch holds %d, DecodeBatchAny %d", n, into.N, len(anyRows))
 		}
-		if intoErr != nil || into.N != len(rows) {
-			t.Fatalf("DecodeBatchInto: err=%v rows=%d want %d", intoErr, into.N, len(rows))
-		}
-		var scratch Row
-		for i := range rows {
-			scratch = into.Row(i, scratch)
-			for j := range rows[i] {
-				a, b := rows[i][j], scratch[j]
-				if a.T != b.T || a.I64 != b.I64 || a.Str != b.Str ||
-					math.Float64bits(a.F64) != math.Float64bits(b.F64) {
-					t.Fatalf("DecodeBatchInto row %d col %d: %v != %v", i, j, b, a)
+		rows := into.Rows()
+		for i, row := range rows {
+			for j, v := range row {
+				var boxed Value
+				switch x := anyRows[i][j].(type) {
+				case int64:
+					boxed = I(x)
+				case float64:
+					boxed = F(x)
+				case string:
+					boxed = S(x)
+				}
+				if !sameBits(v, boxed) {
+					t.Fatalf("row %d col %d: DecodeBatchAny %v != DecodeBatchInto %v", i, j, boxed, v)
 				}
 			}
 		}
-		enc, err := EncodeBatch(rows)
+		enc, err := AppendBatchCols(nil, &into, 256)
 		if err != nil {
-			// Mixed-type columns cannot come out of DecodeBatch; any
-			// accepted input must re-encode.
+			// Mixed-type columns cannot come out of a decoder; any accepted
+			// input must re-encode.
 			t.Fatalf("decoded batch does not re-encode: %v", err)
 		}
-		again, err := DecodeBatch(enc)
+		again, err := decodeRows(enc)
 		if err != nil {
 			t.Fatalf("re-encoded batch does not decode: %v", err)
 		}
@@ -286,9 +311,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		}
 		for i := range rows {
 			for j := range rows[i] {
-				a, b := rows[i][j], again[i][j]
-				if a.T != b.T || a.I64 != b.I64 || a.Str != b.Str ||
-					math.Float64bits(a.F64) != math.Float64bits(b.F64) {
+				if a, b := rows[i][j], again[i][j]; !sameBits(a, b) {
 					t.Fatalf("row %d col %d changed: %v != %v", i, j, b, a)
 				}
 			}
@@ -299,13 +322,13 @@ func FuzzDecodeBatch(f *testing.F) {
 // BenchmarkWireEncodeBatch measures the streaming path's batch encode
 // (no compression — the loopback configuration).
 func BenchmarkWireEncodeBatch(b *testing.B) {
-	rows := benchRows(1024)
+	rows := benchBatch(b, 1024)
 	var scratch []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		scratch, err = AppendBatch(scratch[:0], rows, -1)
+		scratch, err = AppendBatchCols(scratch[:0], rows, -1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -315,13 +338,13 @@ func BenchmarkWireEncodeBatch(b *testing.B) {
 
 // BenchmarkWireEncodeBatchCompressed includes flate (the WAN config).
 func BenchmarkWireEncodeBatchCompressed(b *testing.B) {
-	rows := benchRows(1024)
+	rows := benchBatch(b, 1024)
 	var scratch []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		scratch, err = AppendBatch(scratch[:0], rows, 1)
+		scratch, err = AppendBatchCols(scratch[:0], rows, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -331,7 +354,7 @@ func BenchmarkWireEncodeBatchCompressed(b *testing.B) {
 
 // BenchmarkWireDecodeBatch measures the client-side decode.
 func BenchmarkWireDecodeBatch(b *testing.B) {
-	enc, err := AppendBatch(nil, benchRows(1024), -1)
+	enc, err := AppendBatchCols(nil, benchBatch(b, 1024), -1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -339,16 +362,18 @@ func BenchmarkWireDecodeBatch(b *testing.B) {
 	b.SetBytes(int64(len(enc)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeBatch(enc); err != nil {
+		if _, err := DecodeBatchAny(enc); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func benchRows(n int) []Row {
-	rows := make([]Row, n)
-	for i := range rows {
-		rows[i] = Row{S(fmt.Sprintf("k%06d", i)), I(int64(i % 17)), I(int64(i))}
+func benchBatch(tb testing.TB, n int) *Batch {
+	b := &Batch{}
+	for i := 0; i < n; i++ {
+		if err := b.AppendRow(Row{S(fmt.Sprintf("k%06d", i)), I(int64(i % 17)), I(int64(i))}); err != nil {
+			tb.Fatal(err)
+		}
 	}
-	return rows
+	return b
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 )
 
@@ -137,19 +138,6 @@ func (b *Batch) AppendRow(row Row) error {
 	return nil
 }
 
-// Row materializes row i into dst (grown as needed) and returns it.
-func (b *Batch) Row(i int, dst Row) Row {
-	if cap(dst) < len(b.Cols) {
-		dst = make(Row, len(b.Cols))
-	} else {
-		dst = dst[:len(b.Cols)]
-	}
-	for c := range b.Cols {
-		dst[c] = b.Cols[c].Value(i)
-	}
-	return dst
-}
-
 // Rows materializes the whole batch as row slices carved from a single
 // backing slab: two allocations total instead of one per row. The rows do
 // not alias the batch's vectors (string contents are shared, which is safe
@@ -253,14 +241,17 @@ func (b *Batch) AppendRowsFrom(src *Batch, sel []int) error {
 		v, w := &src.Cols[c], &b.Cols[c]
 		switch v.T {
 		case Int64:
+			w.I64 = slices.Grow(w.I64, len(sel))
 			for _, i := range sel {
 				w.I64 = append(w.I64, v.I64[i])
 			}
 		case Float64:
+			w.F64 = slices.Grow(w.F64, len(sel))
 			for _, i := range sel {
 				w.F64 = append(w.F64, v.F64[i])
 			}
 		case String:
+			w.Str = slices.Grow(w.Str, len(sel))
 			for _, i := range sel {
 				w.Str = append(w.Str, v.Str[i])
 			}
@@ -450,8 +441,12 @@ func DecodeRowCols(data []byte, s *Schema, b *Batch) (int, error) {
 	return off, nil
 }
 
-// AppendBatchCols appends the wire encoding of a columnar batch to dst —
-// identical format to AppendBatch, produced without materializing rows.
+// AppendBatchCols appends the wire encoding of a columnar batch to dst,
+// reusing dst's capacity: the batch serialized column-major, with the
+// payload flate-compressed once its raw body reaches minCompress bytes
+// (negative: never — e.g. loopback serving, where the CPU spent
+// compressing exceeds the wire bytes saved). Decoding handles both forms
+// transparently. Empty batches are legal.
 func AppendBatchCols(dst []byte, b *Batch, minCompress int) ([]byte, error) {
 	mark := len(dst)
 	dst = append(dst, batchVersion, 0)

@@ -2,7 +2,6 @@ package tuple
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
@@ -55,14 +54,6 @@ func TestBatchRoundTripRows(t *testing.T) {
 	for i := range rows {
 		if !got[i].Equal(rows[i]) {
 			t.Fatalf("row %d: got %v want %v", i, got[i], rows[i])
-		}
-	}
-	// Row materializes a single row into a reused buffer.
-	var buf Row
-	for i := range rows {
-		buf = b.Row(i, buf)
-		if !buf.Equal(rows[i]) {
-			t.Fatalf("Row(%d): got %v want %v", i, buf, rows[i])
 		}
 	}
 }
@@ -120,47 +111,6 @@ func TestBatchProjectAndTruncate(t *testing.T) {
 	b.Truncate(4)
 	if b.N != 4 || len(b.Rows()) != 4 {
 		t.Fatalf("Truncate(4) left N=%d", b.N)
-	}
-}
-
-// TestAppendBatchColsMatchesRowEncoder checks that the columnar encoder
-// produces bytes DecodeBatch understands, identically to the row encoder.
-func TestAppendBatchColsMatchesRowEncoder(t *testing.T) {
-	s := colTestSchema(t)
-	rng := rand.New(rand.NewSource(6))
-	for _, n := range []int{0, 1, 17, 300} {
-		rows := randRows(rng, s, n)
-		b := NewBatch(s)
-		for _, r := range rows {
-			if err := b.AppendRow(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, minCompress := range []int{-1, 64} {
-			fromRows, err := AppendBatch(nil, rows, minCompress)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fromCols, err := AppendBatchCols(nil, b, minCompress)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(fromRows, fromCols) {
-				t.Fatalf("n=%d compress=%d: columnar encoding differs from row encoding", n, minCompress)
-			}
-			dec, err := DecodeBatch(fromCols)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(dec) != n {
-				t.Fatalf("decoded %d rows, want %d", len(dec), n)
-			}
-			for i := range rows {
-				if !dec[i].Equal(rows[i]) {
-					t.Fatalf("row %d: got %v want %v", i, dec[i], rows[i])
-				}
-			}
-		}
 	}
 }
 

@@ -241,11 +241,11 @@ func TestBatchRoundTripSmall(t *testing.T) {
 		{S("a"), I(1), F(1.0)},
 		{S("b"), I(2), F(2.0)},
 	}
-	enc, err := EncodeBatch(rows)
+	enc, err := encodeRows(rows, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeBatch(enc)
+	got, err := decodeRows(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,11 +260,11 @@ func TestBatchRoundTripSmall(t *testing.T) {
 }
 
 func TestBatchEmpty(t *testing.T) {
-	enc, err := EncodeBatch(nil)
+	enc, err := encodeRows(nil, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeBatch(enc)
+	got, err := decodeRows(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestBatchCompressionKicksIn(t *testing.T) {
 			F(float64(i%7) * 1.25),
 		})
 	}
-	enc, err := EncodeBatch(rows)
+	enc, err := encodeRows(rows, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestBatchCompressionKicksIn(t *testing.T) {
 	if len(enc) >= rawEstimate/2 {
 		t.Errorf("compressed batch %dB not < half of raw %dB", len(enc), rawEstimate)
 	}
-	got, err := DecodeBatch(enc)
+	got, err := decodeRows(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,24 +310,31 @@ func TestBatchCompressionKicksIn(t *testing.T) {
 
 func TestBatchMixedArityRejected(t *testing.T) {
 	rows := []Row{{I(1)}, {I(1), I(2)}}
-	if _, err := EncodeBatch(rows); err == nil {
+	if _, err := encodeRows(rows, 256); err == nil {
 		t.Error("mixed arity should fail")
 	}
 	rows = []Row{{I(1)}, {S("x")}}
-	if _, err := EncodeBatch(rows); err == nil {
+	if _, err := encodeRows(rows, 256); err == nil {
 		t.Error("mixed column types should fail")
+	}
+	ragged := &Batch{N: 2, Cols: []ColVec{{T: Int64, I64: []int64{1, 2}}, {T: Int64, I64: []int64{1}}}}
+	if _, err := AppendBatchCols(nil, ragged, -1); err == nil {
+		t.Error("a column shorter than the batch should fail")
+	}
+	if _, err := AppendBatchCols(nil, &Batch{N: 1, Cols: []ColVec{{I64: []int64{1}}}}, -1); err == nil {
+		t.Error("an untyped column should fail")
 	}
 }
 
 func TestBatchDecodeErrors(t *testing.T) {
-	if _, err := DecodeBatch(nil); err == nil {
+	if _, err := decodeRows(nil); err == nil {
 		t.Error("nil should fail")
 	}
-	if _, err := DecodeBatch([]byte{9, 0, 0}); err == nil {
+	if _, err := decodeRows([]byte{9, 0, 0}); err == nil {
 		t.Error("bad version should fail")
 	}
-	good, _ := EncodeBatch([]Row{{I(1), S("abc")}})
-	if _, err := DecodeBatch(good[:len(good)-2]); err == nil {
+	good, _ := encodeRows([]Row{{I(1), S("abc")}}, 256)
+	if _, err := decodeRows(good[:len(good)-2]); err == nil {
 		t.Error("truncated batch should fail")
 	}
 }
@@ -448,11 +455,11 @@ func TestPropBatchRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		enc, err := EncodeBatch(rows)
+		enc, err := encodeRows(rows, 256)
 		if err != nil {
 			return false
 		}
-		got, err := DecodeBatch(enc)
+		got, err := decodeRows(enc)
 		if err != nil || len(got) != len(rows) {
 			return false
 		}
