@@ -20,13 +20,15 @@ var frameDecoders = []struct {
 	{"fetch response", func(b []byte) int { pairs, _, _ := decodeFetchResp(b); return cap(pairs) }},
 	{"digest", func(b []byte) int { groups, _ := decodeDigest(b); return cap(groups) }},
 	{"fetch request", func(b []byte) int { _, _, _ = decodeFetchReq(b); return 0 }},
+	{"ship request", func(b []byte) int { _, _, _ = decodeShipReq(b); return 0 }},
+	{"repl status", func(b []byte) int { _, _, _, _ = decodeReplStatus(b); return 0 }},
 	{"lease request", func(b []byte) int { _, _, _, _, _ = decodeLeaseReq(b); return 0 }},
 	{"lease response", func(b []byte) int { _, _, _, _, _ = decodeLeaseResp(b); return 0 }},
 }
 
-// frameBombs are payloads of a few bytes that claim 2²⁶ records (which the
-// old per-decoder caps let through to make) or a 2⁶³-byte field (which
-// readBytes let wrap negative and reach the slice expression).
+// frameBombs are payloads of a few bytes that claim 2²⁶ records (which
+// per-decoder caps once let through to make) or a 2⁶³-byte field (which once
+// wrapped negative and reached the slice expression).
 func frameBombs() [][]byte {
 	count := binary.AppendUvarint(nil, 1<<26)
 	field := binary.AppendUvarint(nil, 1<<63)
@@ -47,6 +49,8 @@ func FuzzClusterFrames(f *testing.F) {
 	f.Add(encodeShipResp([]kvstore.ReplRecord{{Seq: 7, Op: 1, Payload: []byte("put")}, {Seq: 8, Op: 2}}, true, false))
 	f.Add(encodeFetchResp(kv, true))
 	f.Add(encodeFetchReq([]byte("t/k1"), 1<<20))
+	f.Add(encodeShipReq(7, 1<<20))
+	f.Add(encodeReplStatus(9, 3, 4))
 	f.Add(encodeDigest([]groupDigest{{name: "c/R", count: 3, xor: 0xfeed, maxEpoch: 9}, {name: "t/0", count: 1}}))
 	f.Add(encodeLeaseReq(leaseOpAcquire, "R", "orch-001", time.Second))
 	f.Add(encodeLeaseResp(4, "orch-002", time.Millisecond))

@@ -22,12 +22,12 @@ package cluster
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"time"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/ring"
 	"orchestra/internal/vstore"
 )
@@ -84,29 +84,19 @@ const (
 
 func encodeLeaseReq(op byte, relation, owner string, ttl time.Duration) []byte {
 	out := []byte{op}
-	out = appendBytes(out, []byte(relation))
-	out = appendBytes(out, []byte(owner))
+	out = codec.AppendBytes(out, []byte(relation))
+	out = codec.AppendBytes(out, []byte(owner))
 	return binary.BigEndian.AppendUint64(out, uint64(ttl/time.Millisecond))
 }
 
 func decodeLeaseReq(data []byte) (op byte, relation, owner string, ttl time.Duration, err error) {
-	if len(data) < 1 {
-		return 0, "", "", 0, errors.New("cluster: empty lease request")
-	}
-	op = data[0]
-	rel, rest, err := readBytes(data[1:])
-	if err != nil {
+	r := codec.NewReader(data)
+	op, relation, owner = r.U8(), r.Str(), r.Str()
+	ttl = time.Duration(r.U64()) * time.Millisecond
+	if err := r.Done("cluster: lease request"); err != nil {
 		return 0, "", "", 0, err
 	}
-	own, rest, err := readBytes(rest)
-	if err != nil {
-		return 0, "", "", 0, err
-	}
-	if len(rest) != 8 {
-		return 0, "", "", 0, errors.New("cluster: truncated lease request")
-	}
-	ttl = time.Duration(binary.BigEndian.Uint64(rest)) * time.Millisecond
-	return op, string(rel), string(own), ttl, nil
+	return op, relation, owner, ttl, nil
 }
 
 func encodeLeaseResp(fence uint64, holder string, wait time.Duration) []byte {
@@ -116,25 +106,18 @@ func encodeLeaseResp(fence uint64, holder string, wait time.Duration) []byte {
 	}
 	out := []byte{granted}
 	out = binary.BigEndian.AppendUint64(out, fence)
-	out = appendBytes(out, []byte(holder))
+	out = codec.AppendBytes(out, []byte(holder))
 	return binary.BigEndian.AppendUint64(out, uint64(wait/time.Millisecond))
 }
 
 func decodeLeaseResp(data []byte) (granted bool, fence uint64, holder string, wait time.Duration, err error) {
-	if len(data) < 9 {
-		return false, 0, "", 0, errors.New("cluster: truncated lease response")
-	}
-	granted = data[0] == 1
-	fence = binary.BigEndian.Uint64(data[1:9])
-	h, rest, err := readBytes(data[9:])
-	if err != nil {
+	r := codec.NewReader(data)
+	granted, fence, holder = r.U8() == 1, r.U64(), r.Str()
+	wait = time.Duration(r.U64()) * time.Millisecond
+	if err := r.Done("cluster: lease response"); err != nil {
 		return false, 0, "", 0, err
 	}
-	if len(rest) != 8 {
-		return false, 0, "", 0, errors.New("cluster: truncated lease response")
-	}
-	wait = time.Duration(binary.BigEndian.Uint64(rest)) * time.Millisecond
-	return granted, fence, string(h), wait, nil
+	return granted, fence, holder, wait, nil
 }
 
 // registerLeaseHandler installs the arbiter RPC.

@@ -3,9 +3,9 @@ package cluster
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/keyspace"
 	"orchestra/internal/kvstore"
 	"orchestra/internal/ring"
@@ -19,35 +19,6 @@ type RecordPut struct {
 	Value     []byte
 }
 
-// --- wire helpers ---
-
-func appendBytes(dst, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
-// readBytes reads one length-prefixed field. The length is compared as a
-// uint64 against what is left: a hostile 2⁶³ must not wrap negative and pass.
-func readBytes(data []byte) ([]byte, []byte, error) {
-	l, n := binary.Uvarint(data)
-	if n <= 0 || l > uint64(len(data)-n) {
-		return nil, nil, errors.New("cluster: truncated field")
-	}
-	end := n + int(l)
-	return data[n:end], data[end:], nil
-}
-
-// readCount reads a record count, bounded by how many records of at least
-// minSize bytes the rest of the payload can hold — so a decoder never
-// reserves memory that the bytes it was sent do not back.
-func readCount(data []byte, minSize int) (int, []byte, error) {
-	count, n := binary.Uvarint(data)
-	if n <= 0 || count > uint64(len(data)-n)/uint64(minSize) {
-		return 0, nil, errors.New("cluster: record count exceeds payload")
-	}
-	return int(count), data[n:], nil
-}
-
 func encodeBatch(items []RecordPut) []byte {
 	size := binary.MaxVarintLen64
 	for _, it := range items {
@@ -55,29 +26,21 @@ func encodeBatch(items []RecordPut) []byte {
 	}
 	out := binary.AppendUvarint(make([]byte, 0, size), uint64(len(items)))
 	for _, it := range items {
-		out = appendBytes(out, it.KVKey)
-		out = appendBytes(out, it.Value)
+		out = codec.AppendBytes(out, it.KVKey)
+		out = codec.AppendBytes(out, it.Value)
 	}
 	return out
 }
 
 func decodeBatch(data []byte) ([][2][]byte, error) {
-	count, data, err := readCount(data, 2) // two length bytes per record
-	if err != nil {
-		return nil, err
-	}
+	r := codec.NewReader(data)
+	count := r.Count(2) // two length bytes per record
 	out := make([][2][]byte, 0, count)
-	for i := 0; i < count; i++ {
-		k, rest, err := readBytes(data)
-		if err != nil {
-			return nil, err
-		}
-		v, rest, err := readBytes(rest)
-		if err != nil {
-			return nil, err
-		}
-		data = rest
-		out = append(out, [2][]byte{k, v})
+	for i := 0; i < count && r.Err() == nil; i++ {
+		out = append(out, [2][]byte{r.Bytes(), r.Bytes()})
+	}
+	if err := r.Done("cluster: put batch"); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

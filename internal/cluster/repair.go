@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/keyspace"
 	"orchestra/internal/kvstore"
 	"orchestra/internal/ring"
@@ -107,12 +108,12 @@ func encodeReplStatus(seq, firstAvail, epoch uint64) []byte {
 }
 
 func decodeReplStatus(data []byte) (seq, firstAvail, epoch uint64, err error) {
-	if len(data) != 24 {
-		return 0, 0, 0, errors.New("cluster: malformed repl status")
+	r := codec.NewReader(data)
+	seq, firstAvail, epoch = r.U64(), r.U64(), r.U64()
+	if err := r.Done("cluster: repl status"); err != nil {
+		return 0, 0, 0, err
 	}
-	return binary.BigEndian.Uint64(data),
-		binary.BigEndian.Uint64(data[8:]),
-		binary.BigEndian.Uint64(data[16:]), nil
+	return seq, firstAvail, epoch, nil
 }
 
 // encodeShipReq: after(8) | maxBytes(8).
@@ -121,6 +122,15 @@ func encodeShipReq(after uint64, maxBytes int64) []byte {
 	binary.BigEndian.PutUint64(b, after)
 	binary.BigEndian.PutUint64(b[8:], uint64(maxBytes))
 	return b
+}
+
+func decodeShipReq(data []byte) (after uint64, maxBytes int64, err error) {
+	r := codec.NewReader(data)
+	after, maxBytes = r.U64(), int64(r.U64())
+	if err := r.Done("cluster: ship request"); err != nil {
+		return 0, 0, err
+	}
+	return after, maxBytes, nil
 }
 
 const (
@@ -148,51 +158,40 @@ func encodeShipResp(recs []kvstore.ReplRecord, more, truncated bool) []byte {
 	out = binary.AppendUvarint(out, uint64(len(recs)))
 	for _, r := range recs {
 		out = append(out, r.Op)
-		out = appendBytes(out, r.Payload)
+		out = codec.AppendBytes(out, r.Payload)
 	}
 	return out
 }
 
 func decodeShipResp(data []byte) (recs []kvstore.ReplRecord, more, truncated bool, err error) {
-	if len(data) < 9 {
-		return nil, false, false, errors.New("cluster: malformed ship response")
-	}
-	flags := data[0]
-	first := binary.BigEndian.Uint64(data[1:])
-	count, data, err := readCount(data[9:], 2) // op + length byte per record
-	if err != nil {
-		return nil, false, false, err
-	}
+	r := codec.NewReader(data)
+	flags, first := r.U8(), r.U64()
+	count := r.Count(2) // op + length byte per record
 	recs = make([]kvstore.ReplRecord, 0, count)
-	for i := 0; i < count; i++ {
-		if len(data) < 1 {
-			return nil, false, false, errors.New("cluster: truncated ship record")
-		}
-		op := data[0]
-		payload, rest, err := readBytes(data[1:])
-		if err != nil {
-			return nil, false, false, err
-		}
-		data = rest
-		recs = append(recs, kvstore.ReplRecord{Seq: first + uint64(i), Op: op, Payload: payload})
+	for i := 0; i < count && r.Err() == nil; i++ {
+		recs = append(recs, kvstore.ReplRecord{Seq: first + uint64(i), Op: r.U8(), Payload: r.Bytes()})
+	}
+	if err := r.Done("cluster: ship response"); err != nil {
+		return nil, false, false, err
 	}
 	return recs, flags&shipFlagMore != 0, flags&shipFlagTruncated != 0, nil
 }
 
 // encodeFetchReq: afterKey bytes | maxBytes(8).
 func encodeFetchReq(afterKey []byte, maxBytes int64) []byte {
-	out := appendBytes(nil, afterKey)
+	out := codec.AppendBytes(nil, afterKey)
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], uint64(maxBytes))
 	return append(out, b[:]...)
 }
 
 func decodeFetchReq(data []byte) (afterKey []byte, maxBytes int64, err error) {
-	afterKey, rest, err := readBytes(data)
-	if err != nil || len(rest) != 8 {
-		return nil, 0, errors.New("cluster: malformed fetch request")
+	r := codec.NewReader(data)
+	afterKey, maxBytes = r.Bytes(), int64(r.U64())
+	if err := r.Done("cluster: fetch request"); err != nil {
+		return nil, 0, err
 	}
-	return afterKey, int64(binary.BigEndian.Uint64(rest)), nil
+	return afterKey, maxBytes, nil
 }
 
 // encodeFetchResp: done(1) | count uvarint | (k bytes | v bytes)*.
@@ -203,33 +202,22 @@ func encodeFetchResp(pairs []kvstore.KV, done bool) []byte {
 	}
 	out = binary.AppendUvarint(out, uint64(len(pairs)))
 	for _, kv := range pairs {
-		out = appendBytes(out, kv.Key)
-		out = appendBytes(out, kv.Val)
+		out = codec.AppendBytes(out, kv.Key)
+		out = codec.AppendBytes(out, kv.Val)
 	}
 	return out
 }
 
 func decodeFetchResp(data []byte) (pairs []kvstore.KV, done bool, err error) {
-	if len(data) < 1 {
-		return nil, false, errors.New("cluster: malformed fetch response")
-	}
-	done = data[0] == 1
-	count, data, err := readCount(data[1:], 2) // two length bytes per pair
-	if err != nil {
-		return nil, false, err
-	}
+	r := codec.NewReader(data)
+	done = r.U8() == 1
+	count := r.Count(2) // two length bytes per pair
 	pairs = make([]kvstore.KV, 0, count)
-	for i := 0; i < count; i++ {
-		k, rest, err := readBytes(data)
-		if err != nil {
-			return nil, false, err
-		}
-		v, rest, err := readBytes(rest)
-		if err != nil {
-			return nil, false, err
-		}
-		data = rest
-		pairs = append(pairs, kvstore.KV{Key: k, Val: v})
+	for i := 0; i < count && r.Err() == nil; i++ {
+		pairs = append(pairs, kvstore.KV{Key: r.Bytes(), Val: r.Bytes()})
+	}
+	if err := r.Done("cluster: fetch response"); err != nil {
+		return nil, false, err
 	}
 	return pairs, done, nil
 }
@@ -257,19 +245,22 @@ func digestGroup(k []byte) (string, bool) {
 
 // keyEpoch extracts the epoch embedded in a local key (0 when none).
 func keyEpoch(k []byte) uint64 {
-	if len(k) < 2 {
+	if len(k) < 2 || k[1] != '/' {
 		return 0
 	}
+	var tail int // where the epoch starts, counted from the key's end
 	switch {
-	case k[0] == 'r' && k[1] == '/' && len(k) >= 2+9:
-		return binary.BigEndian.Uint64(k[len(k)-8:])
-	case k[0] == 'p' && k[1] == '/' && len(k) >= 2+13:
-		return binary.BigEndian.Uint64(k[len(k)-12 : len(k)-4])
-	case k[0] == 't' && k[1] == '/' && len(k) >= 2+keyspace.Size+9:
-		return binary.BigEndian.Uint64(k[len(k)-8:])
+	case k[0] == 'r' && len(k) >= 2+9:
+		tail = 8
+	case k[0] == 'p' && len(k) >= 2+13:
+		tail = 12 // the page's sequence number follows its epoch
+	case k[0] == 't' && len(k) >= 2+keyspace.Size+9:
+		tail = 8
 	default:
 		return 0
 	}
+	r := codec.NewReader(k[len(k)-tail:])
+	return r.U64()
 }
 
 type groupDigest struct {
@@ -326,7 +317,7 @@ func (n *Node) computeDigest(peer ring.NodeID) []groupDigest {
 func encodeDigest(groups []groupDigest) []byte {
 	out := binary.AppendUvarint(nil, uint64(len(groups)))
 	for _, g := range groups {
-		out = appendBytes(out, []byte(g.name))
+		out = codec.AppendBytes(out, []byte(g.name))
 		out = binary.AppendUvarint(out, g.count)
 		var b [16]byte
 		binary.BigEndian.PutUint64(b[:], g.xor)
@@ -337,27 +328,14 @@ func encodeDigest(groups []groupDigest) []byte {
 }
 
 func decodeDigest(data []byte) ([]groupDigest, error) {
-	count, data, err := readCount(data, 18) // name length, count, xor, maxEpoch
-	if err != nil {
-		return nil, err
-	}
+	r := codec.NewReader(data)
+	count := r.Count(18) // name length, count, xor, maxEpoch
 	out := make([]groupDigest, 0, count)
-	for i := 0; i < count; i++ {
-		name, rest, err := readBytes(data)
-		if err != nil {
-			return nil, err
-		}
-		c, m := binary.Uvarint(rest)
-		if m <= 0 || len(rest) < m+16 {
-			return nil, errors.New("cluster: malformed digest group")
-		}
-		out = append(out, groupDigest{
-			name:     string(name),
-			count:    c,
-			xor:      binary.BigEndian.Uint64(rest[m:]),
-			maxEpoch: binary.BigEndian.Uint64(rest[m+8:]),
-		})
-		data = rest[m+16:]
+	for i := 0; i < count && r.Err() == nil; i++ {
+		out = append(out, groupDigest{name: r.Str(), count: r.Uvarint(), xor: r.U64(), maxEpoch: r.U64()})
+	}
+	if err := r.Done("cluster: digest"); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -401,11 +379,10 @@ func (n *Node) registerRepairHandlers() {
 		return encodeReplStatus(seq, first, n.store.Epoch()), nil
 	})
 	n.ep.Handle(msgWalShip, func(from ring.NodeID, payload []byte) ([]byte, error) {
-		if len(payload) != 16 {
-			return nil, errors.New("cluster: malformed ship request")
+		after, maxBytes, err := decodeShipReq(payload)
+		if err != nil {
+			return nil, err
 		}
-		after := binary.BigEndian.Uint64(payload)
-		maxBytes := int64(binary.BigEndian.Uint64(payload[8:]))
 		if maxBytes <= 0 || maxBytes > shipBatchBytes*8 {
 			maxBytes = shipBatchBytes
 		}
@@ -473,10 +450,9 @@ func markerKey(peer ring.NodeID) []byte {
 // baseline) and everything ships via the ordinary WAL path.
 func (n *Node) peerMarker(peer ring.NodeID) (seq uint64, synced bool) {
 	v, ok := n.store.Get(markerKey(peer))
-	if !ok || len(v) != 8 {
-		return 0, false
-	}
-	return binary.BigEndian.Uint64(v), true
+	r := codec.NewReader(v)
+	seq = r.U64()
+	return seq, ok && r.Done("cluster: peer marker") == nil
 }
 
 // setPeerMarker durably records the peer-log position. Markers are

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/keyspace"
 	"orchestra/internal/obs"
 	"orchestra/internal/ring"
@@ -65,44 +66,25 @@ func appendProvColumn(dst []byte, provs []Prov) []byte {
 // the provenance column, one entry per row, returning the rest of the
 // payload. Rows with equal sets share one Prov: clone before mutating.
 func decodeBatchHeader(data []byte) (phase uint32, provs []Prov, rest []byte, err error) {
-	if len(data) < 5 {
-		return 0, nil, nil, errors.New("engine: short batch")
-	}
-	phase = binary.BigEndian.Uint32(data)
-	if data[4] != 1 {
-		return phase, nil, data[5:], nil
-	}
-	off := 5
-	nDict, n := binary.Uvarint(data[off:])
-	if n <= 0 || nDict > uint64(len(data)-off) {
-		return 0, nil, nil, errors.New("engine: bad prov dict")
-	}
-	off += n
-	dict := make([]Prov, nDict)
-	for i := range dict {
-		l, n := binary.Uvarint(data[off:])
-		if n <= 0 || l > uint64(len(data)-off-n) {
-			return 0, nil, nil, errors.New("engine: bad prov entry")
+	r := codec.NewReader(data)
+	phase = r.U32()
+	if r.U8() == 1 {
+		dict := make([]Prov, r.Count(1))
+		for i := range dict {
+			dict[i] = ProvFromKey(r.Str())
 		}
-		off += n
-		dict[i] = ProvFromKey(string(data[off : off+int(l)]))
-		off += int(l)
-	}
-	nIdx, n := binary.Uvarint(data[off:])
-	if n <= 0 || nIdx > uint64(len(data)-off) {
-		return 0, nil, nil, errors.New("engine: bad prov index count")
-	}
-	off += n
-	provs = make([]Prov, nIdx)
-	for i := range provs {
-		id, n := binary.Uvarint(data[off:])
-		if n <= 0 || id >= nDict {
-			return 0, nil, nil, errors.New("engine: bad prov index")
+		provs = make([]Prov, r.Count(1))
+		for i := range provs {
+			id := r.Uvarint()
+			if id >= uint64(len(dict)) {
+				r.Fail(errors.New("provenance index out of range"))
+				break
+			}
+			provs[i] = dict[id]
 		}
-		provs[i] = dict[id]
-		off += n
 	}
-	return phase, provs, data[off:], nil
+	rest = r.Rest()
+	return phase, provs, rest, r.Done("engine: batch header")
 }
 
 // encodeShipBatch appends the inter-node encoding of cb, to be filed under

@@ -2,11 +2,9 @@ package engine
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -14,22 +12,7 @@ import (
 	"orchestra/internal/keyspace"
 	"orchestra/internal/obs"
 	"orchestra/internal/ring"
-	"orchestra/internal/transport"
 	"orchestra/internal/tuple"
-	"orchestra/internal/vstore"
-)
-
-// Message types used by the query engine (storage types live in 0x0100+).
-const (
-	msgPrepare   transport.MsgType = 0x0200 // RPC: disseminate plan + snapshot
-	msgBegin     transport.MsgType = 0x0201 // start leaf operations
-	msgExchBatch transport.MsgType = 0x0202 // rehash data block
-	msgMark      transport.MsgType = 0x0203 // "this node finished phase p" for one scan or rehash
-	msgScanIDs   transport.MsgType = 0x0204 // index node → data node tuple IDs
-	msgShipBatch transport.MsgType = 0x0206 // results to the query initiator
-	msgShipEOS   transport.MsgType = 0x0207 // fragment completion + stats
-	msgRecover   transport.MsgType = 0x0208 // incremental recovery directive
-	msgCancel    transport.MsgType = 0x0209 // abandon the query
 )
 
 // RecoveryMode selects how the initiator reacts to a node failure during
@@ -122,30 +105,6 @@ func (s *NodeStats) Add(o NodeStats) {
 	s.Shipped += o.Shipped
 	s.BytesSent += o.BytesSent
 	s.BytesRecv += o.BytesRecv
-}
-
-func encodeNodeStats(dst []byte, s NodeStats) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, s.Scanned)
-	dst = binary.BigEndian.AppendUint64(dst, s.ExchSent)
-	dst = binary.BigEndian.AppendUint64(dst, s.ExchRecv)
-	dst = binary.BigEndian.AppendUint64(dst, s.Shipped)
-	dst = binary.BigEndian.AppendUint64(dst, s.BytesSent)
-	dst = binary.BigEndian.AppendUint64(dst, s.BytesRecv)
-	return dst
-}
-
-func decodeNodeStats(data []byte) (NodeStats, []byte, error) {
-	if len(data) < 48 {
-		return NodeStats{}, nil, errors.New("engine: short node stats")
-	}
-	var s NodeStats
-	s.Scanned = binary.BigEndian.Uint64(data[0:])
-	s.ExchSent = binary.BigEndian.Uint64(data[8:])
-	s.ExchRecv = binary.BigEndian.Uint64(data[16:])
-	s.Shipped = binary.BigEndian.Uint64(data[24:])
-	s.BytesSent = binary.BigEndian.Uint64(data[32:])
-	s.BytesRecv = binary.BigEndian.Uint64(data[40:])
-	return s, data[48:], nil
 }
 
 // statsCounters is the live (atomic) form of NodeStats.
@@ -502,10 +461,6 @@ func (ex *executor) exchPhase(cb *colBatch, dest ring.NodeID) uint32 {
 
 // --- message sending ---
 
-func (ex *executor) header(dst []byte) []byte {
-	return binary.BigEndian.AppendUint64(dst, ex.queryID)
-}
-
 // sendExchBatch delivers a rehash block to dest (loopback bypasses the
 // network, mirroring a real deployment where local partitions never touch
 // the wire). The block is borrowed. In provenance mode its sender keeps it
@@ -529,8 +484,7 @@ func (ex *executor) sendExchBatch(exchID int, dest ring.NodeID, cb *colBatch) {
 		cons.receive(own)
 		return
 	}
-	payload := binary.AppendUvarint(ex.header(nil), uint64(exchID))
-	payload, err := encodeShipBatch(payload, cb, phase)
+	payload, err := encodeExchBatch(ex.header(nil), exchID, cb, phase)
 	if err != nil {
 		ex.shipper.fail(err) // the fragment's EOS carries it to the initiator
 		return
@@ -553,8 +507,7 @@ type marked interface {
 // end-of-stream. The marker follows the wave's data on each link (FIFO), so
 // a gate holding every marker holds all the data.
 func (ex *executor) broadcastMark(id int, phase uint32) {
-	payload := binary.AppendUvarint(ex.header(nil), uint64(id))
-	payload = binary.BigEndian.AppendUint32(payload, phase)
+	payload := encodeMark(ex.header(nil), id, phase)
 	_, live := ex.wave()
 	for _, to := range live {
 		if to == ex.self() {
@@ -566,58 +519,6 @@ func (ex *executor) broadcastMark(id int, phase uint32) {
 		ex.stats.addSentBytes(len(payload))
 		_ = ex.eng.node.Endpoint().Send(to, msgMark, payload)
 	}
-}
-
-// encodeScanIDs appends a tuple-ID shipment: the scan it belongs to, the
-// sending index node's snapshot member index, and per ID its epoch, its key
-// and its placement hash.
-func encodeScanIDs(dst []byte, scanID, fromIdx int, ids []tuple.ID, hashes []keyspace.Key) []byte {
-	dst = binary.AppendUvarint(dst, uint64(scanID))
-	dst = binary.AppendUvarint(dst, uint64(fromIdx))
-	dst = binary.AppendUvarint(dst, uint64(len(ids)))
-	for i, id := range ids {
-		dst = binary.BigEndian.AppendUint64(dst, uint64(id.Epoch))
-		dst = binary.AppendUvarint(dst, uint64(len(id.Key)))
-		dst = append(dst, id.Key...)
-		dst = append(dst, hashes[i][:]...)
-	}
-	return dst
-}
-
-// decodeScanIDs reverses encodeScanIDs. The ID count is bounded by what the
-// payload can hold before anything is allocated for it.
-func decodeScanIDs(data []byte) (scanID, fromIdx int, ids []tuple.ID, hashes []keyspace.Key, err error) {
-	var head [3]uint64 // scan, sender, count
-	for i := range head {
-		v, n := binary.Uvarint(data)
-		if n <= 0 {
-			return 0, 0, nil, nil, errors.New("engine: bad scan id header")
-		}
-		head[i], data = v, data[n:]
-	}
-	const minEntry = 8 + 1 + keyspace.Size // epoch, key length, hash
-	if head[0] > math.MaxInt32 || head[1] > math.MaxInt32 || head[2] > uint64(len(data)/minEntry) {
-		return 0, 0, nil, nil, errors.New("engine: bad scan id count")
-	}
-	ids = make([]tuple.ID, 0, head[2])
-	hashes = make([]keyspace.Key, 0, head[2])
-	for i := uint64(0); i < head[2]; i++ {
-		if len(data) < 8 {
-			return 0, 0, nil, nil, errors.New("engine: truncated scan id")
-		}
-		ep := tuple.Epoch(binary.BigEndian.Uint64(data))
-		l, n := binary.Uvarint(data[8:])
-		if n <= 0 || l > uint64(len(data)) || len(data) < 8+n+int(l)+keyspace.Size {
-			return 0, 0, nil, nil, errors.New("engine: truncated scan key")
-		}
-		data = data[8+n:]
-		ids = append(ids, tuple.ID{Key: string(data[:l]), Epoch: ep})
-		var h keyspace.Key
-		copy(h[:], data[l:])
-		hashes = append(hashes, h)
-		data = data[int(l)+keyspace.Size:]
-	}
-	return int(head[0]), int(head[1]), ids, hashes, nil
 }
 
 // sendScanIDs ships filtered tuple IDs (with their cached placement
@@ -680,13 +581,7 @@ func (ex *executor) sendShipEOS(phase uint32, fragErr error) {
 		ex.shipCons.fragmentDone(ex.self(), phase, st, nil, failure)
 		return
 	}
-	payload := ex.header(nil)
-	payload = binary.BigEndian.AppendUint32(payload, phase)
-	payload = encodeNodeStats(payload, st)
-	payload = appendBytesField(payload, []byte(failure))
-	if ex.trace != nil {
-		payload = ex.trace.EncodeRoot(payload)
-	}
+	payload := encodeShipEOS(ex.header(nil), phase, st, failure, ex.trace)
 	ex.stats.addSentBytes(len(payload))
 	_ = ex.eng.node.Endpoint().Send(ex.initiator, msgShipEOS, payload)
 }
@@ -731,282 +626,21 @@ func (ex *executor) start() {
 	}
 }
 
-// --- handler registration and dispatch ---
-
-func readHeader(payload []byte) (uint64, []byte, error) {
-	if len(payload) < 8 {
-		return 0, nil, errors.New("engine: short message")
-	}
-	return binary.BigEndian.Uint64(payload), payload[8:], nil
-}
-
-// handle registers fn for one-way engine messages of type t behind the
-// prologue they all share: read the query header, find that query's executor
-// — a message for a query this node does not run (any more) is stale or
-// cancelled, and dropped — and count the bytes received. fn gets the payload
-// after the header.
-func (e *Engine) handle(t transport.MsgType, fn func(ex *executor, from ring.NodeID, rest []byte) error) {
-	e.node.Endpoint().Handle(t, func(from ring.NodeID, payload []byte) ([]byte, error) {
-		q, rest, err := readHeader(payload)
-		if err != nil {
-			return nil, err
-		}
-		ex := e.getExec(q)
-		if ex == nil {
-			return nil, nil
-		}
-		ex.stats.addRecvBytes(len(payload))
-		return nil, fn(ex, from, rest)
-	})
-}
-
-func (e *Engine) registerHandlers() {
-	e.node.Endpoint().Handle(msgPrepare, func(from ring.NodeID, payload []byte) ([]byte, error) {
-		return nil, e.handlePrepare(payload)
-	})
-
-	e.handle(msgBegin, func(ex *executor, _ ring.NodeID, _ []byte) error {
-		ex.start()
-		return nil
-	})
-
-	e.handle(msgExchBatch, func(ex *executor, _ ring.NodeID, rest []byte) error {
-		exchID, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return errors.New("engine: bad exch id")
-		}
-		cb := newColBatch(0)
-		if err := decodeShipBatch(rest[n:], cb); err != nil {
-			return err
-		}
-		ex.stats.addExchRecv(cb.cols.N)
-		if cons := ex.consumers[int(exchID)]; cons != nil {
-			cons.receive(cb)
-		}
-		return nil
-	})
-
-	e.handle(msgMark, func(ex *executor, from ring.NodeID, rest []byte) error {
-		id, n := binary.Uvarint(rest)
-		if n <= 0 || len(rest) < n+4 {
-			return errors.New("engine: bad phase marker")
-		}
-		if m := ex.marked[int(id)]; m != nil {
-			m.mark(from, binary.BigEndian.Uint32(rest[n:]))
-		}
-		return nil
-	})
-
-	e.handle(msgScanIDs, func(ex *executor, _ ring.NodeID, rest []byte) error {
-		scanID, fromIdx, ids, hashes, err := decodeScanIDs(rest)
-		if err != nil {
-			return err
-		}
-		if fromIdx >= ex.snapshot.Size() {
-			return errors.New("engine: bad scan sender")
-		}
-		if leaf := ex.scans[scanID]; leaf != nil {
-			leaf.addWanted(ids, hashes, fromIdx)
-		}
-		return nil
-	})
-
-	e.handle(msgShipBatch, func(ex *executor, from ring.NodeID, rest []byte) error {
-		if ex.shipCons == nil {
-			return nil
-		}
-		// A one-way handler's error goes nowhere: a shipment that does
-		// not decode or fit the collection must fail the query here.
-		if err := ex.shipCons.receiveWire(from, rest); err != nil {
-			ex.shipCons.fail(&ShipError{Node: from, Err: err})
-		}
-		return nil
-	})
-
-	e.handle(msgShipEOS, func(ex *executor, from ring.NodeID, rest []byte) error {
-		if ex.shipCons == nil {
-			return nil
-		}
-		if len(rest) < 4 {
-			return errors.New("engine: short ship eos")
-		}
-		phase := binary.BigEndian.Uint32(rest)
-		st, rem, err := decodeNodeStats(rest[4:])
-		if err != nil {
-			return err
-		}
-		failure, n, err := readBytesField(rem)
-		if err != nil {
-			return errors.New("engine: bad ship eos failure")
-		}
-		rem = rem[n:]
-		// A trailing span blob is the remote fragment's trace subtree; a
-		// decode failure only loses the trace, never the completion.
-		var span *obs.Span
-		if len(rem) > 0 && ex.trace != nil {
-			if sp, _, err := obs.DecodeSpan(rem); err == nil {
-				span = sp
-			}
-		}
-		ex.shipCons.fragmentDone(from, phase, st, span, string(failure))
-		return nil
-	})
-
-	e.handle(msgRecover, func(ex *executor, _ ring.NodeID, rest []byte) error {
-		dir, err := decodeRecoverDirective(rest)
-		if err != nil {
-			return err
-		}
-		// Advance synchronously, on the delivery loop: per-link FIFO
-		// guarantees the directive precedes any recovery-phase traffic
-		// from its sender, and arrival-time taint filtering
-		// (filterAndStamp, addWanted) must already see the failed bits
-		// when that traffic is processed. The heavyweight purge/replay/
-		// restart work runs off-loop.
-		if ex.advance(dir) {
-			go ex.applyRecover()
-		}
-		return nil
-	})
-
-	e.handle(msgCancel, func(ex *executor, _ ring.NodeID, _ []byte) error {
-		ex.aborted.Store(true) // stop in-flight local scan passes
-		e.dropExec(ex.queryID)
-		return nil
-	})
-}
-
 // --- prepare / dissemination ---
 
-func encodeMeta(dst []byte, name string, m *relMeta) []byte {
-	dst = appendBytesField(dst, []byte(name))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(m.effEpoch))
-	dst = appendBytesField(dst, vstore.EncodeSchema(m.schema))
-	if m.coord == nil {
-		return append(dst, 0)
-	}
-	return appendBytesField(append(dst, 1), vstore.EncodeCoordinator(m.coord))
-}
-
-func decodeMeta(data []byte) (string, *relMeta, []byte, error) {
-	name, n, err := readBytesField(data)
-	if err != nil || len(data) < n+8 {
-		return "", nil, nil, errors.New("engine: bad meta name or epoch")
-	}
-	m := &relMeta{effEpoch: tuple.Epoch(binary.BigEndian.Uint64(data[n:]))}
-	data = data[n+8:]
-	schemaEnc, n, err := readBytesField(data)
-	if err != nil {
-		return "", nil, nil, errors.New("engine: bad meta schema")
-	}
-	if m.schema, err = vstore.DecodeSchema(schemaEnc); err != nil {
-		return "", nil, nil, err
-	}
-	data = data[n:]
-	if len(data) < 1 {
-		return "", nil, nil, errors.New("engine: bad meta coord flag")
-	}
-	hasCoord := data[0] == 1
-	data = data[1:]
-	if hasCoord {
-		coordEnc, n, err := readBytesField(data)
-		if err != nil {
-			return "", nil, nil, errors.New("engine: bad meta coord")
-		}
-		if m.coord, err = vstore.DecodeCoordinator(coordEnc); err != nil {
-			return "", nil, nil, err
-		}
-		data = data[n:]
-	}
-	return string(name), m, data, nil
-}
-
-// encodePrepare packages everything a node needs to participate: the query
-// identity, the initiator, the snapshot epoch, the options, the routing
-// table snapshot, the plan, and the resolved per-relation metadata.
-func encodePrepare(queryID uint64, initiator ring.NodeID, epoch tuple.Epoch,
-	opts Options, table *ring.Table, plan *Plan, metas map[string]*relMeta) ([]byte, error) {
-	out := binary.BigEndian.AppendUint64(nil, queryID)
-	out = appendBytesField(out, []byte(initiator))
-	out = binary.BigEndian.AppendUint64(out, uint64(epoch))
-	var flags byte
-	if opts.Provenance {
-		flags |= 1
-	}
-	out = append(out, flags, byte(opts.Recovery))
-	var tid obs.TraceID
-	if opts.Trace != nil {
-		tid = opts.Trace.ID
-	}
-	out = binary.BigEndian.AppendUint64(out, uint64(tid))
-	tb, err := table.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	out = appendBytesField(out, tb)
-	out = appendBytesField(out, EncodePlan(plan))
-	out = binary.AppendUvarint(out, uint64(len(metas)))
-	for name, m := range metas {
-		out = encodeMeta(out, name, m)
-	}
-	return out, nil
-}
-
 func (e *Engine) handlePrepare(payload []byte) error {
-	if len(payload) < 8 {
-		return errors.New("engine: short prepare")
-	}
-	queryID := binary.BigEndian.Uint64(payload)
-	data := payload[8:]
-	initiator, n, err := readBytesField(data)
-	if err != nil || len(data) < n+18 {
-		return errors.New("engine: bad prepare initiator or header")
-	}
-	data = data[n:]
-	epoch := tuple.Epoch(binary.BigEndian.Uint64(data))
-	opts := Options{Provenance: data[8]&1 != 0, Recovery: RecoveryMode(data[9])}
-	opts.TraceID = obs.TraceID(binary.BigEndian.Uint64(data[10:]))
-	data = data[18:]
-	tableEnc, n, err := readBytesField(data)
-	if err != nil {
-		return errors.New("engine: bad prepare table")
-	}
-	table, err := ring.UnmarshalTable(tableEnc)
+	p, err := decodePrepare(payload)
 	if err != nil {
 		return err
 	}
-	data = data[n:]
-	planEnc, n, err := readBytesField(data)
-	if err != nil {
-		return errors.New("engine: bad prepare plan")
-	}
-	plan, err := DecodePlan(planEnc)
-	if err != nil {
-		return err
-	}
-	data = data[n:]
-	count, n := binary.Uvarint(data)
-	if n <= 0 || count > 1<<12 {
-		return errors.New("engine: bad prepare meta count")
-	}
-	data = data[n:]
-	metas := make(map[string]*relMeta, count)
-	for i := uint64(0); i < count; i++ {
-		name, m, rest, err := decodeMeta(data)
-		if err != nil {
-			return err
-		}
-		metas[name] = m
-		data = rest
-	}
-	if e.getExec(queryID) != nil {
+	if e.getExec(p.queryID) != nil {
 		return nil // duplicate prepare (idempotent)
 	}
-	ex, err := newExecutor(e, queryID, plan, opts, epoch, ring.NodeID(initiator), table, metas)
+	ex, err := newExecutor(e, p.queryID, p.plan, p.opts, p.epoch, p.initiator, p.table, p.metas)
 	if err != nil {
 		return err
 	}
-	e.putExec(queryID, ex)
+	e.putExec(p.queryID, ex)
 	return nil
 }
 

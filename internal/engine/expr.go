@@ -2,10 +2,10 @@ package engine
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"strings"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/tuple"
 )
 
@@ -237,94 +237,59 @@ func CS(v string) Expr { return Const{Val: tuple.S(v)} }
 // B builds a binary expression.
 func B(op OpCode, l, r Expr) Expr { return Bin{Op: op, L: l, R: r} }
 
-// DecodeExpr parses a serialized expression, returning it and the bytes
-// consumed.
-func DecodeExpr(data []byte) (Expr, int, error) {
-	if len(data) == 0 {
-		return nil, 0, errors.New("engine: empty expression")
+// DecodeExpr parses a serialized expression.
+func DecodeExpr(data []byte) (Expr, error) {
+	r := codec.NewReader(data)
+	e := decodeExpr(&r)
+	if err := r.Done("engine: expression"); err != nil {
+		return nil, err
 	}
-	switch data[0] {
+	return e, nil
+}
+
+// decodeExpr reads one expression and, recursively, its operands.
+func decodeExpr(r *codec.Reader) Expr {
+	if !r.Enter() {
+		return nil
+	}
+	defer r.Leave()
+	switch tag := r.U8(); tag {
 	case exprCol:
-		idx, n := binary.Uvarint(data[1:])
-		if n <= 0 {
-			return nil, 0, errors.New("engine: bad column ref")
-		}
-		return Col{Idx: int(idx)}, 1 + n, nil
+		return Col{Idx: int(r.Uvarint())}
 	case exprConst:
-		vals, err := decodeOneKeyValue(data[1:])
-		if err != nil {
-			return nil, 0, err
-		}
-		return Const{Val: vals.v}, 1 + vals.n, nil
+		return Const{Val: readConst(r)}
 	case exprBin:
-		if len(data) < 2 {
-			return nil, 0, errors.New("engine: truncated binop")
-		}
-		op := OpCode(data[1])
-		l, ln, err := DecodeExpr(data[2:])
-		if err != nil {
-			return nil, 0, err
-		}
-		r, rn, err := DecodeExpr(data[2+ln:])
-		if err != nil {
-			return nil, 0, err
-		}
-		return Bin{Op: op, L: l, R: r}, 2 + ln + rn, nil
+		return Bin{Op: OpCode(r.U8()), L: decodeExpr(r), R: decodeExpr(r)}
 	case exprNot:
-		e, n, err := DecodeExpr(data[1:])
-		if err != nil {
-			return nil, 0, err
-		}
-		return Not{E: e}, 1 + n, nil
+		return Not{E: decodeExpr(r)}
 	default:
-		return nil, 0, fmt.Errorf("engine: unknown expr tag %d", data[0])
+		r.Fail(fmt.Errorf("engine: unknown expr tag %d", tag))
+		return nil
 	}
 }
 
-type decodedValue struct {
-	v tuple.Value
-	n int
-}
-
-// decodeOneKeyValue decodes a single AppendKeyValue-encoded value and
-// reports its length.
-func decodeOneKeyValue(data []byte) (decodedValue, error) {
-	if len(data) == 0 {
-		return decodedValue{}, errors.New("engine: empty const")
-	}
-	switch data[0] {
-	case 0x01, 0x02: // int64 / float64: tag + 8 bytes
-		if len(data) < 9 {
-			return decodedValue{}, errors.New("engine: truncated const")
+// readConst reads one literal in tuple.AppendKeyValue's encoding: the reader
+// finds where the value ends, tuple.DecodeKey decodes it.
+func readConst(r *codec.Reader) tuple.Value {
+	start := r.Pos()
+	switch tag := r.U8(); tag {
+	case 0x01, 0x02: // int64, float64: eight bytes
+		r.Fixed(8)
+	case 0x03: // string: 0x00 0x00 ends it; 0x00 and any other byte is an escape pair
+		for r.Err() == nil && (r.U8() != 0 || r.U8() != 0) {
 		}
-		vals, err := tuple.DecodeKey(data[:9])
-		if err != nil {
-			return decodedValue{}, err
-		}
-		return decodedValue{v: vals[0], n: 9}, nil
-	case 0x03: // string: find the 0x00 0x00 terminator honoring escapes
-		i := 1
-		for i < len(data) {
-			if data[i] != 0x00 {
-				i++
-				continue
-			}
-			if i+1 >= len(data) {
-				return decodedValue{}, errors.New("engine: truncated const string")
-			}
-			if data[i+1] == 0x00 {
-				vals, err := tuple.DecodeKey(data[:i+2])
-				if err != nil {
-					return decodedValue{}, err
-				}
-				return decodedValue{v: vals[0], n: i + 2}, nil
-			}
-			i += 2 // escape pair
-		}
-		return decodedValue{}, errors.New("engine: unterminated const string")
 	default:
-		return decodedValue{}, fmt.Errorf("engine: bad const tag %d", data[0])
+		r.Fail(fmt.Errorf("engine: bad const tag %d", tag))
 	}
+	if r.Err() != nil {
+		return tuple.Value{}
+	}
+	vals, err := tuple.DecodeKey(r.Since(start))
+	if err != nil {
+		r.Fail(err)
+		return tuple.Value{}
+	}
+	return vals[0]
 }
 
 // exprList helpers for plans with several expressions.
@@ -337,22 +302,12 @@ func encodeExprs(dst []byte, exprs []Expr) []byte {
 	return dst
 }
 
-func decodeExprs(data []byte) ([]Expr, int, error) {
-	count, n := binary.Uvarint(data)
-	if n <= 0 || count > 1<<16 {
-		return nil, 0, errors.New("engine: bad expr list")
+func decodeExprs(r *codec.Reader) []Expr {
+	out := make([]Expr, r.Count(2)) // a tag and at least one byte of operand
+	for i := range out {
+		out[i] = decodeExpr(r)
 	}
-	off := n
-	out := make([]Expr, 0, count)
-	for i := uint64(0); i < count; i++ {
-		e, m, err := DecodeExpr(data[off:])
-		if err != nil {
-			return nil, 0, err
-		}
-		out = append(out, e)
-		off += m
-	}
-	return out, off, nil
+	return out
 }
 
 func exprsString(exprs []Expr) string {

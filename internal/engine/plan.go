@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"orchestra/internal/cluster"
+	"orchestra/internal/codec"
 )
 
 // Plan is a distributed query plan: a tree of operators replicated on every
@@ -251,15 +252,51 @@ func (f *FinalLimit) String() string { return fmt.Sprintf("FinalLimit(%d)", f.N)
 // Finalize assigns scan and exchange identifiers and validates the tree.
 // Both kinds draw from one sequence, so an identifier names one operator of
 // the plan — which is what lets a phase marker address either kind. It must
-// be called once before execution or serialization.
+// be called once before execution or serialization. A plan that nests deeper
+// than codec.MaxDepth is refused here, at the initiator, because every node
+// that received it would refuse to decode it.
 func (p *Plan) Finalize() error {
 	p.ops = 0
-	return p.walkAssign(p.Root)
+	if err := p.walkAssign(p.Root, 1); err != nil {
+		return err
+	}
+	for _, f := range p.Final {
+		if c, ok := f.(*FinalCompute); ok && !exprsFit(1, c.Exprs...) {
+			return errTooDeep
+		}
+	}
+	return nil
 }
 
-func (p *Plan) walkAssign(n Node) error {
+var errTooDeep = fmt.Errorf("engine: plan nests deeper than %d levels", codec.MaxDepth)
+
+// exprsFit reports whether expressions rooted at nesting level depth stay
+// within codec.MaxDepth, counting levels as their decoder does.
+func exprsFit(depth int, exprs ...Expr) bool {
+	if depth > codec.MaxDepth {
+		return false
+	}
+	for _, e := range exprs {
+		switch t := e.(type) {
+		case Bin:
+			if !exprsFit(depth+1, t.L, t.R) {
+				return false
+			}
+		case Not:
+			if !exprsFit(depth+1, t.E) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func (p *Plan) walkAssign(n Node, depth int) error {
 	if n == nil {
 		return errors.New("engine: nil plan node")
+	}
+	if depth > codec.MaxDepth {
+		return errTooDeep
 	}
 	switch t := n.(type) {
 	case *ScanNode:
@@ -282,9 +319,17 @@ func (p *Plan) walkAssign(n Node) error {
 		if t.Mode != AggComplete && t.Mode != AggPartial {
 			return errors.New("engine: aggregate without mode")
 		}
+	case *SelectNode:
+		if !exprsFit(depth+1, t.Pred) {
+			return errTooDeep
+		}
+	case *ComputeNode:
+		if !exprsFit(depth+1, t.Exprs...) {
+			return errTooDeep
+		}
 	}
 	for _, c := range n.Children() {
-		if err := p.walkAssign(c); err != nil {
+		if err := p.walkAssign(c, depth+1); err != nil {
 			return err
 		}
 	}
@@ -337,44 +382,37 @@ func appendInts(dst []byte, xs []int) []byte {
 	return dst
 }
 
-func decodeInts(data []byte) ([]int, int, error) {
-	count, n := binary.Uvarint(data)
-	if n <= 0 || count > 1<<16 {
-		return nil, 0, errors.New("engine: bad int list")
-	}
-	off := n
-	out := make([]int, count)
+// readInts reverses appendInts.
+func readInts(r *codec.Reader) []int {
+	out := make([]int, r.Count(1))
 	for i := range out {
-		v, m := binary.Varint(data[off:])
-		if m <= 0 {
-			return nil, 0, errors.New("engine: bad int")
-		}
-		out[i] = int(v)
-		off += m
+		out[i] = int(r.Varint())
 	}
-	return out, off, nil
+	return out
 }
 
-func appendBytesField(dst, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
+func appendAggSpecs(dst []byte, specs []AggSpec) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(specs)))
+	for _, s := range specs {
+		dst = append(dst, byte(s.Func))
+		dst = binary.AppendVarint(dst, int64(s.Col))
+	}
+	return dst
 }
 
-// readBytesField reads a length-prefixed field, returning it and the bytes
-// consumed.
-func readBytesField(data []byte) ([]byte, int, error) {
-	l, n := binary.Uvarint(data)
-	if n <= 0 || l > uint64(len(data)-n) {
-		return nil, 0, errors.New("engine: truncated bytes field")
+func readAggSpecs(r *codec.Reader) []AggSpec {
+	specs := make([]AggSpec, r.Count(2)) // function, column
+	for i := range specs {
+		specs[i] = AggSpec{Func: AggFunc(r.U8()), Col: int(r.Varint())}
 	}
-	return data[n : n+int(l)], n + int(l), nil
+	return specs
 }
 
 func (s *ScanNode) append(dst []byte) []byte {
 	dst = append(dst, nodeScan)
-	dst = appendBytesField(dst, []byte(s.Relation))
-	dst = appendBytesField(dst, s.Pred.Lo)
-	dst = appendBytesField(dst, s.Pred.Hi)
+	dst = codec.AppendBytes(dst, []byte(s.Relation))
+	dst = codec.AppendBytes(dst, s.Pred.Lo)
+	dst = codec.AppendBytes(dst, s.Pred.Hi)
 	if s.Covering {
 		dst = append(dst, 1)
 	} else {
@@ -412,11 +450,7 @@ func (j *JoinNode) append(dst []byte) []byte {
 func (a *AggNode) append(dst []byte) []byte {
 	dst = append(dst, nodeAgg, byte(a.Mode))
 	dst = appendInts(dst, a.GroupCols)
-	dst = binary.AppendUvarint(dst, uint64(len(a.Aggs)))
-	for _, s := range a.Aggs {
-		dst = append(dst, byte(s.Func))
-		dst = binary.AppendVarint(dst, int64(s.Col))
-	}
+	dst = appendAggSpecs(dst, a.Aggs)
 	return a.Child.append(dst)
 }
 
@@ -427,164 +461,45 @@ func (r *RehashNode) append(dst []byte) []byte {
 	return r.Child.append(dst)
 }
 
-func decodeNode(data []byte) (Node, int, error) {
-	if len(data) == 0 {
-		return nil, 0, errors.New("engine: empty node")
+// decodeNode reads one operator and, recursively, its inputs. A failed read
+// leaves the reader failed and the returned tree unusable; DecodePlan checks
+// once, at the end.
+func decodeNode(r *codec.Reader) Node {
+	if !r.Enter() {
+		return nil
 	}
-	switch data[0] {
+	defer r.Leave()
+	switch tag := r.U8(); tag {
 	case nodeScan:
-		off := 1
-		rel, n, err := readBytesField(data[off:])
-		if err != nil {
-			return nil, 0, err
-		}
-		off += n
-		lo, n, err := readBytesField(data[off:])
-		if err != nil {
-			return nil, 0, err
-		}
-		off += n
-		hi, n, err := readBytesField(data[off:])
-		if err != nil {
-			return nil, 0, err
-		}
-		off += n
-		if off >= len(data) {
-			return nil, 0, errors.New("engine: truncated scan")
-		}
-		covering := data[off] == 1
-		off++
-		id, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return nil, 0, errors.New("engine: bad scan id")
-		}
-		off += n
-		s := &ScanNode{Relation: string(rel), Covering: covering, ScanID: int(id)}
-		if len(lo) > 0 {
-			s.Pred.Lo = append([]byte(nil), lo...)
-		}
-		if len(hi) > 0 {
-			s.Pred.Hi = append([]byte(nil), hi...)
-		}
-		return s, off, nil
+		s := &ScanNode{Relation: r.Str()}
+		// A bound is absent when empty; a present one must not alias the payload.
+		s.Pred.Lo = append([]byte(nil), r.Bytes()...)
+		s.Pred.Hi = append([]byte(nil), r.Bytes()...)
+		s.Covering = r.U8() == 1
+		s.ScanID = int(r.Uvarint())
+		return s
 	case nodeSelect:
-		pred, n, err := DecodeExpr(data[1:])
-		if err != nil {
-			return nil, 0, err
-		}
-		child, m, err := decodeNode(data[1+n:])
-		if err != nil {
-			return nil, 0, err
-		}
-		return &SelectNode{Pred: pred, Child: child}, 1 + n + m, nil
+		return &SelectNode{Pred: decodeExpr(r), Child: decodeNode(r)}
 	case nodeProject:
-		cols, n, err := decodeInts(data[1:])
-		if err != nil {
-			return nil, 0, err
-		}
-		child, m, err := decodeNode(data[1+n:])
-		if err != nil {
-			return nil, 0, err
-		}
-		return &ProjectNode{Cols: cols, Child: child}, 1 + n + m, nil
+		return &ProjectNode{Cols: readInts(r), Child: decodeNode(r)}
 	case nodeCompute:
-		exprs, n, err := decodeExprs(data[1:])
-		if err != nil {
-			return nil, 0, err
-		}
-		child, m, err := decodeNode(data[1+n:])
-		if err != nil {
-			return nil, 0, err
-		}
-		return &ComputeNode{Exprs: exprs, Child: child}, 1 + n + m, nil
+		return &ComputeNode{Exprs: decodeExprs(r), Child: decodeNode(r)}
 	case nodeJoin:
-		off := 1
-		lk, n, err := decodeInts(data[off:])
-		if err != nil {
-			return nil, 0, err
-		}
-		off += n
-		rk, n, err := decodeInts(data[off:])
-		if err != nil {
-			return nil, 0, err
-		}
-		off += n
-		left, n, err := decodeNode(data[off:])
-		if err != nil {
-			return nil, 0, err
-		}
-		off += n
-		right, n, err := decodeNode(data[off:])
-		if err != nil {
-			return nil, 0, err
-		}
-		off += n
-		return &JoinNode{LeftKeys: lk, RightKeys: rk, Left: left, Right: right}, off, nil
+		return &JoinNode{LeftKeys: readInts(r), RightKeys: readInts(r), Left: decodeNode(r), Right: decodeNode(r)}
 	case nodeAgg:
-		if len(data) < 2 {
-			return nil, 0, errors.New("engine: truncated agg")
-		}
-		mode := AggMode(data[1])
-		off := 2
-		groups, n, err := decodeInts(data[off:])
-		if err != nil {
-			return nil, 0, err
-		}
-		off += n
-		count, n := binary.Uvarint(data[off:])
-		if n <= 0 || count > 1<<12 {
-			return nil, 0, errors.New("engine: bad agg spec count")
-		}
-		off += n
-		specs := make([]AggSpec, count)
-		for i := range specs {
-			if off >= len(data) {
-				return nil, 0, errors.New("engine: truncated agg spec")
-			}
-			specs[i].Func = AggFunc(data[off])
-			off++
-			v, m := binary.Varint(data[off:])
-			if m <= 0 {
-				return nil, 0, errors.New("engine: bad agg col")
-			}
-			specs[i].Col = int(v)
-			off += m
-		}
-		child, m, err := decodeNode(data[off:])
-		if err != nil {
-			return nil, 0, err
-		}
-		return &AggNode{GroupCols: groups, Aggs: specs, Mode: mode, Child: child}, off + m, nil
+		return &AggNode{Mode: AggMode(r.U8()), GroupCols: readInts(r), Aggs: readAggSpecs(r), Child: decodeNode(r)}
 	case nodeRehash:
-		cols, n, err := decodeInts(data[1:])
-		if err != nil {
-			return nil, 0, err
-		}
-		off := 1 + n
-		id, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return nil, 0, errors.New("engine: bad exch id")
-		}
-		off += n
-		child, m, err := decodeNode(data[off:])
-		if err != nil {
-			return nil, 0, err
-		}
-		return &RehashNode{Keys: cols, ExchID: int(id), Child: child}, off + m, nil
+		return &RehashNode{Keys: readInts(r), ExchID: int(r.Uvarint()), Child: decodeNode(r)}
 	default:
-		return nil, 0, fmt.Errorf("engine: unknown node tag %d", data[0])
+		r.Fail(fmt.Errorf("engine: unknown node tag %d", tag))
+		return nil
 	}
 }
 
 func (f *FinalAgg) appendFinal(dst []byte) []byte {
 	dst = append(dst, finalAgg)
 	dst = appendInts(dst, f.GroupCols)
-	dst = binary.AppendUvarint(dst, uint64(len(f.Aggs)))
-	for _, s := range f.Aggs {
-		dst = append(dst, byte(s.Func))
-		dst = binary.AppendVarint(dst, int64(s.Col))
-	}
-	return dst
+	return appendAggSpecs(dst, f.Aggs)
 }
 
 func (f *FinalSort) appendFinal(dst []byte) []byte {
@@ -611,68 +526,23 @@ func (f *FinalLimit) appendFinal(dst []byte) []byte {
 	return binary.AppendUvarint(dst, uint64(f.N))
 }
 
-func decodeFinalOp(data []byte) (FinalOp, int, error) {
-	if len(data) == 0 {
-		return nil, 0, errors.New("engine: empty final op")
-	}
-	switch data[0] {
+func decodeFinalOp(r *codec.Reader) FinalOp {
+	switch tag := r.U8(); tag {
 	case finalAgg:
-		groups, n, err := decodeInts(data[1:])
-		if err != nil {
-			return nil, 0, err
-		}
-		off := 1 + n
-		count, n := binary.Uvarint(data[off:])
-		if n <= 0 || count > 1<<12 {
-			return nil, 0, errors.New("engine: bad final agg count")
-		}
-		off += n
-		specs := make([]AggSpec, count)
-		for i := range specs {
-			if off >= len(data) {
-				return nil, 0, errors.New("engine: truncated final agg")
-			}
-			specs[i].Func = AggFunc(data[off])
-			off++
-			v, m := binary.Varint(data[off:])
-			if m <= 0 {
-				return nil, 0, errors.New("engine: bad final agg col")
-			}
-			specs[i].Col = int(v)
-			off += m
-		}
-		return &FinalAgg{GroupCols: groups, Aggs: specs}, off, nil
+		return &FinalAgg{GroupCols: readInts(r), Aggs: readAggSpecs(r)}
 	case finalSort:
-		count, n := binary.Uvarint(data[1:])
-		if n <= 0 || count > 1<<12 {
-			return nil, 0, errors.New("engine: bad sort count")
-		}
-		off := 1 + n
-		keys := make([]SortKey, count)
+		keys := make([]SortKey, r.Count(2)) // column, direction
 		for i := range keys {
-			col, m := binary.Uvarint(data[off:])
-			if m <= 0 || off+m >= len(data) {
-				return nil, 0, errors.New("engine: bad sort key")
-			}
-			off += m
-			keys[i] = SortKey{Col: int(col), Desc: data[off] == 1}
-			off++
+			keys[i] = SortKey{Col: int(r.Uvarint()), Desc: r.U8() == 1}
 		}
-		return &FinalSort{Keys: keys}, off, nil
+		return &FinalSort{Keys: keys}
 	case finalCompute:
-		exprs, n, err := decodeExprs(data[1:])
-		if err != nil {
-			return nil, 0, err
-		}
-		return &FinalCompute{Exprs: exprs}, 1 + n, nil
+		return &FinalCompute{Exprs: decodeExprs(r)}
 	case finalLimit:
-		v, n := binary.Uvarint(data[1:])
-		if n <= 0 {
-			return nil, 0, errors.New("engine: bad limit")
-		}
-		return &FinalLimit{N: int(v)}, 1 + n, nil
+		return &FinalLimit{N: int(r.Uvarint())}
 	default:
-		return nil, 0, fmt.Errorf("engine: unknown final op %d", data[0])
+		r.Fail(fmt.Errorf("engine: unknown final op %d", tag))
+		return nil
 	}
 }
 
@@ -688,26 +558,13 @@ func EncodePlan(p *Plan) []byte {
 
 // DecodePlan reverses EncodePlan and re-finalizes the plan.
 func DecodePlan(data []byte) (*Plan, error) {
-	root, n, err := decodeNode(data)
-	if err != nil {
+	r := codec.NewReader(data)
+	p := &Plan{Root: decodeNode(&r)}
+	for n := r.Count(2); n > 0 && r.Err() == nil; n-- { // a tag and a count or a value
+		p.Final = append(p.Final, decodeFinalOp(&r))
+	}
+	if err := r.Done("engine: plan"); err != nil {
 		return nil, err
-	}
-	p := &Plan{Root: root}
-	count, m := binary.Uvarint(data[n:])
-	if m <= 0 || count > 1<<12 {
-		return nil, errors.New("engine: bad final op count")
-	}
-	off := n + m
-	for i := uint64(0); i < count; i++ {
-		f, k, err := decodeFinalOp(data[off:])
-		if err != nil {
-			return nil, err
-		}
-		p.Final = append(p.Final, f)
-		off += k
-	}
-	if off != len(data) {
-		return nil, fmt.Errorf("engine: %d trailing plan bytes", len(data)-off)
 	}
 	if err := p.Finalize(); err != nil {
 		return nil, err

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"orchestra/internal/ring"
@@ -17,47 +15,6 @@ type recoverDirective struct {
 	newPhase   uint32
 	failedIdxs []int
 	newTable   *ring.Table
-}
-
-func encodeRecoverDirective(d recoverDirective) ([]byte, error) {
-	out := binary.BigEndian.AppendUint32(nil, d.newPhase)
-	out = binary.AppendUvarint(out, uint64(len(d.failedIdxs)))
-	for _, idx := range d.failedIdxs {
-		out = binary.AppendUvarint(out, uint64(idx))
-	}
-	tb, err := d.newTable.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	return appendBytesField(out, tb), nil
-}
-
-func decodeRecoverDirective(data []byte) (recoverDirective, error) {
-	var d recoverDirective
-	if len(data) < 4 {
-		return d, errors.New("engine: short recover directive")
-	}
-	d.newPhase = binary.BigEndian.Uint32(data)
-	data = data[4:]
-	count, n := binary.Uvarint(data)
-	if n <= 0 || count > 1<<16 {
-		return d, errors.New("engine: bad failed count")
-	}
-	data = data[n:]
-	for i := uint64(0); i < count; i++ {
-		idx, n := binary.Uvarint(data)
-		if n <= 0 {
-			return d, errors.New("engine: bad failed index")
-		}
-		d.failedIdxs = append(d.failedIdxs, int(idx))
-		data = data[n:]
-	}
-	tableEnc, _, err := readBytesField(data)
-	if err != nil {
-		return d, errors.New("engine: bad recover table")
-	}
-	d.newTable, err = ring.UnmarshalTable(tableEnc)
-	return d, err
 }
 
 // initiateRecovery runs at the query initiator when a node failure is

@@ -346,41 +346,6 @@ func TestShipLayoutRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzShipBatchDecode hammers the inter-node decoder — the rehash and ship
-// handlers both run it on bytes straight off the wire. It must reject
-// garbage with an error, never panic, leave nothing behind on failure, and
-// hand back a provenance vector that is absent or in step with the rows.
-func FuzzShipBatchDecode(f *testing.F) {
-	for i, seed := range shipLayoutSeeds {
-		for _, pv := range [][]Prov{nil, seed.prov} {
-			data, err := encodeShipBatch(nil, seedBatch(f, seed.rows, pv), uint32(i))
-			if err != nil {
-				f.Fatalf("encodeShipBatch seed %q: %v", seed.name, err)
-			}
-			f.Add(data)
-		}
-	}
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 1, 2})
-	f.Add([]byte{0, 0, 0, 1, 1, 2})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		into := newColBatch(0)
-		if err := decodeShipBatch(data, into); err != nil {
-			if into.cols.N != 0 || into.prov != nil {
-				t.Fatalf("failed decode left %d rows, %d sets behind", into.cols.N, len(into.prov))
-			}
-			return
-		}
-		if into.prov != nil && len(into.prov) != into.cols.N {
-			t.Fatalf("%d provenance sets beside %d rows", len(into.prov), into.cols.N)
-		}
-		if _, err := encodeShipBatch(nil, into, into.phase); err != nil {
-			t.Fatalf("re-encode of valid decode failed: %v", err)
-		}
-	})
-}
-
 // scanIDSeeds are tuple-ID shipments as index nodes send them.
 func scanIDSeeds() [][]byte {
 	ship := func(scanID, fromIdx int, keys ...string) []byte {
@@ -424,28 +389,4 @@ func TestScanIDsRoundTrip(t *testing.T) {
 	if allocs > 2 { // the error value
 		t.Fatalf("refusing the count took %.0f allocations", allocs)
 	}
-}
-
-// FuzzScanIDsDecode: the msgScanIDs decoder runs on bytes off the wire. It
-// must reject garbage with an error, never panic or reserve memory the
-// payload cannot back, and what it accepts must re-encode to itself.
-func FuzzScanIDsDecode(f *testing.F) {
-	for _, seed := range scanIDSeeds() {
-		f.Add(seed)
-	}
-	f.Add([]byte{})
-	f.Add(binary.AppendUvarint([]byte{0, 0}, 1<<26))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		scanID, fromIdx, ids, hashes, err := decodeScanIDs(data)
-		if err != nil {
-			return
-		}
-		if len(ids) != len(hashes) || cap(ids) > len(data) {
-			t.Fatalf("%d ids (cap %d), %d hashes from %d bytes", len(ids), cap(ids), len(hashes), len(data))
-		}
-		again, _, ids2, _, err := decodeScanIDs(encodeScanIDs(nil, scanID, fromIdx, ids, hashes))
-		if err != nil || again != scanID || len(ids2) != len(ids) {
-			t.Fatalf("re-encode of a valid decode: %v", err)
-		}
-	})
 }

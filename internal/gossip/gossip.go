@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/ring"
 	"orchestra/internal/transport"
 	"orchestra/internal/tuple"
@@ -65,11 +66,13 @@ func New(ep transport.Endpoint, seed int64) *Gossiper {
 // receive adopts a peer's gossip message: the 16-byte payload epoch | seq
 // (see encodeCurrent). Anything else is refused whole.
 func (g *Gossiper) receive(from ring.NodeID, payload []byte) error {
-	if len(payload) != 16 {
+	r := codec.NewReader(payload)
+	epoch, seq := r.U64(), r.U64()
+	if r.Done("gossip: payload") != nil {
 		return fmt.Errorf("gossip: payload of %d bytes from %s, want 16 (epoch | seq)", len(payload), from)
 	}
-	g.merge(tuple.Epoch(binary.BigEndian.Uint64(payload)))
-	g.noteSeq(from, binary.BigEndian.Uint64(payload[8:]))
+	g.merge(tuple.Epoch(epoch))
+	g.noteSeq(from, seq)
 	return nil
 }
 

@@ -1,7 +1,6 @@
 package kvstore
 
 import (
-	"encoding/binary"
 	"errors"
 	"sync"
 )
@@ -50,10 +49,11 @@ func (r ReplRecord) Decode() (ReplOp, error) {
 	case opDelete:
 		return ReplOp{Del: true, Key: r.Payload}, nil
 	case opEpoch:
-		if len(r.Payload) != 8 {
+		e, ok := decodeEpoch(r.Payload)
+		if !ok {
 			return ReplOp{}, errors.New("kvstore: malformed shipped epoch")
 		}
-		return ReplOp{Epoch: binary.BigEndian.Uint64(r.Payload)}, nil
+		return ReplOp{Epoch: e}, nil
 	default:
 		return ReplOp{}, ErrUnknownOp
 	}
@@ -180,42 +180,18 @@ func (s *Store) ShipLog(after uint64, maxBytes int64) (recs []ReplRecord, more, 
 // batch. Epoch ops are rejected — callers raise epochs via SetEpoch,
 // which preserves the pending-epoch bookkeeping.
 func (s *Store) ApplyBatch(ops []ReplOp) error {
-	if len(ops) == 0 {
-		return nil
-	}
-	s.mu.Lock()
-	var lsn int64
 	for _, op := range ops {
 		if op.Epoch > 0 {
-			s.mu.Unlock()
 			return errors.New("kvstore: ApplyBatch cannot carry epoch ops")
 		}
-		var kind byte
-		var payload []byte
-		if op.Del {
-			kind = opDelete
-			payload = append([]byte(nil), op.Key...)
-		} else {
-			kind = opPut
-			payload = appendPut(nil, op.Key, op.Val)
-		}
-		if s.log != nil {
-			var err error
-			lsn, err = s.log.Append(kind, payload)
-			if err != nil {
-				s.mu.Unlock()
-				return err
-			}
-		}
-		if op.Del {
-			s.tree.delete(op.Key)
-		} else {
-			s.tree.put(op.Key, op.Val)
-		}
-		s.noteAppend(kind, payload)
 	}
-	s.mu.Unlock()
-	return s.commit(lsn)
+	_, err := s.apply(len(ops), func(i int) (byte, []byte, []byte) {
+		if ops[i].Del {
+			return opDelete, ops[i].Key, nil
+		}
+		return opPut, ops[i].Key, ops[i].Val
+	})
+	return err
 }
 
 // noteAppend assigns the next global seq to one appended mutation and

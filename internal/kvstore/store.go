@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/obs"
 	"orchestra/internal/wal"
 )
@@ -406,10 +407,11 @@ func (s *Store) applyRecord(rec wal.Record) (uint64, error) {
 	case opDelete:
 		s.tree.delete(rec.Payload)
 	case opEpoch:
-		if len(rec.Payload) != 8 {
+		e, ok := decodeEpoch(rec.Payload)
+		if !ok {
 			return 0, errors.New("malformed epoch payload")
 		}
-		return binary.BigEndian.Uint64(rec.Payload), nil
+		return e, nil
 	default:
 		return 0, fmt.Errorf("unknown record op %d", rec.Op)
 	}
@@ -427,13 +429,16 @@ func appendPut(dst []byte, key, val []byte) []byte {
 }
 
 func decodePut(payload []byte) (key, val []byte, ok bool) {
-	kl, m := binary.Uvarint(payload)
-	// Overflow-safe bound check: kl can be near 2^64 in a corrupt record,
-	// so compare it against the remaining length rather than adding to m.
-	if m <= 0 || kl > uint64(len(payload)-m) {
-		return nil, nil, false
-	}
-	return payload[m : uint64(m)+kl], payload[uint64(m)+kl:], true
+	r := codec.NewReader(payload)
+	key, val = r.Bytes(), r.Rest()
+	return key, val, r.Err() == nil
+}
+
+// decodeEpoch reads an opEpoch payload: the epoch, eight bytes.
+func decodeEpoch(payload []byte) (uint64, bool) {
+	r := codec.NewReader(payload)
+	e := r.U64()
+	return e, r.Done("kvstore: epoch record") == nil
 }
 
 // Close flushes, syncs, and closes the WAL. The store must not be used
@@ -477,24 +482,50 @@ func (s *Store) Has(key []byte) bool {
 	return ok
 }
 
+// apply is the one mutation path. Under the write lock each of the n
+// mutations — op(i) names its kind, key and value — is encoded, appended to
+// the log, applied to the tree and, unless it is node-private (opPutLocal),
+// given the next shipping sequence; one commit outside the lock then makes
+// the whole batch durable (under SyncAlways, at most one fsync). It reports
+// whether the last delete found its key.
+func (s *Store) apply(n int, op func(i int) (kind byte, key, val []byte)) (deleted bool, err error) {
+	if n == 0 {
+		return false, nil
+	}
+	s.mu.Lock()
+	var lsn int64
+	for i := 0; i < n; i++ {
+		kind, key, val := op(i)
+		var payload []byte
+		if kind == opDelete {
+			payload = append([]byte(nil), key...)
+		} else {
+			payload = appendPut(nil, key, val)
+		}
+		if s.log != nil {
+			if lsn, err = s.log.Append(kind, payload); err != nil {
+				s.mu.Unlock()
+				return false, err
+			}
+		}
+		if kind == opDelete {
+			deleted = s.tree.delete(key)
+		} else {
+			s.tree.put(key, val)
+		}
+		if kind != opPutLocal {
+			s.noteAppend(kind, payload)
+		}
+	}
+	s.mu.Unlock()
+	return deleted, s.commit(lsn)
+}
+
 // Put stores key → val (replacing any existing value). For a durable
 // store it returns once the write is committed per the sync policy.
 func (s *Store) Put(key, val []byte) error {
-	s.mu.Lock()
-	var lsn int64
-	payload := appendPut(nil, key, val)
-	if s.log != nil {
-		var err error
-		lsn, err = s.log.Append(opPut, payload)
-		if err != nil {
-			s.mu.Unlock()
-			return err
-		}
-	}
-	s.tree.put(key, val)
-	s.noteAppend(opPut, payload)
-	s.mu.Unlock()
-	return s.commit(lsn)
+	_, err := s.apply(1, func(int) (byte, []byte, []byte) { return opPut, key, val })
+	return err
 }
 
 // PutLocal stores key → val durably without assigning the write a
@@ -504,63 +535,20 @@ func (s *Store) Put(key, val []byte) error {
 // not look like fresh mutations to peers — shipping them would make two
 // otherwise-idle replicas ping-pong marker updates forever.
 func (s *Store) PutLocal(key, val []byte) error {
-	s.mu.Lock()
-	var lsn int64
-	if s.log != nil {
-		var err error
-		lsn, err = s.log.Append(opPutLocal, appendPut(nil, key, val))
-		if err != nil {
-			s.mu.Unlock()
-			return err
-		}
-	}
-	s.tree.put(key, val)
-	s.mu.Unlock()
-	return s.commit(lsn)
+	_, err := s.apply(1, func(int) (byte, []byte, []byte) { return opPutLocal, key, val })
+	return err
 }
 
 // PutBatch stores every pair, sharing one WAL commit (and so, under
 // SyncAlways, at most one fsync) across the batch.
 func (s *Store) PutBatch(kvs []KV) error {
-	if len(kvs) == 0 {
-		return nil
-	}
-	s.mu.Lock()
-	var lsn int64
-	for _, kv := range kvs {
-		payload := appendPut(nil, kv.Key, kv.Val)
-		if s.log != nil {
-			var err error
-			lsn, err = s.log.Append(opPut, payload)
-			if err != nil {
-				s.mu.Unlock()
-				return err
-			}
-		}
-		s.tree.put(kv.Key, kv.Val)
-		s.noteAppend(opPut, payload)
-	}
-	s.mu.Unlock()
-	return s.commit(lsn)
+	_, err := s.apply(len(kvs), func(i int) (byte, []byte, []byte) { return opPut, kvs[i].Key, kvs[i].Val })
+	return err
 }
 
 // Delete removes key if present; reports whether it existed.
 func (s *Store) Delete(key []byte) (bool, error) {
-	s.mu.Lock()
-	var lsn int64
-	payload := append([]byte(nil), key...)
-	if s.log != nil {
-		var err error
-		lsn, err = s.log.Append(opDelete, payload)
-		if err != nil {
-			s.mu.Unlock()
-			return false, err
-		}
-	}
-	deleted := s.tree.delete(key)
-	s.noteAppend(opDelete, payload)
-	s.mu.Unlock()
-	return deleted, s.commit(lsn)
+	return s.apply(1, func(int) (byte, []byte, []byte) { return opDelete, key, nil })
 }
 
 // commit makes the record at lsn durable and may kick off a background

@@ -4,10 +4,11 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"orchestra/internal/codec"
 )
 
 // TraceID identifies one query execution across every node it touches.
@@ -185,8 +186,6 @@ func (t *Trace) Finish() {
 // assumed synchronized — the initiator reads remote StartUs values as
 // fragment-local offsets).
 
-const maxSpanDecode = 1 << 16 // spans per tree; corrupt-input guard
-
 // AppendSpan encodes the span subtree onto dst. The caller must hold
 // whatever lock protects the tree from concurrent Attach.
 func AppendSpan(dst []byte, s *Span) []byte {
@@ -209,73 +208,35 @@ func AppendSpan(dst []byte, s *Span) []byte {
 
 // DecodeSpan decodes one span subtree, returning the remaining bytes.
 func DecodeSpan(b []byte) (*Span, []byte, error) {
-	n := 0
-	s, rest, err := decodeSpan(b, &n)
-	if err != nil {
+	r := codec.NewReader(b)
+	s := decodeSpan(&r)
+	rest := r.Rest()
+	if err := r.Done("obs: span encoding"); err != nil {
 		return nil, nil, err
 	}
 	return s, rest, nil
 }
 
-var errSpanCorrupt = errors.New("obs: corrupt span encoding")
+// spanMinSize is the least a span encodes to: two empty strings, eight
+// counters and a child count of one byte each.
+const spanMinSize = 11
 
-func decodeSpan(b []byte, n *int) (*Span, []byte, error) {
-	*n++
-	if *n > maxSpanDecode {
-		return nil, nil, errSpanCorrupt
+func decodeSpan(r *codec.Reader) *Span {
+	if !r.Enter() {
+		return nil
 	}
-	s := &Span{}
-	var err error
-	if s.Name, b, err = decodeString(b); err != nil {
-		return nil, nil, err
+	defer r.Leave()
+	s := &Span{Name: r.Str(), Node: r.Str(), Phase: uint32(r.Uvarint())}
+	for _, f := range [...]*int64{&s.StartUs, &s.DurUs, &s.Rows, &s.Batches, &s.Bytes, &s.CacheHits, &s.CacheMisses} {
+		*f = int64(r.Uvarint())
 	}
-	if s.Node, b, err = decodeString(b); err != nil {
-		return nil, nil, err
+	for kids := r.Count(spanMinSize); kids > 0 && r.Err() == nil; kids-- {
+		s.Children = append(s.Children, decodeSpan(r))
 	}
-	fields := [...]*int64{&s.StartUs, &s.DurUs, &s.Rows, &s.Batches, &s.Bytes, &s.CacheHits, &s.CacheMisses}
-	ph, b, err := decodeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.Phase = uint32(ph)
-	for _, f := range fields {
-		v, rest, err := decodeUvarint(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		*f, b = int64(v), rest
-	}
-	kids, b, err := decodeUvarint(b)
-	if err != nil || kids > maxSpanDecode {
-		return nil, nil, errSpanCorrupt
-	}
-	for i := uint64(0); i < kids; i++ {
-		var c *Span
-		if c, b, err = decodeSpan(b, n); err != nil {
-			return nil, nil, err
-		}
-		s.Children = append(s.Children, c)
-	}
-	return s, b, nil
+	return s
 }
 
 func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
-}
-
-func decodeString(b []byte) (string, []byte, error) {
-	n, b, err := decodeUvarint(b)
-	if err != nil || n > uint64(len(b)) {
-		return "", nil, errSpanCorrupt
-	}
-	return string(b[:n]), b[n:], nil
-}
-
-func decodeUvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, errSpanCorrupt
-	}
-	return v, b[n:], nil
 }

@@ -24,6 +24,7 @@ import (
 	"sort"
 	"strings"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/keyspace"
 )
 
@@ -537,77 +538,42 @@ func (t *Table) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalTable decodes a table encoded with MarshalBinary.
+var errOwner = errors.New("entry owner out of range")
+
+// UnmarshalTable decodes a table encoded with MarshalBinary. Tables arrive
+// from peers (table pushes, query prepares, recovery directives): member and
+// entry counts are believed only as far as the payload can back them.
 func UnmarshalTable(data []byte) (*Table, error) {
-	off := 0
-	getU64 := func() (uint64, error) {
-		if off+8 > len(data) {
-			return 0, errors.New("ring: truncated table encoding")
-		}
-		v := binary.BigEndian.Uint64(data[off:])
-		off += 8
-		return v, nil
+	r := codec.NewReader(data)
+	version, scheme, repl := r.U64(), r.U64(), r.U64()
+	nMembers := r.Bound(r.U64(), 8) // at least its id's length word each
+	members := make([]Member, 0, nMembers)
+	for i := 0; i < nMembers && r.Err() == nil; i++ {
+		id := NodeID(r.Fixed(r.Bound(r.U64(), 1)))
+		members = append(members, Member{ID: id, Hash: id.Hash()})
 	}
-	version, err := getU64()
-	if err != nil {
+	nEntries := r.Bound(r.U64(), keyspace.Size+8)
+	entries := make([]entry, 0, nEntries)
+	for i := 0; i < nEntries && r.Err() == nil; i++ {
+		var e entry
+		copy(e.start[:], r.Fixed(keyspace.Size))
+		owner := r.U64()
+		if owner >= uint64(nMembers) {
+			r.Fail(errOwner)
+		}
+		e.owner = int(owner)
+		entries = append(entries, e)
+	}
+	if err := r.Done("ring: table"); err != nil {
 		return nil, err
 	}
-	scheme, err := getU64()
-	if err != nil {
-		return nil, err
+	if nMembers == 0 || nEntries == 0 {
+		return nil, errors.New("ring: table without members or entries")
 	}
-	repl, err := getU64()
-	if err != nil {
-		return nil, err
-	}
-	nMembers, err := getU64()
-	if err != nil {
-		return nil, err
-	}
-	if nMembers == 0 || nMembers > 1<<20 {
-		return nil, fmt.Errorf("ring: implausible member count %d", nMembers)
-	}
-	t := &Table{
-		version: version,
-		scheme:  Scheme(scheme),
-		repl:    int(repl),
-		byID:    make(map[NodeID]int, nMembers),
-	}
-	for i := uint64(0); i < nMembers; i++ {
-		l, err := getU64()
-		if err != nil {
-			return nil, err
-		}
-		if off+int(l) > len(data) {
-			return nil, errors.New("ring: truncated member id")
-		}
-		id := NodeID(data[off : off+int(l)])
-		off += int(l)
-		t.members = append(t.members, Member{ID: id, Hash: id.Hash()})
-		t.byID[id] = int(i)
-	}
-	nEntries, err := getU64()
-	if err != nil {
-		return nil, err
-	}
-	if nEntries == 0 || nEntries > 1<<22 {
-		return nil, fmt.Errorf("ring: implausible entry count %d", nEntries)
-	}
-	for i := uint64(0); i < nEntries; i++ {
-		if off+keyspace.Size > len(data) {
-			return nil, errors.New("ring: truncated entry key")
-		}
-		var k keyspace.Key
-		copy(k[:], data[off:])
-		off += keyspace.Size
-		owner, err := getU64()
-		if err != nil {
-			return nil, err
-		}
-		if owner >= nMembers {
-			return nil, fmt.Errorf("ring: entry owner %d out of range", owner)
-		}
-		t.entries = append(t.entries, entry{start: k, owner: int(owner)})
+	t := &Table{version: version, scheme: Scheme(scheme), repl: int(repl), members: members, entries: entries}
+	t.byID = make(map[NodeID]int, nMembers)
+	for i, m := range members {
+		t.byID[m.ID] = i
 	}
 	return t, nil
 }

@@ -17,7 +17,7 @@ func nodeIDs(n int) []NodeID {
 	return ids
 }
 
-func mustNew(t *testing.T, n int, scheme Scheme, r int) *Table {
+func mustNew(t testing.TB, n int, scheme Scheme, r int) *Table {
 	t.Helper()
 	tab, err := New(nodeIDs(n), scheme, r)
 	if err != nil {

@@ -19,8 +19,8 @@ package vstore
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/keyspace"
 	"orchestra/internal/tuple"
 )
@@ -46,110 +46,10 @@ func (w *writer) str(s string) {
 }
 func (w *writer) key(k keyspace.Key) { w.buf = append(w.buf, k[:]...) }
 
-// reader decodes a binary encoding with sticky errors.
-type reader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-var errTruncated = errors.New("vstore: truncated record")
-
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = errTruncated
-	}
-}
-
-func (r *reader) u8() uint8 {
-	if r.err != nil || r.off+1 > len(r.data) {
-		r.fail()
-		return 0
-	}
-	v := r.data[r.off]
-	r.off++
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.data) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.data[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.data) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.data[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-// count reads an element count, refusing one that the bytes left could
-// not hold at minSize bytes an element (a garbled count must not size an
-// allocation).
-func (r *reader) count(minSize int) int {
-	n := r.uvarint()
-	if r.err == nil && n > uint64(len(r.data)-r.off)/uint64(minSize) {
-		r.err = fmt.Errorf("vstore: implausible element count %d", n)
-	}
-	if r.err != nil {
-		return 0
-	}
-	return int(n)
-}
-
-func (r *reader) bytes() []byte {
-	n := r.uvarint()
-	if r.err != nil || n > uint64(len(r.data)-r.off) {
-		r.fail()
-		return nil
-	}
-	b := r.data[r.off : r.off+int(n)]
-	r.off += int(n)
-	return b
-}
-
-func (r *reader) str() string { return string(r.bytes()) }
-
-func (r *reader) keyVal() keyspace.Key {
-	var k keyspace.Key
-	if r.err != nil || r.off+keyspace.Size > len(r.data) {
-		r.fail()
-		return k
-	}
-	copy(k[:], r.data[r.off:])
-	r.off += keyspace.Size
+// readKey reads a ring key.
+func readKey(r *codec.Reader) (k keyspace.Key) {
+	copy(k[:], r.Fixed(keyspace.Size))
 	return k
-}
-
-func (r *reader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.data) {
-		return fmt.Errorf("vstore: %d trailing bytes", len(r.data)-r.off)
-	}
-	return nil
 }
 
 // EncodeSchema serializes a schema for catalog records.
@@ -170,29 +70,25 @@ func EncodeSchema(s *tuple.Schema) []byte {
 
 // DecodeSchema reverses EncodeSchema.
 func DecodeSchema(data []byte) (*tuple.Schema, error) {
-	r := reader{data: data}
-	s := &tuple.Schema{Relation: r.str()}
-	nCols := r.uvarint()
-	if nCols > 1<<16 {
-		return nil, fmt.Errorf("vstore: implausible column count %d", nCols)
+	r := codec.NewReader(data)
+	s := &tuple.Schema{Relation: r.Str()}
+	nCols := r.Count(2) // name length, type
+	s.Columns = make([]tuple.Column, 0, nCols)
+	for i := 0; i < nCols && r.Err() == nil; i++ {
+		s.Columns = append(s.Columns, tuple.Column{Name: r.Str(), Type: tuple.Type(r.U8())})
 	}
-	for i := uint64(0); i < nCols; i++ {
-		name := r.str()
-		typ := tuple.Type(r.u8())
-		s.Columns = append(s.Columns, tuple.Column{Name: name, Type: typ})
-	}
-	nKey := r.uvarint()
+	nKey := r.Count(1)
 	if nKey > nCols {
 		return nil, errors.New("vstore: key column count exceeds columns")
 	}
-	for i := uint64(0); i < nKey; i++ {
-		idx := r.uvarint()
-		if idx >= nCols {
+	for i := 0; i < nKey && r.Err() == nil; i++ {
+		idx := r.Uvarint()
+		if idx >= uint64(nCols) {
 			return nil, errors.New("vstore: key column index out of range")
 		}
 		s.Key = append(s.Key, int(idx))
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done("vstore: schema record"); err != nil {
 		return nil, err
 	}
 	return s, nil

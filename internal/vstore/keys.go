@@ -3,6 +3,7 @@ package vstore
 import (
 	"encoding/binary"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/keyspace"
 	"orchestra/internal/tuple"
 )
@@ -99,20 +100,17 @@ func TupleKeyHash(kvKey []byte) (keyspace.Key, bool) {
 
 // TupleIDFromKVKey reconstructs the tuple ID from a local tuple store key.
 func TupleIDFromKVKey(kvKey []byte) (tuple.ID, bool) {
-	if len(kvKey) < 2+keyspace.Size+1+8 || kvKey[0] != 't' || kvKey[1] != '/' {
+	if len(kvKey) < 2 || kvKey[0] != 't' || kvKey[1] != '/' {
 		return tuple.ID{}, false
 	}
-	rest := kvKey[2+keyspace.Size:]
-	// key encoding, then 0x00 separator, then 8-byte epoch. The key encoding
-	// itself never ends ambiguously because we know the epoch is the final
-	// 8 bytes and the separator precedes it.
-	if len(rest) < 9 {
+	// hash, key encoding, 0x00 separator, 8-byte epoch. The key encoding
+	// never ends ambiguously: the epoch is the final 8 bytes and the
+	// separator precedes it.
+	r := codec.NewReader(kvKey[2:])
+	r.Fixed(keyspace.Size)
+	keyEnc, sep, e := r.Fixed(len(kvKey)-2-keyspace.Size-9), r.U8(), r.U64()
+	if r.Err() != nil || sep != 0 {
 		return tuple.ID{}, false
 	}
-	keyEnc := rest[:len(rest)-9]
-	if rest[len(rest)-9] != 0 {
-		return tuple.ID{}, false
-	}
-	e := binary.BigEndian.Uint64(rest[len(rest)-8:])
 	return tuple.ID{Key: string(keyEnc), Epoch: tuple.Epoch(e)}, true
 }

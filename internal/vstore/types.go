@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/keyspace"
 	"orchestra/internal/tuple"
 )
@@ -142,17 +143,17 @@ func (w *writer) pageHeader(kind uint8, ref PageRef, ids []tuple.ID) {
 
 // pageHeader reads what every page record starts with; the ref's counts
 // are left for the caller, who knows them only after the body.
-func (r *reader) pageHeader() (kind uint8, ref PageRef) {
-	tag := r.u8()
-	kind = r.u8()
-	if r.err == nil && (tag != pageTag || (kind != kindFull && kind != kindDelta)) {
-		r.err = fmt.Errorf("vstore: not a page record (tag %#x, kind %d)", tag, kind)
+func readPageHeader(r *codec.Reader) (kind uint8, ref PageRef) {
+	tag := r.U8()
+	kind = r.U8()
+	if r.Err() == nil && (tag != pageTag || (kind != kindFull && kind != kindDelta)) {
+		r.Fail(fmt.Errorf("vstore: not a page record (tag %#x, kind %d)", tag, kind))
 	}
-	ref.ID.Relation = r.str()
-	ref.ID.Epoch = tuple.Epoch(r.u64())
-	ref.ID.Seq = r.u32()
-	ref.Min = r.keyVal()
-	ref.Max = r.keyVal()
+	ref.ID.Relation = r.Str()
+	ref.ID.Epoch = tuple.Epoch(r.U64())
+	ref.ID.Seq = r.U32()
+	ref.Min = readKey(r)
+	ref.Max = readKey(r)
 	return kind, ref
 }
 
@@ -165,22 +166,22 @@ func (w *writer) entries(ids []tuple.ID, hashes []keyspace.Key) {
 	}
 }
 
-// entries reads an entry list. The keys are substrings of one copy of the
-// list's bytes rather than a string each: one allocation per record, and
-// the caller's buffer is not retained.
-func (r *reader) entries() ([]tuple.ID, []keyspace.Key) {
-	n := r.count(8 + 1 + keyspace.Size)
+// readEntries reads an entry list. blob is a copy of the record r walks: the
+// keys are its substrings rather than a string each — one allocation per
+// record, and the caller's buffer is not retained.
+func readEntries(r *codec.Reader, blob string) ([]tuple.ID, []keyspace.Key) {
+	n := r.Count(8 + 1 + keyspace.Size)
 	ids := make([]tuple.ID, 0, n)
 	hashes := make([]keyspace.Key, 0, n)
-	blob, base := string(r.data[r.off:]), r.off
-	for i := 0; i < n && r.err == nil; i++ {
-		e := tuple.Epoch(r.u64())
-		key := r.bytes()
-		if r.err != nil {
+	for i := 0; i < n; i++ {
+		e := tuple.Epoch(r.U64())
+		key, end := r.Bytes(), r.Pos()
+		hash := readKey(r)
+		if r.Err() != nil {
 			break
 		}
-		ids = append(ids, tuple.ID{Key: blob[r.off-len(key)-base : r.off-base], Epoch: e})
-		hashes = append(hashes, r.keyVal())
+		ids = append(ids, tuple.ID{Key: blob[end-len(key) : end], Epoch: e})
+		hashes = append(hashes, hash)
 	}
 	return ids, hashes
 }
@@ -207,20 +208,24 @@ func EncodeDelta(d *Delta) []byte {
 // carry its ref's counts; a full page's Entries is filled from the body,
 // a delta's counts are known only to the coordinator that links it.
 func DecodePage(data []byte) (Version, error) {
-	r := reader{data: data}
-	kind, ref := r.pageHeader()
+	r := codec.NewReader(data)
+	kind, ref := readPageHeader(&r)
+	if r.Err() != nil {
+		return Version{}, r.Done("vstore: page record")
+	}
+	blob := string(data)
 	var v Version
 	if kind == kindFull {
 		v.Page = &Page{Ref: ref}
-		v.Page.IDs, v.Page.Hashes = r.entries()
+		v.Page.IDs, v.Page.Hashes = readEntries(&r, blob)
 		v.Page.Ref.Entries = uint32(len(v.Page.IDs))
 	} else {
 		v.Delta = &Delta{Ref: ref, Base: PageID{Relation: ref.ID.Relation}}
-		v.Delta.Base.Epoch = tuple.Epoch(r.u64())
-		v.Delta.Base.Seq = r.u32()
-		v.Delta.IDs, v.Delta.Hashes = r.entries()
+		v.Delta.Base.Epoch = tuple.Epoch(r.U64())
+		v.Delta.Base.Seq = r.U32()
+		v.Delta.IDs, v.Delta.Hashes = readEntries(&r, blob)
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done("vstore: page record"); err != nil {
 		return Version{}, err
 	}
 	return v, nil
@@ -229,9 +234,9 @@ func DecodePage(data []byte) (Version, error) {
 // PagePlacement returns the ring placement of an encoded page record,
 // full or delta, from its header alone.
 func PagePlacement(data []byte) (keyspace.Key, bool) {
-	r := reader{data: data}
-	_, ref := r.pageHeader()
-	return ref.Placement(), r.err == nil
+	r := codec.NewReader(data)
+	_, ref := readPageHeader(&r)
+	return ref.Placement(), r.Err() == nil
 }
 
 // Coordinator is the relation coordinator record for (relation, epoch): the
@@ -264,25 +269,25 @@ func EncodeCoordinator(c *Coordinator) []byte {
 
 // DecodeCoordinator reverses EncodeCoordinator.
 func DecodeCoordinator(data []byte) (*Coordinator, error) {
-	r := reader{data: data}
+	r := codec.NewReader(data)
 	c := &Coordinator{}
-	c.Relation = r.str()
-	c.Epoch = tuple.Epoch(r.u64())
-	n := r.count(1 + 8 + 4 + 2*keyspace.Size + 3)
+	c.Relation = r.Str()
+	c.Epoch = tuple.Epoch(r.U64())
+	n := r.Count(1 + 8 + 4 + 2*keyspace.Size + 3)
 	c.Pages = make([]PageRef, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.Err() == nil; i++ {
 		var ref PageRef
-		ref.ID.Relation = r.str()
-		ref.ID.Epoch = tuple.Epoch(r.u64())
-		ref.ID.Seq = r.u32()
-		ref.Min = r.keyVal()
-		ref.Max = r.keyVal()
-		ref.Entries = uint32(r.uvarint())
-		ref.DeltaEntries = uint32(r.uvarint())
-		ref.Depth = uint32(r.uvarint())
+		ref.ID.Relation = r.Str()
+		ref.ID.Epoch = tuple.Epoch(r.U64())
+		ref.ID.Seq = r.U32()
+		ref.Min = readKey(&r)
+		ref.Max = readKey(&r)
+		ref.Entries = uint32(r.Uvarint())
+		ref.DeltaEntries = uint32(r.Uvarint())
+		ref.Depth = uint32(r.Uvarint())
 		c.Pages = append(c.Pages, ref)
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done("vstore: coordinator record"); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -406,33 +411,28 @@ func EncodeCatalog(c *Catalog) []byte {
 
 // DecodeCatalog reverses EncodeCatalog.
 func DecodeCatalog(data []byte) (*Catalog, error) {
-	r := reader{data: data}
-	sb := r.bytes()
-	if r.err != nil {
-		return nil, r.err
+	r := codec.NewReader(data)
+	sb := r.Bytes()
+	if r.Err() != nil {
+		return nil, r.Done("vstore: catalog record")
 	}
 	schema, err := DecodeSchema(sb)
 	if err != nil {
 		return nil, err
 	}
 	c := &Catalog{Schema: schema}
-	n := r.uvarint()
-	if n > 1<<24 {
-		return nil, errors.New("vstore: implausible epoch count")
+	for n := r.Count(8); n > 0 && r.Err() == nil; n-- {
+		c.Epochs = append(c.Epochs, tuple.Epoch(r.U64()))
 	}
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		c.Epochs = append(c.Epochs, tuple.Epoch(r.u64()))
-	}
-	c.Rows = int64(r.u64())
-	pubs := r.uvarint()
+	c.Rows = int64(r.U64())
+	pubs := r.Count(16)
 	if pubs > PubHistory {
 		return nil, errors.New("vstore: implausible publish-mark count")
 	}
-	for i := uint64(0); i < pubs; i++ {
-		id := r.u64()
-		c.RecentPubs = append(c.RecentPubs, PubMark{ID: id, Epoch: tuple.Epoch(r.u64())})
+	for ; pubs > 0 && r.Err() == nil; pubs-- {
+		c.RecentPubs = append(c.RecentPubs, PubMark{ID: r.U64(), Epoch: tuple.Epoch(r.U64())})
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done("vstore: catalog record"); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -462,12 +462,12 @@ func EncodeTupleRecord(s *tuple.Schema, rec TupleRecord) ([]byte, error) {
 // values alias data (see tuple.DecodeRowCols): data must be an immutable,
 // retained buffer — stored kvstore values qualify.
 func DecodeTupleRecordCols(s *tuple.Schema, data []byte, b *tuple.Batch) error {
-	r := reader{data: data}
-	r.u64()   // ID epoch
-	r.bytes() // ID key encoding
-	rowBytes := r.bytes()
-	if r.err != nil {
-		return r.err
+	r := codec.NewReader(data)
+	r.U64()   // ID epoch
+	r.Bytes() // ID key encoding
+	rowBytes := r.Bytes()
+	if err := r.Done("vstore: tuple record"); err != nil {
+		return err
 	}
 	n, err := tuple.DecodeRowCols(rowBytes, s, b)
 	if err != nil {
@@ -476,18 +476,18 @@ func DecodeTupleRecordCols(s *tuple.Schema, data []byte, b *tuple.Batch) error {
 	if n != len(rowBytes) {
 		return errors.New("vstore: trailing bytes in tuple row")
 	}
-	return r.done()
+	return nil
 }
 
 // DecodeTupleRecord reverses EncodeTupleRecord.
 func DecodeTupleRecord(s *tuple.Schema, data []byte) (TupleRecord, error) {
-	r := reader{data: data}
+	r := codec.NewReader(data)
 	var rec TupleRecord
-	rec.ID.Epoch = tuple.Epoch(r.u64())
-	rec.ID.Key = r.str()
-	rowBytes := r.bytes()
-	if r.err != nil {
-		return rec, r.err
+	rec.ID.Epoch = tuple.Epoch(r.U64())
+	rec.ID.Key = r.Str()
+	rowBytes := r.Bytes()
+	if err := r.Done("vstore: tuple record"); err != nil {
+		return rec, err
 	}
 	row, n, err := tuple.DecodeRow(rowBytes, s)
 	if err != nil {
@@ -497,5 +497,5 @@ func DecodeTupleRecord(s *tuple.Schema, data []byte) (TupleRecord, error) {
 		return rec, errors.New("vstore: trailing bytes in tuple row")
 	}
 	rec.Row = row
-	return rec, r.done()
+	return rec, nil
 }

@@ -17,6 +17,7 @@ import (
 
 	"orchestra/client"
 	"orchestra/internal/cluster"
+	"orchestra/internal/codec"
 	"orchestra/internal/optimizer"
 	"orchestra/internal/server"
 	"orchestra/internal/sql"
@@ -283,6 +284,43 @@ func TestQueryErrorMap(t *testing.T) {
 		if !errors.As(err, &werr) || werr.Code != tc.code {
 			t.Errorf("%s: served error %v, want code %s", tc.name, err, tc.code)
 		}
+	}
+}
+
+// TestDeepWhere: the planner folds a WHERE into a left-deep chain, one level
+// per conjunct, and every node that receives the plan decodes it under the
+// reader's nesting bound. A 500-conjunct predicate is planned, shipped,
+// decoded on the other nodes and run; one past the bound is refused where it
+// was asked, typed as the client's fault — never prepared locally only to fail
+// at the first remote fragment.
+func TestDeepWhere(t *testing.T) {
+	c := newTestCluster(t, 3)
+	mustCreate(t, c, NewSchema("t", "k:string", "grp:int", "v:int"))
+	if _, err := c.PublishTyped(0, "t", typedRows(0, 200)); err != nil {
+		t.Fatal(err)
+	}
+	cl := serveAll(t, c)[1]
+	where := func(conjuncts int) string {
+		var b strings.Builder
+		b.WriteString("SELECT k FROM t WHERE v < 100")
+		for i := 1; i < conjuncts; i++ {
+			fmt.Fprintf(&b, " AND v <> %d", 1000+i)
+		}
+		return b.String()
+	}
+	if res := mustQuery(t, c, where(500)); len(res.Rows) != 100 {
+		t.Errorf("500 conjuncts, embedded: %d rows, want 100", len(res.Rows))
+	}
+	if res, err := cl.Query(context.Background(), where(500)); err != nil || len(res.Rows) != 100 {
+		t.Errorf("500 conjuncts, served: %v", err)
+	}
+	tooDeep := where(codec.MaxDepth + 10)
+	if _, err := c.Query(tooDeep); err == nil {
+		t.Error("a predicate nested past the bound was accepted")
+	}
+	var werr *client.Error
+	if _, err := cl.Query(context.Background(), tooDeep); !errors.As(err, &werr) || werr.Code != server.CodeBadRequest {
+		t.Errorf("a predicate nested past the bound, served: %v, want code %s", err, server.CodeBadRequest)
 	}
 }
 
