@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"bytes"
-
-	"orchestra/internal/tuple"
-)
+import "orchestra/internal/tuple"
 
 // KeyPred is a sargable predicate over the order-preserving key encoding:
 // it selects tuple IDs with Lo <= key < Hi (nil bounds are open). It is the
@@ -13,12 +9,14 @@ type KeyPred struct {
 	Lo, Hi []byte
 }
 
-// Match reports whether an encoded key satisfies the predicate.
+// Match reports whether an encoded key satisfies the predicate. The bounds
+// are compared as strings: a conversion inside a comparison copies nothing,
+// where converting the key to a []byte would copy it on every call.
 func (p KeyPred) Match(key string) bool {
-	if p.Lo != nil && bytes.Compare([]byte(key), p.Lo) < 0 {
+	if p.Lo != nil && key < string(p.Lo) {
 		return false
 	}
-	if p.Hi != nil && bytes.Compare([]byte(key), p.Hi) >= 0 {
+	if p.Hi != nil && key >= string(p.Hi) {
 		return false
 	}
 	return true

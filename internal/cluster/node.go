@@ -78,9 +78,10 @@ type Node struct {
 	gsp   *gossip.Gossiper
 	cfg   Config
 
-	mu     sync.RWMutex
-	table  *ring.Table
-	pinger *transport.Pinger // watches the table's members; nil until StartPinger
+	mu       sync.RWMutex
+	table    *ring.Table
+	pinger   *transport.Pinger // watches the table's members; nil until StartPinger
+	closeFns []func()          // OnClose subscribers; run once, by Close
 
 	pubMu   sync.Mutex
 	pubRels map[string]*sync.Mutex
@@ -193,17 +194,31 @@ func (n *Node) StartPinger(interval, timeout time.Duration) {
 	n.pinger.Start()
 }
 
+// OnClose registers fn to run when the node closes. A closing node hears
+// from no peer again, so work that waits on one (a query fragment parked on
+// ship credit) must be told here.
+func (n *Node) OnClose(fn func()) {
+	n.mu.Lock()
+	n.closeFns = append(n.closeFns, fn)
+	n.mu.Unlock()
+}
+
 // Close stops background activity. The local store remains usable.
 func (n *Node) Close() {
 	n.mu.Lock()
 	if n.pinger != nil {
 		n.pinger.Stop()
 	}
+	fns := n.closeFns
+	n.closeFns = nil
 	n.mu.Unlock()
 	n.StopRepair()
 	n.stopRetry()
 	n.gsp.Stop()
 	_ = n.ep.Close()
+	for _, fn := range fns {
+		fn()
+	}
 }
 
 func (n *Node) String() string {

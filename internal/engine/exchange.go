@@ -357,6 +357,67 @@ type shipProducer struct {
 	mu      sync.Mutex
 	pending *colBatch // rows toward the next shipment; nil until the first push
 	err     error     // first failure: shipping stops, the EOS reports it
+
+	// credit is the fragment's send window when executor.credit is set.
+	credit shipCredit
+}
+
+// shipCreditRows is the send window of a fragment of a streamed,
+// exchange-free plan: the rows it may have shipped that the initiator's
+// sink has not yet taken. The initiator therefore buffers at most members ×
+// shipCreditRows rows however slow its sink, and a fragment that has used
+// its window stops (its scan pass waits) rather than buffering. Two blocks
+// let a fragment fill one while the other is drained.
+const shipCreditRows = 2 * flushRows
+
+// shipCredit is a fragment's send window. Only a scan pass goroutine takes
+// from it — never a delivery loop — so waiting here holds up nothing but
+// this fragment's own pass.
+type shipCredit struct {
+	mu      sync.Mutex
+	cond    sync.Cond
+	avail   int
+	closed  bool // the query is over on this node: nobody waits any more
+	waiting int  // passes parked on the window
+}
+
+func (c *shipCredit) init(rows int) {
+	c.cond.L = &c.mu
+	c.avail = rows
+}
+
+// take reserves rows of the window, waiting while it is short. It reports
+// false, having reserved nothing, once the query is over here.
+func (c *shipCredit) take(rows int) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.avail < rows && !c.closed {
+		c.waiting++
+		c.cond.Wait()
+		c.waiting--
+	}
+	if c.closed {
+		return false
+	}
+	c.avail -= rows
+	return true
+}
+
+// grant returns rows the initiator's sink has taken.
+func (c *shipCredit) grant(rows int) {
+	c.mu.Lock()
+	c.avail += rows
+	c.cond.Broadcast()
+	c.mu.Unlock()
+}
+
+// close wakes every waiter for good: the query was cancelled, failed, or
+// lost its initiator.
+func (c *shipCredit) close() {
+	c.mu.Lock()
+	c.closed = true
+	c.cond.Broadcast()
+	c.mu.Unlock()
 }
 
 // fail records the fragment's first failure — a shipment that could not be
@@ -379,7 +440,7 @@ func (s *shipProducer) fail(err error) {
 // disagree with what is pending fails the fragment.
 func (s *shipProducer) push(cb *colBatch) {
 	if cb.cols.N >= flushRows && s.ex.mode != shipTopK && s.ex.initiator == s.ex.self() {
-		s.ex.sendShip(cb)
+		s.send(cb)
 		return
 	}
 	s.mu.Lock()
@@ -439,22 +500,12 @@ func (s *shipProducer) cutLocked(final bool) *colBatch {
 	return cb
 }
 
-// ship sends a cut batch in flushRows-row chunks, in order — chunks of one
-// sorted run stay sorted end to end (per-link FIFO) — and keeps its
-// vectors for the next pending batch.
+// ship sends a cut batch and keeps its vectors for the next pending batch.
 func (s *shipProducer) ship(cb *colBatch) {
 	if cb == nil {
 		return
 	}
-	span := newColBatch(0)
-	for lo := 0; lo < cb.cols.N; lo += flushRows {
-		hi := min(lo+flushRows, cb.cols.N)
-		cb.cols.Slice(lo, hi, span.cols)
-		if cb.prov != nil {
-			span.prov = cb.prov[lo:hi]
-		}
-		s.ex.sendShip(span)
-	}
+	s.send(cb)
 	cb.cols.Truncate(0)
 	cb.prov = cb.prov[:0]
 	s.mu.Lock()
@@ -462,6 +513,29 @@ func (s *shipProducer) ship(cb *colBatch) {
 		s.pending = cb
 	}
 	s.mu.Unlock()
+}
+
+// send ships cb in flushRows-row chunks, in order — chunks of one sorted run
+// stay sorted end to end (per-link FIFO) — each against the send window when
+// the fragment holds one. A query that ended while it waited ships no more.
+func (s *shipProducer) send(cb *colBatch) {
+	chunk := cb
+	if cb.cols.N > flushRows {
+		chunk = newColBatch(0)
+	}
+	for lo := 0; lo < cb.cols.N; lo += flushRows {
+		hi := min(lo+flushRows, cb.cols.N)
+		if chunk != cb {
+			cb.cols.Slice(lo, hi, chunk.cols)
+			if cb.prov != nil {
+				chunk.prov = cb.prov[lo:hi]
+			}
+		}
+		if s.ex.credit && !s.credit.take(hi-lo) {
+			return
+		}
+		s.ex.sendShip(chunk)
+	}
 }
 
 // eos ships what is pending and reports fragment completion. In top-K mode
@@ -517,7 +591,10 @@ type shipConsumer struct {
 	// Streamed emission (shipStream with a sink): receive never blocks —
 	// it appends as before and nudges the drainer goroutine, which swaps
 	// the accumulator out and emits to the sink (possibly blocking on
-	// wire credit there, never on a transport delivery loop).
+	// wire credit there, never on a transport delivery loop). When the
+	// fragments hold ship credit (executor.credit), owed counts each
+	// source's rows received since the last swap; the drainer returns them
+	// once it has emitted them.
 	sink      StreamSink
 	streamFin finalPipeline
 	notify    chan struct{}
@@ -526,6 +603,7 @@ type shipConsumer struct {
 	stopOnce  sync.Once
 	streamed  atomic.Int64
 	peak      int // high-water mark of rows buffered while streaming
+	owed      map[ring.NodeID]int
 }
 
 func newShipConsumer(ex *executor) *shipConsumer {
@@ -546,7 +624,7 @@ func (s *shipConsumer) fail(err error) {
 	case s.failCh <- err:
 	default:
 	}
-	s.ex.aborted.Store(true)
+	s.ex.abort()
 }
 
 // startStream arms streamed emission: subsequent arrivals wake a drainer
@@ -614,12 +692,17 @@ func (s *shipConsumer) drainLoop() {
 		if s.acc.cols.N > 0 {
 			cols, s.acc.cols = s.acc.cols, getResultBatch()
 		}
+		owed := s.owed
+		s.owed = nil
 		s.mu.Unlock()
 		if cols != nil {
 			if err := s.emitChunk(cols); err != nil {
 				s.fail(err)
 				return
 			}
+		}
+		for from, rows := range owed {
+			s.ex.sendShipCredit(from, rows)
 		}
 		if stopping {
 			return
@@ -683,6 +766,15 @@ func (s *shipConsumer) receive(from ring.NodeID, cb *colBatch) error {
 	defer s.mu.Unlock()
 	if s.sealed || s.limitReachedLocked() {
 		return nil
+	}
+	if s.ex.credit {
+		// Every row that arrived was shipped against from's window, kept
+		// or not (a tainted row is dropped below): the drainer owes it back.
+		if s.owed == nil {
+			s.owed = make(map[ring.NodeID]int)
+		}
+		s.owed[from] += cb.cols.N
+		s.notifyDrainLocked()
 	}
 	if s.ex.opts.Provenance {
 		if len(cb.prov) != cb.cols.N {

@@ -194,6 +194,7 @@ func New(node *cluster.Node) *Engine {
 	}
 	e.registerHandlers()
 	node.OnPeerDown(e.peerDown)
+	node.OnClose(e.abortAll)
 	return e
 }
 
@@ -230,6 +231,20 @@ func (e *Engine) dropExec(q uint64) {
 	e.mu.Unlock()
 }
 
+// abortAll ends this node's part in every query: the node is closing, and
+// neither a cancel nor a peer-down will reach it any more.
+func (e *Engine) abortAll() {
+	e.mu.Lock()
+	execs := make([]*executor, 0, len(e.execs))
+	for _, ex := range e.execs {
+		execs = append(execs, ex)
+	}
+	e.mu.Unlock()
+	for _, ex := range execs {
+		ex.abort()
+	}
+}
+
 // peerDown reacts to a node failure: initiator-side executors start
 // recovery per their options; remote executors whose initiator died are
 // abandoned.
@@ -244,6 +259,7 @@ func (e *Engine) peerDown(id ring.NodeID) {
 		if ex.initiator == e.node.ID() {
 			ex.handleFailure(id)
 		} else if ex.initiator == id {
+			ex.abort()
 			e.dropExec(ex.queryID)
 		}
 	}
@@ -282,6 +298,12 @@ type executor struct {
 	// when the query is cancelled or its answer is already complete (a
 	// pushed-down limit was satisfied before the scans finished).
 	aborted atomic.Bool
+
+	// credit says this query's fragments ship against a send window
+	// (shipCredit): the plan streams to a sink at the initiator and has no
+	// rehash, so every shipment leaves from a scan pass goroutine, which
+	// may wait. The initiator decides it and the prepare message carries it.
+	credit bool
 
 	scans        map[int]*scanLeaf
 	producers    map[int]*exchProducer
@@ -353,6 +375,7 @@ func newExecutor(eng *Engine, queryID uint64, plan *Plan, opts Options, epoch tu
 		ex.frag = ex.trace.Root()
 	}
 	ex.shipper = &shipProducer{ex: ex}
+	ex.shipper.credit.init(shipCreditRows)
 	if err := ex.build(plan.Root, ex.shipper); err != nil {
 		return nil, err
 	}
@@ -419,6 +442,13 @@ func (ex *executor) wave() (uint32, []ring.NodeID) {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
 	return ex.phase, ex.table.Members()
+}
+
+// abort ends this node's part of the query: scan passes stop early and a
+// pass waiting on ship credit gives up.
+func (ex *executor) abort() {
+	ex.aborted.Store(true)
+	ex.shipper.credit.close()
 }
 
 func (ex *executor) failedProv() Prov {
@@ -567,6 +597,18 @@ func (ex *executor) sendShip(cb *colBatch) {
 	_ = ex.eng.node.Endpoint().Send(ex.initiator, msgShipBatch, payload)
 }
 
+// sendShipCredit returns rows of a fragment's send window once the sink has
+// taken them: the initiator's own fragment directly, any other by message.
+func (ex *executor) sendShipCredit(to ring.NodeID, rows int) {
+	if to == ex.self() {
+		ex.shipper.credit.grant(rows)
+		return
+	}
+	payload := encodeShipCredit(ex.header(nil), rows)
+	ex.stats.addSentBytes(len(payload))
+	_ = ex.eng.node.Endpoint().Send(to, msgShipCredit, payload)
+}
+
 // sendShipEOS reports fragment completion for the given wave phase, along
 // with this node's work counters, the fragment's ship-path failure if it
 // had one, and (when tracing) the fragment's span subtree.
@@ -640,6 +682,7 @@ func (e *Engine) handlePrepare(payload []byte) error {
 	if err != nil {
 		return err
 	}
+	ex.credit = p.credit
 	e.putExec(p.queryID, ex)
 	return nil
 }
@@ -767,16 +810,17 @@ func (e *Engine) runOnce(ctx context.Context, p *Plan, opts Options, epoch tuple
 	}
 	if ex.mode == shipStream && opts.Sink != nil {
 		ex.shipCons.startStream(opts.Sink, final)
+		ex.credit = len(ex.producers) == 0
 	}
 	e.putExec(queryID, ex)
 	defer func() {
-		ex.aborted.Store(true) // stop any local pass still running
+		ex.abort() // stop any local pass still running
 		ex.shipCons.stopStreaming()
 		e.dropExec(queryID)
 		ex.broadcastCancel()
 	}()
 
-	prep, err := encodePrepare(queryID, e.node.ID(), epoch, opts, snap, p, metas)
+	prep, err := encodePrepare(queryID, e.node.ID(), epoch, opts, ex.credit, snap, p, metas)
 	if err != nil {
 		return nil, err
 	}

@@ -112,8 +112,8 @@ func engineFrames() []engineFrame {
 			seeds: func(t testing.TB) [][]byte {
 				tr := obs.NewTrace(0xfeed, "query", "orch-001")
 				return [][]byte{
-					must(t)(encodePrepare(0x0102030405060708, "orch-002", 9, Options{}, frameTable(t), framePlan(t), map[string]*relMeta{"R": frameMeta(true)})),
-					must(t)(encodePrepare(1, "orch-001", 2, Options{Provenance: true, Recovery: RecoverIncremental, Trace: tr},
+					must(t)(encodePrepare(0x0102030405060708, "orch-002", 9, Options{}, true, frameTable(t), framePlan(t), map[string]*relMeta{"R": frameMeta(true)})),
+					must(t)(encodePrepare(1, "orch-001", 2, Options{Provenance: true, Recovery: RecoverIncremental, Trace: tr}, false,
 						frameTable(t), &Plan{Root: &ScanNode{Relation: "S"}}, map[string]*relMeta{"S": frameMeta(false)})),
 				}
 			}},
@@ -183,6 +183,11 @@ func engineFrames() []engineFrame {
 			},
 			seeds: func(t testing.TB) [][]byte {
 				return [][]byte{encodeNodeStats(nil, NodeStats{1, 2, 3, 4, 5, 1 << 40})}
+			}},
+		{name: "ship credit",
+			decode: func(t testing.TB, b []byte) (int, error) { _, err := decodeShipCredit(b); return 0, err },
+			seeds: func(t testing.TB) [][]byte {
+				return [][]byte{encodeShipCredit(nil, 1), encodeShipCredit(nil, shipCreditRows)}
 			}},
 		{name: "mark",
 			decode: func(t testing.TB, b []byte) (int, error) { _, _, err := decodeMark(b); return 0, err },
@@ -435,10 +440,11 @@ func TestEngineGoldenBytes(t *testing.T) {
 	}{
 		{"header", (&executor{queryID: 0x0102030405060708}).header(nil), goldenHeader},
 		{"plan", EncodePlan(framePlan(t)), goldenPlan},
-		{"prepare", must(t)(encodePrepare(0x0102030405060708, "orch-002", 9, Options{Provenance: true, Recovery: RecoverIncremental, Trace: obs.NewTrace(0xfeed, "query", "orch-002")},
+		{"prepare", must(t)(encodePrepare(0x0102030405060708, "orch-002", 9, Options{Provenance: true, Recovery: RecoverIncremental, Trace: obs.NewTrace(0xfeed, "query", "orch-002")}, false,
 			frameTable(t), framePlan(t), map[string]*relMeta{"R": frameMeta(true)})), goldenPrepare},
 		{"meta without coordinator", encodeMeta(nil, "S", frameMeta(false)), goldenMetaBare},
 		{"mark", encodeMark(nil, 300, 2), goldenMark},
+		{"ship credit", encodeShipCredit(nil, 1500), goldenShipCredit},
 		{"scan ids", encodeScanIDs(nil, 3, 1, ids, hashes), goldenScanIDs},
 		{"exch batch", must(t)(encodeExchBatch(nil, 7, seedBatch(t, withProv.rows, withProv.prov), 4)), goldenExchBatch},
 		{"ship batch", must(t)(encodeShipBatch(nil, seedBatch(t, withProv.rows, nil), 1)), goldenShipBatch},
@@ -472,7 +478,10 @@ const (
 		"0000000000000000000000000000ffffffffffffffffffffffffffffffffffffffff030101"
 	goldenMetaBare = "015300000000000000070e015203016b01017602017303010000"
 	goldenMark     = "ac0200000002"
-	goldenScanIDs  = "0301030000000000000001026b31a2ab1959c1c3bfa295b0fc90199378272db76b45000000000000000200da39a3ee5e" +
+	// The ship credit message is younger than the commit above; its golden
+	// is its first encoder's output.
+	goldenShipCredit = "dc0b"
+	goldenScanIDs    = "0301030000000000000001026b31a2ab1959c1c3bfa295b0fc90199378272db76b45000000000000000200da39a3ee5e" +
 		"6b4b0d3255bfef95601890afd807090000000000000003086c6f6e672d6b65790e8d8e948e472a71123c33aee7562c7f" +
 		"1c913b8a"
 	goldenExchBatch = "0700000004010208210000000000000008200000000000000003000100010003030102040602fff00000000000007ff8" +

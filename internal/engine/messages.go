@@ -24,15 +24,16 @@ import (
 
 // Message types used by the query engine (storage types live in 0x0100+).
 const (
-	msgPrepare   transport.MsgType = 0x0200 // RPC: disseminate plan + snapshot
-	msgBegin     transport.MsgType = 0x0201 // start leaf operations
-	msgExchBatch transport.MsgType = 0x0202 // rehash data block
-	msgMark      transport.MsgType = 0x0203 // "this node finished phase p" for one scan or rehash
-	msgScanIDs   transport.MsgType = 0x0204 // index node → data node tuple IDs
-	msgShipBatch transport.MsgType = 0x0206 // results to the query initiator
-	msgShipEOS   transport.MsgType = 0x0207 // fragment completion + stats
-	msgRecover   transport.MsgType = 0x0208 // incremental recovery directive
-	msgCancel    transport.MsgType = 0x0209 // abandon the query
+	msgPrepare    transport.MsgType = 0x0200 // RPC: disseminate plan + snapshot
+	msgBegin      transport.MsgType = 0x0201 // start leaf operations
+	msgExchBatch  transport.MsgType = 0x0202 // rehash data block
+	msgMark       transport.MsgType = 0x0203 // "this node finished phase p" for one scan or rehash
+	msgScanIDs    transport.MsgType = 0x0204 // index node → data node tuple IDs
+	msgShipBatch  transport.MsgType = 0x0206 // results to the query initiator
+	msgShipEOS    transport.MsgType = 0x0207 // fragment completion + stats
+	msgRecover    transport.MsgType = 0x0208 // incremental recovery directive
+	msgCancel     transport.MsgType = 0x0209 // abandon the query
+	msgShipCredit transport.MsgType = 0x020a // initiator → fragment: rows its sink has taken
 )
 
 func (ex *executor) header(dst []byte) []byte {
@@ -158,8 +159,20 @@ func (e *Engine) registerHandlers() {
 		return nil
 	})
 
+	e.handle(msgShipCredit, func(ex *executor, from ring.NodeID, rest []byte) error {
+		rows, err := decodeShipCredit(rest)
+		if err != nil {
+			return err
+		}
+		if !ex.credit || from != ex.initiator {
+			return errors.New("engine: ship credit from a node that does not grant it")
+		}
+		ex.shipper.credit.grant(rows)
+		return nil
+	})
+
 	e.handle(msgCancel, func(ex *executor, _ ring.NodeID, _ []byte) error {
-		ex.aborted.Store(true) // stop in-flight local scan passes
+		ex.abort() // stop in-flight local scan passes
 		e.dropExec(ex.queryID)
 		return nil
 	})
@@ -176,6 +189,23 @@ func decodeMark(data []byte) (id int, phase uint32, err error) {
 	r := codec.NewReader(data)
 	id, phase = int(r.Uvarint()), r.U32()
 	return id, phase, r.Done("engine: phase marker")
+}
+
+// --- msgShipCredit: rows uvarint ---
+
+func encodeShipCredit(dst []byte, rows int) []byte {
+	return binary.AppendUvarint(dst, uint64(rows))
+}
+
+// decodeShipCredit reads a credit grant. A fragment never has more rows
+// outstanding than its window, so a grant beyond it is refused.
+func decodeShipCredit(data []byte) (int, error) {
+	r := codec.NewReader(data)
+	rows := r.Uvarint()
+	if rows > shipCreditRows {
+		r.Fail(errors.New("ship credit beyond the window"))
+	}
+	return int(rows), r.Done("engine: ship credit")
 }
 
 // --- msgExchBatch: exchange id uvarint | batch (encodeShipBatch) ---
@@ -336,26 +366,31 @@ func decodeMeta(r *codec.Reader) (name string, m *relMeta) {
 }
 
 // prepareMsg is everything a node needs to participate in a query: the query
-// identity, the initiator, the snapshot epoch, the options that travel, the
-// routing table snapshot, the plan, and the resolved per-relation metadata.
+// identity, the initiator, the snapshot epoch, the options that travel,
+// whether fragments ship against credit, the routing table snapshot, the
+// plan, and the resolved per-relation metadata.
 type prepareMsg struct {
 	queryID   uint64
 	initiator ring.NodeID
 	epoch     tuple.Epoch
 	opts      Options
+	credit    bool
 	table     *ring.Table
 	plan      *Plan
 	metas     map[string]*relMeta
 }
 
 func encodePrepare(queryID uint64, initiator ring.NodeID, epoch tuple.Epoch,
-	opts Options, table *ring.Table, plan *Plan, metas map[string]*relMeta) ([]byte, error) {
+	opts Options, credit bool, table *ring.Table, plan *Plan, metas map[string]*relMeta) ([]byte, error) {
 	out := binary.BigEndian.AppendUint64(nil, queryID)
 	out = codec.AppendBytes(out, []byte(initiator))
 	out = binary.BigEndian.AppendUint64(out, uint64(epoch))
 	var flags byte
 	if opts.Provenance {
 		flags |= 1
+	}
+	if credit {
+		flags |= 2
 	}
 	out = append(out, flags, byte(opts.Recovery))
 	var tid obs.TraceID
@@ -379,7 +414,9 @@ func encodePrepare(queryID uint64, initiator ring.NodeID, epoch tuple.Epoch,
 func decodePrepare(payload []byte) (*prepareMsg, error) {
 	r := codec.NewReader(payload)
 	p := &prepareMsg{queryID: r.U64(), initiator: ring.NodeID(r.Str()), epoch: tuple.Epoch(r.U64())}
-	p.opts = Options{Provenance: r.U8()&1 != 0, Recovery: RecoveryMode(r.U8()), TraceID: obs.TraceID(r.U64())}
+	flags := r.U8()
+	p.opts = Options{Provenance: flags&1 != 0, Recovery: RecoveryMode(r.U8()), TraceID: obs.TraceID(r.U64())}
+	p.credit = flags&2 != 0
 	tableEnc, planEnc := r.Bytes(), r.Bytes()
 	if r.Err() != nil {
 		return nil, r.Done("engine: prepare")

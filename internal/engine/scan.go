@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync"
 
+	"orchestra/internal/cluster"
 	"orchestra/internal/keyspace"
 	"orchestra/internal/kvstore"
 	"orchestra/internal/obs"
@@ -77,9 +78,9 @@ type scanLeaf struct {
 // placement hashes (read off the index page, never recomputed) and the
 // sender's snapshot member index. The wanted set is a list of shipments
 // rather than a per-ID map: arrival costs nothing per ID (loopback
-// shipments even alias the index page's own slices), and the data pass
-// sorts all live entries into storage-key order once and merge-walks them
-// against the B-tree scan.
+// shipments alias the index page's own slices), and the data pass merges
+// the shipments — each already in storage-key order — into one list and
+// merge-walks it against the B-tree scan.
 type idShipment struct {
 	ids     []tuple.ID
 	hashes  []keyspace.Key
@@ -110,9 +111,6 @@ func (l *scanLeaf) runIndexSide(phase uint32, inherited []ring.Range, prevTable 
 		sp = tr.Begin("scan.index")
 		sp.Phase = phase
 	}
-	// Single-member snapshots (and recovered-to-one clusters) route every
-	// ID to this node; skip the per-ID binary search over the ring.
-	soleOwner := cur.Size() == 1
 	// A covering scan's output: key values decoded off the tuple IDs, all
 	// sharing this node's provenance stamp.
 	covering := newColBatch(phase)
@@ -121,7 +119,10 @@ func (l *scanLeaf) runIndexSide(phase uint32, inherited []ring.Range, prevTable 
 		own = ProvOf(l.ex.snapshot.Size(), l.ex.selfIdx)
 	}
 	if l.meta != nil && l.meta.coord != nil {
-		byDest := make(map[ring.NodeID]*idShipment)
+		rt := newIDRouter(cur, self, l.spec.Pred, func(dest ring.NodeID, ids []tuple.ID, hashes []keyspace.Key) {
+			produced += int64(len(ids))
+			l.ex.sendScanIDs(l.spec.ScanID, dest, ids, hashes)
+		})
 		for _, ref := range l.meta.coord.Pages {
 			placement := ref.Placement()
 			full := false
@@ -148,58 +149,39 @@ func (l *scanLeaf) runIndexSide(phase uint32, inherited []ring.Range, prevTable 
 			if err != nil {
 				continue // replicas unreachable; data side observes the gap
 			}
-			// Unbounded scan on a single-member snapshot: every entry of
-			// every page routes to this node, so the page's own (immutable,
-			// cached) ID and hash slices ship as-is — no per-ID routing, no
-			// copies.
-			if soleOwner && full && !l.spec.Covering && l.spec.Pred.Lo == nil && l.spec.Pred.Hi == nil {
-				produced += int64(len(page.IDs))
-				l.ex.sendScanIDs(l.spec.ScanID, self, page.IDs, page.Hashes)
-				continue
-			}
 			// Pages carry each entry's placement hash (computed once at
-			// publish time; loadPage guarantees it), so routing below never
-			// hashes a tuple ID.
-			for i, id := range page.IDs {
-				if !l.spec.Pred.Match(id.Key) {
-					continue
-				}
-				if l.spec.Covering {
-					if full {
-						if row, err := id.KeyValues(); err != nil {
-							// undecodable ID: nothing to emit for it
-						} else if err := covering.cols.AppendRow(row); err != nil {
-							l.ex.shipper.fail(fmt.Errorf("engine: covering scan of %s: %w", l.spec.Relation, err))
-						} else if own != nil {
-							covering.prov = append(covering.prov, own)
-						}
-					}
-					continue
-				}
-				h := page.Hashes[i]
-				owner := self
-				if !soleOwner {
-					owner = cur.Owner(h)
-				}
+			// publish time; loadPage guarantees it), so routing never hashes
+			// a tuple ID.
+			switch {
+			case l.spec.Covering:
 				if !full {
-					// Resend mode: only IDs whose old data owner failed.
-					if cur.Contains(prevTable.Owner(h)) {
+					continue
+				}
+				for _, id := range page.IDs {
+					if !l.spec.Pred.Match(id.Key) {
 						continue
 					}
+					if row, err := id.KeyValues(); err != nil {
+						// undecodable ID: nothing to emit for it
+					} else if err := covering.cols.AppendRow(row); err != nil {
+						l.ex.shipper.fail(fmt.Errorf("engine: covering scan of %s: %w", l.spec.Relation, err))
+					} else if own != nil {
+						covering.prov = append(covering.prov, own)
+					}
 				}
-				s := byDest[owner]
-				if s == nil {
-					s = &idShipment{}
-					byDest[owner] = s
+			case full:
+				rt.page(page.IDs, page.Hashes)
+			default:
+				// Resend mode: only IDs whose old data owner failed.
+				for i, id := range page.IDs {
+					h := page.Hashes[i]
+					if l.spec.Pred.Match(id.Key) && !cur.Contains(prevTable.Owner(h)) {
+						rt.add(cur.Owner(h), id, h)
+					}
 				}
-				s.ids = append(s.ids, id)
-				s.hashes = append(s.hashes, h)
 			}
 		}
-		for dest, s := range byDest {
-			produced += int64(len(s.ids))
-			l.ex.sendScanIDs(l.spec.ScanID, dest, s.ids, s.hashes)
-		}
+		rt.flush()
 	}
 	if n := covering.cols.N; n > 0 {
 		produced = int64(n)
@@ -220,6 +202,88 @@ func (l *scanLeaf) runIndexSide(phase uint32, inherited []ring.Range, prevTable 
 	// that have every marker have every ID. The marker carries this wave's
 	// phase, not the node's current phase, which may already be newer.
 	l.ex.broadcastMark(l.spec.ScanID, phase)
+}
+
+// idRouter ships one phase's wanted tuple IDs to their data nodes. A page's
+// entries are sorted by (hash, key), the data nodes' storage order, so the
+// ring's ranges cut it into contiguous runs with one owner each, found by a
+// binary search per range boundary (§V-B: "the tuples from each index page
+// are stored nearby on disk"). Without a key predicate a run bound for this
+// node ships at once as a sub-slice of the immutable page, and a run bound
+// elsewhere is appended whole to that node's one shipment; a bounded
+// predicate filters inside the run into the destination's shipment. flush
+// sends the shipments.
+type idRouter struct {
+	starts []keyspace.Key // range starts, ascending
+	owners []ring.NodeID  // owners[i] holds [starts[i], starts[i+1]); the last also holds hashes below starts[0]
+	self   ring.NodeID
+	pred   cluster.KeyPred
+	send   func(dest ring.NodeID, ids []tuple.ID, hashes []keyspace.Key)
+	byDest map[ring.NodeID]*idShipment
+}
+
+func newIDRouter(t *ring.Table, self ring.NodeID, pred cluster.KeyPred, send func(ring.NodeID, []tuple.ID, []keyspace.Key)) *idRouter {
+	ranges := t.Ranges()
+	r := &idRouter{
+		starts: make([]keyspace.Key, len(ranges)),
+		owners: make([]ring.NodeID, len(ranges)),
+		self:   self, pred: pred, send: send,
+		byDest: make(map[ring.NodeID]*idShipment),
+	}
+	for i, rg := range ranges {
+		r.starts[i], r.owners[i] = rg.Range.Lo, rg.Owner
+	}
+	return r
+}
+
+// page routes the entries of one page, whose hashes must ascend.
+func (r *idRouter) page(ids []tuple.ID, hashes []keyspace.Key) {
+	n := len(hashes)
+	lo, owner := 0, r.owners[len(r.owners)-1] // hashes below the first start wrap
+	for i, start := range r.starts {
+		hi := lo + sort.Search(n-lo, func(k int) bool { return hashes[lo+k].Cmp(start) >= 0 })
+		r.run(owner, ids[lo:hi:hi], hashes[lo:hi:hi])
+		lo, owner = hi, r.owners[i]
+	}
+	r.run(owner, ids[lo:n:n], hashes[lo:n:n])
+}
+
+func (r *idRouter) run(dest ring.NodeID, ids []tuple.ID, hashes []keyspace.Key) {
+	switch {
+	case len(ids) == 0:
+	case r.pred.Lo != nil || r.pred.Hi != nil:
+		for i, id := range ids {
+			if r.pred.Match(id.Key) {
+				r.add(dest, id, hashes[i])
+			}
+		}
+	case dest == r.self:
+		r.send(dest, ids, hashes)
+	default:
+		s := r.shipment(dest)
+		s.ids, s.hashes = append(s.ids, ids...), append(s.hashes, hashes...)
+	}
+}
+
+// add routes one entry to dest's shipment.
+func (r *idRouter) add(dest ring.NodeID, id tuple.ID, h keyspace.Key) {
+	s := r.shipment(dest)
+	s.ids, s.hashes = append(s.ids, id), append(s.hashes, h)
+}
+
+func (r *idRouter) shipment(dest ring.NodeID) *idShipment {
+	s := r.byDest[dest]
+	if s == nil {
+		s = &idShipment{}
+		r.byDest[dest] = s
+	}
+	return s
+}
+
+func (r *idRouter) flush() {
+	for dest, s := range r.byDest {
+		r.send(dest, s.ids, s.hashes)
+	}
 }
 
 // loadPage resolves a page version through the node's resolved-page
@@ -294,7 +358,7 @@ type passEntry struct {
 // single pass through the hash ID range for that page").
 //
 // The pass is the engine's hottest loop, so it is allocation-lean end to
-// end: the wanted entries are sorted into storage-key order once and
+// end: the wanted entries are merged into storage-key order once and
 // merge-walked against the B-tree scan (one bytes.Compare per visited
 // tuple instead of a hash-map probe; the scan seeks to the first wanted
 // key and stops past the last), matched records decode straight into
@@ -363,11 +427,9 @@ func (l *scanLeaf) runPass(phase uint32, tick uint64) {
 			}
 			cb.prov = append(cb.prov, provOf[fromIdx])
 		}
-		if cb.cols.N >= flushRows {
-			flush()
-		}
 		return true
 	}
+	full := func() bool { return cb != nil && cb.cols.N >= flushRows }
 
 	if len(ships) > 0 && l.meta != nil {
 		pes := preparePass(ships, l.ex.failedProv())
@@ -377,21 +439,24 @@ func (l *scanLeaf) runPass(phase uint32, tick uint64) {
 		// key exceeds a few linear probes the iterator seeks — skipping
 		// whole subtrees instead of visiting every tuple in between.
 		const seekAfterSteps = 8
-		scanRange := func(it *kvstore.Iterator, lo, hi []byte) {
+		// scanRange walks [lo, hi) from the wanted entry from on (or the
+		// range's first, if later) and returns where it stopped; stopped
+		// says it stopped early, with a full batch or an aborted query.
+		scanRange := func(it *kvstore.Iterator, lo, hi []byte, from int) (next int, stopped bool) {
 			// Skip wanted keys below the range, and start the walk at the
 			// first wanted key at or above lo.
-			ptr := sort.Search(len(pes), func(i int) bool { return bytes.Compare(pes[i].key, lo) >= 0 })
+			ptr := max(from, sort.Search(len(pes), func(i int) bool { return bytes.Compare(pes[i].key, lo) >= 0 }))
 			if ptr >= len(pes) || (hi != nil && bytes.Compare(pes[ptr].key, hi) >= 0) {
-				return // nothing wanted in this range
+				return ptr, false // nothing wanted in this range
 			}
 			it.Seek(pes[ptr].key)
 			for it.Valid() && ptr < len(pes) {
-				if l.ex.aborted.Load() {
-					return // answer already complete or query cancelled
+				if l.ex.aborted.Load() || full() {
+					return ptr, true // a batch to push, or the answer is complete or cancelled
 				}
 				k := it.Key()
 				if hi != nil && bytes.Compare(k, hi) >= 0 {
-					return
+					return ptr, false
 				}
 				c := bytes.Compare(pes[ptr].key, k)
 				if c < 0 {
@@ -405,7 +470,7 @@ func (l *scanLeaf) runPass(phase uint32, tick uint64) {
 					for step := 0; step < seekAfterSteps; step++ {
 						it.Next()
 						if !it.Valid() {
-							return
+							return ptr, false
 						}
 						if bytes.Compare(it.Key(), pes[ptr].key) >= 0 {
 							probed = true
@@ -435,18 +500,34 @@ func (l *scanLeaf) runPass(phase uint32, tick uint64) {
 				}
 				it.Next()
 			}
+			return ptr, false
 		}
-		store.Iter(func(it *kvstore.Iterator) {
-			for _, r := range cur.RangesOf(self) {
-				lo, hi, wrapped := vstore.TupleScanBounds(r.Lo, r.Hi)
-				if wrapped {
-					scanRange(it, lo, []byte("t0"))
-					scanRange(it, []byte("t/"), hi)
-				} else {
-					scanRange(it, lo, hi)
-				}
+		var ranges [][2][]byte
+		for _, r := range cur.RangesOf(self) {
+			lo, hi, wrapped := vstore.TupleScanBounds(r.Lo, r.Hi)
+			if wrapped {
+				ranges = append(ranges, [2][]byte{lo, []byte("t0")}, [2][]byte{[]byte("t/"), hi})
+			} else {
+				ranges = append(ranges, [2][]byte{lo, hi})
 			}
-		})
+		}
+		// The walk holds the store's read lock, so it leaves the store at
+		// each full batch and pushes it from outside: a push may wait on
+		// ship credit for as long as the client takes, and no write to this
+		// node may wait with it. Values stay valid outside the lock (they are
+		// immutable), and the next visit seeks back to where this one
+		// stopped.
+		for ri, from := 0, 0; ri < len(ranges) && !l.ex.aborted.Load(); {
+			store.Iter(func(it *kvstore.Iterator) {
+				for ; ri < len(ranges); ri, from = ri+1, 0 {
+					var stopped bool
+					if from, stopped = scanRange(it, ranges[ri][0], ranges[ri][1], from); stopped {
+						return
+					}
+				}
+			})
+			flush()
+		}
 		// Any IDs not found locally (replication lag, churn) are fetched
 		// from other replicas — the exact version, never stale data (§IV).
 		var fetched map[string]bool
@@ -472,6 +553,9 @@ func (l *scanLeaf) runPass(phase uint32, tick uint64) {
 				continue
 			}
 			emit(data, sh.fromIdx) // a fetched record is a fresh, unshared buffer
+			if full() {
+				flush()
+			}
 		}
 	}
 	flush()
@@ -508,8 +592,13 @@ func (l *scanLeaf) batchFor(phase uint32, colTypes []tuple.Type) *colBatch {
 }
 
 // preparePass expands the live shipments (sender still clean) into one
-// entry per ID, builds each entry's full local-store key in a single
-// shared slab, and sorts them into storage-key order for the merge walk.
+// entry per ID and builds each entry's full local-store key in a single
+// shared slab, then puts the entries in storage-key order for the merge walk
+// by merging, not sorting: one sender's shipments ascend end to end (it
+// routes its pages in ring order), so the list in arrival order is a few
+// ascending runs, and a natural merge orders it in O(n log runs) — O(n) for
+// one run. The merge is stable: an ID that several senders shipped keeps
+// their shipment order, so the walk's choice among them is the first.
 func preparePass(ships []*idShipment, failed Prov) []passEntry {
 	size, n := 0, 0
 	for _, sh := range ships {
@@ -523,6 +612,7 @@ func preparePass(ships []*idShipment, failed Prov) []passEntry {
 	}
 	slab := make([]byte, 0, size)
 	pes := make([]passEntry, 0, n)
+	runs := []int{0} // where each ascending run starts
 	for si, sh := range ships {
 		if failed.Has(int(sh.fromIdx)) {
 			continue
@@ -534,11 +624,45 @@ func preparePass(ships []*idShipment, failed Prov) []passEntry {
 			slab = append(slab, id.Key...)
 			slab = append(slab, 0)
 			slab = binary.BigEndian.AppendUint64(slab, uint64(id.Epoch))
-			pes = append(pes, passEntry{key: slab[start:len(slab):len(slab)], ship: int32(si), pos: int32(i)})
+			key := slab[start:len(slab):len(slab)]
+			if k := len(pes); k > 0 && bytes.Compare(key, pes[k-1].key) < 0 {
+				runs = append(runs, k)
+			}
+			pes = append(pes, passEntry{key: key, ship: int32(si), pos: int32(i)})
 		}
 	}
-	// Shipments arrive in page (hash) order, so the list is mostly sorted
-	// already; pdqsort makes this pass cheap.
-	sort.Slice(pes, func(i, j int) bool { return bytes.Compare(pes[i].key, pes[j].key) < 0 })
-	return pes
+	return mergeRuns(pes, append(runs, len(pes)))
+}
+
+// mergeRuns merges the ascending runs of pes that bounds delimits (run k is
+// pes[bounds[k]:bounds[k+1]]) pairwise, neighbour with neighbour, until one
+// is left. Ties go to the earlier run, so the result is a stable sort.
+func mergeRuns(pes []passEntry, bounds []int) []passEntry {
+	if len(bounds) <= 2 {
+		return pes
+	}
+	src, dst := pes, make([]passEntry, len(pes))
+	for len(bounds) > 2 {
+		n := 1
+		for i := 0; i+1 < len(bounds); i += 2 {
+			lo, mid, hi := bounds[i], bounds[i+1], bounds[i+1]
+			if i+2 < len(bounds) {
+				hi = bounds[i+2]
+			}
+			a, b, out := src[lo:mid], src[mid:hi], dst[lo:lo]
+			for len(a) > 0 && len(b) > 0 {
+				if bytes.Compare(b[0].key, a[0].key) < 0 {
+					out, b = append(out, b[0]), b[1:]
+				} else {
+					out, a = append(out, a[0]), a[1:]
+				}
+			}
+			out = append(append(out, a...), b...)
+			bounds[n] = hi
+			n++
+		}
+		bounds = bounds[:n]
+		src, dst = dst, src
+	}
+	return src
 }

@@ -17,9 +17,11 @@ import (
 //   - shipStream: no restart-sensitive final ops (only compute/limit).
 //     With a StreamSink attached, the initiator drains the ship
 //     consumer's accumulator to the sink *during* execution — first byte
-//     ≈ first fragment batch, initiator memory bounded by how far the
-//     consumer outruns the sink (the wire's credit window, on the
-//     serving path).
+//     ≈ first fragment batch. Without a rehash the fragments ship against
+//     credit the drainer returns (shipCredit), so the initiator holds at
+//     most members × shipCreditRows rows; with one, initiator memory is
+//     bounded only by how far the consumer outruns the sink (the wire's
+//     credit window, on the serving path).
 //   - shipTopK: ORDER BY + LIMIT. Each fragment cuts its output back to
 //     its local top K as batches arrive (compiled comparators) and ships
 //     it at completion; the initiator keeps one sorted run per source

@@ -168,7 +168,10 @@ func (w *writer) entries(ids []tuple.ID, hashes []keyspace.Key) {
 
 // readEntries reads an entry list. blob is a copy of the record r walks: the
 // keys are its substrings rather than a string each — one allocation per
-// record, and the caller's buffer is not retained.
+// record, and the caller's buffer is not retained. The entries must ascend
+// strictly by (hash, key): the scan cuts a page into runs by ring range and
+// merges the runs as they are, so an entry out of order or repeated would be
+// misrouted or read twice, and the record is refused here instead.
 func readEntries(r *codec.Reader, blob string) ([]tuple.ID, []keyspace.Key) {
 	n := r.Count(8 + 1 + keyspace.Size)
 	ids := make([]tuple.ID, 0, n)
@@ -180,7 +183,12 @@ func readEntries(r *codec.Reader, blob string) ([]tuple.ID, []keyspace.Key) {
 		if r.Err() != nil {
 			break
 		}
-		ids = append(ids, tuple.ID{Key: blob[end-len(key) : end], Epoch: e})
+		id := tuple.ID{Key: blob[end-len(key) : end], Epoch: e}
+		if i > 0 && cmpEntry(&hashes[i-1], ids[i-1].Key, &hash, id.Key) >= 0 {
+			r.Fail(fmt.Errorf("vstore: page entry %d is not above entry %d in (hash, key) order", i, i-1))
+			break
+		}
+		ids = append(ids, id)
 		hashes = append(hashes, hash)
 	}
 	return ids, hashes

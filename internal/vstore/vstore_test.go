@@ -98,6 +98,40 @@ func TestPageCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHostilePageOrderIsRefused: a page or delta record whose entries are
+// out of (hash, key) order, or list one entry twice, decodes to an error —
+// the scan routes a page by ring range and merges its runs as they come, so
+// a record it believed would be misrouted — and so does resolving it.
+func TestHostilePageOrderIsRefused(t *testing.T) {
+	p := testPage(t, 6)
+	swapped := *p
+	swapped.IDs = append([]tuple.ID(nil), p.IDs...)
+	swapped.Hashes = append([]keyspace.Key(nil), p.Hashes...)
+	swapped.IDs[2], swapped.IDs[3] = swapped.IDs[3], swapped.IDs[2]
+	swapped.Hashes[2], swapped.Hashes[3] = swapped.Hashes[3], swapped.Hashes[2]
+	repeated := *p
+	repeated.IDs = append(append([]tuple.ID(nil), p.IDs[:3]...), p.IDs[2:]...)
+	repeated.Hashes = append(append([]keyspace.Key(nil), p.Hashes[:3]...), p.Hashes[2:]...)
+	delta := &Delta{
+		Ref:  PageRef{ID: PageID{Relation: "R", Epoch: 4, Seq: 1}, Min: p.Ref.Min, Max: p.Ref.Max},
+		Base: p.Ref.ID, IDs: swapped.IDs, Hashes: swapped.Hashes,
+	}
+	for name, enc := range map[string][]byte{
+		"swapped page":   EncodePage(&swapped),
+		"repeated entry": EncodePage(&repeated),
+		"swapped delta":  EncodeDelta(delta),
+	} {
+		if v, err := DecodePage(enc); err == nil {
+			t.Errorf("%s: decoded to %+v", name, v)
+		}
+	}
+	m := newMemStore()
+	m.recs[swapped.Ref.ID] = EncodePage(&swapped)
+	if got, _, err := m.cache.Resolve(swapped.Ref.ID, m.load); err == nil {
+		t.Errorf("resolved an out-of-order page to %d entries", len(got.IDs))
+	}
+}
+
 func TestCoordinatorCodecRoundTrip(t *testing.T) {
 	c := &Coordinator{
 		Relation: "R",
