@@ -8,6 +8,8 @@ package orchestra
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -84,7 +86,14 @@ func BenchmarkEngineScanSelective(b *testing.B) {
 // per scanned row. The batched pipeline runs at ~0.05 allocs/row; the
 // ceiling leaves room for background cluster noise while still failing
 // loudly if per-row materialization (the pre-PR state: several allocs
-// per row) ever creeps back in.
+// per row) ever creeps back in. Beside the count, each subtest gates the
+// bytes allocated per scanned row (runtime.MemStats.TotalAlloc over ten
+// queries): a scan reuses its working memory from pass to pass, so a few
+// large per-pass buffers — invisible to the count — fail it too. Each
+// byte ceiling is the highest of 50 runs when it was set, plus 20 %;
+// before the data pass reused its buffers the subtests measured 105
+// (default), 103 (traced, streamed), 200 (provenance), 125 (group-by),
+// 138 (compute), 133 (top-K) and 332 (join) B per scanned row.
 func TestEngineScanAllocBudget(t *testing.T) {
 	c, err := NewCluster(1)
 	if err != nil {
@@ -95,7 +104,7 @@ func TestEngineScanAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	scan := server.QueryRequest{SQL: fmt.Sprintf("SELECT k, grp, v FROM scanload WHERE v >= 0 AND v < %d", engineScanRows)}
-	gateAt := func(t *testing.T, req server.QueryRequest, wantRows int, wantStreamed bool, scanned int, ceiling float64) {
+	gateAt := func(t *testing.T, req server.QueryRequest, wantRows int, wantStreamed bool, scanned int, ceiling, byteCeiling float64) {
 		run := func() {
 			sink := &testSink{}
 			res, err := servedQuery(c, req, sink)
@@ -112,40 +121,62 @@ func TestEngineScanAllocBudget(t *testing.T) {
 		run() // warm caches and pools
 		allocs := testing.AllocsPerRun(10, run)
 		perRow := allocs / float64(scanned)
-		t.Logf("served scan: %.0f allocs/query, %.3f allocs/row", allocs, perRow)
+		// Bytes: the least of three windows of ten queries. A collection
+		// that empties a pool inside one window costs a refill once, not
+		// per row; per-row memory shows in every window.
+		bytesPerRow := math.Inf(1)
+		for w := 0; w < 3; w++ {
+			const runs = 10
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				run()
+			}
+			runtime.ReadMemStats(&after)
+			bytesPerRow = min(bytesPerRow, float64(after.TotalAlloc-before.TotalAlloc)/runs/float64(scanned))
+		}
+		t.Logf("served scan: %.0f allocs/query, %.3f allocs/row, %.1f B/row", allocs, perRow, bytesPerRow)
 		if perRow > ceiling {
 			t.Fatalf("scan path allocates %.3f per scanned row (%.0f per query), ceiling %.2f — per-row materialization is back on the hot path",
 				perRow, allocs, ceiling)
 		}
+		if bytesPerRow > byteCeiling {
+			t.Fatalf("scan path allocates %.1f B per scanned row, ceiling %.1f — per-row working memory is back on the hot path",
+				bytesPerRow, byteCeiling)
+		}
 	}
-	gate := func(t *testing.T, req server.QueryRequest, wantRows int, wantStreamed bool) {
-		gateAt(t, req, wantRows, wantStreamed, engineScanRows, 0.5) // allocs per scanned row
+	gate := func(t *testing.T, req server.QueryRequest, wantRows int, wantStreamed bool, byteCeiling float64) {
+		gateAt(t, req, wantRows, wantStreamed, engineScanRows, 0.5, byteCeiling) // allocs per scanned row
 	}
-	t.Run("default", func(t *testing.T) { gate(t, scan, engineScanRows, false) })
+	t.Run("default", func(t *testing.T) { gate(t, scan, engineScanRows, false, 24) })
 	// Tracing costs spans per query, never allocations per row; the same
 	// ceiling holds with the span tree collected.
 	traced := scan
 	traced.Trace = true
-	t.Run("traced", func(t *testing.T) { gate(t, traced, engineScanRows, true) })
+	t.Run("traced", func(t *testing.T) { gate(t, traced, engineScanRows, true, 25.6) })
 	// The streamed-during-execution path must fit the same budget — and
 	// this subtest additionally pins that the scan really does stream
 	// (QueryTail.Streamed counts every row), so a silent fallback to the
 	// collected path fails the gate rather than flattering it.
-	t.Run("streamed", func(t *testing.T) { gate(t, scan, engineScanRows, true) })
+	t.Run("streamed", func(t *testing.T) { gate(t, scan, engineScanRows, true, 25.3) })
 	// Provenance rides the same batches: a shared set per requesting index
 	// node beside the columns, never a Row and a set per scanned tuple.
 	prov := scan
 	prov.Provenance = true
-	t.Run("provenance", func(t *testing.T) { gate(t, prov, engineScanRows, false) })
+	t.Run("provenance", func(t *testing.T) { gate(t, prov, engineScanRows, false, 147) })
 	// A group-by folds the scan's typed vectors into its group table's
 	// state vectors: nothing per row crosses the aggregate's input edge or
 	// stays behind it. Measured 0.103 allocations per scanned row (517 per
 	// query); the ceiling is that plus 20 %.
 	groupby := server.QueryRequest{SQL: "SELECT grp, COUNT(*), SUM(v) FROM scanload GROUP BY grp"}
-	t.Run("groupby", func(t *testing.T) { gateAt(t, groupby, 17, false, engineScanRows, 0.125) })
+	t.Run("groupby", func(t *testing.T) { gateAt(t, groupby, 17, false, engineScanRows, 0.125, 22.7) })
 	// Computed select items evaluate one vector per expression per batch.
 	compute := server.QueryRequest{SQL: "SELECT k, v + 1, v * 2 FROM scanload WHERE v >= 0"}
-	t.Run("compute", func(t *testing.T) { gate(t, compute, engineScanRows, false) })
+	t.Run("compute", func(t *testing.T) { gate(t, compute, engineScanRows, false, 50.8) })
+	// Top-K keeps K rows and one batch per fragment; an arriving row that
+	// does not beat the K-th is dropped before it is copied.
+	topk := server.QueryRequest{SQL: "SELECT k, v FROM scanload ORDER BY v DESC LIMIT 100"}
+	t.Run("topk", func(t *testing.T) { gate(t, topk, 100, false, 32) })
 	// A 5k × 5k equi-join across an exchange: scanload is partitioned by k
 	// and joins on v, so its side is rehashed; every row matches once. Each
 	// build side is one growing batch under an index that hashes the key
@@ -171,7 +202,7 @@ func TestEngineScanAllocBudget(t *testing.T) {
 			t.Fatalf("the join plan crosses no exchange:\n%s", tail.Plan)
 		}
 		join.Explain = false
-		gateAt(t, join, engineScanRows, false, 2*engineScanRows, 0.5)
+		gateAt(t, join, engineScanRows, false, 2*engineScanRows, 0.5, 307)
 	})
 }
 

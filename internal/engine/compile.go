@@ -15,6 +15,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"orchestra/internal/tuple"
 )
@@ -86,24 +87,31 @@ func (o *operand) column(n int) tuple.ColVec {
 	if !o.konst && !o.borrowed {
 		return o.ColVec
 	}
-	out, m := tuple.ColVec{T: o.T}, o.mask()
-	switch o.T {
-	case tuple.Int64:
-		out.I64 = spread(o.I64, m, n)
-	case tuple.Float64:
-		out.F64 = spread(o.F64, m, n)
-	case tuple.String:
-		out.Str = spread(o.Str, m, n)
-	}
-	return out
+	return o.fill(tuple.ColVec{}, n)
 }
 
-func spread[T any](xs []T, m, n int) []T {
-	out := make([]T, n)
-	for i := range out {
-		out[i] = xs[i&m]
+// fill writes the operand's n values into dst, reusing its capacity, and
+// returns the filled vector.
+func (o *operand) fill(dst tuple.ColVec, n int) tuple.ColVec {
+	m := o.mask()
+	dst.T = o.T
+	switch o.T {
+	case tuple.Int64:
+		dst.I64 = spread(dst.I64, o.I64, m, n)
+	case tuple.Float64:
+		dst.F64 = spread(dst.F64, o.F64, m, n)
+	case tuple.String:
+		dst.Str = spread(dst.Str, o.Str, m, n)
 	}
-	return out
+	return dst
+}
+
+func spread[T any](dst, xs []T, m, n int) []T {
+	dst = slices.Grow(dst[:0], n)[:n]
+	for i := range dst {
+		dst[i] = xs[i&m]
+	}
+	return dst
 }
 
 // vecFn evaluates a compiled expression over the columns of a batch.

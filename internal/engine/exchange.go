@@ -357,6 +357,8 @@ type shipProducer struct {
 	mu      sync.Mutex
 	pending *colBatch // rows toward the next shipment; nil until the first push
 	err     error     // first failure: shipping stops, the EOS reports it
+	sel     []int     // top-K scratch: the rows of a push that beat the K-th
+	sort    sortBuf   // top-K scratch: every sort of the pending batch
 
 	// credit is the fragment's send window when executor.credit is set.
 	credit shipCredit
@@ -447,44 +449,55 @@ func (s *shipProducer) push(cb *colBatch) {
 	if s.pending == nil {
 		s.pending = newColBatch(0)
 	}
-	held := s.pending.cols.N
-	if s.err == nil {
+	if s.err == nil && s.ex.mode == shipTopK {
+		s.err = s.keepTopKLocked(cb)
+	} else if s.err == nil {
 		s.err = s.pending.appendBatch(cb)
-	}
-	if s.ex.mode == shipTopK && s.err == nil {
-		s.keepTopKLocked(held)
 	}
 	due := s.cutLocked(false)
 	s.mu.Unlock()
 	s.ship(due)
 }
 
-// keepTopKLocked is the fragment half of the top-K pushdown: it cuts the
-// pending batch — held rows from before, then the batch just appended —
-// back to the first K under the plan's sort, so a fragment holds at most K
-// rows and one batch. A row outside the first K of what has arrived can
-// never re-enter, and the sort is stable, so ties keep arrival order. Once
-// K rows are held they are sorted: an arrival that does not beat the K-th
-// is dropped without sorting anything.
-func (s *shipProducer) keepTopKLocked(held int) {
+// keepTopKLocked is the fragment half of the top-K pushdown: it adds cb to
+// the pending batch and cuts that back to the first K rows under the plan's
+// sort, so a fragment holds at most K rows and one batch. A row outside the
+// first K of what has arrived can never re-enter, and the sort is stable,
+// so ties keep arrival order. Once K rows are held they are sorted, and an
+// arrival is copied only if it beats the K-th: the rest of the batch is
+// dropped before anything is copied or sorted. The borrowed batch itself
+// is left as it is — a projection may have given two of its columns one
+// vector, which an in-place compaction would compact twice.
+func (s *shipProducer) keepTopKLocked(cb *colBatch) error {
 	keys, k := topKParams(s.ex.plan)
 	p := s.pending.cols
-	if held == k && k > 0 {
-		keep := NewBitset(p.N)
-		keep.SetFirst(held)
-		for i := held; i < p.N; i++ {
-			if cmpBatchRows(p, i, p, k-1, keys) < 0 {
-				keep.Set(i)
+	if p.N < k || k == 0 {
+		if err := s.pending.appendBatch(cb); err != nil {
+			return err
+		}
+	} else {
+		// An empty gather checks cb's shape before the comparator reads it.
+		if err := p.AppendRowsFrom(cb.cols, nil); err != nil {
+			return err
+		}
+		s.sel = s.sel[:0]
+		for i := 0; i < cb.cols.N; i++ {
+			if cmpBatchRows(cb.cols, i, p, k-1, keys) < 0 {
+				s.sel = append(s.sel, i)
 			}
 		}
-		if compactRows(s.pending, keep); p.N == k {
-			return
+		if len(s.sel) == 0 {
+			return nil
+		}
+		if err := s.pending.appendRows(cb, s.sel); err != nil {
+			return err
 		}
 	}
 	if p.N >= k {
-		sortCols(p, keys)
+		sortCols(p, keys, &s.sort)
 		p.Truncate(k)
 	}
+	return nil
 }
 
 // cutLocked takes the pending batch for shipping if it is due: at
@@ -544,7 +557,7 @@ func (s *shipProducer) eos(phase uint32) {
 	s.mu.Lock()
 	if s.ex.mode == shipTopK && s.pending != nil {
 		keys, _ := topKParams(s.ex.plan)
-		sortCols(s.pending.cols, keys)
+		sortCols(s.pending.cols, keys, &s.sort)
 	}
 	due := s.cutLocked(true)
 	s.mu.Unlock()

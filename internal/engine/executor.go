@@ -184,6 +184,10 @@ type Engine struct {
 	mu    sync.Mutex
 	execs map[uint64]*executor
 	nextQ uint32
+
+	// passBufs recycles data-pass working memory (passBuf) across passes
+	// and queries.
+	passBufs sync.Pool
 }
 
 // New attaches a query engine to a storage node.
@@ -196,6 +200,14 @@ func New(node *cluster.Node) *Engine {
 	node.OnPeerDown(e.peerDown)
 	node.OnClose(e.abortAll)
 	return e
+}
+
+// getPassBuf takes a pass buffer from the pool; the pass puts it back.
+func (e *Engine) getPassBuf() *passBuf {
+	if b, ok := e.passBufs.Get().(*passBuf); ok {
+		return b
+	}
+	return new(passBuf)
 }
 
 // Node returns the storage node this engine is attached to.
@@ -397,7 +409,7 @@ func (ex *executor) build(n Node, out sink) error {
 	case *ProjectNode:
 		return ex.build(t.Child, &projectOp{cols: t.Cols, out: out})
 	case *ComputeNode:
-		return ex.build(t.Child, &computeOp{fns: compileVecs(t.Exprs), fail: ex.shipper.fail, out: out})
+		return ex.build(t.Child, newComputeOp(t.Exprs, ex.shipper.fail, out))
 	case *JoinNode:
 		j := newJoinOp(t.LeftKeys, t.RightKeys, ex.phaseNow, ex.shipper.fail, out)
 		ex.recoverables = append(ex.recoverables, j)

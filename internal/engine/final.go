@@ -59,7 +59,7 @@ func (p finalPipeline) apply(b *tuple.Batch) (*tuple.Batch, error) {
 			err = f.foldInto(t, b)
 			b = t.render(true)
 		case *FinalSort:
-			sortCols(b, f.Keys)
+			sortCols(b, f.Keys, nil)
 		case *FinalCompute:
 			b, err = computeCols(s.compute, b)
 		case *FinalLimit:
@@ -83,13 +83,22 @@ func (f *FinalAgg) foldInto(t *groupTable, b *tuple.Batch) error {
 	return err
 }
 
+// sortBuf is reusable working memory for sortCols: the permutation, and a
+// spare batch the sorted rows are gathered into, which then trades vectors
+// with the batch it sorted. A caller that sorts again and again (the top-K
+// fragment) keeps one; nil sorts into fresh memory.
+type sortBuf struct {
+	perm  []int
+	spare tuple.Batch
+}
+
 // sortCols stably orders the batch by the sort keys via an index
 // permutation: the comparator reads the column vectors directly (the
 // per-key type dispatch is hoisted out of the comparison loop), then each
 // vector is gathered once by the final permutation. Ordering matches
 // Value.Cmp exactly — including its NaN-compares-equal float quirk — and a
 // batch column is type-homogeneous, so no cross-type compares arise.
-func sortCols(b *tuple.Batch, keys []SortKey) {
+func sortCols(b *tuple.Batch, keys []SortKey, buf *sortBuf) {
 	if b.N < 2 {
 		return
 	}
@@ -110,7 +119,10 @@ func sortCols(b *tuple.Batch, keys []SortKey) {
 			cmps[ki] = func(i, j int) int { return 0 }
 		}
 	}
-	perm := make([]int, b.N)
+	if buf == nil {
+		buf = &sortBuf{}
+	}
+	perm := slices.Grow(buf.perm[:0], b.N)[:b.N]
 	for i := range perm {
 		perm[i] = i
 	}
@@ -125,9 +137,11 @@ func sortCols(b *tuple.Batch, keys []SortKey) {
 		}
 		return 0
 	})
-	sorted := &tuple.Batch{}
+	sorted := &buf.spare
+	sorted.ResetTypes(b.Types()) // keeps the spare's vector capacity
 	if err := sorted.AppendRowsFrom(b, perm); err != nil {
-		panic(err) // an empty batch adopts any shape
+		panic(err) // sorted has b's shape
 	}
-	*b = *sorted
+	*b, *sorted = *sorted, *b
+	buf.perm = perm
 }

@@ -195,7 +195,9 @@ func aliasesAny(ids []tuple.ID, pages [][]tuple.ID) bool {
 // TestPreparePassIsAStableSort: the merged pass list equals a stable sort of
 // the live shipments' entries in arrival order — over random ascending runs,
 // shipments that are not one run, IDs shipped by several senders, senders
-// that failed and empty shipments.
+// that failed and empty shipments — and marks dup exactly the entries whose
+// key repeats their predecessor's. One buffer serves every trial, as the
+// engine's pool reuses one across passes.
 func TestPreparePassIsAStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	type idh struct {
@@ -210,6 +212,7 @@ func TestPreparePassIsAStableSort(t *testing.T) {
 			pool[i].h = pool[i-1].h
 		}
 	}
+	buf := new(passBuf)
 	for trial := 0; trial < 400; trial++ {
 		const members = 5
 		failed := NewProv(members)
@@ -235,24 +238,35 @@ func TestPreparePassIsAStableSort(t *testing.T) {
 			}
 			ships = append(ships, sh)
 		}
-		var want []passEntry
+		type entry struct {
+			key       []byte
+			ship, pos int32
+		}
+		var want []entry
 		for si, sh := range ships {
 			if failed.Has(int(sh.fromIdx)) {
 				continue
 			}
 			for i, id := range sh.ids {
-				want = append(want, passEntry{key: passKey(id, sh.hashes[i]), ship: int32(si), pos: int32(i)})
+				want = append(want, entry{key: passKey(id, sh.hashes[i]), ship: int32(si), pos: int32(i)})
 			}
 		}
-		slices.SortStableFunc(want, func(a, b passEntry) int { return bytes.Compare(a.key, b.key) })
-		got := preparePass(ships, failed)
+		slices.SortStableFunc(want, func(a, b entry) int { return bytes.Compare(a.key, b.key) })
+		// A buffer reused across trials: what an earlier pass left in it
+		// must not show through.
+		got, err := preparePass(buf, ships, failed)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: %d entries, want %d", trial, len(got), len(want))
 		}
 		for i := range got {
-			if !bytes.Equal(got[i].key, want[i].key) || got[i].ship != want[i].ship || got[i].pos != want[i].pos || got[i].done {
-				t.Fatalf("trial %d, entry %d: got (%x, %d, %d), want (%x, %d, %d)", trial, i,
-					got[i].key, got[i].ship, got[i].pos, want[i].key, want[i].ship, want[i].pos)
+			key := buf.key(&got[i]) // read through the slab offsets
+			dup := i > 0 && bytes.Equal(want[i].key, want[i-1].key)
+			if !bytes.Equal(key, want[i].key) || got[i].ship != want[i].ship || got[i].pos != want[i].pos || got[i].done || got[i].dup != dup {
+				t.Fatalf("trial %d, entry %d: got (%x, %d, %d, dup %v), want (%x, %d, %d, dup %v)", trial, i,
+					key, got[i].ship, got[i].pos, got[i].dup, want[i].key, want[i].ship, want[i].pos, dup)
 			}
 		}
 	}
@@ -284,6 +298,7 @@ func BenchmarkScanHandshake(b *testing.B) {
 	}
 	members := tb.Members()
 	none := NewProv(len(members))
+	buf := new(passBuf)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
@@ -301,7 +316,11 @@ func BenchmarkScanHandshake(b *testing.B) {
 		}
 		total := 0
 		for _, self := range members {
-			total += len(preparePass(wanted[self], none))
+			pes, err := preparePass(buf, wanted[self], none)
+			if err != nil {
+				b.Fatal(err)
+			}
+			total += len(pes)
 		}
 		if total != rows {
 			b.Fatalf("handshake carried %d IDs, want %d", total, rows)
@@ -309,4 +328,42 @@ func BenchmarkScanHandshake(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/id")
+}
+
+// TestDuplicateWantedIDsEmitOnce: every wanted ID reaches the data pass
+// twice, as when several senders ship it, so the entry that ends each full
+// batch — where the walk leaves the store and later resumes — has a
+// duplicate after it. Each ID is still emitted once.
+func TestDuplicateWantedIDsEmitOnce(t *testing.T) {
+	const rows = 5000 // four full batches and a partial one
+	h := newHarness(t, 1)
+	h.create(schemaR())
+	h.publish("R", genR(rows, rand.New(rand.NewSource(44))))
+	ex := initiatorExec(t, h, &Plan{Root: &ScanNode{Relation: "R"}}, Options{})
+	var leaf *scanLeaf
+	for _, l := range ex.scans {
+		leaf = l
+	}
+	out := &recSink{}
+	leaf.out = out
+	for _, ref := range leaf.meta.coord.Pages {
+		page, err := leaf.loadPage(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaf.addWanted(page.IDs, page.Hashes, 0)
+		leaf.addWanted(page.IDs, page.Hashes, 0)
+	}
+	leaf.runPass(0, leaf.passSeq.ticket())
+	seen := make(map[int64]bool, rows)
+	for _, r := range out.rows {
+		if x := r[0].AsInt(); seen[x] {
+			t.Fatalf("key %d emitted twice", x)
+		} else {
+			seen[x] = true
+		}
+	}
+	if len(seen) != rows {
+		t.Fatalf("emitted %d of %d IDs", len(seen), rows)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"strings"
 
 	"orchestra/internal/codec"
 	"orchestra/internal/keyspace"
@@ -238,7 +239,10 @@ func encodeScanIDs(dst []byte, scanID, fromIdx int, ids []tuple.ID, hashes []key
 	return dst
 }
 
-// decodeScanIDs reverses encodeScanIDs.
+// decodeScanIDs reverses encodeScanIDs. Every ID's key is a substring of
+// one string holding all the message's key bytes, so a shipment costs a
+// constant number of allocations, not one per ID: a first walk over a copy
+// of the reader sums the key lengths (bounded by the message itself).
 func decodeScanIDs(data []byte) (scanID, fromIdx int, ids []tuple.ID, hashes []keyspace.Key, err error) {
 	r := codec.NewReader(data)
 	scan, from := r.Uvarint(), r.Uvarint()
@@ -246,13 +250,22 @@ func decodeScanIDs(data []byte) (scanID, fromIdx int, ids []tuple.ID, hashes []k
 		r.Fail(errors.New("scan or sender id out of range"))
 	}
 	n := r.Count(8 + 1 + keyspace.Size) // epoch, key length, hash
+	size, probe := 0, r
+	for i := 0; i < n && probe.Err() == nil; i++ {
+		probe.U64()
+		size += len(probe.Bytes())
+		probe.Fixed(keyspace.Size)
+	}
+	var keys strings.Builder
+	keys.Grow(size) // never outgrown: earlier substrings stay in one allocation
 	ids = make([]tuple.ID, 0, n)
 	hashes = make([]keyspace.Key, 0, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
-		id := tuple.ID{Epoch: tuple.Epoch(r.U64()), Key: r.Str()}
+		epoch, start := tuple.Epoch(r.U64()), keys.Len()
+		keys.Write(r.Bytes())
 		var h keyspace.Key
 		copy(h[:], r.Fixed(keyspace.Size))
-		ids, hashes = append(ids, id), append(hashes, h)
+		ids, hashes = append(ids, tuple.ID{Epoch: epoch, Key: keys.String()[start:]}), append(hashes, h)
 	}
 	if err := r.Done("engine: scan ids"); err != nil {
 		return 0, 0, nil, nil, err

@@ -110,21 +110,75 @@ func (p *projectOp) eos(phase uint32) { p.out.eos(phase) }
 
 // --- compute-function ---
 
-// computeOp evaluates one compiled vector per output expression into a
-// fresh batch (the final pipeline's computeCols).
+// computeOp evaluates one compiled vector per output expression. The first
+// reference to an input column passes that column's vector through: a
+// pushed batch is borrowed for the call, and so is the output. A literal,
+// or a column referenced again, is filled into a vector the operator owns
+// and refills on the next push — a repeat must be a copy, or an in-place
+// compaction downstream would compact one vector twice. (The final
+// pipeline's computeCols owns every vector it returns.)
 type computeOp struct {
-	fns  []vecFn
-	fail func(error)
-	out  sink
+	fns   []vecFn
+	alias []bool // output j is the first reference to an input column
+	fail  func(error)
+	out   sink
+
+	mu    sync.Mutex
+	spare [][]tuple.ColVec // owned vectors no push is using; pushes may run concurrently
+}
+
+func newComputeOp(exprs []Expr, fail func(error), out sink) *computeOp {
+	c := &computeOp{fns: compileVecs(exprs), alias: make([]bool, len(exprs)), fail: fail, out: out}
+	seen := make(map[int]bool)
+	for j, e := range exprs {
+		if col, ok := e.(Col); ok && !seen[col.Idx] {
+			seen[col.Idx], c.alias[j] = true, true
+		}
+	}
+	return c
 }
 
 func (c *computeOp) push(cb *colBatch) {
-	out, err := computeCols(c.fns, cb.cols)
-	if err != nil {
-		c.fail(err)
-		return
+	n := cb.cols.N
+	if n == 0 {
+		return // possibly untyped: no columns to read
+	}
+	own := c.take()
+	defer c.give(own)
+	out := &tuple.Batch{N: n, Cols: make([]tuple.ColVec, len(c.fns))}
+	for j, fn := range c.fns {
+		v := fn(cb.cols)
+		switch {
+		case !v.T.IsValidType():
+			c.fail(fmt.Errorf("engine: compute: column %d has invalid type", j))
+			return
+		case c.alias[j] || !v.konst && !v.borrowed:
+			out.Cols[j] = v.ColVec
+		default:
+			own[j] = v.fill(own[j], n)
+			out.Cols[j] = own[j]
+		}
 	}
 	c.out.push(&colBatch{cols: out, phase: cb.phase, prov: cb.prov})
+}
+
+// take returns a set of owned vectors no other push is using.
+func (c *computeOp) take() []tuple.ColVec {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if k := len(c.spare); k > 0 {
+		own := c.spare[k-1]
+		c.spare = c.spare[:k-1]
+		return own
+	}
+	return make([]tuple.ColVec, len(c.fns))
+}
+
+// give returns owned vectors whose push has finished with them.
+func (c *computeOp) give(own []tuple.ColVec) {
+	c.mu.Lock()
+	c.spare = append(c.spare, own)
+	c.mu.Unlock()
 }
 
 func (c *computeOp) eos(phase uint32) { c.out.eos(phase) }

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -343,14 +345,30 @@ func (l *scanLeaf) pass(phase uint32, tick uint64, ok bool) {
 }
 
 // passEntry is one live wanted entry prepared for the merge walk: its full
-// local-store key (carved from a shared slab), the shipment and position
-// it came from, and whether the pass has handled it.
+// local-store key as offsets into the pass buffer's slab, the shipment and
+// position it came from, whether its key repeats the entry's before it (one
+// ID shipped by several senders), and whether the pass has handled it.
 type passEntry struct {
-	key  []byte
-	ship int32
-	pos  int32
-	done bool
+	off, end  uint32
+	ship, pos int32
+	done, dup bool
 }
+
+// passBuf is the working memory of one data pass: the key slab, the wanted
+// entries in storage-key order, the merge's destination and the run bounds.
+// It holds no pointers, so the GC never scans its contents. runPass takes
+// one from the engine's pool and returns it when the pass ends, so the
+// memory is reused from pass to pass rather than allocated per wanted ID;
+// the pool retains at most one buffer per concurrent pass, each sized by
+// the largest pass it has served.
+type passBuf struct {
+	slab     []byte
+	pes, dst []passEntry
+	runs     []int
+}
+
+// key is the local-store key of an entry of b.
+func (b *passBuf) key(pe *passEntry) []byte { return b.slab[pe.off:pe.end] }
 
 // runPass is the data-storage-node half: a single pass through the local
 // hash-ID ranges, emitting the wanted tuple versions (§V-B: "the tuples
@@ -432,33 +450,41 @@ func (l *scanLeaf) runPass(phase uint32, tick uint64) {
 	full := func() bool { return cb != nil && cb.cols.N >= flushRows }
 
 	if len(ships) > 0 && l.meta != nil {
-		pes := preparePass(ships, l.ex.failedProv())
+		buf := l.ex.eng.getPassBuf()
+		defer l.ex.eng.passBufs.Put(buf)
+		pes, err := preparePass(buf, ships, l.ex.failedProv())
+		if err != nil {
+			l.ex.shipper.fail(err)
+		}
 		// The walk merges the sorted wanted list against a seekable B-tree
 		// iterator: dense wanted sets advance pair-by-pair (one compare per
-		// visited tuple, as before), but when the gap to the next wanted
-		// key exceeds a few linear probes the iterator seeks — skipping
-		// whole subtrees instead of visiting every tuple in between.
+		// visited tuple), but when the gap to the next wanted key exceeds a
+		// few linear probes the iterator seeks — skipping whole subtrees
+		// instead of visiting every tuple in between.
 		const seekAfterSteps = 8
 		// scanRange walks [lo, hi) from the wanted entry from on (or the
 		// range's first, if later) and returns where it stopped; stopped
-		// says it stopped early, with a full batch or an aborted query.
+		// says it stopped early, with a full batch or an aborted query. The
+		// wanted entries in the range are found once, so a visited tuple
+		// costs one compare: a stored key past the range's last wanted key
+		// only runs the walk out of entries.
 		scanRange := func(it *kvstore.Iterator, lo, hi []byte, from int) (next int, stopped bool) {
-			// Skip wanted keys below the range, and start the walk at the
-			// first wanted key at or above lo.
-			ptr := max(from, sort.Search(len(pes), func(i int) bool { return bytes.Compare(pes[i].key, lo) >= 0 }))
-			if ptr >= len(pes) || (hi != nil && bytes.Compare(pes[ptr].key, hi) >= 0) {
+			ptr := max(from, sort.Search(len(pes), func(i int) bool { return bytes.Compare(buf.key(&pes[i]), lo) >= 0 }))
+			end := len(pes)
+			if hi != nil {
+				end = ptr + sort.Search(end-ptr, func(i int) bool { return bytes.Compare(buf.key(&pes[ptr+i]), hi) >= 0 })
+			}
+			if ptr >= end {
 				return ptr, false // nothing wanted in this range
 			}
-			it.Seek(pes[ptr].key)
-			for it.Valid() && ptr < len(pes) {
+			it.Seek(buf.key(&pes[ptr]))
+			for it.Valid() && ptr < end {
 				if l.ex.aborted.Load() || full() {
 					return ptr, true // a batch to push, or the answer is complete or cancelled
 				}
 				k := it.Key()
-				if hi != nil && bytes.Compare(k, hi) >= 0 {
-					return ptr, false
-				}
-				c := bytes.Compare(pes[ptr].key, k)
+				want := buf.key(&pes[ptr])
+				c := bytes.Compare(want, k)
 				if c < 0 {
 					ptr++ // not stored locally; replica fallback below
 					continue
@@ -472,31 +498,25 @@ func (l *scanLeaf) runPass(phase uint32, tick uint64) {
 						if !it.Valid() {
 							return ptr, false
 						}
-						if bytes.Compare(it.Key(), pes[ptr].key) >= 0 {
+						if bytes.Compare(it.Key(), want) >= 0 {
 							probed = true
 							break
 						}
 					}
 					if !probed {
-						it.Seek(pes[ptr].key)
+						it.Seek(want)
 					}
 					continue
 				}
-				pe := &pes[ptr]
-				ptr++
-				dupStart := ptr
-				for ptr < len(pes) && bytes.Equal(pes[ptr].key, k) {
-					ptr++
+				// The first entry of an ID emits it; on failure it stays live
+				// for the replica fallback. Its duplicates (the same ID
+				// shipped by several senders) are passed over here, before a
+				// full batch can stop the walk and resume it at ptr, and the
+				// fallback skips them too: one emission per ID.
+				if emit(it.Value(), ships[pes[ptr].ship].fromIdx) {
+					pes[ptr].done = true
 				}
-				if emit(it.Value(), ships[pe.ship].fromIdx) {
-					// Emitted: retire this entry and every duplicate of
-					// it (same ID shipped by several senders — one
-					// emission). On failure all stay live for the
-					// replica fallback.
-					pe.done = true
-					for j := dupStart; j < ptr; j++ {
-						pes[j].done = true
-					}
+				for ptr++; ptr < end && pes[ptr].dup; ptr++ {
 				}
 				it.Next()
 			}
@@ -530,25 +550,18 @@ func (l *scanLeaf) runPass(phase uint32, tick uint64) {
 		}
 		// Any IDs not found locally (replication lag, churn) are fetched
 		// from other replicas — the exact version, never stale data (§IV).
-		var fetched map[string]bool
+		// A duplicate is left to the first entry of its ID, fetched or not.
 		for i := range pes {
 			pe := &pes[i]
-			if pe.done || l.ex.aborted.Load() {
+			if pe.done || pe.dup || l.ex.aborted.Load() {
 				continue
 			}
 			pe.done = true
-			if fetched[string(pe.key)] {
-				continue // duplicate of an already-fetched ID
-			}
 			sh := ships[pe.ship]
 			id := sh.ids[pe.pos]
 			ctx, cancel := context.WithTimeout(context.Background(), l.ex.eng.node.Config().RequestTimeout)
 			data, err := l.ex.eng.node.GetRecord(ctx, sh.hashes[pe.pos], vstore.TupleKVKey(id))
 			cancel()
-			if fetched == nil {
-				fetched = make(map[string]bool)
-			}
-			fetched[string(pe.key)] = true
 			if err != nil {
 				continue
 			}
@@ -592,14 +605,15 @@ func (l *scanLeaf) batchFor(phase uint32, colTypes []tuple.Type) *colBatch {
 }
 
 // preparePass expands the live shipments (sender still clean) into one
-// entry per ID and builds each entry's full local-store key in a single
-// shared slab, then puts the entries in storage-key order for the merge walk
-// by merging, not sorting: one sender's shipments ascend end to end (it
-// routes its pages in ring order), so the list in arrival order is a few
-// ascending runs, and a natural merge orders it in O(n log runs) — O(n) for
-// one run. The merge is stable: an ID that several senders shipped keeps
-// their shipment order, so the walk's choice among them is the first.
-func preparePass(ships []*idShipment, failed Prov) []passEntry {
+// entry per ID in b and builds each entry's full local-store key in b's
+// slab, then puts the entries in storage-key order for the merge walk by
+// merging, not sorting: one sender's shipments ascend end to end (it routes
+// its pages in ring order), so the list in arrival order is a few ascending
+// runs, and a natural merge orders it in O(n log runs) — O(n) for one run.
+// The merge is stable: an ID that several senders shipped keeps their
+// shipment order, so the walk's choice among them is the first, and every
+// later copy is marked dup. It returns b.pes, the ordered list.
+func preparePass(b *passBuf, ships []*idShipment, failed Prov) ([]passEntry, error) {
 	size, n := 0, 0
 	for _, sh := range ships {
 		if failed.Has(int(sh.fromIdx)) {
@@ -610,38 +624,53 @@ func preparePass(ships []*idShipment, failed Prov) []passEntry {
 			size += 2 + keyspace.Size + len(id.Key) + 1 + 8
 		}
 	}
-	slab := make([]byte, 0, size)
-	pes := make([]passEntry, 0, n)
-	runs := []int{0} // where each ascending run starts
+	if size > math.MaxUint32 {
+		return nil, fmt.Errorf("engine: a data pass of %d wanted IDs holds %d key bytes, beyond the pass buffer's 4 GiB", n, size)
+	}
+	b.slab = slices.Grow(b.slab[:0], size)
+	b.pes = slices.Grow(b.pes[:0], n)
+	b.runs = append(b.runs[:0], 0) // where each ascending run starts
+	prev := []byte(nil)
 	for si, sh := range ships {
 		if failed.Has(int(sh.fromIdx)) {
 			continue
 		}
 		for i, id := range sh.ids {
-			start := len(slab)
-			slab = append(slab, 't', '/')
-			slab = append(slab, sh.hashes[i][:]...)
-			slab = append(slab, id.Key...)
-			slab = append(slab, 0)
-			slab = binary.BigEndian.AppendUint64(slab, uint64(id.Epoch))
-			key := slab[start:len(slab):len(slab)]
-			if k := len(pes); k > 0 && bytes.Compare(key, pes[k-1].key) < 0 {
-				runs = append(runs, k)
+			start := len(b.slab)
+			b.slab = append(b.slab, 't', '/')
+			b.slab = append(b.slab, sh.hashes[i][:]...)
+			b.slab = append(b.slab, id.Key...)
+			b.slab = append(b.slab, 0)
+			b.slab = binary.BigEndian.AppendUint64(b.slab, uint64(id.Epoch))
+			key := b.slab[start:]
+			c := 1
+			if k := len(b.pes); k > 0 {
+				if c = bytes.Compare(key, prev); c < 0 {
+					b.runs = append(b.runs, k)
+				}
 			}
-			pes = append(pes, passEntry{key: key, ship: int32(si), pos: int32(i)})
+			prev = key
+			b.pes = append(b.pes, passEntry{off: uint32(start), end: uint32(len(b.slab)), ship: int32(si), pos: int32(i), dup: c == 0})
 		}
 	}
-	return mergeRuns(pes, append(runs, len(pes)))
+	b.runs = append(b.runs, len(b.pes))
+	b.mergeRuns()
+	return b.pes, nil
 }
 
-// mergeRuns merges the ascending runs of pes that bounds delimits (run k is
-// pes[bounds[k]:bounds[k+1]]) pairwise, neighbour with neighbour, until one
-// is left. Ties go to the earlier run, so the result is a stable sort.
-func mergeRuns(pes []passEntry, bounds []int) []passEntry {
+// mergeRuns merges the ascending runs of b.pes that b.runs delimits (run k
+// is pes[runs[k]:runs[k+1]]) pairwise, neighbour with neighbour, until one
+// is left in b.pes. Ties go to the earlier run, so the result is a stable
+// sort; an entry whose key the merge found equal to the one it placed
+// before it becomes a dup. (Within a run dup is already right, and an entry
+// that follows a strictly smaller key from the other run is not one.)
+func (b *passBuf) mergeRuns() {
+	bounds := b.runs
 	if len(bounds) <= 2 {
-		return pes
+		return
 	}
-	src, dst := pes, make([]passEntry, len(pes))
+	b.dst = slices.Grow(b.dst[:0], len(b.pes))[:len(b.pes)]
+	src, dst := b.pes, b.dst
 	for len(bounds) > 2 {
 		n := 1
 		for i := 0; i+1 < len(bounds); i += 2 {
@@ -649,20 +678,24 @@ func mergeRuns(pes []passEntry, bounds []int) []passEntry {
 			if i+2 < len(bounds) {
 				hi = bounds[i+2]
 			}
-			a, b, out := src[lo:mid], src[mid:hi], dst[lo:lo]
-			for len(a) > 0 && len(b) > 0 {
-				if bytes.Compare(b[0].key, a[0].key) < 0 {
-					out, b = append(out, b[0]), b[1:]
-				} else {
-					out, a = append(out, a[0]), a[1:]
+			a, z, out := src[lo:mid], src[mid:hi], dst[lo:lo]
+			for len(a) > 0 && len(z) > 0 {
+				c := bytes.Compare(b.key(&z[0]), b.key(&a[0]))
+				if c < 0 {
+					out, z = append(out, z[0]), z[1:]
+					continue
 				}
+				if c == 0 {
+					z[0].dup = true // follows a[0], or a copy of it
+				}
+				out, a = append(out, a[0]), a[1:]
 			}
-			out = append(append(out, a...), b...)
+			out = append(append(out, a...), z...)
 			bounds[n] = hi
 			n++
 		}
 		bounds = bounds[:n]
 		src, dst = dst, src
 	}
-	return src
+	b.pes, b.dst = src, dst
 }

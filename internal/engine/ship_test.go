@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -388,5 +389,40 @@ func TestScanIDsRoundTrip(t *testing.T) {
 	})
 	if allocs > 2 { // the error value
 		t.Fatalf("refusing the count took %.0f allocations", allocs)
+	}
+}
+
+// TestScanIDsDecodeAllocsPerMessage: a shipment's keys decode into one
+// string, so a message of 1 000 IDs costs the allocations of a message of
+// ten — the key bytes, the ID slice and the hash slice — and every key
+// still reads back exactly.
+func TestScanIDsDecodeAllocsPerMessage(t *testing.T) {
+	msg := func(n int) ([]byte, []tuple.ID) {
+		ids := make([]tuple.ID, n)
+		hashes := make([]keyspace.Key, n)
+		for i := range ids {
+			ids[i] = tuple.ID{Key: fmt.Sprintf("key-%06d", i), Epoch: tuple.Epoch(i + 1)}
+			hashes[i] = ids[i].Hash()
+		}
+		return encodeScanIDs(nil, 1, 2, ids, hashes), ids
+	}
+	var per []float64
+	for _, n := range []int{10, 1000} {
+		data, want := msg(n)
+		_, _, got, _, err := decodeScanIDs(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%d IDs: decoded IDs differ", n)
+		}
+		per = append(per, testing.AllocsPerRun(20, func() {
+			if _, _, _, _, err := decodeScanIDs(data); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if per[0] != per[1] || per[1] > 3 {
+		t.Fatalf("decoding 10 IDs took %.0f allocations and 1 000 IDs %.0f; want one constant, at most 3", per[0], per[1])
 	}
 }
