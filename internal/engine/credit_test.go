@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,13 +19,16 @@ type heldSink struct {
 	entered chan struct{}
 	release chan struct{}
 	rows    int
+	relayed int // blocks taken encoded (heldFrameSink)
 }
 
 func newHeldSink(ctx context.Context) *heldSink {
 	return &heldSink{ctx: ctx, entered: make(chan struct{}), release: make(chan struct{})}
 }
 
-func (s *heldSink) StreamCols(b *tuple.Batch) error {
+func (s *heldSink) StreamCols(b *tuple.Batch) error { return s.take(b.N) }
+
+func (s *heldSink) take(rows int) error {
 	if s.rows == 0 {
 		close(s.entered)
 		select {
@@ -33,8 +37,17 @@ func (s *heldSink) StreamCols(b *tuple.Batch) error {
 			return s.ctx.Err()
 		}
 	}
-	s.rows += b.N
+	s.rows += rows
 	return nil
+}
+
+// heldFrameSink is a heldSink that takes remote blocks encoded, so the
+// fragments' credit comes back through the relay queue.
+type heldFrameSink struct{ *heldSink }
+
+func (s heldFrameSink) StreamEncoded(_ []byte, rows int) (bool, error) {
+	s.relayed++
+	return true, s.take(rows)
 }
 
 // queryExec returns e's one executor, or nil.
@@ -56,21 +69,26 @@ func (c *shipCredit) parked() int {
 // creditHarness publishes an answer several windows larger than the
 // cluster's total credit, starts a streamed scan into a held sink, and
 // returns once every fragment is parked on its window — with the query's
-// executors, the initiator's first.
-func creditHarness(t *testing.T, ctx context.Context, sink *heldSink) (*harness, []*executor, chan error, int) {
+// executors, the initiator's first. With relay set the sink takes remote
+// blocks encoded.
+func creditHarness(t *testing.T, ctx context.Context, held *heldSink, relay bool) (*harness, []*executor, chan error, int) {
 	t.Helper()
 	const members = 4
 	total := 4 * members * shipCreditRows
 	h := newHarness(t, members)
 	h.create(schemaFD())
 	h.publish("FD", genFD(total, rand.New(rand.NewSource(11))))
+	var sink StreamSink = held
+	if relay {
+		sink = heldFrameSink{held}
+	}
 	done := make(chan error, 1)
 	go func() {
 		_, err := h.engines[0].Run(ctx, &Plan{Root: &ScanNode{Relation: "FD"}}, Options{Sink: sink})
 		done <- err
 	}()
 	select {
-	case <-sink.entered:
+	case <-held.entered:
 	case err := <-done:
 		t.Fatalf("query ended before its sink was called: %v", err)
 	}
@@ -102,10 +120,18 @@ func creditHarness(t *testing.T, ctx context.Context, sink *heldSink) (*harness,
 // store either: a publish still commits — and once the sink is released
 // the answer completes, whole.
 func TestShipCreditStopsFragments(t *testing.T) {
+	for _, relay := range []bool{false, true} {
+		t.Run(map[bool]string{false: "decoded", true: "relayed"}[relay], func(t *testing.T) {
+			shipCreditStopsFragments(t, relay)
+		})
+	}
+}
+
+func shipCreditStopsFragments(t *testing.T, relay bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	sink := newHeldSink(ctx)
-	h, execs, done, total := creditHarness(t, ctx, sink)
+	h, execs, done, total := creditHarness(t, ctx, sink, relay)
 	if !execs[0].credit {
 		t.Fatal("a streamed exchange-free scan runs without ship credit")
 	}
@@ -147,6 +173,9 @@ func TestShipCreditStopsFragments(t *testing.T) {
 	if sink.rows != total {
 		t.Fatalf("sink took %d rows, want %d", sink.rows, total)
 	}
+	if relay && sink.relayed == 0 {
+		t.Fatal("no block was relayed")
+	}
 }
 
 // TestShipCreditParkedFragmentIsReleased: a fragment parked on credit gives
@@ -154,12 +183,15 @@ func TestShipCreditStopsFragments(t *testing.T) {
 // consumer that owes it the credit — dies, or when the cluster shuts down
 // under it; and the query itself ends.
 func TestShipCreditParkedFragmentIsReleased(t *testing.T) {
-	for _, tc := range []string{"cancelled", "initiator dies", "cluster shuts down"} {
+	for _, tc := range []string{"cancelled", "initiator dies", "cluster shuts down",
+		"cancelled relayed", "initiator dies relayed", "cluster shuts down relayed"} {
 		t.Run(tc, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
 			sink := newHeldSink(ctx)
-			h, execs, done, _ := creditHarness(t, ctx, sink)
+			relay := strings.HasSuffix(tc, " relayed")
+			tc = strings.TrimSuffix(tc, " relayed")
+			h, execs, done, _ := creditHarness(t, ctx, sink, relay)
 			start := time.Now()
 			switch tc {
 			case "cancelled":

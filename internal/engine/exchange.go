@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -110,7 +111,18 @@ func decodeShipBatch(data []byte, cb *colBatch) error {
 	if err != nil {
 		return err
 	}
-	n, err := tuple.DecodeBatchInto(rest, cb.cols)
+	bb, err := tuple.OpenBatch(rest)
+	if err != nil {
+		return err
+	}
+	defer bb.Release()
+	return decodeShipRows(&bb, phase, provs, cb)
+}
+
+// decodeShipRows is decodeShipBatch past the header: the opened body's rows
+// onto cb, with the header's phase and provenance.
+func decodeShipRows(bb *tuple.BatchBody, phase uint32, provs []Prov, cb *colBatch) error {
+	n, err := bb.DecodeInto(cb.cols)
 	if err != nil {
 		return err
 	}
@@ -617,6 +629,26 @@ type shipConsumer struct {
 	streamed  atomic.Int64
 	peak      int // high-water mark of rows buffered while streaming
 	owed      map[ring.NodeID]int
+
+	// Relay (a FrameSink and an empty final pipeline; relays): a full
+	// block from a remote fragment is checked and queued as it was
+	// encoded, and the drainer hands its bytes to frames, returning its
+	// credit once frames has taken it. relaySig is the column types of the
+	// first relayed block; every later one must have them too.
+	frames    FrameSink
+	relayQ    []relayBlock
+	relayRows int
+	relaySig  []tuple.Type
+}
+
+// relayBlock is one shipment queued for relay: its encoded batch (the
+// message payload past the ship header — a transport hands each handler
+// its own payload, and sendShip builds a fresh one per shipment) and the
+// rows it holds.
+type relayBlock struct {
+	from  ring.NodeID
+	batch []byte
+	rows  int
 }
 
 func newShipConsumer(ex *executor) *shipConsumer {
@@ -641,11 +673,15 @@ func (s *shipConsumer) fail(err error) {
 }
 
 // startStream arms streamed emission: subsequent arrivals wake a drainer
-// goroutine that hands accumulated batches to sink during execution.
-// Called once, before execution starts.
-func (s *shipConsumer) startStream(sink StreamSink, final finalPipeline) {
+// goroutine that hands accumulated batches to sink during execution. With
+// relay set (the plan relays) and a sink that sends encoded batches, full
+// remote blocks go to it undecoded. Called once, before execution starts.
+func (s *shipConsumer) startStream(sink StreamSink, final finalPipeline, relay bool) {
 	s.sink = sink
 	s.streamFin = final
+	if fs, ok := sink.(FrameSink); ok && relay {
+		s.frames = fs
+	}
 	s.notify = make(chan struct{}, 1)
 	s.stopDrain = make(chan struct{})
 	s.drainDone = make(chan struct{})
@@ -672,8 +708,8 @@ func (s *shipConsumer) notifyDrainLocked() {
 	if s.sink == nil {
 		return
 	}
-	if s.acc.cols.N > s.peak {
-		s.peak = s.acc.cols.N
+	if n := s.acc.cols.N + s.relayRows; n > s.peak {
+		s.peak = n
 	}
 	select {
 	case s.notify <- struct{}{}:
@@ -688,6 +724,7 @@ func (s *shipConsumer) notifyDrainLocked() {
 // loop) or after the final drain once stopStreaming closed stopDrain.
 func (s *shipConsumer) drainLoop() {
 	defer close(s.drainDone)
+	var spare []relayBlock // the queue swapped out last round, emptied
 	for {
 		stopping := false
 		select {
@@ -705,9 +742,19 @@ func (s *shipConsumer) drainLoop() {
 		if s.acc.cols.N > 0 {
 			cols, s.acc.cols = s.acc.cols, getResultBatch()
 		}
+		blocks := s.relayQ
+		s.relayQ, s.relayRows = spare, 0
 		owed := s.owed
 		s.owed = nil
 		s.mu.Unlock()
+		for _, blk := range blocks {
+			if err := s.emitBlock(blk); err != nil {
+				s.fail(err)
+				return
+			}
+		}
+		clear(blocks) // the payloads are spent
+		spare = blocks[:0]
 		if cols != nil {
 			if err := s.emitChunk(cols); err != nil {
 				s.fail(err)
@@ -735,6 +782,31 @@ func (s *shipConsumer) emitChunk(cols *tuple.Batch) error {
 		return err
 	}
 	s.streamed.Add(int64(b.N))
+	return nil
+}
+
+// emitBlock hands one relayed block to the sink and returns its credit. A
+// block the sink will not send as it is goes the StreamCols way, decoded
+// here (it was checked on arrival, so only the copy can fail).
+func (s *shipConsumer) emitBlock(blk relayBlock) error {
+	sent, err := s.frames.StreamEncoded(blk.batch, blk.rows)
+	if err != nil {
+		return err
+	}
+	if !sent {
+		cols := getResultBatch()
+		defer RecycleResultBatch(cols)
+		if _, err := tuple.DecodeBatchInto(blk.batch, cols); err != nil {
+			return &ShipError{Node: blk.from, Err: err}
+		}
+		if err := s.sink.StreamCols(cols); err != nil {
+			return err
+		}
+	}
+	s.streamed.Add(int64(blk.rows))
+	if s.ex.credit {
+		s.ex.sendShipCredit(blk.from, blk.rows)
+	}
 	return nil
 }
 
@@ -822,10 +894,12 @@ func (s *shipConsumer) receive(from ring.NodeID, cb *colBatch) error {
 }
 
 // receiveWire handles an inbound ship payload (after the query-ID
-// header). The body decodes into a pooled scratch batch outside the
-// consumer lock — decode (including flate decompression) of concurrent
-// fan-in from many nodes must not serialize on s.mu — and then folds in
-// with one locked vector-wise append.
+// header). The body is decompressed once, outside the consumer lock —
+// decode of concurrent fan-in from many nodes must not serialize on s.mu.
+// A full block of a relaying plan is then checked and queued as it came
+// (relay); anything else — a fragment's last partial block, every other
+// class — decodes into a pooled scratch batch from the same decompressed
+// bytes and folds in with one locked vector-wise append.
 func (s *shipConsumer) receiveWire(from ring.NodeID, rest []byte) error {
 	if tr := s.ex.trace; tr != nil {
 		t0 := tr.SinceUs()
@@ -835,12 +909,52 @@ func (s *shipConsumer) receiveWire(from ring.NodeID, rest []byte) error {
 			s.ex.shipDecBytes.Add(int64(len(rest)))
 		}()
 	}
+	phase, provs, enc, err := decodeBatchHeader(rest)
+	if err != nil {
+		return err
+	}
+	bb, err := tuple.OpenBatch(enc)
+	if err != nil {
+		return err
+	}
+	defer bb.Release()
+	if s.frames != nil && provs == nil && bb.Rows() == flushRows {
+		return s.relay(from, enc, &bb)
+	}
 	scratch := colBatch{cols: getResultBatch()}
 	defer RecycleResultBatch(scratch.cols)
-	if err := decodeShipBatch(rest, &scratch); err != nil {
+	if err := decodeShipRows(&bb, phase, provs, &scratch); err != nil {
 		return err
 	}
 	return s.receive(from, &scratch)
+}
+
+// relay queues a full block for the drainer to hand to the sink as the
+// fragment encoded it. The block is still a peer's bytes: every value is
+// walked first by the decoders' rules (BatchBody.Check), and its column
+// types must be the ones every earlier relayed block had, so the sink never
+// sends a frame the client's decoder would refuse or that changes shape
+// mid-answer. Its rows count toward StreamPeak like accumulated ones.
+func (s *shipConsumer) relay(from ring.NodeID, enc []byte, bb *tuple.BatchBody) error {
+	var sig [8]tuple.Type
+	types, err := bb.Check(sig[:0])
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.sealed {
+		return nil
+	}
+	if s.relaySig == nil {
+		s.relaySig = slices.Clone(types)
+	} else if !slices.Equal(types, s.relaySig) {
+		return fmt.Errorf("engine: block of types %v after blocks of %v", types, s.relaySig)
+	}
+	s.relayQ = append(s.relayQ, relayBlock{from: from, batch: enc, rows: bb.Rows()})
+	s.relayRows += bb.Rows()
+	s.notifyDrainLocked()
+	return nil
 }
 
 // fragmentDone records a fragment's completion of a wave. fragErr is the

@@ -821,7 +821,7 @@ func (e *Engine) runOnce(ctx context.Context, p *Plan, opts Options, epoch tuple
 		return nil, err
 	}
 	if ex.mode == shipStream && opts.Sink != nil {
-		ex.shipCons.startStream(opts.Sink, final)
+		ex.shipCons.startStream(opts.Sink, final, relays(p, ex.mode))
 		ex.credit = len(ex.producers) == 0
 	}
 	e.putExec(queryID, ex)

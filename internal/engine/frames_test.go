@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -237,6 +238,11 @@ func engineFrames() []engineFrame {
 		{name: "ship batch", // every property of the former FuzzShipBatchDecode
 			decode: func(t testing.TB, b []byte) (int, error) { return decodeShipChecked(t, b) },
 			seeds:  shipBatchSeeds},
+		{name: "ship relay", // the check a whole block passes before it is relayed undecoded
+			decode: func(t testing.TB, b []byte) (int, error) { return relayChecked(t, b) },
+			seeds: func(t testing.TB) [][]byte {
+				return append(shipBatchSeeds(t), wholeBlockSeed(t))
+			}},
 		{name: "exch batch",
 			decode: func(t testing.TB, b []byte) (int, error) {
 				_, batch, err := decodeExchBatch(b)
@@ -284,6 +290,46 @@ func decodeShipChecked(t testing.TB, b []byte) (int, error) {
 		t.Fatalf("re-encode of valid decode failed: %v", err)
 	}
 	return cap(into.prov), nil
+}
+
+// wholeBlockSeed is a shipment of flushRows rows, compressed: the shape the
+// initiator relays to a served client without decoding it.
+func wholeBlockSeed(t testing.TB) []byte {
+	cb := newColBatch(0)
+	for i := 0; i < flushRows; i++ {
+		row := tuple.Row{tuple.I(int64(i)), tuple.S(fmt.Sprintf("k%06d", i)), tuple.F(float64(i%17) / 4)}
+		if err := cb.cols.AppendRow(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return must(t)(encodeShipBatch(nil, cb, 0))
+}
+
+// relayChecked runs the relay's check of a shipment — the header, then
+// every value of the body — and holds it to the decoder's verdict: a body
+// the check passes decodes to the row count it read, and one it refuses
+// does not decode.
+func relayChecked(t testing.TB, b []byte) (int, error) {
+	_, provs, enc, err := decodeBatchHeader(b)
+	if err != nil {
+		return cap(provs), err
+	}
+	rows := 0
+	bb, err := tuple.OpenBatch(enc)
+	if err == nil {
+		rows = bb.Rows()
+		_, err = bb.Check(nil)
+		bb.Release()
+	}
+	into := newColBatch(0)
+	decErr := decodeShipBatch(b, into)
+	if provs == nil && (err == nil) != (decErr == nil) {
+		t.Fatalf("relay check says %v, decoder says %v", err, decErr)
+	}
+	if err == nil && decErr == nil && into.cols.N != rows {
+		t.Fatalf("relay check read %d rows, decoder %d", rows, into.cols.N)
+	}
+	return cap(provs), err
 }
 
 // nestingBomb is 4 MiB of NOT tags: an expression four million levels deep.

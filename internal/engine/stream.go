@@ -45,6 +45,22 @@ type StreamSink interface {
 	StreamCols(b *tuple.Batch) error
 }
 
+// FrameSink is a StreamSink that also sends encoded batches as they are —
+// the served stream writer. With one attached, a stream-class plan whose
+// final pipeline is empty relays every full block a remote fragment ships:
+// the initiator checks the block's bytes and hands them over without
+// decoding them (shipConsumer.relay), so a row crosses the codec once
+// between the fragment and the client.
+type FrameSink interface {
+	StreamSink
+	// StreamEncoded hands over one encoded batch (tuple.AppendBatchCols
+	// layout, every value already checked) of rows rows, borrowed for the
+	// call. It reports false, having sent nothing, for a batch the sink
+	// will not send as it is; the caller decodes that one and hands it to
+	// StreamCols instead.
+	StreamEncoded(batch []byte, rows int) (bool, error)
+}
+
 // shipMode classifies how fragment output flows to the initiator.
 type shipMode uint8
 
@@ -108,10 +124,23 @@ func planShipMode(p *Plan, opts Options) shipMode {
 	return shipStream
 }
 
+// relays reports whether a stream-class plan hands full remote blocks to a
+// FrameSink as they were encoded: only when the initiator has nothing to do
+// to the rows (no final operator at all).
+func relays(p *Plan, mode shipMode) bool { return mode == shipStream && len(p.Final) == 0 }
+
 // PushdownClass names the final-pipeline pushdown class the engine will
 // use for a finalized plan without provenance — surfaced by the
 // optimizer's explain output so pushdown eligibility is visible in plans.
-func PushdownClass(p *Plan) string { return planShipMode(p, Options{}).String() }
+// A stream plan that relays encoded blocks to a served client is
+// "stream(relay)".
+func PushdownClass(p *Plan) string {
+	mode := planShipMode(p, Options{})
+	if relays(p, mode) {
+		return mode.String() + "(relay)"
+	}
+	return mode.String()
+}
 
 // topKParams extracts the fragment-side sort keys and the merged row
 // budget from a shipTopK plan's final pipeline.

@@ -364,21 +364,32 @@ func TestStreamPeakBounded(t *testing.T) {
 	h.create(schemaFD())
 	h.publish("FD", genFD(total, rand.New(rand.NewSource(7))))
 
-	sink := &captureSink{}
-	res, err := h.engines[0].Run(h.ctx(), &Plan{Root: &ScanNode{Relation: "FD"}},
-		Options{Sink: sink})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	captured, calls := sink.snapshot()
-	if len(captured) != total || res.Streamed != total {
-		t.Fatalf("streamed %d rows (sink saw %d), want %d", res.Streamed, len(captured), total)
-	}
-	if calls < 2 {
-		t.Fatalf("answer arrived in %d chunk(s); streaming should deliver incrementally", calls)
-	}
-	if res.StreamPeak <= 0 || res.StreamPeak > bound {
-		t.Fatalf("StreamPeak = %d, want within (0, %d]", res.StreamPeak, bound)
+	// Relayed blocks wait in the relay queue rather than the accumulator;
+	// they count toward the peak, and their credit comes back the same way.
+	for _, relay := range []bool{false, true} {
+		fs := &frameSink{}
+		var sink StreamSink = &fs.captureSink
+		if relay {
+			sink = fs
+		}
+		res, err := h.engines[0].Run(h.ctx(), &Plan{Root: &ScanNode{Relation: "FD"}},
+			Options{Sink: sink})
+		if err != nil {
+			t.Fatalf("relay=%v: Run: %v", relay, err)
+		}
+		captured, calls := fs.snapshot()
+		if len(captured) != total || res.Streamed != total {
+			t.Fatalf("relay=%v: streamed %d rows (sink saw %d), want %d", relay, res.Streamed, len(captured), total)
+		}
+		if calls < 2 {
+			t.Fatalf("relay=%v: answer arrived in %d chunk(s); streaming should deliver incrementally", relay, calls)
+		}
+		if res.StreamPeak <= 0 || res.StreamPeak > bound {
+			t.Fatalf("relay=%v: StreamPeak = %d, want within (0, %d]", relay, res.StreamPeak, bound)
+		}
+		if _, relayed := fs.blocks(); relay && relayed == 0 {
+			t.Fatal("no block was relayed")
+		}
 	}
 }
 

@@ -925,8 +925,8 @@ func convertAggExpr(e sql.Expr, aggResolve func(sql.ColRef) (int, error), aggPos
 
 // Explain renders the chosen plan and estimates for humans. ship names
 // the engine's final-pipeline pushdown class for the plan ("stream",
-// "top-k", "partial-agg", or "collect") — how the answer will reach the
-// initiator when the query runs without provenance.
+// "stream(relay)", "top-k", "partial-agg", or "collect") — how the answer
+// will reach the initiator when the query runs without provenance.
 func Explain(p *engine.Plan, info *Info) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cost=%.6fs rows=%.0f order=%s", info.Cost, info.Rows, info.JoinOrder)

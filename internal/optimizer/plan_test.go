@@ -275,6 +275,20 @@ func TestExplain(t *testing.T) {
 	if !strings.Contains(s, "cost=") || !strings.Contains(s, "Aggregate") {
 		t.Fatalf("explain output: %s", s)
 	}
+	// The pushdown class: a stream plan with no final operator relays the
+	// fragments' blocks; any final operator keeps plain stream.
+	for sql, class := range map[string]string{
+		"SELECT y, COUNT(*) FROM R GROUP BY y":  "partial-agg",
+		"SELECT x, y FROM R WHERE y < 3":        "stream(relay)",
+		"SELECT y, x FROM R":                    "stream(relay)",
+		"SELECT x, y FROM R LIMIT 5":            "stream",
+		"SELECT x, y FROM R ORDER BY y LIMIT 3": "top-k",
+	} {
+		p, info := build(t, sql)
+		if s := Explain(p, info); !strings.Contains(s, " ship="+class+"\n") {
+			t.Errorf("%s: want ship=%s in\n%s", sql, class, s)
+		}
+	}
 }
 
 func TestPlanCoveringIndexScan(t *testing.T) {

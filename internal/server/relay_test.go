@@ -1,0 +1,135 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"orchestra/internal/engine"
+	"orchestra/internal/tuple"
+)
+
+// relayStub answers with the engine's relay hand-off: each block is offered
+// encoded, and one the writer refuses is decoded and staged instead. Lead
+// rows, when set, are staged ahead of the blocks.
+type relayStub struct {
+	stubBackend
+	lead   []*tuple.Batch
+	blocks [][]byte
+}
+
+func (b *relayStub) QueryStream(ctx context.Context, req *QueryRequest, out ResultStream) (*QueryTail, error) {
+	out.Columns([]string{"k", "n"})
+	for _, batch := range b.lead {
+		if err := out.StreamCols(batch); err != nil {
+			return nil, err
+		}
+	}
+	fs := out.(engine.FrameSink)
+	for _, blk := range b.blocks {
+		var dec tuple.Batch
+		n, err := tuple.DecodeBatchInto(blk, &dec)
+		if err != nil {
+			return nil, err
+		}
+		sent, err := fs.StreamEncoded(blk, n)
+		if err != nil {
+			return nil, err
+		}
+		if !sent {
+			if err := out.StreamCols(&dec); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return &QueryTail{}, nil
+}
+
+// relayBlock is a compressed 1024-row block of barely compressible strings
+// (about 17 KiB on the wire), as a fragment ships it.
+func relayBlock(t *testing.T, seed int64) ([]byte, []tuple.Row) {
+	rng := rand.New(rand.NewSource(seed))
+	rows := make([]tuple.Row, 1024)
+	for i := range rows {
+		rows[i] = tuple.Row{tuple.S(fmt.Sprintf("%016x", rng.Uint64())), tuple.I(int64(i))}
+	}
+	enc, err := tuple.AppendBatchCols(nil, rowBatch(t, rows), 256)
+	if err != nil || !tuple.BatchCompressed(enc) {
+		t.Fatalf("block: compressed=%v, %v", tuple.BatchCompressed(enc), err)
+	}
+	return enc, rows
+}
+
+// TestStreamEncodedFrames: the writer sends an encoded block as one batch
+// frame of exactly its bytes, after the rows staged ahead of it, counted in
+// the End frame — and refuses a block past its frame budget, or a
+// compressed one when it never compresses, which then arrives decoded and
+// re-framed, with no compressed frame on a never-compress stream.
+func TestStreamEncodedFrames(t *testing.T) {
+	blk1, rows1 := relayBlock(t, 1)
+	blk2, rows2 := relayBlock(t, 2)
+	lead := []tuple.Row{{tuple.S("a"), tuple.I(-1)}, {tuple.S("b"), tuple.I(-2)}}
+	stub := &relayStub{
+		lead:   []*tuple.Batch{rowBatch(t, lead[:1]), rowBatch(t, lead[1:])},
+		blocks: [][]byte{blk1, blk2},
+	}
+	want := append(append(append([]tuple.Row{}, lead...), rows1...), rows2...)
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		maxFrame int64 // negotiated by hello (0: the server's)
+		relayed  bool
+	}{
+		{name: "relayed", relayed: true},
+		{name: "frame budget below a block", maxFrame: MinFrame},
+		{name: "never compress", cfg: Config{StreamCompressMin: -1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn := dialRaw(t, startTestServer(t, stub, tc.cfg))
+			conn.hello(&HelloRequest{Version: ProtocolVersion, MaxFrame: tc.maxFrame})
+			conn.query(1, "q")
+			var got []tuple.Row
+			var frames [][]byte
+			for {
+				kind, payload := conn.frame()
+				if kind == FrameEnd {
+					_, end, err := DecodeEndPayload(payload)
+					if err != nil || end.Error != nil || int(end.Rows) != len(want) || end.Batches != len(frames) {
+						t.Fatalf("end %+v (%v) after %d frames, want %d rows", end, err, len(frames), len(want))
+					}
+					break
+				}
+				if kind != FrameBatch {
+					continue
+				}
+				conn.sendFrame(FrameCredit, AppendCreditPayload(nil, 1, 1))
+				_, rows, err := decodeBatchPayload(payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, rows...)
+				frames = append(frames, payload[8:])
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("streamed %d rows, want %d in order", len(got), len(want))
+			}
+			relayed := 0
+			for _, f := range frames {
+				if bytes.Equal(f, blk1) || bytes.Equal(f, blk2) {
+					relayed++
+				}
+				if tc.cfg.StreamCompressMin < 0 && tuple.BatchCompressed(f) {
+					t.Fatal("a never-compress stream sent a compressed frame")
+				}
+			}
+			if tc.relayed && (relayed != 2 || len(frames) != 4) {
+				t.Fatalf("%d of %d frames are relayed blocks, want 2 of 4", relayed, len(frames))
+			}
+			if !tc.relayed && relayed != 0 {
+				t.Fatalf("%d refused blocks were sent as they were", relayed)
+			}
+		})
+	}
+}

@@ -493,9 +493,15 @@ func (sess *session) registerStream(id uint64, w *streamWriter) bool {
 	return true
 }
 
-func (sess *session) dropStream(id uint64) {
+// dropStream unregisters w. It deletes only w's own entry: once a stream's
+// End frame is out the client may open its next stream under the same id,
+// and a late drop by the finished stream must not unregister that one (its
+// credits would be dropped and it would stall after a window of frames).
+func (sess *session) dropStream(id uint64, w *streamWriter) {
 	sess.smu.Lock()
-	delete(sess.streams, id)
+	if sess.streams[id] == w {
+		delete(sess.streams, id)
+	}
 	sess.smu.Unlock()
 }
 
@@ -731,9 +737,9 @@ func (s *Server) dispatchStream(sess *session, req *Request) {
 	// Unregistered by the same hook, so a client reacting to End by reusing
 	// the ID on its next pipelined query cannot race the cleanup; the defer
 	// only covers error exits (dropStream is idempotent).
-	defer sess.dropStream(req.ID)
+	defer sess.dropStream(req.ID, w)
 	drop := func(failed bool) {
-		sess.dropStream(req.ID)
+		sess.dropStream(req.ID, w)
 		account(failed)
 	}
 

@@ -520,6 +520,41 @@ func (w *streamWriter) StreamCols(b *tuple.Batch) error {
 	return nil
 }
 
+// StreamEncoded implements engine.FrameSink: a block a fragment encoded
+// (tuple.AppendBatchCols layout, checked by the engine) goes out as one
+// batch frame, its bytes as they are. Staged rows are flushed ahead of it,
+// and it waits for credit and counts toward the End frame's totals like
+// any frame. It refuses — false, nothing sent — a batch past the frame
+// budget, and a compressed one when the server never compresses; the
+// engine decodes those and hands them to StreamCols.
+func (w *streamWriter) StreamEncoded(batch []byte, rows int) (bool, error) {
+	if len(batch) > w.targetBytes || (w.compressMin < 0 && tuple.BatchCompressed(batch)) {
+		return false, nil
+	}
+	defer w.timeWrite(time.Now())
+	if err := w.begin(); err != nil {
+		return false, err
+	}
+	if err := w.flushCols(); err != nil { // cancelled: errStreamCancelled
+		return false, err
+	}
+	if err := w.waitCredit(); err != nil {
+		return false, err
+	}
+	buf := getFrameBuf()
+	defer putFrameBuf(buf)
+	dst, mark := beginFrame((*buf)[:0], FrameBatch)
+	dst = binary.BigEndian.AppendUint64(dst, w.id)
+	dst, err := finishFrame(append(dst, batch...), mark, w.maxFrame)
+	if err != nil {
+		return false, err
+	}
+	w.rows += int64(rows)
+	w.batches++
+	*buf = dst[:0]
+	return true, w.writeBatchFrame(dst)
+}
+
 // setSigTypes records the type signature (and fixed row width, when no
 // string column exists) of the batch about to be staged. Strings use
 // per-row hints (colRowSizeHint).

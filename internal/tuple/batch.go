@@ -36,7 +36,7 @@ const (
 )
 
 // flate writers are expensive to construct (~tens of KB of window state);
-// reuse them across batches. Readers are cheap but reusable too.
+// reuse them across batches.
 var flateWriterPool = sync.Pool{
 	New: func() any {
 		fw, err := flate.NewWriter(io.Discard, flate.BestSpeed)
@@ -89,89 +89,221 @@ func appendFloat64(dst []byte, f float64) []byte {
 // IsValidType reports whether t is a known column type.
 func (t Type) IsValidType() bool { return t >= Int64 && t <= String }
 
-// batchBody validates the two header bytes and returns the (decompressed)
-// body shared by the batch decoders.
-func batchBody(data []byte) ([]byte, error) {
-	if len(data) < 2 {
-		return nil, errors.New("tuple: batch too short")
-	}
-	if data[0] != batchVersion {
-		return nil, fmt.Errorf("tuple: unknown batch version %d", data[0])
-	}
-	flags := data[1]
-	body := data[2:]
-	if flags&flagCompressed != 0 {
-		fr := flate.NewReader(bytes.NewReader(body))
-		// Bound decompression before reading: flate expands up to ~1032x,
-		// so a small malicious frame could otherwise balloon to tens of
-		// GB before the dims guard below ever runs.
-		decompressed, err := io.ReadAll(io.LimitReader(fr, maxBatchBody+1))
-		if err != nil {
-			return nil, fmt.Errorf("tuple: decompress batch: %w", err)
-		}
-		if len(decompressed) > maxBatchBody {
-			return nil, fmt.Errorf("tuple: batch decompresses past %d bytes", maxBatchBody)
-		}
-		if err := fr.Close(); err != nil {
-			return nil, fmt.Errorf("tuple: decompress batch: %w", err)
-		}
-		body = decompressed
-	}
-	return body, nil
+// Decompression reuses its state too: a flate reader (its window and
+// Huffman tables) and the buffer it inflates into come from pools, so a
+// decoder's cost is the bytes it reads, not a fresh ~40 KiB reader and a
+// buffer grown from nothing per batch.
+
+// flateReader is a pooled decompressor with the source it reads from.
+type flateReader struct {
+	src bytes.Reader
+	fr  io.ReadCloser
 }
 
-// batchDims validates the header, decompresses the body, and reads +
-// bounds-checks the row-count/arity prologue shared by the batch
-// decoders; off points past the dims. A decompressed body bounds the
-// values it can carry: every value costs at least one byte, so dims the
-// payload cannot possibly hold are rejected before any decoder
-// allocates nRows*arity slots, and zero-arity rows — which occupy no
-// payload bytes and escape that bound — are capped separately (guards
-// fuzzed/malicious headers; the dims caps keep products far from
-// overflow).
-func batchDims(data []byte) (body []byte, off, nRows, arity int, err error) {
-	body, err = batchBody(data)
+var flateReaderPool = sync.Pool{
+	New: func() any {
+		r := &flateReader{}
+		r.fr = flate.NewReader(&r.src)
+		return r
+	},
+}
+
+// bodyBufPool recycles decompressed bodies; one past maxPooledBody is left
+// to the collector rather than pinned in the pool.
+var bodyBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 1 << 20
+
+var (
+	errBadUvarint      = errors.New("tuple: bad uvarint in batch")
+	errBadVarint       = errors.New("tuple: bad varint in batch")
+	errTruncColHeader  = errors.New("tuple: truncated batch column header")
+	errTruncatedFloat  = errors.New("tuple: truncated float in batch")
+	errTruncatedString = errors.New("tuple: truncated string in batch")
+)
+
+// inflateBatch decompresses a batch body into a pooled buffer. The bound is
+// checked as the body grows: flate expands up to ~1032x, so a small
+// malicious frame could otherwise balloon to tens of GB before the dims
+// guard ever runs.
+func inflateBatch(src []byte) (*[]byte, error) {
+	r := flateReaderPool.Get().(*flateReader)
+	defer flateReaderPool.Put(r)
+	r.src.Reset(src)
+	if err := r.fr.(flate.Resetter).Reset(&r.src, nil); err != nil {
+		return nil, fmt.Errorf("tuple: decompress batch: %w", err)
+	}
+	buf := bodyBufPool.Get().(*[]byte)
+	b := (*buf)[:0]
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.fr.Read(b[len(b):min(cap(b), maxBatchBody+1)])
+		b = b[:len(b)+n]
+		*buf = b
+		switch {
+		case len(b) > maxBatchBody:
+			err = fmt.Errorf("tuple: batch decompresses past %d bytes", maxBatchBody)
+		case err == io.EOF:
+			return buf, nil
+		case err == nil:
+			continue
+		default:
+			err = fmt.Errorf("tuple: decompress batch: %w", err)
+		}
+		putBodyBuf(buf)
+		return nil, err
+	}
+}
+
+func putBodyBuf(buf *[]byte) {
+	if cap(*buf) <= maxPooledBody {
+		bodyBufPool.Put(buf)
+	}
+}
+
+// BatchBody is a wire batch opened once: its header checked, its body
+// decompressed (into a pooled buffer, when it was sent compressed) and its
+// row-count/arity prologue read and bounds-checked. Check walks the values
+// without building anything; DecodeInto builds vectors from them. A caller
+// that opens a batch must Release it, after which nothing may read it.
+//
+// A decompressed body bounds the values it can carry: every value costs at
+// least one byte, so dims the payload cannot possibly hold are refused
+// before any decoder allocates nRows*arity slots, and zero-arity rows —
+// which occupy no payload bytes and escape that bound — are capped
+// separately (the dims caps keep products far from overflow).
+type BatchBody struct {
+	body  []byte
+	buf   *[]byte // the pooled buffer body lives in; nil for a raw batch
+	off   int     // past the dims
+	rows  int
+	arity int
+}
+
+// OpenBatch opens an encoded batch (AppendBatchCols output).
+func OpenBatch(data []byte) (BatchBody, error) {
+	if len(data) < 2 {
+		return BatchBody{}, errors.New("tuple: batch too short")
+	}
+	if data[0] != batchVersion {
+		return BatchBody{}, fmt.Errorf("tuple: unknown batch version %d", data[0])
+	}
+	bb := BatchBody{body: data[2:]}
+	if data[1]&flagCompressed != 0 {
+		buf, err := inflateBatch(bb.body)
+		if err != nil {
+			return BatchBody{}, err
+		}
+		bb.body, bb.buf = *buf, buf
+	}
+	r, n := binary.Uvarint(bb.body)
+	if n <= 0 {
+		bb.Release()
+		return BatchBody{}, errBadUvarint
+	}
+	bb.off = n
+	a, n := binary.Uvarint(bb.body[bb.off:])
+	if n <= 0 {
+		bb.Release()
+		return BatchBody{}, errBadUvarint
+	}
+	bb.off += n
+	var err error
+	switch {
+	case r > 1<<28 || a > 1<<16:
+		err = fmt.Errorf("tuple: implausible batch dims %d x %d", r, a)
+	case a > 0 && r*a > uint64(len(bb.body)):
+		err = fmt.Errorf("tuple: batch dims %d x %d exceed payload %dB", r, a, len(bb.body))
+	case a == 0 && r > maxZeroArityRows:
+		err = fmt.Errorf("tuple: %d zero-arity batch rows exceed limit", r)
+	}
 	if err != nil {
-		return nil, 0, 0, 0, err
+		bb.Release()
+		return BatchBody{}, err
 	}
-	r, n := binary.Uvarint(body)
-	if n <= 0 {
-		return nil, 0, 0, 0, errors.New("tuple: bad uvarint in batch")
+	bb.rows, bb.arity = int(r), int(a)
+	return bb, nil
+}
+
+// BatchCompressed reports whether an encoded batch's body is flate
+// compressed (false for anything too short to say).
+func BatchCompressed(data []byte) bool { return len(data) >= 2 && data[1]&flagCompressed != 0 }
+
+// Rows is the batch's row count.
+func (bb *BatchBody) Rows() int { return bb.rows }
+
+// Release returns the decompression buffer to its pool.
+func (bb *BatchBody) Release() {
+	if bb.buf != nil {
+		*bb.buf = bb.body[:0]
+		putBodyBuf(bb.buf)
 	}
-	off = n
-	a, n := binary.Uvarint(body[off:])
-	if n <= 0 {
-		return nil, 0, 0, 0, errors.New("tuple: bad uvarint in batch")
+	*bb = BatchBody{}
+}
+
+// Check walks every value by the rules the decoders apply — column type
+// tags, varints, float widths, string lengths — without building a vector,
+// and appends the column types to types. It accepts exactly what
+// DecodeInto (into an empty batch) and DecodeBatchAny accept; like them it
+// reads no column of a batch with no rows, and returns types unchanged
+// then.
+func (bb *BatchBody) Check(types []Type) ([]Type, error) {
+	if bb.rows == 0 {
+		return types, nil
 	}
-	off += n
-	if r > 1<<28 || a > 1<<16 {
-		return nil, 0, 0, 0, fmt.Errorf("tuple: implausible batch dims %d x %d", r, a)
+	body, off := bb.body, bb.off
+	for c := 0; c < bb.arity; c++ {
+		if off >= len(body) {
+			return nil, errTruncColHeader
+		}
+		t := Type(body[off])
+		off++
+		switch t {
+		case Int64:
+			for r := 0; r < bb.rows; r++ {
+				_, n := binary.Varint(body[off:])
+				if n <= 0 {
+					return nil, errBadVarint
+				}
+				off += n
+			}
+		case Float64:
+			if 8*bb.rows > len(body)-off {
+				return nil, errTruncatedFloat
+			}
+			off += 8 * bb.rows
+		case String:
+			for r := 0; r < bb.rows; r++ {
+				l, n := binary.Uvarint(body[off:])
+				if n <= 0 {
+					return nil, errBadUvarint
+				}
+				off += n
+				if l > uint64(len(body)-off) {
+					return nil, errTruncatedString
+				}
+				off += int(l)
+			}
+		default:
+			return nil, fmt.Errorf("tuple: bad column type %d in batch", t)
+		}
+		types = append(types, t)
 	}
-	if a > 0 && r*a > uint64(len(body)) {
-		return nil, 0, 0, 0, fmt.Errorf("tuple: batch dims %d x %d exceed payload %dB", r, a, len(body))
-	}
-	if a == 0 && r > maxZeroArityRows {
-		return nil, 0, 0, 0, fmt.Errorf("tuple: %d zero-arity batch rows exceed limit", r)
-	}
-	return body, off, int(r), int(a), nil
+	return types, nil
 }
 
 // DecodeBatchAny decodes a wire batch straight into boxed []any rows —
 // the client-side form.
 // Row slices are carved from one backing slab.
 func DecodeBatchAny(data []byte) ([][]any, error) {
-	body, off, nRows, arity, err := batchDims(data)
+	bb, err := OpenBatch(data)
 	if err != nil {
 		return nil, err
 	}
-	readUvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(body[off:])
-		if n <= 0 {
-			return 0, errors.New("tuple: bad uvarint in batch")
-		}
-		off += n
-		return v, nil
-	}
+	defer bb.Release()
+	body, off, nRows, arity := bb.body, bb.off, bb.rows, bb.arity
 	rows := make([][]any, nRows)
 	if nRows == 0 {
 		return rows, nil
@@ -182,7 +314,7 @@ func DecodeBatchAny(data []byte) ([][]any, error) {
 	}
 	for c := 0; c < arity; c++ {
 		if off >= len(body) {
-			return nil, errors.New("tuple: truncated batch column header")
+			return nil, errTruncColHeader
 		}
 		t := Type(body[off])
 		off++
@@ -194,23 +326,24 @@ func DecodeBatchAny(data []byte) ([][]any, error) {
 			case Int64:
 				v, n := binary.Varint(body[off:])
 				if n <= 0 {
-					return nil, errors.New("tuple: bad varint in batch")
+					return nil, errBadVarint
 				}
 				off += n
 				rows[r][c] = v
 			case Float64:
 				if off+8 > len(body) {
-					return nil, errors.New("tuple: truncated float in batch")
+					return nil, errTruncatedFloat
 				}
 				rows[r][c] = math.Float64frombits(binary.BigEndian.Uint64(body[off:]))
 				off += 8
 			case String:
-				l, err := readUvarint()
-				if err != nil {
-					return nil, err
+				l, n := binary.Uvarint(body[off:])
+				if n <= 0 {
+					return nil, errBadUvarint
 				}
+				off += n
 				if l > uint64(len(body)-off) {
-					return nil, errors.New("tuple: truncated string in batch")
+					return nil, errTruncatedString
 				}
 				rows[r][c] = string(body[off : off+int(l)])
 				off += int(l)
@@ -228,18 +361,17 @@ func DecodeBatchAny(data []byte) ([][]any, error) {
 // String values copy out of data (unlike DecodeRowCols), so the caller may
 // reuse or discard the payload buffer afterwards.
 func DecodeBatchInto(data []byte, b *Batch) (int, error) {
-	body, off, nRows, arity, err := batchDims(data)
+	bb, err := OpenBatch(data)
 	if err != nil {
 		return 0, err
 	}
-	readUvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(body[off:])
-		if n <= 0 {
-			return 0, errors.New("tuple: bad uvarint in batch")
-		}
-		off += n
-		return v, nil
-	}
+	defer bb.Release()
+	return bb.DecodeInto(b)
+}
+
+// DecodeInto is DecodeBatchInto over an opened batch.
+func (bb *BatchBody) DecodeInto(b *Batch) (int, error) {
+	body, off, nRows, arity := bb.body, bb.off, bb.rows, bb.arity
 	if nRows == 0 {
 		return 0, nil
 	}
@@ -259,7 +391,7 @@ func DecodeBatchInto(data []byte, b *Batch) (int, error) {
 	}
 	for c := 0; c < arity; c++ {
 		if off >= len(body) {
-			return fail(errors.New("tuple: truncated batch column header"))
+			return fail(errTruncColHeader)
 		}
 		t := Type(body[off])
 		off++
@@ -277,23 +409,24 @@ func DecodeBatchInto(data []byte, b *Batch) (int, error) {
 			case Int64:
 				x, n := binary.Varint(body[off:])
 				if n <= 0 {
-					return fail(errors.New("tuple: bad varint in batch"))
+					return fail(errBadVarint)
 				}
 				off += n
 				v.I64 = append(v.I64, x)
 			case Float64:
 				if off+8 > len(body) {
-					return fail(errors.New("tuple: truncated float in batch"))
+					return fail(errTruncatedFloat)
 				}
 				v.F64 = append(v.F64, math.Float64frombits(binary.BigEndian.Uint64(body[off:])))
 				off += 8
 			case String:
-				l, err := readUvarint()
-				if err != nil {
-					return fail(err)
+				l, n := binary.Uvarint(body[off:])
+				if n <= 0 {
+					return fail(errBadUvarint)
 				}
+				off += n
 				if l > uint64(len(body)-off) {
-					return fail(errors.New("tuple: truncated string in batch"))
+					return fail(errTruncatedString)
 				}
 				v.Str = append(v.Str, string(body[off:off+int(l)]))
 				off += int(l)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -270,6 +271,13 @@ func FuzzDecodeBatch(f *testing.F) {
 		if (err == nil) != (anyErr == nil) {
 			t.Fatalf("DecodeBatchInto err=%v but DecodeBatchAny err=%v", err, anyErr)
 		}
+		checked, types, checkErr := checkBatch(data)
+		if (err == nil) != (checkErr == nil) {
+			t.Fatalf("DecodeBatchInto err=%v but Check err=%v", err, checkErr)
+		}
+		if err == nil && (checked != n || (n > 0 && !slices.Equal(types, into.Types()))) {
+			t.Fatalf("Check: %d rows of %v, DecodeBatchInto: %d rows of %v", checked, types, n, into.Types())
+		}
 		if err != nil {
 			if into.N != 0 {
 				t.Fatalf("a rejected batch left %d rows behind", into.N)
@@ -350,6 +358,65 @@ func BenchmarkWireEncodeBatchCompressed(b *testing.B) {
 		}
 	}
 	b.SetBytes(int64(len(scratch)))
+}
+
+// checkBatch runs the validator the relay path applies: open, then Check.
+func checkBatch(data []byte) (rows int, types []Type, err error) {
+	bb, err := OpenBatch(data)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer bb.Release()
+	types, err = bb.Check(nil)
+	return bb.Rows(), types, err
+}
+
+// BenchmarkDecodeBatchCompressed measures both decoders and the validator
+// over a flate-compressed batch at the engine's shipment size (1024 rows)
+// and the wire's cut (4096): the pooled reader and body buffer are what
+// keep the per-row cost flat as batches shrink.
+func BenchmarkDecodeBatchCompressed(b *testing.B) {
+	for _, n := range []int{1024, 4096} {
+		enc, err := AppendBatchCols(nil, benchBatch(b, n), 256)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("rows=%d/any", n), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(enc)))
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodeBatchAny(enc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("rows=%d/into", n), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(enc)))
+			var into Batch
+			for i := 0; i < b.N; i++ {
+				into.Truncate(0)
+				if _, err := DecodeBatchInto(enc, &into); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("rows=%d/check", n), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(enc)))
+			types := make([]Type, 0, 3)
+			for i := 0; i < b.N; i++ {
+				bb, err := OpenBatch(enc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := bb.Check(types[:0]); err != nil {
+					b.Fatal(err)
+				}
+				bb.Release()
+			}
+		})
+	}
 }
 
 // BenchmarkWireDecodeBatch measures the client-side decode.

@@ -1,0 +1,176 @@
+package orchestra
+
+import (
+	"bufio"
+	"fmt"
+	"net"
+	"strings"
+	"testing"
+	"time"
+
+	"orchestra/internal/server"
+	"orchestra/internal/tuple"
+)
+
+// wireAnswer is a served query as its frames arrived.
+type wireAnswer struct {
+	rows       [][]any
+	frameRows  []int // rows per batch frame, in order
+	compressed int   // batch frames with a compressed body
+	plan       string
+}
+
+// rawServedQuery runs sql over a raw protocol connection to addr, granting
+// a credit per batch frame, so a test sees the frames themselves.
+func rawServedQuery(t *testing.T, addr, sql string) *wireAnswer {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	br := bufio.NewReader(conn)
+	send := func(frame []byte, err error) {
+		t.Helper()
+		if err == nil {
+			_, err = conn.Write(frame)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(server.AppendJSONFrame(nil, &server.Request{ID: 1, Op: server.OpHello,
+		Hello: &server.HelloRequest{Version: server.ProtocolVersion}}, server.MaxFrame))
+	if kind, _, err := server.ReadRawFrame(br, server.MaxFrame); err != nil || kind != server.FrameJSON {
+		t.Fatalf("hello: %v frame, %v", kind, err)
+	}
+	send(server.AppendJSONFrame(nil, &server.Request{ID: 2, Op: server.OpQuery,
+		Query: &server.QueryRequest{SQL: sql, Explain: true}}, server.MaxFrame))
+	ans := &wireAnswer{rows: [][]any{}}
+	for {
+		kind, payload, err := server.ReadRawFrame(br, server.MaxFrame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch kind {
+		case server.FrameBatch:
+			_, rows, err := server.DecodeBatchPayloadAny(payload)
+			if err != nil {
+				t.Fatalf("batch frame: %v", err)
+			}
+			ans.rows = append(ans.rows, rows...)
+			ans.frameRows = append(ans.frameRows, len(rows))
+			if tuple.BatchCompressed(payload[8:]) {
+				ans.compressed++
+			}
+			send(server.AppendBinaryFrame(nil, server.FrameCredit, server.AppendCreditPayload(nil, 2, 1), server.MaxFrame))
+		case server.FrameEnd:
+			_, end, err := server.DecodeEndPayload(payload)
+			if err != nil || end.Error != nil {
+				t.Fatalf("%s: end %+v, %v", sql, end.Error, err)
+			}
+			if int(end.Rows) != len(ans.rows) || end.Batches != len(ans.frameRows) {
+				t.Fatalf("%s: end counts %d rows in %d frames, %d rows in %d frames arrived",
+					sql, end.Rows, end.Batches, len(ans.rows), len(ans.frameRows))
+			}
+			ans.plan = end.Plan
+			return ans
+		}
+	}
+}
+
+// sameAnswerAny compares a served answer with the embedded one as
+// multisets.
+func sameAnswerAny(t *testing.T, what string, got [][]any, want []tuple.Row) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: served %d rows, embedded %d", what, len(got), len(want))
+	}
+	seen := make(map[string]int, len(want))
+	for _, r := range want {
+		vals := make([]any, len(r))
+		for i, v := range r {
+			switch v.T {
+			case tuple.Int64:
+				vals[i] = v.I64
+			case tuple.Float64:
+				vals[i] = v.F64
+			default:
+				vals[i] = v.Str
+			}
+		}
+		seen[fmt.Sprint(vals...)]++
+	}
+	for _, r := range got {
+		k := fmt.Sprint(r...)
+		if seen[k]--; seen[k] < 0 {
+			t.Fatalf("%s: served row %v is not in the embedded answer, or too often", what, r)
+		}
+	}
+}
+
+// TestServedRelayAnswers: a served stream of a plan that relays answers
+// what the embedded (collected) query answers — for scans, selections,
+// projections that reorder columns, all-int and all-string projections,
+// and answers of 0, 1024 and 1025 rows — and a large answer arrives partly
+// as the fragments' 1024-row blocks. A server whose frame budget is below
+// one block, and one that never compresses, refuse the blocks and still
+// answer the same; the latter sends no compressed frame.
+func TestServedRelayAnswers(t *testing.T) {
+	c := newTestCluster(t, 3)
+	mustCreate(t, c, NewSchema("load", "k:string", "grp:int", "v:int"))
+	if _, err := c.PublishTyped(0, "load", typedRows(0, 9000)); err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{
+		"SELECT k, grp, v FROM load",
+		"SELECT k, grp, v FROM load WHERE v >= 1500",
+		"SELECT v, k, grp FROM load WHERE grp < 4",
+		"SELECT v, grp FROM load",
+		"SELECT k FROM load",
+		"SELECT k, grp, v FROM load WHERE v < 0",
+		"SELECT k, grp, v FROM load WHERE v < 1024",
+		"SELECT k, grp, v FROM load WHERE v < 1025",
+	}
+	for _, cfg := range []struct {
+		name string
+		opts ServeOptions
+	}{
+		{"default", ServeOptions{}},
+		{"frame budget below a block", ServeOptions{MaxFrame: server.MinFrame}},
+		{"never compress", ServeOptions{StreamCompressMin: -1}},
+	} {
+		t.Run(cfg.name, func(t *testing.T) {
+			srv, err := c.Serve("127.0.0.1:0", cfg.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			for _, q := range queries {
+				want := mustQuery(t, c, q)
+				got := rawServedQuery(t, srv.Addr(), q)
+				if !strings.Contains(got.plan, "ship=stream(relay)") {
+					t.Fatalf("%s: plan %q does not relay", q, got.plan)
+				}
+				sameAnswerAny(t, q, got.rows, want.Rows)
+				if cfg.opts.StreamCompressMin < 0 && got.compressed > 0 {
+					t.Fatalf("%s: %d compressed frames from a server that never compresses", q, got.compressed)
+				}
+				blocks := 0
+				for _, n := range got.frameRows {
+					if n == 1024 {
+						blocks++
+					}
+				}
+				switch {
+				case cfg.name == "default" && len(got.rows) == 9000 && blocks == 0:
+					t.Fatalf("%s: no frame is a relayed block: %v", q, got.frameRows)
+				case cfg.opts.MaxFrame > 0 && blocks > 0:
+					// A 1 KiB frame budget holds far fewer rows than a block.
+					t.Fatalf("%s: %d blocks went out past the frame budget", q, blocks)
+				}
+			}
+		})
+	}
+}
