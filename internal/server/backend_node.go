@@ -227,18 +227,25 @@ func (b *NodeBackend) Query(ctx context.Context, src string, opts engine.Options
 		// emission): the error End frame invalidates them for the client.
 		return nil, nil, err
 	}
-	if err := out.StreamCols(res.Batch); err != nil {
+	if views == nil {
+		err = out.StreamCols(res.Batch)
 		engine.RecycleResultBatch(res.Batch)
-		return nil, nil, err
-	}
-	if views != nil {
-		// Ownership: a batch that entered the cache is never returned to
-		// the arena pool — hits borrow it, read-only, for as long as the
-		// entry lives (and the frame writer may still be reading it after
-		// an eviction); the garbage collector reclaims it.
-		views.put(&viewEntry{key: key, batch: res.Batch, cols: p.Columns, plan: p.Explain})
 	} else {
-		engine.RecycleResultBatch(res.Batch)
+		// The miss emits its entry the way a hit does, so a served miss
+		// leaves the memo its first hit writes.
+		e := &viewEntry{key: key, batch: res.Batch, cols: p.Columns, plan: p.Explain}
+		if err = e.emit(out); err != nil {
+			engine.RecycleResultBatch(res.Batch)
+		} else {
+			// Ownership: a batch that entered the cache is never returned
+			// to the arena pool — hits borrow it, read-only, for as long as
+			// the entry lives (and the frame writer may still be reading it
+			// after an eviction); the garbage collector reclaims it.
+			views.put(e)
+		}
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 	for _, ref := range p.Query.From {
 		b.noteRelation(ref.Table)

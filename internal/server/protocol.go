@@ -318,10 +318,12 @@ type SlowQuery struct {
 	Trace *obs.Span `json:"trace,omitempty"`
 }
 
-// StreamStats summarizes the server's streamed-execution activity: how
-// many queries ran on the during-execution streaming path, how many rows
-// they emitted, and the first-batch latency distribution (request start
-// to first batch frame on the wire).
+// StreamStats summarizes the server's result streams. Queries and Rows
+// count streamed execution only: queries that emitted rows during
+// execution, and those rows. The first-batch latency distribution
+// (request start to first batch frame on the wire) covers every query
+// that sent a batch — view-cache hits and collected answers too — so a
+// server answering only from its cache still reports it.
 type StreamStats struct {
 	Queries uint64 `json:"queries"`
 	Rows    uint64 `json:"rows"`

@@ -999,8 +999,7 @@ func (s *Server) status() *StatusResponse {
 	if r, ok := s.backend.ReplStats(); ok {
 		st.Replication = &r
 	}
-	if n := s.streamedQueries.Load(); n > 0 {
-		snap := s.firstBatch.Snapshot()
+	if n, snap := s.streamedQueries.Load(), s.firstBatch.Snapshot(); n > 0 || snap.Count > 0 {
 		st.Streams = &StreamStats{
 			Queries:         n,
 			Rows:            s.streamedRows.Load(),

@@ -379,6 +379,10 @@ type streamWriter struct {
 	pendSize int          // size hint of pendCols
 	sig      []tuple.Type // type signature of pendCols
 	sigFixed int          // bytes per row when sig has no strings (else 0)
+
+	// rec, while set, receives a copy of every batch body flushCols sends:
+	// a view entry's memo being recorded (viewEntry.emit).
+	rec *viewFrames
 }
 
 func newStreamWriter(ctx context.Context, sess *session, id uint64, window int) *streamWriter {
@@ -522,37 +526,55 @@ func (w *streamWriter) StreamCols(b *tuple.Batch) error {
 
 // StreamEncoded implements engine.FrameSink: a block a fragment encoded
 // (tuple.AppendBatchCols layout, checked by the engine) goes out as one
-// batch frame, its bytes as they are. Staged rows are flushed ahead of it,
-// and it waits for credit and counts toward the End frame's totals like
-// any frame. It refuses — false, nothing sent — a batch past the frame
-// budget, and a compressed one when the server never compresses; the
-// engine decodes those and hands them to StreamCols.
+// batch frame, its bytes as they are (writeEncoded). It refuses — false,
+// nothing sent — a batch past the frame budget, and a compressed one when
+// the server never compresses; the engine decodes those and hands them to
+// StreamCols.
 func (w *streamWriter) StreamEncoded(batch []byte, rows int) (bool, error) {
 	if len(batch) > w.targetBytes || (w.compressMin < 0 && tuple.BatchCompressed(batch)) {
 		return false, nil
 	}
 	defer w.timeWrite(time.Now())
+	err := w.writeEncoded(batch, rows)
+	return err == nil, err
+}
+
+// writeFrames sends a view memo's bodies, each as writeEncoded sends one.
+func (w *streamWriter) writeFrames(m *viewFrames) error {
+	defer w.timeWrite(time.Now())
+	for _, f := range m.frames {
+		if err := w.writeEncoded(f.body, f.rows); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeEncoded sends one encoded batch body as a batch frame. Staged rows
+// are flushed ahead of it, and it waits for credit, counts toward the End
+// frame's totals and honours a cancel like any frame.
+func (w *streamWriter) writeEncoded(body []byte, rows int) error {
 	if err := w.begin(); err != nil {
-		return false, err
+		return err
 	}
 	if err := w.flushCols(); err != nil { // cancelled: errStreamCancelled
-		return false, err
+		return err
 	}
 	if err := w.waitCredit(); err != nil {
-		return false, err
+		return err
 	}
 	buf := getFrameBuf()
 	defer putFrameBuf(buf)
 	dst, mark := beginFrame((*buf)[:0], FrameBatch)
 	dst = binary.BigEndian.AppendUint64(dst, w.id)
-	dst, err := finishFrame(append(dst, batch...), mark, w.maxFrame)
+	dst, err := finishFrame(append(dst, body...), mark, w.maxFrame)
 	if err != nil {
-		return false, err
+		return err
 	}
 	w.rows += int64(rows)
 	w.batches++
 	*buf = dst[:0]
-	return true, w.writeBatchFrame(dst)
+	return w.writeBatchFrame(dst)
 }
 
 // setSigTypes records the type signature (and fixed row width, when no
@@ -628,6 +650,7 @@ func (w *streamWriter) flushCols() error {
 	defer putFrameBuf(buf)
 	dst, mark := beginFrame((*buf)[:0], FrameBatch)
 	dst = binary.BigEndian.AppendUint64(dst, w.id)
+	body := len(dst)
 	dst, err := tuple.AppendBatchCols(dst, w.pendCols, w.compressMin)
 	if err != nil {
 		return err
@@ -635,6 +658,9 @@ func (w *streamWriter) flushCols() error {
 	dst, err = finishFrame(dst, mark, w.maxFrame)
 	if err != nil {
 		return err
+	}
+	if w.rec != nil {
+		w.rec.frames = append(w.rec.frames, viewFrame{body: append([]byte(nil), dst[body:]...), rows: w.pendCols.N})
 	}
 	w.rows += int64(w.pendCols.N)
 	w.batches++

@@ -3,6 +3,7 @@ package server
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 
 	"orchestra/internal/engine"
 	"orchestra/internal/obs"
@@ -21,6 +22,14 @@ import (
 // of several nodes (NodeBackend.ShareViews): a query pinned to an epoch
 // answers identically from every initiator, and any node's endpoint may
 // both hit and fill it.
+//
+// An entry keeps its answer as the batch the miss produced and, once a
+// frame writer has sent it, as the batch frames that writer encoded. A
+// served hit whose writer cuts and compresses under the same settings
+// writes those bytes as they are; the embedded collecting sink and a
+// writer with other settings (endpoints and sessions may differ) read the
+// batch. Either way the client receives the bytes its own writer's encode
+// would have sent.
 type ViewCache struct {
 	mu  sync.Mutex
 	max int
@@ -39,12 +48,30 @@ type viewKey struct {
 
 // viewEntry is one cached answer. The batch is the one the miss produced;
 // the cache owns it from then on (it never goes back to the engine's arena
-// pool) and every hit only reads it.
+// pool) and every reader only reads it. Beside it the entry memoizes the
+// answer as one frame writer cut and encoded it (emit), so a served hit
+// under the same writer settings writes those bytes and encodes nothing.
 type viewEntry struct {
 	key   viewKey
 	batch *tuple.Batch
 	cols  []string
 	plan  string
+	memo  atomic.Pointer[viewFrames] // nil until the first recording publishes
+}
+
+// viewFrames is an entry's answer as batch frame bodies, valid for any
+// streamWriter cutting at targetBytes and compressing at compressMin.
+// Immutable once published.
+type viewFrames struct {
+	targetBytes int
+	compressMin int
+	frames      []viewFrame
+}
+
+// viewFrame is one FrameBatch body (after the request ID) and its rows.
+type viewFrame struct {
+	body []byte
+	rows int
 }
 
 // NewViewCache returns a cache keeping up to max (query, epoch) answers.
@@ -88,11 +115,39 @@ func (v *ViewCache) stats() engine.CacheStats {
 	return engine.CacheStats{Hits: v.hits, Misses: v.misses, Evictions: v.evictions, Size: v.lru.Len(), Max: v.max}
 }
 
-// viewHit answers a query from a cache entry: one StreamCols of the
-// borrowed batch.
+// emit sends the entry's answer through out. A frame writer that has
+// sent nothing yet writes the memo when its settings match it. With no
+// memo, it encodes the batch while recording what it sends, and publishes
+// that as the memo — the first to publish wins. Every other sink — the
+// embedded collecting sink, a writer with other settings — reads the
+// batch, and a failed emission publishes nothing.
+func (e *viewEntry) emit(out ResultStream) error {
+	if w, ok := out.(*streamWriter); ok && w.RowsStaged() == 0 {
+		switch m := e.memo.Load(); {
+		case m == nil:
+			rec := &viewFrames{targetBytes: w.targetBytes, compressMin: w.compressMin}
+			w.rec = rec
+			err := w.StreamCols(e.batch)
+			if err == nil {
+				err = w.flushCols()
+			}
+			w.rec = nil
+			if err == nil {
+				e.memo.CompareAndSwap(nil, rec)
+			}
+			return err
+		case m.targetBytes == w.targetBytes && m.compressMin == w.compressMin:
+			return w.writeFrames(m)
+		}
+	}
+	return out.StreamCols(e.batch)
+}
+
+// viewHit answers a query from a cache entry: one emit, never an
+// execution.
 func viewHit(e *viewEntry, tr *obs.Trace, out ResultStream) (*QueryTail, error) {
 	out.Columns(e.cols)
-	if err := out.StreamCols(e.batch); err != nil {
+	if err := e.emit(out); err != nil {
 		return nil, err
 	}
 	tail := &QueryTail{Epoch: uint64(e.key.epoch), Cached: true, Phases: 1, Plan: e.plan}

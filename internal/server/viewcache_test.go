@@ -1,0 +1,560 @@
+package server
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"orchestra/internal/cluster"
+	"orchestra/internal/engine"
+	"orchestra/internal/transport"
+	"orchestra/internal/tuple"
+	"orchestra/internal/vstore"
+)
+
+var benchCols = []string{"k", "g", "i", "f"}
+
+// pipeSession is a session over one end of a net.Pipe: what its writers
+// send goes to conn's peer, which the caller reads or drains.
+func pipeSession(t testing.TB, maxFrame int64, compressMin int) (sess *session, peer net.Conn) {
+	t.Helper()
+	peer, conn := net.Pipe()
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(func() {
+		cancel()
+		peer.Close()
+		conn.Close()
+	})
+	srv := &Server{cfg: Config{StreamCompressMin: compressMin, Logf: func(string, ...any) {}}}
+	return &session{srv: srv, conn: conn, ctx: ctx, maxFrame: maxFrame}, peer
+}
+
+// sentFrames runs emit against a fresh writer on a session with these
+// settings, ends the stream, and returns every frame it wrote (kind byte
+// and payload), the End frame included. The window covers any answer
+// here, so the writer never waits for credit.
+func sentFrames(t *testing.T, maxFrame int64, compressMin int, emit func(w *streamWriter) error) [][]byte {
+	t.Helper()
+	sess, peer := pipeSession(t, maxFrame, compressMin)
+	got := make(chan [][]byte, 1)
+	go func() {
+		var frames [][]byte
+		br := bufio.NewReader(peer)
+		for {
+			kind, payload, err := ReadRawFrame(br, MaxFrame)
+			if err != nil {
+				break
+			}
+			frames = append(frames, append([]byte{byte(kind)}, payload...))
+			if kind == FrameEnd {
+				break
+			}
+		}
+		got <- frames
+	}()
+	w := newStreamWriter(sess.ctx, sess, 1, 1<<12)
+	w.Columns(benchCols)
+	if err := emit(w); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.end(&StreamEnd{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	return <-got
+}
+
+// stringRows is an all-string answer.
+func stringRows(n int) []tuple.Row {
+	rows := make([]tuple.Row, n)
+	for i := range rows {
+		rows[i] = tuple.Row{tuple.S(fmt.Sprintf("s%05d", i)), tuple.S(fmt.Sprintf("%x", i*7919)), tuple.S("x"), tuple.S("")}
+	}
+	return rows
+}
+
+// TestViewHitFramesMatchEncode: the frames a view entry's first emission
+// records, and the frames a hit then writes from that memo, are byte for
+// byte the frames a fresh encode of the entry's batch sends — for empty,
+// one-row, single- and multi-frame answers, an all-string answer and a
+// session whose frame cap is MinFrame.
+func TestViewHitFramesMatchEncode(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		rows     []tuple.Row
+		maxFrame int64
+	}{
+		{"0 rows", nil, MaxFrame},
+		{"1 row, below compressMin", benchResultRows(1), MaxFrame},
+		{"1000 rows", benchResultRows(1000), MaxFrame},
+		{"9000 rows, several frames", benchResultRows(9000), MaxFrame},
+		{"all strings", stringRows(3000), MaxFrame},
+		{"MinFrame session", benchResultRows(1000), MinFrame},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := rowBatch(t, tc.rows)
+			want := sentFrames(t, tc.maxFrame, 0, func(w *streamWriter) error { return w.StreamCols(b) })
+			batches := len(want) - 2 // schema, batches, end
+			switch {
+			case tc.rows == nil && batches != 0,
+				tc.rows != nil && batches < 1,
+				len(tc.rows) > maxStreamBatchRows && batches < 2:
+				t.Fatalf("%d rows went out in %d batch frames", len(tc.rows), batches)
+			}
+			if len(tc.rows) == 1 && tuple.BatchCompressed(want[1][9:]) {
+				t.Fatal("a one-row body was compressed")
+			}
+			e := &viewEntry{batch: b, cols: benchCols}
+			for _, pass := range []string{"fill", "hit"} {
+				got := sentFrames(t, tc.maxFrame, 0, func(w *streamWriter) error {
+					_, err := viewHit(e, nil, w)
+					return err
+				})
+				m := e.memo.Load()
+				if m == nil || len(m.frames) != batches {
+					t.Fatalf("%s: memo %+v, want %d frames", pass, m, batches)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d frames, a fresh encode sends %d", pass, len(got), len(want))
+				}
+				for i := range want {
+					if !bytes.Equal(got[i], want[i]) {
+						t.Fatalf("%s: frame %d (kind %v) differs from the fresh encode", pass, i, FrameKind(want[i][0]))
+					}
+				}
+			}
+		})
+	}
+}
+
+// viewStub answers every query from one view-cache entry.
+type viewStub struct {
+	stubBackend
+	e *viewEntry
+}
+
+func (b *viewStub) QueryStream(ctx context.Context, req *QueryRequest, out ResultStream) (*QueryTail, error) {
+	return viewHit(b.e, nil, out)
+}
+
+// memoConn serves a 1000-row entry over a connection whose frame cap is
+// MinFrame (so the answer is dozens of frames) and window is window, and
+// fills the entry's memo with a first query on that connection.
+func memoConn(t *testing.T, window int) (*testConn, *Server, []tuple.Row, *viewFrames) {
+	t.Helper()
+	rows := benchResultRows(1000)
+	stub := &viewStub{e: &viewEntry{batch: rowBatch(t, rows), cols: benchCols}}
+	s := startTestServer(t, stub, Config{})
+	conn := dialRaw(t, s)
+	conn.hello(&HelloRequest{Version: ProtocolVersion, Window: window, MaxFrame: MinFrame})
+	conn.query(1, "q")
+	if r := conn.await(1); r.err() != nil || len(r.rows) != len(rows) {
+		t.Fatalf("filling query: %d rows, %v", len(r.rows), r.err())
+	}
+	m := stub.e.memo.Load()
+	if m == nil || len(m.frames) <= window {
+		t.Fatalf("memo %+v: want more than %d frames", m, window)
+	}
+	return conn, s, rows, m
+}
+
+// TestViewHitCreditWindow: a hit written from the memo holds to the
+// credit window — exactly window frames go out to a client that grants
+// no credit — and finishes once credit returns.
+func TestViewHitCreditWindow(t *testing.T) {
+	const window = 2
+	conn, _, rows, m := memoConn(t, window)
+	const reqID = 2
+	conn.query(reqID, "q")
+	if kind, _ := conn.frame(); kind != FrameSchema {
+		t.Fatalf("first frame %v, want schema", kind)
+	}
+	var got []tuple.Row
+	for i := 0; i < window; i++ {
+		kind, payload := conn.frame()
+		if kind != FrameBatch {
+			t.Fatalf("frame %d: %v, want batch", i, kind)
+		}
+		_, part, err := decodeBatchPayload(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, part...)
+	}
+	conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	var ne net.Error
+	if kind, _, err := ReadRawFrame(conn.br, MaxFrame); !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("a %v frame (%v) arrived past the window of %d", kind, err, window)
+	}
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	conn.sendFrame(FrameCredit, AppendCreditPayload(nil, reqID, window))
+	r := conn.await(reqID)
+	if r.err() != nil || r.end.Batches != len(m.frames) {
+		t.Fatalf("end %+v, want %d batches", r.end, len(m.frames))
+	}
+	got = append(got, r.rows...)
+	if len(got) != len(rows) {
+		t.Fatalf("%d rows, want %d", len(got), len(rows))
+	}
+	for i := range rows {
+		if !got[i].Equal(rows[i]) {
+			t.Fatalf("row %d: %v, want %v", i, got[i], rows[i])
+		}
+	}
+}
+
+// TestViewHitCancel: a cancel in the middle of a hit ends the stream with
+// "cancelled", and the connection then serves the next query whole.
+func TestViewHitCancel(t *testing.T) {
+	conn, s, rows, _ := memoConn(t, 1)
+	const reqID = 2
+	conn.query(reqID, "q")
+	if kind, _ := conn.frame(); kind != FrameSchema {
+		t.Fatalf("first frame %v, want schema", kind)
+	}
+	if kind, _ := conn.frame(); kind != FrameBatch {
+		t.Fatalf("second frame %v, want batch", kind)
+	}
+	conn.sendFrame(FrameCancel, AppendCancelPayload(nil, reqID))
+	kind, payload := conn.frame()
+	for kind == FrameBatch {
+		kind, payload = conn.frame()
+	}
+	if kind != FrameEnd {
+		t.Fatalf("terminal frame %v, want end", kind)
+	}
+	if _, end, err := DecodeEndPayload(payload); err != nil || end.Error == nil || end.Error.Code != CodeCancelled {
+		t.Fatalf("end %+v (%v), want code %q", end, err, CodeCancelled)
+	}
+	conn.query(3, "q")
+	if r := conn.await(3); r.err() != nil || len(r.rows) != len(rows) {
+		t.Fatalf("query after cancel: %d rows, %v", len(r.rows), r.err())
+	}
+	if st := s.Stats(); st.InFlightQueries != 0 {
+		t.Fatalf("%d queries in flight after both ended", st.InFlightQueries)
+	}
+}
+
+// TestFirstBatchReportedForCacheHits: a server that answers only from
+// its view cache still reports the first-batch latency of its queries,
+// while its streamed-execution counters stay zero.
+func TestFirstBatchReportedForCacheHits(t *testing.T) {
+	stub := &viewStub{e: &viewEntry{batch: rowBatch(t, benchResultRows(10)), cols: benchCols}}
+	s := startTestServer(t, stub, Config{})
+	conn := dialTest(t, s)
+	for id := uint64(1); id <= 3; id++ {
+		conn.query(id, "q")
+		if r := conn.await(id); r.err() != nil {
+			t.Fatal(r.err())
+		}
+	}
+	st := s.Stats().Streams
+	if st == nil || st.Queries != 0 || st.FirstBatchP50Us <= 0 {
+		t.Fatalf("stream stats %+v, want a first-batch p50 and no streamed queries", st)
+	}
+}
+
+// viewHitAllocsMax pins the allocations of one served hit from the memo,
+// writer, tail and End frame included. A hit allocates per stream, never
+// per row.
+const viewHitAllocsMax = 5
+
+// TestViewHitAllocs: a hit written from the memo allocates the same for
+// a 1000- and a 4000-row answer, and no more than viewHitAllocsMax.
+func TestViewHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops frame buffers at random under -race, so the count varies")
+	}
+	sess, peer := pipeSession(t, MaxFrame, 0)
+	go io.Copy(io.Discard, peer)
+	var allocs []float64
+	for _, n := range []int{1000, 4000} {
+		e := &viewEntry{batch: rowBatch(t, benchResultRows(n)), cols: benchCols}
+		hit := func() {
+			w := newStreamWriter(sess.ctx, sess, 1, DefaultStreamWindow)
+			tail, err := viewHit(e, nil, w)
+			if err == nil {
+				err = w.end(&StreamEnd{QueryTail: *tail}, nil)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		hit() // fills the memo
+		if m := e.memo.Load(); m == nil || len(m.frames) != 1 {
+			t.Fatalf("%d rows: memo %+v, want one frame", n, m)
+		}
+		a := testing.AllocsPerRun(200, hit)
+		t.Logf("%d-row hit: %.0f allocations", n, a)
+		allocs = append(allocs, a)
+	}
+	if allocs[0] != allocs[1] || allocs[1] > viewHitAllocsMax {
+		t.Fatalf("allocations per hit %v: want equal for both sizes and at most %d", allocs, viewHitAllocsMax)
+	}
+}
+
+// BenchmarkViewHit: one served hit of a cached 1000-row answer, written
+// from the memo against encoded afresh from the batch.
+func BenchmarkViewHit(b *testing.B) {
+	sess, peer := pipeSession(b, MaxFrame, 0)
+	go io.Copy(io.Discard, peer)
+	batch := rowBatch(b, benchResultRows(1000))
+	for _, tc := range []struct {
+		name string
+		emit func(e *viewEntry, w *streamWriter) error
+	}{
+		{"memo", func(e *viewEntry, w *streamWriter) error { _, err := viewHit(e, nil, w); return err }},
+		{"encode", func(e *viewEntry, w *streamWriter) error { return w.StreamCols(e.batch) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			e := &viewEntry{batch: batch, cols: benchCols}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w := newStreamWriter(sess.ctx, sess, 1, DefaultStreamWindow)
+				w.Columns(benchCols)
+				err := tc.emit(e, w)
+				if err == nil {
+					err = w.end(&StreamEnd{}, nil)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// viewCluster is a 3-node cluster whose first two nodes' backends share
+// one view cache, each served by an endpoint: def with the default
+// settings, raw with StreamCompressMin -1. Relation t holds rows, all
+// published at epoch.
+type viewCluster struct {
+	views    *ViewCache
+	back     *NodeBackend
+	def, raw *Server
+	rows     []tuple.Row
+	epoch    tuple.Epoch
+}
+
+func newViewCluster(t *testing.T, n int) *viewCluster {
+	t.Helper()
+	local, err := cluster.NewLocal(3, cluster.Config{Replication: 3}, transport.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(local.Shutdown)
+	vc := &viewCluster{views: NewViewCache(8)}
+	var backs []*NodeBackend
+	for _, node := range local.Nodes() { // every node runs fragments
+		b := NewNodeBackend(node, engine.New(node))
+		b.ShareViews(vc.views)
+		backs = append(backs, b)
+	}
+	vc.back = backs[0]
+	ctx := context.Background()
+	if _, err := vc.back.Create(ctx, &CreateRequest{Relation: "t", Columns: []string{"k:string", "g:int", "v:int"}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		vc.rows = append(vc.rows, tuple.Row{tuple.S(fmt.Sprintf("k%05d", i)), tuple.I(int64(i % 7)), tuple.I(int64(i))})
+	}
+	if vc.epoch, err = vc.back.PublishRows(ctx, "t", vstore.OpInsert, append([]tuple.Row(nil), vc.rows...), 0); err != nil {
+		t.Fatal(err)
+	}
+	vc.def = startTestServer(t, backs[0], Config{})
+	vc.raw = startTestServer(t, backs[1], Config{StreamCompressMin: -1})
+	return vc
+}
+
+// entry returns the cached entry for sql at the cluster's epoch.
+func (vc *viewCluster) entry(sql string) *viewEntry {
+	v := vc.views
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if el, ok := v.m[viewKey{sql: sql, epoch: vc.epoch}]; ok {
+		return el.Value.(*viewEntry)
+	}
+	return nil
+}
+
+// servedAnswer runs sql pinned to epoch over conn, granting a credit per
+// batch frame, and returns its rows and how many batch frames were
+// compressed. It reports failures as errors, so any goroutine may call it.
+func servedAnswer(conn net.Conn, br *bufio.Reader, id uint64, sql string, epoch tuple.Epoch) (rows []tuple.Row, compressed int, cached bool, err error) {
+	frame, err := AppendJSONFrame(nil, &Request{ID: id, Op: OpQuery, Query: &QueryRequest{SQL: sql, Epoch: uint64(epoch)}}, MaxFrame)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	if _, err := conn.Write(frame); err != nil {
+		return nil, 0, false, err
+	}
+	for {
+		kind, payload, err := ReadRawFrame(br, MaxFrame)
+		if err != nil {
+			return nil, 0, false, err
+		}
+		switch kind {
+		case FrameBatch:
+			_, part, err := decodeBatchPayload(payload)
+			if err != nil {
+				return nil, 0, false, err
+			}
+			rows = append(rows, part...)
+			if tuple.BatchCompressed(payload[8:]) {
+				compressed++
+			}
+			credit, _ := AppendBinaryFrame(nil, FrameCredit, AppendCreditPayload(nil, id, 1), MaxFrame)
+			if _, err := conn.Write(credit); err != nil {
+				return nil, 0, false, err
+			}
+		case FrameEnd:
+			_, end, err := DecodeEndPayload(payload)
+			if err == nil && end.Error != nil {
+				err = end.Error
+			}
+			return rows, compressed, err == nil && end.Cached, err
+		}
+	}
+}
+
+// sameRows reports whether got holds exactly want's rows, in any order.
+func sameRows(got, want []tuple.Row) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	seen := make(map[string]int, len(want))
+	for _, r := range want {
+		seen[fmt.Sprint(r)]++
+	}
+	for _, r := range got {
+		k := fmt.Sprint(r)
+		if seen[k]--; seen[k] < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestViewMissFillsMemo: a served miss leaves its entry holding the memo
+// of the frames it sent, under the settings of the endpoint that sent
+// them, and the next hit answers the same.
+func TestViewMissFillsMemo(t *testing.T) {
+	vc := newViewCluster(t, 2000)
+	for i, ep := range []struct {
+		srv         *Server
+		compressMin int
+	}{{vc.def, defaultStreamCompressMin}, {vc.raw, -1}} {
+		sql := fmt.Sprintf("SELECT k, g, v FROM t WHERE g >= %d", i)
+		var want []tuple.Row
+		for _, r := range vc.rows {
+			if r[1].I64 >= int64(i) {
+				want = append(want, r)
+			}
+		}
+		conn := dialTest(t, ep.srv)
+		rows, _, cached, err := servedAnswer(conn, conn.br, 1, sql, vc.epoch)
+		if err != nil || cached || !sameRows(rows, want) {
+			t.Fatalf("%s: miss answered %d rows (cached %v), %v; want %d", sql, len(rows), cached, err, len(want))
+		}
+		e := vc.entry(sql)
+		if e == nil {
+			t.Fatalf("%s: no entry after the miss", sql)
+		}
+		m := e.memo.Load()
+		if m == nil || m.targetBytes != defaultStreamBatchBytes || m.compressMin != ep.compressMin {
+			t.Fatalf("%s: memo %+v after a miss through an endpoint compressing at %d", sql, m, ep.compressMin)
+		}
+		rows, _, cached, err = servedAnswer(conn, conn.br, 2, sql, vc.epoch)
+		if err != nil || !cached || !sameRows(rows, want) || e.memo.Load() != m {
+			t.Fatalf("%s: hit answered %d rows (cached %v), %v", sql, len(rows), cached, err)
+		}
+	}
+}
+
+// TestViewMemoRace: eight clients on two endpoints with different
+// compression settings hit one entry while its memo is being filled. The
+// memo is published once, every answer equals the model, and the
+// never-compress endpoint sends no compressed frame.
+func TestViewMemoRace(t *testing.T) {
+	vc := newViewCluster(t, 3000)
+	const sql = "SELECT k, g, v FROM t WHERE v < 2500"
+	want := vc.rows[:2500]
+	// A collected (embedded) answer fills the entry and records no memo.
+	if _, _, err := vc.back.Query(context.Background(), sql, engine.Options{Epoch: vc.epoch}, false, &collectSink{}); err != nil {
+		t.Fatal(err)
+	}
+	e := vc.entry(sql)
+	if e == nil || e.memo.Load() != nil {
+		t.Fatalf("entry %+v after a collected miss: want one with no memo", e)
+	}
+	type client struct {
+		conn *testConn
+		raw  bool
+	}
+	var clients []client
+	for i := 0; i < 8; i++ {
+		if i%2 == 0 {
+			clients = append(clients, client{dialTest(t, vc.def), false})
+		} else {
+			clients = append(clients, client{dialTest(t, vc.raw), true})
+		}
+	}
+	stop := make(chan struct{})
+	published := make(chan map[*viewFrames]bool)
+	go func() { // every memo the entry ever holds
+		seen := map[*viewFrames]bool{}
+		for {
+			if m := e.memo.Load(); m != nil {
+				seen[m] = true
+			}
+			select {
+			case <-stop:
+				published <- seen
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for id := uint64(1); id <= 3; id++ {
+				rows, compressed, cached, err := servedAnswer(c.conn, c.conn.br, id, sql, vc.epoch)
+				switch {
+				case err != nil:
+					t.Errorf("client %d: %v", i, err)
+					return
+				case !cached || !sameRows(rows, want):
+					t.Errorf("client %d: %d rows (cached %v), want the model's %d", i, len(rows), cached, len(want))
+				case c.raw && compressed > 0:
+					t.Errorf("client %d: %d compressed frames from a never-compress endpoint", i, compressed)
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(stop)
+	if seen := <-published; len(seen) != 1 {
+		t.Fatalf("the entry held %d memos, want exactly one", len(seen))
+	}
+}
+
+// collectSink is a ResultStream that collects nothing: an embedded
+// caller's sink, for the view cache a sink that is not a frame writer.
+type collectSink struct{}
+
+func (collectSink) Columns([]string)              {}
+func (collectSink) StreamCols(*tuple.Batch) error { return nil }

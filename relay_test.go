@@ -18,6 +18,7 @@ type wireAnswer struct {
 	frameRows  []int // rows per batch frame, in order
 	compressed int   // batch frames with a compressed body
 	plan       string
+	cached     bool
 }
 
 // rawServedQuery runs sql over a raw protocol connection to addr, granting
@@ -74,7 +75,7 @@ func rawServedQuery(t *testing.T, addr, sql string) *wireAnswer {
 				t.Fatalf("%s: end counts %d rows in %d frames, %d rows in %d frames arrived",
 					sql, end.Rows, end.Batches, len(ans.rows), len(ans.frameRows))
 			}
-			ans.plan = end.Plan
+			ans.plan, ans.cached = end.Plan, end.Cached
 			return ans
 		}
 	}

@@ -169,3 +169,56 @@ func TestQueryCachePerNode(t *testing.T) {
 		t.Fatal("node-1 served a stale entry across epochs")
 	}
 }
+
+// TestServedViewHitMixedSettings: two endpoints of one cluster share the
+// view cache, one with the default settings and one that never
+// compresses, and each in turn fills an entry first. Both answer every
+// query exactly, hit or miss, and the never-compress endpoint sends no
+// compressed frame, whatever the entry's first writer recorded.
+func TestServedViewHitMixedSettings(t *testing.T) {
+	c := newTestCluster(t, 3)
+	mustCreate(t, c, NewSchema("load", "k:string", "grp:int", "v:int"))
+	if _, err := c.PublishTyped(0, "load", typedRows(0, 9000)); err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{
+		"SELECT k, grp, v FROM load WHERE grp < 3",
+		"SELECT k, grp, v FROM load WHERE grp > 1",
+	}
+	want := make(map[string]*Result)
+	for _, q := range queries { // collected before the cache is on
+		want[q] = mustQuery(t, c, q)
+	}
+	c.EnableQueryCache(8)
+	def, err := c.Serve("127.0.0.1:0", ServeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer def.Close()
+	raw, err := c.Serve("127.0.0.1:0", ServeOptions{Node: 1, StreamCompressMin: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	for i, q := range queries {
+		order := []*Server{def, raw}
+		if i == 1 {
+			order = []*Server{raw, def}
+		}
+		for round := 0; round < 2; round++ {
+			for j, srv := range order {
+				got := rawServedQuery(t, srv.Addr(), q)
+				sameAnswerAny(t, q, got.rows, want[q].Rows)
+				if fill := round == 0 && j == 0; got.cached == fill {
+					t.Fatalf("%s: round %d, endpoint %d: cached=%v", q, round, j, got.cached)
+				}
+				switch {
+				case srv == raw && got.compressed > 0:
+					t.Fatalf("%s: %d compressed frames from the endpoint that never compresses", q, got.compressed)
+				case srv == def && got.compressed == 0:
+					t.Fatalf("%s: the default endpoint sent %d rows uncompressed", q, len(got.rows))
+				}
+			}
+		}
+	}
+}
