@@ -452,7 +452,19 @@ func (l *scanLeaf) runPass(phase uint32, tick uint64) {
 	if len(ships) > 0 && l.meta != nil {
 		buf := l.ex.eng.getPassBuf()
 		defer l.ex.eng.passBufs.Put(buf)
+		// The wanted list's build is its own span under the pass, so the
+		// ledger shows it apart from the walk.
+		var psp *obs.Span
+		if sp != nil {
+			psp = tr.Begin("scan.prepare")
+			psp.Phase = phase
+		}
 		pes, err := preparePass(buf, ships, l.ex.failedProv())
+		if psp != nil {
+			psp.Rows = int64(len(pes))
+			tr.End(psp)
+			tr.Attach(sp, psp)
+		}
 		if err != nil {
 			l.ex.shipper.fail(err)
 		}

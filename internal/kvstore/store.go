@@ -347,6 +347,10 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Replay left the tree aliasing the snapshot and log buffers read
+	// above; packing every written leaf copies the records into leaf slabs
+	// and lets those buffers go.
+	s.tree.packAll()
 	s.gen.Store(gen)
 	s.epoch.Store(epoch)
 	s.seq.Store(seq)
@@ -395,7 +399,9 @@ func (s *Store) seedRing(gen uint64) {
 
 // applyRecord replays one WAL record into the tree, returning the epoch
 // it carries (0 for data records). A CRC-valid record with an unknown op
-// means version skew — refuse rather than drop acknowledged writes.
+// means version skew — refuse rather than drop acknowledged writes. The
+// tree aliases the record's payload, a buffer recovery read and nobody
+// else writes; Open packs it away before the store is used.
 func (s *Store) applyRecord(rec wal.Record) (uint64, error) {
 	switch rec.Op {
 	case opPut, opPutLocal:
@@ -426,6 +432,14 @@ func appendPut(dst []byte, key, val []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(key)))
 	dst = append(dst, key...)
 	return append(dst, val...)
+}
+
+// putFields returns the key and value of an appendPut payload with the
+// given lengths as sub-slices of it, each capped at its own end.
+func putFields(payload []byte, klen, vlen int) (key, val []byte) {
+	k := len(payload) - klen - vlen
+	v := k + klen
+	return payload[k:v:v], payload[v:len(payload):len(payload)]
 }
 
 func decodePut(payload []byte) (key, val []byte, ok bool) {
@@ -465,8 +479,9 @@ func (s *Store) Get(key []byte) ([]byte, bool) {
 
 // GetRetained returns the stored value for key without copying. The
 // returned slice follows the store's immutability contract (see Scan): its
-// contents are never mutated by the store, so callers may retain and read
-// it indefinitely, but must not modify it. The allocation-free variant for
+// bytes are never rewritten by the store — a later pack of its leaf copies
+// them elsewhere and leaves them be — so callers may retain and read it
+// indefinitely, but must not modify it. The allocation-free variant for
 // hot read paths that decode large records (index pages) per query.
 func (s *Store) GetRetained(key []byte) ([]byte, bool) {
 	s.mu.RLock()
@@ -487,7 +502,9 @@ func (s *Store) Has(key []byte) bool {
 // the log, applied to the tree and, unless it is node-private (opPutLocal),
 // given the next shipping sequence; one commit outside the lock then makes
 // the whole batch durable (under SyncAlways, at most one fsync). It reports
-// whether the last delete found its key.
+// whether the last delete found its key. The encoded payload is the one
+// copy a put makes: the tree keeps its key and value as sub-slices of it,
+// beside the shipping ring's reference, and nothing rewrites it.
 func (s *Store) apply(n int, op func(i int) (kind byte, key, val []byte)) (deleted bool, err error) {
 	if n == 0 {
 		return false, nil
@@ -511,7 +528,7 @@ func (s *Store) apply(n int, op func(i int) (kind byte, key, val []byte)) (delet
 		if kind == opDelete {
 			deleted = s.tree.delete(key)
 		} else {
-			s.tree.put(key, val)
+			s.tree.put(putFields(payload, len(key), len(val)))
 		}
 		if kind != opPutLocal {
 			s.noteAppend(kind, payload)
@@ -645,12 +662,16 @@ func storeMax(a *atomic.Uint64, v uint64) {
 // Scan calls fn for every pair with lo <= key < hi in key order (nil bounds
 // are open). fn must not mutate the store; returning false stops the scan.
 //
-// Key/value reuse contract: the slices passed to fn are the store's own —
-// keys and values are copied once on Put and their contents are never
-// mutated afterwards (replacement swaps the slice wholesale). Callers may
-// therefore retain them read-only past the callback (the engine's scan
-// pipeline aliases tuple-record bytes this way to decode without copying);
-// they must never write into them.
+// Key/value reuse contract: the slices passed to fn are the store's own.
+// A record is copied once on write (into its log payload) and again when
+// its leaf is packed into a new slab (see the package comment); neither
+// copy, nor any stored byte, is ever rewritten — replacement, deletion and
+// packing move slice headers only. Callers may therefore retain them
+// read-only past the callback and past the lock (the engine's scan pipeline
+// aliases tuple-record bytes this way to decode without copying); they
+// must never write into them. A retained slice keeps its whole buffer
+// alive — a leaf slab of up to branching records — so a holder that
+// outlives a query (a cache) copies what it keeps.
 func (s *Store) Scan(lo, hi []byte, fn func(k, v []byte) bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -766,8 +787,8 @@ func (s *Store) Checkpoint() error {
 
 	// Phase 2: stream the snapshot without blocking writers. Each chunk
 	// aliases tree memory under the read lock — safe to write out after
-	// release because keys and values are immutable once stored (see
-	// Scan's contract).
+	// release because stored bytes are never rewritten (see Scan's
+	// contract).
 	w, err := wal.CreateSnapshot(s.fsys, filepath.Join(s.dir, snapName), newGen, epoch, seq)
 	if err != nil {
 		s.snapshotErrs.Add(1)

@@ -41,7 +41,8 @@ func (id TraceID) String() string {
 // fragment's whole execution. Spans form a tree under the trace root.
 type Span struct {
 	// Name is the stage: "query", "plan", "fragment", "scan.index",
-	// "scan.pass", "ship.encode", "ship.decode", "final", "stream.write".
+	// "scan.pass" (with its "scan.prepare" child, the wanted list's
+	// build), "ship.encode", "ship.decode", "final", "stream.write".
 	Name string `json:"name"`
 	// Node is the cluster node the stage ran on (empty = initiator).
 	Node string `json:"node,omitempty"`

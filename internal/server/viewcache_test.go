@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"orchestra/internal/cluster"
 	"orchestra/internal/engine"
@@ -474,6 +475,60 @@ func TestViewMissFillsMemo(t *testing.T) {
 		rows, _, cached, err = servedAnswer(conn, conn.br, 2, sql, vc.epoch)
 		if err != nil || !cached || !sameRows(rows, want) || e.memo.Load() != m {
 			t.Fatalf("%s: hit answered %d rows (cached %v), %v", sql, len(rows), cached, err)
+		}
+	}
+}
+
+// TestViewEntryOwnsItsStrings: a cached answer's strings lie in the
+// entry's own slab, not in the store's leaf slabs they were scanned from,
+// and publishes that re-pack the relation's leaves leave the answer — read
+// from the batch by an endpoint whose settings differ from the memo's —
+// unchanged.
+func TestViewEntryOwnsItsStrings(t *testing.T) {
+	vc := newViewCluster(t, 2000)
+	const sql = "SELECT k, g, v FROM t WHERE v < 1500"
+	want := vc.rows[:1500]
+	conn := dialTest(t, vc.def)
+	if rows, _, cached, err := servedAnswer(conn, conn.br, 1, sql, vc.epoch); err != nil || cached || !sameRows(rows, want) {
+		t.Fatalf("miss answered %d rows (cached %v), %v", len(rows), cached, err)
+	}
+	e := vc.entry(sql)
+	if e == nil {
+		t.Fatal("no entry after the miss")
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(e.slab)))
+	hi := lo + uintptr(len(e.slab))
+	strs := 0
+	for _, col := range e.batch.Cols {
+		for _, x := range col.Str {
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(x))); x != "" && (p < lo || p+uintptr(len(x)) > hi) {
+				t.Fatalf("cached string %q lies outside the entry's slab", x)
+			}
+			strs++
+		}
+	}
+	if strs != len(want) {
+		t.Fatalf("checked %d strings, want %d", strs, len(want))
+	}
+	// Every leaf holding t's tuples takes more than a quarter of new
+	// records, so each packs at least once.
+	ctx := context.Background()
+	for p := 0; p < 4; p++ {
+		var rows []tuple.Row
+		for i := 0; i < 2000; i++ {
+			rows = append(rows, tuple.Row{tuple.S(fmt.Sprintf("n%d-%05d", p, i)), tuple.I(int64(i % 7)), tuple.I(int64(i))})
+		}
+		if _, err := vc.back.PublishRows(ctx, "t", vstore.OpInsert, rows, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !sameRows(e.batch.Rows(), want) {
+		t.Fatal("the cached batch changed across publishes")
+	}
+	for i, srv := range []*Server{vc.def, vc.raw} {
+		conn := dialTest(t, srv)
+		if rows, _, cached, err := servedAnswer(conn, conn.br, 1, sql, vc.epoch); err != nil || !cached || !sameRows(rows, want) {
+			t.Fatalf("endpoint %d: hit answered %d rows (cached %v), %v", i, len(rows), cached, err)
 		}
 	}
 }

@@ -398,8 +398,10 @@ func (b *Batch) Project(cols []int) {
 // returns the bytes consumed. This is the scan path's allocation-free
 // decode: no Row or Value boxing is built, and string values ALIAS data
 // instead of copying — the caller must guarantee that data is never
-// mutated and outlives the batch (stored kvstore values satisfy this: they
-// are copied on insert and immutable afterwards).
+// mutated and outlives the batch (stored kvstore values satisfy this: a
+// record is copied once on write and again when its B-tree leaf is packed,
+// and neither copy is ever rewritten). An aliased string keeps its whole
+// buffer alive, so a holder that outlives the query copies it.
 func DecodeRowCols(data []byte, s *Schema, b *Batch) (int, error) {
 	if len(b.Cols) != len(s.Columns) {
 		return 0, fmt.Errorf("tuple: batch arity %d != schema arity %d", len(b.Cols), len(s.Columns))

@@ -468,7 +468,8 @@ func EncodeTupleRecord(s *tuple.Schema, rec TupleRecord) ([]byte, error) {
 // DecodeTupleRecordCols decodes a stored tuple record's row straight onto
 // a columnar batch, skipping the ID and all per-row allocations. String
 // values alias data (see tuple.DecodeRowCols): data must be an immutable,
-// retained buffer — stored kvstore values qualify.
+// retained buffer — stored kvstore values qualify, since the store copies a
+// record on write and when it packs its leaf but never rewrites a byte.
 func DecodeTupleRecordCols(s *tuple.Schema, data []byte, b *tuple.Batch) error {
 	r := codec.NewReader(data)
 	r.U64()   // ID epoch

@@ -71,8 +71,25 @@ func TestQueryTraceSpanTree(t *testing.T) {
 	if n := len(spansNamed(spans, "final")); n != 1 {
 		t.Fatalf("want exactly one final span, got %d", n)
 	}
-	if n := len(spansNamed(spans, "scan.pass")); n == 0 {
+	passes := spansNamed(spans, "scan.pass")
+	if len(passes) == 0 {
 		t.Fatal("no scan.pass spans in tree")
+	}
+	// A pass that emitted rows built its wanted list first: one
+	// scan.prepare child, inside the pass's window.
+	for _, p := range passes {
+		prep := spansNamed(p.Children, "scan.prepare")
+		if p.Rows > 0 && len(prep) != 1 || len(prep) > 1 {
+			t.Fatalf("scan.pass of %d rows has %d scan.prepare children", p.Rows, len(prep))
+		}
+		for _, c := range prep {
+			if c.StartUs < p.StartUs || c.StartUs+c.DurUs > p.StartUs+p.DurUs || c.Rows < p.Rows {
+				t.Fatalf("scan.prepare %+v does not nest in its scan.pass %+v", c, p)
+			}
+		}
+	}
+	if n := len(spansNamed(spans, "scan.prepare")); n > len(passes) {
+		t.Fatalf("%d scan.prepare spans for %d passes", n, len(passes))
 	}
 
 	// Every live node ran a fragment; together they shipped exactly the
