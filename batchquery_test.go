@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"orchestra/internal/server"
 	"orchestra/internal/tuple"
@@ -229,5 +230,32 @@ func TestViewCacheOwnsItsBatch(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestResultOwnsItsStrings: an embedded query's Result keeps its strings in
+// slabs of its own, one per batch the engine streamed, laid out in row
+// order — not in the store's leaf slabs the scan aliased, where a held
+// Result would pin a leaf of records per string.
+func TestResultOwnsItsStrings(t *testing.T) {
+	c := newScanCluster(t, 400)
+	res, err := c.Query("SELECT k, v FROM bq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 400 {
+		t.Fatalf("%d rows, want 400", len(res.Rows))
+	}
+	// In an owned slab a row's key starts where the previous row's ends;
+	// in a store leaf, the rest of the previous record lies between them.
+	adjacent := 0
+	for i := 1; i < len(res.Rows); i++ {
+		prev, cur := res.Rows[i-1][0].Str, res.Rows[i][0].Str
+		if unsafe.Pointer(unsafe.StringData(cur)) == unsafe.Add(unsafe.Pointer(unsafe.StringData(prev)), len(prev)) {
+			adjacent++
+		}
+	}
+	if adjacent < len(res.Rows)/2 {
+		t.Fatalf("%d of %d consecutive keys are adjacent: the Result's strings still alias the store", adjacent, len(res.Rows)-1)
 	}
 }

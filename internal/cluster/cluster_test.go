@@ -67,7 +67,7 @@ func readRelation(ctx context.Context, n *Node, relation string, e tuple.Epoch, 
 	if err != nil {
 		return nil, err
 	}
-	var rows []tuple.Row
+	b := tuple.NewBatch(cat.Schema)
 	for _, ref := range coord.Pages {
 		page, _, err := n.ResolvePage(ctx, ref)
 		if err != nil {
@@ -81,14 +81,12 @@ func readRelation(ctx context.Context, n *Node, relation string, e tuple.Epoch, 
 			if err != nil {
 				return nil, err
 			}
-			rec, err := vstore.DecodeTupleRecord(cat.Schema, v)
-			if err != nil {
+			if err := vstore.DecodeTupleRecordCols(cat.Schema, v, b); err != nil {
 				return nil, err
 			}
-			rows = append(rows, rec.Row)
 		}
 	}
-	return rows, nil
+	return b.Rows(), nil
 }
 
 func TestPutGetRecordAcrossNodes(t *testing.T) {

@@ -6,18 +6,16 @@
 // slice expression uses it — and bounds how deep a recursive structure may
 // nest. A decoder built from its methods cannot be made to panic, to reserve
 // memory its payload does not back, or to overflow the stack; a decoder built
-// beside it can, which is why internal/{engine,cluster,ring,gossip,vstore,obs,
-// kvstore} may not call encoding/binary's read side at all
-// (TestNoHandRolledDecoders).
+// beside it can, which is why no package under internal/ but wal may call
+// encoding/binary's read side at all (TestNoHandRolledDecoders).
 //
 // Encoders stay where the formats are declared and use encoding/binary's
 // Append functions plus AppendBytes; this package only has to agree with them
 // on the primitives: big-endian fixed-width integers, encoding/binary
 // varints, and a uvarint length before a byte field.
 //
-// Out of scope, each with its own bounded reader and its own fuzz target:
-// tuple's batch, row and key codecs (per-value vector kernels), the
-// server↔client framing, wal's CRC-framed files, transport's frame header.
+// Out of scope: wal's CRC-framed files, which only this process wrote, with
+// their own bounded reader and fuzz targets.
 package codec
 
 import (
@@ -132,6 +130,14 @@ func (r *Reader) U8() uint8 {
 	return 0
 }
 
+// U16 reads a big-endian uint16.
+func (r *Reader) U16() uint16 {
+	if b := r.Fixed(2); b != nil {
+		return binary.BigEndian.Uint16(b)
+	}
+	return 0
+}
+
 // U32 reads a big-endian uint32.
 func (r *Reader) U32() uint32 {
 	if b := r.Fixed(4); b != nil {
@@ -162,18 +168,20 @@ func (r *Reader) Uvarint() uint64 {
 	return v
 }
 
-// Varint reads a signed (zig-zag) varint.
+// Varint reads a signed (zig-zag) varint. Like Bytes it decodes the
+// unsigned varint under it in place (binary.Uvarint inlines; a call to
+// Uvarint would not): these are the per-value reads of every row.
 func (r *Reader) Varint() int64 {
 	if r.err != nil {
 		return 0
 	}
-	v, n := binary.Varint(r.data[r.off:])
+	u, n := binary.Uvarint(r.data[r.off:])
 	if n <= 0 {
 		r.err = ErrTruncated
 		return 0
 	}
 	r.off += n
-	return v
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 // Bound turns a claimed element count (or, with minSize 1, a byte length)
@@ -195,7 +203,18 @@ func (r *Reader) Bound(n uint64, minSize int) int {
 func (r *Reader) Count(minSize int) int { return r.Bound(r.Uvarint(), minSize) }
 
 // Bytes reads a uvarint length and that many bytes.
-func (r *Reader) Bytes() []byte { return r.take(r.Uvarint(), ErrOversize) }
+func (r *Reader) Bytes() []byte {
+	if r.err != nil {
+		return nil
+	}
+	l, n := binary.Uvarint(r.data[r.off:])
+	if n <= 0 {
+		r.err = ErrTruncated
+		return nil
+	}
+	r.off += n
+	return r.take(l, ErrOversize)
+}
 
 // Str is Bytes copied into a string. (Not named String: a reader that
 // advanced whenever it was printed would be a trap.)

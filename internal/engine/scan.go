@@ -434,10 +434,8 @@ func (l *scanLeaf) runPass(phase uint32, tick uint64) {
 		if cb == nil {
 			cb = l.batchFor(phase, colTypes)
 		}
-		n := cb.cols.N
 		if err := vstore.DecodeTupleRecordCols(l.meta.schema, v, cb.cols); err != nil {
-			cb.cols.Truncate(n) // back out the partial row
-			return false
+			return false // the refused record left the batch as it was
 		}
 		if prov {
 			if provOf[fromIdx] == nil {

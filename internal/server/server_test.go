@@ -526,7 +526,7 @@ func rowBatch(tb testing.TB, rows []tuple.Row) *tuple.Batch {
 
 // decodeBatchPayload decodes a FrameBatch payload into typed rows.
 func decodeBatchPayload(p []byte) (id uint64, rows []tuple.Row, err error) {
-	id, rest, err := splitStreamID(p)
+	id, rest, err := splitStreamID(p, "server: batch frame")
 	if err != nil {
 		return 0, nil, err
 	}

@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/tuple"
 )
 
@@ -135,7 +136,8 @@ func ReadRawFrame(r io.Reader, maxFrame int64) (FrameKind, []byte, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	h := codec.NewReader(hdr[:])
+	n := h.U32()
 	if int64(n) > maxFrame {
 		return 0, nil, &FrameSizeError{Size: int64(n), Max: maxFrame}
 	}
@@ -208,23 +210,21 @@ func AppendSchemaPayload(dst []byte, id uint64, cols []string) []byte {
 
 // DecodeSchemaPayload reverses AppendSchemaPayload.
 func DecodeSchemaPayload(p []byte) (id uint64, cols []string, err error) {
-	id, rest, err := splitStreamID(p)
-	if err != nil {
-		return 0, nil, err
+	r := codec.NewReader(p)
+	id = r.U64()
+	// Count bounds the names by the bytes that back them (one each, for its
+	// length); a batch's arity bound keeps the slice headers from
+	// outweighing a large frame sixteen to one.
+	n := r.Count(1)
+	if n > 1<<16 {
+		return 0, nil, fmt.Errorf("server: schema frame of %d columns", n)
 	}
-	n, k := binary.Uvarint(rest)
-	if k <= 0 || n > 1<<16 {
-		return 0, nil, errors.New("server: bad schema frame column count")
-	}
-	rest = rest[k:]
 	cols = make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		l, k := binary.Uvarint(rest)
-		if k <= 0 || l > uint64(len(rest)-k) {
-			return 0, nil, errors.New("server: truncated schema frame")
-		}
-		cols = append(cols, string(rest[k:k+int(l)]))
-		rest = rest[k+int(l):]
+	for range n {
+		cols = append(cols, r.Str())
+	}
+	if err := r.Done("server: schema frame"); err != nil {
+		return 0, nil, err
 	}
 	return id, cols, nil
 }
@@ -237,13 +237,14 @@ func AppendCreditPayload(dst []byte, id uint64, n int) []byte {
 
 // DecodeCreditPayload reverses AppendCreditPayload.
 func DecodeCreditPayload(p []byte) (id uint64, n int, err error) {
-	id, rest, err := splitStreamID(p)
-	if err != nil {
+	r := codec.NewReader(p)
+	id = r.U64()
+	v := r.Uvarint()
+	if err := r.Done("server: credit frame"); err != nil {
 		return 0, 0, err
 	}
-	v, k := binary.Uvarint(rest)
-	if k <= 0 || v == 0 || v > 1<<20 {
-		return 0, 0, errors.New("server: bad credit frame")
+	if v == 0 || v > 1<<20 {
+		return 0, 0, fmt.Errorf("server: bad credit frame: %d credits", v)
 	}
 	return id, int(v), nil
 }
@@ -269,45 +270,42 @@ func AppendPublishPayload(dst []byte, id, pubID uint64, relation string, rows *t
 // boxed: the store keeps one record per tuple, so this is the edge where a
 // published batch becomes rows.
 func DecodePublishPayload(p []byte) (id, pubID uint64, relation string, rows []tuple.Row, err error) {
-	id, rest, err := splitStreamID(p)
-	if err != nil {
+	r := codec.NewReader(p)
+	id, pubID = r.U64(), r.U64()
+	rel := r.Bytes()
+	enc := r.Rest()
+	if err := r.Done("server: publish frame"); err != nil {
 		return 0, 0, "", nil, err
 	}
-	if len(rest) < 8 {
-		return 0, 0, "", nil, errors.New("server: publish frame too short")
-	}
-	pubID = binary.BigEndian.Uint64(rest[:8])
-	rest = rest[8:]
-	l, k := binary.Uvarint(rest)
-	if k <= 0 || l > tuple.MaxRelationNameLen || l > uint64(len(rest)-k) {
+	if len(rel) > tuple.MaxRelationNameLen {
 		return 0, 0, "", nil, errors.New("server: bad publish frame relation")
 	}
-	relation = string(rest[k : k+int(l)])
 	var b tuple.Batch
-	if _, err := tuple.DecodeBatchInto(rest[k+int(l):], &b); err != nil {
+	if _, err := tuple.DecodeBatchInto(enc, &b); err != nil {
 		return 0, 0, "", nil, fmt.Errorf("server: bad publish frame batch: %w", err)
 	}
-	return id, pubID, relation, b.Rows(), nil
+	return id, pubID, string(rel), b.Rows(), nil
 }
 
-// splitStreamID splits the leading request ID off a stream payload.
-func splitStreamID(p []byte) (uint64, []byte, error) {
-	if len(p) < 8 {
-		return 0, nil, errors.New("server: stream frame too short")
-	}
-	return binary.BigEndian.Uint64(p[:8]), p[8:], nil
+// splitStreamID splits the leading request ID off a stream payload of the
+// kind what names.
+func splitStreamID(p []byte, what string) (uint64, []byte, error) {
+	r := codec.NewReader(p)
+	id := r.U64()
+	rest := r.Rest()
+	return id, rest, r.Done(what)
 }
 
 // StreamFrameID reads the request ID of any stream frame payload.
 func StreamFrameID(p []byte) (uint64, error) {
-	id, _, err := splitStreamID(p)
+	id, _, err := splitStreamID(p, "server: stream frame")
 	return id, err
 }
 
 // DecodeBatchPayloadAny decodes a FrameBatch payload straight into boxed
 // []any rows — the client's consumption form.
 func DecodeBatchPayloadAny(p []byte) (id uint64, rows [][]any, err error) {
-	id, rest, err := splitStreamID(p)
+	id, rest, err := splitStreamID(p, "server: batch frame")
 	if err != nil {
 		return 0, nil, err
 	}
@@ -317,7 +315,7 @@ func DecodeBatchPayloadAny(p []byte) (id uint64, rows [][]any, err error) {
 
 // DecodeEndPayload decodes a FrameEnd payload.
 func DecodeEndPayload(p []byte) (id uint64, end *StreamEnd, err error) {
-	id, rest, err := splitStreamID(p)
+	id, rest, err := splitStreamID(p, "server: end frame")
 	if err != nil {
 		return 0, nil, err
 	}

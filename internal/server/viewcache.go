@@ -2,10 +2,8 @@ package server
 
 import (
 	"container/list"
-	"slices"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"orchestra/internal/engine"
 	"orchestra/internal/obs"
@@ -50,8 +48,8 @@ type viewKey struct {
 
 // viewEntry is one cached answer. The batch is the one the miss produced;
 // the cache owns it from then on (it never goes back to the engine's arena
-// pool) and every reader only reads it. Its string values live in slab,
-// which the entry owns (own): a scanned string aliases a store leaf's slab,
+// pool) and every reader only reads it. Its string values live in a slab
+// of their own (Batch.Own): a scanned string aliases a store leaf's slab,
 // and a cached answer must pin its own bytes, not every leaf it read.
 // Beside the batch the entry memoizes the answer as one frame writer cut
 // and encoded it (emit), so a served hit under the same writer settings
@@ -59,7 +57,6 @@ type viewKey struct {
 type viewEntry struct {
 	key   viewKey
 	batch *tuple.Batch
-	slab  []byte
 	cols  []string
 	plan  string
 	memo  atomic.Pointer[viewFrames] // nil until the first recording publishes
@@ -98,9 +95,10 @@ func (v *ViewCache) get(k viewKey) (*viewEntry, bool) {
 	return el.Value.(*viewEntry), true
 }
 
-// put keeps e, first moving its string values into the entry's own slab.
+// put keeps e, first moving its string values into a slab of their own.
+// It runs before the entry is published, so no reader sees the swap.
 func (v *ViewCache) put(e *viewEntry) {
-	e.own()
+	e.batch.Own()
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if el, ok := v.m[e.key]; ok {
@@ -121,36 +119,6 @@ func (v *ViewCache) stats() engine.CacheStats {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return engine.CacheStats{Hits: v.hits, Misses: v.misses, Evictions: v.evictions, Size: v.lru.Len(), Max: v.max}
-}
-
-// own copies the batch's string values into one exact-size slab and points
-// them at it. A string vector that several columns share is copied once.
-// It runs before the entry is published, so no reader sees the swap.
-func (e *viewEntry) own() {
-	var vecs [][]string
-	size := 0
-	for c := range e.batch.Cols {
-		str := e.batch.Cols[c].Str
-		if len(str) == 0 || slices.ContainsFunc(vecs, func(v []string) bool { return &v[0] == &str[0] }) {
-			continue
-		}
-		vecs = append(vecs, str)
-		for _, x := range str {
-			size += len(x)
-		}
-	}
-	slab := make([]byte, 0, size)
-	for _, str := range vecs {
-		for i, x := range str {
-			if x == "" {
-				continue
-			}
-			at := len(slab)
-			slab = append(slab, x...)
-			str[i] = unsafe.String(&slab[at], len(x))
-		}
-	}
-	e.slab = slab
 }
 
 // emit sends the entry's answer through out. A frame writer that has

@@ -496,19 +496,21 @@ func TestViewEntryOwnsItsStrings(t *testing.T) {
 	if e == nil {
 		t.Fatal("no entry after the miss")
 	}
-	lo := uintptr(unsafe.Pointer(unsafe.SliceData(e.slab)))
-	hi := lo + uintptr(len(e.slab))
-	strs := 0
+	// One exact-size slab holds them all: the bytes from the first string
+	// to the end of the last are the strings' bytes and nothing else.
+	lo, hi, size, strs := ^uintptr(0), uintptr(0), uintptr(0), 0
 	for _, col := range e.batch.Cols {
 		for _, x := range col.Str {
-			if p := uintptr(unsafe.Pointer(unsafe.StringData(x))); x != "" && (p < lo || p+uintptr(len(x)) > hi) {
-				t.Fatalf("cached string %q lies outside the entry's slab", x)
-			}
 			strs++
+			if x == "" {
+				continue
+			}
+			p := uintptr(unsafe.Pointer(unsafe.StringData(x)))
+			lo, hi, size = min(lo, p), max(hi, p+uintptr(len(x))), size+uintptr(len(x))
 		}
 	}
-	if strs != len(want) {
-		t.Fatalf("checked %d strings, want %d", strs, len(want))
+	if strs != len(want) || hi-lo != size {
+		t.Fatalf("%d cached strings of %d bytes span %d bytes; want %d strings in a slab of their own", strs, size, hi-lo, len(want))
 	}
 	// Every leaf holding t's tuples takes more than a quarter of new
 	// records, so each packs at least once.

@@ -2,13 +2,13 @@ package transport
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
 	"time"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/ring"
 )
 
@@ -116,29 +116,27 @@ func (t *TCPEndpoint) readLoop(conn net.Conn) {
 
 const maxFrame = 64 << 20
 
-func readFrame(r io.Reader) (frame, error) {
+func readFrame(conn io.Reader) (frame, error) {
 	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 		return frame{}, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	h := codec.NewReader(hdr[:])
+	n := h.U32()
 	if n < frameFixed || n > maxFrame {
 		return frame{}, fmt.Errorf("transport: bad frame length %d", n)
 	}
 	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if _, err := io.ReadFull(conn, buf); err != nil {
 		return frame{}, err
 	}
-	f := frame{
-		mtype: MsgType(binary.BigEndian.Uint16(buf[0:])),
-		reqID: binary.BigEndian.Uint64(buf[2:]),
+	r := codec.NewReader(buf)
+	f := frame{mtype: MsgType(r.U16()), reqID: r.U64()}
+	f.from = ring.NodeID(r.Fixed(int(r.U16())))
+	f.payload = r.Rest()
+	if err := r.Done("transport: frame"); err != nil {
+		return frame{}, err
 	}
-	idEnd := frameFixed + int(binary.BigEndian.Uint16(buf[10:]))
-	if idEnd > len(buf) {
-		return frame{}, errors.New("transport: bad sender length")
-	}
-	f.from = ring.NodeID(buf[frameFixed:idEnd])
-	f.payload = buf[idEnd:]
 	return f, nil
 }
 

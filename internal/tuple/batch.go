@@ -9,6 +9,8 @@ import (
 	"io"
 	"math"
 	"sync"
+
+	"orchestra/internal/codec"
 )
 
 // Batch codec. The query processor batches tuples into blocks by destination,
@@ -114,14 +116,6 @@ var bodyBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledBody = 1 << 20
 
-var (
-	errBadUvarint      = errors.New("tuple: bad uvarint in batch")
-	errBadVarint       = errors.New("tuple: bad varint in batch")
-	errTruncColHeader  = errors.New("tuple: truncated batch column header")
-	errTruncatedFloat  = errors.New("tuple: truncated float in batch")
-	errTruncatedString = errors.New("tuple: truncated string in batch")
-)
-
 // inflateBatch decompresses a batch body into a pooled buffer. The bound is
 // checked as the body grows: flate expands up to ~1032x, so a small
 // malicious frame could otherwise balloon to tens of GB before the dims
@@ -184,46 +178,40 @@ type BatchBody struct {
 
 // OpenBatch opens an encoded batch (AppendBatchCols output).
 func OpenBatch(data []byte) (BatchBody, error) {
-	if len(data) < 2 {
+	h := codec.NewReader(data)
+	version, flags := h.U8(), h.U8()
+	switch {
+	case h.Err() != nil:
 		return BatchBody{}, errors.New("tuple: batch too short")
+	case version != batchVersion:
+		return BatchBody{}, fmt.Errorf("tuple: unknown batch version %d", version)
 	}
-	if data[0] != batchVersion {
-		return BatchBody{}, fmt.Errorf("tuple: unknown batch version %d", data[0])
-	}
-	bb := BatchBody{body: data[2:]}
-	if data[1]&flagCompressed != 0 {
+	bb := BatchBody{body: h.Rest()}
+	if flags&flagCompressed != 0 {
 		buf, err := inflateBatch(bb.body)
 		if err != nil {
 			return BatchBody{}, err
 		}
 		bb.body, bb.buf = *buf, buf
 	}
-	r, n := binary.Uvarint(bb.body)
-	if n <= 0 {
-		bb.Release()
-		return BatchBody{}, errBadUvarint
-	}
-	bb.off = n
-	a, n := binary.Uvarint(bb.body[bb.off:])
-	if n <= 0 {
-		bb.Release()
-		return BatchBody{}, errBadUvarint
-	}
-	bb.off += n
+	r := codec.NewReader(bb.body)
+	rows, arity := r.Uvarint(), r.Uvarint()
 	var err error
 	switch {
-	case r > 1<<28 || a > 1<<16:
-		err = fmt.Errorf("tuple: implausible batch dims %d x %d", r, a)
-	case a > 0 && r*a > uint64(len(bb.body)):
-		err = fmt.Errorf("tuple: batch dims %d x %d exceed payload %dB", r, a, len(bb.body))
-	case a == 0 && r > maxZeroArityRows:
-		err = fmt.Errorf("tuple: %d zero-arity batch rows exceed limit", r)
+	case r.Err() != nil:
+		err = r.Done("tuple: batch dims")
+	case rows > 1<<28 || arity > 1<<16:
+		err = fmt.Errorf("tuple: implausible batch dims %d x %d", rows, arity)
+	case arity == 0 && rows > maxZeroArityRows:
+		err = fmt.Errorf("tuple: %d zero-arity batch rows exceed limit", rows)
+	case rows*arity > uint64(len(bb.body)-r.Pos()): // every value takes a byte
+		err = fmt.Errorf("tuple: batch dims %d x %d exceed payload %dB", rows, arity, len(bb.body))
 	}
 	if err != nil {
 		bb.Release()
 		return BatchBody{}, err
 	}
-	bb.rows, bb.arity = int(r), int(a)
+	bb.off, bb.rows, bb.arity = r.Pos(), int(rows), int(arity)
 	return bb, nil
 }
 
@@ -243,112 +231,37 @@ func (bb *BatchBody) Release() {
 	*bb = BatchBody{}
 }
 
-// Check walks every value by the rules the decoders apply — column type
-// tags, varints, float widths, string lengths — without building a vector,
-// and appends the column types to types. It accepts exactly what
-// DecodeInto (into an empty batch) and DecodeBatchAny accept; like them it
-// reads no column of a batch with no rows, and returns types unchanged
-// then.
+// Check walks every value without building anything and appends the
+// column types to types (none for a batch with no rows). It is the walk
+// DecodeInto and DecodeBatchAny make, with nowhere to put the values, so it
+// accepts exactly what they accept (DecodeInto into an empty batch).
 func (bb *BatchBody) Check(types []Type) ([]Type, error) {
-	if bb.rows == 0 {
-		return types, nil
+	d := dest{types: types}
+	if err := bb.walk(&d); err != nil {
+		return nil, err
 	}
-	body, off := bb.body, bb.off
-	for c := 0; c < bb.arity; c++ {
-		if off >= len(body) {
-			return nil, errTruncColHeader
-		}
-		t := Type(body[off])
-		off++
-		switch t {
-		case Int64:
-			for r := 0; r < bb.rows; r++ {
-				_, n := binary.Varint(body[off:])
-				if n <= 0 {
-					return nil, errBadVarint
-				}
-				off += n
-			}
-		case Float64:
-			if 8*bb.rows > len(body)-off {
-				return nil, errTruncatedFloat
-			}
-			off += 8 * bb.rows
-		case String:
-			for r := 0; r < bb.rows; r++ {
-				l, n := binary.Uvarint(body[off:])
-				if n <= 0 {
-					return nil, errBadUvarint
-				}
-				off += n
-				if l > uint64(len(body)-off) {
-					return nil, errTruncatedString
-				}
-				off += int(l)
-			}
-		default:
-			return nil, fmt.Errorf("tuple: bad column type %d in batch", t)
-		}
-		types = append(types, t)
-	}
-	return types, nil
+	return d.types, nil
 }
 
 // DecodeBatchAny decodes a wire batch straight into boxed []any rows —
-// the client-side form.
-// Row slices are carved from one backing slab.
+// the client-side form. Row slices are carved from one backing slab.
 func DecodeBatchAny(data []byte) ([][]any, error) {
 	bb, err := OpenBatch(data)
 	if err != nil {
 		return nil, err
 	}
 	defer bb.Release()
-	body, off, nRows, arity := bb.body, bb.off, bb.rows, bb.arity
-	rows := make([][]any, nRows)
-	if nRows == 0 {
+	rows := make([][]any, bb.rows)
+	if bb.rows == 0 {
 		return rows, nil
 	}
-	backing := make([]any, nRows*arity)
+	arity := bb.arity
+	backing := make([]any, bb.rows*arity)
 	for i := range rows {
 		rows[i] = backing[i*arity : (i+1)*arity : (i+1)*arity]
 	}
-	for c := 0; c < arity; c++ {
-		if off >= len(body) {
-			return nil, errTruncColHeader
-		}
-		t := Type(body[off])
-		off++
-		if !t.IsValidType() {
-			return nil, fmt.Errorf("tuple: bad column type %d in batch", t)
-		}
-		for r := 0; r < nRows; r++ {
-			switch t {
-			case Int64:
-				v, n := binary.Varint(body[off:])
-				if n <= 0 {
-					return nil, errBadVarint
-				}
-				off += n
-				rows[r][c] = v
-			case Float64:
-				if off+8 > len(body) {
-					return nil, errTruncatedFloat
-				}
-				rows[r][c] = math.Float64frombits(binary.BigEndian.Uint64(body[off:]))
-				off += 8
-			case String:
-				l, n := binary.Uvarint(body[off:])
-				if n <= 0 {
-					return nil, errBadUvarint
-				}
-				off += n
-				if l > uint64(len(body)-off) {
-					return nil, errTruncatedString
-				}
-				rows[r][c] = string(body[off : off+int(l)])
-				off += int(l)
-			}
-		}
+	if err := bb.walk(&dest{boxed: rows}); err != nil {
+		return nil, err
 	}
 	return rows, nil
 }
@@ -371,68 +284,19 @@ func DecodeBatchInto(data []byte, b *Batch) (int, error) {
 
 // DecodeInto is DecodeBatchInto over an opened batch.
 func (bb *BatchBody) DecodeInto(b *Batch) (int, error) {
-	body, off, nRows, arity := bb.body, bb.off, bb.rows, bb.arity
-	if nRows == 0 {
+	if bb.rows == 0 {
 		return 0, nil
 	}
 	if len(b.Cols) == 0 && b.N == 0 {
-		types := make([]Type, arity)
-		for i := range types {
-			types[i] = Type(0) // fixed up below from the column headers
-		}
-		b.ResetTypes(types)
-	} else if len(b.Cols) != arity {
-		return 0, fmt.Errorf("tuple: batch arity %d, accumulator arity %d", arity, len(b.Cols))
+		b.ResetTypes(make([]Type, bb.arity)) // the walk types them from the column tags
+	} else if len(b.Cols) != bb.arity {
+		return 0, fmt.Errorf("tuple: batch arity %d, accumulator arity %d", bb.arity, len(b.Cols))
 	}
 	start := b.N
-	fail := func(err error) (int, error) {
+	if err := bb.walk(&dest{b: b}); err != nil {
 		b.Truncate(start)
 		return 0, err
 	}
-	for c := 0; c < arity; c++ {
-		if off >= len(body) {
-			return fail(errTruncColHeader)
-		}
-		t := Type(body[off])
-		off++
-		if !t.IsValidType() {
-			return fail(fmt.Errorf("tuple: bad column type %d in batch", t))
-		}
-		v := &b.Cols[c]
-		if v.T == 0 && start == 0 {
-			v.T = t
-		} else if v.T != t {
-			return fail(fmt.Errorf("tuple: batch column %d type %v, accumulator %v", c, t, v.T))
-		}
-		for r := 0; r < nRows; r++ {
-			switch t {
-			case Int64:
-				x, n := binary.Varint(body[off:])
-				if n <= 0 {
-					return fail(errBadVarint)
-				}
-				off += n
-				v.I64 = append(v.I64, x)
-			case Float64:
-				if off+8 > len(body) {
-					return fail(errTruncatedFloat)
-				}
-				v.F64 = append(v.F64, math.Float64frombits(binary.BigEndian.Uint64(body[off:])))
-				off += 8
-			case String:
-				l, n := binary.Uvarint(body[off:])
-				if n <= 0 {
-					return fail(errBadUvarint)
-				}
-				off += n
-				if l > uint64(len(body)-off) {
-					return fail(errTruncatedString)
-				}
-				v.Str = append(v.Str, string(body[off:off+int(l)]))
-				off += int(l)
-			}
-		}
-	}
-	b.N += nRows
-	return nRows, nil
+	b.N += bb.rows
+	return bb.rows, nil
 }

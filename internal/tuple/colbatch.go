@@ -1,11 +1,8 @@
 package tuple
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
-	"unsafe"
 )
 
 // Column-major in-memory batches: the unit the engine's scan pipeline
@@ -300,6 +297,36 @@ func (b *Batch) Grow(n int) {
 	}
 }
 
+// Own copies the batch's string values into one exact-size slab and points
+// them at it, so that the batch pins its own bytes and nothing else: a
+// scanned string aliases the stored record it was read from
+// (DecodeRowCols), and a batch kept past its query would otherwise keep
+// every store buffer it read. A string vector that several columns share is
+// copied once. Own rewrites the batch's string headers, so no one else may
+// be reading the batch.
+func (b *Batch) Own() {
+	var vecs [][]string
+	size := 0
+	for c := range b.Cols {
+		str := b.Cols[c].Str
+		if len(str) == 0 || slices.ContainsFunc(vecs, func(v []string) bool { return &v[0] == &str[0] }) {
+			continue
+		}
+		vecs = append(vecs, str)
+		for _, x := range str {
+			size += len(x)
+		}
+	}
+	slab := make([]byte, 0, size)
+	for _, str := range vecs {
+		for i, x := range str {
+			at := len(slab)
+			slab = append(slab, x...)
+			str[i] = alias(slab[at:])
+		}
+	}
+}
+
 // ClearStrings zeroes every string header the batch's vectors still
 // reference, including capacity beyond the current length. Pool
 // recyclers call it so a parked batch cannot pin the string contents of
@@ -391,56 +418,6 @@ func (b *Batch) Project(cols []int) {
 		out[i] = b.Cols[c]
 	}
 	b.Cols = out
-}
-
-// DecodeRowCols decodes one AppendRow-encoded row straight onto the
-// batch's column vectors (the batch must be typed by the same schema) and
-// returns the bytes consumed. This is the scan path's allocation-free
-// decode: no Row or Value boxing is built, and string values ALIAS data
-// instead of copying — the caller must guarantee that data is never
-// mutated and outlives the batch (stored kvstore values satisfy this: a
-// record is copied once on write and again when its B-tree leaf is packed,
-// and neither copy is ever rewritten). An aliased string keeps its whole
-// buffer alive, so a holder that outlives the query copies it.
-func DecodeRowCols(data []byte, s *Schema, b *Batch) (int, error) {
-	if len(b.Cols) != len(s.Columns) {
-		return 0, fmt.Errorf("tuple: batch arity %d != schema arity %d", len(b.Cols), len(s.Columns))
-	}
-	off := 0
-	for i, col := range s.Columns {
-		v := &b.Cols[i]
-		switch col.Type {
-		case Int64:
-			x, n := binary.Varint(data[off:])
-			if n <= 0 {
-				return 0, fmt.Errorf("tuple: bad varint in column %s", col.Name)
-			}
-			v.I64 = append(v.I64, x)
-			off += n
-		case Float64:
-			if off+8 > len(data) {
-				return 0, fmt.Errorf("tuple: truncated float in column %s", col.Name)
-			}
-			v.F64 = append(v.F64, math.Float64frombits(binary.BigEndian.Uint64(data[off:])))
-			off += 8
-		case String:
-			l, n := binary.Uvarint(data[off:])
-			if n <= 0 || off+n+int(l) > len(data) {
-				return 0, fmt.Errorf("tuple: truncated string in column %s", col.Name)
-			}
-			off += n
-			if l == 0 {
-				v.Str = append(v.Str, "")
-			} else {
-				v.Str = append(v.Str, unsafe.String(&data[off], int(l)))
-			}
-			off += int(l)
-		default:
-			return 0, fmt.Errorf("tuple: unknown column type %v", col.Type)
-		}
-	}
-	b.N++
-	return off, nil
 }
 
 // AppendBatchCols appends the wire encoding of a columnar batch to dst,

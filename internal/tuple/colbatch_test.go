@@ -3,6 +3,7 @@ package tuple
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 func colTestSchema(t *testing.T) *Schema {
@@ -123,12 +124,11 @@ func TestDecodeRowCols(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := DecodeRowCols(enc, s, b)
-		if err != nil {
+		if err := DecodeRowCols(enc, s, b); err != nil {
 			t.Fatal(err)
 		}
-		if n != len(enc) {
-			t.Fatalf("consumed %d of %d bytes", n, len(enc))
+		if err := DecodeRowCols(enc, s, nil); err != nil {
+			t.Fatalf("a row decoded onto a batch fails the check: %v", err)
 		}
 	}
 	got := b.Rows()
@@ -137,18 +137,25 @@ func TestDecodeRowCols(t *testing.T) {
 			t.Fatalf("row %d: got %v want %v", i, got[i], rows[i])
 		}
 	}
-	// Truncated input backs out cleanly with Truncate.
+	// A truncated row, or one with bytes past its last column, is refused
+	// and leaves the batch as it was.
 	enc, err := AppendRow(nil, s, rows[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := b.N
-	if _, err := DecodeRowCols(enc[:len(enc)-1], s, b); err == nil {
-		t.Fatal("truncated row decoded without error")
-	}
-	b.Truncate(before)
-	if b.N != before || b.Cols[0].Len() != before {
-		t.Fatalf("Truncate did not restore the batch: N=%d len=%d want %d", b.N, b.Cols[0].Len(), before)
+	for _, bad := range [][]byte{enc[:len(enc)-1], append(enc, 0)} {
+		if err := DecodeRowCols(bad, s, b); err == nil {
+			t.Fatalf("row %x decoded without error", bad)
+		}
+		if err := DecodeRowCols(bad, s, nil); err == nil {
+			t.Fatalf("row %x passed the check", bad)
+		}
+		for c := range b.Cols {
+			if b.N != before || b.Cols[c].Len() != before {
+				t.Fatalf("a refused row left N=%d, column %d of length %d; want %d", b.N, c, b.Cols[c].Len(), before)
+			}
+		}
 	}
 }
 
@@ -214,5 +221,51 @@ func TestAppendBatchIntoMismatchLeavesIntact(t *testing.T) {
 	}
 	if acc.N != 2 {
 		t.Fatalf("N=%d after arity mismatch", acc.N)
+	}
+}
+
+// TestOwnMovesStringsIntoOneSlab: after Own the batch's strings hold the
+// same values, none lies in the buffer they were decoded from, a vector two
+// columns share is copied once, and one exact-size slab holds them all.
+func TestOwnMovesStringsIntoOneSlab(t *testing.T) {
+	s := MustSchema("o", []Column{{Name: "k", Type: String}, {Name: "n", Type: Int64}, {Name: "v", Type: String}}, "k")
+	rows := []Row{{S("alpha"), I(1), S("")}, {S("b"), I(2), S("gamma")}, {S(""), I(3), S("delta")}}
+	b := NewBatch(s)
+	var bufs [][]byte
+	for _, row := range rows {
+		enc, err := AppendRow(nil, s, row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := DecodeRowCols(enc, s, b); err != nil {
+			t.Fatal(err)
+		}
+		bufs = append(bufs, enc)
+	}
+	b.Project([]int{0, 1, 2, 0}) // column 3 shares column 0's vector
+	b.Own()
+	got := b.Rows()
+	lo, hi, size := ^uintptr(0), uintptr(0), uintptr(0)
+	for i, row := range rows {
+		if want := append(row.Clone(), row[0]); !got[i].Equal(want) {
+			t.Fatalf("row %d: %v after Own, want %v", i, got[i], want)
+		}
+	}
+	for c, col := range b.Cols[:3] {
+		for _, x := range col.Str {
+			if x == "" {
+				continue
+			}
+			p := uintptr(unsafe.Pointer(unsafe.StringData(x)))
+			for _, buf := range bufs {
+				if at := uintptr(unsafe.Pointer(&buf[0])); p >= at && p < at+uintptr(len(buf)) {
+					t.Fatalf("column %d string %q still aliases its record", c, x)
+				}
+			}
+			lo, hi, size = min(lo, p), max(hi, p+uintptr(len(x))), size+uintptr(len(x))
+		}
+	}
+	if hi-lo != size {
+		t.Fatalf("%d bytes of strings span %d bytes, want one exact-size slab", size, hi-lo)
 	}
 }

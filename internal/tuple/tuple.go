@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/keyspace"
 )
 
@@ -358,64 +359,53 @@ func AppendKeyValue(dst []byte, v Value) []byte {
 // retrieved by its ID (§IV).
 func DecodeKey(data []byte) ([]Value, error) {
 	var out []Value
-	for len(data) > 0 {
-		tag := data[0]
-		data = data[1:]
-		switch tag {
+	r := codec.NewReader(data)
+	for r.Err() == nil && r.Pos() < len(data) {
+		switch tag := r.U8(); tag {
 		case 0x01:
-			if len(data) < 8 {
-				return nil, errors.New("tuple: truncated int64 key")
-			}
-			u := binary.BigEndian.Uint64(data[:8]) ^ (1 << 63)
-			out = append(out, I(int64(u)))
-			data = data[8:]
+			out = append(out, I(int64(r.U64()^(1<<63))))
 		case 0x02:
-			if len(data) < 8 {
-				return nil, errors.New("tuple: truncated float64 key")
-			}
-			bits := binary.BigEndian.Uint64(data[:8])
+			bits := r.U64()
 			if bits&(1<<63) != 0 {
 				bits &^= 1 << 63
 			} else {
 				bits = ^bits
 			}
 			out = append(out, F(math.Float64frombits(bits)))
-			data = data[8:]
 		case 0x03:
-			var sb strings.Builder
-			i := 0
-			for {
-				if i+1 >= len(data)+1 && i >= len(data) {
-					return nil, errors.New("tuple: unterminated string key")
-				}
-				if i >= len(data) {
-					return nil, errors.New("tuple: unterminated string key")
-				}
-				if data[i] == 0x00 {
-					if i+1 >= len(data) {
-						return nil, errors.New("tuple: truncated string escape")
-					}
-					if data[i+1] == 0x00 { // terminator
-						i += 2
-						break
-					}
-					if data[i+1] == 0xFF { // escaped zero byte
-						sb.WriteByte(0x00)
-						i += 2
-						continue
-					}
-					return nil, errors.New("tuple: bad string escape")
-				}
-				sb.WriteByte(data[i])
-				i++
-			}
-			out = append(out, S(sb.String()))
-			data = data[i:]
+			out = append(out, S(readKeyString(&r)))
 		default:
-			return nil, fmt.Errorf("tuple: unknown key tag %#x", tag)
+			r.Fail(fmt.Errorf("unknown key tag %#x", tag))
 		}
 	}
+	if err := r.Done("tuple: key"); err != nil {
+		return nil, err
+	}
 	return out, nil
+}
+
+// readKeyString reads an escaped key string: 0x00 0xFF is a zero byte and
+// 0x00 0x00 ends the string.
+func readKeyString(r *codec.Reader) string {
+	var s []byte
+	for {
+		c := r.U8()
+		if r.Err() != nil {
+			return ""
+		}
+		if c != 0x00 {
+			s = append(s, c)
+			continue
+		}
+		switch r.U8() {
+		case 0x00:
+			return string(s)
+		case 0xFF:
+			s = append(s, 0x00)
+		default:
+			r.Fail(errors.New("bad string escape"))
+		}
+	}
 }
 
 // --- Tuple identifiers ---
@@ -461,13 +451,12 @@ func (id ID) Encode() []byte {
 
 // DecodeID parses an encoded ID.
 func DecodeID(data []byte) (ID, error) {
-	if len(data) < 8 {
-		return ID{}, errors.New("tuple: truncated ID")
+	r := codec.NewReader(data)
+	id := ID{Epoch: Epoch(r.U64()), Key: string(r.Rest())}
+	if err := r.Done("tuple: ID"); err != nil {
+		return ID{}, err
 	}
-	return ID{
-		Epoch: Epoch(binary.BigEndian.Uint64(data[:8])),
-		Key:   string(data[8:]),
-	}, nil
+	return id, nil
 }
 
 func (id ID) String() string {
@@ -507,39 +496,4 @@ func AppendRow(dst []byte, s *Schema, row Row) ([]byte, error) {
 		}
 	}
 	return dst, nil
-}
-
-// DecodeRow deserializes a row written by AppendRow; it returns the row and
-// the number of bytes consumed.
-func DecodeRow(data []byte, s *Schema) (Row, int, error) {
-	row := make(Row, len(s.Columns))
-	off := 0
-	for i, col := range s.Columns {
-		switch col.Type {
-		case Int64:
-			v, n := binary.Varint(data[off:])
-			if n <= 0 {
-				return nil, 0, fmt.Errorf("tuple: bad varint in column %s", col.Name)
-			}
-			row[i] = I(v)
-			off += n
-		case Float64:
-			if off+8 > len(data) {
-				return nil, 0, fmt.Errorf("tuple: truncated float in column %s", col.Name)
-			}
-			row[i] = F(math.Float64frombits(binary.BigEndian.Uint64(data[off:])))
-			off += 8
-		case String:
-			l, n := binary.Uvarint(data[off:])
-			if n <= 0 || off+n+int(l) > len(data) {
-				return nil, 0, fmt.Errorf("tuple: truncated string in column %s", col.Name)
-			}
-			off += n
-			row[i] = S(string(data[off : off+int(l)]))
-			off += int(l)
-		default:
-			return nil, 0, fmt.Errorf("tuple: unknown column type %v", col.Type)
-		}
-	}
-	return row, off, nil
 }

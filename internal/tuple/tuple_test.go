@@ -210,14 +210,11 @@ func TestRowCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, n, err := DecodeRow(enc, s)
-		if err != nil {
+		b := NewBatch(s)
+		if err := DecodeRowCols(enc, s, b); err != nil {
 			t.Fatal(err)
 		}
-		if n != len(enc) {
-			t.Errorf("consumed %d of %d bytes", n, len(enc))
-		}
-		if !got.Equal(row) {
+		if got := b.Rows(); len(got) != 1 || !got[0].Equal(row) {
 			t.Errorf("round trip %v -> %v", row, got)
 		}
 	}
@@ -231,7 +228,7 @@ func TestRowCodecErrors(t *testing.T) {
 	if _, err := AppendRow(nil, s, Row{I(1), I(2), F(3)}); err == nil {
 		t.Error("wrong type should fail")
 	}
-	if _, _, err := DecodeRow([]byte{0x03}, s); err == nil {
+	if err := DecodeRowCols([]byte{0x03}, s, NewBatch(s)); err == nil {
 		t.Error("garbage should fail to decode")
 	}
 }

@@ -469,7 +469,8 @@ func EncodeTupleRecord(s *tuple.Schema, rec TupleRecord) ([]byte, error) {
 // a columnar batch, skipping the ID and all per-row allocations. String
 // values alias data (see tuple.DecodeRowCols): data must be an immutable,
 // retained buffer — stored kvstore values qualify, since the store copies a
-// record on write and when it packs its leaf but never rewrites a byte.
+// record on write and when it packs its leaf but never rewrites a byte. A
+// refused record leaves b as it was.
 func DecodeTupleRecordCols(s *tuple.Schema, data []byte, b *tuple.Batch) error {
 	r := codec.NewReader(data)
 	r.U64()   // ID epoch
@@ -478,33 +479,5 @@ func DecodeTupleRecordCols(s *tuple.Schema, data []byte, b *tuple.Batch) error {
 	if err := r.Done("vstore: tuple record"); err != nil {
 		return err
 	}
-	n, err := tuple.DecodeRowCols(rowBytes, s, b)
-	if err != nil {
-		return err
-	}
-	if n != len(rowBytes) {
-		return errors.New("vstore: trailing bytes in tuple row")
-	}
-	return nil
-}
-
-// DecodeTupleRecord reverses EncodeTupleRecord.
-func DecodeTupleRecord(s *tuple.Schema, data []byte) (TupleRecord, error) {
-	r := codec.NewReader(data)
-	var rec TupleRecord
-	rec.ID.Epoch = tuple.Epoch(r.U64())
-	rec.ID.Key = r.Str()
-	rowBytes := r.Bytes()
-	if err := r.Done("vstore: tuple record"); err != nil {
-		return rec, err
-	}
-	row, n, err := tuple.DecodeRow(rowBytes, s)
-	if err != nil {
-		return rec, err
-	}
-	if n != len(rowBytes) {
-		return rec, errors.New("vstore: trailing bytes in tuple row")
-	}
-	rec.Row = row
-	return rec, nil
+	return tuple.DecodeRowCols(rowBytes, s, b)
 }

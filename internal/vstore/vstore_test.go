@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/keyspace"
 	"orchestra/internal/tuple"
 )
@@ -232,12 +233,14 @@ func TestTupleRecordCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeTupleRecord(s, enc)
-	if err != nil {
+	r := codec.NewReader(enc)
+	id := tuple.ID{Epoch: tuple.Epoch(r.U64()), Key: r.Str()}
+	b := tuple.NewBatch(s)
+	if err := DecodeTupleRecordCols(s, enc, b); err != nil {
 		t.Fatal(err)
 	}
-	if got.ID != rec.ID || !got.Row.Equal(rec.Row) {
-		t.Errorf("round trip: %+v != %+v", got, rec)
+	if got := b.Rows(); id != rec.ID || len(got) != 1 || !got[0].Equal(rec.Row) {
+		t.Errorf("round trip: %v %v != %+v", id, got, rec)
 	}
 }
 

@@ -147,7 +147,9 @@ func (c *Cluster) QueryOpts(src string, opts QueryOptions) (*Result, error) {
 }
 
 // rowSink collects an answer as rows the caller owns — the embedded API's
-// one materialisation of it.
+// one materialisation of it. It keeps a copy of each batch the engine lends
+// it, owned (Batch.Own) before its rows are taken: a scanned string aliases
+// a store leaf, which a held Result must not pin.
 type rowSink struct {
 	cols []string
 	rows []tuple.Row
@@ -156,7 +158,12 @@ type rowSink struct {
 func (s *rowSink) Columns(cols []string) { s.cols = cols }
 
 func (s *rowSink) StreamCols(b *tuple.Batch) error {
-	s.rows = append(s.rows, b.Rows()...)
+	var kept tuple.Batch
+	if err := kept.AppendBatchInto(b); err != nil {
+		return err
+	}
+	kept.Own()
+	s.rows = append(s.rows, kept.Rows()...)
 	return nil
 }
 
