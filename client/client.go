@@ -680,7 +680,8 @@ type Stream struct {
 
 	cols      []string
 	batch     [][]any
-	pending   bool // a consumed batch needs a credit grant
+	pending   bool   // a consumed batch needs a credit grant
+	grant     []byte // the one-credit frame, built once: every grant is the same bytes
 	err       error
 	done      bool
 	end       *server.StreamEnd
@@ -798,10 +799,12 @@ func (s *Stream) Next() bool {
 		// Grant one credit for the batch just consumed so the server's
 		// window keeps sliding.
 		s.pending = false
-		buf := server.AppendCreditPayload(make([]byte, 0, 16), s.id, 1)
-		frame, err := server.AppendBinaryFrame(make([]byte, 0, 32), server.FrameCredit, buf, s.conn.maxFrame)
+		var err error
+		if s.grant == nil {
+			s.grant, err = server.AppendBinaryFrame(nil, server.FrameCredit, server.AppendCreditPayload(nil, s.id, 1), s.conn.maxFrame)
+		}
 		if err == nil {
-			_, err = s.conn.Write(frame)
+			_, err = s.conn.Write(s.grant)
 		}
 		if err != nil {
 			s.fail(s.cc.wrapErr(fmt.Errorf("orchestra client: credit: %w", err)))
@@ -861,7 +864,10 @@ func (s *Stream) finishConn(keep bool) {
 }
 
 // Batch returns the current batch of rows (valid until the next call to
-// Next). Row values are int64, float64, or string.
+// Next). Row values are int64, float64, or string. The cells of one column
+// share one backing array per batch, so a cell kept past Next keeps its
+// column's array alive: copy the value out (strings.Clone for a string, a
+// plain variable for a number) to hold it alone.
 func (s *Stream) Batch() [][]any { return s.batch }
 
 // Columns returns the result column names (available immediately).

@@ -19,6 +19,7 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 )
@@ -184,6 +185,40 @@ func (r *Reader) Varint() int64 {
 	return int64(u>>1) ^ -int64(u&1)
 }
 
+// Varints reads n signed (zig-zag) varints, a column of them, in one loop
+// where Varint would cost a call per value: into dst[:n], or nowhere when
+// dst is nil. A failed read leaves dst[:n] all zero, as a failed Varint
+// returns zero.
+func (r *Reader) Varints(dst []int64, n int) {
+	if dst != nil {
+		dst = dst[:n]
+	}
+	if r.err != nil {
+		clear(dst)
+		return
+	}
+	data, off := r.data, r.off
+	for i := 0; i < n; i++ {
+		var u uint64
+		if off < len(data) && data[off] < 0x80 { // a one-byte varint, the common case
+			u = uint64(data[off])
+			off++
+		} else {
+			v, k := binary.Uvarint(data[off:])
+			if k <= 0 {
+				r.off, r.err = off, ErrTruncated
+				clear(dst)
+				return
+			}
+			u, off = v, off+k
+		}
+		if dst != nil {
+			dst[i] = int64(u>>1) ^ -int64(u&1)
+		}
+	}
+	r.off = off
+}
+
 // Bound turns a claimed element count (or, with minSize 1, a byte length)
 // into an int, refusing one that the bytes left could not hold at minSize
 // bytes an element. It is the only place a wire integer becomes a size, and
@@ -214,6 +249,22 @@ func (r *Reader) Bytes() []byte {
 	}
 	r.off += n
 	return r.take(l, ErrOversize)
+}
+
+// Until returns the bytes before the next delim and reads past the delim
+// too; it fails when no delim is left.
+func (r *Reader) Until(delim byte) []byte {
+	if r.err != nil {
+		return nil
+	}
+	n := bytes.IndexByte(r.data[r.off:], delim)
+	if n < 0 {
+		r.err = ErrTruncated
+		return nil
+	}
+	b := r.take(uint64(n), ErrTruncated)
+	r.off++ // the delim
+	return b
 }
 
 // Str is Bytes copied into a string. (Not named String: a reader that

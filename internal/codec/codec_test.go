@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -20,8 +21,19 @@ func sample() []byte {
 	b = AppendBytes(b, []byte("bytes"))               // Bytes
 	b = AppendBytes(b, []byte("string"))              // Str
 	b = binary.AppendUvarint(b, 2)                    // Count(2)
-	return append(b, 9, 9, 9, 9)                      // its two elements
+	b = append(b, 9, 9, 9, 9)                         // its two elements
+	for _, v := range sampleInts {
+		b = binary.AppendVarint(b, v) // Varints
+	}
+	return append(b, "run\x00"...) // Until(0)
 }
+
+// sampleInts is the column sample's Varints read: one-byte, multi-byte and
+// extreme values.
+var sampleInts = []int64{0, -1, 63, -64, 64, 300, -77, 1 << 40, math.MinInt64, math.MaxInt64}
+
+// sampleReads is how many reads readSample makes of the whole sample.
+const sampleReads = 11
 
 // readSample walks sample's layout, returning how many reads it made before
 // the reader failed (all of them when it did not).
@@ -29,7 +41,7 @@ func readSample(r *Reader) (reads int) {
 	steps := []func(){
 		func() { r.U8() }, func() { r.U32() }, func() { r.U64() }, func() { r.Uvarint() },
 		func() { r.Varint() }, func() { r.Fixed(3) }, func() { r.Bytes() }, func() { _ = r.Str() },
-		func() { r.Fixed(2 * r.Count(2)) },
+		func() { r.Fixed(2 * r.Count(2)) }, func() { r.Varints(nil, len(sampleInts)) }, func() { r.Until(0) },
 	}
 	for _, step := range steps {
 		if step(); r.Err() != nil {
@@ -70,7 +82,17 @@ func TestReaderReadsWhatTheEncodersWrite(t *testing.T) {
 	if got := r.Count(2); got != 2 {
 		t.Errorf("Count = %d", got)
 	}
-	if got := r.Rest(); len(got) != 4 {
+	if got := r.Fixed(4); len(got) != 4 {
+		t.Errorf("Fixed(4) = %v", got)
+	}
+	ints := make([]int64, len(sampleInts)+1)
+	if r.Varints(ints, len(sampleInts)); !slices.Equal(ints[:len(sampleInts)], sampleInts) || ints[len(sampleInts)] != 0 {
+		t.Errorf("Varints = %v, want %v and dst past n untouched", ints, sampleInts)
+	}
+	if got := r.Until(0); string(got) != "run" || cap(got) != len(got) {
+		t.Errorf("Until = %q (cap %d)", got, cap(got))
+	}
+	if got := r.Rest(); len(got) != 0 {
 		t.Errorf("Rest = %v", got)
 	}
 	if err := r.Done("sample"); err != nil {
@@ -83,14 +105,14 @@ func TestReaderReadsWhatTheEncodersWrite(t *testing.T) {
 func TestTruncationAtEveryPoint(t *testing.T) {
 	full := sample()
 	whole := NewReader(full)
-	if n := readSample(&whole); n != 9 || whole.Done("sample") != nil {
+	if n := readSample(&whole); n != sampleReads || whole.Done("sample") != nil {
 		t.Fatalf("the whole sample: %d reads, %v", n, whole.Err())
 	}
 	prev := 0
 	for cut := 0; cut < len(full); cut++ {
 		r := NewReader(full[:cut])
 		n := readSample(&r)
-		if n == 9 || n < prev {
+		if n == sampleReads || n < prev {
 			t.Fatalf("cut at %d of %d: %d reads succeeded (%d at the previous cut)", cut, len(full), n, prev)
 		}
 		prev = n
@@ -99,8 +121,12 @@ func TestTruncationAtEveryPoint(t *testing.T) {
 			t.Fatalf("cut at %d: %v", cut, first)
 		}
 		if r.U8() != 0 || r.U32() != 0 || r.U64() != 0 || r.Uvarint() != 0 || r.Varint() != 0 ||
-			r.Fixed(1) != nil || r.Bytes() != nil || r.Str() != "" || r.Count(1) != 0 || r.Rest() != nil || r.Enter() {
+			r.Fixed(1) != nil || r.Bytes() != nil || r.Str() != "" || r.Count(1) != 0 || r.Until(0) != nil || r.Rest() != nil || r.Enter() {
 			t.Fatalf("cut at %d: a read after the failure returned something", cut)
+		}
+		ints := []int64{7, 7}
+		if r.Varints(ints, 2); ints[0] != 0 || ints[1] != 0 {
+			t.Fatalf("cut at %d: Varints after the failure read %v", cut, ints)
 		}
 		r.Fail(errors.New("later"))
 		var e *Error
@@ -139,6 +165,16 @@ func TestHostileLengths(t *testing.T) {
 		if r.Varint(); !errors.Is(r.Err(), ErrTruncated) {
 			t.Errorf("Varint(%x): %v", bad, r.Err())
 		}
+		// In a column after two good values: the column fails and reads as zeros.
+		r = NewReader(append([]byte{2, 4}, bad...))
+		ints := make([]int64, 3)
+		if r.Varints(ints, 3); !errors.Is(r.Err(), ErrTruncated) || !slices.Equal(ints, []int64{0, 0, 0}) {
+			t.Errorf("Varints(02 04 %x) = %v, %v", bad, ints, r.Err())
+		}
+	}
+	r = NewReader([]byte("no delimiter"))
+	if r.Until(0); !errors.Is(r.Err(), ErrTruncated) {
+		t.Errorf("Until without a delimiter: %v", r.Err())
 	}
 }
 

@@ -1,65 +1,77 @@
 package tuple
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 )
 
 // randBatchRows builds a random type-homogeneous batch: random column
-// signature, then values drawn per type (including adversarial ones:
-// extreme ints, ±0, NaN-adjacent floats, empty/NUL/long strings).
+// signature, then values drawn per type (randValue).
 func randBatchRows(rng *rand.Rand, nRows, arity int) []Row {
 	types := make([]Type, arity)
 	for i := range types {
 		types[i] = Type(rng.Intn(3) + 1)
 	}
+	return randTypedRows(rng, nRows, types)
+}
+
+// randTypedRows builds nRows random rows of the given column types.
+func randTypedRows(rng *rand.Rand, nRows int, types []Type) []Row {
 	rows := make([]Row, nRows)
 	for r := range rows {
-		row := make(Row, arity)
+		row := make(Row, len(types))
 		for c, t := range types {
-			switch t {
-			case Int64:
-				switch rng.Intn(4) {
-				case 0:
-					row[c] = I(rng.Int63() - rng.Int63())
-				case 1:
-					row[c] = I(math.MaxInt64)
-				case 2:
-					row[c] = I(math.MinInt64)
-				default:
-					row[c] = I(int64(rng.Intn(1000)))
-				}
-			case Float64:
-				switch rng.Intn(4) {
-				case 0:
-					row[c] = F(rng.NormFloat64() * 1e18)
-				case 1:
-					row[c] = F(math.Copysign(0, -1))
-				case 2:
-					row[c] = F(math.MaxFloat64)
-				default:
-					row[c] = F(float64(rng.Intn(100)) / 4)
-				}
-			case String:
-				switch rng.Intn(4) {
-				case 0:
-					row[c] = S("")
-				case 1:
-					row[c] = S("with\x00nul\nand\tctrl")
-				case 2:
-					row[c] = S(strings.Repeat("pad", rng.Intn(200)))
-				default:
-					row[c] = S(fmt.Sprintf("k%06d", rng.Intn(1e6)))
-				}
-			}
+			row[c] = randValue(rng, t)
 		}
 		rows[r] = row
 	}
 	return rows
+}
+
+// randValue draws a value of type t, adversarial ones included: extreme
+// ints, ±0, NaN-adjacent floats, empty/NUL/long strings.
+func randValue(rng *rand.Rand, t Type) Value {
+	switch t {
+	case Int64:
+		switch rng.Intn(4) {
+		case 0:
+			return I(rng.Int63() - rng.Int63())
+		case 1:
+			return I(math.MaxInt64)
+		case 2:
+			return I(math.MinInt64)
+		default:
+			return I(int64(rng.Intn(1000)))
+		}
+	case Float64:
+		switch rng.Intn(4) {
+		case 0:
+			return F(rng.NormFloat64() * 1e18)
+		case 1:
+			return F(math.Copysign(0, -1))
+		case 2:
+			return F(math.MaxFloat64)
+		default:
+			return F(float64(rng.Intn(100)) / 4)
+		}
+	default:
+		switch rng.Intn(4) {
+		case 0:
+			return S("")
+		case 1:
+			return S("with\x00nul\nand\tctrl")
+		case 2:
+			return S(strings.Repeat("pad", rng.Intn(200)))
+		default:
+			return S(fmt.Sprintf("k%06d", rng.Intn(1e6)))
+		}
+	}
 }
 
 // encodeRows and decodeRows drive the batch codec from the tests' row
@@ -245,6 +257,79 @@ func appendUvarintT(dst []byte, v uint64) []byte {
 	return append(dst, byte(v))
 }
 
+// TestBoxedCellsAreTheirValues pins boxColumn, the interface header built
+// over a column slab: every cell DecodeBatchAny returns is the value
+// DecodeInto + Rows decodes, compared as interfaces (==, which compares the
+// dynamic type too) and by a type switch, after the encoded bytes are
+// overwritten, the pooled body buffer is reused by another decode, and
+// garbage collections run over churned memory. A slab freed or reused while
+// a cell still points into it would show here, and under -race.
+func TestBoxedCellsAreTheirValues(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	types := []Type{String, Int64, Float64, Int64, String, Float64}
+	for _, n := range []int{1, 2, 1024, 4096} {
+		for _, minCompress := range []int{-1, 1} {
+			enc, err := encodeRows(randTypedRows(rng, n, types), minCompress)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells, err := DecodeBatchAny(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var into Batch
+			if _, err := DecodeBatchInto(enc, &into); err != nil {
+				t.Fatal(err)
+			}
+			want := into.Rows()
+			clear(enc)
+			other, err := encodeRows(randTypedRows(rng, n, types), minCompress)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := DecodeBatchAny(other); err != nil {
+				t.Fatal(err)
+			}
+			for range 3 {
+				churn := make([][]byte, 0, 4096)
+				for i := range cap(churn) {
+					churn = append(churn, bytes.Repeat([]byte{byte(i)}, 8+i%64))
+				}
+				runtime.GC()
+			}
+			for i, row := range want {
+				for c, v := range row {
+					cell := cells[i][c]
+					var plain any
+					switch v.T {
+					case Int64:
+						plain = v.I64
+					case Float64:
+						plain = v.F64
+					case String:
+						plain = strings.Clone(v.Str)
+					}
+					if cell != plain {
+						t.Fatalf("n=%d compress=%d row %d col %d: cell %T %v != %T %v", n, minCompress, i, c, cell, cell, plain, plain)
+					}
+					var same bool
+					switch x := cell.(type) {
+					case int64:
+						same = v.T == Int64 && x == v.I64
+					case float64:
+						same = v.T == Float64 && math.Float64bits(x) == math.Float64bits(v.F64)
+					case string:
+						same = v.T == String && x == v.Str
+					}
+					if !same {
+						t.Fatalf("n=%d compress=%d row %d col %d: cell %T %v, want %v", n, minCompress, i, c, cell, cell, v)
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzDecodeBatch asserts the batch decoders never panic, agree with each
 // other on acceptance and on every value, and that everything they accept
 // re-encodes to an equivalent batch.
@@ -298,6 +383,9 @@ func FuzzDecodeBatch(f *testing.F) {
 					boxed = F(x)
 				case string:
 					boxed = S(x)
+				}
+				if boxed.T != v.T {
+					t.Fatalf("row %d col %d: DecodeBatchAny holds a %T, DecodeBatchInto a %v", i, j, anyRows[i][j], v.T)
 				}
 				if !sameBits(v, boxed) {
 					t.Fatalf("row %d col %d: DecodeBatchAny %v != DecodeBatchInto %v", i, j, boxed, v)

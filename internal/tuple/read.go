@@ -3,6 +3,7 @@ package tuple
 import (
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 
 	"orchestra/internal/codec"
@@ -13,7 +14,9 @@ import (
 // that many bytes (String), in a stored record (AppendRow) and in a batch
 // column (AppendBatchCols) alike. Each type is read by one function below,
 // on codec.Reader, so a length that wraps, a varint that runs off the end or
-// a float cut short fails the reader instead of a slice expression. Two
+// a float cut short fails the reader instead of a slice expression; a batch's
+// int column is read whole by Reader.Varints, the same grammar in one call
+// per column. Two
 // walks lay the values out: a record, one value per column (DecodeRowCols),
 // and a batch, a column of values at a time (BatchBody.walk). Each takes where
 // the values go as a parameter — a record's onto a batch or nowhere, a
@@ -85,10 +88,33 @@ func alias(p []byte) string {
 	return unsafe.String(&p[0], len(p))
 }
 
+// boxColumn sets column c of rows to col's values — rows[i][c] is any(col[i])
+// — without copying a value into a box of its own: each interface's type word
+// is T's and its data word points at col[i]. This is how a client batch costs
+// allocations per column rather than per cell: DecodeBatchAny fills one
+// typed slab per column and boxes each cell from it. It is sound because Go
+// never writes through an interface's data word (a non-pointer value in an
+// interface is immutable), and the caller owes the rest: col is fresh, and
+// nothing writes it once it is boxed. A kept cell keeps its whole column
+// slab alive, as an aliased string keeps its buffer (alias). T is one of the
+// column types, none of them pointer-shaped: for those an interface's data
+// word is the address of the value, never the value itself. It is the
+// package's one construction of an interface header; TestBoxedCellsAreTheirValues
+// pins it against DecodeInto's values across a GC.
+func boxColumn[T int64 | float64 | string](rows [][]any, c int, col []T) {
+	x := any(*new(T)) // T's type word; a zero value's box is static, no allocation
+	e := (*struct{ typ, data unsafe.Pointer })(unsafe.Pointer(&x))
+	for i, row := range rows[:len(col)] {
+		e.data = unsafe.Pointer(&col[i])
+		row[c] = x
+	}
+}
+
 // dest is where a batch walk puts the values it reads: onto b's typed
 // vectors (strings copied), into boxed rows, or nowhere — then the walk
 // only checks that the bytes hold the values they claim to, collecting the
-// column types into types.
+// column types into types. Boxed rows get one fresh slab per column, and
+// every cell is an interface pointing into it (boxColumn).
 type dest struct {
 	b     *Batch
 	boxed [][]any
@@ -138,22 +164,21 @@ func (d *dest) tag(r *codec.Reader, c int, t Type) {
 }
 
 // ints, floats and strings read column c's n values into d, the choice of
-// destination made once per column rather than once per value.
+// destination made once per column rather than once per value. A column of
+// ints is one codec call (Reader.Varints) wherever it goes.
 func (d *dest) ints(r *codec.Reader, c, n int) {
 	switch {
 	case d.b != nil:
 		v := &d.b.Cols[c]
-		for range n {
-			v.I64 = append(v.I64, readInt(r))
-		}
+		at := len(v.I64)
+		v.I64 = slices.Grow(v.I64, n)[:at+n]
+		r.Varints(v.I64[at:], n)
 	case d.boxed != nil:
-		for _, row := range d.boxed[:n] {
-			row[c] = readInt(r)
-		}
+		col := make([]int64, n)
+		r.Varints(col, n)
+		boxColumn(d.boxed, c, col)
 	default:
-		for range n {
-			readInt(r)
-		}
+		r.Varints(nil, n)
 	}
 }
 
@@ -165,9 +190,11 @@ func (d *dest) floats(r *codec.Reader, c, n int) {
 			v.F64 = append(v.F64, readFloat(r))
 		}
 	case d.boxed != nil:
-		for _, row := range d.boxed[:n] {
-			row[c] = readFloat(r)
+		col := make([]float64, n)
+		for i := range col {
+			col[i] = readFloat(r)
 		}
+		boxColumn(d.boxed, c, col)
 	default:
 		for range n {
 			readFloat(r)
@@ -183,9 +210,25 @@ func (d *dest) strings(r *codec.Reader, c, n int) {
 			v.Str = append(v.Str, string(readString(r)))
 		}
 	case d.boxed != nil:
-		for _, row := range d.boxed[:n] {
-			row[c] = string(readString(r))
+		// A first pass over a copy of the reader sizes one buffer for the
+		// column's bytes; the second copies each value in and keeps it as a
+		// substring of that buffer, which nothing writes again.
+		probe, size := *r, 0
+		for range n {
+			size += len(readString(&probe))
 		}
+		if probe.Err() != nil {
+			*r = probe
+			return
+		}
+		buf := make([]byte, 0, size)
+		col := make([]string, n)
+		for i := range col {
+			at := len(buf)
+			buf = append(buf, readString(r)...)
+			col[i] = alias(buf[at:])
+		}
+		boxColumn(d.boxed, c, col)
 	default:
 		for range n {
 			readString(r)

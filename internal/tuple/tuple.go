@@ -385,25 +385,23 @@ func DecodeKey(data []byte) ([]Value, error) {
 }
 
 // readKeyString reads an escaped key string: 0x00 0xFF is a zero byte and
-// 0x00 0x00 ends the string.
+// 0x00 0x00 ends the string. Each run of bytes up to a zero is one read; a
+// string with no zero byte in it, the usual key, is one run and one copy.
 func readKeyString(r *codec.Reader) string {
-	var s []byte
+	var s []byte // the runs before an escaped zero byte, if any
 	for {
-		c := r.U8()
-		if r.Err() != nil {
-			return ""
-		}
-		if c != 0x00 {
-			s = append(s, c)
-			continue
-		}
+		run := r.Until(0x00)
 		switch r.U8() {
-		case 0x00:
-			return string(s)
+		case 0x00: // the end, or a failed read
+			if s == nil {
+				return string(run)
+			}
+			return string(append(s, run...))
 		case 0xFF:
-			s = append(s, 0x00)
+			s = append(append(s, run...), 0x00)
 		default:
 			r.Fail(errors.New("bad string escape"))
+			return ""
 		}
 	}
 }

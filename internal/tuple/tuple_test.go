@@ -129,7 +129,7 @@ func TestEncodeKeyOrderPreserving(t *testing.T) {
 }
 
 func TestDecodeKeyRoundTrip(t *testing.T) {
-	vals := []Value{I(-42), S("hello\x00world"), F(3.25), S(""), I(0)}
+	vals := []Value{I(-42), S("hello\x00world"), F(3.25), S(""), I(0), S("\x00"), S("a\x00\x00b\x00"), S("\xff\x00\xff")}
 	var enc []byte
 	for _, v := range vals {
 		enc = AppendKeyValue(enc, v)
@@ -484,5 +484,32 @@ func TestRowCmpSortsLexicographically(t *testing.T) {
 		if !rows[i].Equal(want[i]) {
 			t.Errorf("sorted[%d] = %v, want %v", i, rows[i], want[i])
 		}
+	}
+}
+
+// BenchmarkDecodeKey times the covering scan's per-ID decode (ID.KeyValues):
+// a one-string key shaped like the benchmark relation's, and a composite key
+// whose string holds an escaped zero byte.
+func BenchmarkDecodeKey(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		vals []Value
+	}{
+		{"string", []Value{S("k000123")}},
+		{"composite", []Value{S("tenant\x00a/region-eu-west-1"), I(42), F(2.5)}},
+	} {
+		var enc []byte
+		for _, v := range c.vals {
+			enc = AppendKeyValue(enc, v)
+		}
+		id := ID{Key: string(enc), Epoch: 7}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := id.KeyValues(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
