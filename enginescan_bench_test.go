@@ -125,6 +125,7 @@ func TestEngineScanAllocBudget(t *testing.T) {
 		// that empties a pool inside one window costs a refill once, not
 		// per row; per-row memory shows in every window.
 		bytesPerRow := math.Inf(1)
+		var windows []string // each window's B/row, for a failure to show
 		for w := 0; w < 3; w++ {
 			const runs = 10
 			var before, after runtime.MemStats
@@ -133,16 +134,18 @@ func TestEngineScanAllocBudget(t *testing.T) {
 				run()
 			}
 			runtime.ReadMemStats(&after)
-			bytesPerRow = min(bytesPerRow, float64(after.TotalAlloc-before.TotalAlloc)/runs/float64(scanned))
+			perWindow := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(scanned)
+			windows = append(windows, fmt.Sprintf("%.1f", perWindow))
+			bytesPerRow = min(bytesPerRow, perWindow)
 		}
-		t.Logf("served scan: %.0f allocs/query, %.3f allocs/row, %.1f B/row", allocs, perRow, bytesPerRow)
+		t.Logf("served scan: %.0f allocs/query, %.3f allocs/row, %.1f B/row (windows %v)", allocs, perRow, bytesPerRow, windows)
 		if perRow > ceiling {
-			t.Fatalf("scan path allocates %.3f per scanned row (%.0f per query), ceiling %.2f — per-row materialization is back on the hot path",
-				perRow, allocs, ceiling)
+			t.Fatalf("%s: scan path allocates %.3f per scanned row (%.0f per query; B/row by window %v), ceiling %.2f — per-row materialization is back on the hot path",
+				t.Name(), perRow, allocs, windows, ceiling)
 		}
 		if bytesPerRow > byteCeiling {
-			t.Fatalf("scan path allocates %.1f B per scanned row, ceiling %.1f — per-row working memory is back on the hot path",
-				bytesPerRow, byteCeiling)
+			t.Fatalf("%s: scan path allocates %.1f B per scanned row (B/row by window %v; %.0f allocs per query), ceiling %.1f — per-row working memory is back on the hot path",
+				t.Name(), bytesPerRow, windows, allocs, byteCeiling)
 		}
 	}
 	gate := func(t *testing.T, req server.QueryRequest, wantRows int, wantStreamed bool, byteCeiling float64) {

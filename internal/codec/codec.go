@@ -10,9 +10,10 @@
 // encoding/binary's read side at all (TestNoHandRolledDecoders).
 //
 // Encoders stay where the formats are declared and use encoding/binary's
-// Append functions plus AppendBytes; this package only has to agree with them
-// on the primitives: big-endian fixed-width integers, encoding/binary
-// varints, and a uvarint length before a byte field.
+// Append functions plus AppendBytes and AppendPacked; this package only has to
+// agree with them on the primitives: big-endian fixed-width integers,
+// encoding/binary varints, a uvarint length before a byte field, and two
+// columns of n values — packed ints and fixed 8-byte words (columns.go).
 //
 // Out of scope: wal's CRC-framed files, which only this process wrote, with
 // their own bounded reader and fuzz targets.
@@ -44,6 +45,8 @@ var (
 	ErrDepth = errors.New("codec: nested too deep")
 	// ErrTrailing reports bytes left over after a complete decode.
 	ErrTrailing = errors.New("codec: trailing bytes")
+	// ErrWidth reports a packed column whose values claim more than 64 bits.
+	ErrWidth = errors.New("codec: packed width past 64 bits")
 )
 
 // Reader is a cursor over untrusted bytes with a sticky error: after the
@@ -183,40 +186,6 @@ func (r *Reader) Varint() int64 {
 	}
 	r.off += n
 	return int64(u>>1) ^ -int64(u&1)
-}
-
-// Varints reads n signed (zig-zag) varints, a column of them, in one loop
-// where Varint would cost a call per value: into dst[:n], or nowhere when
-// dst is nil. A failed read leaves dst[:n] all zero, as a failed Varint
-// returns zero.
-func (r *Reader) Varints(dst []int64, n int) {
-	if dst != nil {
-		dst = dst[:n]
-	}
-	if r.err != nil {
-		clear(dst)
-		return
-	}
-	data, off := r.data, r.off
-	for i := 0; i < n; i++ {
-		var u uint64
-		if off < len(data) && data[off] < 0x80 { // a one-byte varint, the common case
-			u = uint64(data[off])
-			off++
-		} else {
-			v, k := binary.Uvarint(data[off:])
-			if k <= 0 {
-				r.off, r.err = off, ErrTruncated
-				clear(dst)
-				return
-			}
-			u, off = v, off+k
-		}
-		if dst != nil {
-			dst[i] = int64(u>>1) ^ -int64(u&1)
-		}
-	}
-	r.off = off
 }
 
 // Bound turns a claimed element count (or, with minSize 1, a byte length)

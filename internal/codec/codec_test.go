@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -22,18 +23,23 @@ func sample() []byte {
 	b = AppendBytes(b, []byte("string"))              // Str
 	b = binary.AppendUvarint(b, 2)                    // Count(2)
 	b = append(b, 9, 9, 9, 9)                         // its two elements
-	for _, v := range sampleInts {
-		b = binary.AppendVarint(b, v) // Varints
+	base, width := PackedFrame(sampleInts)
+	b = AppendPacked(b, sampleInts, base, width) // Packed
+	for _, f := range sampleFloats {
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(f)) // Words
 	}
 	return append(b, "run\x00"...) // Until(0)
 }
 
-// sampleInts is the column sample's Varints read: one-byte, multi-byte and
-// extreme values.
-var sampleInts = []int64{0, -1, 63, -64, 64, 300, -77, 1 << 40, math.MinInt64, math.MaxInt64}
+// sampleInts is the sample's packed column: small, large and extreme values,
+// so its width is 64. sampleFloats is its words column.
+var (
+	sampleInts   = []int64{0, -1, 63, -64, 64, 300, -77, 1 << 40, math.MinInt64, math.MaxInt64}
+	sampleFloats = []float64{0, -2.5, math.Inf(1), math.MaxFloat64}
+)
 
 // sampleReads is how many reads readSample makes of the whole sample.
-const sampleReads = 11
+const sampleReads = 12
 
 // readSample walks sample's layout, returning how many reads it made before
 // the reader failed (all of them when it did not).
@@ -41,7 +47,8 @@ func readSample(r *Reader) (reads int) {
 	steps := []func(){
 		func() { r.U8() }, func() { r.U32() }, func() { r.U64() }, func() { r.Uvarint() },
 		func() { r.Varint() }, func() { r.Fixed(3) }, func() { r.Bytes() }, func() { _ = r.Str() },
-		func() { r.Fixed(2 * r.Count(2)) }, func() { r.Varints(nil, len(sampleInts)) }, func() { r.Until(0) },
+		func() { r.Fixed(2 * r.Count(2)) }, func() { r.Packed(len(sampleInts)) }, func() { r.Words(len(sampleFloats)) },
+		func() { r.Until(0) },
 	}
 	for _, step := range steps {
 		if step(); r.Err() != nil {
@@ -86,8 +93,16 @@ func TestReaderReadsWhatTheEncodersWrite(t *testing.T) {
 		t.Errorf("Fixed(4) = %v", got)
 	}
 	ints := make([]int64, len(sampleInts)+1)
-	if r.Varints(ints, len(sampleInts)); !slices.Equal(ints[:len(sampleInts)], sampleInts) || ints[len(sampleInts)] != 0 {
-		t.Errorf("Varints = %v, want %v and dst past n untouched", ints, sampleInts)
+	if p := r.Packed(len(sampleInts)); p.Len() != len(sampleInts) || p.Width() != 64 {
+		t.Errorf("Packed: %d values of width %d", p.Len(), p.Width())
+	} else if p.Decode(ints); !slices.Equal(ints[:len(sampleInts)], sampleInts) || ints[len(sampleInts)] != 0 {
+		t.Errorf("Packed decodes to %v, want %v and dst past n untouched", ints, sampleInts)
+	}
+	floats := make([]float64, len(sampleFloats))
+	if w := r.Words(len(sampleFloats)); w.Len() != len(sampleFloats) {
+		t.Errorf("Words: %d words", w.Len())
+	} else if w.Float64s(floats); !slices.Equal(floats, sampleFloats) {
+		t.Errorf("Words decode to %v, want %v", floats, sampleFloats)
 	}
 	if got := r.Until(0); string(got) != "run" || cap(got) != len(got) {
 		t.Errorf("Until = %q (cap %d)", got, cap(got))
@@ -124,9 +139,8 @@ func TestTruncationAtEveryPoint(t *testing.T) {
 			r.Fixed(1) != nil || r.Bytes() != nil || r.Str() != "" || r.Count(1) != 0 || r.Until(0) != nil || r.Rest() != nil || r.Enter() {
 			t.Fatalf("cut at %d: a read after the failure returned something", cut)
 		}
-		ints := []int64{7, 7}
-		if r.Varints(ints, 2); ints[0] != 0 || ints[1] != 0 {
-			t.Fatalf("cut at %d: Varints after the failure read %v", cut, ints)
+		if p, w := r.Packed(2), r.Words(2); p.Len() != 0 || w.Len() != 0 {
+			t.Fatalf("cut at %d: columns after the failure hold %d and %d values", cut, p.Len(), w.Len())
 		}
 		r.Fail(errors.New("later"))
 		var e *Error
@@ -165,16 +179,93 @@ func TestHostileLengths(t *testing.T) {
 		if r.Varint(); !errors.Is(r.Err(), ErrTruncated) {
 			t.Errorf("Varint(%x): %v", bad, r.Err())
 		}
-		// In a column after two good values: the column fails and reads as zeros.
-		r = NewReader(append([]byte{2, 4}, bad...))
-		ints := make([]int64, 3)
-		if r.Varints(ints, 3); !errors.Is(r.Err(), ErrTruncated) || !slices.Equal(ints, []int64{0, 0, 0}) {
-			t.Errorf("Varints(02 04 %x) = %v, %v", bad, ints, r.Err())
+		r = NewReader(bad) // as a packed column's base
+		if p := r.Packed(1); !errors.Is(r.Err(), ErrTruncated) || p.Len() != 0 {
+			t.Errorf("Packed(%x): %d values, %v", bad, p.Len(), r.Err())
+		}
+	}
+	// Packed and words columns whose claims the bytes cannot back.
+	for name, tc := range map[string]struct {
+		col  []byte
+		read func(*Reader) int
+		want error
+	}{
+		"width 65":              {[]byte{0, 65, 0xff}, func(r *Reader) int { return r.Packed(1).Len() }, ErrWidth},
+		"n x width past bytes":  {[]byte{0, 17, 1, 2, 3}, func(r *Reader) int { return r.Packed(2).Len() }, ErrOversize},
+		"n x 64 past bytes":     {append([]byte{0, 64}, make([]byte, 15)...), func(r *Reader) int { return r.Packed(2).Len() }, ErrOversize},
+		"negative n":            {[]byte{0, 0}, func(r *Reader) int { return r.Packed(-1).Len() }, ErrOversize},
+		"n past any column":     {[]byte{0, 1}, func(r *Reader) int { return r.Packed(1 << 62).Len() }, ErrOversize},
+		"words past bytes":      {make([]byte, 15), func(r *Reader) int { return r.Words(2).Len() }, ErrOversize},
+		"words of a huge n":     {make([]byte, 16), func(r *Reader) int { return r.Words(1 << 61).Len() }, ErrOversize},
+		"words of a negative n": {make([]byte, 16), func(r *Reader) int { return r.Words(-2).Len() }, ErrOversize},
+	} {
+		r := NewReader(tc.col)
+		if n := tc.read(&r); !errors.Is(r.Err(), tc.want) || n != 0 {
+			t.Errorf("%s: %d values, %v; want %v", name, n, r.Err(), tc.want)
 		}
 	}
 	r = NewReader([]byte("no delimiter"))
 	if r.Until(0); !errors.Is(r.Err(), ErrTruncated) {
 		t.Errorf("Until without a delimiter: %v", r.Err())
+	}
+}
+
+// TestPackedRoundTrip: every width from 0 to 64, at counts that end a
+// column anywhere in its last word, decodes to what AppendPacked wrote —
+// whole and a slice at a time — in the bytes PackedSize said, and a column
+// cut short is refused.
+func TestPackedRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for width := 0; width <= 64; width++ {
+		for _, n := range []int{1, 2, 7, 8, 9, 63, 64, 65, 130} {
+			base := rng.Int63() - rng.Int63()
+			if width > 0 { // low enough that base+distance does not wrap
+				base = math.MinInt64 + int64(rng.Uint64()>>width)
+			}
+			xs := make([]int64, n)
+			for i := range xs {
+				d := rng.Uint64()
+				if width < 64 {
+					d &= 1<<width - 1
+				}
+				xs[i] = int64(uint64(base) + d)
+			}
+			want := width
+			if width > 0 && n > 1 {
+				xs[0] = int64(uint64(base) + math.MaxUint64>>(64-width)) // the widest distance
+			} else {
+				want = 0
+			}
+			xs[n-1] = base
+			b, w := PackedFrame(xs)
+			if b != base || w != want {
+				t.Fatalf("width %d n %d: frame (%d, %d), want (%d, %d)", width, n, b, w, base, want)
+			}
+			enc := AppendPacked([]byte{0xaa}, xs, b, w)[1:]
+			if len(enc) != PackedSize(n, b, w) {
+				t.Fatalf("width %d n %d: %d bytes, PackedSize %d", width, n, len(enc), PackedSize(n, b, w))
+			}
+			r := NewReader(enc)
+			got := make([]int64, n)
+			if r.Packed(n).Decode(got); r.Done("packed") != nil || !slices.Equal(got, xs) {
+				t.Fatalf("width %d n %d: decoded %v (%v), want %v", width, n, got, r.Err(), xs)
+			}
+			r = NewReader(enc)
+			p := r.Packed(n)
+			for i := 0; i < n; i += 3 { // a chunk at a time, from any bit
+				j := min(i+3, n)
+				chunk := make([]int64, j-i)
+				if p.Slice(i, j).Decode(chunk); !slices.Equal(chunk, xs[i:j]) {
+					t.Fatalf("width %d n %d: values %d to %d decode to %v, want %v", width, n, i, j, chunk, xs[i:j])
+				}
+			}
+			if w > 0 {
+				r = NewReader(enc[:len(enc)-1])
+				if p := r.Packed(n); !errors.Is(r.Err(), ErrOversize) || p.Len() != 0 {
+					t.Fatalf("width %d n %d: a column a byte short: %d values, %v", width, n, p.Len(), r.Err())
+				}
+			}
+		}
 	}
 }
 
@@ -268,6 +359,31 @@ func FuzzReader(f *testing.F) {
 		readSample(&r)
 		if r.Pos() > len(data) {
 			t.Fatalf("read %d of %d bytes", r.Pos(), len(data))
+		}
+	})
+}
+
+// BenchmarkPacked times a 1 024-value column of width 17 (the benchmark
+// load relation's v) through AppendPacked and Decode.
+func BenchmarkPacked(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	xs := make([]int64, 1024)
+	for i := range xs {
+		xs[i] = int64(rng.Intn(100_000))
+	}
+	base, width := PackedFrame(xs)
+	enc := AppendPacked(nil, xs, base, width)
+	b.Run("append", func(b *testing.B) {
+		var dst []byte
+		for b.Loop() {
+			dst = AppendPacked(dst[:0], xs, base, width)
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		got := make([]int64, len(xs))
+		for b.Loop() {
+			r := NewReader(enc)
+			r.Packed(len(xs)).Decode(got)
 		}
 	})
 }

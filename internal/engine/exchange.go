@@ -115,7 +115,6 @@ func decodeShipBatch(data []byte, cb *colBatch) error {
 	if err != nil {
 		return err
 	}
-	defer bb.Release()
 	return decodeShipRows(&bb, phase, provs, cb)
 }
 
@@ -894,12 +893,12 @@ func (s *shipConsumer) receive(from ring.NodeID, cb *colBatch) error {
 }
 
 // receiveWire handles an inbound ship payload (after the query-ID
-// header). The body is decompressed once, outside the consumer lock —
+// header). The body is opened and decoded outside the consumer lock —
 // decode of concurrent fan-in from many nodes must not serialize on s.mu.
 // A full block of a relaying plan is then checked and queued as it came
 // (relay); anything else — a fragment's last partial block, every other
-// class — decodes into a pooled scratch batch from the same decompressed
-// bytes and folds in with one locked vector-wise append.
+// class — decodes into a pooled scratch batch and folds in with one locked
+// vector-wise append.
 func (s *shipConsumer) receiveWire(from ring.NodeID, rest []byte) error {
 	if tr := s.ex.trace; tr != nil {
 		t0 := tr.SinceUs()
@@ -917,7 +916,6 @@ func (s *shipConsumer) receiveWire(from ring.NodeID, rest []byte) error {
 	if err != nil {
 		return err
 	}
-	defer bb.Release()
 	if s.frames != nil && provs == nil && bb.Rows() == flushRows {
 		return s.relay(from, enc, &bb)
 	}

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/ring"
 	"orchestra/internal/tuple"
 )
@@ -121,7 +122,6 @@ func TestRelayAnswers(t *testing.T) {
 					if err != nil || bb.Rows() != flushRows {
 						t.Fatalf("offered a block of %d rows (%v)", bb.Rows(), err)
 					}
-					bb.Release()
 				}
 				if refuse && relayed != 0 {
 					t.Fatalf("a refusing sink took %d blocks", relayed)
@@ -147,54 +147,55 @@ func TestRelayAnswers(t *testing.T) {
 	}
 }
 
-// deflateBatch wraps a raw batch body (dims and columns) as a compressed
-// batch, the way a fragment compresses a shipment.
-func deflateBatch(t *testing.T, body []byte) []byte {
+// deflate is data as one BestSpeed flate stream.
+func deflate(t *testing.T, data []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	fw, err := flate.NewWriter(&buf, flate.BestSpeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fw.Write(body); err != nil {
+	if _, err := fw.Write(data); err != nil {
 		t.Fatal(err)
 	}
 	if err := fw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return append([]byte{1, 1}, buf.Bytes()...)
+	return buf.Bytes()
 }
 
-// hostileBlocks turn a whole block a fragment shipped (orig: version,
-// flags and compressed body) into one a hostile fragment could send
-// instead, each claiming flushRows rows.
+// hostileBlocks turn a whole block a fragment shipped (orig: its encoded
+// batch) into one a hostile fragment could send instead, each claiming
+// flushRows rows in the batch layout's version (orig's first byte).
 func hostileBlocks(t *testing.T) map[string]func(orig []byte) []byte {
-	ints := func(body []byte) []byte {
-		body = append(body, byte(tuple.Int64))
-		return append(body, make([]byte, flushRows)...) // flushRows zero varints
+	head := func(orig []byte, flags byte, arity int) []byte {
+		b := binary.AppendUvarint([]byte{orig[0], flags}, flushRows)
+		return binary.AppendUvarint(b, uint64(arity))
 	}
-	dims := func(arity int) []byte {
-		return binary.AppendUvarint(binary.AppendUvarint(nil, flushRows), uint64(arity))
+	zeros := func(body []byte) []byte { // an int column of flushRows zeros
+		return codec.AppendPacked(append(body, byte(tuple.Int64)), nil, 0, 0)
 	}
+	chars := func(body []byte) []byte { // a string column of one-byte strings, up to its bytes
+		body = codec.AppendPacked(append(body, byte(tuple.String)), nil, 1, 0)
+		return binary.AppendUvarint(body, flushRows)
+	}
+	const flated = 0x01
 	return map[string]func([]byte) []byte{
 		"corrupt flate": func(orig []byte) []byte {
-			bad := slices.Clone(orig)
-			bad[2] = 0xff // a final block of the reserved type
-			return bad
+			return codec.AppendBytes(chars(head(orig, flated, 1)), []byte{0xff}) // a final block of the reserved type
 		},
-		"dims larger than the body": func([]byte) []byte {
-			return deflateBatch(t, append(dims(3), byte(tuple.Int64), 0, 0))
+		"flated bytes short of their count": func(orig []byte) []byte {
+			return codec.AppendBytes(chars(head(orig, flated, 1)), deflate(t, make([]byte, flushRows-1)))
 		},
-		"bad type tag": func([]byte) []byte {
-			body := ints(ints(dims(3)))
-			body = append(body, 9)
-			return deflateBatch(t, append(body, make([]byte, 8*flushRows)...))
+		"dims larger than the body": func(orig []byte) []byte {
+			return zeros(head(orig, 0, 3))
 		},
-		"truncated string": func([]byte) []byte {
-			body := append(ints(ints(dims(3))), byte(tuple.String))
-			body = append(body, make([]byte, flushRows-1)...) // empty strings
-			body = binary.AppendUvarint(body, 100)
-			return deflateBatch(t, append(body, "abc"...))
+		"bad type tag": func(orig []byte) []byte {
+			body := append(zeros(zeros(head(orig, 0, 3))), 9)
+			return append(body, make([]byte, 8*flushRows)...)
+		},
+		"truncated string": func(orig []byte) []byte {
+			return append(chars(zeros(zeros(head(orig, 0, 3)))), "abc"...)
 		},
 	}
 }
@@ -217,12 +218,11 @@ func TestRelayRefusesHostileBlocks(t *testing.T) {
 			bb, err2 := tuple.OpenBatch(enc)
 			if err != nil || err2 != nil {
 				t.Errorf("an honest shipment: %v, %v", err, err2)
-			} else if bb.Rows() == flushRows && tuple.BatchCompressed(enc) && forge.CompareAndSwap(f, nil) {
+			} else if bb.Rows() == flushRows && forge.CompareAndSwap(f, nil) {
 				bad := (*f)(enc)
 				forged.Store(&bad)
 				rest = append(rest[:len(rest)-len(enc):len(rest)-len(enc)], bad...)
 			}
-			bb.Release()
 		}
 		if err := ex.shipCons.receiveWire(from, rest); err != nil {
 			ex.shipCons.fail(&ShipError{Node: from, Err: err})

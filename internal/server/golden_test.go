@@ -12,11 +12,12 @@ import (
 
 // TestStreamGoldenBytes pins every stream payload, the frame header, and
 // the frames (kind byte and payload) a stream writer sends for a small
-// answer to the bytes the
-// encoders wrote before the decoders moved onto codec.Reader, and reads each
-// golden back through its decoder: a client or server of either side of the
-// move speaks to the other, and a golden that changes means an encoder
-// drifted from the wire protocol.
+// answer to the bytes the encoders wrote before the decoders moved onto
+// codec.Reader, and reads each golden back through its decoder: a client or
+// server of either side of the move speaks to the other, and a golden that
+// changes means an encoder drifted from the wire protocol. The publish
+// payload and batch frame carry a tuple batch, whose goldens were
+// regenerated when its layout became version 2 (protocol version 4).
 func TestStreamGoldenBytes(t *testing.T) {
 	rows := []tuple.Row{{tuple.S("k1"), tuple.I(-3), tuple.I(300), tuple.F(0.5)}, {tuple.S(""), tuple.I(0), tuple.I(1), tuple.F(-2)}}
 	publish, err := AppendPublishPayload(nil, 7, 0xfeed, "R", rowBatch(t, rows))
@@ -39,14 +40,14 @@ func TestStreamGoldenBytes(t *testing.T) {
 		"schema payload": "000000000000000702016b03677270",
 		"credit payload": "000000000000000740",
 		"cancel payload": "0000000000000007",
-		"publish payload": "0000000000000007000000000000feed01520100020403026b310001" +
-			"050001d80402023fe0000000000000c000000000000000",
+		"publish payload": "0000000000000007000000000000feed01520200020403000202026b31" +
+			"0105020c0102092b0100023fe0000000000000c000000000000000",
 		"binary frame": "0000000a04000000000000000740",
 		"json frame": "0000002c007b226964223a312c226f70223a2268656c6c6f222c2268" +
 			"656c6c6f223a7b2276657273696f6e223a337d7d",
 		"schema frame": "01000000000000000104016b016701690166",
-		"batch frame": "0200000000000000010100020403026b310001050001d80402023fe0" +
-			"000000000000c000000000000000",
+		"batch frame": "0200000000000000010200020403000202026b310105020c0102092b01" +
+			"00023fe0000000000000c000000000000000",
 		"end frame": "0300000000000000017b22726f7773223a322c226261746368657322" +
 			"3a317d",
 	}

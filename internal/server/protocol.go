@@ -91,7 +91,7 @@ const (
 
 // ProtocolVersion is this build's wire-protocol version, checked by the
 // hello handshake: a peer of any other version is refused.
-const ProtocolVersion = 3
+const ProtocolVersion = 4
 
 // Request is the body of one client FrameJSON frame.
 type Request struct {

@@ -45,8 +45,9 @@ type Config struct {
 	// min(client, server).
 	StreamWindow int
 	// StreamCompressMin is the raw batch size in bytes at which streamed
-	// batches are flate-compressed (0 = default 4 KiB, negative = never —
-	// useful on loopback where compression CPU exceeds the byte savings).
+	// batches' string bytes are flate-compressed (0 = default 2 KiB,
+	// negative = never — useful on loopback where compression CPU exceeds
+	// the byte savings).
 	StreamCompressMin int
 	// OnQueryStart, when set, is invoked at the start of every query
 	// execution while its admission slot is held — an instrumentation

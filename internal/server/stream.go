@@ -86,9 +86,12 @@ const (
 	// frame (pre-compression).
 	defaultStreamBatchBytes = 256 << 10
 	// defaultStreamCompressMin is the raw batch size at which flate
-	// compression kicks in on the wire path; small batches are cheaper to
-	// send than to compress.
-	defaultStreamCompressMin = 4 << 10
+	// compression of string bytes kicks in on the wire path; small batches
+	// are cheaper to send than to compress. A raw body counts ints packed
+	// to their spread, about three quarters of the bytes a row took when
+	// every value was a varint, so a few-hundred-row answer of the load
+	// relation reaches 2 KiB but not the 4 KiB this once was.
+	defaultStreamCompressMin = 2 << 10
 	// maxStreamBatchRows caps rows per batch frame so decode-side
 	// allocations stay bounded regardless of row width.
 	maxStreamBatchRows = 4096
@@ -525,11 +528,12 @@ func (w *streamWriter) StreamCols(b *tuple.Batch) error {
 // StreamEncoded implements engine.FrameSink: a block a fragment encoded
 // (tuple.AppendBatchCols layout, checked by the engine) goes out as one
 // batch frame, its bytes as they are (writeEncoded). It refuses — false,
-// nothing sent — a batch past the frame budget, and a compressed one when
-// the server never compresses; the engine decodes those and hands them to
-// StreamCols.
+// nothing sent — a batch past the frame budget; the engine decodes that and
+// hands it to StreamCols. A block's flated string bytes go out as they are
+// even when the server never compresses: that setting saves the server's CPU,
+// and the fragment that encoded the block has already spent it.
 func (w *streamWriter) StreamEncoded(batch []byte, rows int) (bool, error) {
-	if len(batch) > w.targetBytes || (w.compressMin < 0 && tuple.BatchCompressed(batch)) {
+	if len(batch) > w.targetBytes {
 		return false, nil
 	}
 	defer w.timeWrite(time.Now())

@@ -109,7 +109,7 @@ func TestViewHitFramesMatchEncode(t *testing.T) {
 				len(tc.rows) > maxStreamBatchRows && batches < 2:
 				t.Fatalf("%d rows went out in %d batch frames", len(tc.rows), batches)
 			}
-			if len(tc.rows) == 1 && tuple.BatchCompressed(want[1][9:]) {
+			if len(tc.rows) == 1 && flated(want[1][9:]) {
 				t.Fatal("a one-row body was compressed")
 			}
 			e := &viewEntry{batch: b, cols: benchCols}
@@ -408,7 +408,7 @@ func servedAnswer(conn net.Conn, br *bufio.Reader, id uint64, sql string, epoch 
 				return nil, 0, false, err
 			}
 			rows = append(rows, part...)
-			if tuple.BatchCompressed(payload[8:]) {
+			if flated(payload[8:]) {
 				compressed++
 			}
 			credit, _ := AppendBinaryFrame(nil, FrameCredit, AppendCreditPayload(nil, id, 1), MaxFrame)

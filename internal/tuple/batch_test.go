@@ -2,6 +2,9 @@ package tuple
 
 import (
 	"bytes"
+	"compress/flate"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,6 +12,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"orchestra/internal/codec"
 )
 
 // randBatchRows builds a random type-homogeneous batch: random column
@@ -205,7 +210,7 @@ func TestDecodeBatchRejectsMalformed(t *testing.T) {
 		"header only":    good[:2],
 		"implausible dims": append([]byte{batchVersion, 0},
 			0xff, 0xff, 0xff, 0xff, 0x7f, 0x03),
-		"bogus compressed": {batchVersion, flagCompressed, 0xde, 0xad, 0xbe, 0xef},
+		"bogus flated": {batchVersion, flagFlate, 0xde, 0xad, 0xbe, 0xef},
 	}
 	for name, data := range cases {
 		if _, err := decodeRows(data); err == nil {
@@ -246,6 +251,149 @@ func TestDecodeBatchDimsBomb(t *testing.T) {
 	b = append(b, make([]byte, 2048)...)
 	if _, err := decodeRows(b); err == nil {
 		t.Fatal("rows*arity bomb accepted")
+	}
+}
+
+// hostileHead is a batch header claiming rows x arity.
+func hostileHead(flags byte, rows, arity uint64) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint([]byte{batchVersion, flags}, rows), arity)
+}
+
+// deflated is p as one BestSpeed flate stream.
+func deflated(t *testing.T, p []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	fw, err := flate.NewWriter(&buf, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.Write(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestBatchRefusesHostileColumns: a column whose claims its bytes cannot
+// back is refused by every decoder — DecodeInto, DecodeBatchAny and the
+// relay's Check — for the reason it is hostile, and before anything the
+// size of its claimed row count is made: each refusal allocates less than
+// an []int64 of n would (or a kilobyte, for a small n).
+func TestBatchRefusesHostileColumns(t *testing.T) {
+	const n = maxBatchRows // the most rows a batch may claim
+	const sn = 1 << 16     // rows of the flated columns, one byte each
+	letters := []byte(strings.Repeat("abcdefghijklmnopqrstuvwxyz", sn/26+2))
+	ints := func(base int64, width byte, bits int) []byte {
+		col := binary.AppendVarint([]byte{byte(Int64)}, base)
+		return append(append(col, width), make([]byte, bits)...)
+	}
+	// strs is a string column: lengths from base at width (all bits set), a
+	// byte count, then tail.
+	strs := func(base int64, width byte, lenBits int, size uint64, tail []byte) []byte {
+		col := binary.AppendVarint([]byte{byte(String)}, base)
+		col = append(append(col, width), bytes.Repeat([]byte{0xff}, lenBits)...)
+		return append(binary.AppendUvarint(col, size), tail...)
+	}
+	v1, err := hex.DecodeString("010003030305736576656e0361006200010dd80400024004000000000000bfc00000000000007e37e43c8800759c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		batch []byte
+		rows  int
+		want  string
+	}{
+		{"width 65", append(hostileHead(0, n, 1), ints(0, 65, 64)...), n, codec.ErrWidth.Error()},
+		{"n x width past the bytes", append(hostileHead(0, n, 1), ints(0, 17, 4096)...), n, codec.ErrOversize.Error()},
+		{"string bytes past maxBatchBody", append(hostileHead(0, n, 1), strs(0, 0, 0, maxBatchBody+1, letters)...), n, "past the batch's"},
+		{"flated bytes short of their count",
+			append(hostileHead(flagFlate, sn, 1), strs(1, 0, 0, sn, codec.AppendBytes(nil, deflated(t, letters[:sn-1])))...), sn, "unexpected EOF"},
+		{"flated bytes past their count",
+			append(hostileHead(flagFlate, sn, 1), strs(1, 0, 0, sn, codec.AppendBytes(nil, deflated(t, letters[:sn+1])))...), sn, "past their count"},
+		{"flated count past any stream of its size",
+			append(hostileHead(flagFlate, n, 1), strs(1, 0, 0, n, codec.AppendBytes(nil, make([]byte, 16)))...), n, "flate stream"},
+		{"lengths do not sum to the bytes",
+			append(hostileHead(0, n, 1), strs(0, 1, n/8, n-1, make([]byte, n-1))...), n, "do not sum"},
+		{"constant lengths do not sum to the bytes",
+			append(hostileHead(0, n, 1), strs(1, 0, 0, n-1, make([]byte, n-1))...), n, "do not sum"},
+		{"a negative length", append(hostileHead(0, n, 1), strs(-1, 1, n/8, 0, nil)...), n, "do not sum"},
+		{"a version-1 batch", v1, 3, "unknown batch version 1"},
+		{"unknown flags", append(hostileHead(0x02, n, 1), ints(0, 0, 0)...), n, "unknown batch flags"},
+		{"rows past the cap", append(hostileHead(0, n+1, 1), ints(0, 0, 0)...), n + 1, "implausible batch dims"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for name, decode := range map[string]func([]byte) error{
+				"DecodeInto":     func(p []byte) error { var b Batch; _, err := DecodeBatchInto(p, &b); return err },
+				"DecodeBatchAny": func(p []byte) error { _, err := DecodeBatchAny(p); return err },
+				"Check":          func(p []byte) error { _, _, err := checkBatch(p); return err },
+			} {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				err := decode(tc.batch)
+				runtime.ReadMemStats(&after)
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s: %v, want a refusal for %q", name, err, tc.want)
+				}
+				if got := after.TotalAlloc - before.TotalAlloc; got >= max(8*uint64(tc.rows), 1<<10) {
+					t.Errorf("%s: refusing a batch claiming %d rows allocated %d bytes", name, tc.rows, got)
+				}
+			}
+		})
+	}
+}
+
+// loadBlock is a 1 024-row block of the benchmark's load relation — (k
+// "k%06d", grp i%17, v a permutation) of 100 000 rows — in random storage
+// order, as a fragment ships it.
+func loadBlock(tb testing.TB, seed int64) *Batch {
+	rng := rand.New(rand.NewSource(seed))
+	const rows = 100_000
+	perm := rng.Perm(rows)
+	b := &Batch{}
+	for _, i := range rng.Perm(rows)[:1024] {
+		if err := b.AppendRow(Row{S(fmt.Sprintf("k%06d", i)), I(int64(i % 17)), I(int64(perm[i]))}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return b
+}
+
+// TestBatchBytesPerRow guards the wire bytes a row costs
+// (wire_bytes_per_row in the benchmark ledger) where they are set: a
+// load-shaped block within 6.5 B/row (whole-batch flate took 7.6), and a
+// 1 000-row column of dim labels — the strings the join class ships —
+// within 2 B/row, which flate finding the repeats across values keeps (a
+// Huffman-only coder takes about 3.2).
+func TestBatchBytesPerRow(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		enc, err := AppendBatchCols(nil, loadBlock(t, seed), 4<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perRow := float64(len(enc)) / 1024
+		t.Logf("seed %d: a load block encodes to %.2f B/row", seed, perRow)
+		if perRow > 6.5 {
+			t.Errorf("seed %d: a load block encodes to %.2f B/row, want at most 6.5", seed, perRow)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	labels := &Batch{}
+	for range 1000 {
+		if err := labels.AppendRow(Row{S(fmt.Sprintf("label-%02d", rng.Intn(17)))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	enc, err := AppendBatchCols(nil, labels, 4<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRow := float64(len(enc)) / 1000
+	t.Logf("a label column encodes to %.2f B/row", perRow)
+	if perRow > 2 {
+		t.Errorf("a label column encodes to %.2f B/row, want at most 2", perRow)
 	}
 }
 
@@ -348,7 +496,29 @@ func FuzzDecodeBatch(f *testing.F) {
 		}
 	}
 	f.Add([]byte{batchVersion, 0, 0x80})
-	f.Add([]byte{batchVersion, flagCompressed, 0x01, 0x02})
+	f.Add([]byte{batchVersion, flagFlate, 0x01, 0x02})
+	// Columns at the packing's edges: constant (width 0), the full 64 bits,
+	// one-byte strings of one length, and flated labels.
+	var labels []Row
+	for i := range 40 {
+		labels = append(labels, Row{S(fmt.Sprintf("label-%02d", i%17)), I(int64(i * 1000))})
+	}
+	for _, rows := range [][]Row{
+		{{I(5), S("ab")}, {I(5), S("cd")}, {I(5), S("ef")}},
+		{{I(math.MinInt64), F(-0.5)}, {I(math.MaxInt64), F(math.Inf(1))}, {I(0), F(0)}},
+		labels,
+	} {
+		for _, minCompress := range []int{-1, 1} {
+			if enc, err := encodeRows(rows, minCompress); err == nil {
+				f.Add(enc)
+			}
+		}
+	}
+	// Hostile columns: a width of 65, lengths that do not sum to the bytes,
+	// and a flated count its stream falls short of.
+	f.Add(append(hostileHead(0, 2, 1), byte(Int64), 0, 65, 0xff, 0xff))
+	f.Add(append(hostileHead(0, 2, 1), byte(String), 2, 0, 3, 'a', 'b', 'c'))
+	f.Add(append(hostileHead(flagFlate, 2, 1), append([]byte{byte(String), 2, 0, 2}, codec.AppendBytes(nil, []byte{0x01, 0x01, 0x00, 0xfe, 0xff, 'a'})...)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var into Batch
 		n, err := DecodeBatchInto(data, &into)
@@ -432,7 +602,8 @@ func BenchmarkWireEncodeBatch(b *testing.B) {
 	b.SetBytes(int64(len(scratch)))
 }
 
-// BenchmarkWireEncodeBatchCompressed includes flate (the WAN config).
+// BenchmarkWireEncodeBatchCompressed flates the string bytes (the WAN
+// config).
 func BenchmarkWireEncodeBatchCompressed(b *testing.B) {
 	rows := benchBatch(b, 1024)
 	var scratch []byte
@@ -454,16 +625,33 @@ func checkBatch(data []byte) (rows int, types []Type, err error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	defer bb.Release()
 	types, err = bb.Check(nil)
 	return bb.Rows(), types, err
 }
 
-// BenchmarkDecodeBatchCompressed measures both decoders and the validator
-// over a flate-compressed batch at the engine's shipment size (1024 rows)
-// and the wire's cut (4096): the pooled reader and body buffer are what
+// BenchmarkEncodeBatch measures the encode of a load-shaped block at the
+// server's default compression threshold, and reports the wire bytes a row
+// costs (B/row).
+func BenchmarkEncodeBatch(b *testing.B) {
+	block := loadBlock(b, 1)
+	var scratch []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if scratch, err = AppendBatchCols(scratch[:0], block, 4<<10); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(len(scratch)))
+	b.ReportMetric(float64(len(scratch))/float64(block.N), "B/row")
+}
+
+// BenchmarkDecodeBatch measures both decoders and the validator over a
+// batch with flated strings at the engine's shipment size (1024 rows) and
+// the wire's cut (4096): the pooled flate reader and check buffer are what
 // keep the per-row cost flat as batches shrink.
-func BenchmarkDecodeBatchCompressed(b *testing.B) {
+func BenchmarkDecodeBatch(b *testing.B) {
 	for _, n := range []int{1024, 4096} {
 		enc, err := AppendBatchCols(nil, benchBatch(b, n), 256)
 		if err != nil {
@@ -501,7 +689,6 @@ func BenchmarkDecodeBatchCompressed(b *testing.B) {
 				if _, err := bb.Check(types[:0]); err != nil {
 					b.Fatal(err)
 				}
-				bb.Release()
 			}
 		})
 	}

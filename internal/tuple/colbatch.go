@@ -300,8 +300,9 @@ func (b *Batch) Grow(n int) {
 // Own copies the batch's string values into one exact-size slab and points
 // them at it, so that the batch pins its own bytes and nothing else: a
 // scanned string aliases the stored record it was read from
-// (DecodeRowCols), and a batch kept past its query would otherwise keep
-// every store buffer it read. A string vector that several columns share is
+// (DecodeRowCols), a decoded one its wire batch's whole string column
+// (DecodeBatchInto), and a batch kept past its query would otherwise keep
+// every buffer it read. A string vector that several columns share is
 // copied once. Own rewrites the batch's string headers, so no one else may
 // be reading the batch.
 func (b *Batch) Own() {
@@ -418,55 +419,4 @@ func (b *Batch) Project(cols []int) {
 		out[i] = b.Cols[c]
 	}
 	b.Cols = out
-}
-
-// AppendBatchCols appends the wire encoding of a columnar batch to dst,
-// reusing dst's capacity: the batch serialized column-major, with the
-// payload flate-compressed once its raw body reaches minCompress bytes
-// (negative: never — e.g. loopback serving, where the CPU spent
-// compressing exceeds the wire bytes saved). Decoding handles both forms
-// transparently. Empty batches are legal.
-func AppendBatchCols(dst []byte, b *Batch, minCompress int) ([]byte, error) {
-	mark := len(dst)
-	dst = append(dst, batchVersion, 0)
-	body, err := appendBatchColsBody(dst, b)
-	if err != nil {
-		return nil, err
-	}
-	return compressBatchTail(body, mark, minCompress)
-}
-
-func appendBatchColsBody(dst []byte, b *Batch) ([]byte, error) {
-	dst = appendUvarint(dst, uint64(b.N))
-	arity := 0
-	if b.N > 0 {
-		arity = len(b.Cols)
-	}
-	dst = appendUvarint(dst, uint64(arity))
-	for c := 0; c < arity; c++ {
-		v := &b.Cols[c]
-		if !v.T.IsValidType() {
-			return nil, fmt.Errorf("tuple: batch column %d has invalid type", c)
-		}
-		if v.Len() != b.N {
-			return nil, fmt.Errorf("tuple: batch column %d has %d values, want %d", c, v.Len(), b.N)
-		}
-		dst = append(dst, byte(v.T))
-		switch v.T {
-		case Int64:
-			for _, x := range v.I64 {
-				dst = appendVarint(dst, x)
-			}
-		case Float64:
-			for _, x := range v.F64 {
-				dst = appendFloat64(dst, x)
-			}
-		case String:
-			for _, x := range v.Str {
-				dst = appendUvarint(dst, uint64(len(x)))
-				dst = append(dst, x...)
-			}
-		}
-	}
-	return dst, nil
 }

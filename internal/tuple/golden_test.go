@@ -3,15 +3,20 @@ package tuple
 import (
 	"encoding/hex"
 	"slices"
+	"strings"
 	"testing"
 )
 
 // TestCodecGoldenBytes pins one encode of every tuple layout — a stored row,
-// a batch raw and flate-compressed, a key and an ID — to the bytes the
-// encoders wrote before the decoders moved onto codec.Reader, and reads each
-// golden back through the decoders: stored records and peers' batches from
-// before the move stay readable, and a golden that changes means an encoder
-// drifted from the layout peers and stored records use.
+// a batch with raw and with flated string bytes, a key and an ID — to the
+// bytes the encoders wrote, and reads each golden back through the decoders:
+// a golden that changes means an encoder drifted from the layout peers and
+// stored records use. The row, key and ID goldens date from before the
+// decoders moved onto codec.Reader, so stored records from before the move
+// stay readable. The batch goldens are the version-2 layout (columns encoded
+// for their type), written when that layout replaced whole-batch flate; no
+// batch is ever stored, and a version-1 peer's batch is refused by its
+// version byte (TestBatchRefusesHostileColumns).
 func TestCodecGoldenBytes(t *testing.T) {
 	s := MustSchema("R", []Column{{Name: "k", Type: String}, {Name: "n", Type: Int64}, {Name: "x", Type: Float64}}, "k", "n", "x")
 	rows := []Row{{S("seven"), I(-7), F(2.5)}, {S("a\x00b"), I(300), F(-0.125)}, {S(""), I(0), F(1e300)}}
@@ -29,7 +34,7 @@ func TestCodecGoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sixteen copies of the rows, so that flate finds repeats to encode.
+	// Sixteen copies of the rows, so that flate finds repeats in the strings.
 	var many []Row
 	for range 16 {
 		many = append(many, rows...)
@@ -47,11 +52,12 @@ func TestCodecGoldenBytes(t *testing.T) {
 	id := NewID(s, rows[1], 9)
 	want := map[string]string{
 		"row": "05736576656e0d4004000000000000",
-		"raw batch": "010003030305736576656e0361006200010dd80400024004000000000000" +
-			"bfc00000000000007e37e43c8800759c",
-		"compressed batch": "0101ec90b109c02014442ff93f6576499726455649e0b7698296d60ee12e" +
-			"3a86033888f0571004c183e38e57be8368fbc5ca470f5e0c71973d335abade0c4d4c3a70" +
-			"67b93c4c98bc8f871a0000ffff",
+		"raw batch": "020003030300031d0008736576656e610062010d0900661e0002" +
+			"4004000000000000bfc00000000000007e37e43c8800759c",
+		"compressed batch": "020130030300031d3a74e8d0a143870e1d3a74e8d0a143870e80011dc4c5b10d" +
+			"000008024157d5e45b1b12e6670caa13e677ae65020000ffff010d0900661e0030f3" +
+			"0080990700cc3c0060e60100330f00987900c0cc0300661e0030f30080990700cc3c" +
+			"0060e60100330f00987900c0cc0302" + strings.Repeat("4004000000000000bfc00000000000007e37e43c8800759c", 16),
 		"key": "036100ff62000001800000000000012c02403fffffffffffff",
 		"id":  "0000000000000009036100ff62000001800000000000012c02403fffffffffffff",
 	}
@@ -81,8 +87,8 @@ func TestCodecGoldenBytes(t *testing.T) {
 	}
 	for name, rows := range map[string][]Row{"raw batch": rows, "compressed batch": many} {
 		enc := golden(name)
-		if BatchCompressed(enc) != (name == "compressed batch") {
-			t.Errorf("golden %s: compressed flag %v", name, BatchCompressed(enc))
+		if flated := enc[1]&flagFlate != 0; flated != (name == "compressed batch") {
+			t.Errorf("golden %s: flate flag %v", name, flated)
 		}
 		var got Batch
 		if _, err := DecodeBatchInto(enc, &got); err != nil || !slices.EqualFunc(got.Rows(), rows, Row.Equal) {

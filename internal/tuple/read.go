@@ -9,19 +9,19 @@ import (
 	"orchestra/internal/codec"
 )
 
-// Reading column values. A value is a zig-zag varint (Int64), the eight
-// big-endian bytes of an IEEE 754 double (Float64), or a uvarint length and
-// that many bytes (String), in a stored record (AppendRow) and in a batch
-// column (AppendBatchCols) alike. Each type is read by one function below,
-// on codec.Reader, so a length that wraps, a varint that runs off the end or
-// a float cut short fails the reader instead of a slice expression; a batch's
-// int column is read whole by Reader.Varints, the same grammar in one call
-// per column. Two
-// walks lay the values out: a record, one value per column (DecodeRowCols),
-// and a batch, a column of values at a time (BatchBody.walk). Each takes where
-// the values go as a parameter — a record's onto a batch or nowhere, a
-// batch's onto a batch, into boxed rows or nowhere (dest) — so a check and
-// a decode read the same bytes by the same rules.
+// Reading column values. In a stored record (AppendRow) a value is a zig-zag
+// varint (Int64), the eight big-endian bytes of an IEEE 754 double (Float64),
+// or a uvarint length and that many bytes (String), each read by one function
+// below on codec.Reader, so a length that wraps, a varint that runs off the
+// end or a float cut short fails the reader instead of a slice expression.
+// A batch (AppendBatchCols) encodes a column for its type, and the codec's
+// column readers read it whole: Reader.Packed for ints and string lengths,
+// Reader.Words for floats. Two walks lay the values out: a record, one value
+// per column (DecodeRowCols), and a batch, a column at a time
+// (BatchBody.walk). Each takes where the values go as a parameter — a
+// record's onto a batch or nowhere, a batch's onto a batch, into boxed rows
+// or nowhere (dest) — so a check and a decode read the same bytes by the same
+// rules.
 
 func readInt(r *codec.Reader) int64 { return r.Varint() }
 
@@ -111,23 +111,32 @@ func boxColumn[T int64 | float64 | string](rows [][]any, c int, col []T) {
 }
 
 // dest is where a batch walk puts the values it reads: onto b's typed
-// vectors (strings copied), into boxed rows, or nowhere — then the walk
-// only checks that the bytes hold the values they claim to, collecting the
-// column types into types. Boxed rows get one fresh slab per column, and
-// every cell is an interface pointing into it (boxColumn).
+// vectors, into one fresh slab per column for boxed rows (box), or nowhere —
+// then the walk only checks that the bytes hold the values they claim to,
+// collecting the column types into types.
 type dest struct {
 	b     *Batch
-	boxed [][]any
+	box   bool
+	slabs []colSlab // box: one per column
 	types []Type
 }
 
-// walk reads the batch's columns — each a type tag, then a value of that
-// type per row — into d. A batch with no rows reads none.
+// colSlab is one column decoded for boxed rows: the slice of its type.
+type colSlab struct {
+	i []int64
+	f []float64
+	s []string
+}
+
+// walk reads the batch's columns — each a type tag, then its values, read
+// whole by the codec's column readers — into d. A batch with no rows reads
+// none.
 func (bb *BatchBody) walk(d *dest) error {
 	if bb.rows == 0 {
 		return nil
 	}
-	r := codec.NewReader(bb.body[bb.off:])
+	r := codec.NewReader(bb.body)
+	n, budget := bb.rows, maxBatchBody // budget: the string bytes still allowed
 	for c := 0; c < bb.arity && r.Err() == nil; c++ {
 		t := Type(r.U8())
 		if d.tag(&r, c, t); r.Err() != nil {
@@ -135,11 +144,15 @@ func (bb *BatchBody) walk(d *dest) error {
 		}
 		switch t {
 		case Int64:
-			d.ints(&r, c, bb.rows)
+			if p := r.Packed(n); r.Err() == nil {
+				d.ints(c, p)
+			}
 		case Float64:
-			d.floats(&r, c, bb.rows)
+			if w := r.Words(n); r.Err() == nil {
+				d.floats(c, w)
+			}
 		case String:
-			d.strings(&r, c, bb.rows)
+			d.strings(&r, c, n, bb.flated, &budget)
 		}
 	}
 	return r.Done("tuple: batch")
@@ -158,80 +171,163 @@ func (d *dest) tag(r *codec.Reader, c int, t Type) {
 		} else if v.T != t {
 			r.Fail(fmt.Errorf("column %d type %v, accumulator %v", c, t, v.T))
 		}
-	case d.boxed == nil:
+	case !d.box:
 		d.types = append(d.types, t)
 	}
 }
 
-// ints, floats and strings read column c's n values into d, the choice of
-// destination made once per column rather than once per value. A column of
-// ints is one codec call (Reader.Varints) wherever it goes.
-func (d *dest) ints(r *codec.Reader, c, n int) {
+// ints and floats decode column c, already bounded by its reader, into d:
+// the choice of destination made once per column, and nothing to do for a
+// check.
+func (d *dest) ints(c int, p codec.Packed) {
 	switch {
 	case d.b != nil:
 		v := &d.b.Cols[c]
 		at := len(v.I64)
-		v.I64 = slices.Grow(v.I64, n)[:at+n]
-		r.Varints(v.I64[at:], n)
-	case d.boxed != nil:
-		col := make([]int64, n)
-		r.Varints(col, n)
-		boxColumn(d.boxed, c, col)
-	default:
-		r.Varints(nil, n)
+		v.I64 = slices.Grow(v.I64, p.Len())[:at+p.Len()]
+		p.Decode(v.I64[at:])
+	case d.box:
+		col := make([]int64, p.Len())
+		p.Decode(col)
+		d.slabs[c] = colSlab{i: col}
 	}
 }
 
-func (d *dest) floats(r *codec.Reader, c, n int) {
+func (d *dest) floats(c int, w codec.Words) {
 	switch {
 	case d.b != nil:
 		v := &d.b.Cols[c]
-		for range n {
-			v.F64 = append(v.F64, readFloat(r))
-		}
-	case d.boxed != nil:
-		col := make([]float64, n)
-		for i := range col {
-			col[i] = readFloat(r)
-		}
-		boxColumn(d.boxed, c, col)
-	default:
-		for range n {
-			readFloat(r)
-		}
+		at := len(v.F64)
+		v.F64 = slices.Grow(v.F64, w.Len())[:at+w.Len()]
+		w.Float64s(v.F64[at:])
+	case d.box:
+		col := make([]float64, w.Len())
+		w.Float64s(col)
+		d.slabs[c] = colSlab{f: col}
 	}
 }
 
-func (d *dest) strings(r *codec.Reader, c, n int) {
+// strings reads string column c of n values: its lengths, its byte count
+// (charged to budget) and its bytes, each bounded before the next is read.
+// The lengths must then sum to the count, and flated bytes must inflate to
+// exactly it, before anything is sized by n. Kept values are substrings of
+// one fresh string holding the column's bytes, so a column costs one
+// allocation for its bytes whatever its n; a check inflates into a pooled
+// buffer and keeps nothing.
+func (d *dest) strings(r *codec.Reader, c, n int, flated bool, budget *int) {
+	lens := r.Packed(n)
+	size := r.Uvarint()
+	if r.Err() == nil && size > uint64(*budget) {
+		r.Fail(fmt.Errorf("column %d: %d string bytes, past the batch's %d", c, size, maxBatchBody))
+	}
+	if r.Err() != nil {
+		return
+	}
+	*budget -= int(size)
+	var src []byte
 	switch {
-	case d.b != nil:
-		v := &d.b.Cols[c]
-		for range n {
-			v.Str = append(v.Str, string(readString(r)))
+	case size == 0:
+	case !flated:
+		src = r.Fixed(int(size))
+	default:
+		if src = r.Bytes(); r.Err() == nil && size > maxInflateRatio*uint64(len(src)) {
+			r.Fail(fmt.Errorf("column %d: %d string bytes from a %dB flate stream", c, size, len(src)))
 		}
-	case d.boxed != nil:
-		// A first pass over a copy of the reader sizes one buffer for the
-		// column's bytes; the second copies each value in and keeps it as a
-		// substring of that buffer, which nothing writes again.
-		probe, size := *r, 0
-		for range n {
-			size += len(readString(&probe))
+	}
+	if r.Err() == nil && !lengthsSum(lens, size) {
+		r.Fail(fmt.Errorf("column %d: string lengths do not sum to its %d bytes", c, size))
+	}
+	if r.Err() != nil {
+		return
+	}
+	keep := d.b != nil || d.box
+	var col string
+	switch {
+	case size == 0:
+	case !flated:
+		if keep {
+			col = string(src)
 		}
-		if probe.Err() != nil {
-			*r = probe
+	case !keep:
+		buf := bytesPool.Get().(*[]byte)
+		*buf = slices.Grow((*buf)[:0], int(size))[:size]
+		err := inflate(*buf, src)
+		putBytes(buf)
+		if err != nil {
+			r.Fail(fmt.Errorf("column %d: %w", c, err))
+		}
+	default:
+		buf := make([]byte, size)
+		if err := inflate(buf, src); err != nil {
+			r.Fail(fmt.Errorf("column %d: %w", c, err))
 			return
 		}
-		buf := make([]byte, 0, size)
-		col := make([]string, n)
-		for i := range col {
-			at := len(buf)
-			buf = append(buf, readString(r)...)
-			col[i] = alias(buf[at:])
+		col = alias(buf) // nothing writes buf again
+	}
+	switch {
+	case d.b != nil:
+		v := &d.b.Cols[c]
+		v.Str = appendSplit(slices.Grow(v.Str, n), col, lens)
+	case d.box:
+		d.slabs[c] = colSlab{s: appendSplit(make([]string, 0, n), col, lens)}
+	}
+}
+
+// lengthChunk is how many string lengths a walk decodes at a time: the
+// lengths of a column are never held whole, so nothing is sized by its n
+// before they are known to be good.
+const lengthChunk = 256
+
+// lengthsSum reports whether the lengths, none below zero, sum to size.
+func lengthsSum(lens codec.Packed, size uint64) bool {
+	n, base := lens.Len(), lens.Base()
+	switch {
+	case base < 0 || uint64(base) > size/uint64(n):
+		return false
+	case lens.Width() == 0:
+		return uint64(base)*uint64(n) == size
+	}
+	var chunk [lengthChunk]int64
+	sum := uint64(0)
+	for i := 0; i < n; i += len(chunk) {
+		part := chunk[:min(len(chunk), n-i)]
+		lens.Slice(i, i+len(part)).Decode(part)
+		for _, l := range part {
+			if uint64(l) > size { // a negative l too
+				return false
+			}
+			sum += uint64(l) // no wrap: n·size < 2⁶⁴ (maxBatchRows, maxBatchBody)
 		}
-		boxColumn(d.boxed, c, col)
-	default:
-		for range n {
-			readString(r)
+	}
+	return sum == size
+}
+
+// appendSplit appends col cut at the lengths lens holds, which sum to
+// len(col) (lengthsSum).
+func appendSplit(dst []string, col string, lens codec.Packed) []string {
+	n := lens.Len()
+	if lens.Width() == 0 {
+		l := int(lens.Base())
+		for i := range n {
+			dst = append(dst, col[i*l:(i+1)*l])
 		}
+		return dst
+	}
+	var chunk [lengthChunk]int64
+	off := 0
+	for i := 0; i < n; i += len(chunk) {
+		part := chunk[:min(len(chunk), n-i)]
+		lens.Slice(i, i+len(part)).Decode(part)
+		for _, l := range part {
+			dst = append(dst, col[off:off+int(l)])
+			off += int(l)
+		}
+	}
+	return dst
+}
+
+func putBytes(buf *[]byte) {
+	if cap(*buf) <= maxPooledScratch {
+		bytesPool.Put(buf)
 	}
 }

@@ -30,7 +30,8 @@ type ServeOptions struct {
 	// clients, in batch frames (default server.DefaultStreamWindow).
 	StreamWindow int
 	// StreamCompressMin sets the raw batch size at which streamed batches
-	// are flate-compressed (0 = default 4 KiB, negative = never).
+	// have their string bytes flate-compressed (0 = default 2 KiB,
+	// negative = never).
 	StreamCompressMin int
 	// SlowQueryThreshold sets the endpoint's slow-query log threshold:
 	// queries at or above it are recorded with their span trees,

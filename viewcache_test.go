@@ -213,9 +213,9 @@ func TestServedViewHitMixedSettings(t *testing.T) {
 					t.Fatalf("%s: round %d, endpoint %d: cached=%v", q, round, j, got.cached)
 				}
 				switch {
-				case srv == raw && got.compressed > 0:
-					t.Fatalf("%s: %d compressed frames from the endpoint that never compresses", q, got.compressed)
-				case srv == def && got.compressed == 0:
+				case srv == raw && len(got.flated) > 0:
+					t.Fatalf("%s: %d flated frames from the endpoint that never compresses", q, len(got.flated))
+				case srv == def && len(got.flated) == 0:
 					t.Fatalf("%s: the default endpoint sent %d rows uncompressed", q, len(got.rows))
 				}
 			}
