@@ -105,9 +105,6 @@ type Options struct {
 	// health op (default 30s; negative disables). A refresh is also
 	// triggered whenever an endpoint fails.
 	RefreshInterval time.Duration
-	// Balance selects the endpoint for each call: BalanceRoundRobin
-	// (default) or BalanceLeastLoaded.
-	Balance string
 }
 
 // Client is a connection-reusing client for a served deployment. It
@@ -135,7 +132,7 @@ type Client struct {
 type wireConn struct {
 	net.Conn
 	br *bufio.Reader
-	ep *endpoint // owning endpoint (pool, load and health bookkeeping)
+	ep *endpoint // owning endpoint (pool and health bookkeeping)
 	// maxFrame is the negotiated frame limit, enforced in both
 	// directions. (The negotiated stream window needs no client state:
 	// it governs the server's sending, and the client grants one credit
@@ -163,13 +160,6 @@ func Dial(addr string, opts ...Options) (*Client, error) {
 	o.MaxFrame = min(o.MaxFrame, server.MaxFrameLimit)
 	if o.RefreshInterval == 0 {
 		o.RefreshInterval = 30 * time.Second
-	}
-	switch o.Balance {
-	case "":
-		o.Balance = BalanceRoundRobin
-	case BalanceRoundRobin, BalanceLeastLoaded:
-	default:
-		return nil, fmt.Errorf("orchestra client: unknown balance mode %q", o.Balance)
 	}
 	c := &Client{opts: o, retry: o.Retry.normalized()}
 	seen := map[string]bool{}

@@ -35,7 +35,6 @@ func TestConnCallWatchdogStopsAtFinish(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		fake := &deadlineConn{}
 		conn := &wireConn{Conn: fake, ep: &endpoint{addr: "test"}}
-		conn.ep.out.Add(1)
 		ctx, cancel := context.WithCancel(context.Background())
 		cc := newConnCall(ctx, conn)
 		cc.finish(c, true)

@@ -87,15 +87,6 @@ func (p RetryPolicy) backoff(n int) time.Duration {
 	return d
 }
 
-// Balance names for Options.Balance.
-const (
-	// BalanceRoundRobin rotates calls across healthy endpoints (default).
-	BalanceRoundRobin = "round-robin"
-	// BalanceLeastLoaded picks the healthy endpoint with the fewest
-	// connections checked out by this client.
-	BalanceLeastLoaded = "least-loaded"
-)
-
 // Counters are the client's cumulative failover statistics. Snapshot
 // with Client.Counters; useful for load tools and tests asserting that
 // fault tolerance actually engaged.
@@ -140,10 +131,6 @@ const (
 // pool, and its health bookkeeping.
 type endpoint struct {
 	addr string
-
-	// out counts connections currently checked out (least-loaded
-	// balancing).
-	out atomic.Int64
 
 	mu        sync.Mutex
 	idle      []*wireConn
@@ -194,11 +181,12 @@ func (e *endpoint) drop() {
 	}
 }
 
-// pickEndpoint selects the endpoint for the next attempt, skipping
-// cooled-down members and (when possible) the endpoint the previous
-// attempt failed on. When every candidate is down the least-recently
-// failed one is tried anyway — with the whole cluster unreachable,
-// cooldowns must not turn into instant failures.
+// pickEndpoint selects the endpoint for the next attempt, rotating
+// round-robin across members and skipping cooled-down ones and (when
+// possible) the endpoint the previous attempt failed on. When every
+// candidate is down the first down one in rotation is tried anyway —
+// with the whole cluster unreachable, cooldowns must not turn into
+// instant failures.
 func (c *Client) pickEndpoint(avoid string) *endpoint {
 	now := time.Now()
 	c.mu.Lock()
@@ -208,7 +196,7 @@ func (c *Client) pickEndpoint(avoid string) *endpoint {
 		return nil
 	}
 	start := int(c.rr.Add(1)-1) % n
-	var best, down, avoided *endpoint
+	var down, avoided *endpoint
 	for i := 0; i < n; i++ {
 		e := c.eps[(start+i)%n]
 		if e.addr == avoid {
@@ -221,15 +209,7 @@ func (c *Client) pickEndpoint(avoid string) *endpoint {
 			}
 			continue
 		}
-		if c.opts.Balance != BalanceLeastLoaded {
-			return e
-		}
-		if best == nil || e.out.Load() < best.out.Load() {
-			best = e
-		}
-	}
-	if best != nil {
-		return best
+		return e
 	}
 	if down != nil {
 		return down
@@ -278,7 +258,6 @@ func (c *Client) acquireOn(ep *endpoint) (*wireConn, error) {
 		conn := ep.idle[n-1]
 		ep.idle = ep.idle[:n-1]
 		ep.mu.Unlock()
-		ep.out.Add(1)
 		return conn, nil
 	}
 	ep.mu.Unlock()
@@ -289,14 +268,12 @@ func (c *Client) acquireOn(ep *endpoint) (*wireConn, error) {
 		c.refreshAsync()
 		return nil, err
 	}
-	ep.out.Add(1)
 	return conn, nil
 }
 
 // release returns a clean connection to its endpoint's pool.
 func (c *Client) release(conn *wireConn) {
 	ep := conn.ep
-	ep.out.Add(-1)
 	c.mu.Lock()
 	closed := c.closed
 	c.mu.Unlock()
@@ -313,7 +290,6 @@ func (c *Client) release(conn *wireConn) {
 // discard closes a connection that must not be reused (frames in
 // flight, failed exchange).
 func (c *Client) discard(conn *wireConn) {
-	conn.ep.out.Add(-1)
 	conn.Close()
 }
 

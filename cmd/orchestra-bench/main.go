@@ -7,7 +7,7 @@
 //	orchestra-bench -figure fig7            # one figure, laptop scale
 //	orchestra-bench -figure all -v          # every figure
 //	orchestra-bench -figure fig10 -paper    # paper-scale parameters (slow)
-//	orchestra-bench -figure all -markdown   # Markdown tables (EXPERIMENTS.md)
+//	orchestra-bench -figure all -markdown   # Markdown tables
 package main
 
 import (

@@ -19,9 +19,8 @@
 //
 // With -serve ADDR the node additionally exposes the wire protocol of
 // internal/server on ADDR, so external processes can create, publish,
-// and query through the orchestra/client package (or cmd/orchestra-load)
-// instead of stdin. -maxq bounds concurrent query executions on that
-// endpoint.
+// and query through the orchestra/client package instead of stdin. -maxq
+// bounds concurrent query executions on that endpoint.
 package main
 
 import (

@@ -39,21 +39,14 @@ func WithDataDir(dir string) Option { return func(c *config) { c.dataDir = dir }
 // SyncAlways). Only meaningful together with WithDataDir.
 func WithSyncMode(m SyncMode) Option { return func(c *config) { c.syncMode = m } }
 
-// WithCheckpointBytes sets the WAL size at which each node snapshots its
-// store and truncates the log (default 64 MiB; negative disables
-// automatic checkpoints). Only meaningful together with WithDataDir.
-func WithCheckpointBytes(n int64) Option { return func(c *config) { c.checkpointBytes = n } }
-
 // openStoreFunc builds the cluster.Config.OpenStore hook for a durable
 // cluster: one kvstore directory and one metrics registry per node.
 func (c *Cluster) openStoreFunc(cfg *config) func(id ring.NodeID) (*kvstore.Store, error) {
 	return func(id ring.NodeID) (*kvstore.Store, error) {
 		reg := obs.NewRegistry()
 		s, err := kvstore.Open(filepath.Join(cfg.dataDir, string(id)), kvstore.Options{
-			Sync:            cfg.syncMode,
-			Registry:        reg,
-			CheckpointBytes: cfg.checkpointBytes,
-			RetainBytes:     cfg.retainBytes,
+			Sync:     cfg.syncMode,
+			Registry: reg,
 		})
 		if err != nil {
 			return nil, err

@@ -3,14 +3,15 @@ package orchestra
 // Engine scan-path microbenchmarks (single node, no wire): the reference
 // workload for the batched-pipeline / compiled-predicate optimization
 // work. CI runs these as a smoke test alongside the Wire codec benches;
-// cmd/orchestra-load -enginebench runs the same shape for longer and
-// records BENCH_engine.json.
+// the gated end-to-end numbers come from the benchmark module
+// (go run -C benchmark .; BENCHMARK.json names its workloads).
 
 import (
 	"fmt"
 	"math"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"orchestra/internal/server"
@@ -18,6 +19,31 @@ import (
 )
 
 const engineScanRows = 5000
+
+// benchScan holds the one-node cluster the scan benchmarks share, loaded
+// with engineScanRows rows once per process.
+var benchScan struct {
+	mu sync.Mutex
+	c  *Cluster
+}
+
+func benchCluster(b *testing.B) *Cluster {
+	b.Helper()
+	benchScan.mu.Lock()
+	defer benchScan.mu.Unlock()
+	if benchScan.c != nil {
+		return benchScan.c
+	}
+	c, err := NewCluster(1)
+	if err != nil {
+		b.Fatalf("NewCluster: %v", err)
+	}
+	if err := loadScanRelation(engineScanRows)(c); err != nil {
+		b.Fatalf("load: %v", err)
+	}
+	benchScan.c = c
+	return c
+}
 
 func loadScanRelation(rows int) func(*Cluster) error {
 	return func(c *Cluster) error {
@@ -44,7 +70,7 @@ func loadScanRelation(rows int) func(*Cluster) error {
 
 func benchEngineScan(b *testing.B, sqlText string, wantRows int) {
 	b.Helper()
-	c := benchCluster(b, "enginescan1", 1, loadScanRelation(engineScanRows))
+	c := benchCluster(b)
 	res, err := c.Query(sqlText)
 	if err != nil {
 		b.Fatalf("warm: %v", err)
@@ -213,7 +239,7 @@ func TestEngineScanAllocBudget(t *testing.T) {
 // provenance tracking on (the recovery-support overhead of §VI-E on the
 // scan path).
 func BenchmarkEngineScanProvenance(b *testing.B) {
-	c := benchCluster(b, "enginescan1", 1, loadScanRelation(engineScanRows))
+	c := benchCluster(b)
 	q := fmt.Sprintf("SELECT k, grp, v FROM scanload WHERE v >= 0 AND v < %d", engineScanRows)
 	if _, err := c.QueryOpts(q, QueryOptions{Provenance: true}); err != nil {
 		b.Fatalf("warm: %v", err)

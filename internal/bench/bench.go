@@ -6,12 +6,12 @@
 // overhead (§VI-E), range-allocation balance (Fig 2), and failure
 // detection latency (§V-A).
 //
-// Substitutions relative to the paper's testbed are deliberate and
-// documented in DESIGN.md: the cluster is simulated in-process (a
-// goroutine per node over a byte-accurate message fabric), so traffic
-// numbers are real wire sizes, while parallel speedup is reported through
-// a modeled completion time computed from per-node work counters — the
-// cost at the slowest node or link, mirroring the paper's own cost logic.
+// Substitutions relative to the paper's testbed are deliberate: the
+// cluster is simulated in-process (a goroutine per node over a
+// byte-accurate message fabric), so traffic numbers are real wire sizes,
+// while parallel speedup is reported through a modeled completion time
+// computed from per-node work counters — the cost at the slowest node or
+// link, mirroring the paper's own cost logic.
 package bench
 
 import (
@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"orchestra"
-	"orchestra/internal/engine"
 	"orchestra/internal/ring"
 	"orchestra/internal/stbench"
 	"orchestra/internal/tpch"
@@ -153,9 +152,9 @@ func runQuery(c *orchestra.Cluster, sqlText string, opts orchestra.QueryOptions,
 	}, nil
 }
 
-// modeledTime computes the completion-time model of DESIGN.md §2: the
-// maximum per-node CPU work plus the maximum per-node link time — the
-// slowest node or link at each stage, as the paper's optimizer costs it.
+// modeledTime computes the completion-time model: the maximum per-node
+// CPU work plus the maximum per-node link time — the slowest node or link
+// at each stage, as the paper's optimizer costs it.
 func modeledTime(res *orchestra.Result, sent, recv map[ring.NodeID]int64, linkBps float64) float64 {
 	if linkBps <= 0 {
 		linkBps = defaultLinkBps
@@ -217,5 +216,3 @@ func warmAndMeasure(c *orchestra.Cluster, sqlText string, linkBps float64) (*Mea
 	}
 	return runQuery(c, sqlText, orchestra.QueryOptions{}, linkBps)
 }
-
-var _ = engine.RecoverIncremental // referenced by figures.go

@@ -90,7 +90,7 @@ func writeAligned(w io.Writer, rows [][]string) {
 	}
 }
 
-// Markdown renders a figure as a Markdown table (for EXPERIMENTS.md).
+// Markdown renders a figure as a Markdown table (orchestra-bench -markdown).
 func Markdown(fig *Figure) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "### %s — %s\n\n", fig.ID, fig.Title)

@@ -32,7 +32,7 @@ func TestStreamGoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream := sentFrames(t, MaxFrame, -1, func(w *streamWriter) error { return w.StreamCols(rowBatch(t, rows)) })
+	stream := sentFrames(t, MaxFrame, func(w *streamWriter) error { return w.StreamCols(rowBatch(t, rows)) })
 	if len(stream) != 3 {
 		t.Fatalf("a two-row answer went out in %d frames, want schema, batch and end", len(stream))
 	}

@@ -74,10 +74,9 @@ func flated(enc []byte) bool {
 }
 
 // TestStreamEncodedFrames: the writer sends an encoded block as one batch
-// frame of exactly its bytes, after the rows staged ahead of it, counted in
-// the End frame — flated string bytes included when the server itself never
-// compresses — and refuses a block past its frame budget, which then
-// arrives decoded and re-framed.
+// frame of exactly its bytes, flated string bytes included, after the rows
+// staged ahead of it, counted in the End frame, and refuses a block past
+// its frame budget, which then arrives decoded and re-framed.
 func TestStreamEncodedFrames(t *testing.T) {
 	blk1, rows1 := relayBlock(t, 1)
 	blk2, rows2 := relayBlock(t, 2)
@@ -89,16 +88,14 @@ func TestStreamEncodedFrames(t *testing.T) {
 	want := append(append(append([]tuple.Row{}, lead...), rows1...), rows2...)
 	for _, tc := range []struct {
 		name     string
-		cfg      Config
 		maxFrame int64 // negotiated by hello (0: the server's)
 		relayed  bool
 	}{
 		{name: "relayed", relayed: true},
 		{name: "frame budget below a block", maxFrame: MinFrame},
-		{name: "never compress", cfg: Config{StreamCompressMin: -1}, relayed: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			conn := dialRaw(t, startTestServer(t, stub, tc.cfg))
+			conn := dialRaw(t, startTestServer(t, stub, Config{}))
 			conn.hello(&HelloRequest{Version: ProtocolVersion, MaxFrame: tc.maxFrame})
 			conn.query(1, "q")
 			var got []tuple.Row

@@ -44,11 +44,6 @@ type Config struct {
 	// query (default DefaultStreamWindow). The handshake uses
 	// min(client, server).
 	StreamWindow int
-	// StreamCompressMin is the raw batch size in bytes at which streamed
-	// batches' string bytes are flate-compressed (0 = default 2 KiB,
-	// negative = never — useful on loopback where compression CPU exceeds
-	// the byte savings).
-	StreamCompressMin int
 	// OnQueryStart, when set, is invoked at the start of every query
 	// execution while its admission slot is held — an instrumentation
 	// hook (tests use it to make executions overlap deterministically).
@@ -65,8 +60,6 @@ type Config struct {
 	// tree from the client's response). 0 = the 250ms default; negative
 	// disables the log.
 	SlowQueryThreshold time.Duration
-	// SlowQueryLogSize is the slow-query ring's capacity (default 64).
-	SlowQueryLogSize int
 	// Peers, when set, supplies the deployment's advertised client
 	// endpoints (this server's included) for the health and status ops —
 	// the member list smart clients refresh from.
@@ -76,8 +69,8 @@ type Config struct {
 // defaultSlowQueryThreshold is the slow-query log's default threshold.
 const defaultSlowQueryThreshold = 250 * time.Millisecond
 
-// defaultSlowQueryLogSize is the slow-query ring's default capacity.
-const defaultSlowQueryLogSize = 64
+// slowQueryLogSize is the slow-query ring's capacity.
+const slowQueryLogSize = 64
 
 func (c Config) withDefaults() Config {
 	if c.MaxConcurrentQueries <= 0 {
@@ -104,9 +97,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SlowQueryThreshold == 0 {
 		c.SlowQueryThreshold = defaultSlowQueryThreshold
-	}
-	if c.SlowQueryLogSize <= 0 {
-		c.SlowQueryLogSize = defaultSlowQueryLogSize
 	}
 	return c
 }
@@ -183,8 +173,8 @@ type slowLog struct {
 	dropped uint64      // entries overwritten
 }
 
-func newSlowLog(threshold time.Duration, capacity int) *slowLog {
-	return &slowLog{threshold: threshold, entries: make([]SlowQuery, 0, capacity)}
+func newSlowLog(threshold time.Duration) *slowLog {
+	return &slowLog{threshold: threshold, entries: make([]SlowQuery, 0, slowQueryLogSize)}
 }
 
 func (l *slowLog) enabled() bool { return l.threshold > 0 }
@@ -238,7 +228,7 @@ func Start(addr string, backend Backend, cfg Config) (*Server, error) {
 		active:  make(map[net.Conn]struct{}),
 		metrics: cfg.Registry,
 		ops:     make(map[string]*opMetrics),
-		slow:    newSlowLog(cfg.SlowQueryThreshold, cfg.SlowQueryLogSize),
+		slow:    newSlowLog(cfg.SlowQueryThreshold),
 	}
 	for _, op := range []string{OpPing, OpCreate, OpPublish, OpQuery, OpSchema, OpStatus, OpHello, OpTrace, OpHealth} {
 		s.ops[op] = &opMetrics{

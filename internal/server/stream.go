@@ -85,13 +85,13 @@ const (
 	// defaultStreamBatchBytes is the target encoded size of one batch
 	// frame (pre-compression).
 	defaultStreamBatchBytes = 256 << 10
-	// defaultStreamCompressMin is the raw batch size at which flate
+	// streamCompressMin is the raw batch size at which flate
 	// compression of string bytes kicks in on the wire path; small batches
 	// are cheaper to send than to compress. A raw body counts ints packed
 	// to their spread, about three quarters of the bytes a row took when
 	// every value was a varint, so a few-hundred-row answer of the load
 	// relation reaches 2 KiB but not the 4 KiB this once was.
-	defaultStreamCompressMin = 2 << 10
+	streamCompressMin = 2 << 10
 	// maxStreamBatchRows caps rows per batch frame so decode-side
 	// allocations stay bounded regardless of row width.
 	maxStreamBatchRows = 4096
@@ -266,7 +266,7 @@ func AppendPublishPayload(dst []byte, id, pubID uint64, relation string, rows *t
 	dst = binary.BigEndian.AppendUint64(dst, pubID)
 	dst = binary.AppendUvarint(dst, uint64(len(relation)))
 	dst = append(dst, relation...)
-	return tuple.AppendBatchCols(dst, rows, defaultStreamCompressMin)
+	return tuple.AppendBatchCols(dst, rows, streamCompressMin)
 }
 
 // DecodePublishPayload reverses AppendPublishPayload. The rows come back
@@ -347,7 +347,6 @@ type streamWriter struct {
 
 	maxFrame    int64
 	targetBytes int // soft cut point for one batch (pre-compression)
-	compressMin int // raw bytes at which flate kicks in (<0: never)
 
 	cols    []string // announced by Columns, sent by begin
 	started bool     // schema frame sent
@@ -394,10 +393,6 @@ func newStreamWriter(ctx context.Context, sess *session, id uint64, window int) 
 	if lim := int(maxFrame / 4); lim > 0 && target > lim {
 		target = lim
 	}
-	compressMin := sess.srv.cfg.StreamCompressMin
-	if compressMin == 0 {
-		compressMin = defaultStreamCompressMin
-	}
 	if window < 1 {
 		window = 1
 	}
@@ -412,7 +407,6 @@ func newStreamWriter(ctx context.Context, sess *session, id uint64, window int) 
 		credits:     make(chan uint64, window),
 		maxFrame:    maxFrame,
 		targetBytes: target,
-		compressMin: compressMin,
 		avail:       window,
 	}
 }
@@ -653,7 +647,7 @@ func (w *streamWriter) flushCols() error {
 	dst, mark := beginFrame((*buf)[:0], FrameBatch)
 	dst = binary.BigEndian.AppendUint64(dst, w.id)
 	body := len(dst)
-	dst, err := tuple.AppendBatchCols(dst, w.pendCols, w.compressMin)
+	dst, err := tuple.AppendBatchCols(dst, w.pendCols, streamCompressMin)
 	if err != nil {
 		return err
 	}

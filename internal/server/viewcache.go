@@ -52,7 +52,7 @@ type viewKey struct {
 // of their own (Batch.Own): a scanned string aliases a store leaf's slab,
 // and a cached answer must pin its own bytes, not every leaf it read.
 // Beside the batch the entry memoizes the answer as one frame writer cut
-// and encoded it (emit), so a served hit under the same writer settings
+// and encoded it (emit), so a served hit cut at the same batch size
 // writes those bytes and encodes nothing.
 type viewEntry struct {
 	key   viewKey
@@ -63,11 +63,9 @@ type viewEntry struct {
 }
 
 // viewFrames is an entry's answer as batch frame bodies, valid for any
-// streamWriter cutting at targetBytes and compressing at compressMin.
-// Immutable once published.
+// streamWriter cutting at targetBytes. Immutable once published.
 type viewFrames struct {
 	targetBytes int
-	compressMin int
 	frames      []viewFrame
 }
 
@@ -122,16 +120,17 @@ func (v *ViewCache) stats() engine.CacheStats {
 }
 
 // emit sends the entry's answer through out. A frame writer that has
-// sent nothing yet writes the memo when its settings match it. With no
-// memo, it encodes the batch while recording what it sends, and publishes
-// that as the memo — the first to publish wins. Every other sink — the
-// embedded collecting sink, a writer with other settings — reads the
-// batch, and a failed emission publishes nothing.
+// sent nothing yet writes the memo when it cuts at the memo's batch size
+// (a connection's negotiated frame cap can lower it). With no memo, it
+// encodes the batch while recording what it sends, and publishes that as
+// the memo — the first to publish wins. Every other sink — the embedded
+// collecting sink, a writer cutting elsewhere — reads the batch, and a
+// failed emission publishes nothing.
 func (e *viewEntry) emit(out ResultStream) error {
 	if w, ok := out.(*streamWriter); ok && w.RowsStaged() == 0 {
 		switch m := e.memo.Load(); {
 		case m == nil:
-			rec := &viewFrames{targetBytes: w.targetBytes, compressMin: w.compressMin}
+			rec := &viewFrames{targetBytes: w.targetBytes}
 			w.rec = rec
 			err := w.StreamCols(e.batch)
 			if err == nil {
@@ -142,7 +141,7 @@ func (e *viewEntry) emit(out ResultStream) error {
 				e.memo.CompareAndSwap(nil, rec)
 			}
 			return err
-		case m.targetBytes == w.targetBytes && m.compressMin == w.compressMin:
+		case m.targetBytes == w.targetBytes:
 			return w.writeFrames(m)
 		}
 	}

@@ -25,7 +25,7 @@ var benchCols = []string{"k", "g", "i", "f"}
 
 // pipeSession is a session over one end of a net.Pipe: what its writers
 // send goes to conn's peer, which the caller reads or drains.
-func pipeSession(t testing.TB, maxFrame int64, compressMin int) (sess *session, peer net.Conn) {
+func pipeSession(t testing.TB, maxFrame int64) (sess *session, peer net.Conn) {
 	t.Helper()
 	peer, conn := net.Pipe()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -34,17 +34,17 @@ func pipeSession(t testing.TB, maxFrame int64, compressMin int) (sess *session, 
 		peer.Close()
 		conn.Close()
 	})
-	srv := &Server{cfg: Config{StreamCompressMin: compressMin, Logf: func(string, ...any) {}}}
+	srv := &Server{cfg: Config{Logf: func(string, ...any) {}}}
 	return &session{srv: srv, conn: conn, ctx: ctx, maxFrame: maxFrame}, peer
 }
 
-// sentFrames runs emit against a fresh writer on a session with these
-// settings, ends the stream, and returns every frame it wrote (kind byte
+// sentFrames runs emit against a fresh writer on a session with this
+// frame cap, ends the stream, and returns every frame it wrote (kind byte
 // and payload), the End frame included. The window covers any answer
 // here, so the writer never waits for credit.
-func sentFrames(t *testing.T, maxFrame int64, compressMin int, emit func(w *streamWriter) error) [][]byte {
+func sentFrames(t *testing.T, maxFrame int64, emit func(w *streamWriter) error) [][]byte {
 	t.Helper()
-	sess, peer := pipeSession(t, maxFrame, compressMin)
+	sess, peer := pipeSession(t, maxFrame)
 	got := make(chan [][]byte, 1)
 	go func() {
 		var frames [][]byte
@@ -101,7 +101,7 @@ func TestViewHitFramesMatchEncode(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := rowBatch(t, tc.rows)
-			want := sentFrames(t, tc.maxFrame, 0, func(w *streamWriter) error { return w.StreamCols(b) })
+			want := sentFrames(t, tc.maxFrame, func(w *streamWriter) error { return w.StreamCols(b) })
 			batches := len(want) - 2 // schema, batches, end
 			switch {
 			case tc.rows == nil && batches != 0,
@@ -114,7 +114,7 @@ func TestViewHitFramesMatchEncode(t *testing.T) {
 			}
 			e := &viewEntry{batch: b, cols: benchCols}
 			for _, pass := range []string{"fill", "hit"} {
-				got := sentFrames(t, tc.maxFrame, 0, func(w *streamWriter) error {
+				got := sentFrames(t, tc.maxFrame, func(w *streamWriter) error {
 					_, err := viewHit(e, nil, w)
 					return err
 				})
@@ -273,7 +273,7 @@ func TestViewHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops frame buffers at random under -race, so the count varies")
 	}
-	sess, peer := pipeSession(t, MaxFrame, 0)
+	sess, peer := pipeSession(t, MaxFrame)
 	go io.Copy(io.Discard, peer)
 	var allocs []float64
 	for _, n := range []int{1000, 4000} {
@@ -304,7 +304,7 @@ func TestViewHitAllocs(t *testing.T) {
 // BenchmarkViewHit: one served hit of a cached 1000-row answer, written
 // from the memo against encoded afresh from the batch.
 func BenchmarkViewHit(b *testing.B) {
-	sess, peer := pipeSession(b, MaxFrame, 0)
+	sess, peer := pipeSession(b, MaxFrame)
 	go io.Copy(io.Discard, peer)
 	batch := rowBatch(b, benchResultRows(1000))
 	for _, tc := range []struct {
@@ -334,14 +334,14 @@ func BenchmarkViewHit(b *testing.B) {
 
 // viewCluster is a 3-node cluster whose first two nodes' backends share
 // one view cache, each served by an endpoint: def with the default
-// settings, raw with StreamCompressMin -1. Relation t holds rows, all
-// published at epoch.
+// settings, small with MaxFrame at MinFrame, so its writers cut batches
+// at MinFrame/4. Relation t holds rows, all published at epoch.
 type viewCluster struct {
-	views    *ViewCache
-	back     *NodeBackend
-	def, raw *Server
-	rows     []tuple.Row
-	epoch    tuple.Epoch
+	views      *ViewCache
+	back       *NodeBackend
+	def, small *Server
+	rows       []tuple.Row
+	epoch      tuple.Epoch
 }
 
 func newViewCluster(t *testing.T, n int) *viewCluster {
@@ -370,7 +370,7 @@ func newViewCluster(t *testing.T, n int) *viewCluster {
 		t.Fatal(err)
 	}
 	vc.def = startTestServer(t, backs[0], Config{})
-	vc.raw = startTestServer(t, backs[1], Config{StreamCompressMin: -1})
+	vc.small = startTestServer(t, backs[1], Config{MaxFrame: MinFrame})
 	return vc
 }
 
@@ -386,9 +386,9 @@ func (vc *viewCluster) entry(sql string) *viewEntry {
 }
 
 // servedAnswer runs sql pinned to epoch over conn, granting a credit per
-// batch frame, and returns its rows and how many batch frames were
-// compressed. It reports failures as errors, so any goroutine may call it.
-func servedAnswer(conn net.Conn, br *bufio.Reader, id uint64, sql string, epoch tuple.Epoch) (rows []tuple.Row, compressed int, cached bool, err error) {
+// batch frame, and returns its rows and how many batch frames carried
+// them. It reports failures as errors, so any goroutine may call it.
+func servedAnswer(conn net.Conn, br *bufio.Reader, id uint64, sql string, epoch tuple.Epoch) (rows []tuple.Row, frames int, cached bool, err error) {
 	frame, err := AppendJSONFrame(nil, &Request{ID: id, Op: OpQuery, Query: &QueryRequest{SQL: sql, Epoch: uint64(epoch)}}, MaxFrame)
 	if err != nil {
 		return nil, 0, false, err
@@ -408,9 +408,7 @@ func servedAnswer(conn net.Conn, br *bufio.Reader, id uint64, sql string, epoch 
 				return nil, 0, false, err
 			}
 			rows = append(rows, part...)
-			if flated(payload[8:]) {
-				compressed++
-			}
+			frames++
 			credit, _ := AppendBinaryFrame(nil, FrameCredit, AppendCreditPayload(nil, id, 1), MaxFrame)
 			if _, err := conn.Write(credit); err != nil {
 				return nil, 0, false, err
@@ -420,7 +418,7 @@ func servedAnswer(conn net.Conn, br *bufio.Reader, id uint64, sql string, epoch 
 			if err == nil && end.Error != nil {
 				err = end.Error
 			}
-			return rows, compressed, err == nil && end.Cached, err
+			return rows, frames, err == nil && end.Cached, err
 		}
 	}
 }
@@ -444,14 +442,14 @@ func sameRows(got, want []tuple.Row) bool {
 }
 
 // TestViewMissFillsMemo: a served miss leaves its entry holding the memo
-// of the frames it sent, under the settings of the endpoint that sent
+// of the frames it sent, cut at the batch size of the endpoint that sent
 // them, and the next hit answers the same.
 func TestViewMissFillsMemo(t *testing.T) {
 	vc := newViewCluster(t, 2000)
 	for i, ep := range []struct {
-		srv         *Server
-		compressMin int
-	}{{vc.def, defaultStreamCompressMin}, {vc.raw, -1}} {
+		srv    *Server
+		target int
+	}{{vc.def, defaultStreamBatchBytes}, {vc.small, MinFrame / 4}} {
 		sql := fmt.Sprintf("SELECT k, g, v FROM t WHERE g >= %d", i)
 		var want []tuple.Row
 		for _, r := range vc.rows {
@@ -469,8 +467,8 @@ func TestViewMissFillsMemo(t *testing.T) {
 			t.Fatalf("%s: no entry after the miss", sql)
 		}
 		m := e.memo.Load()
-		if m == nil || m.targetBytes != defaultStreamBatchBytes || m.compressMin != ep.compressMin {
-			t.Fatalf("%s: memo %+v after a miss through an endpoint compressing at %d", sql, m, ep.compressMin)
+		if m == nil || m.targetBytes != ep.target {
+			t.Fatalf("%s: memo %+v after a miss through an endpoint cutting at %d", sql, m, ep.target)
 		}
 		rows, _, cached, err = servedAnswer(conn, conn.br, 2, sql, vc.epoch)
 		if err != nil || !cached || !sameRows(rows, want) || e.memo.Load() != m {
@@ -527,7 +525,7 @@ func TestViewEntryOwnsItsStrings(t *testing.T) {
 	if !sameRows(e.batch.Rows(), want) {
 		t.Fatal("the cached batch changed across publishes")
 	}
-	for i, srv := range []*Server{vc.def, vc.raw} {
+	for i, srv := range []*Server{vc.def, vc.small} {
 		conn := dialTest(t, srv)
 		if rows, _, cached, err := servedAnswer(conn, conn.br, 1, sql, vc.epoch); err != nil || !cached || !sameRows(rows, want) {
 			t.Fatalf("endpoint %d: hit answered %d rows (cached %v), %v", i, len(rows), cached, err)
@@ -535,10 +533,11 @@ func TestViewEntryOwnsItsStrings(t *testing.T) {
 	}
 }
 
-// TestViewMemoRace: eight clients on two endpoints with different
-// compression settings hit one entry while its memo is being filled. The
-// memo is published once, every answer equals the model, and the
-// never-compress endpoint sends no compressed frame.
+// TestViewMemoRace: eight clients on two endpoints with different batch
+// sizes hit one entry while its memo is being filled. The memo is
+// published once, every answer equals the model, and each endpoint's
+// answers are cut at its own size: one frame from def, several from
+// small, whichever endpoint's writer recorded the memo.
 func TestViewMemoRace(t *testing.T) {
 	vc := newViewCluster(t, 3000)
 	const sql = "SELECT k, g, v FROM t WHERE v < 2500"
@@ -552,15 +551,15 @@ func TestViewMemoRace(t *testing.T) {
 		t.Fatalf("entry %+v after a collected miss: want one with no memo", e)
 	}
 	type client struct {
-		conn *testConn
-		raw  bool
+		conn  *testConn
+		small bool
 	}
 	var clients []client
 	for i := 0; i < 8; i++ {
 		if i%2 == 0 {
 			clients = append(clients, client{dialTest(t, vc.def), false})
 		} else {
-			clients = append(clients, client{dialTest(t, vc.raw), true})
+			clients = append(clients, client{dialTest(t, vc.small), true})
 		}
 	}
 	stop := make(chan struct{})
@@ -588,15 +587,15 @@ func TestViewMemoRace(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for id := uint64(1); id <= 3; id++ {
-				rows, compressed, cached, err := servedAnswer(c.conn, c.conn.br, id, sql, vc.epoch)
+				rows, frames, cached, err := servedAnswer(c.conn, c.conn.br, id, sql, vc.epoch)
 				switch {
 				case err != nil:
 					t.Errorf("client %d: %v", i, err)
 					return
 				case !cached || !sameRows(rows, want):
 					t.Errorf("client %d: %d rows (cached %v), want the model's %d", i, len(rows), cached, len(want))
-				case c.raw && compressed > 0:
-					t.Errorf("client %d: %d compressed frames from a never-compress endpoint", i, compressed)
+				case c.small != (frames > 1):
+					t.Errorf("client %d (small %v): %d batch frames", i, c.small, frames)
 				}
 			}
 		}()

@@ -4,7 +4,7 @@
 // and key relationships; value distributions are simplified but preserve
 // the selectivities the studied queries (Q1, Q3, Q5, Q6, Q10) depend on.
 // Dates are encoded as int64 YYYYMMDD (order-preserving), and comment
-// strings are shortened — substitutions recorded in DESIGN.md.
+// strings are shortened.
 package tpch
 
 import (

@@ -52,17 +52,15 @@ type Rows []Row
 type Option func(*config)
 
 type config struct {
-	replication     int
-	latency         time.Duration
-	bandwidth       int64
-	scheme          ring.Scheme
-	capacities      []float64
-	nodeCfg         cluster.Config
-	dataDir         string
-	syncMode        kvstore.SyncMode
-	checkpointBytes int64
-	retainBytes     int64
-	repairInterval  time.Duration
+	replication    int
+	latency        time.Duration
+	bandwidth      int64
+	scheme         ring.Scheme
+	capacities     []float64
+	nodeCfg        cluster.Config
+	dataDir        string
+	syncMode       kvstore.SyncMode
+	repairInterval time.Duration
 }
 
 // WithReplication sets the total copy count r kept of each data item

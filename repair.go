@@ -14,13 +14,6 @@ import (
 // /metrics.
 type ReplStats = cluster.ReplStats
 
-// WithWALRetention bounds the archived WAL segments each durable node
-// keeps for replica catch-up (bytes; default 32 MiB). A rejoining node
-// whose peers still retain its missed records catches up by replaying
-// the shipped log delta; once peers truncate past its position it falls
-// back to a full state transfer. Only meaningful with WithDataDir.
-func WithWALRetention(n int64) Option { return func(c *config) { c.retainBytes = n } }
-
 // WithAntiEntropy starts a low-priority background repair loop on every
 // node: at each interval a node exchanges per-relation summaries with
 // one replica peer, pulls any missed log suffix (WAL shipping), and

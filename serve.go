@@ -29,10 +29,6 @@ type ServeOptions struct {
 	// StreamWindow is the per-stream credit window offered to streaming
 	// clients, in batch frames (default server.DefaultStreamWindow).
 	StreamWindow int
-	// StreamCompressMin sets the raw batch size at which streamed batches
-	// have their string bytes flate-compressed (0 = default 2 KiB,
-	// negative = never).
-	StreamCompressMin int
 	// SlowQueryThreshold sets the endpoint's slow-query log threshold:
 	// queries at or above it are recorded with their span trees,
 	// retrievable via the status and trace ops (0 = the server's 250ms
@@ -120,7 +116,6 @@ func (c *Cluster) Serve(addr string, opts ServeOptions) (*Server, error) {
 		OnQueryStart:         opts.OnQueryStart,
 		MaxFrame:             opts.MaxFrame,
 		StreamWindow:         opts.StreamWindow,
-		StreamCompressMin:    opts.StreamCompressMin,
 		SlowQueryThreshold:   opts.SlowQueryThreshold,
 		// Every endpoint served off this cluster advertises the whole
 		// set (plus any static extras), so one reachable endpoint

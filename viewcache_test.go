@@ -2,7 +2,10 @@ package orchestra
 
 import (
 	"fmt"
+	"slices"
 	"testing"
+
+	"orchestra/internal/server"
 )
 
 // TestQueryCacheLRURecency: a cache hit refreshes an entry's recency, so
@@ -171,10 +174,13 @@ func TestQueryCachePerNode(t *testing.T) {
 }
 
 // TestServedViewHitMixedSettings: two endpoints of one cluster share the
-// view cache, one with the default settings and one that never
-// compresses, and each in turn fills an entry first. Both answer every
-// query exactly, hit or miss, and the never-compress endpoint sends no
-// compressed frame, whatever the entry's first writer recorded.
+// view cache, one with the default settings and one whose frame cap is
+// server.MinFrame, so it cuts batches at 1 KiB, and each in turn fills an
+// entry first. Both answer every query exactly, hit or miss, and each
+// sends frames cut at its own size, whatever the entry's first writer
+// recorded: a memo recorded at one cut is not replayed at another. The
+// default endpoint's batches reach the 2 KiB compression threshold; the
+// small endpoint's stay below it and hold fewer than a block's 1024 rows.
 func TestServedViewHitMixedSettings(t *testing.T) {
 	c := newTestCluster(t, 3)
 	mustCreate(t, c, NewSchema("load", "k:string", "grp:int", "v:int"))
@@ -195,15 +201,15 @@ func TestServedViewHitMixedSettings(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer def.Close()
-	raw, err := c.Serve("127.0.0.1:0", ServeOptions{Node: 1, StreamCompressMin: -1})
+	small, err := c.Serve("127.0.0.1:0", ServeOptions{Node: 1, MaxFrame: server.MinFrame})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer raw.Close()
+	defer small.Close()
 	for i, q := range queries {
-		order := []*Server{def, raw}
+		order := []*Server{def, small}
 		if i == 1 {
-			order = []*Server{raw, def}
+			order = []*Server{small, def}
 		}
 		for round := 0; round < 2; round++ {
 			for j, srv := range order {
@@ -213,8 +219,8 @@ func TestServedViewHitMixedSettings(t *testing.T) {
 					t.Fatalf("%s: round %d, endpoint %d: cached=%v", q, round, j, got.cached)
 				}
 				switch {
-				case srv == raw && len(got.flated) > 0:
-					t.Fatalf("%s: %d flated frames from the endpoint that never compresses", q, len(got.flated))
+				case srv == small && (len(got.flated) > 0 || slices.Max(got.frameRows) >= 1024):
+					t.Fatalf("%s: the 1 KiB endpoint sent frames of %v rows, %d flated", q, got.frameRows, len(got.flated))
 				case srv == def && len(got.flated) == 0:
 					t.Fatalf("%s: the default endpoint sent %d rows uncompressed", q, len(got.rows))
 				}
