@@ -9,6 +9,7 @@ import (
 
 	"orchestra/internal/server"
 	"orchestra/internal/tuple"
+	"orchestra/internal/wire"
 )
 
 func newScanCluster(t *testing.T, rows int) *Cluster {
@@ -55,7 +56,7 @@ func (s *testSink) StreamCols(b *tuple.Batch) error {
 // servedQuery runs req the way node 0's endpoint does — the backend's
 // QueryStream, with sink standing in for the frame writer — and returns the
 // wire's tail.
-func servedQuery(c *Cluster, req server.QueryRequest, sink server.ResultStream) (*server.QueryTail, error) {
+func servedQuery(c *Cluster, req wire.QueryRequest, sink server.ResultStream) (*wire.QueryTail, error) {
 	b, err := c.backend(0)
 	if err != nil {
 		return nil, err
@@ -98,7 +99,7 @@ func TestServedQueryColumnar(t *testing.T) {
 	}
 	for _, prov := range []bool{false, true} {
 		sink := &testSink{keep: true}
-		tail, err := servedQuery(c, server.QueryRequest{SQL: q, Provenance: prov}, sink)
+		tail, err := servedQuery(c, wire.QueryRequest{SQL: q, Provenance: prov}, sink)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +129,7 @@ func TestQueryLimitPushdown(t *testing.T) {
 		}
 	}
 	sink := &testSink{}
-	if _, err := servedQuery(c, server.QueryRequest{SQL: q}, sink); err != nil {
+	if _, err := servedQuery(c, wire.QueryRequest{SQL: q}, sink); err != nil {
 		t.Fatal(err)
 	}
 	if sink.n != 25 {
@@ -144,10 +145,10 @@ func TestServedQueryCacheHit(t *testing.T) {
 	c.EnableQueryCache(16)
 	q := "SELECT k, v FROM bq WHERE v < 40"
 	miss, hit := &testSink{keep: true}, &testSink{keep: true}
-	if _, err := servedQuery(c, server.QueryRequest{SQL: q}, miss); err != nil {
+	if _, err := servedQuery(c, wire.QueryRequest{SQL: q}, miss); err != nil {
 		t.Fatal(err)
 	}
-	res, err := servedQuery(c, server.QueryRequest{SQL: q}, hit)
+	res, err := servedQuery(c, wire.QueryRequest{SQL: q}, hit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestServedQueryCacheHit(t *testing.T) {
 	sameAnswer(t, own.Rows, miss.rows)
 	own.Rows[0][0] = tuple.S("scribbled")
 	again := &testSink{keep: true}
-	if _, err := servedQuery(c, server.QueryRequest{SQL: q}, again); err != nil {
+	if _, err := servedQuery(c, wire.QueryRequest{SQL: q}, again); err != nil {
 		t.Fatal(err)
 	}
 	sameAnswer(t, again.rows, miss.rows)
@@ -189,7 +190,7 @@ func TestViewCacheOwnsItsBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.EnableQueryCache(4)
-	if _, err := servedQuery(c, server.QueryRequest{SQL: q}, &testSink{}); err != nil {
+	if _, err := servedQuery(c, wire.QueryRequest{SQL: q}, &testSink{}); err != nil {
 		t.Fatal(err)
 	}
 	errs := make(chan error, 8)
@@ -197,7 +198,7 @@ func TestViewCacheOwnsItsBatch(t *testing.T) {
 		go func() { // hits of the one entry
 			for i := 0; i < 40; i++ {
 				sink := &testSink{keep: true}
-				res, err := servedQuery(c, server.QueryRequest{SQL: q}, sink)
+				res, err := servedQuery(c, wire.QueryRequest{SQL: q}, sink)
 				if err == nil && (!res.Cached || len(sink.rows) != len(want.Rows)) {
 					err = fmt.Errorf("hit: cached=%v, %d rows", res.Cached, len(sink.rows))
 				}
@@ -218,7 +219,7 @@ func TestViewCacheOwnsItsBatch(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				sink := &testSink{}
 				q := fmt.Sprintf("SELECT k, v FROM bq WHERE v >= %d", 300+g)
-				if _, err := servedQuery(c, server.QueryRequest{SQL: q, Provenance: true}, sink); err != nil {
+				if _, err := servedQuery(c, wire.QueryRequest{SQL: q, Provenance: true}, sink); err != nil {
 					errs <- err
 					return
 				}

@@ -1,7 +1,7 @@
 // Package client is the Go client for a served ORCHESTRA deployment
 // (an orchestra.Cluster with Serve enabled, or an orchestra-node started
 // with -serve): connection pooling, endpoint balancing and failover over
-// the wire protocol that internal/server defines, with server-side
+// the wire protocol that internal/wire defines, with server-side
 // failures surfaced as typed errors. Query results arrive as
 // column-major row-batch frames decoded incrementally, both behind the
 // buffered Query API and the incremental QueryStream iterator.
@@ -24,57 +24,35 @@ import (
 	"time"
 
 	"orchestra/internal/obs"
-	"orchestra/internal/server"
 	"orchestra/internal/tuple"
+	"orchestra/internal/wire"
 )
 
 // Typed error categories; unwrap with errors.Is. The full server message
 // is available via errors.As on *Error.
 var (
 	// ErrBadRequest reports a malformed or unparsable request.
-	ErrBadRequest = errors.New("bad request")
+	ErrBadRequest = wire.ErrBadRequest
 	// ErrNotFound reports a missing relation.
-	ErrNotFound = errors.New("not found")
+	ErrNotFound = wire.ErrNotFound
 	// ErrTimeout reports a server-side request timeout (admission wait
 	// included).
-	ErrTimeout = errors.New("timeout")
+	ErrTimeout = wire.ErrTimeout
 	// ErrFrameTooLarge reports a single wire frame exceeding the
 	// connection's negotiated limit — typically a publish too big for one
 	// frame. Results are not subject to a whole-result cap.
-	ErrFrameTooLarge = errors.New("frame too large")
+	ErrFrameTooLarge = wire.ErrFrameTooLarge
 	// ErrCancelled reports a stream terminated by a cancel frame.
-	ErrCancelled = errors.New("stream cancelled")
+	ErrCancelled = wire.ErrCancelled
 	// ErrServer reports any other server-side failure.
-	ErrServer = errors.New("server error")
+	ErrServer = wire.ErrServer
 )
 
-// Error is a failure reported by the server.
-type Error struct {
-	// Code is the wire code ("bad_request", "not_found", "timeout",
-	// "frame_too_large", "internal").
-	Code string
-	// Message is the server's description.
-	Message string
-}
-
-func (e *Error) Error() string { return "orchestra server: " + e.Code + ": " + e.Message }
-
-// Unwrap maps the code onto the typed sentinel errors.
-func (e *Error) Unwrap() error {
-	switch e.Code {
-	case server.CodeBadRequest:
-		return ErrBadRequest
-	case server.CodeNotFound:
-		return ErrNotFound
-	case server.CodeTimeout:
-		return ErrTimeout
-	case server.CodeFrameTooLarge:
-		return ErrFrameTooLarge
-	case server.CodeCancelled:
-		return ErrCancelled
-	}
-	return ErrServer
-}
+// Error is a failure reported by the server: its Code is the wire code
+// ("bad_request", "not_found", "timeout", "frame_too_large", "internal",
+// ...), its Message the server's description, and it unwraps to the
+// Err* category of its code.
+type Error = wire.Error
 
 // Options tunes a Client.
 type Options struct {
@@ -87,7 +65,7 @@ type Options struct {
 	// deadline of their own (hello, stream-cancel drain, membership
 	// refresh).
 	DialTimeout time.Duration
-	// MaxFrame bounds a single inbound frame (default server.MaxFrame);
+	// MaxFrame bounds a single inbound frame (default wire.MaxFrame);
 	// offered to the server during negotiation, which uses the min of
 	// the two peers' limits.
 	MaxFrame int64
@@ -155,9 +133,9 @@ func Dial(addr string, opts ...Options) (*Client, error) {
 		o.DialTimeout = 5 * time.Second
 	}
 	if o.MaxFrame <= 0 {
-		o.MaxFrame = server.MaxFrame
+		o.MaxFrame = wire.MaxFrame
 	}
-	o.MaxFrame = min(o.MaxFrame, server.MaxFrameLimit)
+	o.MaxFrame = min(o.MaxFrame, wire.MaxFrameLimit)
 	if o.RefreshInterval == 0 {
 		o.RefreshInterval = 30 * time.Second
 	}
@@ -219,11 +197,11 @@ func (c *Client) dial(ep *endpoint) (*wireConn, error) {
 func (c *Client) hello(conn *wireConn) error {
 	conn.SetDeadline(time.Now().Add(c.opts.DialTimeout))
 	defer conn.SetDeadline(time.Time{})
-	req := &server.Request{
+	req := &wire.Request{
 		ID: 1,
-		Op: server.OpHello,
-		Hello: &server.HelloRequest{
-			Version:  server.ProtocolVersion,
+		Op: wire.OpHello,
+		Hello: &wire.HelloRequest{
+			Version:  wire.ProtocolVersion,
 			MaxFrame: c.opts.MaxFrame,
 			Window:   c.opts.StreamWindow,
 		},
@@ -240,7 +218,7 @@ func (c *Client) hello(conn *wireConn) error {
 		return fmt.Errorf("orchestra client: hello: %w", err)
 	}
 	if resp.Error != nil {
-		return &Error{Code: resp.Error.Code, Message: resp.Error.Message}
+		return resp.Error
 	}
 	if resp.Hello == nil {
 		return errors.New("orchestra client: malformed hello response")
@@ -255,9 +233,9 @@ func (c *Client) hello(conn *wireConn) error {
 
 // readFrame reads one frame, mapping a frame-size violation onto
 // ErrFrameTooLarge.
-func readFrame(conn *wireConn) (server.FrameKind, []byte, error) {
-	kind, payload, err := server.ReadRawFrame(conn.br, conn.maxFrame)
-	var fse *server.FrameSizeError
+func readFrame(conn *wireConn) (wire.FrameKind, []byte, error) {
+	kind, payload, err := wire.ReadRawFrame(conn.br, conn.maxFrame)
+	var fse *wire.FrameSizeError
 	if errors.As(err, &fse) {
 		err = fmt.Errorf("%w: inbound frame of %d bytes exceeds limit %d", ErrFrameTooLarge, fse.Size, fse.Max)
 	}
@@ -266,17 +244,17 @@ func readFrame(conn *wireConn) (server.FrameKind, []byte, error) {
 
 // readResponse reads one JSON response, returning the frame's wire size
 // for accounting.
-func readResponse(conn *wireConn) (*server.Response, int64, error) {
+func readResponse(conn *wireConn) (*wire.Response, int64, error) {
 	kind, payload, err := readFrame(conn)
 	if err != nil {
 		return nil, 0, err
 	}
-	n := server.FrameWireSize(payload)
-	if kind != server.FrameJSON {
+	n := wire.FrameWireSize(payload)
+	if kind != wire.FrameJSON {
 		return nil, n, fmt.Errorf("orchestra client: unexpected %v frame", kind)
 	}
-	var resp server.Response
-	if err := server.UnmarshalJSONFrame(payload, &resp); err != nil {
+	var resp wire.Response
+	if err := wire.UnmarshalJSONFrame(payload, &resp); err != nil {
 		return nil, n, err
 	}
 	return &resp, n, nil
@@ -338,13 +316,13 @@ func (cc *connCall) wrapErr(err error) error {
 // connection, retrying across endpoints under the client's RetryPolicy.
 // Calls are synchronous per connection; concurrency comes from multiple
 // connections.
-func (c *Client) roundTrip(ctx context.Context, req *server.Request) (*server.Response, int64, error) {
+func (c *Client) roundTrip(ctx context.Context, req *wire.Request) (*wire.Response, int64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, fmt.Errorf("orchestra client: %w", err)
 	}
 	// Creates mutate; everything else that flows through here is a read.
-	idempotent := req.Op != server.OpCreate
-	var resp *server.Response
+	idempotent := req.Op != wire.OpCreate
+	var resp *wire.Response
 	var n int64
 	_, err := c.withRetry(ctx, idempotent, func(conn *wireConn) error {
 		r, sz, err := c.roundTripOn(ctx, conn, req)
@@ -364,15 +342,15 @@ func (c *Client) roundTrip(ctx context.Context, req *server.Request) (*server.Re
 // frame limit before any bytes hit the wire — an oversized request fails
 // fast with ErrFrameTooLarge instead of making the server abort the
 // connection.
-func requestFrame(conn *wireConn, req *server.Request) ([]byte, error) {
-	frame, err := server.AppendJSONFrame(nil, req, conn.maxFrame)
+func requestFrame(conn *wireConn, req *wire.Request) ([]byte, error) {
+	frame, err := wire.AppendJSONFrame(nil, req, conn.maxFrame)
 	return frame, frameTooLarge(err)
 }
 
 // frameTooLarge maps an outbound frame-size violation onto
 // ErrFrameTooLarge.
 func frameTooLarge(err error) error {
-	var fse *server.FrameSizeError
+	var fse *wire.FrameSizeError
 	if errors.As(err, &fse) {
 		return fmt.Errorf("%w: request frame of %d bytes exceeds negotiated limit %d", ErrFrameTooLarge, fse.Size, fse.Max)
 	}
@@ -381,7 +359,7 @@ func frameTooLarge(err error) error {
 
 // roundTripOn encodes req and runs one exchange on an already-acquired
 // connection.
-func (c *Client) roundTripOn(ctx context.Context, conn *wireConn, req *server.Request) (*server.Response, int64, error) {
+func (c *Client) roundTripOn(ctx context.Context, conn *wireConn, req *wire.Request) (*wire.Response, int64, error) {
 	frame, err := requestFrame(conn, req)
 	if err != nil {
 		c.release(conn) // nothing was sent; conn is clean
@@ -393,7 +371,7 @@ func (c *Client) roundTripOn(ctx context.Context, conn *wireConn, req *server.Re
 // exchange writes one request frame on an already-acquired connection
 // and reads its JSON response, handling cancellation, cleanup, and error
 // typing; the connection returns to the pool only on a clean exchange.
-func (c *Client) exchange(ctx context.Context, conn *wireConn, frame []byte) (*server.Response, int64, error) {
+func (c *Client) exchange(ctx context.Context, conn *wireConn, frame []byte) (*wire.Response, int64, error) {
 	cc := newConnCall(ctx, conn)
 	if _, err := conn.Write(frame); err != nil {
 		err = cc.wrapErr(fmt.Errorf("orchestra client: write: %w", err))
@@ -408,27 +386,18 @@ func (c *Client) exchange(ctx context.Context, conn *wireConn, frame []byte) (*s
 	}
 	cc.finish(c, true)
 	if resp.Error != nil {
-		return nil, n, &Error{Code: resp.Error.Code, Message: resp.Error.Message}
+		return nil, n, resp.Error
 	}
 	return resp, n, nil
-}
-
-// Ping checks liveness and returns the server's current epoch.
-func (c *Client) Ping(ctx context.Context) (uint64, error) {
-	resp, _, err := c.roundTrip(ctx, &server.Request{Op: server.OpPing})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Epoch, nil
 }
 
 // Create registers a relation. Columns are "name:type" (int, float,
 // string); keys name the partitioning key columns (default: first
 // column).
 func (c *Client) Create(ctx context.Context, relation string, columns []string, keys ...string) error {
-	_, _, err := c.roundTrip(ctx, &server.Request{
-		Op:     server.OpCreate,
-		Create: &server.CreateRequest{Relation: relation, Columns: columns, Keys: keys},
+	_, _, err := c.roundTrip(ctx, &wire.Request{
+		Op:     wire.OpCreate,
+		Create: &wire.CreateRequest{Relation: relation, Columns: columns, Keys: keys},
 	})
 	return err
 }
@@ -455,13 +424,13 @@ func (c *Client) Publish(ctx context.Context, relation string, rows [][]any) (ui
 	if err != nil {
 		return 0, err
 	}
-	payload, err := server.AppendPublishPayload(make([]byte, 0, 4096), 1, newPublishID(), relation, batch)
+	payload, err := wire.AppendPublishPayload(make([]byte, 0, 4096), 1, newPublishID(), relation, batch)
 	if err != nil {
-		return 0, &Error{Code: server.CodeBadRequest, Message: err.Error()}
+		return 0, wire.Errorf(wire.CodeBadRequest, "%v", err)
 	}
 	var epoch uint64
 	_, err = c.withRetry(ctx, true, func(conn *wireConn) error {
-		frame, err := server.AppendBinaryFrame(make([]byte, 0, len(payload)+8), server.FramePublish, payload, conn.maxFrame)
+		frame, err := wire.AppendBinaryFrame(make([]byte, 0, len(payload)+8), wire.FramePublish, payload, conn.maxFrame)
 		if err != nil {
 			c.release(conn) // nothing was sent; conn is clean
 			return frameTooLarge(err)
@@ -481,7 +450,7 @@ func (c *Client) Publish(ctx context.Context, relation string, rows [][]any) (ui
 // widened to float, anything else the frame cannot carry is a bad request.
 func batchOf(rows [][]any) (*tuple.Batch, error) {
 	badRequest := func(format string, args ...any) error {
-		return &Error{Code: server.CodeBadRequest, Message: fmt.Sprintf(format, args...)}
+		return wire.Errorf(wire.CodeBadRequest, format, args...)
 	}
 	b := &tuple.Batch{N: len(rows)}
 	for i, r := range rows {
@@ -639,10 +608,10 @@ func drainStream(st *Stream) (*Result, error) {
 }
 
 // queryRequest builds the wire request for one query.
-func queryRequest(ctx context.Context, sql string, opts QueryOptions) *server.Request {
-	req := &server.Request{
-		Op: server.OpQuery,
-		Query: &server.QueryRequest{
+func queryRequest(ctx context.Context, sql string, opts QueryOptions) *wire.Request {
+	req := &wire.Request{
+		Op: wire.OpQuery,
+		Query: &wire.QueryRequest{
 			SQL:        sql,
 			Epoch:      opts.Epoch,
 			Recovery:   opts.Recovery,
@@ -674,7 +643,7 @@ type Stream struct {
 	grant     []byte // the one-credit frame, built once: every grant is the same bytes
 	err       error
 	done      bool
-	end       *server.StreamEnd
+	end       *wire.StreamEnd
 	wireBytes int64
 	endpoint  string
 }
@@ -743,19 +712,19 @@ func (c *Client) startStream(ctx context.Context, conn *wireConn, sql string, o 
 		return nil, err
 	}
 	switch kind {
-	case server.FrameSchema:
-		_, cols, err := server.DecodeSchemaPayload(payload)
+	case wire.FrameSchema:
+		_, cols, err := wire.DecodeSchemaPayload(payload)
 		if err != nil {
 			st.cc.finish(c, false)
 			return nil, err
 		}
 		st.cols = cols
 		return st, nil
-	case server.FrameEnd:
-		_, end, err := server.DecodeEndPayload(payload)
+	case wire.FrameEnd:
+		_, end, err := wire.DecodeEndPayload(payload)
 		if err == nil {
 			if end.Error != nil {
-				err = &Error{Code: end.Error.Code, Message: end.Error.Message}
+				err = end.Error
 			} else {
 				err = errors.New("orchestra client: stream ended before schema")
 			}
@@ -770,12 +739,12 @@ func (c *Client) startStream(ctx context.Context, conn *wireConn, sql string, o 
 
 // readFrame reads one frame off the stream's connection and accounts its
 // wire size.
-func (s *Stream) readFrame() (server.FrameKind, []byte, error) {
+func (s *Stream) readFrame() (wire.FrameKind, []byte, error) {
 	kind, payload, err := readFrame(s.conn)
 	if err != nil {
 		return kind, payload, s.cc.wrapErr(err)
 	}
-	s.wireBytes += server.FrameWireSize(payload)
+	s.wireBytes += wire.FrameWireSize(payload)
 	return kind, payload, nil
 }
 
@@ -791,7 +760,7 @@ func (s *Stream) Next() bool {
 		s.pending = false
 		var err error
 		if s.grant == nil {
-			s.grant, err = server.AppendBinaryFrame(nil, server.FrameCredit, server.AppendCreditPayload(nil, s.id, 1), s.conn.maxFrame)
+			s.grant, err = wire.AppendBinaryFrame(nil, wire.FrameCredit, wire.AppendCreditPayload(nil, s.id, 1), s.conn.maxFrame)
 		}
 		if err == nil {
 			_, err = s.conn.Write(s.grant)
@@ -808,8 +777,8 @@ func (s *Stream) Next() bool {
 			return false
 		}
 		switch kind {
-		case server.FrameBatch:
-			_, rows, err := server.DecodeBatchPayloadAny(payload)
+		case wire.FrameBatch:
+			_, rows, err := wire.DecodeBatchPayloadAny(payload)
 			if err != nil {
 				s.fail(err)
 				return false
@@ -817,8 +786,8 @@ func (s *Stream) Next() bool {
 			s.batch = rows
 			s.pending = true
 			return true
-		case server.FrameEnd:
-			_, end, err := server.DecodeEndPayload(payload)
+		case wire.FrameEnd:
+			_, end, err := wire.DecodeEndPayload(payload)
 			if err != nil {
 				s.fail(err)
 				return false
@@ -826,7 +795,7 @@ func (s *Stream) Next() bool {
 			s.done = true
 			s.end = end
 			if end.Error != nil {
-				s.err = &Error{Code: end.Error.Code, Message: end.Error.Message}
+				s.err = end.Error
 			}
 			s.finishConn(true)
 			return false
@@ -883,8 +852,8 @@ func (s *Stream) Cancel() error {
 		s.fail(s.cc.wrapErr(errors.New("orchestra client: stream closed before end")))
 		return nil
 	}
-	buf := server.AppendCancelPayload(make([]byte, 0, 8), s.id)
-	frame, err := server.AppendBinaryFrame(make([]byte, 0, 16), server.FrameCancel, buf, s.conn.maxFrame)
+	buf := wire.AppendCancelPayload(make([]byte, 0, 8), s.id)
+	frame, err := wire.AppendBinaryFrame(make([]byte, 0, 16), wire.FrameCancel, buf, s.conn.maxFrame)
 	if err == nil {
 		_, err = s.conn.Write(frame)
 	}
@@ -908,21 +877,21 @@ func (s *Stream) Cancel() error {
 			return s.err
 		}
 		switch kind {
-		case server.FrameBatch:
+		case wire.FrameBatch:
 			// Discard: in-flight batches the server sent before seeing the
 			// cancel. No credits are granted — the server is past waiting.
-		case server.FrameEnd:
-			_, end, err := server.DecodeEndPayload(payload)
+		case wire.FrameEnd:
+			_, end, err := wire.DecodeEndPayload(payload)
 			if err != nil {
 				s.fail(err)
 				return s.err
 			}
 			s.done = true
 			s.end = end
-			if end.Error != nil && end.Error.Code != server.CodeCancelled {
+			if end.Error != nil && end.Error.Code != wire.CodeCancelled {
 				// The query failed for its own reasons before the cancel
 				// landed; surface that, not the cancellation.
-				s.err = &Error{Code: end.Error.Code, Message: end.Error.Message}
+				s.err = end.Error
 			}
 			s.finishConn(true)
 			return s.err
@@ -1028,26 +997,26 @@ func (s *Stream) StreamedRows() int64 {
 }
 
 // Relation describes one catalog entry.
-type Relation = server.RelationInfo
+type Relation = wire.RelationInfo
 
 // Schema fetches one relation's catalog entry.
 func (c *Client) Schema(ctx context.Context, relation string) (*Relation, error) {
-	resp, _, err := c.roundTrip(ctx, &server.Request{
-		Op:     server.OpSchema,
-		Schema: &server.SchemaRequest{Relation: relation},
+	resp, _, err := c.roundTrip(ctx, &wire.Request{
+		Op:     wire.OpSchema,
+		Schema: &wire.SchemaRequest{Relation: relation},
 	})
 	if err != nil {
 		return nil, err
 	}
 	if resp.Schema == nil || len(resp.Schema.Relations) == 0 {
-		return nil, &Error{Code: server.CodeNotFound, Message: "relation " + relation}
+		return nil, wire.Errorf(wire.CodeNotFound, "relation %s", relation)
 	}
 	return &resp.Schema.Relations[0], nil
 }
 
 // Catalog lists all relations the server knows about.
 func (c *Client) Catalog(ctx context.Context) ([]Relation, error) {
-	resp, _, err := c.roundTrip(ctx, &server.Request{Op: server.OpSchema, Schema: &server.SchemaRequest{}})
+	resp, _, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpSchema, Schema: &wire.SchemaRequest{}})
 	if err != nil {
 		return nil, err
 	}
@@ -1058,11 +1027,11 @@ func (c *Client) Catalog(ctx context.Context) ([]Relation, error) {
 }
 
 // Status is the server's identity and load counters.
-type Status = server.StatusResponse
+type Status = wire.StatusResponse
 
 // Status fetches the server's status/stats snapshot.
 func (c *Client) Status(ctx context.Context) (*Status, error) {
-	resp, _, err := c.roundTrip(ctx, &server.Request{Op: server.OpStatus})
+	resp, _, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpStatus})
 	if err != nil {
 		return nil, err
 	}
@@ -1073,12 +1042,12 @@ func (c *Client) Status(ctx context.Context) (*Status, error) {
 }
 
 // TraceDump is the server's slow-query log with full span trees.
-type TraceDump = server.TraceResponse
+type TraceDump = wire.TraceResponse
 
 // Traces fetches the server's slow-query log: every logged entry with
 // its complete span tree, oldest first.
 func (c *Client) Traces(ctx context.Context) (*TraceDump, error) {
-	resp, _, err := c.roundTrip(ctx, &server.Request{Op: server.OpTrace})
+	resp, _, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpTrace})
 	if err != nil {
 		return nil, err
 	}

@@ -10,8 +10,8 @@ import (
 
 	"orchestra"
 	"orchestra/client"
-	"orchestra/internal/server"
 	"orchestra/internal/tuple"
+	"orchestra/internal/wire"
 )
 
 // TestClientDecodeAllocs: a client batch costs allocations per column, not
@@ -33,7 +33,7 @@ func TestClientDecodeAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		allocs[n] = testing.AllocsPerRun(20, func() {
-			if _, rows, err := server.DecodeBatchPayloadAny(payload); err != nil || len(rows) != n {
+			if _, rows, err := wire.DecodeBatchPayloadAny(payload); err != nil || len(rows) != n {
 				t.Fatalf("decoded %d rows, %v", len(rows), err)
 			}
 		})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -239,6 +240,9 @@ func TestTypedErrors(t *testing.T) {
 	_, err = cl.Publish(ctx, "ghost", [][]any{{"x"}})
 	if !errors.As(err, &se) || se.Code != "not_found" {
 		t.Fatalf("error detail lost: %v", err)
+	}
+	if want := "orchestra server: not_found: "; !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("error text %q, want it to begin %q", err, want)
 	}
 }
 

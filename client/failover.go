@@ -11,7 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"orchestra/internal/server"
+	"orchestra/internal/wire"
 )
 
 // newPublishID draws a random nonzero publish idempotency token.
@@ -373,7 +373,7 @@ func (c *Client) peersOf(ctx context.Context, ep *endpoint) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, _, err := c.roundTripOn(ctx, conn, &server.Request{Op: server.OpHealth})
+	resp, _, err := c.roundTripOn(ctx, conn, &wire.Request{Op: wire.OpHealth})
 	if err != nil {
 		return nil, err
 	}
@@ -426,8 +426,8 @@ func (c *Client) adoptPeers(peers []string) bool {
 
 // Health fetches one endpoint's health snapshot (status "ok" or
 // "draining", load, and the advertised member list).
-func (c *Client) Health(ctx context.Context) (*server.HealthResponse, error) {
-	resp, _, err := c.roundTrip(ctx, &server.Request{Op: server.OpHealth})
+func (c *Client) Health(ctx context.Context) (*wire.HealthResponse, error) {
+	resp, _, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpHealth})
 	if err != nil {
 		return nil, err
 	}
@@ -444,7 +444,7 @@ func (c *Client) Health(ctx context.Context) (*server.HealthResponse, error) {
 func classifyFailure(err error) (proofOfNonExecution, transport bool) {
 	var we *Error
 	if errors.As(err, &we) {
-		return we.Code == server.CodeUnavailable, false
+		return we.Code == wire.CodeUnavailable, false
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false, false

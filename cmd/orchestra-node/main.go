@@ -44,6 +44,7 @@ import (
 	"orchestra/internal/server"
 	"orchestra/internal/transport"
 	"orchestra/internal/tuple"
+	"orchestra/internal/wire"
 )
 
 func main() {
@@ -223,7 +224,7 @@ func repl(b *server.NodeBackend) {
 				fmt.Println("usage: create <rel> <col:type>...")
 				break
 			}
-			if _, err := b.Create(ctx, &server.CreateRequest{Relation: fields[1], Columns: fields[2:]}); err != nil {
+			if _, err := b.Create(ctx, &wire.CreateRequest{Relation: fields[1], Columns: fields[2:]}); err != nil {
 				fmt.Println("error:", err)
 			}
 		case "publish":
@@ -287,7 +288,7 @@ func publishRow(ctx context.Context, b *server.NodeBackend, rel string, vals []s
 			row[i] = tuple.S(v)
 		}
 	}
-	return b.Publish(ctx, &server.PublishRequest{Relation: rel, TypedRows: []tuple.Row{row}})
+	return b.Publish(ctx, &wire.PublishRequest{Relation: rel, TypedRows: []tuple.Row{row}})
 }
 
 // printSink prints an answer's rows and counts them.

@@ -72,10 +72,10 @@ func (c *Cluster) Checkpoint() error {
 
 // DurabilityStats reports node i's recovery/WAL/fsync counters. ok is
 // false when the node's store is volatile (no WithDataDir).
-func (c *Cluster) DurabilityStats(i int) (kvstore.DurabilityStats, bool) {
+func (c *Cluster) DurabilityStats(i int) (obs.DurabilityStats, bool) {
 	b, err := c.backend(i)
 	if err != nil {
-		return kvstore.DurabilityStats{}, false
+		return obs.DurabilityStats{}, false
 	}
 	return b.DurabilityStats()
 }

@@ -10,12 +10,13 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
 
-	"orchestra/internal/server"
 	"orchestra/internal/tuple"
+	"orchestra/internal/wire"
 )
 
 const engineScanRows = 5000
@@ -129,8 +130,8 @@ func TestEngineScanAllocBudget(t *testing.T) {
 	if err := loadScanRelation(engineScanRows)(c); err != nil {
 		t.Fatal(err)
 	}
-	scan := server.QueryRequest{SQL: fmt.Sprintf("SELECT k, grp, v FROM scanload WHERE v >= 0 AND v < %d", engineScanRows)}
-	gateAt := func(t *testing.T, req server.QueryRequest, wantRows int, wantStreamed bool, scanned int, ceiling, byteCeiling float64) {
+	scan := wire.QueryRequest{SQL: fmt.Sprintf("SELECT k, grp, v FROM scanload WHERE v >= 0 AND v < %d", engineScanRows)}
+	gateAt := func(t *testing.T, req wire.QueryRequest, wantRows int, wantStreamed bool, scanned int, ceiling, byteCeiling float64) {
 		run := func() {
 			sink := &testSink{}
 			res, err := servedQuery(c, req, sink)
@@ -147,20 +148,32 @@ func TestEngineScanAllocBudget(t *testing.T) {
 		run() // warm caches and pools
 		allocs := testing.AllocsPerRun(10, run)
 		perRow := allocs / float64(scanned)
-		// Bytes: the least of three windows of ten queries. A collection
-		// that empties a pool inside one window costs a refill once, not
-		// per row; per-row memory shows in every window.
-		bytesPerRow := math.Inf(1)
-		var windows []string // each window's B/row, for a failure to show
-		for w := 0; w < 3; w++ {
+		// Bytes: the least of three windows of ten queries, each on one P
+		// with collection off, so that TotalAlloc counts what the queries
+		// allocate and not a sync.Pool refill. A collection empties the
+		// pools; and with two Ps a Get misses a buffer another P holds in
+		// its private slot, which about one window in three did with
+		// collection off alone. Each window collects first and refills
+		// the pools with one unmeasured query (testing.AllocsPerRun above
+		// also runs on one P).
+		window := func() float64 {
 			const runs = 10
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			runtime.GC()
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			run()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for i := 0; i < runs; i++ {
 				run()
 			}
 			runtime.ReadMemStats(&after)
-			perWindow := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(scanned)
+			return float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(scanned)
+		}
+		bytesPerRow := math.Inf(1)
+		var windows []string // each window's B/row, for a failure to show
+		for w := 0; w < 3; w++ {
+			perWindow := window()
 			windows = append(windows, fmt.Sprintf("%.1f", perWindow))
 			bytesPerRow = min(bytesPerRow, perWindow)
 		}
@@ -174,7 +187,7 @@ func TestEngineScanAllocBudget(t *testing.T) {
 				t.Name(), bytesPerRow, windows, allocs, byteCeiling)
 		}
 	}
-	gate := func(t *testing.T, req server.QueryRequest, wantRows int, wantStreamed bool, byteCeiling float64) {
+	gate := func(t *testing.T, req wire.QueryRequest, wantRows int, wantStreamed bool, byteCeiling float64) {
 		gateAt(t, req, wantRows, wantStreamed, engineScanRows, 0.5, byteCeiling) // allocs per scanned row
 	}
 	t.Run("default", func(t *testing.T) { gate(t, scan, engineScanRows, false, 24) })
@@ -197,14 +210,14 @@ func TestEngineScanAllocBudget(t *testing.T) {
 	// state vectors: nothing per row crosses the aggregate's input edge or
 	// stays behind it. Measured 0.103 allocations per scanned row (517 per
 	// query); the ceiling is that plus 20 %.
-	groupby := server.QueryRequest{SQL: "SELECT grp, COUNT(*), SUM(v) FROM scanload GROUP BY grp"}
+	groupby := wire.QueryRequest{SQL: "SELECT grp, COUNT(*), SUM(v) FROM scanload GROUP BY grp"}
 	t.Run("groupby", func(t *testing.T) { gateAt(t, groupby, 17, false, engineScanRows, 0.125, 22.7) })
 	// Computed select items evaluate one vector per expression per batch.
-	compute := server.QueryRequest{SQL: "SELECT k, v + 1, v * 2 FROM scanload WHERE v >= 0"}
+	compute := wire.QueryRequest{SQL: "SELECT k, v + 1, v * 2 FROM scanload WHERE v >= 0"}
 	t.Run("compute", func(t *testing.T) { gate(t, compute, engineScanRows, false, 50.8) })
 	// Top-K keeps K rows and one batch per fragment; an arriving row that
 	// does not beat the K-th is dropped before it is copied.
-	topk := server.QueryRequest{SQL: "SELECT k, v FROM scanload ORDER BY v DESC LIMIT 100"}
+	topk := wire.QueryRequest{SQL: "SELECT k, v FROM scanload ORDER BY v DESC LIMIT 100"}
 	t.Run("topk", func(t *testing.T) { gate(t, topk, 100, false, 32) })
 	// A 5k × 5k equi-join across an exchange: scanload is partitioned by k
 	// and joins on v, so its side is rehashed; every row matches once. Each
@@ -222,7 +235,7 @@ func TestEngineScanAllocBudget(t *testing.T) {
 		if _, err := c.PublishTyped(0, "joinload", rows); err != nil {
 			t.Fatal(err)
 		}
-		join := server.QueryRequest{SQL: "SELECT s.k, j.w FROM scanload s, joinload j WHERE s.v = j.id", Explain: true}
+		join := wire.QueryRequest{SQL: "SELECT s.k, j.w FROM scanload s, joinload j WHERE s.v = j.id", Explain: true}
 		tail, err := servedQuery(c, join, &testSink{})
 		if err != nil {
 			t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 
+	"orchestra/internal/obs"
 	"orchestra/internal/tuple"
 	"orchestra/internal/vstore"
 )
@@ -208,7 +209,7 @@ func (n *Node) ResolvePage(ctx context.Context, ref vstore.PageRef) (p *vstore.P
 }
 
 // PageCacheStats snapshots the resolved-page cache's counters.
-func (n *Node) PageCacheStats() vstore.CacheStats { return n.pages.Stats() }
+func (n *Node) PageCacheStats() obs.CacheStats { return n.pages.Stats() }
 
 // ResolveEpoch maps "relation R as of global epoch e" to the exact
 // modification epoch whose coordinator should be read. ok is false when the

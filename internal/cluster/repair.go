@@ -14,6 +14,7 @@ import (
 	"orchestra/internal/codec"
 	"orchestra/internal/keyspace"
 	"orchestra/internal/kvstore"
+	"orchestra/internal/obs"
 	"orchestra/internal/ring"
 	"orchestra/internal/transport"
 	"orchestra/internal/tuple"
@@ -46,22 +47,6 @@ const (
 	msgReplDigest transport.MsgType = 0x010B // → per-group summaries
 	msgReplFetch  transport.MsgType = 0x010C // afterKey | maxBytes → pairs
 )
-
-// ReplStats is a snapshot of the repair subsystem's counters plus the
-// current replication lag view.
-type ReplStats struct {
-	CatchUpBatches     uint64            `json:"catch_up_batches"`
-	CatchUpRecords     uint64            `json:"catch_up_records"`
-	CatchUpSkipped     uint64            `json:"catch_up_skipped"`
-	StateTransfers     uint64            `json:"state_transfers"`
-	AntiEntropyRounds  uint64            `json:"anti_entropy_rounds"`
-	AntiEntropyRepairs uint64            `json:"anti_entropy_repairs"`
-	FetchedKeys        uint64            `json:"fetched_keys"`
-	MergeDeletes       uint64            `json:"merge_deletes"`
-	LastCatchUpUs      int64             `json:"last_catch_up_us"`
-	MaxLag             uint64            `json:"max_lag"`
-	PeerLags           map[string]uint64 `json:"peer_lags,omitempty"`
-}
 
 // repairState holds the Node's repair counters and background loop.
 type repairState struct {
@@ -902,8 +887,8 @@ func (n *Node) StopRepair() {
 // to a peer is (the peer's gossiped seq) − (our durable marker for it):
 // raw seqs are per-store and incomparable across nodes, but the marker
 // difference is exactly the peer's shippable backlog we have not pulled.
-func (n *Node) ReplStats() ReplStats {
-	st := ReplStats{
+func (n *Node) ReplStats() obs.ReplStats {
+	st := obs.ReplStats{
 		CatchUpBatches:     n.repair.catchUpBatches.Load(),
 		CatchUpRecords:     n.repair.catchUpRecords.Load(),
 		CatchUpSkipped:     n.repair.catchUpSkipped.Load(),

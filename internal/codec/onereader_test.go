@@ -72,7 +72,7 @@ func TestNoHandRolledDecoders(t *testing.T) {
 	}
 	// The packages that decode peer and store bytes must be among those
 	// scanned: a moved directory must not pass by scanning nothing.
-	for _, pkg := range []string{"engine", "cluster", "ring", "gossip", "vstore", "obs", "kvstore", "tuple", "server", "transport"} {
+	for _, pkg := range []string{"engine", "cluster", "ring", "gossip", "vstore", "obs", "kvstore", "tuple", "server", "wire", "transport"} {
 		if _, err := os.Stat(filepath.Join("..", pkg)); err != nil {
 			t.Errorf("internal/%s is not scanned: %v", pkg, err)
 		}

@@ -1,11 +1,7 @@
 package engine
 
-import "orchestra/internal/vstore"
-
-// CacheStats are a cache's cumulative hit/miss/eviction counts plus its
-// current and maximum sizes.
-type CacheStats = vstore.CacheStats
+import "orchestra/internal/obs"
 
 // PageCacheStats snapshots the counters of the node's resolved-index-page
 // cache (cluster.Node.ResolvePage), which this engine's scans read through.
-func (e *Engine) PageCacheStats() CacheStats { return e.node.PageCacheStats() }
+func (e *Engine) PageCacheStats() obs.CacheStats { return e.node.PageCacheStats() }

@@ -856,45 +856,16 @@ func (s *Store) Checkpoint() error {
 	return nil
 }
 
-// DurabilityStats reports the durability subsystem's health for the
-// status op. ok is false for memory stores.
-type DurabilityStats struct {
-	Epoch              uint64 `json:"epoch"`
-	Generation         uint64 `json:"generation"`
-	Seq                uint64 `json:"seq"`
-	FirstRetainedSeq   uint64 `json:"first_retained_seq"`
-	WALBytes           int64  `json:"wal_bytes"`
-	WALSegments        int64  `json:"wal_segments"`
-	SegmentBytes       int64  `json:"segment_bytes"`
-	Fsyncs             uint64 `json:"fsyncs"`
-	FsyncMeanUs        int64  `json:"fsync_mean_us"`
-	FsyncP99Us         int64  `json:"fsync_p99_us"`
-	GroupCommitRecords uint64 `json:"group_commit_records"`
-	Snapshots          uint64 `json:"snapshots"`
-	SnapshotErrors     uint64 `json:"snapshot_errors,omitempty"`
-	LastSnapshotBytes  int64  `json:"last_snapshot_bytes,omitempty"`
-	LastSnapshotUs     int64  `json:"last_snapshot_us,omitempty"`
-	// LastCheckpointStallUs is the write-lock hold of the last
-	// checkpoint's log rotation — the only window a checkpoint blocks
-	// commits now that the snapshot itself streams under chunked read
-	// locks.
-	LastCheckpointStallUs  int64  `json:"last_checkpoint_stall_us,omitempty"`
-	CheckpointStallTotalUs int64  `json:"checkpoint_stall_total_us,omitempty"`
-	ReplayedRecords        uint64 `json:"replayed_records"`
-	ReplayTornBytes        int64  `json:"replay_torn_bytes,omitempty"`
-	RecoveryUs             int64  `json:"recovery_us"`
-}
-
 // DurabilityStats returns durability health; ok is false for memory
 // stores.
-func (s *Store) DurabilityStats() (st DurabilityStats, ok bool) {
+func (s *Store) DurabilityStats() (st obs.DurabilityStats, ok bool) {
 	if s.log == nil {
-		return DurabilityStats{}, false
+		return obs.DurabilityStats{}, false
 	}
 	fsync := s.mFsyncUs.Snapshot()
 	batch := s.mBatch.Snapshot()
 	seq, firstAvail := s.ReplStatus()
-	return DurabilityStats{
+	return obs.DurabilityStats{
 		Epoch:                  s.epoch.Load(),
 		Generation:             s.gen.Load(),
 		Seq:                    seq,

@@ -5,11 +5,10 @@ import (
 	"sort"
 	"strings"
 
-	"orchestra/internal/cluster"
 	"orchestra/internal/engine"
-	"orchestra/internal/kvstore"
 	"orchestra/internal/obs"
 	"orchestra/internal/tuple"
+	"orchestra/internal/wire"
 )
 
 // Backend is the node the server fronts. NodeBackend is the one
@@ -19,29 +18,29 @@ import (
 // stub.
 type Backend interface {
 	// Create registers a relation and returns the current epoch.
-	Create(ctx context.Context, req *CreateRequest) (tuple.Epoch, error)
+	Create(ctx context.Context, req *wire.CreateRequest) (tuple.Epoch, error)
 	// Publish applies one batch and returns the new epoch.
-	Publish(ctx context.Context, req *PublishRequest) (tuple.Epoch, error)
+	Publish(ctx context.Context, req *wire.PublishRequest) (tuple.Epoch, error)
 	// QueryStream executes one SQL query against a snapshot, emitting the
 	// answer through out, and returns the terminal metadata. On error,
 	// frames already emitted are followed by an error End frame — partial
 	// results are explicitly invalidated for the client.
-	QueryStream(ctx context.Context, req *QueryRequest, out ResultStream) (*QueryTail, error)
+	QueryStream(ctx context.Context, req *wire.QueryRequest, out ResultStream) (*wire.QueryTail, error)
 	// Catalog describes one relation (or all known ones when rel == "").
-	Catalog(ctx context.Context, rel string) (*SchemaResponse, error)
+	Catalog(ctx context.Context, rel string) (*wire.SchemaResponse, error)
 	// Epoch is the backend's current view of the global epoch.
 	Epoch() tuple.Epoch
 	// Info identifies the serving node.
 	Info() BackendInfo
 	// CacheStats reports cache counters by name ("views", "pages").
-	CacheStats() map[string]engine.CacheStats
+	CacheStats() map[string]obs.CacheStats
 	// DurabilityStats reports the serving node's WAL/snapshot counters;
 	// ok is false for an in-memory store.
-	DurabilityStats() (stats kvstore.DurabilityStats, ok bool)
+	DurabilityStats() (stats obs.DurabilityStats, ok bool)
 	// ReplStats reports replica-repair health (WAL-shipping catch-up,
 	// anti-entropy, per-peer lag); ok is false for a single-node
 	// deployment, which has nothing to replicate with.
-	ReplStats() (stats cluster.ReplStats, ok bool)
+	ReplStats() (stats obs.ReplStats, ok bool)
 }
 
 // BackendInfo identifies the node behind a server.
@@ -85,25 +84,6 @@ type ResultStream interface {
 	engine.StreamSink
 }
 
-// QueryTail is the terminal metadata of a query — everything about the
-// answer except the rows themselves. The JSON tags are its wire form
-// inside a StreamEnd frame.
-type QueryTail struct {
-	Epoch    uint64 `json:"epoch,omitempty"`
-	Cached   bool   `json:"cached,omitempty"`
-	Phases   uint32 `json:"phases,omitempty"`
-	Restarts int    `json:"restarts,omitempty"`
-	Plan     string `json:"plan,omitempty"`
-	// TraceID/Trace carry the query's span tree when tracing was
-	// requested.
-	TraceID string    `json:"trace_id,omitempty"`
-	Trace   *obs.Span `json:"trace,omitempty"`
-	// Streamed counts rows that were emitted to the stream *during*
-	// execution (zero on the collect-then-emit path). Nonzero means the
-	// query ran on the streaming pushdown path end to end.
-	Streamed int64 `json:"streamed,omitempty"`
-}
-
 // RecoveryMode maps a wire recovery-mode name to the engine constant.
 func RecoveryMode(name string) (engine.RecoveryMode, error) {
 	switch name {
@@ -114,5 +94,75 @@ func RecoveryMode(name string) (engine.RecoveryMode, error) {
 	case "incremental":
 		return engine.RecoverIncremental, nil
 	}
-	return 0, Errorf(CodeBadRequest, "unknown recovery mode %q", name)
+	return 0, wire.Errorf(wire.CodeBadRequest, "unknown recovery mode %q", name)
+}
+
+// CoerceTypedRows coerces batch-decoded rows onto a schema's column
+// types, in place where the types already match: numeric columns accept
+// either numeric type (integral floats for int columns), string columns
+// accept strings.
+func CoerceTypedRows(s *tuple.Schema, rows []tuple.Row) error {
+	for i, row := range rows {
+		if len(row) != s.Arity() {
+			return wire.Errorf(wire.CodeBadRequest, "row %d arity %d != schema arity %d", i, len(row), s.Arity())
+		}
+		for j := range row {
+			v := &row[j]
+			col := s.Columns[j]
+			if v.T == col.Type {
+				continue
+			}
+			switch {
+			case col.Type == tuple.Float64 && v.T == tuple.Int64:
+				*v = tuple.F(float64(v.I64))
+			case col.Type == tuple.Int64 && v.T == tuple.Float64 && v.F64 == float64(int64(v.F64)):
+				*v = tuple.I(int64(v.F64))
+			default:
+				return wire.Errorf(wire.CodeBadRequest, "column %s wants %v, got %v", col.Name, col.Type, v.T)
+			}
+		}
+	}
+	return nil
+}
+
+// ParseColumns converts "name:type" specs into tuple columns.
+func ParseColumns(specs []string) ([]tuple.Column, error) {
+	cols := make([]tuple.Column, 0, len(specs))
+	for _, c := range specs {
+		name, typ, ok := strings.Cut(c, ":")
+		if !ok || name == "" {
+			return nil, wire.Errorf(wire.CodeBadRequest, "bad column %q (want name:type)", c)
+		}
+		var t tuple.Type
+		switch typ {
+		case "int", "int64":
+			t = tuple.Int64
+		case "float", "float64":
+			t = tuple.Float64
+		case "string", "str":
+			t = tuple.String
+		default:
+			return nil, wire.Errorf(wire.CodeBadRequest, "bad column type in %q", c)
+		}
+		cols = append(cols, tuple.Column{Name: name, Type: t})
+	}
+	return cols, nil
+}
+
+// FormatColumns renders a schema's columns back to "name:type" specs.
+func FormatColumns(s *tuple.Schema) (cols, keys []string) {
+	for _, c := range s.Columns {
+		typ := "string"
+		switch c.Type {
+		case tuple.Int64:
+			typ = "int"
+		case tuple.Float64:
+			typ = "float"
+		}
+		cols = append(cols, c.Name+":"+typ)
+	}
+	for _, k := range s.Key {
+		keys = append(keys, s.Columns[k].Name)
+	}
+	return cols, keys
 }

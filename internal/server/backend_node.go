@@ -8,11 +8,11 @@ import (
 
 	"orchestra/internal/cluster"
 	"orchestra/internal/engine"
-	"orchestra/internal/kvstore"
 	"orchestra/internal/obs"
 	"orchestra/internal/optimizer"
 	"orchestra/internal/tuple"
 	"orchestra/internal/vstore"
+	"orchestra/internal/wire"
 )
 
 // NodeBackend is the work behind create / publish / query / catalog /
@@ -98,13 +98,13 @@ func (b *NodeBackend) Relations() []string {
 
 // Create implements Backend; with no keys given the first column is the
 // key.
-func (b *NodeBackend) Create(ctx context.Context, req *CreateRequest) (tuple.Epoch, error) {
+func (b *NodeBackend) Create(ctx context.Context, req *wire.CreateRequest) (tuple.Epoch, error) {
 	cols, err := ParseColumns(req.Columns)
 	if err != nil {
 		return 0, err
 	}
 	if len(cols) == 0 {
-		return 0, Errorf(CodeBadRequest, "relation %q has no columns", req.Relation)
+		return 0, wire.Errorf(wire.CodeBadRequest, "relation %q has no columns", req.Relation)
 	}
 	keys := req.Keys
 	if len(keys) == 0 {
@@ -112,11 +112,11 @@ func (b *NodeBackend) Create(ctx context.Context, req *CreateRequest) (tuple.Epo
 	}
 	s, err := tuple.NewSchema(req.Relation, cols, keys...)
 	if err != nil {
-		return 0, Errorf(CodeBadRequest, "%v", err)
+		return 0, wire.Errorf(wire.CodeBadRequest, "%v", err)
 	}
 	if err := b.CreateSchema(ctx, s); err != nil {
 		if errors.Is(err, cluster.ErrRelationExists) {
-			return 0, Errorf(CodeBadRequest, "%v", err)
+			return 0, wire.Errorf(wire.CodeBadRequest, "%v", err)
 		}
 		return 0, err
 	}
@@ -133,7 +133,7 @@ func (b *NodeBackend) CreateSchema(ctx context.Context, s *tuple.Schema) error {
 }
 
 // Publish implements Backend: the rows as one batch of inserts.
-func (b *NodeBackend) Publish(ctx context.Context, req *PublishRequest) (tuple.Epoch, error) {
+func (b *NodeBackend) Publish(ctx context.Context, req *wire.PublishRequest) (tuple.Epoch, error) {
 	return b.PublishRows(ctx, req.Relation, vstore.OpInsert, req.TypedRows, req.PublishID)
 }
 
@@ -145,7 +145,7 @@ func (b *NodeBackend) PublishRows(ctx context.Context, relation string, op vstor
 	node := b.Node()
 	cat, err := node.GetCatalog(ctx, relation)
 	if errors.Is(err, cluster.ErrNoSuchRelation) {
-		return 0, Errorf(CodeNotFound, "%v", err)
+		return 0, wire.Errorf(wire.CodeNotFound, "%v", err)
 	}
 	if err != nil {
 		return 0, err
@@ -190,7 +190,7 @@ func (e planError) Unwrap() error { return e.error }
 // under (query text, epoch): the cache holds whole answers, so such a
 // query never streams during execution. A hit costs no parse and no
 // catalog read.
-func (b *NodeBackend) Query(ctx context.Context, src string, opts engine.Options, trace bool, out ResultStream) (*QueryTail, *engine.Result, error) {
+func (b *NodeBackend) Query(ctx context.Context, src string, opts engine.Options, trace bool, out ResultStream) (*wire.QueryTail, *engine.Result, error) {
 	node, eng, views := b.current()
 	if trace {
 		opts.Trace = obs.NewTrace(obs.NewTraceID(), "query", string(node.ID()))
@@ -250,7 +250,7 @@ func (b *NodeBackend) Query(ctx context.Context, src string, opts engine.Options
 	for _, ref := range p.Query.From {
 		b.noteRelation(ref.Table)
 	}
-	tail := &QueryTail{
+	tail := &wire.QueryTail{
 		Epoch:    uint64(res.Epoch),
 		Phases:   res.Phases,
 		Restarts: res.Restarts,
@@ -267,7 +267,7 @@ func (b *NodeBackend) Query(ctx context.Context, src string, opts engine.Options
 
 // QueryStream implements Backend: Query, with its failures typed for the
 // wire by typeQueryError.
-func (b *NodeBackend) QueryStream(ctx context.Context, req *QueryRequest, out ResultStream) (*QueryTail, error) {
+func (b *NodeBackend) QueryStream(ctx context.Context, req *wire.QueryRequest, out ResultStream) (*wire.QueryTail, error) {
 	rec, err := RecoveryMode(req.Recovery)
 	if err != nil {
 		return nil, err
@@ -299,31 +299,31 @@ func typeQueryError(ctx context.Context, err error) error {
 	case !errors.As(err, new(planError)) || ctx.Err() != nil:
 		return err
 	case errors.As(err, &unknown):
-		return Errorf(CodeNotFound, "%v", err)
+		return wire.Errorf(wire.CodeNotFound, "%v", err)
 	case errors.Is(err, cluster.ErrUnavailable):
-		return Errorf(CodeUnavailable, "%v", err)
+		return wire.Errorf(wire.CodeUnavailable, "%v", err)
 	}
-	return Errorf(CodeBadRequest, "%v", err)
+	return wire.Errorf(wire.CodeBadRequest, "%v", err)
 }
 
 // Catalog implements Backend.
-func (b *NodeBackend) Catalog(ctx context.Context, rel string) (*SchemaResponse, error) {
+func (b *NodeBackend) Catalog(ctx context.Context, rel string) (*wire.SchemaResponse, error) {
 	names := []string{rel}
 	if rel == "" {
 		names = b.Relations()
 	}
 	node := b.Node()
-	out := &SchemaResponse{}
+	out := &wire.SchemaResponse{}
 	for _, name := range names {
 		cat, err := node.GetCatalog(ctx, name)
 		if err != nil {
 			if rel != "" {
-				return nil, Errorf(CodeNotFound, "relation %q: %v", name, err)
+				return nil, wire.Errorf(wire.CodeNotFound, "relation %q: %v", name, err)
 			}
 			continue // dropped or unreachable; skip in listings
 		}
 		cols, keys := FormatColumns(cat.Schema)
-		out.Relations = append(out.Relations, RelationInfo{
+		out.Relations = append(out.Relations, wire.RelationInfo{
 			Relation: name,
 			Columns:  cols,
 			Keys:     keys,
@@ -346,9 +346,9 @@ func (b *NodeBackend) Info() BackendInfo {
 
 // CacheStats implements Backend: this node's decoded-page LRU, plus the
 // view cache when one is shared with it.
-func (b *NodeBackend) CacheStats() map[string]engine.CacheStats {
+func (b *NodeBackend) CacheStats() map[string]obs.CacheStats {
 	_, eng, views := b.current()
-	out := map[string]engine.CacheStats{"pages": eng.PageCacheStats()}
+	out := map[string]obs.CacheStats{"pages": eng.PageCacheStats()}
 	if views != nil {
 		out["views"] = views.stats()
 	}
@@ -356,13 +356,13 @@ func (b *NodeBackend) CacheStats() map[string]engine.CacheStats {
 }
 
 // DurabilityStats implements Backend from the node's local store.
-func (b *NodeBackend) DurabilityStats() (kvstore.DurabilityStats, bool) {
+func (b *NodeBackend) DurabilityStats() (obs.DurabilityStats, bool) {
 	return b.Node().Store().DurabilityStats()
 }
 
 // ReplStats implements Backend: the node's replica-repair counters and
 // per-peer catch-up lag.
-func (b *NodeBackend) ReplStats() (cluster.ReplStats, bool) {
+func (b *NodeBackend) ReplStats() (obs.ReplStats, bool) {
 	node := b.Node()
 	return node.ReplStats(), node.Table().Size() > 1
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"orchestra/internal/tuple"
+	"orchestra/internal/wire"
 )
 
 // publishRecorder coerces publishes onto a fixed schema, as the real
@@ -17,7 +18,7 @@ type publishRecorder struct {
 	rows     []tuple.Row
 }
 
-func (b *publishRecorder) Publish(ctx context.Context, req *PublishRequest) (tuple.Epoch, error) {
+func (b *publishRecorder) Publish(ctx context.Context, req *wire.PublishRequest) (tuple.Epoch, error) {
 	if err := CoerceTypedRows(b.schema, req.TypedRows); err != nil {
 		return 0, err
 	}
@@ -36,11 +37,11 @@ func testPublishFrame(t *testing.T) {
 	})}
 	conn := dialTest(t, startTestServer(t, rec, Config{}))
 	publish := func(id uint64, rows []tuple.Row) *reply {
-		payload, err := AppendPublishPayload(nil, id, 1000+id, "inv", rowBatch(t, rows))
+		payload, err := wire.AppendPublishPayload(nil, id, 1000+id, "inv", rowBatch(t, rows))
 		if err != nil {
 			t.Fatal(err)
 		}
-		conn.sendFrame(FramePublish, payload)
+		conn.sendFrame(wire.FramePublish, payload)
 		return conn.await(id)
 	}
 
@@ -67,16 +68,16 @@ func testPublishFrame(t *testing.T) {
 		32: {{tuple.S("bad"), tuple.S("not-an-int"), tuple.F(1)}},
 		33: {{tuple.S("bad"), tuple.F(1.5), tuple.F(1)}},
 	} {
-		if r := publish(id, rows); r.err() == nil || r.err().Code != CodeBadRequest {
+		if r := publish(id, rows); r.err() == nil || r.err().Code != wire.CodeBadRequest {
 			t.Fatalf("publish %d: %+v, want bad_request", id, r.err())
 		}
 	}
-	conn.sendFrame(FramePublish, AppendCancelPayload(nil, 34))
-	if r := conn.await(34); r.err() == nil || r.err().Code != CodeBadRequest {
+	conn.sendFrame(wire.FramePublish, wire.AppendCancelPayload(nil, 34))
+	if r := conn.await(34); r.err() == nil || r.err().Code != wire.CodeBadRequest {
 		t.Fatalf("malformed publish: %+v, want bad_request", r.err())
 	}
 	// The connection is still usable.
-	conn.send(&Request{ID: 35, Op: OpPing})
+	conn.send(&wire.Request{ID: 35, Op: wire.OpPing})
 	if r := conn.await(35); r.err() != nil {
 		t.Fatalf("ping after rejected publishes: %+v", r.err())
 	}

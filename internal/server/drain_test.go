@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"orchestra/internal/tuple"
+	"orchestra/internal/wire"
 )
 
 func TestHealthOp(t *testing.T) {
@@ -14,7 +15,7 @@ func TestHealthOp(t *testing.T) {
 		Peers: func() []string { return []string{"a:1", "b:2"} },
 	})
 	conn := dialTest(t, s)
-	conn.send(&Request{ID: 1, Op: OpHealth})
+	conn.send(&wire.Request{ID: 1, Op: wire.OpHealth})
 	r := conn.await(1)
 	if r.err() != nil {
 		t.Fatalf("health: %v", r.err())
@@ -65,17 +66,17 @@ func TestShutdownDrains(t *testing.T) {
 	// New work on the existing session is refused with the retryable
 	// proof-of-non-execution code.
 	conn.query(2, "late")
-	late, err := AppendPublishPayload(nil, 4, 0, "r", rowBatch(t, []tuple.Row{{tuple.I(1)}}))
+	late, err := wire.AppendPublishPayload(nil, 4, 0, "r", rowBatch(t, []tuple.Row{{tuple.I(1)}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn.sendFrame(FramePublish, late)
+	conn.sendFrame(wire.FramePublish, late)
 	// Health still answers, reporting the drain.
-	conn.send(&Request{ID: 3, Op: OpHealth})
+	conn.send(&wire.Request{ID: 3, Op: wire.OpHealth})
 
 	for _, id := range []uint64{2, 4} {
-		if refused := conn.await(id); refused.err() == nil || refused.err().Code != CodeUnavailable {
-			t.Fatalf("late request %d: got %+v, want %s", id, refused.err(), CodeUnavailable)
+		if refused := conn.await(id); refused.err() == nil || refused.err().Code != wire.CodeUnavailable {
+			t.Fatalf("late request %d: got %+v, want %s", id, refused.err(), wire.CodeUnavailable)
 		}
 	}
 	health := conn.await(3)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"orchestra/internal/tuple"
+	"orchestra/internal/wire"
 )
 
 // FuzzSessionFrames feeds arbitrary bytes to a live session after a valid
@@ -19,34 +20,34 @@ import (
 // end or, when the input was a run of whole frames, still answer a ping.
 // Closing the connection must always end it.
 func FuzzSessionFrames(f *testing.F) {
-	frame := func(kind FrameKind, payload []byte) []byte {
-		b, err := AppendBinaryFrame(nil, kind, payload, MaxFrame)
+	frame := func(kind wire.FrameKind, payload []byte) []byte {
+		b, err := wire.AppendBinaryFrame(nil, kind, payload, wire.MaxFrame)
 		if err != nil {
 			f.Fatal(err)
 		}
 		return b
 	}
-	jsonFrame := func(req *Request) []byte {
-		b, err := AppendJSONFrame(nil, req, MaxFrame)
+	jsonFrame := func(req *wire.Request) []byte {
+		b, err := wire.AppendJSONFrame(nil, req, wire.MaxFrame)
 		if err != nil {
 			f.Fatal(err)
 		}
 		return b
 	}
-	publish, err := AppendPublishPayload(nil, 3, 9, "r", rowBatch(f, []tuple.Row{{tuple.S("k"), tuple.I(1)}}))
+	publish, err := wire.AppendPublishPayload(nil, 3, 9, "r", rowBatch(f, []tuple.Row{{tuple.S("k"), tuple.I(1)}}))
 	if err != nil {
 		f.Fatal(err)
 	}
-	query := jsonFrame(&Request{ID: 2, Op: OpQuery, Query: &QueryRequest{SQL: "q"}})
+	query := jsonFrame(&wire.Request{ID: 2, Op: wire.OpQuery, Query: &wire.QueryRequest{SQL: "q"}})
 	for _, seed := range [][]byte{
-		jsonFrame(&Request{ID: 1, Op: OpStatus}),
+		jsonFrame(&wire.Request{ID: 1, Op: wire.OpStatus}),
 		query,
 		append(append([]byte(nil), query...), query...), // duplicate stream id
-		frame(FramePublish, publish),
-		frame(FramePublish, publish[:20]),
-		frame(FrameCredit, AppendCreditPayload(nil, 2, 1)),
-		frame(FrameCancel, AppendCancelPayload(nil, 2)),
-		frame(FrameEnd, AppendCancelPayload(nil, 2)),
+		frame(wire.FramePublish, publish),
+		frame(wire.FramePublish, publish[:20]),
+		frame(wire.FrameCredit, wire.AppendCreditPayload(nil, 2, 1)),
+		frame(wire.FrameCancel, wire.AppendCancelPayload(nil, 2)),
+		frame(wire.FrameEnd, wire.AppendCancelPayload(nil, 2)),
 		{0x7f, 0xff, 0xff, 0xff, 0},
 		{0, 0, 0, 0},
 		query[:len(query)-3],
@@ -54,11 +55,11 @@ func FuzzSessionFrames(f *testing.F) {
 		f.Add(seed)
 	}
 
-	const maxFrame = MinFrame
+	const maxFrame = wire.MinFrame
 	s := startTestServer(f, &stubBackend{}, Config{MaxFrame: maxFrame, Logf: func(string, ...any) {}})
-	hello := jsonFrame(&Request{ID: 1, Op: OpHello, Hello: &HelloRequest{Version: ProtocolVersion}})
+	hello := jsonFrame(&wire.Request{ID: 1, Op: wire.OpHello, Hello: &wire.HelloRequest{Version: wire.ProtocolVersion}})
 	const pingID = 1<<63 + 12345
-	ping := jsonFrame(&Request{ID: pingID, Op: OpPing})
+	ping := jsonFrame(&wire.Request{ID: pingID, Op: wire.OpPing})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Do the bytes form whole frames the session will read through?
@@ -83,12 +84,12 @@ func FuzzSessionFrames(f *testing.F) {
 		go func() { // drain everything the session sends
 			br := bufio.NewReader(cli)
 			for {
-				kind, payload, err := ReadRawFrame(br, MaxFrame)
+				kind, payload, err := wire.ReadRawFrame(br, wire.MaxFrame)
 				if err != nil {
 					return
 				}
-				var resp Response
-				if kind == FrameJSON && UnmarshalJSONFrame(payload, &resp) == nil && resp.ID == pingID {
+				var resp wire.Response
+				if kind == wire.FrameJSON && wire.UnmarshalJSONFrame(payload, &resp) == nil && resp.ID == pingID {
 					close(pong)
 					return
 				}

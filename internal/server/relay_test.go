@@ -9,6 +9,7 @@ import (
 
 	"orchestra/internal/engine"
 	"orchestra/internal/tuple"
+	"orchestra/internal/wire"
 )
 
 // relayStub answers with the engine's relay hand-off: each block is offered
@@ -20,7 +21,7 @@ type relayStub struct {
 	blocks [][]byte
 }
 
-func (b *relayStub) QueryStream(ctx context.Context, req *QueryRequest, out ResultStream) (*QueryTail, error) {
+func (b *relayStub) QueryStream(ctx context.Context, req *wire.QueryRequest, out ResultStream) (*wire.QueryTail, error) {
 	out.Columns([]string{"k", "n"})
 	for _, batch := range b.lead {
 		if err := out.StreamCols(batch); err != nil {
@@ -44,7 +45,7 @@ func (b *relayStub) QueryStream(ctx context.Context, req *QueryRequest, out Resu
 			}
 		}
 	}
-	return &QueryTail{}, nil
+	return &wire.QueryTail{}, nil
 }
 
 // relayBlock is a 1024-row block of barely compressible strings, flated
@@ -92,27 +93,27 @@ func TestStreamEncodedFrames(t *testing.T) {
 		relayed  bool
 	}{
 		{name: "relayed", relayed: true},
-		{name: "frame budget below a block", maxFrame: MinFrame},
+		{name: "frame budget below a block", maxFrame: wire.MinFrame},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			conn := dialRaw(t, startTestServer(t, stub, Config{}))
-			conn.hello(&HelloRequest{Version: ProtocolVersion, MaxFrame: tc.maxFrame})
+			conn.hello(&wire.HelloRequest{Version: wire.ProtocolVersion, MaxFrame: tc.maxFrame})
 			conn.query(1, "q")
 			var got []tuple.Row
 			var frames [][]byte
 			for {
 				kind, payload := conn.frame()
-				if kind == FrameEnd {
-					_, end, err := DecodeEndPayload(payload)
+				if kind == wire.FrameEnd {
+					_, end, err := wire.DecodeEndPayload(payload)
 					if err != nil || end.Error != nil || int(end.Rows) != len(want) || end.Batches != len(frames) {
 						t.Fatalf("end %+v (%v) after %d frames, want %d rows", end, err, len(frames), len(want))
 					}
 					break
 				}
-				if kind != FrameBatch {
+				if kind != wire.FrameBatch {
 					continue
 				}
-				conn.sendFrame(FrameCredit, AppendCreditPayload(nil, 1, 1))
+				conn.sendFrame(wire.FrameCredit, wire.AppendCreditPayload(nil, 1, 1))
 				_, rows, err := decodeBatchPayload(payload)
 				if err != nil {
 					t.Fatal(err)

@@ -1,21 +1,29 @@
+// Package server serves the wire protocol (internal/wire) of an ORCHESTRA
+// deployment: the sessions that speak it, the result-stream writer, and
+// the admission control in front of query execution. NodeBackend, the one
+// implementation of the work behind the ops at a cluster.Node, lives here
+// too, because its view cache replays memoized frames through the stream
+// writer itself; an orchestra-node process and every node of an embedded
+// Cluster share it.
 package server
 
 import (
 	"bufio"
 	"context"
 	"errors"
+	"expvar"
 	"io"
 	"log"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"orchestra/internal/cluster"
-	"orchestra/internal/engine"
 	"orchestra/internal/obs"
+	"orchestra/internal/wire"
 )
 
 // Config tunes a Server.
@@ -35,7 +43,7 @@ type Config struct {
 	// TCP, so one connection cannot accumulate unbounded handler
 	// goroutines and payloads.
 	MaxPipelinedRequests int
-	// MaxFrame bounds a single wire frame (default MaxFrame const). The
+	// MaxFrame bounds a single wire frame (default wire.MaxFrame). The
 	// hello handshake may negotiate it lower per connection. Results are
 	// bounded per batch frame, not in total.
 	MaxFrame int64
@@ -83,9 +91,9 @@ func (c Config) withDefaults() Config {
 		c.MaxPipelinedRequests = 64
 	}
 	if c.MaxFrame <= 0 {
-		c.MaxFrame = MaxFrame
+		c.MaxFrame = wire.MaxFrame
 	}
-	c.MaxFrame = min(max(c.MaxFrame, MinFrame), MaxFrameLimit) // control frames must always fit
+	c.MaxFrame = min(max(c.MaxFrame, wire.MinFrame), wire.MaxFrameLimit) // control frames must always fit
 	if c.StreamWindow <= 0 {
 		c.StreamWindow = DefaultStreamWindow
 	}
@@ -168,13 +176,13 @@ type slowLog struct {
 	threshold time.Duration
 
 	mu      sync.Mutex
-	entries []SlowQuery // ring storage, cap fixed
-	next    int         // overwrite cursor once full
-	dropped uint64      // entries overwritten
+	entries []wire.SlowQuery // ring storage, cap fixed
+	next    int              // overwrite cursor once full
+	dropped uint64           // entries overwritten
 }
 
 func newSlowLog(threshold time.Duration) *slowLog {
-	return &slowLog{threshold: threshold, entries: make([]SlowQuery, 0, slowQueryLogSize)}
+	return &slowLog{threshold: threshold, entries: make([]wire.SlowQuery, 0, slowQueryLogSize)}
 }
 
 func (l *slowLog) enabled() bool { return l.threshold > 0 }
@@ -183,7 +191,7 @@ func (l *slowLog) qualifies(d time.Duration) bool {
 	return l.threshold > 0 && d >= l.threshold
 }
 
-func (l *slowLog) record(e SlowQuery) {
+func (l *slowLog) record(e wire.SlowQuery) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if len(l.entries) < cap(l.entries) {
@@ -197,10 +205,10 @@ func (l *slowLog) record(e SlowQuery) {
 
 // snapshot copies the ring oldest-first. withTraces strips the span
 // trees (the status op's lightweight summary form).
-func (l *slowLog) snapshot(withTraces bool) ([]SlowQuery, uint64) {
+func (l *slowLog) snapshot(withTraces bool) ([]wire.SlowQuery, uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]SlowQuery, 0, len(l.entries))
+	out := make([]wire.SlowQuery, 0, len(l.entries))
 	out = append(out, l.entries[l.next:]...)
 	out = append(out, l.entries[:l.next]...)
 	if !withTraces {
@@ -230,7 +238,7 @@ func Start(addr string, backend Backend, cfg Config) (*Server, error) {
 		ops:     make(map[string]*opMetrics),
 		slow:    newSlowLog(cfg.SlowQueryThreshold),
 	}
-	for _, op := range []string{OpPing, OpCreate, OpPublish, OpQuery, OpSchema, OpStatus, OpHello, OpTrace, OpHealth} {
+	for _, op := range []string{wire.OpPing, wire.OpCreate, wire.OpPublish, wire.OpQuery, wire.OpSchema, wire.OpStatus, wire.OpHello, wire.OpTrace, wire.OpHealth} {
 		s.ops[op] = &opMetrics{
 			hist:   s.metrics.Histogram(`orchestra_op_duration_us{op="` + op + `"}`),
 			errors: s.metrics.Counter(`orchestra_op_errors_total{op="` + op + `"}`),
@@ -256,14 +264,14 @@ func Start(addr string, backend Backend, cfg Config) (*Server, error) {
 // registerCacheGauges exports the backend's cache counters (view cache,
 // decoded-page LRU) as registry gauges.
 func (s *Server) registerCacheGauges() {
-	stat := func(name string, f func(engine.CacheStats) int64) func() int64 {
+	stat := func(name string, f func(obs.CacheStats) int64) func() int64 {
 		return func() int64 { return f(s.backend.CacheStats()[name]) }
 	}
 	for _, name := range []string{"views", "pages"} {
-		s.metrics.GaugeFunc(`orchestra_cache_hits{cache="`+name+`"}`, stat(name, func(c engine.CacheStats) int64 { return int64(c.Hits) }))
-		s.metrics.GaugeFunc(`orchestra_cache_misses{cache="`+name+`"}`, stat(name, func(c engine.CacheStats) int64 { return int64(c.Misses) }))
-		s.metrics.GaugeFunc(`orchestra_cache_evictions{cache="`+name+`"}`, stat(name, func(c engine.CacheStats) int64 { return int64(c.Evictions) }))
-		s.metrics.GaugeFunc(`orchestra_cache_size{cache="`+name+`"}`, stat(name, func(c engine.CacheStats) int64 { return int64(c.Size) }))
+		s.metrics.GaugeFunc(`orchestra_cache_hits{cache="`+name+`"}`, stat(name, func(c obs.CacheStats) int64 { return int64(c.Hits) }))
+		s.metrics.GaugeFunc(`orchestra_cache_misses{cache="`+name+`"}`, stat(name, func(c obs.CacheStats) int64 { return int64(c.Misses) }))
+		s.metrics.GaugeFunc(`orchestra_cache_evictions{cache="`+name+`"}`, stat(name, func(c obs.CacheStats) int64 { return int64(c.Evictions) }))
+		s.metrics.GaugeFunc(`orchestra_cache_size{cache="`+name+`"}`, stat(name, func(c obs.CacheStats) int64 { return int64(c.Size) }))
 	}
 }
 
@@ -271,7 +279,7 @@ func (s *Server) registerCacheGauges() {
 // registry gauges: shipping lag, catch-up and state-transfer counters,
 // and anti-entropy repairs (all zero for a single-node deployment).
 func (s *Server) registerReplGauges() {
-	stat := func(f func(cluster.ReplStats) int64) func() int64 {
+	stat := func(f func(obs.ReplStats) int64) func() int64 {
 		return func() int64 {
 			r, rok := s.backend.ReplStats()
 			if !rok {
@@ -280,11 +288,11 @@ func (s *Server) registerReplGauges() {
 			return f(r)
 		}
 	}
-	s.metrics.GaugeFunc("orchestra_repl_max_lag", stat(func(r cluster.ReplStats) int64 { return int64(r.MaxLag) }))
-	s.metrics.GaugeFunc("orchestra_repl_catch_up_records_total", stat(func(r cluster.ReplStats) int64 { return int64(r.CatchUpRecords) }))
-	s.metrics.GaugeFunc("orchestra_repl_state_transfers_total", stat(func(r cluster.ReplStats) int64 { return int64(r.StateTransfers) }))
-	s.metrics.GaugeFunc("orchestra_repl_anti_entropy_repairs_total", stat(func(r cluster.ReplStats) int64 { return int64(r.AntiEntropyRepairs) }))
-	s.metrics.GaugeFunc("orchestra_repl_last_catch_up_us", stat(func(r cluster.ReplStats) int64 { return r.LastCatchUpUs }))
+	s.metrics.GaugeFunc("orchestra_repl_max_lag", stat(func(r obs.ReplStats) int64 { return int64(r.MaxLag) }))
+	s.metrics.GaugeFunc("orchestra_repl_catch_up_records_total", stat(func(r obs.ReplStats) int64 { return int64(r.CatchUpRecords) }))
+	s.metrics.GaugeFunc("orchestra_repl_state_transfers_total", stat(func(r obs.ReplStats) int64 { return int64(r.StateTransfers) }))
+	s.metrics.GaugeFunc("orchestra_repl_anti_entropy_repairs_total", stat(func(r obs.ReplStats) int64 { return int64(r.AntiEntropyRepairs) }))
+	s.metrics.GaugeFunc("orchestra_repl_last_catch_up_us", stat(func(r obs.ReplStats) int64 { return r.LastCatchUpUs }))
 }
 
 // ServeOps starts an HTTP listener on addr ("host:port"; ":0" picks a
@@ -304,11 +312,39 @@ func (s *Server) ServeOps(addr string) (net.Addr, error) {
 	}
 	s.opsLns = append(s.opsLns, ln)
 	s.mu.Unlock()
-	h := obs.NewOpsHandler(s.metrics)
+	h := opsHandler(s.metrics)
 	go func() {
 		_ = http.Serve(ln, h) // exits when the listener closes
 	}()
 	return ln.Addr(), nil
+}
+
+// opsHandler builds the ops HTTP mux for a node: Prometheus-style text
+// metrics at /metrics, the process expvar dump at /debug/vars, and the
+// standard pprof profiles under /debug/pprof/. It lives here, beside its
+// one caller, because importing net/http/pprof and expvar registers their
+// handlers on http.DefaultServeMux: a package a client links must not.
+func opsHandler(r *obs.Registry) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		r.WritePrometheus(w)
+	})
+	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path != "/" {
+			http.NotFound(w, req)
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		_, _ = w.Write([]byte("orchestra ops endpoint\n\n/metrics\n/debug/vars\n/debug/pprof/\n"))
+	})
+	return mux
 }
 
 // Addr returns the bound listen address.
@@ -441,18 +477,18 @@ func (sess *session) write(frame []byte) error {
 
 // writeResponse encodes and sends one JSON response using a pooled
 // buffer. A response larger than the frame cap fails only its request.
-func (sess *session) writeResponse(resp *Response) error {
+func (sess *session) writeResponse(resp *wire.Response) error {
 	buf := getFrameBuf()
 	defer putFrameBuf(buf)
-	frame, err := AppendJSONFrame((*buf)[:0], resp, sess.maxFrame)
+	frame, err := wire.AppendJSONFrame((*buf)[:0], resp, sess.maxFrame)
 	if err != nil {
-		code := CodeInternal
-		var fse *FrameSizeError
+		code := wire.CodeInternal
+		var fse *wire.FrameSizeError
 		if errors.As(err, &fse) {
-			code = CodeFrameTooLarge
+			code = wire.CodeFrameTooLarge
 		}
-		fallback := &Response{ID: resp.ID, Error: Errorf(code, "encode response: %v", err)}
-		if frame, err = AppendJSONFrame((*buf)[:0], fallback, sess.maxFrame); err != nil {
+		fallback := &wire.Response{ID: resp.ID, Error: wire.Errorf(code, "encode response: %v", err)}
+		if frame, err = wire.AppendJSONFrame((*buf)[:0], fallback, sess.maxFrame); err != nil {
 			sess.srv.cfg.Logf("server: %s: encode: %v", sess.conn.RemoteAddr(), err)
 			sess.conn.Close()
 			return err
@@ -468,7 +504,7 @@ func (sess *session) writeResponse(resp *Response) error {
 // broken, so no further frame on this connection can be trusted.
 func (sess *session) protocolError(id uint64, code, format string, args ...any) {
 	sess.srv.cfg.Logf("server: %s: "+format, append([]any{sess.conn.RemoteAddr()}, args...)...)
-	sess.writeResponse(&Response{ID: id, Error: Errorf(code, format, args...)})
+	sess.writeResponse(&wire.Response{ID: id, Error: wire.Errorf(code, format, args...)})
 }
 
 // registerStream claims id for w; it fails when another stream on the
@@ -538,7 +574,7 @@ func (s *Server) session(conn net.Conn) {
 	// a client that pipelines beyond that stalls via TCP as before.
 	var handlers sync.WaitGroup
 	pipeline := make(chan struct{}, s.cfg.MaxPipelinedRequests)
-	reqCh := make(chan Request, s.cfg.MaxPipelinedRequests)
+	reqCh := make(chan wire.Request, s.cfg.MaxPipelinedRequests)
 	pumpDone := make(chan struct{})
 	go func() {
 		defer close(pumpDone)
@@ -550,11 +586,11 @@ func (s *Server) session(conn net.Conn) {
 				return                 // connection gone; drop parked requests
 			}
 			handlers.Add(1)
-			go func(req Request) {
+			go func(req wire.Request) {
 				defer handlers.Done()
 				defer s.reqsInFlight.Add(-1)
 				defer func() { <-pipeline }()
-				if req.Op == OpQuery {
+				if req.Op == wire.OpQuery {
 					s.dispatchStream(sess, &req)
 					return
 				}
@@ -572,53 +608,53 @@ func (s *Server) session(conn net.Conn) {
 		}
 	}()
 	for {
-		kind, payload, err := ReadRawFrame(sess.br, sess.maxFrame)
+		kind, payload, err := wire.ReadRawFrame(sess.br, sess.maxFrame)
 		if err != nil {
 			sess.readError(err)
 			return
 		}
-		var req Request
+		var req wire.Request
 		switch kind {
-		case FrameCredit:
-			id, n, err := DecodeCreditPayload(payload)
+		case wire.FrameCredit:
+			id, n, err := wire.DecodeCreditPayload(payload)
 			if err != nil {
-				sess.protocolError(0, CodeBadRequest, "%v", err)
+				sess.protocolError(0, wire.CodeBadRequest, "%v", err)
 				return
 			}
 			if w := sess.stream(id); w != nil {
 				w.credit(uint64(n))
 			}
 			continue
-		case FrameCancel:
-			id, err := StreamFrameID(payload)
+		case wire.FrameCancel:
+			id, err := wire.StreamFrameID(payload)
 			if err != nil {
-				sess.protocolError(0, CodeBadRequest, "%v", err)
+				sess.protocolError(0, wire.CodeBadRequest, "%v", err)
 				return
 			}
 			if w := sess.stream(id); w != nil {
 				w.cancelReq()
 			}
 			continue
-		case FramePublish:
-			id, pubID, rel, rows, err := DecodePublishPayload(payload)
+		case wire.FramePublish:
+			id, pubID, rel, rows, err := wire.DecodePublishPayload(payload)
 			if err != nil {
-				if id, iderr := StreamFrameID(payload); iderr == nil {
+				if id, iderr := wire.StreamFrameID(payload); iderr == nil {
 					// The frame was read whole, so framing is intact:
 					// fail only this request.
-					sess.writeResponse(&Response{ID: id, Error: Errorf(CodeBadRequest, "%v", err)})
+					sess.writeResponse(&wire.Response{ID: id, Error: wire.Errorf(wire.CodeBadRequest, "%v", err)})
 					continue
 				}
-				sess.protocolError(0, CodeBadRequest, "%v", err)
+				sess.protocolError(0, wire.CodeBadRequest, "%v", err)
 				return
 			}
-			req = Request{ID: id, Op: OpPublish, Publish: &PublishRequest{Relation: rel, PublishID: pubID, TypedRows: rows}}
-		case FrameJSON:
-			if err := UnmarshalJSONFrame(payload, &req); err != nil {
-				sess.protocolError(0, CodeBadRequest, "malformed request: %v", err)
+			req = wire.Request{ID: id, Op: wire.OpPublish, Publish: &wire.PublishRequest{Relation: rel, PublishID: pubID, TypedRows: rows}}
+		case wire.FrameJSON:
+			if err := wire.UnmarshalJSONFrame(payload, &req); err != nil {
+				sess.protocolError(0, wire.CodeBadRequest, "malformed request: %v", err)
 				return
 			}
 		default:
-			sess.protocolError(0, CodeBadRequest, "unexpected %v frame from client", kind)
+			sess.protocolError(0, wire.CodeBadRequest, "unexpected %v frame from client", kind)
 			return
 		}
 		s.reqsInFlight.Add(1)
@@ -629,12 +665,12 @@ func (s *Server) session(conn net.Conn) {
 // readError ends the session after a failed frame read, telling the peer
 // why when the cause is the frame itself rather than the connection.
 func (sess *session) readError(err error) {
-	var fse *FrameSizeError
+	var fse *wire.FrameSizeError
 	switch {
 	case errors.As(err, &fse):
-		sess.protocolError(0, CodeFrameTooLarge, "%v", err)
-	case errors.Is(err, errEmptyFrame):
-		sess.protocolError(0, CodeBadRequest, "%v", err)
+		sess.protocolError(0, wire.CodeFrameTooLarge, "%v", err)
+	case errors.Is(err, wire.ErrEmptyFrame):
+		sess.protocolError(0, wire.CodeBadRequest, "%v", err)
 	case !errors.Is(err, net.ErrClosed) && !isEOF(err):
 		sess.srv.cfg.Logf("server: %s: read: %v", sess.conn.RemoteAddr(), err)
 	}
@@ -645,52 +681,52 @@ func (sess *session) readError(err error) {
 // peers' offers. Anything else as the first frame is refused with a typed
 // bad_request and the connection closed (false).
 func (s *Server) handshake(sess *session) bool {
-	kind, payload, err := ReadRawFrame(sess.br, sess.maxFrame)
+	kind, payload, err := wire.ReadRawFrame(sess.br, sess.maxFrame)
 	start := time.Now()
 	if err != nil {
 		sess.readError(err)
 		return false
 	}
-	var req Request
-	if kind == FrameJSON {
-		err = UnmarshalJSONFrame(payload, &req)
+	var req wire.Request
+	if kind == wire.FrameJSON {
+		err = wire.UnmarshalJSONFrame(payload, &req)
 	}
 	switch {
-	case kind != FrameJSON || err != nil || req.Op != OpHello || req.Hello == nil:
-		sess.protocolError(req.ID, CodeBadRequest, "first frame must be a hello request")
-	case req.Hello.Version != ProtocolVersion:
-		sess.protocolError(req.ID, CodeBadRequest, "protocol version %d, server speaks %d", req.Hello.Version, ProtocolVersion)
+	case kind != wire.FrameJSON || err != nil || req.Op != wire.OpHello || req.Hello == nil:
+		sess.protocolError(req.ID, wire.CodeBadRequest, "first frame must be a hello request")
+	case req.Hello.Version != wire.ProtocolVersion:
+		sess.protocolError(req.ID, wire.CodeBadRequest, "protocol version %d, server speaks %d", req.Hello.Version, wire.ProtocolVersion)
 	default:
 		if mf := req.Hello.MaxFrame; mf > 0 && mf < sess.maxFrame {
-			sess.maxFrame = max(mf, MinFrame)
+			sess.maxFrame = max(mf, wire.MinFrame)
 		}
 		if w := req.Hello.Window; w > 0 && w < sess.window {
 			sess.window = w
 		}
 		// Counted before the response is on the wire, as a query is before
 		// its End frame: a peer that has read it finds it in the stats.
-		s.observeOp(OpHello, time.Since(start), false)
-		if sess.writeResponse(&Response{ID: req.ID, Hello: &HelloResponse{
-			Version:  ProtocolVersion,
+		s.observeOp(wire.OpHello, time.Since(start), false)
+		if sess.writeResponse(&wire.Response{ID: req.ID, Hello: &wire.HelloResponse{
+			Version:  wire.ProtocolVersion,
 			MaxFrame: sess.maxFrame,
 			Window:   sess.window,
 		}}) != nil {
-			s.ops[OpHello].errors.Inc()
+			s.ops[wire.OpHello].errors.Inc()
 			return false
 		}
 		return true
 	}
-	s.observeOp(OpHello, time.Since(start), true)
+	s.observeOp(wire.OpHello, time.Since(start), true)
 	return false
 }
 
 // dispatchStream answers one query request with its result stream:
 // Schema, Batch*, End — with errors carried in the End frame.
-func (s *Server) dispatchStream(sess *session, req *Request) {
+func (s *Server) dispatchStream(sess *session, req *wire.Request) {
 	start := time.Now()
 	q := req.Query
 	if q == nil {
-		q = &QueryRequest{} // refused below; its End frame still needs a writer
+		q = &wire.QueryRequest{} // refused below; its End frame still needs a writer
 	}
 	timeout := s.cfg.RequestTimeout
 	if d := time.Duration(q.TimeoutMs) * time.Millisecond; d > 0 && d < timeout {
@@ -707,22 +743,22 @@ func (s *Server) dispatchStream(sess *session, req *Request) {
 	countedOK := false
 	account := func(failed bool) {
 		countedOK = !failed
-		s.observeOp(OpQuery, time.Since(start), failed)
+		s.observeOp(wire.OpQuery, time.Since(start), failed)
 	}
 	// refuse ends a stream that never registered or executed.
 	refuse := func(code, format string, args ...any) {
-		w.end(&StreamEnd{Error: Errorf(code, format, args...)}, account)
+		w.end(&wire.StreamEnd{Error: wire.Errorf(code, format, args...)}, account)
 	}
 	switch {
 	case req.Query == nil:
-		refuse(CodeBadRequest, "query payload missing")
+		refuse(wire.CodeBadRequest, "query payload missing")
 		return
 	case s.draining.Load():
 		// Refused before any execution: the client may re-route freely.
-		refuse(CodeUnavailable, "server draining")
+		refuse(wire.CodeUnavailable, "server draining")
 		return
 	case !sess.registerStream(req.ID, w):
-		refuse(CodeBadRequest, "stream id %d already active on this connection", req.ID)
+		refuse(wire.CodeBadRequest, "stream id %d already active on this connection", req.ID)
 		return
 	}
 	// Unregistered by the same hook, so a client reacting to End by reusing
@@ -743,15 +779,15 @@ func (s *Server) dispatchStream(sess *session, req *Request) {
 		if w.cancelled.Load() {
 			// The client abandoned the stream; whatever the aborted
 			// execution reported, the terminal status is "cancelled".
-			tail = &StreamEnd{Error: Errorf(CodeCancelled, "stream cancelled by client")}
+			tail = &wire.StreamEnd{Error: wire.Errorf(wire.CodeCancelled, "stream cancelled by client")}
 		} else {
-			tail = &StreamEnd{Error: toWireError(ctx, err)}
+			tail = &wire.StreamEnd{Error: toWireError(ctx, err)}
 		}
 	}
 	if werr := w.end(tail, drop); werr != nil {
 		if countedOK {
 			// Counted as a success before the End write itself failed.
-			s.ops[OpQuery].errors.Inc()
+			s.ops[wire.OpQuery].errors.Inc()
 		}
 		if !errors.Is(werr, net.ErrClosed) {
 			// The tail itself would not encode (e.g. a plan or error
@@ -759,12 +795,12 @@ func (s *Server) dispatchStream(sess *session, req *Request) {
 			// end without its End frame, so degrade to a minimal error
 			// End — and sever the connection if even that cannot be sent,
 			// rather than leave the client waiting forever.
-			code := CodeInternal
-			var fse *FrameSizeError
+			code := wire.CodeInternal
+			var fse *wire.FrameSizeError
 			if errors.As(werr, &fse) {
-				code = CodeFrameTooLarge
+				code = wire.CodeFrameTooLarge
 			}
-			fallback := &StreamEnd{Error: Errorf(code, "encode stream end: frame limit exceeded")}
+			fallback := &wire.StreamEnd{Error: wire.Errorf(code, "encode stream end: frame limit exceeded")}
 			if werr2 := w.end(fallback, nil); werr2 != nil {
 				sess.conn.Close()
 			}
@@ -778,7 +814,7 @@ func (s *Server) acquireAdmission(ctx context.Context) (func(), error) {
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
-		return nil, Errorf(CodeTimeout, "admission wait: %v", ctx.Err())
+		return nil, wire.Errorf(wire.CodeTimeout, "admission wait: %v", ctx.Err())
 	}
 	n := s.inFlight.Add(1)
 	for {
@@ -809,7 +845,7 @@ func (s *Server) acquireAdmission(ctx context.Context) (func(), error) {
 // execution plus emission; the credit window already bounds how long a
 // slow reader can stretch that (the request timeout severs stalled
 // streams).
-func (s *Server) runQuery(ctx context.Context, q *QueryRequest, out *streamWriter) (*StreamEnd, error) {
+func (s *Server) runQuery(ctx context.Context, q *wire.QueryRequest, out *streamWriter) (*wire.StreamEnd, error) {
 	release, err := s.acquireAdmission(ctx)
 	if err != nil {
 		return nil, err
@@ -832,7 +868,7 @@ func (s *Server) runQuery(ctx context.Context, q *QueryRequest, out *streamWrite
 		})
 	}
 	if d := time.Since(start); s.slow.qualifies(d) {
-		e := SlowQuery{SQL: q.SQL, DurUs: d.Microseconds(), StartUnixMs: start.UnixMilli(), Rows: out.RowsStaged()}
+		e := wire.SlowQuery{SQL: q.SQL, DurUs: d.Microseconds(), StartUnixMs: start.UnixMilli(), Rows: out.RowsStaged()}
 		if err != nil {
 			e.Error = err.Error()
 		} else {
@@ -846,7 +882,7 @@ func (s *Server) runQuery(ctx context.Context, q *QueryRequest, out *streamWrite
 	if forced {
 		tail.Trace, tail.TraceID = nil, ""
 	}
-	return &StreamEnd{QueryTail: *tail}, nil
+	return &wire.StreamEnd{QueryTail: *tail}, nil
 }
 
 func isEOF(err error) bool {
@@ -854,18 +890,18 @@ func isEOF(err error) bool {
 }
 
 // dispatch executes one request and accounts it.
-func (s *Server) dispatch(req *Request) *Response {
+func (s *Server) dispatch(req *wire.Request) *wire.Response {
 	op := req.Op
 	start := time.Now()
-	resp := &Response{ID: req.ID}
+	resp := &wire.Response{ID: req.ID}
 	if s.ops[op] == nil {
-		resp.Error = Errorf(CodeBadRequest, "unknown op %q", op)
+		resp.Error = wire.Errorf(wire.CodeBadRequest, "unknown op %q", op)
 		return resp
 	}
-	if s.draining.Load() && (op == OpPublish || op == OpCreate) {
+	if s.draining.Load() && (op == wire.OpPublish || op == wire.OpCreate) {
 		// Refused before any execution — a proof of non-execution the
 		// client may act on by re-routing to another endpoint.
-		resp.Error = Errorf(CodeUnavailable, "server draining")
+		resp.Error = wire.Errorf(wire.CodeUnavailable, "server draining")
 		s.observeOp(op, time.Since(start), true)
 		return resp
 	}
@@ -879,14 +915,14 @@ func (s *Server) dispatch(req *Request) *Response {
 	return resp
 }
 
-func (s *Server) handle(ctx context.Context, req *Request, resp *Response) error {
+func (s *Server) handle(ctx context.Context, req *wire.Request, resp *wire.Response) error {
 	switch req.Op {
-	case OpPing:
+	case wire.OpPing:
 		resp.Epoch = uint64(s.backend.Epoch())
 		return nil
-	case OpCreate:
+	case wire.OpCreate:
 		if req.Create == nil {
-			return Errorf(CodeBadRequest, "create payload missing")
+			return wire.Errorf(wire.CodeBadRequest, "create payload missing")
 		}
 		e, err := s.backend.Create(ctx, req.Create)
 		if err != nil {
@@ -894,9 +930,9 @@ func (s *Server) handle(ctx context.Context, req *Request, resp *Response) error
 		}
 		resp.Epoch = uint64(e)
 		return nil
-	case OpPublish:
+	case wire.OpPublish:
 		if req.Publish == nil {
-			return Errorf(CodeBadRequest, "a publish travels as a publish frame, not a JSON request")
+			return wire.Errorf(wire.CodeBadRequest, "a publish travels as a publish frame, not a JSON request")
 		}
 		e, err := s.backend.Publish(ctx, req.Publish)
 		if err != nil {
@@ -904,7 +940,7 @@ func (s *Server) handle(ctx context.Context, req *Request, resp *Response) error
 		}
 		resp.Epoch = uint64(e)
 		return nil
-	case OpSchema:
+	case wire.OpSchema:
 		rel := ""
 		if req.Schema != nil {
 			rel = req.Schema.Relation
@@ -915,22 +951,22 @@ func (s *Server) handle(ctx context.Context, req *Request, resp *Response) error
 		}
 		resp.Schema = sr
 		return nil
-	case OpStatus:
+	case wire.OpStatus:
 		resp.Status = s.status()
 		return nil
-	case OpHealth:
+	case wire.OpHealth:
 		resp.Health = s.health()
 		return nil
-	case OpTrace:
+	case wire.OpTrace:
 		entries, dropped := s.slow.snapshot(true)
-		resp.Trace = &TraceResponse{
+		resp.Trace = &wire.TraceResponse{
 			ThresholdMs: max(s.slow.threshold.Milliseconds(), 0),
 			Dropped:     dropped,
 			Entries:     entries,
 		}
 		return nil
 	}
-	return Errorf(CodeBadRequest, "op %q is not valid here", req.Op) // a second hello
+	return wire.Errorf(wire.CodeBadRequest, "op %q is not valid here", req.Op) // a second hello
 }
 
 // peers returns the deployment's advertised client endpoints.
@@ -942,12 +978,12 @@ func (s *Server) peers() []string {
 }
 
 // health answers the health op: drain state, load, and the member list.
-func (s *Server) health() *HealthResponse {
+func (s *Server) health() *wire.HealthResponse {
 	status := "ok"
 	if s.draining.Load() {
 		status = "draining"
 	}
-	return &HealthResponse{
+	return &wire.HealthResponse{
 		Status:        status,
 		InFlight:      s.inFlight.Load(),
 		MaxConcurrent: s.cfg.MaxConcurrentQueries,
@@ -956,9 +992,9 @@ func (s *Server) health() *HealthResponse {
 	}
 }
 
-func (s *Server) status() *StatusResponse {
+func (s *Server) status() *wire.StatusResponse {
 	info := s.backend.Info()
-	st := &StatusResponse{
+	st := &wire.StatusResponse{
 		NodeID:               info.NodeID,
 		Members:              info.Members,
 		Peers:                s.peers(),
@@ -969,11 +1005,11 @@ func (s *Server) status() *StatusResponse {
 		InFlightQueries:      s.inFlight.Load(),
 		PeakInFlightQueries:  s.peakFlight.Load(),
 		MaxConcurrentQueries: s.cfg.MaxConcurrentQueries,
-		Ops:                  make(map[string]OpCounters, len(s.ops)),
+		Ops:                  make(map[string]wire.OpCounters, len(s.ops)),
 	}
 	for op, m := range s.ops {
 		snap := m.hist.Snapshot()
-		st.Ops[op] = OpCounters{
+		st.Ops[op] = wire.OpCounters{
 			Count:   snap.Count,
 			Errors:  m.errors.Load(),
 			TotalUs: snap.SumUs,
@@ -991,7 +1027,7 @@ func (s *Server) status() *StatusResponse {
 		st.Replication = &r
 	}
 	if n, snap := s.streamedQueries.Load(), s.firstBatch.Snapshot(); n > 0 || snap.Count > 0 {
-		st.Streams = &StreamStats{
+		st.Streams = &wire.StreamStats{
 			Queries:         n,
 			Rows:            s.streamedRows.Load(),
 			FirstBatchP50Us: snap.Quantile(0.50),
@@ -1005,17 +1041,17 @@ func (s *Server) status() *StatusResponse {
 }
 
 // Stats snapshots the server's own counters (the status op, server-side).
-func (s *Server) Stats() *StatusResponse { return s.status() }
+func (s *Server) Stats() *wire.StatusResponse { return s.status() }
 
 // toWireError maps backend errors onto wire codes, preserving codes that
 // are already typed.
-func toWireError(ctx context.Context, err error) *WireError {
-	var we *WireError
+func toWireError(ctx context.Context, err error) *wire.Error {
+	var we *wire.Error
 	if errors.As(err, &we) {
 		return we
 	}
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		return Errorf(CodeTimeout, "%v", err)
+		return wire.Errorf(wire.CodeTimeout, "%v", err)
 	}
-	return Errorf(CodeInternal, "%v", err)
+	return wire.Errorf(wire.CodeInternal, "%v", err)
 }

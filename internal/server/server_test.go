@@ -12,11 +12,11 @@ import (
 	"time"
 
 	"orchestra/internal/cluster"
-	"orchestra/internal/engine"
-	"orchestra/internal/kvstore"
+	"orchestra/internal/obs"
 	"orchestra/internal/optimizer"
 	"orchestra/internal/sql"
 	"orchestra/internal/tuple"
+	"orchestra/internal/wire"
 )
 
 // --- test harness: a stub backend and a raw protocol connection ---
@@ -28,15 +28,15 @@ type stubBackend struct {
 	queryErr   error
 }
 
-func (b *stubBackend) Create(ctx context.Context, req *CreateRequest) (tuple.Epoch, error) {
+func (b *stubBackend) Create(ctx context.Context, req *wire.CreateRequest) (tuple.Epoch, error) {
 	return 1, nil
 }
 
-func (b *stubBackend) Publish(ctx context.Context, req *PublishRequest) (tuple.Epoch, error) {
+func (b *stubBackend) Publish(ctx context.Context, req *wire.PublishRequest) (tuple.Epoch, error) {
 	return 2, nil
 }
 
-func (b *stubBackend) QueryStream(ctx context.Context, req *QueryRequest, out ResultStream) (*QueryTail, error) {
+func (b *stubBackend) QueryStream(ctx context.Context, req *wire.QueryRequest, out ResultStream) (*wire.QueryTail, error) {
 	if b.queryErr != nil {
 		return nil, b.queryErr
 	}
@@ -51,23 +51,23 @@ func (b *stubBackend) QueryStream(ctx context.Context, req *QueryRequest, out Re
 	if err := out.StreamCols(batchOf(tuple.Row{tuple.I(1)})); err != nil {
 		return nil, err
 	}
-	return &QueryTail{Epoch: 3}, nil
+	return &wire.QueryTail{Epoch: 3}, nil
 }
 
-func (b *stubBackend) Catalog(ctx context.Context, rel string) (*SchemaResponse, error) {
+func (b *stubBackend) Catalog(ctx context.Context, rel string) (*wire.SchemaResponse, error) {
 	if rel != "" && rel != "known" {
-		return nil, Errorf(CodeNotFound, "relation %q", rel)
+		return nil, wire.Errorf(wire.CodeNotFound, "relation %q", rel)
 	}
-	return &SchemaResponse{Relations: []RelationInfo{{Relation: "known"}}}, nil
+	return &wire.SchemaResponse{Relations: []wire.RelationInfo{{Relation: "known"}}}, nil
 }
 
-func (b *stubBackend) Epoch() tuple.Epoch                       { return 3 }
-func (b *stubBackend) Info() BackendInfo                        { return BackendInfo{NodeID: "stub", Members: 1} }
-func (b *stubBackend) CacheStats() map[string]engine.CacheStats { return nil }
-func (b *stubBackend) DurabilityStats() (kvstore.DurabilityStats, bool) {
-	return kvstore.DurabilityStats{}, false
+func (b *stubBackend) Epoch() tuple.Epoch                    { return 3 }
+func (b *stubBackend) Info() BackendInfo                     { return BackendInfo{NodeID: "stub", Members: 1} }
+func (b *stubBackend) CacheStats() map[string]obs.CacheStats { return nil }
+func (b *stubBackend) DurabilityStats() (obs.DurabilityStats, bool) {
+	return obs.DurabilityStats{}, false
 }
-func (b *stubBackend) ReplStats() (cluster.ReplStats, bool) { return cluster.ReplStats{}, false }
+func (b *stubBackend) ReplStats() (obs.ReplStats, bool) { return obs.ReplStats{}, false }
 
 func startTestServer(t testing.TB, b Backend, cfg Config) *Server {
 	t.Helper()
@@ -96,14 +96,14 @@ type testConn struct {
 // result stream's schema, rows and End.
 type reply struct {
 	id   uint64
-	resp *Response
+	resp *wire.Response
 	cols []string
 	rows []tuple.Row
-	end  *StreamEnd
+	end  *wire.StreamEnd
 }
 
 // err is the request's outcome, whichever form the answer took.
-func (r *reply) err() *WireError {
+func (r *reply) err() *wire.Error {
 	if r.resp != nil {
 		return r.resp.Error
 	}
@@ -126,13 +126,13 @@ func dialRaw(t testing.TB, s *Server) *testConn {
 func dialTest(t testing.TB, s *Server) *testConn {
 	t.Helper()
 	c := dialRaw(t, s)
-	c.hello(&HelloRequest{Version: ProtocolVersion})
+	c.hello(&wire.HelloRequest{Version: wire.ProtocolVersion})
 	return c
 }
 
-func (c *testConn) hello(h *HelloRequest) *HelloResponse {
+func (c *testConn) hello(h *wire.HelloRequest) *wire.HelloResponse {
 	c.t.Helper()
-	c.send(&Request{ID: 99, Op: OpHello, Hello: h})
+	c.send(&wire.Request{ID: 99, Op: wire.OpHello, Hello: h})
 	r := c.await(99)
 	if r.err() != nil || r.resp.Hello == nil {
 		c.t.Fatalf("hello: %+v", r.resp)
@@ -140,9 +140,9 @@ func (c *testConn) hello(h *HelloRequest) *HelloResponse {
 	return r.resp.Hello
 }
 
-func (c *testConn) send(req *Request) {
+func (c *testConn) send(req *wire.Request) {
 	c.t.Helper()
-	frame, err := AppendJSONFrame(nil, req, MaxFrame)
+	frame, err := wire.AppendJSONFrame(nil, req, wire.MaxFrame)
 	if err != nil {
 		c.t.Fatal(err)
 	}
@@ -151,9 +151,9 @@ func (c *testConn) send(req *Request) {
 	}
 }
 
-func (c *testConn) sendFrame(kind FrameKind, payload []byte) {
+func (c *testConn) sendFrame(kind wire.FrameKind, payload []byte) {
 	c.t.Helper()
-	frame, err := AppendBinaryFrame(nil, kind, payload, MaxFrame)
+	frame, err := wire.AppendBinaryFrame(nil, kind, payload, wire.MaxFrame)
 	if err != nil {
 		c.t.Fatal(err)
 	}
@@ -164,13 +164,13 @@ func (c *testConn) sendFrame(kind FrameKind, payload []byte) {
 
 func (c *testConn) query(id uint64, sql string) {
 	c.t.Helper()
-	c.send(&Request{ID: id, Op: OpQuery, Query: &QueryRequest{SQL: sql}})
+	c.send(&wire.Request{ID: id, Op: wire.OpQuery, Query: &wire.QueryRequest{SQL: sql}})
 }
 
 // frame reads one raw frame.
-func (c *testConn) frame() (FrameKind, []byte) {
+func (c *testConn) frame() (wire.FrameKind, []byte) {
 	c.t.Helper()
-	kind, payload, err := ReadRawFrame(c.br, MaxFrame)
+	kind, payload, err := wire.ReadRawFrame(c.br, wire.MaxFrame)
 	if err != nil {
 		c.t.Fatalf("read frame: %v", err)
 	}
@@ -184,14 +184,14 @@ func (c *testConn) next() *reply {
 	c.t.Helper()
 	for {
 		kind, payload := c.frame()
-		if kind == FrameJSON {
-			var resp Response
-			if err := UnmarshalJSONFrame(payload, &resp); err != nil {
+		if kind == wire.FrameJSON {
+			var resp wire.Response
+			if err := wire.UnmarshalJSONFrame(payload, &resp); err != nil {
 				c.t.Fatal(err)
 			}
 			return &reply{id: resp.ID, resp: &resp}
 		}
-		id, err := StreamFrameID(payload)
+		id, err := wire.StreamFrameID(payload)
 		if err != nil {
 			c.t.Fatal(err)
 		}
@@ -201,15 +201,15 @@ func (c *testConn) next() *reply {
 			c.open[id] = r
 		}
 		switch kind {
-		case FrameSchema:
-			_, r.cols, err = DecodeSchemaPayload(payload)
-		case FrameBatch:
+		case wire.FrameSchema:
+			_, r.cols, err = wire.DecodeSchemaPayload(payload)
+		case wire.FrameBatch:
 			var rows []tuple.Row
 			_, rows, err = decodeBatchPayload(payload)
 			r.rows = append(r.rows, rows...)
-			c.sendFrame(FrameCredit, AppendCreditPayload(nil, id, 1))
-		case FrameEnd:
-			_, r.end, err = DecodeEndPayload(payload)
+			c.sendFrame(wire.FrameCredit, wire.AppendCreditPayload(nil, id, 1))
+		case wire.FrameEnd:
+			_, r.end, err = wire.DecodeEndPayload(payload)
 			delete(c.open, id)
 			if err == nil {
 				return r
@@ -241,12 +241,12 @@ func (c *testConn) await(id uint64) *reply {
 func TestServerBasicOps(t *testing.T) {
 	s := startTestServer(t, &stubBackend{}, Config{})
 	conn := dialTest(t, s)
-	for i, req := range []*Request{
-		{ID: 1, Op: OpPing},
-		{ID: 2, Op: OpCreate, Create: &CreateRequest{Relation: "r", Columns: []string{"a:int"}}},
-		{ID: 3, Op: OpQuery, Query: &QueryRequest{SQL: "SELECT 1"}},
-		{ID: 4, Op: OpSchema, Schema: &SchemaRequest{Relation: "known"}},
-		{ID: 5, Op: OpStatus},
+	for i, req := range []*wire.Request{
+		{ID: 1, Op: wire.OpPing},
+		{ID: 2, Op: wire.OpCreate, Create: &wire.CreateRequest{Relation: "r", Columns: []string{"a:int"}}},
+		{ID: 3, Op: wire.OpQuery, Query: &wire.QueryRequest{SQL: "SELECT 1"}},
+		{ID: 4, Op: wire.OpSchema, Schema: &wire.SchemaRequest{Relation: "known"}},
+		{ID: 5, Op: wire.OpStatus},
 	} {
 		conn.send(req)
 		r := conn.next()
@@ -256,7 +256,7 @@ func TestServerBasicOps(t *testing.T) {
 		if r.id != req.ID {
 			t.Fatalf("op %d: reply id %d for request %d", i, r.id, req.ID)
 		}
-		if req.Op == OpQuery && (len(r.rows) != 1 || r.rows[0][0].I64 != 1 || r.end.Epoch != 3 || r.cols[0] != "one") {
+		if req.Op == wire.OpQuery && (len(r.rows) != 1 || r.rows[0][0].I64 != 1 || r.end.Epoch != 3 || r.cols[0] != "one") {
 			t.Fatalf("query reply: cols %v rows %v end %+v", r.cols, r.rows, r.end)
 		}
 	}
@@ -266,14 +266,14 @@ func TestServerErrorMapping(t *testing.T) {
 	s := startTestServer(t, &stubBackend{}, Config{})
 	conn := dialTest(t, s)
 	cases := []struct {
-		req  *Request
+		req  *wire.Request
 		code string
 	}{
-		{&Request{ID: 1, Op: "bogus"}, CodeBadRequest},
-		{&Request{ID: 2, Op: OpQuery}, CodeBadRequest},   // missing payload
-		{&Request{ID: 3, Op: OpPublish}, CodeBadRequest}, // publishes travel as publish frames
-		{&Request{ID: 4, Op: OpHello, Hello: &HelloRequest{Version: ProtocolVersion}}, CodeBadRequest},
-		{&Request{ID: 5, Op: OpSchema, Schema: &SchemaRequest{Relation: "nope"}}, CodeNotFound},
+		{&wire.Request{ID: 1, Op: "bogus"}, wire.CodeBadRequest},
+		{&wire.Request{ID: 2, Op: wire.OpQuery}, wire.CodeBadRequest},   // missing payload
+		{&wire.Request{ID: 3, Op: wire.OpPublish}, wire.CodeBadRequest}, // publishes travel as publish frames
+		{&wire.Request{ID: 4, Op: wire.OpHello, Hello: &wire.HelloRequest{Version: wire.ProtocolVersion}}, wire.CodeBadRequest},
+		{&wire.Request{ID: 5, Op: wire.OpSchema, Schema: &wire.SchemaRequest{Relation: "nope"}}, wire.CodeNotFound},
 	}
 	for _, tc := range cases {
 		conn.send(tc.req)
@@ -282,8 +282,8 @@ func TestServerErrorMapping(t *testing.T) {
 		}
 	}
 	// Errors are accounted.
-	if st := s.Stats(); st.Ops[OpSchema].Errors != 1 || st.Ops[OpQuery].Errors != 1 {
-		t.Fatalf("schema errors = %d, query errors = %d, want 1 each", st.Ops[OpSchema].Errors, st.Ops[OpQuery].Errors)
+	if st := s.Stats(); st.Ops[wire.OpSchema].Errors != 1 || st.Ops[wire.OpQuery].Errors != 1 {
+		t.Fatalf("schema errors = %d, query errors = %d, want 1 each", st.Ops[wire.OpSchema].Errors, st.Ops[wire.OpQuery].Errors)
 	}
 }
 
@@ -294,13 +294,13 @@ func TestServerInternalErrorMapping(t *testing.T) {
 	conn := dialTest(t, s)
 	conn.query(3, "x")
 	r := conn.await(3)
-	if r.err() == nil || r.err().Code != CodeInternal {
+	if r.err() == nil || r.err().Code != wire.CodeInternal {
 		t.Fatalf("got %v, want internal", r.err())
 	}
 	if r.cols != nil {
 		t.Fatalf("failed query sent a schema frame: %v", r.cols)
 	}
-	conn.send(&Request{ID: 4, Op: OpPing})
+	conn.send(&wire.Request{ID: 4, Op: wire.OpPing})
 	if r := conn.await(4); r.err() != nil {
 		t.Fatalf("session died after error: %v", r.err())
 	}
@@ -395,17 +395,17 @@ func TestAdmissionControl(t *testing.T) {
 func TestRequestTimeout(t *testing.T) {
 	for name, tc := range map[string]struct {
 		cfg Config
-		q   QueryRequest
+		q   wire.QueryRequest
 	}{
-		"server cap":   {Config{RequestTimeout: 50 * time.Millisecond}, QueryRequest{SQL: "slow"}},
-		"query budget": {Config{}, QueryRequest{SQL: "slow", TimeoutMs: 50}},
+		"server cap":   {Config{RequestTimeout: 50 * time.Millisecond}, wire.QueryRequest{SQL: "slow"}},
+		"query budget": {Config{}, wire.QueryRequest{SQL: "slow", TimeoutMs: 50}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := startTestServer(t, &stubBackend{queryDelay: 10 * time.Second}, tc.cfg)
 			conn := dialTest(t, s)
 			conn.SetDeadline(time.Now().Add(5 * time.Second))
-			conn.send(&Request{ID: 1, Op: OpQuery, Query: &tc.q})
-			if r := conn.await(1); r.err() == nil || r.err().Code != CodeTimeout {
+			conn.send(&wire.Request{ID: 1, Op: wire.OpQuery, Query: &tc.q})
+			if r := conn.await(1); r.err() == nil || r.err().Code != wire.CodeTimeout {
 				t.Fatalf("got %v, want timeout", r.err())
 			}
 		})
@@ -424,7 +424,7 @@ func TestPipelining(t *testing.T) {
 	conn := dialTest(t, s)
 	conn.query(100, "slow")
 	time.Sleep(10 * time.Millisecond) // let it occupy its slot
-	conn.send(&Request{ID: 101, Op: OpPing})
+	conn.send(&wire.Request{ID: 101, Op: wire.OpPing})
 	if r := conn.next(); r.id != 101 {
 		t.Fatalf("fast request did not overtake: got id %d", r.id)
 	}
@@ -441,7 +441,7 @@ func TestServerCloseSeversSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, _, err := ReadRawFrame(conn.br, MaxFrame); err == nil {
+	if _, _, err := wire.ReadRawFrame(conn.br, wire.MaxFrame); err == nil {
 		t.Fatal("read succeeded after server close")
 	}
 	if _, err := net.Dial("tcp", s.Addr().String()); err == nil {
@@ -460,19 +460,19 @@ func TestQueryCountedBeforeEnd(t *testing.T) {
 		if r := conn.await(2 * i); r.err() != nil {
 			t.Fatal(r.err())
 		}
-		conn.send(&Request{ID: 2*i + 1, Op: OpStatus})
+		conn.send(&wire.Request{ID: 2*i + 1, Op: wire.OpStatus})
 		st := conn.await(2*i + 1).resp.Status
-		if got := st.Ops[OpQuery].Count; got != i {
+		if got := st.Ops[wire.OpQuery].Count; got != i {
 			t.Fatalf("after End of query %d, status counts %d queries", i, got)
 		}
 	}
 	// A refused query is counted, as an error, before its End as well.
-	conn.send(&Request{ID: 1000, Op: OpQuery})
-	if r := conn.await(1000); r.err() == nil || r.err().Code != CodeBadRequest {
+	conn.send(&wire.Request{ID: 1000, Op: wire.OpQuery})
+	if r := conn.await(1000); r.err() == nil || r.err().Code != wire.CodeBadRequest {
 		t.Fatalf("query without payload: %+v", r.end)
 	}
-	conn.send(&Request{ID: 1001, Op: OpStatus})
-	if q := conn.await(1001).resp.Status.Ops[OpQuery]; q.Count != 301 || q.Errors != 1 {
+	conn.send(&wire.Request{ID: 1001, Op: wire.OpStatus})
+	if q := conn.await(1001).resp.Status.Ops[wire.OpQuery]; q.Count != 301 || q.Errors != 1 {
 		t.Fatalf("after a refused query: count %d errors %d, want 301 and 1", q.Count, q.Errors)
 	}
 }
@@ -487,14 +487,14 @@ func TestTypeQueryError(t *testing.T) {
 		err  error
 		code string // "" = passed through untyped
 	}{
-		{"parse", planError{&sql.Error{Msg: "unexpected token"}}, CodeBadRequest},
-		{"bind", planError{bind}, CodeBadRequest},
-		{"unknown relation", planError{&optimizer.UnknownTableError{Table: "ghost"}}, CodeNotFound},
-		{"catalog unreachable", planError{fmt.Errorf("%w: get c/t", cluster.ErrUnavailable)}, CodeUnavailable},
+		{"parse", planError{&sql.Error{Msg: "unexpected token"}}, wire.CodeBadRequest},
+		{"bind", planError{bind}, wire.CodeBadRequest},
+		{"unknown relation", planError{&optimizer.UnknownTableError{Table: "ghost"}}, wire.CodeNotFound},
+		{"catalog unreachable", planError{fmt.Errorf("%w: get c/t", cluster.ErrUnavailable)}, wire.CodeUnavailable},
 		{"execution", exec, ""},
 	} {
 		got := typeQueryError(context.Background(), tc.err)
-		var we *WireError
+		var we *wire.Error
 		switch {
 		case tc.code == "" && got != tc.err:
 			t.Errorf("%s: %v became %v, want it untouched", tc.name, tc.err, got)
@@ -506,7 +506,7 @@ func TestTypeQueryError(t *testing.T) {
 	// planner reported.
 	ctx, cancel := context.WithTimeout(context.Background(), 0)
 	defer cancel()
-	if got := typeQueryError(ctx, planError{bind}); toWireError(ctx, got).Code != CodeTimeout {
+	if got := typeQueryError(ctx, planError{bind}); toWireError(ctx, got).Code != wire.CodeTimeout {
 		t.Errorf("expired deadline: got %v, want a timeout", got)
 	}
 }
@@ -526,11 +526,11 @@ func rowBatch(tb testing.TB, rows []tuple.Row) *tuple.Batch {
 
 // decodeBatchPayload decodes a FrameBatch payload into typed rows.
 func decodeBatchPayload(p []byte) (id uint64, rows []tuple.Row, err error) {
-	id, rest, err := splitStreamID(p, "server: batch frame")
+	id, err = wire.StreamFrameID(p)
 	if err != nil {
 		return 0, nil, err
 	}
 	var b tuple.Batch
-	_, err = tuple.DecodeBatchInto(rest, &b)
+	_, err = tuple.DecodeBatchInto(p[8:], &b)
 	return id, b.Rows(), err
 }

@@ -1,81 +1,21 @@
 package server
 
-// Result streams. A query is answered by the frame sequence
-//
-//	Schema(id, columns) Batch(id, rows)* End(id, tail|error)
-//
-// where each Batch carries a column-major tuple batch (tuple.AppendBatchCols
-// format: row count, arity, per-column type tags, optional flate). A
-// query that fails before producing rows is answered by its End frame
-// alone. Frames of concurrent streams interleave freely on a connection —
-// every frame carries its request ID. Backpressure is credit-based: the
-// server may have at most `window` un-acknowledged batch frames in flight
-// per stream and the client returns one credit per batch it consumes
-// (Credit frames), so a slow reader bounds server-side buffering at
-// window × batch size.
+// The server side of a result stream (the frame sequence is specified in
+// internal/wire): the writer that stages a query's answer into batch
+// frames under the client's credit window.
 
 import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"orchestra/internal/codec"
 	"orchestra/internal/tuple"
+	"orchestra/internal/wire"
 )
-
-// FrameKind is the byte after a frame's length header; it tags the
-// payload that follows.
-type FrameKind byte
-
-const (
-	// FrameJSON is a JSON Request (client) or Response (server).
-	FrameJSON FrameKind = 0
-	// FrameSchema opens a result stream: request ID + column names.
-	FrameSchema FrameKind = 1
-	// FrameBatch carries one columnar row batch: request ID + batch.
-	FrameBatch FrameKind = 2
-	// FrameEnd closes a result stream: request ID + JSON StreamEnd.
-	FrameEnd FrameKind = 3
-	// FrameCredit grants stream flow-control credits: request ID + count.
-	FrameCredit FrameKind = 4
-	// FrameCancel abandons a result stream: request ID only. The server
-	// stops emitting batches, releases the query's resources, and still
-	// terminates the stream with an End frame (code "cancelled"), so the
-	// connection and its negotiated state remain usable. A cancel for an
-	// unknown or already-ended stream is a no-op.
-	FrameCancel FrameKind = 5
-	// FramePublish carries one publish as a typed column-major batch:
-	// request ID + publish ID + relation + tuple batch, answered with a
-	// JSON Response.
-	FramePublish FrameKind = 6
-)
-
-func (k FrameKind) String() string {
-	switch k {
-	case FrameJSON:
-		return "json"
-	case FrameSchema:
-		return "schema"
-	case FrameBatch:
-		return "batch"
-	case FrameEnd:
-		return "end"
-	case FrameCredit:
-		return "credit"
-	case FrameCancel:
-		return "cancel"
-	case FramePublish:
-		return "publish"
-	default:
-		return fmt.Sprintf("kind(%d)", byte(k))
-	}
-}
 
 // Stream tuning defaults (server side; window is negotiated down by hello).
 const (
@@ -85,29 +25,10 @@ const (
 	// defaultStreamBatchBytes is the target encoded size of one batch
 	// frame (pre-compression).
 	defaultStreamBatchBytes = 256 << 10
-	// streamCompressMin is the raw batch size at which flate
-	// compression of string bytes kicks in on the wire path; small batches
-	// are cheaper to send than to compress. A raw body counts ints packed
-	// to their spread, about three quarters of the bytes a row took when
-	// every value was a varint, so a few-hundred-row answer of the load
-	// relation reaches 2 KiB but not the 4 KiB this once was.
-	streamCompressMin = 2 << 10
 	// maxStreamBatchRows caps rows per batch frame so decode-side
 	// allocations stay bounded regardless of row width.
 	maxStreamBatchRows = 4096
 )
-
-// StreamEnd is the JSON payload of a FrameEnd: the query's terminal
-// status and provenance/epoch metadata (or its error).
-type StreamEnd struct {
-	Error *WireError `json:"error,omitempty"`
-	QueryTail
-	// Rows and Batches summarize the stream for integrity checks.
-	Rows    int64 `json:"rows,omitempty"`
-	Batches int   `json:"batches,omitempty"`
-}
-
-// --- raw frame I/O ---
 
 // frameBufPool recycles frame build buffers across requests and batches.
 var frameBufPool = sync.Pool{
@@ -129,204 +50,6 @@ func putFrameBuf(b *[]byte) {
 	}
 	*b = (*b)[:0]
 	frameBufPool.Put(b)
-}
-
-// ReadRawFrame reads one frame and returns its kind and payload. A
-// length above maxFrame returns a *FrameSizeError before anything is
-// allocated; the connection cannot be re-synchronized afterwards.
-func ReadRawFrame(r io.Reader, maxFrame int64) (FrameKind, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	h := codec.NewReader(hdr[:])
-	n := h.U32()
-	if int64(n) > maxFrame {
-		return 0, nil, &FrameSizeError{Size: int64(n), Max: maxFrame}
-	}
-	if n == 0 {
-		return 0, nil, errEmptyFrame
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, err
-	}
-	return FrameKind(body[0]), body[1:], nil
-}
-
-// errEmptyFrame reports a frame with no kind byte.
-var errEmptyFrame = errors.New("server: empty frame")
-
-// FrameWireSize is the number of bytes a frame with this payload occupies
-// on the wire (length header and kind byte included).
-func FrameWireSize(payload []byte) int64 { return int64(5 + len(payload)) }
-
-// beginFrame appends a placeholder header + kind byte to dst and returns
-// the extended slice plus the header offset for finishFrame.
-func beginFrame(dst []byte, kind FrameKind) ([]byte, int) {
-	mark := len(dst)
-	return append(dst, 0, 0, 0, 0, byte(kind)), mark
-}
-
-// finishFrame back-fills the length header begun at mark.
-func finishFrame(dst []byte, mark int, maxFrame int64) ([]byte, error) {
-	n := len(dst) - mark - 4 // kind byte + payload
-	if int64(n) > maxFrame {
-		return nil, &FrameSizeError{Size: int64(n), Max: maxFrame}
-	}
-	binary.BigEndian.PutUint32(dst[mark:mark+4], uint32(n))
-	return dst, nil
-}
-
-// AppendBinaryFrame appends one frame of the given kind carrying payload.
-func AppendBinaryFrame(dst []byte, kind FrameKind, payload []byte, maxFrame int64) ([]byte, error) {
-	dst, mark := beginFrame(dst, kind)
-	dst = append(dst, payload...)
-	return finishFrame(dst, mark, maxFrame)
-}
-
-// AppendJSONFrame appends a FrameJSON frame carrying v (a Request or a
-// Response).
-func AppendJSONFrame(dst []byte, v any, maxFrame int64) ([]byte, error) {
-	dst, mark := beginFrame(dst, FrameJSON)
-	body, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	return finishFrame(append(dst, body...), mark, maxFrame)
-}
-
-// --- stream frame payload codecs ---
-//
-// Every stream payload begins with the 8-byte big-endian request ID.
-
-// AppendSchemaPayload encodes a FrameSchema payload.
-func AppendSchemaPayload(dst []byte, id uint64, cols []string) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, id)
-	dst = binary.AppendUvarint(dst, uint64(len(cols)))
-	for _, c := range cols {
-		dst = binary.AppendUvarint(dst, uint64(len(c)))
-		dst = append(dst, c...)
-	}
-	return dst
-}
-
-// DecodeSchemaPayload reverses AppendSchemaPayload.
-func DecodeSchemaPayload(p []byte) (id uint64, cols []string, err error) {
-	r := codec.NewReader(p)
-	id = r.U64()
-	// Count bounds the names by the bytes that back them (one each, for its
-	// length); a batch's arity bound keeps the slice headers from
-	// outweighing a large frame sixteen to one.
-	n := r.Count(1)
-	if n > 1<<16 {
-		return 0, nil, fmt.Errorf("server: schema frame of %d columns", n)
-	}
-	cols = make([]string, 0, n)
-	for range n {
-		cols = append(cols, r.Str())
-	}
-	if err := r.Done("server: schema frame"); err != nil {
-		return 0, nil, err
-	}
-	return id, cols, nil
-}
-
-// AppendCreditPayload encodes a FrameCredit payload granting n credits.
-func AppendCreditPayload(dst []byte, id uint64, n int) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, id)
-	return binary.AppendUvarint(dst, uint64(n))
-}
-
-// DecodeCreditPayload reverses AppendCreditPayload.
-func DecodeCreditPayload(p []byte) (id uint64, n int, err error) {
-	r := codec.NewReader(p)
-	id = r.U64()
-	v := r.Uvarint()
-	if err := r.Done("server: credit frame"); err != nil {
-		return 0, 0, err
-	}
-	if v == 0 || v > 1<<20 {
-		return 0, 0, fmt.Errorf("server: bad credit frame: %d credits", v)
-	}
-	return id, int(v), nil
-}
-
-// AppendCancelPayload encodes a FrameCancel payload.
-func AppendCancelPayload(dst []byte, id uint64) []byte {
-	return binary.BigEndian.AppendUint64(dst, id)
-}
-
-// AppendPublishPayload encodes a FramePublish payload: request ID, the
-// publish idempotency ID (0 = none), relation name, and the rows as one
-// column-major tuple batch, flate-compressed past the same threshold as
-// result batches.
-func AppendPublishPayload(dst []byte, id, pubID uint64, relation string, rows *tuple.Batch) ([]byte, error) {
-	dst = binary.BigEndian.AppendUint64(dst, id)
-	dst = binary.BigEndian.AppendUint64(dst, pubID)
-	dst = binary.AppendUvarint(dst, uint64(len(relation)))
-	dst = append(dst, relation...)
-	return tuple.AppendBatchCols(dst, rows, streamCompressMin)
-}
-
-// DecodePublishPayload reverses AppendPublishPayload. The rows come back
-// boxed: the store keeps one record per tuple, so this is the edge where a
-// published batch becomes rows.
-func DecodePublishPayload(p []byte) (id, pubID uint64, relation string, rows []tuple.Row, err error) {
-	r := codec.NewReader(p)
-	id, pubID = r.U64(), r.U64()
-	rel := r.Bytes()
-	enc := r.Rest()
-	if err := r.Done("server: publish frame"); err != nil {
-		return 0, 0, "", nil, err
-	}
-	if len(rel) > tuple.MaxRelationNameLen {
-		return 0, 0, "", nil, errors.New("server: bad publish frame relation")
-	}
-	var b tuple.Batch
-	if _, err := tuple.DecodeBatchInto(enc, &b); err != nil {
-		return 0, 0, "", nil, fmt.Errorf("server: bad publish frame batch: %w", err)
-	}
-	return id, pubID, string(rel), b.Rows(), nil
-}
-
-// splitStreamID splits the leading request ID off a stream payload of the
-// kind what names.
-func splitStreamID(p []byte, what string) (uint64, []byte, error) {
-	r := codec.NewReader(p)
-	id := r.U64()
-	rest := r.Rest()
-	return id, rest, r.Done(what)
-}
-
-// StreamFrameID reads the request ID of any stream frame payload.
-func StreamFrameID(p []byte) (uint64, error) {
-	id, _, err := splitStreamID(p, "server: stream frame")
-	return id, err
-}
-
-// DecodeBatchPayloadAny decodes a FrameBatch payload straight into boxed
-// []any rows — the client's consumption form.
-func DecodeBatchPayloadAny(p []byte) (id uint64, rows [][]any, err error) {
-	id, rest, err := splitStreamID(p, "server: batch frame")
-	if err != nil {
-		return 0, nil, err
-	}
-	rows, err = tuple.DecodeBatchAny(rest)
-	return id, rows, err
-}
-
-// DecodeEndPayload decodes a FrameEnd payload.
-func DecodeEndPayload(p []byte) (id uint64, end *StreamEnd, err error) {
-	id, rest, err := splitStreamID(p, "server: end frame")
-	if err != nil {
-		return 0, nil, err
-	}
-	end = &StreamEnd{}
-	if err := json.Unmarshal(rest, end); err != nil {
-		return 0, nil, fmt.Errorf("server: bad end frame: %w", err)
-	}
-	return id, end, nil
 }
 
 // --- server-side stream writer ---
@@ -423,9 +146,9 @@ func (w *streamWriter) begin() error {
 	w.started = true
 	buf := getFrameBuf()
 	defer putFrameBuf(buf)
-	dst, mark := beginFrame((*buf)[:0], FrameSchema)
-	dst = AppendSchemaPayload(dst, w.id, w.cols)
-	dst, err := finishFrame(dst, mark, w.maxFrame)
+	dst, mark := wire.BeginFrame((*buf)[:0], wire.FrameSchema)
+	dst = wire.AppendSchemaPayload(dst, w.id, w.cols)
+	dst, err := wire.FinishFrame(dst, mark, w.maxFrame)
 	if err != nil {
 		return err
 	}
@@ -561,9 +284,9 @@ func (w *streamWriter) writeEncoded(body []byte, rows int) error {
 	}
 	buf := getFrameBuf()
 	defer putFrameBuf(buf)
-	dst, mark := beginFrame((*buf)[:0], FrameBatch)
+	dst, mark := wire.BeginFrame((*buf)[:0], wire.FrameBatch)
 	dst = binary.BigEndian.AppendUint64(dst, w.id)
-	dst, err := finishFrame(append(dst, body...), mark, w.maxFrame)
+	dst, err := wire.FinishFrame(append(dst, body...), mark, w.maxFrame)
 	if err != nil {
 		return err
 	}
@@ -644,14 +367,14 @@ func (w *streamWriter) flushCols() error {
 	}
 	buf := getFrameBuf()
 	defer putFrameBuf(buf)
-	dst, mark := beginFrame((*buf)[:0], FrameBatch)
+	dst, mark := wire.BeginFrame((*buf)[:0], wire.FrameBatch)
 	dst = binary.BigEndian.AppendUint64(dst, w.id)
 	body := len(dst)
-	dst, err := tuple.AppendBatchCols(dst, w.pendCols, streamCompressMin)
+	dst, err := tuple.AppendBatchCols(dst, w.pendCols, wire.CompressMin)
 	if err != nil {
 		return err
 	}
-	dst, err = finishFrame(dst, mark, w.maxFrame)
+	dst, err = wire.FinishFrame(dst, mark, w.maxFrame)
 	if err != nil {
 		return err
 	}
@@ -725,7 +448,7 @@ func (w *streamWriter) waitCredit() error {
 		case n := <-w.credits:
 			w.avail += int(n)
 		case <-w.ctx.Done():
-			return Errorf(CodeTimeout, "stream stalled awaiting credit: %v", w.ctx.Err())
+			return wire.Errorf(wire.CodeTimeout, "stream stalled awaiting credit: %v", w.ctx.Err())
 		case <-w.sess.ctx.Done():
 			return errors.New("server: session closed mid-stream")
 		}
@@ -753,7 +476,7 @@ func (w *streamWriter) waitCredit() error {
 // and may immediately reuse the request ID on its next query, or ask for
 // status — the ID is already free and the query already counted. (Doing
 // either after the write raced exactly that.)
-func (w *streamWriter) end(tail *StreamEnd, beforeEnd func(failed bool)) error {
+func (w *streamWriter) end(tail *wire.StreamEnd, beforeEnd func(failed bool)) error {
 	if tail.Error == nil {
 		err := w.begin()
 		if err == nil {
@@ -761,10 +484,10 @@ func (w *streamWriter) end(tail *StreamEnd, beforeEnd func(failed bool)) error {
 		}
 		if err != nil {
 			if errors.Is(err, errStreamCancelled) {
-				tail = &StreamEnd{Error: Errorf(CodeCancelled, "stream cancelled by client")}
+				tail = &wire.StreamEnd{Error: wire.Errorf(wire.CodeCancelled, "stream cancelled by client")}
 			} else {
 				// Credit starvation or encode failure: degrade to an error end.
-				tail = &StreamEnd{Error: toWireError(w.ctx, err)}
+				tail = &wire.StreamEnd{Error: toWireError(w.ctx, err)}
 			}
 		}
 	}
@@ -776,13 +499,13 @@ func (w *streamWriter) end(tail *StreamEnd, beforeEnd func(failed bool)) error {
 	tail.Batches = w.batches
 	buf := getFrameBuf()
 	defer putFrameBuf(buf)
-	dst, mark := beginFrame((*buf)[:0], FrameEnd)
+	dst, mark := wire.BeginFrame((*buf)[:0], wire.FrameEnd)
 	dst = binary.BigEndian.AppendUint64(dst, w.id)
 	body, err := json.Marshal(tail)
 	if err != nil {
 		return err
 	}
-	dst, err = finishFrame(append(dst, body...), mark, w.maxFrame)
+	dst, err = wire.FinishFrame(append(dst, body...), mark, w.maxFrame)
 	if err != nil {
 		return err
 	}

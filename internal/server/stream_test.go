@@ -1,15 +1,14 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
-	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"orchestra/internal/tuple"
+	"orchestra/internal/wire"
 )
 
 // streamStub is a backend emitting scripted batches.
@@ -17,7 +16,7 @@ type streamStub struct {
 	stubBackend
 	cols    []string
 	batches []*tuple.Batch
-	tail    QueryTail
+	tail    wire.QueryTail
 	gate    chan struct{} // when set, received before each batch
 }
 
@@ -32,7 +31,7 @@ func batchOf(rows ...tuple.Row) *tuple.Batch {
 	return b
 }
 
-func (b *streamStub) QueryStream(ctx context.Context, req *QueryRequest, out ResultStream) (*QueryTail, error) {
+func (b *streamStub) QueryStream(ctx context.Context, req *wire.QueryRequest, out ResultStream) (*wire.QueryTail, error) {
 	out.Columns(b.cols)
 	for _, batch := range b.batches {
 		if b.gate != nil {
@@ -50,39 +49,10 @@ func (b *streamStub) QueryStream(ctx context.Context, req *QueryRequest, out Res
 	return &t, nil
 }
 
-func TestFrameRoundTrip(t *testing.T) {
-	in := &Request{ID: 7, Op: OpQuery, Query: &QueryRequest{SQL: "SELECT 1", Epoch: 42}}
-	frame, err := AppendJSONFrame(nil, in, MaxFrame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kind, payload, err := ReadRawFrame(bytes.NewReader(frame), MaxFrame)
-	if err != nil || kind != FrameJSON {
-		t.Fatalf("kind=%v err=%v", kind, err)
-	}
-	if FrameWireSize(payload) != int64(len(frame)) {
-		t.Fatalf("FrameWireSize %d for a %d-byte frame", FrameWireSize(payload), len(frame))
-	}
-	var out Request
-	if err := UnmarshalJSONFrame(payload, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.ID != 7 || out.Op != OpQuery || out.Query == nil || out.Query.SQL != "SELECT 1" || out.Query.Epoch != 42 {
-		t.Fatalf("round trip mangled request: %+v", out)
-	}
-	var fse *FrameSizeError
-	if _, err := AppendJSONFrame(nil, in, 8); !errors.As(err, &fse) {
-		t.Fatalf("oversized outbound frame: %v, want FrameSizeError", err)
-	}
-	if _, _, err := ReadRawFrame(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff}), MaxFrame); !errors.As(err, &fse) {
-		t.Fatalf("oversized inbound header: %v, want FrameSizeError", err)
-	}
-}
-
 func TestHelloNegotiation(t *testing.T) {
 	s := startTestServer(t, &stubBackend{}, Config{StreamWindow: 6})
-	h := dialRaw(t, s).hello(&HelloRequest{Version: ProtocolVersion, MaxFrame: 1 << 20, Window: 4})
-	if h.Version != ProtocolVersion {
+	h := dialRaw(t, s).hello(&wire.HelloRequest{Version: wire.ProtocolVersion, MaxFrame: 1 << 20, Window: 4})
+	if h.Version != wire.ProtocolVersion {
 		t.Fatalf("version %d", h.Version)
 	}
 	if h.MaxFrame != 1<<20 {
@@ -91,12 +61,12 @@ func TestHelloNegotiation(t *testing.T) {
 	if h.Window != 4 {
 		t.Fatalf("window %d, want min(4, 6)", h.Window)
 	}
-	if h := dialRaw(t, s).hello(&HelloRequest{Version: ProtocolVersion, MaxFrame: 16}); h.MaxFrame != MinFrame {
-		t.Fatalf("max frame %d, want the %d floor", h.MaxFrame, MinFrame)
+	if h := dialRaw(t, s).hello(&wire.HelloRequest{Version: wire.ProtocolVersion, MaxFrame: 16}); h.MaxFrame != wire.MinFrame {
+		t.Fatalf("max frame %d, want the %d floor", h.MaxFrame, wire.MinFrame)
 	}
 	// Hello is accounted like any op.
-	if st := s.Stats(); st.Ops[OpHello].Count != 2 {
-		t.Fatalf("hello count %d", st.Ops[OpHello].Count)
+	if st := s.Stats(); st.Ops[wire.OpHello].Count != 2 {
+		t.Fatalf("hello count %d", st.Ops[wire.OpHello].Count)
 	}
 }
 
@@ -113,16 +83,16 @@ func TestStreamedQueryFrames(t *testing.T) {
 	stub := &streamStub{
 		cols:    []string{"a", "b"},
 		batches: []*tuple.Batch{batchOf(rows(0, 10)...), batchOf(rows(10, 25)...)},
-		tail:    QueryTail{Epoch: 42, Phases: 1},
+		tail:    wire.QueryTail{Epoch: 42, Phases: 1},
 	}
 	conn := dialTest(t, startTestServer(t, stub, Config{}))
 	const reqID = 777
 	conn.query(reqID, "q")
 	kind, payload := conn.frame()
-	if kind != FrameSchema {
+	if kind != wire.FrameSchema {
 		t.Fatalf("first frame %v, want schema", kind)
 	}
-	id, cols, err := DecodeSchemaPayload(payload)
+	id, cols, err := wire.DecodeSchemaPayload(payload)
 	if err != nil || id != reqID {
 		t.Fatalf("schema: id=%d err=%v", id, err)
 	}
@@ -160,18 +130,18 @@ func TestStreamCreditBackpressure(t *testing.T) {
 	// Negotiate a small frame cap so the byte target (maxFrame/4 = 16KiB)
 	// cuts the ~70KiB result into several wire batches; window 1 then
 	// stalls the stream after each un-credited batch.
-	if h := conn.hello(&HelloRequest{Version: ProtocolVersion, Window: 1, MaxFrame: 64 << 10}); h.Window != 1 {
+	if h := conn.hello(&wire.HelloRequest{Version: wire.ProtocolVersion, Window: 1, MaxFrame: 64 << 10}); h.Window != 1 {
 		t.Fatalf("window %d", h.Window)
 	}
 	const reqID = 9
 	conn.query(reqID, "q")
 	// Schema, then exactly one batch; the server now owes us nothing
 	// until we grant credit.
-	if kind, _ := conn.frame(); kind != FrameSchema {
+	if kind, _ := conn.frame(); kind != wire.FrameSchema {
 		t.Fatalf("kind=%v", kind)
 	}
 	kind, payload := conn.frame()
-	if kind != FrameBatch {
+	if kind != wire.FrameBatch {
 		t.Fatalf("kind=%v", kind)
 	}
 	_, rows1, err := decodeBatchPayload(payload)
@@ -180,12 +150,12 @@ func TestStreamCreditBackpressure(t *testing.T) {
 	}
 	// Interleave: a ping mid-stream gets its response while the stream
 	// is stalled on credit.
-	conn.send(&Request{ID: 10, Op: OpPing})
+	conn.send(&wire.Request{ID: 10, Op: wire.OpPing})
 	if r := conn.next(); r.id != 10 || r.err() != nil {
 		t.Fatalf("interleaved ping: %+v", r)
 	}
 	// Grant the first batch's credit; next() grants the rest.
-	conn.sendFrame(FrameCredit, AppendCreditPayload(nil, reqID, 1))
+	conn.sendFrame(wire.FrameCredit, wire.AppendCreditPayload(nil, reqID, 1))
 	r := conn.await(reqID)
 	if r.end.Error != nil || int(r.end.Rows) != len(big) || r.end.Batches < 3 {
 		t.Fatalf("end: %+v", r.end)
@@ -233,13 +203,13 @@ func TestStreamBatchSignatureChange(t *testing.T) {
 // TestInboundFrameTooLarge: the server reports frame_too_large before
 // closing instead of silently dropping the connection.
 func TestInboundFrameTooLarge(t *testing.T) {
-	conn := dialTest(t, startTestServer(t, &stubBackend{}, Config{MaxFrame: MinFrame}))
-	conn.query(1, strings.Repeat("x", 2*MinFrame))
-	if r := conn.next(); r.err() == nil || r.err().Code != CodeFrameTooLarge {
+	conn := dialTest(t, startTestServer(t, &stubBackend{}, Config{MaxFrame: wire.MinFrame}))
+	conn.query(1, strings.Repeat("x", 2*wire.MinFrame))
+	if r := conn.next(); r.err() == nil || r.err().Code != wire.CodeFrameTooLarge {
 		t.Fatalf("got %+v, want frame_too_large", r.err())
 	}
 	// The connection is closed afterwards (framing lost).
-	if _, _, err := ReadRawFrame(conn.br, MaxFrame); err == nil {
+	if _, _, err := wire.ReadRawFrame(conn.br, wire.MaxFrame); err == nil {
 		t.Fatal("connection survived unreadable frame")
 	}
 }
@@ -287,13 +257,13 @@ func TestStreamCancelFrame(t *testing.T) {
 	const reqID = 11
 	conn.query(reqID, "q")
 	gate <- struct{}{} // release the first backend batch
-	if kind, _ := conn.frame(); kind != FrameSchema {
+	if kind, _ := conn.frame(); kind != wire.FrameSchema {
 		t.Fatalf("first frame %v, want schema", kind)
 	}
 	// The first batch arrives; the window of 1 then stalls the writer
 	// while the backend waits on its gate.
 	kind, payload := conn.frame()
-	if kind != FrameBatch {
+	if kind != wire.FrameBatch {
 		t.Fatalf("second frame %v, want batch", kind)
 	}
 	if id, _, err := decodeBatchPayload(payload); err != nil || id != reqID {
@@ -302,19 +272,19 @@ func TestStreamCancelFrame(t *testing.T) {
 
 	// Abandon the stream: no credits, just a cancel frame. Everything up
 	// to End is drained; End must carry the cancelled code.
-	conn.sendFrame(FrameCancel, AppendCancelPayload(nil, reqID))
-	for kind == FrameBatch { // batches in flight before the cancel landed
+	conn.sendFrame(wire.FrameCancel, wire.AppendCancelPayload(nil, reqID))
+	for kind == wire.FrameBatch { // batches in flight before the cancel landed
 		kind, payload = conn.frame()
 	}
-	if kind != FrameEnd {
+	if kind != wire.FrameEnd {
 		t.Fatalf("terminal frame %v, want end", kind)
 	}
-	id, end, err := DecodeEndPayload(payload)
+	id, end, err := wire.DecodeEndPayload(payload)
 	if err != nil || id != reqID {
 		t.Fatalf("end: id=%d err=%v", id, err)
 	}
-	if end.Error == nil || end.Error.Code != CodeCancelled {
-		t.Fatalf("end error %+v, want code %q", end.Error, CodeCancelled)
+	if end.Error == nil || end.Error.Code != wire.CodeCancelled {
+		t.Fatalf("end error %+v, want code %q", end.Error, wire.CodeCancelled)
 	}
 
 	// The admission slot came back.
@@ -328,9 +298,9 @@ func TestStreamCancelFrame(t *testing.T) {
 
 	// The connection remains usable, and a cancel for an unknown stream is
 	// ignored, not fatal.
-	conn.send(&Request{ID: 12, Op: OpPing})
-	conn.sendFrame(FrameCancel, AppendCancelPayload(nil, 9999))
-	conn.send(&Request{ID: 13, Op: OpPing})
+	conn.send(&wire.Request{ID: 12, Op: wire.OpPing})
+	conn.sendFrame(wire.FrameCancel, wire.AppendCancelPayload(nil, 9999))
+	conn.send(&wire.Request{ID: 13, Op: wire.OpPing})
 	for _, id := range []uint64{12, 13} {
 		if r := conn.await(id); r.err() != nil {
 			t.Fatalf("ping %d after cancel: %+v", id, r.err())
@@ -343,8 +313,8 @@ func TestStreamCancelFrame(t *testing.T) {
 // well-formed peer relies on at its edges.
 func TestProtocolConformance(t *testing.T) {
 	rawHeader := func(n uint32) []byte { return binary.BigEndian.AppendUint32(nil, n) }
-	jsonFrame := func(req *Request) []byte {
-		frame, err := AppendJSONFrame(nil, req, MaxFrame)
+	jsonFrame := func(req *wire.Request) []byte {
+		frame, err := wire.AppendJSONFrame(nil, req, wire.MaxFrame)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,21 +326,21 @@ func TestProtocolConformance(t *testing.T) {
 		bytes []byte // then write these
 		code  string // the typed error that must come back before the close
 	}{
-		{"non-hello first frame", false, jsonFrame(&Request{ID: 1, Op: OpPing}), CodeBadRequest},
-		{"non-JSON first frame", false, append(rawHeader(9), append([]byte{byte(FrameCancel)}, make([]byte, 8)...)...), CodeBadRequest},
-		{"wrong version", false, jsonFrame(&Request{ID: 1, Op: OpHello, Hello: &HelloRequest{Version: ProtocolVersion - 1}}), CodeBadRequest},
-		{"unknown frame kind", true, append(rawHeader(2), 0x7f, 0), CodeBadRequest},
-		{"server-only frame kind", true, append(rawHeader(9), append([]byte{byte(FrameEnd)}, make([]byte, 8)...)...), CodeBadRequest},
-		{"empty frame", true, rawHeader(0), CodeBadRequest},
-		{"malformed JSON", true, append(rawHeader(2), byte(FrameJSON), '{'), CodeBadRequest},
-		{"short credit frame", true, append(rawHeader(3), byte(FrameCredit), 1, 2), CodeBadRequest},
-		{"oversize inbound frame", true, rawHeader(MinFrame + 1), CodeFrameTooLarge},
+		{"non-hello first frame", false, jsonFrame(&wire.Request{ID: 1, Op: wire.OpPing}), wire.CodeBadRequest},
+		{"non-JSON first frame", false, append(rawHeader(9), append([]byte{byte(wire.FrameCancel)}, make([]byte, 8)...)...), wire.CodeBadRequest},
+		{"wrong version", false, jsonFrame(&wire.Request{ID: 1, Op: wire.OpHello, Hello: &wire.HelloRequest{Version: wire.ProtocolVersion - 1}}), wire.CodeBadRequest},
+		{"unknown frame kind", true, append(rawHeader(2), 0x7f, 0), wire.CodeBadRequest},
+		{"server-only frame kind", true, append(rawHeader(9), append([]byte{byte(wire.FrameEnd)}, make([]byte, 8)...)...), wire.CodeBadRequest},
+		{"empty frame", true, rawHeader(0), wire.CodeBadRequest},
+		{"malformed JSON", true, append(rawHeader(2), byte(wire.FrameJSON), '{'), wire.CodeBadRequest},
+		{"short credit frame", true, append(rawHeader(3), byte(wire.FrameCredit), 1, 2), wire.CodeBadRequest},
+		{"oversize inbound frame", true, rawHeader(wire.MinFrame + 1), wire.CodeFrameTooLarge},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := startTestServer(t, &stubBackend{}, Config{MaxFrame: MinFrame})
+			s := startTestServer(t, &stubBackend{}, Config{MaxFrame: wire.MinFrame})
 			conn := dialRaw(t, s)
 			if tc.hello {
-				conn.hello(&HelloRequest{Version: ProtocolVersion})
+				conn.hello(&wire.HelloRequest{Version: wire.ProtocolVersion})
 			}
 			if _, err := conn.Write(tc.bytes); err != nil {
 				t.Fatal(err)
@@ -378,11 +348,11 @@ func TestProtocolConformance(t *testing.T) {
 			if r := conn.next(); r.err() == nil || r.err().Code != tc.code {
 				t.Fatalf("got %+v, want %s", r.err(), tc.code)
 			}
-			if _, _, err := ReadRawFrame(conn.br, MaxFrame); err == nil {
+			if _, _, err := wire.ReadRawFrame(conn.br, wire.MaxFrame); err == nil {
 				t.Fatal("connection survived a protocol violation")
 			}
 			// Only that session ended.
-			dialTest(t, s).send(&Request{ID: 2, Op: OpPing})
+			dialTest(t, s).send(&wire.Request{ID: 2, Op: wire.OpPing})
 		})
 	}
 
@@ -400,10 +370,10 @@ func TestProtocolConformance(t *testing.T) {
 		<-started // the first stream holds ID 5, parked before its batch
 		conn.query(5, "q")
 		kind, payload := conn.frame()
-		if kind != FrameEnd {
+		if kind != wire.FrameEnd {
 			t.Fatalf("kind=%v, want the refusal's End", kind)
 		}
-		if _, end, err := DecodeEndPayload(payload); err != nil || end.Error == nil || end.Error.Code != CodeBadRequest {
+		if _, end, err := wire.DecodeEndPayload(payload); err != nil || end.Error == nil || end.Error.Code != wire.CodeBadRequest {
 			t.Fatalf("end %+v err=%v, want bad_request", end, err)
 		}
 		close(gate)
@@ -416,17 +386,17 @@ func TestProtocolConformance(t *testing.T) {
 
 	t.Run("zero-row query", func(t *testing.T) {
 		// An empty answer still owes the client Schema, then End.
-		stub := &streamStub{cols: []string{"a", "b"}, tail: QueryTail{Epoch: 5}}
+		stub := &streamStub{cols: []string{"a", "b"}, tail: wire.QueryTail{Epoch: 5}}
 		conn := dialTest(t, startTestServer(t, stub, Config{}))
 		conn.query(8, "q")
-		if kind, _ := conn.frame(); kind != FrameSchema {
+		if kind, _ := conn.frame(); kind != wire.FrameSchema {
 			t.Fatalf("first frame %v, want schema", kind)
 		}
 		kind, payload := conn.frame()
-		if kind != FrameEnd {
+		if kind != wire.FrameEnd {
 			t.Fatalf("second frame %v, want end", kind)
 		}
-		if _, end, err := DecodeEndPayload(payload); err != nil || end.Error != nil || end.Rows != 0 || end.Epoch != 5 {
+		if _, end, err := wire.DecodeEndPayload(payload); err != nil || end.Error != nil || end.Rows != 0 || end.Epoch != 5 {
 			t.Fatalf("end %+v err=%v", end, err)
 		}
 	})

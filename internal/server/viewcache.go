@@ -5,9 +5,9 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"orchestra/internal/engine"
 	"orchestra/internal/obs"
 	"orchestra/internal/tuple"
+	"orchestra/internal/wire"
 )
 
 // ViewCache implements the materialized-view extension the paper lists as
@@ -113,10 +113,10 @@ func (v *ViewCache) put(e *viewEntry) {
 	}
 }
 
-func (v *ViewCache) stats() engine.CacheStats {
+func (v *ViewCache) stats() obs.CacheStats {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return engine.CacheStats{Hits: v.hits, Misses: v.misses, Evictions: v.evictions, Size: v.lru.Len(), Max: v.max}
+	return obs.CacheStats{Hits: v.hits, Misses: v.misses, Evictions: v.evictions, Size: v.lru.Len(), Max: v.max}
 }
 
 // emit sends the entry's answer through out. A frame writer that has
@@ -150,12 +150,12 @@ func (e *viewEntry) emit(out ResultStream) error {
 
 // viewHit answers a query from a cache entry: one emit, never an
 // execution.
-func viewHit(e *viewEntry, tr *obs.Trace, out ResultStream) (*QueryTail, error) {
+func viewHit(e *viewEntry, tr *obs.Trace, out ResultStream) (*wire.QueryTail, error) {
 	out.Columns(e.cols)
 	if err := e.emit(out); err != nil {
 		return nil, err
 	}
-	tail := &QueryTail{Epoch: uint64(e.key.epoch), Cached: true, Phases: 1, Plan: e.plan}
+	tail := &wire.QueryTail{Epoch: uint64(e.key.epoch), Cached: true, Phases: 1, Plan: e.plan}
 	if tr != nil {
 		// A hit never reaches the engine; its whole trace is the cache
 		// lookup (and, when served, the hand-off to the wire).

@@ -19,9 +19,24 @@ import (
 	"orchestra/internal/transport"
 	"orchestra/internal/tuple"
 	"orchestra/internal/vstore"
+	"orchestra/internal/wire"
 )
 
 var benchCols = []string{"k", "g", "i", "f"}
+
+// benchResultRows builds n rows of benchCols' shape.
+func benchResultRows(n int) []tuple.Row {
+	rows := make([]tuple.Row, n)
+	for i := range rows {
+		rows[i] = tuple.Row{
+			tuple.S(fmt.Sprintf("k%06d", i)),
+			tuple.I(int64(i % 17)),
+			tuple.I(int64(i)),
+			tuple.F(float64(i) / 8),
+		}
+	}
+	return rows
+}
 
 // pipeSession is a session over one end of a net.Pipe: what its writers
 // send goes to conn's peer, which the caller reads or drains.
@@ -50,12 +65,12 @@ func sentFrames(t *testing.T, maxFrame int64, emit func(w *streamWriter) error) 
 		var frames [][]byte
 		br := bufio.NewReader(peer)
 		for {
-			kind, payload, err := ReadRawFrame(br, MaxFrame)
+			kind, payload, err := wire.ReadRawFrame(br, wire.MaxFrame)
 			if err != nil {
 				break
 			}
 			frames = append(frames, append([]byte{byte(kind)}, payload...))
-			if kind == FrameEnd {
+			if kind == wire.FrameEnd {
 				break
 			}
 		}
@@ -66,7 +81,7 @@ func sentFrames(t *testing.T, maxFrame int64, emit func(w *streamWriter) error) 
 	if err := emit(w); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.end(&StreamEnd{}, nil); err != nil {
+	if err := w.end(&wire.StreamEnd{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	return <-got
@@ -92,12 +107,12 @@ func TestViewHitFramesMatchEncode(t *testing.T) {
 		rows     []tuple.Row
 		maxFrame int64
 	}{
-		{"0 rows", nil, MaxFrame},
-		{"1 row, below compressMin", benchResultRows(1), MaxFrame},
-		{"1000 rows", benchResultRows(1000), MaxFrame},
-		{"9000 rows, several frames", benchResultRows(9000), MaxFrame},
-		{"all strings", stringRows(3000), MaxFrame},
-		{"MinFrame session", benchResultRows(1000), MinFrame},
+		{"0 rows", nil, wire.MaxFrame},
+		{"1 row, below compressMin", benchResultRows(1), wire.MaxFrame},
+		{"1000 rows", benchResultRows(1000), wire.MaxFrame},
+		{"9000 rows, several frames", benchResultRows(9000), wire.MaxFrame},
+		{"all strings", stringRows(3000), wire.MaxFrame},
+		{"MinFrame session", benchResultRows(1000), wire.MinFrame},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := rowBatch(t, tc.rows)
@@ -127,7 +142,7 @@ func TestViewHitFramesMatchEncode(t *testing.T) {
 				}
 				for i := range want {
 					if !bytes.Equal(got[i], want[i]) {
-						t.Fatalf("%s: frame %d (kind %v) differs from the fresh encode", pass, i, FrameKind(want[i][0]))
+						t.Fatalf("%s: frame %d (kind %v) differs from the fresh encode", pass, i, wire.FrameKind(want[i][0]))
 					}
 				}
 			}
@@ -141,7 +156,7 @@ type viewStub struct {
 	e *viewEntry
 }
 
-func (b *viewStub) QueryStream(ctx context.Context, req *QueryRequest, out ResultStream) (*QueryTail, error) {
+func (b *viewStub) QueryStream(ctx context.Context, req *wire.QueryRequest, out ResultStream) (*wire.QueryTail, error) {
 	return viewHit(b.e, nil, out)
 }
 
@@ -154,7 +169,7 @@ func memoConn(t *testing.T, window int) (*testConn, *Server, []tuple.Row, *viewF
 	stub := &viewStub{e: &viewEntry{batch: rowBatch(t, rows), cols: benchCols}}
 	s := startTestServer(t, stub, Config{})
 	conn := dialRaw(t, s)
-	conn.hello(&HelloRequest{Version: ProtocolVersion, Window: window, MaxFrame: MinFrame})
+	conn.hello(&wire.HelloRequest{Version: wire.ProtocolVersion, Window: window, MaxFrame: wire.MinFrame})
 	conn.query(1, "q")
 	if r := conn.await(1); r.err() != nil || len(r.rows) != len(rows) {
 		t.Fatalf("filling query: %d rows, %v", len(r.rows), r.err())
@@ -174,13 +189,13 @@ func TestViewHitCreditWindow(t *testing.T) {
 	conn, _, rows, m := memoConn(t, window)
 	const reqID = 2
 	conn.query(reqID, "q")
-	if kind, _ := conn.frame(); kind != FrameSchema {
+	if kind, _ := conn.frame(); kind != wire.FrameSchema {
 		t.Fatalf("first frame %v, want schema", kind)
 	}
 	var got []tuple.Row
 	for i := 0; i < window; i++ {
 		kind, payload := conn.frame()
-		if kind != FrameBatch {
+		if kind != wire.FrameBatch {
 			t.Fatalf("frame %d: %v, want batch", i, kind)
 		}
 		_, part, err := decodeBatchPayload(payload)
@@ -191,11 +206,11 @@ func TestViewHitCreditWindow(t *testing.T) {
 	}
 	conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
 	var ne net.Error
-	if kind, _, err := ReadRawFrame(conn.br, MaxFrame); !errors.As(err, &ne) || !ne.Timeout() {
+	if kind, _, err := wire.ReadRawFrame(conn.br, wire.MaxFrame); !errors.As(err, &ne) || !ne.Timeout() {
 		t.Fatalf("a %v frame (%v) arrived past the window of %d", kind, err, window)
 	}
 	conn.SetDeadline(time.Now().Add(30 * time.Second))
-	conn.sendFrame(FrameCredit, AppendCreditPayload(nil, reqID, window))
+	conn.sendFrame(wire.FrameCredit, wire.AppendCreditPayload(nil, reqID, window))
 	r := conn.await(reqID)
 	if r.err() != nil || r.end.Batches != len(m.frames) {
 		t.Fatalf("end %+v, want %d batches", r.end, len(m.frames))
@@ -217,22 +232,22 @@ func TestViewHitCancel(t *testing.T) {
 	conn, s, rows, _ := memoConn(t, 1)
 	const reqID = 2
 	conn.query(reqID, "q")
-	if kind, _ := conn.frame(); kind != FrameSchema {
+	if kind, _ := conn.frame(); kind != wire.FrameSchema {
 		t.Fatalf("first frame %v, want schema", kind)
 	}
-	if kind, _ := conn.frame(); kind != FrameBatch {
+	if kind, _ := conn.frame(); kind != wire.FrameBatch {
 		t.Fatalf("second frame %v, want batch", kind)
 	}
-	conn.sendFrame(FrameCancel, AppendCancelPayload(nil, reqID))
+	conn.sendFrame(wire.FrameCancel, wire.AppendCancelPayload(nil, reqID))
 	kind, payload := conn.frame()
-	for kind == FrameBatch {
+	for kind == wire.FrameBatch {
 		kind, payload = conn.frame()
 	}
-	if kind != FrameEnd {
+	if kind != wire.FrameEnd {
 		t.Fatalf("terminal frame %v, want end", kind)
 	}
-	if _, end, err := DecodeEndPayload(payload); err != nil || end.Error == nil || end.Error.Code != CodeCancelled {
-		t.Fatalf("end %+v (%v), want code %q", end, err, CodeCancelled)
+	if _, end, err := wire.DecodeEndPayload(payload); err != nil || end.Error == nil || end.Error.Code != wire.CodeCancelled {
+		t.Fatalf("end %+v (%v), want code %q", end, err, wire.CodeCancelled)
 	}
 	conn.query(3, "q")
 	if r := conn.await(3); r.err() != nil || len(r.rows) != len(rows) {
@@ -273,7 +288,7 @@ func TestViewHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops frame buffers at random under -race, so the count varies")
 	}
-	sess, peer := pipeSession(t, MaxFrame)
+	sess, peer := pipeSession(t, wire.MaxFrame)
 	go io.Copy(io.Discard, peer)
 	var allocs []float64
 	for _, n := range []int{1000, 4000} {
@@ -282,7 +297,7 @@ func TestViewHitAllocs(t *testing.T) {
 			w := newStreamWriter(sess.ctx, sess, 1, DefaultStreamWindow)
 			tail, err := viewHit(e, nil, w)
 			if err == nil {
-				err = w.end(&StreamEnd{QueryTail: *tail}, nil)
+				err = w.end(&wire.StreamEnd{QueryTail: *tail}, nil)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -304,7 +319,7 @@ func TestViewHitAllocs(t *testing.T) {
 // BenchmarkViewHit: one served hit of a cached 1000-row answer, written
 // from the memo against encoded afresh from the batch.
 func BenchmarkViewHit(b *testing.B) {
-	sess, peer := pipeSession(b, MaxFrame)
+	sess, peer := pipeSession(b, wire.MaxFrame)
 	go io.Copy(io.Discard, peer)
 	batch := rowBatch(b, benchResultRows(1000))
 	for _, tc := range []struct {
@@ -322,7 +337,7 @@ func BenchmarkViewHit(b *testing.B) {
 				w.Columns(benchCols)
 				err := tc.emit(e, w)
 				if err == nil {
-					err = w.end(&StreamEnd{}, nil)
+					err = w.end(&wire.StreamEnd{}, nil)
 				}
 				if err != nil {
 					b.Fatal(err)
@@ -360,7 +375,7 @@ func newViewCluster(t *testing.T, n int) *viewCluster {
 	}
 	vc.back = backs[0]
 	ctx := context.Background()
-	if _, err := vc.back.Create(ctx, &CreateRequest{Relation: "t", Columns: []string{"k:string", "g:int", "v:int"}}); err != nil {
+	if _, err := vc.back.Create(ctx, &wire.CreateRequest{Relation: "t", Columns: []string{"k:string", "g:int", "v:int"}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
@@ -370,7 +385,7 @@ func newViewCluster(t *testing.T, n int) *viewCluster {
 		t.Fatal(err)
 	}
 	vc.def = startTestServer(t, backs[0], Config{})
-	vc.small = startTestServer(t, backs[1], Config{MaxFrame: MinFrame})
+	vc.small = startTestServer(t, backs[1], Config{MaxFrame: wire.MinFrame})
 	return vc
 }
 
@@ -389,7 +404,7 @@ func (vc *viewCluster) entry(sql string) *viewEntry {
 // batch frame, and returns its rows and how many batch frames carried
 // them. It reports failures as errors, so any goroutine may call it.
 func servedAnswer(conn net.Conn, br *bufio.Reader, id uint64, sql string, epoch tuple.Epoch) (rows []tuple.Row, frames int, cached bool, err error) {
-	frame, err := AppendJSONFrame(nil, &Request{ID: id, Op: OpQuery, Query: &QueryRequest{SQL: sql, Epoch: uint64(epoch)}}, MaxFrame)
+	frame, err := wire.AppendJSONFrame(nil, &wire.Request{ID: id, Op: wire.OpQuery, Query: &wire.QueryRequest{SQL: sql, Epoch: uint64(epoch)}}, wire.MaxFrame)
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -397,24 +412,24 @@ func servedAnswer(conn net.Conn, br *bufio.Reader, id uint64, sql string, epoch 
 		return nil, 0, false, err
 	}
 	for {
-		kind, payload, err := ReadRawFrame(br, MaxFrame)
+		kind, payload, err := wire.ReadRawFrame(br, wire.MaxFrame)
 		if err != nil {
 			return nil, 0, false, err
 		}
 		switch kind {
-		case FrameBatch:
+		case wire.FrameBatch:
 			_, part, err := decodeBatchPayload(payload)
 			if err != nil {
 				return nil, 0, false, err
 			}
 			rows = append(rows, part...)
 			frames++
-			credit, _ := AppendBinaryFrame(nil, FrameCredit, AppendCreditPayload(nil, id, 1), MaxFrame)
+			credit, _ := wire.AppendBinaryFrame(nil, wire.FrameCredit, wire.AppendCreditPayload(nil, id, 1), wire.MaxFrame)
 			if _, err := conn.Write(credit); err != nil {
 				return nil, 0, false, err
 			}
-		case FrameEnd:
-			_, end, err := DecodeEndPayload(payload)
+		case wire.FrameEnd:
+			_, end, err := wire.DecodeEndPayload(payload)
 			if err == nil && end.Error != nil {
 				err = end.Error
 			}
@@ -449,7 +464,7 @@ func TestViewMissFillsMemo(t *testing.T) {
 	for i, ep := range []struct {
 		srv    *Server
 		target int
-	}{{vc.def, defaultStreamBatchBytes}, {vc.small, MinFrame / 4}} {
+	}{{vc.def, defaultStreamBatchBytes}, {vc.small, wire.MinFrame / 4}} {
 		sql := fmt.Sprintf("SELECT k, g, v FROM t WHERE g >= %d", i)
 		var want []tuple.Row
 		for _, r := range vc.rows {

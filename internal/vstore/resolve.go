@@ -4,6 +4,8 @@ import (
 	"container/list"
 	"fmt"
 	"sync"
+
+	"orchestra/internal/obs"
 )
 
 // PageCache holds resolved index pages by version ID and is the one way a
@@ -141,19 +143,9 @@ func (c *PageCache) put(id PageID, p *Page) {
 	}
 }
 
-// CacheStats are a cache's cumulative hit/miss/eviction counts plus its
-// current and maximum sizes.
-type CacheStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Size      int    `json:"size"`
-	Max       int    `json:"max"`
-}
-
 // Stats snapshots the cache's counters.
-func (c *PageCache) Stats() CacheStats {
+func (c *PageCache) Stats() obs.CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Size: c.lru.Len(), Max: c.max}
+	return obs.CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Size: c.lru.Len(), Max: c.max}
 }

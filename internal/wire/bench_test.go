@@ -1,4 +1,4 @@
-package server
+package wire
 
 // Wire-path microbenchmarks (CI runs `-bench=Wire -benchtime=1x` as a
 // smoke test; run with -benchtime=2s for real numbers): the per-batch
@@ -34,14 +34,14 @@ func BenchmarkWireBinaryBatchFrame(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst, mark := beginFrame(frame[:0], FrameBatch)
+		dst, mark := BeginFrame(frame[:0], FrameBatch)
 		dst = binary.BigEndian.AppendUint64(dst, 1)
 		var err error
 		dst, err = tuple.AppendBatchCols(dst, rows, -1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		frame, err = finishFrame(dst, mark, MaxFrame)
+		frame, err = FinishFrame(dst, mark, MaxFrame)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,19 +1,20 @@
-// Package server is the wire protocol of a served ORCHESTRA deployment:
-// the frame format, the sessions that speak it, the admission control in
-// front of query execution — and NodeBackend, the one implementation of
-// the work behind the ops at a cluster.Node, which an orchestra-node
-// process and every node of an embedded Cluster share.
+// Package wire is the protocol a served ORCHESTRA deployment speaks: the
+// frame format, the request and response bodies, the payload codecs of
+// result streams and publishes, and the error codes. A client and a server
+// both speak it, so it imports nothing of the engine or the store: only
+// tuple (the batch layout a frame carries), codec (the one reader of peer
+// bytes) and obs (the span tree and the stats snapshots a response carries).
 //
-// Wire format: every message is one frame — a 4-byte big-endian length,
-// a kind byte, and a kind-specific payload (the length counts the kind
-// byte and the payload). The first frame on a connection must be a hello
-// request; it checks the protocol version and negotiates the frame limit
-// and the stream credit window. After that a client sends:
+// Every message is one frame — a 4-byte big-endian length, a kind byte,
+// and a kind-specific payload (the length counts the kind byte and the
+// payload). The first frame on a connection must be a hello request; it
+// checks the protocol version and negotiates the frame limit and the
+// stream credit window. After that a client sends:
 //
 //   - FrameJSON: a Request for one of the control ops (create, schema,
 //     status, health, trace, ping) or a query. Control ops are answered
 //     with one FrameJSON Response; a query is always answered with the
-//     frame sequence Schema, Batch*, End (see stream.go), errors included.
+//     frame sequence Schema, Batch*, End (see frame.go), errors included.
 //   - FramePublish: one publish as a typed column-major batch, answered
 //     with a FrameJSON Response. Publishes are deduplicated by publish ID.
 //   - FrameCredit / FrameCancel: flow control and abandonment of a
@@ -22,17 +23,14 @@
 // Requests carry a client-chosen ID echoed in every frame that answers
 // them, so a client may pipeline several requests on one connection; the
 // server executes them concurrently and replies in completion order.
-package server
+package wire
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"strings"
 
-	"orchestra/internal/cluster"
-	"orchestra/internal/engine"
-	"orchestra/internal/kvstore"
 	"orchestra/internal/obs"
 	"orchestra/internal/tuple"
 )
@@ -177,8 +175,8 @@ type SchemaRequest struct {
 
 // Response is the body of one server FrameJSON frame.
 type Response struct {
-	ID    uint64     `json:"id"`
-	Error *WireError `json:"error,omitempty"`
+	ID    uint64 `json:"id"`
+	Error *Error `json:"error,omitempty"`
 	// Epoch is set by ping (current), create, and publish (resulting).
 	Epoch  uint64          `json:"epoch,omitempty"`
 	Schema *SchemaResponse `json:"schema,omitempty"`
@@ -204,7 +202,7 @@ type HealthResponse struct {
 	Peers []string `json:"peers,omitempty"`
 }
 
-// Error codes carried in WireError.Code.
+// Error codes carried in Error.Code.
 const (
 	CodeBadRequest = "bad_request"
 	CodeNotFound   = "not_found"
@@ -224,17 +222,56 @@ const (
 	CodeUnavailable = "unavailable"
 )
 
-// WireError is a typed error crossing the wire.
-type WireError struct {
-	Code    string `json:"code"`
+// Typed error categories an Error unwraps to; test with errors.Is.
+var (
+	// ErrBadRequest reports a malformed or unparsable request.
+	ErrBadRequest = errors.New("bad request")
+	// ErrNotFound reports a missing relation.
+	ErrNotFound = errors.New("not found")
+	// ErrTimeout reports a server-side request timeout (admission wait
+	// included).
+	ErrTimeout = errors.New("timeout")
+	// ErrFrameTooLarge reports a single frame exceeding the connection's
+	// negotiated limit — typically a publish too big for one frame.
+	// Results are not subject to a whole-result cap.
+	ErrFrameTooLarge = errors.New("frame too large")
+	// ErrCancelled reports a stream terminated by a cancel frame.
+	ErrCancelled = errors.New("stream cancelled")
+	// ErrServer reports any other server-side failure.
+	ErrServer = errors.New("server error")
+)
+
+// Error is a typed error crossing the wire: the server answers a failed
+// request with one, and a client returns it from the call.
+type Error struct {
+	// Code is one of the Code* constants.
+	Code string `json:"code"`
+	// Message is the server's description.
 	Message string `json:"message"`
 }
 
-func (e *WireError) Error() string { return e.Code + ": " + e.Message }
+func (e *Error) Error() string { return "orchestra server: " + e.Code + ": " + e.Message }
 
-// Errorf builds a WireError with the given code.
-func Errorf(code, format string, args ...any) *WireError {
-	return &WireError{Code: code, Message: fmt.Sprintf(format, args...)}
+// Unwrap maps the code onto the typed sentinel errors.
+func (e *Error) Unwrap() error {
+	switch e.Code {
+	case CodeBadRequest:
+		return ErrBadRequest
+	case CodeNotFound:
+		return ErrNotFound
+	case CodeTimeout:
+		return ErrTimeout
+	case CodeFrameTooLarge:
+		return ErrFrameTooLarge
+	case CodeCancelled:
+		return ErrCancelled
+	}
+	return ErrServer
+}
+
+// Errorf builds an Error with the given code.
+func Errorf(code, format string, args ...any) *Error {
+	return &Error{Code: code, Message: fmt.Sprintf(format, args...)}
 }
 
 // RelationInfo describes one catalog entry.
@@ -287,7 +324,7 @@ type StatusResponse struct {
 	Ops map[string]OpCounters `json:"ops"`
 	// Caches reports hit/miss/eviction counters by cache name ("views",
 	// "pages") when the backend exposes them.
-	Caches map[string]engine.CacheStats `json:"caches,omitempty"`
+	Caches map[string]obs.CacheStats `json:"caches,omitempty"`
 	// Streams summarizes streamed-execution activity (during-execution
 	// emission): query/row counts and first-batch latency quantiles.
 	Streams *StreamStats `json:"streams,omitempty"`
@@ -296,12 +333,12 @@ type StatusResponse struct {
 	SlowQueries []SlowQuery `json:"slow_queries,omitempty"`
 	// Durability reports the serving node's WAL/snapshot/recovery
 	// counters when its store is durable (omitted for in-memory stores).
-	Durability *kvstore.DurabilityStats `json:"durability,omitempty"`
+	Durability *obs.DurabilityStats `json:"durability,omitempty"`
 	// Replication reports the serving node's replica-repair health —
 	// catch-up counters, anti-entropy repairs, and per-peer shipping
 	// lag — when the backend exposes it (omitted for single-node
 	// deployments).
-	Replication *cluster.ReplStats `json:"replication,omitempty"`
+	Replication *obs.ReplStats `json:"replication,omitempty"`
 }
 
 // SlowQuery is one slow-query log entry.
@@ -342,74 +379,4 @@ type TraceResponse struct {
 	// Dropped counts entries the ring has overwritten.
 	Dropped uint64      `json:"dropped,omitempty"`
 	Entries []SlowQuery `json:"entries,omitempty"`
-}
-
-// CoerceTypedRows coerces batch-decoded rows onto a schema's column
-// types, in place where the types already match: numeric columns accept
-// either numeric type (integral floats for int columns), string columns
-// accept strings.
-func CoerceTypedRows(s *tuple.Schema, rows []tuple.Row) error {
-	for i, row := range rows {
-		if len(row) != s.Arity() {
-			return Errorf(CodeBadRequest, "row %d arity %d != schema arity %d", i, len(row), s.Arity())
-		}
-		for j := range row {
-			v := &row[j]
-			col := s.Columns[j]
-			if v.T == col.Type {
-				continue
-			}
-			switch {
-			case col.Type == tuple.Float64 && v.T == tuple.Int64:
-				*v = tuple.F(float64(v.I64))
-			case col.Type == tuple.Int64 && v.T == tuple.Float64 && v.F64 == float64(int64(v.F64)):
-				*v = tuple.I(int64(v.F64))
-			default:
-				return Errorf(CodeBadRequest, "column %s wants %v, got %v", col.Name, col.Type, v.T)
-			}
-		}
-	}
-	return nil
-}
-
-// ParseColumns converts "name:type" specs into tuple columns.
-func ParseColumns(specs []string) ([]tuple.Column, error) {
-	cols := make([]tuple.Column, 0, len(specs))
-	for _, c := range specs {
-		name, typ, ok := strings.Cut(c, ":")
-		if !ok || name == "" {
-			return nil, Errorf(CodeBadRequest, "bad column %q (want name:type)", c)
-		}
-		var t tuple.Type
-		switch typ {
-		case "int", "int64":
-			t = tuple.Int64
-		case "float", "float64":
-			t = tuple.Float64
-		case "string", "str":
-			t = tuple.String
-		default:
-			return nil, Errorf(CodeBadRequest, "bad column type in %q", c)
-		}
-		cols = append(cols, tuple.Column{Name: name, Type: t})
-	}
-	return cols, nil
-}
-
-// FormatColumns renders a schema's columns back to "name:type" specs.
-func FormatColumns(s *tuple.Schema) (cols, keys []string) {
-	for _, c := range s.Columns {
-		typ := "string"
-		switch c.Type {
-		case tuple.Int64:
-			typ = "int"
-		case tuple.Float64:
-			typ = "float"
-		}
-		cols = append(cols, c.Name+":"+typ)
-	}
-	for _, k := range s.Key {
-		keys = append(keys, s.Columns[k].Name)
-	}
-	return cols, keys
 }

@@ -19,10 +19,10 @@ import (
 	"orchestra/internal/cluster"
 	"orchestra/internal/codec"
 	"orchestra/internal/optimizer"
-	"orchestra/internal/server"
 	"orchestra/internal/sql"
 	"orchestra/internal/tuple"
 	"orchestra/internal/vstore"
+	"orchestra/internal/wire"
 )
 
 // serveAll serves every node of c and returns one client per endpoint,
@@ -269,13 +269,13 @@ func TestQueryErrorMap(t *testing.T) {
 		embedded  func(error) bool
 		code      string
 	}{
-		{"parse", "SELEC a FROM " + near, func(err error) bool { return errors.As(err, &parse) }, server.CodeBadRequest},
-		{"bind", "SELECT nosuch FROM " + near, func(err error) bool { return !errors.As(err, &parse) && !errors.As(err, &unknown) }, server.CodeBadRequest},
-		{"unknown relation", "SELECT a FROM ghost", func(err error) bool { return errors.As(err, &unknown) && unknown.Table == "ghost" }, server.CodeNotFound},
-		{"catalog unreachable", "SELECT a FROM " + far, func(err error) bool { return errors.Is(err, cluster.ErrUnavailable) }, server.CodeUnavailable},
+		{"parse", "SELEC a FROM " + near, func(err error) bool { return errors.As(err, &parse) }, wire.CodeBadRequest},
+		{"bind", "SELECT nosuch FROM " + near, func(err error) bool { return !errors.As(err, &parse) && !errors.As(err, &unknown) }, wire.CodeBadRequest},
+		{"unknown relation", "SELECT a FROM ghost", func(err error) bool { return errors.As(err, &unknown) && unknown.Table == "ghost" }, wire.CodeNotFound},
+		{"catalog unreachable", "SELECT a FROM " + far, func(err error) bool { return errors.Is(err, cluster.ErrUnavailable) }, wire.CodeUnavailable},
 	} {
 		_, err := c.Query(tc.sql)
-		var typed *server.WireError
+		var typed *wire.Error
 		if err == nil || !tc.embedded(err) || errors.As(err, &typed) {
 			t.Errorf("%s: embedded error %v (%T)", tc.name, err, err)
 		}
@@ -319,8 +319,8 @@ func TestDeepWhere(t *testing.T) {
 		t.Error("a predicate nested past the bound was accepted")
 	}
 	var werr *client.Error
-	if _, err := cl.Query(context.Background(), tooDeep); !errors.As(err, &werr) || werr.Code != server.CodeBadRequest {
-		t.Errorf("a predicate nested past the bound, served: %v, want code %s", err, server.CodeBadRequest)
+	if _, err := cl.Query(context.Background(), tooDeep); !errors.As(err, &werr) || werr.Code != wire.CodeBadRequest {
+		t.Errorf("a predicate nested past the bound, served: %v, want code %s", err, wire.CodeBadRequest)
 	}
 }
 

@@ -37,6 +37,7 @@ import (
 	"orchestra/internal/transport"
 	"orchestra/internal/tuple"
 	"orchestra/internal/vstore"
+	"orchestra/internal/wire"
 )
 
 // Epoch is the global logical timestamp; it advances after each Publish.
@@ -230,12 +231,12 @@ func (c *Cluster) CurrentEpoch() Epoch {
 
 // SchemaDef builds a relation schema fluently; see NewSchema. It is the
 // wire's create request, filled in by method calls.
-type SchemaDef struct{ req server.CreateRequest }
+type SchemaDef struct{ req wire.CreateRequest }
 
 // NewSchema starts a schema definition. Columns are "name:type" with type
 // one of int, float, string.
 func NewSchema(relation string, columns ...string) *SchemaDef {
-	return &SchemaDef{server.CreateRequest{Relation: relation, Columns: columns}}
+	return &SchemaDef{wire.CreateRequest{Relation: relation, Columns: columns}}
 }
 
 // Key declares the key columns (data is partitioned by their hash); the
@@ -356,13 +357,7 @@ func typedRow(r Row) (tuple.Row, error) {
 // Publish inserts a batch of rows as one published update log, advancing
 // the global epoch (§IV). It returns the new epoch.
 func (c *Cluster) Publish(relation string, rows Rows) (Epoch, error) {
-	return c.PublishFrom(0, relation, rows)
-}
-
-// PublishFrom publishes via a specific node (participants publish through
-// their own node in a real deployment).
-func (c *Cluster) PublishFrom(node int, relation string, rows Rows) (Epoch, error) {
-	return c.publishRows(node, relation, vstore.OpInsert, rows)
+	return c.publishRows(0, relation, vstore.OpInsert, rows)
 }
 
 // publishRows types rows' Go values and publishes them as one update log

@@ -20,7 +20,7 @@ type TraceSpan = obs.Span
 
 // CacheStats are a cache's cumulative hit/miss/eviction counters (see
 // Cluster.CacheStats).
-type CacheStats = engine.CacheStats
+type CacheStats = obs.CacheStats
 
 // RecoveryMode selects the reaction to node failure during a query.
 type RecoveryMode = engine.RecoveryMode

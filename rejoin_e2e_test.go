@@ -32,6 +32,7 @@ import (
 	"orchestra/internal/ring"
 	"orchestra/internal/server"
 	"orchestra/internal/transport"
+	"orchestra/internal/wire"
 )
 
 const (
@@ -309,7 +310,7 @@ func TestRejoinCatchUp(t *testing.T) {
 	}
 	defer cl2.Close()
 
-	var st *server.StatusResponse
+	var st *wire.StatusResponse
 	deadline := time.Now().Add(3 * time.Minute)
 	for {
 		st, err = cl2.Status(ctx)

@@ -9,8 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"orchestra/internal/server"
 	"orchestra/internal/tuple"
+	"orchestra/internal/wire"
 )
 
 // wireAnswer is a served query as its frames arrived.
@@ -42,22 +42,22 @@ func rawServedQuery(t *testing.T, addr, sql string) *wireAnswer {
 			t.Fatal(err)
 		}
 	}
-	send(server.AppendJSONFrame(nil, &server.Request{ID: 1, Op: server.OpHello,
-		Hello: &server.HelloRequest{Version: server.ProtocolVersion}}, server.MaxFrame))
-	if kind, _, err := server.ReadRawFrame(br, server.MaxFrame); err != nil || kind != server.FrameJSON {
+	send(wire.AppendJSONFrame(nil, &wire.Request{ID: 1, Op: wire.OpHello,
+		Hello: &wire.HelloRequest{Version: wire.ProtocolVersion}}, wire.MaxFrame))
+	if kind, _, err := wire.ReadRawFrame(br, wire.MaxFrame); err != nil || kind != wire.FrameJSON {
 		t.Fatalf("hello: %v frame, %v", kind, err)
 	}
-	send(server.AppendJSONFrame(nil, &server.Request{ID: 2, Op: server.OpQuery,
-		Query: &server.QueryRequest{SQL: sql, Explain: true}}, server.MaxFrame))
+	send(wire.AppendJSONFrame(nil, &wire.Request{ID: 2, Op: wire.OpQuery,
+		Query: &wire.QueryRequest{SQL: sql, Explain: true}}, wire.MaxFrame))
 	ans := &wireAnswer{rows: [][]any{}}
 	for {
-		kind, payload, err := server.ReadRawFrame(br, server.MaxFrame)
+		kind, payload, err := wire.ReadRawFrame(br, wire.MaxFrame)
 		if err != nil {
 			t.Fatal(err)
 		}
 		switch kind {
-		case server.FrameBatch:
-			_, rows, err := server.DecodeBatchPayloadAny(payload)
+		case wire.FrameBatch:
+			_, rows, err := wire.DecodeBatchPayloadAny(payload)
 			if err != nil {
 				t.Fatalf("batch frame: %v", err)
 			}
@@ -66,9 +66,9 @@ func rawServedQuery(t *testing.T, addr, sql string) *wireAnswer {
 			if flatedBatch(payload[8:]) {
 				ans.flated = append(ans.flated, len(rows))
 			}
-			send(server.AppendBinaryFrame(nil, server.FrameCredit, server.AppendCreditPayload(nil, 2, 1), server.MaxFrame))
-		case server.FrameEnd:
-			_, end, err := server.DecodeEndPayload(payload)
+			send(wire.AppendBinaryFrame(nil, wire.FrameCredit, wire.AppendCreditPayload(nil, 2, 1), wire.MaxFrame))
+		case wire.FrameEnd:
+			_, end, err := wire.DecodeEndPayload(payload)
 			if err != nil || end.Error != nil {
 				t.Fatalf("%s: end %+v, %v", sql, end.Error, err)
 			}
@@ -150,7 +150,7 @@ func TestServedRelayAnswers(t *testing.T) {
 		opts ServeOptions
 	}{
 		{"default", ServeOptions{}},
-		{"frame budget below a block", ServeOptions{MaxFrame: server.MinFrame}},
+		{"frame budget below a block", ServeOptions{MaxFrame: wire.MinFrame}},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			srv, err := c.Serve("127.0.0.1:0", cfg.opts)

@@ -4,15 +4,15 @@ import (
 	"context"
 	"time"
 
-	"orchestra/internal/cluster"
 	"orchestra/internal/engine"
+	"orchestra/internal/obs"
 )
 
 // ReplStats is a node's replica-repair health snapshot: WAL-shipping
 // catch-up counters, anti-entropy rounds and repairs, and per-peer
 // shipping lag. Serving endpoints expose it through the status op and
 // /metrics.
-type ReplStats = cluster.ReplStats
+type ReplStats = obs.ReplStats
 
 // WithAntiEntropy starts a low-priority background repair loop on every
 // node: at each interval a node exchanges per-relation summaries with

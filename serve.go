@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"orchestra/internal/server"
+	"orchestra/internal/wire"
 )
 
 // ServeOptions tunes a served endpoint; the zero value is sensible.
@@ -23,7 +24,7 @@ type ServeOptions struct {
 	// OnQueryStart, when set, runs at the start of every query execution
 	// while its admission slot is held (instrumentation hook).
 	OnQueryStart func()
-	// MaxFrame bounds a single wire frame (default server.MaxFrame);
+	// MaxFrame bounds a single wire frame (default wire.MaxFrame);
 	// results are bounded per batch frame, not as a whole.
 	MaxFrame int64
 	// StreamWindow is the per-stream credit window offered to streaming
@@ -82,7 +83,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func (s *Server) Draining() bool { return s.s.Draining() }
 
 // Stats snapshots the endpoint's request/latency/error counters.
-func (s *Server) Stats() *server.StatusResponse { return s.s.Stats() }
+func (s *Server) Stats() *wire.StatusResponse { return s.s.Stats() }
 
 // OpsAddr returns the ops HTTP listener's address ("" when none).
 func (s *Server) OpsAddr() string { return s.opsAddr }

@@ -5,7 +5,7 @@ import (
 	"slices"
 	"testing"
 
-	"orchestra/internal/server"
+	"orchestra/internal/wire"
 )
 
 // TestQueryCacheLRURecency: a cache hit refreshes an entry's recency, so
@@ -175,7 +175,7 @@ func TestQueryCachePerNode(t *testing.T) {
 
 // TestServedViewHitMixedSettings: two endpoints of one cluster share the
 // view cache, one with the default settings and one whose frame cap is
-// server.MinFrame, so it cuts batches at 1 KiB, and each in turn fills an
+// wire.MinFrame, so it cuts batches at 1 KiB, and each in turn fills an
 // entry first. Both answer every query exactly, hit or miss, and each
 // sends frames cut at its own size, whatever the entry's first writer
 // recorded: a memo recorded at one cut is not replayed at another. The
@@ -201,7 +201,7 @@ func TestServedViewHitMixedSettings(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer def.Close()
-	small, err := c.Serve("127.0.0.1:0", ServeOptions{Node: 1, MaxFrame: server.MinFrame})
+	small, err := c.Serve("127.0.0.1:0", ServeOptions{Node: 1, MaxFrame: wire.MinFrame})
 	if err != nil {
 		t.Fatal(err)
 	}
