@@ -35,8 +35,8 @@ func newPublishID() uint64 {
 // code (a proof the request never executed — servers answer it while
 // draining), is always safe to retry, any operation included. A
 // transport failure after the request may have reached the server
-// retries only when re-execution is provably harmless: reads (ping,
-// query, schema, status, traces), and publishes, which the deployment
+// retries only when re-execution is provably harmless: reads (query,
+// schema, status, health, traces), and publishes, which the deployment
 // deduplicates by their publish ID — but not creates. Server-side errors
 // other than "unavailable" (bad request, not found, timeout, internal)
 // never retry — the server decided, re-asking won't change the answer.
@@ -424,9 +424,12 @@ func (c *Client) adoptPeers(peers []string) bool {
 	return true
 }
 
+// HealthResponse is one endpoint's health snapshot.
+type HealthResponse = wire.HealthResponse
+
 // Health fetches one endpoint's health snapshot (status "ok" or
 // "draining", load, and the advertised member list).
-func (c *Client) Health(ctx context.Context) (*wire.HealthResponse, error) {
+func (c *Client) Health(ctx context.Context) (*HealthResponse, error) {
 	resp, _, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpHealth})
 	if err != nil {
 		return nil, err

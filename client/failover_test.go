@@ -60,6 +60,33 @@ func TestMembershipDiscovery(t *testing.T) {
 	}
 }
 
+// TestHealthResponseIsNamed: a caller outside the package can name the
+// type Health returns, and the snapshot advertises both endpoints.
+func TestHealthResponseIsNamed(t *testing.T) {
+	_, srv1, srv2 := twoEndpointCluster(t)
+	cl, err := client.Dial(srv1.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var h *client.HealthResponse
+	if h, err = cl.Health(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if h.Status != "ok" {
+		t.Fatalf("status %q, want ok", h.Status)
+	}
+	peers := map[string]bool{}
+	for _, p := range h.Peers {
+		peers[p] = true
+	}
+	if !peers[srv1.Addr()] || !peers[srv2.Addr()] {
+		t.Fatalf("peers %v, want both %s and %s", h.Peers, srv1.Addr(), srv2.Addr())
+	}
+}
+
 // TestFailoverOnEndpointLoss: with one endpoint gone hard (closed, new
 // dials refused), calls fail over to the surviving endpoint and the
 // failover is visible in the client's counters.

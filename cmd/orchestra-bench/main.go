@@ -5,6 +5,7 @@
 // Usage:
 //
 //	orchestra-bench -figure fig7            # one figure, laptop scale
+//	orchestra-bench -figure fig7,fig8,fig9  # one sweep, run once, three figures
 //	orchestra-bench -figure all -v          # every figure
 //	orchestra-bench -figure fig10 -paper    # paper-scale parameters (slow)
 //	orchestra-bench -figure all -markdown   # Markdown tables
@@ -14,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"orchestra/internal/bench"
@@ -21,7 +23,7 @@ import (
 
 func main() {
 	var (
-		figure   = flag.String("figure", "all", "figure id or 'all' (ids: fig2 fig7..fig21 lat ovh fdet)")
+		figure   = flag.String("figure", "all", "comma-separated figure ids or 'all' (ids: fig2 fig7..fig21 lat ovh fdet)")
 		paper    = flag.Bool("paper", false, "use paper-scale parameters (much slower)")
 		verbose  = flag.Bool("v", false, "log progress")
 		markdown = flag.Bool("markdown", false, "emit Markdown tables")
@@ -43,17 +45,17 @@ func main() {
 		cfg.TPCHScale = *sf
 	}
 
-	ids := []string{*figure}
+	ids := strings.Split(*figure, ",")
 	if *figure == "all" {
 		ids = bench.FigureIDs()
 	}
 	start := time.Now()
-	for _, id := range ids {
-		fig, err := bench.Run(id, cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "orchestra-bench: %s: %v\n", id, err)
-			os.Exit(1)
-		}
+	figs, err := bench.Run(cfg, ids...)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "orchestra-bench: %v\n", err)
+		os.Exit(1)
+	}
+	for _, fig := range figs {
 		if *markdown {
 			fmt.Print(bench.Markdown(fig))
 		} else {

@@ -11,7 +11,10 @@
 // byte-accurate message fabric), so traffic numbers are real wire sizes,
 // while parallel speedup is reported through a modeled completion time
 // computed from per-node work counters — the cost at the slowest node or
-// link, mirroring the paper's own cost logic.
+// link, at the rates the optimizer costs plans with (modeledTime).
+//
+// The experiments are one table (figures.go): a sweep that feeds several
+// figures runs once for all of them.
 package bench
 
 import (
@@ -20,19 +23,11 @@ import (
 	"time"
 
 	"orchestra"
+	"orchestra/internal/optimizer"
 	"orchestra/internal/ring"
 	"orchestra/internal/stbench"
 	"orchestra/internal/tpch"
-)
-
-// Calibration constants for the modeled completion time (seconds per
-// tuple / bytes per second), matching the optimizer's cost model.
-const (
-	cpuPerTuple  = 1e-6
-	diskPerTuple = 2e-6
-	// defaultLinkBps models the paper's Gigabit LAN when no explicit
-	// bandwidth shaping is configured.
-	defaultLinkBps = 125e6
+	"orchestra/internal/tuple"
 )
 
 // Config scales the harness. Zero values select laptop-scale defaults;
@@ -44,12 +39,6 @@ type Config struct {
 	TPCHScale float64
 	// Nodes is the node-count sweep for scaling figures.
 	Nodes []int
-	// DataPoints scales the data-size sweeps (multipliers of the base).
-	DataPoints []float64
-	// Bandwidths for Fig 17, bytes/second per node.
-	Bandwidths []int64
-	// Latencies for the latency experiment.
-	Latencies []time.Duration
 	// Verbose echoes progress.
 	Verbose bool
 	// Out receives the report (defaults to io.Discard if nil).
@@ -66,15 +55,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if len(c.Nodes) == 0 {
 		c.Nodes = []int{1, 2, 4, 8, 16}
-	}
-	if len(c.DataPoints) == 0 {
-		c.DataPoints = []float64{0.25, 0.5, 1, 2}
-	}
-	if len(c.Bandwidths) == 0 {
-		c.Bandwidths = []int64{100 << 10, 200 << 10, 400 << 10, 800 << 10, 1600 << 10, 3200 << 10}
-	}
-	if len(c.Latencies) == 0 {
-		c.Latencies = []time.Duration{0, 50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond}
 	}
 	if c.Out == nil {
 		c.Out = io.Discard
@@ -116,12 +96,14 @@ type Measurement struct {
 	Modeled   float64 // seconds; cost at the slowest node or link
 	TotalMB   float64 // network traffic, megabytes
 	PerNodeMB float64 // max per-node traffic, megabytes
-	Rows      int
-	Phases    uint32
 }
 
+// newCluster builds every cluster the harness measures; it is a variable
+// so that a test can count the builds.
+var newCluster = orchestra.NewCluster
+
 // runQuery executes one SQL query and gathers all metrics.
-func runQuery(c *orchestra.Cluster, sqlText string, opts orchestra.QueryOptions, linkBps float64) (*Measurement, error) {
+func runQuery(c *orchestra.Cluster, sqlText string, opts orchestra.QueryOptions) (*Measurement, error) {
 	c.ResetNetworkStats()
 	start := time.Now()
 	res, err := c.QueryOpts(sqlText, opts)
@@ -133,57 +115,69 @@ func runQuery(c *orchestra.Cluster, sqlText string, opts orchestra.QueryOptions,
 
 	var maxPerNode int64
 	for _, b := range net.SentBytes {
-		if b > maxPerNode {
-			maxPerNode = b
-		}
+		maxPerNode = max(maxPerNode, b)
 	}
 	for _, b := range net.RecvBytes {
-		if b > maxPerNode {
-			maxPerNode = b
-		}
+		maxPerNode = max(maxPerNode, b)
 	}
 	return &Measurement{
 		Wall:      wall,
-		Modeled:   modeledTime(res, net.SentBytes, net.RecvBytes, linkBps),
+		Modeled:   modeledTime(res, net.SentBytes, net.RecvBytes),
 		TotalMB:   float64(net.TotalBytes) / (1 << 20),
 		PerNodeMB: float64(maxPerNode) / (1 << 20),
-		Rows:      len(res.Rows),
-		Phases:    res.Phases,
 	}, nil
 }
 
-// modeledTime computes the completion-time model: the maximum per-node
-// CPU work plus the maximum per-node link time — the slowest node or link
-// at each stage, as the paper's optimizer costs it.
-func modeledTime(res *orchestra.Result, sent, recv map[ring.NodeID]int64, linkBps float64) float64 {
-	if linkBps <= 0 {
-		linkBps = defaultLinkBps
-	}
+// modeledTime computes the completion-time model with the optimizer's
+// rates: the maximum per-node work (TupleDisk per scanned tuple, TupleCPU
+// per tuple exchanged or shipped) plus the maximum per-node link time
+// (the larger of bytes sent and received, over LinkBytesPerSec) — the
+// slowest node or link at each stage, as the paper's optimizer costs it.
+func modeledTime(res *orchestra.Result, sent, recv map[ring.NodeID]int64) float64 {
 	var maxCPU, maxLink float64
 	for id, st := range res.PerNode {
-		cpu := float64(st.Scanned)*diskPerTuple +
-			float64(st.ExchSent+st.ExchRecv+st.Shipped)*cpuPerTuple
-		if cpu > maxCPU {
-			maxCPU = cpu
-		}
-		bytes := sent[ring.NodeID(id)]
-		if recv[ring.NodeID(id)] > bytes {
-			bytes = recv[ring.NodeID(id)]
-		}
-		link := float64(bytes) / linkBps
-		if link > maxLink {
-			maxLink = link
-		}
+		cpu := float64(st.Scanned)*optimizer.TupleDisk +
+			float64(st.ExchSent+st.ExchRecv+st.Shipped)*optimizer.TupleCPU
+		bytes := max(sent[ring.NodeID(id)], recv[ring.NodeID(id)])
+		maxCPU = max(maxCPU, cpu)
+		maxLink = max(maxLink, float64(bytes)/optimizer.LinkBytesPerSec)
 	}
 	return maxCPU + maxLink
 }
 
-// --- workload loading ---
+// workload is one of the paper's two benchmarks: its relations, a
+// generator for them at a size, and the queries its figures plot.
+type workload struct {
+	schemas  func() []*tuple.Schema
+	generate func(size float64) map[string][]tuple.Row
+	queries  []tpch.Query
+}
 
-// loadSTBench creates and publishes the STBenchmark relations.
-func loadSTBench(c *orchestra.Cluster, tuples int) error {
-	data := stbench.Generate(stbench.Config{Tuples: tuples, Seed: 42})
-	for _, s := range stbench.Schemas() {
+// stbenchLoad is STBenchmark (§VI-A); its size is tuples per relation.
+var stbenchLoad = workload{
+	schemas: stbench.Schemas,
+	generate: func(size float64) map[string][]tuple.Row {
+		return stbench.Generate(stbench.Config{Tuples: int(size), Seed: 42})
+	},
+	queries: func() (qs []tpch.Query) {
+		for _, sc := range stbench.Scenarios() {
+			qs = append(qs, tpch.Query(sc)) // a scenario is a name and its SQL too
+		}
+		return qs
+	}(),
+}
+
+// tpchLoad is TPC-H (§VI-A); its size is the scale factor.
+var tpchLoad = workload{
+	schemas:  tpch.Schemas,
+	generate: func(size float64) map[string][]tuple.Row { return tpch.Generate(size, 42) },
+	queries:  tpch.Queries(),
+}
+
+// load creates the workload's relations on c and publishes them at size.
+func (w workload) load(c *orchestra.Cluster, size float64) error {
+	data := w.generate(size)
+	for _, s := range w.schemas() {
 		if err := c.CreateRelationSchema(s); err != nil {
 			return err
 		}
@@ -192,27 +186,4 @@ func loadSTBench(c *orchestra.Cluster, tuples int) error {
 		}
 	}
 	return nil
-}
-
-// loadTPCH creates and publishes the TPC-H tables at a scale factor.
-func loadTPCH(c *orchestra.Cluster, sf float64) error {
-	data := tpch.Generate(sf, 42)
-	for _, s := range tpch.Schemas() {
-		if err := c.CreateRelationSchema(s); err != nil {
-			return err
-		}
-		if _, err := c.PublishTyped(0, s.Relation, data[s.Relation]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// warmAndMeasure runs the query once to warm caches (as the paper does:
-// "All measurements were taken after results converged"), then measures.
-func warmAndMeasure(c *orchestra.Cluster, sqlText string, linkBps float64) (*Measurement, error) {
-	if _, err := c.QueryOpts(sqlText, orchestra.QueryOptions{}); err != nil {
-		return nil, err
-	}
-	return runQuery(c, sqlText, orchestra.QueryOptions{}, linkBps)
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -18,63 +19,11 @@ func Render(w io.Writer, fig *Figure) {
 		fmt.Fprintln(w, "   (no data)")
 		return
 	}
-
-	// Collect the union of X values in order.
-	xsSet := map[float64]bool{}
-	for _, s := range fig.Series {
-		for _, p := range s.Points {
-			xsSet[p.X] = true
-		}
-	}
-	xs := make([]float64, 0, len(xsSet))
-	for x := range xsSet {
-		xs = append(xs, x)
-	}
-	sort.Float64s(xs)
-
-	header := []string{fig.XLabel}
-	for _, s := range fig.Series {
-		header = append(header, s.Label)
-	}
-	rows := [][]string{header}
-	for _, x := range xs {
-		row := []string{trimFloat(x)}
-		for _, s := range fig.Series {
-			cell := "-"
-			for _, p := range s.Points {
-				if p.X == x {
-					cell = trimFloat(p.Y)
-					break
-				}
-			}
-			row = append(row, cell)
-		}
-		rows = append(rows, row)
-	}
-	writeAligned(w, rows)
-	fmt.Fprintf(w, "   (y: %s)\n\n", fig.YLabel)
-}
-
-func trimFloat(v float64) string {
-	s := fmt.Sprintf("%.4f", v)
-	s = strings.TrimRight(s, "0")
-	s = strings.TrimRight(s, ".")
-	if s == "" || s == "-" {
-		s = "0"
-	}
-	return s
-}
-
-func writeAligned(w io.Writer, rows [][]string) {
-	if len(rows) == 0 {
-		return
-	}
+	rows := cells(fig)
 	widths := make([]int, len(rows[0]))
 	for _, row := range rows {
 		for i, cell := range row {
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
+			widths[i] = max(widths[i], len(cell))
 		}
 	}
 	for _, row := range rows {
@@ -84,10 +33,11 @@ func writeAligned(w io.Writer, rows [][]string) {
 			if i > 0 {
 				b.WriteString("  ")
 			}
-			b.WriteString(fmt.Sprintf("%*s", widths[i], cell))
+			fmt.Fprintf(&b, "%*s", widths[i], cell)
 		}
 		fmt.Fprintln(w, b.String())
 	}
+	fmt.Fprintf(w, "   (y: %s)\n\n", fig.YLabel)
 }
 
 // Markdown renders a figure as a Markdown table (orchestra-bench -markdown).
@@ -100,41 +50,51 @@ func Markdown(fig *Figure) string {
 	if len(fig.Notes) > 0 {
 		b.WriteString("\n")
 	}
-	xsSet := map[float64]bool{}
-	for _, s := range fig.Series {
-		for _, p := range s.Points {
-			xsSet[p.X] = true
-		}
-	}
-	xs := make([]float64, 0, len(xsSet))
-	for x := range xsSet {
-		xs = append(xs, x)
-	}
-	sort.Float64s(xs)
-
-	b.WriteString("| " + fig.XLabel + " |")
-	for _, s := range fig.Series {
-		b.WriteString(" " + s.Label + " |")
-	}
-	b.WriteString("\n|---|")
-	for range fig.Series {
-		b.WriteString("---|")
-	}
-	b.WriteString("\n")
-	for _, x := range xs {
-		b.WriteString("| " + trimFloat(x) + " |")
-		for _, s := range fig.Series {
-			cell := "-"
-			for _, p := range s.Points {
-				if p.X == x {
-					cell = trimFloat(p.Y)
-					break
-				}
-			}
-			b.WriteString(" " + cell + " |")
-		}
-		b.WriteString("\n")
+	rows := cells(fig)
+	b.WriteString("| " + strings.Join(rows[0], " | ") + " |\n|---|")
+	b.WriteString(strings.Repeat("---|", len(fig.Series)) + "\n")
+	for _, row := range rows[1:] {
+		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
 	}
 	fmt.Fprintf(&b, "\n*(y: %s)*\n\n", fig.YLabel)
 	return b.String()
+}
+
+// cells lays a figure out as a table: a header of the X label and the
+// series labels, then one row per X value in order, "-" where a series
+// has no point.
+func cells(fig *Figure) [][]string {
+	header := []string{fig.XLabel}
+	ys := map[float64][]string{}
+	for i, s := range fig.Series {
+		header = append(header, s.Label)
+		for _, p := range s.Points {
+			if ys[p.X] == nil {
+				ys[p.X] = slices.Repeat([]string{"-"}, len(fig.Series))
+			}
+			if ys[p.X][i] == "-" {
+				ys[p.X][i] = trimFloat(p.Y)
+			}
+		}
+	}
+	xs := make([]float64, 0, len(ys))
+	for x := range ys {
+		xs = append(xs, x)
+	}
+	sort.Float64s(xs)
+	rows := [][]string{header}
+	for _, x := range xs {
+		rows = append(rows, append([]string{trimFloat(x)}, ys[x]...))
+	}
+	return rows
+}
+
+func trimFloat(v float64) string {
+	s := fmt.Sprintf("%.4f", v)
+	s = strings.TrimRight(s, "0")
+	s = strings.TrimRight(s, ".")
+	if s == "" || s == "-" {
+		s = "0"
+	}
+	return s
 }

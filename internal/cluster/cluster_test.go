@@ -477,6 +477,46 @@ func TestPublishAdvancesGossipEpoch(t *testing.T) {
 	}
 }
 
+// TestRotatingPublishEpochsRise publishes one row at a time to one
+// relation from node after node of a cluster larger than a gossip push
+// reaches (gossip.Fanout peers), with no periodic gossip running. A
+// publisher that has not heard of the latest epoch must still claim one
+// above it: every publish rises, the catalog lists each, and each row is
+// read back.
+func TestRotatingPublishEpochsRise(t *testing.T) {
+	const nodes, publishes = 8, 400
+	l := testCluster(t, nodes)
+	ctx := ctxT(t)
+	if err := l.Node(0).CreateRelation(ctx, rSchema(t)); err != nil {
+		t.Fatal(err)
+	}
+	var last tuple.Epoch
+	for i := 0; i < publishes; i++ {
+		e, err := l.Node(i%nodes).Publish(ctx, "R", []vstore.Update{insertRow(fmt.Sprintf("k%03d", i), "v")})
+		if err != nil {
+			t.Fatalf("publish %d: %v", i, err)
+		}
+		if e <= last {
+			t.Fatalf("publish %d from node %d claimed epoch %d after %d", i, i%nodes, e, last)
+		}
+		last = e
+	}
+	cat, err := l.Node(0).GetCatalog(ctx, "R")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cat.Epochs) != publishes {
+		t.Fatalf("catalog lists %d epochs after %d publishes", len(cat.Epochs), publishes)
+	}
+	rows, err := readRelation(ctx, l.Node(0), "R", last, AllPred())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != publishes {
+		t.Fatalf("read %d rows at epoch %d, want %d", len(rows), last, publishes)
+	}
+}
+
 func TestReadBeforeRelationHadData(t *testing.T) {
 	l := testCluster(t, 3)
 	ctx := ctxT(t)

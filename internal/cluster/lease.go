@@ -123,24 +123,31 @@ func decodeLeaseResp(data []byte) (granted bool, fence uint64, holder string, wa
 // registerLeaseHandler installs the arbiter RPC.
 func (n *Node) registerLeaseHandler() {
 	n.ep.Handle(msgRelLease, func(from ring.NodeID, payload []byte) ([]byte, error) {
-		op, relation, owner, ttl, err := decodeLeaseReq(payload)
-		if err != nil {
-			return nil, err
-		}
-		switch op {
-		case leaseOpRelease:
-			n.leases.release(relation, owner)
-			return encodeLeaseResp(0, "", 0), nil
-		case leaseOpAcquire:
-			if ttl <= 0 || ttl > time.Minute {
-				ttl = defaultLeaseTTL
-			}
-			fence, holder, wait := n.leases.grant(relation, owner, ttl, time.Now())
-			return encodeLeaseResp(fence, holder, wait), nil
-		default:
-			return nil, fmt.Errorf("cluster: unknown lease op %d", op)
-		}
+		return n.arbitrate(payload)
 	})
+}
+
+// arbitrate answers one lease request against this node's lease table.
+// It is the one arbiter: the RPC handler and a publisher that is itself
+// the first reachable arbiter both call it.
+func (n *Node) arbitrate(payload []byte) ([]byte, error) {
+	op, relation, owner, ttl, err := decodeLeaseReq(payload)
+	if err != nil {
+		return nil, err
+	}
+	switch op {
+	case leaseOpRelease:
+		n.leases.release(relation, owner)
+		return encodeLeaseResp(0, "", 0), nil
+	case leaseOpAcquire:
+		if ttl <= 0 || ttl > time.Minute {
+			ttl = defaultLeaseTTL
+		}
+		fence, holder, wait := n.leases.grant(relation, owner, ttl, time.Now())
+		return encodeLeaseResp(fence, holder, wait), nil
+	default:
+		return nil, fmt.Errorf("cluster: unknown lease op %d", op)
+	}
 }
 
 // leaseArbiter returns the replicas eligible to arbitrate relation's
@@ -155,18 +162,7 @@ func (n *Node) leaseCall(ctx context.Context, relation string, payload []byte) (
 	for _, rep := range n.leaseArbiters(relation) {
 		var resp []byte
 		if rep == n.id {
-			resp, lastErr = func() ([]byte, error) {
-				op, rel, owner, ttl, err := decodeLeaseReq(payload)
-				if err != nil {
-					return nil, err
-				}
-				if op == leaseOpRelease {
-					n.leases.release(rel, owner)
-					return encodeLeaseResp(0, "", 0), nil
-				}
-				fence, holder, wait := n.leases.grant(rel, owner, ttl, time.Now())
-				return encodeLeaseResp(fence, holder, wait), nil
-			}()
+			resp, lastErr = n.arbitrate(payload)
 		} else {
 			rctx, cancel := context.WithTimeout(ctx, n.cfg.RequestTimeout)
 			resp, lastErr = n.ep.Request(rctx, rep, msgRelLease, payload)

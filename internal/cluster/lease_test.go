@@ -94,3 +94,35 @@ func TestPublishIdempotentRetry(t *testing.T) {
 		t.Fatal("catalog lost the publish mark")
 	}
 }
+
+// TestLeaseTTLClampedOnEveryPath asks for an hour-long lease from the
+// arbiter itself and from a peer over the RPC: both are held to the
+// arbiter's clamp, since one function answers both.
+func TestLeaseTTLClampedOnEveryPath(t *testing.T) {
+	l := testCluster(t, 3)
+	ctx := ctxT(t)
+	arbiter := l.ByID(l.Node(0).leaseArbiters("R")[0])
+	var peer *Node
+	for _, n := range l.Nodes() {
+		if n != arbiter {
+			peer = n
+			break
+		}
+	}
+	for _, caller := range []*Node{arbiter, peer} {
+		owner := string(caller.id)
+		granted, _, _, err := caller.leaseCall(ctx, "R", encodeLeaseReq(leaseOpAcquire, "R", owner, time.Hour))
+		if err != nil || !granted {
+			t.Fatalf("%s: lease not granted: %v", owner, err)
+		}
+		arbiter.leases.mu.Lock()
+		left := time.Until(arbiter.leases.leases["R"].expiry)
+		arbiter.leases.mu.Unlock()
+		if left > defaultLeaseTTL {
+			t.Errorf("%s (arbiter: %v): lease runs %v, want at most %v", owner, caller == arbiter, left, defaultLeaseTTL)
+		}
+		if _, _, _, err := caller.leaseCall(ctx, "R", encodeLeaseReq(leaseOpRelease, "R", owner, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

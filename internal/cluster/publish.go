@@ -98,10 +98,11 @@ func (n *Node) PublishWith(ctx context.Context, relation string, ups []vstore.Up
 	if e, ok := cat.FindPub(opts.ID); ok {
 		return e, nil // duplicate of an already-applied publish
 	}
-	epoch := n.gsp.Next()
+	latest, hasData := cat.LatestEpoch()
+	epoch := n.gsp.Next(latest)
 
 	prev := &vstore.Coordinator{Relation: relation} // no data yet
-	if latest, ok := cat.LatestEpoch(); ok {
+	if hasData {
 		if prev, err = n.GetCoordinator(ctx, relation, latest); err != nil {
 			return 0, fmt.Errorf("cluster: fetch coordinator %s@%d: %w", relation, latest, err)
 		}

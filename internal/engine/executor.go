@@ -54,8 +54,6 @@ type Options struct {
 	Recovery RecoveryMode
 	// Epoch pins the snapshot epoch; 0 means the current gossip epoch.
 	Epoch tuple.Epoch
-	// MaxRestarts bounds RecoverRestart attempts (default 3).
-	MaxRestarts int
 	// Trace, when non-nil, collects a span tree for this execution: the
 	// initiator attaches a per-node "fragment" span (scan passes, ship
 	// encode/decode, cache attribution) under the trace root, and the
@@ -75,12 +73,12 @@ type Options struct {
 	Sink StreamSink
 }
 
+// maxRestarts bounds the full restarts of one RecoverRestart execution.
+const maxRestarts = 3
+
 func (o Options) withDefaults() Options {
 	if o.Recovery == RecoverIncremental {
 		o.Provenance = true // incremental recovery requires provenance
-	}
-	if o.MaxRestarts <= 0 {
-		o.MaxRestarts = 3
 	}
 	return o
 }
@@ -744,7 +742,7 @@ func (e *Engine) Run(ctx context.Context, p *Plan, opts Options) (*Result, error
 			return res, nil
 		}
 		var fe *FailureError
-		if !errors.As(err, &fe) || opts.Recovery == RecoverFail || restarts >= opts.MaxRestarts {
+		if !errors.As(err, &fe) || opts.Recovery == RecoverFail || restarts >= maxRestarts {
 			return nil, err
 		}
 		// Restart over the remaining nodes (§V-D "terminate and restart").

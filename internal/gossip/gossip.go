@@ -142,12 +142,15 @@ func (g *Gossiper) Advance(e tuple.Epoch) tuple.Epoch {
 	return g.Current()
 }
 
-// Next claims the next epoch after everything this node has seen: the
-// publish path of §IV ("a logical timestamp (epoch) that advances after
-// each batch of updates is published by a peer").
-func (g *Gossiper) Next() tuple.Epoch {
+// Next claims the next epoch above both everything this node has seen
+// and after: the publish path of §IV ("a logical timestamp (epoch) that
+// advances after each batch of updates is published by a peer"). A
+// publisher passes its relation's latest epoch, which it has just read
+// from the catalog, so the claim rises above it even when gossip has not
+// yet brought that epoch here.
+func (g *Gossiper) Next(after tuple.Epoch) tuple.Epoch {
 	g.mu.Lock()
-	g.current++
+	g.current = max(g.current, after) + 1
 	e := g.current
 	fn := g.onAdvance
 	g.mu.Unlock()

@@ -66,10 +66,18 @@ func TestAdvancePropagates(t *testing.T) {
 
 func TestNextIsMonotonic(t *testing.T) {
 	_, gs := mkCluster(t, 3)
-	e1 := gs[0].Next()
-	e2 := gs[0].Next()
+	e1 := gs[0].Next(0)
+	e2 := gs[0].Next(0)
 	if e2 <= e1 {
 		t.Errorf("Next not monotonic: %d then %d", e1, e2)
+	}
+	// A claim rises above an epoch this node has not heard of ...
+	if e := gs[0].Next(20); e != 21 {
+		t.Errorf("Next(20) after %d = %d, want 21", e2, e)
+	}
+	// ... and never falls below one it has.
+	if e := gs[0].Next(5); e != 22 {
+		t.Errorf("Next(5) after 21 = %d, want 22", e)
 	}
 }
 
@@ -81,8 +89,8 @@ func TestNextAfterRemoteAdvance(t *testing.T) {
 	}
 	gs[1].Advance(10)
 	waitEpoch(t, gs, 10, 3*time.Second)
-	if e := gs[2].Next(); e != 11 {
-		t.Errorf("Next after seeing 10 = %d, want 11", e)
+	if e := gs[2].Next(3); e != 11 {
+		t.Errorf("Next(3) after seeing 10 = %d, want 11", e)
 	}
 }
 

@@ -57,40 +57,33 @@ func (e *UnknownTableError) Error() string {
 	return "optimizer: unknown table " + e.Table
 }
 
-// Environment models the execution substrate for costing, per the paper:
-// previously measured CPU and disk rates plus pairwise bandwidth, with
-// each stage costed at the slowest participating node or link.
+// The cost model's rates, per the paper: previously measured CPU and disk
+// rates plus pairwise bandwidth, calibrated for commodity nodes on a
+// gigabit LAN. Each stage is costed at the slowest participating node or
+// link; the experiment harness (internal/bench) models a query's
+// completion time from the same rates.
+const (
+	// TupleCPU is seconds of CPU per tuple processed at the slowest node.
+	TupleCPU float64 = 1e-6
+	// TupleDisk is seconds per tuple scanned from local storage.
+	TupleDisk float64 = 2e-6
+	// LinkBytesPerSec is the slowest inter-node link's bandwidth.
+	LinkBytesPerSec float64 = 100e6
+	// InitiatorBytesPerSec is the query initiator's inbound bandwidth (the
+	// bottleneck when large results are collected, as in STBench Copy).
+	InitiatorBytesPerSec = LinkBytesPerSec
+)
+
+// Environment is the execution substrate a plan is costed for.
 type Environment struct {
 	// Nodes is the cluster size (horizontal partitions per relation).
 	Nodes int
-	// TupleCPU is seconds of CPU per tuple processed at the slowest node.
-	TupleCPU float64
-	// TupleDisk is seconds per tuple scanned from local storage.
-	TupleDisk float64
-	// LinkBytesPerSec is the slowest inter-node link's bandwidth.
-	LinkBytesPerSec float64
-	// InitiatorBytesPerSec is the query initiator's inbound bandwidth (the
-	// bottleneck when large results are collected, as in STBench Copy).
-	InitiatorBytesPerSec float64
 }
 
-// WithDefaults fills unset fields with values calibrated for commodity
-// nodes on a gigabit LAN.
+// WithDefaults treats an unset cluster size as one node.
 func (e Environment) WithDefaults() Environment {
 	if e.Nodes <= 0 {
 		e.Nodes = 1
-	}
-	if e.TupleCPU <= 0 {
-		e.TupleCPU = 1e-6
-	}
-	if e.TupleDisk <= 0 {
-		e.TupleDisk = 2e-6
-	}
-	if e.LinkBytesPerSec <= 0 {
-		e.LinkBytesPerSec = 100e6
-	}
-	if e.InitiatorBytesPerSec <= 0 {
-		e.InitiatorBytesPerSec = e.LinkBytesPerSec
 	}
 	return e
 }

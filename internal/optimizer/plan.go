@@ -226,14 +226,14 @@ func (s *search) scanCandidate(ti int) *candidate {
 			cols = append(cols, colID{table: ti, col: k})
 			width += columnWidth(t.schema.Columns[k].Type)
 		}
-		cost = rows / float64(s.env.Nodes) * s.env.TupleCPU
+		cost = rows / float64(s.env.Nodes) * TupleCPU
 	} else {
 		cols = make([]colID, t.schema.Arity())
 		for ci := range cols {
 			cols[ci] = colID{table: ti, col: ci}
 			width += columnWidth(t.schema.Columns[ci].Type)
 		}
-		cost = rows / float64(s.env.Nodes) * (s.env.TupleDisk + s.env.TupleCPU)
+		cost = rows / float64(s.env.Nodes) * (TupleDisk + TupleCPU)
 	}
 
 	var node engine.Node = scan
@@ -242,7 +242,7 @@ func (s *search) scanCandidate(ti int) *candidate {
 		if err == nil {
 			node = &engine.SelectNode{Pred: pred, Child: node}
 			rows *= s.filterSelectivity(ti)
-			cost += rows / float64(s.env.Nodes) * s.env.TupleCPU
+			cost += rows / float64(s.env.Nodes) * TupleCPU
 		}
 	}
 	keyCols := make([]colID, len(t.schema.Key))
@@ -461,7 +461,7 @@ func (s *search) joinCandidate(lc, rc *candidate, _ uint32, edges []joinEdge) *c
 
 	outRows := s.joinCardinality(lc, rc, edges)
 	n := float64(s.env.Nodes)
-	cost += (lc.rows+rc.rows)/n*s.env.TupleCPU + outRows/n*s.env.TupleCPU
+	cost += (lc.rows+rc.rows)/n*TupleCPU + outRows/n*TupleCPU
 
 	return &candidate{
 		node: &engine.JoinNode{
@@ -486,7 +486,7 @@ func (s *search) enforce(c *candidate, keys []int, targetProp string) (engine.No
 		return c.node, 0 // colocated: no data movement
 	}
 	n := float64(s.env.Nodes)
-	cost := c.rows/n*s.env.TupleCPU*2 + (c.rows/n)*c.width/s.env.LinkBytesPerSec
+	cost := c.rows/n*TupleCPU*2 + (c.rows/n)*c.width/LinkBytesPerSec
 	return &engine.RehashNode{Keys: keys, Child: c.node}, cost
 }
 
@@ -793,14 +793,14 @@ func (s *search) lowerAggregate(q *sql.Query, node engine.Node, cols []colID, be
 	groups = math.Min(math.Max(groups, 1), best.rows)
 	outWidth := float64(len(pre)) * 10
 	partialRows := math.Min(groups*n, best.rows)
-	partialCost := best.rows/n*s.env.TupleCPU +
-		partialRows*outWidth/s.env.InitiatorBytesPerSec +
-		partialRows*s.env.TupleCPU
-	completeCost := best.rows/n*s.env.TupleCPU +
-		groups*outWidth/s.env.InitiatorBytesPerSec
+	partialCost := best.rows/n*TupleCPU +
+		partialRows*outWidth/InitiatorBytesPerSec +
+		partialRows*TupleCPU
+	completeCost := best.rows/n*TupleCPU +
+		groups*outWidth/InitiatorBytesPerSec
 	alreadyPartitioned := len(groupIDs) > 0 && best.prop == s.b.propOf(groupIDs)
 	if !alreadyPartitioned {
-		completeCost += best.rows/n*s.env.TupleCPU*2 + (best.rows/n)*best.width/s.env.LinkBytesPerSec
+		completeCost += best.rows/n*TupleCPU*2 + (best.rows/n)*best.width/LinkBytesPerSec
 	}
 
 	plan := &engine.Plan{}
