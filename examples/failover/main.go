@@ -11,8 +11,8 @@
 // idempotent query anyway by retrying onto the surviving endpoint. The
 // fifth act is the replica-repair story: one durable replica is killed,
 // a backlog is published while it is down, and on restart it catches up
-// by replaying the WAL delta shipped from its peers — no state transfer,
-// no rebalance — then serves the exact answer.
+// by replaying the WAL delta shipped from its peers — no state transfer
+// — then serves the exact answer.
 package main
 
 import (
@@ -221,7 +221,7 @@ func runProxied() {
 // snapshot and pulls exactly the records it missed from its replica
 // peers over WAL shipping (the `walship` op); because every peer still
 // retains the log suffix past the node's durable marker, no state
-// transfer and no rebalance are needed. The repair counters make the
+// transfer is needed. The repair counters make the
 // mechanism visible.
 func runRejoin() {
 	dir, err := os.MkdirTemp("", "orchestra-rejoin")

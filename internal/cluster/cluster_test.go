@@ -382,9 +382,8 @@ func TestAddNodeRebalanceKeepsData(t *testing.T) {
 			t.Fatalf("%s: %d rows after join, want 200", n.ID(), len(rows))
 		}
 	}
-	// The new node now holds a share of the data.
-	if newNode.Store().Len() == 0 {
-		t.Error("new node received no data from rebalance")
+	for _, n := range l.Nodes() {
+		assertConverged(t, l, n)
 	}
 }
 
@@ -415,6 +414,9 @@ func TestRemoveNodeGraceful(t *testing.T) {
 	}
 	if len(rows) != 150 {
 		t.Fatalf("after leave: %d rows, want 150", len(rows))
+	}
+	for _, n := range l.Nodes() {
+		assertConverged(t, l, n)
 	}
 }
 

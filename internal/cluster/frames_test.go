@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"orchestra/internal/keyspace"
 	"orchestra/internal/kvstore"
+	"orchestra/internal/ring"
 )
 
 // frameDecoders is every decoder of a counted or length-prefixed cluster
@@ -19,7 +21,7 @@ var frameDecoders = []struct {
 	{"ship response", func(b []byte) int { recs, _, _, _ := decodeShipResp(b); return cap(recs) }},
 	{"fetch response", func(b []byte) int { pairs, _, _ := decodeFetchResp(b); return cap(pairs) }},
 	{"digest", func(b []byte) int { groups, _ := decodeDigest(b); return cap(groups) }},
-	{"fetch request", func(b []byte) int { _, _, _ = decodeFetchReq(b); return 0 }},
+	{"fetch request", func(b []byte) int { _, _, want, _ := decodeFetchReq(b); return cap(want) }},
 	{"ship request", func(b []byte) int { _, _, _ = decodeShipReq(b); return 0 }},
 	{"repl status", func(b []byte) int { _, _, _, _ = decodeReplStatus(b); return 0 }},
 	{"lease request", func(b []byte) int { _, _, _, _, _ = decodeLeaseReq(b); return 0 }},
@@ -34,7 +36,7 @@ func frameBombs() [][]byte {
 	field := binary.AppendUvarint(nil, 1<<63)
 	return [][]byte{
 		count,                             // batch, digest
-		append(make([]byte, 9), count...), // ship response
+		append(make([]byte, 9), count...), // ship response; fetch request's ranges
 		append([]byte{1}, count...),       // fetch response
 		binary.AppendUvarint(nil, 1<<20),  // digest at its old cap
 		field,                             // fetch request
@@ -48,7 +50,8 @@ func FuzzClusterFrames(f *testing.F) {
 	f.Add(encodeBatch([]RecordPut{{KVKey: kv[0].Key, Value: kv[0].Val}, {KVKey: kv[1].Key}}))
 	f.Add(encodeShipResp([]kvstore.ReplRecord{{Seq: 7, Op: 1, Payload: []byte("put")}, {Seq: 8, Op: 2}}, true, false))
 	f.Add(encodeFetchResp(kv, true))
-	f.Add(encodeFetchReq([]byte("t/k1"), 1<<20))
+	f.Add(encodeFetchReq([]byte("t/k1"), 1<<20, nil))
+	f.Add(encodeFetchReq(nil, 1<<20, []ring.Range{{Lo: keyspace.FromUint64(1), Hi: keyspace.FromUint64(9)}}))
 	f.Add(encodeShipReq(7, 1<<20))
 	f.Add(encodeReplStatus(9, 3, 4))
 	f.Add(encodeDigest([]groupDigest{{name: "c/R", count: 3, xor: 0xfeed, maxEpoch: 9}, {name: "t/0", count: 1}}))

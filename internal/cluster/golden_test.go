@@ -34,7 +34,7 @@ func TestClusterGoldenBytes(t *testing.T) {
 			"0200000000000000070201037075740200"},
 		{"ship response, truncated", encodeShipResp(nil, false, true),
 			"01000000000000000000"},
-		{"fetch request", encodeFetchReq([]byte("t/k1"), 1<<20),
+		{"fetch request", encodeFetchReq([]byte("t/k1"), 1<<20, nil),
 			"04742f6b310000000000100000"},
 		{"fetch response", encodeFetchResp(kv, true),
 			"010204742f6b3102763104742f6b3200"},

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"orchestra/internal/kvstore"
@@ -144,8 +145,10 @@ func (l *Local) Hang(id ring.NodeID) { l.Net.Hang(id) }
 // is reopened (recovering from WAL/snapshot when durable), it rejoins
 // the network fabric, and it repairs itself from its peers — WAL
 // catch-up for the delta it missed, state transfer if the peers'
-// logs have been truncated past its position. The table membership is
-// unchanged (the node was killed, not removed), so no rebalance runs.
+// logs have been truncated past its position. The node joins under a live
+// node's table, so one that was down through a membership change adopts
+// the new table here; settle then hands over what it and its peers hold
+// for each other from that change.
 func (l *Local) Restart(ctx context.Context, id ring.NodeID) (*Node, error) {
 	old := l.byID[id]
 	if old == nil {
@@ -178,46 +181,42 @@ func (l *Local) Restart(ctx context.Context, id ring.NodeID) (*Node, error) {
 	if err := node.Repair(ctx); err != nil {
 		return node, err
 	}
-	return node, nil
+	return node, l.settle(ctx)
 }
 
-// AddNode joins a fresh node: it receives the next canonical name, a new
-// balanced table is broadcast, and every prior member rebalances its data
-// to the new allocation. Per §V-C the new node participates only in queries
-// whose snapshot is taken after the join.
+// AddNode joins a fresh node: it receives the next canonical name and the
+// table with it as a member is installed by move. Per §V-C the new node
+// participates only in queries whose snapshot is taken after the join.
+// When the move fails the newcomer is closed, but the table naming it may
+// already be installed.
 func (l *Local) AddNode(ctx context.Context) (*Node, error) {
 	id := NodeName(len(l.nodes))
-	node, err := l.join(id, l.Table())
-	if err != nil {
-		return nil, err
-	}
 	oldTable := l.Table()
 	newTable, err := oldTable.WithMembers(append(oldTable.Members(), id))
 	if err != nil {
 		return nil, err
 	}
-	if err := node.BroadcastTable(ctx, newTable); err != nil {
+	node, err := l.join(id, oldTable)
+	if err != nil {
 		return nil, err
 	}
 	// Pull the current epoch from the existing members so queries initiated
 	// at the newcomer immediately see the latest published state.
 	node.Gossip().Sync(ctx, oldTable.Members())
-	for _, n := range l.nodes {
-		if !l.Net.Alive(n.ID()) {
-			continue
-		}
-		if err := n.Rebalance(ctx, oldTable, newTable); err != nil {
-			return nil, err
-		}
+	if err := l.move(ctx, newTable, append(slices.Clip(l.nodes), node)); err != nil {
+		node.Close()
+		node.Store().Close()
+		return nil, err
 	}
 	l.nodes = append(l.nodes, node)
 	l.byID[id] = node
 	return node, nil
 }
 
-// RemoveNode gracefully retires a node: a fresh table without it is
-// broadcast, data is rebalanced (including by the leaver), and the node
-// closes.
+// RemoveNode gracefully retires a node: a table without it is installed by
+// move, whose pulls read the leaver's records too, and the node closes.
+// When the move fails the node stays open, but the table without it may
+// already be installed.
 func (l *Local) RemoveNode(ctx context.Context, id ring.NodeID) error {
 	node := l.byID[id]
 	if node == nil {
@@ -234,18 +233,8 @@ func (l *Local) RemoveNode(ctx context.Context, id ring.NodeID) error {
 	if err != nil {
 		return err
 	}
-	if err := node.BroadcastTable(ctx, newTable, id); err != nil {
+	if err := l.move(ctx, newTable, l.nodes); err != nil {
 		return err
-	}
-	// The leaver still rebalances by the old table, shipping away data it
-	// alone holds.
-	for _, n := range l.nodes {
-		if !l.Net.Alive(n.ID()) {
-			continue
-		}
-		if err := n.Rebalance(ctx, oldTable, newTable); err != nil {
-			return err
-		}
 	}
 	node.Close()
 	node.Store().Close()

@@ -5,7 +5,7 @@
 // record writes, replica-fallback reads, the publish (copy-on-write) path,
 // the resolved index pages and key predicates that the query engine's
 // distributed scan (Algorithm 1, engine.scanLeaf) reads through, and
-// membership changes with range redistribution.
+// membership changes, which move ranges by the replica-repair pull.
 package cluster
 
 import (
@@ -98,9 +98,6 @@ type Node struct {
 	// repair holds the replica-repair counters and anti-entropy loop
 	// (see repair.go).
 	repair repairState
-
-	// retry is the failed-rebalance-push retry queue (see rebalance.go).
-	retry retryState
 }
 
 // NewNode constructs a node on an endpoint with a local store and the
@@ -213,7 +210,6 @@ func (n *Node) Close() {
 	n.closeFns = nil
 	n.mu.Unlock()
 	n.StopRepair()
-	n.stopRetry()
 	n.gsp.Stop()
 	_ = n.ep.Close()
 	for _, fn := range fns {

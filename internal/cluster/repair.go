@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -22,30 +23,37 @@ import (
 )
 
 // Replica repair: WAL-shipping catch-up, state-transfer fallback, and
-// anti-entropy for rejoining or lagging replicas.
+// anti-entropy for rejoining or lagging replicas. Records move between
+// nodes only by these pulls: a membership change (Local.move) is a table
+// broadcast followed by the same state transfer, narrowed to the segments
+// each member gains.
 //
 // Every store assigns each mutation a global sequence number and retains
 // recent records (kvstore's shipping ring + archived WAL segments). A
 // replica that was down pulls exactly the delta it missed from a peer's
-// log (msgWalShip), filters it to the placements the two nodes share,
-// and replays it through the normal commit path — no full rebalance.
-// When the peer has truncated past the requested position, the replica
-// falls back to a chunked ordered state transfer (msgReplFetch). A
-// low-priority background loop additionally exchanges per-relation
-// summaries (msgReplDigest) to detect silent divergence and trigger the
-// same targeted repair.
+// log (msgWalShip), filters it to the placements it replicates, and
+// replays its writes through the normal commit path. When the peer has
+// truncated past the requested position, the replica falls back to a
+// chunked ordered state transfer (msgReplFetch) of every record the peer
+// holds that the puller replicates. A low-priority background loop
+// additionally exchanges per-relation summaries (msgReplDigest) to detect
+// silent divergence and trigger the same targeted repair.
+//
+// A pull never deletes on a peer's say-so: a store delete is the deleting
+// node's own decision (a drop after a move, or a stale-record merge delete
+// during a state transfer), and a shipped delete is never replayed.
 //
 // Per-peer progress markers live in the local store under a key prefix
 // (y/repl/) that placementOf rejects, so they are invisible to
-// rebalancing, digests, and shipped-record application — but durable and
-// crash-recovered like any other record.
+// membership moves, digests, and shipped-record application — but durable
+// and crash-recovered like any other record.
 
 // Repair message types (storage layer, after 0x0108).
 const (
 	msgReplStatus transport.MsgType = 0x0109 // → seq | firstAvail | epoch
 	msgWalShip    transport.MsgType = 0x010A // after | maxBytes → records
 	msgReplDigest transport.MsgType = 0x010B // → per-group summaries
-	msgReplFetch  transport.MsgType = 0x010C // afterKey | maxBytes → pairs
+	msgReplFetch  transport.MsgType = 0x010C // afterKey | maxBytes [| ranges] → pairs
 )
 
 // repairState holds the Node's repair counters and background loop.
@@ -162,21 +170,37 @@ func decodeShipResp(data []byte) (recs []kvstore.ReplRecord, more, truncated boo
 	return recs, flags&shipFlagMore != 0, flags&shipFlagTruncated != 0, nil
 }
 
-// encodeFetchReq: afterKey bytes | maxBytes(8).
-func encodeFetchReq(afterKey []byte, maxBytes int64) []byte {
+// encodeFetchReq: afterKey bytes | maxBytes(8) [| count uvarint |
+// (lo(20) | hi(20))*]. The ranges, sent by a membership pull only, narrow
+// the fetch to the segments the requester gains.
+func encodeFetchReq(afterKey []byte, maxBytes int64, want []ring.Range) []byte {
 	out := codec.AppendBytes(nil, afterKey)
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(maxBytes))
-	return append(out, b[:]...)
+	out = binary.BigEndian.AppendUint64(out, uint64(maxBytes))
+	if len(want) == 0 {
+		return out
+	}
+	out = binary.AppendUvarint(out, uint64(len(want)))
+	for _, r := range want {
+		out = append(append(out, r.Lo[:]...), r.Hi[:]...)
+	}
+	return out
 }
 
-func decodeFetchReq(data []byte) (afterKey []byte, maxBytes int64, err error) {
+func decodeFetchReq(data []byte) (afterKey []byte, maxBytes int64, want []ring.Range, err error) {
 	r := codec.NewReader(data)
 	afterKey, maxBytes = r.Bytes(), int64(r.U64())
-	if err := r.Done("cluster: fetch request"); err != nil {
-		return nil, 0, err
+	if r.Err() == nil && r.Pos() < len(data) {
+		count := r.Count(2 * keyspace.Size)
+		want = make([]ring.Range, count)
+		for i := 0; i < count && r.Err() == nil; i++ {
+			copy(want[i].Lo[:], r.Fixed(keyspace.Size))
+			copy(want[i].Hi[:], r.Fixed(keyspace.Size))
+		}
 	}
-	return afterKey, maxBytes, nil
+	if err := r.Done("cluster: fetch request"); err != nil {
+		return nil, 0, nil, err
+	}
+	return afterKey, maxBytes, want, nil
 }
 
 // encodeFetchResp: done(1) | count uvarint | (k bytes | v bytes)*.
@@ -378,13 +402,16 @@ func (n *Node) registerRepairHandlers() {
 		return encodeDigest(n.computeDigest(from)), nil
 	})
 	n.ep.Handle(msgReplFetch, func(from ring.NodeID, payload []byte) ([]byte, error) {
-		afterKey, maxBytes, err := decodeFetchReq(payload)
+		afterKey, maxBytes, want, err := decodeFetchReq(payload)
 		if err != nil {
 			return nil, err
 		}
 		if maxBytes <= 0 || maxBytes > fetchBatchBytes*8 {
 			maxBytes = fetchBatchBytes
 		}
+		// Every record the requester replicates (within want, when it
+		// names ranges), whether or not this node still does: a node that
+		// lost a range in a move hands it over.
 		table := n.Table()
 		var pairs []kvstore.KV
 		var budget int64
@@ -392,10 +419,7 @@ func (n *Node) registerRepairHandlers() {
 		lo := prefixEndKey(afterKey)
 		n.store.Scan(lo, nil, func(k, v []byte) bool {
 			placement, ok := placementOf(k, v)
-			if !ok {
-				return true
-			}
-			if !table.IsReplica(n.id, placement) || !table.IsReplica(from, placement) {
+			if !ok || !inRanges(want, placement) || !table.IsReplica(from, placement) {
 				return true
 			}
 			if budget+int64(len(k)+len(v)) > maxBytes && len(pairs) > 0 {
@@ -411,6 +435,11 @@ func (n *Node) registerRepairHandlers() {
 		})
 		return encodeFetchResp(pairs, done), nil
 	})
+}
+
+// inRanges reports whether k lies in one of want; no ranges admit all.
+func inRanges(want []ring.Range, k keyspace.Key) bool {
+	return len(want) == 0 || slices.ContainsFunc(want, func(r ring.Range) bool { return r.Contains(k) })
 }
 
 // prefixEndKey returns the smallest key strictly greater than k (for
@@ -464,9 +493,10 @@ func (n *Node) replStatusOf(ctx context.Context, peer ring.NodeID) (seq, firstAv
 }
 
 // CatchUp pulls the delta this node missed from peer's log and replays
-// it through the normal commit path, filtered to the placements the two
-// nodes share. When peer has truncated past our position, it falls back
-// to a full state transfer. Returns the number of records applied.
+// its writes through the normal commit path, filtered to the placements
+// this node replicates. When peer has truncated past our position, it
+// falls back to a full state transfer. Returns the number of records
+// applied.
 func (n *Node) CatchUp(ctx context.Context, peer ring.NodeID) (uint64, error) {
 	t0 := time.Now()
 	defer func() { n.repair.lastCatchUpUs.Store(time.Since(t0).Microseconds()) }()
@@ -489,7 +519,7 @@ func (n *Node) CatchUp(ctx context.Context, peer ring.NodeID) (uint64, error) {
 			// from an authoritative peer, so stale local-only records may
 			// be deleted.
 			n.repair.stateTransfers.Add(1)
-			if err := n.stateTransfer(ctx, peer, true); err != nil {
+			if err := n.stateTransfer(ctx, peer, true, nil); err != nil {
 				return applied, err
 			}
 			return applied, nil
@@ -516,10 +546,12 @@ func (n *Node) CatchUp(ctx context.Context, peer ring.NodeID) (uint64, error) {
 }
 
 // applyShipped replays shipped records: epoch raises go through the
-// gossiper (which persists them), data records are filtered to shared
-// placements and applied in one batched commit. Records whose effect is
-// already present locally are skipped, so steady-state anti-entropy is
-// read-only.
+// gossiper (which persists them), writes are filtered to the placements
+// this node replicates and applied in one batched commit. Records whose
+// effect is already present locally are skipped, so steady-state
+// anti-entropy is read-only. Shipped deletes are skipped too: the peer
+// deleted a record it no longer replicates, or one it judged stale, and
+// neither decision is this node's to repeat.
 func (n *Node) applyShipped(recs []kvstore.ReplRecord) (uint64, error) {
 	// The batch replays a contiguous log suffix, so only each key's
 	// final op determines the outcome. Compress to last-op-per-key
@@ -553,20 +585,7 @@ func (n *Node) applyShipped(recs []kvstore.ReplRecord) (uint64, error) {
 	var applied uint64
 	for _, op := range final {
 		if op.Del {
-			// Deletes carry no value; the placement comes from the local
-			// copy. Nothing local means nothing to delete.
-			lv, ok := n.store.Get(op.Key)
-			if !ok {
-				n.repair.catchUpSkipped.Add(1)
-				continue
-			}
-			placement, pok := placementOf(op.Key, lv)
-			if !pok || !table.IsReplica(n.id, placement) {
-				n.repair.catchUpSkipped.Add(1)
-				continue
-			}
-			ops = append(ops, kvstore.ReplOp{Del: true, Key: op.Key})
-			applied++
+			n.repair.catchUpSkipped.Add(1)
 			continue
 		}
 		placement, pok := placementOf(op.Key, op.Val)
@@ -626,13 +645,16 @@ func newestEpoch(c *vstore.Catalog) tuple.Epoch {
 }
 
 // stateTransfer replaces WAL catch-up when the peer's log history is
-// gone: a chunked ordered copy of every record the two nodes share,
-// applying differences and — when deletes is true — deleting local
-// records the peer lacks (only when their embedded epoch is at or below
-// the peer's — a fresher local write must survive — and never catalog
-// records). Callers pass deletes=false when this node may hold fresher
-// records than the peer, so divergence repair only adds.
-func (n *Node) stateTransfer(ctx context.Context, peer ring.NodeID, deletes bool) error {
+// gone, and is the pull of a membership change: a chunked ordered copy of
+// every record the peer holds that this node replicates (within want, when
+// it names ranges), applying differences and — when deletes is true —
+// deleting local records the peer lacks though it replicates them too
+// (only when their embedded epoch is at or below the peer's — a fresher
+// local write must survive — and never catalog records). Callers pass
+// deletes=false when this node may hold fresher records than the peer, so
+// the pull only adds. A pull narrowed to want leaves the catch-up marker
+// alone, since it has not read the rest of the peer's log.
+func (n *Node) stateTransfer(ctx context.Context, peer ring.NodeID, deletes bool, want []ring.Range) error {
 	// Record the peer's position first: everything the transfer misses
 	// lands after this seq and arrives via the next WAL catch-up.
 	peerSeq, _, peerEpoch, err := n.replStatusOf(ctx, peer)
@@ -643,7 +665,7 @@ func (n *Node) stateTransfer(ctx context.Context, peer ring.NodeID, deletes bool
 	var after []byte
 	for {
 		rctx, cancel := context.WithTimeout(ctx, n.cfg.RequestTimeout)
-		resp, err := n.ep.Request(rctx, peer, msgReplFetch, encodeFetchReq(after, fetchBatchBytes))
+		resp, err := n.ep.Request(rctx, peer, msgReplFetch, encodeFetchReq(after, fetchBatchBytes, want))
 		cancel()
 		if err != nil {
 			return err
@@ -672,16 +694,24 @@ func (n *Node) stateTransfer(ctx context.Context, peer ring.NodeID, deletes bool
 			return err
 		}
 	}
+	if len(want) > 0 {
+		return nil
+	}
 	return n.setPeerMarker(peer, peerSeq)
 }
 
 // mergeFetched reconciles one fetched chunk against the local store:
-// missing or differing records are applied; local shared records the
-// peer lacks are deleted when provably stale (and deletes is set).
+// missing or differing records are applied, unless a catalog would
+// regress; local records the peer lacks though both nodes replicate them
+// are deleted when provably stale (and deletes is set).
 func (n *Node) mergeFetched(table *ring.Table, peer ring.NodeID, peerEpoch uint64, after, hi []byte, pairs []kvstore.KV, deletes bool) error {
-	// Local shared keys in (after, hi] — or (after, +inf) for the final
-	// chunk — in key order, mirroring the peer's scan predicate.
-	type local struct{ k, v []byte }
+	// Local keys this node replicates in (after, hi] — or (after, +inf)
+	// for the final chunk — in key order, mirroring the peer's scan
+	// predicate.
+	type local struct {
+		k, v   []byte
+		shared bool // the peer replicates it too
+	}
 	var locals []local
 	lo := prefixEndKey(after)
 	var scanHi []byte
@@ -693,10 +723,11 @@ func (n *Node) mergeFetched(table *ring.Table, peer ring.NodeID, peerEpoch uint6
 		if !ok {
 			return true
 		}
-		if !table.IsReplica(n.id, placement) || !table.IsReplica(peer, placement) {
+		reps := table.Replicas(placement)
+		if !slices.Contains(reps, n.id) {
 			return true
 		}
-		locals = append(locals, local{append([]byte(nil), k...), v})
+		locals = append(locals, local{append([]byte(nil), k...), v, slices.Contains(reps, peer)})
 		return true
 	})
 
@@ -720,7 +751,7 @@ func (n *Node) mergeFetched(table *ring.Table, peer ring.NodeID, peerEpoch uint6
 			i++
 		case cmp > 0: // local-only: delete if provably stale
 			k := locals[j].k
-			if deletes && k[0] != 'c' && keyEpoch(k) <= peerEpoch {
+			if deletes && locals[j].shared && k[0] != 'c' && keyEpoch(k) <= peerEpoch {
 				ops = append(ops, kvstore.ReplOp{Del: true, Key: k})
 				n.repair.mergeDeletes.Add(1)
 			}
@@ -812,7 +843,7 @@ func (n *Node) repairPeer(ctx context.Context, peer ring.NodeID, withDigest bool
 	}
 	n.repair.antiEntropyRepairs.Add(1)
 	n.repair.stateTransfers.Add(1)
-	if err := n.stateTransfer(ctx, peer, !selfAhead); err != nil {
+	if err := n.stateTransfer(ctx, peer, !selfAhead, nil); err != nil {
 		return true, err
 	}
 	return true, nil
@@ -820,7 +851,7 @@ func (n *Node) repairPeer(ctx context.Context, peer ring.NodeID, withDigest bool
 
 // Repair runs one repair round against every other table member. A
 // rejoining node calls this before serving to reach the cluster's
-// durable state through WAL catch-up instead of a full rebalance.
+// durable state through WAL catch-up instead of a full state transfer.
 func (n *Node) Repair(ctx context.Context) error {
 	var lastErr error
 	for _, peer := range n.Table().Members() {

@@ -18,9 +18,14 @@ import (
 // durableCluster builds an n-node cluster whose stores persist under a
 // shared temp dir, so a killed node's replacement recovers its WAL.
 func durableCluster(t *testing.T, n int, retain int64) *Local {
+	return durableClusterR(t, n, 3, retain)
+}
+
+// durableClusterR is durableCluster keeping repl copies of each record.
+func durableClusterR(t *testing.T, n, repl int, retain int64) *Local {
 	t.Helper()
 	dir := t.TempDir()
-	cfg := Config{Replication: 3, MaxPageEntries: 32,
+	cfg := Config{Replication: repl, MaxPageEntries: 32,
 		OpenStore: func(id ring.NodeID) (*kvstore.Store, error) {
 			d := filepath.Join(dir, string(id))
 			if err := os.MkdirAll(d, 0o755); err != nil {
@@ -56,9 +61,9 @@ func publishRows(t *testing.T, l *Local, via, start, count int) {
 	}
 }
 
-// assertConverged checks the node holds exactly what a fresh rebalance
-// would give it: every record any live peer stores whose placement the
-// node replicates, byte-for-byte — and nothing foreign.
+// assertConverged checks the node holds exactly what a completed
+// membership move would leave it: every record any live peer stores whose
+// placement the node replicates, byte-for-byte — and nothing foreign.
 func assertConverged(t *testing.T, l *Local, node *Node) {
 	t.Helper()
 	table := node.Table()
@@ -91,7 +96,7 @@ func assertConverged(t *testing.T, l *Local, node *Node) {
 		return true
 	})
 	if missing+mismatched+foreign > 0 {
-		t.Fatalf("%s diverged from rebalance-equivalent state: %d missing, %d mismatched, %d foreign records",
+		t.Fatalf("%s diverged from its replicated share: %d missing, %d mismatched, %d foreign records",
 			id, missing, mismatched, foreign)
 	}
 }

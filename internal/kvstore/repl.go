@@ -12,7 +12,7 @@ import (
 // Snapshot.Seq). A bounded in-memory ring retains the most recent
 // records so a lagging replica can pull exactly the delta it missed
 // (ShipLog) and replay it through the normal commit path (ApplyBatch)
-// instead of receiving a full rebalance. When the requested position
+// instead of receiving a full copy. When the requested position
 // has been evicted, the caller falls back to a state transfer.
 
 // ReplRecord is one retained mutation: the WAL op byte plus its encoded

@@ -104,12 +104,12 @@ func TestRowCountOneSource(t *testing.T) {
 	if err := c.CreateRelation(NewSchema("t", "k:string", "grp:int", "v:int")); err != nil {
 		t.Fatal(err)
 	}
-	first, err := c.PublishTypedID(0, "t", typedRows(0, 100), 7)
+	first, err := c.publishTyped(0, "t", vstore.OpInsert, typedRows(0, 100), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The client's retry after a lost acknowledgement.
-	if again, err := c.PublishTypedID(1, "t", typedRows(0, 100), 7); err != nil || again != first {
+	if again, err := c.publishTyped(1, "t", vstore.OpInsert, typedRows(0, 100), 7); err != nil || again != first {
 		t.Fatalf("retried publish: epoch %d, %v; want the original epoch %d", again, err, first)
 	}
 	gone := make(Rows, 10)

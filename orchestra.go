@@ -190,8 +190,9 @@ func (c *Cluster) StartPingers(interval, timeout time.Duration) {
 	c.local.StartPingers(interval, timeout)
 }
 
-// AddNode joins a fresh node; data is rebalanced and the node participates
-// in queries whose snapshot is taken after the join (§V-C).
+// AddNode joins a fresh node: every member pulls the records it now
+// replicates, then drops those it no longer does. The node participates in
+// queries whose snapshot is taken after the join (§V-C).
 func (c *Cluster) AddNode() (int, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -207,7 +208,9 @@ func (c *Cluster) AddNode() (int, error) {
 	return len(c.backends) - 1, nil
 }
 
-// RemoveNode gracefully retires node i, rebalancing its data first.
+// RemoveNode gracefully retires node i once the remaining members have
+// pulled the records it held. It refuses while node i holds the only live
+// copies of records whose new replicas are all down.
 func (c *Cluster) RemoveNode(i int) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -376,15 +379,7 @@ func (c *Cluster) publishRows(node int, relation string, op vstore.Op, rows Rows
 // PublishTyped publishes pre-converted rows (used by workload generators
 // that already produce tuple.Rows).
 func (c *Cluster) PublishTyped(node int, relation string, rows []tuple.Row) (Epoch, error) {
-	return c.PublishTypedID(node, relation, rows, 0)
-}
-
-// PublishTypedID publishes pre-converted rows under an idempotency
-// token (0 = none): re-publishing the same nonzero pubID returns the
-// original commit's epoch without applying the batch again. Served
-// deployments use it to make client publish retries safe.
-func (c *Cluster) PublishTypedID(node int, relation string, rows []tuple.Row, pubID uint64) (Epoch, error) {
-	return c.publishTyped(node, relation, vstore.OpInsert, rows, pubID)
+	return c.publishTyped(node, relation, vstore.OpInsert, rows, 0)
 }
 
 // Update publishes value changes for existing keys (copy-on-write: prior

@@ -323,6 +323,42 @@ func TestNodeLifecycle(t *testing.T) {
 	}
 }
 
+// TestAddNodeAfterRepairKeepsRows: a join between two repair rounds on
+// every node. The join's drops are each node's own decision; a peer that
+// catches up from that node's log must not replay them as deletes of
+// records it still replicates.
+func TestAddNodeAfterRepairKeepsRows(t *testing.T) {
+	c := newTestCluster(t, 4)
+	mustCreate(t, c, NewSchema("t", "k:int", "v:string").Key("k"))
+	rows := make(Rows, 200)
+	for i := range rows {
+		rows[i] = Row{i, fmt.Sprintf("v%03d", i)}
+	}
+	mustPublish(t, c, "t", rows)
+	repairAll := func(when string) {
+		t.Helper()
+		for i := 0; i < c.Size(); i++ {
+			if err := c.RepairNode(i); err != nil {
+				t.Fatalf("repair node %d %s the join: %v", i, when, err)
+			}
+		}
+	}
+	repairAll("before")
+	if _, err := c.AddNode(); err != nil {
+		t.Fatalf("AddNode: %v", err)
+	}
+	repairAll("after")
+	for i := 0; i < c.Size(); i++ {
+		res, err := c.QueryOpts("SELECT k, v FROM t", QueryOptions{Node: i})
+		if err != nil {
+			t.Fatalf("query at node %d: %v", i, err)
+		}
+		if len(res.Rows) != len(rows) {
+			t.Errorf("query at node %d returns %d rows, want %d", i, len(res.Rows), len(rows))
+		}
+	}
+}
+
 func TestNetworkAccounting(t *testing.T) {
 	c := newTestCluster(t, 4)
 	setupInventory(t, c)

@@ -6,7 +6,7 @@ package orchestra_test
 // mid-workload, a backlog is published without it, and the process is
 // restarted from its data directory. The rejoined node must reach the
 // cluster's epoch by replaying its peers' shipped WAL suffix — no state
-// transfer, no rebalance — while the workload sees zero failures, and
+// transfer — while the workload sees zero failures, and
 // its own endpoint must then serve correct answers. Set REJOIN_BACKLOG
 // to size the missed backlog (rows); CRASH_BENCH_OUT records the
 // catch-up time.

@@ -47,7 +47,9 @@ func (c *Cluster) RepairNode(i int) error {
 // volatile ones come back empty), it rejoins the network, and it
 // catches up from its replica peers — via WAL shipping when their logs
 // still cover its position, else by state transfer. The routing table
-// is untouched: a restart is repair, not a membership change. Node i's
+// is untouched: a restart is repair, not a membership change; it then
+// settles what the node and its peers hold for each other from a change
+// it was down through (cluster.Local.Restart). Node i's
 // backend is re-pointed at the reopened node under its own lock, so an
 // endpoint served off it keeps answering after the restart.
 func (c *Cluster) RestartNode(i int) error {
