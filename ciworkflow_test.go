@@ -23,7 +23,8 @@ import (
 // -run, -bench or -fuzz pattern that matches no function runs nothing and
 // passes, so each of its | alternatives (the part before a /, which names
 // the top-level function) must match a Test, Benchmark or Fuzz function
-// declared in a package the command lists.
+// declared in a package the command lists — also behind leading VAR=value
+// environment assignments, and in the -run=pattern form.
 func TestCIWorkflowParses(t *testing.T) {
 	src, err := os.ReadFile(".github/workflows/ci.yml")
 	if err != nil {
@@ -49,9 +50,22 @@ func TestCIWorkflowParses(t *testing.T) {
 		t.Error("ci.yml has no name: lines; the rule checks nothing")
 	}
 
+	envAssign := regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9_]*=`)
 	paths, patterns := 0, 0
 	for _, run := range runCommands(string(src)) {
 		for _, fields := range shellCommands(run.text) {
+			for len(fields) > 0 && envAssign.MatchString(fields[0]) {
+				fields = fields[1:]
+			}
+			var split []string // -flag=value as -flag value
+			for _, f := range fields {
+				if name, value, ok := strings.Cut(f, "="); ok && strings.HasPrefix(f, "-") {
+					split = append(split, name, value)
+				} else {
+					split = append(split, f)
+				}
+			}
+			fields = split
 			dir := "."
 			var pkgs []string
 			for i, f := range fields {

@@ -39,7 +39,7 @@ var (
 	// included).
 	ErrTimeout = wire.ErrTimeout
 	// ErrFrameTooLarge reports a single wire frame exceeding the
-	// connection's negotiated limit — typically a publish too big for one
+	// protocol's 64 MiB frame cap — typically a publish too big for one
 	// frame. Results are not subject to a whole-result cap.
 	ErrFrameTooLarge = wire.ErrFrameTooLarge
 	// ErrCancelled reports a stream terminated by a cancel frame.
@@ -54,7 +54,9 @@ var (
 // Err* category of its code.
 type Error = wire.Error
 
-// Options tunes a Client.
+// Options tunes a Client. The frame cap (wire.MaxFrame) and a stream's
+// credit window (wire.CreditWindow) are constants of the protocol, not
+// options.
 type Options struct {
 	// PoolSize caps idle connections kept for reuse per endpoint
 	// (default 2). Concurrent calls beyond the pool dial extra
@@ -65,13 +67,6 @@ type Options struct {
 	// deadline of their own (hello, stream-cancel drain, membership
 	// refresh).
 	DialTimeout time.Duration
-	// MaxFrame bounds a single inbound frame (default wire.MaxFrame);
-	// offered to the server during negotiation, which uses the min of
-	// the two peers' limits.
-	MaxFrame int64
-	// StreamWindow is the flow-control credit window requested for
-	// streamed results, in batch frames (default the server's offer).
-	StreamWindow int
 	// Endpoints seeds additional cluster members beyond the dialed
 	// address. The member list grows and shrinks as the cluster
 	// advertises peers (see RefreshInterval); seeds are never dropped.
@@ -106,17 +101,22 @@ type Client struct {
 	closed      bool
 }
 
-// wireConn is one pooled connection plus its negotiated frame limit.
+// wireConn is one pooled connection. It keeps no protocol state: the
+// frame cap is a constant, and the credit window governs only the
+// server's sending (the client grants one credit per consumed batch).
 type wireConn struct {
 	net.Conn
 	br *bufio.Reader
 	ep *endpoint // owning endpoint (pool and health bookkeeping)
-	// maxFrame is the negotiated frame limit, enforced in both
-	// directions. (The negotiated stream window needs no client state:
-	// it governs the server's sending, and the client grants one credit
-	// per consumed batch regardless of window size.)
-	maxFrame int64
 }
+
+// frameCap bounds every frame the client sends or reads: wire.MaxFrame.
+// It is a variable only so that tests reach the refusal of a publish past
+// the cap without building one of 64 MiB, and atomic so that a test may
+// lower it while other clients' goroutines run.
+var frameCap atomic.Int64
+
+func init() { frameCap.Store(wire.MaxFrame) }
 
 // Dial validates connectivity to addr (performing the protocol
 // handshake) and returns a Client. addr plus Options.Endpoints seed the
@@ -132,10 +132,6 @@ func Dial(addr string, opts ...Options) (*Client, error) {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
 	}
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = wire.MaxFrame
-	}
-	o.MaxFrame = min(o.MaxFrame, wire.MaxFrameLimit)
 	if o.RefreshInterval == 0 {
 		o.RefreshInterval = 30 * time.Second
 	}
@@ -180,10 +176,9 @@ func (c *Client) dial(ep *endpoint) (*wireConn, error) {
 		tc.SetNoDelay(true)
 	}
 	conn := &wireConn{
-		Conn:     nc,
-		br:       bufio.NewReaderSize(nc, 32<<10),
-		ep:       ep,
-		maxFrame: c.opts.MaxFrame,
+		Conn: nc,
+		br:   bufio.NewReaderSize(nc, 32<<10),
+		ep:   ep,
 	}
 	if err := c.hello(conn); err != nil {
 		nc.Close()
@@ -193,20 +188,12 @@ func (c *Client) dial(ep *endpoint) (*wireConn, error) {
 }
 
 // hello opens a fresh connection: the server checks the protocol version
-// and answers with the frame limit both sides will enforce.
+// and accepts or refuses the connection.
 func (c *Client) hello(conn *wireConn) error {
 	conn.SetDeadline(time.Now().Add(c.opts.DialTimeout))
 	defer conn.SetDeadline(time.Time{})
-	req := &wire.Request{
-		ID: 1,
-		Op: wire.OpHello,
-		Hello: &wire.HelloRequest{
-			Version:  wire.ProtocolVersion,
-			MaxFrame: c.opts.MaxFrame,
-			Window:   c.opts.StreamWindow,
-		},
-	}
-	frame, err := requestFrame(conn, req)
+	req := &wire.Request{ID: 1, Op: wire.OpHello, Hello: &wire.HelloRequest{Version: wire.ProtocolVersion}}
+	frame, err := requestFrame(req)
 	if err == nil {
 		_, err = conn.Write(frame)
 	}
@@ -223,18 +210,13 @@ func (c *Client) hello(conn *wireConn) error {
 	if resp.Hello == nil {
 		return errors.New("orchestra client: malformed hello response")
 	}
-	if resp.Hello.MaxFrame > 0 {
-		// The server already took the min of the two offers, floored at
-		// MinFrame so control frames always fit.
-		conn.maxFrame = resp.Hello.MaxFrame
-	}
 	return nil
 }
 
 // readFrame reads one frame, mapping a frame-size violation onto
 // ErrFrameTooLarge.
 func readFrame(conn *wireConn) (wire.FrameKind, []byte, error) {
-	kind, payload, err := wire.ReadRawFrame(conn.br, conn.maxFrame)
+	kind, payload, err := wire.ReadRawFrame(conn.br, frameCap.Load())
 	var fse *wire.FrameSizeError
 	if errors.As(err, &fse) {
 		err = fmt.Errorf("%w: inbound frame of %d bytes exceeds limit %d", ErrFrameTooLarge, fse.Size, fse.Max)
@@ -338,12 +320,11 @@ func (c *Client) roundTrip(ctx context.Context, req *wire.Request) (*wire.Respon
 	return resp, n, nil
 }
 
-// requestFrame encodes one request, enforcing the connection's negotiated
-// frame limit before any bytes hit the wire — an oversized request fails
-// fast with ErrFrameTooLarge instead of making the server abort the
-// connection.
-func requestFrame(conn *wireConn, req *wire.Request) ([]byte, error) {
-	frame, err := wire.AppendJSONFrame(nil, req, conn.maxFrame)
+// requestFrame encodes one request, enforcing the frame cap before any
+// bytes hit the wire — an oversized request fails fast with
+// ErrFrameTooLarge instead of making the server abort the connection.
+func requestFrame(req *wire.Request) ([]byte, error) {
+	frame, err := wire.AppendJSONFrame(nil, req, frameCap.Load())
 	return frame, frameTooLarge(err)
 }
 
@@ -352,7 +333,7 @@ func requestFrame(conn *wireConn, req *wire.Request) ([]byte, error) {
 func frameTooLarge(err error) error {
 	var fse *wire.FrameSizeError
 	if errors.As(err, &fse) {
-		return fmt.Errorf("%w: request frame of %d bytes exceeds negotiated limit %d", ErrFrameTooLarge, fse.Size, fse.Max)
+		return fmt.Errorf("%w: request frame of %d bytes exceeds the frame cap %d", ErrFrameTooLarge, fse.Size, fse.Max)
 	}
 	return err
 }
@@ -360,7 +341,7 @@ func frameTooLarge(err error) error {
 // roundTripOn encodes req and runs one exchange on an already-acquired
 // connection.
 func (c *Client) roundTripOn(ctx context.Context, conn *wireConn, req *wire.Request) (*wire.Response, int64, error) {
-	frame, err := requestFrame(conn, req)
+	frame, err := requestFrame(req)
 	if err != nil {
 		c.release(conn) // nothing was sent; conn is clean
 		return nil, 0, err
@@ -408,8 +389,7 @@ func (c *Client) Create(ctx context.Context, relation string, columns []string, 
 // integral floats back for an int column). Rows the wire's typed batch
 // cannot carry — any other mix within a column, another Go type, ragged
 // rows — are refused here with ErrBadRequest, and a publish larger than
-// the negotiated frame limit with ErrFrameTooLarge; neither touches a
-// connection.
+// the frame cap with ErrFrameTooLarge; neither touches a connection.
 //
 // Every publish carries a random publish ID. The deployment records it
 // with the commit and answers a duplicate with the original epoch, which
@@ -424,17 +404,16 @@ func (c *Client) Publish(ctx context.Context, relation string, rows [][]any) (ui
 	if err != nil {
 		return 0, err
 	}
-	payload, err := wire.AppendPublishPayload(make([]byte, 0, 4096), 1, newPublishID(), relation, batch)
+	frame, mark := wire.BeginFrame(make([]byte, 0, 4096), wire.FramePublish)
+	frame, err = wire.AppendPublishPayload(frame, 1, newPublishID(), relation, batch)
 	if err != nil {
 		return 0, wire.Errorf(wire.CodeBadRequest, "%v", err)
 	}
+	if frame, err = wire.FinishFrame(frame, mark, frameCap.Load()); err != nil {
+		return 0, frameTooLarge(err)
+	}
 	var epoch uint64
 	_, err = c.withRetry(ctx, true, func(conn *wireConn) error {
-		frame, err := wire.AppendBinaryFrame(make([]byte, 0, len(payload)+8), wire.FramePublish, payload, conn.maxFrame)
-		if err != nil {
-			c.release(conn) // nothing was sent; conn is clean
-			return frameTooLarge(err)
-		}
 		resp, _, err := c.exchange(ctx, conn, frame)
 		if err != nil {
 			return err
@@ -694,7 +673,7 @@ func (c *Client) startStream(ctx context.Context, conn *wireConn, sql string, o 
 	st := &Stream{c: c, conn: conn, id: 1, endpoint: conn.ep.addr}
 	req := queryRequest(ctx, sql, o)
 	req.ID = st.id
-	frame, err := requestFrame(conn, req)
+	frame, err := requestFrame(req)
 	if err != nil {
 		c.release(conn) // nothing was sent; conn is clean
 		return nil, err
@@ -760,7 +739,7 @@ func (s *Stream) Next() bool {
 		s.pending = false
 		var err error
 		if s.grant == nil {
-			s.grant, err = wire.AppendBinaryFrame(nil, wire.FrameCredit, wire.AppendCreditPayload(nil, s.id, 1), s.conn.maxFrame)
+			s.grant, err = wire.AppendBinaryFrame(nil, wire.FrameCredit, wire.AppendCreditPayload(nil, s.id, 1), frameCap.Load())
 		}
 		if err == nil {
 			_, err = s.conn.Write(s.grant)
@@ -835,12 +814,11 @@ func (s *Stream) Columns() []string { return s.cols }
 // Err returns the stream's terminal error, if any.
 func (s *Stream) Err() error { return s.err }
 
-// Cancel abandons a stream in flight while keeping the connection (and
-// its negotiated protocol state) usable: it sends a cancel frame, then
-// drains frames until the server's terminal End arrives. The server
-// stops emitting batches and returns the query's admission slot. After a
-// clean cancel, Err reports nil and the connection returns to the pool.
-// Cancelling a finished stream is a no-op.
+// Cancel abandons a stream in flight while keeping the connection
+// usable: it sends a cancel frame, then drains frames until the server's
+// terminal End arrives. The server stops emitting batches and returns the
+// query's admission slot. After a clean cancel, Err reports nil and the
+// connection returns to the pool. Cancelling a finished stream is a no-op.
 func (s *Stream) Cancel() error {
 	if s.done {
 		return nil
@@ -853,7 +831,7 @@ func (s *Stream) Cancel() error {
 		return nil
 	}
 	buf := wire.AppendCancelPayload(make([]byte, 0, 8), s.id)
-	frame, err := wire.AppendBinaryFrame(make([]byte, 0, 16), wire.FrameCancel, buf, s.conn.maxFrame)
+	frame, err := wire.AppendBinaryFrame(make([]byte, 0, 16), wire.FrameCancel, buf, frameCap.Load())
 	if err == nil {
 		_, err = s.conn.Write(frame)
 	}

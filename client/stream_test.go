@@ -11,6 +11,11 @@ import (
 	"orchestra/client"
 )
 
+// windowRows is more rows than a stream's credit window of batch frames
+// holds: the server cuts a frame at 4 096 rows at most, and the window is
+// wire.CreditWindow (8) frames.
+const windowRows = 10 * 4096
+
 // seedWide creates a relation and publishes n rows through the wire.
 func seedWide(t *testing.T, addr string, n int) {
 	t.Helper()
@@ -23,7 +28,7 @@ func seedWide(t *testing.T, addr string, n int) {
 	if err := cl.Create(ctx, "wide", []string{"k:string", "grp:int", "v:int", "f:float"}, "k"); err != nil {
 		t.Fatal(err)
 	}
-	const batch = 500
+	const batch = 4096
 	for lo := 0; lo < n; lo += batch {
 		hi := lo + batch
 		if hi > n {
@@ -109,12 +114,13 @@ func TestQueryStreamIterator(t *testing.T) {
 	}
 }
 
-// TestStreamingPastFrameCap serves with a frame cap far below the
-// result size: the result still arrives whole, because only each batch
-// frame is bounded — the acceptance scenario for unbounded result sets.
+// TestStreamingPastFrameCap streams a result of more rows and bytes than
+// one batch frame may carry (4 096 rows, 256 KiB): it still arrives whole,
+// in several batches, because the frame cap bounds each batch frame and
+// never the result — the acceptance scenario for unbounded result sets.
 func TestStreamingPastFrameCap(t *testing.T) {
-	_, srv := serveCluster(t, 2, orchestra.ServeOptions{MaxFrame: 32 << 10})
-	seedWide(t, srv.Addr(), 3000) // ~100KiB+ encoded, far over the 32KiB cap
+	_, srv := serveCluster(t, 2, orchestra.ServeOptions{})
+	seedWide(t, srv.Addr(), 9000) // about 270 KB as rows, past both cuts
 
 	binCl, err := client.Dial(srv.Addr())
 	if err != nil {
@@ -137,8 +143,8 @@ func TestStreamingPastFrameCap(t *testing.T) {
 	if err := st.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if rows != 3000 {
-		t.Fatalf("rows %d, want 3000", rows)
+	if rows != 9000 {
+		t.Fatalf("rows %d, want 9000", rows)
 	}
 	// No single batch buffered the whole result.
 	if maxBatch >= rows {
@@ -176,8 +182,8 @@ func TestStreamServerErrorTyped(t *testing.T) {
 // and the client must keep working on fresh connections.
 func TestStreamAbandonReleasesServer(t *testing.T) {
 	_, srv := serveCluster(t, 2, orchestra.ServeOptions{})
-	seedWide(t, srv.Addr(), 4000)
-	cl, err := client.Dial(srv.Addr(), client.Options{StreamWindow: 1})
+	seedWide(t, srv.Addr(), windowRows) // the server stalls on credit
+	cl, err := client.Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,11 +248,11 @@ func TestStreamContextCancel(t *testing.T) {
 // pooled connection (PoolSize 1) then serves further queries, and the
 // server's admission slots drain back to zero.
 func TestStreamCancelKeepsConnection(t *testing.T) {
-	// A small frame cap cuts the result into many wire batches, so the
+	// The result takes more wire batches than the credit window, so the
 	// cancel lands mid-stream with the credit window full and batches in
 	// flight — the interesting case.
-	_, srv := serveCluster(t, 1, orchestra.ServeOptions{MaxFrame: 64 << 10})
-	seedWide(t, srv.Addr(), 4000)
+	_, srv := serveCluster(t, 1, orchestra.ServeOptions{})
+	seedWide(t, srv.Addr(), windowRows)
 	cl, err := client.Dial(srv.Addr(), client.Options{PoolSize: 1})
 	if err != nil {
 		t.Fatal(err)

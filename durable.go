@@ -83,7 +83,8 @@ func (c *Cluster) DurabilityStats(i int) (obs.DurabilityStats, bool) {
 // nodeRegistry returns node i's metrics registry (nil for volatile
 // clusters); served endpoints export it at /metrics.
 func (c *Cluster) nodeRegistry(i int) *obs.Registry {
+	id := c.NodeID(i)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.registries[string(c.local.Node(i).ID())]
+	return c.registries[id]
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -417,6 +418,33 @@ func TestRemoveNodeGraceful(t *testing.T) {
 	}
 	for _, n := range l.Nodes() {
 		assertConverged(t, l, n)
+	}
+}
+
+// TestAddNodeAfterRemoveNamesAFreshNode: a node joining after a removal
+// gets a name no member has and no removed node had, so it neither
+// collides with a live member nor reopens a removed node's store.
+func TestAddNodeAfterRemoveNamesAFreshNode(t *testing.T) {
+	l := testCluster(t, 5)
+	ctx := ctxT(t)
+	if err := l.RemoveNode(ctx, NodeName(2)); err != nil {
+		t.Fatal(err)
+	}
+	n, err := l.AddNode(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.ID() != NodeName(5) {
+		t.Fatalf("the newcomer is %s, want %s", n.ID(), NodeName(5))
+	}
+	want := []ring.NodeID{NodeName(0), NodeName(1), NodeName(3), NodeName(4), NodeName(5)}
+	var got []ring.NodeID
+	for _, m := range l.Nodes() {
+		got = append(got, m.ID())
+	}
+	members := slices.Sorted(slices.Values(l.Table().Members()))
+	if !slices.Equal(got, want) || !slices.Equal(members, want) {
+		t.Fatalf("nodes %v, table members %v; want %v", got, members, want)
 	}
 }
 

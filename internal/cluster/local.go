@@ -20,16 +20,14 @@ type Local struct {
 	cfg   Config
 	nodes []*Node
 	byID  map[ring.NodeID]*Node
+	// named counts the names given out: a node started later is named
+	// NodeName(named), never a name a member has or a removed node had.
+	named int
 }
 
-// NodeName returns the canonical name of the i'th local node.
+// NodeName returns the canonical name of the i'th local node started.
 func NodeName(i int) ring.NodeID {
 	return ring.NodeID(fmt.Sprintf("orch-%03d", i))
-}
-
-// NewLocal builds an n-node cluster with balanced range allocation.
-func NewLocal(n int, cfg Config, netCfg transport.Config) (*Local, error) {
-	return NewLocalScheme(n, cfg, netCfg, ring.Balanced)
 }
 
 // NewLocalWeighted builds a cluster whose range allocation is proportional
@@ -58,18 +56,19 @@ func NewLocalWeighted(capacities []float64, cfg Config, netCfg transport.Config)
 		}
 		l.nodes = append(l.nodes, node)
 		l.byID[w.ID] = node
+		l.named++
 	}
 	return l, nil
 }
 
-// NewLocalScheme builds an n-node cluster with the given allocation scheme.
-func NewLocalScheme(n int, cfg Config, netCfg transport.Config, scheme ring.Scheme) (*Local, error) {
+// NewLocal builds an n-node cluster with balanced range allocation.
+func NewLocal(n int, cfg Config, netCfg transport.Config) (*Local, error) {
 	cfg = cfg.withDefaults()
 	ids := make([]ring.NodeID, n)
 	for i := range ids {
 		ids[i] = NodeName(i)
 	}
-	table, err := ring.New(ids, scheme, cfg.Replication)
+	table, err := ring.New(ids, ring.Balanced, cfg.Replication)
 	if err != nil {
 		return nil, err
 	}
@@ -86,6 +85,7 @@ func NewLocalScheme(n int, cfg Config, netCfg transport.Config, scheme ring.Sche
 		}
 		l.nodes = append(l.nodes, node)
 		l.byID[id] = node
+		l.named++
 	}
 	return l, nil
 }
@@ -184,13 +184,14 @@ func (l *Local) Restart(ctx context.Context, id ring.NodeID) (*Node, error) {
 	return node, l.settle(ctx)
 }
 
-// AddNode joins a fresh node: it receives the next canonical name and the
-// table with it as a member is installed by move. Per §V-C the new node
-// participates only in queries whose snapshot is taken after the join.
+// AddNode joins a fresh node: it receives the next unused canonical name
+// and the table with it as a member is installed by move. Per §V-C the new
+// node participates only in queries whose snapshot is taken after the join.
 // When the move fails the newcomer is closed, but the table naming it may
 // already be installed.
 func (l *Local) AddNode(ctx context.Context) (*Node, error) {
-	id := NodeName(len(l.nodes))
+	id := NodeName(l.named)
+	l.named++ // a failed join's name may be in an installed table: never reuse it
 	oldTable := l.Table()
 	newTable, err := oldTable.WithMembers(append(oldTable.Members(), id))
 	if err != nil {

@@ -68,30 +68,6 @@ func placementOf(kvKey, value []byte) (keyspace.Key, bool) {
 	}
 }
 
-// segment is a stretch of the key space to which two tables each assign
-// one replica set: the unit in which a membership change moves records.
-type segment struct {
-	ring.Range
-	old, next []ring.NodeID
-}
-
-// segments cuts the ring at every range boundary of old and of next.
-func segments(old, next *ring.Table) []segment {
-	var cuts []keyspace.Key
-	for _, t := range []*ring.Table{old, next} {
-		for _, r := range t.Ranges() {
-			cuts = append(cuts, r.Range.Lo)
-		}
-	}
-	slices.SortFunc(cuts, keyspace.Key.Cmp)
-	cuts = slices.Compact(cuts)
-	out := make([]segment, len(cuts))
-	for i, lo := range cuts {
-		out[i] = segment{ring.Range{Lo: lo, Hi: cuts[(i+1)%len(cuts)]}, old.Replicas(lo), next.Replicas(lo)}
-	}
-	return out
-}
-
 // planned is one pull of a membership change: to fetches want from from.
 type planned struct {
 	to, from *Node
@@ -166,17 +142,17 @@ func (l *Local) move(ctx context.Context, next *ring.Table, nodes []*Node) error
 		return errors.New("cluster: no live node to change membership through")
 	}
 	var pulls []planned
-	for _, s := range segments(old, next) {
+	for _, s := range ring.Segments(old, next) {
 		var gainers, keepers, losers []*Node // the live ones
-		for _, id := range s.next {
-			if n := live[id]; n != nil && slices.Contains(s.old, id) {
+		for _, id := range s.New {
+			if n := live[id]; n != nil && slices.Contains(s.Old, id) {
 				keepers = append(keepers, n)
 			} else if n != nil {
 				gainers = append(gainers, n)
 			}
 		}
-		for _, id := range s.old {
-			if n := live[id]; n != nil && !slices.Contains(s.next, id) {
+		for _, id := range s.Old {
+			if n := live[id]; n != nil && !slices.Contains(s.New, id) {
 				losers = append(losers, n)
 			}
 		}

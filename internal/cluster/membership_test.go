@@ -178,8 +178,8 @@ func oneCopyMove(t *testing.T, members []ring.NodeID, from, to ring.NodeID) (*Lo
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.ContainsFunc(segments(l.Table(), next), func(s segment) bool {
-		return slices.Equal(s.old, []ring.NodeID{from}) && slices.Equal(s.next, []ring.NodeID{to})
+	if !slices.ContainsFunc(ring.Segments(l.Table(), next), func(s ring.Segment) bool {
+		return slices.Equal(s.Old, []ring.NodeID{from}) && slices.Equal(s.New, []ring.NodeID{to})
 	}) {
 		t.Fatalf("no segment moves from %s to %s: the layout changed, pick other nodes", from, to)
 	}

@@ -150,9 +150,9 @@ func (ex *executor) applyRecover() {
 	// range is inherited if this node owns it now but did not before.
 	self := ex.self()
 	var inherited []ring.Range
-	for _, mv := range ring.Diff(prevTable, newTable) {
-		if mv.To == self {
-			inherited = append(inherited, mv.Range)
+	for _, seg := range ring.Segments(prevTable, newTable) {
+		if seg.New[0] == self && seg.Old[0] != self {
+			inherited = append(inherited, seg.Range)
 		}
 	}
 	for _, leaf := range ex.scans {

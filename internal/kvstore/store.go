@@ -103,8 +103,6 @@ type Options struct {
 	// (group-commit fsync per write, the default), SyncInterval
 	// (periodic), or SyncNever (OS page cache).
 	Sync SyncMode
-	// SyncInterval is the period for SyncInterval mode (default 50ms).
-	SyncInterval time.Duration
 	// FS is the filesystem seam; nil means the real one. Tests inject
 	// wal.FaultFS here.
 	FS wal.FS
@@ -229,7 +227,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	// 3. Live log.
 	walPath := filepath.Join(dir, walName)
 	walOpts := wal.Options{
-		Mode: opts.Sync, Interval: opts.SyncInterval,
+		Mode:    opts.Sync,
 		FsyncUs: s.mFsyncUs, Fsyncs: s.mFsyncs, BatchRecords: s.mBatch,
 	}
 	c, err := wal.ReadAll(s.fsys, walPath)

@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -432,45 +433,31 @@ func (t *Table) WithoutNodes(failed []NodeID) (*Table, error) {
 	return nt, nil
 }
 
-// Diff returns the ranges whose ownership differs between t and newer, with
-// the old and new owners. The query initiator uses this to determine which
-// portions of a computation must be redone after a failure (§V-A).
-func Diff(old, newer *Table) []RangeMove {
-	// Collect all boundary points from both tables.
-	boundarySet := make(map[keyspace.Key]bool)
-	for _, e := range old.entries {
-		boundarySet[e.start] = true
-	}
-	for _, e := range newer.entries {
-		boundarySet[e.start] = true
-	}
-	boundaries := make([]keyspace.Key, 0, len(boundarySet))
-	for k := range boundarySet {
-		boundaries = append(boundaries, k)
-	}
-	sort.Slice(boundaries, func(i, j int) bool { return boundaries[i].Less(boundaries[j]) })
-
-	var moves []RangeMove
-	for i, lo := range boundaries {
-		hi := boundaries[(i+1)%len(boundaries)]
-		oldOwner := old.Owner(lo)
-		newOwner := newer.Owner(lo)
-		if oldOwner != newOwner {
-			moves = append(moves, RangeMove{
-				Range: Range{Lo: lo, Hi: hi},
-				From:  oldOwner,
-				To:    newOwner,
-			})
-		}
-	}
-	return moves
+// Segment is a stretch of the key space to which two tables each assign
+// one replica set, owner first.
+type Segment struct {
+	Range
+	Old, New []NodeID
 }
 
-// RangeMove records a change of range ownership between table versions.
-type RangeMove struct {
-	Range Range
-	From  NodeID
-	To    NodeID
+// Segments cuts the ring at every range boundary of old and of next and
+// returns each stretch with its replica sets under both. A membership
+// change moves records by segment; a query initiator restarts the leaf
+// work of the segments it newly owns after a failure (§V-A).
+func Segments(old, next *Table) []Segment {
+	var cuts []keyspace.Key
+	for _, t := range []*Table{old, next} {
+		for _, e := range t.entries {
+			cuts = append(cuts, e.start)
+		}
+	}
+	slices.SortFunc(cuts, keyspace.Key.Cmp)
+	cuts = slices.Compact(cuts)
+	out := make([]Segment, len(cuts))
+	for i, lo := range cuts {
+		out[i] = Segment{Range{Lo: lo, Hi: cuts[(i+1)%len(cuts)]}, old.Replicas(lo), next.Replicas(lo)}
+	}
+	return out
 }
 
 // Balance returns the ratio of the largest owned key-space share to the

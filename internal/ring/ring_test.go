@@ -283,33 +283,43 @@ func TestWithoutNodesErrors(t *testing.T) {
 	}
 }
 
-func TestDiffReportsExactlyLostRanges(t *testing.T) {
+// TestSegmentsReportExactlyLostRanges: after a failure, the segments whose
+// owner changed are exactly the victim's ranges, each now owned by a
+// member of the recovery table, and they cover the ring with the rest.
+func TestSegmentsReportExactlyLostRanges(t *testing.T) {
 	tab := mustNew(t, 6, Balanced, 3)
 	victim := tab.Members()[4]
 	rec, err := tab.WithoutNodes([]NodeID{victim})
 	if err != nil {
 		t.Fatal(err)
 	}
-	moves := Diff(tab, rec)
-	if len(moves) == 0 {
-		t.Fatal("expected moves after failure")
-	}
-	lost := tab.RangesOf(victim)
-	var lostSize, movedSize keyspace.Key
-	for _, r := range lost {
+	var lostSize, movedSize, total keyspace.Key
+	for _, r := range tab.RangesOf(victim) {
 		lostSize = lostSize.Add(r.Size())
 	}
-	for _, m := range moves {
-		if m.From != victim {
-			t.Errorf("move %v has From=%s, want %s", m.Range, m.From, victim)
+	moves := 0
+	for _, s := range Segments(tab, rec) {
+		total = total.Add(s.Range.Size())
+		if s.Old[0] == s.New[0] {
+			continue
 		}
-		if !rec.Contains(m.To) {
-			t.Errorf("move target %s not in recovery table", m.To)
+		moves++
+		if s.Old[0] != victim {
+			t.Errorf("segment %v moves from %s, want %s", s.Range, s.Old[0], victim)
 		}
-		movedSize = movedSize.Add(m.Range.Size())
+		if !rec.Contains(s.New[0]) {
+			t.Errorf("segment %v moves to %s, not in the recovery table", s.Range, s.New[0])
+		}
+		movedSize = movedSize.Add(s.Range.Size())
+	}
+	if moves == 0 {
+		t.Fatal("expected moves after failure")
 	}
 	if lostSize != movedSize {
 		t.Errorf("moved size %s != lost size %s", movedSize.Short(), lostSize.Short())
+	}
+	if !total.IsZero() {
+		t.Errorf("segments cover %s of the ring, want all of it (a sum that wraps to zero)", total.Short())
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 
 // FuzzSessionFrames feeds arbitrary bytes to a live session after a valid
 // hello, over net.Pipe. Whatever arrives, the session must not panic, must
-// not allocate for a frame above max_frame (a hostile length header is
+// not allocate for a frame above the frame cap (a hostile length header is
 // refused before its body is allocated — the bound on bytes allocated per
 // input would not survive a single trusted 2 GiB header), and must either
 // end or, when the input was a run of whole frames, still answer a ping.
@@ -55,8 +55,11 @@ func FuzzSessionFrames(f *testing.F) {
 		f.Add(seed)
 	}
 
-	const maxFrame = wire.MinFrame
-	s := startTestServer(f, &stubBackend{}, Config{MaxFrame: maxFrame, Logf: func(string, ...any) {}})
+	// A 4 KiB cap keeps the allocation bound below tight: a whole frame
+	// under the 64 MiB cap could allocate 16 000 times as much.
+	const maxFrame = 4 << 10
+	lowerFrameCap(f, maxFrame)
+	s := startTestServer(f, &stubBackend{}, Config{Logf: func(string, ...any) {}})
 	hello := jsonFrame(&wire.Request{ID: 1, Op: wire.OpHello, Hello: &wire.HelloRequest{Version: wire.ProtocolVersion}})
 	const pingID = 1<<63 + 12345
 	ping := jsonFrame(&wire.Request{ID: pingID, Op: wire.OpPing})

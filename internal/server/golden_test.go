@@ -18,7 +18,7 @@ import (
 // The payloads and the frame header alone are pinned in internal/wire.
 func TestStreamGoldenBytes(t *testing.T) {
 	rows := []tuple.Row{{tuple.S("k1"), tuple.I(-3), tuple.I(300), tuple.F(0.5)}, {tuple.S(""), tuple.I(0), tuple.I(1), tuple.F(-2)}}
-	stream := sentFrames(t, wire.MaxFrame, func(w *streamWriter) error { return w.StreamCols(rowBatch(t, rows)) })
+	stream := sentFrames(t, func(w *streamWriter) error { return w.StreamCols(rowBatch(t, rows)) })
 	if len(stream) != 3 {
 		t.Fatalf("a two-row answer went out in %d frames, want schema, batch and end", len(stream))
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"orchestra/internal/tuple"
+	"orchestra/internal/wire"
 )
 
 // TestStreamRegistryLateDrop: a stream unregisters itself twice — from its
@@ -41,7 +42,7 @@ func TestStreamRegistryLateDrop(t *testing.T) {
 // registration was lost to the previous stream's late cleanup never sees
 // its credits and stalls until the request deadline.
 func TestBackToBackStreamsKeepCredit(t *testing.T) {
-	const window, frames, queries = 2, 5, 2000
+	const frames, queries = wire.CreditWindow + 1, 2000
 	stub := &streamStub{cols: []string{"a"}}
 	for i := 0; i < frames; i++ {
 		// One frame each: a signature change cuts the staged frame.
@@ -51,7 +52,7 @@ func TestBackToBackStreamsKeepCredit(t *testing.T) {
 			stub.batches = append(stub.batches, batchOf(tuple.Row{tuple.S(fmt.Sprint(i))}))
 		}
 	}
-	srv := startTestServer(t, stub, Config{RequestTimeout: 2 * time.Second, StreamWindow: window})
+	srv := startTestServer(t, stub, Config{RequestTimeout: 2 * time.Second})
 	conn := dialTest(t, srv)
 	for q := 0; q < queries; q++ {
 		start := time.Now()

@@ -48,13 +48,19 @@ func (b *relayStub) QueryStream(ctx context.Context, req *wire.QueryRequest, out
 	return &wire.QueryTail{}, nil
 }
 
-// relayBlock is a 1024-row block of barely compressible strings, flated
-// (about 11 KiB on the wire), as a fragment ships it.
-func relayBlock(t *testing.T, seed int64) ([]byte, []tuple.Row) {
+// relayBlock is a 1024-row block of barely compressible strings of width
+// letters, flated, as a fragment ships it: about 11 KiB on the wire at
+// width 16, and past the 256 KiB batch cut at width 500.
+func relayBlock(t *testing.T, seed int64, width int) ([]byte, []tuple.Row) {
+	const alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 	rng := rand.New(rand.NewSource(seed))
 	rows := make([]tuple.Row, 1024)
+	str := make([]byte, width)
 	for i := range rows {
-		rows[i] = tuple.Row{tuple.S(fmt.Sprintf("%016x", rng.Uint64())), tuple.I(int64(i))}
+		for j := range str {
+			str[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		rows[i] = tuple.Row{tuple.S(string(str)), tuple.I(int64(i))}
 	}
 	enc, err := tuple.AppendBatchCols(nil, rowBatch(t, rows), 256)
 	if err != nil || !flated(enc) {
@@ -77,27 +83,29 @@ func flated(enc []byte) bool {
 // TestStreamEncodedFrames: the writer sends an encoded block as one batch
 // frame of exactly its bytes, flated string bytes included, after the rows
 // staged ahead of it, counted in the End frame, and refuses a block past
-// its frame budget, which then arrives decoded and re-framed.
+// the batch cut, which then arrives decoded and re-framed.
 func TestStreamEncodedFrames(t *testing.T) {
-	blk1, rows1 := relayBlock(t, 1)
-	blk2, rows2 := relayBlock(t, 2)
 	lead := []tuple.Row{{tuple.S("a"), tuple.I(-1)}, {tuple.S("b"), tuple.I(-2)}}
-	stub := &relayStub{
-		lead:   []*tuple.Batch{rowBatch(t, lead[:1]), rowBatch(t, lead[1:])},
-		blocks: [][]byte{blk1, blk2},
-	}
-	want := append(append(append([]tuple.Row{}, lead...), rows1...), rows2...)
 	for _, tc := range []struct {
-		name     string
-		maxFrame int64 // negotiated by hello (0: the server's)
-		relayed  bool
+		name    string
+		width   int // of the blocks' strings
+		relayed bool
 	}{
-		{name: "relayed", relayed: true},
-		{name: "frame budget below a block", maxFrame: wire.MinFrame},
+		{name: "relayed", width: 16, relayed: true},
+		{name: "frame budget below a block", width: 500},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			conn := dialRaw(t, startTestServer(t, stub, Config{}))
-			conn.hello(&wire.HelloRequest{Version: wire.ProtocolVersion, MaxFrame: tc.maxFrame})
+			blk1, rows1 := relayBlock(t, 1, tc.width)
+			blk2, rows2 := relayBlock(t, 2, tc.width)
+			if past := len(blk1) > streamBatchBytes && len(blk2) > streamBatchBytes; past == tc.relayed {
+				t.Fatalf("blocks of %d and %d bytes against a %d-byte cut", len(blk1), len(blk2), streamBatchBytes)
+			}
+			stub := &relayStub{
+				lead:   []*tuple.Batch{rowBatch(t, lead[:1]), rowBatch(t, lead[1:])},
+				blocks: [][]byte{blk1, blk2},
+			}
+			want := append(append(append([]tuple.Row{}, lead...), rows1...), rows2...)
+			conn := dialTest(t, startTestServer(t, stub, Config{}))
 			conn.query(1, "q")
 			var got []tuple.Row
 			var frames [][]byte

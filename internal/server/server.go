@@ -43,15 +43,6 @@ type Config struct {
 	// TCP, so one connection cannot accumulate unbounded handler
 	// goroutines and payloads.
 	MaxPipelinedRequests int
-	// MaxFrame bounds a single wire frame (default wire.MaxFrame). The
-	// hello handshake may negotiate it lower per connection. Results are
-	// bounded per batch frame, not in total.
-	MaxFrame int64
-	// StreamWindow is the per-stream credit window offered to clients:
-	// the number of un-acknowledged batch frames in flight per streamed
-	// query (default DefaultStreamWindow). The handshake uses
-	// min(client, server).
-	StreamWindow int
 	// OnQueryStart, when set, is invoked at the start of every query
 	// execution while its admission slot is held — an instrumentation
 	// hook (tests use it to make executions overlap deterministically).
@@ -89,13 +80,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxPipelinedRequests <= 0 {
 		c.MaxPipelinedRequests = 64
-	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = wire.MaxFrame
-	}
-	c.MaxFrame = min(max(c.MaxFrame, wire.MinFrame), wire.MaxFrameLimit) // control frames must always fit
-	if c.StreamWindow <= 0 {
-		c.StreamWindow = DefaultStreamWindow
 	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
@@ -451,11 +435,6 @@ type session struct {
 
 	wmu sync.Mutex
 
-	// maxFrame and window are the connection's limits: the server's until
-	// the hello handshake lowers them, fixed before any handler starts.
-	maxFrame int64
-	window   int
-
 	smu     sync.Mutex
 	streams map[uint64]*streamWriter // in-flight streams by request ID
 }
@@ -480,7 +459,7 @@ func (sess *session) write(frame []byte) error {
 func (sess *session) writeResponse(resp *wire.Response) error {
 	buf := getFrameBuf()
 	defer putFrameBuf(buf)
-	frame, err := wire.AppendJSONFrame((*buf)[:0], resp, sess.maxFrame)
+	frame, err := wire.AppendJSONFrame((*buf)[:0], resp, frameCap.Load())
 	if err != nil {
 		code := wire.CodeInternal
 		var fse *wire.FrameSizeError
@@ -488,7 +467,7 @@ func (sess *session) writeResponse(resp *wire.Response) error {
 			code = wire.CodeFrameTooLarge
 		}
 		fallback := &wire.Response{ID: resp.ID, Error: wire.Errorf(code, "encode response: %v", err)}
-		if frame, err = wire.AppendJSONFrame((*buf)[:0], fallback, sess.maxFrame); err != nil {
+		if frame, err = wire.AppendJSONFrame((*buf)[:0], fallback, frameCap.Load()); err != nil {
 			sess.srv.cfg.Logf("server: %s: encode: %v", sess.conn.RemoteAddr(), err)
 			sess.conn.Close()
 			return err
@@ -544,12 +523,10 @@ func (sess *session) stream(id uint64) *streamWriter {
 
 func (s *Server) session(conn net.Conn) {
 	sess := &session{
-		srv:      s,
-		conn:     conn,
-		br:       bufio.NewReaderSize(conn, 32<<10),
-		maxFrame: s.cfg.MaxFrame,
-		window:   s.cfg.StreamWindow,
-		streams:  make(map[uint64]*streamWriter),
+		srv:     s,
+		conn:    conn,
+		br:      bufio.NewReaderSize(conn, 32<<10),
+		streams: make(map[uint64]*streamWriter),
 	}
 	sess.ctx, sess.cancel = context.WithCancel(context.Background())
 	defer func() {
@@ -608,7 +585,7 @@ func (s *Server) session(conn net.Conn) {
 		}
 	}()
 	for {
-		kind, payload, err := wire.ReadRawFrame(sess.br, sess.maxFrame)
+		kind, payload, err := wire.ReadRawFrame(sess.br, frameCap.Load())
 		if err != nil {
 			sess.readError(err)
 			return
@@ -676,12 +653,11 @@ func (sess *session) readError(err error) {
 	}
 }
 
-// handshake reads the mandatory hello request, checks the protocol
-// version, and fixes the connection's limits at the min of the two
-// peers' offers. Anything else as the first frame is refused with a typed
-// bad_request and the connection closed (false).
+// handshake reads the mandatory hello request and checks the protocol
+// version. Anything else as the first frame, or another version, is
+// refused with a typed bad_request and the connection closed (false).
 func (s *Server) handshake(sess *session) bool {
-	kind, payload, err := wire.ReadRawFrame(sess.br, sess.maxFrame)
+	kind, payload, err := wire.ReadRawFrame(sess.br, frameCap.Load())
 	start := time.Now()
 	if err != nil {
 		sess.readError(err)
@@ -697,20 +673,10 @@ func (s *Server) handshake(sess *session) bool {
 	case req.Hello.Version != wire.ProtocolVersion:
 		sess.protocolError(req.ID, wire.CodeBadRequest, "protocol version %d, server speaks %d", req.Hello.Version, wire.ProtocolVersion)
 	default:
-		if mf := req.Hello.MaxFrame; mf > 0 && mf < sess.maxFrame {
-			sess.maxFrame = max(mf, wire.MinFrame)
-		}
-		if w := req.Hello.Window; w > 0 && w < sess.window {
-			sess.window = w
-		}
 		// Counted before the response is on the wire, as a query is before
 		// its End frame: a peer that has read it finds it in the stats.
 		s.observeOp(wire.OpHello, time.Since(start), false)
-		if sess.writeResponse(&wire.Response{ID: req.ID, Hello: &wire.HelloResponse{
-			Version:  wire.ProtocolVersion,
-			MaxFrame: sess.maxFrame,
-			Window:   sess.window,
-		}}) != nil {
+		if sess.writeResponse(&wire.Response{ID: req.ID, Hello: &wire.HelloResponse{Version: wire.ProtocolVersion}}) != nil {
 			s.ops[wire.OpHello].errors.Inc()
 			return false
 		}
@@ -734,7 +700,7 @@ func (s *Server) dispatchStream(sess *session, req *wire.Request) {
 	}
 	ctx, cancel := context.WithTimeout(sess.ctx, timeout)
 	defer cancel()
-	w := newStreamWriter(ctx, sess, req.ID, sess.window)
+	w := newStreamWriter(ctx, sess, req.ID)
 	w.cancelFn = cancel // a FrameCancel aborts the query context
 	w.onFirst = func() { s.firstBatch.Observe(time.Since(start)) }
 	// account counts the op from end()'s beforeEnd hook — before the End
@@ -791,9 +757,9 @@ func (s *Server) dispatchStream(sess *session, req *wire.Request) {
 		}
 		if !errors.Is(werr, net.ErrClosed) {
 			// The tail itself would not encode (e.g. a plan or error
-			// message past the negotiated frame cap): a stream must never
-			// end without its End frame, so degrade to a minimal error
-			// End — and sever the connection if even that cannot be sent,
+			// message past the frame cap): a stream must never end
+			// without its End frame, so degrade to a minimal error End —
+			// and sever the connection if even that cannot be sent,
 			// rather than leave the client waiting forever.
 			code := wire.CodeInternal
 			var fse *wire.FrameSizeError

@@ -122,7 +122,13 @@ func dialRaw(t testing.TB, s *Server) *testConn {
 	return &testConn{t: t, Conn: conn, br: bufio.NewReader(conn), open: map[uint64]*reply{}, done: map[uint64]*reply{}}
 }
 
-// dialTest connects and performs the handshake with the server's limits.
+// lowerFrameCap sets the frame cap sessions enforce to n until tb ends.
+func lowerFrameCap(tb testing.TB, n int64) {
+	old := frameCap.Swap(n)
+	tb.Cleanup(func() { frameCap.Store(old) })
+}
+
+// dialTest connects and performs the handshake.
 func dialTest(t testing.TB, s *Server) *testConn {
 	t.Helper()
 	c := dialRaw(t, s)

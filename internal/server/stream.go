@@ -2,7 +2,7 @@ package server
 
 // The server side of a result stream (the frame sequence is specified in
 // internal/wire): the writer that stages a query's answer into batch
-// frames under the client's credit window.
+// frames under the stream's credit window.
 
 import (
 	"context"
@@ -17,18 +17,25 @@ import (
 	"orchestra/internal/wire"
 )
 
-// Stream tuning defaults (server side; window is negotiated down by hello).
+// Where a stream cuts its batch frames. Every writer cuts the same, so a
+// view entry's memo serves every hit.
 const (
-	// DefaultStreamWindow is the default per-stream credit window, in
-	// batch frames.
-	DefaultStreamWindow = 8
-	// defaultStreamBatchBytes is the target encoded size of one batch
-	// frame (pre-compression).
-	defaultStreamBatchBytes = 256 << 10
+	// streamBatchBytes is the target encoded size of one batch frame
+	// (pre-compression), far enough under wire.MaxFrame that incompressible
+	// rows still fit.
+	streamBatchBytes = 256 << 10
 	// maxStreamBatchRows caps rows per batch frame so decode-side
 	// allocations stay bounded regardless of row width.
 	maxStreamBatchRows = 4096
 )
+
+// frameCap bounds every frame a session reads or writes: wire.MaxFrame.
+// It is a variable only so that tests reach the refusals of a frame past
+// the cap without building one of 64 MiB, and atomic so that a test may
+// lower it while sessions of earlier tests still wind down.
+var frameCap atomic.Int64
+
+func init() { frameCap.Store(wire.MaxFrame) }
 
 // frameBufPool recycles frame build buffers across requests and batches.
 var frameBufPool = sync.Pool{
@@ -65,11 +72,7 @@ type streamWriter struct {
 	ctx     context.Context
 	sess    *session
 	id      uint64
-	window  int         // negotiated credit window (batch frames)
 	credits chan uint64 // replenished by the session's read loop
-
-	maxFrame    int64
-	targetBytes int // soft cut point for one batch (pre-compression)
 
 	cols    []string // announced by Columns, sent by begin
 	started bool     // schema frame sent
@@ -108,29 +111,16 @@ type streamWriter struct {
 	rec *viewFrames
 }
 
-func newStreamWriter(ctx context.Context, sess *session, id uint64, window int) *streamWriter {
-	maxFrame := sess.maxFrame
-	target := defaultStreamBatchBytes
-	// Leave generous headroom under the frame cap: compression is applied
-	// after the cut, but incompressible data must still fit.
-	if lim := int(maxFrame / 4); lim > 0 && target > lim {
-		target = lim
-	}
-	if window < 1 {
-		window = 1
-	}
+func newStreamWriter(ctx context.Context, sess *session, id uint64) *streamWriter {
 	return &streamWriter{
-		ctx:    ctx,
-		sess:   sess,
-		id:     id,
-		window: window,
+		ctx:  ctx,
+		sess: sess,
+		id:   id,
 		// Sized to the window: a well-behaved client never has more
 		// un-drained credits in flight than un-acknowledged batches, so
 		// nothing legitimate is ever dropped by credit().
-		credits:     make(chan uint64, window),
-		maxFrame:    maxFrame,
-		targetBytes: target,
-		avail:       window,
+		credits: make(chan uint64, wire.CreditWindow),
+		avail:   wire.CreditWindow,
 	}
 }
 
@@ -148,7 +138,7 @@ func (w *streamWriter) begin() error {
 	defer putFrameBuf(buf)
 	dst, mark := wire.BeginFrame((*buf)[:0], wire.FrameSchema)
 	dst = wire.AppendSchemaPayload(dst, w.id, w.cols)
-	dst, err := wire.FinishFrame(dst, mark, w.maxFrame)
+	dst, err := wire.FinishFrame(dst, mark, frameCap.Load())
 	if err != nil {
 		return err
 	}
@@ -197,7 +187,7 @@ func (w *streamWriter) StreamCols(b *tuple.Batch) error {
 			w.setSigTypes(types)
 		}
 		j := i
-		budget := w.targetBytes - w.pendSize
+		budget := streamBatchBytes - w.pendSize
 		roomRows := maxStreamBatchRows - w.pendCols.N
 		if fixed := w.sigFixed; fixed > 0 {
 			// The row that crosses the target still goes into the batch,
@@ -225,7 +215,7 @@ func (w *streamWriter) StreamCols(b *tuple.Batch) error {
 			}
 		}
 		i = j
-		if w.pendSize >= w.targetBytes || w.pendCols.N >= maxStreamBatchRows || i < b.N {
+		if w.pendSize >= streamBatchBytes || w.pendCols.N >= maxStreamBatchRows || i < b.N {
 			if err := w.flushCols(); err != nil {
 				return err
 			}
@@ -235,7 +225,7 @@ func (w *streamWriter) StreamCols(b *tuple.Batch) error {
 	// held for a full target-size batch: time-to-first-byte matters more
 	// than frame efficiency for the first frame, and a streamed backend's
 	// first chunk may otherwise sit staged while the scan fills the target.
-	// Steady-state frames keep the targetBytes/maxStreamBatchRows cut.
+	// Steady-state frames keep the streamBatchBytes/maxStreamBatchRows cut.
 	if w.batches == 0 && w.pendCols != nil && w.pendCols.N > 0 {
 		return w.flushCols()
 	}
@@ -245,12 +235,12 @@ func (w *streamWriter) StreamCols(b *tuple.Batch) error {
 // StreamEncoded implements engine.FrameSink: a block a fragment encoded
 // (tuple.AppendBatchCols layout, checked by the engine) goes out as one
 // batch frame, its bytes as they are (writeEncoded). It refuses — false,
-// nothing sent — a batch past the frame budget; the engine decodes that and
+// nothing sent — a batch past the batch cut; the engine decodes that and
 // hands it to StreamCols. A block's flated string bytes go out as they are
 // even when the server never compresses: that setting saves the server's CPU,
 // and the fragment that encoded the block has already spent it.
 func (w *streamWriter) StreamEncoded(batch []byte, rows int) (bool, error) {
-	if len(batch) > w.targetBytes {
+	if len(batch) > streamBatchBytes {
 		return false, nil
 	}
 	defer w.timeWrite(time.Now())
@@ -286,7 +276,7 @@ func (w *streamWriter) writeEncoded(body []byte, rows int) error {
 	defer putFrameBuf(buf)
 	dst, mark := wire.BeginFrame((*buf)[:0], wire.FrameBatch)
 	dst = binary.BigEndian.AppendUint64(dst, w.id)
-	dst, err := wire.FinishFrame(append(dst, body...), mark, w.maxFrame)
+	dst, err := wire.FinishFrame(append(dst, body...), mark, frameCap.Load())
 	if err != nil {
 		return err
 	}
@@ -374,7 +364,7 @@ func (w *streamWriter) flushCols() error {
 	if err != nil {
 		return err
 	}
-	dst, err = wire.FinishFrame(dst, mark, w.maxFrame)
+	dst, err = wire.FinishFrame(dst, mark, frameCap.Load())
 	if err != nil {
 		return err
 	}
@@ -505,7 +495,7 @@ func (w *streamWriter) end(tail *wire.StreamEnd, beforeEnd func(failed bool)) er
 	if err != nil {
 		return err
 	}
-	dst, err = wire.FinishFrame(append(dst, body...), mark, w.maxFrame)
+	dst, err = wire.FinishFrame(append(dst, body...), mark, frameCap.Load())
 	if err != nil {
 		return err
 	}

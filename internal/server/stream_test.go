@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"encoding/binary"
+	"errors"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -49,42 +51,76 @@ func (b *streamStub) QueryStream(ctx context.Context, req *wire.QueryRequest, ou
 	return &t, nil
 }
 
-func TestHelloNegotiation(t *testing.T) {
-	s := startTestServer(t, &stubBackend{}, Config{StreamWindow: 6})
-	h := dialRaw(t, s).hello(&wire.HelloRequest{Version: wire.ProtocolVersion, MaxFrame: 1 << 20, Window: 4})
-	if h.Version != wire.ProtocolVersion {
-		t.Fatalf("version %d", h.Version)
+// TestHelloChecksOnlyVersion: the server answers a hello of its version
+// with exactly {"version":5} (wire.TestHelloGoldenBytes pins both frames),
+// and refuses a version-4 hello that still offers a frame cap and a
+// window. Hello is accounted like any op.
+func TestHelloChecksOnlyVersion(t *testing.T) {
+	s := startTestServer(t, &stubBackend{}, Config{})
+	conn := dialRaw(t, s)
+	conn.send(&wire.Request{ID: 1, Op: wire.OpHello, Hello: &wire.HelloRequest{Version: wire.ProtocolVersion}})
+	if kind, payload := conn.frame(); kind != wire.FrameJSON || string(payload) != `{"id":1,"hello":{"version":5}}` {
+		t.Fatalf("hello answered with a %v frame %s", kind, payload)
 	}
-	if h.MaxFrame != 1<<20 {
-		t.Fatalf("max frame %d, want the client's lower 1MiB", h.MaxFrame)
+	old := dialRaw(t, s)
+	old.sendFrame(wire.FrameJSON, []byte(`{"id":1,"op":"hello","hello":{"version":4,"max_frame":65536,"window":4}}`))
+	if r := old.next(); r.err() == nil || r.err().Code != wire.CodeBadRequest {
+		t.Fatalf("a version-4 hello got %+v, want bad_request", r.resp)
 	}
-	if h.Window != 4 {
-		t.Fatalf("window %d, want min(4, 6)", h.Window)
-	}
-	if h := dialRaw(t, s).hello(&wire.HelloRequest{Version: wire.ProtocolVersion, MaxFrame: 16}); h.MaxFrame != wire.MinFrame {
-		t.Fatalf("max frame %d, want the %d floor", h.MaxFrame, wire.MinFrame)
-	}
-	// Hello is accounted like any op.
-	if st := s.Stats(); st.Ops[wire.OpHello].Count != 2 {
-		t.Fatalf("hello count %d", st.Ops[wire.OpHello].Count)
+	if st := s.Stats().Ops[wire.OpHello]; st.Count != 2 || st.Errors != 1 {
+		t.Fatalf("hello counted %d times, %d errors; want 2 and 1", st.Count, st.Errors)
 	}
 }
 
-// TestStreamedQueryFrames drives the full frame sequence against a
-// scripted backend and checks shape, content, and IDs.
-func TestStreamedQueryFrames(t *testing.T) {
-	rows := func(lo, hi int) []tuple.Row {
-		var out []tuple.Row
-		for i := lo; i < hi; i++ {
-			out = append(out, tuple.Row{tuple.I(int64(i)), tuple.S("v")})
+// windowStub answers with more batch frames than the credit window: one
+// backend batch of rows (i, "v"), which the writer cuts at
+// maxStreamBatchRows.
+func windowStub() (*streamStub, int) {
+	const frames = wire.CreditWindow + 2
+	var rows []tuple.Row
+	for i := 0; i < frames*maxStreamBatchRows; i++ {
+		rows = append(rows, tuple.Row{tuple.I(int64(i)), tuple.S("v")})
+	}
+	return &streamStub{cols: []string{"a", "b"}, batches: []*tuple.Batch{batchOf(rows...)}, tail: wire.QueryTail{Epoch: 42, Phases: 1}}, frames
+}
+
+// readBatches reads n batch frames of stream id, granting no credit, and
+// returns their rows.
+func readBatches(t *testing.T, conn *testConn, id uint64, n int) []tuple.Row {
+	t.Helper()
+	var rows []tuple.Row
+	for i := 0; i < n; i++ {
+		kind, payload := conn.frame()
+		if kind != wire.FrameBatch {
+			t.Fatalf("frame %d: %v, want batch", i, kind)
 		}
-		return out
+		got, part, err := decodeBatchPayload(payload)
+		if err != nil || got != id {
+			t.Fatalf("batch %d: id %d, %v", i, got, err)
+		}
+		rows = append(rows, part...)
 	}
-	stub := &streamStub{
-		cols:    []string{"a", "b"},
-		batches: []*tuple.Batch{batchOf(rows(0, 10)...), batchOf(rows(10, 25)...)},
-		tail:    wire.QueryTail{Epoch: 42, Phases: 1},
+	return rows
+}
+
+// assertStalled checks that nothing arrives on conn for a while: the
+// stream waits on credit.
+func assertStalled(t *testing.T, conn *testConn) {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	var ne net.Error
+	if kind, _, err := wire.ReadRawFrame(conn.br, wire.MaxFrame); !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("a %v frame (%v) arrived past the credit window of %d", kind, err, wire.CreditWindow)
 	}
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+}
+
+// TestStreamedQueryFrames drives the full frame sequence against a
+// scripted backend whose answer takes more batch frames than the credit
+// window: Schema, exactly wire.CreditWindow batches, a stall until credit
+// arrives, then the rest and End, with IDs, shape and every row intact.
+func TestStreamedQueryFrames(t *testing.T) {
+	stub, frames := windowStub()
 	conn := dialTest(t, startTestServer(t, stub, Config{}))
 	const reqID = 777
 	conn.query(reqID, "q")
@@ -99,69 +135,52 @@ func TestStreamedQueryFrames(t *testing.T) {
 	if len(cols) != 2 || cols[0] != "a" || cols[1] != "b" {
 		t.Fatalf("cols %v", cols)
 	}
+	rows := readBatches(t, conn, reqID, wire.CreditWindow)
+	assertStalled(t, conn)
+	conn.sendFrame(wire.FrameCredit, wire.AppendCreditPayload(nil, reqID, wire.CreditWindow))
 	r := conn.await(reqID)
-	if r.end.Error != nil || r.end.Epoch != 42 || r.end.Rows != 25 {
-		t.Fatalf("end: %+v", r.end)
+	want := stub.batches[0].N
+	if r.end.Error != nil || r.end.Epoch != 42 || r.end.Rows != int64(want) || r.end.Batches != frames {
+		t.Fatalf("end: %+v, want %d rows in %d frames", r.end, want, frames)
 	}
-	if len(r.rows) != 25 {
-		t.Fatalf("streamed %d rows, want 25", len(r.rows))
+	rows = append(rows, r.rows...)
+	if len(rows) != want {
+		t.Fatalf("streamed %d rows, want %d", len(rows), want)
 	}
-	for i, row := range r.rows {
+	for i, row := range rows {
 		if row[0].I64 != int64(i) || row[1].Str != "v" {
 			t.Fatalf("row %d: %v", i, row)
 		}
 	}
 }
 
-// TestStreamCreditBackpressure negotiates a window of 1 and shows (a)
-// the server stalls after one un-acknowledged batch, (b) other requests
-// still interleave on the connection mid-stream, and (c) credits resume
-// the stream to completion.
+// TestStreamCreditBackpressure shows (a) the server stalls once a
+// stream has a window of un-credited batches in flight, (b) other
+// requests still interleave on the connection mid-stream, and (c)
+// credits resume the stream to completion.
 func TestStreamCreditBackpressure(t *testing.T) {
-	big := make([]tuple.Row, 2000)
-	for i := range big {
-		big[i] = tuple.Row{tuple.I(int64(i)), tuple.S("padpadpadpadpadpadpadpad")}
-	}
-	stub := &streamStub{
-		cols:    []string{"a", "b"},
-		batches: []*tuple.Batch{batchOf(big[:700]...), batchOf(big[700:1400]...), batchOf(big[1400:]...)},
-	}
-	conn := dialRaw(t, startTestServer(t, stub, Config{}))
-	// Negotiate a small frame cap so the byte target (maxFrame/4 = 16KiB)
-	// cuts the ~70KiB result into several wire batches; window 1 then
-	// stalls the stream after each un-credited batch.
-	if h := conn.hello(&wire.HelloRequest{Version: wire.ProtocolVersion, Window: 1, MaxFrame: 64 << 10}); h.Window != 1 {
-		t.Fatalf("window %d", h.Window)
-	}
+	stub, frames := windowStub()
+	conn := dialTest(t, startTestServer(t, stub, Config{}))
 	const reqID = 9
 	conn.query(reqID, "q")
-	// Schema, then exactly one batch; the server now owes us nothing
-	// until we grant credit.
 	if kind, _ := conn.frame(); kind != wire.FrameSchema {
 		t.Fatalf("kind=%v", kind)
 	}
-	kind, payload := conn.frame()
-	if kind != wire.FrameBatch {
-		t.Fatalf("kind=%v", kind)
-	}
-	_, rows1, err := decodeBatchPayload(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := readBatches(t, conn, reqID, wire.CreditWindow)
 	// Interleave: a ping mid-stream gets its response while the stream
-	// is stalled on credit.
+	// is stalled on credit — the response is the next frame.
 	conn.send(&wire.Request{ID: 10, Op: wire.OpPing})
 	if r := conn.next(); r.id != 10 || r.err() != nil {
 		t.Fatalf("interleaved ping: %+v", r)
 	}
-	// Grant the first batch's credit; next() grants the rest.
+	// Grant one credit at a time: each lets exactly one more batch out.
 	conn.sendFrame(wire.FrameCredit, wire.AppendCreditPayload(nil, reqID, 1))
+	rows = append(rows, readBatches(t, conn, reqID, 1)...)
+	assertStalled(t, conn)
+	conn.sendFrame(wire.FrameCredit, wire.AppendCreditPayload(nil, reqID, wire.CreditWindow))
 	r := conn.await(reqID)
-	if r.end.Error != nil || int(r.end.Rows) != len(big) || r.end.Batches < 3 {
-		t.Fatalf("end: %+v", r.end)
-	}
-	if total := len(rows1) + len(r.rows); total != len(big) {
-		t.Fatalf("streamed %d rows, want %d", total, len(big))
+	if r.end.Error != nil || r.end.Batches != frames || len(rows)+len(r.rows) != stub.batches[0].N {
+		t.Fatalf("end: %+v after %d rows", r.end, len(rows)+len(r.rows))
 	}
 }
 
@@ -180,7 +199,7 @@ func TestStreamBatchSignatureChange(t *testing.T) {
 		want = append(want, b.Rows()...)
 	}
 	stub := &streamStub{cols: []string{"x"}, batches: batches}
-	conn := dialTest(t, startTestServer(t, stub, Config{StreamWindow: 64}))
+	conn := dialTest(t, startTestServer(t, stub, Config{}))
 	conn.query(1, "q")
 	r := conn.await(1)
 	if r.err() != nil {
@@ -201,10 +220,13 @@ func TestStreamBatchSignatureChange(t *testing.T) {
 }
 
 // TestInboundFrameTooLarge: the server reports frame_too_large before
-// closing instead of silently dropping the connection.
+// closing instead of silently dropping the connection. A length header
+// past wire.MaxFrame is refused before its body is read, so none is sent.
 func TestInboundFrameTooLarge(t *testing.T) {
-	conn := dialTest(t, startTestServer(t, &stubBackend{}, Config{MaxFrame: wire.MinFrame}))
-	conn.query(1, strings.Repeat("x", 2*wire.MinFrame))
+	conn := dialTest(t, startTestServer(t, &stubBackend{}, Config{}))
+	if _, err := conn.Write(binary.BigEndian.AppendUint32(nil, wire.MaxFrame+1)); err != nil {
+		t.Fatal(err)
+	}
 	if r := conn.next(); r.err() == nil || r.err().Code != wire.CodeFrameTooLarge {
 		t.Fatalf("got %+v, want frame_too_large", r.err())
 	}
@@ -214,22 +236,42 @@ func TestInboundFrameTooLarge(t *testing.T) {
 	}
 }
 
-// TestStreamingPastFrameCap: a result far over the frame cap streams to
-// completion, because only each batch frame is bounded.
+// TestStreamingPastFrameCap: a result many times a batch frame's size
+// streams to completion in frames cut at streamBatchBytes, because the
+// frame cap bounds each batch frame, never the result.
 func TestStreamingPastFrameCap(t *testing.T) {
+	pad := strings.Repeat("p", 400)
 	var rows []tuple.Row
 	for i := 0; i < 3000; i++ {
-		rows = append(rows, tuple.Row{tuple.I(int64(i)), tuple.S("pad pad pad pad pad pad")})
+		rows = append(rows, tuple.Row{tuple.I(int64(i)), tuple.S(pad)})
 	}
 	stub := &streamStub{cols: []string{"a", "b"}, batches: []*tuple.Batch{batchOf(rows...)}}
-	conn := dialTest(t, startTestServer(t, stub, Config{MaxFrame: 16 << 10}))
+	conn := dialTest(t, startTestServer(t, stub, Config{}))
 	conn.query(2, "big")
 	r := conn.await(2)
 	if r.err() != nil || len(r.rows) != len(rows) {
 		t.Fatalf("streamed %d rows, want %d (end %+v)", len(r.rows), len(rows), r.end)
 	}
 	if r.end.Batches < 4 {
-		t.Fatalf("a %d-row result crossed a 16KiB frame cap in %d batches", len(rows), r.end.Batches)
+		t.Fatalf("a %d-row result of about 1.2 MB crossed a %d-byte batch cut in %d batches", len(rows), streamBatchBytes, r.end.Batches)
+	}
+}
+
+// TestEndFrameFallback: a stream whose End frame will not encode under the
+// frame cap — here a plan longer than the cap — still ends, with a minimal
+// frame_too_large End, and the connection stays usable.
+func TestEndFrameFallback(t *testing.T) {
+	stub := &streamStub{cols: []string{"a"}, batches: []*tuple.Batch{batchOf(tuple.Row{tuple.I(1)})}, tail: wire.QueryTail{Plan: strings.Repeat("p", 8<<10)}}
+	lowerFrameCap(t, 4<<10)
+	conn := dialTest(t, startTestServer(t, stub, Config{}))
+	conn.query(1, "q")
+	r := conn.await(1)
+	if r.err() == nil || r.err().Code != wire.CodeFrameTooLarge || len(r.rows) != 1 {
+		t.Fatalf("end %+v after %d rows, want frame_too_large after 1", r.end, len(r.rows))
+	}
+	conn.send(&wire.Request{ID: 2, Op: wire.OpPing})
+	if r := conn.await(2); r.err() != nil {
+		t.Fatalf("ping after the fallback: %v", r.err())
 	}
 }
 
@@ -251,7 +293,7 @@ func TestStreamCancelFrame(t *testing.T) {
 		batches: []*tuple.Batch{batchOf(big[:1000]...), batchOf(big[1000:2000]...), batchOf(big[2000:]...)},
 		gate:    gate,
 	}
-	s := startTestServer(t, stub, Config{StreamWindow: 1})
+	s := startTestServer(t, stub, Config{})
 	conn := dialTest(t, s)
 
 	const reqID = 11
@@ -260,8 +302,7 @@ func TestStreamCancelFrame(t *testing.T) {
 	if kind, _ := conn.frame(); kind != wire.FrameSchema {
 		t.Fatalf("first frame %v, want schema", kind)
 	}
-	// The first batch arrives; the window of 1 then stalls the writer
-	// while the backend waits on its gate.
+	// The first batch arrives; the backend then waits on its gate.
 	kind, payload := conn.frame()
 	if kind != wire.FrameBatch {
 		t.Fatalf("second frame %v, want batch", kind)
@@ -334,10 +375,10 @@ func TestProtocolConformance(t *testing.T) {
 		{"empty frame", true, rawHeader(0), wire.CodeBadRequest},
 		{"malformed JSON", true, append(rawHeader(2), byte(wire.FrameJSON), '{'), wire.CodeBadRequest},
 		{"short credit frame", true, append(rawHeader(3), byte(wire.FrameCredit), 1, 2), wire.CodeBadRequest},
-		{"oversize inbound frame", true, rawHeader(wire.MinFrame + 1), wire.CodeFrameTooLarge},
+		{"oversize inbound frame", true, rawHeader(wire.MaxFrame + 1), wire.CodeFrameTooLarge},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := startTestServer(t, &stubBackend{}, Config{MaxFrame: wire.MinFrame})
+			s := startTestServer(t, &stubBackend{}, Config{})
 			conn := dialRaw(t, s)
 			if tc.hello {
 				conn.hello(&wire.HelloRequest{Version: wire.ProtocolVersion})

@@ -24,12 +24,11 @@ import (
 // both hit and fill it.
 //
 // An entry keeps its answer as the batch the miss produced and, once a
-// frame writer has sent it, as the batch frames that writer encoded. A
-// served hit whose writer cuts and compresses under the same settings
-// writes those bytes as they are; the embedded collecting sink and a
-// writer with other settings (endpoints and sessions may differ) read the
-// batch. Either way the client receives the bytes its own writer's encode
-// would have sent.
+// frame writer has sent it, as the batch frames that writer encoded. Every
+// frame writer cuts and compresses alike (the cut is a constant of the
+// stream writer), so a served hit writes those bytes as they are, the
+// bytes its own encode would have sent; the embedded collecting sink reads
+// the batch.
 type ViewCache struct {
 	mu  sync.Mutex
 	max int
@@ -51,9 +50,9 @@ type viewKey struct {
 // pool) and every reader only reads it. Its string values live in a slab
 // of their own (Batch.Own): a scanned string aliases a store leaf's slab,
 // and a cached answer must pin its own bytes, not every leaf it read.
-// Beside the batch the entry memoizes the answer as one frame writer cut
-// and encoded it (emit), so a served hit cut at the same batch size
-// writes those bytes and encodes nothing.
+// Beside the batch the entry memoizes the answer as the first frame writer
+// cut and encoded it (emit), so a served hit writes those bytes and
+// encodes nothing.
 type viewEntry struct {
 	key   viewKey
 	batch *tuple.Batch
@@ -62,11 +61,10 @@ type viewEntry struct {
 	memo  atomic.Pointer[viewFrames] // nil until the first recording publishes
 }
 
-// viewFrames is an entry's answer as batch frame bodies, valid for any
-// streamWriter cutting at targetBytes. Immutable once published.
+// viewFrames is an entry's answer as batch frame bodies. Immutable once
+// published.
 type viewFrames struct {
-	targetBytes int
-	frames      []viewFrame
+	frames []viewFrame
 }
 
 // viewFrame is one FrameBatch body (after the request ID) and its rows.
@@ -120,32 +118,29 @@ func (v *ViewCache) stats() obs.CacheStats {
 }
 
 // emit sends the entry's answer through out. A frame writer that has
-// sent nothing yet writes the memo when it cuts at the memo's batch size
-// (a connection's negotiated frame cap can lower it). With no memo, it
-// encodes the batch while recording what it sends, and publishes that as
-// the memo — the first to publish wins. Every other sink — the embedded
-// collecting sink, a writer cutting elsewhere — reads the batch, and a
-// failed emission publishes nothing.
+// sent nothing yet writes the memo. With no memo, it encodes the batch
+// while recording what it sends, and publishes that as the memo — the
+// first to publish wins, and a failed emission publishes nothing. Every
+// other sink, the embedded collecting sink, reads the batch.
 func (e *viewEntry) emit(out ResultStream) error {
-	if w, ok := out.(*streamWriter); ok && w.RowsStaged() == 0 {
-		switch m := e.memo.Load(); {
-		case m == nil:
-			rec := &viewFrames{targetBytes: w.targetBytes}
-			w.rec = rec
-			err := w.StreamCols(e.batch)
-			if err == nil {
-				err = w.flushCols()
-			}
-			w.rec = nil
-			if err == nil {
-				e.memo.CompareAndSwap(nil, rec)
-			}
-			return err
-		case m.targetBytes == w.targetBytes:
-			return w.writeFrames(m)
-		}
+	w, ok := out.(*streamWriter)
+	if !ok || w.RowsStaged() > 0 {
+		return out.StreamCols(e.batch)
 	}
-	return out.StreamCols(e.batch)
+	if m := e.memo.Load(); m != nil {
+		return w.writeFrames(m)
+	}
+	rec := &viewFrames{}
+	w.rec = rec
+	err := w.StreamCols(e.batch)
+	if err == nil {
+		err = w.flushCols()
+	}
+	w.rec = nil
+	if err == nil {
+		e.memo.CompareAndSwap(nil, rec)
+	}
+	return err
 }
 
 // viewHit answers a query from a cache entry: one emit, never an

@@ -4,14 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 	"unsafe"
 
 	"orchestra/internal/cluster"
@@ -40,7 +38,7 @@ func benchResultRows(n int) []tuple.Row {
 
 // pipeSession is a session over one end of a net.Pipe: what its writers
 // send goes to conn's peer, which the caller reads or drains.
-func pipeSession(t testing.TB, maxFrame int64) (sess *session, peer net.Conn) {
+func pipeSession(t testing.TB) (sess *session, peer net.Conn) {
 	t.Helper()
 	peer, conn := net.Pipe()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -50,16 +48,16 @@ func pipeSession(t testing.TB, maxFrame int64) (sess *session, peer net.Conn) {
 		conn.Close()
 	})
 	srv := &Server{cfg: Config{Logf: func(string, ...any) {}}}
-	return &session{srv: srv, conn: conn, ctx: ctx, maxFrame: maxFrame}, peer
+	return &session{srv: srv, conn: conn, ctx: ctx}, peer
 }
 
-// sentFrames runs emit against a fresh writer on a session with this
-// frame cap, ends the stream, and returns every frame it wrote (kind byte
-// and payload), the End frame included. The window covers any answer
-// here, so the writer never waits for credit.
-func sentFrames(t *testing.T, maxFrame int64, emit func(w *streamWriter) error) [][]byte {
+// sentFrames runs emit against a fresh writer, ends the stream, and
+// returns every frame it wrote (kind byte and payload), the End frame
+// included. The reader credits each batch frame, as a client does.
+func sentFrames(t *testing.T, emit func(w *streamWriter) error) [][]byte {
 	t.Helper()
-	sess, peer := pipeSession(t, maxFrame)
+	sess, peer := pipeSession(t)
+	w := newStreamWriter(sess.ctx, sess, 1)
 	got := make(chan [][]byte, 1)
 	go func() {
 		var frames [][]byte
@@ -70,13 +68,15 @@ func sentFrames(t *testing.T, maxFrame int64, emit func(w *streamWriter) error) 
 				break
 			}
 			frames = append(frames, append([]byte{byte(kind)}, payload...))
+			if kind == wire.FrameBatch {
+				w.credit(1)
+			}
 			if kind == wire.FrameEnd {
 				break
 			}
 		}
 		got <- frames
 	}()
-	w := newStreamWriter(sess.ctx, sess, 1, 1<<12)
 	w.Columns(benchCols)
 	if err := emit(w); err != nil {
 		t.Fatal(err)
@@ -99,24 +99,23 @@ func stringRows(n int) []tuple.Row {
 // TestViewHitFramesMatchEncode: the frames a view entry's first emission
 // records, and the frames a hit then writes from that memo, are byte for
 // byte the frames a fresh encode of the entry's batch sends — for empty,
-// one-row, single- and multi-frame answers, an all-string answer and a
-// session whose frame cap is MinFrame.
+// one-row, single- and multi-frame answers, one of more frames than the
+// credit window, and an all-string answer.
 func TestViewHitFramesMatchEncode(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		rows     []tuple.Row
-		maxFrame int64
+		name string
+		rows []tuple.Row
 	}{
-		{"0 rows", nil, wire.MaxFrame},
-		{"1 row, below compressMin", benchResultRows(1), wire.MaxFrame},
-		{"1000 rows", benchResultRows(1000), wire.MaxFrame},
-		{"9000 rows, several frames", benchResultRows(9000), wire.MaxFrame},
-		{"all strings", stringRows(3000), wire.MaxFrame},
-		{"MinFrame session", benchResultRows(1000), wire.MinFrame},
+		{"0 rows", nil},
+		{"1 row, below compressMin", benchResultRows(1)},
+		{"1000 rows", benchResultRows(1000)},
+		{"9000 rows, several frames", benchResultRows(9000)},
+		{"more frames than the window", benchResultRows((wire.CreditWindow + 2) * maxStreamBatchRows)},
+		{"all strings", stringRows(3000)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := rowBatch(t, tc.rows)
-			want := sentFrames(t, tc.maxFrame, func(w *streamWriter) error { return w.StreamCols(b) })
+			want := sentFrames(t, func(w *streamWriter) error { return w.StreamCols(b) })
 			batches := len(want) - 2 // schema, batches, end
 			switch {
 			case tc.rows == nil && batches != 0,
@@ -129,7 +128,7 @@ func TestViewHitFramesMatchEncode(t *testing.T) {
 			}
 			e := &viewEntry{batch: b, cols: benchCols}
 			for _, pass := range []string{"fill", "hit"} {
-				got := sentFrames(t, tc.maxFrame, func(w *streamWriter) error {
+				got := sentFrames(t, func(w *streamWriter) error {
 					_, err := viewHit(e, nil, w)
 					return err
 				})
@@ -160,57 +159,38 @@ func (b *viewStub) QueryStream(ctx context.Context, req *wire.QueryRequest, out 
 	return viewHit(b.e, nil, out)
 }
 
-// memoConn serves a 1000-row entry over a connection whose frame cap is
-// MinFrame (so the answer is dozens of frames) and window is window, and
-// fills the entry's memo with a first query on that connection.
-func memoConn(t *testing.T, window int) (*testConn, *Server, []tuple.Row, *viewFrames) {
+// memoConn serves an entry of more frames than the credit window over a
+// connection, and fills the entry's memo with a first query on it.
+func memoConn(t *testing.T) (*testConn, *Server, []tuple.Row, *viewFrames) {
 	t.Helper()
-	rows := benchResultRows(1000)
+	rows := benchResultRows((wire.CreditWindow + 2) * maxStreamBatchRows)
 	stub := &viewStub{e: &viewEntry{batch: rowBatch(t, rows), cols: benchCols}}
 	s := startTestServer(t, stub, Config{})
-	conn := dialRaw(t, s)
-	conn.hello(&wire.HelloRequest{Version: wire.ProtocolVersion, Window: window, MaxFrame: wire.MinFrame})
+	conn := dialTest(t, s)
 	conn.query(1, "q")
 	if r := conn.await(1); r.err() != nil || len(r.rows) != len(rows) {
 		t.Fatalf("filling query: %d rows, %v", len(r.rows), r.err())
 	}
 	m := stub.e.memo.Load()
-	if m == nil || len(m.frames) <= window {
-		t.Fatalf("memo %+v: want more than %d frames", m, window)
+	if m == nil || len(m.frames) <= wire.CreditWindow {
+		t.Fatalf("memo %+v: want more than %d frames", m, wire.CreditWindow)
 	}
 	return conn, s, rows, m
 }
 
 // TestViewHitCreditWindow: a hit written from the memo holds to the
-// credit window — exactly window frames go out to a client that grants
-// no credit — and finishes once credit returns.
+// credit window — exactly wire.CreditWindow frames go out to a client
+// that grants no credit — and finishes once credit returns.
 func TestViewHitCreditWindow(t *testing.T) {
-	const window = 2
-	conn, _, rows, m := memoConn(t, window)
+	conn, _, rows, m := memoConn(t)
 	const reqID = 2
 	conn.query(reqID, "q")
 	if kind, _ := conn.frame(); kind != wire.FrameSchema {
 		t.Fatalf("first frame %v, want schema", kind)
 	}
-	var got []tuple.Row
-	for i := 0; i < window; i++ {
-		kind, payload := conn.frame()
-		if kind != wire.FrameBatch {
-			t.Fatalf("frame %d: %v, want batch", i, kind)
-		}
-		_, part, err := decodeBatchPayload(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, part...)
-	}
-	conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-	var ne net.Error
-	if kind, _, err := wire.ReadRawFrame(conn.br, wire.MaxFrame); !errors.As(err, &ne) || !ne.Timeout() {
-		t.Fatalf("a %v frame (%v) arrived past the window of %d", kind, err, window)
-	}
-	conn.SetDeadline(time.Now().Add(30 * time.Second))
-	conn.sendFrame(wire.FrameCredit, wire.AppendCreditPayload(nil, reqID, window))
+	got := readBatches(t, conn, reqID, wire.CreditWindow)
+	assertStalled(t, conn)
+	conn.sendFrame(wire.FrameCredit, wire.AppendCreditPayload(nil, reqID, wire.CreditWindow))
 	r := conn.await(reqID)
 	if r.err() != nil || r.end.Batches != len(m.frames) {
 		t.Fatalf("end %+v, want %d batches", r.end, len(m.frames))
@@ -229,7 +209,7 @@ func TestViewHitCreditWindow(t *testing.T) {
 // TestViewHitCancel: a cancel in the middle of a hit ends the stream with
 // "cancelled", and the connection then serves the next query whole.
 func TestViewHitCancel(t *testing.T) {
-	conn, s, rows, _ := memoConn(t, 1)
+	conn, s, rows, _ := memoConn(t)
 	const reqID = 2
 	conn.query(reqID, "q")
 	if kind, _ := conn.frame(); kind != wire.FrameSchema {
@@ -288,13 +268,13 @@ func TestViewHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops frame buffers at random under -race, so the count varies")
 	}
-	sess, peer := pipeSession(t, wire.MaxFrame)
+	sess, peer := pipeSession(t)
 	go io.Copy(io.Discard, peer)
 	var allocs []float64
 	for _, n := range []int{1000, 4000} {
 		e := &viewEntry{batch: rowBatch(t, benchResultRows(n)), cols: benchCols}
 		hit := func() {
-			w := newStreamWriter(sess.ctx, sess, 1, DefaultStreamWindow)
+			w := newStreamWriter(sess.ctx, sess, 1)
 			tail, err := viewHit(e, nil, w)
 			if err == nil {
 				err = w.end(&wire.StreamEnd{QueryTail: *tail}, nil)
@@ -319,7 +299,7 @@ func TestViewHitAllocs(t *testing.T) {
 // BenchmarkViewHit: one served hit of a cached 1000-row answer, written
 // from the memo against encoded afresh from the batch.
 func BenchmarkViewHit(b *testing.B) {
-	sess, peer := pipeSession(b, wire.MaxFrame)
+	sess, peer := pipeSession(b)
 	go io.Copy(io.Discard, peer)
 	batch := rowBatch(b, benchResultRows(1000))
 	for _, tc := range []struct {
@@ -333,7 +313,7 @@ func BenchmarkViewHit(b *testing.B) {
 			e := &viewEntry{batch: batch, cols: benchCols}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				w := newStreamWriter(sess.ctx, sess, 1, DefaultStreamWindow)
+				w := newStreamWriter(sess.ctx, sess, 1)
 				w.Columns(benchCols)
 				err := tc.emit(e, w)
 				if err == nil {
@@ -348,15 +328,14 @@ func BenchmarkViewHit(b *testing.B) {
 }
 
 // viewCluster is a 3-node cluster whose first two nodes' backends share
-// one view cache, each served by an endpoint: def with the default
-// settings, small with MaxFrame at MinFrame, so its writers cut batches
-// at MinFrame/4. Relation t holds rows, all published at epoch.
+// one view cache, each served by an endpoint, a and b. Relation t holds
+// rows, all published at epoch.
 type viewCluster struct {
-	views      *ViewCache
-	back       *NodeBackend
-	def, small *Server
-	rows       []tuple.Row
-	epoch      tuple.Epoch
+	views *ViewCache
+	back  *NodeBackend
+	a, b  *Server
+	rows  []tuple.Row
+	epoch tuple.Epoch
 }
 
 func newViewCluster(t *testing.T, n int) *viewCluster {
@@ -384,8 +363,8 @@ func newViewCluster(t *testing.T, n int) *viewCluster {
 	if vc.epoch, err = vc.back.PublishRows(ctx, "t", vstore.OpInsert, append([]tuple.Row(nil), vc.rows...), 0); err != nil {
 		t.Fatal(err)
 	}
-	vc.def = startTestServer(t, backs[0], Config{})
-	vc.small = startTestServer(t, backs[1], Config{MaxFrame: wire.MinFrame})
+	vc.a = startTestServer(t, backs[0], Config{})
+	vc.b = startTestServer(t, backs[1], Config{})
 	return vc
 }
 
@@ -456,15 +435,12 @@ func sameRows(got, want []tuple.Row) bool {
 	return true
 }
 
-// TestViewMissFillsMemo: a served miss leaves its entry holding the memo
-// of the frames it sent, cut at the batch size of the endpoint that sent
-// them, and the next hit answers the same.
+// TestViewMissFillsMemo: a served miss, through either endpoint, leaves
+// its entry holding the memo of the frames it sent, and the next hit
+// answers the same from that memo.
 func TestViewMissFillsMemo(t *testing.T) {
 	vc := newViewCluster(t, 2000)
-	for i, ep := range []struct {
-		srv    *Server
-		target int
-	}{{vc.def, defaultStreamBatchBytes}, {vc.small, wire.MinFrame / 4}} {
+	for i, srv := range []*Server{vc.a, vc.b} {
 		sql := fmt.Sprintf("SELECT k, g, v FROM t WHERE g >= %d", i)
 		var want []tuple.Row
 		for _, r := range vc.rows {
@@ -472,7 +448,7 @@ func TestViewMissFillsMemo(t *testing.T) {
 				want = append(want, r)
 			}
 		}
-		conn := dialTest(t, ep.srv)
+		conn := dialTest(t, srv)
 		rows, _, cached, err := servedAnswer(conn, conn.br, 1, sql, vc.epoch)
 		if err != nil || cached || !sameRows(rows, want) {
 			t.Fatalf("%s: miss answered %d rows (cached %v), %v; want %d", sql, len(rows), cached, err, len(want))
@@ -482,8 +458,8 @@ func TestViewMissFillsMemo(t *testing.T) {
 			t.Fatalf("%s: no entry after the miss", sql)
 		}
 		m := e.memo.Load()
-		if m == nil || m.targetBytes != ep.target {
-			t.Fatalf("%s: memo %+v after a miss through an endpoint cutting at %d", sql, m, ep.target)
+		if m == nil || len(m.frames) != 1 {
+			t.Fatalf("%s: memo %+v after a miss, want its one frame", sql, m)
 		}
 		rows, _, cached, err = servedAnswer(conn, conn.br, 2, sql, vc.epoch)
 		if err != nil || !cached || !sameRows(rows, want) || e.memo.Load() != m {
@@ -494,14 +470,13 @@ func TestViewMissFillsMemo(t *testing.T) {
 
 // TestViewEntryOwnsItsStrings: a cached answer's strings lie in the
 // entry's own slab, not in the store's leaf slabs they were scanned from,
-// and publishes that re-pack the relation's leaves leave the answer — read
-// from the batch by an endpoint whose settings differ from the memo's —
-// unchanged.
+// and publishes that re-pack the relation's leaves leave the answer — the
+// batch, and the hits both endpoints serve — unchanged.
 func TestViewEntryOwnsItsStrings(t *testing.T) {
 	vc := newViewCluster(t, 2000)
 	const sql = "SELECT k, g, v FROM t WHERE v < 1500"
 	want := vc.rows[:1500]
-	conn := dialTest(t, vc.def)
+	conn := dialTest(t, vc.a)
 	if rows, _, cached, err := servedAnswer(conn, conn.br, 1, sql, vc.epoch); err != nil || cached || !sameRows(rows, want) {
 		t.Fatalf("miss answered %d rows (cached %v), %v", len(rows), cached, err)
 	}
@@ -540,7 +515,7 @@ func TestViewEntryOwnsItsStrings(t *testing.T) {
 	if !sameRows(e.batch.Rows(), want) {
 		t.Fatal("the cached batch changed across publishes")
 	}
-	for i, srv := range []*Server{vc.def, vc.small} {
+	for i, srv := range []*Server{vc.a, vc.b} {
 		conn := dialTest(t, srv)
 		if rows, _, cached, err := servedAnswer(conn, conn.br, 1, sql, vc.epoch); err != nil || !cached || !sameRows(rows, want) {
 			t.Fatalf("endpoint %d: hit answered %d rows (cached %v), %v", i, len(rows), cached, err)
@@ -548,11 +523,10 @@ func TestViewEntryOwnsItsStrings(t *testing.T) {
 	}
 }
 
-// TestViewMemoRace: eight clients on two endpoints with different batch
-// sizes hit one entry while its memo is being filled. The memo is
-// published once, every answer equals the model, and each endpoint's
-// answers are cut at its own size: one frame from def, several from
-// small, whichever endpoint's writer recorded the memo.
+// TestViewMemoRace: eight clients on two endpoints hit one entry while its
+// memo is being filled. The memo is published once, and every answer
+// equals the model in the one frame the batch cut makes of it, whichever
+// endpoint's writer recorded the memo.
 func TestViewMemoRace(t *testing.T) {
 	vc := newViewCluster(t, 3000)
 	const sql = "SELECT k, g, v FROM t WHERE v < 2500"
@@ -565,17 +539,9 @@ func TestViewMemoRace(t *testing.T) {
 	if e == nil || e.memo.Load() != nil {
 		t.Fatalf("entry %+v after a collected miss: want one with no memo", e)
 	}
-	type client struct {
-		conn  *testConn
-		small bool
-	}
-	var clients []client
+	var clients []*testConn
 	for i := 0; i < 8; i++ {
-		if i%2 == 0 {
-			clients = append(clients, client{dialTest(t, vc.def), false})
-		} else {
-			clients = append(clients, client{dialTest(t, vc.small), true})
-		}
+		clients = append(clients, dialTest(t, []*Server{vc.a, vc.b}[i%2]))
 	}
 	stop := make(chan struct{})
 	published := make(chan map[*viewFrames]bool)
@@ -602,15 +568,15 @@ func TestViewMemoRace(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for id := uint64(1); id <= 3; id++ {
-				rows, frames, cached, err := servedAnswer(c.conn, c.conn.br, id, sql, vc.epoch)
+				rows, frames, cached, err := servedAnswer(c, c.br, id, sql, vc.epoch)
 				switch {
 				case err != nil:
 					t.Errorf("client %d: %v", i, err)
 					return
 				case !cached || !sameRows(rows, want):
 					t.Errorf("client %d: %d rows (cached %v), want the model's %d", i, len(rows), cached, len(want))
-				case c.small != (frames > 1):
-					t.Errorf("client %d (small %v): %d batch frames", i, c.small, frames)
+				case frames != 1:
+					t.Errorf("client %d: %d batch frames", i, frames)
 				}
 			}
 		}()

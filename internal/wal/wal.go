@@ -206,12 +206,15 @@ const (
 	// SyncAlways fsyncs before acknowledging every commit, batching
 	// concurrent committers into one sync (group commit).
 	SyncAlways SyncMode = iota
-	// SyncInterval fsyncs on a timer; a crash can lose up to one
-	// interval of acknowledged writes.
+	// SyncInterval fsyncs every syncPeriod; a crash can lose up to one
+	// period of acknowledged writes.
 	SyncInterval
 	// SyncNever leaves flushing to the OS page cache.
 	SyncNever
 )
+
+// syncPeriod is the fsync period of SyncInterval mode.
+const syncPeriod = 50 * time.Millisecond
 
 // String names the mode as accepted by the CLI -sync flag.
 func (m SyncMode) String() string {
@@ -229,8 +232,7 @@ func (m SyncMode) String() string {
 // Options configures a Log. The metric handles are optional (nil skips
 // observation).
 type Options struct {
-	Mode     SyncMode
-	Interval time.Duration // SyncInterval period; default 50ms
+	Mode SyncMode
 
 	FsyncUs      *obs.Histogram // latency of each log fsync
 	Fsyncs       *obs.Counter   // number of log fsyncs
@@ -273,9 +275,6 @@ type Log struct {
 }
 
 func newLog(fsys FS, f File, path string, size int64, opts Options) *Log {
-	if opts.Interval <= 0 {
-		opts.Interval = 50 * time.Millisecond
-	}
 	l := &Log{fsys: fsys, f: f, path: path, size: size, opts: opts,
 		buf: bufio.NewWriterSize(f, 1<<16), stop: make(chan struct{})}
 	l.syncCond = sync.NewCond(&l.syncMu)
@@ -283,7 +282,7 @@ func newLog(fsys FS, f File, path string, size int64, opts Options) *Log {
 		l.tickerWG.Add(1)
 		go func() {
 			defer l.tickerWG.Done()
-			t := time.NewTicker(opts.Interval)
+			t := time.NewTicker(syncPeriod)
 			defer t.Stop()
 			for {
 				select {

@@ -9,10 +9,10 @@ package wire
 // query that fails before producing rows is answered by its End frame
 // alone. Frames of concurrent streams interleave freely on a connection —
 // every frame carries its request ID. Backpressure is credit-based: the
-// server may have at most `window` un-acknowledged batch frames in flight
-// per stream and the client returns one credit per batch it consumes
-// (Credit frames), so a slow reader bounds server-side buffering at
-// window × batch size.
+// server may have at most CreditWindow un-acknowledged batch frames in
+// flight per stream and the client returns one credit per batch it
+// consumes (Credit frames), so a slow reader bounds server-side buffering
+// at CreditWindow × batch size.
 
 import (
 	"encoding/binary"
@@ -44,8 +44,8 @@ const (
 	// FrameCancel abandons a result stream: request ID only. The server
 	// stops emitting batches, releases the query's resources, and still
 	// terminates the stream with an End frame (code "cancelled"), so the
-	// connection and its negotiated state remain usable. A cancel for an
-	// unknown or already-ended stream is a no-op.
+	// connection remains usable. A cancel for an unknown or already-ended
+	// stream is a no-op.
 	FrameCancel FrameKind = 5
 	// FramePublish carries one publish as a typed column-major batch:
 	// request ID + publish ID + relation + tuple batch, answered with a

@@ -97,6 +97,27 @@ func TestFrameGoldenBytes(t *testing.T) {
 	}
 }
 
+// TestHelloGoldenBytes pins the hello of protocol version 5, request and
+// response frame: each carries the version and nothing else. The frame cap
+// and the credit window are constants of the protocol, so neither side
+// offers one, and a version-4 peer that still does is refused by version.
+func TestHelloGoldenBytes(t *testing.T) {
+	for _, tc := range []struct {
+		msg  any
+		body string
+	}{
+		{&Request{ID: 1, Op: OpHello, Hello: &HelloRequest{Version: ProtocolVersion}}, `{"id":1,"op":"hello","hello":{"version":5}}`},
+		{&Response{ID: 1, Hello: &HelloResponse{Version: ProtocolVersion}}, `{"id":1,"hello":{"version":5}}`},
+	} {
+		want := append(binary.BigEndian.AppendUint32(nil, uint32(1+len(tc.body))), byte(FrameJSON))
+		want = append(want, tc.body...)
+		got, err := AppendJSONFrame(nil, tc.msg, MaxFrame)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("hello encodes to %q (%v), want %q", got, err, want)
+		}
+	}
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	in := &Request{ID: 7, Op: OpQuery, Query: &QueryRequest{SQL: "SELECT 1", Epoch: 42}}
 	frame, err := AppendJSONFrame(nil, in, MaxFrame)

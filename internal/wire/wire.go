@@ -8,8 +8,9 @@
 // Every message is one frame — a 4-byte big-endian length, a kind byte,
 // and a kind-specific payload (the length counts the kind byte and the
 // payload). The first frame on a connection must be a hello request; it
-// checks the protocol version and negotiates the frame limit and the
-// stream credit window. After that a client sends:
+// checks the protocol version and nothing else. The frame cap (MaxFrame)
+// and a stream's credit window (CreditWindow batch frames) are constants
+// of the protocol, known to both sides. After that a client sends:
 //
 //   - FrameJSON: a Request for one of the control ops (create, schema,
 //     status, health, trace, ping) or a query. Control ops are answered
@@ -35,21 +36,17 @@ import (
 	"orchestra/internal/tuple"
 )
 
-// MaxFrame is the default bound on a single frame; a larger inbound
+// MaxFrame bounds a single frame, in both directions; a larger inbound
 // frame fails the connection (framing cannot be re-synchronized past an
 // unread body). Results are not subject to it as a whole — only each
-// batch frame is. Server Config.MaxFrame and client options can lower it.
+// batch frame is.
 const MaxFrame = 64 << 20
 
-// MinFrame is the floor a hello handshake can negotiate MaxFrame down
-// to: control frames (responses, stream End frames) must always fit.
-const MinFrame = 4 << 10
+// CreditWindow is a result stream's credit window: the number of batch
+// frames a server may have sent that the client has not yet credited.
+const CreditWindow = 8
 
-// MaxFrameLimit is the hard ceiling any configuration can raise the
-// frame bound to: lengths must fit an int on every platform.
-const MaxFrameLimit = 1<<31 - 1
-
-// FrameSizeError reports a frame exceeding the negotiated limit. It is
+// FrameSizeError reports a frame exceeding the frame cap. It is
 // surfaced instead of a raw connection abort so peers can tell "too big
 // for one frame" from a torn connection.
 type FrameSizeError struct {
@@ -88,8 +85,9 @@ const (
 )
 
 // ProtocolVersion is this build's wire-protocol version, checked by the
-// hello handshake: a peer of any other version is refused.
-const ProtocolVersion = 4
+// hello handshake: a peer of any other version is refused. Version 5
+// fixed the frame cap and the credit window that version 4 negotiated.
+const ProtocolVersion = 5
 
 // Request is the body of one client FrameJSON frame.
 type Request struct {
@@ -111,21 +109,11 @@ type Request struct {
 type HelloRequest struct {
 	// Version must equal the server's ProtocolVersion.
 	Version int `json:"version"`
-	// MaxFrame is the largest single frame the client accepts (0 = the
-	// MaxFrame default). The connection uses min(client, server).
-	MaxFrame int64 `json:"max_frame,omitempty"`
-	// Window is the client's preferred stream credit window: the number
-	// of un-acknowledged batch frames the server may have in flight per
-	// stream (0 = server default). The connection uses min(client, server).
-	Window int `json:"window,omitempty"`
 }
 
-// HelloResponse reports the negotiated settings: the min of the two
-// peers' frame and window limits.
+// HelloResponse accepts a connection, naming the server's version.
 type HelloResponse struct {
-	Version  int   `json:"version"`
-	MaxFrame int64 `json:"max_frame,omitempty"`
-	Window   int   `json:"window,omitempty"`
+	Version int `json:"version"`
 }
 
 // CreateRequest registers a relation. Columns are "name:type" with type
@@ -208,8 +196,7 @@ const (
 	CodeNotFound   = "not_found"
 	CodeTimeout    = "timeout"
 	CodeInternal   = "internal"
-	// CodeFrameTooLarge reports a single frame exceeding the
-	// connection's frame limit.
+	// CodeFrameTooLarge reports a single frame exceeding MaxFrame.
 	CodeFrameTooLarge = "frame_too_large"
 	// CodeCancelled terminates a stream the client abandoned with a
 	// cancel frame: emission stopped at the client's request, the
@@ -231,8 +218,8 @@ var (
 	// ErrTimeout reports a server-side request timeout (admission wait
 	// included).
 	ErrTimeout = errors.New("timeout")
-	// ErrFrameTooLarge reports a single frame exceeding the connection's
-	// negotiated limit — typically a publish too big for one frame.
+	// ErrFrameTooLarge reports a single frame exceeding MaxFrame —
+	// typically a publish too big for one frame.
 	// Results are not subject to a whole-result cap.
 	ErrFrameTooLarge = errors.New("frame too large")
 	// ErrCancelled reports a stream terminated by a cancel frame.

@@ -24,6 +24,7 @@ package orchestra
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -56,7 +57,6 @@ type config struct {
 	replication    int
 	latency        time.Duration
 	bandwidth      int64
-	scheme         ring.Scheme
 	capacities     []float64
 	nodeCfg        cluster.Config
 	dataDir        string
@@ -75,12 +75,6 @@ func WithLatency(d time.Duration) Option { return func(c *config) { c.latency = 
 // WithBandwidth caps each node's outbound bytes/second (the paper's HTB
 // substitute, §VI-C). 0 means unlimited.
 func WithBandwidth(bps int64) Option { return func(c *config) { c.bandwidth = bps } }
-
-// WithPastryAllocation switches range allocation from the default balanced
-// scheme (Fig 2b) to Pastry-style nearest-hash allocation (Fig 2a).
-func WithPastryAllocation() Option {
-	return func(c *config) { c.scheme = ring.PastryStyle }
-}
 
 // WithCapacities sizes each node's key-space share proportionally to its
 // capacity — the automatic load-balancing extension of the paper's future
@@ -102,7 +96,7 @@ type Cluster struct {
 	local *cluster.Local
 
 	mu         sync.Mutex
-	backends   []*server.NodeBackend    // one per node ever started, by node index
+	backends   []*server.NodeBackend    // one per member, by node index: local.Nodes()' order
 	views      *server.ViewCache        // nil unless EnableQueryCache was called
 	registries map[string]*obs.Registry // per-node durability metrics, by node ID
 	served     map[*Server]string       // live served endpoints, by advertised address
@@ -115,7 +109,7 @@ type Cluster struct {
 // NewCluster starts n nodes with balanced range allocation and replication
 // factor 3 (override via options).
 func NewCluster(n int, opts ...Option) (*Cluster, error) {
-	cfg := config{replication: 3, scheme: ring.Balanced}
+	cfg := config{replication: 3}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -130,7 +124,7 @@ func NewCluster(n int, opts ...Option) (*Cluster, error) {
 	if len(cfg.capacities) > 0 {
 		local, err = cluster.NewLocalWeighted(cfg.capacities, nodeCfg, netCfg)
 	} else {
-		local, err = cluster.NewLocalScheme(n, nodeCfg, netCfg, cfg.scheme)
+		local, err = cluster.NewLocal(n, nodeCfg, netCfg)
 	}
 	if err != nil {
 		return nil, err
@@ -148,7 +142,9 @@ func NewCluster(n int, opts ...Option) (*Cluster, error) {
 	return c, nil
 }
 
-// Size returns the number of nodes ever started (including killed ones).
+// Size returns the number of member nodes (including killed ones). Node
+// indexes run from 0 to Size()-1; RemoveNode(i) shifts the later ones
+// down by one.
 func (c *Cluster) Size() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -165,24 +161,34 @@ func (c *Cluster) backend(i int) (*server.NodeBackend, error) {
 	return c.backends[i], nil
 }
 
+// node returns node i, as every index-taking method resolves it; it
+// panics on an index out of range, as a slice does.
+func (c *Cluster) node(i int) *cluster.Node {
+	b, err := c.backend(i)
+	if err != nil {
+		panic(err)
+	}
+	return b.Node()
+}
+
 // NodeID returns the i-th node's identity.
-func (c *Cluster) NodeID(i int) string { return string(c.local.Node(i).ID()) }
+func (c *Cluster) NodeID(i int) string { return string(c.node(i).ID()) }
 
 // Shutdown stops all nodes and the network.
 func (c *Cluster) Shutdown() { c.local.Shutdown() }
 
 // Kill abruptly severs a node (crash-stop), as in the paper's failure
 // experiments. In-flight queries recover per their QueryOptions.
-func (c *Cluster) Kill(i int) { c.local.Kill(c.local.Node(i).ID()) }
+func (c *Cluster) Kill(i int) { c.local.Kill(c.node(i).ID()) }
 
 // Hang makes a node stop responding while keeping connections open — the
 // "hung machine" case detected by background pings (§V-C).
-func (c *Cluster) Hang(i int) { c.local.Hang(c.local.Node(i).ID()) }
+func (c *Cluster) Hang(i int) { c.local.Hang(c.node(i).ID()) }
 
 // OnNodeDown registers a callback at node i invoked when that node detects
 // a peer failure — via connection drop (crash) or ping timeout (hang).
 func (c *Cluster) OnNodeDown(i int, fn func(peer string)) {
-	c.local.Node(i).OnPeerDown(func(id ring.NodeID) { fn(string(id)) })
+	c.node(i).OnPeerDown(func(id ring.NodeID) { fn(string(id)) })
 }
 
 // StartPingers enables background hung-machine detection on all nodes.
@@ -209,12 +215,23 @@ func (c *Cluster) AddNode() (int, error) {
 }
 
 // RemoveNode gracefully retires node i once the remaining members have
-// pulled the records it held. It refuses while node i holds the only live
-// copies of records whose new replicas are all down.
+// pulled the records it held; the nodes after it move down one index. It
+// refuses while node i holds the only live copies of records whose new
+// replicas are all down.
 func (c *Cluster) RemoveNode(i int) error {
+	b, err := c.backend(i)
+	if err != nil {
+		return err
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	return c.local.RemoveNode(ctx, c.local.Node(i).ID())
+	if err := c.local.RemoveNode(ctx, b.Node().ID()); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.backends = slices.DeleteFunc(c.backends, func(x *server.NodeBackend) bool { return x == b })
+	return nil
 }
 
 // NetworkStats reports accumulated traffic counters (bytes and messages
@@ -227,7 +244,7 @@ func (c *Cluster) ResetNetworkStats() { c.local.Net.ResetStats() }
 
 // CurrentEpoch returns the node-0 view of the global epoch.
 func (c *Cluster) CurrentEpoch() Epoch {
-	return c.local.Node(0).Gossip().Current()
+	return c.node(0).Gossip().Current()
 }
 
 // --- schema DDL ---

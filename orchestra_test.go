@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"orchestra/internal/ring"
 	"orchestra/internal/tuple"
 )
 
@@ -320,6 +321,44 @@ func TestNodeLifecycle(t *testing.T) {
 	res2 := mustQuery(t, c, "SELECT item FROM inv")
 	if len(res2.Rows) != 4 {
 		t.Fatalf("after remove: %v", res2.Rows)
+	}
+}
+
+// TestNodeIndexesAfterRemove: after a middle node is removed and another
+// added, node indexes are the members in order, the newcomer last under a
+// fresh name, and every index-taking method reaches the node NodeID names:
+// QueryOpts and Serve resolve index i where Kill, Hang and OnNodeDown do.
+func TestNodeIndexesAfterRemove(t *testing.T) {
+	c := newTestCluster(t, 5)
+	setupInventory(t, c)
+	if err := c.RemoveNode(2); err != nil {
+		t.Fatalf("RemoveNode: %v", err)
+	}
+	idx, err := c.AddNode()
+	if err != nil {
+		t.Fatalf("AddNode: %v", err)
+	}
+	want := []string{"orch-000", "orch-001", "orch-003", "orch-004", "orch-005"}
+	if idx != len(want)-1 || c.Size() != len(want) {
+		t.Fatalf("AddNode returned index %d of %d nodes, want %d of %d", idx, c.Size(), len(want)-1, len(want))
+	}
+	for i, id := range want {
+		b, err := c.backend(i)
+		if err != nil || c.NodeID(i) != id || string(b.Node().ID()) != id {
+			t.Fatalf("index %d: NodeID %s, backend %v (%v); want %s", i, c.NodeID(i), b, err, id)
+		}
+		if res, err := c.QueryOpts("SELECT item FROM inv", QueryOptions{Node: i}); err != nil || len(res.Rows) != 4 {
+			t.Fatalf("query at index %d: %v", i, err)
+		}
+	}
+	if _, err := c.QueryOpts("SELECT item FROM inv", QueryOptions{Node: len(want)}); err == nil {
+		t.Fatal("a query at an index past the last node ran")
+	}
+	c.Kill(3)
+	for i, id := range want {
+		if alive := c.local.Net.Alive(ring.NodeID(id)); alive != (i != 3) {
+			t.Fatalf("after Kill(3), %s alive=%v", id, alive)
+		}
 	}
 }
 

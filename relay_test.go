@@ -2,8 +2,8 @@ package orchestra
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
+	"math/rand"
 	"net"
 	"strings"
 	"testing"
@@ -17,9 +17,7 @@ import (
 type wireAnswer struct {
 	rows      [][]any
 	frameRows []int // rows per batch frame, in order
-	flated    []int // rows of each batch frame whose string bytes are flated
 	plan      string
-	cached    bool
 }
 
 // rawServedQuery runs sql over a raw protocol connection to addr, granting
@@ -63,9 +61,6 @@ func rawServedQuery(t *testing.T, addr, sql string) *wireAnswer {
 			}
 			ans.rows = append(ans.rows, rows...)
 			ans.frameRows = append(ans.frameRows, len(rows))
-			if flatedBatch(payload[8:]) {
-				ans.flated = append(ans.flated, len(rows))
-			}
 			send(wire.AppendBinaryFrame(nil, wire.FrameCredit, wire.AppendCreditPayload(nil, 2, 1), wire.MaxFrame))
 		case wire.FrameEnd:
 			_, end, err := wire.DecodeEndPayload(payload)
@@ -76,21 +71,10 @@ func rawServedQuery(t *testing.T, addr, sql string) *wireAnswer {
 				t.Fatalf("%s: end counts %d rows in %d frames, %d rows in %d frames arrived",
 					sql, end.Rows, end.Batches, len(ans.rows), len(ans.frameRows))
 			}
-			ans.plan, ans.cached = end.Plan, end.Cached
+			ans.plan = end.Plan
 			return ans
 		}
 	}
-}
-
-// flatedBatch reports whether an encoded batch's string bytes went through
-// flate: it differs from the encode of its own rows with compression off.
-func flatedBatch(enc []byte) bool {
-	var b tuple.Batch
-	if _, err := tuple.DecodeBatchInto(enc, &b); err != nil {
-		return false
-	}
-	raw, err := tuple.AppendBatchCols(nil, &b, -1)
-	return err == nil && !bytes.Equal(raw, enc)
 }
 
 // sameAnswerAny compares a served answer with the embedded one as
@@ -123,42 +107,67 @@ func sameAnswerAny(t *testing.T, what string, got [][]any, want []tuple.Row) {
 	}
 }
 
+// fatRows are n rows of fat(k, pad, v) whose pad is 500 bytes of a
+// 64-letter alphabet at random: flate saves about a quarter, so a 1024-row
+// block still encodes to about 380 KiB, past the stream writer's 256 KiB
+// batch cut.
+func fatRows(n int) []tuple.Row {
+	const alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+	rng := rand.New(rand.NewSource(1))
+	pad := make([]byte, 500)
+	rows := make([]tuple.Row, n)
+	for i := range rows {
+		for j := range pad {
+			pad[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		rows[i] = tuple.Row{tuple.S(fmt.Sprintf("k%04d", i)), tuple.S(string(pad)), tuple.I(int64(i))}
+	}
+	return rows
+}
+
 // TestServedRelayAnswers: a served stream of a plan that relays answers
 // what the embedded (collected) query answers — for scans, selections,
 // projections that reorder columns, all-int and all-string projections,
 // and answers of 0, 1024 and 1025 rows — and a large answer arrives partly
-// as the fragments' 1024-row blocks. A server whose frame budget is below
-// one block refuses the blocks and still answers the same.
+// as the fragments' 1024-row blocks. A block past the batch cut is refused
+// by the writer, and its answer is still the same.
 func TestServedRelayAnswers(t *testing.T) {
 	c := newTestCluster(t, 3)
 	mustCreate(t, c, NewSchema("load", "k:string", "grp:int", "v:int"))
 	if _, err := c.PublishTyped(0, "load", typedRows(0, 9000)); err != nil {
 		t.Fatal(err)
 	}
-	queries := []string{
-		"SELECT k, grp, v FROM load",
-		"SELECT k, grp, v FROM load WHERE v >= 1500",
-		"SELECT v, k, grp FROM load WHERE grp < 4",
-		"SELECT v, grp FROM load",
-		"SELECT k FROM load",
-		"SELECT k, grp, v FROM load WHERE v < 0",
-		"SELECT k, grp, v FROM load WHERE v < 1024",
-		"SELECT k, grp, v FROM load WHERE v < 1025",
+	mustCreate(t, c, NewSchema("fat", "k:string", "pad:string", "v:int"))
+	if _, err := c.PublishTyped(0, "fat", fatRows(3000)); err != nil {
+		t.Fatal(err)
 	}
-	for _, cfg := range []struct {
-		name string
-		opts ServeOptions
+	srv, err := c.Serve("127.0.0.1:0", ServeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, tc := range []struct {
+		name    string
+		queries []string
+		relayed bool // a whole answer of 9000 rows holds a relayed block
 	}{
-		{"default", ServeOptions{}},
-		{"frame budget below a block", ServeOptions{MaxFrame: wire.MinFrame}},
+		{"default", []string{
+			"SELECT k, grp, v FROM load",
+			"SELECT k, grp, v FROM load WHERE v >= 1500",
+			"SELECT v, k, grp FROM load WHERE grp < 4",
+			"SELECT v, grp FROM load",
+			"SELECT k FROM load",
+			"SELECT k, grp, v FROM load WHERE v < 0",
+			"SELECT k, grp, v FROM load WHERE v < 1024",
+			"SELECT k, grp, v FROM load WHERE v < 1025",
+		}, true},
+		{"frame budget below a block", []string{
+			"SELECT k, pad, v FROM fat",
+			"SELECT pad, k FROM fat WHERE v >= 1000",
+		}, false},
 	} {
-		t.Run(cfg.name, func(t *testing.T) {
-			srv, err := c.Serve("127.0.0.1:0", cfg.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			for _, q := range queries {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, q := range tc.queries {
 				want := mustQuery(t, c, q)
 				got := rawServedQuery(t, srv.Addr(), q)
 				if !strings.Contains(got.plan, "ship=stream(relay)") {
@@ -172,11 +181,11 @@ func TestServedRelayAnswers(t *testing.T) {
 					}
 				}
 				switch {
-				case cfg.opts.MaxFrame == 0 && len(got.rows) == 9000 && blocks == 0:
+				case tc.relayed && len(got.rows) == 9000 && blocks == 0:
 					t.Fatalf("%s: no frame is a relayed block: %v", q, got.frameRows)
-				case cfg.opts.MaxFrame > 0 && blocks > 0:
-					// A MinFrame budget (batches cut at 1 KiB) holds far fewer rows than a block.
-					t.Fatalf("%s: %d blocks went out past the frame budget", q, blocks)
+				case !tc.relayed && blocks > 0:
+					// Re-cut at 256 KiB, a frame holds about 500 of these rows.
+					t.Fatalf("%s: %d blocks went out past the batch cut", q, blocks)
 				}
 			}
 		})

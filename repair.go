@@ -37,9 +37,13 @@ func (c *Cluster) ReplStats(i int) ReplStats {
 // replica peer: WAL-shipping catch-up where markers exist, digest
 // comparison, and state transfer where histories diverged.
 func (c *Cluster) RepairNode(i int) error {
+	b, err := c.backend(i)
+	if err != nil {
+		return err
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	return c.local.Node(i).Repair(ctx)
+	return b.Node().Repair(ctx)
 }
 
 // RestartNode brings a killed node back under the same identity: its
@@ -59,7 +63,7 @@ func (c *Cluster) RestartNode(i int) error {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	node, err := c.local.Restart(ctx, c.local.Node(i).ID())
+	node, err := c.local.Restart(ctx, b.Node().ID())
 	if node != nil {
 		b.Rebind(node, engine.New(node))
 		c.mu.Lock()

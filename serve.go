@@ -8,7 +8,10 @@ import (
 	"orchestra/internal/wire"
 )
 
-// ServeOptions tunes a served endpoint; the zero value is sensible.
+// ServeOptions tunes a served endpoint; the zero value is sensible. The
+// frame cap, a stream's credit window and the batch cut are constants of
+// the wire protocol, and a request's server-side time is capped at 30 s
+// (a query may ask for less), so none of them is an option.
 type ServeOptions struct {
 	// Node is the cluster node index that initiates the served work
 	// (default 0). Serving each node on its own address turns an
@@ -18,18 +21,9 @@ type ServeOptions struct {
 	// MaxConcurrentQueries bounds query executions in flight on this
 	// endpoint — the admission-control semaphore (default 2×GOMAXPROCS).
 	MaxConcurrentQueries int
-	// RequestTimeout caps any single request's server-side time,
-	// including admission wait (default 30s).
-	RequestTimeout time.Duration
 	// OnQueryStart, when set, runs at the start of every query execution
 	// while its admission slot is held (instrumentation hook).
 	OnQueryStart func()
-	// MaxFrame bounds a single wire frame (default wire.MaxFrame);
-	// results are bounded per batch frame, not as a whole.
-	MaxFrame int64
-	// StreamWindow is the per-stream credit window offered to streaming
-	// clients, in batch frames (default server.DefaultStreamWindow).
-	StreamWindow int
 	// SlowQueryThreshold sets the endpoint's slow-query log threshold:
 	// queries at or above it are recorded with their span trees,
 	// retrievable via the status and trace ops (0 = the server's 250ms
@@ -113,10 +107,7 @@ func (c *Cluster) Serve(addr string, opts ServeOptions) (*Server, error) {
 	}
 	s, err := server.Start(addr, b, server.Config{
 		MaxConcurrentQueries: opts.MaxConcurrentQueries,
-		RequestTimeout:       opts.RequestTimeout,
 		OnQueryStart:         opts.OnQueryStart,
-		MaxFrame:             opts.MaxFrame,
-		StreamWindow:         opts.StreamWindow,
 		SlowQueryThreshold:   opts.SlowQueryThreshold,
 		// Every endpoint served off this cluster advertises the whole
 		// set (plus any static extras), so one reachable endpoint

@@ -2,10 +2,7 @@ package orchestra
 
 import (
 	"fmt"
-	"slices"
 	"testing"
-
-	"orchestra/internal/wire"
 )
 
 // TestQueryCacheLRURecency: a cache hit refreshes an entry's recency, so
@@ -170,61 +167,5 @@ func TestQueryCachePerNode(t *testing.T) {
 	}
 	if r.Cached {
 		t.Fatal("node-1 served a stale entry across epochs")
-	}
-}
-
-// TestServedViewHitMixedSettings: two endpoints of one cluster share the
-// view cache, one with the default settings and one whose frame cap is
-// wire.MinFrame, so it cuts batches at 1 KiB, and each in turn fills an
-// entry first. Both answer every query exactly, hit or miss, and each
-// sends frames cut at its own size, whatever the entry's first writer
-// recorded: a memo recorded at one cut is not replayed at another. The
-// default endpoint's batches reach the 2 KiB compression threshold; the
-// small endpoint's stay below it and hold fewer than a block's 1024 rows.
-func TestServedViewHitMixedSettings(t *testing.T) {
-	c := newTestCluster(t, 3)
-	mustCreate(t, c, NewSchema("load", "k:string", "grp:int", "v:int"))
-	if _, err := c.PublishTyped(0, "load", typedRows(0, 9000)); err != nil {
-		t.Fatal(err)
-	}
-	queries := []string{
-		"SELECT k, grp, v FROM load WHERE grp < 3",
-		"SELECT k, grp, v FROM load WHERE grp > 1",
-	}
-	want := make(map[string]*Result)
-	for _, q := range queries { // collected before the cache is on
-		want[q] = mustQuery(t, c, q)
-	}
-	c.EnableQueryCache(8)
-	def, err := c.Serve("127.0.0.1:0", ServeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer def.Close()
-	small, err := c.Serve("127.0.0.1:0", ServeOptions{Node: 1, MaxFrame: wire.MinFrame})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer small.Close()
-	for i, q := range queries {
-		order := []*Server{def, small}
-		if i == 1 {
-			order = []*Server{small, def}
-		}
-		for round := 0; round < 2; round++ {
-			for j, srv := range order {
-				got := rawServedQuery(t, srv.Addr(), q)
-				sameAnswerAny(t, q, got.rows, want[q].Rows)
-				if fill := round == 0 && j == 0; got.cached == fill {
-					t.Fatalf("%s: round %d, endpoint %d: cached=%v", q, round, j, got.cached)
-				}
-				switch {
-				case srv == small && (len(got.flated) > 0 || slices.Max(got.frameRows) >= 1024):
-					t.Fatalf("%s: the 1 KiB endpoint sent frames of %v rows, %d flated", q, got.frameRows, len(got.flated))
-				case srv == def && len(got.flated) == 0:
-					t.Fatalf("%s: the default endpoint sent %d rows uncompressed", q, len(got.rows))
-				}
-			}
-		}
 	}
 }
