@@ -140,13 +140,6 @@ func (p *Participant) Rows(relation string) []tuple.Row {
 	return out
 }
 
-// PendingUpdates reports the size of the unpublished log.
-func (p *Participant) PendingUpdates() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.log)
-}
-
 // PublishedName is the globally visible name of a peer's local relation:
 // each participant's published updates are disjoint from all others' (§IV).
 func PublishedName(peer, relation string) string {
@@ -360,11 +353,4 @@ func (p *Participant) reconcile(cands []Candidate, priorities map[string]int) ([
 		}
 	}
 	return accepted, conflicts, nil
-}
-
-// LastSync reports the epoch of the participant's most recent import.
-func (p *Participant) LastSync() tuple.Epoch {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.lastSync
 }

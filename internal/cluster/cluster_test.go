@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"orchestra/internal/kvstore"
 	"orchestra/internal/ring"
 	"orchestra/internal/transport"
 	"orchestra/internal/tuple"
@@ -666,8 +667,11 @@ func TestDeltaChainSurvivesLosingItsBase(t *testing.T) {
 	reps := l.Table().Replicas(tip.Placement())
 	l.Kill(reps[0])
 	damaged := l.ByID(reps[1])
-	if ok, err := damaged.Store().Delete(vstore.PageKVKey(base)); err != nil || !ok {
-		t.Fatalf("delete base from %s: %v, %v", reps[1], ok, err)
+	if _, ok := damaged.Store().Get(vstore.PageKVKey(base)); !ok {
+		t.Fatalf("%s holds no base page to delete", reps[1])
+	}
+	if err := damaged.Store().ApplyBatch([]kvstore.ReplOp{{Del: true, Key: vstore.PageKVKey(base)}}); err != nil {
+		t.Fatalf("delete base from %s: %v", reps[1], err)
 	}
 	var reader *Node
 	for _, n := range l.Nodes() {

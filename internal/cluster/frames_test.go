@@ -51,7 +51,7 @@ func FuzzClusterFrames(f *testing.F) {
 	f.Add(encodeShipResp([]kvstore.ReplRecord{{Seq: 7, Op: 1, Payload: []byte("put")}, {Seq: 8, Op: 2}}, true, false))
 	f.Add(encodeFetchResp(kv, true))
 	f.Add(encodeFetchReq([]byte("t/k1"), 1<<20, nil))
-	f.Add(encodeFetchReq(nil, 1<<20, []ring.Range{{Lo: keyspace.FromUint64(1), Hi: keyspace.FromUint64(9)}}))
+	f.Add(encodeFetchReq(nil, 1<<20, []ring.Range{{Lo: keyspace.Key{keyspace.Size - 1: 1}, Hi: keyspace.Key{keyspace.Size - 1: 9}}}))
 	f.Add(encodeShipReq(7, 1<<20))
 	f.Add(encodeReplStatus(9, 3, 4))
 	f.Add(encodeDigest([]groupDigest{{name: "c/R", count: 3, xor: 0xfeed, maxEpoch: 9}, {name: "t/0", count: 1}}))

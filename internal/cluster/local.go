@@ -122,9 +122,6 @@ func (l *Local) Nodes() []*Node { return l.nodes }
 // Node returns the i'th node.
 func (l *Local) Node(i int) *Node { return l.nodes[i] }
 
-// ByID returns the node with the given identity.
-func (l *Local) ByID(id ring.NodeID) *Node { return l.byID[id] }
-
 // Table returns the first live node's routing table.
 func (l *Local) Table() *ring.Table {
 	for _, n := range l.nodes {

@@ -86,7 +86,7 @@ func TestWalShipTruncatedByProxy(t *testing.T) {
 	// Fault cleared: the identical request must now succeed. The first
 	// attempts may still hit the client's cached-but-reset connection, so
 	// retry briefly.
-	proxy.Clear()
+	proxy.SetFaults(netfault.Faults{})
 	var resp []byte
 	deadline := time.Now().Add(10 * time.Second)
 	for {

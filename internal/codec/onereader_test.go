@@ -30,7 +30,6 @@ func TestNoHandRolledDecoders(t *testing.T) {
 		"keyspace/key.go: return binary.BigEndian.Uint64(k[Size-8:])":                       "Key.Uint64 reads a fixed-size Key value, an array whose length the type guarantees, not bytes off the wire",
 		"keyspace/key.go: return binary.BigEndian.Uint64(k[:8])":                            "Key.Top64 reads a fixed-size Key value, an array whose length the type guarantees, not bytes off the wire",
 		"keyspace/key.go: cur := rem<<32 | uint64(binary.BigEndian.Uint32(k[i:]))":          "Key.Div does long division over the limbs of a fixed-size Key; the loop bound is the array's size",
-		"keyspace/key.go: cur := uint64(binary.BigEndian.Uint32(k[i:]))*n + carry":          "Key.MulUint64 multiplies the limbs of a fixed-size Key; the loop bound is the array's size",
 	}
 	dirs, err := os.ReadDir("..")
 	if err != nil {

@@ -1,17 +1,16 @@
 package engine
 
-// One-time compilation of Expr trees into vector kernels. The interpreted
-// Expr.Eval walks the tree per row, re-dispatching on node and operator
-// kinds for every tuple; it is the specification, and nothing on the
-// execution path calls it. A query's expressions are compiled once into
-// two mutually recursive forms over the column vectors of a tuple.Batch:
-// a value form (vecFn: one typed vector out, operand types dispatched once
+// One-time compilation of Expr trees into vector kernels, the engine's only
+// expression evaluator. A query's expressions are compiled once into two
+// mutually recursive forms over the column vectors of a tuple.Batch: a
+// value form (vecFn: one typed vector out, operand types dispatched once
 // per batch) and a predicate form (batchPredFn: a selection Bitset out,
 // with AND/OR/NOT as bitset combinators over one comparison leaf). A
 // sub-expression without a column reference stays a single value — a
 // literal is never broadcast to feed a kernel. Both forms agree exactly
-// with Expr.Eval, row by row (property-tested in compile_test.go), and a
-// result's type is a function of its operand column types alone.
+// with the row interpreter eval in the package's tests, row by row
+// (property-tested in compile_test.go), and a result's type is a function
+// of its operand column types alone.
 
 import (
 	"fmt"
@@ -194,8 +193,8 @@ func predValue(p batchPredFn) vecFn {
 	}
 }
 
-// binValue evaluates Concat and the arithmetic operators (everything
-// Bin.Eval handles after its comparison block) over n rows. Two constants
+// binValue evaluates Concat and the arithmetic operators (every operator
+// but AND, OR and the comparisons) over n rows. Two constants
 // make a constant.
 func binValue(op OpCode, l, r operand, n int) operand {
 	out := operand{konst: l.konst && r.konst}
@@ -211,7 +210,7 @@ func binValue(op OpCode, l, r operand, n int) operand {
 			out.Str[i] = ls[i&lm] + rs[i&rm]
 		}
 	case op < OpAdd || op > OpDiv:
-		return konstOf(tuple.I(0)) // unknown operator: Bin.Eval answers I(0)
+		return konstOf(tuple.I(0)) // unknown operator: answers I(0)
 	case l.T == tuple.Int64 && r.T == tuple.Int64:
 		out.T, out.I64 = tuple.Int64, arith(op, l.I64, r.I64, l.mask(), r.mask(), n)
 	default:

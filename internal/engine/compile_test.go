@@ -42,7 +42,7 @@ func randExpr(rng *rand.Rand, arity, depth int) Expr {
 			return Col{Idx: rng.Intn(arity)}
 		}
 		if rng.Intn(8) == 0 {
-			return Const{} // invalid literal: Eval must still agree
+			return Const{} // invalid literal: eval must still agree
 		}
 		return Const{Val: randValue(rng, randType(rng))}
 	}
@@ -70,7 +70,7 @@ func valueEqual(a, b tuple.Value) bool {
 }
 
 // randBatch draws a typed batch — columns are type-homogeneous, as every
-// operator edge carries them — and the same rows boxed, for Expr.Eval.
+// operator edge carries them — and the same rows boxed, for eval.
 func randBatch(rng *rand.Rand, arity, n int) (*tuple.Batch, []tuple.Row) {
 	types := make([]tuple.Type, arity)
 	for i := range types {
@@ -91,26 +91,26 @@ func randBatch(rng *rand.Rand, arity, n int) (*tuple.Batch, []tuple.Row) {
 	return b, rows
 }
 
-// checkVec holds the value form of e to Expr.Eval, row by row: the vector
+// checkVec holds the value form of e to eval, row by row: the vector
 // kernel's values, and so the one type they share.
 func checkVec(t *testing.T, e Expr, b *tuple.Batch, rows []tuple.Row) {
 	t.Helper()
 	o := compileVec(e)(b)
 	col := o.column(b.N)
 	for r, row := range rows {
-		if got, want := col.Value(r), e.Eval(row); !valueEqual(got, want) {
+		if got, want := col.Value(r), eval(e, row); !valueEqual(got, want) {
 			t.Fatalf("%s over %v (row %d): kernel %v, interpreted %v", e, row, r, got, want)
 		}
 	}
 }
 
-// checkPred holds the predicate form of e to the truth of Expr.Eval.
+// checkPred holds the predicate form of e to the truth of eval.
 func checkPred(t *testing.T, e Expr, b *tuple.Batch, rows []tuple.Row) {
 	t.Helper()
 	sel := NewBitset(b.N)
 	compileBatchPred(e)(b, sel)
 	for r, row := range rows {
-		if got, want := sel.Has(r), truth(e.Eval(row)); got != want {
+		if got, want := sel.Has(r), truth(eval(e, row)); got != want {
 			t.Fatalf("pred %s over %v (row %d): kernel %v, interpreted %v", e, row, r, got, want)
 		}
 	}
@@ -216,7 +216,7 @@ func TestBitsetOps(t *testing.T) {
 	}
 }
 
-// fuzzCompiled cross-checks one compiled form against Expr.Eval on a
+// fuzzCompiled cross-checks one compiled form against eval on a
 // fuzz-derived expression shape and batch contents.
 func fuzzCompiled(f *testing.F, check func(*testing.T, Expr, *tuple.Batch, []tuple.Row)) {
 	f.Add(int64(1), int64(2))
@@ -254,7 +254,7 @@ func BenchmarkPredicate(b *testing.B) {
 	batch, rows := benchBatch(b)
 	b.Run("Interpreted", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			benchSink = truth(pred.Eval(rows[i%len(rows)]))
+			benchSink = truth(eval(pred, rows[i%len(rows)]))
 		}
 	})
 	for name, e := range map[string]Expr{"CompiledBatch": pred, "Generic": generic} {

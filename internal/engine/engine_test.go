@@ -189,7 +189,7 @@ func TestSargablePredicate(t *testing.T) {
 	h.create(schemaR())
 	h.publish("R", genR(400, rand.New(rand.NewSource(4))))
 	// Key equality via the order-preserving key encoding.
-	pred := cluster.EqPred(schemaR(), tuple.I(42))
+	pred := cluster.KeyPred{Lo: tuple.AppendKeyValue(nil, tuple.I(42)), Hi: append(tuple.AppendKeyValue(nil, tuple.I(42)), 0)}
 	p := &Plan{Root: &ScanNode{Relation: "R", Pred: KeyPredOf(pred)}}
 	res := h.run(p, Options{})
 	if res.Batch.N != 1 {

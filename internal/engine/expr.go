@@ -12,8 +12,6 @@ import (
 // Expr is a serializable scalar expression evaluated per tuple by the
 // select and compute-function operators (Table I).
 type Expr interface {
-	// Eval computes the expression over a row.
-	Eval(row tuple.Row) tuple.Value
 	// append serializes the expression.
 	append(dst []byte) []byte
 	// String renders the expression for diagnostics.
@@ -83,9 +81,6 @@ const (
 // Col references an input column by position.
 type Col struct{ Idx int }
 
-// Eval returns the referenced column value.
-func (c Col) Eval(row tuple.Row) tuple.Value { return row[c.Idx] }
-
 func (c Col) append(dst []byte) []byte {
 	dst = append(dst, exprCol)
 	return binary.AppendUvarint(dst, uint64(c.Idx))
@@ -95,9 +90,6 @@ func (c Col) String() string { return fmt.Sprintf("$%d", c.Idx) }
 
 // Const is a literal value.
 type Const struct{ Val tuple.Value }
-
-// Eval returns the literal.
-func (c Const) Eval(tuple.Row) tuple.Value { return c.Val }
 
 func (c Const) append(dst []byte) []byte {
 	dst = append(dst, exprConst)
@@ -117,86 +109,6 @@ type Bin struct {
 	L, R Expr
 }
 
-// truth converts a value to a boolean (nonzero / nonempty).
-func truth(v tuple.Value) bool {
-	switch v.T {
-	case tuple.Int64:
-		return v.I64 != 0
-	case tuple.Float64:
-		return v.F64 != 0
-	case tuple.String:
-		return v.Str != ""
-	default:
-		return false
-	}
-}
-
-func boolVal(b bool) tuple.Value {
-	if b {
-		return tuple.I(1)
-	}
-	return tuple.I(0)
-}
-
-// Eval computes the binary operation with numeric coercion.
-func (b Bin) Eval(row tuple.Row) tuple.Value {
-	switch b.Op {
-	case OpAnd:
-		return boolVal(truth(b.L.Eval(row)) && truth(b.R.Eval(row)))
-	case OpOr:
-		return boolVal(truth(b.L.Eval(row)) || truth(b.R.Eval(row)))
-	}
-	l := b.L.Eval(row)
-	r := b.R.Eval(row)
-	switch b.Op {
-	case OpEq:
-		return boolVal(l.Cmp(r) == 0)
-	case OpNe:
-		return boolVal(l.Cmp(r) != 0)
-	case OpLt:
-		return boolVal(l.Cmp(r) < 0)
-	case OpLe:
-		return boolVal(l.Cmp(r) <= 0)
-	case OpGt:
-		return boolVal(l.Cmp(r) > 0)
-	case OpGe:
-		return boolVal(l.Cmp(r) >= 0)
-	case OpConcat:
-		return tuple.S(l.String() + r.String())
-	case OpAdd, OpSub, OpMul, OpDiv:
-		if l.T == tuple.Int64 && r.T == tuple.Int64 {
-			switch b.Op {
-			case OpAdd:
-				return tuple.I(l.I64 + r.I64)
-			case OpSub:
-				return tuple.I(l.I64 - r.I64)
-			case OpMul:
-				return tuple.I(l.I64 * r.I64)
-			case OpDiv:
-				if r.I64 == 0 {
-					return tuple.I(0)
-				}
-				return tuple.I(l.I64 / r.I64)
-			}
-		}
-		lf, rf := l.AsFloat(), r.AsFloat()
-		switch b.Op {
-		case OpAdd:
-			return tuple.F(lf + rf)
-		case OpSub:
-			return tuple.F(lf - rf)
-		case OpMul:
-			return tuple.F(lf * rf)
-		case OpDiv:
-			if rf == 0 {
-				return tuple.F(0)
-			}
-			return tuple.F(lf / rf)
-		}
-	}
-	return tuple.I(0)
-}
-
 func (b Bin) append(dst []byte) []byte {
 	dst = append(dst, exprBin, byte(b.Op))
 	dst = b.L.append(dst)
@@ -209,9 +121,6 @@ func (b Bin) String() string {
 
 // Not negates a boolean expression.
 type Not struct{ E Expr }
-
-// Eval negates the operand's truth value.
-func (n Not) Eval(row tuple.Row) tuple.Value { return boolVal(!truth(n.E.Eval(row))) }
 
 func (n Not) append(dst []byte) []byte {
 	dst = append(dst, exprNot)
@@ -236,16 +145,6 @@ func CS(v string) Expr { return Const{Val: tuple.S(v)} }
 
 // B builds a binary expression.
 func B(op OpCode, l, r Expr) Expr { return Bin{Op: op, L: l, R: r} }
-
-// DecodeExpr parses a serialized expression.
-func DecodeExpr(data []byte) (Expr, error) {
-	r := codec.NewReader(data)
-	e := decodeExpr(&r)
-	if err := r.Done("engine: expression"); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
 
 // decodeExpr reads one expression and, recursively, its operands.
 func decodeExpr(r *codec.Reader) Expr {

@@ -76,7 +76,7 @@ func randomPage(rng *rand.Rand, tb *ring.Table) ([]tuple.ID, []keyspace.Key) {
 	var hashes []keyspace.Key
 	for _, r := range tb.Ranges() {
 		if rng.Intn(2) == 0 {
-			hashes = append(hashes, r.Range.Lo, r.Range.Lo.Sub(keyspace.FromUint64(1)))
+			hashes = append(hashes, r.Range.Lo, r.Range.Lo.Sub(keyspace.Key{keyspace.Size - 1: 1}))
 		}
 	}
 	for i := 0; i < n; i++ {

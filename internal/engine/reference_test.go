@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"orchestra/internal/cluster"
@@ -20,7 +21,7 @@ func refEval(p *Plan, data map[string][]tuple.Row, schemas map[string]*tuple.Sch
 }
 
 // refFinalOps is the row-at-a-time final pipeline the batch one
-// (finalPipeline.apply) is checked against: Value.Cmp stable sorts, Expr.Eval
+// (finalPipeline.apply) is checked against: Value.Cmp stable sorts, eval
 // computes, a slice limit, and refMergeFinal for the partial-agg merge.
 func refFinalOps(ops []FinalOp, rows []tuple.Row) ([]tuple.Row, error) {
 	for _, op := range ops {
@@ -40,7 +41,7 @@ func refFinalOps(ops []FinalOp, rows []tuple.Row) ([]tuple.Row, error) {
 			out := make([]tuple.Row, len(rows))
 			for i, row := range rows {
 				for _, e := range f.Exprs {
-					out[i] = append(out[i], e.Eval(row))
+					out[i] = append(out[i], eval(e, row))
 				}
 			}
 			rows = out
@@ -138,7 +139,7 @@ func refNode(n Node, data map[string][]tuple.Row, schemas map[string]*tuple.Sche
 		}
 		var out []tuple.Row
 		for _, row := range in {
-			if truth(t.Pred.Eval(row)) {
+			if truth(eval(t.Pred, row)) {
 				out = append(out, row)
 			}
 		}
@@ -162,7 +163,7 @@ func refNode(n Node, data map[string][]tuple.Row, schemas map[string]*tuple.Sche
 		for i, row := range in {
 			r := make(tuple.Row, len(t.Exprs))
 			for j, e := range t.Exprs {
-				r[j] = e.Eval(row)
+				r[j] = eval(e, row)
 			}
 			out[i] = r
 		}
@@ -185,7 +186,7 @@ func refNode(n Node, data map[string][]tuple.Row, schemas map[string]*tuple.Sche
 		for _, l := range left {
 			k := string(tuple.EncodeKey(l, t.LeftKeys))
 			for _, r := range idx[k] {
-				out = append(out, l.Concat(r))
+				out = append(out, slices.Concat(l, r))
 			}
 		}
 		return out, nil
@@ -337,4 +338,102 @@ func diffSummary(got, want []tuple.Row) string {
 		}
 	}
 	return msg
+}
+
+// eval is the row interpreter: it walks e per row, dispatching on node and
+// operator kinds for every tuple. It is the specification the compiled
+// forms (compile.go) are held to, row by row, and the evaluator refEval
+// uses; nothing on the execution path calls it.
+func eval(e Expr, row tuple.Row) tuple.Value {
+	switch e := e.(type) {
+	case Col:
+		return row[e.Idx]
+	case Const:
+		return e.Val
+	case Not:
+		return boolVal(!truth(eval(e.E, row)))
+	case Bin:
+		return evalBin(e, row)
+	}
+	panic(fmt.Sprintf("eval: unknown expression %T", e))
+}
+
+// truth converts a value to a boolean (nonzero / nonempty).
+func truth(v tuple.Value) bool {
+	switch v.T {
+	case tuple.Int64:
+		return v.I64 != 0
+	case tuple.Float64:
+		return v.F64 != 0
+	case tuple.String:
+		return v.Str != ""
+	default:
+		return false
+	}
+}
+
+func boolVal(b bool) tuple.Value {
+	if b {
+		return tuple.I(1)
+	}
+	return tuple.I(0)
+}
+
+// evalBin computes the binary operation with numeric coercion.
+func evalBin(b Bin, row tuple.Row) tuple.Value {
+	switch b.Op {
+	case OpAnd:
+		return boolVal(truth(eval(b.L, row)) && truth(eval(b.R, row)))
+	case OpOr:
+		return boolVal(truth(eval(b.L, row)) || truth(eval(b.R, row)))
+	}
+	l := eval(b.L, row)
+	r := eval(b.R, row)
+	switch b.Op {
+	case OpEq:
+		return boolVal(l.Cmp(r) == 0)
+	case OpNe:
+		return boolVal(l.Cmp(r) != 0)
+	case OpLt:
+		return boolVal(l.Cmp(r) < 0)
+	case OpLe:
+		return boolVal(l.Cmp(r) <= 0)
+	case OpGt:
+		return boolVal(l.Cmp(r) > 0)
+	case OpGe:
+		return boolVal(l.Cmp(r) >= 0)
+	case OpConcat:
+		return tuple.S(l.String() + r.String())
+	case OpAdd, OpSub, OpMul, OpDiv:
+		if l.T == tuple.Int64 && r.T == tuple.Int64 {
+			switch b.Op {
+			case OpAdd:
+				return tuple.I(l.I64 + r.I64)
+			case OpSub:
+				return tuple.I(l.I64 - r.I64)
+			case OpMul:
+				return tuple.I(l.I64 * r.I64)
+			case OpDiv:
+				if r.I64 == 0 {
+					return tuple.I(0)
+				}
+				return tuple.I(l.I64 / r.I64)
+			}
+		}
+		lf, rf := l.AsFloat(), r.AsFloat()
+		switch b.Op {
+		case OpAdd:
+			return tuple.F(lf + rf)
+		case OpSub:
+			return tuple.F(lf - rf)
+		case OpMul:
+			return tuple.F(lf * rf)
+		case OpDiv:
+			if rf == 0 {
+				return tuple.F(0)
+			}
+			return tuple.F(lf / rf)
+		}
+	}
+	return tuple.I(0)
 }

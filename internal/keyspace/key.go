@@ -10,7 +10,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"fmt"
 )
 
 // Size is the width of a key in bytes (160 bits, the SHA-1 digest size).
@@ -53,13 +52,6 @@ func HashStrings(parts ...string) Key {
 	return k
 }
 
-// FromUint64 returns the key with value v (in the low 64 bits).
-func FromUint64(v uint64) Key {
-	var k Key
-	binary.BigEndian.PutUint64(k[Size-8:], v)
-	return k
-}
-
 // Uint64 returns the low 64 bits of k. It is primarily useful in tests and
 // for sharding decisions that only need coarse resolution.
 func (k Key) Uint64() uint64 {
@@ -89,9 +81,6 @@ func (k Key) Cmp(other Key) int {
 // Less reports whether k < other numerically.
 func (k Key) Less(other Key) bool { return k.Cmp(other) < 0 }
 
-// IsZero reports whether k is the zero key.
-func (k Key) IsZero() bool { return k == Zero }
-
 // Add returns k + other mod 2^160.
 func (k Key) Add(other Key) Key {
 	var out Key
@@ -102,11 +91,6 @@ func (k Key) Add(other Key) Key {
 		carry = sum >> 8
 	}
 	return out
-}
-
-// AddUint64 returns k + v mod 2^160.
-func (k Key) AddUint64(v uint64) Key {
-	return k.Add(FromUint64(v))
 }
 
 // Sub returns k - other mod 2^160 (the clockwise distance from other to k).
@@ -156,18 +140,6 @@ func Midpoint(a, b Key) Key {
 	return out
 }
 
-// RingDistance returns the minimum of the clockwise and counterclockwise
-// distances between k and other. Pastry places keys at the node with the
-// nearest hash value in this metric (§III-A).
-func (k Key) RingDistance(other Key) Key {
-	cw := other.Sub(k)
-	ccw := k.Sub(other)
-	if cw.Cmp(ccw) <= 0 {
-		return cw
-	}
-	return ccw
-}
-
 // InRange reports whether k lies in the half-open ring interval [lo, hi),
 // traveling clockwise from lo. If lo == hi the interval denotes the full
 // ring and every key is inside.
@@ -192,20 +164,6 @@ func (k Key) Short() string {
 	return hex.EncodeToString(k[:4])
 }
 
-// ParseKey parses a 40-hex-digit string produced by String.
-func ParseKey(s string) (Key, error) {
-	var k Key
-	if len(s) != 2*Size {
-		return k, fmt.Errorf("keyspace: key %q has length %d, want %d", s, len(s), 2*Size)
-	}
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return k, fmt.Errorf("keyspace: parse key: %w", err)
-	}
-	copy(k[:], b)
-	return k, nil
-}
-
 // Div returns k / n for a positive divisor n < 2^32 (node and replica counts
 // are always far below that bound).
 func (k Key) Div(n uint64) Key {
@@ -218,18 +176,6 @@ func (k Key) Div(n uint64) Key {
 		cur := rem<<32 | uint64(binary.BigEndian.Uint32(k[i:]))
 		binary.BigEndian.PutUint32(out[i:], uint32(cur/n))
 		rem = cur % n
-	}
-	return out
-}
-
-// MulUint64 returns k * n mod 2^160 for n < 2^32.
-func (k Key) MulUint64(n uint64) Key {
-	var out Key
-	var carry uint64
-	for i := Size - 4; i >= 0; i -= 4 {
-		cur := uint64(binary.BigEndian.Uint32(k[i:]))*n + carry
-		binary.BigEndian.PutUint32(out[i:], uint32(cur))
-		carry = cur >> 32
 	}
 	return out
 }

@@ -77,7 +77,7 @@ func TestAddSubSmall(t *testing.T) {
 }
 
 func TestAddWrapAround(t *testing.T) {
-	if got := Max.AddUint64(1); got != Zero {
+	if got := Max.Add(FromUint64(1)); got != Zero {
 		t.Errorf("Max+1 = %s, want zero", got)
 	}
 	if got := Zero.Sub(FromUint64(1)); got != Max {
@@ -170,23 +170,6 @@ func TestInRangeFullRing(t *testing.T) {
 	}
 }
 
-func TestParseKeyRoundTrip(t *testing.T) {
-	k := Hash([]byte("roundtrip"))
-	parsed, err := ParseKey(k.String())
-	if err != nil {
-		t.Fatalf("ParseKey: %v", err)
-	}
-	if parsed != k {
-		t.Fatalf("round trip mismatch: %s vs %s", parsed, k)
-	}
-	if _, err := ParseKey("zz"); err == nil {
-		t.Error("ParseKey should reject short input")
-	}
-	if _, err := ParseKey("zz" + k.String()[2:]); err == nil {
-		t.Error("ParseKey should reject non-hex input")
-	}
-}
-
 func TestDivideEvenly(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 7, 16, 100} {
 		starts, err := DivideEvenly(n)
@@ -196,7 +179,7 @@ func TestDivideEvenly(t *testing.T) {
 		if len(starts) != n {
 			t.Fatalf("DivideEvenly(%d) returned %d starts", n, len(starts))
 		}
-		if !starts[0].IsZero() {
+		if starts[0] != Zero {
 			t.Errorf("DivideEvenly(%d): first start %s, want zero", n, starts[0])
 		}
 		// Starts must be strictly increasing.
@@ -218,7 +201,7 @@ func TestDivideEvenly(t *testing.T) {
 				}
 				size := next.Sub(starts[i])
 				diff := size.Sub(base)
-				if !diff.IsZero() && diff != Max && diff != FromUint64(1) {
+				if diff != Zero && diff != Max && diff != FromUint64(1) {
 					t.Errorf("DivideEvenly(%d): range %d size deviates by %s", n, i, diff)
 				}
 			}
@@ -304,15 +287,8 @@ func TestPropMidpointHalvesDistance(t *testing.T) {
 		left := m.Sub(lo)
 		right := hi.Sub(m)
 		d := left.Sub(right)
-		return d.IsZero() || d == FromUint64(1) || d == Max
+		return d == Zero || d == FromUint64(1) || d == Max
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropRingDistanceSymmetric(t *testing.T) {
-	f := func(a, b Key) bool { return a.RingDistance(b) == b.RingDistance(a) }
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
@@ -333,21 +309,11 @@ func TestPropInRangeComplement(t *testing.T) {
 	}
 }
 
-func TestPropParseKeyRoundTrip(t *testing.T) {
-	f := func(k Key) bool {
-		p, err := ParseKey(k.String())
-		return err == nil && p == k
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPropHalfMatchesSub(t *testing.T) {
 	// k.Half().Add(k.Half()) is k or k-1 (depending on low bit).
 	f := func(k Key) bool {
 		twice := k.Half().Add(k.Half())
-		return twice == k || twice.AddUint64(1) == k
+		return twice == k || twice.Add(FromUint64(1)) == k
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -242,10 +242,9 @@ func (f *gateFile) Sync() error {
 // TestCheckpointCoversPendingEpoch reproduces the SetEpoch/Checkpoint
 // race: an epoch record has been appended and its SetEpoch is parked
 // inside the group-commit fsync when a checkpoint runs. The
-// checkpoint's Reinit drops the buffered record and marks its LSN
-// durable, so the snapshot it publishes must carry the pending epoch —
-// otherwise SetEpoch acknowledges a raise that exists nowhere on disk
-// and a crash recovers the old epoch.
+// checkpoint's Rotate marks its LSN durable, so the checkpoint must
+// carry the pending epoch — otherwise SetEpoch acknowledges a raise that
+// exists nowhere on disk and a crash recovers the old epoch.
 func TestCheckpointCoversPendingEpoch(t *testing.T) {
 	dir := t.TempDir()
 	g := &gateFS{FS: wal.OS, name: walName,

@@ -561,11 +561,6 @@ func (s *Store) PutBatch(kvs []KV) error {
 	return err
 }
 
-// Delete removes key if present; reports whether it existed.
-func (s *Store) Delete(key []byte) (bool, error) {
-	return s.apply(1, func(int) (byte, []byte, []byte) { return opDelete, key, nil })
-}
-
 // commit makes the record at lsn durable and may kick off a background
 // checkpoint once the log has grown past the configured threshold.
 func (s *Store) commit(lsn int64) error {

@@ -128,9 +128,6 @@ func (p *Proxy) SetFaults(f Faults) {
 	}
 }
 
-// Clear removes all faults (forward cleanly again).
-func (p *Proxy) Clear() { p.SetFaults(Faults{}) }
-
 // ResetAll severs every live proxied connection with an RST — the
 // abrupt remote-reset failure mode. The listener keeps accepting.
 func (p *Proxy) ResetAll() {

@@ -111,11 +111,11 @@ func TestDelayInjection(t *testing.T) {
 	if d := time.Since(start); d < 90*time.Millisecond {
 		t.Fatalf("round trip took %v, want >= ~100ms of injected delay", d)
 	}
-	p.Clear()
+	p.SetFaults(Faults{})
 	start = time.Now()
 	echoOnce(t, conn, "fast")
 	if d := time.Since(start); d > 40*time.Millisecond {
-		t.Fatalf("delay persisted after Clear: %v", d)
+		t.Fatalf("delay persisted after clearing the faults: %v", d)
 	}
 }
 
@@ -138,7 +138,7 @@ func TestBlackholeStallsWithoutClosing(t *testing.T) {
 	conn.SetReadDeadline(time.Time{})
 	// Healing the partition restores the connection (bytes swallowed
 	// during the blackhole stay lost, like a real partition).
-	p.Clear()
+	p.SetFaults(Faults{})
 	echoOnce(t, conn, "after heal")
 }
 

@@ -112,23 +112,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// Merge accumulates another snapshot into this one.
-func (s *HistSnapshot) Merge(o HistSnapshot) {
-	s.Count += o.Count
-	s.SumUs += o.SumUs
-	if o.MaxUs > s.MaxUs {
-		s.MaxUs = o.MaxUs
-	}
-	if len(s.Buckets) < len(o.Buckets) {
-		b := make([]uint64, len(o.Buckets))
-		copy(b, s.Buckets)
-		s.Buckets = b
-	}
-	for i, n := range o.Buckets {
-		s.Buckets[i] += n
-	}
-}
-
 // total sums the bucket counts (the self-consistent observation count).
 func (s *HistSnapshot) total() uint64 {
 	var t uint64

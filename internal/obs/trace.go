@@ -64,23 +64,6 @@ type Span struct {
 	Children []*Span `json:"children,omitempty"`
 }
 
-// Find returns the first span named name in a depth-first walk of the
-// subtree rooted at s, or nil.
-func (s *Span) Find(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	if s.Name == name {
-		return s
-	}
-	for _, c := range s.Children {
-		if m := c.Find(name); m != nil {
-			return m
-		}
-	}
-	return nil
-}
-
 // Walk visits every span in the subtree depth-first.
 func (s *Span) Walk(fn func(*Span)) {
 	if s == nil {

@@ -193,9 +193,6 @@ func (t *Table) Version() uint64 { return t.version }
 // Scheme returns the allocation scheme.
 func (t *Table) Scheme() Scheme { return t.scheme }
 
-// ReplicationFactor returns the configured total copy count r.
-func (t *Table) ReplicationFactor() int { return t.repl }
-
 // Size returns the number of member nodes.
 func (t *Table) Size() int { return len(t.members) }
 
@@ -220,9 +217,6 @@ func (t *Table) MemberIndex(id NodeID) (int, bool) {
 	i, ok := t.byID[id]
 	return i, ok
 }
-
-// MemberAt returns the node at hash-order index i.
-func (t *Table) MemberAt(i int) NodeID { return t.members[i].ID }
 
 // ownerEntry returns the index into entries of the range containing k.
 func (t *Table) ownerEntry(k keyspace.Key) int {
@@ -313,16 +307,6 @@ func (t *Table) replicaIndices(owner int) []NodeID {
 		out = out[:t.repl]
 	}
 	return out
-}
-
-// ReplicasOfNode returns the replica set shared by every key the node owns
-// under scheme-derived tables (where each node owns one contiguous range).
-func (t *Table) ReplicasOfNode(id NodeID) ([]NodeID, error) {
-	idx, ok := t.byID[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, id)
-	}
-	return t.replicaIndices(idx), nil
 }
 
 // IsReplica reports whether node id holds a copy of key k.

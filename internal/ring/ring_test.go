@@ -68,7 +68,7 @@ func TestOwnershipPartition(t *testing.T) {
 				}
 			}
 			// Sum of all range sizes must be 2^160, i.e. 0 mod 2^160.
-			if !total.IsZero() {
+			if total != keyspace.Zero {
 				t.Errorf("%v n=%d: ranges sum to %s, want full ring (0 mod 2^160)", scheme, n, total)
 			}
 			// Spot-check Owner agrees with RangesOf.
@@ -122,7 +122,7 @@ func TestBalancedOwnerMatchesDivideEvenly(t *testing.T) {
 		if i+1 < n {
 			hi = starts[i+1]
 		}
-		probe := hi.Sub(keyspace.FromUint64(1))
+		probe := hi.Sub(keyspace.Key{keyspace.Size - 1: 1})
 		if got := tab.Owner(probe); got != members[i] {
 			t.Errorf("owner(end[%d]-1) = %s, want %s", i, got, members[i])
 		}
@@ -161,7 +161,7 @@ func TestReplicasAreRingNeighbors(t *testing.T) {
 	wantSet := map[NodeID]bool{}
 	n := tab.Size()
 	for d := -2; d <= 2; d++ {
-		wantSet[tab.MemberAt((ownerIdx+d+n)%n)] = true
+		wantSet[tab.members[(ownerIdx+d+n)%n].ID] = true
 	}
 	for _, r := range reps {
 		if !wantSet[r] {
@@ -206,18 +206,15 @@ func TestWithoutNodesSplitsAmongReplicas(t *testing.T) {
 		t.Fatalf("recovery table size = %d, want 7", rec.Size())
 	}
 	// Every key the victim owned must now be owned by one of its replicas.
-	reps, err := tab.ReplicasOfNode(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reps := tab.replicaIndices(tab.byID[victim])
 	repSet := map[NodeID]bool{}
 	for _, r := range reps[1:] { // exclude the victim itself
 		repSet[r] = true
 	}
 	for _, r := range tab.RangesOf(victim) {
 		// Probe several keys across the lost range.
-		for f := 0; f < 8; f++ {
-			k := r.Lo.Add(r.Size().Div(8).MulUint64(uint64(f)))
+		step := r.Size().Div(8)
+		for k, f := r.Lo, 0; f < 8; k, f = k.Add(step), f+1 {
 			if !r.Contains(k) {
 				continue
 			}
@@ -318,7 +315,7 @@ func TestSegmentsReportExactlyLostRanges(t *testing.T) {
 	if lostSize != movedSize {
 		t.Errorf("moved size %s != lost size %s", movedSize.Short(), lostSize.Short())
 	}
-	if !total.IsZero() {
+	if total != keyspace.Zero {
 		t.Errorf("segments cover %s of the ring, want all of it (a sum that wraps to zero)", total.Short())
 	}
 }
@@ -338,7 +335,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 			t.Errorf("round trip mismatch:\n got %s\nwant %s", got, tab)
 		}
 		if got.Version() != tab.Version() || got.Scheme() != tab.Scheme() ||
-			got.ReplicationFactor() != tab.ReplicationFactor() {
+			got.repl != tab.repl {
 			t.Error("metadata mismatch after round trip")
 		}
 	}

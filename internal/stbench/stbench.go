@@ -223,21 +223,3 @@ func Generate(cfg Config) map[string][]tuple.Row {
 
 	return out
 }
-
-// RelationsFor returns the source relations a scenario reads.
-func RelationsFor(name string) []string {
-	switch name {
-	case "Copy":
-		return []string{"stb_copy"}
-	case "Select":
-		return []string{"stb_sel"}
-	case "Join":
-		return []string{"stb_j7", "stb_j5", "stb_j9"}
-	case "Concatenate":
-		return []string{"stb_cat"}
-	case "Correspondence":
-		return []string{"stb_corr", "stb_map"}
-	default:
-		return nil
-	}
-}

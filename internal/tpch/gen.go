@@ -116,10 +116,6 @@ func dateInt(t time.Time) int64 {
 	return int64(t.Year())*10000 + int64(t.Month())*100 + int64(t.Day())
 }
 
-// DateInt builds the YYYYMMDD encoding from components (exported for
-// writing query constants in examples and benches).
-func DateInt(y, m, d int) int64 { return int64(y)*10000 + int64(m)*100 + int64(d) }
-
 var epochStart = time.Date(1992, 1, 1, 0, 0, 0, 0, time.UTC)
 
 // randDate picks a date uniformly in [1992-01-01, 1998-08-02], per spec.

@@ -130,9 +130,6 @@ func TestGenerateSelectivities(t *testing.T) {
 }
 
 func TestDates(t *testing.T) {
-	if DateInt(1995, 3, 15) != 19950315 {
-		t.Fatal("DateInt")
-	}
 	data := Generate(0.002, 5)
 	for _, l := range data["lineitem"] {
 		ship := l[10].AsInt()

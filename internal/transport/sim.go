@@ -106,13 +106,6 @@ func (n *Network) Hang(id ring.NodeID) {
 	}
 }
 
-// Unhang resumes a hung node.
-func (n *Network) Unhang(id ring.NodeID) {
-	if p := n.port(id); p != nil {
-		p.ep.pause(false)
-	}
-}
-
 // Alive reports whether the node is attached and not killed.
 func (n *Network) Alive(id ring.NodeID) bool {
 	p := n.port(id)

@@ -117,17 +117,13 @@ func (t *TCPEndpoint) readLoop(conn net.Conn) {
 const maxFrame = 64 << 20
 
 func readFrame(conn io.Reader) (frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		return frame{}, err
-	}
-	h := codec.NewReader(hdr[:])
-	n := h.U32()
-	if n < frameFixed || n > maxFrame {
-		return frame{}, fmt.Errorf("transport: bad frame length %d", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(conn, buf); err != nil {
+	buf, err := codec.ReadFrame(conn, func(n uint32) error {
+		if n < frameFixed || n > maxFrame {
+			return fmt.Errorf("transport: bad frame length %d", n)
+		}
+		return nil
+	})
+	if err != nil {
 		return frame{}, err
 	}
 	r := codec.NewReader(buf)

@@ -2,6 +2,10 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -45,5 +49,22 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if _, err := readFrame(bytes.NewReader([]byte{0, 0, 0, 3, 1, 2, 3})); err == nil {
 		t.Fatal("frame shorter than its header accepted")
+	}
+}
+
+// TestBareHeaderCostsWhatArrived: a peer's header claiming 60 MiB, under
+// maxFrame, followed by one byte costs the reader its first body chunk
+// (512 KiB), not the claim.
+func TestBareHeaderCostsWhatArrived(t *testing.T) {
+	bare := append(binary.BigEndian.AppendUint32(nil, 60<<20), 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readFrame(bytes.NewReader(bare))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("bare header: %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("a bare 60 MiB header and one byte cost %d bytes of allocation", got)
 	}
 }

@@ -253,13 +253,6 @@ func (r Row) Project(cols []int) Row {
 	return out
 }
 
-// Concat returns the concatenation of r and other as a fresh row.
-func (r Row) Concat(other Row) Row {
-	out := make(Row, 0, len(r)+len(other))
-	out = append(out, r...)
-	return append(out, other...)
-}
-
 // Clone returns a copy of the row.
 func (r Row) Clone() Row {
 	out := make(Row, len(r))
@@ -445,16 +438,6 @@ func (id ID) Encode() []byte {
 	binary.BigEndian.PutUint64(b[:], uint64(id.Epoch))
 	out = append(out, b[:]...)
 	return append(out, id.Key...)
-}
-
-// DecodeID parses an encoded ID.
-func DecodeID(data []byte) (ID, error) {
-	r := codec.NewReader(data)
-	id := ID{Epoch: Epoch(r.U64()), Key: string(r.Rest())}
-	if err := r.Done("tuple: ID"); err != nil {
-		return ID{}, err
-	}
-	return id, nil
 }
 
 func (id ID) String() string {

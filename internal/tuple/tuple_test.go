@@ -86,10 +86,6 @@ func TestRowOps(t *testing.T) {
 	if !p.Equal(Row{F(2.0), S("a")}) {
 		t.Errorf("Project = %v", p)
 	}
-	c := r.Concat(Row{I(9)})
-	if len(c) != 4 || !c[3].Equal(I(9)) {
-		t.Errorf("Concat = %v", c)
-	}
 	cl := r.Clone()
 	cl[0] = S("changed")
 	if r[0].Str != "a" {

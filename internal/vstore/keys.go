@@ -3,7 +3,6 @@ package vstore
 import (
 	"encoding/binary"
 
-	"orchestra/internal/codec"
 	"orchestra/internal/keyspace"
 	"orchestra/internal/tuple"
 )
@@ -96,21 +95,4 @@ func TupleKeyHash(kvKey []byte) (keyspace.Key, bool) {
 	}
 	copy(h[:], kvKey[2:])
 	return h, true
-}
-
-// TupleIDFromKVKey reconstructs the tuple ID from a local tuple store key.
-func TupleIDFromKVKey(kvKey []byte) (tuple.ID, bool) {
-	if len(kvKey) < 2 || kvKey[0] != 't' || kvKey[1] != '/' {
-		return tuple.ID{}, false
-	}
-	// hash, key encoding, 0x00 separator, 8-byte epoch. The key encoding
-	// never ends ambiguously: the epoch is the final 8 bytes and the
-	// separator precedes it.
-	r := codec.NewReader(kvKey[2:])
-	r.Fixed(keyspace.Size)
-	keyEnc, sep, e := r.Fixed(len(kvKey)-2-keyspace.Size-9), r.U8(), r.U64()
-	if r.Err() != nil || sep != 0 {
-		return tuple.ID{}, false
-	}
-	return tuple.ID{Key: string(keyEnc), Epoch: tuple.Epoch(e)}, true
 }

@@ -46,6 +46,11 @@ func TestSchemaCodecRejectsGarbage(t *testing.T) {
 	}
 }
 
+// keyOf is the key with value v.
+func keyOf(v uint16) keyspace.Key {
+	return keyspace.Key{keyspace.Size - 2: byte(v >> 8), keyspace.Size - 1: byte(v)}
+}
+
 // testPage builds a well-formed page (sorted, hashed) of n keys.
 func testPage(t *testing.T, n int) *Page {
 	t.Helper()
@@ -60,7 +65,7 @@ func testPage(t *testing.T, n int) *Page {
 	}
 	p := pages[0]
 	p.Ref.ID.Seq = 7
-	p.Ref.Min, p.Ref.Max = keyspace.FromUint64(100), keyspace.FromUint64(900)
+	p.Ref.Min, p.Ref.Max = keyOf(100), keyOf(900)
 	return &p
 }
 
@@ -138,8 +143,8 @@ func TestCoordinatorCodecRoundTrip(t *testing.T) {
 		Relation: "R",
 		Epoch:    5,
 		Pages: []PageRef{
-			{ID: PageID{"R", 5, 0}, Min: keyspace.Zero, Max: keyspace.FromUint64(500), Entries: 300, DeltaEntries: 17, Depth: 4},
-			{ID: PageID{"R", 2, 1}, Min: keyspace.FromUint64(500), Max: keyspace.Zero, Entries: 12},
+			{ID: PageID{"R", 5, 0}, Min: keyspace.Zero, Max: keyOf(500), Entries: 300, DeltaEntries: 17, Depth: 4},
+			{ID: PageID{"R", 2, 1}, Min: keyOf(500), Max: keyspace.Zero, Entries: 12},
 		},
 	}
 	got, err := DecodeCoordinator(EncodeCoordinator(c))
@@ -565,8 +570,8 @@ func TestApplyRejectsACoordinatorThatDoesNotCoverTheRing(t *testing.T) {
 	// A page covering a tiny range that cannot contain our key.
 	c := &Coordinator{Relation: "R", Pages: []PageRef{{
 		ID:  PageID{"R", 0, 0},
-		Min: keyspace.FromUint64(1),
-		Max: keyspace.FromUint64(2),
+		Min: keyOf(1),
+		Max: keyOf(2),
 	}}}
 	_, _, _, err := c.Apply(s, 1, []Update{{Op: OpInsert, Row: tuple.Row{tuple.S("zzz"), tuple.S("v")}}}, 10, nil)
 	if err == nil {
@@ -657,8 +662,8 @@ func TestTupleKVKeyRoundTrip(t *testing.T) {
 }
 
 func TestTupleScanBounds(t *testing.T) {
-	min := keyspace.FromUint64(100)
-	max := keyspace.FromUint64(200)
+	min := keyOf(100)
+	max := keyOf(200)
 	lo, hi, wrapped := TupleScanBounds(min, max)
 	if wrapped {
 		t.Error("forward range reported wrapped")

@@ -41,13 +41,6 @@ func (f *FaultFS) FailAt(n, tornBytes int) {
 	f.mu.Unlock()
 }
 
-// Disarm stops injecting and resets the step counter.
-func (f *FaultFS) Disarm() {
-	f.mu.Lock()
-	f.step, f.failAt, f.dead = 0, -1, false
-	f.mu.Unlock()
-}
-
 // Steps returns how many durability operations have run since the last
 // FailAt/Disarm — run a workload disarmed first to learn the sweep
 // bound.

@@ -247,9 +247,10 @@ type Options struct {
 // leader: it flushes and fsyncs everything appended so far while
 // followers wait, so N concurrent commits cost one fsync.
 //
-// LSNs are a monotonic per-open counter, not file offsets — Reinit
-// (checkpoint truncation) marks all appended records as durable, since
-// the snapshot that triggered it covers them.
+// LSNs are a monotonic per-open counter, not file offsets: Rotate
+// starts a fresh file at the same path but keeps counting, and marks
+// every record appended so far durable, since the sealed segment it
+// fsynced holds them.
 type Log struct {
 	fsys FS
 	path string
@@ -481,41 +482,15 @@ func (l *Log) flushLocked() error {
 	return nil
 }
 
-// Reinit truncates the log to a fresh header for the given generation —
-// the checkpoint path, called after the snapshot covering every applied
-// record has been published. All outstanding LSNs are marked durable:
-// their effects live in the snapshot now. The caller must prevent
-// concurrent Appends (the store holds its write lock).
-func (l *Log) Reinit(hdr Header) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
-		return l.err
-	}
-	l.buf.Reset(l.f) // drop buffered frames; the snapshot has them
-	if err := initLogFile(l.f, hdr); err != nil {
-		l.err = fmt.Errorf("wal: reinit: %w", err)
-		return l.err
-	}
-	l.size = headerLen
-	l.syncMu.Lock()
-	if l.appended > l.synced {
-		l.synced = l.appended
-	}
-	l.syncCond.Broadcast()
-	l.syncMu.Unlock()
-	return nil
-}
-
 // Rotate seals the current log file as an archived segment at segPath
 // and continues appending into a fresh log (with hdr) at the original
-// path — the streaming-checkpoint variant of Reinit. The old file is
-// flushed and fsynced before the rename, so the sealed segment is
-// complete and durable; every record appended so far is then marked
-// durable, releasing any commits parked on the group-commit condition.
-// The caller must prevent concurrent Appends (the store holds its write
-// lock), but unlike Reinit no snapshot needs to exist yet: recovery
-// replays the segment chain.
+// path — the checkpoint's log step. The old file is flushed and fsynced
+// before the rename, so the sealed segment is complete and durable;
+// every record appended so far is then marked durable, releasing any
+// commits parked on the group-commit condition. The caller must prevent
+// concurrent Appends (the store holds its write lock). No snapshot needs
+// to exist yet: the checkpoint streams it afterwards, and until it is
+// published recovery replays the segment chain.
 func (l *Log) Rotate(segPath string, hdr Header) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -206,36 +206,44 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	}
 }
 
-func TestReinitReleasesCommitters(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "x.wal")
+func TestRotateReleasesCommitters(t *testing.T) {
+	dir := t.TempDir()
+	path, seg := filepath.Join(dir, "x.wal"), filepath.Join(dir, "x.wal.1")
 	l, err := Reset(OS, path, Header{Gen: 1, BaseEpoch: 5}, Options{Mode: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsn, err := l.Append(1, []byte("covered-by-snapshot"))
+	lsn, err := l.Append(1, []byte("sealed-in-segment"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Reinit(Header{Gen: 2, BaseEpoch: 9}); err != nil {
+	if err := l.Rotate(seg, Header{Gen: 2, BaseEpoch: 9}); err != nil {
 		t.Fatal(err)
 	}
-	// The record predates the checkpoint, so its commit is already
-	// durable (via the snapshot) and must return without syncing.
+	// The record was fsynced into the sealed segment, so its commit is
+	// already durable and must return without syncing.
 	if err := l.Commit(lsn); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+	sealed, err := ReadAll(OS, seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sealed.Header.Gen != 1 || len(sealed.Records) != 1 {
+		t.Fatalf("sealed segment = gen %d with %d records, want gen 1 with 1", sealed.Header.Gen, len(sealed.Records))
+	}
 	c, err := ReadAll(OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Header.Gen != 2 || c.Header.BaseEpoch != 9 {
-		t.Fatalf("header after reinit = %+v", c.Header)
+		t.Fatalf("header after rotate = %+v", c.Header)
 	}
 	if len(c.Records) != 0 {
-		t.Fatalf("reinit left %d records", len(c.Records))
+		t.Fatalf("rotate left %d records in the live log", len(c.Records))
 	}
 }
 

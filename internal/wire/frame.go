@@ -117,20 +117,16 @@ type QueryTail struct {
 // length above maxFrame returns a *FrameSizeError before anything is
 // allocated; the connection cannot be re-synchronized afterwards.
 func ReadRawFrame(r io.Reader, maxFrame int64) (FrameKind, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	h := codec.NewReader(hdr[:])
-	n := h.U32()
-	if int64(n) > maxFrame {
-		return 0, nil, &FrameSizeError{Size: int64(n), Max: maxFrame}
-	}
-	if n == 0 {
-		return 0, nil, ErrEmptyFrame
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := codec.ReadFrame(r, func(n uint32) error {
+		if int64(n) > maxFrame {
+			return &FrameSizeError{Size: int64(n), Max: maxFrame}
+		}
+		if n == 0 {
+			return ErrEmptyFrame
+		}
+		return nil
+	})
+	if err != nil {
 		return 0, nil, err
 	}
 	return FrameKind(body[0]), body[1:], nil
